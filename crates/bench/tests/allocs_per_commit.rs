@@ -1,9 +1,11 @@
 //! Counting-allocator harness: pins heap allocations per committed action
-//! on the steady-state commit path.
+//! on the steady-state commit path, and per record of a cold backward scan
+//! of the log.
 //!
 //! A `#[global_allocator]` wrapper counts every `alloc`/`realloc` call made
-//! by this test binary. After a warm-up phase (so table growth, cache fills,
-//! and network buffers are out of the way), the harness runs batches of
+//! by the calling thread (the tests of this binary run on parallel
+//! threads). After a warm-up phase (so table growth, cache fills, and
+//! network buffers are out of the way), the harness runs batches of
 //! concurrent commits exactly like `argus_bench::commit_perf` and divides
 //! the allocation delta by the number of commits. The resulting
 //! `allocs/commit` is published as the `bench.allocs_per_commit` obs counter
@@ -20,28 +22,38 @@
 use argus_guardian::{Outcome, RsKind, World, WorldConfig};
 use argus_objects::Value;
 use argus_sim::CostModel;
+use argus_slog::StableLog;
+use argus_stable::{CacheConfig, DurableFileStore, MemStore, PageCache, PageStore};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wraps the system allocator, counting allocation calls (not bytes):
 /// `alloc` and `realloc` each count one; `dealloc` is free.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -54,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Runs `rounds` batches of `concurrency` concurrent committed actions on a
@@ -141,4 +153,61 @@ fn steady_state_allocs_per_commit_stay_bounded() {
         );
     }
     assert!(reg.counter("bench.allocs_per_commit").get() > 0);
+}
+
+/// Appends `records` log records of the commit path's typical size to a
+/// log over `store` behind the default page cache, restarts it cold, and
+/// returns the allocation calls per record of one full backward walk.
+fn allocs_per_scanned_record<S: PageStore>(store: S, records: u64) -> f64 {
+    let mut log = StableLog::create(PageCache::new(store, CacheConfig::default())).expect("log");
+    for i in 0..records {
+        log.write(&[(i & 0xFF) as u8; 85]);
+        if i % 8 == 7 {
+            log.force().expect("force");
+        }
+    }
+    log.force().expect("force");
+    log.reopen().expect("reopen");
+
+    let before = allocs();
+    let mut walk = log.walk_backward(None);
+    let mut seen = 0;
+    while let Some(entry) = walk.next_entry() {
+        let (_addr, _seq, payload) = entry.expect("entry");
+        assert_eq!(payload.len(), 85);
+        seen += 1;
+    }
+    let delta = allocs() - before;
+    assert_eq!(seen, records);
+    delta as f64 / records as f64
+}
+
+#[test]
+fn a_cold_backward_scan_allocates_less_than_once_per_record() {
+    // What is left is per *page load*, not per record: a `Page` copied out
+    // of the cache (or off the device) each time the byte device moves to
+    // another page — about four times per 512 bytes, because a record that
+    // straddles a page boundary is read header, payload, then the trailer
+    // below it — over 4.5 records per page. Before the walk lent its
+    // payloads and the byte device its pages, a record cost a payload `Vec`
+    // plus a page clone for each of its three reads: more than four
+    // allocations.
+    let clock = argus_sim::SimClock::new();
+    let mem = MemStore::new(clock.clone(), CostModel::fast());
+    let path = std::env::temp_dir().join(format!("argus-allocs-scan-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let file = DurableFileStore::open(&path, clock, CostModel::fast()).expect("file store");
+    let per_record = [
+        ("memory", allocs_per_scanned_record(mem, 20_000)),
+        ("file", allocs_per_scanned_record(file, 20_000)),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for (medium, per_record) in per_record {
+        println!("{medium}: {per_record:.2} allocs/record");
+        assert!(
+            per_record <= 1.0,
+            "{medium}: {per_record:.2} allocations per scanned record — the recovery \
+             read path copies or allocates per record again"
+        );
+    }
 }

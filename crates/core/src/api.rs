@@ -320,7 +320,7 @@ pub mod providers {
         /// Durability mode applied to every store file (fsync vs. O_DSYNC).
         pub mode: argus_stable::DurabilityMode,
         counter: u64,
-        root: argus_slog::LogRoot<argus_stable::FileStore>,
+        root: argus_slog::LogRoot<argus_stable::DurableFileStore>,
     }
 
     impl FileProvider {
@@ -342,8 +342,9 @@ pub mod providers {
             let model = CostModel::fast();
             let root_path = dir.join("root.argus");
             let existed = root_path.exists();
-            let store = argus_stable::FileStore::open(&root_path, clock.clone(), model.clone())
-                .map_err(std::io::Error::other)?;
+            let store =
+                argus_stable::DurableFileStore::open(&root_path, clock.clone(), model.clone())
+                    .map_err(std::io::Error::other)?;
             let root = if existed {
                 argus_slog::LogRoot::open(store).map_err(std::io::Error::other)?
             } else {
@@ -386,8 +387,8 @@ pub mod providers {
         pub fn open_store(
             &self,
             n: u64,
-        ) -> Result<argus_stable::FileStore, argus_stable::StorageError> {
-            argus_stable::FileStore::open_with(
+        ) -> Result<argus_stable::DurableFileStore, argus_stable::StorageError> {
+            argus_stable::DurableFileStore::open_with(
                 &self.store_path(n),
                 self.clock.clone(),
                 self.model.clone(),
@@ -402,13 +403,13 @@ pub mod providers {
     }
 
     impl StoreProvider for FileProvider {
-        type Store = argus_stable::FileStore;
+        type Store = argus_stable::DurableFileStore;
 
-        fn new_store(&mut self) -> argus_stable::FileStore {
+        fn new_store(&mut self) -> argus_stable::DurableFileStore {
             let path = self.store_path(self.counter);
             self.counter += 1;
             let _ = std::fs::remove_file(&path);
-            argus_stable::FileStore::open_with(
+            argus_stable::DurableFileStore::open_with(
                 &path,
                 self.clock.clone(),
                 self.model.clone(),

@@ -410,9 +410,9 @@ impl<P: StoreProvider> HybridLogRs<P> {
                 return Ok(Some(addr));
             }
             // Step over the data entry.
-            let mut iter = self.log.read_backward(Some(addr));
-            iter.next(); // the data entry itself
-            cursor = match iter.next() {
+            let mut walk = self.log.walk_backward(Some(addr));
+            walk.next_entry(); // the data entry itself
+            cursor = match walk.next_entry() {
                 Some(item) => Some(item?.0),
                 None => None,
             };

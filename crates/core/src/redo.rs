@@ -364,14 +364,15 @@ impl<P: StoreProvider> RedoRs<P> {
         st: &mut ScanState,
         eager: bool,
     ) -> RsResult<()> {
-        for item in log.read_backward(None) {
+        let mut walk = log.walk_backward(None);
+        while let Some(item) = walk.next_entry() {
             let (addr, _seq, payload) = item?;
             if let Some(stop) = st.stop {
                 if addr < stop {
                     break;
                 }
             }
-            let entry = decode_entry_view(&payload)?;
+            let entry = decode_entry_view(payload)?;
             ctx.entries_examined += 1;
             match entry {
                 EntryView::Prepared { aid, .. } => {

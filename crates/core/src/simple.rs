@@ -179,9 +179,10 @@ impl<P: StoreProvider> SimpleLogRs<P> {
         // Step 2: read the log backwards, every entry. Records are decoded
         // as zero-copy views: versions of superseded or wiped-out writes are
         // validated but never materialized.
-        for item in self.log.read_backward(None) {
+        let mut walk = self.log.walk_backward(None);
+        while let Some(item) = walk.next_entry() {
             let (addr, _seq, payload) = item?;
-            let entry = decode_entry_view(&payload)?;
+            let entry = decode_entry_view(payload)?;
             ctx.entries_examined += 1;
             match entry {
                 EntryView::Prepared { aid, .. } => {

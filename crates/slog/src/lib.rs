@@ -11,7 +11,7 @@
 //! | `write(log, entry)`          | [`StableLog::write`]                   |
 //! | `force_write(log, entry)`    | [`StableLog::force_write`]             |
 //! | `read(log, log_address)`     | [`StableLog::read`]                    |
-//! | `read_backward(log, addr)`   | [`StableLog::read_backward`]           |
+//! | `read_backward(log, addr)`   | [`StableLog::walk_backward`]           |
 //! | `get_top(log)`               | [`StableLog::get_top`]                 |
 //! | `create()`                   | [`StableLog::create`]                  |
 //! | `destroy(log)`               | dropping / replacing via [`LogRoot`]   |
@@ -27,8 +27,11 @@
 //!   increasing, which the hybrid log's mutex-recency rule (§4.4) relies on.
 //!
 //! Records are framed with a CRC32 and a trailer that allows walking the log
-//! backwards, and a superblock on page 0 is atomically rewritten at each
-//! force — the commit point that makes a multi-page force all-or-nothing.
+//! backwards. The walk ([`BackwardWalk`]) checks every frame and lends each
+//! payload out of one reused buffer; [`StableLog::read_backward`] is the same
+//! walk as an `Iterator` of owned payloads. A superblock on page 0 is
+//! atomically rewritten at each force — the commit point that makes a
+//! multi-page force all-or-nothing.
 //! [`LogRoot`] provides the "new log supplants the old log in one atomic
 //! step" needed by housekeeping (ch. 5).
 
@@ -40,6 +43,6 @@ mod sched;
 
 pub use addr::LogAddress;
 pub use codec::{crc32, CodecError, CodecResult, Decoder, Encoder};
-pub use log::{BackwardIter, LogError, LogResult, StableLog};
+pub use log::{BackwardIter, BackwardWalk, LogError, LogResult, StableLog};
 pub use root::LogRoot;
 pub use sched::{ForceConfig, ForceScheduler};

@@ -481,11 +481,22 @@ impl<S: PageStore> StableLog<S> {
         }
     }
 
-    /// Returns an iterator reading the log backwards, one entry at a time,
-    /// starting at `from` (or at the top when `from` is `None`).
-    pub fn read_backward(&mut self, from: Option<LogAddress>) -> BackwardIter<'_, S> {
+    /// Reads the log backwards, one entry at a time, starting at `from` (or
+    /// at the top when `from` is `None`), lending each payload out of one
+    /// reused buffer — the form every scan of a whole log should use.
+    pub fn walk_backward(&mut self, from: Option<LogAddress>) -> BackwardWalk<'_, S> {
         let cursor = from.or(self.get_top());
-        BackwardIter { log: self, cursor }
+        BackwardWalk {
+            log: self,
+            cursor,
+            payload: Vec::new(),
+        }
+    }
+
+    /// [`StableLog::walk_backward`] as an [`Iterator`] that hands every
+    /// payload out as an owned `Vec`.
+    pub fn read_backward(&mut self, from: Option<LogAddress>) -> BackwardIter<'_, S> {
+        BackwardIter(self.walk_backward(from))
     }
 
     /// Number of forced entries.
@@ -537,37 +548,52 @@ impl<S: PageStore> StableLog<S> {
     }
 }
 
-/// Iterator over `(address, sequence, payload)` walking the log backwards.
+/// A backward walk over `(address, sequence, payload)`, lending the payload.
 ///
 /// Yields the entry at the starting address first, then each predecessor —
-/// the access pattern of every recovery algorithm in the thesis.
-pub struct BackwardIter<'a, S: PageStore> {
+/// the access pattern of every recovery algorithm in the thesis. Each
+/// payload is checked (record magic, length, checksum, the predecessor's
+/// trailer) and lent until the next step, so a walk allocates once, not per
+/// record.
+pub struct BackwardWalk<'a, S: PageStore> {
     log: &'a mut StableLog<S>,
     cursor: Option<LogAddress>,
+    payload: Vec<u8>,
 }
 
-impl<S: PageStore> Iterator for BackwardIter<'_, S> {
-    type Item = LogResult<(LogAddress, u64, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<S: PageStore> BackwardWalk<'_, S> {
+    /// The next (older) entry, or `None` below the oldest. An error ends
+    /// the walk.
+    pub fn next_entry(&mut self) -> Option<LogResult<(LogAddress, u64, &[u8])>> {
         let addr = self.cursor?;
         self.log.obs.backward_hops.inc();
-        match self.log.read(addr) {
-            Ok((seq, payload)) => {
-                match self.log.prev_record(addr) {
-                    Ok(prev) => self.cursor = prev,
-                    Err(e) => {
-                        self.cursor = None;
-                        return Some(Err(e));
-                    }
-                }
-                Some(Ok((addr, seq, payload)))
+        let step = self
+            .log
+            .read_into(addr, &mut self.payload)
+            .and_then(|seq| Ok((seq, self.log.prev_record(addr)?)));
+        match step {
+            Ok((seq, prev)) => {
+                self.cursor = prev;
+                Some(Ok((addr, seq, &self.payload)))
             }
             Err(e) => {
                 self.cursor = None;
                 Some(Err(e))
             }
         }
+    }
+}
+
+/// Iterator over `(address, sequence, payload)` walking the log backwards:
+/// [`BackwardWalk`] with each payload copied out.
+pub struct BackwardIter<'a, S: PageStore>(BackwardWalk<'a, S>);
+
+impl<S: PageStore> Iterator for BackwardIter<'_, S> {
+    type Item = LogResult<(LogAddress, u64, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = self.0.next_entry()?;
+        Some(item.map(|(addr, seq, payload)| (addr, seq, payload.to_vec())))
     }
 }
 
@@ -640,6 +666,94 @@ mod tests {
             .map(|r| r.unwrap().2)
             .collect();
         assert_eq!(got, vec![vec![2], vec![1], vec![0]]);
+    }
+
+    /// What a walk yields per record, owned.
+    type Walked = (LogAddress, u64, Vec<u8>);
+
+    /// Payload length of record `i` of [`assorted_log`].
+    fn assorted_len(i: u64) -> u64 {
+        (i * 37) % 700
+    }
+
+    /// A log of records of assorted lengths (some spanning pages), with
+    /// each record's address, sequence number and payload, oldest first.
+    fn assorted_log() -> (StableLog<MemStore>, Vec<Walked>) {
+        let mut log = new_log();
+        let mut written = Vec::new();
+        for i in 0..40u64 {
+            let payload: Vec<u8> = (0..assorted_len(i)).map(|b| (b + i) as u8).collect();
+            written.push((log.write(&payload), i, payload));
+            if i % 3 == 0 {
+                log.force().unwrap();
+            }
+        }
+        log.force().unwrap();
+        (log, written)
+    }
+
+    /// Drains the lending walk and the owning iterator from `from`,
+    /// checking that they agree item for item, errors included.
+    fn walk_both_ways(
+        log: &mut StableLog<MemStore>,
+        from: Option<LogAddress>,
+    ) -> Vec<Result<Walked, String>> {
+        let mut lent = Vec::new();
+        let mut walk = log.walk_backward(from);
+        while let Some(item) = walk.next_entry() {
+            lent.push(
+                item.map(|(addr, seq, payload)| (addr, seq, payload.to_vec()))
+                    .map_err(|e| e.to_string()),
+            );
+        }
+        let owned: Vec<_> = log
+            .read_backward(from)
+            .map(|item| item.map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(lent, owned);
+        lent
+    }
+
+    fn flip_byte(log: &mut StableLog<MemStore>, offset: u64) {
+        let (pno, at) = (
+            offset / PAGE_SIZE as u64,
+            (offset % PAGE_SIZE as u64) as usize,
+        );
+        let store = log.store_mut();
+        let mut page = store.read_page(pno).unwrap();
+        page.as_mut_slice()[at] ^= 0x40;
+        store.write_page(pno, &page).unwrap();
+    }
+
+    #[test]
+    fn lending_walk_and_read_backward_yield_the_same_entries() {
+        let (mut log, written) = assorted_log();
+        let newest_first: Vec<_> = written.iter().rev().cloned().map(Ok).collect();
+        assert_eq!(walk_both_ways(&mut log, None), newest_first);
+        let middle = written[17].0;
+        assert_eq!(walk_both_ways(&mut log, Some(middle)), newest_first[22..]);
+    }
+
+    #[test]
+    fn lending_walk_and_read_backward_fail_alike_on_corruption() {
+        // (byte to damage relative to record 20's frame, the error it causes,
+        // how many good entries the walk yields first). A bad trailer is
+        // found while stepping *over* it, so it costs the record above too.
+        for (at, what, good) in [
+            (HEADER_LEN + 5, "record checksum", 19),
+            (1, "record magic", 19),
+            (HEADER_LEN + assorted_len(20) + 5, "trailer magic", 18),
+        ] {
+            let (mut log, written) = assorted_log();
+            let victim = written[20].0;
+            flip_byte(&mut log, victim.offset() + at);
+            let got = walk_both_ways(&mut log, None);
+            assert_eq!(got.len(), good + 1, "{what}");
+            let ok: Vec<_> = written.iter().rev().take(good).cloned().map(Ok).collect();
+            assert_eq!(got[..good], ok, "{what}");
+            let err = got[good].clone().unwrap_err();
+            assert!(err.contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@ use crate::{Page, PageNo, PageStore, StorageResult, PAGE_SIZE};
 /// Byte-granular reads and writes over any [`PageStore`].
 ///
 /// The stable log stores variable-length records; this adapter handles the
-/// page splitting. A one-page tail cache avoids re-reading the partially
-/// filled last page on every append — the cache is volatile and is simply
+/// page splitting. A one-page cache avoids re-reading the partially filled
+/// last page on every append and serves the several small reads a log record
+/// costs without copying the page — the cache is volatile and is simply
 /// dropped (with the device) on a crash.
 #[derive(Debug)]
 pub struct ByteDevice<S: PageStore> {
@@ -37,15 +38,17 @@ impl<S: PageStore> ByteDevice<S> {
         &mut self.store
     }
 
-    fn load_page(&mut self, pno: PageNo) -> StorageResult<Page> {
-        if let Some((cached, page)) = &self.cache {
-            if *cached == pno {
-                return Ok(page.clone());
-            }
+    /// Lends the page at `pno` out of the one-page cache, reading it from
+    /// the store first if it is not the cached one.
+    fn load_page(&mut self, pno: PageNo) -> StorageResult<&Page> {
+        if !matches!(&self.cache, Some((cached, _)) if *cached == pno) {
+            let page = self.store.read_page(pno)?;
+            self.cache = Some((pno, page));
         }
-        let page = self.store.read_page(pno)?;
-        self.cache = Some((pno, page.clone()));
-        Ok(page)
+        match &self.cache {
+            Some((_, page)) => Ok(page),
+            None => unreachable!("the cache was filled above"),
+        }
     }
 
     fn store_page(&mut self, pno: PageNo, page: Page) -> StorageResult<()> {
@@ -81,7 +84,7 @@ impl<S: PageStore> ByteDevice<S> {
             let mut page = if in_page == 0 && take == PAGE_SIZE {
                 Page::zeroed() // full-page overwrite: no read needed
             } else {
-                self.load_page(pno)?
+                self.load_page(pno)?.clone()
             };
             page.as_mut_slice()[in_page..in_page + take].copy_from_slice(&data[pos..pos + take]);
             self.store_page(pno, page)?;

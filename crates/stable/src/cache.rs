@@ -4,11 +4,12 @@
 //! chain walk touches pages newest-to-oldest — the worst case for a device
 //! that only rewards forward scans. [`PageCache`] sits between a consumer
 //! (the stable log's [`crate::ByteDevice`]) and any [`PageStore`]
-//! (`MemStore`, `MirroredDisk`, `FileStore`) and
+//! (`MemStore`, `MirroredDisk`, `DurableFileStore`) and
 //!
 //! * serves repeated reads from an LRU map without touching the device,
 //! * detects sequential runs in **either direction** and prefetches the next
-//!   window with ascending (sequential-rate) device reads, and
+//!   window with ascending (sequential-rate) device reads, fetching each run
+//!   of missing pages with one [`PageStore::read_run`], and
 //! * stays write-through, so the cache never diverges from the media and the
 //!   layers below keep their crash/decay semantics unchanged.
 //!
@@ -18,7 +19,7 @@
 
 use crate::{Page, PageNo, PageStore, StorageResult};
 use argus_sim::DeviceStats;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Tuning knobs for a [`PageCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +88,18 @@ pub struct PageCache<S> {
     inner: S,
     cfg: CacheConfig,
     slots: HashMap<PageNo, Slot>,
+    /// Every stamp ever handed out, oldest first. Stamps are unique, so an
+    /// entry is live exactly when its page's slot still carries that stamp;
+    /// re-stamped, evicted and invalidated pages leave dead entries behind,
+    /// skipped at eviction and swept when they outnumber the live ones.
+    lru: VecDeque<(u64, PageNo)>,
     /// Logical access clock for LRU stamps.
     tick: u64,
     /// The previous read that went to the device; two nearby misses in the
     /// same direction mean a sequential run worth prefetching.
     last_miss: Option<PageNo>,
+    /// Scratch for the pages of one read-ahead run.
+    run: Vec<Page>,
     obs: CacheObs,
 }
 
@@ -102,8 +110,10 @@ impl<S: PageStore> PageCache<S> {
             inner,
             cfg,
             slots: HashMap::new(),
+            lru: VecDeque::new(),
             tick: 0,
             last_miss: None,
+            run: Vec::new(),
             obs: CacheObs::resolve(),
         }
     }
@@ -130,18 +140,34 @@ impl<S: PageStore> PageCache<S> {
         self.cfg
     }
 
-    fn insert(&mut self, pno: PageNo, page: Page) {
-        if self.slots.len() >= self.cfg.capacity && !self.slots.contains_key(&pno) {
-            if let Some(victim) = self
-                .slots
-                .iter()
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(&victim, _)| victim)
-            {
-                self.slots.remove(&victim);
+    /// Sweeps dead entries out of the LRU queue once they outnumber the live
+    /// ones, so the queue stays O(capacity) and a use amortised O(1). Called
+    /// before every push.
+    fn sweep_lru(&mut self) {
+        if self.lru.len() >= 2 * self.cfg.capacity.max(16) {
+            let slots = &self.slots;
+            self.lru
+                .retain(|(stamp, pno)| slots.get(pno).is_some_and(|s| s.stamp == *stamp));
+        }
+    }
+
+    /// Removes the least recently used page: the oldest live stamp.
+    fn evict(&mut self) {
+        while let Some((stamp, pno)) = self.lru.pop_front() {
+            if self.slots.get(&pno).is_some_and(|s| s.stamp == stamp) {
+                self.slots.remove(&pno);
+                return;
             }
         }
+    }
+
+    fn insert(&mut self, pno: PageNo, page: Page) {
+        if self.slots.len() >= self.cfg.capacity && !self.slots.contains_key(&pno) {
+            self.evict();
+        }
+        self.sweep_lru();
         let stamp = self.tick;
+        self.lru.push_back((stamp, pno));
         self.slots.insert(pno, Slot { stamp, page });
     }
 
@@ -170,20 +196,37 @@ impl<S: PageStore> PageCache<S> {
         let tracer = argus_trace::current();
         let t0 = tracer.device_detail().then(|| tracer.now());
         let mut fetched = 0u64;
-        for p in start..end {
+        let mut run = std::mem::take(&mut self.run);
+        let mut p = start;
+        while p < end {
             if self.slots.contains_key(&p) {
+                p += 1;
                 continue;
+            }
+            // One device transfer per maximal run of missing pages. Where
+            // the run ends is re-examined after its pages are inserted: an
+            // insert may evict a page further up the window, which is then
+            // fetched in its turn — page for page what a page-at-a-time
+            // loop would read.
+            let mut n = 1;
+            while p + n < end && !self.slots.contains_key(&(p + n)) {
+                n += 1;
             }
             // Speculative work: a read error (e.g. an injected crash) must
             // not fail the demand read that already succeeded.
-            let Ok(page) = self.inner.read_page(p) else {
+            let read = self.inner.read_run(p, n as usize, &mut run);
+            for page in run.drain(..) {
+                self.tick += 1;
+                self.insert(p, page);
+                self.obs.readahead.inc();
+                fetched += 1;
+                p += 1;
+            }
+            if read.is_err() {
                 break;
-            };
-            self.tick += 1;
-            self.insert(p, page);
-            self.obs.readahead.inc();
-            fetched += 1;
+            }
         }
+        self.run = run;
         if let Some(t0) = t0 {
             if fetched > 0 {
                 tracer.complete(
@@ -205,8 +248,10 @@ impl<S: PageStore> PageStore for PageCache<S> {
             return self.inner.read_page(pno);
         }
         self.tick += 1;
+        self.sweep_lru();
         if let Some(slot) = self.slots.get_mut(&pno) {
             slot.stamp = self.tick;
+            self.lru.push_back((self.tick, pno));
             self.obs.hits.inc();
             return Ok(slot.page.clone());
         }
@@ -267,6 +312,7 @@ impl<S: PageStore> PageStore for PageCache<S> {
 
     fn invalidate_volatile(&mut self) {
         self.slots.clear();
+        self.lru.clear();
         self.last_miss = None;
         self.inner.invalidate_volatile();
     }

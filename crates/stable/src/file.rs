@@ -34,6 +34,8 @@ const O_DSYNC: i32 = 0x1000;
 struct FileObs {
     fsyncs: argus_obs::Counter,
     bytes_written: argus_obs::Counter,
+    preads: argus_obs::Counter,
+    bytes_read: argus_obs::Counter,
 }
 
 impl FileObs {
@@ -42,6 +44,8 @@ impl FileObs {
         Self {
             fsyncs: reg.counter("stable.file.fsyncs"),
             bytes_written: reg.counter("stable.file.bytes_written"),
+            preads: reg.counter("stable.file.preads"),
+            bytes_read: reg.counter("stable.file.bytes_read"),
         }
     }
 }
@@ -71,6 +75,11 @@ impl FileObs {
 ///   power cut) drops them, so an unforced write is *gone* after a crash
 ///   exactly as on real hardware.
 ///
+/// Reads cost one `pread` each, and [`PageStore::read_run`] one `pread` for
+/// the whole run (counters `stable.file.{preads,bytes_read}`). The store is
+/// the only writer of its file, so it tracks the file's length itself: the
+/// filesystem is asked once, at open, and never on the read or write path.
+///
 /// Torn-write assumption: single-page (512-byte) writes are atomic, matching
 /// the sector-atomicity assumption the simulated [`crate::RawDisk`] enforces
 /// and classic disks provide. The simulated [`crate::MirroredDisk`] is what
@@ -80,11 +89,16 @@ impl FileObs {
 pub struct DurableFileStore {
     file: File,
     pages: u64,
+    /// Length of the file in bytes: read at open, advanced by every run
+    /// `flush_staged` writes. Reads past it are zeros without a syscall.
+    file_len: u64,
     /// Pages written since the last sync, waiting to be combined into
     /// contiguous `pwrite`s. Volatile by design.
     staged: BTreeMap<PageNo, Page>,
     /// Scratch buffer reused across syncs for coalesced runs.
     scratch: Vec<u8>,
+    /// Scratch buffer reused across `read_run`s.
+    run_buf: Vec<u8>,
     mode: DurabilityMode,
     stats: DeviceStats,
     clock: SimClock,
@@ -92,10 +106,6 @@ pub struct DurableFileStore {
     tracker: SeqTracker,
     obs: FileObs,
 }
-
-/// The historical name: the durable store replaced the old demo
-/// implementation in place, so every existing call site keeps working.
-pub type FileStore = DurableFileStore;
 
 impl DurableFileStore {
     /// Opens (creating if absent) the store at `path` with the default
@@ -130,13 +140,14 @@ impl DurableFileStore {
                 obs.fsyncs.inc();
             }
         }
-        let len = file.metadata()?.len();
-        let pages = len / PAGE_SIZE as u64;
+        let file_len = file.metadata()?.len();
         Ok(Self {
             file,
-            pages,
+            pages: file_len / PAGE_SIZE as u64,
+            file_len,
             staged: BTreeMap::new(),
             scratch: Vec::new(),
+            run_buf: Vec::new(),
             mode,
             stats: DeviceStats::new(),
             clock,
@@ -153,23 +164,10 @@ impl DurableFileStore {
         let mut run_start: Option<PageNo> = None;
         let mut next: PageNo = 0;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let flush_run = |file: &File, start: PageNo, buf: &mut Vec<u8>| -> StorageResult<()> {
-            if buf.is_empty() {
-                return Ok(());
-            }
-            file.write_all_at(buf, start * PAGE_SIZE as u64)?;
-            self.obs.bytes_written.add(buf.len() as u64);
-            if self.mode == DurabilityMode::Dsync && cfg!(target_os = "linux") {
-                // Each O_DSYNC write is its own durability barrier.
-                self.obs.fsyncs.inc();
-            }
-            buf.clear();
-            Ok(())
-        };
         for (pno, page) in staged {
             if run_start.is_none() || pno != next {
                 if let Some(start) = run_start {
-                    flush_run(&self.file, start, &mut scratch)?;
+                    self.write_run(start, &mut scratch)?;
                 }
                 run_start = Some(pno);
             }
@@ -177,36 +175,82 @@ impl DurableFileStore {
             next = pno + 1;
         }
         if let Some(start) = run_start {
-            flush_run(&self.file, start, &mut scratch)?;
+            self.write_run(start, &mut scratch)?;
         }
         self.scratch = scratch;
         Ok(())
     }
-}
 
-impl PageStore for DurableFileStore {
-    fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+    /// One `pwrite` of the contiguous pages in `buf` at page `start`.
+    fn write_run(&mut self, start: PageNo, buf: &mut Vec<u8>) -> StorageResult<()> {
+        let offset = start * PAGE_SIZE as u64;
+        self.file.write_all_at(buf, offset)?;
+        self.file_len = self.file_len.max(offset + buf.len() as u64);
+        self.obs.bytes_written.add(buf.len() as u64);
+        if self.mode == DurabilityMode::Dsync && cfg!(target_os = "linux") {
+            // Each O_DSYNC write is its own durability barrier.
+            self.obs.fsyncs.inc();
+        }
+        buf.clear();
+        Ok(())
+    }
+
+    fn charge_read(&mut self, pno: PageNo) {
         let kind = if self.tracker.classify(pno) {
             OpKind::SeqRead
         } else {
             OpKind::RandRead
         };
         self.stats.charge(kind, &self.model, &self.clock);
+    }
+
+    /// Fills `buf` from the file at byte `offset` with one `pread`. The file
+    /// may be shorter than `pages` claims while writes are staged; whatever
+    /// lies past its end is left as the caller zeroed it.
+    fn pread(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
+        let have = self.file_len.saturating_sub(offset).min(buf.len() as u64) as usize;
+        if have > 0 {
+            self.file.read_exact_at(&mut buf[..have], offset)?;
+            self.obs.preads.inc();
+            self.obs.bytes_read.add(have as u64);
+        }
+        Ok(())
+    }
+}
+
+impl PageStore for DurableFileStore {
+    fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+        self.charge_read(pno);
         if let Some(page) = self.staged.get(&pno) {
             return Ok(page.clone());
         }
         let mut page = Page::zeroed();
-        let offset = pno * PAGE_SIZE as u64;
-        // The file may be shorter than `pages` claims while writes are
-        // staged; anything past EOF reads as zeros.
-        let len = self.file.metadata()?.len();
-        if offset >= len {
-            return Ok(page);
-        }
-        let have = ((len - offset) as usize).min(PAGE_SIZE);
-        self.file
-            .read_exact_at(&mut page.as_mut_slice()[..have], offset)?;
+        self.pread(pno * PAGE_SIZE as u64, page.as_mut_slice())?;
         Ok(page)
+    }
+
+    fn read_run(&mut self, start: PageNo, count: usize, out: &mut Vec<Page>) -> StorageResult<()> {
+        // Every page is charged through the tracker as the page-at-a-time
+        // loop would; only the transfer is shared.
+        for pno in start..start + count as u64 {
+            self.charge_read(pno);
+        }
+        let mut buf = std::mem::take(&mut self.run_buf);
+        buf.clear();
+        buf.resize(count * PAGE_SIZE, 0);
+        let read = self.pread(start * PAGE_SIZE as u64, &mut buf);
+        if read.is_ok() {
+            out.extend(
+                (start..)
+                    .zip(buf.chunks_exact(PAGE_SIZE))
+                    .map(|(pno, bytes)| match self.staged.get(&pno) {
+                        Some(staged) => staged.clone(),
+                        None => Page::from_bytes(bytes),
+                    }),
+            );
+        }
+        self.run_buf = buf;
+        read
     }
 
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
@@ -252,16 +296,10 @@ impl PageStore for DurableFileStore {
 
     fn invalidate_volatile(&mut self) {
         // A crash loses whatever was staged but never synced — drop it and
-        // recompute the page count from the file alone, exactly what a real
+        // fall back to the page count of the file alone, exactly what a real
         // power cut leaves behind.
-        if !self.staged.is_empty() {
-            self.staged.clear();
-            self.pages = self
-                .file
-                .metadata()
-                .map(|m| m.len() / PAGE_SIZE as u64)
-                .unwrap_or(0);
-        }
+        self.staged.clear();
+        self.pages = self.file_len / PAGE_SIZE as u64;
     }
 }
 
@@ -385,6 +423,61 @@ mod tests {
         for pno in [0u64, 1, 2, 3, 10, 11, 12, 13] {
             assert_eq!(s.read_page(pno).unwrap(), Page::from_bytes(&[pno as u8]));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn read_run_is_one_pread_and_charges_every_page() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let path = temp_path("read-run");
+        let _ = std::fs::remove_file(&path);
+        let mut s = open(&path);
+        for pno in 0..12u64 {
+            s.write_page(pno, &Page::from_bytes(&[pno as u8])).unwrap();
+        }
+        s.sync().unwrap();
+        // Page 5 is rewritten but not yet synced, and pages 12..14 exist
+        // only as a staged page past the end of the file.
+        s.write_page(5, &Page::from_bytes(b"staged")).unwrap();
+        s.write_page(13, &Page::from_bytes(b"beyond")).unwrap();
+
+        let before = s.stats().snapshot();
+        let mut run = Vec::new();
+        s.read_run(2, 9, &mut run).unwrap();
+        assert_eq!(reg.counter("stable.file.preads").get(), 1);
+        assert_eq!(
+            reg.counter("stable.file.bytes_read").get(),
+            9 * PAGE_SIZE as u64
+        );
+        assert_eq!(s.stats().snapshot().since(&before).reads(), 9);
+        let want: Vec<Page> = (2..11u64)
+            .map(|pno| match pno {
+                5 => Page::from_bytes(b"staged"),
+                _ => Page::from_bytes(&[pno as u8]),
+            })
+            .collect();
+        assert_eq!(run, want);
+
+        // A run crossing the end of the file: the file's pages in one
+        // transfer, zeros and the staged page beyond it.
+        run.clear();
+        s.read_run(10, 5, &mut run).unwrap();
+        assert_eq!(reg.counter("stable.file.preads").get(), 2);
+        assert_eq!(
+            reg.counter("stable.file.bytes_read").get(),
+            11 * PAGE_SIZE as u64
+        );
+        assert_eq!(
+            run,
+            vec![
+                Page::from_bytes(&[10]),
+                Page::from_bytes(&[11]),
+                Page::zeroed(),
+                Page::from_bytes(b"beyond"),
+                Page::zeroed(),
+            ]
+        );
         let _ = std::fs::remove_file(&path);
     }
 

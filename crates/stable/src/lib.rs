@@ -16,12 +16,14 @@
 //!   read.
 //! * [`MemStore`] — an always-good page store for experiments where media
 //!   faults are not under test (node crashes are injected above this layer).
-//! * [`FileStore`] — the same interface persisted in a real file, so examples
-//!   can survive actual process restarts.
+//! * [`DurableFileStore`] — the same interface persisted durably in a real
+//!   file (`pwrite` + `fsync`), so logs survive actual process restarts.
 //! * [`ByteDevice`] — a byte-addressed extent view over any [`PageStore`];
 //!   the stable log in `argus-slog` is built on it.
 //! * [`PageCache`] — a transparent LRU cache + read-ahead layer over any
-//!   [`PageStore`], used to make recovery's log scans run at device speed.
+//!   [`PageStore`], used to make recovery's log scans run at device speed;
+//!   a read-ahead window is fetched as runs ([`PageStore::read_run`]: one
+//!   `pread` per run on a real file), not page by page.
 //! * [`FaultPlan`] — the crash/decay injector shared by a device stack.
 //!
 //! All I/O charges simulated time against an [`argus_sim::SimClock`] through
@@ -42,7 +44,7 @@ pub use bytedev::ByteDevice;
 pub use cache::{CacheConfig, PageCache};
 pub use error::{StorageError, StorageResult};
 pub use fault::{DeviceOp, FaultPlan, OpCounts, TraceEntry};
-pub use file::{DurabilityMode, DurableFileStore, FileStore};
+pub use file::{DurabilityMode, DurableFileStore};
 pub use mem::MemStore;
 pub use mirror::MirroredDisk;
 pub use page::{Page, PageNo, PAGE_SIZE};

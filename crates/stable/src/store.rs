@@ -8,12 +8,28 @@ use argus_sim::DeviceStats;
 /// This is the contract the thesis assumes of stable storage (§1.1): a write
 /// either happens completely or not at all, even across a crash. The mirrored
 /// implementation ([`crate::MirroredDisk`]) provides it over fallible media;
-/// [`crate::MemStore`] and [`crate::FileStore`] provide it trivially.
+/// [`crate::MemStore`] and [`crate::DurableFileStore`] provide it trivially.
 ///
 /// Writing past the current end grows the device with zero pages.
 pub trait PageStore {
     /// Reads the page at `pno`.
     fn read_page(&mut self, pno: PageNo) -> StorageResult<Page>;
+
+    /// Reads the `count` pages starting at `start`, appending them to `out`.
+    ///
+    /// By contract this is `count` calls of [`PageStore::read_page`] in
+    /// ascending page order — the same pages, the same simulated charges and
+    /// sequential/random classification — which is exactly what the default
+    /// does. A store that can serve the run with one physical transfer
+    /// ([`crate::DurableFileStore`]: one `pread`) overrides it; only wall
+    /// time may differ. On error `out` keeps the pages read before the
+    /// failure.
+    fn read_run(&mut self, start: PageNo, count: usize, out: &mut Vec<Page>) -> StorageResult<()> {
+        for pno in start..start + count as u64 {
+            out.push(self.read_page(pno)?);
+        }
+        Ok(())
+    }
 
     /// Atomically replaces the page at `pno`.
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()>;

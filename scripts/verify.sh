@@ -8,6 +8,7 @@
 #   scripts/verify.sh --vopr   # + seeded fault-composition batch + selftest
 #   scripts/verify.sh --scale  # + 64-shard sharded-world smoke + many-guardian vopr
 #   scripts/verify.sh --wall   # + wall-clock file-backed bench smoke (E18/E19)
+#   scripts/verify.sh --bench  # + benchmark/run.sh --smoke (every workload, metric names)
 #
 # The workspace has zero external dependencies, so --offline is enforced —
 # any accidental registry dependency fails here rather than in CI.
@@ -93,6 +94,15 @@ if [[ "${1:-}" == "--wall" || "${1:-}" == "--full" ]]; then
     run cargo run -q --release --offline -p argus-bench --bin experiments -- --wall-smoke
     run cargo run -q --release --offline -p argus-bench --bin experiments -- \
         --json-dir . E18 E19 E20
+fi
+
+# Bench tier: the repository's benchmark (BENCHMARK.json, benchmark/) must
+# still build against the crates' public functions and pass its own smoke —
+# every workload on all four organizations with the output checks on, and
+# every metric name and unit BENCHMARK.json declares present (~5 s of runs
+# after the build).
+if [[ "${1:-}" == "--bench" || "${1:-}" == "--full" ]]; then
+    run bash benchmark/run.sh --smoke
 fi
 
 echo "verify: OK"

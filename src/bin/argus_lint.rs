@@ -50,7 +50,7 @@ use argus::core::providers::FileProvider;
 use argus::guardian::RsKind;
 use argus::sim::{CostModel, SimClock};
 use argus::slog::StableLog;
-use argus::stable::FileStore;
+use argus::stable::DurableFileStore;
 use std::path::PathBuf;
 
 fn main() {
@@ -417,7 +417,7 @@ fn run_lint(path: Option<PathBuf>) {
         path
     };
 
-    let store = match FileStore::open(&store_path, SimClock::new(), CostModel::fast()) {
+    let store = match DurableFileStore::open(&store_path, SimClock::new(), CostModel::fast()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{}: cannot open store: {e}", store_path.display());

@@ -10,7 +10,7 @@
 use argus::core::{decode_entry, LogEntry};
 use argus::sim::{CostModel, SimClock};
 use argus::slog::{LogAddress, StableLog};
-use argus::stable::FileStore;
+use argus::stable::DurableFileStore;
 use std::path::PathBuf;
 
 fn describe(entry: &LogEntry) -> String {
@@ -72,7 +72,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    let store = FileStore::open(&path, SimClock::new(), CostModel::fast()).expect("open store");
+    let store =
+        DurableFileStore::open(&path, SimClock::new(), CostModel::fast()).expect("open store");
     let mut log = StableLog::open(store).expect("open log");
     println!(
         "{}: {} entries, {} bytes\n",

@@ -509,10 +509,16 @@ fn run_cli(path: &std::path::Path) -> (i32, String) {
     )
 }
 
-fn file_log(name: &str) -> (std::path::PathBuf, StableLog<argus::stable::FileStore>) {
+fn file_log(
+    name: &str,
+) -> (
+    std::path::PathBuf,
+    StableLog<argus::stable::DurableFileStore>,
+) {
     let path = std::env::temp_dir().join(format!("argus-check-violations-{name}.log"));
     let _ = std::fs::remove_file(&path);
-    let store = argus::stable::FileStore::open(&path, SimClock::new(), CostModel::fast()).unwrap();
+    let store =
+        argus::stable::DurableFileStore::open(&path, SimClock::new(), CostModel::fast()).unwrap();
     (path.clone(), StableLog::create(store).unwrap())
 }
 
@@ -522,7 +528,7 @@ fn cli_detects_each_seeded_corruption() {
     type Case = (
         &'static str,
         &'static str,
-        fn(&mut StableLog<argus::stable::FileStore>),
+        fn(&mut StableLog<argus::stable::DurableFileStore>),
     );
     let cases: Vec<Case> = vec![
         ("truncated-chain", "I2", |log| {

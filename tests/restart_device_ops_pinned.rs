@@ -1,0 +1,106 @@
+//! Pins the *simulated* cost of a restart: wall-clock work on the recovery
+//! read path (bulk `read_run`, the lending backward walk, the O(1) LRU) must
+//! not move a single device operation. A fixed-seed 2 000-commit history is
+//! built per organization under the default cache, the guardian is crashed
+//! and restarted, and the restart's `DeviceStats` delta and
+//! `stable.cache.{hit,miss,readahead}` deltas must equal the literals below,
+//! which were printed by the commit *before* the read path was reworked.
+//! Memory and real-file media charge the same model, so one row serves both.
+
+use argus::guardian::{MediaKind, Outcome, RsKind, World, WorldConfig};
+use argus::objects::Value;
+use argus::obs::Registry;
+use argus::sim::{CostModel, DetRng};
+
+const COMMITS: u64 = 2_000;
+const OBJECTS: usize = 64;
+
+/// What one restart cost: (seq reads, rand reads, busy µs, hits, misses,
+/// read-ahead pages).
+type Cost = (u64, u64, u64, u64, u64, u64);
+
+fn restart_cost(kind: RsKind, media: MediaKind) -> Cost {
+    let reg = Registry::new();
+    let _scope = reg.enter();
+    let cfg = WorldConfig {
+        media,
+        ..WorldConfig::default()
+    };
+    let mut world = World::with_config(CostModel::fast(), cfg);
+    let g = world.add_guardian(kind).unwrap();
+    let setup = world.begin(g).unwrap();
+    let mut objs = Vec::new();
+    for i in 0..OBJECTS {
+        let h = world
+            .create_atomic(g, setup, Value::Bytes(vec![0; 48]))
+            .unwrap();
+        world
+            .set_stable(g, setup, &format!("o{i}"), Value::heap_ref(h))
+            .unwrap();
+        objs.push(h);
+    }
+    assert_eq!(world.commit(setup).unwrap(), Outcome::Committed);
+
+    let mut rng = DetRng::new(0x5EED_2000);
+    for _ in 0..COMMITS {
+        let aid = world.begin(g).unwrap();
+        for _ in 0..4 {
+            let h = objs[rng.gen_range(OBJECTS as u64) as usize];
+            let fill = rng.gen_range(256) as u8;
+            world
+                .write_atomic(g, aid, h, move |v| *v = Value::Bytes(vec![fill; 48]))
+                .unwrap();
+        }
+        assert_eq!(world.commit(aid).unwrap(), Outcome::Committed);
+    }
+
+    world.crash(g);
+    let counter = |name: &str| reg.counter(name).get();
+    let dev0 = world.guardian(g).unwrap().log_stats().device;
+    let (h0, m0, r0) = (
+        counter("stable.cache.hit"),
+        counter("stable.cache.miss"),
+        counter("stable.cache.readahead"),
+    );
+    world.restart(g).unwrap();
+    let dev = world.guardian(g).unwrap().log_stats().device.since(&dev0);
+    assert_eq!(dev.writes(), 0, "{kind:?}: a restart writes nothing");
+    (
+        dev.seq_reads,
+        dev.rand_reads,
+        dev.busy_us,
+        counter("stable.cache.hit") - h0,
+        counter("stable.cache.miss") - m0,
+        counter("stable.cache.readahead") - r0,
+    )
+}
+
+#[test]
+fn restart_costs_the_same_simulated_device_operations_as_before() {
+    let pinned: [(RsKind, Cost); 4] = [
+        (RsKind::Simple, (1868, 535, 40_080, 6818, 269, 2134)),
+        (RsKind::Hybrid, (1821, 520, 39_010, 3959, 263, 2078)),
+        (RsKind::Shadow, (12, 68, 2840, 0, 0, 0)),
+        (RsKind::Redo, (2010, 579, 43_260, 7267, 300, 2289)),
+    ];
+    let dir = std::env::temp_dir().join(format!("argus-pinned-restart-{}", std::process::id()));
+    for (kind, want) in pinned {
+        // `MediaKind` is `Copy` and wants a `&'static str`; the few bytes of
+        // path leaked per organization die with the test process.
+        let files: &'static str = dir
+            .join(format!("{kind:?}"))
+            .to_string_lossy()
+            .into_owned()
+            .leak();
+        for media in [MediaKind::Mem, MediaKind::File { dir: Some(files) }] {
+            let got = restart_cost(kind, media);
+            println!("{kind:?} on {media:?}: {got:?}");
+            assert_eq!(
+                got, want,
+                "{kind:?} on {media:?}: (seq reads, rand reads, busy µs, cache hits, \
+                 misses, read-ahead) of one restart moved"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
