@@ -13,6 +13,9 @@
 //! ```
 //!
 //! `--json-dir DIR` additionally writes each table as `DIR/BENCH_<id>.json`.
+//! `--check DIR` instead compares each regenerated table with the
+//! checked-in `DIR/BENCH_<id>.json` — exact, except columns whose header
+//! says "wall" — and exits 1 on any difference (`scripts/bench.sh --check`).
 //! `--wall-smoke` runs a tiny E18 on real files (tmpfs when
 //! `ARGUS_BENCH_DIR` points there) and asserts the group-commit fsync
 //! reduction holds outside the simulator — the `scripts/verify.sh --wall`
@@ -52,12 +55,40 @@ fn print_metrics(id: &str, report: &argus_obs::Report) {
     println!("{}", report.to_text_compact());
 }
 
-/// Writes `table` as `BENCH_<id>.json` under `dir`, if a dir was given.
-fn emit_json(dir: &Option<PathBuf>, table: &Table) {
-    if let Some(dir) = dir {
-        let path = dir.join(format!("BENCH_{}.json", table.id));
+/// Where a regenerated table goes besides stdout.
+#[derive(Default)]
+struct Artefacts {
+    /// `--json-dir`: write `BENCH_<id>.json` here.
+    write_to: Option<PathBuf>,
+    /// `--check`: compare with the `BENCH_<id>.json` here.
+    check_against: Option<PathBuf>,
+    /// Artefacts `--check` found stale or unreadable.
+    stale: std::cell::Cell<u32>,
+}
+
+/// Writes `table` as `BENCH_<id>.json`, or checks it against the one
+/// checked in, as the command line asked.
+fn emit_json(artefacts: &Artefacts, table: &Table) {
+    let name = format!("BENCH_{}.json", table.id);
+    if let Some(dir) = &artefacts.write_to {
+        let path = dir.join(&name);
         std::fs::write(&path, table.to_json())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    }
+    if let Some(dir) = &artefacts.check_against {
+        let path = dir.join(&name);
+        let diffs = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|artefact| table.diff_against(&artefact))
+            .unwrap_or_else(|e| vec![format!("unreadable: {e}")]);
+        if diffs.is_empty() {
+            eprintln!("check: {} is current", path.display());
+        } else {
+            artefacts.stale.set(artefacts.stale.get() + 1);
+            for diff in diffs {
+                eprintln!("check: {}: {diff}", path.display());
+            }
+        }
     }
 }
 
@@ -240,7 +271,7 @@ fn wall_smoke() {
 
 fn main() {
     let mut ids: Vec<String> = Vec::new();
-    let mut json_dir: Option<PathBuf> = None;
+    let mut artefacts = Artefacts::default();
     let mut run_smoke = false;
     let mut run_wall_smoke = false;
     let mut run_scale_smoke = false;
@@ -250,7 +281,11 @@ fn main() {
             "--json-dir" => {
                 let dir = PathBuf::from(args.next().expect("--json-dir needs a directory"));
                 std::fs::create_dir_all(&dir).expect("create json dir");
-                json_dir = Some(dir);
+                artefacts.write_to = Some(dir);
+            }
+            "--check" => {
+                let dir = args.next().expect("--check needs the artefact directory");
+                artefacts.check_against = Some(PathBuf::from(dir));
             }
             "--smoke" => run_smoke = true,
             "--wall-smoke" => run_wall_smoke = true,
@@ -277,103 +312,103 @@ fn main() {
     if want("E1") {
         let (table, metrics) = scoped(|| e1_write_cost(200));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E1", &metrics);
     }
     if want("E2") || want("E3") {
         let ((e2, e3), metrics) = scoped(|| e2_recovery_cost(&[250, 1_000, 4_000, 16_000]));
         if want("E2") {
             println!("{e2}");
-            emit_json(&json_dir, &e2);
+            emit_json(&artefacts, &e2);
         }
         if want("E3") {
             println!("{e3}");
-            emit_json(&json_dir, &e3);
+            emit_json(&artefacts, &e3);
         }
         print_metrics("E2/E3", &metrics);
     }
     if want("E4") {
         let (table, metrics) = scoped(e4_housekeeping_cost);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E4", &metrics);
     }
     if want("E5") {
         let (table, metrics) = scoped(e5_checkpoint_bounds_recovery);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E5", &metrics);
     }
     if want("E6") {
         let (table, metrics) = scoped(e6_early_prepare);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E6", &metrics);
     }
     if want("E7") {
         let (table, metrics) = scoped(e7_map_scaling);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E7", &metrics);
     }
     if want("E8") {
         let (table, metrics) = scoped(e8_crash_matrix);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E8", &metrics);
     }
     if want("E9") {
         let (table, metrics) = scoped(e9_device_sensitivity);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E9", &metrics);
     }
     if want("E10") {
         let (table, metrics) = scoped(e10_abort_rate);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E10", &metrics);
     }
     if want("E11") {
         let (table, metrics) = scoped(e11_explore_coverage);
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E11", &metrics);
     }
     if want("E12") {
         let (table, metrics) = scoped(|| e12_group_commit(25));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E12", &metrics);
     }
     if want("E13") {
         let (table, metrics) = scoped(|| e13_recovery_cache(2_000));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E13", &metrics);
     }
     if want("E14") {
         let (table, metrics) = scoped(|| e14_cc_policies(&[2, 8, 32], 8));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E14", &metrics);
     }
     if want("E15") {
         let (table, metrics) = scoped(|| e15_sweep_coverage(None, true));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E15", &metrics);
     }
     if want("E16") {
         let (table, metrics) = scoped(|| e16_latency_attribution(8));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E16", &metrics);
     }
     if want("E17") {
         let (table, metrics) = scoped(|| e17_vopr_coverage(24, 64));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E17", &metrics);
     }
     // E18/E19 run on real files (the OS temp dir by default; set
@@ -385,13 +420,13 @@ fn main() {
     if want("E18") {
         let (table, metrics) = scoped(|| e18_wall_group_commit(25, wall_dir.as_deref()));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E18", &metrics);
     }
     if want("E19") {
         let (table, metrics) = scoped(|| e19_wall_recovery(2_000, wall_dir.as_deref()));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E19", &metrics);
     }
     // E20 combines a simulated half (deterministic) with a wall-clock half
@@ -399,13 +434,20 @@ fn main() {
     if want("E20") {
         let (table, metrics) = scoped(|| e20_instant_restart(2_000, wall_dir.as_deref()));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E20", &metrics);
     }
     if want("E21") {
         let (table, metrics) = scoped(|| e21_sharded_scaling(&[4, 64, 256], 8));
         println!("{table}");
-        emit_json(&json_dir, &table);
+        emit_json(&artefacts, &table);
         print_metrics("E21", &metrics);
+    }
+    if artefacts.stale.get() > 0 {
+        eprintln!(
+            "check: {} artefact(s) differ from a fresh run; regenerate with scripts/bench.sh",
+            artefacts.stale.get()
+        );
+        std::process::exit(1);
     }
 }

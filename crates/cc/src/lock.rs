@@ -102,23 +102,30 @@ impl<C> LockManager<C> {
     /// *front*: it cannot give way to later arrivals, which would have to
     /// wait behind its shared lock anyway.
     pub fn park(&mut self, key: ObjKey, waiter: Waiter<C>, upgrade: bool) {
-        argus_obs::current().event(argus_obs::Event::LockBlocked {
-            mode: waiter.mode.name(),
-            holder_seq: waiter.holder.map(|h| h.seq),
+        // A manager is built without a registry or tracer and records
+        // into whichever are current when the request parks; borrowing
+        // them (no handle clone) keeps that to one lock per record.
+        argus_obs::with_current(|reg| {
+            reg.event(argus_obs::Event::LockBlocked {
+                mode: waiter.mode.name(),
+                holder_seq: waiter.holder.map(|h| h.seq),
+            })
         });
-        argus_trace::current().instant(
-            "cc",
-            "lock_blocked",
-            key.gid.0,
-            Some(argus_trace::Key::new(
-                waiter.aid.coordinator.0,
-                waiter.aid.seq,
-            )),
-            &[
-                ("hid", u64::from(key.hid.0)),
-                ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
-            ],
-        );
+        argus_trace::with_current(|tracer| {
+            tracer.instant(
+                "cc",
+                "lock_blocked",
+                key.gid.0,
+                Some(argus_trace::Key::new(
+                    waiter.aid.coordinator.0,
+                    waiter.aid.seq,
+                )),
+                &[
+                    ("hid", u64::from(key.hid.0)),
+                    ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
+                ],
+            )
+        });
         let queue = self.queues.entry(key).or_default();
         if upgrade {
             queue.push_front(waiter);

@@ -133,7 +133,7 @@ impl<P: StoreProvider> HybridLogRs<P> {
         if self.hk.is_some() {
             return Err(RsError::BadState("housekeeping already in progress".into()));
         }
-        let _timer = self.obs.reg.phase("core.hk.begin_us");
+        let _timer = self.obs.hk_begin_us.start();
         // Flush buffered entries so the marker covers a readable prefix.
         self.log.force()?;
         let marker = self.last_outcome;
@@ -440,7 +440,7 @@ impl<P: StoreProvider> HybridLogRs<P> {
     }
 
     pub(crate) fn finish_housekeeping_impl(&mut self) -> RsResult<()> {
-        let _timer = self.obs.reg.phase("core.hk.finish_us");
+        let _timer = self.obs.hk_finish_us.start();
         let mut hk = self
             .hk
             .take()

@@ -475,7 +475,7 @@ impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
     // durable with a hole in it.
 
     fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let _timer = self.obs.reg.phase("core.prepare_us");
+        let _timer = self.obs.prepare_us.start();
         let mut fresh = Vec::new();
         {
             let mut sink = HybridSink {
@@ -553,7 +553,7 @@ impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
     }
 
     fn recover(&mut self, heap: &mut Heap) -> RsResult<RecoveryOutcome> {
-        let timer = self.obs.reg.phase("core.recover_us");
+        let timer = self.obs.recover_us.start();
         let mut ctx = RecoverCtx::new(heap);
         let head = self.find_chain_head(&mut ctx)?;
 

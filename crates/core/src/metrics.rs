@@ -5,7 +5,7 @@
 //! only pre-looked-up atomic handles — no name lookups per log write.
 
 use crate::tables::RecoveryOutcome;
-use argus_obs::{Counter, Event, Registry};
+use argus_obs::{Counter, Event, Registry, Timer};
 
 /// One recovery system's metric handles.
 #[derive(Debug, Clone)]
@@ -25,6 +25,10 @@ pub(crate) struct CoreObs {
     pub hk_passes: Counter,
     pub hk_reclaimed: Counter,
     pub lazy_restores: Counter,
+    pub prepare_us: Timer,
+    pub recover_us: Timer,
+    pub hk_begin_us: Timer,
+    pub hk_finish_us: Timer,
     pub reg: Registry,
 }
 
@@ -47,6 +51,10 @@ impl CoreObs {
             hk_passes: reg.counter("core.hk.passes"),
             hk_reclaimed: reg.counter("core.hk.entries_reclaimed"),
             lazy_restores: reg.counter("core.recover.lazy_restores"),
+            prepare_us: reg.timer("core.prepare_us"),
+            recover_us: reg.timer("core.recover_us"),
+            hk_begin_us: reg.timer("core.hk.begin_us"),
+            hk_finish_us: reg.timer("core.hk.finish_us"),
             reg,
         }
     }

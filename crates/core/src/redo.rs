@@ -750,7 +750,7 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
     }
 
     fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let _timer = self.obs.reg.phase("core.prepare_us");
+        let _timer = self.obs.prepare_us.start();
         {
             let mut sink = RedoSink {
                 log: &mut self.log,
@@ -848,7 +848,7 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
     }
 
     fn recover(&mut self, heap: &mut Heap) -> RsResult<RecoveryOutcome> {
-        let timer = self.obs.reg.phase("core.recover_us");
+        let timer = self.obs.recover_us.start();
         let mode = self.mode;
         self.lazy.clear();
         let eager = mode == RecoveryMode::Full;
@@ -989,7 +989,7 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
         if self.hk.is_some() {
             return Err(RsError::BadState("housekeeping already in progress".into()));
         }
-        let _timer = self.obs.reg.phase("core.hk.begin_us");
+        let _timer = self.obs.hk_begin_us.start();
         // Flush buffered entries so the marker covers a readable prefix.
         self.log.force()?;
         let marker = self.log.stable_count();
@@ -1118,7 +1118,7 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
     }
 
     fn finish_housekeeping(&mut self) -> RsResult<()> {
-        let _timer = self.obs.reg.phase("core.hk.finish_us");
+        let _timer = self.obs.hk_finish_us.start();
         let mut hk = self
             .hk
             .take()

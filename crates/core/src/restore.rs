@@ -9,7 +9,7 @@ use crate::entry::LazyValue;
 use crate::tables::{
     CState, CoordinatorTable, ObjState, ObjectTable, OtEntry, PState, ParticipantTable,
 };
-use crate::{RsError, RsResult};
+use crate::RsResult;
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
 use argus_slog::LogAddress;
 use std::collections::HashMap;
@@ -102,14 +102,7 @@ impl<'h> RecoverCtx<'h> {
                         // The object's current (prepared) version is already
                         // in place; this is "the latest committed version"
                         // that becomes its base (scenario 1, step 7).
-                        let value = value.take()?;
-                        let slot = self.heap.get_mut(entry.heap)?;
-                        match &mut slot.body {
-                            ObjectBody::Atomic(obj) => obj.base = value,
-                            ObjectBody::Mutex(_) => {
-                                return Err(RsError::Internal("kind changed between entries"))
-                            }
-                        }
+                        self.heap.restore_base(entry.heap, value.take()?)?;
                         if let Some(e) = self.ot.get_mut(uid) {
                             e.state = ObjState::Restored;
                         }
@@ -175,14 +168,7 @@ impl<'h> RecoverCtx<'h> {
     ) -> RsResult<bool> {
         if kind == ObjKind::Atomic && self.stale_committed_base(uid, aid) {
             let entry = self.ot.get(uid).copied().expect("stale base is resident");
-            let value = value.take()?;
-            let slot = self.heap.get_mut(entry.heap)?;
-            match &mut slot.body {
-                ObjectBody::Atomic(obj) => obj.base = value,
-                ObjectBody::Mutex(_) => {
-                    return Err(RsError::Internal("kind changed between entries"))
-                }
-            }
+            self.heap.restore_base(entry.heap, value.take()?)?;
             // The overwriting version is the state as of the commit point,
             // so a second copy of it compares as not-stale and is skipped.
             let commit_point = self.committed_seen[&aid];
@@ -220,16 +206,7 @@ impl<'h> RecoverCtx<'h> {
                     if !needs_current {
                         return Ok(false);
                     }
-                    let value = value.take()?;
-                    let slot = self.heap.get_mut(entry.heap)?;
-                    match &mut slot.body {
-                        ObjectBody::Atomic(obj) if obj.writer.is_none() => {
-                            obj.current = Some(value);
-                            obj.writer = Some(aid);
-                            Ok(true)
-                        }
-                        _ => Ok(false),
-                    }
+                    Ok(self.heap.restore_current(entry.heap, aid, value.take()?)?)
                 }
                 ObjKind::Mutex => self.maybe_replace_mutex(uid, entry, value, addr),
             }
@@ -290,12 +267,7 @@ impl<'h> RecoverCtx<'h> {
         if !newer {
             return Ok(false);
         }
-        let value = value.take()?;
-        let slot = self.heap.get_mut(entry.heap)?;
-        match &mut slot.body {
-            ObjectBody::Mutex(obj) => obj.value = value,
-            ObjectBody::Atomic(_) => return Err(RsError::Internal("kind changed between entries")),
-        }
+        self.heap.restore_mutex_value(entry.heap, value.take()?)?;
         if let Some(e) = self.ot.get_mut(uid) {
             e.mutex_addr = addr;
         }

@@ -26,6 +26,12 @@ pub enum RsKind {
     Redo,
 }
 
+impl RsKind {
+    /// Every organization. Cross-organization suites iterate this instead
+    /// of naming kinds, so a new organization cannot dodge one.
+    pub const ALL: [RsKind; 4] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo];
+}
+
 /// A durability-dependent step whose protocol continuation is waiting on a
 /// group-commit force (§3.2's "force_write makes every earlier buffered
 /// entry durable" turned into a scheduler).

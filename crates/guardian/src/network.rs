@@ -45,13 +45,15 @@ impl NetFaults {
 }
 
 /// Cached metric handles mirroring the network's internal tallies into the
-/// ambient observability registry.
+/// ambient observability registry, and the tracer message flows are drawn
+/// on — both the ones current when the network is built.
 #[derive(Debug, Clone)]
 struct NetObs {
     sent: argus_obs::Counter,
     delivered: argus_obs::Counter,
     dropped: argus_obs::Counter,
     partitioned: argus_obs::Counter,
+    tracer: argus_trace::Tracer,
 }
 
 impl Default for NetObs {
@@ -62,6 +64,7 @@ impl Default for NetObs {
             delivered: reg.counter("net.delivered"),
             dropped: reg.counter("net.dropped"),
             partitioned: reg.counter("net.partitioned"),
+            tracer: argus_trace::current(),
         }
     }
 }
@@ -132,7 +135,7 @@ impl SimNetwork {
     pub fn send(&mut self, envelope: Envelope) {
         self.obs.sent.inc();
         let aid = envelope.msg.aid();
-        let flow = argus_trace::current().flow_start(
+        let flow = self.obs.tracer.flow_start(
             "net",
             envelope.msg.kind(),
             envelope.from.0,
@@ -196,7 +199,7 @@ impl SimNetwork {
             self.obs.delivered.inc();
             if let Some(flow) = flow {
                 let aid = envelope.msg.aid();
-                argus_trace::current().flow_end(
+                self.obs.tracer.flow_end(
                     "net",
                     envelope.msg.kind(),
                     envelope.to.0,

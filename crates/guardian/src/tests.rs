@@ -1,14 +1,12 @@
-//! World-level tests: the §2.2.3 crash matrix across all three storage
-//! organizations.
+//! World-level tests: the §2.2.3 crash matrix across every storage
+//! organization.
 
 use crate::{Outcome, RsKind, World};
 use argus_objects::Value;
 
-const KINDS: [RsKind; 3] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow];
-
 #[test]
 fn single_guardian_commit_survives_crash() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g = w.add_guardian(kind).unwrap();
         let a = w.begin(g).unwrap();
@@ -27,7 +25,7 @@ fn single_guardian_commit_survives_crash() {
 
 #[test]
 fn distributed_commit_across_three_guardians() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let gs: Vec<_> = (0..3).map(|_| w.add_guardian(kind).unwrap()).collect();
         let a = w.begin(gs[0]).unwrap();
@@ -49,7 +47,7 @@ fn distributed_commit_across_three_guardians() {
 
 #[test]
 fn participant_crash_before_prepare_aborts_the_action() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g0 = w.add_guardian(kind).unwrap();
         let g1 = w.add_guardian(kind).unwrap();
@@ -75,7 +73,7 @@ fn participant_crash_before_prepare_aborts_the_action() {
 
 #[test]
 fn in_doubt_participant_learns_commit_after_restart() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g0 = w.add_guardian(kind).unwrap();
         let g1 = w.add_guardian(kind).unwrap();
@@ -112,7 +110,7 @@ fn in_doubt_participant_learns_commit_after_restart() {
 
 #[test]
 fn armed_crash_during_commit_leaves_participant_in_doubt_then_resolves() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g0 = w.add_guardian(kind).unwrap();
         let g1 = w.add_guardian(kind).unwrap();
@@ -161,7 +159,7 @@ fn armed_crash_during_commit_leaves_participant_in_doubt_then_resolves() {
 
 #[test]
 fn coordinator_crash_before_committing_aborts() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         // Arm the coordinator to die on its committing record: participants
         // prepared, coordinator forgot → queries answered "abort".
         let mut done = false;
@@ -202,7 +200,7 @@ fn coordinator_crash_before_committing_aborts() {
 
 #[test]
 fn aborted_action_rolls_back_everywhere() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g0 = w.add_guardian(kind).unwrap();
         let g1 = w.add_guardian(kind).unwrap();
@@ -236,7 +234,7 @@ fn aborted_action_rolls_back_everywhere() {
 
 #[test]
 fn object_graphs_survive_crashes() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g = w.add_guardian(kind).unwrap();
         let a = w.begin(g).unwrap();
@@ -272,7 +270,7 @@ fn object_graphs_survive_crashes() {
 
 #[test]
 fn mutex_objects_work_end_to_end() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut w = World::fast();
         let g = w.add_guardian(kind).unwrap();
         let a = w.begin(g).unwrap();

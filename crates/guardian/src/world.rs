@@ -137,6 +137,9 @@ pub struct World {
     /// The ambient observability registry, bound to `clock` so phase timers
     /// measure simulated time.
     obs: argus_obs::Registry,
+    /// Handles into `obs` for everything recorded between `begin` and the
+    /// commit acknowledgement.
+    wobs: WorldObs,
     /// The ambient tracer, bound to `clock` and reset when the world is
     /// built: one world is one trace.
     tracer: argus_trace::Tracer,
@@ -159,13 +162,11 @@ pub struct World {
     cc_fates: BTreeMap<ActionId, CcFate>,
     /// Deadlocks broken so far, in detection order.
     cc_deadlocks: Vec<DeadlockReport>,
-    /// Begin order per action: the deadlock victim is the *youngest* cycle
-    /// member, i.e. the one with the largest begin index.
-    begin_order: HashMap<ActionId, u64>,
+    /// Every action begun and not yet resolved (the coordinator finished,
+    /// or it was aborted locally) — the only actions a deadlock cycle can
+    /// contain, so the only ones whose begin order is worth keeping.
+    in_flight: HashMap<ActionId, LiveAction>,
     next_begin: u64,
-    /// Simulated time each live action began, consumed when the action
-    /// resolves to record its end-to-end trace span.
-    begin_ts: HashMap<ActionId, u64>,
     /// Guardians holding a non-empty staged batch, maintained at every
     /// staging site so the message loop's idle flush visits only guardians
     /// with work — never the whole world.
@@ -175,6 +176,74 @@ pub struct World {
     /// already flushed (or whose current batch has a later deadline) is
     /// skipped after an O(1) check.
     force_due: BinaryHeap<Reverse<(u64, GuardianId)>>,
+}
+
+/// What the world remembers about a live action.
+#[derive(Debug, Clone, Copy)]
+struct LiveAction {
+    /// Begin index: the deadlock victim is the *youngest* cycle member,
+    /// i.e. the one with the largest.
+    order: u64,
+    /// Simulated time the action began, consumed when it resolves to
+    /// record its end-to-end trace span.
+    began_at: u64,
+}
+
+/// The world's hot-path metric handles, resolved from the registry current
+/// when the world is built (after its clock is bound, so the timers read
+/// this world's simulated time). Cold paths — crash, restart, demand
+/// restore — keep the by-name form on `World::obs`.
+#[derive(Debug)]
+struct WorldObs {
+    commits: argus_obs::Counter,
+    aborts: argus_obs::Counter,
+    pending: argus_obs::Counter,
+    sched_polls: argus_obs::Counter,
+    cc_waits: argus_obs::Counter,
+    cc_deadlocks: argus_obs::Counter,
+    cc_victims: argus_obs::Counter,
+    cc_timeouts: argus_obs::Counter,
+    cc_retries: argus_obs::Counter,
+    cc_wait_us: argus_obs::Histogram,
+    commit_round_us: argus_obs::Timer,
+    prepare_us: argus_obs::Timer,
+    commit_us: argus_obs::Timer,
+    committing_us: argus_obs::Timer,
+    abort_us: argus_obs::Timer,
+}
+
+impl WorldObs {
+    fn resolve(reg: &argus_obs::Registry) -> Self {
+        Self {
+            commits: reg.counter("world.commits"),
+            aborts: reg.counter("world.aborts"),
+            pending: reg.counter("world.pending"),
+            sched_polls: reg.counter("world.sched.polls"),
+            cc_waits: reg.counter("cc.waits"),
+            cc_deadlocks: reg.counter("cc.deadlocks"),
+            cc_victims: reg.counter("cc.victims"),
+            cc_timeouts: reg.counter("cc.timeouts"),
+            cc_retries: reg.counter("cc.retries"),
+            cc_wait_us: reg.histogram("cc.wait_us"),
+            commit_round_us: reg.timer("twopc.commit_round_us"),
+            prepare_us: reg.timer("twopc.prepare_us"),
+            commit_us: reg.timer("twopc.commit_us"),
+            committing_us: reg.timer("twopc.committing_us"),
+            abort_us: reg.timer("twopc.abort_us"),
+        }
+    }
+}
+
+/// What became of a `stage_*` call on a guardian's recovery system.
+enum Staged {
+    /// The entry joined the guardian's batch; its continuation runs after
+    /// the shared force.
+    Batched,
+    /// The organization does not stage this entry: it is already durable
+    /// and the continuation runs now.
+    Inline,
+    /// The device crashed under the call; the guardian is down.
+    Crashed,
 }
 
 /// The trace key for an action: the id, decomposed so every crate stamps
@@ -203,6 +272,7 @@ impl World {
         let clock = SimClock::new();
         let obs = argus_obs::current();
         obs.set_clock(clock.clone());
+        let wobs = WorldObs::resolve(&obs);
         let tracer = argus_trace::current();
         tracer.set_clock(clock.clone());
         tracer.reset();
@@ -210,6 +280,7 @@ impl World {
             clock,
             model,
             obs,
+            wobs,
             tracer,
             guardians: BTreeMap::new(),
             net: SimNetwork::new(),
@@ -221,9 +292,8 @@ impl World {
             cc: LockManager::new(),
             cc_fates: BTreeMap::new(),
             cc_deadlocks: Vec::new(),
-            begin_order: HashMap::new(),
+            in_flight: HashMap::new(),
             next_begin: 0,
-            begin_ts: HashMap::new(),
             staged_ready: BTreeSet::new(),
             force_due: BinaryHeap::new(),
         }
@@ -301,9 +371,14 @@ impl World {
         guardian.next_seq += 1;
         guardian.known.insert(aid);
         self.touched.entry(aid).or_default().insert(origin);
-        self.begin_order.insert(aid, self.next_begin);
+        self.in_flight.insert(
+            aid,
+            LiveAction {
+                order: self.next_begin,
+                began_at: self.clock.now(),
+            },
+        );
         self.next_begin += 1;
-        self.begin_ts.insert(aid, self.clock.now());
         Ok(aid)
     }
 
@@ -565,7 +640,7 @@ impl World {
             },
             upgrade,
         );
-        self.obs.inc("cc.waits");
+        self.wobs.cc_waits.inc();
         if matches!(self.cfg.cc.policy, CcPolicy::Blocking) {
             self.cc_detect_deadlock(aid);
         }
@@ -589,14 +664,14 @@ impl World {
             let Some(cycle) = graph.cycle_through(start) else {
                 return;
             };
-            self.obs.inc("cc.deadlocks");
+            self.wobs.cc_deadlocks.inc();
             let victim = cycle
                 .iter()
                 .copied()
                 .filter(|a| !self.in_two_phase_commit(*a))
-                .max_by_key(|a| self.begin_order.get(a).copied().unwrap_or(0))
+                .max_by_key(|a| self.in_flight.get(a).map_or(0, |l| l.order))
                 .unwrap_or(start);
-            self.obs.inc("cc.victims");
+            self.wobs.cc_victims.inc();
             self.obs.event(argus_obs::Event::DeadlockVictim {
                 victim_seq: victim.seq,
                 cycle_len: cycle.len() as u64,
@@ -683,7 +758,7 @@ impl World {
                 }
                 let waiter = self.cc.take_front(key).expect("front just snapshotted");
                 let waited = self.clock.now().saturating_sub(waiter.parked_at);
-                self.obs.observe("cc.wait_us", waited);
+                self.wobs.cc_wait_us.record(waited);
                 self.obs.event(argus_obs::Event::LockGranted {
                     mode: waiter.mode.name(),
                     waited_us: waited,
@@ -738,7 +813,7 @@ impl World {
         let expired = self.cc.expired(self.clock.now());
         let any = !expired.is_empty();
         for aid in expired {
-            self.obs.inc("cc.timeouts");
+            self.wobs.cc_timeouts.inc();
             self.cc_fates.insert(aid, CcFate::TimedOut);
             self.abort_local(aid);
         }
@@ -859,18 +934,30 @@ impl World {
                 );
             }
         }
-        if let Some(start) = self.begin_ts.remove(&aid) {
+        self.resolve_action(aid, false);
+        self.cc_pump();
+    }
+
+    /// Books the final verdict of `aid`: it stops being live (closing its
+    /// end-to-end trace span) and the verdict becomes queryable.
+    fn resolve_action(&mut self, aid: ActionId, committed: bool) {
+        if let Some(live) = self.in_flight.remove(&aid) {
             self.tracer.complete(
                 "action",
                 "action",
                 aid.coordinator.0,
                 Some(tkey(aid)),
-                start,
-                &[("committed", 0)],
+                live.began_at,
+                &[("committed", u64::from(committed))],
             );
         }
-        self.outcomes.insert(aid, false);
-        self.cc_pump();
+        self.outcomes.insert(aid, committed);
+    }
+
+    /// Counts one aborted-and-retried attempt (`cc.retries`): the workload
+    /// drivers decide what a retry is, the world owns the `cc.*` handles.
+    pub fn note_cc_retry(&self) {
+        self.wobs.cc_retries.inc();
     }
 
     /// Runs housekeeping at `g`.
@@ -898,34 +985,44 @@ impl World {
     /// Commits a top-level action: the full two-phase commit of §2.2, driven
     /// to quiescence.
     pub fn commit(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        let timer = self.obs.phase("twopc.commit_round_us");
+        let t0 = self.wobs.commit_round_us.now();
         // Capture the participant set up front: the coordinator clears the
         // touched maps when the action finishes.
-        let mut hk_gids: BTreeSet<GuardianId> = self.touched.get(&aid).cloned().unwrap_or_default();
-        if let Some(readers) = self.touched_read.get(&aid) {
-            hk_gids.extend(readers.iter().copied());
+        let gids = self.participants_of(aid);
+        let outcome = self
+            .launch_commit(aid, gids.clone())
+            .and_then(|()| self.commit_settle(aid));
+        self.wobs.commit_round_us.record_since(t0);
+        let outcome = outcome?;
+        match outcome {
+            Outcome::Committed => self.wobs.commits.inc(),
+            Outcome::Aborted => self.wobs.aborts.inc(),
+            Outcome::Pending => self.wobs.pending.inc(),
         }
-        hk_gids.insert(aid.coordinator);
-        let outcome = self.commit_inner(aid)?;
-        timer.stop();
-        self.obs.inc(match outcome {
-            Outcome::Committed => "world.commits",
-            Outcome::Aborted => "world.aborts",
-            Outcome::Pending => "world.pending",
-        });
         // Apply any automatic housekeeping policies now that the log grew
         // ("as frequently as needed", ch. 5). Only this action's
         // participants appended records; every guardian's log growth is
         // checked at a commit it takes part in.
-        for g in hk_gids {
+        for g in gids {
             self.maybe_housekeep(g)?;
         }
         Ok(outcome)
     }
 
-    fn commit_inner(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        self.commit_start(aid)?;
-        self.commit_settle(aid)
+    /// Every guardian `aid` must run two-phase commit with, in id order:
+    /// where it wrote, where it only read (read-only participants), and its
+    /// origin.
+    fn participants_of(&self, aid: ActionId) -> Vec<GuardianId> {
+        let wrote = self.touched.get(&aid);
+        let read = self.touched_read.get(&aid);
+        let mut gids =
+            Vec::with_capacity(1 + wrote.map_or(0, BTreeSet::len) + read.map_or(0, BTreeSet::len));
+        gids.push(aid.coordinator);
+        gids.extend(wrote.into_iter().flatten());
+        gids.extend(read.into_iter().flatten());
+        gids.sort_unstable();
+        gids.dedup();
+        gids
     }
 
     /// Launches two-phase commit for `aid` without driving it to
@@ -933,14 +1030,14 @@ impl World {
     /// their prepare/commit records share group-commit forces. Settle each
     /// with [`World::commit_settle`].
     pub fn commit_start(&mut self, aid: ActionId) -> WorldResult<()> {
+        let gids = self.participants_of(aid);
+        self.launch_commit(aid, gids)
+    }
+
+    fn launch_commit(&mut self, aid: ActionId, gids: Vec<GuardianId>) -> WorldResult<()> {
         let origin = aid.coordinator;
-        let mut gids: BTreeSet<GuardianId> = self.touched.get(&aid).cloned().unwrap_or_default();
-        if let Some(readers) = self.touched_read.get(&aid) {
-            gids.extend(readers.iter().copied());
-        }
-        gids.insert(origin);
         let guardian = self.live(origin)?;
-        let coordinator = Coordinator::new(aid, gids.into_iter().collect());
+        let coordinator = Coordinator::new(aid, gids);
         let effects = coordinator.start();
         guardian.coordinators.insert(aid, coordinator);
         self.exec_coord(origin, aid, effects)
@@ -1287,16 +1384,19 @@ impl World {
         }
     }
 
-    /// Records that `g` just staged a log entry: the guardian joins the
-    /// ready set, and its batch's force deadline enters the min-deadline
-    /// heap (staging time, if the batch is already due — e.g. it just
-    /// filled up). Keeping both structures current here is what lets the
+    /// Records that `g` just staged a log entry whose continuation is `op`:
+    /// the entry joins the guardian's batch, the guardian joins the ready
+    /// set, and its batch's force deadline enters the min-deadline heap
+    /// (staging time, if the batch is already due — e.g. it just filled
+    /// up). Keeping both structures current here is what lets the
     /// message loop poll in O(log n) of the *staged* guardians instead of
     /// scanning the whole world per delivery.
-    fn note_staged_batch(&mut self, g: GuardianId) {
-        let Some(guardian) = self.guardians.get(&g) else {
+    fn note_staged_batch(&mut self, g: GuardianId, op: StagedOp, staged_at: u64) {
+        let Some(guardian) = self.guardians.get_mut(&g) else {
             return;
         };
+        guardian.staged.push((op, staged_at));
+        guardian.force_sched.note_staged(staged_at);
         let now = self.clock.now();
         let due_at = if guardian.force_sched.due(now) {
             now
@@ -1305,6 +1405,31 @@ impl World {
         };
         self.staged_ready.insert(g);
         self.force_due.push(Reverse((due_at, g)));
+    }
+
+    /// Books the result of a `stage_*` call made at simulated time `now`: a
+    /// staged entry joins `g`'s batch with `op` as its continuation, a
+    /// device crash takes the guardian down, any other error is the
+    /// caller's to interpret.
+    fn note_staged(
+        &mut self,
+        g: GuardianId,
+        op: StagedOp,
+        now: u64,
+        staged: argus_core::RsResult<bool>,
+    ) -> WorldResult<Staged> {
+        match staged {
+            Ok(true) => {
+                self.note_staged_batch(g, op, now);
+                Ok(Staged::Batched)
+            }
+            Ok(false) => Ok(Staged::Inline),
+            Err(e) if e.is_crash() => {
+                self.mark_crashed(g);
+                Ok(Staged::Crashed)
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Forces the staged batch of every up guardian whose scheduler says
@@ -1320,7 +1445,7 @@ impl World {
                 break;
             }
             self.force_due.pop();
-            self.obs.inc("world.sched.polls");
+            self.wobs.sched_polls.inc();
             let due = self
                 .guardians
                 .get(&g)
@@ -1348,8 +1473,7 @@ impl World {
                     .unwrap_or(false)
             })
             .collect();
-        self.obs
-            .add("world.sched.polls", self.staged_ready.len() as u64);
+        self.wobs.sched_polls.add(self.staged_ready.len() as u64);
         let any = !pending.is_empty();
         for g in pending {
             self.flush_staged(g)?;
@@ -1578,83 +1702,51 @@ impl World {
                     self.net.send(Envelope { from: g, to, msg });
                 }
                 CoordEffect::ForceCommitting => {
-                    let _timer = self.obs.phase("twopc.committing_us");
                     let now = self.clock.now();
                     let guardian = self.guardian_mut(g)?;
-                    let gids: Vec<GuardianId> = guardian
-                        .coordinators
-                        .get(&aid)
-                        .map(|c| c.participants.clone())
-                        .unwrap_or_default();
-                    let mut staged_now = false;
-                    match guardian.rs.stage_committing(aid, &gids) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Committing(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = guardian
+                    let staged = match guardian.coordinators.get(&aid) {
+                        Some(c) => guardian.rs.stage_committing(aid, &c.participants),
+                        None => guardian.rs.stage_committing(aid, &[]),
+                    };
+                    let staged = self.note_staged(g, StagedOp::Committing(aid), now, staged);
+                    self.wobs.committing_us.record_since(now);
+                    match staged? {
+                        Staged::Batched => {}
+                        Staged::Inline => {
+                            let more = self
+                                .guardian_mut(g)?
                                 .coordinators
                                 .get_mut(&aid)
                                 .map(|c| c.committing_forced())
                                 .unwrap_or_default();
                             queue.extend(more);
                         }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                        Staged::Crashed => return Ok(()),
                     }
                     self.tracer
                         .complete("twopc", "committing", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::ForceDone => {
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_done(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Done(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = guardian
+                    let staged = self.guardian_mut(g)?.rs.stage_done(aid);
+                    match self.note_staged(g, StagedOp::Done(aid), now, staged)? {
+                        Staged::Batched => {}
+                        Staged::Inline => {
+                            let more = self
+                                .guardian_mut(g)?
                                 .coordinators
                                 .get_mut(&aid)
                                 .map(|c| c.done_forced())
                                 .unwrap_or_default();
                             queue.extend(more);
                         }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                        Staged::Crashed => return Ok(()),
                     }
                     self.tracer
                         .complete("twopc", "done", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::Finished { committed } => {
-                    if let Some(start) = self.begin_ts.remove(&aid) {
-                        self.tracer.complete(
-                            "action",
-                            "action",
-                            aid.coordinator.0,
-                            Some(tkey(aid)),
-                            start,
-                            &[("committed", u64::from(committed))],
-                        );
-                    }
-                    self.outcomes.insert(aid, committed);
+                    self.resolve_action(aid, committed);
                     let guardian = self.guardian_mut(g)?;
                     guardian.coordinators.remove(&aid);
                     if committed {
@@ -1681,63 +1773,48 @@ impl World {
                     self.net.send(Envelope { from: g, to, msg });
                 }
                 PartEffect::PrepareLocally => {
-                    let _timer = self.obs.phase("twopc.prepare_us");
                     let now = self.clock.now();
                     let guardian = self.guardian_mut(g)?;
                     let mos = guardian.mos.remove(&aid).unwrap_or_default();
                     // Split borrow: the recovery system reads the heap.
-                    let Guardian {
-                        rs,
-                        heap,
-                        staged,
-                        force_sched,
-                        participants,
-                        ..
-                    } = guardian;
-                    let mut staged_now = false;
-                    match rs.stage_prepare(aid, &mos, heap) {
-                        Ok(true) => {
-                            staged.push((StagedOp::Prepare(aid), now));
-                            force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = participants
-                                .get_mut(&aid)
-                                .map(|p| p.prepare_succeeded())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(_) => {
-                            let more = participants
-                                .get_mut(&aid)
-                                .map(|p| p.prepare_failed())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                    let Guardian { rs, heap, .. } = guardian;
+                    let staged = rs.stage_prepare(aid, &mos, heap);
+                    let staged = self.note_staged(g, StagedOp::Prepare(aid), now, staged);
+                    self.wobs.prepare_us.record_since(now);
+                    let vote = match staged {
+                        Ok(Staged::Batched) => None,
+                        Ok(Staged::Inline) => Some(true),
+                        Ok(Staged::Crashed) => return Ok(()),
+                        // The prepare could not be written: refuse.
+                        Err(_) => Some(false),
+                    };
+                    if let Some(ok) = vote {
+                        let more = self
+                            .guardian_mut(g)?
+                            .participants
+                            .get_mut(&aid)
+                            .map(|p| {
+                                if ok {
+                                    p.prepare_succeeded()
+                                } else {
+                                    p.prepare_failed()
+                                }
+                            })
+                            .unwrap_or_default();
+                        queue.extend(more);
                     }
                     self.tracer
                         .complete("twopc", "prepare", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::ForceCommit => {
-                    let _timer = self.obs.phase("twopc.commit_us");
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_commit(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Commit(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
+                    let staged = self.guardian_mut(g)?.rs.stage_commit(aid);
+                    let staged = self.note_staged(g, StagedOp::Commit(aid), now, staged);
+                    self.wobs.commit_us.record_since(now);
+                    match staged? {
+                        Staged::Batched => {}
+                        Staged::Inline => {
+                            let guardian = self.guardian_mut(g)?;
                             guardian.heap.commit_action(aid);
                             guardian.resolved.insert(aid, true);
                             let more = guardian
@@ -1747,30 +1824,20 @@ impl World {
                                 .unwrap_or_default();
                             queue.extend(more);
                         }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                        Staged::Crashed => return Ok(()),
                     }
                     self.tracer
                         .complete("twopc", "commit", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::ForceAbort => {
-                    let _timer = self.obs.phase("twopc.abort_us");
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_abort(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Abort(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
+                    let staged = self.guardian_mut(g)?.rs.stage_abort(aid);
+                    let staged = self.note_staged(g, StagedOp::Abort(aid), now, staged);
+                    self.wobs.abort_us.record_since(now);
+                    match staged? {
+                        Staged::Batched => {}
+                        Staged::Inline => {
+                            let guardian = self.guardian_mut(g)?;
                             guardian.heap.abort_action(aid);
                             guardian.resolved.insert(aid, false);
                             let more = guardian
@@ -1780,14 +1847,7 @@ impl World {
                                 .unwrap_or_default();
                             queue.extend(more);
                         }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                        Staged::Crashed => return Ok(()),
                     }
                     self.tracer
                         .complete("twopc", "abort", g.0, Some(tkey(aid)), now, &[]);

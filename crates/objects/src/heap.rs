@@ -3,7 +3,7 @@
 use crate::{
     ActionId, AtomicObject, HeapId, MutexObject, ObjRef, ObjectBody, ObjectSlot, Uid, Value,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// Errors from heap operations.
@@ -97,20 +97,37 @@ pub type HeapResult<T> = Result<T, HeapError>;
 /// assert_eq!(heap.read_value(obj, None)?, &Value::Int(2));
 /// # Ok::<(), argus_objects::HeapError>(())
 /// ```
+///
+/// # The lock index
+///
+/// The heap keeps, per action, the objects on which that action holds a
+/// read lock, a write lock or mutex possession, so that
+/// [`Heap::commit_action`] and [`Heap::abort_action`] visit the locks an
+/// action holds instead of every object in the heap. The index is
+/// authoritative — release consults nothing else — which is why lock
+/// state can only change through the heap's own operations: objects are
+/// handed out by shared reference, recovery restores versions through
+/// [`Heap::restore_base`], [`Heap::restore_current`] and
+/// [`Heap::restore_mutex_value`], and [`Heap::insert_with_uid`] indexes
+/// whatever locks a restored body already carries.
 #[derive(Debug, Default)]
 pub struct Heap {
     slots: Vec<Option<ObjectSlot>>,
     by_uid: HashMap<Uid, HeapId>,
     next_uid: u64,
+    /// Action → the objects it holds a lock or possession on, each once.
+    /// Ordered, so a handful of live actions is one node and no hashing.
+    held: BTreeMap<ActionId, Vec<HeapId>>,
+    /// Emptied lists of resolved actions, reused by the next ones.
+    spare: Vec<Vec<HeapId>>,
 }
 
 impl Heap {
     /// Creates an empty heap. Uid 0 is reserved for the stable root.
     pub fn new() -> Self {
         Self {
-            slots: Vec::new(),
-            by_uid: HashMap::new(),
             next_uid: 1,
+            ..Self::default()
         }
     }
 
@@ -130,9 +147,35 @@ impl Heap {
     fn insert_slot(&mut self, slot: ObjectSlot) -> HeapId {
         let uid = slot.uid;
         let h = HeapId(self.slots.len() as u32);
+        // A body may arrive locked: a creator's read lock, or the write
+        // lock recovery grants an in-doubt action.
+        match &slot.body {
+            ObjectBody::Atomic(obj) => {
+                // An action both writing and reading is indexed once.
+                let readers = obj.readers.iter().filter(|r| Some(**r) != obj.writer);
+                for aid in obj.writer.iter().chain(readers) {
+                    self.note_held(*aid, h);
+                }
+            }
+            ObjectBody::Mutex(obj) => {
+                if let Some(aid) = obj.seized_by {
+                    self.note_held(aid, h);
+                }
+            }
+        }
         self.slots.push(Some(slot));
         self.by_uid.insert(uid, h);
         h
+    }
+
+    /// Indexes `h` as held by `aid`. The caller has checked, from the
+    /// object's own lock state, that `aid` held nothing on it before.
+    fn note_held(&mut self, aid: ActionId, h: HeapId) {
+        let spare = &mut self.spare;
+        self.held
+            .entry(aid)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(h);
     }
 
     /// Draws a fresh uid from the stable counter.
@@ -204,8 +247,9 @@ impl Heap {
             .ok_or(HeapError::NoSuchObject(h))
     }
 
-    /// Looks up an object mutably by heap id.
-    pub fn get_mut(&mut self, h: HeapId) -> HeapResult<&mut ObjectSlot> {
+    /// Looks up an object mutably by heap id. Private: lock state reachable
+    /// through a `&mut ObjectSlot` could change behind the lock index.
+    fn get_mut(&mut self, h: HeapId) -> HeapResult<&mut ObjectSlot> {
         self.slots
             .get_mut(h.0 as usize)
             .and_then(Option::as_mut)
@@ -252,7 +296,10 @@ impl Heap {
                         });
                     }
                 }
-                obj.readers.insert(aid);
+                let newly_held = obj.readers.insert(aid) && obj.writer != Some(aid);
+                if newly_held {
+                    self.note_held(aid, h);
+                }
                 Ok(())
             }
             ObjectBody::Mutex(_) => Err(HeapError::WrongKind { obj: uid }),
@@ -276,11 +323,14 @@ impl Heap {
                         holders,
                     });
                 }
+                let was_reader = obj.readers.remove(&aid); // upgrade subsumes the read lock
                 if obj.writer.is_none() {
                     obj.writer = Some(aid);
                     obj.current = Some(obj.base.clone());
+                    if !was_reader {
+                        self.note_held(aid, h);
+                    }
                 }
-                obj.readers.remove(&aid); // upgrade subsumes the read lock
                 Ok(())
             }
             ObjectBody::Mutex(_) => Err(HeapError::WrongKind { obj: uid }),
@@ -345,7 +395,9 @@ impl Heap {
 
     /// The uids of every object on which `aid` holds a lock or possession,
     /// in uid order — the post-abort emptiness check and the stale-lock
-    /// lint both audit with this.
+    /// lint both audit with this. Deliberately a scan of the objects'
+    /// own lock state rather than a read of the lock index: it is the
+    /// independent witness that indexed release missed nothing.
     pub fn locks_held_by(&self, aid: ActionId) -> Vec<Uid> {
         let mut uids: Vec<Uid> = self
             .slots
@@ -373,8 +425,11 @@ impl Heap {
                     obj: uid,
                     requester: aid,
                 }),
-                _ => {
+                holder => {
                     obj.seized_by = Some(aid);
+                    if holder.is_none() {
+                        self.note_held(aid, h);
+                    }
                     Ok(())
                 }
             },
@@ -392,6 +447,16 @@ impl Heap {
                     return Err(HeapError::NotSeized { obj: uid, aid });
                 }
                 obj.seized_by = None;
+                let held = self.held.get_mut(&aid).expect("possession is indexed");
+                let at = held
+                    .iter()
+                    .position(|x| *x == h)
+                    .expect("possession is indexed");
+                held.swap_remove(at);
+                if held.is_empty() {
+                    let emptied = self.held.remove(&aid).expect("just borrowed");
+                    self.spare.push(emptied);
+                }
                 Ok(())
             }
             ObjectBody::Atomic(_) => Err(HeapError::WrongKind { obj: uid }),
@@ -422,13 +487,34 @@ impl Heap {
     // ---- Action completion ----------------------------------------------
 
     /// Installs every current version written by `aid` and releases all of
-    /// its locks (local effect of a commit).
+    /// its locks (local effect of a commit). Visits only the objects `aid`
+    /// holds a lock on.
     pub fn commit_action(&mut self, aid: ActionId) {
-        for slot in self.slots.iter_mut().flatten() {
+        self.release_all(aid, true);
+    }
+
+    /// Discards every current version written by `aid` and releases all of
+    /// its locks (local effect of an abort). Mutex values keep their new
+    /// state — mutations under `seize` are not undone by abort (§2.4.2).
+    pub fn abort_action(&mut self, aid: ActionId) {
+        self.release_all(aid, false);
+    }
+
+    fn release_all(&mut self, aid: ActionId, install: bool) {
+        let Some(mut held) = self.held.remove(&aid) else {
+            return;
+        };
+        for h in held.drain(..) {
+            let slot = self.slots[h.0 as usize]
+                .as_mut()
+                .expect("indexed objects are resident");
             match &mut slot.body {
                 ObjectBody::Atomic(obj) => {
                     if obj.writer == Some(aid) {
-                        obj.base = obj.current.take().expect("writer implies current");
+                        let current = obj.current.take();
+                        if install {
+                            obj.base = current.expect("writer implies current");
+                        }
                         obj.writer = None;
                     }
                     obj.readers.remove(&aid);
@@ -440,27 +526,54 @@ impl Heap {
                 }
             }
         }
+        self.spare.push(held);
     }
 
-    /// Discards every current version written by `aid` and releases all of
-    /// its locks (local effect of an abort). Mutex values keep their new
-    /// state — mutations under `seize` are not undone by abort (§2.4.2).
-    pub fn abort_action(&mut self, aid: ActionId) {
-        for slot in self.slots.iter_mut().flatten() {
-            match &mut slot.body {
-                ObjectBody::Atomic(obj) => {
-                    if obj.writer == Some(aid) {
-                        obj.current = None;
-                        obj.writer = None;
-                    }
-                    obj.readers.remove(&aid);
-                }
-                ObjectBody::Mutex(obj) => {
-                    if obj.seized_by == Some(aid) {
-                        obj.seized_by = None;
-                    }
-                }
+    // ---- Version restoration (recovery) -----------------------------------
+
+    /// Replaces the committed base version of the atomic object at `h`.
+    pub fn restore_base(&mut self, h: HeapId, value: Value) -> HeapResult<()> {
+        let slot = self.get_mut(h)?;
+        match &mut slot.body {
+            ObjectBody::Atomic(obj) => {
+                obj.base = value;
+                Ok(())
             }
+            ObjectBody::Mutex(_) => Err(HeapError::WrongKind { obj: slot.uid }),
+        }
+    }
+
+    /// Attaches `value` as the current version of the atomic object at `h`
+    /// and grants `aid` — an in-doubt action whose prepared version this is
+    /// — the write lock, unless the object is already write-locked. Returns
+    /// whether the version was attached.
+    pub fn restore_current(&mut self, h: HeapId, aid: ActionId, value: Value) -> HeapResult<bool> {
+        let slot = self.get_mut(h)?;
+        match &mut slot.body {
+            ObjectBody::Atomic(obj) => {
+                if obj.writer.is_some() {
+                    return Ok(false);
+                }
+                obj.current = Some(value);
+                obj.writer = Some(aid);
+                if !obj.readers.contains(&aid) {
+                    self.note_held(aid, h);
+                }
+                Ok(true)
+            }
+            ObjectBody::Mutex(_) => Err(HeapError::WrongKind { obj: slot.uid }),
+        }
+    }
+
+    /// Replaces the single version of the mutex object at `h`.
+    pub fn restore_mutex_value(&mut self, h: HeapId, value: Value) -> HeapResult<()> {
+        let slot = self.get_mut(h)?;
+        match &mut slot.body {
+            ObjectBody::Mutex(obj) => {
+                obj.value = value;
+                Ok(())
+            }
+            ObjectBody::Atomic(_) => Err(HeapError::WrongKind { obj: slot.uid }),
         }
     }
 
@@ -708,6 +821,44 @@ mod tests {
         heap.abort_action(aid(1));
         heap.release(m, aid(1)).ok();
         assert!(heap.locks_held_by(aid(1)).is_empty());
+    }
+
+    #[test]
+    fn locks_granted_by_recovery_are_released_with_the_action() {
+        let mut heap = Heap::new();
+        // An in-doubt action's prepared version inserted with its write
+        // lock, and one attached to an object restored before it.
+        let fresh = heap
+            .insert_with_uid(
+                Uid(7),
+                ObjectBody::Atomic(AtomicObject {
+                    base: Value::Unit,
+                    current: Some(Value::Int(1)),
+                    writer: Some(aid(1)),
+                    readers: Default::default(),
+                }),
+            )
+            .unwrap();
+        let older = heap
+            .insert_with_uid(Uid(8), ObjectBody::Atomic(AtomicObject::new(Value::Int(2))))
+            .unwrap();
+        assert!(heap.restore_current(older, aid(1), Value::Int(3)).unwrap());
+        assert!(
+            !heap.restore_current(older, aid(2), Value::Int(4)).unwrap(),
+            "a write-locked object keeps its prepared version"
+        );
+        heap.restore_base(fresh, Value::Int(0)).unwrap();
+        assert!(matches!(
+            heap.restore_mutex_value(fresh, Value::Unit),
+            Err(HeapError::WrongKind { .. })
+        ));
+        assert_eq!(heap.locks_held_by(aid(1)), vec![Uid(7), Uid(8)]);
+
+        heap.commit_action(aid(1));
+        assert!(heap.locks_held_by(aid(1)).is_empty());
+        assert_eq!(heap.read_value(fresh, None).unwrap(), &Value::Int(1));
+        assert_eq!(heap.read_value(older, None).unwrap(), &Value::Int(3));
+        heap.acquire_write(older, aid(2)).unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A bounded, structured event journal.
 
+use argus_sim::SimClock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -264,6 +265,22 @@ struct JournalInner {
     next_seq: u64,
     dropped: u64,
     events: VecDeque<EventRecord>,
+    /// The clock [`Journal::record`] stamps against — the registry's
+    /// clock. It lives under the ring's lock so stamping and appending
+    /// take one lock, not two.
+    clock: SimClock,
+}
+
+impl JournalInner {
+    fn push(&mut self, at_us: u64, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(EventRecord { at_us, seq, event });
+    }
 }
 
 /// A bounded ring buffer of [`EventRecord`]s.
@@ -291,28 +308,44 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates a journal holding at most `cap` events.
+    /// Creates a journal holding at most `cap` events, on its own clock.
     pub fn new(cap: usize) -> Self {
+        Self::with_clock(cap, SimClock::new())
+    }
+
+    /// Creates a journal whose [`Journal::record`] stamps against `clock`.
+    pub(crate) fn with_clock(cap: usize, clock: SimClock) -> Self {
         Self {
             inner: Arc::new(Mutex::new(JournalInner {
                 cap: cap.max(1),
                 next_seq: 0,
                 dropped: 0,
                 events: VecDeque::new(),
+                clock,
             })),
         }
     }
 
+    /// A handle to the clock [`Journal::record`] stamps against.
+    pub(crate) fn clock(&self) -> SimClock {
+        self.inner.lock().unwrap().clock.clone()
+    }
+
+    /// Replaces the clock [`Journal::record`] stamps against.
+    pub(crate) fn set_clock(&self, clock: SimClock) {
+        self.inner.lock().unwrap().clock = clock;
+    }
+
     /// Appends an event stamped `at_us`, evicting the oldest when full.
     pub fn push(&self, at_us: u64, event: Event) {
+        self.inner.lock().unwrap().push(at_us, event);
+    }
+
+    /// Appends an event stamped with the journal's clock.
+    pub fn record(&self, event: Event) {
         let mut inner = self.inner.lock().unwrap();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.events.len() == inner.cap {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(EventRecord { at_us, seq, event });
+        let at_us = inner.clock.now();
+        inner.push(at_us, event);
     }
 
     /// Copies out the retained events, oldest first.

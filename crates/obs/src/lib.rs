@@ -7,9 +7,10 @@
 //!
 //! * [`Counter`] / [`Histogram`] — atomic counters and fixed power-of-two
 //!   bucket histograms behind a named [`Registry`];
-//! * [`PhaseTimer`] — span-like guards measuring 2PC phases, log forces,
-//!   recovery passes, and housekeeping runs against the simulated
-//!   [`argus_sim::SimClock`];
+//! * [`Timer`] / [`PhaseTimer`] — phase timing against the simulated
+//!   [`argus_sim::SimClock`]: a held histogram-plus-clock handle for hot
+//!   paths (2PC phases, log forces, prepares), a by-name guard for cold
+//!   ones (restart, housekeeping);
 //! * [`Journal`] / [`Event`] — a bounded ring buffer of typed events (entry
 //!   written, outcome chained, chain hop followed, data entry read during
 //!   recovery, snapshot taken, compaction pass, crash fired, mirror repair);
@@ -24,6 +25,16 @@
 //! the calling thread via [`Registry::enter`], falling back to the
 //! process-wide [`global()`] registry. Tests and experiments that want an
 //! isolated view enter their own registry; everything else just works.
+//!
+//! ## Handles, not names, where it is hot
+//!
+//! Resolving a metric by name takes a lock and walks a string-keyed map.
+//! A long-lived component resolves a struct of handles once, when it is
+//! built, and bumps atomics afterwards; per-action state machines share one
+//! [`ThreadHandles`] set per thread that follows the current registry. The
+//! by-name conveniences ([`Registry::inc`], [`Registry::phase`], …) are
+//! for tests and cold paths, and [`Registry::lookups`] counts their use so
+//! a test can pin a hot path at zero.
 //!
 //! ```
 //! use argus_obs::{current, Registry};
@@ -45,6 +56,8 @@ mod table;
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram};
 pub use journal::{Event, EventRecord, Journal};
-pub use registry::{current, global, PhaseTimer, Registry, ScopedRegistry};
+pub use registry::{
+    current, global, with_current, PhaseTimer, Registry, ScopedRegistry, ThreadHandles, Timer,
+};
 pub use report::Report;
 pub use table::Table;

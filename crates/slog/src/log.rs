@@ -185,6 +185,7 @@ struct SlogObs {
     flushes: argus_obs::Counter,
     forces: argus_obs::Counter,
     batch_size: argus_obs::Histogram,
+    force_us: argus_obs::Timer,
     entry_reads: argus_obs::Counter,
     backward_hops: argus_obs::Counter,
     reg: argus_obs::Registry,
@@ -199,6 +200,7 @@ impl SlogObs {
             flushes: reg.counter("slog.flushes"),
             forces: reg.counter("slog.forces"),
             batch_size: reg.histogram("slog.force.batch_size"),
+            force_us: reg.timer("slog.force_us"),
             entry_reads: reg.counter("slog.entry_reads"),
             backward_hops: reg.counter("slog.backward_hops"),
             reg,
@@ -378,7 +380,13 @@ impl<S: PageStore> StableLog<S> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let timer = self.obs.reg.phase("slog.force_us");
+        let t0 = self.obs.force_us.now();
+        let forced = self.force_pending();
+        self.obs.force_us.record_since(t0);
+        forced
+    }
+
+    fn force_pending(&mut self) -> LogResult<()> {
         let published = self.pending_count;
         self.flush()?;
         self.dev.sync()?;
@@ -412,7 +420,6 @@ impl<S: PageStore> StableLog<S> {
             entries: published,
             stable_bytes: self.stable_bytes(),
         });
-        timer.stop();
         Ok(())
     }
 

@@ -56,12 +56,14 @@ impl CacheConfig {
     }
 }
 
-/// Cached metric handles for one page cache.
+/// Cached metric handles for one page cache, and the tracer its device
+/// spans go to: both are the ones current when the cache is built.
 #[derive(Debug, Clone)]
 struct CacheObs {
     hits: argus_obs::Counter,
     misses: argus_obs::Counter,
     readahead: argus_obs::Counter,
+    tracer: argus_trace::Tracer,
 }
 
 impl CacheObs {
@@ -71,7 +73,20 @@ impl CacheObs {
             hits: reg.counter("stable.cache.hit"),
             misses: reg.counter("stable.cache.miss"),
             readahead: reg.counter("stable.cache.readahead"),
+            tracer: argus_trace::current(),
         }
+    }
+
+    /// The start of a device span: the clock reading when device detail is
+    /// on (one atomic load to find out), `None` when it is off.
+    fn device_t0(&self) -> Option<u64> {
+        self.tracer.device_detail().then(|| self.tracer.now())
+    }
+
+    /// Closes a device span opened by [`CacheObs::device_t0`].
+    fn device_span(&self, name: &'static str, t0: u64, args: &[(&'static str, u64)]) {
+        self.tracer
+            .complete("device", name, argus_trace::STORE_LANE, None, t0, args);
     }
 }
 
@@ -193,8 +208,7 @@ impl<S: PageStore> PageCache<S> {
         } else {
             return;
         };
-        let tracer = argus_trace::current();
-        let t0 = tracer.device_detail().then(|| tracer.now());
+        let t0 = self.obs.device_t0();
         let mut fetched = 0u64;
         let mut run = std::mem::take(&mut self.run);
         let mut p = start;
@@ -229,14 +243,8 @@ impl<S: PageStore> PageCache<S> {
         self.run = run;
         if let Some(t0) = t0 {
             if fetched > 0 {
-                tracer.complete(
-                    "device",
-                    "readahead",
-                    argus_trace::STORE_LANE,
-                    None,
-                    t0,
-                    &[("pages", fetched), ("from", start)],
-                );
+                self.obs
+                    .device_span("readahead", t0, &[("pages", fetched), ("from", start)]);
             }
         }
     }
@@ -256,18 +264,10 @@ impl<S: PageStore> PageStore for PageCache<S> {
             return Ok(slot.page.clone());
         }
         self.obs.misses.inc();
-        let tracer = argus_trace::current();
-        let t0 = tracer.device_detail().then(|| tracer.now());
+        let t0 = self.obs.device_t0();
         let page = self.inner.read_page(pno)?;
         if let Some(t0) = t0 {
-            tracer.complete(
-                "device",
-                "page_read",
-                argus_trace::STORE_LANE,
-                None,
-                t0,
-                &[("pno", pno)],
-            );
+            self.obs.device_span("page_read", t0, &[("pno", pno)]);
         }
         self.insert(pno, page.clone());
         self.maybe_readahead(pno);
@@ -278,18 +278,10 @@ impl<S: PageStore> PageStore for PageCache<S> {
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
         // Write-through: media first, cache only after the media accepted
         // it, so the cache can never claim a write the device lost.
-        let tracer = argus_trace::current();
-        let t0 = tracer.device_detail().then(|| tracer.now());
+        let t0 = self.obs.device_t0();
         self.inner.write_page(pno, page)?;
         if let Some(t0) = t0 {
-            tracer.complete(
-                "device",
-                "page_write",
-                argus_trace::STORE_LANE,
-                None,
-                t0,
-                &[("pno", pno)],
-            );
+            self.obs.device_span("page_write", t0, &[("pno", pno)]);
         }
         if self.cfg.is_enabled() {
             self.tick += 1;

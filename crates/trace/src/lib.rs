@@ -36,4 +36,4 @@ pub use attr::{attribute, ActionLatency};
 pub use chrome::to_chrome_json;
 pub use event::{args, Args, Gid, Key, Ph, TraceEvent, STORE_LANE};
 pub use lint::lint_events;
-pub use tracer::{current, Detail, ScopedTracer, SpanGuard, Tracer, EVENT_CAP};
+pub use tracer::{current, with_current, Detail, ScopedTracer, SpanGuard, Tracer, EVENT_CAP};

@@ -10,6 +10,18 @@
 //! from concurrently running tests (each with its own simulated clock)
 //! would destroy the per-guardian monotonicity that lint I12 checks.
 //!
+//! Long-lived components — a world, its network, a page cache — take a
+//! handle to the tracer current when they are built and keep recording
+//! there; per-action state machines record through [`with_current`], which
+//! borrows the current tracer instead of cloning its handle.
+//!
+//! ## One lock per event
+//!
+//! The clock an event is stamped against, the span and flow id generators
+//! and the buffer sit behind one lock, so every recording call takes
+//! exactly one. The detail level is an atomic beside it: the page cache
+//! asks whether device detail is on at every page read and write.
+//!
 //! ## Determinism
 //!
 //! Events are appended in program order; span and flow ids are sequence
@@ -21,6 +33,7 @@
 use crate::event::{args, Gid, Key, Ph, TraceEvent};
 use argus_sim::SimClock;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Hard cap on buffered events. When a run exceeds it, recording stops and
@@ -42,28 +55,42 @@ pub enum Detail {
 
 #[derive(Debug)]
 struct Inner {
-    clock: Mutex<SimClock>,
+    /// Everything an event needs — the clock it is stamped against, the id
+    /// generators, the buffer — behind one lock, so recording takes one.
     state: Mutex<State>,
+    /// Whether the detail level is [`Detail::Device`]. The page cache asks
+    /// on every page read and write, so the answer is one relaxed load; it
+    /// guards no other data (a stale answer records or skips one device
+    /// span).
+    device_detail: AtomicBool,
 }
 
 #[derive(Debug)]
 struct State {
+    clock: SimClock,
     events: Vec<TraceEvent>,
     dropped: u64,
     next_span: u64,
     next_flow: u64,
-    detail: Detail,
 }
 
 impl State {
     fn new() -> Self {
         Self {
+            clock: SimClock::new(),
             events: Vec::new(),
             dropped: 0,
             next_span: 0,
             next_flow: 0,
-            detail: Detail::Normal,
         }
+    }
+
+    fn push(&mut self, event: TraceEvent) {
+        if self.events.len() >= EVENT_CAP {
+            self.dropped += 1;
+            return;
+        }
+        self.events.push(event);
     }
 }
 
@@ -84,8 +111,8 @@ impl Tracer {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                clock: Mutex::new(SimClock::new()),
                 state: Mutex::new(State::new()),
+                device_detail: AtomicBool::new(false),
             }),
         }
     }
@@ -100,22 +127,25 @@ impl Tracer {
 
     /// Binds the simulated clock events are stamped against.
     pub fn set_clock(&self, clock: SimClock) {
-        *self.inner.clock.lock().unwrap() = clock;
+        self.inner.state.lock().unwrap().clock = clock;
     }
 
     /// Current time on the bound clock, microseconds.
     pub fn now(&self) -> u64 {
-        self.inner.clock.lock().unwrap().now()
+        self.inner.state.lock().unwrap().clock.now()
     }
 
     /// Sets the recording detail level.
     pub fn set_detail(&self, detail: Detail) {
-        self.inner.state.lock().unwrap().detail = detail;
+        self.inner
+            .device_detail
+            .store(detail == Detail::Device, Ordering::Relaxed);
     }
 
     /// Whether device-level events are being recorded.
+    #[inline]
     pub fn device_detail(&self) -> bool {
-        self.inner.state.lock().unwrap().detail == Detail::Device
+        self.inner.device_detail.load(Ordering::Relaxed)
     }
 
     /// Clears the buffer and restarts the span/flow id generations. The
@@ -148,13 +178,31 @@ impl Tracer {
         self.inner.state.lock().unwrap().dropped
     }
 
-    fn push(&self, event: TraceEvent) {
+    /// Stamps and appends one event, all under the one state lock. `ph`
+    /// gets the state (to draw a span or flow id) and the clock reading,
+    /// and returns the event's timestamp and phase.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        gid: Gid,
+        key: Option<Key>,
+        a: &[(&'static str, u64)],
+        ph: impl FnOnce(&mut State, u64) -> (u64, Ph),
+    ) {
         let mut st = self.inner.state.lock().unwrap();
-        if st.events.len() >= EVENT_CAP {
-            st.dropped += 1;
-            return;
-        }
-        st.events.push(event);
+        let now = st.clock.now();
+        let (ts, ph) = ph(&mut st, now);
+        st.push(TraceEvent {
+            cat,
+            name,
+            ph,
+            ts,
+            gid,
+            key,
+            args: args(a),
+        });
     }
 
     /// Records a point event.
@@ -166,16 +214,7 @@ impl Tracer {
         key: Option<Key>,
         a: &[(&'static str, u64)],
     ) {
-        let ts = self.now();
-        self.push(TraceEvent {
-            cat,
-            name,
-            ph: Ph::Instant,
-            ts,
-            gid,
-            key,
-            args: args(a),
-        });
+        self.record(cat, name, gid, key, a, |_, now| (now, Ph::Instant));
     }
 
     /// Records a complete span that started at `start_ts` and ends now.
@@ -191,38 +230,9 @@ impl Tracer {
         start_ts: u64,
         a: &[(&'static str, u64)],
     ) {
-        let now = self.now();
-        self.complete_at(
-            cat,
-            name,
-            gid,
-            key,
-            start_ts,
-            now.saturating_sub(start_ts),
-            a,
-        );
-    }
-
-    /// Records a complete span with an explicit start and duration.
-    #[allow(clippy::too_many_arguments)]
-    pub fn complete_at(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        gid: Gid,
-        key: Option<Key>,
-        ts: u64,
-        dur: u64,
-        a: &[(&'static str, u64)],
-    ) {
-        self.push(TraceEvent {
-            cat,
-            name,
-            ph: Ph::Complete { dur },
-            ts,
-            gid,
-            key,
-            args: args(a),
+        self.record(cat, name, gid, key, a, |_, now| {
+            let dur = now.saturating_sub(start_ts);
+            (start_ts, Ph::Complete { dur })
         });
     }
 
@@ -236,21 +246,11 @@ impl Tracer {
         gid: Gid,
         key: Option<Key>,
     ) -> SpanGuard {
-        let span = {
-            let mut st = self.inner.state.lock().unwrap();
-            let id = st.next_span;
+        let mut span = 0;
+        self.record(cat, name, gid, key, &[], |st, now| {
+            span = st.next_span;
             st.next_span += 1;
-            id
-        };
-        let ts = self.now();
-        self.push(TraceEvent {
-            cat,
-            name,
-            ph: Ph::Begin { span },
-            ts,
-            gid,
-            key,
-            args: args(&[]),
+            (now, Ph::Begin { span })
         });
         SpanGuard {
             tracer: self.clone(),
@@ -270,21 +270,11 @@ impl Tracer {
         gid: Gid,
         key: Option<Key>,
     ) -> u64 {
-        let flow = {
-            let mut st = self.inner.state.lock().unwrap();
-            let id = st.next_flow;
+        let mut flow = 0;
+        self.record(cat, name, gid, key, &[], |st, now| {
+            flow = st.next_flow;
             st.next_flow += 1;
-            id
-        };
-        let ts = self.now();
-        self.push(TraceEvent {
-            cat,
-            name,
-            ph: Ph::FlowStart { flow },
-            ts,
-            gid,
-            key,
-            args: args(&[]),
+            (now, Ph::FlowStart { flow })
         });
         flow
     }
@@ -298,15 +288,8 @@ impl Tracer {
         key: Option<Key>,
         flow: u64,
     ) {
-        let ts = self.now();
-        self.push(TraceEvent {
-            cat,
-            name,
-            ph: Ph::FlowEnd { flow },
-            ts,
-            gid,
-            key,
-            args: args(&[]),
+        self.record(cat, name, gid, key, &[], |_, now| {
+            (now, Ph::FlowEnd { flow })
         });
     }
 }
@@ -324,16 +307,11 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let ts = self.tracer.now();
-        self.tracer.push(TraceEvent {
-            cat: self.cat,
-            name: self.name,
-            ph: Ph::End { span: self.span },
-            ts,
-            gid: self.gid,
-            key: self.key,
-            args: args(&[]),
-        });
+        let span = self.span;
+        self.tracer
+            .record(self.cat, self.name, self.gid, self.key, &[], |_, now| {
+                (now, Ph::End { span })
+            });
     }
 }
 
@@ -345,10 +323,18 @@ thread_local! {
 /// The calling thread's tracer: the innermost [`Tracer::enter`] scope, or
 /// the thread's default tracer.
 pub fn current() -> Tracer {
-    if let Some(t) = CURRENT.with(|stack| stack.borrow().last().cloned()) {
-        return t;
-    }
-    DEFAULT.with(Clone::clone)
+    with_current(Tracer::clone)
+}
+
+/// Runs `f` on the calling thread's tracer without cloning the handle —
+/// the form per-action state machines record through. `f` must not
+/// [`Tracer::enter`] or leave a scope: the scope stack is borrowed while it
+/// runs.
+pub fn with_current<R>(f: impl FnOnce(&Tracer) -> R) -> R {
+    CURRENT.with(|stack| match stack.borrow().last() {
+        Some(t) => f(t),
+        None => DEFAULT.with(|t| f(t)),
+    })
 }
 
 /// Scope guard from [`Tracer::enter`].

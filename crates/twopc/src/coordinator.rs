@@ -1,14 +1,10 @@
 //! The coordinator state machine (§2.2.1).
 
+use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
 use argus_obs::Event;
 use std::collections::BTreeSet;
-
-/// The trace key for an action: origin guardian + sequence number.
-pub(crate) fn tkey(aid: ActionId) -> argus_trace::Key {
-    argus_trace::Key::new(aid.coordinator.0, aid.seq)
-}
 
 /// Where the coordinator stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +73,7 @@ impl Coordinator {
     /// participant list is deduplicated and sorted: each guardian joins the
     /// protocol once, however many roles it played in the action.
     pub fn new(aid: ActionId, participants: Vec<GuardianId>) -> Self {
-        argus_obs::current().inc("twopc.coord.started");
+        obs::with(|o| o.coord_started.inc());
         let participants = Self::normalize(participants);
         let waiting = participants.iter().copied().collect();
         Self {
@@ -95,7 +91,7 @@ impl Coordinator {
         aid: ActionId,
         participants: Vec<GuardianId>,
     ) -> (Self, Vec<CoordEffect>) {
-        argus_obs::current().inc("twopc.coord.resumed");
+        obs::with(|o| o.coord_resumed.inc());
         let participants = Self::normalize(participants);
         let waiting: BTreeSet<GuardianId> = participants.iter().copied().collect();
         let coord = Self {
@@ -122,14 +118,8 @@ impl Coordinator {
     /// Starts the preparing phase: prepare messages to every participant.
     pub fn start(&self) -> Vec<CoordEffect> {
         let n = self.participants.len() as u64;
-        argus_obs::current().event(Event::PrepareSent { participants: n });
-        argus_trace::current().instant(
-            "twopc",
-            "prepare_sent",
-            self.aid.coordinator.0,
-            Some(tkey(self.aid)),
-            &[("participants", n)],
-        );
+        obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
+        trace_instant("prepare_sent", self.aid, &[("participants", n)]);
         self.participants
             .iter()
             .map(|&g| CoordEffect::Send {
@@ -229,19 +219,14 @@ impl Coordinator {
     /// The guardian forced the `committing` record; the action is now
     /// committed and phase two begins.
     pub fn committing_forced(&mut self) -> Vec<CoordEffect> {
-        let obs = argus_obs::current();
-        obs.inc("twopc.coord.committed");
-        obs.event(Event::OutcomeSent {
-            committed: true,
-            participants: self.participants.len() as u64,
+        obs::with(|o| {
+            o.coord_committed.inc();
+            o.reg.event(Event::OutcomeSent {
+                committed: true,
+                participants: self.participants.len() as u64,
+            });
         });
-        argus_trace::current().instant(
-            "twopc",
-            "outcome_sent",
-            self.aid.coordinator.0,
-            Some(tkey(self.aid)),
-            &[("committed", 1)],
-        );
+        trace_instant("outcome_sent", self.aid, &[("committed", 1)]);
         self.phase = CoordPhase::Committing;
         self.waiting = self.participants.iter().copied().collect();
         self.commit_msgs()
@@ -249,7 +234,7 @@ impl Coordinator {
 
     /// The guardian forced the `done` record; two-phase commit is complete.
     pub fn done_forced(&mut self) -> Vec<CoordEffect> {
-        argus_obs::current().inc("twopc.coord.done");
+        obs::with(|o| o.coord_done.inc());
         vec![CoordEffect::Finished { committed: true }]
     }
 
@@ -260,19 +245,14 @@ impl Coordinator {
             // Past the commit point: aborting is no longer possible.
             return Vec::new();
         }
-        let obs = argus_obs::current();
-        obs.inc("twopc.coord.aborted");
-        obs.event(Event::OutcomeSent {
-            committed: false,
-            participants: self.participants.len() as u64,
+        obs::with(|o| {
+            o.coord_aborted.inc();
+            o.reg.event(Event::OutcomeSent {
+                committed: false,
+                participants: self.participants.len() as u64,
+            });
         });
-        argus_trace::current().instant(
-            "twopc",
-            "outcome_sent",
-            self.aid.coordinator.0,
-            Some(tkey(self.aid)),
-            &[("committed", 0)],
-        );
+        trace_instant("outcome_sent", self.aid, &[("committed", 0)]);
         self.phase = CoordPhase::Aborting;
         self.waiting = self.participants.iter().copied().collect();
         self.abort_msgs()

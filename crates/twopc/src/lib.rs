@@ -18,6 +18,7 @@
 
 mod coordinator;
 mod msg;
+mod obs;
 mod participant;
 
 pub use coordinator::{CoordEffect, CoordPhase, Coordinator};

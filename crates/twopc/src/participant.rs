@@ -1,6 +1,6 @@
 //! The participant state machine (§2.2.2).
 
-use crate::coordinator::tkey;
+use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
 use argus_obs::Event;
@@ -60,7 +60,7 @@ pub struct Participant {
 impl Participant {
     /// Creates a participant that has just received the prepare message.
     pub fn on_prepare(aid: ActionId, coordinator: GuardianId) -> (Self, Vec<PartEffect>) {
-        argus_obs::current().inc("twopc.part.prepares");
+        obs::with(|o| o.part_prepares.inc());
         let p = Self {
             aid,
             coordinator,
@@ -72,7 +72,7 @@ impl Participant {
     /// Resumes an in-doubt participant after recovery: it must query its
     /// coordinator for the verdict (§2.2.2).
     pub fn resume_in_doubt(aid: ActionId, coordinator: GuardianId) -> (Self, Vec<PartEffect>) {
-        argus_obs::current().inc("twopc.part.resumed_in_doubt");
+        obs::with(|o| o.part_resumed_in_doubt.inc());
         let p = Self {
             aid,
             coordinator,
@@ -93,16 +93,11 @@ impl Participant {
     /// The local prepare finished: data entries and `prepared` record are on
     /// stable storage.
     pub fn prepare_succeeded(&mut self) -> Vec<PartEffect> {
-        let obs = argus_obs::current();
-        obs.inc("twopc.part.prepare_ok");
-        obs.event(Event::VoteSent { ok: true });
-        argus_trace::current().instant(
-            "twopc",
-            "vote_sent",
-            self.aid.coordinator.0,
-            Some(tkey(self.aid)),
-            &[("ok", 1)],
-        );
+        obs::with(|o| {
+            o.part_prepare_ok.inc();
+            o.reg.event(Event::VoteSent { ok: true });
+        });
+        trace_instant("vote_sent", self.aid, &[("ok", 1)]);
         self.phase = PartPhase::Prepared;
         vec![PartEffect::Send {
             to: self.coordinator,
@@ -113,16 +108,11 @@ impl Participant {
     /// The local prepare could not run (lock conflict, unknown action, …):
     /// reply aborted (§2.2.2).
     pub fn prepare_failed(&mut self) -> Vec<PartEffect> {
-        let obs = argus_obs::current();
-        obs.inc("twopc.part.prepare_refused");
-        obs.event(Event::VoteSent { ok: false });
-        argus_trace::current().instant(
-            "twopc",
-            "vote_sent",
-            self.aid.coordinator.0,
-            Some(tkey(self.aid)),
-            &[("ok", 0)],
-        );
+        obs::with(|o| {
+            o.part_prepare_refused.inc();
+            o.reg.event(Event::VoteSent { ok: false });
+        });
+        trace_instant("vote_sent", self.aid, &[("ok", 0)]);
         self.phase = PartPhase::Aborted;
         vec![PartEffect::Send {
             to: self.coordinator,
@@ -170,7 +160,7 @@ impl Participant {
 
     /// The `committed` record is forced.
     pub fn commit_forced(&mut self) -> Vec<PartEffect> {
-        argus_obs::current().inc("twopc.part.commits");
+        obs::with(|o| o.part_commits.inc());
         self.phase = PartPhase::Committed;
         vec![
             PartEffect::Send {
@@ -183,7 +173,7 @@ impl Participant {
 
     /// The `aborted` record is forced.
     pub fn abort_forced(&mut self) -> Vec<PartEffect> {
-        argus_obs::current().inc("twopc.part.aborts");
+        obs::with(|o| o.part_aborts.inc());
         self.phase = PartPhase::Aborted;
         vec![
             PartEffect::Send {

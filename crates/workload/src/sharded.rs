@@ -479,7 +479,7 @@ impl Sharded {
     ) {
         stats.retries += 1;
         stats.aborted.insert(aid);
-        world.obs().inc("cc.retries");
+        world.note_cc_retry();
         let delay = self.cfg.backoff.delay_us(slot.attempt, rng);
         slot.attempt += 1;
         slot.retry_at = world.clock.now() + delay;

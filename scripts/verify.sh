@@ -34,6 +34,10 @@ run cargo run -q --release --offline -p argus-bench --bin experiments -- --smoke
 if [[ "${1:-}" == "--full" ]]; then
     run cargo build --offline --benches -p argus-bench
     run cargo run -q --release --offline -p argus-bench --bin experiments -- E1
+    # The checked-in simulated-clock tables (BENCH_E12-E17, E21) must be what
+    # this tree generates, cell for cell: a change that moves a simulated
+    # device operation, a force, a poll or a deadlock shows up here.
+    run scripts/bench.sh --check
 fi
 
 # Bounded crash-schedule sweep: a deterministic slice of the full matrix

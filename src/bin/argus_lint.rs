@@ -45,7 +45,7 @@
 //! recorder; it exits 1 on any failure.
 
 use argus::check::sweep::{sweep, SweepConfig};
-use argus::check::{detect_flavor, lint_log, lint_trace, FaultTally, LogImage, VoprConfig};
+use argus::check::{detect_flavor, lint_log, FaultTally, LogImage, VoprConfig};
 use argus::core::providers::FileProvider;
 use argus::guardian::RsKind;
 use argus::sim::{CostModel, SimClock};
@@ -186,39 +186,10 @@ fn run_vopr(args: &[String]) {
     std::process::exit(if violations == 0 { 0 } else { 1 });
 }
 
-/// One seeded, device-detail traced run of the 3-guardian cross-guardian
-/// banking mix. Returns the Chrome JSON export and the I12 lint verdicts.
+/// [`argus::traced_run`] as the Chrome JSON export and the I12 verdicts.
 fn traced_run(seed: u64) -> (String, Vec<argus::check::Violation>) {
-    use argus::guardian::World;
-    use argus::workload::{Banking, BankingConfig};
-
-    let reg = argus::obs::Registry::new();
-    let _scope = reg.enter();
-    let tracer = argus::trace::current();
-    tracer.set_detail(argus::trace::Detail::Device);
-    // Building the world binds the simulated clock and resets the tracer:
-    // one world, one trace.
-    let mut world = World::new(CostModel::default());
-    let bank = Banking::setup(
-        &mut world,
-        RsKind::Hybrid,
-        BankingConfig {
-            guardians: 3,
-            cross_prob: 1.0,
-            abort_prob: 0.1,
-            ..Default::default()
-        },
-    )
-    .expect("banking setup");
-    let mut rng = argus::sim::DetRng::new(seed);
-    bank.run(&mut world, &mut rng, 40).expect("banking run");
-    assert_eq!(
-        bank.total_balance(&world).expect("balance"),
-        bank.expected_total(),
-        "transfers must conserve the total balance"
-    );
-    let violations = lint_trace(world.tracer());
-    (argus::trace::to_chrome_json(&tracer.events()), violations)
+    let run = argus::traced_run(seed);
+    (run.chrome_json, run.violations)
 }
 
 /// The `trace` subcommand: record a seeded run, export Chrome JSON, and

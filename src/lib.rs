@@ -69,3 +69,54 @@ pub use argus_stable as stable;
 pub use argus_trace as trace;
 pub use argus_twopc as twopc;
 pub use argus_workload as workload;
+
+/// What [`traced_run`] observed.
+#[derive(Debug)]
+pub struct TracedRun {
+    /// The Chrome trace-event export of the run's whole trace.
+    pub chrome_json: String,
+    /// The run's metrics: every counter, phase timing and journal record.
+    pub report: obs::Report,
+    /// The I12 trace-lint verdicts.
+    pub violations: Vec<check::Violation>,
+}
+
+/// One seeded, device-detail traced run of the 3-guardian cross-guardian
+/// banking mix on the hybrid log, in a registry and on the thread's tracer
+/// — the run `argus-lint trace --seed N` exports and
+/// `tests/observable_golden.rs` pins byte for byte.
+pub fn traced_run(seed: u64) -> TracedRun {
+    use guardian::{RsKind, World};
+    use workload::{Banking, BankingConfig};
+
+    let reg = obs::Registry::new();
+    let _scope = reg.enter();
+    let tracer = trace::current();
+    tracer.set_detail(trace::Detail::Device);
+    // Building the world binds the simulated clock and resets the tracer:
+    // one world, one trace.
+    let mut world = World::new(sim::CostModel::default());
+    let bank = Banking::setup(
+        &mut world,
+        RsKind::Hybrid,
+        BankingConfig {
+            guardians: 3,
+            cross_prob: 1.0,
+            abort_prob: 0.1,
+            ..Default::default()
+        },
+    )
+    .expect("banking setup");
+    let mut rng = sim::DetRng::new(seed);
+    bank.run(&mut world, &mut rng, 40).expect("banking run");
+    assert_eq!(
+        bank.total_balance(&world).expect("balance"),
+        bank.expected_total(),
+        "transfers must conserve the total balance"
+    );
+    TracedRun {
+        chrome_json: trace::to_chrome_json(&tracer.events()),
+        report: reg.report(),
+        violations: check::lint_trace(world.tracer()),
+    }
+}

@@ -385,3 +385,48 @@ fn contended_mix_is_deterministic_across_runs() {
         assert_eq!(runs[0], runs[1], "{policy:?}");
     }
 }
+
+/// Victim choice is pinned: the world keeps begin order only for live
+/// actions (an entry goes when its action resolves), and since only live
+/// actions sit on wait-for cycles that must pick exactly the victims a
+/// begin-order table that never forgets picked. The digests are of the
+/// same-seed deadlock reports — every cycle and its victim, in detection
+/// order — of E14's smoke cell and of a 16-shard sharded mix, taken before
+/// the table was folded into the live-action map.
+#[test]
+fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
+    use argus::workload::{Sharded, ShardedConfig};
+    let digest = |w: &World| {
+        let reports = w.cc_deadlock_reports();
+        let text = format!("{reports:?}");
+        (reports.len(), argus::slog::crc32(text.as_bytes()))
+    };
+
+    let mut w = World::with_config(
+        CostModel::default(),
+        WorldConfig::with_cc(CcPolicy::Blocking),
+    );
+    let cfg = ContendedConfig {
+        concurrency: 8,
+        transfers_per_slot: 8,
+        ..Default::default()
+    };
+    let mix = Contended::setup(&mut w, RsKind::Hybrid, cfg).unwrap();
+    mix.run(&mut w, &mut DetRng::new(14)).unwrap();
+    assert_eq!(digest(&w), (11, 1_775_677_894), "E14 smoke cell");
+
+    let mut w = World::with_config(
+        CostModel::default(),
+        WorldConfig::with_cc(CcPolicy::Blocking),
+    );
+    let cfg = ShardedConfig {
+        shards: 16,
+        users: 2_560,
+        concurrency: 32,
+        actions: 512,
+        ..Default::default()
+    };
+    let mix = Sharded::setup(&mut w, RsKind::Redo, cfg).unwrap();
+    mix.run(&mut w, &mut DetRng::new(21)).unwrap();
+    assert_eq!(digest(&w), (26, 1_896_710_700), "16-shard sharded mix");
+}

@@ -1,0 +1,127 @@
+//! The instrumentation budget of one commit, as numbers.
+//!
+//! Between `World::begin` and the commit acknowledgement nothing resolves a
+//! metric by name — every count goes through a handle resolved when its
+//! component was built — and the journal and trace records one commit
+//! leaves behind are fixed: adding an event to the commit path changes a
+//! literal below, so it cannot happen unnoticed.
+
+use argus::guardian::{Outcome, RsKind, World};
+use argus::objects::{GuardianId, HeapId, Value};
+use argus::obs::Registry;
+use argus::trace::Tracer;
+
+const OBJECTS: usize = 64;
+const WRITES: usize = 4;
+const COMMITS: u64 = 1_000;
+
+struct Bench {
+    world: World,
+    g: GuardianId,
+    objects: Vec<HeapId>,
+    next: usize,
+}
+
+impl Bench {
+    fn new(kind: RsKind) -> Self {
+        let mut world = World::fast();
+        let g = world.add_guardian(kind).unwrap();
+        let setup = world.begin(g).unwrap();
+        let objects: Vec<HeapId> = (0..OBJECTS)
+            .map(|_| world.create_atomic(g, setup, Value::Int(0)).unwrap())
+            .collect();
+        let refs = objects.iter().map(|h| Value::heap_ref(*h)).collect();
+        world
+            .set_stable(g, setup, "objects", Value::Seq(refs))
+            .unwrap();
+        assert_eq!(world.commit(setup).unwrap(), Outcome::Committed);
+        Self {
+            world,
+            g,
+            objects,
+            next: 0,
+        }
+    }
+
+    /// `in_flight` actions of four writes each, begun together, their
+    /// commits launched together and settled in turn — so with more than
+    /// one in flight their records share group-commit forces.
+    fn round(&mut self, in_flight: usize) {
+        let mut actions = Vec::with_capacity(in_flight);
+        for _ in 0..in_flight {
+            let aid = self.world.begin(self.g).unwrap();
+            for _ in 0..WRITES {
+                let h = self.objects[self.next % OBJECTS];
+                self.next += 1;
+                self.world
+                    .write_atomic(self.g, aid, h, |v| {
+                        if let Value::Int(n) = v {
+                            *n += 1;
+                        }
+                    })
+                    .unwrap();
+            }
+            actions.push(aid);
+        }
+        for &aid in &actions {
+            self.world.commit_start(aid).unwrap();
+        }
+        for &aid in &actions {
+            assert_eq!(self.world.commit_settle(aid).unwrap(), Outcome::Committed);
+        }
+    }
+}
+
+/// Journal records and trace events left by `COMMITS` steady-state commits,
+/// `in_flight` at a time; asserts they resolved nothing by name.
+fn budget(kind: RsKind, in_flight: usize) -> (u64, u64) {
+    let reg = Registry::new();
+    let tracer = Tracer::new();
+    let (_r, _t) = (reg.enter(), tracer.enter());
+    let mut bench = Bench::new(kind);
+    for _ in 0..8 {
+        bench.round(in_flight);
+    }
+    let lookups = reg.lookups();
+    let journal = reg.journal().total();
+    let traced = tracer.len() as u64;
+    for _ in 0..COMMITS / in_flight as u64 {
+        bench.round(in_flight);
+    }
+    assert_eq!(tracer.dropped(), 0, "the trace buffer must hold the run");
+    assert_eq!(
+        reg.lookups() - lookups,
+        0,
+        "{kind:?}, {in_flight} in flight: by-name metric lookups on the commit path"
+    );
+    (
+        reg.journal().total() - journal,
+        tracer.len() as u64 - traced,
+    )
+}
+
+#[test]
+fn a_steady_state_commit_resolves_nothing_by_name_and_records_a_fixed_set() {
+    // (journal records, trace events) per 1 000 commits: 15 and 24 a
+    // commit on the log organizations (the redo log adds the records of its
+    // chain-head checkpoints, one every 64 commits), 7 and 16 on shadowing,
+    // which journals no log entries. Eight in flight share their forces:
+    // 3.5 fewer `force_completed` records and `force` spans a commit.
+    let expected = |kind: RsKind, in_flight: usize| match (kind, in_flight) {
+        (RsKind::Shadow, _) => (7_000, 16_000),
+        (RsKind::Redo, 1) => (15_015, 24_000),
+        (RsKind::Redo, _) => (11_515, 20_500),
+        (_, 1) => (15_000, 24_000),
+        (_, _) => (11_500, 20_500),
+    };
+    for kind in RsKind::ALL {
+        for in_flight in [1, 8] {
+            let got = budget(kind, in_flight);
+            assert_eq!(
+                got,
+                expected(kind, in_flight),
+                "{kind:?}, {in_flight} in flight: (journal records, trace events) per {COMMITS} commits"
+            );
+        }
+    }
+}

@@ -244,3 +244,130 @@ fn world_recovery_metrics_agree_with_device_stats() {
     assert_eq!(reg.counter("world.crashes").get(), 1);
     assert_eq!(reg.counter("world.restarts").get(), 1);
 }
+
+/// One world with its own registry and tracer, stepped one scripted round
+/// at a time — each step entered under its own scopes, as the benchmark
+/// steps its lanes.
+struct Lane {
+    reg: Registry,
+    tracer: argus::trace::Tracer,
+    world: World,
+    gids: [GuardianId; 2],
+    cells: [argus::objects::HeapId; 2],
+}
+
+impl Lane {
+    fn new() -> Self {
+        use argus::cc::CcPolicy;
+        use argus::guardian::WorldConfig;
+        let reg = Registry::new();
+        let tracer = argus::trace::Tracer::new();
+        let (_r, _t) = (reg.enter(), tracer.enter());
+        let mut world = World::with_config(
+            argus::sim::CostModel::fast(),
+            WorldConfig::with_cc(CcPolicy::Blocking),
+        );
+        let gids = [
+            world.add_guardian(RsKind::Hybrid).unwrap(),
+            world.add_guardian(RsKind::Redo).unwrap(),
+        ];
+        let setup = world.begin(gids[0]).unwrap();
+        let cells = gids.map(|g| {
+            let h = world.create_atomic(g, setup, Value::Int(0)).unwrap();
+            world
+                .set_stable(g, setup, "cell", Value::heap_ref(h))
+                .unwrap();
+            h
+        });
+        assert_eq!(world.commit(setup).unwrap(), Outcome::Committed);
+        Self {
+            reg,
+            tracer,
+            world,
+            gids,
+            cells,
+        }
+    }
+
+    /// One round: a distributed action holding both cells, a second one
+    /// that parks behind it (a lock wait), both committed by two-phase
+    /// commit.
+    fn step(&mut self) {
+        use argus::cc::CcOutcome;
+        let (_r, _t) = (self.reg.enter(), self.tracer.enter());
+        let [g0, g1] = self.gids;
+        let bump = |v: &mut Value| {
+            if let Value::Int(n) = v {
+                *n += 1;
+            }
+        };
+        let first = self.world.begin(g0).unwrap();
+        for (g, h) in self.gids.into_iter().zip(self.cells) {
+            self.world.write_atomic(g, first, h, bump).unwrap();
+        }
+        let second = self.world.begin(g1).unwrap();
+        assert_eq!(
+            self.world
+                .submit_write_atomic(g1, second, self.cells[1], bump)
+                .unwrap(),
+            CcOutcome::Parked
+        );
+        assert_eq!(self.world.commit(first).unwrap(), Outcome::Committed);
+        assert!(!self.world.cc_blocked(second), "the commit grants the wait");
+        assert_eq!(self.world.commit(second).unwrap(), Outcome::Committed);
+    }
+}
+
+/// Several registries and tracers are live on one thread, and per-action
+/// state machines find theirs through the thread's current scope: two
+/// worlds stepped alternately must each record exactly what they record
+/// when run alone — `twopc.*`, `cc.*`, `world.*`, `slog.*`, the journal,
+/// the trace, everything.
+#[test]
+fn interleaved_worlds_keep_their_metrics_apart() {
+    let solo = |steps: usize| {
+        let mut lane = Lane::new();
+        for _ in 0..steps {
+            lane.step();
+        }
+        lane
+    };
+    let (steps_a, steps_b) = (7, 3);
+    let (mut a, mut b) = (Lane::new(), Lane::new());
+    for i in 0..steps_a.max(steps_b) {
+        if i < steps_a {
+            a.step();
+        }
+        if i < steps_b {
+            b.step();
+        }
+    }
+    for (lane, steps) in [(&a, steps_a), (&b, steps_b)] {
+        let alone = solo(steps);
+        let (got, want) = (lane.reg.report(), alone.reg.report());
+        assert_eq!(got.counters, want.counters, "{steps} steps: counters");
+        assert_eq!(got.hists, want.hists, "{steps} steps: histograms");
+        assert_eq!(got.events, want.events, "{steps} steps: journal");
+        assert_eq!(
+            lane.tracer.events(),
+            alone.tracer.events(),
+            "{steps} steps: trace"
+        );
+
+        let n = steps as u64;
+        let count = |name: &str| lane.reg.counter(name).get();
+        // The setup action plus two per step; the first of each step spans
+        // both guardians.
+        assert_eq!(count("world.commits"), 1 + 2 * n);
+        assert_eq!(count("twopc.coord.started"), 1 + 2 * n);
+        assert_eq!(count("twopc.part.prepares"), 2 + 3 * n);
+        assert_eq!(count("cc.waits"), n);
+        assert_eq!(lane.reg.histogram("cc.wait_us").snapshot().count, n);
+        assert!(count("slog.forces") > 0 && count("world.sched.polls") > 0);
+    }
+    assert_ne!(
+        a.reg.counter("slog.appends").get(),
+        b.reg.counter("slog.appends").get(),
+        "different step counts leave different logs"
+    );
+}

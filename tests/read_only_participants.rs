@@ -6,8 +6,6 @@
 use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::{ObjRef, Value};
 
-const KINDS: [RsKind; 3] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow];
-
 /// Sets up two guardians: g0 holds "data", g1 holds "config". Returns
 /// (world, g0, g1).
 fn setup(
@@ -41,7 +39,7 @@ fn handle(w: &World, g: argus::objects::GuardianId, name: &str) -> argus::object
 
 #[test]
 fn read_locks_are_released_on_commit() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let (mut w, g0, g1) = setup(kind);
         // The action reads config at g1 and writes data at g0.
         let a = w.begin(g0).unwrap();

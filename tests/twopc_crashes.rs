@@ -9,8 +9,6 @@
 use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::{ObjRef, Value};
 
-const KINDS: [RsKind; 3] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow];
-
 /// Sets up two guardians each holding one account with 100 units.
 /// Returns (world, g0, g1).
 fn setup(
@@ -119,7 +117,7 @@ fn run_case(kind: RsKind, victim_is_coordinator: bool, budget: u64) -> bool {
 
 #[test]
 fn participant_crash_matrix() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut fired = 0;
         for budget in 0..120 {
             if run_case(kind, false, budget) {
@@ -138,7 +136,7 @@ fn participant_crash_matrix() {
 
 #[test]
 fn coordinator_crash_matrix() {
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let mut fired = 0;
         for budget in 0..120 {
             if run_case(kind, true, budget) {
@@ -156,7 +154,7 @@ fn coordinator_crash_matrix() {
 fn double_crash_and_recovery() {
     // Crash the participant mid-protocol AND the coordinator right after,
     // then restart both: the system must still converge consistently.
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         for budget in [5u64, 20, 50, 80] {
             let (mut w, g0, g1) = setup(kind);
             let a = w.begin(g0).unwrap();
