@@ -11,7 +11,7 @@ use argus_workload::{Synth, SynthConfig};
 
 fn main() {
     let mut report = BenchReport::new("recovery");
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow] {
+    for kind in RsKind::ALL {
         for history in [500u64, 2_000] {
             let mut world = World::new(CostModel::fast());
             let mut synth = Synth::setup(

@@ -1,4 +1,4 @@
-//! E1: write cost per committed action across the three storage
+//! E1: write cost per committed action across the storage
 //! organizations, on the bespoke `argus_obs::bench` harness.
 
 use argus_guardian::{RsKind, World};
@@ -8,7 +8,7 @@ use argus_workload::{Synth, SynthConfig};
 
 fn main() {
     let mut report = BenchReport::new("write_path");
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow] {
+    for kind in RsKind::ALL {
         for writes in [1usize, 16] {
             let mut world = World::new(CostModel::fast());
             let mut synth = Synth::setup(

@@ -171,7 +171,7 @@ fn scale_smoke() {
     use argus_check::{lint_heap_quiesced, lint_log, lint_trace, LogImage};
     use argus_workload::{Sharded, ShardedConfig};
 
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let mut world = World::with_config(
             argus_sim::CostModel::fast(),
             WorldConfig::with_cc(CcPolicy::Blocking),

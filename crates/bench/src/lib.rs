@@ -19,8 +19,6 @@ use argus_objects::Value;
 use argus_sim::{CostModel, StatsSnapshot};
 use argus_workload::{Contended, ContendedConfig, Sharded, ShardedConfig, Synth, SynthConfig};
 
-const KINDS: [RsKind; 4] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo];
-
 fn kind_name(kind: RsKind) -> &'static str {
     match kind {
         RsKind::Simple => "simple log",
@@ -56,7 +54,7 @@ pub fn e1_write_cost(commits: u64) -> Table {
     for writes in [1usize, 4, 16, 64] {
         let mut row = vec![writes.to_string()];
         let mut per_commit = Vec::new();
-        for kind in KINDS {
+        for kind in RsKind::ALL {
             let mut world = World::new(CostModel::default());
             let mut synth = Synth::setup(
                 &mut world,
@@ -123,7 +121,7 @@ pub fn e2_recovery_cost(lengths: &[u64]) -> (Table, Table) {
         let mut time_row = vec![n.to_string()];
         let mut ex_row = vec![n.to_string()];
         let mut us = Vec::new();
-        for kind in KINDS {
+        for kind in RsKind::ALL {
             let mut world = World::new(CostModel::default());
             let mut synth = Synth::setup(
                 &mut world,
@@ -424,7 +422,7 @@ pub fn e8_crash_matrix() -> Table {
         "consistent".into(),
         "durable commits".into(),
     ]);
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         for coordinator in [false, true] {
             let mut fired = 0u64;
             let mut consistent = 0u64;
@@ -517,7 +515,7 @@ pub fn e9_device_sensitivity() -> Table {
     ] {
         // Write cost per commit (16 writes/action, 2048 live objects).
         let mut write_us = Vec::new();
-        for kind in KINDS {
+        for kind in RsKind::ALL {
             let mut world = World::new(model.clone());
             let mut synth = Synth::setup(
                 &mut world,
@@ -550,7 +548,7 @@ pub fn e9_device_sensitivity() -> Table {
 
         // Recovery cost after 2000 commits.
         let mut rec_us = Vec::new();
-        for kind in KINDS {
+        for kind in RsKind::ALL {
             let mut world = World::new(model.clone());
             let mut synth = Synth::setup(
                 &mut world,
@@ -678,7 +676,7 @@ pub fn e12_group_commit(rounds: u64) -> Table {
         "redo (µs/commit)".into(),
     ]);
     for n in [1usize, 2, 4, 8] {
-        let perf: Vec<CommitPerf> = KINDS
+        let perf: Vec<CommitPerf> = RsKind::ALL
             .iter()
             .map(|&kind| commit_perf(kind, n, rounds, WorldConfig::default()))
             .collect();
@@ -938,7 +936,7 @@ pub fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
         "deadlocks".into(),
         "timeouts".into(),
     ]);
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         for &n in concurrencies {
             for policy in [
                 CcPolicy::ConflictAbort,
@@ -1070,7 +1068,7 @@ pub fn e21_sharded_scaling(shards: &[usize], actions_per_shard: u64) -> Table {
         "coord skew".into(),
         "polls/commit".into(),
     ]);
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         for &shards in shards {
             let cfg = e21_config(shards, actions_per_shard);
             let perf = sharded_perf(kind, cfg);
@@ -1358,7 +1356,7 @@ pub fn e16_latency_attribution(transfers_per_slot: u64) -> Table {
         "device".into(),
         "processing".into(),
     ]);
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let (lats, measure_start) = e16_run(kind, transfers_per_slot);
         let committed: Vec<_> = lats
             .iter()
@@ -1411,7 +1409,7 @@ pub fn e15_sweep_coverage(max_points_per_victim: Option<u64>, double_crash: bool
         "simulated ms".into(),
         "wall ms".into(),
     ]);
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let started = std::time::Instant::now();
         let mut cells = 0u64;
         let mut first = 0u64;
@@ -1485,7 +1483,7 @@ pub fn e17_vopr_coverage(seeds: u64, iterations: u64) -> Table {
         "simulated ms".into(),
         "wall ms".into(),
     ]);
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let started = std::time::Instant::now();
         let mut actions = 0u64;
         let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
@@ -1757,7 +1755,7 @@ pub fn e19_wall_recovery(history: u64, dir: Option<&str>) -> Table {
         "restart µs".into(),
         "MB/s".into(),
     ]);
-    for kind in KINDS {
+    for kind in RsKind::ALL {
         let tag = format!("e19-{}-{history}", kind_name(kind).replace(' ', "-"));
         let perf = wall_recovery_perf(
             kind,

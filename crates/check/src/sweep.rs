@@ -120,7 +120,7 @@ impl SweepConfig {
     /// on-off matrix × {memory media, mirrored media with frontier decay}.
     pub fn matrix(double_crash: bool, stride: u64) -> Vec<Self> {
         let mut cells = Vec::new();
-        for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+        for kind in RsKind::ALL {
             let mut modes: Vec<Option<HousekeepingMode>> = vec![None];
             modes.extend(Self::supported_housekeeping(kind).iter().copied().map(Some));
             for hk in modes {
@@ -691,7 +691,7 @@ mod tests {
 
     #[test]
     fn bounded_sweep_of_each_organization_is_clean() {
-        for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+        for kind in RsKind::ALL {
             let mut cfg = SweepConfig::new(kind);
             cfg.max_points_per_victim = Some(4);
             sweep(&cfg).assert_clean();

@@ -55,29 +55,91 @@ pub struct LogStats {
 /// with an in-progress housekeeping pass, as the thesis's two-stage
 /// algorithms require. Operations are called sequentially (§2.3).
 pub trait RecoverySystem {
-    /// `prepare(aid, MOS)`: writes every accessible object in the MOS to the
-    /// log, then forces the `prepared` outcome entry (§3.3.3.3).
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()>;
+    // --- The staged write path ------------------------------------------
+    //
+    // An organization implements each forcing operation once, as `stage_*`:
+    // everything the operation does *except* the device force. `Ok(true)`
+    // means the entry is buffered (with its final log address assigned, all
+    // volatile bookkeeping done) and the caller owns the deferred force: it
+    // must call `force_staged` before acting on the operation's durability
+    // (replying in two-phase commit). `Ok(false)` means the operation is
+    // already durable as it stands — organizations without a shared log
+    // (the shadowing baseline) force inside the operation and never batch.
+    // The eager operations below are `stage` + `force`, written here once.
+    //
+    // Because one guardian's operations share a single log and a force
+    // publishes *every* buffered entry atomically (superblock publication),
+    // a batch is all-or-nothing: a crash mid-force hides the whole batch,
+    // never a prefix that would violate the log invariants.
+
+    /// Stages `prepare`: writes every accessible object in the MOS to the
+    /// log, then the `prepared` outcome entry (§3.3.3.3).
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool>;
+
+    /// Stages `commit`: the `committed` participant outcome entry.
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool>;
+
+    /// Stages `abort`: the `aborted` participant outcome entry.
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool>;
+
+    /// Stages `committing`: the coordinator's `committing` entry.
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool>;
+
+    /// Stages `done`: the coordinator's `done` entry.
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool>;
+
+    /// Forces every staged entry to stable storage — the one shared device
+    /// force the staged operations above are waiting on.
+    fn force_staged(&mut self) -> RsResult<()>;
+
+    /// `prepare(aid, MOS)`: the forced `prepared` outcome entry seals the
+    /// prepare (§3.3.3.3).
+    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
+        if self.stage_prepare(aid, mos, heap)? {
+            self.force_staged()?;
+        }
+        Ok(())
+    }
+
+    /// `commit(aid)`: forces the `committed` participant outcome entry.
+    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
+        if self.stage_commit(aid)? {
+            self.force_staged()?;
+        }
+        Ok(())
+    }
+
+    /// `abort(aid)`: forces the `aborted` participant outcome entry.
+    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
+        if self.stage_abort(aid)? {
+            self.force_staged()?;
+        }
+        Ok(())
+    }
+
+    /// `committing(aid, gids)`: forces the coordinator's `committing` entry;
+    /// the action is committed once this returns (§2.2.1).
+    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+        if self.stage_committing(aid, gids)? {
+            self.force_staged()?;
+        }
+        Ok(())
+    }
+
+    /// `done(aid)`: forces the coordinator's `done` entry; two-phase commit
+    /// is complete.
+    fn done(&mut self, aid: ActionId) -> RsResult<()> {
+        if self.stage_done(aid)? {
+            self.force_staged()?;
+        }
+        Ok(())
+    }
 
     /// `write_entry(aid, MOS)`: early prepare (§4.4). Writes the accessible
     /// objects to the log ahead of the prepare message and returns MOS′ —
     /// the objects *not* written because they were inaccessible, which
     /// becomes the caller's new MOS.
     fn write_entry(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<Vec<HeapId>>;
-
-    /// `commit(aid)`: forces the `committed` participant outcome entry.
-    fn commit(&mut self, aid: ActionId) -> RsResult<()>;
-
-    /// `abort(aid)`: forces the `aborted` participant outcome entry.
-    fn abort(&mut self, aid: ActionId) -> RsResult<()>;
-
-    /// `committing(aid, gids)`: forces the coordinator's `committing` entry;
-    /// the action is committed once this returns (§2.2.1).
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()>;
-
-    /// `done(aid)`: forces the coordinator's `done` entry; two-phase commit
-    /// is complete.
-    fn done(&mut self, aid: ActionId) -> RsResult<()>;
 
     /// `recovery`: rebuilds the guardian's stable state in `heap` from the
     /// log and returns the OT/PT/CT tables (§3.4, §4.3).
@@ -111,59 +173,6 @@ pub trait RecoverySystem {
     /// whose restart time is simply the device time the scan took.
     fn recovery_makespan_us(&self) -> Option<u64> {
         None
-    }
-
-    // --- Group commit (staged forces) ---------------------------------
-    //
-    // Each `stage_*` operation does everything its forcing counterpart does
-    // *except* the device force: the entry is buffered (with its final log
-    // address assigned) and all volatile bookkeeping happens immediately.
-    // `Ok(true)` means the entry is staged and the caller owns the deferred
-    // force: it must call `force_staged` before acting on the operation's
-    // durability (replying in two-phase commit). `Ok(false)` means the
-    // operation is already durable — the defaults force eagerly, so
-    // organizations without a shared log (the shadowing baseline) need no
-    // changes and simply never batch.
-    //
-    // Because one guardian's operations share a single log and a force
-    // publishes *every* buffered entry atomically (superblock publication),
-    // a batch is all-or-nothing: a crash mid-force hides the whole batch,
-    // never a prefix that would violate the log invariants.
-
-    /// Stages `prepare` without the force. See the group-commit notes above.
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        self.prepare(aid, mos, heap)?;
-        Ok(false)
-    }
-
-    /// Stages `commit` without the force.
-    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.commit(aid)?;
-        Ok(false)
-    }
-
-    /// Stages `abort` without the force.
-    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.abort(aid)?;
-        Ok(false)
-    }
-
-    /// Stages `committing` without the force.
-    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
-        self.committing(aid, gids)?;
-        Ok(false)
-    }
-
-    /// Stages `done` without the force.
-    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.done(aid)?;
-        Ok(false)
-    }
-
-    /// Forces every staged entry to stable storage — the one shared device
-    /// force the staged operations above are waiting on.
-    fn force_staged(&mut self) -> RsResult<()> {
-        Ok(())
     }
 
     /// Starts housekeeping: sets the housekeeping marker and runs stage one

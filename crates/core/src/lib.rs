@@ -20,16 +20,25 @@
 //!   bound recovery time by rebuilding a short log around a `committed_ss`
 //!   checkpoint.
 //!
-//! Two interchangeable [`RecoverySystem`] implementations are provided —
-//! [`SimpleLogRs`] (ch. 3) and [`HybridLogRs`] (ch. 4/5) — plus a shadowing
-//! baseline in the `argus-shadow` crate, so the thesis's comparative claims
-//! can be measured head-to-head.
+//! One skeleton carries every log organization: [`LogRs`] owns the stable
+//! log, the accessibility set, the prepared-actions table, the staged write
+//! path, the recovery epilogue and the housekeeping switch, and is generic
+//! over a [`LogFormat`] that supplies only what the thesis says differs —
+//! which records a prepare writes, how recovery walks the log, and how
+//! housekeeping rebuilds it. Three formats are provided, each behind the
+//! name of the organization it makes: [`SimpleLogRs`] (ch. 3),
+//! [`HybridLogRs`] (ch. 4/5) and [`RedoRs`] (the REDO-only log with
+//! per-object backlinks, after Sauer & Härder). The `argus-shadow` crate
+//! adds a shadowing baseline behind the same [`RecoverySystem`] interface,
+//! so the thesis's comparative claims can be measured head-to-head.
 
 mod api;
+mod compact;
 mod entry;
 mod error;
 mod housekeeping;
 mod hybrid;
+mod log;
 mod metrics;
 mod redo;
 mod restore;
@@ -44,6 +53,7 @@ pub use entry::{
 };
 pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;
+pub use log::{LogFormat, LogRs};
 pub use redo::{RedoRecoveryProfile, RedoRs};
 pub use simple::SimpleLogRs;
 pub use tables::{

@@ -8,6 +8,7 @@
 use crate::entry::LazyValue;
 use crate::tables::{
     CState, CoordinatorTable, ObjState, ObjectTable, OtEntry, PState, ParticipantTable,
+    RecoveryOutcome,
 };
 use crate::RsResult;
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
@@ -16,7 +17,7 @@ use std::collections::HashMap;
 
 /// Mutable recovery state threaded through one recovery pass.
 #[derive(Debug)]
-pub(crate) struct RecoverCtx<'h> {
+pub struct RecoverCtx<'h> {
     pub heap: &'h mut Heap,
     pub ot: ObjectTable,
     pub pt: ParticipantTable,
@@ -47,6 +48,18 @@ impl<'h> RecoverCtx<'h> {
             chain_hops: 0,
             committed_seen: HashMap::new(),
             committed_restore_seq: HashMap::new(),
+        }
+    }
+
+    /// The pass is over: the tables and counters it produced.
+    pub fn into_outcome(self) -> RecoveryOutcome {
+        RecoveryOutcome {
+            entries_examined: self.entries_examined,
+            data_entries_read: self.data_entries_read,
+            chain_hops: self.chain_hops,
+            ot: self.ot,
+            pt: self.pt,
+            ct: self.ct,
         }
     }
 

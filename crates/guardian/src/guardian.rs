@@ -3,7 +3,9 @@
 use crate::world::{MediaKind, WorldConfig};
 use crate::{WorldError, WorldResult};
 use argus_core::providers::{CachedProvider, FileProvider, MemProvider, MirrorProvider};
-use argus_core::{HybridLogRs, LogEntry, LogStats, RecoverySystem, RedoRs, RsResult, SimpleLogRs};
+use argus_core::{
+    HybridLogRs, LogEntry, LogStats, RecoverySystem, RedoRs, RsResult, SimpleLogRs, StoreProvider,
+};
 use argus_objects::{ActionId, GuardianId, Heap, HeapId, Uid, Value};
 use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, SimClock};
@@ -127,66 +129,41 @@ impl Guardian {
         cfg: &WorldConfig,
     ) -> RsResult<Self> {
         let plan = FaultPlan::new();
-        let mem = MemProvider {
-            clock: clock.clone(),
-            model: model.clone(),
-            plan: Some(plan.clone()),
-        };
-        let mirror = MirrorProvider {
-            clock: clock.clone(),
-            model: model.clone(),
-            plan: plan.clone(),
-        };
-        // A real-file provider on demand: one subdirectory per guardian so
-        // several guardians (and several worlds) never share a log file.
-        // The FaultPlan does not apply here — a real file has real crash
-        // semantics (unsynced writes are lost, synced ones survive).
-        let file = |dir: Option<&'static str>| -> RsResult<FileProvider> {
-            let base = match dir {
-                Some(d) => std::path::PathBuf::from(d),
-                None => {
-                    static UNIQ: std::sync::atomic::AtomicU64 =
-                        std::sync::atomic::AtomicU64::new(0);
-                    let n = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    std::env::temp_dir().join(format!("argus-world-{}-{n}", std::process::id()))
-                }
-            };
-            FileProvider::new(base.join(format!("g{}", id.0)))
-                .map(|p| p.with_device(clock.clone(), model.clone()))
-                .map_err(|e| argus_core::RsError::BadState(format!("file provider: {e}")))
-        };
-        // Log organizations read through a volatile page cache; shadowing
-        // keeps its direct store (its page map is already its own cache).
-        let rs: Box<dyn RecoverySystem> = match (kind, cfg.media) {
-            (RsKind::Simple, MediaKind::Mem) => {
-                Box::new(SimpleLogRs::create(CachedProvider::new(mem, cfg.cache))?)
+        let rs = match cfg.media {
+            MediaKind::Mem => {
+                let provider = MemProvider {
+                    clock,
+                    model,
+                    plan: Some(plan.clone()),
+                };
+                Self::build(kind, provider, cfg)?
             }
-            (RsKind::Simple, MediaKind::Mirrored) => {
-                Box::new(SimpleLogRs::create(CachedProvider::new(mirror, cfg.cache))?)
+            MediaKind::Mirrored => {
+                let provider = MirrorProvider {
+                    clock,
+                    model,
+                    plan: plan.clone(),
+                };
+                Self::build(kind, provider, cfg)?
             }
-            (RsKind::Simple, MediaKind::File { dir }) => Box::new(SimpleLogRs::create(
-                CachedProvider::new(file(dir)?, cfg.cache),
-            )?),
-            (RsKind::Hybrid, MediaKind::Mem) => {
-                Box::new(HybridLogRs::create(CachedProvider::new(mem, cfg.cache))?)
-            }
-            (RsKind::Hybrid, MediaKind::Mirrored) => {
-                Box::new(HybridLogRs::create(CachedProvider::new(mirror, cfg.cache))?)
-            }
-            (RsKind::Hybrid, MediaKind::File { dir }) => Box::new(HybridLogRs::create(
-                CachedProvider::new(file(dir)?, cfg.cache),
-            )?),
-            (RsKind::Shadow, MediaKind::Mem) => Box::new(ShadowRs::create(mem)?),
-            (RsKind::Shadow, MediaKind::Mirrored) => Box::new(ShadowRs::create(mirror)?),
-            (RsKind::Shadow, MediaKind::File { dir }) => Box::new(ShadowRs::create(file(dir)?)?),
-            (RsKind::Redo, MediaKind::Mem) => {
-                Box::new(RedoRs::create(CachedProvider::new(mem, cfg.cache))?)
-            }
-            (RsKind::Redo, MediaKind::Mirrored) => {
-                Box::new(RedoRs::create(CachedProvider::new(mirror, cfg.cache))?)
-            }
-            (RsKind::Redo, MediaKind::File { dir }) => {
-                Box::new(RedoRs::create(CachedProvider::new(file(dir)?, cfg.cache))?)
+            // A real file: one subdirectory per guardian so several
+            // guardians (and several worlds) never share a log file. The
+            // FaultPlan does not apply here — a real file has real crash
+            // semantics (unsynced writes are lost, synced ones survive).
+            MediaKind::File { dir } => {
+                let base = match dir {
+                    Some(d) => std::path::PathBuf::from(d),
+                    None => {
+                        static UNIQ: std::sync::atomic::AtomicU64 =
+                            std::sync::atomic::AtomicU64::new(0);
+                        let n = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        std::env::temp_dir().join(format!("argus-world-{}-{n}", std::process::id()))
+                    }
+                };
+                let provider = FileProvider::new(base.join(format!("g{}", id.0)))
+                    .map(|p| p.with_device(clock, model))
+                    .map_err(|e| argus_core::RsError::BadState(format!("file provider: {e}")))?;
+                Self::build(kind, provider, cfg)?
             }
         };
         Ok(Self {
@@ -205,6 +182,23 @@ impl Guardian {
             hk_policy: None,
             force_sched: ForceScheduler::new(cfg.force),
             staged: Vec::new(),
+        })
+    }
+
+    /// Builds organization `kind` over `provider`. Log organizations read
+    /// through a volatile page cache; shadowing keeps its direct store (its
+    /// page map is already its own cache).
+    fn build<P: StoreProvider + 'static>(
+        kind: RsKind,
+        provider: P,
+        cfg: &WorldConfig,
+    ) -> RsResult<Box<dyn RecoverySystem>> {
+        let cached = |provider| CachedProvider::new(provider, cfg.cache);
+        Ok(match kind {
+            RsKind::Simple => Box::new(SimpleLogRs::create(cached(provider))?),
+            RsKind::Hybrid => Box::new(HybridLogRs::create(cached(provider))?),
+            RsKind::Shadow => Box::new(ShadowRs::create(provider)?),
+            RsKind::Redo => Box::new(RedoRs::create(cached(provider))?),
         })
     }
 

@@ -234,18 +234,6 @@ impl WorldObs {
     }
 }
 
-/// What became of a `stage_*` call on a guardian's recovery system.
-enum Staged {
-    /// The entry joined the guardian's batch; its continuation runs after
-    /// the shared force.
-    Batched,
-    /// The organization does not stage this entry: it is already durable
-    /// and the continuation runs now.
-    Inline,
-    /// The device crashed under the call; the guardian is down.
-    Crashed,
-}
-
 /// The trace key for an action: the id, decomposed so every crate stamps
 /// events the same way.
 fn tkey(aid: ActionId) -> argus_trace::Key {
@@ -1407,29 +1395,37 @@ impl World {
         self.force_due.push(Reverse((due_at, g)));
     }
 
-    /// Books the result of a `stage_*` call made at simulated time `now`: a
-    /// staged entry joins `g`'s batch with `op` as its continuation, a
-    /// device crash takes the guardian down, any other error is the
-    /// caller's to interpret.
-    fn note_staged(
+    /// Books the result of a `stage_*` call made at simulated time `now`
+    /// and closes the step's `twopc` span: a staged entry joins `g`'s batch
+    /// with `op` as its continuation, an operation that is durable as it
+    /// stands runs the continuation now, a device crash takes the guardian
+    /// down. Returns whether the guardian is still up.
+    fn staged(
         &mut self,
         g: GuardianId,
         op: StagedOp,
+        span: &'static str,
         now: u64,
         staged: argus_core::RsResult<bool>,
-    ) -> WorldResult<Staged> {
-        match staged {
+    ) -> WorldResult<bool> {
+        let durable = match staged {
             Ok(true) => {
                 self.note_staged_batch(g, op, now);
-                Ok(Staged::Batched)
+                false
             }
-            Ok(false) => Ok(Staged::Inline),
+            Ok(false) => true,
             Err(e) if e.is_crash() => {
                 self.mark_crashed(g);
-                Ok(Staged::Crashed)
+                return Ok(false);
             }
-            Err(e) => Err(e.into()),
+            Err(e) => return Err(e.into()),
+        };
+        let key = Some(tkey(op.aid()));
+        self.tracer.complete("twopc", span, g.0, key, now, &[]);
+        if durable {
+            self.forced(g, op)?;
         }
+        Ok(true)
     }
 
     /// Forces the staged batch of every up guardian whose scheduler says
@@ -1534,59 +1530,48 @@ impl World {
             if !self.guardians.get(&g).map(|gu| gu.up).unwrap_or(false) {
                 break;
             }
-            match op {
-                StagedOp::Prepare(aid) => {
-                    let guardian = self.guardian_mut(g)?;
-                    let more = guardian
-                        .participants
-                        .get_mut(&aid)
-                        .map(|p| p.prepare_succeeded())
-                        .unwrap_or_default();
-                    self.exec_part(g, aid, more)?;
-                }
-                StagedOp::Commit(aid) => {
-                    let guardian = self.guardian_mut(g)?;
-                    guardian.heap.commit_action(aid);
-                    guardian.resolved.insert(aid, true);
-                    let more = guardian
-                        .participants
-                        .get_mut(&aid)
-                        .map(|p| p.commit_forced())
-                        .unwrap_or_default();
-                    self.exec_part(g, aid, more)?;
-                }
-                StagedOp::Abort(aid) => {
-                    let guardian = self.guardian_mut(g)?;
-                    guardian.heap.abort_action(aid);
-                    guardian.resolved.insert(aid, false);
-                    let more = guardian
-                        .participants
-                        .get_mut(&aid)
-                        .map(|p| p.abort_forced())
-                        .unwrap_or_default();
-                    self.exec_part(g, aid, more)?;
-                }
-                StagedOp::Committing(aid) => {
-                    let guardian = self.guardian_mut(g)?;
-                    let more = guardian
-                        .coordinators
-                        .get_mut(&aid)
-                        .map(|c| c.committing_forced())
-                        .unwrap_or_default();
-                    self.exec_coord(g, aid, more)?;
-                }
-                StagedOp::Done(aid) => {
-                    let guardian = self.guardian_mut(g)?;
-                    let more = guardian
-                        .coordinators
-                        .get_mut(&aid)
-                        .map(|c| c.done_forced())
-                        .unwrap_or_default();
-                    self.exec_coord(g, aid, more)?;
-                }
-            }
+            self.forced(g, op)?;
         }
         Ok(())
+    }
+
+    /// What happens when `op`'s record is durable on `g`: a verdict takes
+    /// effect in the heap and the action's two-phase-commit machine moves
+    /// on. Runs once per forced step — from `flush_staged` for a batched
+    /// entry, from `staged` for an operation that is durable as it stands.
+    fn forced(&mut self, g: GuardianId, op: StagedOp) -> WorldResult<()> {
+        let guardian = self.guardian_mut(g)?;
+        match op {
+            StagedOp::Prepare(aid) => {
+                let participant = guardian.participants.get_mut(&aid);
+                let more = participant.map(|p| p.prepare_succeeded());
+                self.exec_part(g, aid, more.unwrap_or_default())
+            }
+            StagedOp::Commit(aid) => {
+                guardian.heap.commit_action(aid);
+                guardian.resolved.insert(aid, true);
+                let participant = guardian.participants.get_mut(&aid);
+                let more = participant.map(|p| p.commit_forced());
+                self.exec_part(g, aid, more.unwrap_or_default())
+            }
+            StagedOp::Abort(aid) => {
+                guardian.heap.abort_action(aid);
+                guardian.resolved.insert(aid, false);
+                let participant = guardian.participants.get_mut(&aid);
+                let more = participant.map(|p| p.abort_forced());
+                self.exec_part(g, aid, more.unwrap_or_default())
+            }
+            StagedOp::Committing(aid) => {
+                let coordinator = guardian.coordinators.get_mut(&aid);
+                let more = coordinator.map(|c| c.committing_forced());
+                self.exec_coord(g, aid, more.unwrap_or_default())
+            }
+            StagedOp::Done(aid) => {
+                let coordinator = guardian.coordinators.get_mut(&aid);
+                let more = coordinator.map(|c| c.done_forced());
+                self.exec_coord(g, aid, more.unwrap_or_default())
+            }
+        }
     }
 
     fn deliver(&mut self, envelope: Envelope) -> WorldResult<()> {
@@ -1708,42 +1693,17 @@ impl World {
                         Some(c) => guardian.rs.stage_committing(aid, &c.participants),
                         None => guardian.rs.stage_committing(aid, &[]),
                     };
-                    let staged = self.note_staged(g, StagedOp::Committing(aid), now, staged);
                     self.wobs.committing_us.record_since(now);
-                    match staged? {
-                        Staged::Batched => {}
-                        Staged::Inline => {
-                            let more = self
-                                .guardian_mut(g)?
-                                .coordinators
-                                .get_mut(&aid)
-                                .map(|c| c.committing_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Staged::Crashed => return Ok(()),
+                    if !self.staged(g, StagedOp::Committing(aid), "committing", now, staged)? {
+                        return Ok(());
                     }
-                    self.tracer
-                        .complete("twopc", "committing", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::ForceDone => {
                     let now = self.clock.now();
                     let staged = self.guardian_mut(g)?.rs.stage_done(aid);
-                    match self.note_staged(g, StagedOp::Done(aid), now, staged)? {
-                        Staged::Batched => {}
-                        Staged::Inline => {
-                            let more = self
-                                .guardian_mut(g)?
-                                .coordinators
-                                .get_mut(&aid)
-                                .map(|c| c.done_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Staged::Crashed => return Ok(()),
+                    if !self.staged(g, StagedOp::Done(aid), "done", now, staged)? {
+                        return Ok(());
                     }
-                    self.tracer
-                        .complete("twopc", "done", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::Finished { committed } => {
                     self.resolve_action(aid, committed);
@@ -1779,78 +1739,39 @@ impl World {
                     // Split borrow: the recovery system reads the heap.
                     let Guardian { rs, heap, .. } = guardian;
                     let staged = rs.stage_prepare(aid, &mos, heap);
-                    let staged = self.note_staged(g, StagedOp::Prepare(aid), now, staged);
                     self.wobs.prepare_us.record_since(now);
-                    let vote = match staged {
-                        Ok(Staged::Batched) => None,
-                        Ok(Staged::Inline) => Some(true),
-                        Ok(Staged::Crashed) => return Ok(()),
+                    match staged {
                         // The prepare could not be written: refuse.
-                        Err(_) => Some(false),
-                    };
-                    if let Some(ok) = vote {
-                        let more = self
-                            .guardian_mut(g)?
-                            .participants
-                            .get_mut(&aid)
-                            .map(|p| {
-                                if ok {
-                                    p.prepare_succeeded()
-                                } else {
-                                    p.prepare_failed()
-                                }
-                            })
-                            .unwrap_or_default();
-                        queue.extend(more);
+                        Err(e) if !e.is_crash() => {
+                            let participant = self.guardian_mut(g)?.participants.get_mut(&aid);
+                            queue.extend(
+                                participant.map(|p| p.prepare_failed()).unwrap_or_default(),
+                            );
+                            let key = Some(tkey(aid));
+                            self.tracer.complete("twopc", "prepare", g.0, key, now, &[]);
+                        }
+                        staged => {
+                            if !self.staged(g, StagedOp::Prepare(aid), "prepare", now, staged)? {
+                                return Ok(());
+                            }
+                        }
                     }
-                    self.tracer
-                        .complete("twopc", "prepare", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::ForceCommit => {
                     let now = self.clock.now();
                     let staged = self.guardian_mut(g)?.rs.stage_commit(aid);
-                    let staged = self.note_staged(g, StagedOp::Commit(aid), now, staged);
                     self.wobs.commit_us.record_since(now);
-                    match staged? {
-                        Staged::Batched => {}
-                        Staged::Inline => {
-                            let guardian = self.guardian_mut(g)?;
-                            guardian.heap.commit_action(aid);
-                            guardian.resolved.insert(aid, true);
-                            let more = guardian
-                                .participants
-                                .get_mut(&aid)
-                                .map(|p| p.commit_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Staged::Crashed => return Ok(()),
+                    if !self.staged(g, StagedOp::Commit(aid), "commit", now, staged)? {
+                        return Ok(());
                     }
-                    self.tracer
-                        .complete("twopc", "commit", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::ForceAbort => {
                     let now = self.clock.now();
                     let staged = self.guardian_mut(g)?.rs.stage_abort(aid);
-                    let staged = self.note_staged(g, StagedOp::Abort(aid), now, staged);
                     self.wobs.abort_us.record_since(now);
-                    match staged? {
-                        Staged::Batched => {}
-                        Staged::Inline => {
-                            let guardian = self.guardian_mut(g)?;
-                            guardian.heap.abort_action(aid);
-                            guardian.resolved.insert(aid, false);
-                            let more = guardian
-                                .participants
-                                .get_mut(&aid)
-                                .map(|p| p.abort_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Staged::Crashed => return Ok(()),
+                    if !self.staged(g, StagedOp::Abort(aid), "abort", now, staged)? {
+                        return Ok(());
                     }
-                    self.tracer
-                        .complete("twopc", "abort", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::Finished { .. } => {
                     let guardian = self.guardian_mut(g)?;

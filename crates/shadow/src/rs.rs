@@ -208,7 +208,10 @@ impl<S: PageStore> argus_core::writer_sink::Sink for ShadowSink<'_, S> {
 }
 
 impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
+    // Shadowing keeps no shared log to batch on: every operation forces
+    // inside itself and reports that it is already durable.
+
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
         let mut intent = IntentBody::new(aid);
         {
             let mut sink = ShadowSink {
@@ -231,7 +234,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         }
         self.intents.insert(aid, intent);
         self.pat.insert(aid);
-        Ok(())
+        Ok(false)
     }
 
     fn write_entry(
@@ -244,7 +247,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         Ok(mos.to_vec())
     }
 
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
         let intent = self
             .intents
             .remove(&aid)
@@ -260,10 +263,10 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         })?;
         self.log.force()?;
         self.pat.remove(&aid);
-        Ok(())
+        Ok(false)
     }
 
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
         let intent = self.intents.remove(&aid);
         self.pd_index.remove(&aid);
         let changed = match &intent {
@@ -279,23 +282,27 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         })?;
         self.log.force()?;
         self.pat.remove(&aid);
-        Ok(())
+        Ok(false)
     }
 
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
         self.append(&ShadowRecord::Committing {
             aid,
             gids: gids.to_vec(),
         })?;
         self.log.force()?;
         self.coords.insert(aid, gids.to_vec());
-        Ok(())
+        Ok(false)
     }
 
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
         self.append(&ShadowRecord::Done { aid })?;
         self.log.force()?;
         self.coords.remove(&aid);
+        Ok(false)
+    }
+
+    fn force_staged(&mut self) -> RsResult<()> {
         Ok(())
     }
 

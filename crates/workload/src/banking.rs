@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn transfers_conserve_total_balance() {
-        for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow] {
+        for kind in RsKind::ALL {
             let mut world = World::fast();
             let bank = Banking::setup(&mut world, kind, BankingConfig::default()).unwrap();
             let mut rng = DetRng::new(7);

@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn seats_and_audit_agree_after_crash() {
-        for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow] {
+        for kind in RsKind::ALL {
             let mut world = World::fast();
             let resv =
                 Reservations::setup(&mut world, kind, ReservationsConfig::default()).unwrap();

@@ -1,4 +1,4 @@
-//! Crash torture: exhaustive fault injection against all three storage
+//! Crash torture: exhaustive fault injection against all four storage
 //! organizations (the data behind experiment E8).
 //!
 //! Every run executes a two-guardian transfer with a crash armed at a
@@ -71,7 +71,7 @@ fn run_case(kind: RsKind, victim_is_coordinator: bool, budget: u64) -> (bool, bo
 
 fn main() {
     println!("organization | side        | crash points | consistent | durable commits");
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow] {
+    for kind in RsKind::ALL {
         for coordinator in [false, true] {
             let mut fired = 0u64;
             let mut consistent = 0u64;

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Lines of Rust per crate, outside and inside `#[cfg(test)]` — the number
+# ROADMAP's "net lines changed is reported per PR" is read from. A file's
+# unit tests are everything from its first `#[cfg(test)]` line on.
+#
+#   scripts/loc.sh            # every crate under crates/
+#   scripts/loc.sh core shadow
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+crates=("$@")
+if [[ ${#crates[@]} -eq 0 ]]; then
+    crates=($(ls crates))
+fi
+
+printf '%-10s %9s %7s %7s\n' crate non-test test total
+for c in "${crates[@]}"; do
+    awk -v crate="$c" '
+        FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        { if (t) test++; else code++ }
+        END { printf "%-10s %9d %7d %7d\n", crate, code, test, code + test }
+    ' "crates/$c"/src/*.rs
+done
+wc -l crates/guardian/src/world.rs crates/guardian/src/guardian.rs |
+    awk 'END { printf "world.rs + guardian.rs %d\n", $1 }'

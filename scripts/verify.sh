@@ -38,6 +38,9 @@ if [[ "${1:-}" == "--full" ]]; then
     # this tree generates, cell for cell: a change that moves a simulated
     # device operation, a force, a poll or a deadlock shows up here.
     run scripts/bench.sh --check
+    # Lines of Rust per crate, outside and inside #[cfg(test)]: the figures a
+    # PR's CHANGES.md line reports before and after.
+    run scripts/loc.sh
 fi
 
 # Bounded crash-schedule sweep: a deterministic slice of the full matrix

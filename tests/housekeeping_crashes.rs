@@ -79,7 +79,7 @@ fn recover_and_lint(rs: &mut dyn RecoverySystem) -> Value {
 fn crash_mid_housekeeping_recovers_from_the_old_log() {
     // Sweep the crash point through the whole housekeeping pass, for every
     // organization and every mode it supports.
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         for &mode in supported_modes(kind) {
             let mut fired = 0;
             for budget in 0..400u64 {
@@ -118,7 +118,7 @@ fn crash_mid_housekeeping_recovers_from_the_old_log() {
 
 #[test]
 fn crash_between_stages_recovers_from_the_old_log() {
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         for &mode in supported_modes(kind) {
             let mut rs = rs_with_plan(kind, FaultPlan::new());
             let mut heap = Heap::with_stable_root();
@@ -161,7 +161,7 @@ fn recovery_is_idempotent() {
     // Recover, then crash immediately (no new work) and recover again: the
     // second recovery must produce the identical stable state and tables —
     // for every organization.
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let mut rs = rs_with_plan(kind, FaultPlan::new());
         let mut heap = Heap::with_stable_root();
         build_history(rs.as_mut(), &mut heap, 12).unwrap();
@@ -214,7 +214,7 @@ fn recovery_survives_a_crash_at_every_device_op() {
     // state a never-interrupted recovery produces. Recovery reads through
     // the fault plan, so `arm_after_ops` can land the crash in the middle of
     // the backward scan.
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let plan = FaultPlan::new();
         let mut rs = rs_with_plan(kind, plan.clone());
         let mut heap = Heap::with_stable_root();

@@ -61,7 +61,7 @@ fn banking_histories_recover_identically() {
 #[test]
 fn reservations_recover_identically() {
     let mut results = Vec::new();
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let mut world = World::fast();
         let resv = Reservations::setup(
             &mut world,

@@ -114,7 +114,7 @@ fn stable_image(world: &World, g: GuardianId) -> BTreeMap<String, i64> {
 /// the recovered tables agreeing with the log (I10).
 #[test]
 fn batched_world_recovers_identically_to_unbatched() {
-    for kind in [RsKind::Simple, RsKind::Hybrid] {
+    for kind in RsKind::ALL {
         for seed in 0..8u64 {
             let mut images = Vec::new();
             for cfg in [WorldConfig::unbatched(), WorldConfig::default()] {
@@ -124,18 +124,24 @@ fn batched_world_recovers_identically_to_unbatched() {
 
                 world.crash(g);
                 let outcome = world.restart(g).expect("recover");
-                let entries = world.dump_log(g).expect("dump").expect("log organization");
-                common::lint_entries_against(entries, &outcome);
+                // Shadowing keeps no log to lint, and its map forgets the
+                // resolutions older than its newest map record: what it
+                // still remembers must say committed.
+                let log = world.dump_log(g).expect("dump");
+                let logged = log.is_some();
+                if let Some(entries) = log {
+                    common::lint_entries_against(entries, &outcome);
+                }
 
                 let pt: BTreeMap<ActionId, PState> =
                     outcome.pt.iter().map(|(a, s)| (*a, *s)).collect();
                 let ct: BTreeMap<ActionId, CState> =
                     outcome.ct.iter().map(|(a, s)| (*a, s.clone())).collect();
                 for aid in &committed {
-                    assert_eq!(
-                        pt.get(aid),
-                        Some(&PState::Committed),
-                        "{kind:?} seed {seed}: {aid:?} not committed after recovery"
+                    let state = pt.get(aid);
+                    assert!(
+                        state == Some(&PState::Committed) || (!logged && state.is_none()),
+                        "{kind:?} seed {seed}: {aid:?} is {state:?} after recovery"
                     );
                 }
                 images.push((committed.clone(), pt, ct, stable_image(&world, g)));
@@ -159,7 +165,7 @@ fn batched_world_recovers_identically_to_unbatched() {
 /// workload, while committing the same actions.
 #[test]
 fn batching_never_adds_forces() {
-    for kind in [RsKind::Simple, RsKind::Hybrid] {
+    for kind in RsKind::ALL {
         let mut forces = Vec::new();
         for cfg in [WorldConfig::unbatched(), WorldConfig::default()] {
             let (mut world, g, objs) = setup(kind, cfg);

@@ -1,0 +1,297 @@
+//! One contract, four organizations: what `RecoverySystem` promises its
+//! caller, checked against every organization through `&mut dyn
+//! RecoverySystem` — the only way the guardian ever holds one.
+
+use argus::core::providers::MemProvider;
+use argus::core::{
+    HousekeepingMode, HybridLogRs, RecoverySystem, RedoRs, RsError, SimpleLogRs, StoreProvider,
+};
+use argus::guardian::RsKind;
+use argus::objects::{ActionId, GuardianId, Heap, HeapId, Value};
+use argus::shadow::ShadowRs;
+use argus::sim::DetRng;
+
+const OBJECTS: usize = 8;
+
+fn build<P: StoreProvider + 'static>(kind: RsKind, provider: P) -> Box<dyn RecoverySystem> {
+    match kind {
+        RsKind::Simple => Box::new(SimpleLogRs::create(provider).unwrap()),
+        RsKind::Hybrid => Box::new(HybridLogRs::create(provider).unwrap()),
+        RsKind::Shadow => Box::new(ShadowRs::create(provider).unwrap()),
+        RsKind::Redo => Box::new(RedoRs::create(provider).unwrap()),
+    }
+}
+
+fn aid(n: u64) -> ActionId {
+    ActionId::new(GuardianId(0), n)
+}
+
+/// How a history's forcing operations are issued.
+#[derive(Clone, Copy)]
+enum Issue {
+    /// `prepare`, `committing`, `commit`, `abort`, `done`.
+    Eager,
+    /// The `stage_*` twin, then `force_staged` if it says a force is owed.
+    Staged,
+}
+
+/// An organization with `OBJECTS` committed objects under its stable root.
+struct Fixture {
+    rs: Box<dyn RecoverySystem>,
+    heap: Heap,
+    objects: Vec<HeapId>,
+    next_seq: u64,
+}
+
+impl Fixture {
+    fn new(kind: RsKind) -> Self {
+        let mut f = Self {
+            rs: build(kind, MemProvider::fast()),
+            heap: Heap::with_stable_root(),
+            objects: Vec::new(),
+            next_seq: 0,
+        };
+        let a = f.begin();
+        let root = f.heap.stable_root().unwrap();
+        f.heap.acquire_write(root, a).unwrap();
+        for _ in 0..OBJECTS {
+            let h = f.heap.alloc_atomic(Value::Int(0), Some(a));
+            f.objects.push(h);
+        }
+        let refs = f.objects.iter().map(|h| Value::heap_ref(*h)).collect();
+        f.heap
+            .write_value(root, a, |v| *v = Value::Seq(refs))
+            .unwrap();
+        f.rs.prepare(a, &[root], &f.heap).unwrap();
+        f.rs.commit(a).unwrap();
+        f.heap.commit_action(a);
+        f
+    }
+
+    fn begin(&mut self) -> ActionId {
+        self.next_seq += 1;
+        aid(self.next_seq)
+    }
+
+    /// Write-locks object `i` for `a` and sets it to `value`.
+    fn write(&mut self, a: ActionId, i: usize, value: i64) -> HeapId {
+        let h = self.objects[i];
+        self.heap.acquire_write(h, a).unwrap();
+        self.heap
+            .write_value(h, a, |v| *v = Value::Int(value))
+            .unwrap();
+        h
+    }
+
+    /// One action through the four forced steps of a single-guardian
+    /// commit, or prepare-then-abort.
+    fn action(&mut self, rng: &mut DetRng, issue: Issue) {
+        let a = self.begin();
+        let first = rng.gen_range(OBJECTS as u64) as usize;
+        let mos: Vec<HeapId> = (0..rng.gen_between(1, 3) as usize)
+            .map(|k| self.write(a, (first + k) % OBJECTS, rng.next_u64() as i64))
+            .collect();
+        let commit = rng.gen_bool(0.8);
+        let g = [GuardianId(0)];
+        let (rs, heap) = (self.rs.as_mut(), &self.heap);
+        match issue {
+            Issue::Eager => {
+                rs.prepare(a, &mos, heap).unwrap();
+                if commit {
+                    rs.committing(a, &g).unwrap();
+                    rs.commit(a).unwrap();
+                    rs.done(a).unwrap();
+                } else {
+                    rs.abort(a).unwrap();
+                }
+            }
+            Issue::Staged => {
+                let force = |rs: &mut dyn RecoverySystem, owed: bool| {
+                    if owed {
+                        rs.force_staged().unwrap();
+                    }
+                };
+                let owed = rs.stage_prepare(a, &mos, heap).unwrap();
+                force(rs, owed);
+                if commit {
+                    let owed = rs.stage_committing(a, &g).unwrap();
+                    force(rs, owed);
+                    let owed = rs.stage_commit(a).unwrap();
+                    force(rs, owed);
+                    let owed = rs.stage_done(a).unwrap();
+                    force(rs, owed);
+                } else {
+                    let owed = rs.stage_abort(a).unwrap();
+                    force(rs, owed);
+                }
+            }
+        }
+        if commit {
+            self.heap.commit_action(a);
+        } else {
+            self.heap.abort_action(a);
+        }
+    }
+
+    /// Crashes, recovers, and returns the committed value of every object.
+    fn recovered_values(&mut self) -> Vec<Value> {
+        self.rs.simulate_crash().unwrap();
+        let uids: Vec<_> = self
+            .objects
+            .iter()
+            .map(|h| self.heap.uid_of(*h).unwrap())
+            .collect();
+        self.heap = Heap::new();
+        self.rs.recover(&mut self.heap).unwrap();
+        self.objects = uids
+            .iter()
+            .map(|uid| self.heap.lookup(*uid).expect("object restored"))
+            .collect();
+        let values = self.objects.iter();
+        values
+            .map(|h| self.heap.read_value(*h, None).unwrap().clone())
+            .collect()
+    }
+
+    fn forces(&self) -> u64 {
+        self.rs.log_stats().device.forces
+    }
+}
+
+/// (a) An eager operation is its `stage_*` twin plus `force_staged`: the same
+/// seeded history leaves the same log entries and costs the same device
+/// operations either way.
+#[test]
+fn eager_is_stage_plus_force() {
+    for kind in RsKind::ALL {
+        let mut images = Vec::new();
+        for issue in [Issue::Eager, Issue::Staged] {
+            let mut f = Fixture::new(kind);
+            let mut rng = DetRng::new(42);
+            let before = f.rs.log_stats().device;
+            for _ in 0..50 {
+                f.action(&mut rng, issue);
+            }
+            let stats = f.rs.log_stats();
+            let device = stats.device.since(&before);
+            let log = f.rs.dump_log().unwrap();
+            images.push((log, stats.entries, stats.bytes, device));
+        }
+        assert_eq!(images[0], images[1], "{kind:?}: eager vs stage + force");
+    }
+}
+
+/// (b) `stage_*` returning `true` is a promise *not yet kept*: a crash
+/// before `force_staged` makes the operation invisible to recovery, and one
+/// `force_staged` after k staged operations costs what one operation's does.
+/// Returning `false` means durable as it stands.
+#[test]
+fn a_staged_operation_is_durable_only_once_forced() {
+    for kind in RsKind::ALL {
+        // A prepare and its commit staged together, never forced.
+        let mut f = Fixture::new(kind);
+        let a = f.begin();
+        let h = f.write(a, 0, 7);
+        let forces = f.forces();
+        let owed_prepare = f.rs.stage_prepare(a, &[h], &f.heap).unwrap();
+        let owed_commit = f.rs.stage_commit(a).unwrap();
+        assert_eq!(owed_prepare, owed_commit, "{kind:?}");
+        f.heap.commit_action(a);
+        let expected = if owed_commit {
+            assert_eq!(f.forces(), forces, "{kind:?}: staging forced the device");
+            Value::Int(0)
+        } else {
+            Value::Int(7)
+        };
+        assert_eq!(f.recovered_values()[0], expected, "{kind:?}");
+
+        // One prepare staged and forced, then four staged and forced once:
+        // the shared force costs the device what the single one did.
+        let mut f = Fixture::new(kind);
+        let mut prepared = Vec::new();
+        let mut cost = Vec::new();
+        for batch in [1, 4] {
+            let forces = f.forces();
+            let mut owed = false;
+            for _ in 0..batch {
+                let a = f.begin();
+                let h = f.write(a, prepared.len(), 1);
+                owed |= f.rs.stage_prepare(a, &[h], &f.heap).unwrap();
+                prepared.push(a);
+            }
+            if owed {
+                assert_eq!(f.forces(), forces, "{kind:?}: staging forced the device");
+                f.rs.force_staged().unwrap();
+                cost.push(f.forces() - forces);
+            }
+        }
+        if let [one, four] = cost[..] {
+            assert!(one > 0, "{kind:?}: a force that costs nothing");
+            assert_eq!(four, one, "{kind:?}: one force for the batch");
+        }
+        f.recovered_values();
+        for a in prepared {
+            assert!(f.rs.is_prepared(a), "{kind:?}: {a:?} lost after the force");
+        }
+    }
+}
+
+/// (c) The PAT spans prepare to verdict, and a housekeeping pass is opened
+/// once, closed once, refused in a mode the organization lacks, and
+/// harmless if the node dies inside it.
+#[test]
+fn pat_and_housekeeping_protocol() {
+    for kind in RsKind::ALL {
+        let mut f = Fixture::new(kind);
+        for commit in [true, false] {
+            let a = f.begin();
+            let h = f.write(a, 1, 5);
+            assert!(!f.rs.is_prepared(a), "{kind:?}");
+            f.rs.prepare(a, &[h], &f.heap).unwrap();
+            assert!(f.rs.is_prepared(a), "{kind:?}");
+            if commit {
+                f.rs.commit(a).unwrap();
+                f.heap.commit_action(a);
+            } else {
+                f.rs.abort(a).unwrap();
+                f.heap.abort_action(a);
+            }
+            assert!(!f.rs.is_prepared(a), "{kind:?}");
+        }
+
+        for mode in [HousekeepingMode::Compaction, HousekeepingMode::Snapshot] {
+            assert!(
+                matches!(f.rs.finish_housekeeping(), Err(RsError::BadState(_))),
+                "{kind:?} {mode:?}: finish without begin"
+            );
+            match f.rs.begin_housekeeping(&f.heap, mode) {
+                Ok(()) => {}
+                Err(RsError::Unsupported(_)) => {
+                    assert!(
+                        mode == HousekeepingMode::Snapshot && kind != RsKind::Hybrid,
+                        "{kind:?} must support {mode:?}"
+                    );
+                    continue;
+                }
+                Err(e) => panic!("{kind:?} {mode:?}: {e}"),
+            }
+            assert!(
+                matches!(
+                    f.rs.begin_housekeeping(&f.heap, mode),
+                    Err(RsError::BadState(_))
+                ),
+                "{kind:?} {mode:?}: second begin"
+            );
+            // The node dies inside the pass: the state is what it was, and
+            // the pass died with it.
+            let values = f.recovered_values();
+            assert_eq!(values[1], Value::Int(5), "{kind:?} {mode:?}");
+            assert!(
+                matches!(f.rs.finish_housekeeping(), Err(RsError::BadState(_))),
+                "{kind:?} {mode:?}: the pass survived the crash"
+            );
+            f.rs.housekeeping(&f.heap, mode).unwrap();
+            assert_eq!(f.recovered_values(), values, "{kind:?} {mode:?}");
+        }
+    }
+}

@@ -90,7 +90,7 @@ fn many_guardian_worlds_stay_clean() {
 fn same_seed_replays_byte_for_byte() {
     let reg = argus::obs::Registry::new();
     let _scope = reg.enter();
-    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo] {
+    for kind in RsKind::ALL {
         let mut cfg = VoprConfig::new(77, 48);
         cfg.kind = kind;
         let a = vopr(&cfg);
