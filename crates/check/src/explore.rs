@@ -20,8 +20,20 @@
 //!   prepared-forever: each either resolved or never passed its prepare
 //!   point.
 //!
+//! With `participants: 0` the action is *local* — the coordinator's guardian
+//! is its only participant — and the machine commits it in one forced step
+//! that appends data, `prepared` and `committed` to the coordinator's own
+//! log. The checks then read: the client is told "committed" only with a
+//! durable `committed` record and "aborted" only without one (A1/A4 for a
+//! protocol with no second party), and the log never shows the action
+//! prepared but unresolved (termination).
+//!
 //! Each node keeps a *model log* of real [`LogEntry`] values at synthesized
-//! addresses: forced records survive crashes, machine state does not.
+//! addresses: forced records survive crashes, machine state does not. The
+//! coordinator's `done` record is written but never forced, so it sits in a
+//! volatile buffer until a later force publishes it (a move of its own) or a
+//! crash loses it — after which restart finds `committing` and runs phase
+//! two again.
 //! Restart rebuilds PT/CT exactly the way `core`'s recovery does
 //! (first-insertion-wins over a backward scan) and resumes the machines the
 //! way `argus-guardian`'s `World::restart` does — including the
@@ -46,6 +58,8 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
     /// Number of participant guardians (the coordinator is a separate node).
+    /// Zero makes the action local: the coordinator's guardian is its only
+    /// participant.
     pub participants: usize,
     /// How many crashes may be injected along one schedule.
     pub max_crashes: u32,
@@ -175,6 +189,20 @@ impl ModelLog {
         addr
     }
 
+    /// A local prepare as it reaches the log: object `n`'s data entry, then
+    /// the `prepared` record carrying its shadow pair.
+    fn append_prepared(&mut self, aid: ActionId, n: u64) {
+        let daddr = self.append(LogEntry::DataH {
+            kind: ObjKind::Atomic,
+            value: Value::Int(n as i64),
+        });
+        self.append(LogEntry::Prepared {
+            aid,
+            pairs: vec![(Uid(n + 1), daddr)],
+            prev: None,
+        });
+    }
+
     fn has_committed(&self, aid: ActionId) -> bool {
         self.entries
             .iter()
@@ -236,10 +264,25 @@ struct CoordNode {
     up: bool,
     log: ModelLog,
     machine: Option<Coordinator>,
+    /// The client asked for the commit and the machine has not started yet.
+    start_pending: bool,
+    /// The `done` record is written but not yet forced (dies with a crash).
+    done_buffered: bool,
     /// The `done` record is on the log (survives the machine).
     done: bool,
     /// The protocol finished at the coordinator with this verdict.
     finished: Option<bool>,
+}
+
+impl CoordNode {
+    /// A node crash: the machine, an unstarted commit request and the
+    /// unforced `done` are volatile; the log survives.
+    fn crash(&mut self) {
+        self.up = false;
+        self.machine = None;
+        self.start_pending = false;
+        self.done_buffered = false;
+    }
 }
 
 /// One participant node.
@@ -285,6 +328,8 @@ impl State {
     fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.coord.up.hash(&mut h);
+        self.coord.start_pending.hash(&mut h);
+        self.coord.done_buffered.hash(&mut h);
         self.coord.done.hash(&mut h);
         self.coord.finished.hash(&mut h);
         match &self.coord.machine {
@@ -414,23 +459,17 @@ impl Explorer {
     }
 
     fn initial_state(&self) -> State {
-        let gids: Vec<GuardianId> = (1..=self.cfg.participants as u32).map(GuardianId).collect();
-        let coord = Coordinator::new(self.aid, gids.clone());
-        let mut inflight = Vec::new();
-        for effect in coord.start() {
-            if let CoordEffect::Send { to, msg } = effect {
-                inflight.push(Envelope {
-                    from: COORD,
-                    to,
-                    msg,
-                });
-            }
-        }
+        let gids: Vec<GuardianId> = match self.cfg.participants {
+            0 => vec![COORD],
+            n => (1..=n as u32).map(GuardianId).collect(),
+        };
         State {
             coord: CoordNode {
                 up: true,
                 log: ModelLog::new(),
-                machine: Some(coord),
+                machine: Some(Coordinator::new(self.aid, gids)),
+                start_pending: true,
+                done_buffered: false,
                 done: false,
                 finished: None,
             },
@@ -442,7 +481,7 @@ impl Explorer {
                     resolved: None,
                 })
                 .collect(),
-            inflight,
+            inflight: Vec::new(),
             crashes_left: self.cfg.max_crashes,
             drops_left: self.cfg.max_drops,
             path: None,
@@ -491,6 +530,28 @@ impl Explorer {
                         "participant {} committed without a coordinator committing record",
                         i + 1
                     ),
+                );
+            }
+        }
+        // A local action has no second party to disagree with; what can go
+        // wrong is the client's answer and the coordinator's own log.
+        if self.cfg.participants == 0 {
+            let durable = state.coord.log.has_committed(aid);
+            match state.coord.finished {
+                Some(true) if !durable => self.violation(
+                    "A1",
+                    "local action acknowledged committed without a durable committed record".into(),
+                ),
+                Some(false) if durable => self.violation(
+                    "A4",
+                    "local action reported aborted after its commit point".into(),
+                ),
+                _ => {}
+            }
+            if state.coord.log.recovered_pstate(aid) == Some(argus_core::PState::Prepared) {
+                self.violation(
+                    "TERM",
+                    "local action is prepared with no verdict: its one force was split".into(),
                 );
             }
         }
@@ -591,7 +652,7 @@ impl Explorer {
         if !state.inflight.is_empty() {
             return false;
         }
-        if state.coord.up {
+        if state.coord.up && !state.coord.start_pending {
             if let Some(c) = &state.coord.machine {
                 match c.phase() {
                     CoordPhase::Preparing => return true,
@@ -614,6 +675,31 @@ impl Explorer {
 
     fn successors(&mut self, state: &State) -> Vec<State> {
         let mut out = Vec::new();
+        // The commit request reaches the coordinator: its machine starts,
+        // one effect at a time, and may crash between any two.
+        if state.coord.up && state.coord.start_pending {
+            let (next, steps) = self.start(state.clone(), None);
+            out.push(next);
+            if state.crashes_left > 0 {
+                for k in 0..steps {
+                    self.stats.crash_points += 1;
+                    out.push(self.start(state.clone(), Some(k)).0);
+                }
+            }
+        }
+        // Some later force at the coordinator publishes the buffered `done`
+        // (the branch where it is lost instead is any coordinator crash).
+        if state.coord.up && state.coord.done_buffered {
+            let mut next = state.clone();
+            next.record("force publishes done".to_string());
+            next.coord.done_buffered = false;
+            next.coord.done = true;
+            next.coord.log.append(LogEntry::Done {
+                aid: self.aid,
+                prev: None,
+            });
+            out.push(next);
+        }
         // Deliveries (every reordering; this is where the fan-out lives).
         for idx in 0..state.inflight.len() {
             let votes: &[bool] = if self.is_fresh_prepare(state, idx) && self.cfg.allow_refusal {
@@ -658,8 +744,7 @@ impl Explorer {
             if state.coord.up {
                 let mut next = state.clone();
                 next.record("crash coordinator".to_string());
-                next.coord.up = false;
-                next.coord.machine = None;
+                next.coord.crash();
                 next.crashes_left -= 1;
                 self.stats.crash_points += 1;
                 out.push(next);
@@ -697,6 +782,24 @@ impl Explorer {
             out.push(self.quiesce(state.clone()));
         }
         out
+    }
+
+    /// Runs the coordinator machine's `start` effects, crashing the
+    /// coordinator after `crash_after` of them. Returns the next state and
+    /// the number of micro-steps a full start takes.
+    fn start(&self, mut state: State, crash_after: Option<usize>) -> (State, usize) {
+        state.record(match crash_after {
+            Some(k) => format!("start commit crash@{k}"),
+            None => "start commit".to_string(),
+        });
+        state.coord.start_pending = false;
+        let machine = state.coord.machine.as_ref().expect("unstarted machine");
+        let effects = machine.start().into();
+        if crash_after.is_some() {
+            state.crashes_left -= 1;
+        }
+        let steps = self.run_coord_effects(&mut state, effects, crash_after);
+        (state, steps)
     }
 
     /// Is `inflight[idx]` a prepare arriving at a participant that has no
@@ -788,8 +891,7 @@ impl Explorer {
         let mut steps = 0usize;
         while let Some(effect) = queue.pop_front() {
             if crash_after == Some(steps) {
-                state.coord.up = false;
-                state.coord.machine = None;
+                state.coord.crash();
                 return steps;
             }
             steps += 1;
@@ -800,34 +902,33 @@ impl Explorer {
                     msg,
                 }),
                 CoordEffect::ForceCommitting => {
+                    let aid = self.aid;
+                    let log = &mut state.coord.log;
                     let machine = state.coord.machine.as_mut().expect("machine forced");
-                    let gids = machine.participants.clone();
-                    state.coord.log.append(LogEntry::Committing {
-                        aid: self.aid,
-                        gids,
-                        prev: None,
-                    });
-                    let more = machine.committing_forced();
-                    queue.extend(more);
+                    if machine.is_local() {
+                        // Commit locally: the prepare and `committed`,
+                        // published by one force — all of it or none
+                        // survives a crash.
+                        log.append_prepared(aid, 0);
+                        log.append(LogEntry::Committed { aid, prev: None });
+                    } else {
+                        let gids = machine.participants.clone();
+                        log.append(LogEntry::Committing {
+                            aid,
+                            gids,
+                            prev: None,
+                        });
+                    }
+                    queue.extend(machine.committing_forced());
                 }
-                CoordEffect::ForceDone => {
-                    state.coord.log.append(LogEntry::Done {
-                        aid: self.aid,
-                        prev: None,
-                    });
-                    state.coord.done = true;
-                    let machine = state.coord.machine.as_mut().expect("machine forced");
-                    let more = machine.done_forced();
-                    queue.extend(more);
-                }
+                CoordEffect::ForceDone => state.coord.done_buffered = true,
                 CoordEffect::Finished { committed } => {
                     state.coord.finished = Some(committed);
                 }
             }
         }
         if crash_after == Some(steps) {
-            state.coord.up = false;
-            state.coord.machine = None;
+            state.coord.crash();
         }
         steps
     }
@@ -920,17 +1021,8 @@ impl Explorer {
                 PartEffect::PrepareLocally => {
                     let machine = part.machine.as_mut().expect("machine preparing");
                     if prepare_ok {
-                        // The local prepare: one data entry plus the forced
-                        // `prepared` record carrying its shadow pair.
-                        let daddr = part.log.append(LogEntry::DataH {
-                            kind: ObjKind::Atomic,
-                            value: Value::Int(i as i64),
-                        });
-                        part.log.append(LogEntry::Prepared {
-                            aid,
-                            pairs: vec![(Uid(i as u64 + 1), daddr)],
-                            prev: None,
-                        });
+                        // The local prepare, forced.
+                        part.log.append_prepared(aid, i as u64);
                         queue.extend(machine.prepare_succeeded());
                     } else {
                         // Refusal: nothing reaches the log.
@@ -989,9 +1081,14 @@ impl Explorer {
                 }
             }
             None => {
-                // No trace: the action is forgotten; queries get "aborted".
+                // No coordinator trace: the action is forgotten and queries
+                // get "aborted" — unless it committed locally, which
+                // recovery sees as an ordinary committed participant.
                 state.coord.machine = None;
                 state.coord.done = false;
+                if state.coord.log.has_committed(self.aid) {
+                    state.coord.finished = Some(true);
+                }
             }
         }
         state
@@ -1040,7 +1137,7 @@ impl Explorer {
     /// in-doubt participant re-queries the coordinator.
     fn quiesce(&self, mut state: State) -> State {
         state.record("quiesce (timeout moves fire)".to_string());
-        if state.coord.up {
+        if state.coord.up && !state.coord.start_pending {
             if let Some(machine) = &mut state.coord.machine {
                 match machine.phase() {
                     CoordPhase::Preparing => {
@@ -1124,6 +1221,59 @@ mod tests {
     }
 
     #[test]
+    fn a_local_action_is_all_or_nothing_under_every_crash() {
+        // No participants: the coordinator commits locally in one forced
+        // step. Every crash point around that step must leave the action
+        // either durable and acknowledged, or invisible.
+        let cfg = ExploreConfig {
+            participants: 0,
+            max_crashes: 2,
+            max_drops: 0,
+            max_states: 10_000,
+            allow_refusal: false,
+            eager_restarts: true,
+        };
+        let report = Explorer::new(cfg).run();
+        report.assert_ok();
+        assert_eq!(report.stats.depth_limited, 0, "space must be exhausted");
+        assert!(report.stats.crash_points > 0);
+        assert_eq!(report.stats.deliveries, 0, "a local commit sends nothing");
+    }
+
+    #[test]
+    fn a_lost_done_restarts_phase_two_and_terminates() {
+        // The schedule the unforced `done` adds: every acknowledgement is
+        // in, `done` is buffered, the coordinator crashes. Restart must find
+        // `committing`, re-send the commits, be re-acknowledged and finish.
+        let mut ex = Explorer::new(ExploreConfig {
+            participants: 1,
+            allow_refusal: false,
+            ..ExploreConfig::default()
+        });
+        let mut state = ex.initial_state();
+        state = ex.start(state, None).0;
+        for _ in 0..4 {
+            // Prepare, PrepareOk, Commit, CommitAck.
+            assert_eq!(state.inflight.len(), 1);
+            state = ex.deliver(state, 0, true, None).0;
+        }
+        assert_eq!(state.coord.finished, Some(true));
+        assert!(state.coord.done_buffered && !state.coord.done);
+        state.coord.crash();
+        let mut state = ex.restart_coord(state);
+        let resumed = state.coord.machine.as_ref().expect("phase two resumes");
+        assert_eq!(resumed.phase(), CoordPhase::Committing);
+        for _ in 0..2 {
+            // Commit again, and the re-acknowledgement from the durable verdict.
+            assert_eq!(state.inflight.len(), 1);
+            state = ex.deliver(state, 0, true, None).0;
+        }
+        assert!(state.inflight.is_empty() && state.coord.done_buffered);
+        ex.check_state(&state);
+        assert!(ex.violations.is_empty(), "{:?}", ex.violations);
+    }
+
+    #[test]
     fn refusal_schedules_abort_cleanly() {
         let cfg = ExploreConfig {
             participants: 2,
@@ -1147,7 +1297,7 @@ mod tests {
             participants: 1,
             ..ExploreConfig::default()
         });
-        let mut state = ex.initial_state();
+        let mut state = ex.start(ex.initial_state(), None).0;
         state.record("deliver prepare 0->1".to_string());
         state.parts[0].log.append(LogEntry::Committed {
             aid: ex.aid,

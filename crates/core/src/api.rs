@@ -71,6 +71,14 @@ pub trait RecoverySystem {
     // publishes *every* buffered entry atomically (superblock publication),
     // a batch is all-or-nothing: a crash mid-force hides the whole batch,
     // never a prefix that would violate the log invariants.
+    //
+    // Which records are forced follows from what each must make durable
+    // before the protocol may go on (DESIGN.md deviation 10): `prepared`
+    // before the vote, `committing` before the first commit message, a
+    // verdict before its acknowledgement. `done` makes nothing durable that
+    // anyone waits for, so it is staged and left to ride the next force; and
+    // a local action's `prepared` has no vote to precede, so it shares the
+    // force of its `committed` ([`RecoverySystem::stage_local_commit`]).
 
     /// Stages `prepare`: writes every accessible object in the MOS to the
     /// log, then the `prepared` outcome entry (§3.3.3.3).
@@ -85,8 +93,27 @@ pub trait RecoverySystem {
     /// Stages `committing`: the coordinator's `committing` entry.
     fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool>;
 
-    /// Stages `done`: the coordinator's `done` entry.
+    /// Stages `done`: the coordinator's `done` entry. Nothing waits for it
+    /// to be durable — it only licenses forgetting the action, and recovery
+    /// re-derives it by restarting phase two from `committing` — so callers
+    /// need not force it: it rides the next force, or the housekeeping
+    /// prologue.
     fn stage_done(&mut self, aid: ActionId) -> RsResult<bool>;
+
+    /// Stages the whole commit of a *local* action — one whose coordinator
+    /// is its only participant: the data entries, `prepared` and `committed`
+    /// as one step that one force publishes. The only durable point such an
+    /// action needs is its `committed` entry after its data and `prepared`
+    /// entries; there is no vote for `prepared` to precede. Record kinds and
+    /// format are those of [`Self::stage_prepare`] and [`Self::stage_commit`],
+    /// so recovery sees an ordinary prepared-then-committed participant.
+    /// Organizations that force inside each operation override this to force
+    /// once.
+    fn stage_local_commit(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
+        let prepare_owed = self.stage_prepare(aid, mos, heap)?;
+        let commit_owed = self.stage_commit(aid)?;
+        Ok(prepare_owed || commit_owed)
+    }
 
     /// Forces every staged entry to stable storage — the one shared device
     /// force the staged operations above are waiting on.
@@ -126,8 +153,8 @@ pub trait RecoverySystem {
         Ok(())
     }
 
-    /// `done(aid)`: forces the coordinator's `done` entry; two-phase commit
-    /// is complete.
+    /// `done(aid)`: the coordinator's `done` entry, forced — for callers
+    /// that want the log's forced content to end here (tests, figures).
     fn done(&mut self, aid: ActionId) -> RsResult<()> {
         if self.stage_done(aid)? {
             self.force_staged()?;

@@ -51,8 +51,10 @@ pub(crate) enum StagedOp {
     Abort(ActionId),
     /// A staged committing record; on force, enter phase two.
     Committing(ActionId),
-    /// A staged done record; on force, the coordinator finishes.
-    Done(ActionId),
+    /// A local action's whole commit — data entries, `prepared` and
+    /// `committed` staged as one step; on force, install versions and finish
+    /// the coordinator. (`done` has no variant: nothing waits on it.)
+    CommitLocally(ActionId),
 }
 
 impl StagedOp {
@@ -63,7 +65,7 @@ impl StagedOp {
             | Self::Commit(aid)
             | Self::Abort(aid)
             | Self::Committing(aid)
-            | Self::Done(aid) => *aid,
+            | Self::CommitLocally(aid) => *aid,
         }
     }
 }
@@ -87,11 +89,13 @@ pub struct Guardian {
     pub(crate) up: bool,
     /// Modified Objects Set per active action (§2.3).
     pub(crate) mos: HashMap<ActionId, Vec<HeapId>>,
-    /// Actions this guardian has participated in since its last crash.
+    /// Actions this guardian has participated in since its last crash. A
+    /// local action leaves when it finishes: no other guardian can ask.
     pub(crate) known: HashSet<ActionId>,
     /// Locally resolved participant verdicts (for idempotent re-acks).
     pub(crate) resolved: HashMap<ActionId, bool>,
-    /// Actions this guardian coordinated to completion.
+    /// Distributed actions this guardian coordinated to completion — all it
+    /// answers an outcome query from once the coordinator machine is gone.
     pub(crate) coord_done: HashSet<ActionId>,
     /// Live coordinator state machines.
     pub(crate) coordinators: HashMap<ActionId, Coordinator>,

@@ -342,3 +342,48 @@ fn housekeeping_under_live_traffic() {
         );
     }
 }
+
+/// A local commit leaves nothing per action behind at its guardian: no
+/// participant machine, no resolved verdict, no coordinator entry, and its
+/// `known` entry goes when it finishes — no other guardian took part, so
+/// none can ever ask about it. 10⁴ of them leave every one of those
+/// collections the size one leaves them (the same holds for the action's
+/// MOS and coordinator machine, which every commit path drops).
+#[test]
+fn ten_thousand_local_commits_leave_no_per_action_residue() {
+    for kind in RsKind::ALL {
+        let mut w = World::fast();
+        let g = w.add_guardian(kind).unwrap();
+        let residue = |w: &World| {
+            let gu = w.guardian(g).unwrap();
+            [
+                gu.known.len(),
+                gu.resolved.len(),
+                gu.coord_done.len(),
+                gu.participants.len(),
+                gu.coordinators.len(),
+                gu.mos.len(),
+            ]
+        };
+        for i in 0..10_000 {
+            let a = w.begin(g).unwrap();
+            w.set_stable(g, a, "n", Value::Int(i)).unwrap();
+            assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+            assert_eq!(residue(&w), [0; 6], "{kind:?} after commit {i}");
+        }
+        // One that cannot commit (its guardian forgot it in a crash) aborts
+        // just as cleanly: nothing is added to what recovery rebuilt.
+        let a = w.begin(g).unwrap();
+        w.set_stable(g, a, "n", Value::Int(-1)).unwrap();
+        w.crash(g);
+        w.restart(g).unwrap();
+        let recovered = residue(&w);
+        assert_eq!(w.commit(a).unwrap(), Outcome::Aborted);
+        assert_eq!(residue(&w), recovered, "{kind:?} after an abort");
+        assert_eq!(
+            w.guardian(g).unwrap().stable_value("n"),
+            Some(Value::Int(9_999)),
+            "{kind:?}"
+        );
+    }
+}

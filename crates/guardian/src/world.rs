@@ -7,7 +7,7 @@ use argus_cc::{
     CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, LockHolders, LockManager, LockMode,
     ObjKey, Waiter,
 };
-use argus_core::{HousekeepingMode, RecoveryOutcome};
+use argus_core::{HousekeepingMode, RecoveryOutcome, RsError};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, ObjKind, Uid, Value};
 use argus_sim::{CostModel, SimClock};
 use argus_slog::ForceConfig;
@@ -92,7 +92,8 @@ enum CcCont {
 /// The fate of a top-level action as observed by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// The committing record is on stable storage: committed everywhere.
+    /// The commit point is on stable storage — the `committing` record, or
+    /// a local action's own `committed`: committed everywhere.
     Committed,
     /// The action aborted everywhere.
     Aborted,
@@ -970,15 +971,18 @@ impl World {
 
     // ---- two-phase commit -------------------------------------------------
 
-    /// Commits a top-level action: the full two-phase commit of §2.2, driven
-    /// to quiescence.
+    /// Commits a top-level action, driven to quiescence: the full two-phase
+    /// commit of §2.2 — or, when the action touched only its own origin, one
+    /// forced step at that guardian and no message.
     pub fn commit(&mut self, aid: ActionId) -> WorldResult<Outcome> {
         let t0 = self.wobs.commit_round_us.now();
         // Capture the participant set up front: the coordinator clears the
         // touched maps when the action finishes.
         let gids = self.participants_of(aid);
+        let hk = |g: &GuardianId| self.guardians.get(g).is_some_and(|u| u.hk_policy.is_some());
+        let policed: Vec<GuardianId> = gids.iter().copied().filter(hk).collect();
         let outcome = self
-            .launch_commit(aid, gids.clone())
+            .launch_commit(aid, gids)
             .and_then(|()| self.commit_settle(aid));
         self.wobs.commit_round_us.record_since(t0);
         let outcome = outcome?;
@@ -991,7 +995,7 @@ impl World {
         // ("as frequently as needed", ch. 5). Only this action's
         // participants appended records; every guardian's log growth is
         // checked at a commit it takes part in.
-        for g in gids {
+        for g in policed {
             self.maybe_housekeep(g)?;
         }
         Ok(outcome)
@@ -1028,7 +1032,10 @@ impl World {
         let coordinator = Coordinator::new(aid, gids);
         let effects = coordinator.start();
         guardian.coordinators.insert(aid, coordinator);
-        self.exec_coord(origin, aid, effects)
+        self.exec_coord(origin, aid, effects)?;
+        // A local commit stages here, with no delivery after it to poll the
+        // force scheduler: a batch that is already due forces now.
+        self.flush_due_forces()
     }
 
     /// Drives the network to quiescence and reports the fate of a commit
@@ -1566,9 +1573,10 @@ impl World {
                 let more = coordinator.map(|c| c.committing_forced());
                 self.exec_coord(g, aid, more.unwrap_or_default())
             }
-            StagedOp::Done(aid) => {
+            StagedOp::CommitLocally(aid) => {
+                guardian.heap.commit_action(aid);
                 let coordinator = guardian.coordinators.get_mut(&aid);
-                let more = coordinator.map(|c| c.done_forced());
+                let more = coordinator.map(|c| c.committing_forced());
                 self.exec_coord(g, aid, more.unwrap_or_default())
             }
         }
@@ -1659,10 +1667,9 @@ impl World {
                     let effects = coordinator.on_msg(envelope.from, &envelope.msg);
                     self.exec_coord(g, aid, effects)
                 } else {
-                    // Finished (done on the log) or forgotten (⇒ aborted,
-                    // §2.2.3).
-                    let committed = guardian.coord_done.contains(&aid)
-                        || self.outcomes.get(&aid) == Some(&true);
+                    // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
+                    // guardian's own state alone, never what the world knows.
+                    let committed = guardian.coord_done.contains(&aid);
                     self.net.send(Envelope {
                         from: g,
                         to: envelope.from,
@@ -1689,27 +1696,61 @@ impl World {
                 CoordEffect::ForceCommitting => {
                     let now = self.clock.now();
                     let guardian = self.guardian_mut(g)?;
-                    let staged = match guardian.coordinators.get(&aid) {
-                        Some(c) => guardian.rs.stage_committing(aid, &c.participants),
-                        None => guardian.rs.stage_committing(aid, &[]),
-                    };
+                    let coordinator = guardian.coordinators.get(&aid);
+                    if coordinator.is_some_and(Coordinator::is_local) {
+                        // Commit locally: data entries, `prepared` and
+                        // `committed` are one staged step under one force.
+                        // An action a crash wiped out since it began is
+                        // unknown here and aborts, as it would by refusing a
+                        // prepare (§2.2.2).
+                        let staged = if guardian.known.contains(&aid) {
+                            let mos = guardian.mos.remove(&aid).unwrap_or_default();
+                            // Split borrow: the recovery system reads the heap.
+                            let Guardian { rs, heap, .. } = guardian;
+                            rs.stage_local_commit(aid, &mos, heap)
+                        } else {
+                            Err(RsError::BadState(format!("{aid} is unknown at {g}")))
+                        };
+                        self.wobs.commit_us.record_since(now);
+                        let op = StagedOp::CommitLocally(aid);
+                        if matches!(&staged, Err(e) if !e.is_crash()) {
+                            // Unknown, or the entries could not be written.
+                            let guardian = self.guardian_mut(g)?;
+                            guardian.heap.abort_action(aid);
+                            guardian.rs.discard(aid);
+                            let coordinator = guardian.coordinators.get_mut(&aid);
+                            let abort = coordinator.map(|c| c.abort_unilaterally());
+                            queue.extend(abort.unwrap_or_default());
+                        } else if !self.staged(g, op, "commit_locally", now, staged)? {
+                            return Ok(());
+                        }
+                        continue;
+                    }
+                    let participants = coordinator.map_or(&[][..], |c| &c.participants);
+                    let staged = guardian.rs.stage_committing(aid, participants);
                     self.wobs.committing_us.record_since(now);
                     if !self.staged(g, StagedOp::Committing(aid), "committing", now, staged)? {
                         return Ok(());
                     }
                 }
                 CoordEffect::ForceDone => {
+                    // Written, never forced and never waited for: `done`
+                    // joins no batch and rides the guardian's next force (or
+                    // its housekeeping prologue).
                     let now = self.clock.now();
-                    let staged = self.guardian_mut(g)?.rs.stage_done(aid);
-                    if !self.staged(g, StagedOp::Done(aid), "done", now, staged)? {
-                        return Ok(());
-                    }
+                    self.guardian_mut(g)?.rs.stage_done(aid)?;
+                    let key = Some(tkey(aid));
+                    self.tracer.complete("twopc", "done", g.0, key, now, &[]);
                 }
                 CoordEffect::Finished { committed } => {
                     self.resolve_action(aid, committed);
                     let guardian = self.guardian_mut(g)?;
-                    guardian.coordinators.remove(&aid);
-                    if committed {
+                    let coordinator = guardian.coordinators.remove(&aid);
+                    if coordinator.is_some_and(|c| c.is_local()) {
+                        // No other guardian took part, so none can ever ask
+                        // about the action: it leaves nothing behind.
+                        guardian.known.remove(&aid);
+                    } else if committed {
                         guardian.coord_done.insert(aid);
                     }
                     self.touched.remove(&aid);

@@ -207,11 +207,9 @@ impl<S: PageStore> argus_core::writer_sink::Sink for ShadowSink<'_, S> {
     }
 }
 
-impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
-    // Shadowing keeps no shared log to batch on: every operation forces
-    // inside itself and reports that it is already durable.
-
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
+impl<P: StoreProvider> ShadowRs<P> {
+    /// Writes `aid`'s versions and its intent record, unforced.
+    fn write_intent(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
         let mut intent = IntentBody::new(aid);
         {
             let mut sink = ShadowSink {
@@ -228,12 +226,43 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             )?;
         }
         self.append(&ShadowRecord::Intent(intent.clone()))?;
-        self.log.force()?;
         for (uid, addr, other) in &intent.pd {
             self.pd_index.entry(*other).or_default().push((*uid, *addr));
         }
         self.intents.insert(aid, intent);
         self.pat.insert(aid);
+        Ok(())
+    }
+
+    /// Folds `aid`'s intent into the map and writes the new map and the
+    /// resolution record, unforced.
+    fn write_commit(&mut self, aid: ActionId) -> RsResult<()> {
+        let intent = self
+            .intents
+            .remove(&aid)
+            .unwrap_or_else(|| IntentBody::new(aid));
+        self.fold(&intent, true);
+        // The defining cost: a full map accompanies every commit. The
+        // resolution record follows the map in the same force so the
+        // backward scan to the newest map still observes it.
+        self.append_map()?;
+        self.append(&ShadowRecord::Resolved {
+            aid,
+            committed: true,
+        })?;
+        self.pat.remove(&aid);
+        Ok(())
+    }
+}
+
+impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
+    // Shadowing keeps no shared log to batch on: every operation that the
+    // protocol waits for forces inside itself and reports that it is already
+    // durable. `done`, which nothing waits for, is only appended.
+
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
+        self.write_intent(aid, mos, heap)?;
+        self.log.force()?;
         Ok(false)
     }
 
@@ -248,21 +277,16 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
     }
 
     fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
-        let intent = self
-            .intents
-            .remove(&aid)
-            .unwrap_or_else(|| IntentBody::new(aid));
-        self.fold(&intent, true);
-        // The defining cost: a full map accompanies every commit. The
-        // resolution record follows the map in the same force so the
-        // backward scan to the newest map still observes it.
-        self.append_map()?;
-        self.append(&ShadowRecord::Resolved {
-            aid,
-            committed: true,
-        })?;
+        self.write_commit(aid)?;
         self.log.force()?;
-        self.pat.remove(&aid);
+        Ok(false)
+    }
+
+    fn stage_local_commit(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
+        // Versions, intent, map and resolution under one force.
+        self.write_intent(aid, mos, heap)?;
+        self.write_commit(aid)?;
+        self.log.force()?;
         Ok(false)
     }
 
@@ -296,13 +320,14 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
     }
 
     fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
+        // Rides the next operation's force.
         self.append(&ShadowRecord::Done { aid })?;
-        self.log.force()?;
         self.coords.remove(&aid);
-        Ok(false)
+        Ok(true)
     }
 
     fn force_staged(&mut self) -> RsResult<()> {
+        self.log.force()?;
         Ok(())
     }
 

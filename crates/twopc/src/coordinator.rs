@@ -9,14 +9,16 @@ use std::collections::BTreeSet;
 /// Where the coordinator stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoordPhase {
-    /// Prepare messages are out; waiting for votes.
+    /// Prepare messages are out; waiting for votes. A local action (see
+    /// [`Coordinator::is_local`]) waits here for its one forced step.
     Preparing,
     /// Every participant voted prepared; the `committing` record is being /
     /// has been forced and commit messages are out.
     Committing,
     /// At least one refusal (or a unilateral abort); abort messages are out.
     Aborting,
-    /// All participants acknowledged the commit; `done` forced.
+    /// All participants acknowledged the commit (a local action: its commit
+    /// point is forced). The `done` record is written, not forced.
     Done,
     /// All participants acknowledged the abort.
     Aborted,
@@ -32,10 +34,19 @@ pub enum CoordEffect {
         /// The message.
         msg: Msg,
     },
-    /// Force the `committing` record (the commit point, §2.2.1), then call
-    /// [`Coordinator::committing_forced`].
+    /// Force the commit point, then call
+    /// [`Coordinator::committing_forced`]. For a distributed action the
+    /// commit point is the `committing` record (§2.2.1). For a local action
+    /// ([`Coordinator::is_local`]) this is the whole commit — *commit
+    /// locally*: the guardian writes the action's data entries, `prepared`
+    /// and `committed` as one step under one force, with no `committing`
+    /// record, no participant machine and no message.
     ForceCommitting,
-    /// Force the `done` record, then call [`Coordinator::done_forced`].
+    /// Append the `done` record to the log buffer — never forced. `done`
+    /// only licenses forgetting the action: it rides the next force, and a
+    /// crash that loses it recovers a `committing` coordinator that re-sends
+    /// its commits and is re-acknowledged (§2.2.3). Nothing waits on it:
+    /// [`CoordEffect::Finished`] follows in the same effect list.
     ForceDone,
     /// The protocol is over; the top-level action's fate is final.
     Finished {
@@ -115,8 +126,21 @@ impl Coordinator {
         self.waiting.iter().copied().collect()
     }
 
-    /// Starts the preparing phase: prepare messages to every participant.
+    /// Whether the coordinator's own guardian is the only participant. Such
+    /// an action needs no agreement protocol: its one durable point is its
+    /// own `committed` record, so it commits with one force and no message.
+    /// A property of the participant set, never a configuration choice.
+    pub fn is_local(&self) -> bool {
+        self.participants == [self.aid.coordinator]
+    }
+
+    /// Starts the commit. A distributed action enters the preparing phase:
+    /// prepare messages to every participant. A local action asks for its
+    /// commit point at once ([`CoordEffect::ForceCommitting`]).
     pub fn start(&self) -> Vec<CoordEffect> {
+        if self.is_local() {
+            return vec![CoordEffect::ForceCommitting];
+        }
         let n = self.participants.len() as u64;
         obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
         trace_instant("prepare_sent", self.aid, &[("participants", n)]);
@@ -167,8 +191,12 @@ impl Coordinator {
             (Msg::CommitAck { .. }, CoordPhase::Committing) => {
                 self.waiting.remove(&from);
                 if self.waiting.is_empty() {
+                    obs::with(|o| o.coord_done.inc());
                     self.phase = CoordPhase::Done;
-                    vec![CoordEffect::ForceDone]
+                    vec![
+                        CoordEffect::ForceDone,
+                        CoordEffect::Finished { committed: true },
+                    ]
                 } else {
                     Vec::new()
                 }
@@ -216,9 +244,19 @@ impl Coordinator {
         }
     }
 
-    /// The guardian forced the `committing` record; the action is now
-    /// committed and phase two begins.
+    /// The guardian forced the commit point; the action is now committed.
+    /// Phase two begins — or, for a local action, there is none and the
+    /// protocol is over.
     pub fn committing_forced(&mut self) -> Vec<CoordEffect> {
+        if self.is_local() {
+            obs::with(|o| {
+                o.coord_committed.inc();
+                o.coord_done.inc();
+            });
+            self.phase = CoordPhase::Done;
+            self.waiting.clear();
+            return vec![CoordEffect::Finished { committed: true }];
+        }
         obs::with(|o| {
             o.coord_committed.inc();
             o.reg.event(Event::OutcomeSent {
@@ -232,10 +270,11 @@ impl Coordinator {
         self.commit_msgs()
     }
 
-    /// The guardian forced the `done` record; two-phase commit is complete.
+    /// Nothing waits on the `done` record any more: the coordinator finishes
+    /// when the last acknowledgement arrives. Kept, returning no effects, for
+    /// drivers written against the forced `done`.
     pub fn done_forced(&mut self) -> Vec<CoordEffect> {
-        obs::with(|o| o.coord_done.inc());
-        vec![CoordEffect::Finished { committed: true }]
+        Vec::new()
     }
 
     /// Aborts unilaterally — a refusal arrived, or the Argus system decided
@@ -253,6 +292,13 @@ impl Coordinator {
             });
         });
         trace_instant("outcome_sent", self.aid, &[("committed", 0)]);
+        if self.is_local() {
+            // Nobody to tell: the guardian that could not commit locally
+            // has already discarded the action.
+            self.phase = CoordPhase::Aborted;
+            self.waiting.clear();
+            return vec![CoordEffect::Finished { committed: false }];
+        }
         self.phase = CoordPhase::Aborting;
         self.waiting = self.participants.iter().copied().collect();
         self.abort_msgs()
@@ -296,13 +342,46 @@ mod tests {
         let effects = c.committing_forced();
         assert_eq!(commit_sends(&effects), 2);
         assert!(c.on_msg(gid(1), &Msg::CommitAck { aid: aid() }).is_empty());
+        // The last acknowledgement finishes the protocol: `done` is
+        // written behind it, never waited for.
         let effects = c.on_msg(gid(0), &Msg::CommitAck { aid: aid() });
-        assert_eq!(effects, vec![CoordEffect::ForceDone]);
         assert_eq!(
-            c.done_forced(),
+            effects,
+            vec![
+                CoordEffect::ForceDone,
+                CoordEffect::Finished { committed: true }
+            ]
+        );
+        assert!(c.done_forced().is_empty());
+        assert_eq!(c.phase(), CoordPhase::Done);
+    }
+
+    #[test]
+    fn a_local_action_commits_with_one_forced_step_and_no_message() {
+        let mut c = Coordinator::new(aid(), vec![gid(0), gid(0)]);
+        assert!(c.is_local());
+        assert_eq!(c.start(), vec![CoordEffect::ForceCommitting]);
+        assert_eq!(c.phase(), CoordPhase::Preparing);
+        assert_eq!(
+            c.committing_forced(),
             vec![CoordEffect::Finished { committed: true }]
         );
         assert_eq!(c.phase(), CoordPhase::Done);
+        assert!(c.awaiting().is_empty());
+        // A sole participant that is not the coordinator's guardian still
+        // needs the protocol.
+        assert!(!Coordinator::new(aid(), vec![gid(1)]).is_local());
+    }
+
+    #[test]
+    fn a_local_action_that_cannot_commit_aborts_without_messages() {
+        let mut c = Coordinator::new(aid(), vec![gid(0)]);
+        c.start();
+        assert_eq!(
+            c.abort_unilaterally(),
+            vec![CoordEffect::Finished { committed: false }]
+        );
+        assert_eq!(c.phase(), CoordPhase::Aborted);
     }
 
     #[test]
@@ -354,9 +433,9 @@ mod tests {
 
     #[test]
     fn no_abort_after_commit_point() {
-        let mut c = Coordinator::new(aid(), vec![gid(0)]);
+        let mut c = Coordinator::new(aid(), vec![gid(1)]);
         c.start();
-        c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() });
+        c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
         c.committing_forced();
         assert!(c.abort_unilaterally().is_empty());
         assert_eq!(c.phase(), CoordPhase::Committing);
@@ -371,15 +450,15 @@ mod tests {
 
     #[test]
     fn queries_get_the_right_verdict() {
-        let mut c = Coordinator::new(aid(), vec![gid(0)]);
+        let mut c = Coordinator::new(aid(), vec![gid(1)]);
         c.start();
-        c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() });
+        c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
         c.committing_forced();
-        let effects = c.on_msg(gid(0), &Msg::QueryOutcome { aid: aid() });
+        let effects = c.on_msg(gid(1), &Msg::QueryOutcome { aid: aid() });
         assert_eq!(
             effects,
             vec![CoordEffect::Send {
-                to: gid(0),
+                to: gid(1),
                 msg: Msg::Outcome {
                     aid: aid(),
                     committed: true

@@ -12,9 +12,19 @@
 //!   there and will abort;
 //! * participant crash after `prepared` → in doubt, must query;
 //! * coordinator crash before `committing` → the action aborts;
-//! * coordinator crash after `committing`, before `done` → phase two is
-//!   restarted from the CT;
-//! * coordinator crash after `done` → nothing to do.
+//! * coordinator crash after `committing`, before `done` is durable → phase
+//!   two is restarted from the CT;
+//! * coordinator crash after `done` is durable → nothing to do.
+//!
+//! What is forced is what the protocol needs durable before it may go on,
+//! and nothing else: a participant forces `prepared` before voting and its
+//! verdict before acknowledging, the coordinator forces `committing` before
+//! telling anyone to commit. `done` only licenses forgetting, so it is
+//! written and never forced — the coordinator finishes on the last
+//! acknowledgement, and a lost `done` is the fourth case above. An action
+//! whose coordinator is its only participant ([`Coordinator::is_local`]) has
+//! one durable point, its own `committed` record: it commits in one forced
+//! step with no `committing`, no `done` and no message.
 
 mod coordinator;
 mod msg;

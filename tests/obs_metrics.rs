@@ -357,10 +357,11 @@ fn interleaved_worlds_keep_their_metrics_apart() {
         let n = steps as u64;
         let count = |name: &str| lane.reg.counter(name).get();
         // The setup action plus two per step; the first of each step spans
-        // both guardians.
+        // both guardians, the second is local to its origin and commits
+        // without a participant machine.
         assert_eq!(count("world.commits"), 1 + 2 * n);
         assert_eq!(count("twopc.coord.started"), 1 + 2 * n);
-        assert_eq!(count("twopc.part.prepares"), 2 + 3 * n);
+        assert_eq!(count("twopc.part.prepares"), 2 + 2 * n);
         assert_eq!(count("cc.waits"), n);
         assert_eq!(lane.reg.histogram("cc.wait_us").snapshot().count, n);
         assert!(count("slog.forces") > 0 && count("world.sched.polls") > 0);

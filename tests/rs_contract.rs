@@ -10,6 +10,7 @@ use argus::guardian::RsKind;
 use argus::objects::{ActionId, GuardianId, Heap, HeapId, Value};
 use argus::shadow::ShadowRs;
 use argus::sim::DetRng;
+use argus::stable::FaultPlan;
 
 const OBJECTS: usize = 8;
 
@@ -45,8 +46,17 @@ struct Fixture {
 
 impl Fixture {
     fn new(kind: RsKind) -> Self {
+        Self::over(kind, MemProvider::fast())
+    }
+
+    /// A fixture whose device crashes when `plan` says so.
+    fn with_plan(kind: RsKind, plan: &FaultPlan) -> Self {
+        Self::over(kind, MemProvider::fast().with_plan(plan.clone()))
+    }
+
+    fn over(kind: RsKind, provider: MemProvider) -> Self {
         let mut f = Self {
-            rs: build(kind, MemProvider::fast()),
+            rs: build(kind, provider),
             heap: Heap::with_stable_root(),
             objects: Vec::new(),
             next_seq: 0,
@@ -83,8 +93,9 @@ impl Fixture {
         h
     }
 
-    /// One action through the four forced steps of a single-guardian
-    /// commit, or prepare-then-abort.
+    /// One action through the steps a participant and a coordinator log for
+    /// it — `prepared`, `committing`, `committed`, `done`, each forced here —
+    /// or prepare-then-abort.
     fn action(&mut self, rng: &mut DetRng, issue: Issue) {
         let a = self.begin();
         let first = rng.gen_range(OBJECTS as u64) as usize;
@@ -155,6 +166,15 @@ impl Fixture {
 
     fn forces(&self) -> u64 {
         self.rs.log_stats().device.forces
+    }
+
+    /// A local action's whole commit: staged as one step, then the force it
+    /// owes, if it owes one.
+    fn local_commit(&mut self, a: ActionId, mos: &[HeapId]) -> Result<(), RsError> {
+        if self.rs.stage_local_commit(a, mos, &self.heap)? {
+            self.rs.force_staged()?;
+        }
+        Ok(())
     }
 }
 
@@ -292,6 +312,72 @@ fn pat_and_housekeeping_protocol() {
             );
             f.rs.housekeeping(&f.heap, mode).unwrap();
             assert_eq!(f.recovered_values(), values, "{kind:?} {mode:?}");
+        }
+    }
+}
+
+/// (d) A local commit is one device force: data entries, `prepared` and
+/// `committed` staged as one step cost the device what a lone prepare's
+/// force does, nothing of the action survives a crash before that force,
+/// all of it survives after, and a crash at any device operation inside it
+/// leaves all or nothing.
+#[test]
+fn a_local_commit_is_one_device_force() {
+    for kind in RsKind::ALL {
+        // What one force costs this organization: a lone forced prepare.
+        let plan = FaultPlan::new();
+        let mut f = Fixture::with_plan(kind, &plan);
+        let a = f.begin();
+        let h = f.write(a, 0, 1);
+        let forces = f.forces();
+        f.rs.prepare(a, &[h], &f.heap).unwrap();
+        let one_force = f.forces() - forces;
+        assert!(one_force > 0, "{kind:?}: a force that costs nothing");
+        f.rs.abort(a).unwrap();
+        f.heap.abort_action(a);
+
+        // The whole local commit costs the same, and is durable after it.
+        let a = f.begin();
+        let h = f.write(a, 1, 7);
+        let (forces, ops) = (f.forces(), plan.op_counts());
+        f.local_commit(a, &[h]).unwrap();
+        f.heap.commit_action(a);
+        assert_eq!(f.forces() - forces, one_force, "{kind:?}");
+        let ops = plan.op_counts().since(&ops).total();
+        assert!(
+            ops >= 4,
+            "{kind:?}: a force is a write, a barrier, the superblock, a barrier"
+        );
+        assert!(!f.rs.is_prepared(a), "{kind:?}: resolved, not in doubt");
+        assert_eq!(f.recovered_values()[1], Value::Int(7), "{kind:?}");
+
+        // Staged and not yet forced, it is invisible to recovery.
+        let a = f.begin();
+        let h = f.write(a, 2, 9);
+        let forces = f.forces();
+        if f.rs.stage_local_commit(a, &[h], &f.heap).unwrap() {
+            assert_eq!(f.forces(), forces, "{kind:?}: staging forced the device");
+            assert_eq!(f.recovered_values()[2], Value::Int(0), "{kind:?}");
+        }
+
+        // A crash at each of its device operations: all or nothing, and
+        // nothing when the very first operation is the one that fails.
+        for k in 0..ops {
+            let plan = FaultPlan::new();
+            let mut f = Fixture::with_plan(kind, &plan);
+            let a = f.begin();
+            let h = f.write(a, 1, 7);
+            plan.arm_after_ops(k);
+            let crashed = f.local_commit(a, &[h]).unwrap_err();
+            assert!(crashed.is_crash(), "{kind:?} op {k}: {crashed}");
+            plan.heal();
+            let values = f.recovered_values();
+            assert!(
+                values[1] == Value::Int(0) || (k > 0 && values[1] == Value::Int(7)),
+                "{kind:?}: a crash at device operation {k} of {ops} left {:?}",
+                values[1]
+            );
+            assert!(!f.rs.is_prepared(a), "{kind:?} op {k}: left in doubt");
         }
     }
 }

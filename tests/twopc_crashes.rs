@@ -6,19 +6,23 @@
 //! the all-or-nothing invariant: the two balances always sum to the same
 //! total, and the two guardians agree on whether the transfer happened.
 
-use argus::guardian::{Outcome, RsKind, World};
-use argus::objects::{ObjRef, Value};
+mod common;
+
+use argus::check::sweep::SweepConfig;
+use argus::check::{ExploreConfig, Explorer};
+use argus::core::LogEntry;
+use argus::guardian::{Outcome, RsKind, World, WorldConfig};
+use argus::objects::{ActionId, GuardianId, ObjRef, Value};
+use argus::sim::CostModel;
 
 /// Sets up two guardians each holding one account with 100 units.
 /// Returns (world, g0, g1).
-fn setup(
-    kind: RsKind,
-) -> (
-    World,
-    argus::objects::GuardianId,
-    argus::objects::GuardianId,
-) {
-    let mut w = World::fast();
+fn setup(kind: RsKind) -> (World, GuardianId, GuardianId) {
+    setup_with(kind, WorldConfig::default())
+}
+
+fn setup_with(kind: RsKind, cfg: WorldConfig) -> (World, GuardianId, GuardianId) {
+    let mut w = World::with_config(CostModel::fast(), cfg);
     let g0 = w.add_guardian(kind).unwrap();
     let g1 = w.add_guardian(kind).unwrap();
     for g in [g0, g1] {
@@ -31,7 +35,37 @@ fn setup(
     (w, g0, g1)
 }
 
-fn balance(w: &World, g: argus::objects::GuardianId) -> i64 {
+/// Moves `delta` into the account at `g` under `a`.
+fn deposit(w: &mut World, g: GuardianId, a: ActionId, delta: i64) {
+    let h = match w.guardian(g).unwrap().stable_value("acct") {
+        Some(Value::Ref(ObjRef::Heap(h))) => h,
+        other => panic!("unresolved account: {other:?}"),
+    };
+    w.write_atomic(g, a, h, move |v| {
+        if let Value::Int(b) = v {
+            *b += delta;
+        }
+    })
+    .unwrap();
+}
+
+/// A committed 30-unit transfer g0→g1, coordinated at g0.
+fn committed_transfer(w: &mut World, g0: GuardianId, g1: GuardianId) -> ActionId {
+    let a = w.begin(g0).unwrap();
+    deposit(w, g0, a, -30);
+    deposit(w, g1, a, 30);
+    assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+    a
+}
+
+/// Whether `g`'s forced log holds a `done` for `a` (`None`: it keeps no log).
+fn done_on_log(w: &mut World, g: GuardianId, a: ActionId) -> Option<bool> {
+    let entries = w.dump_log(g).unwrap()?;
+    let mut entries = entries.iter();
+    Some(entries.any(|(_, e)| matches!(e, LogEntry::Done { aid, .. } if *aid == a)))
+}
+
+fn balance(w: &World, g: GuardianId) -> i64 {
     let guardian = w.guardian(g).unwrap();
     match guardian.stable_value("acct") {
         Some(Value::Ref(ObjRef::Heap(h))) => match guardian.heap.read_value(h, None) {
@@ -50,32 +84,8 @@ fn run_case(kind: RsKind, victim_is_coordinator: bool, budget: u64) -> bool {
     let victim = if victim_is_coordinator { g0 } else { g1 };
 
     let a = w.begin(g0).unwrap();
-    let from = {
-        let guardian = w.guardian(g0).unwrap();
-        match guardian.stable_value("acct") {
-            Some(Value::Ref(ObjRef::Heap(h))) => h,
-            _ => unreachable!(),
-        }
-    };
-    let to = {
-        let guardian = w.guardian(g1).unwrap();
-        match guardian.stable_value("acct") {
-            Some(Value::Ref(ObjRef::Heap(h))) => h,
-            _ => unreachable!(),
-        }
-    };
-    w.write_atomic(g0, a, from, |v| {
-        if let Value::Int(b) = v {
-            *b -= 30;
-        }
-    })
-    .unwrap();
-    w.write_atomic(g1, a, to, |v| {
-        if let Value::Int(b) = v {
-            *b += 30;
-        }
-    })
-    .unwrap();
+    deposit(&mut w, g0, a, -30);
+    deposit(&mut w, g1, a, 30);
 
     w.arm_crash_after_writes(victim, budget).unwrap();
     let outcome = w.commit(a).unwrap();
@@ -158,18 +168,8 @@ fn double_crash_and_recovery() {
         for budget in [5u64, 20, 50, 80] {
             let (mut w, g0, g1) = setup(kind);
             let a = w.begin(g0).unwrap();
-            for (g, delta) in [(g0, -30i64), (g1, 30)] {
-                let h = match w.guardian(g).unwrap().stable_value("acct") {
-                    Some(Value::Ref(ObjRef::Heap(h))) => h,
-                    _ => unreachable!(),
-                };
-                w.write_atomic(g, a, h, move |v| {
-                    if let Value::Int(b) = v {
-                        *b += delta;
-                    }
-                })
-                .unwrap();
-            }
+            deposit(&mut w, g0, a, -30);
+            deposit(&mut w, g1, a, 30);
             w.arm_crash_after_writes(g1, budget).unwrap();
             let _ = w.commit(a).unwrap();
             w.crash(g0);
@@ -187,4 +187,148 @@ fn double_crash_and_recovery() {
             );
         }
     }
+}
+
+/// The crash-schedule sweep of a local commit: a crash at every device
+/// operation of it — the flush, each barrier, the superblock — under both
+/// force schedules. The action is all or nothing, an acknowledged commit is
+/// durable, and recovery never finds it in doubt.
+#[test]
+fn a_local_commit_is_all_or_nothing_at_every_device_operation() {
+    for kind in RsKind::ALL {
+        for cfg in [WorldConfig::default(), WorldConfig::unbatched()] {
+            // The oracle run counts the commit's device operations.
+            let (mut w, g0, _) = setup_with(kind, cfg);
+            let a = w.begin(g0).unwrap();
+            deposit(&mut w, g0, a, -30);
+            let before = w.fault_plan(g0).unwrap().op_counts();
+            let mail = w.network().delivered();
+            assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+            let ops = w.fault_plan(g0).unwrap().op_counts().since(&before);
+            assert_eq!(ops.forces, 2, "{kind:?}: one force is two device barriers");
+            assert_eq!(
+                w.network().delivered(),
+                mail,
+                "{kind:?}: a local commit sends nothing"
+            );
+
+            for k in 0..ops.total() {
+                let (mut w, g0, _) = setup_with(kind, cfg);
+                let a = w.begin(g0).unwrap();
+                deposit(&mut w, g0, a, -30);
+                w.arm_crash_after_ops(g0, k).unwrap();
+                let outcome = w.commit(a).unwrap();
+                assert!(!w.is_up(g0), "{kind:?} op {k}: the armed crash never fired");
+                assert_ne!(outcome, Outcome::Aborted, "{kind:?} op {k}");
+                w.crash(g0);
+                let recovered = w.restart(g0).unwrap();
+                assert!(
+                    recovered.pt.prepared_actions().is_empty(),
+                    "{kind:?} op {k}: a local action recovered in doubt"
+                );
+                let b = balance(&w, g0);
+                assert!(b == 100 || b == 70, "{kind:?} op {k}: balance {b}");
+                if outcome == Outcome::Committed {
+                    assert_eq!(b, 70, "{kind:?} op {k}: lost an acknowledged commit");
+                }
+                common::lint_world(&mut w);
+            }
+        }
+    }
+}
+
+/// `done` is written behind the last acknowledgement and never forced. A
+/// coordinator crash before any later force loses it: recovery finds the
+/// action `committing`, phase two runs again, the participants re-acknowledge
+/// from their durable verdicts and the coordinator finishes a second time.
+#[test]
+fn a_coordinator_crash_that_loses_done_resumes_committing_and_finishes() {
+    for kind in RsKind::ALL {
+        let (mut w, g0, g1) = setup(kind);
+        let a = committed_transfer(&mut w, g0, g1);
+        assert_ne!(
+            done_on_log(&mut w, g0, a),
+            Some(true),
+            "{kind:?}: done was forced"
+        );
+
+        w.crash(g0);
+        let acks = w.network().delivered();
+        let recovered = w.restart(g0).unwrap();
+        assert_eq!(
+            recovered.ct.committing_actions(),
+            vec![(a, vec![g0, g1])],
+            "{kind:?}: the coordinator must resume phase two"
+        );
+        // Commit to both participants, an acknowledgement from each.
+        assert_eq!(w.network().delivered() - acks, 4, "{kind:?}");
+        assert_eq!(w.verdict(a), Some(true), "{kind:?}");
+        assert_eq!((balance(&w, g0), balance(&w, g1)), (70, 130), "{kind:?}");
+
+        // The rewritten `done` rides the coordinator's next force: after it
+        // a restart has nothing left to resume.
+        let next = w.begin(g0).unwrap();
+        deposit(&mut w, g0, next, 1);
+        assert_eq!(w.commit(next).unwrap(), Outcome::Committed);
+        assert_ne!(done_on_log(&mut w, g0, a), Some(false), "{kind:?}");
+        w.crash(g0);
+        let recovered = w.restart(g0).unwrap();
+        assert!(recovered.ct.committing_actions().is_empty(), "{kind:?}");
+        common::lint_world(&mut w);
+    }
+}
+
+/// Housekeeping while a `done` is still in the log buffer: the pass's
+/// prologue forces it, so the new log never holds a `done` without its
+/// `committing` (I6) and the finished action is not resumed afterwards.
+#[test]
+fn housekeeping_with_a_buffered_done_keeps_the_coordinator_records_paired() {
+    for kind in RsKind::ALL {
+        for &mode in SweepConfig::supported_housekeeping(kind) {
+            let (mut w, g0, g1) = setup(kind);
+            let a = committed_transfer(&mut w, g0, g1);
+            w.housekeep(g0, mode).unwrap();
+            common::lint_world(&mut w);
+            w.crash(g0);
+            let recovered = w.restart(g0).unwrap();
+            assert!(
+                recovered.ct.committing_actions().is_empty(),
+                "{kind:?} {mode:?}: {a} resumed after housekeeping"
+            );
+            assert_eq!((balance(&w, g0), balance(&w, g1)), (70, 130));
+            common::lint_world(&mut w);
+        }
+    }
+}
+
+/// The explorer, over the same coordinator machine the world runs: a local
+/// action (no participants) under two crashes, and the distributed protocol
+/// under a crash budget — whose schedules include every coordinator crash
+/// with the unforced `done` still buffered — satisfy A1–A4 and termination.
+#[test]
+fn the_explorer_accepts_the_local_path_and_a_lost_done() {
+    let local = Explorer::new(ExploreConfig {
+        participants: 0,
+        max_crashes: 2,
+        max_drops: 0,
+        max_states: 10_000,
+        allow_refusal: false,
+        eager_restarts: true,
+    })
+    .run();
+    local.assert_ok();
+    assert_eq!(local.stats.depth_limited, 0, "the local space is small");
+    assert!(local.stats.crash_points > 0 && local.stats.deliveries == 0);
+
+    let distributed = Explorer::new(ExploreConfig {
+        participants: 2,
+        max_crashes: 2,
+        max_drops: 0,
+        max_states: 100_000,
+        allow_refusal: true,
+        eager_restarts: false,
+    })
+    .run();
+    distributed.assert_ok();
+    assert!(distributed.stats.terminal_states > 0);
 }
