@@ -1,11 +1,12 @@
-//! Minimal markdown-table rendering for the experiment harness.
+//! The experiment harness's tables: markdown through `argus-obs`'s grid
+//! renderer, plus the JSON artefact and its comparison.
 
 use std::fmt;
 
 /// One experiment's output table.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Experiment id (E1..E8).
+    /// Experiment id (`E1`, `E2`, …): the `BENCH_<id>.json` artefact's name.
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,
@@ -249,29 +250,7 @@ impl fmt::Display for Table {
         writeln!(f, "### {} — {}", self.id, self.title)?;
         writeln!(f, "_{}_", self.claim)?;
         writeln!(f)?;
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let write_row = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            write!(f, "|")?;
-            for (i, cell) in cells.iter().enumerate() {
-                write!(f, " {:<width$} |", cell, width = widths[i])?;
-            }
-            writeln!(f)
-        };
-        write_row(f, &self.header)?;
-        write!(f, "|")?;
-        for width in &widths {
-            write!(f, "{:-<w$}|", "", w = width + 2)?;
-        }
-        writeln!(f)?;
-        for row in &self.rows {
-            write_row(f, row)?;
-        }
-        Ok(())
+        argus_obs::write_grid(f, &self.header, &self.rows)
     }
 }
 

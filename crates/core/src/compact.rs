@@ -4,31 +4,45 @@
 //! understands (`base_committed`, `prepared_data`, plain data entries), so
 //! the compacted log is still an ordinary log of its format. The simple and
 //! redo logs share the algorithm and differ in how an entry lands on the new
-//! log: `emit` is a plain encode-and-write for the simple log and a backlink
-//! rewrite plus chain tracking for the redo log.
+//! log ([`Emit`]): as it stands for the simple log, with a backlink rewrite
+//! plus chain tracking for the redo log.
 
-use crate::entry::{decode_entry, LogEntry};
-use crate::restore::RecoverCtx;
+use crate::entry::{decode_entry_view, Entry, EntryRef, WireField};
+use crate::log::append_entry;
+use crate::restore::{scan_backward, RecoverCtx};
 use crate::tables::{ObjState, PState};
 use crate::RsResult;
 use argus_objects::{ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
 use argus_slog::StableLog;
 use argus_stable::PageStore;
 
-/// Stage one: digests the old log with `scan` exactly like a recovery, into
-/// a scratch heap, and emits the digest onto a new log over `store`.
+/// How a compacted entry — a digest entry stage one builds, or a view of a
+/// tail record stage two carries over — lands on the new log.
+pub(crate) trait Emit {
+    /// Lands `entry` on `new_log`; as it stands unless the format says
+    /// otherwise.
+    fn emit<S: PageStore, V: WireField, P: WireField, G: WireField>(
+        &mut self,
+        new_log: &mut StableLog<S>,
+        entry: Entry<V, P, G>,
+    ) -> RsResult<()> {
+        append_entry(new_log, &entry).map(drop)
+    }
+}
+
+/// Stage one: digests the old log exactly like a recovery, into a scratch
+/// heap, and emits the digest onto a new log over `store`.
 pub(crate) fn stage_one<S: PageStore>(
     log: &mut StableLog<S>,
     store: S,
     marker: u64,
-    scan: impl FnOnce(&mut StableLog<S>, &mut RecoverCtx<'_>) -> RsResult<()>,
-    emit: &mut impl FnMut(&mut StableLog<S>, LogEntry) -> RsResult<()>,
+    emit: &mut impl Emit,
 ) -> RsResult<StableLog<S>> {
     // resolve_uid_refs is deliberately skipped so the restored values keep
     // their uid-reference encoding and can be re-logged verbatim.
     let mut scratch = Heap::new();
     let mut ctx = RecoverCtx::new(&mut scratch);
-    scan(log, &mut ctx)?;
+    scan_backward(log, &mut ctx, |_, _, _| {})?;
     let mut new_log = StableLog::create(store)?;
 
     // Deterministic emission: tables are hash maps, so sort everything.
@@ -37,25 +51,25 @@ pub(crate) fn stage_one<S: PageStore>(
 
     // Committed atomic bases, prepared (in-doubt) versions, and mutex
     // values, straight from the scratch heap.
-    let mut prepared_versions: Vec<(ActionId, Uid, Value)> = Vec::new();
-    let mut mutex_values: Vec<(Uid, Value)> = Vec::new();
+    let mut prepared_versions: Vec<(ActionId, Uid, &Value)> = Vec::new();
+    let mut mutex_values: Vec<(Uid, &Value)> = Vec::new();
     for uid in uids {
         let entry = ctx.ot.get(uid).expect("uid came from the OT");
         match &ctx.heap.get(entry.heap)?.body {
             ObjectBody::Atomic(obj) => {
                 if entry.state == ObjState::Restored {
-                    let base = LogEntry::BaseCommitted {
+                    let base = EntryRef::BaseCommitted {
                         uid,
-                        value: obj.base.clone(),
+                        value: &obj.base,
                         prev: None,
                     };
-                    emit(&mut new_log, base)?;
+                    emit.emit(&mut new_log, base)?;
                 }
                 if let (Some(writer), Some(cur)) = (obj.writer, &obj.current) {
-                    prepared_versions.push((writer, uid, cur.clone()));
+                    prepared_versions.push((writer, uid, cur));
                 }
             }
-            ObjectBody::Mutex(obj) => mutex_values.push((uid, obj.value.clone())),
+            ObjectBody::Mutex(obj) => mutex_values.push((uid, &obj.value)),
         }
     }
 
@@ -64,24 +78,24 @@ pub(crate) fn stage_one<S: PageStore>(
     // re-logged as the data entries of a synthetic committed action — "like
     // a combined prepare and commit for some special action whose name does
     // not matter" (§5.1.1) — so the compacted log stays an ordinary log.
-    let bare_prepared = |aid| LogEntry::Prepared {
+    let bare_prepared = |aid| EntryRef::Prepared {
         aid,
-        pairs: Vec::new(),
+        pairs: &[],
         prev: None,
     };
     if !mutex_values.is_empty() {
         let aid = ActionId::new(GuardianId(u32::MAX), marker);
-        emit(&mut new_log, bare_prepared(aid))?;
+        emit.emit(&mut new_log, bare_prepared(aid))?;
         for (uid, value) in mutex_values {
-            let data = LogEntry::Data {
+            let data = EntryRef::Data {
                 uid,
                 kind: ObjKind::Mutex,
                 value,
                 aid,
             };
-            emit(&mut new_log, data)?;
+            emit.emit(&mut new_log, data)?;
         }
-        emit(&mut new_log, LogEntry::Committed { aid, prev: None })?;
+        emit.emit(&mut new_log, EntryRef::Committed { aid, prev: None })?;
     }
 
     // In-doubt actions survive compaction: their prepared versions as
@@ -90,39 +104,40 @@ pub(crate) fn stage_one<S: PageStore>(
     prepared_versions.sort_by_key(|v| (v.0, v.1));
     for (aid, uid, value) in prepared_versions {
         if ctx.pt.get(aid) == Some(PState::Prepared) {
-            let version = LogEntry::PreparedData {
+            let version = EntryRef::PreparedData {
                 uid,
                 value,
                 aid,
                 prev: None,
             };
-            emit(&mut new_log, version)?;
+            emit.emit(&mut new_log, version)?;
         }
     }
     for aid in ctx.pt.prepared_actions() {
-        emit(&mut new_log, bare_prepared(aid))?;
+        emit.emit(&mut new_log, bare_prepared(aid))?;
     }
 
     // Coordinators still in phase two.
     for (aid, gids) in ctx.ct.committing_actions() {
-        let committing = LogEntry::Committing {
+        let committing = EntryRef::Committing {
             aid,
-            gids,
+            gids: &gids,
             prev: None,
         };
-        emit(&mut new_log, committing)?;
+        emit.emit(&mut new_log, committing)?;
     }
     Ok(new_log)
 }
 
 /// Stage two: carries everything written since the marker onto the new log.
 /// Flat entries are self-describing, so recovery interprets the copies
-/// exactly as it did the originals.
+/// exactly as it did the originals. Each record is carried as a view: its
+/// value travels as the bytes it already is.
 pub(crate) fn stage_two<S: PageStore>(
     log: &mut StableLog<S>,
     new_log: &mut StableLog<S>,
     marker: u64,
-    emit: &mut impl FnMut(&mut StableLog<S>, LogEntry) -> RsResult<()>,
+    emit: &mut impl Emit,
 ) -> RsResult<()> {
     let mut tail = Vec::new();
     for item in log.read_backward(None) {
@@ -133,7 +148,7 @@ pub(crate) fn stage_two<S: PageStore>(
         tail.push(payload);
     }
     for payload in tail.into_iter().rev() {
-        emit(new_log, decode_entry(&payload)?)?;
+        emit.emit(new_log, decode_entry_view(&payload)?)?;
     }
     Ok(())
 }

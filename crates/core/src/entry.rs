@@ -1,19 +1,41 @@
-//! Log entry formats (Figure 3-1 for the simple log, Figure 4-1 for the
-//! hybrid log) and their on-log encoding.
+//! The log entry format (Figure 3-1 for the simple log, Figure 4-1 for the
+//! hybrid log, plus the redo data entry) and its on-log encoding.
+//!
+//! The eleven entry kinds are listed once, as [`Entry`], generic over how an
+//! entry holds its three variable-length fields: a flattened value, a
+//! `(uid, log address)` pair list and a guardian-id list. Three forms exist:
+//!
+//! * [`LogEntry`] **owns** them (`Value`, `Vec`s). It is what log dumps, the
+//!   checker and tests hold; nothing on the commit or restart path builds one.
+//! * [`EntryRef`] **borrows** them (`&Value`, slices). The write path names
+//!   the values it already holds and encodes straight into the log's pending
+//!   buffer, so a record write allocates nothing.
+//! * [`EntryView`] is **lazily decoded**: [`decode_entry_view`] validates the
+//!   whole payload but leaves the three fields as spans of it ([`RawValue`],
+//!   [`PairsView`], [`GidsView`]). Recovery and housekeeping read records
+//!   this way and materialize a `Value` only for a version they keep.
+//!
+//! The tag table and every kind's field order live only in this file, in one
+//! encoder ([`encode_entry_into`], which takes any form — re-encoding a view
+//! copies its spans and reproduces the payload byte for byte) and one decoder
+//! ([`decode_entry_view`]; [`decode_entry`] is that plus the field-wise
+//! conversion that also serves [`LogEntry::as_entry_ref`]).
 
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, GuardianId, ObjKind, ObjRef, Uid, Value};
 use argus_slog::{CodecError, CodecResult, Decoder, Encoder, LogAddress};
+use std::convert::Infallible;
 
-/// One log entry.
+/// One log entry, holding its value as a `V`, its pair list as a `P` and its
+/// guardian list as a `G`.
 ///
 /// Data entries carry object versions; outcome entries record action states.
 /// The hybrid log adds to every outcome entry a `prev` pointer forming the
 /// backward chain of outcome entries, and moves the `(uid, log address)` map
 /// fragment into the `prepared` entry (§4.2). Simple-log entries simply leave
 /// `prev` as `None` and `pairs` empty, so one type serves both organizations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum LogEntry {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Entry<V, P, G> {
     /// Simple-log data entry: `<uid, kind, version, aid>` (Figure 3-1).
     Data {
         /// The recoverable object's uid.
@@ -21,7 +43,7 @@ pub enum LogEntry {
         /// Atomic or mutex.
         kind: ObjKind,
         /// The flattened object version.
-        value: Value,
+        value: V,
         /// The preparing action that wrote the entry.
         aid: ActionId,
     },
@@ -32,10 +54,10 @@ pub enum LogEntry {
         /// Atomic or mutex.
         kind: ObjKind,
         /// The flattened object version.
-        value: Value,
+        value: V,
     },
     /// Redo-log data entry (the REDO-only fourth organization): like
-    /// [`LogEntry::Data`] it is self-describing, but it additionally carries
+    /// [`Entry::Data`] it is self-describing, but it additionally carries
     /// a per-object *backlink* — the log address of the previous committed
     /// version of the same object — so recovery can walk one object's
     /// version chain without scanning the whole log.
@@ -45,7 +67,7 @@ pub enum LogEntry {
         /// Atomic or mutex.
         kind: ObjKind,
         /// The flattened object version.
-        value: Value,
+        value: V,
         /// The preparing action that wrote the entry.
         aid: ActionId,
         /// Backlink to the previous version of *this object* (`None` for
@@ -59,7 +81,7 @@ pub enum LogEntry {
         /// The prepared action.
         aid: ActionId,
         /// `(uid, data-entry address)` for every object the action wrote.
-        pairs: Vec<(Uid, LogAddress)>,
+        pairs: P,
         /// Backward chain pointer (hybrid log only).
         prev: Option<LogAddress>,
     },
@@ -85,7 +107,7 @@ pub enum LogEntry {
         /// The newly accessible object.
         uid: Uid,
         /// Its flattened base version.
-        value: Value,
+        value: V,
         /// Backward chain pointer.
         prev: Option<LogAddress>,
     },
@@ -95,7 +117,7 @@ pub enum LogEntry {
         /// The newly accessible object.
         uid: Uid,
         /// Its flattened current version.
-        value: Value,
+        value: V,
         /// The already-prepared action that holds the write lock.
         aid: ActionId,
         /// Backward chain pointer.
@@ -107,7 +129,7 @@ pub enum LogEntry {
         /// The committing action.
         aid: ActionId,
         /// The guardians participating in the action.
-        gids: Vec<GuardianId>,
+        gids: G,
         /// Backward chain pointer.
         prev: Option<LogAddress>,
     },
@@ -123,76 +145,190 @@ pub enum LogEntry {
     /// name does not matter".
     CommittedSs {
         /// `(uid, data-entry address)` for the whole committed stable state.
-        cssl: Vec<(Uid, LogAddress)>,
+        cssl: P,
         /// Backward chain pointer.
         prev: Option<LogAddress>,
     },
 }
 
-impl LogEntry {
+/// An entry that owns its fields.
+pub type LogEntry = Entry<Value, Vec<(Uid, LogAddress)>, Vec<GuardianId>>;
+
+/// An entry that borrows its fields, for encoding without building a
+/// [`LogEntry`] first: the commit hot path encodes straight from the values
+/// it already holds (the flattened version, the pending pairs, the
+/// participant list) into the log's pending buffer via
+/// [`argus_slog::StableLog::write_with`].
+pub type EntryRef<'a> = Entry<&'a Value, &'a [(Uid, LogAddress)], &'a [GuardianId]>;
+
+/// A zero-copy decoded entry: fixed fields are materialized, values stay as
+/// validated [`RawValue`] spans, and pair / guardian lists stay as
+/// slice-backed views. Recovery walks decode with this and touch the heap
+/// allocator only for versions they actually restore.
+pub type EntryView<'a> = Entry<RawValue<'a>, PairsView<'a>, GidsView<'a>>;
+
+impl<V, P, G> Entry<V, P, G> {
     /// Whether this entry participates in the backward chain of outcome
     /// entries (everything except data entries, §4.2).
     pub fn is_outcome(&self) -> bool {
         !matches!(
             self,
-            LogEntry::Data { .. } | LogEntry::DataH { .. } | LogEntry::DataR { .. }
+            Self::Data { .. } | Self::DataH { .. } | Self::DataR { .. }
         )
     }
 
     /// The chain pointer, if this is an outcome entry.
     pub fn prev(&self) -> Option<LogAddress> {
         match self {
-            LogEntry::Prepared { prev, .. }
-            | LogEntry::Committed { prev, .. }
-            | LogEntry::Aborted { prev, .. }
-            | LogEntry::BaseCommitted { prev, .. }
-            | LogEntry::PreparedData { prev, .. }
-            | LogEntry::Committing { prev, .. }
-            | LogEntry::Done { prev, .. }
-            | LogEntry::CommittedSs { prev, .. } => *prev,
-            LogEntry::Data { .. } | LogEntry::DataH { .. } | LogEntry::DataR { .. } => None,
+            Self::Prepared { prev, .. }
+            | Self::Committed { prev, .. }
+            | Self::Aborted { prev, .. }
+            | Self::BaseCommitted { prev, .. }
+            | Self::PreparedData { prev, .. }
+            | Self::Committing { prev, .. }
+            | Self::Done { prev, .. }
+            | Self::CommittedSs { prev, .. } => *prev,
+            Self::Data { .. } | Self::DataH { .. } | Self::DataR { .. } => None,
         }
     }
 
     /// The per-object backlink, if this is a redo data entry.
     pub fn backlink(&self) -> Option<LogAddress> {
         match self {
-            LogEntry::DataR { back, .. } => *back,
+            Self::DataR { back, .. } => *back,
             _ => None,
         }
     }
 
-    /// Rewrites the chain pointer on an outcome entry (used by housekeeping
-    /// when re-chaining entries into the new log). No-op on data entries.
+    /// Rewrites the chain pointer on an outcome entry (used when chaining an
+    /// entry onto a log). No-op on data entries.
     pub fn set_prev(&mut self, new_prev: Option<LogAddress>) {
         match self {
-            LogEntry::Prepared { prev, .. }
-            | LogEntry::Committed { prev, .. }
-            | LogEntry::Aborted { prev, .. }
-            | LogEntry::BaseCommitted { prev, .. }
-            | LogEntry::PreparedData { prev, .. }
-            | LogEntry::Committing { prev, .. }
-            | LogEntry::Done { prev, .. }
-            | LogEntry::CommittedSs { prev, .. } => *prev = new_prev,
-            LogEntry::Data { .. } | LogEntry::DataH { .. } | LogEntry::DataR { .. } => {}
+            Self::Prepared { prev, .. }
+            | Self::Committed { prev, .. }
+            | Self::Aborted { prev, .. }
+            | Self::BaseCommitted { prev, .. }
+            | Self::PreparedData { prev, .. }
+            | Self::Committing { prev, .. }
+            | Self::Done { prev, .. }
+            | Self::CommittedSs { prev, .. } => *prev = new_prev,
+            Self::Data { .. } | Self::DataH { .. } | Self::DataR { .. } => {}
         }
     }
 
     /// A short tag for diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
-            LogEntry::Data { .. } => "data",
-            LogEntry::DataH { .. } => "data",
-            LogEntry::DataR { .. } => "data",
-            LogEntry::Prepared { .. } => "prepared",
-            LogEntry::Committed { .. } => "committed",
-            LogEntry::Aborted { .. } => "aborted",
-            LogEntry::BaseCommitted { .. } => "base_committed",
-            LogEntry::PreparedData { .. } => "prepared_data",
-            LogEntry::Committing { .. } => "committing",
-            LogEntry::Done { .. } => "done",
-            LogEntry::CommittedSs { .. } => "committed_ss",
+            Self::Data { .. } | Self::DataH { .. } | Self::DataR { .. } => "data",
+            Self::Prepared { .. } => "prepared",
+            Self::Committed { .. } => "committed",
+            Self::Aborted { .. } => "aborted",
+            Self::BaseCommitted { .. } => "base_committed",
+            Self::PreparedData { .. } => "prepared_data",
+            Self::Committing { .. } => "committing",
+            Self::Done { .. } => "done",
+            Self::CommittedSs { .. } => "committed_ss",
         }
+    }
+
+    /// The same entry in another form: fixed fields are copied, the one
+    /// variable-length field the kind has goes through its conversion.
+    fn convert<'s, V2, P2, G2, E>(
+        &'s self,
+        value: impl FnOnce(&'s V) -> Result<V2, E>,
+        pairs: impl FnOnce(&'s P) -> P2,
+        gids: impl FnOnce(&'s G) -> G2,
+    ) -> Result<Entry<V2, P2, G2>, E> {
+        Ok(match *self {
+            Self::Data {
+                uid,
+                kind,
+                value: ref v,
+                aid,
+            } => Entry::Data {
+                uid,
+                kind,
+                value: value(v)?,
+                aid,
+            },
+            Self::DataH { kind, value: ref v } => Entry::DataH {
+                kind,
+                value: value(v)?,
+            },
+            Self::DataR {
+                uid,
+                kind,
+                value: ref v,
+                aid,
+                back,
+            } => Entry::DataR {
+                uid,
+                kind,
+                value: value(v)?,
+                aid,
+                back,
+            },
+            Self::Prepared {
+                aid,
+                pairs: ref p,
+                prev,
+            } => Entry::Prepared {
+                aid,
+                pairs: pairs(p),
+                prev,
+            },
+            Self::Committed { aid, prev } => Entry::Committed { aid, prev },
+            Self::Aborted { aid, prev } => Entry::Aborted { aid, prev },
+            Self::BaseCommitted {
+                uid,
+                value: ref v,
+                prev,
+            } => Entry::BaseCommitted {
+                uid,
+                value: value(v)?,
+                prev,
+            },
+            Self::PreparedData {
+                uid,
+                value: ref v,
+                aid,
+                prev,
+            } => Entry::PreparedData {
+                uid,
+                value: value(v)?,
+                aid,
+                prev,
+            },
+            Self::Committing {
+                aid,
+                gids: ref g,
+                prev,
+            } => Entry::Committing {
+                aid,
+                gids: gids(g),
+                prev,
+            },
+            Self::Done { aid, prev } => Entry::Done { aid, prev },
+            Self::CommittedSs { cssl: ref p, prev } => Entry::CommittedSs {
+                cssl: pairs(p),
+                prev,
+            },
+        })
+    }
+}
+
+impl LogEntry {
+    /// A borrowed form of this entry for allocation-free encoding.
+    pub fn as_entry_ref(&self) -> EntryRef<'_> {
+        let borrowed = self.convert(Ok::<_, Infallible>, Vec::as_slice, Vec::as_slice);
+        borrowed.unwrap_or_else(|never| match never {})
+    }
+}
+
+impl EntryView<'_> {
+    /// Materializes every field into an owned entry.
+    pub fn to_log_entry(&self) -> RsResult<LogEntry> {
+        self.convert(RawValue::decode, PairsView::to_vec, GidsView::to_vec)
     }
 }
 
@@ -259,25 +395,6 @@ fn take_prev(dec: &mut Decoder<'_>) -> CodecResult<Option<LogAddress>> {
     } else {
         Some(LogAddress(raw))
     })
-}
-
-fn put_pairs(enc: &mut Encoder, pairs: &[(Uid, LogAddress)]) {
-    enc.put_u32(pairs.len() as u32);
-    for (uid, addr) in pairs {
-        enc.put_u64(uid.0);
-        enc.put_u64(addr.offset());
-    }
-}
-
-fn take_pairs(dec: &mut Decoder<'_>) -> CodecResult<Vec<(Uid, LogAddress)>> {
-    let n = dec.take_u32()? as usize;
-    let mut pairs = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let uid = Uid(dec.take_u64()?);
-        let addr = LogAddress(dec.take_u64()?);
-        pairs.push((uid, addr));
-    }
-    Ok(pairs)
 }
 
 /// Encodes a flattened value. Volatile references are an error: only
@@ -347,246 +464,69 @@ pub fn decode_value(dec: &mut Decoder<'_>) -> CodecResult<Value> {
     })
 }
 
-// ---- borrowed encode views -----------------------------------------------
-
-/// A borrowed view of a log entry, for encoding without building an owned
-/// [`LogEntry`] first. The commit hot path encodes straight from the values
-/// it already holds (the flattened version, the pending pairs, the
-/// participant list) into the log's pending buffer via
-/// [`argus_slog::StableLog::write_with`], so a record write allocates
-/// nothing beyond amortized buffer growth.
-#[derive(Debug, Clone, Copy)]
-pub enum EntryRef<'a> {
-    /// Simple-log data entry.
-    Data {
-        /// The recoverable object's uid.
-        uid: Uid,
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The flattened object version.
-        value: &'a Value,
-        /// The preparing action that wrote the entry.
-        aid: ActionId,
-    },
-    /// Hybrid-log data entry.
-    DataH {
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The flattened object version.
-        value: &'a Value,
-    },
-    /// Redo-log data entry with its per-object backlink.
-    DataR {
-        /// The recoverable object's uid.
-        uid: Uid,
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The flattened object version.
-        value: &'a Value,
-        /// The preparing action that wrote the entry.
-        aid: ActionId,
-        /// Backlink to the previous version of this object.
-        back: Option<LogAddress>,
-    },
-    /// Participant outcome: prepared, with the map fragment.
-    Prepared {
-        /// The prepared action.
-        aid: ActionId,
-        /// `(uid, data-entry address)` for every object the action wrote.
-        pairs: &'a [(Uid, LogAddress)],
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Participant outcome: committed.
-    Committed {
-        /// The committed action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Participant outcome: aborted.
-    Aborted {
-        /// The aborted action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Newly accessible object's base version.
-    BaseCommitted {
-        /// The newly accessible object.
-        uid: Uid,
-        /// Its flattened base version.
-        value: &'a Value,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Newly accessible object's current version under another prepared
-    /// action's write lock.
-    PreparedData {
-        /// The newly accessible object.
-        uid: Uid,
-        /// Its flattened current version.
-        value: &'a Value,
-        /// The already-prepared action that holds the write lock.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Coordinator outcome: committing, with the participant list.
-    Committing {
-        /// The committing action.
-        aid: ActionId,
-        /// The guardians participating in the action.
-        gids: &'a [GuardianId],
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Coordinator outcome: done.
-    Done {
-        /// The finished action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Housekeeping checkpoint.
-    CommittedSs {
-        /// `(uid, data-entry address)` for the whole committed stable state.
-        cssl: &'a [(Uid, LogAddress)],
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
+/// A variable-length entry field in one of its forms, appended to a record
+/// in the field's wire layout: a value as its tagged tree, a list as a `u32`
+/// count followed by fixed-stride items.
+pub trait WireField {
+    /// Appends the field to `enc`.
+    fn put(&self, enc: &mut Encoder) -> RsResult<()>;
 }
 
-impl EntryRef<'_> {
-    /// Rewrites the chain pointer on an outcome entry (no-op on data
-    /// entries), mirroring [`LogEntry::set_prev`].
-    pub fn set_prev(&mut self, new_prev: Option<LogAddress>) {
-        match self {
-            EntryRef::Prepared { prev, .. }
-            | EntryRef::Committed { prev, .. }
-            | EntryRef::Aborted { prev, .. }
-            | EntryRef::BaseCommitted { prev, .. }
-            | EntryRef::PreparedData { prev, .. }
-            | EntryRef::Committing { prev, .. }
-            | EntryRef::Done { prev, .. }
-            | EntryRef::CommittedSs { prev, .. } => *prev = new_prev,
-            EntryRef::Data { .. } | EntryRef::DataH { .. } | EntryRef::DataR { .. } => {}
-        }
-    }
-
-    /// A short tag for diagnostics, mirroring [`LogEntry::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            EntryRef::Data { .. } | EntryRef::DataH { .. } | EntryRef::DataR { .. } => "data",
-            EntryRef::Prepared { .. } => "prepared",
-            EntryRef::Committed { .. } => "committed",
-            EntryRef::Aborted { .. } => "aborted",
-            EntryRef::BaseCommitted { .. } => "base_committed",
-            EntryRef::PreparedData { .. } => "prepared_data",
-            EntryRef::Committing { .. } => "committing",
-            EntryRef::Done { .. } => "done",
-            EntryRef::CommittedSs { .. } => "committed_ss",
-        }
+impl WireField for &Value {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        encode_value(enc, self)
     }
 }
 
-impl LogEntry {
-    /// A borrowed view of this entry for allocation-free encoding.
-    pub fn as_entry_ref(&self) -> EntryRef<'_> {
-        match self {
-            LogEntry::Data {
-                uid,
-                kind,
-                value,
-                aid,
-            } => EntryRef::Data {
-                uid: *uid,
-                kind: *kind,
-                value,
-                aid: *aid,
-            },
-            LogEntry::DataH { kind, value } => EntryRef::DataH { kind: *kind, value },
-            LogEntry::DataR {
-                uid,
-                kind,
-                value,
-                aid,
-                back,
-            } => EntryRef::DataR {
-                uid: *uid,
-                kind: *kind,
-                value,
-                aid: *aid,
-                back: *back,
-            },
-            LogEntry::Prepared { aid, pairs, prev } => EntryRef::Prepared {
-                aid: *aid,
-                pairs,
-                prev: *prev,
-            },
-            LogEntry::Committed { aid, prev } => EntryRef::Committed {
-                aid: *aid,
-                prev: *prev,
-            },
-            LogEntry::Aborted { aid, prev } => EntryRef::Aborted {
-                aid: *aid,
-                prev: *prev,
-            },
-            LogEntry::BaseCommitted { uid, value, prev } => EntryRef::BaseCommitted {
-                uid: *uid,
-                value,
-                prev: *prev,
-            },
-            LogEntry::PreparedData {
-                uid,
-                value,
-                aid,
-                prev,
-            } => EntryRef::PreparedData {
-                uid: *uid,
-                value,
-                aid: *aid,
-                prev: *prev,
-            },
-            LogEntry::Committing { aid, gids, prev } => EntryRef::Committing {
-                aid: *aid,
-                gids,
-                prev: *prev,
-            },
-            LogEntry::Done { aid, prev } => EntryRef::Done {
-                aid: *aid,
-                prev: *prev,
-            },
-            LogEntry::CommittedSs { cssl, prev } => EntryRef::CommittedSs { cssl, prev: *prev },
+impl WireField for &[(Uid, LogAddress)] {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        enc.put_u32(self.len() as u32);
+        for (uid, addr) in *self {
+            enc.put_u64(uid.0);
+            enc.put_u64(addr.offset());
         }
+        Ok(())
     }
 }
 
-/// Encodes a borrowed entry view into an existing encoder (typically the
+impl WireField for &[GuardianId] {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        enc.put_u32(self.len() as u32);
+        for g in *self {
+            enc.put_u32(g.0);
+        }
+        Ok(())
+    }
+}
+
+/// Encodes an entry in any form into an existing encoder (typically the
 /// log's pending buffer, via [`argus_slog::StableLog::write_with`]).
-pub fn encode_entry_into(enc: &mut Encoder, entry: &EntryRef<'_>) -> RsResult<()> {
+pub fn encode_entry_into<V: WireField, P: WireField, G: WireField>(
+    enc: &mut Encoder,
+    entry: &Entry<V, P, G>,
+) -> RsResult<()> {
     match *entry {
-        EntryRef::Data {
+        Entry::Data {
             uid,
             kind,
-            value,
+            ref value,
             aid,
         } => {
             enc.put_u8(TAG_DATA);
             enc.put_u64(uid.0);
             put_kind(enc, kind);
             put_aid(enc, aid);
-            encode_value(enc, value)?;
+            value.put(enc)?;
         }
-        EntryRef::DataH { kind, value } => {
+        Entry::DataH { kind, ref value } => {
             enc.put_u8(TAG_DATA_H);
             put_kind(enc, kind);
-            encode_value(enc, value)?;
+            value.put(enc)?;
         }
-        EntryRef::DataR {
+        Entry::DataR {
             uid,
             kind,
-            value,
+            ref value,
             aid,
             back,
         } => {
@@ -595,33 +535,41 @@ pub fn encode_entry_into(enc: &mut Encoder, entry: &EntryRef<'_>) -> RsResult<()
             put_kind(enc, kind);
             put_aid(enc, aid);
             put_prev(enc, back);
-            encode_value(enc, value)?;
+            value.put(enc)?;
         }
-        EntryRef::Prepared { aid, pairs, prev } => {
+        Entry::Prepared {
+            aid,
+            ref pairs,
+            prev,
+        } => {
             enc.put_u8(TAG_PREPARED);
             put_aid(enc, aid);
             put_prev(enc, prev);
-            put_pairs(enc, pairs);
+            pairs.put(enc)?;
         }
-        EntryRef::Committed { aid, prev } => {
+        Entry::Committed { aid, prev } => {
             enc.put_u8(TAG_COMMITTED);
             put_aid(enc, aid);
             put_prev(enc, prev);
         }
-        EntryRef::Aborted { aid, prev } => {
+        Entry::Aborted { aid, prev } => {
             enc.put_u8(TAG_ABORTED);
             put_aid(enc, aid);
             put_prev(enc, prev);
         }
-        EntryRef::BaseCommitted { uid, value, prev } => {
+        Entry::BaseCommitted {
+            uid,
+            ref value,
+            prev,
+        } => {
             enc.put_u8(TAG_BASE_COMMITTED);
             enc.put_u64(uid.0);
             put_prev(enc, prev);
-            encode_value(enc, value)?;
+            value.put(enc)?;
         }
-        EntryRef::PreparedData {
+        Entry::PreparedData {
             uid,
-            value,
+            ref value,
             aid,
             prev,
         } => {
@@ -629,26 +577,27 @@ pub fn encode_entry_into(enc: &mut Encoder, entry: &EntryRef<'_>) -> RsResult<()
             enc.put_u64(uid.0);
             put_aid(enc, aid);
             put_prev(enc, prev);
-            encode_value(enc, value)?;
+            value.put(enc)?;
         }
-        EntryRef::Committing { aid, gids, prev } => {
+        Entry::Committing {
+            aid,
+            ref gids,
+            prev,
+        } => {
             enc.put_u8(TAG_COMMITTING);
             put_aid(enc, aid);
             put_prev(enc, prev);
-            enc.put_u32(gids.len() as u32);
-            for g in gids {
-                enc.put_u32(g.0);
-            }
+            gids.put(enc)?;
         }
-        EntryRef::Done { aid, prev } => {
+        Entry::Done { aid, prev } => {
             enc.put_u8(TAG_DONE);
             put_aid(enc, aid);
             put_prev(enc, prev);
         }
-        EntryRef::CommittedSs { cssl, prev } => {
+        Entry::CommittedSs { ref cssl, prev } => {
             enc.put_u8(TAG_COMMITTED_SS);
             put_prev(enc, prev);
-            put_pairs(enc, cssl);
+            cssl.put(enc)?;
         }
     }
     Ok(())
@@ -661,110 +610,9 @@ pub fn encode_entry(entry: &LogEntry) -> RsResult<Vec<u8>> {
     Ok(enc.finish())
 }
 
-/// Decodes a log entry from bytes.
+/// Decodes a log entry from bytes into its owned form.
 pub fn decode_entry(payload: &[u8]) -> RsResult<LogEntry> {
-    let mut dec = Decoder::new(payload);
-    let entry = match dec.take_u8()? {
-        TAG_DATA => {
-            let uid = Uid(dec.take_u64()?);
-            let kind = take_kind(&mut dec)?;
-            let aid = take_aid(&mut dec)?;
-            let value = decode_value(&mut dec)?;
-            LogEntry::Data {
-                uid,
-                kind,
-                value,
-                aid,
-            }
-        }
-        TAG_DATA_H => {
-            let kind = take_kind(&mut dec)?;
-            let value = decode_value(&mut dec)?;
-            LogEntry::DataH { kind, value }
-        }
-        TAG_DATA_R => {
-            let uid = Uid(dec.take_u64()?);
-            let kind = take_kind(&mut dec)?;
-            let aid = take_aid(&mut dec)?;
-            let back = take_prev(&mut dec)?;
-            let value = decode_value(&mut dec)?;
-            LogEntry::DataR {
-                uid,
-                kind,
-                value,
-                aid,
-                back,
-            }
-        }
-        TAG_PREPARED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let pairs = take_pairs(&mut dec)?;
-            LogEntry::Prepared { aid, pairs, prev }
-        }
-        TAG_COMMITTED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            LogEntry::Committed { aid, prev }
-        }
-        TAG_ABORTED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            LogEntry::Aborted { aid, prev }
-        }
-        TAG_BASE_COMMITTED => {
-            let uid = Uid(dec.take_u64()?);
-            let prev = take_prev(&mut dec)?;
-            let value = decode_value(&mut dec)?;
-            LogEntry::BaseCommitted { uid, value, prev }
-        }
-        TAG_PREPARED_DATA => {
-            let uid = Uid(dec.take_u64()?);
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let value = decode_value(&mut dec)?;
-            LogEntry::PreparedData {
-                uid,
-                value,
-                aid,
-                prev,
-            }
-        }
-        TAG_COMMITTING => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let n = dec.take_u32()? as usize;
-            let mut gids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                gids.push(GuardianId(dec.take_u32()?));
-            }
-            LogEntry::Committing { aid, gids, prev }
-        }
-        TAG_DONE => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            LogEntry::Done { aid, prev }
-        }
-        TAG_COMMITTED_SS => {
-            let prev = take_prev(&mut dec)?;
-            let cssl = take_pairs(&mut dec)?;
-            LogEntry::CommittedSs { cssl, prev }
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                tag,
-                context: "log entry",
-            }
-            .into())
-        }
-    };
-    if !dec.is_empty() {
-        return Err(RsError::Codec(CodecError::BadTag {
-            tag: 0xFF,
-            context: "trailing bytes after log entry",
-        }));
-    }
-    Ok(entry)
+    decode_entry_view(payload)?.to_log_entry()
 }
 
 // ---- zero-copy decode views ----------------------------------------------
@@ -787,61 +635,22 @@ impl RawValue<'_> {
     }
 }
 
-/// A flattened value that is either already owned or still sitting in a
-/// record payload. Threaded through the restore rules so a version is
-/// decoded exactly when it is copied into volatile memory, never when the
-/// rules discard it.
-#[derive(Debug)]
-pub enum LazyValue<'a> {
-    /// Already materialized (in-memory paths, tests).
-    Owned(Value),
-    /// Still encoded in a record payload.
-    Raw(RawValue<'a>),
-}
-
-impl LazyValue<'_> {
-    /// Consumes the lazy value, materializing it if necessary.
-    pub fn take(self) -> RsResult<Value> {
-        match self {
-            LazyValue::Owned(v) => Ok(v),
-            LazyValue::Raw(raw) => raw.decode(),
-        }
-    }
-}
-
-impl From<Value> for LazyValue<'static> {
-    fn from(v: Value) -> Self {
-        LazyValue::Owned(v)
-    }
-}
-
-impl<'a> From<RawValue<'a>> for LazyValue<'a> {
-    fn from(raw: RawValue<'a>) -> Self {
-        LazyValue::Raw(raw)
+impl WireField for RawValue<'_> {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        enc.put_raw(self.0);
+        Ok(())
     }
 }
 
 /// A borrowed `(uid, log address)` pair list, iterated straight off the
 /// record payload (16 bytes per pair, no `Vec`).
 #[derive(Debug, Clone, Copy)]
-pub struct PairsView<'a> {
-    buf: &'a [u8],
-}
+pub struct PairsView<'a>(&'a [u8]);
 
 impl<'a> PairsView<'a> {
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.buf.len() / 16
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Iterates the pairs in log order.
     pub fn iter(&self) -> impl Iterator<Item = (Uid, LogAddress)> + 'a {
-        self.buf.chunks_exact(16).map(|c| {
+        self.0.chunks_exact(16).map(|c| {
             (
                 Uid(u64::from_le_bytes(c[..8].try_into().unwrap())),
                 LogAddress(u64::from_le_bytes(c[8..].try_into().unwrap())),
@@ -855,176 +664,33 @@ impl<'a> PairsView<'a> {
     }
 }
 
-/// A borrowed guardian-id list (4 bytes per id, no `Vec`).
-#[derive(Debug, Clone, Copy)]
-pub struct GidsView<'a> {
-    buf: &'a [u8],
+impl WireField for PairsView<'_> {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        enc.put_u32((self.0.len() / 16) as u32);
+        enc.put_raw(self.0);
+        Ok(())
+    }
 }
 
+/// A borrowed guardian-id list (4 bytes per id, no `Vec`).
+#[derive(Debug, Clone, Copy)]
+pub struct GidsView<'a>(&'a [u8]);
+
 impl GidsView<'_> {
-    /// Number of guardian ids.
-    pub fn len(&self) -> usize {
-        self.buf.len() / 4
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Collects the ids into an owned list.
     pub fn to_vec(&self) -> Vec<GuardianId> {
-        self.buf
+        self.0
             .chunks_exact(4)
             .map(|c| GuardianId(u32::from_le_bytes(c.try_into().unwrap())))
             .collect()
     }
 }
 
-/// A zero-copy decoded view of a log entry: fixed fields are materialized,
-/// values stay as validated [`RawValue`] spans, and pair / guardian lists
-/// stay as slice-backed views. Recovery walks decode with this and touch the
-/// heap allocator only for versions they actually restore.
-#[derive(Debug, Clone, Copy)]
-pub enum EntryView<'a> {
-    /// Simple-log data entry.
-    Data {
-        /// The recoverable object's uid.
-        uid: Uid,
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The preparing action that wrote the entry.
-        aid: ActionId,
-        /// The flattened object version, not yet materialized.
-        value: RawValue<'a>,
-    },
-    /// Hybrid-log data entry.
-    DataH {
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The flattened object version, not yet materialized.
-        value: RawValue<'a>,
-    },
-    /// Redo-log data entry with its per-object backlink.
-    DataR {
-        /// The recoverable object's uid.
-        uid: Uid,
-        /// Atomic or mutex.
-        kind: ObjKind,
-        /// The preparing action that wrote the entry.
-        aid: ActionId,
-        /// Backlink to the previous version of this object.
-        back: Option<LogAddress>,
-        /// The flattened object version, not yet materialized.
-        value: RawValue<'a>,
-    },
-    /// Participant outcome: prepared.
-    Prepared {
-        /// The prepared action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-        /// The action's map fragment.
-        pairs: PairsView<'a>,
-    },
-    /// Participant outcome: committed.
-    Committed {
-        /// The committed action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Participant outcome: aborted.
-    Aborted {
-        /// The aborted action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Newly accessible object's base version.
-    BaseCommitted {
-        /// The newly accessible object.
-        uid: Uid,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-        /// Its flattened base version, not yet materialized.
-        value: RawValue<'a>,
-    },
-    /// Newly accessible object's current version under another prepared
-    /// action's write lock.
-    PreparedData {
-        /// The newly accessible object.
-        uid: Uid,
-        /// The already-prepared action that holds the write lock.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-        /// Its flattened current version, not yet materialized.
-        value: RawValue<'a>,
-    },
-    /// Coordinator outcome: committing.
-    Committing {
-        /// The committing action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-        /// The guardians participating in the action.
-        gids: GidsView<'a>,
-    },
-    /// Coordinator outcome: done.
-    Done {
-        /// The finished action.
-        aid: ActionId,
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-    },
-    /// Housekeeping checkpoint.
-    CommittedSs {
-        /// Backward chain pointer.
-        prev: Option<LogAddress>,
-        /// The committed stable state list.
-        cssl: PairsView<'a>,
-    },
-}
-
-impl EntryView<'_> {
-    /// Whether this entry participates in the backward chain of outcome
-    /// entries, mirroring [`LogEntry::is_outcome`].
-    pub fn is_outcome(&self) -> bool {
-        !matches!(
-            self,
-            EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. }
-        )
-    }
-
-    /// The chain pointer, if this is an outcome entry.
-    pub fn prev(&self) -> Option<LogAddress> {
-        match self {
-            EntryView::Prepared { prev, .. }
-            | EntryView::Committed { prev, .. }
-            | EntryView::Aborted { prev, .. }
-            | EntryView::BaseCommitted { prev, .. }
-            | EntryView::PreparedData { prev, .. }
-            | EntryView::Committing { prev, .. }
-            | EntryView::Done { prev, .. }
-            | EntryView::CommittedSs { prev, .. } => *prev,
-            EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => None,
-        }
-    }
-
-    /// A short tag for diagnostics, mirroring [`LogEntry::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => "data",
-            EntryView::Prepared { .. } => "prepared",
-            EntryView::Committed { .. } => "committed",
-            EntryView::Aborted { .. } => "aborted",
-            EntryView::BaseCommitted { .. } => "base_committed",
-            EntryView::PreparedData { .. } => "prepared_data",
-            EntryView::Committing { .. } => "committing",
-            EntryView::Done { .. } => "done",
-            EntryView::CommittedSs { .. } => "committed_ss",
-        }
+impl WireField for GidsView<'_> {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        enc.put_u32((self.0.len() / 4) as u32);
+        enc.put_raw(self.0);
+        Ok(())
     }
 }
 
@@ -1066,25 +732,17 @@ fn skip_value(dec: &mut Decoder<'_>) -> CodecResult<()> {
 }
 
 /// Validates a value's structure and captures its exact byte span.
-fn take_value_span<'a>(payload: &'a [u8], dec: &mut Decoder<'a>) -> CodecResult<RawValue<'a>> {
+fn take_value<'a>(payload: &'a [u8], dec: &mut Decoder<'a>) -> CodecResult<RawValue<'a>> {
     let start = payload.len() - dec.remaining();
     skip_value(dec)?;
     let end = payload.len() - dec.remaining();
     Ok(RawValue(&payload[start..end]))
 }
 
-fn take_pairs_view<'a>(dec: &mut Decoder<'a>) -> CodecResult<PairsView<'a>> {
+/// A list on the log: a `u32` count, then that many `stride`-byte items.
+fn take_list<'a>(dec: &mut Decoder<'a>, stride: usize) -> CodecResult<&'a [u8]> {
     let n = dec.take_u32()? as usize;
-    Ok(PairsView {
-        buf: dec.take_raw(n * 16)?,
-    })
-}
-
-fn take_gids_view<'a>(dec: &mut Decoder<'a>) -> CodecResult<GidsView<'a>> {
-    let n = dec.take_u32()? as usize;
-    Ok(GidsView {
-        buf: dec.take_raw(n * 4)?,
-    })
+    dec.take_raw(n * stride)
 }
 
 /// Decodes a log entry as a zero-copy view. The whole payload is
@@ -1092,88 +750,64 @@ fn take_gids_view<'a>(dec: &mut Decoder<'a>) -> CodecResult<GidsView<'a>> {
 /// check), but nothing variable-length is copied or allocated.
 pub fn decode_entry_view(payload: &[u8]) -> RsResult<EntryView<'_>> {
     let mut dec = Decoder::new(payload);
-    let view = match dec.take_u8()? {
-        TAG_DATA => {
-            let uid = Uid(dec.take_u64()?);
-            let kind = take_kind(&mut dec)?;
-            let aid = take_aid(&mut dec)?;
-            let value = take_value_span(payload, &mut dec)?;
-            EntryView::Data {
-                uid,
-                kind,
-                aid,
-                value,
-            }
-        }
-        TAG_DATA_H => {
-            let kind = take_kind(&mut dec)?;
-            let value = take_value_span(payload, &mut dec)?;
-            EntryView::DataH { kind, value }
-        }
-        TAG_DATA_R => {
-            let uid = Uid(dec.take_u64()?);
-            let kind = take_kind(&mut dec)?;
-            let aid = take_aid(&mut dec)?;
-            let back = take_prev(&mut dec)?;
-            let value = take_value_span(payload, &mut dec)?;
-            EntryView::DataR {
-                uid,
-                kind,
-                aid,
-                back,
-                value,
-            }
-        }
-        TAG_PREPARED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let pairs = take_pairs_view(&mut dec)?;
-            EntryView::Prepared { aid, prev, pairs }
-        }
-        TAG_COMMITTED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            EntryView::Committed { aid, prev }
-        }
-        TAG_ABORTED => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            EntryView::Aborted { aid, prev }
-        }
-        TAG_BASE_COMMITTED => {
-            let uid = Uid(dec.take_u64()?);
-            let prev = take_prev(&mut dec)?;
-            let value = take_value_span(payload, &mut dec)?;
-            EntryView::BaseCommitted { uid, prev, value }
-        }
-        TAG_PREPARED_DATA => {
-            let uid = Uid(dec.take_u64()?);
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let value = take_value_span(payload, &mut dec)?;
-            EntryView::PreparedData {
-                uid,
-                aid,
-                prev,
-                value,
-            }
-        }
-        TAG_COMMITTING => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            let gids = take_gids_view(&mut dec)?;
-            EntryView::Committing { aid, prev, gids }
-        }
-        TAG_DONE => {
-            let aid = take_aid(&mut dec)?;
-            let prev = take_prev(&mut dec)?;
-            EntryView::Done { aid, prev }
-        }
-        TAG_COMMITTED_SS => {
-            let prev = take_prev(&mut dec)?;
-            let cssl = take_pairs_view(&mut dec)?;
-            EntryView::CommittedSs { prev, cssl }
-        }
+    let d = &mut dec;
+    // Field expressions of a struct literal run in the order written, which
+    // is each kind's field order on the log.
+    let view = match d.take_u8()? {
+        TAG_DATA => Entry::Data {
+            uid: Uid(d.take_u64()?),
+            kind: take_kind(d)?,
+            aid: take_aid(d)?,
+            value: take_value(payload, d)?,
+        },
+        TAG_DATA_H => Entry::DataH {
+            kind: take_kind(d)?,
+            value: take_value(payload, d)?,
+        },
+        TAG_DATA_R => Entry::DataR {
+            uid: Uid(d.take_u64()?),
+            kind: take_kind(d)?,
+            aid: take_aid(d)?,
+            back: take_prev(d)?,
+            value: take_value(payload, d)?,
+        },
+        TAG_PREPARED => Entry::Prepared {
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+            pairs: PairsView(take_list(d, 16)?),
+        },
+        TAG_COMMITTED => Entry::Committed {
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+        },
+        TAG_ABORTED => Entry::Aborted {
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+        },
+        TAG_BASE_COMMITTED => Entry::BaseCommitted {
+            uid: Uid(d.take_u64()?),
+            prev: take_prev(d)?,
+            value: take_value(payload, d)?,
+        },
+        TAG_PREPARED_DATA => Entry::PreparedData {
+            uid: Uid(d.take_u64()?),
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+            value: take_value(payload, d)?,
+        },
+        TAG_COMMITTING => Entry::Committing {
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+            gids: GidsView(take_list(d, 4)?),
+        },
+        TAG_DONE => Entry::Done {
+            aid: take_aid(d)?,
+            prev: take_prev(d)?,
+        },
+        TAG_COMMITTED_SS => Entry::CommittedSs {
+            prev: take_prev(d)?,
+            cssl: PairsView(take_list(d, 16)?),
+        },
         tag => {
             return Err(CodecError::BadTag {
                 tag,
@@ -1277,147 +911,156 @@ mod tests {
         });
     }
 
-    /// Materializes a view back into an owned entry, exercising every lazy
-    /// field, so the view decoder can be checked against the owned one.
-    fn materialize(view: EntryView<'_>) -> LogEntry {
-        match view {
-            EntryView::Data {
-                uid,
-                kind,
-                aid,
-                value,
-            } => LogEntry::Data {
-                uid,
-                kind,
-                value: value.decode().unwrap(),
-                aid,
-            },
-            EntryView::DataH { kind, value } => LogEntry::DataH {
-                kind,
-                value: value.decode().unwrap(),
-            },
-            EntryView::DataR {
-                uid,
-                kind,
-                aid,
-                back,
-                value,
-            } => LogEntry::DataR {
-                uid,
-                kind,
-                value: value.decode().unwrap(),
-                aid,
-                back,
-            },
-            EntryView::Prepared { aid, prev, pairs } => LogEntry::Prepared {
-                aid,
-                pairs: pairs.to_vec(),
-                prev,
-            },
-            EntryView::Committed { aid, prev } => LogEntry::Committed { aid, prev },
-            EntryView::Aborted { aid, prev } => LogEntry::Aborted { aid, prev },
-            EntryView::BaseCommitted { uid, prev, value } => LogEntry::BaseCommitted {
-                uid,
-                value: value.decode().unwrap(),
-                prev,
-            },
-            EntryView::PreparedData {
-                uid,
-                aid,
-                prev,
-                value,
-            } => LogEntry::PreparedData {
-                uid,
-                value: value.decode().unwrap(),
-                aid,
-                prev,
-            },
-            EntryView::Committing { aid, prev, gids } => LogEntry::Committing {
-                aid,
-                gids: gids.to_vec(),
-                prev,
-            },
-            EntryView::Done { aid, prev } => LogEntry::Done { aid, prev },
-            EntryView::CommittedSs { prev, cssl } => LogEntry::CommittedSs {
-                cssl: cssl.to_vec(),
-                prev,
-            },
+    /// One fixed entry per kind (and one nested value) with its exact
+    /// on-log bytes. The literals were generated at the commit before the
+    /// three entry enums became one definition; editing one is a change of
+    /// log format.
+    fn golden() -> Vec<(LogEntry, &'static str)> {
+        let nested = Value::Seq(vec![
+            Value::Str("ab".into()),
+            Value::Bytes(vec![0, 255]),
+            Value::uid_ref(Uid(11)),
+            Value::Seq(vec![Value::Int(-3), Value::Bool(true), Value::Unit]),
+        ]);
+        vec![
+            (
+                LogEntry::Data {
+                    uid: Uid(5),
+                    kind: ObjKind::Mutex,
+                    value: Value::Int(7),
+                    aid: aid(1),
+                },
+                "01050000000000000001020000000100000000000000010700000000000000",
+            ),
+            (
+                LogEntry::DataH {
+                    kind: ObjKind::Atomic,
+                    value: Value::Bool(true),
+                },
+                "02000201",
+            ),
+            (
+                LogEntry::DataR {
+                    uid: Uid(6),
+                    kind: ObjKind::Atomic,
+                    value: Value::Unit,
+                    aid: aid(8),
+                    back: Some(LogAddress(412)),
+                },
+                "0b0600000000000000000200000008000000000000009c0100000000000000",
+            ),
+            (
+                LogEntry::Prepared {
+                    aid: aid(2),
+                    pairs: vec![(Uid(1), LogAddress(512)), (Uid(2), LogAddress(600))],
+                    prev: Some(LogAddress(700)),
+                },
+                "03020000000200000000000000bc0200000000000002000000\
+                 01000000000000000002000000000000\
+                 02000000000000005802000000000000",
+            ),
+            (
+                LogEntry::Committed {
+                    aid: aid(3),
+                    prev: None,
+                },
+                "040200000003000000000000000000000000000000",
+            ),
+            (
+                LogEntry::Aborted {
+                    aid: aid(4),
+                    prev: Some(LogAddress(512)),
+                },
+                "050200000004000000000000000002000000000000",
+            ),
+            (
+                LogEntry::BaseCommitted {
+                    uid: Uid(9),
+                    value: Value::Str("base".into()),
+                    prev: None,
+                },
+                "0609000000000000000000000000000000030400000062617365",
+            ),
+            (
+                LogEntry::PreparedData {
+                    uid: Uid(10),
+                    value: Value::Bytes(vec![1, 2, 3]),
+                    aid: aid(5),
+                    prev: Some(LogAddress(99)),
+                },
+                "070a0000000000000002000000050000000000000063000000000000000403000000010203",
+            ),
+            (
+                LogEntry::Committing {
+                    aid: aid(6),
+                    gids: vec![GuardianId(1), GuardianId(2)],
+                    prev: None,
+                },
+                "080200000006000000000000000000000000000000020000000100000002000000",
+            ),
+            (
+                LogEntry::Done {
+                    aid: aid(7),
+                    prev: Some(LogAddress(1)),
+                },
+                "090200000007000000000000000100000000000000",
+            ),
+            (
+                LogEntry::CommittedSs {
+                    cssl: vec![(Uid(3), LogAddress(512))],
+                    prev: Some(LogAddress(812)),
+                },
+                "0a2c030000000000000100000003000000000000000002000000000000",
+            ),
+            (
+                LogEntry::DataR {
+                    uid: Uid(7),
+                    kind: ObjKind::Mutex,
+                    value: nested,
+                    aid: aid(9),
+                    back: None,
+                },
+                "0b0700000000000000010200000009000000000000000000000000000000\
+                 0504000000\
+                 03020000006162\
+                 040200000000ff\
+                 060b00000000000000\
+                 0503000000\
+                 01fdffffffffffffff\
+                 0201\
+                 00",
+            ),
+        ]
+    }
+
+    #[test]
+    fn golden_bytes_pin_the_format() {
+        for (entry, want) in golden() {
+            let bytes = encode_entry(&entry).unwrap();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "{entry:?}");
+            assert_eq!(decode_entry(&bytes).unwrap(), entry);
         }
     }
 
     #[test]
-    fn views_roundtrip_all_variants() {
-        let value = Value::Seq(vec![
-            Value::Int(-3),
-            Value::Str("s".into()),
-            Value::Bytes(vec![0, 255]),
-            Value::Bool(false),
-            Value::Unit,
-            Value::uid_ref(Uid(11)),
-        ]);
-        let entries = vec![
-            LogEntry::Data {
-                uid: Uid(5),
-                kind: ObjKind::Mutex,
-                value: value.clone(),
-                aid: aid(1),
-            },
-            LogEntry::DataH {
-                kind: ObjKind::Atomic,
-                value,
-            },
-            LogEntry::DataR {
-                uid: Uid(6),
-                kind: ObjKind::Atomic,
-                value: Value::Int(5),
-                aid: aid(8),
-                back: Some(LogAddress(412)),
-            },
-            LogEntry::Prepared {
-                aid: aid(2),
-                pairs: vec![(Uid(1), LogAddress(512)), (Uid(2), LogAddress(600))],
-                prev: Some(LogAddress(700)),
-            },
-            LogEntry::Committed {
-                aid: aid(3),
-                prev: None,
-            },
-            LogEntry::Aborted {
-                aid: aid(4),
-                prev: Some(LogAddress(512)),
-            },
-            LogEntry::BaseCommitted {
-                uid: Uid(9),
-                value: Value::Int(1),
-                prev: None,
-            },
-            LogEntry::PreparedData {
-                uid: Uid(10),
-                value: Value::Int(2),
-                aid: aid(5),
-                prev: Some(LogAddress(99)),
-            },
-            LogEntry::Committing {
-                aid: aid(6),
-                gids: vec![GuardianId(1), GuardianId(2)],
-                prev: None,
-            },
-            LogEntry::Done {
-                aid: aid(7),
-                prev: Some(LogAddress(1)),
-            },
-            LogEntry::CommittedSs {
-                cssl: vec![(Uid(3), LogAddress(512))],
-                prev: Some(LogAddress(812)),
-            },
-        ];
-        for entry in entries {
+    fn views_agree_with_owned_entries() {
+        for (entry, _) in golden() {
             let bytes = encode_entry(&entry).unwrap();
             let view = decode_entry_view(&bytes).unwrap();
             assert_eq!(view.is_outcome(), entry.is_outcome());
             assert_eq!(view.prev(), entry.prev());
+            assert_eq!(view.backlink(), entry.backlink());
             assert_eq!(view.name(), entry.name());
-            assert_eq!(materialize(view), entry);
+            assert_eq!(view.to_log_entry().unwrap(), entry);
+            // Re-encoding a view copies its spans: the payload comes back
+            // byte for byte, after whatever the buffer already held.
+            let mut enc = Encoder::new();
+            enc.put_u8(0xAB);
+            encode_entry_into(&mut enc, &view).unwrap();
+            let buf = enc.finish();
+            assert_eq!(buf[0], 0xAB);
+            assert_eq!(&buf[1..], bytes.as_slice());
         }
     }
 
@@ -1443,42 +1086,6 @@ mod tests {
         .unwrap();
         // Truncate inside the value: the view decode itself must fail.
         assert!(decode_entry_view(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn lazy_value_decodes_on_take() {
-        let owned: LazyValue<'_> = Value::Int(7).into();
-        assert_eq!(owned.take().unwrap(), Value::Int(7));
-        let bytes = encode_entry(&LogEntry::DataH {
-            kind: ObjKind::Atomic,
-            value: Value::Seq(vec![Value::Int(1), Value::Bool(true)]),
-        })
-        .unwrap();
-        match decode_entry_view(&bytes).unwrap() {
-            EntryView::DataH { value, .. } => {
-                let lazy: LazyValue<'_> = value.into();
-                assert_eq!(
-                    lazy.take().unwrap(),
-                    Value::Seq(vec![Value::Int(1), Value::Bool(true)])
-                );
-            }
-            other => panic!("expected DataH, got {}", other.name()),
-        }
-    }
-
-    #[test]
-    fn encode_entry_into_matches_encode_entry() {
-        let entry = LogEntry::Prepared {
-            aid: aid(2),
-            pairs: vec![(Uid(1), LogAddress(512))],
-            prev: Some(LogAddress(700)),
-        };
-        let mut enc = Encoder::new();
-        enc.put_u8(0xAB); // pre-existing bytes stay untouched
-        encode_entry_into(&mut enc, &entry.as_entry_ref()).unwrap();
-        let buf = enc.finish();
-        assert_eq!(buf[0], 0xAB);
-        assert_eq!(&buf[1..], encode_entry(&entry).unwrap().as_slice());
     }
 
     #[test]

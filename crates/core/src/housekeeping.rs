@@ -18,9 +18,9 @@
 //! OEL); `finish_housekeeping` runs stage two. The prologue, the force of
 //! the new log, the metrics and the switch itself are [`crate::LogRs`]'s.
 
-use crate::entry::{decode_entry, encode_entry, LogEntry};
+use crate::entry::{decode_entry_view, Entry, EntryRef, EntryView, RawValue, WireField};
 use crate::hybrid::{read_data, HybridFormat, PendingPair};
-use crate::log::LogIo;
+use crate::log::{append_entry, LogIo};
 use crate::tables::{CState, CoordinatorTable, ObjState, PState, ParticipantTable};
 use crate::{MutexTable, RsError, RsResult};
 use argus_objects::{flatten_value, ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
@@ -76,24 +76,26 @@ pub struct HkState {
     pub(crate) new_pending: HashMap<ActionId, Vec<PendingPair>>,
 }
 
-fn write_data<S: PageStore>(
+/// Writes a version onto the new log; one read off the old log is copied as
+/// the bytes it already is.
+fn write_data<S: PageStore, V: WireField>(
     new_log: &mut StableLog<S>,
     kind: ObjKind,
-    value: Value,
+    value: V,
 ) -> RsResult<LogAddress> {
-    Ok(new_log.write(&encode_entry(&LogEntry::DataH { kind, value })?))
+    let data = Entry::<V, &[(Uid, LogAddress)], &[GuardianId]>::DataH { kind, value };
+    append_entry(new_log, &data)
 }
 
 impl HkState {
-    fn append_outcome<S: PageStore>(
+    fn append_outcome<S: PageStore, V: WireField, P: WireField, G: WireField>(
         &mut self,
         new_log: &mut StableLog<S>,
-        mut entry: LogEntry,
-    ) -> RsResult<LogAddress> {
+        mut entry: Entry<V, P, G>,
+    ) -> RsResult<()> {
         entry.set_prev(self.new_last);
-        let addr = new_log.write(&encode_entry(&entry)?);
-        self.new_last = Some(addr);
-        Ok(addr)
+        self.new_last = Some(append_entry(new_log, &entry)?);
+        Ok(())
     }
 
     /// Seals stage one with the checkpoint entry: "like a combined prepare
@@ -101,8 +103,11 @@ impl HkState {
     /// (§5.1.1).
     pub(crate) fn checkpoint<S: PageStore>(&mut self, new_log: &mut StableLog<S>) -> RsResult<()> {
         let cssl = self.cssl.clone();
-        self.append_outcome(new_log, LogEntry::CommittedSs { cssl, prev: None })?;
-        Ok(())
+        let seal = EntryRef::CommittedSs {
+            cssl: &cssl,
+            prev: None,
+        };
+        self.append_outcome(new_log, seal)
     }
 
     /// Copies one committed atomic version into the new log and the CSSL,
@@ -111,18 +116,14 @@ impl HkState {
         &mut self,
         new_log: &mut StableLog<S>,
         uid: Uid,
-        value: Value,
+        value: RawValue<'_>,
     ) -> RsResult<()> {
-        match self.ot.get(&uid).map(|o| o.state) {
-            Some(ObjState::Restored) => Ok(()),
-            state => {
-                self.ot.insert(uid, HkObj::atomic(ObjState::Restored));
-                let addr = write_data(new_log, ObjKind::Atomic, value)?;
-                self.cssl.push((uid, addr));
-                let _ = state;
-                Ok(())
-            }
+        if self.ot.get(&uid).map(|o| o.state) != Some(ObjState::Restored) {
+            self.ot.insert(uid, HkObj::atomic(ObjState::Restored));
+            let addr = write_data(new_log, ObjKind::Atomic, value)?;
+            self.cssl.push((uid, addr));
         }
+        Ok(())
     }
 
     /// Copies a mutex version if `old_addr` names the most recent version
@@ -132,7 +133,7 @@ impl HkState {
         &mut self,
         new_log: &mut StableLog<S>,
         uid: Uid,
-        value: Value,
+        value: RawValue<'_>,
         old_addr: LogAddress,
     ) -> RsResult<Option<LogAddress>> {
         if let Some(existing) = self.ot.get(&uid) {
@@ -164,35 +165,31 @@ impl HybridFormat {
         let mut ct = CoordinatorTable::new();
 
         let mut cursor = self.last_outcome;
+        // Outcome entries and the data entries they lead to are read as
+        // views: a surviving version is copied as bytes, never materialized.
+        let (mut payload, mut data) = (Vec::new(), Vec::new());
         while let Some(addr) = cursor {
-            let (_seq, payload) = io.log.read(addr)?;
-            let entry = decode_entry(&payload)?;
+            io.log.read_into(addr, &mut payload)?;
+            let entry = decode_entry_view(&payload)?;
             cursor = entry.prev();
             match entry {
-                LogEntry::Committed { aid, .. } => {
+                EntryView::Committed { aid, .. } => {
                     pt.enter(aid, PState::Committed);
                 }
-                LogEntry::Aborted { aid, .. } => {
+                EntryView::Aborted { aid, .. } => {
                     pt.enter(aid, PState::Aborted);
                 }
-                LogEntry::Done { aid, .. } => ct.enter(aid, CState::Done),
-                LogEntry::Committing { aid, gids, .. } => {
+                EntryView::Done { aid, .. } => ct.enter(aid, CState::Done),
+                EntryView::Committing { aid, gids, .. } => {
                     if ct.get(aid) != Some(&CState::Done) {
-                        ct.enter(aid, CState::Committing(gids.clone()));
-                        hk.append_outcome(
-                            new_log,
-                            LogEntry::Committing {
-                                aid,
-                                gids,
-                                prev: None,
-                            },
-                        )?;
+                        ct.enter(aid, CState::Committing(gids.to_vec()));
+                        hk.append_outcome(new_log, entry)?;
                     }
                 }
-                LogEntry::BaseCommitted { uid, value, .. } => {
+                EntryView::BaseCommitted { uid, value, .. } => {
                     hk.copy_committed_atomic(new_log, uid, value)?;
                 }
-                LogEntry::PreparedData {
+                EntryView::PreparedData {
                     uid, value, aid, ..
                 } => match pt.get(aid) {
                     Some(PState::Aborted) => {}
@@ -202,35 +199,27 @@ impl HybridFormat {
                         hk.ot
                             .entry(uid)
                             .or_insert(HkObj::atomic(ObjState::Prepared));
-                        hk.append_outcome(
-                            new_log,
-                            LogEntry::PreparedData {
-                                uid,
-                                value,
-                                aid,
-                                prev: None,
-                            },
-                        )?;
+                        hk.append_outcome(new_log, entry)?;
                     }
                 },
-                LogEntry::Prepared { aid, pairs, .. } => {
+                EntryView::Prepared { aid, pairs, .. } => {
                     let st = pt.enter(aid, PState::Prepared);
                     match st {
                         PState::Aborted => {
-                            for (uid, daddr) in pairs {
+                            for (uid, daddr) in pairs.iter() {
                                 // Atomic versions die with the abort; mutex
                                 // versions obey the recency rule.
                                 if hk.ot.get(&uid).map(|o| o.kind) == Some(ObjKind::Atomic) {
                                     continue;
                                 }
-                                let (kind, value) = read_data(&mut io.log, daddr)?;
+                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
                                 if kind == ObjKind::Mutex {
                                     hk.copy_mutex_if_latest(new_log, uid, value, daddr)?;
                                 }
                             }
                         }
                         PState::Committed => {
-                            for (uid, daddr) in pairs {
+                            for (uid, daddr) in pairs.iter() {
                                 if let Some(obj) = hk.ot.get(&uid) {
                                     if obj.kind == ObjKind::Atomic
                                         && obj.state == ObjState::Restored
@@ -243,7 +232,7 @@ impl HybridFormat {
                                         continue;
                                     }
                                 }
-                                let (kind, value) = read_data(&mut io.log, daddr)?;
+                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
                                 match kind {
                                     ObjKind::Atomic => {
                                         hk.copy_committed_atomic(new_log, uid, value)?
@@ -258,8 +247,8 @@ impl HybridFormat {
                             // Outcome unknown: the action stays prepared on
                             // the new log.
                             let mut new_pairs = Vec::new();
-                            for (uid, daddr) in pairs {
-                                let (kind, value) = read_data(&mut io.log, daddr)?;
+                            for (uid, daddr) in pairs.iter() {
+                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
                                 match kind {
                                     ObjKind::Atomic => {
                                         hk.ot
@@ -283,22 +272,22 @@ impl HybridFormat {
                             // DESIGN.md.
                             hk.append_outcome(
                                 new_log,
-                                LogEntry::Prepared {
+                                EntryRef::Prepared {
                                     aid,
-                                    pairs: new_pairs,
+                                    pairs: &new_pairs,
                                     prev: None,
                                 },
                             )?;
                         }
                     }
                 }
-                LogEntry::CommittedSs { cssl, .. } => {
+                EntryView::CommittedSs { cssl, .. } => {
                     // An earlier checkpoint being re-compacted.
-                    for (uid, daddr) in cssl {
+                    for (uid, daddr) in cssl.iter() {
                         if hk.ot.get(&uid).map(|o| o.state) == Some(ObjState::Restored) {
                             continue;
                         }
-                        let (kind, value) = read_data(&mut io.log, daddr)?;
+                        let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
                         match kind {
                             ObjKind::Atomic => hk.copy_committed_atomic(new_log, uid, value)?,
                             ObjKind::Mutex => {
@@ -307,7 +296,7 @@ impl HybridFormat {
                         }
                     }
                 }
-                LogEntry::Data { .. } | LogEntry::DataH { .. } | LogEntry::DataR { .. } => {
+                EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => {
                     return Err(RsError::BadState("data entry on the outcome chain".into()))
                 }
             }
@@ -334,6 +323,7 @@ impl HybridFormat {
             return Ok(());
         };
 
+        let mut data = Vec::new();
         let mut queue = VecDeque::from([root]);
         new_access.insert(Uid::STABLE_ROOT);
         while let Some(h) = queue.pop_front() {
@@ -357,7 +347,7 @@ impl HybridFormat {
             match &slot.body {
                 ObjectBody::Atomic(obj) => {
                     let base = flatten_value(heap, &obj.base)?;
-                    let addr = write_data(new_log, ObjKind::Atomic, base.value)?;
+                    let addr = write_data(new_log, ObjKind::Atomic, &base.value)?;
                     hk.cssl.push((uid, addr));
                     hk.ot.insert(uid, HkObj::atomic(ObjState::Restored));
                     if let Some(writer) = obj.writer {
@@ -369,9 +359,9 @@ impl HybridFormat {
                             let cur = flatten_value(heap, cur)?;
                             hk.append_outcome(
                                 new_log,
-                                LogEntry::PreparedData {
+                                EntryRef::PreparedData {
                                     uid,
-                                    value: cur.value,
+                                    value: &cur.value,
                                     aid: writer,
                                     prev: None,
                                 },
@@ -385,7 +375,7 @@ impl HybridFormat {
                 }
                 ObjectBody::Mutex(obj) => {
                     if let Some(&old_addr) = self.mt.get(&uid) {
-                        let (_kind, value) = read_data(&mut io.log, old_addr)?;
+                        let (_kind, value) = read_data(&mut io.log, old_addr, &mut data)?;
                         hk.copy_mutex_if_latest(new_log, uid, value, old_addr)?;
                     }
                     // Not in the MT: newly accessible to a still-preparing
@@ -409,9 +399,9 @@ impl HybridFormat {
         for aid in in_doubt {
             hk.append_outcome(
                 new_log,
-                LogEntry::Prepared {
+                EntryRef::Prepared {
                     aid,
-                    pairs: Vec::new(),
+                    pairs: &[],
                     prev: None,
                 },
             )?;
@@ -422,16 +412,16 @@ impl HybridFormat {
         // or a crash after the snapshot forgets phase two and in-doubt
         // participants are never told the verdict (and a late `done` lands
         // with no committing entry below it — lint I6).
-        let mut committing: Vec<(ActionId, Vec<GuardianId>)> = self
+        let mut committing: Vec<(ActionId, &[GuardianId])> = self
             .cat
             .iter()
-            .map(|(aid, gids)| (*aid, gids.clone()))
+            .map(|(aid, gids)| (*aid, gids.as_slice()))
             .collect();
         committing.sort_by_key(|a| a.0);
         for (aid, gids) in committing {
             hk.append_outcome(
                 new_log,
-                LogEntry::Committing {
+                EntryRef::Committing {
                     aid,
                     gids,
                     prev: None,
@@ -452,6 +442,7 @@ impl HybridFormat {
         hk: &mut HkState,
     ) -> RsResult<()> {
         let oel = self.oel.take().unwrap_or_default();
+        let (mut payload, mut data) = (Vec::new(), Vec::new());
 
         // Data entries written by actions that have not yet prepared are not
         // reachable from any outcome entry; restart their writing on the new
@@ -459,7 +450,7 @@ impl HybridFormat {
         for (aid, pairs) in std::mem::take(&mut self.pending) {
             let mut rewritten = Vec::with_capacity(pairs.len());
             for pair in pairs {
-                let (kind, value) = read_data(&mut io.log, pair.addr)?;
+                let (kind, value) = read_data(&mut io.log, pair.addr, &mut data)?;
                 let addr = write_data(new_log, kind, value)?;
                 rewritten.push(PendingPair {
                     uid: pair.uid,
@@ -472,12 +463,12 @@ impl HybridFormat {
 
         // Stage two: copy the outcome entries written since the marker.
         for addr in oel {
-            let (_seq, payload) = io.log.read(addr)?;
-            match decode_entry(&payload)? {
-                LogEntry::Prepared { aid, pairs, .. } => {
+            io.log.read_into(addr, &mut payload)?;
+            match decode_entry_view(&payload)? {
+                EntryView::Prepared { aid, pairs, .. } => {
                     let mut new_pairs = Vec::new();
-                    for (uid, daddr) in pairs {
-                        let (kind, value) = read_data(&mut io.log, daddr)?;
+                    for (uid, daddr) in pairs.iter() {
+                        let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
                         match kind {
                             ObjKind::Atomic => {
                                 let na = write_data(new_log, ObjKind::Atomic, value)?;
@@ -500,9 +491,9 @@ impl HybridFormat {
                     }
                     hk.append_outcome(
                         new_log,
-                        LogEntry::Prepared {
+                        EntryRef::Prepared {
                             aid,
-                            pairs: new_pairs,
+                            pairs: &new_pairs,
                             prev: None,
                         },
                     )?;

@@ -8,7 +8,7 @@
 //! entries than the simple log (experiments E2/E3).
 
 use crate::api::HousekeepingMode;
-use crate::entry::{decode_entry, decode_entry_view, EntryRef, EntryView, LogEntry};
+use crate::entry::{decode_entry_view, EntryRef, EntryView, RawValue};
 use crate::housekeeping::HkState;
 use crate::log::{append_outcome, LogFormat, LogIo, LogRs, OpenPass};
 use crate::restore::RecoverCtx;
@@ -149,7 +149,7 @@ impl LogFormat for HybridFormat {
         let head = find_chain_head(&mut io.log, ctx)?;
 
         let mut cursor = head;
-        let mut scratch = Vec::new();
+        let (mut scratch, mut data) = (Vec::new(), Vec::new());
         while let Some(addr) = cursor {
             io.log.read_into(addr, &mut scratch)?;
             ctx.entries_examined += 1;
@@ -172,25 +172,23 @@ impl LogFormat for HybridFormat {
                 EntryView::Prepared { aid, pairs, .. } => {
                     let st = ctx.on_prepared(aid);
                     for (uid, daddr) in pairs.iter() {
-                        process_pair(io, ctx, st, aid, uid, daddr)?;
+                        process_pair(io, ctx, st, aid, uid, daddr, &mut data)?;
                     }
                 }
                 EntryView::Committed { aid, .. } => ctx.on_committed(aid),
                 EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
                 EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
                 EntryView::Done { aid, .. } => ctx.on_done(aid),
-                EntryView::BaseCommitted { uid, value, .. } => {
-                    ctx.on_base_committed(uid, value.into())?
-                }
+                EntryView::BaseCommitted { uid, value, .. } => ctx.on_base_committed(uid, value)?,
                 EntryView::PreparedData {
                     uid, value, aid, ..
-                } => ctx.on_prepared_data(uid, value.into(), aid)?,
+                } => ctx.on_prepared_data(uid, value, aid)?,
                 EntryView::CommittedSs { cssl, .. } => {
                     for (uid, daddr) in cssl.iter() {
                         let state = ctx.ot.get(uid).map(|e| e.state);
                         if state != Some(ObjState::Restored) {
-                            let (kind, value) = read_data_counted(io, ctx, daddr)?;
-                            ctx.restore_committed(uid, kind, value.into(), Some(daddr))?;
+                            let (kind, value) = read_data_counted(io, ctx, daddr, &mut data)?;
+                            ctx.restore_committed(uid, kind, value, Some(daddr))?;
                         }
                     }
                 }
@@ -254,15 +252,16 @@ impl LogFormat for HybridFormat {
     }
 }
 
-/// Reads a data entry (either format) at `addr`.
-pub(crate) fn read_data<S: PageStore>(
+/// Reads the data entry (either format) at `addr` into `buf`, returning its
+/// kind and its version, still encoded in `buf`.
+pub(crate) fn read_data<'b, S: PageStore>(
     log: &mut StableLog<S>,
     addr: LogAddress,
-) -> RsResult<(ObjKind, Value)> {
-    let (_seq, payload) = log.read(addr)?;
-    match decode_entry(&payload)? {
-        LogEntry::DataH { kind, value } => Ok((kind, value)),
-        LogEntry::Data { kind, value, .. } => Ok((kind, value)),
+    buf: &'b mut Vec<u8>,
+) -> RsResult<(ObjKind, RawValue<'b>)> {
+    log.read_into(addr, buf)?;
+    match decode_entry_view(buf)? {
+        EntryView::DataH { kind, value } | EntryView::Data { kind, value, .. } => Ok((kind, value)),
         other => Err(RsError::BadState(format!(
             "expected a data entry at {addr}, found {}",
             other.name()
@@ -280,6 +279,7 @@ fn process_pair<S: PageStore>(
     aid: ActionId,
     uid: Uid,
     daddr: LogAddress,
+    buf: &mut Vec<u8>,
 ) -> RsResult<()> {
     // For an object already restored, the OT and the heap decide whether
     // this version is needed without reading it.
@@ -302,31 +302,32 @@ fn process_pair<S: PageStore>(
     if !needed {
         return Ok(());
     }
-    let (kind, value) = read_data_counted(io, ctx, daddr)?;
+    let (kind, value) = read_data_counted(io, ctx, daddr, buf)?;
     match st {
-        PState::Committed => ctx.restore_committed_by(aid, uid, kind, value.into(), Some(daddr))?,
-        PState::Prepared => ctx.restore_prepared(uid, kind, value.into(), aid, Some(daddr))?,
+        PState::Committed => ctx.restore_committed_by(aid, uid, kind, value, Some(daddr))?,
+        PState::Prepared => ctx.restore_prepared(uid, kind, value, aid, Some(daddr))?,
         // The kind is only in the data entry; mutex versions of an
         // aborted-but-prepared action must still be restored.
         PState::Aborted if kind == ObjKind::Mutex => {
-            ctx.restore_committed(uid, kind, value.into(), Some(daddr))?
+            ctx.restore_committed(uid, kind, value, Some(daddr))?
         }
         PState::Aborted => false,
     };
     Ok(())
 }
 
-fn read_data_counted<S: PageStore>(
+fn read_data_counted<'b, S: PageStore>(
     io: &mut LogIo<S>,
     ctx: &mut RecoverCtx<'_>,
     addr: LogAddress,
-) -> RsResult<(ObjKind, Value)> {
+    buf: &'b mut Vec<u8>,
+) -> RsResult<(ObjKind, RawValue<'b>)> {
     ctx.entries_examined += 1;
     ctx.data_entries_read += 1;
     io.obs
         .reg
         .event(argus_obs::Event::RecoveryDataRead { addr: addr.0 });
-    read_data(&mut io.log, addr)
+    read_data(&mut io.log, addr, buf)
 }
 
 /// Finds the head of the outcome-entry chain: the newest forced record

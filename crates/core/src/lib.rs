@@ -20,6 +20,11 @@
 //!   bound recovery time by rebuilding a short log around a `committed_ss`
 //!   checkpoint.
 //!
+//! One record format serves every log organization: the eleven entry kinds
+//! are listed once, as [`Entry`], held owned ([`LogEntry`]), borrowed
+//! ([`EntryRef`], the write path) or lazily decoded ([`EntryView`], recovery
+//! and housekeeping), with one encoder and one decoder.
+//!
 //! One skeleton carries every log organization: [`LogRs`] owns the stable
 //! log, the accessibility set, the prepared-actions table, the staged write
 //! path, the recovery epilogue and the housekeeping switch, and is generic
@@ -49,7 +54,7 @@ mod writer;
 pub use api::{providers, HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, StoreProvider};
 pub use entry::{
     decode_entry, decode_entry_view, decode_value, encode_entry, encode_entry_into, encode_value,
-    EntryRef, EntryView, GidsView, LazyValue, LogEntry, PairsView, RawValue,
+    Entry, EntryRef, EntryView, GidsView, LogEntry, PairsView, RawValue, WireField,
 };
 pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;

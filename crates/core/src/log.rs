@@ -11,7 +11,7 @@
 //! (§3.4.4 scan vs §4.3 chain), and how housekeeping rebuilds it (ch. 5).
 
 use crate::api::{HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, StoreProvider};
-use crate::entry::{decode_entry, encode_entry, encode_entry_into, EntryRef, LogEntry};
+use crate::entry::{decode_entry, encode_entry_into, Entry, EntryRef, LogEntry, WireField};
 use crate::metrics::CoreObs;
 use crate::restore::RecoverCtx;
 use crate::tables::RecoveryOutcome;
@@ -21,6 +21,15 @@ use argus_objects::{ActionId, GuardianId, Heap, HeapId, ObjKind, Uid, Value};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
 use std::collections::HashSet;
+
+/// Encodes `entry`, in whichever form it is held, straight into `log`'s
+/// pending buffer and returns the address it will have once forced.
+pub(crate) fn append_entry<S: PageStore, V: WireField, P: WireField, G: WireField>(
+    log: &mut StableLog<S>,
+    entry: &Entry<V, P, G>,
+) -> RsResult<LogAddress> {
+    log.write_with(|enc| encode_entry_into(enc, entry))
+}
 
 /// The active log and the metric handles every record write reports to.
 #[derive(Debug)]
@@ -337,7 +346,7 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
     /// fabricate the exact logs of the thesis's figures. The entry is *not*
     /// auto-chained; the caller controls `prev` fields completely.
     pub fn append_raw(&mut self, entry: &LogEntry, force: bool) -> RsResult<LogAddress> {
-        let addr = self.io.log.write(&encode_entry(entry)?);
+        let addr = append_entry(&mut self.io.log, &entry.as_entry_ref())?;
         if force {
             self.io.log.force()?;
         }

@@ -42,10 +42,10 @@
 
 use crate::api::{HousekeepingMode, RecoveryMode};
 use crate::compact;
-use crate::entry::{decode_entry_view, encode_entry, EntryRef, EntryView, LogEntry};
-use crate::log::{LogFormat, LogIo, LogRs, OpenPass};
-use crate::restore::RecoverCtx;
-use crate::tables::{CState, ObjState, PState, RecoveryOutcome};
+use crate::entry::{decode_entry_view, Entry, EntryRef, EntryView, WireField};
+use crate::log::{append_entry, LogFormat, LogIo, LogRs, OpenPass};
+use crate::restore::{scan_backward, RecoverCtx};
+use crate::tables::{CState, ObjState, PState, ParticipantTable, RecoveryOutcome};
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
 use argus_slog::{LogAddress, StableLog};
@@ -100,9 +100,9 @@ pub struct RedoMaps {
 
 impl RedoMaps {
     /// What a record appended at `addr` does to the maps.
-    fn note(&mut self, entry: &EntryRef<'_>, addr: LogAddress) {
+    fn note<V, P, G>(&mut self, entry: &Entry<V, P, G>, addr: LogAddress) {
         match *entry {
-            EntryRef::DataR { uid, kind, aid, .. } => {
+            Entry::DataR { uid, kind, aid, .. } => {
                 self.floor.entry(aid).or_insert(addr);
                 match kind {
                     // A mutex version is restorable state the moment it is
@@ -116,39 +116,39 @@ impl RedoMaps {
                 }
             }
             // A base is committed no matter how the preparing action ends.
-            EntryRef::BaseCommitted { uid, .. } => {
+            Entry::BaseCommitted { uid, .. } => {
                 self.heads.insert(uid, addr);
             }
             // Another prepared action's version: becomes the chain head if
             // that action commits.
-            EntryRef::PreparedData { uid, aid, .. } => {
+            Entry::PreparedData { uid, aid, .. } => {
                 self.floor.entry(aid).or_insert(addr);
                 self.pending.entry(aid).or_default().push((uid, addr));
             }
             // An action with an empty MOS still needs a floor: its prepared
             // entry is the oldest record the tail scan must reach.
-            EntryRef::Prepared { aid, .. } => {
+            Entry::Prepared { aid, .. } => {
                 self.floor.entry(aid).or_insert(addr);
             }
             // Promote the action's versions to chain heads.
-            EntryRef::Committed { aid, .. } => {
+            Entry::Committed { aid, .. } => {
                 for (uid, a) in self.pending.remove(&aid).unwrap_or_default() {
                     let head = self.heads.entry(uid).or_insert(a);
                     *head = a.max(*head);
                 }
                 self.floor.remove(&aid);
             }
-            EntryRef::Aborted { aid, .. } => {
+            Entry::Aborted { aid, .. } => {
                 self.pending.remove(&aid);
                 self.floor.remove(&aid);
             }
-            EntryRef::Committing { aid, .. } => {
+            Entry::Committing { aid, .. } => {
                 self.committing.insert(aid, addr);
             }
-            EntryRef::Done { aid, .. } => {
+            Entry::Done { aid, .. } => {
                 self.committing.remove(&aid);
             }
-            EntryRef::Data { .. } | EntryRef::DataH { .. } | EntryRef::CommittedSs { .. } => {}
+            Entry::Data { .. } | Entry::DataH { .. } | Entry::CommittedSs { .. } => {}
         }
     }
 
@@ -163,36 +163,101 @@ impl RedoMaps {
         (cssl, low_water.copied())
     }
 
-    /// Lands a compacted entry on the new log: a data record's backlink is
-    /// rewritten to its new-log chain head, old checkpoints are dropped
-    /// (their maps point into the old log), and the maps follow, so they can
-    /// be installed wholesale at the switch.
-    fn emit<S: PageStore>(&mut self, new_log: &mut StableLog<S>, entry: LogEntry) -> RsResult<()> {
+    /// What the backward scan passing `entry` at `addr` does to the maps it
+    /// is rebuilding, given the participant table the restore rules left.
+    /// `heads` is first-insertion-wins (the scan meets the newest version
+    /// first); `floor` is overwritten on the way down, so the last write is
+    /// the oldest record; `committing` keeps the newest entry per action.
+    fn note_scanned(&mut self, addr: LogAddress, entry: &EntryView<'_>, pt: &ParticipantTable) {
+        match *entry {
+            EntryView::Prepared { aid, .. } => {
+                self.floor.insert(aid, addr);
+            }
+            EntryView::Committing { aid, .. } => {
+                self.committing.entry(aid).or_insert(addr);
+            }
+            EntryView::BaseCommitted { uid, .. } => {
+                self.heads.entry(uid).or_insert(addr);
+            }
+            // The version is the chain head if its writer committed; its
+            // address is promotable if the writer is in doubt.
+            EntryView::PreparedData { uid, aid, .. } => {
+                self.floor.insert(aid, addr);
+                match pt.get(aid) {
+                    Some(PState::Committed) => {
+                        self.heads.entry(uid).or_insert(addr);
+                    }
+                    Some(PState::Prepared) => {
+                        self.pending.entry(aid).or_default().push((uid, addr))
+                    }
+                    _ => {}
+                }
+            }
+            // A plain simple-log data entry is a redo record with no
+            // backlink; tolerated for mixed-provenance logs. A logged mutex
+            // version is a chain head whatever its writer's verdict (§2.4.2).
+            EntryView::DataR { uid, kind, aid, .. } | EntryView::Data { uid, kind, aid, .. } => {
+                self.floor.insert(aid, addr);
+                let state = pt.get(aid);
+                if state == Some(PState::Committed) || (kind == ObjKind::Mutex && state.is_some()) {
+                    self.heads.entry(uid).or_insert(addr);
+                }
+                if state == Some(PState::Prepared) {
+                    self.pending.entry(aid).or_default().push((uid, addr));
+                }
+            }
+            // Chain heads for objects untouched above this point. Within
+            // one log generation the newest map is a superset of older
+            // ones, so `or_insert` keeps newest-first priority even across
+            // multiple checkpoints.
+            EntryView::CommittedSs { cssl, .. } => {
+                for (uid, pair_addr) in cssl.iter() {
+                    self.heads.entry(uid).or_insert(pair_addr);
+                }
+            }
+            EntryView::Committed { .. }
+            | EntryView::Aborted { .. }
+            | EntryView::Done { .. }
+            | EntryView::DataH { .. } => {}
+        }
+    }
+}
+
+/// Lands a compacted entry on the new log: a data record's backlink is
+/// rewritten to its new-log chain head, old checkpoints are dropped (their
+/// maps point into the old log), and the maps follow, so they can be
+/// installed wholesale at the switch.
+impl compact::Emit for RedoMaps {
+    fn emit<S: PageStore, V: WireField, P: WireField, G: WireField>(
+        &mut self,
+        new_log: &mut StableLog<S>,
+        entry: Entry<V, P, G>,
+    ) -> RsResult<()> {
         let entry = match entry {
-            LogEntry::DataR {
+            Entry::DataR {
                 uid,
                 kind,
                 value,
                 aid,
                 ..
             }
-            | LogEntry::Data {
+            | Entry::Data {
                 uid,
                 kind,
                 value,
                 aid,
-            } => LogEntry::DataR {
+            } => Entry::DataR {
                 uid,
                 kind,
                 value,
                 aid,
                 back: self.heads.get(&uid).copied(),
             },
-            LogEntry::CommittedSs { .. } => return Ok(()),
+            Entry::CommittedSs { .. } => return Ok(()),
             other => other,
         };
-        let addr = new_log.write(&encode_entry(&entry)?);
-        self.note(&entry.as_entry_ref(), addr);
+        let addr = append_entry(new_log, &entry)?;
+        self.note(&entry, addr);
         Ok(())
     }
 }
@@ -313,25 +378,25 @@ impl LogFormat for RedoFormat {
     fn walk<S: PageStore>(&mut self, io: &mut LogIo<S>, ctx: &mut RecoverCtx<'_>) -> RsResult<()> {
         let mode = self.mode;
         self.lazy.clear();
-        let eager = mode == RecoveryMode::Full;
 
         let scan_before = io.log.store().stats().snapshot();
-        let mut st = ScanState::default();
-        scan(&mut io.log, ctx, &mut st, eager)?;
-
-        if !eager {
+        let mut maps = RedoMaps::default();
+        if mode == RecoveryMode::Full {
+            scan_backward(&mut io.log, ctx, |addr, entry, pt| {
+                maps.note_scanned(addr, entry, pt)
+            })?;
+        } else {
             // In-doubt atomic objects need their committed base *now*: the
             // resumed action's lock holders (and a possible abort) depend on
             // it. The chain head (or the prepared record's backlink) is one
             // hop away.
-            let needs = std::mem::take(&mut st.needs_base);
-            for (uid, back) in needs {
+            for (uid, back) in tail_scan(&mut io.log, ctx, &mut maps)? {
                 if ctx.ot.get(uid).map(|e| e.state) != Some(ObjState::Prepared) {
                     continue;
                 }
-                let start = st.maps.heads.get(&uid).copied().or(back);
+                let start = maps.heads.get(&uid).copied().or(back);
                 if let Some(addr) = restore_chain(&mut io.log, ctx, uid, start)? {
-                    st.maps.heads.entry(uid).or_insert(addr);
+                    maps.heads.entry(uid).or_insert(addr);
                 }
             }
         }
@@ -344,8 +409,8 @@ impl LogFormat for RedoFormat {
             .busy_us;
 
         // Chain heads of the objects the scan left on the log.
-        let unrestored = |st: &ScanState, ctx: &RecoverCtx<'_>| -> Vec<(Uid, LogAddress)> {
-            let heads = st.maps.heads.iter();
+        let unrestored = |maps: &RedoMaps, ctx: &RecoverCtx<'_>| -> Vec<(Uid, LogAddress)> {
+            let heads = maps.heads.iter();
             let left = heads.filter(|(uid, _)| ctx.ot.get(**uid).is_none());
             left.map(|(u, a)| (*u, *a)).collect()
         };
@@ -354,7 +419,7 @@ impl LogFormat for RedoFormat {
             RecoveryMode::Full => {}
             RecoveryMode::Parallel(n) => {
                 let n = n.max(1) as usize;
-                let mut remaining = unrestored(&st, ctx);
+                let mut remaining = unrestored(&maps, ctx);
                 remaining.sort();
                 let mut buckets: Vec<Vec<(Uid, LogAddress)>> = vec![Vec::new(); n];
                 for (i, item) in remaining.into_iter().enumerate() {
@@ -372,12 +437,12 @@ impl LogFormat for RedoFormat {
             RecoveryMode::OnDemand => {
                 // The stable root is the entry point of everything: restore
                 // it eagerly so the guardian can serve immediately.
-                if let Some(&addr) = st.maps.heads.get(&Uid::STABLE_ROOT) {
+                if let Some(&addr) = maps.heads.get(&Uid::STABLE_ROOT) {
                     if ctx.ot.get(Uid::STABLE_ROOT).is_none() {
                         restore_chain(&mut io.log, ctx, Uid::STABLE_ROOT, Some(addr))?;
                     }
                 }
-                self.lazy = unrestored(&st, ctx).into_iter().collect();
+                self.lazy = unrestored(&maps, ctx).into_iter().collect();
             }
         }
 
@@ -387,7 +452,7 @@ impl LogFormat for RedoFormat {
             let next = ctx.heap.next_uid().max(max_lazy.0 + 1);
             ctx.heap.set_next_uid(next);
         }
-        self.maps = st.maps;
+        self.maps = maps;
         self.commits_since_ckpt = 0;
         self.profile = Some(RedoRecoveryProfile {
             mode,
@@ -482,11 +547,7 @@ impl LogFormat for RedoFormat {
         _pat: &HashSet<ActionId>,
     ) -> RsResult<(StableLog<S>, RedoMaps)> {
         let mut maps = RedoMaps::default();
-        let full_scan = |log: &mut StableLog<S>, ctx: &mut RecoverCtx<'_>| {
-            scan(log, ctx, &mut ScanState::default(), true)
-        };
-        let mut emit = |new_log: &mut StableLog<S>, entry| maps.emit(new_log, entry);
-        let new_log = compact::stage_one(&mut io.log, store, marker, full_scan, &mut emit)?;
+        let new_log = compact::stage_one(&mut io.log, store, marker, &mut maps)?;
         Ok((new_log, maps))
     }
 
@@ -496,13 +557,11 @@ impl LogFormat for RedoFormat {
         pass: &mut OpenPass<S, RedoMaps>,
     ) -> RsResult<()> {
         let maps = &mut pass.state;
-        let mut emit = |new_log: &mut StableLog<S>, entry| maps.emit(new_log, entry);
-        compact::stage_two(&mut io.log, &mut pass.new_log, pass.marker, &mut emit)?;
+        compact::stage_two(&mut io.log, &mut pass.new_log, pass.marker, maps)?;
         // Seal the new log with a fresh checkpoint over the new addresses.
         let (cssl, prev) = maps.checkpoint();
-        pass.new_log
-            .write(&encode_entry(&LogEntry::CommittedSs { cssl, prev })?);
-        Ok(())
+        let seal = EntryRef::CommittedSs { cssl: &cssl, prev };
+        append_entry(&mut pass.new_log, &seal).map(drop)
     }
 
     /// The chain bookkeeping switches to the new addresses with the log.
@@ -518,246 +577,76 @@ impl LogFormat for RedoFormat {
     }
 }
 
-/// Scan-time bookkeeping beyond what [`RecoverCtx`] tracks: chain heads,
-/// pending promotions, floors, and the tail-scan stop mark.
-#[derive(Debug, Default)]
-struct ScanState {
-    /// The rebuilt chain maps. `heads` is first-insertion-wins (the
-    /// backward scan meets the newest version first); `floor` is overwritten
-    /// as the scan walks down, so the last write is the oldest record;
-    /// `committing` keeps the newest entry per coordinator action.
-    maps: RedoMaps,
-    /// In-doubt atomic objects restored with a prepared current version but
-    /// no base yet, plus the backlink their prepared record carried.
-    needs_base: Vec<(Uid, Option<LogAddress>)>,
-    /// Checkpoint pairs deferred to the end of a *full* scan, simple-style.
-    deferred_cssl: Vec<(Uid, LogAddress)>,
-    /// Tail-scan stop mark: entries below it are summarized by the newest
-    /// checkpoint and are not read.
-    stop: Option<LogAddress>,
-}
-
-/// The backward scan shared by all recovery modes and housekeeping
-/// stage one. `eager` materializes every surviving version through `ctx`
-/// (full recovery); otherwise only in-doubt versions are materialized
-/// and the scan stops at the newest checkpoint's low-water mark.
-fn scan<S: PageStore>(
+/// The bounded tail scan of the non-full modes: walks back from the top to
+/// the newest checkpoint's low-water mark, rebuilding the tables and `maps`
+/// but materializing only what an in-doubt action wrote — such an action
+/// resumes holding its locks the moment recovery returns, whatever the mode.
+/// Returns the in-doubt atomic objects restored with a prepared current
+/// version but no base yet, each with the backlink its record carried.
+fn tail_scan<S: PageStore>(
     log: &mut StableLog<S>,
     ctx: &mut RecoverCtx<'_>,
-    st: &mut ScanState,
-    eager: bool,
-) -> RsResult<()> {
+    maps: &mut RedoMaps,
+) -> RsResult<Vec<(Uid, Option<LogAddress>)>> {
+    let mut needs_base = Vec::new();
+    // Entries below the stop mark are summarized by the newest checkpoint
+    // and are not read.
+    let mut stop: Option<LogAddress> = None;
     let mut walk = log.walk_backward(None);
     while let Some(item) = walk.next_entry() {
         let (addr, _seq, payload) = item?;
-        if let Some(stop) = st.stop {
-            if addr < stop {
-                break;
-            }
+        if stop.is_some_and(|stop| addr < stop) {
+            break;
         }
         let entry = decode_entry_view(payload)?;
         ctx.entries_examined += 1;
         match entry {
             EntryView::Prepared { aid, .. } => {
                 ctx.on_prepared(aid);
-                st.maps.floor.insert(aid, addr);
             }
             EntryView::Committed { aid, .. } => ctx.on_committed(aid),
             EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
-            EntryView::Committing { aid, gids, .. } => {
-                ctx.on_committing(aid, gids.to_vec());
-                st.maps.committing.entry(aid).or_insert(addr);
-            }
+            EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
             EntryView::Done { aid, .. } => ctx.on_done(aid),
-            EntryView::BaseCommitted { uid, value, .. } => {
-                st.maps.heads.entry(uid).or_insert(addr);
-                if eager {
-                    ctx.on_base_committed(uid, value.into())?;
-                }
-            }
             EntryView::PreparedData {
                 uid, aid, value, ..
             } => {
-                st.maps.floor.insert(aid, addr);
-                let state = ctx.pt.get(aid);
-                if eager {
-                    ctx.on_prepared_data(uid, value.into(), aid)?;
-                } else {
-                    match state {
-                        Some(PState::Prepared) | None => {
-                            ctx.on_prepared_data(uid, value.into(), aid)?;
-                            st.needs_base.push((uid, None));
-                        }
-                        Some(PState::Committed) | Some(PState::Aborted) => {}
-                    }
-                }
-                // The version is the chain head if its writer committed;
-                // its address is promotable if the writer is in doubt.
-                match ctx.pt.get(aid) {
-                    Some(PState::Committed) => {
-                        st.maps.heads.entry(uid).or_insert(addr);
-                    }
-                    Some(PState::Prepared) => {
-                        st.maps.pending.entry(aid).or_default().push((uid, addr))
-                    }
-                    _ => {}
+                if matches!(ctx.pt.get(aid), Some(PState::Prepared) | None) {
+                    ctx.on_prepared_data(uid, value, aid)?;
+                    needs_base.push((uid, None));
                 }
             }
-            e @ (EntryView::DataR { .. } | EntryView::Data { .. }) => {
-                // A plain simple-log data entry is a redo record with no
-                // backlink; tolerated for mixed-provenance logs.
-                let (uid, kind, aid, back, value) = match e {
-                    EntryView::DataR {
-                        uid,
-                        kind,
-                        aid,
-                        back,
-                        value,
-                    } => (uid, kind, aid, back, value),
-                    EntryView::Data {
-                        uid,
-                        kind,
-                        aid,
-                        value,
-                    } => (uid, kind, aid, None, value),
-                    _ => unreachable!(),
-                };
-                st.maps.floor.insert(aid, addr);
-                let state = ctx.pt.get(aid);
-                let head_ok = matches!(state, Some(PState::Committed))
-                    || (kind == ObjKind::Mutex && state.is_some());
-                if head_ok {
-                    st.maps.heads.entry(uid).or_insert(addr);
-                }
-                if state == Some(PState::Prepared) {
-                    st.maps.pending.entry(aid).or_default().push((uid, addr));
-                }
-                if eager {
+            EntryView::DataR {
+                uid,
+                kind,
+                aid,
+                value,
+                ..
+            }
+            | EntryView::Data {
+                uid,
+                kind,
+                aid,
+                value,
+            } => {
+                if ctx.pt.get(aid) == Some(PState::Prepared) {
                     ctx.data_entries_read += 1;
-                    ctx.on_data(addr, uid, kind, value.into(), aid)?;
-                } else if state == Some(PState::Prepared) {
-                    // In-doubt versions are restored eagerly: the action
-                    // resumes holding its locks the moment recovery
-                    // returns, whatever the mode.
-                    ctx.data_entries_read += 1;
-                    ctx.restore_prepared(uid, kind, value.into(), aid, Some(addr))?;
+                    ctx.restore_prepared(uid, kind, value, aid, Some(addr))?;
                     if kind == ObjKind::Atomic {
-                        st.needs_base.push((uid, back));
+                        needs_base.push((uid, entry.backlink()));
                     }
                 }
             }
-            EntryView::DataH { .. } => {}
-            EntryView::CommittedSs { cssl, prev } => {
-                // Chain heads for objects untouched above this point.
-                // Within one log generation the newest map is a superset
-                // of older ones, so `or_insert` keeps newest-first
-                // priority even across multiple checkpoints.
-                for (uid, pair_addr) in cssl.iter() {
-                    st.maps.heads.entry(uid).or_insert(pair_addr);
-                }
-                if eager {
-                    st.deferred_cssl.extend(cssl.iter());
-                } else if st.stop.is_none() {
-                    // The newest checkpoint bounds the tail: nothing
-                    // below its low-water mark is needed.
-                    st.stop = Some(prev.unwrap_or(addr));
-                }
+            // The newest checkpoint bounds the tail: nothing below its
+            // low-water mark is needed.
+            EntryView::CommittedSs { prev, .. } => {
+                stop = stop.or(Some(prev.unwrap_or(addr)));
             }
+            EntryView::BaseCommitted { .. } | EntryView::DataH { .. } => {}
         }
+        maps.note_scanned(addr, &entry, &ctx.pt);
     }
-
-    if eager {
-        // Checkpoint pairs are the oldest committed state; restoring
-        // them after the scan preserves newest-first priority.
-        let deferred = std::mem::take(&mut st.deferred_cssl);
-        let mut scratch = Vec::new();
-        for (uid, addr) in deferred {
-            if ctx.ot.get(uid).map(|e| e.state) == Some(ObjState::Restored) {
-                continue;
-            }
-            log.read_into(addr, &mut scratch)?;
-            ctx.entries_examined += 1;
-            ctx.data_entries_read += 1;
-            restore_record(ctx, uid, addr, &scratch, true)?;
-        }
-    }
-    Ok(())
-}
-
-/// Restores the committed version held in the record at `addr` (already
-/// read into `payload`). With `trusted`, the address came from a chain
-/// head or checkpoint pair and is restored unconditionally; otherwise
-/// the participant table gates it. Returns whether the record was
-/// restorable.
-fn restore_record(
-    ctx: &mut RecoverCtx<'_>,
-    uid: Uid,
-    addr: LogAddress,
-    payload: &[u8],
-    trusted: bool,
-) -> RsResult<bool> {
-    match decode_entry_view(payload)? {
-        EntryView::DataR {
-            uid: u,
-            kind,
-            aid,
-            value,
-            ..
-        }
-        | EntryView::Data {
-            uid: u,
-            kind,
-            aid,
-            value,
-        } => {
-            if u != uid {
-                return Err(RsError::BadState(format!(
-                    "redo chain for {uid} reached a record for {u}"
-                )));
-            }
-            // Defensive even when trusted: an atomic version written by
-            // an action the tail knows aborted (or still in doubt) must
-            // not become the committed base.
-            let skip = kind == ObjKind::Atomic
-                && matches!(
-                    ctx.pt.get(aid),
-                    Some(PState::Aborted) | Some(PState::Prepared)
-                );
-            let skip = skip || (!trusted && ctx.pt.get(aid).is_none());
-            if skip {
-                return Ok(false);
-            }
-            ctx.restore_committed(uid, kind, value.into(), Some(addr))?;
-            Ok(true)
-        }
-        EntryView::BaseCommitted { uid: u, value, .. } => {
-            if u != uid {
-                return Err(RsError::BadState(format!(
-                    "redo chain for {uid} reached a record for {u}"
-                )));
-            }
-            ctx.restore_committed(uid, ObjKind::Atomic, value.into(), Some(addr))?;
-            Ok(true)
-        }
-        EntryView::PreparedData {
-            uid: u, aid, value, ..
-        } => {
-            if u != uid {
-                return Err(RsError::BadState(format!(
-                    "redo chain for {uid} reached a record for {u}"
-                )));
-            }
-            if !trusted && ctx.pt.get(aid) != Some(PState::Committed) {
-                return Ok(false);
-            }
-            ctx.restore_committed(uid, ObjKind::Atomic, value.into(), Some(addr))?;
-            Ok(true)
-        }
-        other => Err(RsError::BadState(format!(
-            "redo chain for {uid} hit a {} entry",
-            other.name()
-        ))),
-    }
+    Ok(needs_base)
 }
 
 /// Walks `uid`'s chain from `start` until a restorable committed version
@@ -778,15 +667,12 @@ fn restore_chain<S: PageStore>(
         // The first hop is a trusted chain head or write-time backlink;
         // both always point at restorable state. Deeper hops only arise
         // from degraded chains and stay PT-gated.
-        if restore_record(ctx, uid, addr, &scratch, first)? {
+        if ctx.restore_record(uid, addr, &scratch, first)? {
             return Ok(Some(addr));
         }
         first = false;
         ctx.chain_hops += 1;
-        cur = match decode_entry_view(&scratch)? {
-            EntryView::DataR { back, .. } => back,
-            _ => None,
-        };
+        cur = decode_entry_view(&scratch)?.backlink();
     }
     Ok(None)
 }
@@ -796,6 +682,7 @@ mod tests {
     use super::*;
     use crate::api::providers::MemProvider;
     use crate::api::RecoverySystem;
+    use crate::LogEntry;
     use argus_objects::GuardianId;
 
     fn rs() -> RedoRs<MemProvider> {

@@ -1,18 +1,23 @@
 //! Shared recovery machinery: applying log entries to volatile memory.
 //!
 //! Both recovery algorithms (§3.4.4 simple, §4.3.3 hybrid) funnel through
-//! [`RecoverCtx`]: the simple scan feeds it every record, the hybrid walk
+//! [`RecoverCtx`]: the backward scan feeds it every record, the hybrid walk
 //! feeds it outcome entries and lazily-read data entries. The restore rules
-//! and the OT/PT/CT bookkeeping are identical between the two.
+//! and the OT/PT/CT bookkeeping are identical between the two, and versions
+//! reach them undecoded ([`RawValue`]): a value is materialized exactly when
+//! a rule copies it into volatile memory, never when the rule discards it.
+//! The full backward scan itself ([`scan_backward`]) is here too, written
+//! once for the simple and redo formats and for their compaction.
 
-use crate::entry::LazyValue;
+use crate::entry::{decode_entry_view, EntryView, RawValue};
 use crate::tables::{
     CState, CoordinatorTable, ObjState, ObjectTable, OtEntry, PState, ParticipantTable,
     RecoveryOutcome,
 };
-use crate::RsResult;
+use crate::{RsError, RsResult};
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
-use argus_slog::LogAddress;
+use argus_slog::{LogAddress, StableLog};
+use argus_stable::PageStore;
 use std::collections::HashMap;
 
 /// Mutable recovery state threaded through one recovery pass.
@@ -105,7 +110,7 @@ impl<'h> RecoverCtx<'h> {
         &mut self,
         uid: Uid,
         kind: ObjKind,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         addr: Option<LogAddress>,
     ) -> RsResult<bool> {
         if let Some(entry) = self.ot.get(uid).copied() {
@@ -115,7 +120,7 @@ impl<'h> RecoverCtx<'h> {
                         // The object's current (prepared) version is already
                         // in place; this is "the latest committed version"
                         // that becomes its base (scenario 1, step 7).
-                        self.heap.restore_base(entry.heap, value.take()?)?;
+                        self.heap.restore_base(entry.heap, value.decode()?)?;
                         if let Some(e) = self.ot.get_mut(uid) {
                             e.state = ObjState::Restored;
                         }
@@ -128,7 +133,7 @@ impl<'h> RecoverCtx<'h> {
                 ObjKind::Mutex => self.maybe_replace_mutex(uid, entry, value, addr),
             }
         } else {
-            let value = value.take()?;
+            let value = value.decode()?;
             let body = match kind {
                 ObjKind::Atomic => ObjectBody::Atomic(AtomicObject::new(value)),
                 ObjKind::Mutex => ObjectBody::Mutex(MutexObject::new(value)),
@@ -176,12 +181,12 @@ impl<'h> RecoverCtx<'h> {
         aid: ActionId,
         uid: Uid,
         kind: ObjKind,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         addr: Option<LogAddress>,
     ) -> RsResult<bool> {
         if kind == ObjKind::Atomic && self.stale_committed_base(uid, aid) {
             let entry = self.ot.get(uid).copied().expect("stale base is resident");
-            self.heap.restore_base(entry.heap, value.take()?)?;
+            self.heap.restore_base(entry.heap, value.decode()?)?;
             // The overwriting version is the state as of the commit point,
             // so a second copy of it compares as not-stale and is skipped.
             let commit_point = self.committed_seen[&aid];
@@ -199,7 +204,7 @@ impl<'h> RecoverCtx<'h> {
         &mut self,
         uid: Uid,
         kind: ObjKind,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         aid: ActionId,
         addr: Option<LogAddress>,
     ) -> RsResult<bool> {
@@ -219,7 +224,9 @@ impl<'h> RecoverCtx<'h> {
                     if !needs_current {
                         return Ok(false);
                     }
-                    Ok(self.heap.restore_current(entry.heap, aid, value.take()?)?)
+                    Ok(self
+                        .heap
+                        .restore_current(entry.heap, aid, value.decode()?)?)
                 }
                 ObjKind::Mutex => self.maybe_replace_mutex(uid, entry, value, addr),
             }
@@ -230,7 +237,7 @@ impl<'h> RecoverCtx<'h> {
                     // it (object state: prepared).
                     let obj = AtomicObject {
                         base: Value::Unit,
-                        current: Some(value.take()?),
+                        current: Some(value.decode()?),
                         writer: Some(aid),
                         readers: Default::default(),
                     };
@@ -245,9 +252,10 @@ impl<'h> RecoverCtx<'h> {
                     );
                 }
                 ObjKind::Mutex => {
-                    let heap_id = self
-                        .heap
-                        .insert_with_uid(uid, ObjectBody::Mutex(MutexObject::new(value.take()?)))?;
+                    let heap_id = self.heap.insert_with_uid(
+                        uid,
+                        ObjectBody::Mutex(MutexObject::new(value.decode()?)),
+                    )?;
                     self.ot.insert(
                         uid,
                         OtEntry {
@@ -268,7 +276,7 @@ impl<'h> RecoverCtx<'h> {
         &mut self,
         uid: Uid,
         entry: OtEntry,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         addr: Option<LogAddress>,
     ) -> RsResult<bool> {
         let newer = match (addr, entry.mutex_addr) {
@@ -280,7 +288,7 @@ impl<'h> RecoverCtx<'h> {
         if !newer {
             return Ok(false);
         }
-        self.heap.restore_mutex_value(entry.heap, value.take()?)?;
+        self.heap.restore_mutex_value(entry.heap, value.decode()?)?;
         if let Some(e) = self.ot.get_mut(uid) {
             e.mutex_addr = addr;
         }
@@ -294,7 +302,7 @@ impl<'h> RecoverCtx<'h> {
         addr: LogAddress,
         uid: Uid,
         kind: ObjKind,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         aid: ActionId,
     ) -> RsResult<()> {
         match self.pt.get(aid) {
@@ -321,7 +329,7 @@ impl<'h> RecoverCtx<'h> {
     }
 
     /// Applies a `base_committed` outcome entry (§3.4.4 2.d).
-    pub fn on_base_committed(&mut self, uid: Uid, value: LazyValue<'_>) -> RsResult<()> {
+    pub fn on_base_committed(&mut self, uid: Uid, value: RawValue<'_>) -> RsResult<()> {
         self.restore_committed(uid, ObjKind::Atomic, value, None)?;
         Ok(())
     }
@@ -330,7 +338,7 @@ impl<'h> RecoverCtx<'h> {
     pub fn on_prepared_data(
         &mut self,
         uid: Uid,
-        value: LazyValue<'_>,
+        value: RawValue<'_>,
         aid: ActionId,
     ) -> RsResult<()> {
         match self.pt.get(aid) {
@@ -350,15 +358,163 @@ impl<'h> RecoverCtx<'h> {
         }
         Ok(())
     }
+
+    /// Restores the committed version held in the record at `addr` (already
+    /// read into `payload`), whichever version-bearing kind it is. With
+    /// `trusted`, the address came from a chain head or checkpoint pair and
+    /// is restored unconditionally; otherwise the participant table gates
+    /// it. Returns whether the record was restorable.
+    pub fn restore_record(
+        &mut self,
+        uid: Uid,
+        addr: LogAddress,
+        payload: &[u8],
+        trusted: bool,
+    ) -> RsResult<bool> {
+        let (owner, kind, value, restorable) = match decode_entry_view(payload)? {
+            // A hybrid data entry names neither its object nor its writer:
+            // the pair that led here is all there is to go on.
+            EntryView::DataH { kind, value } => (uid, kind, value, trusted),
+            EntryView::DataR {
+                uid: u,
+                kind,
+                aid,
+                value,
+                ..
+            }
+            | EntryView::Data {
+                uid: u,
+                kind,
+                aid,
+                value,
+            } => {
+                let state = self.pt.get(aid);
+                // Defensive even when trusted: an atomic version written by
+                // an action the tail knows aborted (or still in doubt) must
+                // not become the committed base.
+                let dead = kind == ObjKind::Atomic
+                    && matches!(state, Some(PState::Aborted) | Some(PState::Prepared));
+                (u, kind, value, !dead && (trusted || state.is_some()))
+            }
+            EntryView::BaseCommitted { uid: u, value, .. } => (u, ObjKind::Atomic, value, true),
+            EntryView::PreparedData {
+                uid: u, aid, value, ..
+            } => {
+                let committed = self.pt.get(aid) == Some(PState::Committed);
+                (u, ObjKind::Atomic, value, trusted || committed)
+            }
+            other => {
+                return Err(RsError::BadState(format!(
+                    "version chain for {uid} hit a {} entry",
+                    other.name()
+                )))
+            }
+        };
+        if owner != uid {
+            return Err(RsError::BadState(format!(
+                "version chain for {uid} reached a record for {owner}"
+            )));
+        }
+        if restorable {
+            self.restore_committed(uid, kind, value, Some(addr))?;
+        }
+        Ok(restorable)
+    }
+}
+
+/// The §3.4.4 backward scan: feeds every forced entry (newest first) through
+/// the restore rules, then restores what the checkpoint pairs it met still
+/// owe. Shared by simple-log recovery, full redo-log recovery and compaction
+/// stage one, which is "like a recovery" (§5.1.1) but digests into a scratch
+/// heap. `note` sees each entry after the rules applied it, with the
+/// participant table they left — where the redo format rebuilds its chain
+/// maps; the simple log records nothing.
+pub(crate) fn scan_backward<S: PageStore>(
+    log: &mut StableLog<S>,
+    ctx: &mut RecoverCtx<'_>,
+    mut note: impl FnMut(LogAddress, &EntryView<'_>, &ParticipantTable),
+) -> RsResult<()> {
+    let mut deferred_cssl: Vec<(Uid, LogAddress)> = Vec::new();
+
+    // Records are decoded as zero-copy views: versions of superseded or
+    // wiped-out writes are validated but never materialized.
+    let mut walk = log.walk_backward(None);
+    while let Some(item) = walk.next_entry() {
+        let (addr, _seq, payload) = item?;
+        let entry = decode_entry_view(payload)?;
+        ctx.entries_examined += 1;
+        match entry {
+            EntryView::Prepared { aid, .. } => {
+                ctx.on_prepared(aid);
+            }
+            EntryView::Committed { aid, .. } => ctx.on_committed(aid),
+            EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
+            EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
+            EntryView::Done { aid, .. } => ctx.on_done(aid),
+            EntryView::BaseCommitted { uid, value, .. } => ctx.on_base_committed(uid, value)?,
+            EntryView::PreparedData {
+                uid, value, aid, ..
+            } => ctx.on_prepared_data(uid, value, aid)?,
+            // A redo data entry is a simple data entry whose backlink a full
+            // scan does not need, and a simple one a redo entry with none.
+            EntryView::Data {
+                uid,
+                kind,
+                value,
+                aid,
+            }
+            | EntryView::DataR {
+                uid,
+                kind,
+                value,
+                aid,
+                ..
+            } => {
+                ctx.data_entries_read += 1;
+                ctx.on_data(addr, uid, kind, value, aid)?;
+            }
+            // Hybrid-log data entries carry no uid/aid; in a pure scan
+            // they can only be interpreted through the prepared entries'
+            // pairs, which the scan does not use.
+            EntryView::DataH { .. } => {}
+            EntryView::CommittedSs { cssl, .. } => deferred_cssl.extend(cssl.iter()),
+        }
+        note(addr, &entry, &ctx.pt);
+    }
+
+    // Checkpoint pairs are the oldest committed state; restoring them
+    // after the scan preserves newest-first priority.
+    let mut scratch = Vec::new();
+    for (uid, addr) in deferred_cssl {
+        if ctx.ot.get(uid).map(|e| e.state) == Some(ObjState::Restored) {
+            continue;
+        }
+        log.read_into(addr, &mut scratch)?;
+        ctx.entries_examined += 1;
+        ctx.data_entries_read += 1;
+        ctx.restore_record(uid, addr, &scratch, true)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{encode_entry, LogEntry};
     use argus_objects::GuardianId;
 
     fn aid(n: u64) -> ActionId {
         ActionId::new(GuardianId(0), n)
+    }
+
+    /// `value` as the restore rules receive it: still encoded in a record.
+    fn raw(value: Value) -> RawValue<'static> {
+        let kind = ObjKind::Atomic;
+        let payload = encode_entry(&LogEntry::DataH { kind, value }).unwrap();
+        match decode_entry_view(payload.leak()).unwrap() {
+            EntryView::DataH { value, .. } => value,
+            other => panic!("expected a data entry, got {}", other.name()),
+        }
     }
 
     #[test]
@@ -371,7 +527,7 @@ mod tests {
             .restore_committed(
                 Uid(1),
                 ObjKind::Atomic,
-                Value::Int(2).into(),
+                raw(Value::Int(2)),
                 Some(LogAddress(900))
             )
             .unwrap());
@@ -380,7 +536,7 @@ mod tests {
             .restore_committed(
                 Uid(1),
                 ObjKind::Atomic,
-                Value::Int(1).into(),
+                raw(Value::Int(1)),
                 Some(LogAddress(600))
             )
             .unwrap());
@@ -393,11 +549,11 @@ mod tests {
         let mut heap = Heap::new();
         let mut ctx = RecoverCtx::new(&mut heap);
         ctx.on_prepared(aid(2));
-        ctx.restore_prepared(Uid(1), ObjKind::Atomic, Value::Int(9).into(), aid(2), None)
+        ctx.restore_prepared(Uid(1), ObjKind::Atomic, raw(Value::Int(9)), aid(2), None)
             .unwrap();
         assert_eq!(ctx.ot.get(Uid(1)).unwrap().state, ObjState::Prepared);
         // Earlier committed version becomes the base.
-        ctx.restore_committed(Uid(1), ObjKind::Atomic, Value::Int(5).into(), None)
+        ctx.restore_committed(Uid(1), ObjKind::Atomic, raw(Value::Int(5)), None)
             .unwrap();
         assert_eq!(ctx.ot.get(Uid(1)).unwrap().state, ObjState::Restored);
         let h = ctx.ot.get(Uid(1)).unwrap().heap;
@@ -421,7 +577,7 @@ mod tests {
         ctx.restore_committed(
             Uid(7),
             ObjKind::Mutex,
-            Value::Int(1).into(),
+            raw(Value::Int(1)),
             Some(LogAddress(700)),
         )
         .unwrap();
@@ -430,7 +586,7 @@ mod tests {
             .restore_committed(
                 Uid(7),
                 ObjKind::Mutex,
-                Value::Int(2).into(),
+                raw(Value::Int(2)),
                 Some(LogAddress(800))
             )
             .unwrap());
@@ -439,7 +595,7 @@ mod tests {
             .restore_committed(
                 Uid(7),
                 ObjKind::Mutex,
-                Value::Int(0).into(),
+                raw(Value::Int(0)),
                 Some(LogAddress(600))
             )
             .unwrap());
@@ -455,7 +611,7 @@ mod tests {
             LogAddress(512),
             Uid(1),
             ObjKind::Atomic,
-            Value::Int(1).into(),
+            raw(Value::Int(1)),
             aid(9),
         )
         .unwrap();
@@ -463,7 +619,7 @@ mod tests {
             LogAddress(600),
             Uid(2),
             ObjKind::Mutex,
-            Value::Int(1).into(),
+            raw(Value::Int(1)),
             aid(9),
         )
         .unwrap();
@@ -480,7 +636,7 @@ mod tests {
             LogAddress(512),
             Uid(1),
             ObjKind::Atomic,
-            Value::Int(8).into(),
+            raw(Value::Int(8)),
             aid(3),
         )
         .unwrap();
@@ -488,7 +644,7 @@ mod tests {
             LogAddress(600),
             Uid(2),
             ObjKind::Mutex,
-            Value::Int(8).into(),
+            raw(Value::Int(8)),
             aid(3),
         )
         .unwrap();
@@ -500,7 +656,7 @@ mod tests {
     fn prepared_data_for_unknown_action_enters_pt() {
         let mut heap = Heap::new();
         let mut ctx = RecoverCtx::new(&mut heap);
-        ctx.on_prepared_data(Uid(4), Value::Int(1).into(), aid(5))
+        ctx.on_prepared_data(Uid(4), raw(Value::Int(1)), aid(5))
             .unwrap();
         assert_eq!(ctx.pt.get(aid(5)), Some(PState::Prepared));
         assert_eq!(ctx.ot.get(Uid(4)).unwrap().state, ObjState::Prepared);
@@ -521,12 +677,12 @@ mod tests {
         ctx.restore_committed(
             Uid(1),
             ObjKind::Atomic,
-            Value::Int(5).into(),
+            raw(Value::Int(5)),
             Some(LogAddress(512)),
         )
         .unwrap();
         ctx.entries_examined = 3;
-        ctx.on_prepared_data(Uid(1), Value::Int(9).into(), aid(4))
+        ctx.on_prepared_data(Uid(1), raw(Value::Int(9)), aid(4))
             .unwrap();
         let h = ctx.ot.get(Uid(1)).unwrap().heap;
         assert_eq!(ctx.heap.read_value(h, None).unwrap(), &Value::Int(9));
@@ -543,12 +699,12 @@ mod tests {
         let mut ctx = RecoverCtx::new(&mut heap);
         ctx.entries_examined = 1;
         ctx.on_committed(aid(8));
-        ctx.restore_committed_by(aid(8), Uid(1), ObjKind::Atomic, Value::Int(7).into(), None)
+        ctx.restore_committed_by(aid(8), Uid(1), ObjKind::Atomic, raw(Value::Int(7)), None)
             .unwrap();
         ctx.entries_examined = 2;
         ctx.on_committed(aid(4));
         ctx.entries_examined = 3;
-        ctx.on_prepared_data(Uid(1), Value::Int(9).into(), aid(4))
+        ctx.on_prepared_data(Uid(1), raw(Value::Int(9)), aid(4))
             .unwrap();
         let h = ctx.ot.get(Uid(1)).unwrap().heap;
         assert_eq!(ctx.heap.read_value(h, None).unwrap(), &Value::Int(7));
@@ -560,11 +716,11 @@ mod tests {
         // version must still attach with its write lock.
         let mut heap = Heap::new();
         let mut ctx = RecoverCtx::new(&mut heap);
-        ctx.restore_committed(Uid(1), ObjKind::Atomic, Value::Int(5).into(), None)
+        ctx.restore_committed(Uid(1), ObjKind::Atomic, raw(Value::Int(5)), None)
             .unwrap();
         ctx.on_prepared(aid(2));
         assert!(ctx
-            .restore_prepared(Uid(1), ObjKind::Atomic, Value::Int(9).into(), aid(2), None)
+            .restore_prepared(Uid(1), ObjKind::Atomic, raw(Value::Int(9)), aid(2), None)
             .unwrap());
         let h = ctx.ot.get(Uid(1)).unwrap().heap;
         match &ctx.heap.get(h).unwrap().body {

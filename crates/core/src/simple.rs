@@ -1,13 +1,12 @@
 //! The simple-log format (ch. 3).
 
 use crate::compact;
-use crate::entry::{decode_entry_view, encode_entry, EntryRef, EntryView, LogEntry};
+use crate::entry::EntryRef;
 use crate::log::{LogFormat, LogIo, LogRs, OpenPass};
-use crate::restore::RecoverCtx;
-use crate::tables::ObjState;
-use crate::{RsError, RsResult};
+use crate::restore::{scan_backward, RecoverCtx};
+use crate::RsResult;
 use argus_objects::{ActionId, Heap, ObjKind, Uid, Value};
-use argus_slog::{LogAddress, StableLog};
+use argus_slog::StableLog;
 use argus_stable::PageStore;
 use std::collections::HashSet;
 
@@ -22,11 +21,8 @@ pub type SimpleLogRs<P> = LogRs<P, SimpleFormat>;
 #[derive(Debug, Default)]
 pub struct SimpleFormat;
 
-/// Lands a compacted entry on the new log as it stands.
-fn write_plain<S: PageStore>(new_log: &mut StableLog<S>, entry: LogEntry) -> RsResult<()> {
-    new_log.write(&encode_entry(&entry)?);
-    Ok(())
-}
+/// A compacted entry lands on the new log as it stands.
+impl compact::Emit for SimpleFormat {}
 
 impl LogFormat for SimpleFormat {
     type Pass = ();
@@ -61,7 +57,7 @@ impl LogFormat for SimpleFormat {
     }
 
     fn walk<S: PageStore>(&mut self, io: &mut LogIo<S>, ctx: &mut RecoverCtx<'_>) -> RsResult<()> {
-        scan_log(&mut io.log, ctx)
+        scan_backward(&mut io.log, ctx, |_, _, _| {})
     }
 
     fn stage_one<S: PageStore>(
@@ -73,7 +69,7 @@ impl LogFormat for SimpleFormat {
         _mode: crate::HousekeepingMode,
         _pat: &HashSet<ActionId>,
     ) -> RsResult<(StableLog<S>, ())> {
-        let new_log = compact::stage_one(&mut io.log, store, marker, scan_log, &mut write_plain)?;
+        let new_log = compact::stage_one(&mut io.log, store, marker, self)?;
         Ok((new_log, ()))
     }
 
@@ -82,93 +78,6 @@ impl LogFormat for SimpleFormat {
         io: &mut LogIo<S>,
         pass: &mut OpenPass<S, ()>,
     ) -> RsResult<()> {
-        compact::stage_two(
-            &mut io.log,
-            &mut pass.new_log,
-            pass.marker,
-            &mut write_plain,
-        )
+        compact::stage_two(&mut io.log, &mut pass.new_log, pass.marker, self)
     }
-}
-
-/// The §3.4.4 backward scan: feeds every forced entry (newest first)
-/// through `ctx`, including the deferred committed_ss handling. Shared
-/// between recovery and compaction stage one, which is
-/// "like a recovery" (§5.1.1) but digests into a scratch heap.
-fn scan_log<S: PageStore>(log: &mut StableLog<S>, ctx: &mut RecoverCtx<'_>) -> RsResult<()> {
-    // Deferred committed_ss pairs (only present if someone recovers a
-    // compacted hybrid log with the simple algorithm).
-    let mut deferred_cssl: Vec<(Uid, LogAddress)> = Vec::new();
-
-    // Step 2: read the log backwards, every entry. Records are decoded
-    // as zero-copy views: versions of superseded or wiped-out writes are
-    // validated but never materialized.
-    let mut walk = log.walk_backward(None);
-    while let Some(item) = walk.next_entry() {
-        let (addr, _seq, payload) = item?;
-        let entry = decode_entry_view(payload)?;
-        ctx.entries_examined += 1;
-        match entry {
-            EntryView::Prepared { aid, .. } => {
-                ctx.on_prepared(aid);
-            }
-            EntryView::Committed { aid, .. } => ctx.on_committed(aid),
-            EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
-            EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
-            EntryView::Done { aid, .. } => ctx.on_done(aid),
-            EntryView::BaseCommitted { uid, value, .. } => {
-                ctx.on_base_committed(uid, value.into())?
-            }
-            EntryView::PreparedData {
-                uid, value, aid, ..
-            } => ctx.on_prepared_data(uid, value.into(), aid)?,
-            // A redo-log data entry is a data entry whose backlink the
-            // simple scan simply does not need.
-            EntryView::Data {
-                uid,
-                kind,
-                value,
-                aid,
-            }
-            | EntryView::DataR {
-                uid,
-                kind,
-                value,
-                aid,
-                ..
-            } => {
-                ctx.data_entries_read += 1;
-                ctx.on_data(addr, uid, kind, value.into(), aid)?;
-            }
-            // Hybrid-log data entries carry no uid/aid; in a pure scan
-            // they can only be interpreted through the prepared entries'
-            // pairs, which the simple algorithm does not use.
-            EntryView::DataH { .. } => {}
-            EntryView::CommittedSs { cssl, .. } => deferred_cssl.extend(cssl.iter()),
-        }
-    }
-
-    // Checkpoint pairs are the oldest committed state; restoring them
-    // after the scan preserves newest-first priority.
-    let mut scratch = Vec::new();
-    for (uid, addr) in deferred_cssl {
-        if ctx.ot.get(uid).map(|e| e.state) == Some(ObjState::Restored) {
-            continue;
-        }
-        log.read_into(addr, &mut scratch)?;
-        ctx.entries_examined += 1;
-        ctx.data_entries_read += 1;
-        match decode_entry_view(&scratch)? {
-            EntryView::DataH { kind, value } => {
-                ctx.restore_committed(uid, kind, value.into(), Some(addr))?;
-            }
-            other => {
-                return Err(RsError::BadState(format!(
-                    "cssl pair points at a {} entry",
-                    other.name()
-                )))
-            }
-        }
-    }
-    Ok(())
 }

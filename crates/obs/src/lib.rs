@@ -60,4 +60,4 @@ pub use registry::{
     current, global, with_current, PhaseTimer, Registry, ScopedRegistry, ThreadHandles, Timer,
 };
 pub use report::Report;
-pub use table::Table;
+pub use table::{write_grid, Table};

@@ -1,5 +1,6 @@
-//! A minimal markdown table renderer, in the same style as the experiment
-//! tables of `argus-bench` (`crates/bench/src/table.rs`).
+//! A minimal markdown table renderer. The experiment tables of
+//! `argus-bench` (`crates/bench/src/table.rs`) render through
+//! [`write_grid`] too.
 
 use std::fmt;
 
@@ -64,41 +65,47 @@ impl Table {
     }
 }
 
+/// Renders `header` and `rows` as an aligned pipe-and-dash markdown grid —
+/// the one renderer behind this crate's tables and `argus-bench`'s
+/// experiment tables. Ragged rows are padded with empty cells.
+pub fn write_grid(
+    f: &mut fmt::Formatter<'_>,
+    header: &[String],
+    rows: &[Vec<String>],
+) -> fmt::Result {
+    let all = || std::iter::once(header).chain(rows.iter().map(Vec::as_slice));
+    let cols = all().map(|r| r.len()).max().unwrap_or(0);
+    let mut widths = vec![0usize; cols];
+    for row in all() {
+        for (i, cell) in row.iter().enumerate() {
+            widths[i] = widths[i].max(cell.len());
+        }
+    }
+    let render = |f: &mut fmt::Formatter<'_>, row: &[String]| -> fmt::Result {
+        write!(f, "|")?;
+        for (i, w) in widths.iter().enumerate() {
+            let cell = row.get(i).map(String::as_str).unwrap_or("");
+            write!(f, " {cell:w$} |", w = w)?;
+        }
+        writeln!(f)
+    };
+    render(f, header)?;
+    write!(f, "|")?;
+    for w in &widths {
+        write!(f, "{:-<w$}|", "", w = w + 2)?;
+    }
+    writeln!(f)?;
+    for row in rows {
+        render(f, row)?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cols = self
-            .rows
-            .iter()
-            .chain(std::iter::once(&self.header))
-            .map(|r| r.len())
-            .max()
-            .unwrap_or(0);
-        let mut widths = vec![0usize; cols];
-        for row in std::iter::once(&self.header).chain(self.rows.iter()) {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
         writeln!(f, "### {}", self.title)?;
         writeln!(f)?;
-        let render = |f: &mut fmt::Formatter<'_>, row: &[String]| -> fmt::Result {
-            write!(f, "|")?;
-            for (i, w) in widths.iter().enumerate() {
-                let cell = row.get(i).map(String::as_str).unwrap_or("");
-                write!(f, " {cell:w$} |", w = w)?;
-            }
-            writeln!(f)
-        };
-        render(f, &self.header)?;
-        write!(f, "|")?;
-        for w in &widths {
-            write!(f, "{:-<w$}|", "", w = w + 2)?;
-        }
-        writeln!(f)?;
-        for row in &self.rows {
-            render(f, row)?;
-        }
-        Ok(())
+        write_grid(f, &self.header, &self.rows)
     }
 }
 

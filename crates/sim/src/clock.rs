@@ -40,10 +40,8 @@ impl SimClock {
         self.micros.fetch_add(micros, Ordering::Relaxed) + micros
     }
 
-    /// Moves the clock forward to `deadline` if it is in the future.
-    ///
-    /// Used by the event queue: executing an event at time `t` must never
-    /// move time backwards.
+    /// Moves the clock forward to `deadline` if it is in the future; time
+    /// never moves backwards.
     pub fn advance_to(&self, deadline: u64) {
         self.micros.fetch_max(deadline, Ordering::Relaxed);
     }

@@ -11,15 +11,11 @@
 //!   platform entropy: a seed fully determines a run.
 //! * [`CostModel`] / [`DeviceStats`] — the I/O cost accounting used to report
 //!   simulated device time for the write-path and recovery experiments.
-//! * [`EventQueue`] — a tiny discrete-event scheduler used by the simulated
-//!   network in `argus-guardian`.
 
 mod clock;
 mod cost;
-mod events;
 mod rng;
 
 pub use clock::SimClock;
 pub use cost::{CostModel, DeviceStats, OpKind, StatsSnapshot};
-pub use events::{EventQueue, Scheduled};
 pub use rng::{DetRng, Zipf};

@@ -5,10 +5,10 @@
 //! seeds, so every "random" case is exactly reproducible. Gated behind the
 //! off-by-default `proptest` feature: `cargo test --features proptest`.
 
-use argus::core::{decode_entry, encode_entry, LogEntry};
+use argus::core::{decode_entry, decode_entry_view, encode_entry, encode_entry_into, LogEntry};
 use argus::objects::{ActionId, GuardianId, ObjKind, Uid, Value};
 use argus::sim::DetRng;
-use argus::slog::LogAddress;
+use argus::slog::{Encoder, LogAddress};
 
 /// Flattened values only: references are uids (heap refs never reach a log).
 fn gen_value(rng: &mut DetRng, depth: u32) -> Value {
@@ -67,7 +67,7 @@ fn gen_prev(rng: &mut DetRng) -> Option<LogAddress> {
 }
 
 fn gen_entry(rng: &mut DetRng) -> LogEntry {
-    match rng.gen_range(10) {
+    match rng.gen_range(11) {
         0 => LogEntry::Data {
             uid: Uid(rng.gen_range(1000)),
             kind: gen_kind(rng),
@@ -116,6 +116,14 @@ fn gen_entry(rng: &mut DetRng) -> LogEntry {
             aid: gen_aid(rng),
             prev: gen_prev(rng),
         },
+        // The redo data entry, first version (no backlink) or chained.
+        9 => LogEntry::DataR {
+            uid: Uid(rng.gen_range(1000)),
+            kind: gen_kind(rng),
+            value: gen_value(rng, 3),
+            aid: gen_aid(rng),
+            back: gen_prev(rng),
+        },
         _ => LogEntry::CommittedSs {
             cssl: gen_pairs(rng),
             prev: gen_prev(rng),
@@ -135,6 +143,24 @@ fn entries_roundtrip() {
             "case {case} failed to roundtrip"
         );
     }
+}
+
+/// What view-copying compaction relies on: a decoded view re-encodes to
+/// exactly the payload it was decoded from, for every kind.
+#[test]
+fn reencoding_a_view_reproduces_the_payload() {
+    let mut rng = DetRng::new(0x5EED);
+    let mut kinds = std::collections::BTreeSet::new();
+    for case in 0..512 {
+        let entry = gen_entry(&mut rng);
+        let bytes = encode_entry(&entry).unwrap();
+        let view = decode_entry_view(&bytes).unwrap();
+        let mut enc = Encoder::new();
+        encode_entry_into(&mut enc, &view).unwrap();
+        assert_eq!(enc.finish(), bytes, "case {case}: {entry:?}");
+        kinds.insert(bytes[0]);
+    }
+    assert_eq!(kinds.len(), 11, "every kind was drawn: {kinds:?}");
 }
 
 #[test]
