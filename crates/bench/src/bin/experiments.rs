@@ -103,12 +103,12 @@ fn smoke() {
         let batched1 = commit_perf(kind, 1, 3, WorldConfig::default());
         let batched8 = commit_perf(kind, 8, 3, WorldConfig::default());
         // These actions are local to their guardian: a commit is exactly one
-        // log force — a flush barrier and a superblock barrier — whatever
-        // the force schedule.
+        // log force, and a force exactly one device barrier, whatever the
+        // force schedule.
         for (schedule, perf) in [("unbatched", unbatched), ("batched", batched1)] {
             assert_eq!(
-                perf.forces_per_commit, 2.0,
-                "{kind:?}, {schedule}: a local commit alone is not one force (two device barriers)"
+                perf.forces_per_commit, 1.0,
+                "{kind:?}, {schedule}: a local commit alone is not one force (one device barrier)"
             );
         }
         if !shadowing {
@@ -240,8 +240,8 @@ fn scale_smoke() {
 }
 
 /// The `--wall-smoke` mode: E12's claims checked against a real file with
-/// real fsyncs. One local commit alone costs exactly two (one log force: a
-/// flush barrier and a superblock barrier) on every organization; at 8
+/// real fsyncs. One local commit alone costs exactly one (one log force,
+/// whose last frame is its commit point) on every organization; at 8
 /// concurrent actions the shared force schedule of the log organizations
 /// must need at most half the fsyncs per commit of the immediate schedule
 /// (in practice it is 8x fewer; the loose bound keeps slow CI filesystems
@@ -258,8 +258,8 @@ fn wall_smoke() {
         };
         let alone = run(1, "grp", false);
         assert_eq!(
-            alone.fsyncs_per_commit, 2.0,
-            "{kind:?}: a local commit alone is not one force (two real fsyncs)"
+            alone.fsyncs_per_commit, 1.0,
+            "{kind:?}: a local commit alone is not one force (one real fsync)"
         );
         let immediate = run(8, "imm", true);
         let group = run(8, "grp", false);

@@ -8,9 +8,25 @@
 //! instead of refusing to look at it.
 
 use argus_core::{decode_entry, LogEntry};
+use argus_sim::{CostModel, SimClock};
 use argus_slog::{LogAddress, StableLog};
-use argus_stable::PageStore;
+use argus_stable::{DurableFileStore, PageStore};
 use std::collections::BTreeMap;
+use std::path::Path;
+
+/// Opens the stable log in the store file at `path` for inspection, on a
+/// private copy of the file. Opening a log begins its next epoch on the
+/// medium (a page write and a barrier), and an inspector must leave the
+/// image it is shown exactly as the crash left it — published tail, epoch
+/// and stale frames included. The copy is unlinked at once; the open store
+/// keeps it alive.
+pub fn open_copy(path: &Path) -> Result<StableLog<DurableFileStore>, Box<dyn std::error::Error>> {
+    let copy = std::env::temp_dir().join(format!("argus-inspect-{}", std::process::id()));
+    std::fs::copy(path, &copy)?;
+    let store = DurableFileStore::open(&copy, SimClock::new(), CostModel::fast());
+    std::fs::remove_file(&copy)?;
+    Ok(StableLog::open(store?)?)
+}
 
 /// One record that could not be decoded into a [`LogEntry`].
 #[derive(Debug, Clone)]

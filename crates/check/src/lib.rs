@@ -60,7 +60,7 @@ pub mod sweep;
 pub mod vopr;
 
 pub use explore::{ExploreConfig, ExploreReport, ExploreStats, Explorer};
-pub use image::{BadRecord, LogImage};
+pub use image::{open_copy, BadRecord, LogImage};
 pub use lint::{
     assert_heap_quiesced, assert_trace_consistent, detect_flavor, lint_heap_quiesced, lint_log,
     lint_log_against, lint_trace, Flavor, Invariant, LintReport, ReconObj, Reconstruction,

@@ -374,6 +374,13 @@ impl Run {
         self.obs.restarts.inc();
         match w.restart(g) {
             Ok(_) => self.schedule.push(format!("step {step}: restart G{i}")),
+            // A restart writes — the log opens its next epoch before it
+            // takes an append — so a write countdown armed while the node
+            // was up can fire here. The node is down again; the next step
+            // finds it so and schedules another restart.
+            Err(_) if w.fault_plan(g).is_ok_and(|plan| plan.is_crashed()) => self.schedule.push(
+                format!("step {step}: restart G{i} crashed in the log's open"),
+            ),
             Err(e) => {
                 self.violations
                     .push(format!("step {step}: restart G{i} failed: {e}"));

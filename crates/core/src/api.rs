@@ -68,9 +68,10 @@ pub trait RecoverySystem {
     // The eager operations below are `stage` + `force`, written here once.
     //
     // Because one guardian's operations share a single log and a force
-    // publishes *every* buffered entry atomically (superblock publication),
-    // a batch is all-or-nothing: a crash mid-force hides the whole batch,
-    // never a prefix that would violate the log invariants.
+    // makes *every* buffered entry durable atomically (the force's last
+    // frame is its commit point, DESIGN.md deviation 11), a batch is
+    // all-or-nothing: a crash mid-force hides the whole batch, never a
+    // prefix that would violate the log invariants.
     //
     // Which records are forced follows from what each must make durable
     // before the protocol may go on (DESIGN.md deviation 10): `prepared`
@@ -219,8 +220,10 @@ pub trait RecoverySystem {
 
     /// Simulates the volatile half of a node crash *inside the recovery
     /// system*: discards buffered log writes, internal tables (AS, PAT, MT),
-    /// and any in-progress housekeeping, then re-reads the log superblock
-    /// from the surviving media. The caller discards the heap and calls
+    /// and any in-progress housekeeping, then reopens the log on the
+    /// surviving media ([`argus_slog::StableLog::reopen`]: it finds the
+    /// durable top and opens the next epoch — reads, one page write, one
+    /// barrier). The caller discards the heap and calls
     /// [`RecoverySystem::recover`] next.
     fn simulate_crash(&mut self) -> RsResult<()>;
 

@@ -1195,10 +1195,16 @@ impl World {
     /// participants (they query their coordinators) and committing
     /// coordinators (they re-send commits), then drives the network to
     /// quiescence. Returns the recovery outcome for inspection.
+    ///
+    /// A restart writes — the log opens its next epoch before it takes an
+    /// append — so a write countdown armed while the node was up
+    /// ([`World::arm_crash_after_writes`]) can fire inside it. That is an
+    /// error here and leaves the node down, its plan crashed;
+    /// [`World::restart_with_crash_after_ops`] reports it as `Ok(None)`.
     pub fn restart(&mut self, g: GuardianId) -> WorldResult<RecoveryOutcome> {
         self.restart_inner(g, None)?.ok_or_else(|| {
             WorldError::Rs(argus_core::RsError::BadState(
-                "restart crashed without an armed plan".into(),
+                "restart crashed on a countdown armed before it".into(),
             ))
         })
     }
@@ -1238,8 +1244,9 @@ impl World {
         match guardian.rs.simulate_crash() {
             Ok(()) => {}
             Err(e) if e.is_crash() => {
-                // The armed second crash fired in the pre-recovery device
-                // re-read (superblock scan) — recovery never began.
+                // The armed second crash fired while the log was reopening
+                // (superblock read, forward scan, next epoch's write and
+                // barrier) — recovery never began.
                 timer.stop();
                 self.obs.inc("world.recovery_crashes");
                 return Ok(None);
@@ -1324,7 +1331,7 @@ impl World {
     /// coordinator it can query the coordinator" (§2.2.2), which a real
     /// system drives from a timer.
     pub fn requery_in_doubt(&mut self) -> WorldResult<()> {
-        let queries: Vec<Envelope> = self
+        let mut queries: Vec<Envelope> = self
             .guardians
             .values()
             .filter(|guardian| guardian.up)
@@ -1338,6 +1345,9 @@ impl World {
                 })
             })
             .collect();
+        // `participants` is a hash map, and the order of sending decides
+        // which message a seeded network fault falls on.
+        queries.sort_by_key(|q| (q.from, q.msg.aid()));
         for q in queries {
             self.net.send(q);
         }
@@ -1487,11 +1497,11 @@ impl World {
     /// Runs the shared force for guardian `g`'s staged batch, then fires the
     /// waiting two-phase-commit continuations in staging order.
     ///
-    /// One device force publishes every staged entry atomically (the log's
-    /// superblock is the commit point), so a crash during the force loses
-    /// the whole batch — the continuations are dropped and the protocol
-    /// resolves the actions after restart, exactly as for an unbatched
-    /// force that crashed.
+    /// One device force makes every staged entry durable atomically (the
+    /// force's last frame is its commit point, DESIGN.md deviation 11), so a
+    /// crash during the force loses the whole batch — the continuations are
+    /// dropped and the protocol resolves the actions after restart, exactly
+    /// as for an unbatched force that crashed.
     fn flush_staged(&mut self, g: GuardianId) -> WorldResult<()> {
         let Some(guardian) = self.guardians.get_mut(&g) else {
             return Ok(());

@@ -32,6 +32,18 @@ pub enum Event {
         /// Total stable bytes after the force.
         stable_bytes: u64,
     },
+    /// A log was opened: restart found its durable top by scanning forward
+    /// from the superblock and began the next epoch there.
+    LogOpened {
+        /// The epoch the log now writes in.
+        epoch: u64,
+        /// The tail the superblock named — where the scan started.
+        published_tail: u64,
+        /// The tail at the last intact end-of-force mark — the durable log.
+        recovered_tail: u64,
+        /// Intact frames beyond it (flushed, or of a torn force), dropped.
+        discarded_bytes: u64,
+    },
     /// Recovery followed one hop of the backward outcome-entry chain (§4.3).
     ChainHop {
         /// Log address of the outcome entry visited.
@@ -136,6 +148,7 @@ impl Event {
             Event::EntryWritten { .. } => "entry_written",
             Event::OutcomeChained { .. } => "outcome_chained",
             Event::ForceCompleted { .. } => "force_completed",
+            Event::LogOpened { .. } => "log_opened",
             Event::ChainHop { .. } => "chain_hop",
             Event::RecoveryDataRead { .. } => "recovery_data_read",
             Event::RecoveryPass { .. } => "recovery_pass",
@@ -172,6 +185,17 @@ impl Event {
             } => vec![
                 ("entries", entries.to_string()),
                 ("stable_bytes", stable_bytes.to_string()),
+            ],
+            Event::LogOpened {
+                epoch,
+                published_tail,
+                recovered_tail,
+                discarded_bytes,
+            } => vec![
+                ("epoch", epoch.to_string()),
+                ("published_tail", published_tail.to_string()),
+                ("recovered_tail", recovered_tail.to_string()),
+                ("discarded_bytes", discarded_bytes.to_string()),
             ],
             Event::ChainHop { addr } => vec![("addr", addr.to_string())],
             Event::RecoveryDataRead { addr } => vec![("addr", addr.to_string())],

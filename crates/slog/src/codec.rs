@@ -279,8 +279,15 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// Guards every log record against torn or decayed bytes that slip past the
 /// page layer, and the superblock against a half-written root.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of `head ‖ data`, given `crc = crc32(head)`: a log frame's
+/// checksum covers its payload and then its header words, and the header
+/// changes (the end-of-force mark) after the payload has been summed.
+pub(crate) fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = crc ^ 0xFFFF_FFFF;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -402,6 +409,15 @@ mod tests {
                     "start {start}, length {len}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn crc32_extend_continues_a_checksum() {
+        let data = b"payload bytes, then the header words";
+        for split in [0, 1, 7, 8, 9, data.len()] {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(crc32_extend(crc32(head), tail), crc32(data), "{split}");
         }
     }
 

@@ -29,9 +29,14 @@
 //! Records are framed with a CRC32 and a trailer that allows walking the log
 //! backwards. The walk ([`BackwardWalk`]) checks every frame and lends each
 //! payload out of one reused buffer; [`StableLog::read_backward`] is the same
-//! walk as an `Iterator` of owned payloads. A superblock on page 0 is
-//! atomically rewritten at each force — the commit point that makes a
-//! multi-page force all-or-nothing.
+//! walk as an `Iterator` of owned payloads. A force is a write and *one*
+//! barrier: its last frame carries an end-of-force mark, and that frame is
+//! the commit point that makes a multi-page force all-or-nothing. Restart
+//! finds the top of the log by scanning forward from the superblock on
+//! page 0, which is rewritten only lazily, as a bound on that scan, and at
+//! every open, to begin a new epoch that keeps the frames of a torn force
+//! dead. [`StableLog`]'s "Durability model" states the contract; DESIGN.md
+//! deviation 11 argues it.
 //! [`LogRoot`] provides the "new log supplants the old log in one atomic
 //! step" needed by housekeeping (ch. 5).
 
@@ -43,6 +48,6 @@ mod sched;
 
 pub use addr::LogAddress;
 pub use codec::{crc32, CodecError, CodecResult, Decoder, Encoder};
-pub use log::{BackwardIter, BackwardWalk, LogError, LogResult, StableLog};
+pub use log::{BackwardIter, BackwardWalk, LogError, LogResult, StableLog, FORMAT_VERSION};
 pub use root::LogRoot;
 pub use sched::{ForceConfig, ForceScheduler};

@@ -48,9 +48,6 @@ use argus::check::sweep::{sweep, SweepConfig};
 use argus::check::{detect_flavor, lint_log, FaultTally, LogImage, VoprConfig};
 use argus::core::providers::FileProvider;
 use argus::guardian::RsKind;
-use argus::sim::{CostModel, SimClock};
-use argus::slog::StableLog;
-use argus::stable::DurableFileStore;
 use std::path::PathBuf;
 
 fn main() {
@@ -388,14 +385,7 @@ fn run_lint(path: Option<PathBuf>) {
         path
     };
 
-    let store = match DurableFileStore::open(&store_path, SimClock::new(), CostModel::fast()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: cannot open store: {e}", store_path.display());
-            std::process::exit(2);
-        }
-    };
-    let mut log = match StableLog::open(store) {
+    let mut log = match argus::check::open_copy(&store_path) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("{}: cannot open stable log: {e}", store_path.display());

@@ -1,5 +1,6 @@
-//! Inspect a stable log on disk: decode every entry, show the backward
-//! chain of outcome entries, and summarize what recovery would see.
+//! Inspect a stable log on disk: the superblock and what an open finds
+//! beyond it, every entry decoded, where each force ended, the backward
+//! chain of outcome entries, and what recovery would see.
 //!
 //! ```sh
 //! cargo run --example persistent           # create some state first
@@ -8,9 +9,8 @@
 //! ```
 
 use argus::core::{decode_entry, LogEntry};
-use argus::sim::{CostModel, SimClock};
-use argus::slog::{LogAddress, StableLog};
-use argus::stable::DurableFileStore;
+use argus::obs::{Event, Registry};
+use argus::slog::{LogAddress, FORMAT_VERSION};
 use std::path::PathBuf;
 
 fn describe(entry: &LogEntry) -> String {
@@ -72,15 +72,39 @@ fn main() {
         std::process::exit(1);
     }
 
-    let store =
-        DurableFileStore::open(&path, SimClock::new(), CostModel::fast()).expect("open store");
-    let mut log = StableLog::open(store).expect("open log");
+    // On a copy: opening a log begins its next epoch on the medium, and the
+    // image under inspection must stay what the crash left.
+    let reg = Registry::new();
+    let opened = {
+        let _scope = reg.enter();
+        argus::check::open_copy(&path)
+    };
+    let mut log = opened.expect("open log");
     println!(
-        "{}: {} entries, {} bytes\n",
+        "{}: {} entries, {} bytes",
         path.display(),
         log.stable_count(),
         log.stable_bytes()
     );
+    // What the open found, from its own journal record.
+    for record in reg.report().events {
+        if let Event::LogOpened {
+            epoch,
+            published_tail,
+            recovered_tail,
+            discarded_bytes,
+        } = record.event
+        {
+            println!(
+                "superblock: version {FORMAT_VERSION}, epoch {}, published tail {published_tail}; \
+                 recovered tail {recovered_tail} ({} bytes of forces past the superblock, \
+                 {discarded_bytes} intact bytes beyond the last end-of-force mark dropped)",
+                epoch - 1,
+                recovered_tail - published_tail,
+            );
+        }
+    }
+    println!();
 
     // Collect backwards, print forwards.
     let mut entries: Vec<(LogAddress, u64, Vec<u8>)> = Vec::new();
@@ -106,6 +130,10 @@ fn main() {
                 println!("{addr:>8} #{seq:<4} {:<60} {chain}{head}", describe(&entry));
             }
             Err(e) => println!("{addr:>8} #{seq:<4} <undecodable: {e}>"),
+        }
+        // Where each force ended: its last frame is its commit point.
+        if log.ends_force(*addr).expect("read frame header") {
+            println!("{:>8} ┄┄┄┄┄ end of force", "");
         }
     }
     println!(

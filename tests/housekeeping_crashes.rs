@@ -88,7 +88,7 @@ fn crash_mid_housekeeping_recovers_from_the_old_log() {
                 let mut heap = Heap::with_stable_root();
                 build_history(rs.as_mut(), &mut heap, 40).unwrap();
 
-                plan.arm_after_writes(budget);
+                plan.arm_after_ops(budget);
                 let result = rs.housekeeping(&heap, mode);
                 plan.heal();
                 plan.disarm();
@@ -105,9 +105,10 @@ fn crash_mid_housekeeping_recovers_from_the_old_log() {
                 );
             }
             // The new log is written buffered and forced once, and the whole
-            // history folds into a couple of pages, so the distinct
-            // write-level crash points are few — but each one (new
-            // superblock, data pages, final publish) is exercised.
+            // history folds into a couple of pages, so the distinct crash
+            // points are few — but each device operation (the new log's
+            // superblock and its barrier, the data pages, the force's one
+            // barrier) is exercised.
             assert!(
                 fired >= 3,
                 "{kind:?}/{mode:?}: housekeeping crash injection fired only {fired} times"

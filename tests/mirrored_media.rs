@@ -140,8 +140,8 @@ fn frontier_decay_after_a_torn_write_never_loses_both_copies() {
 fn torn_write_during_commit_is_atomic_on_mirrored_media() {
     // Crash exactly during the force of the committed record at every
     // feasible write budget: recovery must see the action as either fully
-    // prepared (in doubt) or fully committed — and the superblock must
-    // never be corrupt.
+    // prepared (in doubt) or fully committed — and the log must always
+    // open (its superblock is only rewritten whole, when it reopens).
     for budget in 0..60u64 {
         let plan = FaultPlan::new();
         let mut rs = HybridLogRs::create(provider(&plan)).unwrap();

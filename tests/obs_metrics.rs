@@ -235,10 +235,14 @@ fn world_recovery_metrics_agree_with_device_stats() {
     );
     assert!(device.busy_us > 0);
 
-    // The phase timer measured the recovery pass on the simulated clock.
-    let recover_us = reg.histogram("core.recover_us").snapshot();
-    assert_eq!(recover_us.count, 1);
-    assert!(recover_us.sum > 0);
+    // The phase timers measured the restart on the simulated clock. On a
+    // log this short the device time is all in the log's open — its forward
+    // scan from the superblock read every page — and the recovery pass that
+    // follows finds them cached.
+    assert_eq!(reg.histogram("core.recover_us").snapshot().count, 1);
+    let restart_us = reg.histogram("world.restart_us").snapshot();
+    assert_eq!(restart_us.count, 1);
+    assert_eq!(restart_us.sum, device.busy_us);
 
     // World-level counters saw the crash and the restart.
     assert_eq!(reg.counter("world.crashes").get(), 1);

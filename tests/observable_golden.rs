@@ -15,6 +15,19 @@
 //! one), so fewer `force`/`force_wait` spans, journal records (750 → 689)
 //! and trace bytes; the last two `done` records are still in a log buffer
 //! when the run ends (353 appends, 351 forced).
+//!
+//! Re-pinned a second time, again downward, when a force became one barrier
+//! with its commit point in its own last frame (DESIGN.md deviation 11).
+//! The same 188 forces publish the same 351 entries, but none of them
+//! writes page 0 or waits for a second barrier: each force's simulated time
+//! falls from 90–110 k µs to 15–45 k (`slog.force_us`, and with it
+//! `twopc.commit_round_us` and every journal timestamp), the 188
+//! `page_write` device spans of page 0 leave the trace (417 → 229 of them,
+//! 212 113 → 189 422 bytes), and the 185 `stable.cache.hit`s vanish — they were the
+//! tail page being re-read after every superblock write had dropped the
+//! log's one-page cache. New: `slog.superblock_writes` 3, one per log
+//! created; no log here runs 32 KiB past its superblock. Every protocol
+//! count, message, append and journal record (689) is what it was.
 
 use argus::obs::Report;
 use argus::slog::crc32;
@@ -23,8 +36,8 @@ use argus::slog::crc32;
 fn seed_1_chrome_trace_is_byte_identical() {
     let run = argus::traced_run(1);
     assert!(run.violations.is_empty(), "I12: {:?}", run.violations);
-    assert_eq!(run.chrome_json.len(), 212_113);
-    assert_eq!(crc32(run.chrome_json.as_bytes()), 0x1428_5ce2);
+    assert_eq!(run.chrome_json.len(), 189_422);
+    assert_eq!(crc32(run.chrome_json.as_bytes()), 0xdf12_92fd);
 }
 
 /// Every counter that is not zero and every histogram that saw a sample,
@@ -63,7 +76,7 @@ slog.append_bytes 10025
 slog.appends 353
 slog.flushes 188
 slog.forces 188
-stable.cache.hit 185
+slog.superblock_writes 3
 stable.cache.miss 35
 twopc.coord.committed 40
 twopc.coord.done 40
@@ -75,8 +88,8 @@ world.commits 40
 world.sched.polls 376
 core.prepare_us count=77 sum=0 min=0 max=0
 slog.force.batch_size count=188 sum=351 min=1 max=19
-slog.force_us count=188 sum=17560000 min=90000 max=110000
-twopc.commit_round_us count=40 sum=17560000 min=90000 max=490000
+slog.force_us count=188 sum=3550000 min=15000 max=45000
+twopc.commit_round_us count=40 sum=3550000 min=45000 max=115000
 twopc.commit_us count=77 sum=0 min=0 max=0
 twopc.committing_us count=37 sum=0 min=0 max=0
 twopc.prepare_us count=74 sum=0 min=0 max=0
@@ -91,6 +104,6 @@ twopc.prepare_us count=74 sum=0 min=0 max=0
         dropped_events: report.dropped_events,
     }
     .to_text();
-    assert_eq!(journal.len(), 47_713);
-    assert_eq!(crc32(journal.as_bytes()), 0x3848_b0a6);
+    assert_eq!(journal.len(), 47_022);
+    assert_eq!(crc32(journal.as_bytes()), 0x3afe_659a);
 }

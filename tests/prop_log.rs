@@ -22,17 +22,20 @@ mod common;
 enum LogOp {
     /// Buffer an entry of the given content length.
     Write(u16),
+    /// Write the buffer to the device without forcing it (early prepare).
+    Flush,
     /// Force the buffer.
     Force,
     /// Crash (drop buffered entries) and reopen.
     Crash,
 }
 
-/// Weighted draw: writes 6, forces 2, crashes 1 (of 9).
+/// Weighted draw: writes 6, flushes 1, forces 2, crashes 1 (of 10).
 fn gen_op(rng: &mut DetRng) -> LogOp {
-    match rng.gen_range(9) {
+    match rng.gen_range(10) {
         0..=5 => LogOp::Write(rng.gen_range(2000) as u16),
-        6 | 7 => LogOp::Force,
+        6 => LogOp::Flush,
+        7 | 8 => LogOp::Force,
         _ => LogOp::Crash,
     }
 }
@@ -45,9 +48,10 @@ fn payload(i: usize, len: u16) -> Vec<u8> {
     bytes
 }
 
-/// After any sequence of writes, forces, and crashes, the log contains
-/// exactly the forced prefix, in order, readable both forwards (by address)
-/// and backwards (by iteration).
+/// After any sequence of writes, flushes, forces, and crashes, the log
+/// contains exactly the forced prefix, in order, readable both forwards (by
+/// address) and backwards (by iteration): what a flush put on the device is
+/// no more durable than what stayed in the buffer.
 #[test]
 fn log_equals_forced_prefix() {
     let mut rng = DetRng::new(0x5106);
@@ -68,6 +72,7 @@ fn log_equals_forced_prefix() {
                     let addr = log.write(&bytes);
                     buffered.push((addr, bytes));
                 }
+                LogOp::Flush => log.flush().unwrap(),
                 LogOp::Force => {
                     log.force().unwrap();
                     durable.append(&mut buffered);
@@ -95,16 +100,23 @@ fn log_equals_forced_prefix() {
     }
 }
 
-/// A crash at ANY point inside a force leaves the log equal to either the
-/// pre-force or the post-force state — never something in between.
+/// A crash at ANY device operation inside a force — a read, a page write or
+/// the barrier; after an early flush of some of the entries or not — leaves
+/// the log equal to either the pre-force or the post-force state, never
+/// something in between, and so does a second crash at any device operation
+/// of the reopen that follows (its superblock read, its forward scan, the
+/// write and the barrier that open the next epoch).
 #[test]
 fn force_is_atomic_under_crashes() {
     let mut rng = DetRng::new(0xA70F);
-    for case in 0..64 {
+    for case in 0..96 {
         let entries: Vec<u16> = (0..rng.gen_between(1, 6))
             .map(|_| rng.gen_range(600) as u16)
             .collect();
-        let crash_after = rng.gen_range(40);
+        // How many of the entries an early flush writes before the force.
+        let flushed = rng.gen_range(entries.len() as u64 + 1) as usize;
+        let crash_after = rng.gen_range(12);
+        let second_crash_after = (rng.gen_range(3) == 0).then(|| rng.gen_range(12));
 
         let plan = FaultPlan::new();
         let store = MemStore::with_fault_plan(plan.clone(), SimClock::new(), CostModel::fast());
@@ -114,11 +126,22 @@ fn force_is_atomic_under_crashes() {
 
         for (i, len) in entries.iter().enumerate() {
             log.write(&payload(i, *len));
+            if i + 1 == flushed {
+                log.flush().unwrap();
+            }
         }
-        plan.arm_after_writes(crash_after);
+        plan.arm_after_ops(crash_after);
         let result = log.force();
         plan.heal();
         plan.disarm();
+        if let Some(n) = second_crash_after {
+            plan.arm_after_ops(n);
+            if let Err(e) = log.reopen() {
+                assert!(e.is_crash(), "case {case}: {e}");
+            }
+            plan.heal();
+            plan.disarm();
+        }
         log.reopen().unwrap();
 
         let count = log.stable_count();
@@ -129,9 +152,13 @@ fn force_is_atomic_under_crashes() {
                 "case {case}: partial force became visible: {count} entries"
             ),
         }
-        // Whatever survived is internally consistent.
-        for item in log.read_backward(None) {
-            item.unwrap();
+        // Whatever survived is internally consistent, and what it holds is
+        // what was written.
+        let mut walked: Vec<Vec<u8>> = log.read_backward(None).map(|r| r.unwrap().2).collect();
+        walked.reverse();
+        assert_eq!(walked[0], b"sentinel", "case {case}");
+        for (i, got) in walked[1..].iter().enumerate() {
+            assert_eq!(got, &payload(i, entries[i]), "case {case}");
         }
     }
 }

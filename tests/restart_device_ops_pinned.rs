@@ -16,6 +16,21 @@
 //! ones do is set by where fixed-size commits land in the pages — histories
 //! of 1 000 to 3 000 of these commits give 12 to 21 on either side of the
 //! change. No per-restart work was added.
+//!
+//! Re-pinned a second time — the one re-pin that adds work — when a force
+//! became one barrier and the top of the log something restart *finds*: the
+//! log's open scans forward from the tail the superblock names (at most the
+//! 32 KiB publish bound plus the last force) and then opens
+//! its next epoch with one write of page 0 and one barrier, asserted below as
+//! exactly that. Under the page cache (the three log organizations) the
+//! scanned pages are the ones the backward walk asks for first, so the total
+//! of page reads is what it was on simple and redo (1 989 and 2 176) and one
+//! more on hybrid; ten of them turn from random to sequential because the
+//! scan takes them in ascending order, cache hits grow by the walk re-reading
+//! what the scan loaded, misses and read-ahead move by at most 4 pages, and
+//! busy time *falls* 0.6–0.8 % with the write and the barrier included.
+//! Shadowing runs without the cache, so the scan's 17 pages are added to it:
+//! 88 → 105 reads, busy +9.4 %. Nothing else moved.
 
 use argus::guardian::{MediaKind, Outcome, RsKind, World, WorldConfig};
 use argus::objects::Value;
@@ -74,7 +89,11 @@ fn restart_cost(kind: RsKind, media: MediaKind) -> Cost {
     );
     world.restart(g).unwrap();
     let dev = world.guardian(g).unwrap().log_stats().device.since(&dev0);
-    assert_eq!(dev.writes(), 0, "{kind:?}: a restart writes nothing");
+    assert_eq!(
+        (dev.writes(), dev.forces),
+        (1, 1),
+        "{kind:?}: a restart writes the next epoch's superblock, once"
+    );
     (
         dev.seq_reads,
         dev.rand_reads,
@@ -88,10 +107,10 @@ fn restart_cost(kind: RsKind, media: MediaKind) -> Cost {
 #[test]
 fn restart_costs_the_same_simulated_device_operations_as_before() {
     let pinned: [(RsKind, Cost); 4] = [
-        (RsKind::Simple, (1546, 443, 33_180, 5648, 224, 1765)),
-        (RsKind::Hybrid, (1498, 428, 32_100, 2954, 217, 1709)),
-        (RsKind::Shadow, (20, 68, 2920, 0, 0, 0)),
-        (RsKind::Redo, (1688, 488, 36_400, 6101, 256, 1920)),
+        (RsKind::Simple, (1556, 433, 32_925, 5702, 224, 1765)),
+        (RsKind::Hybrid, (1509, 418, 31_855, 3010, 220, 1707)),
+        (RsKind::Shadow, (35, 70, 3195, 0, 0, 0)),
+        (RsKind::Redo, (1697, 479, 36_175, 6146, 252, 1924)),
     ];
     let dir = std::env::temp_dir().join(format!("argus-pinned-restart-{}", std::process::id()));
     for (kind, want) in pinned {

@@ -1,6 +1,13 @@
 //! One contract, four organizations: what `RecoverySystem` promises its
 //! caller, checked against every organization through `&mut dyn
 //! RecoverySystem` — the only way the guardian ever holds one.
+//!
+//! Re-pinned once, downward: (d) read "a force is a write, a barrier, the
+//! superblock, a barrier" (`ops >= 4`). A force's commit point is now its
+//! own last frame (DESIGN.md deviation 11), so it is a write and a barrier
+//! (`ops >= 2`) and exactly one barrier per local commit on every
+//! organization. (e) is the clause that change needs: frames a torn force
+//! left beyond the recovered top stay dead.
 
 use argus::core::providers::MemProvider;
 use argus::core::{
@@ -9,8 +16,10 @@ use argus::core::{
 use argus::guardian::RsKind;
 use argus::objects::{ActionId, GuardianId, Heap, HeapId, Value};
 use argus::shadow::ShadowRs;
-use argus::sim::DetRng;
-use argus::stable::FaultPlan;
+use argus::sim::{DetRng, DeviceStats};
+use argus::stable::{FaultPlan, MemStore, Page, PageNo, PageStore, StorageResult, PAGE_SIZE};
+use std::cell::Cell;
+use std::rc::Rc;
 
 const OBJECTS: usize = 8;
 
@@ -54,7 +63,7 @@ impl Fixture {
         Self::over(kind, MemProvider::fast().with_plan(plan.clone()))
     }
 
-    fn over(kind: RsKind, provider: MemProvider) -> Self {
+    fn over<P: StoreProvider + 'static>(kind: RsKind, provider: P) -> Self {
         let mut f = Self {
             rs: build(kind, provider),
             heap: Heap::with_stable_root(),
@@ -89,6 +98,16 @@ impl Fixture {
         self.heap.acquire_write(h, a).unwrap();
         self.heap
             .write_value(h, a, |v| *v = Value::Int(value))
+            .unwrap();
+        h
+    }
+
+    /// Write-locks object `i` for `a` and sets it to `size` bytes of `fill`.
+    fn write_bytes(&mut self, a: ActionId, i: usize, fill: u8, size: usize) -> HeapId {
+        let h = self.objects[i];
+        self.heap.acquire_write(h, a).unwrap();
+        self.heap
+            .write_value(h, a, |v| *v = Value::Bytes(vec![fill; size]))
             .unwrap();
         h
     }
@@ -316,11 +335,12 @@ fn pat_and_housekeeping_protocol() {
     }
 }
 
-/// (d) A local commit is one device force: data entries, `prepared` and
-/// `committed` staged as one step cost the device what a lone prepare's
-/// force does, nothing of the action survives a crash before that force,
-/// all of it survives after, and a crash at any device operation inside it
-/// leaves all or nothing.
+/// (d) A local commit is one device force, and a force is one barrier:
+/// data entries, `prepared` and `committed` staged as one step cost the
+/// device what a lone prepare's force does — its pages and a single `sync`,
+/// the force's last frame being its own commit point — nothing of the
+/// action survives a crash before that force, all of it survives after, and
+/// a crash at any device operation inside it leaves all or nothing.
 #[test]
 fn a_local_commit_is_one_device_force() {
     for kind in RsKind::ALL {
@@ -343,11 +363,10 @@ fn a_local_commit_is_one_device_force() {
         f.local_commit(a, &[h]).unwrap();
         f.heap.commit_action(a);
         assert_eq!(f.forces() - forces, one_force, "{kind:?}");
-        let ops = plan.op_counts().since(&ops).total();
-        assert!(
-            ops >= 4,
-            "{kind:?}: a force is a write, a barrier, the superblock, a barrier"
-        );
+        let ops = plan.op_counts().since(&ops);
+        assert_eq!(ops.forces, 1, "{kind:?}: a force is one device barrier");
+        let ops = ops.total();
+        assert!(ops >= 2, "{kind:?}: a force is a write and a barrier");
         assert!(!f.rs.is_prepared(a), "{kind:?}: resolved, not in doubt");
         assert_eq!(f.recovered_values()[1], Value::Int(7), "{kind:?}");
 
@@ -378,6 +397,118 @@ fn a_local_commit_is_one_device_force() {
                 values[1]
             );
             assert!(!f.rs.is_prepared(a), "{kind:?} op {k}: left in doubt");
+        }
+    }
+}
+
+/// A memory store that can be told to lose its next page write while the
+/// ones after it land: what a device that reorders writes leaves behind when
+/// the node dies at the barrier.
+struct LossyStore {
+    inner: MemStore,
+    lose_next_write: Rc<Cell<bool>>,
+}
+
+impl PageStore for LossyStore {
+    fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+        self.inner.read_page(pno)
+    }
+
+    fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
+        if self.lose_next_write.take() {
+            return Ok(());
+        }
+        self.inner.write_page(pno, page)
+    }
+
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+
+    fn sync(&mut self) -> StorageResult<()> {
+        self.inner.sync()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+struct LossyProvider {
+    inner: MemProvider,
+    lose_next_write: Rc<Cell<bool>>,
+}
+
+impl StoreProvider for LossyProvider {
+    type Store = LossyStore;
+
+    fn new_store(&mut self) -> LossyStore {
+        LossyStore {
+            inner: self.inner.new_store(),
+            lose_next_write: self.lose_next_write.clone(),
+        }
+    }
+}
+
+/// (e) A torn force stays torn. The commit of one local action loses its
+/// first page although the page with its `committed` entry (shadowing: its
+/// map and resolution) lands; after the restart a second action of the same
+/// size puts the same ordinals at the same offsets, and its force dies
+/// between exactly those pages. The frames of the first attempt that now
+/// follow the frames of the second are whole, marked and in sequence — and
+/// of a dead epoch: neither action may come back committed or in doubt.
+#[test]
+fn a_torn_commit_is_not_resurrected_by_the_next_one() {
+    for kind in RsKind::ALL {
+        // A value size that ends the prepare step's entries on a page
+        // boundary, so the commit step's start a page of their own.
+        let aligned = (0..PAGE_SIZE).find_map(|size| {
+            let mut f = Fixture::new(kind);
+            let before = f.rs.log_stats().bytes;
+            let a = f.begin();
+            let h = f.write_bytes(a, 1, 1, size);
+            f.rs.prepare(a, &[h], &f.heap).unwrap();
+            let prepared = f.rs.log_stats().bytes;
+            prepared
+                .is_multiple_of(PAGE_SIZE as u64)
+                .then_some((size, before, prepared))
+        });
+        let (size, before, prepared) = aligned.expect("one size in a page's worth aligns");
+        let pages_before_the_commit_step = (prepared - before).div_ceil(PAGE_SIZE as u64);
+
+        let plan = FaultPlan::new();
+        let lose_next_write = Rc::new(Cell::new(false));
+        let provider = LossyProvider {
+            inner: MemProvider::fast().with_plan(plan.clone()),
+            lose_next_write: lose_next_write.clone(),
+        };
+        let mut f = Fixture::over(kind, provider);
+        assert_eq!(f.rs.log_stats().bytes, before, "{kind:?}");
+
+        // First attempt: the earliest page of the force is lost, the rest —
+        // the commit step's page among them — land.
+        let first = f.begin();
+        let h = f.write_bytes(first, 1, 1, size);
+        lose_next_write.set(true);
+        f.local_commit(first, &[h]).unwrap();
+        f.heap.abort_action(first);
+        assert_eq!(f.recovered_values()[1], Value::Int(0), "{kind:?}");
+
+        // Second attempt, same shape: the crash spares the pages before the
+        // commit step's and takes that one.
+        let second = f.begin();
+        let h = f.write_bytes(second, 1, 2, size);
+        plan.arm_after_writes(pages_before_the_commit_step);
+        let crashed = f.local_commit(second, &[h]).unwrap_err();
+        assert!(crashed.is_crash(), "{kind:?}: {crashed}");
+        plan.heal();
+        assert_eq!(
+            f.recovered_values()[1],
+            Value::Int(0),
+            "{kind:?}: an unacknowledged commit became visible"
+        );
+        for a in [first, second] {
+            assert!(!f.rs.is_prepared(a), "{kind:?}: {a:?} came back in doubt");
         }
     }
 }

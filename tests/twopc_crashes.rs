@@ -190,7 +190,7 @@ fn double_crash_and_recovery() {
 }
 
 /// The crash-schedule sweep of a local commit: a crash at every device
-/// operation of it — the flush, each barrier, the superblock — under both
+/// operation of it — each page of the flush and the one barrier — under both
 /// force schedules. The action is all or nothing, an acknowledged commit is
 /// durable, and recovery never finds it in doubt.
 #[test]
@@ -205,7 +205,7 @@ fn a_local_commit_is_all_or_nothing_at_every_device_operation() {
             let mail = w.network().delivered();
             assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
             let ops = w.fault_plan(g0).unwrap().op_counts().since(&before);
-            assert_eq!(ops.forces, 2, "{kind:?}: one force is two device barriers");
+            assert_eq!(ops.forces, 1, "{kind:?}: one force is one device barrier");
             assert_eq!(
                 w.network().delivered(),
                 mail,

@@ -90,13 +90,18 @@ fn many_guardian_worlds_stay_clean() {
 fn same_seed_replays_byte_for_byte() {
     let reg = argus::obs::Registry::new();
     let _scope = reg.enter();
+    // 47 and 90 once diverged between two runs of one process: the
+    // re-query sweep sent its messages in hash-map order, and the seeded
+    // network faults fell on different ones.
     for kind in RsKind::ALL {
-        let mut cfg = VoprConfig::new(77, 48);
-        cfg.kind = kind;
-        let a = vopr(&cfg);
-        let b = vopr(&cfg);
-        assert_eq!(a.line(), b.line(), "{kind:?} diverged");
-        assert_eq!(a.violations, b.violations, "{kind:?} violations diverged");
+        for seed in [77, 47, 90] {
+            let mut cfg = VoprConfig::new(seed, 48);
+            cfg.kind = kind;
+            let a = vopr(&cfg);
+            let b = vopr(&cfg);
+            assert_eq!(a.line(), b.line(), "{kind:?} diverged");
+            assert_eq!(a.violations, b.violations, "{kind:?} violations diverged");
+        }
     }
 }
 
