@@ -33,7 +33,7 @@ use argus_bench::{
     e17_vopr_coverage, e18_wall_group_commit, e19_wall_recovery, e1_write_cost,
     e20_instant_restart, e21_sharded_scaling, e2_recovery_cost, e4_housekeeping_cost,
     e5_checkpoint_bounds_recovery, e6_early_prepare, e7_map_scaling, e8_crash_matrix,
-    e9_device_sensitivity, recovery_perf, Table,
+    e9_device_sensitivity, recovery_perf, two_guardian_commit, Table, TwoGuardianCommit,
 };
 use argus_guardian::{CcPolicy, RsKind, World, WorldConfig};
 use argus_obs::Registry;
@@ -109,6 +109,19 @@ fn smoke() {
             assert_eq!(
                 perf.forces_per_commit, 1.0,
                 "{kind:?}, {schedule}: a local commit alone is not one force (one device barrier)"
+            );
+        }
+        // A two-guardian commit alone is three forces — the commit point at
+        // the coordinator, `prepared` and `committed` at the participant —
+        // and four messages: the coordinator is no party to its own protocol.
+        for (schedule, cfg) in [
+            ("unbatched", WorldConfig::unbatched()),
+            ("batched", WorldConfig::default()),
+        ] {
+            assert_eq!(
+                two_guardian_commit(kind, cfg),
+                TwoGuardianCommit::EXPECTED,
+                "{kind:?}, {schedule}: a two-guardian commit alone"
             );
         }
         if !shadowing {
@@ -241,7 +254,9 @@ fn scale_smoke() {
 
 /// The `--wall-smoke` mode: E12's claims checked against a real file with
 /// real fsyncs. One local commit alone costs exactly one (one log force,
-/// whose last frame is its commit point) on every organization; at 8
+/// whose last frame is its commit point) and one two-guardian commit alone
+/// exactly three (one at the coordinator, two at the participant) on every
+/// organization; at 8
 /// concurrent actions the shared force schedule of the log organizations
 /// must need at most half the fsyncs per commit of the immediate schedule
 /// (in practice it is 8x fewer; the loose bound keeps slow CI filesystems
@@ -260,6 +275,17 @@ fn wall_smoke() {
         assert_eq!(
             alone.fsyncs_per_commit, 1.0,
             "{kind:?}: a local commit alone is not one force (one real fsync)"
+        );
+        // A two-guardian commit alone: three forces, each one real fsync.
+        let tag = format!("wall-smoke-2pc-{kind:?}");
+        let cfg = argus_bench::file_config_for(dir.as_deref(), &tag, false);
+        assert_eq!(
+            two_guardian_commit(kind, cfg),
+            TwoGuardianCommit {
+                fsyncs: 3,
+                ..TwoGuardianCommit::EXPECTED
+            },
+            "{kind:?}: a two-guardian commit alone on real files"
         );
         let immediate = run(8, "imm", true);
         let group = run(8, "grp", false);

@@ -20,13 +20,22 @@
 //!   prepared-forever: each either resolved or never passed its prepare
 //!   point.
 //!
-//! With `participants: 0` the action is *local* — the coordinator's guardian
-//! is its only participant — and the machine commits it in one forced step
-//! that appends data, `prepared` and `committed` to the coordinator's own
-//! log. The checks then read: the client is told "committed" only with a
-//! durable `committed` record and "aborted" only without one (A1/A4 for a
-//! protocol with no second party), and the log never shows the action
-//! prepared but unresolved (termination).
+//! With `coordinator_participates` the coordinator's node is itself a
+//! participant — in `argus-guardian`'s `World`, always — and so also holds a
+//! participant log. The machine then runs the protocol with the other
+//! participants only, and its commit point is one forced step that appends
+//! the node's own data and `prepared`, `committing`, and its own `committed`
+//! (DESIGN.md deviation 12). A1–A4 and termination are restated with that
+//! node counted as a participant: its `committed` and its `committing` are
+//! durable together or not at all (so A1, A2 and A4 cover it through
+//! `committing`), the client is told "committed" only with its
+//! durable `committed` record and "aborted" only without one — and **no node
+//! is ever in doubt about an action it coordinates**: at no reachable state,
+//! crash states included, does its log show the action prepared but
+//! unresolved. No message is ever addressed to its sender. With
+//! `participants: 0` the action is *local* — the coordinator's guardian is
+//! its only participant — and the same step has no `committing` record and
+//! no second party.
 //!
 //! Each node keeps a *model log* of real [`LogEntry`] values at synthesized
 //! addresses: forced records survive crashes, machine state does not. The
@@ -57,10 +66,14 @@ use std::rc::Rc;
 /// Exploration budgets.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
-    /// Number of participant guardians (the coordinator is a separate node).
-    /// Zero makes the action local: the coordinator's guardian is its only
+    /// Number of participant guardians besides the coordinator's. Zero
+    /// makes the action local: the coordinator's guardian is its only
     /// participant.
     pub participants: usize,
+    /// Whether the coordinator's guardian is itself a participant (its node
+    /// then also holds a participant log) or a separate node that only
+    /// coordinates. A local action's coordinator always participates.
+    pub coordinator_participates: bool,
     /// How many crashes may be injected along one schedule.
     pub max_crashes: u32,
     /// How many messages may be dropped along one schedule.
@@ -85,12 +98,20 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         Self {
             participants: 2,
+            coordinator_participates: false,
             max_crashes: 1,
             max_drops: 1,
             max_states: 200_000,
             allow_refusal: true,
             eager_restarts: false,
         }
+    }
+}
+
+impl ExploreConfig {
+    /// Whether the coordinator's node is a participant of the action.
+    fn home_participates(&self) -> bool {
+        self.coordinator_participates || self.participants == 0
     }
 }
 
@@ -459,10 +480,13 @@ impl Explorer {
     }
 
     fn initial_state(&self) -> State {
-        let gids: Vec<GuardianId> = match self.cfg.participants {
-            0 => vec![COORD],
-            n => (1..=n as u32).map(GuardianId).collect(),
-        };
+        let gids: Vec<GuardianId> = self
+            .cfg
+            .home_participates()
+            .then_some(COORD)
+            .into_iter()
+            .chain((1..=self.cfg.participants as u32).map(GuardianId))
+            .collect();
         State {
             coord: CoordNode {
                 up: true,
@@ -533,27 +557,39 @@ impl Explorer {
                 );
             }
         }
-        // A local action has no second party to disagree with; what can go
-        // wrong is the client's answer and the coordinator's own log.
-        if self.cfg.participants == 0 {
-            let durable = state.coord.log.has_committed(aid);
+        // A participating coordinator's node is a participant too. Its
+        // records reach the log in the commit point's one force, so what can
+        // go wrong there is the client's answer, a split of that force, and
+        // a disagreement with the other participants.
+        if self.cfg.home_participates() {
+            let home = &state.coord.log;
+            let durable = home.has_committed(aid);
             match state.coord.finished {
                 Some(true) if !durable => self.violation(
                     "A1",
-                    "local action acknowledged committed without a durable committed record".into(),
+                    "acknowledged committed without a durable committed record at home".into(),
                 ),
-                Some(false) if durable => self.violation(
-                    "A4",
-                    "local action reported aborted after its commit point".into(),
-                ),
+                Some(false) if durable => {
+                    self.violation("A4", "reported aborted after the commit point".into())
+                }
                 _ => {}
             }
-            if state.coord.log.recovered_pstate(aid) == Some(argus_core::PState::Prepared) {
+            if self.cfg.participants > 0 && durable != home.has_committing(aid) {
                 self.violation(
-                    "TERM",
-                    "local action is prepared with no verdict: its one force was split".into(),
+                    "A1",
+                    "home's committed and committing records are not durable together".into(),
                 );
             }
+            if home.recovered_pstate(aid) == Some(argus_core::PState::Prepared) {
+                self.violation(
+                    "DOUBT",
+                    "the coordinator's node is in doubt about its own action: the commit point's one force was split".into(),
+                );
+            }
+        }
+        if let Some(e) = state.inflight.iter().find(|e| e.from == e.to) {
+            let kind = e.msg.kind();
+            self.violation("SELF", format!("node {} mailed itself a {kind}", e.to.0));
         }
         // A2: no mixed verdicts across participant logs.
         let committed = state.parts.iter().position(|p| p.log.has_committed(aid));
@@ -905,19 +941,23 @@ impl Explorer {
                     let aid = self.aid;
                     let log = &mut state.coord.log;
                     let machine = state.coord.machine.as_mut().expect("machine forced");
-                    if machine.is_local() {
-                        // Commit locally: the prepare and `committed`,
-                        // published by one force — all of it or none
-                        // survives a crash.
+                    // The commit point, published by one force — all of it
+                    // or none survives a crash: a participating
+                    // coordinator's own prepare, `committing` unless there is
+                    // nobody to tell, and its own `committed`.
+                    if machine.participates() {
                         log.append_prepared(aid, 0);
-                        log.append(LogEntry::Committed { aid, prev: None });
-                    } else {
+                    }
+                    if !machine.is_local() {
                         let gids = machine.participants.clone();
                         log.append(LogEntry::Committing {
                             aid,
                             gids,
                             prev: None,
                         });
+                    }
+                    if machine.participates() {
+                        log.append(LogEntry::Committed { aid, prev: None });
                     }
                     queue.extend(machine.committing_forced());
                 }
@@ -1187,6 +1227,7 @@ mod tests {
     fn small_exploration_is_clean_and_deterministic() {
         let cfg = ExploreConfig {
             participants: 2,
+            coordinator_participates: false,
             max_crashes: 1,
             max_drops: 0,
             max_states: 50_000,
@@ -1209,6 +1250,7 @@ mod tests {
         // The state cap bounds the run; hitting it is coverage, not failure.
         let cfg = ExploreConfig {
             participants: 8,
+            coordinator_participates: false,
             max_crashes: 1,
             max_drops: 0,
             max_states: 150_000,
@@ -1227,6 +1269,7 @@ mod tests {
         // either durable and acknowledged, or invisible.
         let cfg = ExploreConfig {
             participants: 0,
+            coordinator_participates: true,
             max_crashes: 2,
             max_drops: 0,
             max_states: 10_000,
@@ -1238,6 +1281,50 @@ mod tests {
         assert_eq!(report.stats.depth_limited, 0, "space must be exhausted");
         assert!(report.stats.crash_points > 0);
         assert_eq!(report.stats.deliveries, 0, "a local commit sends nothing");
+    }
+
+    #[test]
+    fn a_two_guardian_commit_is_four_messages_and_three_forced_steps() {
+        let mut ex = Explorer::new(ExploreConfig {
+            participants: 1,
+            coordinator_participates: true,
+            allow_refusal: false,
+            ..ExploreConfig::default()
+        });
+        let mut state = ex.start(ex.initial_state(), None).0;
+        for _ in 0..4 {
+            // Prepare, PrepareOk, Commit, CommitAck — none of them to self.
+            assert_eq!(state.inflight.len(), 1);
+            state = ex.deliver(state, 0, true, None).0;
+            ex.check_state(&state);
+        }
+        assert!(state.inflight.is_empty());
+        assert_eq!(state.coord.finished, Some(true));
+        // Home: data, prepared, committing, committed — one step. The
+        // participant: data + prepared, then committed.
+        let kinds = |log: &ModelLog| -> Vec<&'static str> {
+            log.entries.iter().map(|(_, e)| e.name()).collect()
+        };
+        assert_eq!(
+            kinds(&state.coord.log),
+            ["data", "prepared", "committing", "committed"]
+        );
+        assert_eq!(
+            kinds(&state.parts[0].log),
+            ["data", "prepared", "committed"]
+        );
+        assert!(ex.violations.is_empty(), "{:?}", ex.violations);
+
+        // The check is not vacuous: a commit point split by a crash — home's
+        // `prepared` durable without its verdict — is reported.
+        let mut split = ex.start(ex.initial_state(), None).0;
+        split.coord.log.append_prepared(ex.aid, 0);
+        ex.check_state(&split);
+        assert!(
+            ex.violations.iter().any(|v| v.starts_with("[DOUBT]")),
+            "{:?}",
+            ex.violations
+        );
     }
 
     #[test]
@@ -1277,6 +1364,7 @@ mod tests {
     fn refusal_schedules_abort_cleanly() {
         let cfg = ExploreConfig {
             participants: 2,
+            coordinator_participates: false,
             max_crashes: 0,
             max_drops: 0,
             max_states: 50_000,
@@ -1325,6 +1413,7 @@ mod tests {
         // coordinator fixed this must exhaust with zero violations.
         let cfg = ExploreConfig {
             participants: 1,
+            coordinator_participates: false,
             max_crashes: 2,
             max_drops: 1,
             max_states: 50_000,

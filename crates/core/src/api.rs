@@ -78,8 +78,10 @@ pub trait RecoverySystem {
     // before the vote, `committing` before the first commit message, a
     // verdict before its acknowledgement. `done` makes nothing durable that
     // anyone waits for, so it is staged and left to ride the next force; and
-    // a local action's `prepared` has no vote to precede, so it shares the
-    // force of its `committed` ([`RecoverySystem::stage_local_commit`]).
+    // the coordinator's own guardian votes to nobody and acknowledges to
+    // nobody, so its `prepared` and `committed` share the one force that
+    // guardian needs, the commit point
+    // ([`RecoverySystem::stage_commit_point`], DESIGN.md deviation 12).
 
     /// Stages `prepare`: writes every accessible object in the MOS to the
     /// log, then the `prepared` outcome entry (§3.3.3.3).
@@ -101,19 +103,33 @@ pub trait RecoverySystem {
     /// prologue.
     fn stage_done(&mut self, aid: ActionId) -> RsResult<bool>;
 
-    /// Stages the whole commit of a *local* action — one whose coordinator
-    /// is its only participant: the data entries, `prepared` and `committed`
-    /// as one step that one force publishes. The only durable point such an
-    /// action needs is its `committed` entry after its data and `prepared`
-    /// entries; there is no vote for `prepared` to precede. Record kinds and
-    /// format are those of [`Self::stage_prepare`] and [`Self::stage_commit`],
-    /// so recovery sees an ordinary prepared-then-committed participant.
-    /// Organizations that force inside each operation override this to force
-    /// once.
-    fn stage_local_commit(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let prepare_owed = self.stage_prepare(aid, mos, heap)?;
-        let commit_owed = self.stage_commit(aid)?;
-        Ok(prepare_owed || commit_owed)
+    /// Stages the whole commit point at the coordinator's own guardian as
+    /// one step that one force publishes: the action's data entries and
+    /// `prepared`, the `committing` record naming `gids` (every participant,
+    /// this guardian included), and this guardian's own `committed`. With no
+    /// remote participant `gids` is empty and there is no `committing`
+    /// record — a *local* action, whose only durable point is its
+    /// `committed` entry after its data and `prepared` entries. Record kinds
+    /// and formats are those of [`Self::stage_prepare`],
+    /// [`Self::stage_committing`] and [`Self::stage_commit`], so recovery
+    /// sees an ordinary prepared-then-committed participant next to an
+    /// ordinary `committing` coordinator — and never this guardian in doubt
+    /// about an action it coordinates, because its `prepared` is never
+    /// durable without the verdict. Organizations that force inside each
+    /// operation override this to force once.
+    fn stage_commit_point(
+        &mut self,
+        aid: ActionId,
+        mos: &[HeapId],
+        heap: &Heap,
+        gids: &[GuardianId],
+    ) -> RsResult<bool> {
+        let mut owed = self.stage_prepare(aid, mos, heap)?;
+        if !gids.is_empty() {
+            owed |= self.stage_committing(aid, gids)?;
+        }
+        owed |= self.stage_commit(aid)?;
+        Ok(owed)
     }
 
     /// Forces every staged entry to stable storage — the one shared device

@@ -49,23 +49,21 @@ pub(crate) enum StagedOp {
     Commit(ActionId),
     /// A staged abort record; on force, discard versions and ack.
     Abort(ActionId),
-    /// A staged committing record; on force, enter phase two.
-    Committing(ActionId),
-    /// A local action's whole commit — data entries, `prepared` and
-    /// `committed` staged as one step; on force, install versions and finish
-    /// the coordinator. (`done` has no variant: nothing waits on it.)
-    CommitLocally(ActionId),
+    /// The coordinator's whole commit point at its own guardian — data
+    /// entries, `prepared`, `committing` (unless the action is local) and
+    /// `committed` staged as one step; on force, install versions and enter
+    /// phase two, or finish a local action. (`done` has no variant: nothing
+    /// waits on it.)
+    CommitPoint(ActionId),
 }
 
 impl StagedOp {
     /// The action whose durability this staged entry carries.
     pub(crate) fn aid(&self) -> ActionId {
         match self {
-            Self::Prepare(aid)
-            | Self::Commit(aid)
-            | Self::Abort(aid)
-            | Self::Committing(aid)
-            | Self::CommitLocally(aid) => *aid,
+            Self::Prepare(aid) | Self::Commit(aid) | Self::Abort(aid) | Self::CommitPoint(aid) => {
+                *aid
+            }
         }
     }
 }

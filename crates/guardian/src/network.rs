@@ -50,6 +50,9 @@ impl NetFaults {
 #[derive(Debug, Clone)]
 struct NetObs {
     sent: argus_obs::Counter,
+    /// Envelopes whose sender is their recipient. No guardian mails itself —
+    /// a coordinator is no party to its own protocol — so this stays 0.
+    self_sent: argus_obs::Counter,
     delivered: argus_obs::Counter,
     dropped: argus_obs::Counter,
     partitioned: argus_obs::Counter,
@@ -61,6 +64,7 @@ impl Default for NetObs {
         let reg = argus_obs::current();
         Self {
             sent: reg.counter("net.sent"),
+            self_sent: reg.counter("net.self_sent"),
             delivered: reg.counter("net.delivered"),
             dropped: reg.counter("net.dropped"),
             partitioned: reg.counter("net.partitioned"),
@@ -134,6 +138,9 @@ impl SimNetwork {
     /// on the sender's lane to the delivery on the receiver's.
     pub fn send(&mut self, envelope: Envelope) {
         self.obs.sent.inc();
+        if envelope.from == envelope.to {
+            self.obs.self_sent.inc();
+        }
         let aid = envelope.msg.aid();
         let flow = self.obs.tracer.flow_start(
             "net",

@@ -160,8 +160,9 @@ fn armed_crash_during_commit_leaves_participant_in_doubt_then_resolves() {
 #[test]
 fn coordinator_crash_before_committing_aborts() {
     for kind in RsKind::ALL {
-        // Arm the coordinator to die on its committing record: participants
-        // prepared, coordinator forgot → queries answered "abort".
+        // Arm the coordinator to die inside its commit point — its only
+        // write: the participant prepared, the coordinator forgot → its
+        // query is answered "abort".
         let mut done = false;
         for budget in 0..200 {
             let mut w = World::fast();

@@ -12,7 +12,7 @@ use argus_objects::{ActionId, GuardianId, HeapError, HeapId, ObjKind, Uid, Value
 use argus_sim::{CostModel, SimClock};
 use argus_slog::ForceConfig;
 use argus_stable::{CacheConfig, FaultPlan};
-use argus_twopc::{CoordEffect, Coordinator, Envelope, Msg, PartEffect, Participant};
+use argus_twopc::{CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, Participant};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
@@ -1058,25 +1058,19 @@ impl World {
             return Ok(Outcome::Pending);
         }
         match guardian.coordinators.get(&aid).map(|c| c.phase()) {
-            Some(argus_twopc::CoordPhase::Preparing) => {
+            Some(CoordPhase::Preparing) => {
                 // Some participant is down or silent: unilateral abort
                 // (§2.2.1, the Argus-system timeout).
-                let guardian = self.guardian_mut(origin)?;
-                let effects = guardian
-                    .coordinators
-                    .get_mut(&aid)
-                    .map(|c| c.abort_unilaterally())
-                    .unwrap_or_default();
-                self.exec_coord(origin, aid, effects)?;
+                self.coord_step(origin, aid, Coordinator::abort_unilaterally)?;
                 self.run_until_quiet()?;
                 Ok(Outcome::Aborted)
             }
-            Some(argus_twopc::CoordPhase::Committing) => {
+            Some(CoordPhase::Committing) => {
                 // Committed; the missing acknowledgments arrive after the
                 // crashed participant restarts.
                 Ok(Outcome::Committed)
             }
-            Some(argus_twopc::CoordPhase::Aborting) => Ok(Outcome::Aborted),
+            Some(CoordPhase::Aborting) => Ok(Outcome::Aborted),
             _ => Ok(Outcome::Pending),
         }
     }
@@ -1578,16 +1572,9 @@ impl World {
                 let more = participant.map(|p| p.abort_forced());
                 self.exec_part(g, aid, more.unwrap_or_default())
             }
-            StagedOp::Committing(aid) => {
-                let coordinator = guardian.coordinators.get_mut(&aid);
-                let more = coordinator.map(|c| c.committing_forced());
-                self.exec_coord(g, aid, more.unwrap_or_default())
-            }
-            StagedOp::CommitLocally(aid) => {
+            StagedOp::CommitPoint(aid) => {
                 guardian.heap.commit_action(aid);
-                let coordinator = guardian.coordinators.get_mut(&aid);
-                let more = coordinator.map(|c| c.committing_forced());
-                self.exec_coord(g, aid, more.unwrap_or_default())
+                self.coord_step(g, aid, Coordinator::committing_forced)
             }
         }
     }
@@ -1661,34 +1648,51 @@ impl World {
                     Ok(())
                 }
             }
+            Msg::QueryOutcome { .. } if !guardian.coordinators.contains_key(&aid) => {
+                // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
+                // guardian's own state alone, never what the world knows.
+                let committed = guardian.coord_done.contains(&aid);
+                self.net.send(Envelope {
+                    from: g,
+                    to: envelope.from,
+                    msg: Msg::Outcome { aid, committed },
+                });
+                Ok(())
+            }
             Msg::PrepareOk { .. }
             | Msg::PrepareRefused { .. }
             | Msg::CommitAck { .. }
-            | Msg::AbortAck { .. } => {
-                let effects = guardian
-                    .coordinators
-                    .get_mut(&aid)
-                    .map(|c| c.on_msg(envelope.from, &envelope.msg))
-                    .unwrap_or_default();
-                self.exec_coord(g, aid, effects)
-            }
-            Msg::QueryOutcome { .. } => {
-                if let Some(coordinator) = guardian.coordinators.get_mut(&aid) {
-                    let effects = coordinator.on_msg(envelope.from, &envelope.msg);
-                    self.exec_coord(g, aid, effects)
-                } else {
-                    // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
-                    // guardian's own state alone, never what the world knows.
-                    let committed = guardian.coord_done.contains(&aid);
-                    self.net.send(Envelope {
-                        from: g,
-                        to: envelope.from,
-                        msg: Msg::Outcome { aid, committed },
-                    });
-                    Ok(())
-                }
+            | Msg::AbortAck { .. }
+            | Msg::QueryOutcome { .. } => {
+                self.coord_step(g, aid, |c| c.on_msg(envelope.from, &envelope.msg))
             }
         }
+    }
+
+    /// Runs one transition of `aid`'s coordinator at `g`, then its effects.
+    /// A transition that decides to abort aborts the action at home there
+    /// and then: home never prepared — its `prepared` rides the commit point
+    /// that now will not come — so its tentative versions, locks and MOS go,
+    /// and no `aborted` record is written for an action the log never saw.
+    fn coord_step(
+        &mut self,
+        g: GuardianId,
+        aid: ActionId,
+        step: impl FnOnce(&mut Coordinator) -> Vec<CoordEffect>,
+    ) -> WorldResult<()> {
+        let guardian = self.guardian_mut(g)?;
+        let Some(coordinator) = guardian.coordinators.get_mut(&aid) else {
+            return Ok(());
+        };
+        use CoordPhase::{Aborted, Aborting, Preparing};
+        let undecided = coordinator.phase() == Preparing;
+        let effects = step(coordinator);
+        if undecided && matches!(coordinator.phase(), Aborting | Aborted) {
+            guardian.heap.abort_action(aid);
+            guardian.mos.remove(&aid);
+            guardian.rs.discard(aid);
+        }
+        self.exec_coord(g, aid, effects)
     }
 
     fn exec_coord(
@@ -1697,49 +1701,44 @@ impl World {
         aid: ActionId,
         effects: Vec<CoordEffect>,
     ) -> WorldResult<()> {
-        let mut queue: std::collections::VecDeque<CoordEffect> = effects.into();
-        while let Some(effect) = queue.pop_front() {
+        for effect in effects {
             match effect {
                 CoordEffect::Send { to, msg } => {
                     self.net.send(Envelope { from: g, to, msg });
                 }
                 CoordEffect::ForceCommitting => {
+                    // The whole commit point at home, one staged step under
+                    // one force (DESIGN.md deviation 12): data entries,
+                    // `prepared`, `committing` unless the action is local,
+                    // and home's own `committed`. An action a crash wiped
+                    // out since it began is unknown here and aborts, as it
+                    // would by refusing a prepare (§2.2.2).
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
+                    let guardian = self.guardians.get_mut(&g);
+                    let guardian = guardian.ok_or(WorldError::NoGuardian(g))?;
                     let coordinator = guardian.coordinators.get(&aid);
-                    if coordinator.is_some_and(Coordinator::is_local) {
-                        // Commit locally: data entries, `prepared` and
-                        // `committed` are one staged step under one force.
-                        // An action a crash wiped out since it began is
-                        // unknown here and aborts, as it would by refusing a
-                        // prepare (§2.2.2).
-                        let staged = if guardian.known.contains(&aid) {
-                            let mos = guardian.mos.remove(&aid).unwrap_or_default();
-                            // Split borrow: the recovery system reads the heap.
-                            let Guardian { rs, heap, .. } = guardian;
-                            rs.stage_local_commit(aid, &mos, heap)
-                        } else {
-                            Err(RsError::BadState(format!("{aid} is unknown at {g}")))
-                        };
-                        self.wobs.commit_us.record_since(now);
-                        let op = StagedOp::CommitLocally(aid);
-                        if matches!(&staged, Err(e) if !e.is_crash()) {
-                            // Unknown, or the entries could not be written.
-                            let guardian = self.guardian_mut(g)?;
-                            guardian.heap.abort_action(aid);
-                            guardian.rs.discard(aid);
-                            let coordinator = guardian.coordinators.get_mut(&aid);
-                            let abort = coordinator.map(|c| c.abort_unilaterally());
-                            queue.extend(abort.unwrap_or_default());
-                        } else if !self.staged(g, op, "commit_locally", now, staged)? {
-                            return Ok(());
-                        }
-                        continue;
-                    }
-                    let participants = coordinator.map_or(&[][..], |c| &c.participants);
-                    let staged = guardian.rs.stage_committing(aid, participants);
-                    self.wobs.committing_us.record_since(now);
-                    if !self.staged(g, StagedOp::Committing(aid), "committing", now, staged)? {
+                    debug_assert!(coordinator.is_none_or(Coordinator::participates));
+                    let (timer, span, gids) = match coordinator {
+                        Some(c) if !c.is_local() => (
+                            &self.wobs.committing_us,
+                            "commit_point",
+                            &c.participants[..],
+                        ),
+                        _ => (&self.wobs.commit_us, "commit_locally", &[][..]),
+                    };
+                    let staged = if guardian.known.contains(&aid) {
+                        let mos = guardian.mos.remove(&aid).unwrap_or_default();
+                        guardian
+                            .rs
+                            .stage_commit_point(aid, &mos, &guardian.heap, gids)
+                    } else {
+                        Err(RsError::BadState(format!("{aid} is unknown at {g}")))
+                    };
+                    timer.record_since(now);
+                    if matches!(&staged, Err(e) if !e.is_crash()) {
+                        // Unknown, or the entries could not be written.
+                        self.coord_step(g, aid, Coordinator::abort_unilaterally)?;
+                    } else if !self.staged(g, StagedOp::CommitPoint(aid), span, now, staged)? {
                         return Ok(());
                     }
                 }

@@ -234,6 +234,16 @@ impl<P: StoreProvider> ShadowRs<P> {
         Ok(())
     }
 
+    /// Writes the coordinator's `committing` record, unforced.
+    fn write_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+        self.append(&ShadowRecord::Committing {
+            aid,
+            gids: gids.to_vec(),
+        })?;
+        self.coords.insert(aid, gids.to_vec());
+        Ok(())
+    }
+
     /// Folds `aid`'s intent into the map and writes the new map and the
     /// resolution record, unforced.
     fn write_commit(&mut self, aid: ActionId) -> RsResult<()> {
@@ -282,9 +292,20 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         Ok(false)
     }
 
-    fn stage_local_commit(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        // Versions, intent, map and resolution under one force.
+    fn stage_commit_point(
+        &mut self,
+        aid: ActionId,
+        mos: &[HeapId],
+        heap: &Heap,
+        gids: &[GuardianId],
+    ) -> RsResult<bool> {
+        // Versions, intent, `committing`, map and resolution under one
+        // force. The map is written after the action joins `coords`, so the
+        // map recovery stops at still lists it as unfinished.
         self.write_intent(aid, mos, heap)?;
+        if !gids.is_empty() {
+            self.write_committing(aid, gids)?;
+        }
         self.write_commit(aid)?;
         self.log.force()?;
         Ok(false)
@@ -310,12 +331,8 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
     }
 
     fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
-        self.append(&ShadowRecord::Committing {
-            aid,
-            gids: gids.to_vec(),
-        })?;
+        self.write_committing(aid, gids)?;
         self.log.force()?;
-        self.coords.insert(aid, gids.to_vec());
         Ok(false)
     }
 

@@ -9,18 +9,19 @@ use std::collections::BTreeSet;
 /// Where the coordinator stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoordPhase {
-    /// Prepare messages are out; waiting for votes. A local action (see
-    /// [`Coordinator::is_local`]) waits here for its one forced step.
+    /// Prepare messages are out; waiting for the remote votes, and then for
+    /// the commit point to be forced. A local action (see
+    /// [`Coordinator::is_local`]) waits here for that one forced step alone.
     Preparing,
-    /// Every participant voted prepared; the `committing` record is being /
-    /// has been forced and commit messages are out.
+    /// Every remote participant voted prepared and the commit point is
+    /// forced; commit messages are out.
     Committing,
     /// At least one refusal (or a unilateral abort); abort messages are out.
     Aborting,
-    /// All participants acknowledged the commit (a local action: its commit
-    /// point is forced). The `done` record is written, not forced.
+    /// All remote participants acknowledged the commit (a local action: its
+    /// commit point is forced). The `done` record is written, not forced.
     Done,
-    /// All participants acknowledged the abort.
+    /// All remote participants acknowledged the abort.
     Aborted,
 }
 
@@ -35,12 +36,17 @@ pub enum CoordEffect {
         msg: Msg,
     },
     /// Force the commit point, then call
-    /// [`Coordinator::committing_forced`]. For a distributed action the
-    /// commit point is the `committing` record (§2.2.1). For a local action
-    /// ([`Coordinator::is_local`]) this is the whole commit — *commit
-    /// locally*: the guardian writes the action's data entries, `prepared`
-    /// and `committed` as one step under one force, with no `committing`
-    /// record, no participant machine and no message.
+    /// [`Coordinator::committing_forced`]. What the commit point is follows
+    /// from the participant set. A coordinator that does not take part
+    /// ([`Coordinator::participates`] is false) forces the `committing`
+    /// record (§2.2.1). One whose guardian is a participant forces *the
+    /// whole commit point at home* as one step under one force: the action's
+    /// data entries, `prepared`, `committing` and the guardian's own
+    /// `committed`, after which the guardian installs the versions — its
+    /// `prepared` precedes no vote and its `committed` no acknowledgement,
+    /// so neither needs a force of its own (DESIGN.md deviation 12). A local
+    /// action ([`Coordinator::is_local`]) is that step without the
+    /// `committing` record: there is nobody to tell.
     ForceCommitting,
     /// Append the `done` record to the log buffer — never forced. `done`
     /// only licenses forgetting the action: it rides the next force, and a
@@ -60,11 +66,18 @@ pub enum CoordEffect {
 pub struct Coordinator {
     /// The action being committed.
     pub aid: ActionId,
-    /// Every guardian involved (participants; may include the coordinator's
-    /// own guardian, which also acts as a participant).
+    /// Every guardian involved, sorted. May include the coordinator's own
+    /// guardian ([`Coordinator::participates`]): it is listed — the
+    /// `committing` record names every participant — but the coordinator
+    /// neither writes to it nor waits for it.
     pub participants: Vec<GuardianId>,
     phase: CoordPhase,
+    /// Remote participants whose reply is outstanding.
     waiting: BTreeSet<GuardianId>,
+    /// The commit point has been asked for (and may not be forced yet): a
+    /// duplicated last vote must not ask again, and a query cannot be
+    /// answered "aborted" any more.
+    point_requested: bool,
 }
 
 impl Coordinator {
@@ -80,38 +93,38 @@ impl Coordinator {
         participants
     }
 
+    fn in_phase(aid: ActionId, participants: Vec<GuardianId>, phase: CoordPhase) -> Self {
+        let mut coord = Self {
+            aid,
+            participants: Self::normalize(participants),
+            phase,
+            waiting: BTreeSet::new(),
+            point_requested: phase != CoordPhase::Preparing,
+        };
+        coord.waiting = coord.remotes().collect();
+        coord
+    }
+
     /// Creates a coordinator about to run the preparing phase. The
     /// participant list is deduplicated and sorted: each guardian joins the
     /// protocol once, however many roles it played in the action.
     pub fn new(aid: ActionId, participants: Vec<GuardianId>) -> Self {
         obs::with(|o| o.coord_started.inc());
-        let participants = Self::normalize(participants);
-        let waiting = participants.iter().copied().collect();
-        Self {
-            aid,
-            participants,
-            phase: CoordPhase::Preparing,
-            waiting,
-        }
+        Self::in_phase(aid, participants, CoordPhase::Preparing)
     }
 
     /// Resumes a coordinator from a recovered `committing` CT entry: phase
-    /// two restarts by re-sending commit messages (§2.2.3). The recovered
-    /// participant list is normalized like [`Coordinator::new`]'s.
+    /// two restarts by re-sending commit messages to the remote participants
+    /// (§2.2.3) — the coordinator's own guardian, if listed, recovered its
+    /// `committed` from the same force. The recovered participant list is
+    /// normalized like [`Coordinator::new`]'s.
     pub fn resume_committing(
         aid: ActionId,
         participants: Vec<GuardianId>,
     ) -> (Self, Vec<CoordEffect>) {
         obs::with(|o| o.coord_resumed.inc());
-        let participants = Self::normalize(participants);
-        let waiting: BTreeSet<GuardianId> = participants.iter().copied().collect();
-        let coord = Self {
-            aid,
-            participants,
-            phase: CoordPhase::Committing,
-            waiting,
-        };
-        let effects = coord.commit_msgs();
+        let coord = Self::in_phase(aid, participants, CoordPhase::Committing);
+        let effects = coord.tell_remotes(Msg::Commit { aid });
         (coord, effects)
     }
 
@@ -122,21 +135,49 @@ impl Coordinator {
 
     /// The participants whose replies are still outstanding in the current
     /// phase (votes while preparing, acks while committing or aborting).
+    /// Never the coordinator's own guardian.
     pub fn awaiting(&self) -> Vec<GuardianId> {
         self.waiting.iter().copied().collect()
     }
 
-    /// Whether the coordinator's own guardian is the only participant. Such
-    /// an action needs no agreement protocol: its one durable point is its
-    /// own `committed` record, so it commits with one force and no message.
-    /// A property of the participant set, never a configuration choice.
+    /// Whether the coordinator's own guardian is a participant. It then is
+    /// no party to its own protocol — no message goes to it and no reply is
+    /// awaited from it — and [`CoordEffect::ForceCommitting`] stands for its
+    /// whole commit point.
+    pub fn participates(&self) -> bool {
+        self.participants.contains(&self.aid.coordinator)
+    }
+
+    /// Whether the coordinator's own guardian is the only participant: the
+    /// special case "no remote participant" of a participating coordinator.
+    /// Its commit point needs no `committing` record and ends the protocol —
+    /// one force and no message. A property of the participant set, never a
+    /// configuration choice.
     pub fn is_local(&self) -> bool {
         self.participants == [self.aid.coordinator]
     }
 
-    /// Starts the commit. A distributed action enters the preparing phase:
-    /// prepare messages to every participant. A local action asks for its
-    /// commit point at once ([`CoordEffect::ForceCommitting`]).
+    /// Everyone the coordinator runs the protocol with.
+    fn remotes(&self) -> impl Iterator<Item = GuardianId> + '_ {
+        let home = self.aid.coordinator;
+        self.participants
+            .iter()
+            .copied()
+            .filter(move |g| *g != home)
+    }
+
+    fn tell_remotes(&self, msg: Msg) -> Vec<CoordEffect> {
+        self.remotes()
+            .map(|to| CoordEffect::Send {
+                to,
+                msg: msg.clone(),
+            })
+            .collect()
+    }
+
+    /// Starts the commit: prepare messages to every remote participant. A
+    /// local action has none and asks for its commit point at once
+    /// ([`CoordEffect::ForceCommitting`]).
     pub fn start(&self) -> Vec<CoordEffect> {
         if self.is_local() {
             return vec![CoordEffect::ForceCommitting];
@@ -144,33 +185,7 @@ impl Coordinator {
         let n = self.participants.len() as u64;
         obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
         trace_instant("prepare_sent", self.aid, &[("participants", n)]);
-        self.participants
-            .iter()
-            .map(|&g| CoordEffect::Send {
-                to: g,
-                msg: Msg::Prepare { aid: self.aid },
-            })
-            .collect()
-    }
-
-    fn commit_msgs(&self) -> Vec<CoordEffect> {
-        self.participants
-            .iter()
-            .map(|&g| CoordEffect::Send {
-                to: g,
-                msg: Msg::Commit { aid: self.aid },
-            })
-            .collect()
-    }
-
-    fn abort_msgs(&self) -> Vec<CoordEffect> {
-        self.participants
-            .iter()
-            .map(|&g| CoordEffect::Send {
-                to: g,
-                msg: Msg::Abort { aid: self.aid },
-            })
-            .collect()
+        self.tell_remotes(Msg::Prepare { aid: self.aid })
     }
 
     /// Feeds an incoming protocol message from `from`.
@@ -178,7 +193,10 @@ impl Coordinator {
         match (msg, self.phase) {
             (Msg::PrepareOk { .. }, CoordPhase::Preparing) => {
                 self.waiting.remove(&from);
-                if self.waiting.is_empty() {
+                // Asked for once: a duplicate of the last vote can arrive
+                // while the commit point is staged and not yet forced.
+                if self.waiting.is_empty() && !self.point_requested {
+                    self.point_requested = true;
                     vec![CoordEffect::ForceCommitting]
                 } else {
                     Vec::new()
@@ -210,6 +228,11 @@ impl Coordinator {
                     Vec::new()
                 }
             }
+            // A query while the commit point is on its way to the device:
+            // every vote is in and "aborted" can no longer be promised, but
+            // "committed" is not true yet. Say nothing — the asker is told
+            // to commit as soon as the force completes.
+            (Msg::QueryOutcome { .. }, CoordPhase::Preparing) if self.point_requested => Vec::new(),
             // An in-doubt participant asking for the verdict while the vote
             // is still being collected: it crashed after preparing, so any
             // vote of its that is still in flight is stale. The presumed-
@@ -245,8 +268,8 @@ impl Coordinator {
     }
 
     /// The guardian forced the commit point; the action is now committed.
-    /// Phase two begins — or, for a local action, there is none and the
-    /// protocol is over.
+    /// Phase two begins with the remote participants — or, for a local
+    /// action, there is none and the protocol is over.
     pub fn committing_forced(&mut self) -> Vec<CoordEffect> {
         if self.is_local() {
             obs::with(|o| {
@@ -254,7 +277,6 @@ impl Coordinator {
                 o.coord_done.inc();
             });
             self.phase = CoordPhase::Done;
-            self.waiting.clear();
             return vec![CoordEffect::Finished { committed: true }];
         }
         obs::with(|o| {
@@ -266,8 +288,8 @@ impl Coordinator {
         });
         trace_instant("outcome_sent", self.aid, &[("committed", 1)]);
         self.phase = CoordPhase::Committing;
-        self.waiting = self.participants.iter().copied().collect();
-        self.commit_msgs()
+        self.waiting = self.remotes().collect();
+        self.tell_remotes(Msg::Commit { aid: self.aid })
     }
 
     /// Nothing waits on the `done` record any more: the coordinator finishes
@@ -277,8 +299,11 @@ impl Coordinator {
         Vec::new()
     }
 
-    /// Aborts unilaterally — a refusal arrived, or the Argus system decided
-    /// a participant is unreachable (§2.2.1).
+    /// Aborts unilaterally — a refusal arrived, the Argus system decided a
+    /// participant is unreachable (§2.2.1), or the guardian could not stage
+    /// the commit point. A participating coordinator's own guardian never
+    /// prepared: it drops the action's versions when this is decided, writes
+    /// no `aborted` record, and only the remote participants are told.
     pub fn abort_unilaterally(&mut self) -> Vec<CoordEffect> {
         if matches!(self.phase, CoordPhase::Committing | CoordPhase::Done) {
             // Past the commit point: aborting is no longer possible.
@@ -293,15 +318,13 @@ impl Coordinator {
         });
         trace_instant("outcome_sent", self.aid, &[("committed", 0)]);
         if self.is_local() {
-            // Nobody to tell: the guardian that could not commit locally
-            // has already discarded the action.
+            // Nobody to tell.
             self.phase = CoordPhase::Aborted;
-            self.waiting.clear();
             return vec![CoordEffect::Finished { committed: false }];
         }
         self.phase = CoordPhase::Aborting;
-        self.waiting = self.participants.iter().copied().collect();
-        self.abort_msgs()
+        self.waiting = self.remotes().collect();
+        self.tell_remotes(Msg::Abort { aid: self.aid })
     }
 }
 
@@ -313,53 +336,68 @@ mod tests {
         GuardianId(n)
     }
 
+    /// An action coordinated at guardian 0.
     fn aid() -> ActionId {
         ActionId::new(gid(0), 1)
     }
 
-    fn commit_sends(effects: &[CoordEffect]) -> usize {
+    fn sends(effects: &[CoordEffect], kind: &str) -> Vec<GuardianId> {
         effects
             .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    CoordEffect::Send {
-                        msg: Msg::Commit { .. },
-                        ..
-                    }
-                )
+            .filter_map(|e| match e {
+                CoordEffect::Send { to, msg } if msg.kind() == kind => Some(*to),
+                _ => None,
             })
-            .count()
+            .collect()
     }
 
+    const FINISHED_COMMITTED: [CoordEffect; 2] = [
+        CoordEffect::ForceDone,
+        CoordEffect::Finished { committed: true },
+    ];
+
     #[test]
-    fn happy_path_commits() {
+    fn a_participating_coordinator_runs_the_protocol_with_the_remotes_only() {
         let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
-        assert_eq!(c.start().len(), 2);
-        assert!(c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() }).is_empty());
+        assert!(c.participates() && !c.is_local());
+        assert_eq!(c.awaiting(), vec![gid(1)]);
+        assert_eq!(sends(&c.start(), "Prepare"), vec![gid(1)]);
+        // The remote's vote is the last one: home's `prepared` rides the
+        // commit point.
         let effects = c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
         assert_eq!(effects, vec![CoordEffect::ForceCommitting]);
-        let effects = c.committing_forced();
-        assert_eq!(commit_sends(&effects), 2);
-        assert!(c.on_msg(gid(1), &Msg::CommitAck { aid: aid() }).is_empty());
+        assert_eq!(c.phase(), CoordPhase::Preparing);
+        assert_eq!(sends(&c.committing_forced(), "Commit"), vec![gid(1)]);
+        assert_eq!(c.awaiting(), vec![gid(1)]);
         // The last acknowledgement finishes the protocol: `done` is
         // written behind it, never waited for.
-        let effects = c.on_msg(gid(0), &Msg::CommitAck { aid: aid() });
-        assert_eq!(
-            effects,
-            vec![
-                CoordEffect::ForceDone,
-                CoordEffect::Finished { committed: true }
-            ]
-        );
+        let effects = c.on_msg(gid(1), &Msg::CommitAck { aid: aid() });
+        assert_eq!(effects, FINISHED_COMMITTED);
         assert!(c.done_forced().is_empty());
         assert_eq!(c.phase(), CoordPhase::Done);
     }
 
     #[test]
+    fn a_coordinator_that_does_not_participate_waits_on_everyone_listed() {
+        let mut c = Coordinator::new(aid(), vec![gid(1), gid(2)]);
+        assert!(!c.participates() && !c.is_local());
+        assert_eq!(sends(&c.start(), "Prepare"), vec![gid(1), gid(2)]);
+        assert!(c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() }).is_empty());
+        let effects = c.on_msg(gid(2), &Msg::PrepareOk { aid: aid() });
+        assert_eq!(effects, vec![CoordEffect::ForceCommitting]);
+        assert_eq!(
+            sends(&c.committing_forced(), "Commit"),
+            vec![gid(1), gid(2)]
+        );
+        assert!(c.on_msg(gid(2), &Msg::CommitAck { aid: aid() }).is_empty());
+        let effects = c.on_msg(gid(1), &Msg::CommitAck { aid: aid() });
+        assert_eq!(effects, FINISHED_COMMITTED);
+    }
+
+    #[test]
     fn a_local_action_commits_with_one_forced_step_and_no_message() {
         let mut c = Coordinator::new(aid(), vec![gid(0), gid(0)]);
-        assert!(c.is_local());
+        assert!(c.is_local() && c.participates());
         assert_eq!(c.start(), vec![CoordEffect::ForceCommitting]);
         assert_eq!(c.phase(), CoordPhase::Preparing);
         assert_eq!(
@@ -385,32 +423,61 @@ mod tests {
     }
 
     #[test]
-    fn refusal_aborts_everyone() {
-        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
+    fn refusal_aborts_the_remotes_and_nobody_else() {
+        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1), gid(2)]);
         c.start();
-        let effects = c.on_msg(gid(0), &Msg::PrepareRefused { aid: aid() });
+        let effects = c.on_msg(gid(1), &Msg::PrepareRefused { aid: aid() });
         assert_eq!(effects.len(), 2);
-        assert!(effects.iter().all(|e| matches!(
-            e,
-            CoordEffect::Send {
-                msg: Msg::Abort { .. },
-                ..
-            }
-        )));
-        c.on_msg(gid(0), &Msg::AbortAck { aid: aid() });
-        let effects = c.on_msg(gid(1), &Msg::AbortAck { aid: aid() });
+        assert_eq!(sends(&effects, "Abort"), vec![gid(1), gid(2)]);
+        assert_eq!(c.phase(), CoordPhase::Aborting);
+        c.on_msg(gid(1), &Msg::AbortAck { aid: aid() });
+        let effects = c.on_msg(gid(2), &Msg::AbortAck { aid: aid() });
         assert_eq!(effects, vec![CoordEffect::Finished { committed: false }]);
         assert_eq!(c.phase(), CoordPhase::Aborted);
     }
 
     #[test]
-    fn duplicate_votes_are_harmless() {
+    fn a_commit_point_that_cannot_be_staged_aborts_the_remotes() {
         let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
         c.start();
-        c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() });
-        assert!(c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() }).is_empty());
-        let effects = c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
+        c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
+        assert_eq!(sends(&c.abort_unilaterally(), "Abort"), vec![gid(1)]);
+        assert_eq!(c.phase(), CoordPhase::Aborting);
+    }
+
+    #[test]
+    fn duplicate_votes_are_harmless() {
+        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1), gid(2)]);
+        c.start();
+        c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
+        assert!(c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() }).is_empty());
+        let effects = c.on_msg(gid(2), &Msg::PrepareOk { aid: aid() });
         assert_eq!(effects, vec![CoordEffect::ForceCommitting]);
+    }
+
+    #[test]
+    fn the_commit_point_is_requested_once() {
+        // A duplicate of the last vote arriving while the commit point is
+        // staged and not yet forced (still `Preparing`, nobody awaited) used
+        // to ask for it a second time.
+        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
+        c.start();
+        let vote = Msg::PrepareOk { aid: aid() };
+        assert_eq!(c.on_msg(gid(1), &vote), vec![CoordEffect::ForceCommitting]);
+        assert_eq!(c.phase(), CoordPhase::Preparing);
+        assert!(c.on_msg(gid(1), &vote).is_empty());
+        // In that window a query is not answered: "aborted" can no longer be
+        // promised and "committed" is not durable yet.
+        assert!(c
+            .on_msg(gid(1), &Msg::QueryOutcome { aid: aid() })
+            .is_empty());
+        assert_eq!(c.phase(), CoordPhase::Preparing);
+        assert_eq!(sends(&c.committing_forced(), "Commit"), vec![gid(1)]);
+        assert!(c.on_msg(gid(1), &vote).is_empty());
+
+        // A resumed coordinator is past its commit point from the start.
+        let (mut c, _) = Coordinator::resume_committing(aid(), vec![gid(0), gid(1)]);
+        assert!(c.on_msg(gid(1), &vote).is_empty());
     }
 
     #[test]
@@ -420,15 +487,14 @@ mod tests {
         // one prepare out, one vote back tips the commit.
         let mut c = Coordinator::new(aid(), vec![gid(1), gid(0), gid(1)]);
         assert_eq!(c.participants, vec![gid(0), gid(1)]);
-        assert_eq!(c.start().len(), 2);
-        c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() });
+        assert_eq!(sends(&c.start(), "Prepare"), vec![gid(1)]);
         let effects = c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
         assert_eq!(effects, vec![CoordEffect::ForceCommitting]);
-        assert_eq!(commit_sends(&c.committing_forced()), 2);
+        assert_eq!(sends(&c.committing_forced(), "Commit"), vec![gid(1)]);
 
         let (c, effects) = Coordinator::resume_committing(aid(), vec![gid(2), gid(2), gid(0)]);
         assert_eq!(c.participants, vec![gid(0), gid(2)]);
-        assert_eq!(commit_sends(&effects), 2);
+        assert_eq!(sends(&effects, "Commit"), vec![gid(2)]);
     }
 
     #[test]
@@ -442,10 +508,17 @@ mod tests {
     }
 
     #[test]
-    fn resume_committing_resends_commits() {
-        let (c, effects) = Coordinator::resume_committing(aid(), vec![gid(0), gid(1)]);
+    fn resume_committing_resends_commits_to_the_remotes() {
+        let (mut c, effects) = Coordinator::resume_committing(aid(), vec![gid(0), gid(1)]);
         assert_eq!(c.phase(), CoordPhase::Committing);
-        assert_eq!(commit_sends(&effects), 2);
+        assert_eq!(sends(&effects, "Commit"), vec![gid(1)]);
+        assert_eq!(c.awaiting(), vec![gid(1)]);
+        let effects = c.on_msg(gid(1), &Msg::CommitAck { aid: aid() });
+        assert_eq!(effects, FINISHED_COMMITTED);
+
+        // A coordinator that does not participate re-sends to everyone.
+        let (_, effects) = Coordinator::resume_committing(aid(), vec![gid(1), gid(2)]);
+        assert_eq!(sends(&effects, "Commit"), vec![gid(1), gid(2)]);
     }
 
     #[test]
@@ -474,17 +547,18 @@ mod tests {
         // Answering "aborted" is a promise, so the coordinator must abort —
         // otherwise the stale vote could later tip it into committing while
         // the queried participant aborts.
-        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
+        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1), gid(2)]);
         c.start();
-        c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
-        let effects = c.on_msg(gid(0), &Msg::QueryOutcome { aid: aid() });
+        c.on_msg(gid(2), &Msg::PrepareOk { aid: aid() });
+        let effects = c.on_msg(gid(1), &Msg::QueryOutcome { aid: aid() });
         assert_eq!(c.phase(), CoordPhase::Aborting);
-        // Abort to both participants, then the promised answer.
+        // Abort to both remote participants, then the promised answer.
         assert_eq!(effects.len(), 3);
+        assert_eq!(sends(&effects, "Abort"), vec![gid(1), gid(2)]);
         assert_eq!(
             effects[2],
             CoordEffect::Send {
-                to: gid(0),
+                to: gid(1),
                 msg: Msg::Outcome {
                     aid: aid(),
                     committed: false
@@ -492,7 +566,7 @@ mod tests {
             }
         );
         // The stale vote arriving afterwards must not resurrect the commit.
-        assert!(c.on_msg(gid(0), &Msg::PrepareOk { aid: aid() }).is_empty());
+        assert!(c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() }).is_empty());
         assert_eq!(c.phase(), CoordPhase::Aborting);
     }
 }

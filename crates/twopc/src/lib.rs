@@ -21,10 +21,22 @@
 //! verdict before acknowledging, the coordinator forces `committing` before
 //! telling anyone to commit. `done` only licenses forgetting, so it is
 //! written and never forced — the coordinator finishes on the last
-//! acknowledgement, and a lost `done` is the fourth case above. An action
-//! whose coordinator is its only participant ([`Coordinator::is_local`]) has
-//! one durable point, its own `committed` record: it commits in one forced
-//! step with no `committing`, no `done` and no message.
+//! acknowledgement, and a lost `done` is the fourth case above.
+//!
+//! §2.2 has a coordinator that is also a participant send *itself* a prepare
+//! message. Here it is no party to its own protocol
+//! ([`Coordinator::participates`], DESIGN.md deviation 12): it writes to and
+//! waits for the *remote* participants only, and once their votes are in,
+//! the one [`CoordEffect::ForceCommitting`] stands for the whole commit point
+//! at its own guardian — data entries, `prepared`, `committing` and that
+//! guardian's `committed`, one step under one force. Its `prepared` precedes
+//! no vote and its `committed` no acknowledgement, so a two-guardian commit
+//! is three forces and four messages (five and eight by the letter of
+//! §2.2), an abort logs nothing at the coordinator, and a guardian is never
+//! in doubt about an action it coordinates. With no remote participant
+//! ([`Coordinator::is_local`]) that step is the whole commit: no
+//! `committing`, no `done`, no message. A coordinator that is not in its own
+//! participant list runs §2.2.1 as written.
 
 mod coordinator;
 mod msg;

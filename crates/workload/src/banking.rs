@@ -49,6 +49,16 @@ pub struct BankingStats {
     pub in_doubt: u64,
 }
 
+impl BankingStats {
+    fn note(&mut self, outcome: Outcome) {
+        match outcome {
+            Outcome::Committed => self.committed += 1,
+            Outcome::Aborted => self.aborted += 1,
+            Outcome::Pending => self.in_doubt += 1,
+        }
+    }
+}
+
 /// A deployed banking workload.
 #[derive(Debug)]
 pub struct Banking {
@@ -109,6 +119,20 @@ impl Banking {
         rng: &mut DetRng,
         amount: i64,
     ) -> WorldResult<Outcome> {
+        match self.stage_transfer(world, rng, amount)? {
+            Ok(aid) => world.commit(aid),
+            Err(outcome) => Ok(outcome),
+        }
+    }
+
+    /// One transfer up to, not including, its commit: the action to commit,
+    /// or the outcome of a transfer that ended before it got that far.
+    fn stage_transfer(
+        &self,
+        world: &mut World,
+        rng: &mut DetRng,
+        amount: i64,
+    ) -> WorldResult<Result<ActionId, Outcome>> {
         let from_g = self.gids[rng.gen_range(self.gids.len() as u64) as usize];
         let to_g = if rng.gen_bool(self.cfg.cross_prob) && self.gids.len() > 1 {
             loop {
@@ -149,15 +173,15 @@ impl Banking {
                 // Under a faulty network the lock holder may be in doubt
                 // for a while; a real client gives up and aborts rather
                 // than error out.
-                WorldError::Heap(HeapError::LockConflict { .. }) => Ok(Outcome::Aborted),
+                WorldError::Heap(HeapError::LockConflict { .. }) => Ok(Err(Outcome::Aborted)),
                 other => Err(other),
             };
         }
         if rng.gen_bool(self.cfg.abort_prob) {
             world.abort_local(aid);
-            return Ok(Outcome::Aborted);
+            return Ok(Err(Outcome::Aborted));
         }
-        world.commit(aid)
+        Ok(Ok(aid))
     }
 
     /// Runs `n` transfers and reports counters.
@@ -165,10 +189,42 @@ impl Banking {
         let mut stats = BankingStats::default();
         for _ in 0..n {
             let amount = 1 + rng.gen_range(100) as i64;
-            match self.transfer(world, rng, amount)? {
-                Outcome::Committed => stats.committed += 1,
-                Outcome::Aborted => stats.aborted += 1,
-                Outcome::Pending => stats.in_doubt += 1,
+            stats.note(self.transfer(world, rng, amount)?);
+        }
+        Ok(stats)
+    }
+
+    /// Runs `n` transfers in waves of `width` whose commits overlap: every
+    /// commit of a wave is launched before the first is settled, so several
+    /// actions' protocol messages are in the network at once — a sequential
+    /// two-guardian commit has one message in flight at a time, which gives
+    /// a reordering network nothing to reorder. A transfer that finds an
+    /// account locked by an earlier one of its wave aborts.
+    pub fn run_overlapped(
+        &self,
+        world: &mut World,
+        rng: &mut DetRng,
+        n: u64,
+        width: u64,
+    ) -> WorldResult<BankingStats> {
+        let mut stats = BankingStats::default();
+        let mut left = n;
+        while left > 0 {
+            let mut wave = Vec::new();
+            for _ in 0..width.min(left) {
+                let amount = 1 + rng.gen_range(100) as i64;
+                let staged = self.stage_transfer(world, rng, amount)?;
+                if let Ok(aid) = staged {
+                    world.commit_start(aid)?;
+                }
+                wave.push(staged);
+            }
+            left -= wave.len() as u64;
+            for launched in wave {
+                stats.note(match launched {
+                    Ok(aid) => world.commit_settle(aid)?,
+                    Err(outcome) => outcome,
+                });
             }
         }
         Ok(stats)

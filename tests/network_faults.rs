@@ -2,7 +2,15 @@
 //! and reordered, and guardians partitioned (§2.2 assumes only that
 //! "eventually any two nodes can communicate"). The protocol's idempotent
 //! acknowledgments and query path must keep every guardian consistent.
+//!
+//! The duplication/reordering runs commit in overlapping waves
+//! (`Banking::run_overlapped`): a coordinator no longer mails itself, so a
+//! sequential two-guardian commit has one message in flight at a time and
+//! the reorder injector — which defers a message behind the rest of the
+//! queue — would have nothing to defer. The "deferrals were injected"
+//! guards are what they were.
 
+use argus::core::LogEntry;
 use argus::guardian::{NetFaults, RsKind, World};
 use argus::sim::DetRng;
 use argus::workload::{Banking, BankingConfig};
@@ -22,7 +30,7 @@ fn run(kind: RsKind, seed: u64) {
     world.enable_network_faults(seed, 0.3, 0.3);
 
     let mut rng = DetRng::new(seed ^ 0xABCD);
-    let stats = bank.run(&mut world, &mut rng, 60).unwrap();
+    let stats = bank.run_overlapped(&mut world, &mut rng, 60, 4).unwrap();
     assert!(
         stats.committed > 0,
         "{kind:?} seed {seed}: nothing committed"
@@ -207,7 +215,7 @@ fn deferred_mail_survives_recipient_crash() {
 
     let mut rng = DetRng::new(0xDEF ^ 1);
     for &victim in &gids {
-        bank.run(&mut world, &mut rng, 10).unwrap();
+        bank.run_overlapped(&mut world, &mut rng, 12, 4).unwrap();
         // Crash while deferred mail for the victim may be in flight.
         world.crash(victim);
         world.restart(victim).unwrap();
@@ -225,4 +233,59 @@ fn deferred_mail_survives_recipient_crash() {
         bank.expected_total(),
         "money not conserved when deferred mail spans a crash"
     );
+}
+
+/// The commit point is requested once. A duplicate of the last `PrepareOk`
+/// that arrives while the commit point is staged and not yet forced used to
+/// make the coordinator ask for it again: 2–8 `committing` records for one
+/// two-guardian commit on most seeds, each followed by re-sent `Commit`s.
+/// Every organization that can dump its log is audited; shadowing forces
+/// inside the operation, has no such window, and runs for the conservation
+/// check alone.
+#[test]
+fn a_committed_distributed_action_has_exactly_one_committing_record() {
+    let cfg = || BankingConfig {
+        guardians: 2,
+        accounts_per_guardian: 6,
+        initial: 100,
+        zipf_theta: 0.5,
+        cross_prob: 1.0,
+        abort_prob: 0.0,
+    };
+    for kind in RsKind::ALL {
+        let (mut audited, mut duplicated) = (0, 0);
+        for seed in 0..40u64 {
+            let mut world = World::fast();
+            let bank = Banking::setup(&mut world, kind, cfg()).unwrap();
+            world.enable_network_faults(seed, 0.5, 0.0);
+            let stats = bank.run(&mut world, &mut DetRng::new(seed), 2).unwrap();
+            world.run_until_quiet().unwrap();
+            duplicated += world.network().duplicated();
+            assert_eq!(stats.committed, 2, "{kind:?} seed {seed}");
+            assert_eq!(bank.total_balance(&world).unwrap(), bank.expected_total());
+            for &g in bank.guardians() {
+                let Some(entries) = world.dump_log(g).unwrap() else {
+                    continue;
+                };
+                let mut committing = std::collections::BTreeMap::new();
+                for (_, entry) in &entries {
+                    if let LogEntry::Committing { aid, .. } = entry {
+                        *committing.entry(*aid).or_insert(0u32) += 1;
+                    }
+                }
+                for (aid, n) in committing {
+                    assert_eq!(
+                        n, 1,
+                        "{kind:?} seed {seed}: {n} committing records for {aid}"
+                    );
+                    assert_eq!(aid.coordinator, g, "{kind:?} seed {seed}");
+                    audited += 1;
+                }
+            }
+        }
+        assert!(duplicated > 0, "{kind:?}: no duplicates injected");
+        if kind != RsKind::Shadow {
+            assert_eq!(audited, 80, "{kind:?}: every commit crossed guardians");
+        }
+    }
 }

@@ -67,6 +67,48 @@ fn read_locks_are_released_on_commit() {
     }
 }
 
+/// What a read-only participant costs today, pinned before anyone skips it
+/// (ROADMAP item 3 makes the read-only skip conditional on this showing a
+/// forced record at a guardian that only read). The action reads at `g1`
+/// and writes at `g0`, its coordinator. On every organization `g1` pays
+///
+/// * **2 device forces** — a `prepared` record with an empty MOS forced
+///   before its vote, and a `committed` record forced before its
+///   acknowledgement — for an action that changed nothing there, and
+/// * **4 delivered messages** — prepare, vote, commit, acknowledgement —
+///
+/// next to the coordinator's 1 force. A read-only participant that released
+/// its locks and dropped out at the vote would cost 0 forces and 2 messages.
+/// This test changes no behaviour; it is the number that skip has to beat.
+#[test]
+fn a_read_only_participant_costs_two_forces_and_four_messages() {
+    for kind in RsKind::ALL {
+        let (mut w, g0, g1) = setup(kind);
+        let a = w.begin(g0).unwrap();
+        let config = handle(&w, g1, "config");
+        w.read(g1, a, config).unwrap();
+        let data = handle(&w, g0, "data");
+        w.write_atomic(g0, a, data, |v| *v = Value::Int(1)).unwrap();
+
+        let forces = |w: &World| [g0, g1].map(|g| w.fault_plan(g).unwrap().op_counts().forces);
+        let (before, mail) = (forces(&w), w.network().delivered());
+        assert_eq!(w.commit(a).unwrap(), Outcome::Committed, "{kind:?}");
+        let after = forces(&w);
+        assert_eq!(
+            after[1] - before[1],
+            2,
+            "{kind:?}: forces where it only read"
+        );
+        assert_eq!(
+            after[0] - before[0],
+            1,
+            "{kind:?}: forces at the coordinator"
+        );
+        // Every message of this commit is to or from `g1`.
+        assert_eq!(w.network().delivered() - mail, 4, "{kind:?}");
+    }
+}
+
 #[test]
 fn read_locks_are_released_on_local_abort() {
     let (mut w, g0, g1) = setup(RsKind::Hybrid);

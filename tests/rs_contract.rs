@@ -7,11 +7,15 @@
 //! own last frame (DESIGN.md deviation 11), so it is a write and a barrier
 //! (`ops >= 2`) and exactly one barrier per local commit on every
 //! organization. (e) is the clause that change needs: frames a torn force
-//! left beyond the recovered top stay dead.
+//! left beyond the recovered top stay dead. (d) then grew from the local
+//! commit to the commit point of any action at its coordinator's guardian
+//! (DESIGN.md deviation 12): with remote participants the same step also
+//! carries `committing`, under the same one force.
 
 use argus::core::providers::MemProvider;
 use argus::core::{
-    HousekeepingMode, HybridLogRs, RecoverySystem, RedoRs, RsError, SimpleLogRs, StoreProvider,
+    HousekeepingMode, HybridLogRs, PState, RecoveryOutcome, RecoverySystem, RedoRs, RsError,
+    SimpleLogRs, StoreProvider,
 };
 use argus::guardian::RsKind;
 use argus::objects::{ActionId, GuardianId, Heap, HeapId, Value};
@@ -165,6 +169,12 @@ impl Fixture {
 
     /// Crashes, recovers, and returns the committed value of every object.
     fn recovered_values(&mut self) -> Vec<Value> {
+        self.recovered().0
+    }
+
+    /// Crashes and recovers: the committed value of every object, and what
+    /// recovery made of the log.
+    fn recovered(&mut self) -> (Vec<Value>, RecoveryOutcome) {
         self.rs.simulate_crash().unwrap();
         let uids: Vec<_> = self
             .objects
@@ -172,28 +182,39 @@ impl Fixture {
             .map(|h| self.heap.uid_of(*h).unwrap())
             .collect();
         self.heap = Heap::new();
-        self.rs.recover(&mut self.heap).unwrap();
+        let outcome = self.rs.recover(&mut self.heap).unwrap();
         self.objects = uids
             .iter()
             .map(|uid| self.heap.lookup(*uid).expect("object restored"))
             .collect();
         let values = self.objects.iter();
-        values
+        let values = values
             .map(|h| self.heap.read_value(*h, None).unwrap().clone())
-            .collect()
+            .collect();
+        (values, outcome)
     }
 
     fn forces(&self) -> u64 {
         self.rs.log_stats().device.forces
     }
 
-    /// A local action's whole commit: staged as one step, then the force it
-    /// owes, if it owes one.
-    fn local_commit(&mut self, a: ActionId, mos: &[HeapId]) -> Result<(), RsError> {
-        if self.rs.stage_local_commit(a, mos, &self.heap)? {
+    /// The whole commit point of `a` at its coordinator's guardian, `gids`
+    /// being every participant (none: a local action): staged as one step,
+    /// then the force it owes, if it owes one.
+    fn commit_point(
+        &mut self,
+        a: ActionId,
+        mos: &[HeapId],
+        gids: &[GuardianId],
+    ) -> Result<(), RsError> {
+        if self.rs.stage_commit_point(a, mos, &self.heap, gids)? {
             self.rs.force_staged()?;
         }
         Ok(())
+    }
+
+    fn local_commit(&mut self, a: ActionId, mos: &[HeapId]) -> Result<(), RsError> {
+        self.commit_point(a, mos, &[])
     }
 }
 
@@ -335,15 +356,32 @@ fn pat_and_housekeeping_protocol() {
     }
 }
 
-/// (d) A local commit is one device force, and a force is one barrier:
-/// data entries, `prepared` and `committed` staged as one step cost the
-/// device what a lone prepare's force does — its pages and a single `sync`,
-/// the force's last frame being its own commit point — nothing of the
+/// (d) The commit point is one device force, and a force is one barrier.
+/// Data entries, `prepared`, `committing` (when there are remote guardians
+/// to name; none for a local action) and `committed`, staged as one step,
+/// cost the device what a lone prepare's force does — its pages and a single
+/// `sync`, the force's last frame being its own commit point. Nothing of the
 /// action survives a crash before that force, all of it survives after, and
-/// a crash at any device operation inside it leaves all or nothing.
+/// a crash at any device operation inside it leaves all or nothing: never
+/// the coordinator's guardian in doubt about its own action, never a
+/// `committing` coordinator without its own `committed`.
 #[test]
-fn a_local_commit_is_one_device_force() {
-    for kind in RsKind::ALL {
+fn the_commit_point_is_one_device_force() {
+    let with_a_remote = [GuardianId(0), GuardianId(1)];
+    for (kind, gids) in RsKind::ALL
+        .into_iter()
+        .flat_map(|kind| [(kind, &[][..]), (kind, &with_a_remote[..])])
+    {
+        // What recovery must find once the commit point is durable.
+        let durable = |a: ActionId, outcome: &RecoveryOutcome| {
+            let resumed = outcome.ct.committing_actions();
+            let expected = match gids {
+                [] => Vec::new(),
+                gids => vec![(a, gids.to_vec())],
+            };
+            outcome.pt.get(a) == Some(PState::Committed) && resumed == expected
+        };
+
         // What one force costs this organization: a lone forced prepare.
         let plan = FaultPlan::new();
         let mut f = Fixture::with_plan(kind, &plan);
@@ -356,44 +394,56 @@ fn a_local_commit_is_one_device_force() {
         f.rs.abort(a).unwrap();
         f.heap.abort_action(a);
 
-        // The whole local commit costs the same, and is durable after it.
+        // The whole commit point costs the same, and is durable after it.
         let a = f.begin();
         let h = f.write(a, 1, 7);
         let (forces, ops) = (f.forces(), plan.op_counts());
-        f.local_commit(a, &[h]).unwrap();
+        f.commit_point(a, &[h], gids).unwrap();
         f.heap.commit_action(a);
-        assert_eq!(f.forces() - forces, one_force, "{kind:?}");
+        assert_eq!(f.forces() - forces, one_force, "{kind:?} {gids:?}");
         let ops = plan.op_counts().since(&ops);
         assert_eq!(ops.forces, 1, "{kind:?}: a force is one device barrier");
         let ops = ops.total();
         assert!(ops >= 2, "{kind:?}: a force is a write and a barrier");
         assert!(!f.rs.is_prepared(a), "{kind:?}: resolved, not in doubt");
-        assert_eq!(f.recovered_values()[1], Value::Int(7), "{kind:?}");
+        let (values, outcome) = f.recovered();
+        assert_eq!(values[1], Value::Int(7), "{kind:?} {gids:?}");
+        assert!(durable(a, &outcome), "{kind:?} {gids:?}: {outcome:?}");
 
         // Staged and not yet forced, it is invisible to recovery.
         let a = f.begin();
         let h = f.write(a, 2, 9);
         let forces = f.forces();
-        if f.rs.stage_local_commit(a, &[h], &f.heap).unwrap() {
+        if f.rs.stage_commit_point(a, &[h], &f.heap, gids).unwrap() {
             assert_eq!(f.forces(), forces, "{kind:?}: staging forced the device");
-            assert_eq!(f.recovered_values()[2], Value::Int(0), "{kind:?}");
+            let (values, outcome) = f.recovered();
+            assert_eq!(values[2], Value::Int(0), "{kind:?} {gids:?}");
+            assert_eq!(outcome.pt.get(a), None, "{kind:?} {gids:?}");
         }
 
-        // A crash at each of its device operations: all or nothing, and
-        // nothing when the very first operation is the one that fails.
-        for k in 0..ops {
+        // A crash at each of its device operations on a fresh log, until
+        // the countdown outlasts it: all or nothing, and nothing when the
+        // very first operation is the one that fails.
+        for k in 0.. {
             let plan = FaultPlan::new();
             let mut f = Fixture::with_plan(kind, &plan);
             let a = f.begin();
             let h = f.write(a, 1, 7);
             plan.arm_after_ops(k);
-            let crashed = f.local_commit(a, &[h]).unwrap_err();
+            let Err(crashed) = f.commit_point(a, &[h], gids) else {
+                assert!(k >= 2, "{kind:?}: a force is a write and a barrier");
+                break;
+            };
             assert!(crashed.is_crash(), "{kind:?} op {k}: {crashed}");
             plan.heal();
-            let values = f.recovered_values();
+            let (values, outcome) = f.recovered();
+            let nothing = values[1] == Value::Int(0)
+                && outcome.pt.get(a).is_none()
+                && outcome.ct.committing_actions().is_empty();
+            let all = k > 0 && values[1] == Value::Int(7) && durable(a, &outcome);
             assert!(
-                values[1] == Value::Int(0) || (k > 0 && values[1] == Value::Int(7)),
-                "{kind:?}: a crash at device operation {k} of {ops} left {:?}",
+                nothing || all,
+                "{kind:?} {gids:?}: a crash at device operation {k} left {:?}, {outcome:?}",
                 values[1]
             );
             assert!(!f.rs.is_prepared(a), "{kind:?} op {k}: left in doubt");

@@ -4,6 +4,12 @@
 //! surfaced — scheduler work must track *active* guardians, not the world's
 //! size, and a participant that both reads and writes at one guardian must
 //! get exactly one prepare.
+//!
+//! Re-pinned once, downward: a coordinator is no party to its own protocol
+//! (DESIGN.md deviation 12), so `read_and_write_at_one_guardian_prepares_it_once`
+//! counts one participant prepare (the remote's; was 2) and the remote's
+//! four-message conversation (was 8 deliveries, four of them self-addressed),
+//! and over the 64-shard mix `net.self_sent` is 0.
 
 mod common;
 
@@ -45,6 +51,12 @@ fn sixty_four_shard_mix_quiesces_clean_under_full_lint() {
     assert_eq!(mix.total_balance(&world).unwrap(), mix.expected_total());
     assert_eq!(mix.total_seats(&world).unwrap(), mix.expected_seats(&stats));
     world.run_until_quiet().unwrap();
+    assert!(reg.counter("net.sent").get() > 0);
+    assert_eq!(
+        reg.counter("net.self_sent").get(),
+        0,
+        "a guardian mailed itself"
+    );
     common::lint_world(&mut world);
 }
 
@@ -120,15 +132,16 @@ fn read_and_write_at_one_guardian_prepares_it_once() {
         .unwrap();
     assert_eq!(world.commit(aid).unwrap(), Outcome::Committed);
 
-    // One prepare per participant: the coordinator's own plus the remote's.
+    // One participant prepare, the remote's: the coordinator's own guardian
+    // prepares inside its commit point, not as a participant machine.
     assert_eq!(
         reg.counter("twopc.part.prepares").get() - prepares_before,
-        2,
+        1,
         "a read+write participant was prepared more than once"
     );
-    // Each participant's conversation is exactly prepare → vote → commit →
-    // ack (the coordinator mails itself through the network like anyone
-    // else), so two participants pin eight deliveries; a duplicated
-    // participant entry would add four more.
-    assert_eq!(world.network().delivered() - delivered_before, 8);
+    // The remote's conversation is exactly prepare → vote → commit → ack
+    // and the coordinator has none with itself, so four deliveries; a
+    // duplicated participant entry would add four more.
+    assert_eq!(world.network().delivered() - delivered_before, 4);
+    assert_eq!(reg.counter("net.self_sent").get(), 0);
 }

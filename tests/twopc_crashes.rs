@@ -5,12 +5,23 @@
 //! side, run a distributed transfer, crash, restart, reconverge — and check
 //! the all-or-nothing invariant: the two balances always sum to the same
 //! total, and the two guardians agree on whether the transfer happened.
+//!
+//! Re-pinned once, downward, when the coordinator stopped running the
+//! protocol with itself (DESIGN.md deviation 12). Its guardian has one force
+//! in a two-guardian commit — the commit point — where it had three, so
+//! `coordinator_crash_matrix`'s write countdown finds one crash point on the
+//! simple log (one page, budget 0) and its floor reads "fired ≥ 1", not 2;
+//! and a coordinator that resumes phase two re-sends `Commit` to the remote
+//! participant alone, so `a_coordinator_crash_that_loses_done…` counts 2
+//! deliveries (`Commit`, `CommitAck`), not 4.
+//! `a_two_guardian_commit_is_all_or_nothing_at_every_device_operation` is
+//! the sweep the new commit point needs.
 
 mod common;
 
 use argus::check::sweep::SweepConfig;
 use argus::check::{ExploreConfig, Explorer};
-use argus::core::LogEntry;
+use argus::core::{LogEntry, PState};
 use argus::guardian::{Outcome, RsKind, World, WorldConfig};
 use argus::objects::{ActionId, GuardianId, ObjRef, Value};
 use argus::sim::CostModel;
@@ -153,10 +164,9 @@ fn coordinator_crash_matrix() {
                 fired += 1;
             }
         }
-        assert!(
-            fired >= 2,
-            "{kind:?}: crash injection barely fired ({fired})"
-        );
+        // The coordinator's guardian writes once, at the commit point: on
+        // the simple log that is a single page, so a single budget.
+        assert!(fired >= 1, "{kind:?}: crash injection never fired");
     }
 }
 
@@ -237,6 +247,130 @@ fn a_local_commit_is_all_or_nothing_at_every_device_operation() {
     }
 }
 
+/// The crash-schedule sweep of a two-guardian commit: a crash at every
+/// device operation of it, at the coordinator (its one force, the commit
+/// point) and at the participant (its two: `prepared`, `committed`), under
+/// both force schedules. Both guardians moved or neither did, an
+/// acknowledged commit is durable after every restart, and the coordinator
+/// never recovers in doubt about its own action — its `prepared` is never
+/// durable without `committing` and its own `committed`.
+#[test]
+fn a_two_guardian_commit_is_all_or_nothing_at_every_device_operation() {
+    let configs = [WorldConfig::default(), WorldConfig::unbatched()];
+    for (kind, cfg) in RsKind::ALL
+        .into_iter()
+        .flat_map(|k| configs.map(|c| (k, c)))
+    {
+        // The oracle run counts each guardian's device operations.
+        let (mut w, g0, g1) = setup_with(kind, cfg);
+        let a = w.begin(g0).unwrap();
+        deposit(&mut w, g0, a, -30);
+        deposit(&mut w, g1, a, 30);
+        let before = [g0, g1].map(|g| w.fault_plan(g).unwrap().op_counts());
+        let mail = w.network().delivered();
+        assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+        let ops = [(g0, before[0]), (g1, before[1])]
+            .map(|(g, before)| w.fault_plan(g).unwrap().op_counts().since(&before));
+        assert_eq!(
+            (ops[0].forces, ops[1].forces),
+            (1, 2),
+            "{kind:?}: one force at the coordinator, two at the participant"
+        );
+        assert_eq!(
+            w.network().delivered() - mail,
+            4,
+            "{kind:?}: prepare, vote, commit, acknowledgement"
+        );
+
+        for (victim_is_coordinator, ops) in [(true, ops[0].total()), (false, ops[1].total())] {
+            for k in 0..ops {
+                let case = format!("{kind:?} coordinator={victim_is_coordinator} op {k}");
+                let (mut w, g0, g1) = setup_with(kind, cfg);
+                let victim = if victim_is_coordinator { g0 } else { g1 };
+                let a = w.begin(g0).unwrap();
+                deposit(&mut w, g0, a, -30);
+                deposit(&mut w, g1, a, 30);
+                w.arm_crash_after_ops(victim, k).unwrap();
+                let outcome = w.commit(a).unwrap();
+                assert!(!w.is_up(victim), "{case}: the armed crash never fired");
+                w.crash(victim);
+                // Reconverge, then take both guardians down once more: what
+                // was acknowledged must be what every later restart finds.
+                for g in [victim, g0, g1] {
+                    w.crash(g);
+                    let recovered = w.restart(g).unwrap();
+                    w.requery_in_doubt().unwrap();
+                    if g == g0 {
+                        assert_ne!(
+                            recovered.pt.get(a),
+                            Some(PState::Prepared),
+                            "{case}: the coordinator recovered in doubt about its own action"
+                        );
+                    }
+                }
+                let moved = (balance(&w, g0), balance(&w, g1));
+                assert!(
+                    moved == (70, 130) || moved == (100, 100),
+                    "{case}: split {moved:?}"
+                );
+                if outcome == Outcome::Committed {
+                    assert_eq!(moved, (70, 130), "{case}: lost an acknowledged commit");
+                }
+                if outcome == Outcome::Aborted {
+                    assert_eq!(moved, (100, 100), "{case}: an aborted action moved money");
+                }
+                common::lint_world(&mut w);
+            }
+        }
+    }
+}
+
+/// The coordinator's guardian never prepared on its own, so an action that
+/// aborts leaves nothing of itself there: no record reaches the log (no
+/// device operation at all), its tentative versions and locks go when the
+/// abort is decided, and only the remote participant is told.
+#[test]
+fn an_aborted_distributed_action_leaves_no_record_at_its_coordinator() {
+    for kind in RsKind::ALL {
+        let (mut w, g0, g1) = setup(kind);
+        let a = w.begin(g0).unwrap();
+        deposit(&mut w, g0, a, -30);
+        deposit(&mut w, g1, a, 30);
+        // The participant forgets the action: it will refuse the prepare.
+        w.crash(g1);
+        w.restart(g1).unwrap();
+
+        let before = w.fault_plan(g0).unwrap().op_counts();
+        let mail = w.network().delivered();
+        assert_eq!(w.commit(a).unwrap(), Outcome::Aborted, "{kind:?}");
+        let ops = w.fault_plan(g0).unwrap().op_counts().since(&before);
+        assert_eq!(
+            ops.total(),
+            0,
+            "{kind:?}: the coordinator touched its device"
+        );
+        // Prepare and its refusal, abort and its acknowledgement.
+        assert_eq!(w.network().delivered() - mail, 4, "{kind:?}");
+        assert_eq!((balance(&w, g0), balance(&w, g1)), (100, 100), "{kind:?}");
+
+        // Its locks at home are free, and the next force there carries no
+        // trace of it.
+        committed_transfer(&mut w, g0, g1);
+        if let Some(entries) = w.dump_log(g0).unwrap() {
+            let of_a = |e: &LogEntry| {
+                matches!(e, LogEntry::Prepared { aid, .. } | LogEntry::Committing { aid, .. }
+                    | LogEntry::Committed { aid, .. } | LogEntry::Aborted { aid, .. }
+                    | LogEntry::Done { aid, .. } if *aid == a)
+            };
+            assert!(!entries.iter().any(|(_, e)| of_a(e)), "{kind:?}");
+        }
+        w.crash(g0);
+        let recovered = w.restart(g0).unwrap();
+        assert_eq!(recovered.pt.get(a), None, "{kind:?}");
+        common::lint_world(&mut w);
+    }
+}
+
 /// `done` is written behind the last acknowledgement and never forced. A
 /// coordinator crash before any later force loses it: recovery finds the
 /// action `committing`, phase two runs again, the participants re-acknowledge
@@ -260,8 +394,10 @@ fn a_coordinator_crash_that_loses_done_resumes_committing_and_finishes() {
             vec![(a, vec![g0, g1])],
             "{kind:?}: the coordinator must resume phase two"
         );
-        // Commit to both participants, an acknowledgement from each.
-        assert_eq!(w.network().delivered() - acks, 4, "{kind:?}");
+        // Commit to the remote participant and its acknowledgement: the
+        // coordinator's own guardian recovered `committed` with `committing`.
+        assert_eq!(w.network().delivered() - acks, 2, "{kind:?}");
+        assert_eq!(recovered.pt.get(a), Some(PState::Committed), "{kind:?}");
         assert_eq!(w.verdict(a), Some(true), "{kind:?}");
         assert_eq!((balance(&w, g0), balance(&w, g1)), (70, 130), "{kind:?}");
 
@@ -302,13 +438,18 @@ fn housekeeping_with_a_buffered_done_keeps_the_coordinator_records_paired() {
 }
 
 /// The explorer, over the same coordinator machine the world runs: a local
-/// action (no participants) under two crashes, and the distributed protocol
+/// action (no participants) under two crashes, the distributed protocol
 /// under a crash budget — whose schedules include every coordinator crash
-/// with the unforced `done` still buffered — satisfy A1–A4 and termination.
+/// with the unforced `done` still buffered — and the configuration the world
+/// actually builds, a coordinator whose node is a participant too (its own
+/// `prepared`, `committing` and `committed` appended by one force), satisfy
+/// A1–A4 and termination; in the last, no node is ever in doubt about an
+/// action it coordinates and no message is addressed to its sender.
 #[test]
 fn the_explorer_accepts_the_local_path_and_a_lost_done() {
     let local = Explorer::new(ExploreConfig {
         participants: 0,
+        coordinator_participates: true,
         max_crashes: 2,
         max_drops: 0,
         max_states: 10_000,
@@ -322,6 +463,7 @@ fn the_explorer_accepts_the_local_path_and_a_lost_done() {
 
     let distributed = Explorer::new(ExploreConfig {
         participants: 2,
+        coordinator_participates: false,
         max_crashes: 2,
         max_drops: 0,
         max_states: 100_000,
@@ -331,4 +473,55 @@ fn the_explorer_accepts_the_local_path_and_a_lost_done() {
     .run();
     distributed.assert_ok();
     assert!(distributed.stats.terminal_states > 0);
+
+    for (participants, eager_restarts) in [(1, true), (2, false)] {
+        let participating = Explorer::new(ExploreConfig {
+            participants,
+            coordinator_participates: true,
+            max_crashes: 2,
+            max_drops: 1,
+            max_states: 100_000,
+            allow_refusal: true,
+            eager_restarts,
+        })
+        .run();
+        participating.assert_ok();
+        assert_eq!(participating.stats.depth_limited, 0, "{participants}");
+        assert!(participating.stats.crash_points > 0 && participating.stats.terminal_states > 0);
+    }
+}
+
+/// A query that arrives while the commit point is staged and not yet forced
+/// is not answered: "aborted" can no longer be promised, "committed" is not
+/// durable yet. The participant votes while the coordinator sleeps, crashes,
+/// restarts in doubt and queries; the coordinator wakes to the vote — the
+/// last one, so it stages its commit point — and then the query, before the
+/// force. Answering "aborted" there would abort the participant and drop
+/// the coordinator's versions while its `committed` record goes to the log.
+#[test]
+fn a_query_inside_the_commit_point_window_is_not_answered() {
+    for kind in RsKind::ALL {
+        let (mut w, g0, g1) = setup(kind);
+        let a = w.begin(g0).unwrap();
+        deposit(&mut w, g0, a, -30);
+        deposit(&mut w, g1, a, 30);
+        w.pause_guardian(g0);
+        w.commit_start(a).unwrap();
+        w.run_until_quiet().unwrap();
+        w.crash(g1);
+        w.restart(g1).unwrap();
+        w.resume_guardian(g0);
+        assert_eq!(w.commit_settle(a).unwrap(), Outcome::Committed, "{kind:?}");
+        // What was acknowledged is what both guardians hold, now and after
+        // a restart of each.
+        for restart in [None, Some(g0), Some(g1)] {
+            if let Some(g) = restart {
+                w.crash(g);
+                w.restart(g).unwrap();
+            }
+            let moved = (balance(&w, g0), balance(&w, g1));
+            assert_eq!(moved, (70, 130), "{kind:?} after restarting {restart:?}");
+        }
+        common::lint_world(&mut w);
+    }
 }
