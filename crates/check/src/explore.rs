@@ -1325,6 +1325,16 @@ mod tests {
             "{:?}",
             ex.violations
         );
+        for v in &ex.violations {
+            let _ = std::fs::remove_file(dumped_schedule(v));
+        }
+    }
+
+    /// The flight dump a violation's text names.
+    fn dumped_schedule(violation: &str) -> std::path::PathBuf {
+        let marker = " [schedule: ";
+        let start = violation.find(marker).expect("violation names the dump") + marker.len();
+        std::path::PathBuf::from(&violation[start..violation.len() - 1])
     }
 
     #[test]
@@ -1393,10 +1403,7 @@ mod tests {
         });
         ex.check_state(&state);
         assert!(!ex.violations.is_empty());
-        let v = &ex.violations[0];
-        let marker = " [schedule: ";
-        let start = v.find(marker).expect("violation names the dump") + marker.len();
-        let path = std::path::PathBuf::from(&v[start..v.len() - 1]);
+        let path = dumped_schedule(&ex.violations[0]);
         assert!(path.exists(), "flight dump {} missing", path.display());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("deliver prepare 0->1"));

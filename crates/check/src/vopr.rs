@@ -292,6 +292,22 @@ struct Run {
 }
 
 impl Run {
+    fn new(rng: DetRng, gids: Vec<GuardianId>, header: String, obs: VoprObs) -> Self {
+        Run {
+            rng,
+            gids,
+            records: Vec::new(),
+            schedule: vec![header],
+            violations: Vec::new(),
+            tally: FaultTally::default(),
+            partitions: Vec::new(),
+            paused: Vec::new(),
+            down: Vec::new(),
+            checks: 0,
+            obs,
+        }
+    }
+
     fn up_indices(&self, w: &World) -> Vec<usize> {
         (0..self.gids.len())
             .filter(|i| w.is_up(self.gids[*i]))
@@ -603,6 +619,14 @@ impl Run {
                     }
                 }
                 Ok(None) => {} // shadowing keeps no log
+                // The dump's reads count against an armed countdown: when it
+                // fires here the node went down, as under any other
+                // operation. The next step finds it so and schedules the
+                // restart; there is nothing left to lint.
+                Err(e) if e.is_crash() => {
+                    w.crash(*g);
+                    continue;
+                }
                 Err(e) => self
                     .violations
                     .push(format!("step {step}: G{i} log dump failed: {e}")),
@@ -711,23 +735,12 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
         NetFaults::new(net_seed, dup_p, defer_p).with_drop(drop_p),
     ));
 
-    let mut run = Run {
-        rng,
-        gids,
-        records: Vec::new(),
-        schedule: vec![format!(
-            "vopr seed={} steps={} kind={:?} guardians={n} drop={drop_p:.3} dup={dup_p:.3} \
-             defer={defer_p:.3}",
-            cfg.seed, cfg.steps, cfg.kind
-        )],
-        violations: Vec::new(),
-        tally: FaultTally::default(),
-        partitions: Vec::new(),
-        paused: Vec::new(),
-        down: Vec::new(),
-        checks: 0,
-        obs,
-    };
+    let header = format!(
+        "vopr seed={} steps={} kind={:?} guardians={n} drop={drop_p:.3} dup={dup_p:.3} \
+         defer={defer_p:.3}",
+        cfg.seed, cfg.steps, cfg.kind
+    );
+    let mut run = Run::new(rng, gids, header, obs);
 
     for step in 0..cfg.steps {
         run.obs.steps.inc();
@@ -878,6 +891,36 @@ mod tests {
         let b = vopr(&VoprConfig::new(42, 48));
         assert_eq!(a.line(), b.line());
         assert_eq!(a.violations, b.violations);
+    }
+
+    /// An armed countdown that fires inside the checker's own log dump is
+    /// the node going down, not a violation: the check stays clean, skips
+    /// that guardian's lint, and the next step schedules its restart.
+    #[test]
+    fn a_crash_inside_the_inspection_is_a_crash_not_a_violation() {
+        for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Redo] {
+            let reg = argus_obs::Registry::new();
+            let _scope = reg.enter();
+            // Uncached, and a log longer than the tail the log keeps in
+            // memory, so the dump reads the device.
+            let mut w = World::with_config(CostModel::fast(), WorldConfig::unbatched());
+            let gids: Vec<GuardianId> = (0..2).map(|_| w.add_guardian(kind).unwrap()).collect();
+            let mut run = Run::new(DetRng::new(1), gids, String::new(), VoprObs::resolve());
+            for step in 0..8 {
+                run.action(&mut w, step);
+            }
+            // Nothing between here and the dump touches G0's device.
+            w.arm_crash_after_ops(run.gids[0], 0).unwrap();
+            run.quiesce_and_check(&mut w, 8, false);
+            assert_eq!(run.violations, Vec::<String>::new(), "{kind:?}");
+            assert!(!w.is_up(run.gids[0]), "{kind:?}: the countdown fired");
+            run.tick_timers(&mut w, 9);
+            let (_, restart_at) = run.down[0];
+            run.tick_timers(&mut w, restart_at);
+            assert!(w.is_up(run.gids[0]), "{kind:?}: restarted on schedule");
+            run.quiesce_and_check(&mut w, restart_at, true);
+            assert_eq!(run.violations, Vec::<String>::new(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! One guardian: heap + recovery system + protocol state.
 
 use crate::world::{MediaKind, WorldConfig};
-use crate::{WorldError, WorldResult};
+use crate::WorldResult;
+use argus_cc::LockMode;
 use argus_core::providers::{CachedProvider, FileProvider, MemProvider, MirrorProvider};
 use argus_core::{
-    HybridLogRs, LogEntry, LogStats, RecoverySystem, RedoRs, RsResult, SimpleLogRs, StoreProvider,
+    CState, HybridLogRs, LogEntry, LogStats, PState, RecoveryOutcome, RecoverySystem, RedoRs,
+    RsError, RsResult, SimpleLogRs, StoreProvider,
 };
-use argus_objects::{ActionId, GuardianId, Heap, HeapId, Uid, Value};
+use argus_objects::{ActionId, GuardianId, Heap, HeapId, HeapResult, ObjKind, Value};
 use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, SimClock};
 use argus_slog::{ForceScheduler, LogAddress};
 use argus_stable::FaultPlan;
-use argus_twopc::{Coordinator, Participant};
-use std::collections::{HashMap, HashSet};
+use argus_twopc::{
+    CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, PartPhase, Participant,
+};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Which stable-storage organization a guardian runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +43,9 @@ impl RsKind {
 /// entry durable" turned into a scheduler).
 ///
 /// Each variant names the entry a recovery system has *staged* via its
-/// `stage_*` operation; once [`crate::World`] runs the shared force, the
-/// matching two-phase-commit continuation fires.
+/// `stage_*` operation; once [`Guardian::force`] has run the shared force,
+/// the driver feeds each back as [`Input::Forced`] and the matching
+/// two-phase-commit continuation fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StagedOp {
     /// A staged prepared record; on force, `prepare_succeeded`.
@@ -66,6 +71,81 @@ impl StagedOp {
             }
         }
     }
+}
+
+/// Everything that can happen to a guardian's halves of two-phase commit.
+#[derive(Debug)]
+pub(crate) enum Input<'a> {
+    /// A protocol message arrived.
+    Message(Envelope),
+    /// The client asked to commit `aid`, which ran at these guardians.
+    Commit(ActionId, Vec<GuardianId>),
+    /// The record `op` waited on is durable (one per step, in staging
+    /// order: each continuation's effects are applied before the next runs).
+    Forced(StagedOp),
+    /// The Argus-system timeout (§2.2.1): give up on `aid`'s silent voters.
+    Timeout(ActionId),
+    /// Recovery rebuilt the stable state: restore the protocol tables and
+    /// resume in-doubt participants and committing coordinators.
+    Recovered(&'a RecoveryOutcome),
+    /// The periodic query of §2.2.2: every in-doubt participant asks again.
+    Requery,
+}
+
+/// What a step asks of the guardian's driver, which applies it in field
+/// order after every step. Owned by the driver and reused, so a steady-state
+/// step allocates nothing here.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Effects {
+    /// Mail to send, in order.
+    pub(crate) send: Vec<Envelope>,
+    /// One force deadline per entry the step staged.
+    pub(crate) due: Vec<u64>,
+    /// The final verdict of an action this guardian coordinated.
+    pub(crate) resolved: Option<(ActionId, bool)>,
+    /// The device crashed under the step: the guardian is down, its staged
+    /// batch is gone, and the driver finishes the crash outside.
+    pub(crate) crashed: bool,
+}
+
+/// What an action does to an object once it holds the lock.
+pub(crate) enum Touch<F> {
+    /// Nothing more: the read lock is the point.
+    Read,
+    /// Mutate the current version of a write-locked atomic object.
+    Write(F),
+    /// Mutate a seized mutex object, then release it.
+    Mutex(F),
+}
+
+/// A mutation that outlives its call because its lock request parked.
+pub(crate) type Parked = Box<dyn FnOnce(&mut Value)>;
+
+impl<F> Touch<F> {
+    /// The lock the touch needs.
+    pub(crate) fn mode(&self) -> LockMode {
+        match self {
+            Self::Read => LockMode::Shared,
+            Self::Write(_) | Self::Mutex(_) => LockMode::Exclusive,
+        }
+    }
+}
+
+impl<F: FnOnce(&mut Value) + 'static> Touch<F> {
+    /// Boxes the mutation — only a request that parks pays for this.
+    pub(crate) fn boxed(self) -> Touch<Parked> {
+        match self {
+            Self::Read => Touch::Read,
+            Self::Write(f) => Touch::Write(Box::new(f)),
+            Self::Mutex(f) => Touch::Mutex(Box::new(f)),
+        }
+    }
+}
+
+/// The trace key for an action: the id, decomposed so every crate stamps
+/// events the same way.
+pub(crate) fn tkey(aid: ActionId) -> argus_trace::Key {
+    argus_trace::Key::new(aid.coordinator.0, aid.seq)
 }
 
 /// A guardian: a logical node with stable and volatile state (§2.1).
@@ -109,6 +189,14 @@ pub struct Guardian {
     /// the simulated time it was staged (the start of its `force_wait`
     /// trace span).
     pub(crate) staged: Vec<(StagedOp, u64)>,
+    /// The world's clock and tracer, and its `twopc.*_us` phase timers —
+    /// handles, so that a step resolves nothing by name.
+    clock: SimClock,
+    tracer: argus_trace::Tracer,
+    prepare_us: argus_obs::Timer,
+    commit_us: argus_obs::Timer,
+    committing_us: argus_obs::Timer,
+    abort_us: argus_obs::Timer,
 }
 
 impl std::fmt::Debug for Guardian {
@@ -129,12 +217,15 @@ impl Guardian {
         clock: SimClock,
         model: CostModel,
         cfg: &WorldConfig,
+        tracer: argus_trace::Tracer,
+        obs: &argus_obs::Registry,
     ) -> RsResult<Self> {
         let plan = FaultPlan::new();
+        let device_clock = clock.clone();
         let rs = match cfg.media {
             MediaKind::Mem => {
                 let provider = MemProvider {
-                    clock,
+                    clock: device_clock,
                     model,
                     plan: Some(plan.clone()),
                 };
@@ -142,7 +233,7 @@ impl Guardian {
             }
             MediaKind::Mirrored => {
                 let provider = MirrorProvider {
-                    clock,
+                    clock: device_clock,
                     model,
                     plan: plan.clone(),
                 };
@@ -163,7 +254,7 @@ impl Guardian {
                     }
                 };
                 let provider = FileProvider::new(base.join(format!("g{}", id.0)))
-                    .map(|p| p.with_device(clock, model))
+                    .map(|p| p.with_device(device_clock, model))
                     .map_err(|e| argus_core::RsError::BadState(format!("file provider: {e}")))?;
                 Self::build(kind, provider, cfg)?
             }
@@ -184,6 +275,12 @@ impl Guardian {
             hk_policy: None,
             force_sched: ForceScheduler::new(cfg.force),
             staged: Vec::new(),
+            clock,
+            tracer,
+            prepare_us: obs.timer("twopc.prepare_us"),
+            commit_us: obs.timer("twopc.commit_us"),
+            committing_us: obs.timer("twopc.committing_us"),
+            abort_us: obs.timer("twopc.abort_us"),
         })
     }
 
@@ -233,19 +330,10 @@ impl Guardian {
         None
     }
 
-    /// Records a stable-variable binding in the root's current version. The
-    /// caller must already hold the root write lock for `aid`.
-    pub(crate) fn bind_stable(
-        &mut self,
-        aid: ActionId,
-        name: &str,
-        value: Value,
-    ) -> WorldResult<()> {
-        let root = self.heap.stable_root().ok_or(WorldError::Heap(
-            argus_objects::HeapError::NoSuchUid(Uid::STABLE_ROOT),
-        ))?;
+    /// The mutation of the stable root that binds `name` to `value`.
+    pub(crate) fn bind_stable(name: &str, value: Value) -> impl FnOnce(&mut Value) {
         let name = name.to_owned();
-        self.heap.write_value(root, aid, move |v| {
+        move |v| {
             let pairs = match v {
                 Value::Seq(pairs) => pairs,
                 other => {
@@ -267,8 +355,7 @@ impl Guardian {
                 }
             }
             pairs.push(Value::Seq(vec![Value::Str(name), value]));
-        })?;
-        Ok(())
+        }
     }
 
     /// Log and device statistics for this guardian's recovery system.
@@ -286,5 +373,465 @@ impl Guardian {
     /// organization keeps no log, e.g. the shadowing baseline).
     pub fn dump_log(&mut self) -> RsResult<Option<Vec<(LogAddress, LogEntry)>>> {
         self.rs.dump_log()
+    }
+}
+
+// ---- actions: lock, then touch ---------------------------------------------
+
+impl Guardian {
+    /// Begins a top-level action originating (and coordinated) here.
+    pub(crate) fn begin(&mut self) -> ActionId {
+        let aid = ActionId::new(self.id, self.next_seq);
+        self.next_seq += 1;
+        self.known.insert(aid);
+        aid
+    }
+
+    /// Takes the lock `mode` asks for on `h`, or reports who is in the way:
+    /// a read or write lock on an atomic object (§2.4.1), possession of a
+    /// mutex (§2.4.2) — except that reading a mutex takes no lock.
+    pub(crate) fn lock(&mut self, aid: ActionId, h: HeapId, mode: LockMode) -> HeapResult<()> {
+        match (self.heap.get(h)?.body.kind(), mode) {
+            (ObjKind::Atomic, LockMode::Shared) => self.heap.acquire_read(h, aid),
+            (ObjKind::Atomic, LockMode::Exclusive) => self.heap.acquire_write(h, aid),
+            (ObjKind::Mutex, LockMode::Shared) => Ok(()),
+            (ObjKind::Mutex, LockMode::Exclusive) => self.heap.seize(h, aid),
+        }
+    }
+
+    /// Runs `touch` on `h` under the lock [`Guardian::lock`] just granted
+    /// and books the action here: it is known, and what it wrote joins its
+    /// MOS. Returns whether it wrote.
+    pub(crate) fn apply<F: FnOnce(&mut Value)>(
+        &mut self,
+        aid: ActionId,
+        h: HeapId,
+        touch: Touch<F>,
+    ) -> HeapResult<bool> {
+        match touch {
+            Touch::Read => {
+                self.known.insert(aid);
+                return Ok(false);
+            }
+            Touch::Write(f) => self.heap.write_value(h, aid, f)?,
+            Touch::Mutex(f) => {
+                self.heap.mutate_mutex(h, aid, f)?;
+                self.heap.release(h, aid)?;
+            }
+        }
+        self.known.insert(aid);
+        let mos = self.mos.entry(aid).or_default();
+        if !mos.contains(&h) {
+            mos.push(h);
+        }
+        Ok(true)
+    }
+
+    /// Whether `aid` has a two-phase-commit machine here.
+    pub(crate) fn in_two_phase_commit(&self, aid: ActionId) -> bool {
+        self.participants.contains_key(&aid) || self.coordinators.contains_key(&aid)
+    }
+
+    /// Every action with protocol or MOS state here.
+    pub(crate) fn live_actions(&self) -> impl Iterator<Item = ActionId> + '_ {
+        let machines = self.participants.keys().chain(self.coordinators.keys());
+        machines.chain(self.mos.keys()).copied()
+    }
+}
+
+// ---- two-phase commit: one step at a time ----------------------------------
+
+impl Guardian {
+    /// Runs one transition of this guardian's halves of two-phase commit and
+    /// gathers what it asks of the outside world into `fx`. A down guardian
+    /// does nothing. On `Err` the effects gathered so far still stand.
+    pub(crate) fn step(&mut self, input: Input<'_>, fx: &mut Effects) -> WorldResult<()> {
+        if !self.up {
+            return Ok(());
+        }
+        match input {
+            Input::Message(envelope) => self.deliver(envelope, fx),
+            Input::Commit(aid, gids) => {
+                let coordinator = Coordinator::new(aid, gids);
+                let effects = coordinator.start();
+                self.coordinators.insert(aid, coordinator);
+                self.exec_coord(aid, effects, fx)
+            }
+            Input::Forced(op) => self.forced(op, fx),
+            Input::Timeout(aid) => self.coord_step(aid, Coordinator::abort_unilaterally, fx),
+            Input::Recovered(outcome) => self.recovered(outcome, fx),
+            Input::Requery => {
+                // `participants` is a hash map, and the order of sending
+                // decides which message a seeded network fault falls on.
+                let first = fx.send.len();
+                let in_doubt = self.participants.iter();
+                fx.send.extend(in_doubt.filter_map(|(aid, p)| {
+                    (p.phase() == PartPhase::Prepared).then_some(Envelope {
+                        from: self.id,
+                        to: p.coordinator,
+                        msg: Msg::QueryOutcome { aid: *aid },
+                    })
+                }));
+                fx.send[first..].sort_by_key(|q| q.msg.aid());
+                Ok(())
+            }
+        }
+    }
+
+    /// Forces the staged batch and returns its continuations, in staging
+    /// order, for the driver to feed back as [`Input::Forced`]. One device
+    /// force makes every staged entry durable atomically (its last frame is
+    /// its commit point, DESIGN.md deviation 11), so a crash during the force
+    /// loses the whole batch, exactly as an unbatched force that crashed.
+    pub(crate) fn force(&mut self, fx: &mut Effects) -> WorldResult<Vec<(StagedOp, u64)>> {
+        if !self.up || self.staged.is_empty() {
+            return Ok(Vec::new());
+        }
+        let staged = std::mem::take(&mut self.staged);
+        let batch = self.force_sched.batch_id();
+        self.force_sched.flushed();
+        let force_t0 = self.clock.now();
+        match self.rs.force_staged() {
+            Ok(()) => {}
+            Err(e) if e.is_crash() => {
+                // The batch died with the volatile buffer: no spans — the
+                // staged actions resolve through recovery, not this force.
+                fx.crashed = self.crashed();
+                return Ok(Vec::new());
+            }
+            Err(e) => return Err(e.into()),
+        }
+        let (g, tracer) = (self.id.0, &self.tracer);
+        let args = [("batch", batch), ("ops", staged.len() as u64)];
+        tracer.complete("force", "force", g, None, force_t0, &args);
+        for &(op, staged_at) in &staged {
+            let key = Some(tkey(op.aid()));
+            tracer.complete("force", "force_wait", g, key, staged_at, &args[..1]);
+        }
+        Ok(staged)
+    }
+
+    /// The node goes down: staged-but-unforced entries died with the
+    /// volatile buffer, so their continuations must never run (the
+    /// participants never replied; two-phase commit resolves them after
+    /// restart). Returns whether it was up.
+    pub(crate) fn crashed(&mut self) -> bool {
+        self.staged.clear();
+        self.force_sched.flushed();
+        std::mem::replace(&mut self.up, false)
+    }
+
+    /// Everything in the struct but the recovery system is volatile (§2.1):
+    /// a restart starts from an empty heap and empty protocol tables.
+    pub(crate) fn lose_volatile_state(&mut self) {
+        self.crashed();
+        self.heap = Heap::new();
+        self.mos.clear();
+        self.known.clear();
+        self.resolved.clear();
+        self.coord_done.clear();
+        self.coordinators.clear();
+        self.participants.clear();
+    }
+
+    /// What happens when `op`'s record is durable: a verdict takes effect in
+    /// the heap and the action's two-phase-commit machine moves on. Runs
+    /// once per forced step — fed back after [`Guardian::force`] for a
+    /// batched entry, from `staged` for one that is durable as it stands.
+    fn forced(&mut self, op: StagedOp, fx: &mut Effects) -> WorldResult<()> {
+        let aid = op.aid();
+        let step: fn(&mut Participant) -> Vec<PartEffect> = match op {
+            StagedOp::Prepare(_) => Participant::prepare_succeeded,
+            StagedOp::Commit(_) => {
+                self.heap.commit_action(aid);
+                self.resolved.insert(aid, true);
+                Participant::commit_forced
+            }
+            StagedOp::Abort(_) => {
+                self.heap.abort_action(aid);
+                self.resolved.insert(aid, false);
+                Participant::abort_forced
+            }
+            StagedOp::CommitPoint(_) => {
+                self.heap.commit_action(aid);
+                return self.coord_step(aid, Coordinator::committing_forced, fx);
+            }
+        };
+        let more = self.participants.get_mut(&aid).map(step);
+        self.exec_part(aid, more.unwrap_or_default(), fx)
+    }
+
+    /// Restores the protocol tables from what recovery found, then resumes
+    /// in-doubt participants — they query their coordinators (§2.2.2) — and
+    /// committing coordinators, which restart phase two (§2.2.3).
+    fn recovered(&mut self, outcome: &RecoveryOutcome, fx: &mut Effects) -> WorldResult<()> {
+        for (aid, state) in outcome.pt.iter() {
+            self.known.insert(*aid);
+            match state {
+                PState::Committed => self.resolved.insert(*aid, true),
+                PState::Aborted => self.resolved.insert(*aid, false),
+                PState::Prepared => None,
+            };
+        }
+        for (aid, state) in outcome.ct.iter() {
+            if matches!(state, CState::Done) {
+                self.coord_done.insert(*aid);
+            }
+        }
+        for aid in outcome.pt.prepared_actions() {
+            let (participant, effects) = Participant::resume_in_doubt(aid, aid.coordinator);
+            self.participants.insert(aid, participant);
+            self.exec_part(aid, effects, fx)?;
+        }
+        for (aid, gids) in outcome.ct.committing_actions() {
+            let (coordinator, effects) = Coordinator::resume_committing(aid, gids);
+            self.coordinators.insert(aid, coordinator);
+            self.exec_coord(aid, effects, fx)?;
+        }
+        Ok(())
+    }
+
+    fn deliver(&mut self, envelope: Envelope, fx: &mut Effects) -> WorldResult<()> {
+        let aid = envelope.msg.aid();
+        let (from, peer) = (self.id, envelope.from);
+        let mut reply = |msg| {
+            fx.send.push(Envelope {
+                from,
+                to: peer,
+                msg,
+            })
+        };
+        match &envelope.msg {
+            Msg::Prepare { .. } => {
+                if self.participants.contains_key(&aid) {
+                    return Ok(()); // duplicate prepare
+                }
+                // Already resolved here (e.g. coordinator retry storm): say
+                // so again. Else "if the action is unknown at the participant
+                // (because it never ran there, was aborted locally, or was
+                // wiped out by a crash), then it replies aborted" (§2.2.2).
+                let resolved = self.resolved.get(&aid).copied();
+                match resolved.or((!self.known.contains(&aid)).then_some(false)) {
+                    Some(true) => reply(Msg::PrepareOk { aid }),
+                    Some(false) => reply(Msg::PrepareRefused { aid }),
+                    None => {
+                        let (participant, effects) = Participant::on_prepare(aid, peer);
+                        self.participants.insert(aid, participant);
+                        return self.exec_part(aid, effects, fx);
+                    }
+                }
+                Ok(())
+            }
+            Msg::Commit { .. } | Msg::Abort { .. } | Msg::Outcome { .. } => {
+                if let Some(participant) = self.participants.get_mut(&aid) {
+                    let effects = participant.on_msg(&envelope.msg);
+                    return self.exec_part(aid, effects, fx);
+                }
+                // Participant already resolved and forgotten: re-ack so the
+                // coordinator can finish.
+                match &envelope.msg {
+                    Msg::Commit { .. } => reply(Msg::CommitAck { aid }),
+                    Msg::Abort { .. } => reply(Msg::AbortAck { aid }),
+                    _ => {}
+                }
+                Ok(())
+            }
+            Msg::QueryOutcome { .. } if !self.coordinators.contains_key(&aid) => {
+                // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
+                // guardian's own state alone, never what the world knows.
+                let committed = self.coord_done.contains(&aid);
+                reply(Msg::Outcome { aid, committed });
+                Ok(())
+            }
+            Msg::PrepareOk { .. }
+            | Msg::PrepareRefused { .. }
+            | Msg::CommitAck { .. }
+            | Msg::AbortAck { .. }
+            | Msg::QueryOutcome { .. } => {
+                self.coord_step(aid, |c| c.on_msg(peer, &envelope.msg), fx)
+            }
+        }
+    }
+
+    /// Runs one transition of `aid`'s coordinator, then its effects. A
+    /// transition that decides to abort aborts the action at home there and
+    /// then: home never prepared — its `prepared` rides the commit point
+    /// that now will not come — so its tentative versions, locks and MOS go,
+    /// and no `aborted` record is written for an action the log never saw.
+    fn coord_step(
+        &mut self,
+        aid: ActionId,
+        step: impl FnOnce(&mut Coordinator) -> Vec<CoordEffect>,
+        fx: &mut Effects,
+    ) -> WorldResult<()> {
+        let Some(coordinator) = self.coordinators.get_mut(&aid) else {
+            return Ok(());
+        };
+        use CoordPhase::{Aborted, Aborting, Preparing};
+        let undecided = coordinator.phase() == Preparing;
+        let effects = step(coordinator);
+        if undecided && matches!(coordinator.phase(), Aborting | Aborted) {
+            self.heap.abort_action(aid);
+            self.mos.remove(&aid);
+            self.rs.discard(aid);
+        }
+        self.exec_coord(aid, effects, fx)
+    }
+
+    fn exec_coord(
+        &mut self,
+        aid: ActionId,
+        effects: Vec<CoordEffect>,
+        fx: &mut Effects,
+    ) -> WorldResult<()> {
+        let from = self.id;
+        for effect in effects {
+            match effect {
+                CoordEffect::Send { to, msg } => fx.send.push(Envelope { from, to, msg }),
+                CoordEffect::ForceCommitting => {
+                    // The whole commit point at home, one staged step under
+                    // one force (DESIGN.md deviation 12): data entries,
+                    // `prepared`, `committing` unless the action is local,
+                    // and home's own `committed`. An action a crash wiped
+                    // out since it began is unknown here and aborts, as it
+                    // would by refusing a prepare (§2.2.2).
+                    let now = self.clock.now();
+                    let coordinator = self.coordinators.get(&aid);
+                    debug_assert!(coordinator.is_none_or(Coordinator::participates));
+                    let (timer, span, gids) = match coordinator {
+                        Some(c) if !c.is_local() => {
+                            (&self.committing_us, "commit_point", &c.participants[..])
+                        }
+                        _ => (&self.commit_us, "commit_locally", &[][..]),
+                    };
+                    let staged = if self.known.contains(&aid) {
+                        let mos = self.mos.remove(&aid).unwrap_or_default();
+                        self.rs.stage_commit_point(aid, &mos, &self.heap, gids)
+                    } else {
+                        Err(RsError::BadState(format!("{aid} is unknown at {from}")))
+                    };
+                    timer.record_since(now);
+                    if matches!(&staged, Err(e) if !e.is_crash()) {
+                        // Unknown, or the entries could not be written.
+                        self.coord_step(aid, Coordinator::abort_unilaterally, fx)?;
+                    } else if !self.staged(StagedOp::CommitPoint(aid), span, now, staged, fx)? {
+                        return Ok(());
+                    }
+                }
+                CoordEffect::ForceDone => {
+                    // Written, never forced and never waited for: `done`
+                    // joins no batch and rides the guardian's next force (or
+                    // its housekeeping prologue).
+                    let now = self.clock.now();
+                    self.rs.stage_done(aid)?;
+                    self.twopc_span("done", aid, now);
+                }
+                CoordEffect::Finished { committed } => {
+                    let coordinator = self.coordinators.remove(&aid);
+                    if coordinator.is_some_and(|c| c.is_local()) {
+                        // No other guardian took part, so none can ever ask
+                        // about the action: it leaves nothing behind.
+                        self.known.remove(&aid);
+                    } else if committed {
+                        self.coord_done.insert(aid);
+                    }
+                    debug_assert!(fx.resolved.is_none(), "one verdict per step");
+                    fx.resolved = Some((aid, committed));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn exec_part(
+        &mut self,
+        aid: ActionId,
+        effects: Vec<PartEffect>,
+        fx: &mut Effects,
+    ) -> WorldResult<()> {
+        let from = self.id;
+        let mut queue: VecDeque<PartEffect> = effects.into();
+        while let Some(effect) = queue.pop_front() {
+            let now = self.clock.now();
+            let (op, span, timer, staged) = match effect {
+                PartEffect::Send { to, msg } => {
+                    fx.send.push(Envelope { from, to, msg });
+                    continue;
+                }
+                PartEffect::Finished { .. } => {
+                    self.participants.remove(&aid);
+                    continue;
+                }
+                PartEffect::PrepareLocally => {
+                    let mos = self.mos.remove(&aid).unwrap_or_default();
+                    let staged = self.rs.stage_prepare(aid, &mos, &self.heap);
+                    let timer = &self.prepare_us;
+                    (StagedOp::Prepare(aid), "prepare", timer, staged)
+                }
+                PartEffect::ForceCommit => {
+                    let staged = self.rs.stage_commit(aid);
+                    (StagedOp::Commit(aid), "commit", &self.commit_us, staged)
+                }
+                PartEffect::ForceAbort => {
+                    let staged = self.rs.stage_abort(aid);
+                    (StagedOp::Abort(aid), "abort", &self.abort_us, staged)
+                }
+            };
+            timer.record_since(now);
+            if matches!((op, &staged), (StagedOp::Prepare(_), Err(e)) if !e.is_crash()) {
+                // The prepare could not be written: refuse.
+                let participant = self.participants.get_mut(&aid);
+                queue.extend(participant.map(|p| p.prepare_failed()).unwrap_or_default());
+                self.twopc_span(span, aid, now);
+            } else if !self.staged(op, span, now, staged, fx)? {
+                return Ok(());
+            }
+        }
+        Ok(())
+    }
+
+    /// Closes the `twopc` trace span of a protocol step begun at `since`.
+    fn twopc_span(&self, name: &'static str, aid: ActionId, since: u64) {
+        let key = Some(tkey(aid));
+        self.tracer
+            .complete("twopc", name, self.id.0, key, since, &[]);
+    }
+
+    /// Books the result of a `stage_*` call made at simulated time `now`
+    /// and closes the step's `twopc` span: a staged entry joins the batch
+    /// with `op` as its continuation and its force deadline goes out in
+    /// `fx.due` (staging time, if the batch is already due — e.g. it just
+    /// filled up), an operation that is durable as it stands runs the
+    /// continuation now, a device crash takes the guardian down. Returns
+    /// whether the guardian is still up.
+    fn staged(
+        &mut self,
+        op: StagedOp,
+        span: &'static str,
+        now: u64,
+        staged: RsResult<bool>,
+        fx: &mut Effects,
+    ) -> WorldResult<bool> {
+        let durable = match staged {
+            Ok(true) => {
+                self.staged.push((op, now));
+                self.force_sched.note_staged(now);
+                let at = self.clock.now();
+                let (due, deadline) = (self.force_sched.due(at), self.force_sched.deadline());
+                fx.due.push(if due { at } else { deadline.unwrap_or(at) });
+                false
+            }
+            Ok(false) => true,
+            Err(e) if e.is_crash() => {
+                fx.crashed = self.crashed();
+                return Ok(false);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        self.twopc_span(span, op.aid(), now);
+        if durable {
+            self.forced(op, fx)?;
+        }
+        Ok(true)
     }
 }

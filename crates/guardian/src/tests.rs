@@ -1,8 +1,12 @@
 //! World-level tests: the §2.2.3 crash matrix across every storage
-//! organization.
+//! organization — and, below them, a guardian stepped alone: no `World`, no
+//! network, its effects read straight out of the buffer.
 
-use crate::{Outcome, RsKind, World};
-use argus_objects::Value;
+use crate::guardian::{Effects, Input, StagedOp, Touch};
+use crate::{Guardian, Outcome, RsKind, World, WorldConfig};
+use argus_cc::LockMode;
+use argus_objects::{ActionId, GuardianId, Value};
+use argus_twopc::{Envelope, Msg};
 
 #[test]
 fn single_guardian_commit_survives_crash() {
@@ -386,5 +390,233 @@ fn ten_thousand_local_commits_leave_no_per_action_residue() {
             Some(Value::Int(9_999)),
             "{kind:?}"
         );
+    }
+}
+
+// ---- a guardian alone ---------------------------------------------------------
+
+/// The organizations whose `stage_*` buffers an entry for the next force
+/// (shadowing's are durable as they stand: nothing waits, no deadline).
+const STAGING: [RsKind; 3] = [RsKind::Simple, RsKind::Hybrid, RsKind::Redo];
+
+fn lone(id: u32, kind: RsKind) -> Guardian {
+    Guardian::new(
+        GuardianId(id),
+        kind,
+        argus_sim::SimClock::new(),
+        argus_sim::CostModel::fast(),
+        &WorldConfig::default(),
+        argus_trace::Tracer::new(),
+        &argus_obs::Registry::new(),
+    )
+    .unwrap()
+}
+
+/// Has `aid` bind the stable variable `x` at `g`, as `World::set_stable` would.
+fn wrote_x(g: &mut Guardian, aid: ActionId) {
+    let root = g.heap.stable_root().unwrap();
+    g.lock(aid, root, LockMode::Exclusive).unwrap();
+    let bind = Guardian::bind_stable("x", Value::Int(1));
+    assert!(g.apply(aid, root, Touch::Write(bind)).unwrap());
+}
+
+fn mail(from: u32, to: u32, msg: Msg) -> Envelope {
+    let (from, to) = (GuardianId(from), GuardianId(to));
+    Envelope { from, to, msg }
+}
+
+/// One step, its effects returned instead of applied.
+fn step(g: &mut Guardian, input: Input<'_>) -> Effects {
+    let mut fx = Effects::default();
+    g.step(input, &mut fx).unwrap();
+    fx
+}
+
+#[test]
+fn a_prepare_for_an_unknown_action_is_refused_without_touching_the_device() {
+    for kind in RsKind::ALL {
+        let mut g = lone(1, kind);
+        let aid = ActionId::new(GuardianId(0), 7);
+        let ops = g.plan.op_counts();
+        let fx = step(&mut g, Input::Message(mail(0, 1, Msg::Prepare { aid })));
+        let refusal = mail(1, 0, Msg::PrepareRefused { aid });
+        let only_mail = Effects {
+            send: vec![refusal],
+            ..Effects::default()
+        };
+        assert_eq!(fx, only_mail, "{kind:?}");
+        assert!(g.staged.is_empty() && g.participants.is_empty(), "{kind:?}");
+        assert_eq!(g.plan.op_counts(), ops, "{kind:?}: no device operation");
+    }
+}
+
+#[test]
+fn a_duplicate_prepare_does_nothing() {
+    for kind in RsKind::ALL {
+        let mut g = lone(1, kind);
+        let aid = ActionId::new(GuardianId(0), 7);
+        wrote_x(&mut g, aid);
+        let prepare = || Input::Message(mail(0, 1, Msg::Prepare { aid }));
+        let first = step(&mut g, prepare());
+        assert_eq!(first.due.len() + first.send.len(), 1, "{kind:?}: {first:?}");
+        assert!(g.participants.contains_key(&aid), "{kind:?}");
+        assert_eq!(step(&mut g, prepare()), Effects::default(), "{kind:?}");
+    }
+}
+
+#[test]
+fn a_local_commit_is_one_deadline_then_one_verdict() {
+    for kind in STAGING {
+        let mut g = lone(0, kind);
+        let aid = g.begin();
+        wrote_x(&mut g, aid);
+        let fx = step(&mut g, Input::Commit(aid, vec![GuardianId(0)]));
+        assert_eq!(fx.due.len(), 1, "{kind:?}: one staged entry, one deadline");
+        assert!(fx.send.is_empty() && fx.resolved.is_none() && !fx.crashed);
+        assert_eq!(g.stable_value("x"), None, "{kind:?}: not installed yet");
+
+        let mut fx = Effects::default();
+        let forced = g.force(&mut fx).unwrap();
+        assert_eq!(fx, Effects::default(), "{kind:?}: a force asks for nothing");
+        let ops: Vec<StagedOp> = forced.into_iter().map(|(op, _)| op).collect();
+        assert_eq!(ops, [StagedOp::CommitPoint(aid)], "{kind:?}");
+        let fx = step(&mut g, Input::Forced(ops[0]));
+        let only_verdict = Effects {
+            resolved: Some((aid, true)),
+            ..Effects::default()
+        };
+        assert_eq!(fx, only_verdict, "{kind:?}");
+        assert!(
+            !g.known.contains(&aid),
+            "{kind:?}: a local action is forgotten"
+        );
+        assert_eq!(g.stable_value("x"), Some(Value::Int(1)), "{kind:?}");
+    }
+}
+
+#[test]
+fn a_crash_in_the_force_runs_no_continuation_and_sends_nothing() {
+    for kind in STAGING {
+        let mut g = lone(0, kind);
+        let aid = g.begin();
+        wrote_x(&mut g, aid);
+        step(
+            &mut g,
+            Input::Commit(aid, vec![GuardianId(0), GuardianId(1)]),
+        );
+        let fx = step(&mut g, Input::Message(mail(1, 0, Msg::PrepareOk { aid })));
+        assert_eq!(fx.due.len(), 1, "{kind:?}: the commit point is staged");
+
+        g.plan.arm_after_writes(0);
+        let mut fx = Effects::default();
+        let forced = g.force(&mut fx).unwrap();
+        assert!(
+            forced.is_empty(),
+            "{kind:?}: the batch died with the buffer"
+        );
+        let only_crash = Effects {
+            crashed: true,
+            ..Effects::default()
+        };
+        assert_eq!(fx, only_crash, "{kind:?}");
+        assert!(!g.is_up() && g.staged.is_empty(), "{kind:?}");
+        // Down, it answers nothing — not even the continuation it lost.
+        let lost = step(&mut g, Input::Forced(StagedOp::CommitPoint(aid)));
+        assert_eq!(lost, Effects::default(), "{kind:?}");
+    }
+}
+
+/// A coordinator's whole two-guardian commit, fed as a fixed input list;
+/// the effects of every step in order.
+fn coordinate_a_commit(kind: RsKind) -> Vec<Effects> {
+    let mut g = lone(0, kind);
+    let aid = g.begin();
+    wrote_x(&mut g, aid);
+    let from_remote = |msg| Input::Message(mail(1, 0, msg));
+    let mut seen = vec![
+        step(
+            &mut g,
+            Input::Commit(aid, vec![GuardianId(0), GuardianId(1)]),
+        ),
+        step(&mut g, from_remote(Msg::PrepareOk { aid })),
+    ];
+    let mut fx = Effects::default();
+    let forced = g.force(&mut fx).unwrap();
+    seen.push(fx);
+    for (op, _) in forced {
+        seen.push(step(&mut g, Input::Forced(op)));
+    }
+    seen.push(step(&mut g, from_remote(Msg::CommitAck { aid })));
+    seen.push(step(&mut g, Input::Requery));
+    seen
+}
+
+#[test]
+fn the_same_inputs_give_the_same_effects_step_by_step() {
+    for kind in RsKind::ALL {
+        let (a, b) = (coordinate_a_commit(kind), coordinate_a_commit(kind));
+        assert_eq!(a, b, "{kind:?}");
+        let aid = ActionId::new(GuardianId(0), 0);
+        let sent: Vec<&Envelope> = a.iter().flat_map(|fx| &fx.send).collect();
+        let (prepare, commit) = (Msg::Prepare { aid }, Msg::Commit { aid });
+        assert_eq!(
+            sent,
+            [&mail(0, 1, prepare), &mail(0, 1, commit)],
+            "{kind:?}"
+        );
+        let verdicts: Vec<_> = a.iter().filter_map(|fx| fx.resolved).collect();
+        assert_eq!(verdicts, [(aid, true)], "{kind:?}");
+        assert!(a.iter().all(|fx| !fx.crashed), "{kind:?}");
+    }
+}
+
+/// Waves of cross-guardian transfers whose commits overlap (what
+/// `argus_workload::Banking::run_overlapped` drives; that crate depends on
+/// this one, so the waves are spelled out here), under a network that
+/// duplicates and reorders: every envelope the network carried was handed
+/// to it by `World::apply`, once.
+#[test]
+fn the_network_carries_exactly_what_apply_sent() {
+    for kind in RsKind::ALL {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let mut w = World::fast();
+        let gs: Vec<_> = (0..3).map(|_| w.add_guardian(kind).unwrap()).collect();
+        // Four lanes of one account a guardian: the four transfers of a
+        // wave never meet on a lock.
+        let mut lanes = vec![Vec::new(); 4];
+        for &g in &gs {
+            let a = w.begin(g).unwrap();
+            let mut refs = Vec::new();
+            for lane in &mut lanes {
+                let h = w.create_atomic(g, a, Value::Int(100)).unwrap();
+                lane.push(h);
+                refs.push(Value::heap_ref(h));
+            }
+            w.set_stable(g, a, "accounts", Value::Seq(refs)).unwrap();
+            assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+        }
+        w.enable_network_faults(7, 0.2, 0.3);
+        for wave in 0..8 {
+            let mut launched = Vec::new();
+            for (i, lane) in lanes.iter().enumerate() {
+                let (from, to) = ((wave + i) % 3, (wave + i + 1) % 3);
+                let a = w.begin(gs[from]).unwrap();
+                for (at, delta) in [(from, -1), (to, 1)] {
+                    let add = move |v: &mut Value| *v = Value::Int(delta);
+                    w.write_atomic(gs[at], a, lane[at], add).unwrap();
+                }
+                w.commit_start(a).unwrap();
+                launched.push(a);
+            }
+            for a in launched {
+                assert_eq!(w.commit_settle(a).unwrap(), Outcome::Committed);
+            }
+        }
+        w.crash(gs[1]);
+        w.restart(gs[1]).unwrap();
+        let sent = reg.counter("net.sent").get();
+        assert!(sent > 0, "{kind:?}");
+        assert_eq!(sent, w.mail_applied, "{kind:?}");
     }
 }

@@ -1,18 +1,18 @@
 //! The simulated distributed system.
 
-use crate::guardian::StagedOp;
+use crate::guardian::{tkey, Effects, Input, Parked, Touch};
 use crate::network::NetFaults;
 use crate::{Guardian, RsKind, SimNetwork, WorldError, WorldResult};
 use argus_cc::{
     CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, LockHolders, LockManager, LockMode,
     ObjKey, Waiter,
 };
-use argus_core::{HousekeepingMode, RecoveryOutcome, RsError};
-use argus_objects::{ActionId, GuardianId, HeapError, HeapId, ObjKind, Uid, Value};
+use argus_core::{HousekeepingMode, RecoveryOutcome};
+use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
 use argus_sim::{CostModel, SimClock};
 use argus_slog::ForceConfig;
 use argus_stable::{CacheConfig, FaultPlan};
-use argus_twopc::{CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, Participant};
+use argus_twopc::CoordPhase;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
@@ -73,20 +73,6 @@ impl WorldConfig {
             ..Self::default()
         }
     }
-}
-
-/// The parked half of a blocked operation, run by the scheduler once the
-/// lock is granted (the grant itself *is* the heap acquisition).
-enum CcCont {
-    /// A blocked `read`: the grant acquired the read lock; the caller
-    /// re-issues [`World::read`], which now succeeds as a holder.
-    Read,
-    /// A blocked `write_atomic`: apply the buffered mutation to the current
-    /// version the grant just created.
-    Write(Box<dyn FnOnce(&mut Value)>),
-    /// A blocked `mutate_mutex`: the grant seized the mutex; mutate, then
-    /// release.
-    Mutex(Box<dyn FnOnce(&mut Value)>),
 }
 
 /// The fate of a top-level action as observed by the caller.
@@ -158,7 +144,11 @@ pub struct World {
     /// Storage knobs applied to every guardian spawned in this world.
     cfg: WorldConfig,
     /// Parked lock requests awaiting a release, commit, abort, or crash.
-    cc: LockManager<CcCont>,
+    /// The parked half of a blocked operation runs once the lock is granted
+    /// (the grant itself *is* the heap acquisition); a granted
+    /// [`Touch::Read`] only books the lock — the caller re-issues
+    /// [`World::read`], which now succeeds as a holder.
+    cc: LockManager<Touch<Parked>>,
     /// Why the scheduler gave up on parked actions (victim/timeout/crash).
     cc_fates: BTreeMap<ActionId, CcFate>,
     /// Deadlocks broken so far, in detection order.
@@ -177,6 +167,12 @@ pub struct World {
     /// already flushed (or whose current batch has a later deadline) is
     /// skipped after an O(1) check.
     force_due: BinaryHeap<Reverse<(u64, GuardianId)>>,
+    /// What the guardian stepped last asked for, drained by
+    /// [`World::apply`] after every step; kept for its buffers' capacity.
+    fx: Effects,
+    /// Envelopes [`World::apply`] has sent: the network must carry no other.
+    #[cfg(test)]
+    pub(crate) mail_applied: u64,
 }
 
 /// What the world remembers about a live action.
@@ -207,10 +203,6 @@ struct WorldObs {
     cc_retries: argus_obs::Counter,
     cc_wait_us: argus_obs::Histogram,
     commit_round_us: argus_obs::Timer,
-    prepare_us: argus_obs::Timer,
-    commit_us: argus_obs::Timer,
-    committing_us: argus_obs::Timer,
-    abort_us: argus_obs::Timer,
 }
 
 impl WorldObs {
@@ -227,18 +219,8 @@ impl WorldObs {
             cc_retries: reg.counter("cc.retries"),
             cc_wait_us: reg.histogram("cc.wait_us"),
             commit_round_us: reg.timer("twopc.commit_round_us"),
-            prepare_us: reg.timer("twopc.prepare_us"),
-            commit_us: reg.timer("twopc.commit_us"),
-            committing_us: reg.timer("twopc.committing_us"),
-            abort_us: reg.timer("twopc.abort_us"),
         }
     }
-}
-
-/// The trace key for an action: the id, decomposed so every crate stamps
-/// events the same way.
-fn tkey(aid: ActionId) -> argus_trace::Key {
-    argus_trace::Key::new(aid.coordinator.0, aid.seq)
 }
 
 impl std::fmt::Debug for World {
@@ -285,6 +267,9 @@ impl World {
             next_begin: 0,
             staged_ready: BTreeSet::new(),
             force_due: BinaryHeap::new(),
+            fx: Effects::default(),
+            #[cfg(test)]
+            mail_applied: 0,
         }
     }
 
@@ -302,7 +287,15 @@ impl World {
     pub fn add_guardian(&mut self, kind: RsKind) -> WorldResult<GuardianId> {
         let id = GuardianId(self.next_gid);
         self.next_gid += 1;
-        let guardian = Guardian::new(id, kind, self.clock.clone(), self.model.clone(), &self.cfg)?;
+        let guardian = Guardian::new(
+            id,
+            kind,
+            self.clock.clone(),
+            self.model.clone(),
+            &self.cfg,
+            self.tracer.clone(),
+            &self.obs,
+        )?;
         self.guardians.insert(id, guardian);
         Ok(id)
     }
@@ -341,10 +334,7 @@ impl World {
     }
 
     fn live(&mut self, g: GuardianId) -> WorldResult<&mut Guardian> {
-        let guardian = self
-            .guardians
-            .get_mut(&g)
-            .ok_or(WorldError::NoGuardian(g))?;
+        let guardian = self.guardian_mut(g)?;
         if !guardian.up {
             return Err(WorldError::Down(g));
         }
@@ -355,10 +345,7 @@ impl World {
 
     /// Begins a top-level action originating (and coordinated) at `origin`.
     pub fn begin(&mut self, origin: GuardianId) -> WorldResult<ActionId> {
-        let guardian = self.live(origin)?;
-        let aid = ActionId::new(origin, guardian.next_seq);
-        guardian.next_seq += 1;
-        guardian.known.insert(aid);
+        let aid = self.live(origin)?.begin();
         self.touched.entry(aid).or_default().insert(origin);
         self.in_flight.insert(
             aid,
@@ -371,22 +358,33 @@ impl World {
         Ok(aid)
     }
 
-    fn note_read(&mut self, g: GuardianId, aid: ActionId) {
-        self.touched_read.entry(aid).or_default().insert(g);
-        if let Some(guardian) = self.guardians.get_mut(&g) {
-            guardian.known.insert(aid);
-        }
+    /// The one lock-then-touch step behind the blocking action entry points:
+    /// takes the lock `touch` needs at `g` — or fails with who is in the way
+    /// — and runs it.
+    fn lock_then_touch<F: FnOnce(&mut Value)>(
+        &mut self,
+        g: GuardianId,
+        aid: ActionId,
+        h: HeapId,
+        touch: Touch<F>,
+    ) -> WorldResult<()> {
+        let guardian = self.live(g)?;
+        guardian.lock(aid, h, touch.mode())?;
+        let wrote = guardian.apply(aid, h, touch)?;
+        self.book(g, aid, wrote);
+        Ok(())
     }
 
-    fn note_write(&mut self, g: GuardianId, aid: ActionId, h: HeapId) {
-        self.touched.entry(aid).or_default().insert(g);
-        if let Some(guardian) = self.guardians.get_mut(&g) {
-            guardian.known.insert(aid);
-            let mos = guardian.mos.entry(aid).or_default();
-            if !mos.contains(&h) {
-                mos.push(h);
-            }
-        }
+    /// Books `g` as a guardian `aid` wrote at, or (only) read at — there it
+    /// holds read locks and must join two-phase commit so they are released
+    /// with the action.
+    fn book(&mut self, g: GuardianId, aid: ActionId, wrote: bool) {
+        let set = if wrote {
+            &mut self.touched
+        } else {
+            &mut self.touched_read
+        };
+        set.entry(aid).or_default().insert(g);
     }
 
     /// Creates an atomic object at `g` on behalf of `aid` (read-locked by
@@ -401,7 +399,8 @@ impl World {
         let h = guardian.heap.alloc_atomic(value, Some(aid));
         // The creator holds a read lock (§2.4.1); record the guardian as a
         // read participant so that lock is released with the action.
-        self.note_read(g, aid);
+        guardian.apply(aid, h, Touch::<Parked>::Read)?;
+        self.book(g, aid, false);
         Ok(h)
     }
 
@@ -416,16 +415,8 @@ impl World {
     /// action: it joins two-phase commit so the lock is released with the
     /// action's outcome.
     pub fn read(&mut self, g: GuardianId, aid: ActionId, h: HeapId) -> WorldResult<Value> {
-        let guardian = self.live(g)?;
-        if matches!(
-            guardian.heap.get(h)?.body,
-            argus_objects::ObjectBody::Atomic(_)
-        ) {
-            guardian.heap.acquire_read(h, aid)?;
-        }
-        let value = guardian.heap.read_value(h, Some(aid))?.clone();
-        self.note_read(g, aid);
-        Ok(value)
+        self.lock_then_touch(g, aid, h, Touch::<Parked>::Read)?;
+        Ok(self.guardian(g)?.heap.read_value(h, Some(aid))?.clone())
     }
 
     /// Write-locks and mutates an atomic object at `g` under `aid`.
@@ -436,11 +427,7 @@ impl World {
         h: HeapId,
         f: impl FnOnce(&mut Value),
     ) -> WorldResult<()> {
-        let guardian = self.live(g)?;
-        guardian.heap.acquire_write(h, aid)?;
-        guardian.heap.write_value(h, aid, f)?;
-        self.note_write(g, aid, h);
-        Ok(())
+        self.lock_then_touch(g, aid, h, Touch::Write(f))
     }
 
     /// Seizes, mutates, and releases a mutex object at `g` under `aid`.
@@ -451,12 +438,7 @@ impl World {
         h: HeapId,
         f: impl FnOnce(&mut Value),
     ) -> WorldResult<()> {
-        let guardian = self.live(g)?;
-        guardian.heap.seize(h, aid)?;
-        guardian.heap.mutate_mutex(h, aid, f)?;
-        guardian.heap.release(h, aid)?;
-        self.note_write(g, aid, h);
-        Ok(())
+        self.lock_then_touch(g, aid, h, Touch::Mutex(f))
     }
 
     // ---- lock-aware submissions (the blocked-action scheduler) -----------
@@ -472,17 +454,7 @@ impl World {
         aid: ActionId,
         h: HeapId,
     ) -> WorldResult<CcOutcome> {
-        let key = ObjKey { gid: g, hid: h };
-        if self.cc_should_queue(key, aid) {
-            return self.cc_park(key, aid, LockMode::Shared, CcCont::Read, false);
-        }
-        match self.read(g, aid, h) {
-            Ok(_) => Ok(CcOutcome::Done),
-            Err(WorldError::Heap(HeapError::LockConflict { .. })) => {
-                self.cc_refuse_or_park(key, aid, LockMode::Shared, CcCont::Read)
-            }
-            Err(e) => Err(e),
-        }
+        self.submit(g, aid, h, Touch::<Parked>::Read)
     }
 
     /// Lock-aware [`World::write_atomic`]: on conflict the mutation is
@@ -496,31 +468,7 @@ impl World {
         h: HeapId,
         f: impl FnOnce(&mut Value) + 'static,
     ) -> WorldResult<CcOutcome> {
-        let key = ObjKey { gid: g, hid: h };
-        if self.cc_should_queue(key, aid) {
-            return self.cc_park(
-                key,
-                aid,
-                LockMode::Exclusive,
-                CcCont::Write(Box::new(f)),
-                false,
-            );
-        }
-        let guardian = self.live(g)?;
-        match guardian.heap.acquire_write(h, aid) {
-            Ok(()) => {
-                guardian
-                    .heap
-                    .write_value(h, aid, f)
-                    .expect("write lock just granted");
-                self.note_write(g, aid, h);
-                Ok(CcOutcome::Done)
-            }
-            Err(HeapError::LockConflict { .. }) => {
-                self.cc_refuse_or_park(key, aid, LockMode::Exclusive, CcCont::Write(Box::new(f)))
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.submit(g, aid, h, Touch::Write(f))
     }
 
     /// Lock-aware [`World::mutate_mutex`]: a seized mutex parks the request
@@ -533,26 +481,38 @@ impl World {
         h: HeapId,
         f: impl FnOnce(&mut Value) + 'static,
     ) -> WorldResult<CcOutcome> {
+        self.submit(g, aid, h, Touch::Mutex(f))
+    }
+
+    /// The lock-aware lock-then-touch step: a request that must queue, or
+    /// whose lock is refused under a waiting policy, parks with its mutation
+    /// boxed — the only time it is.
+    fn submit<F: FnOnce(&mut Value) + 'static>(
+        &mut self,
+        g: GuardianId,
+        aid: ActionId,
+        h: HeapId,
+        touch: Touch<F>,
+    ) -> WorldResult<CcOutcome> {
         let key = ObjKey { gid: g, hid: h };
+        let mode = touch.mode();
         if self.cc_should_queue(key, aid) {
-            return self.cc_park(
-                key,
-                aid,
-                LockMode::Exclusive,
-                CcCont::Mutex(Box::new(f)),
-                false,
-            );
+            return self.cc_park(key, aid, mode, touch.boxed(), false);
         }
+        let waits = !matches!(self.cfg.cc.policy, CcPolicy::ConflictAbort);
         let guardian = self.live(g)?;
-        match guardian.heap.seize(h, aid) {
+        match guardian.lock(aid, h, mode) {
             Ok(()) => {
-                guardian.heap.mutate_mutex(h, aid, f).expect("just seized");
-                guardian.heap.release(h, aid).expect("just seized");
-                self.note_write(g, aid, h);
+                let wrote = guardian.apply(aid, h, touch)?;
+                self.book(g, aid, wrote);
                 Ok(CcOutcome::Done)
             }
-            Err(HeapError::MutexSeized { .. }) => {
-                self.cc_refuse_or_park(key, aid, LockMode::Exclusive, CcCont::Mutex(Box::new(f)))
+            Err(HeapError::LockConflict { .. } | HeapError::MutexSeized { .. }) if waits => {
+                let upgrade = guardian.heap.holds_lock(h, aid);
+                self.cc_park(key, aid, mode, touch.boxed(), upgrade)
+            }
+            Err(HeapError::LockConflict { .. } | HeapError::MutexSeized { .. }) => {
+                Ok(CcOutcome::Conflict)
             }
             Err(e) => Err(e.into()),
         }
@@ -575,32 +535,12 @@ impl World {
             .unwrap_or(false)
     }
 
-    fn cc_refuse_or_park(
-        &mut self,
-        key: ObjKey,
-        aid: ActionId,
-        mode: LockMode,
-        cont: CcCont,
-    ) -> WorldResult<CcOutcome> {
-        match self.cfg.cc.policy {
-            CcPolicy::ConflictAbort => Ok(CcOutcome::Conflict),
-            CcPolicy::Blocking | CcPolicy::Timeout => {
-                let upgrade = self
-                    .guardians
-                    .get(&key.gid)
-                    .map(|gu| gu.heap.holds_lock(key.hid, aid))
-                    .unwrap_or(false);
-                self.cc_park(key, aid, mode, cont, upgrade)
-            }
-        }
-    }
-
     fn cc_park(
         &mut self,
         key: ObjKey,
         aid: ActionId,
         mode: LockMode,
-        cont: CcCont,
+        cont: Touch<Parked>,
         upgrade: bool,
     ) -> WorldResult<CcOutcome> {
         let now = self.clock.now();
@@ -705,9 +645,8 @@ impl World {
     /// guardian in the world — is exhaustive.
     fn in_two_phase_commit(&self, aid: ActionId) -> bool {
         let engaged = |g: &GuardianId| {
-            self.guardians.get(g).is_some_and(|gu| {
-                gu.participants.contains_key(&aid) || gu.coordinators.contains_key(&aid)
-            })
+            let guardian = self.guardians.get(g);
+            guardian.is_some_and(|gu| gu.in_two_phase_commit(aid))
         };
         engaged(&aid.coordinator)
             || self
@@ -731,18 +670,7 @@ impl World {
                 let Some(guardian) = self.guardians.get_mut(&key.gid) else {
                     continue;
                 };
-                if !guardian.up {
-                    continue;
-                }
-                let granted = match guardian.heap.get(key.hid).map(|s| s.body.kind()) {
-                    Ok(ObjKind::Atomic) => match mode {
-                        LockMode::Shared => guardian.heap.acquire_read(key.hid, aid).is_ok(),
-                        LockMode::Exclusive => guardian.heap.acquire_write(key.hid, aid).is_ok(),
-                    },
-                    Ok(ObjKind::Mutex) => guardian.heap.seize(key.hid, aid).is_ok(),
-                    Err(_) => false,
-                };
-                if !granted {
+                if !guardian.up || guardian.lock(aid, key.hid, mode).is_err() {
                     continue;
                 }
                 let waiter = self.cc.take_front(key).expect("front just snapshotted");
@@ -763,26 +691,9 @@ impl World {
                         ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
                     ],
                 );
-                match waiter.cont {
-                    CcCont::Read => self.note_read(key.gid, waiter.aid),
-                    CcCont::Write(f) => {
-                        let gu = self.guardians.get_mut(&key.gid).expect("granted above");
-                        gu.heap
-                            .write_value(key.hid, waiter.aid, f)
-                            .expect("write lock just granted");
-                        self.note_write(key.gid, waiter.aid, key.hid);
-                    }
-                    CcCont::Mutex(f) => {
-                        let gu = self.guardians.get_mut(&key.gid).expect("granted above");
-                        gu.heap
-                            .mutate_mutex(key.hid, waiter.aid, f)
-                            .expect("mutex just seized");
-                        gu.heap
-                            .release(key.hid, waiter.aid)
-                            .expect("mutex just seized");
-                        self.note_write(key.gid, waiter.aid, key.hid);
-                    }
-                }
+                let wrote = guardian.apply(waiter.aid, key.hid, waiter.cont);
+                let wrote = wrote.expect("lock just granted");
+                self.book(key.gid, waiter.aid, wrote);
                 progressed = true;
                 any = true;
             }
@@ -849,9 +760,7 @@ impl World {
         live.extend(self.touched_read.keys().copied());
         live.extend(self.cc.blocked_actions());
         for guardian in self.guardians.values() {
-            live.extend(guardian.participants.keys().copied());
-            live.extend(guardian.coordinators.keys().copied());
-            live.extend(guardian.mos.keys().copied());
+            live.extend(guardian.live_actions());
         }
         live
     }
@@ -865,15 +774,9 @@ impl World {
         name: &str,
         value: Value,
     ) -> WorldResult<()> {
-        let guardian = self.live(g)?;
-        let root = guardian
-            .heap
-            .stable_root()
-            .expect("live guardians always have a stable root");
-        guardian.heap.acquire_write(root, aid)?;
-        guardian.bind_stable(aid, name, value)?;
-        self.note_write(g, aid, root);
-        Ok(())
+        let root = self.live(g)?.heap.stable_root();
+        let root = root.expect("live guardians always have a stable root");
+        self.write_atomic(g, aid, root, Guardian::bind_stable(name, value))
     }
 
     /// Early-prepares `aid`'s current MOS at `g` (§4.4); objects that were
@@ -951,19 +854,23 @@ impl World {
 
     /// Runs housekeeping at `g`.
     pub fn housekeep(&mut self, g: GuardianId, mode: HousekeepingMode) -> WorldResult<()> {
+        self.housekeeping_pass(g, mode).map(drop)
+    }
+
+    /// One housekeeping pass at `g`; `Ok(false)` when the fault plan fired
+    /// mid-pass — the node goes down with the old log still authoritative
+    /// (the switch is the last step).
+    fn housekeeping_pass(&mut self, g: GuardianId, mode: HousekeepingMode) -> WorldResult<bool> {
         // Housekeeping snapshots and truncates the log; staged entries must
         // reach it first.
         self.flush_staged(g)?;
-        let guardian = self.live(g)?;
         // Split borrow: the recovery system reads the heap during snapshot.
-        let Guardian { rs, heap, .. } = guardian;
+        let Guardian { rs, heap, .. } = self.live(g)?;
         match rs.housekeeping(heap, mode) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(true),
             Err(e) if e.is_crash() => {
-                // The fault plan fired mid-pass: the node goes down with the
-                // old log still authoritative (the switch is the last step).
                 self.mark_crashed(g);
-                Ok(())
+                Ok(false)
             }
             Err(e) => Err(e.into()),
         }
@@ -1027,12 +934,8 @@ impl World {
     }
 
     fn launch_commit(&mut self, aid: ActionId, gids: Vec<GuardianId>) -> WorldResult<()> {
-        let origin = aid.coordinator;
-        let guardian = self.live(origin)?;
-        let coordinator = Coordinator::new(aid, gids);
-        let effects = coordinator.start();
-        guardian.coordinators.insert(aid, coordinator);
-        self.exec_coord(origin, aid, effects)?;
+        self.live(aid.coordinator)?;
+        self.step(aid.coordinator, Input::Commit(aid, gids))?;
         // A local commit stages here, with no delivery after it to poll the
         // force scheduler: a batch that is already due forces now.
         self.flush_due_forces()
@@ -1051,17 +954,14 @@ impl World {
                 Outcome::Aborted
             });
         }
-        let Some(guardian) = self.guardians.get(&origin) else {
+        let Some(guardian) = self.guardians.get(&origin).filter(|gu| gu.up) else {
             return Ok(Outcome::Pending);
         };
-        if !guardian.up {
-            return Ok(Outcome::Pending);
-        }
         match guardian.coordinators.get(&aid).map(|c| c.phase()) {
             Some(CoordPhase::Preparing) => {
                 // Some participant is down or silent: unilateral abort
                 // (§2.2.1, the Argus-system timeout).
-                self.coord_step(origin, aid, Coordinator::abort_unilaterally)?;
+                self.step(origin, Input::Timeout(aid))?;
                 self.run_until_quiet()?;
                 Ok(Outcome::Aborted)
             }
@@ -1083,16 +983,10 @@ impl World {
     }
 
     fn mark_crashed(&mut self, g: GuardianId) {
-        if let Some(guardian) = self.guardians.get_mut(&g) {
-            if guardian.up {
-                self.obs.inc("world.crashes");
-            }
-            guardian.up = false;
-            // Staged-but-unforced entries died with the volatile buffer;
-            // their continuations must never run (the participants never
-            // replied, so two-phase commit resolves them after restart).
-            guardian.staged.clear();
-            guardian.force_sched.flushed();
+        // A guardian that found its device gone inside a step is down
+        // already, and `apply` has counted it.
+        if self.guardians.get_mut(&g).is_some_and(Guardian::crashed) {
+            self.obs.inc("world.crashes");
         }
         self.staged_ready.remove(&g);
         self.net.mark_down(g);
@@ -1247,15 +1141,7 @@ impl World {
             }
             Err(e) => return Err(e.into()),
         }
-        guardian.staged.clear();
-        guardian.force_sched.flushed();
-        guardian.heap = argus_objects::Heap::new();
-        guardian.mos.clear();
-        guardian.known.clear();
-        guardian.resolved.clear();
-        guardian.coord_done.clear();
-        guardian.coordinators.clear();
-        guardian.participants.clear();
+        guardian.lose_volatile_state();
         let rec_t0 = tracer.now();
         let outcome = match guardian.rs.recover(&mut guardian.heap) {
             Ok(outcome) => outcome,
@@ -1275,41 +1161,10 @@ impl World {
             guardian.heap = argus_objects::Heap::with_stable_root();
         }
         guardian.up = true;
-
-        for (aid, state) in outcome.pt.iter() {
-            match state {
-                argus_core::PState::Committed => {
-                    guardian.resolved.insert(*aid, true);
-                    guardian.known.insert(*aid);
-                }
-                argus_core::PState::Aborted => {
-                    guardian.resolved.insert(*aid, false);
-                    guardian.known.insert(*aid);
-                }
-                argus_core::PState::Prepared => {
-                    guardian.known.insert(*aid);
-                }
-            }
-        }
-        for (aid, ct_state) in outcome.ct.iter() {
-            if matches!(ct_state, argus_core::CState::Done) {
-                guardian.coord_done.insert(*aid);
-            }
-        }
+        // Mail deferred past the crash flows again ahead of what the resumed
+        // in-doubt participants and committing coordinators now send.
         self.net.mark_up(g);
-
-        // Resume in-doubt participants: query the coordinator (§2.2.2).
-        for aid in outcome.pt.prepared_actions() {
-            let (participant, effects) = Participant::resume_in_doubt(aid, aid.coordinator);
-            self.guardian_mut(g)?.participants.insert(aid, participant);
-            self.exec_part(g, aid, effects)?;
-        }
-        // Resume committing coordinators: restart phase two (§2.2.3).
-        for (aid, gids) in outcome.ct.committing_actions() {
-            let (coordinator, effects) = Coordinator::resume_committing(aid, gids);
-            self.guardian_mut(g)?.coordinators.insert(aid, coordinator);
-            self.exec_coord(g, aid, effects)?;
-        }
+        self.step(g, Input::Recovered(&outcome))?;
         self.run_until_quiet()?;
         // A node coming back may be the coordinator some other guardian's
         // in-doubt participant is waiting on; model the periodic query of
@@ -1325,25 +1180,10 @@ impl World {
     /// coordinator it can query the coordinator" (§2.2.2), which a real
     /// system drives from a timer.
     pub fn requery_in_doubt(&mut self) -> WorldResult<()> {
-        let mut queries: Vec<Envelope> = self
-            .guardians
-            .values()
-            .filter(|guardian| guardian.up)
-            .flat_map(|guardian| {
-                guardian.participants.iter().filter_map(move |(aid, p)| {
-                    (p.phase() == argus_twopc::PartPhase::Prepared).then_some(Envelope {
-                        from: guardian.id,
-                        to: p.coordinator,
-                        msg: Msg::QueryOutcome { aid: *aid },
-                    })
-                })
-            })
-            .collect();
-        // `participants` is a hash map, and the order of sending decides
-        // which message a seeded network fault falls on.
-        queries.sort_by_key(|q| (q.from, q.msg.aid()));
-        for q in queries {
-            self.net.send(q);
+        // In guardian order, and by action within each: the order of
+        // sending decides which message a seeded network fault falls on.
+        for n in 0..self.next_gid {
+            self.step(GuardianId(n), Input::Requery)?;
         }
         self.run_until_quiet()
     }
@@ -1363,7 +1203,7 @@ impl World {
         let mut budget = 1_000_000u64;
         loop {
             while let Some(envelope) = self.net.deliver_next() {
-                self.deliver(envelope)?;
+                self.step(envelope.to, Input::Message(envelope))?;
                 self.flush_due_forces()?;
                 budget -= 1;
                 if budget == 0 {
@@ -1383,60 +1223,46 @@ impl World {
         }
     }
 
-    /// Records that `g` just staged a log entry whose continuation is `op`:
-    /// the entry joins the guardian's batch, the guardian joins the ready
-    /// set, and its batch's force deadline enters the min-deadline heap
-    /// (staging time, if the batch is already due — e.g. it just filled
-    /// up). Keeping both structures current here is what lets the
-    /// message loop poll in O(log n) of the *staged* guardians instead of
-    /// scanning the whole world per delivery.
-    fn note_staged_batch(&mut self, g: GuardianId, op: StagedOp, staged_at: u64) {
+    /// The one seam between the world and a guardian's protocol: `g` takes
+    /// one step, and what it asks for is applied before anything else runs —
+    /// also when the step fails, as the mail it gathered before failing
+    /// was on its way already.
+    fn step(&mut self, g: GuardianId, input: Input<'_>) -> WorldResult<()> {
         let Some(guardian) = self.guardians.get_mut(&g) else {
-            return;
+            return Ok(());
         };
-        guardian.staged.push((op, staged_at));
-        guardian.force_sched.note_staged(staged_at);
-        let now = self.clock.now();
-        let due_at = if guardian.force_sched.due(now) {
-            now
-        } else {
-            guardian.force_sched.deadline().unwrap_or(now)
-        };
-        self.staged_ready.insert(g);
-        self.force_due.push(Reverse((due_at, g)));
+        let stepped = guardian.step(input, &mut self.fx);
+        self.apply(g);
+        stepped
     }
 
-    /// Books the result of a `stage_*` call made at simulated time `now`
-    /// and closes the step's `twopc` span: a staged entry joins `g`'s batch
-    /// with `op` as its continuation, an operation that is durable as it
-    /// stands runs the continuation now, a device crash takes the guardian
-    /// down. Returns whether the guardian is still up.
-    fn staged(
-        &mut self,
-        g: GuardianId,
-        op: StagedOp,
-        span: &'static str,
-        now: u64,
-        staged: argus_core::RsResult<bool>,
-    ) -> WorldResult<bool> {
-        let durable = match staged {
-            Ok(true) => {
-                self.note_staged_batch(g, op, now);
-                false
-            }
-            Ok(false) => true,
-            Err(e) if e.is_crash() => {
-                self.mark_crashed(g);
-                return Ok(false);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let key = Some(tkey(op.aid()));
-        self.tracer.complete("twopc", span, g.0, key, now, &[]);
-        if durable {
-            self.forced(g, op)?;
+    /// Drains what `g`'s last step asked for, in an order that is part of
+    /// the contract (the trace and a seeded network fault both see it): mail
+    /// goes out; each staged entry puts `g` in the ready set and its force
+    /// deadline in the min-deadline heap, so the message loop polls in
+    /// O(log n) of the *staged* guardians, never the whole world; a verdict
+    /// is booked; a crash the guardian decided inside is finished outside.
+    fn apply(&mut self, g: GuardianId) {
+        #[cfg(test)]
+        {
+            self.mail_applied += self.fx.send.len() as u64;
         }
-        Ok(true)
+        for envelope in self.fx.send.drain(..) {
+            self.net.send(envelope);
+        }
+        for due_at in self.fx.due.drain(..) {
+            self.staged_ready.insert(g);
+            self.force_due.push(Reverse((due_at, g)));
+        }
+        if let Some((aid, committed)) = self.fx.resolved.take() {
+            self.resolve_action(aid, committed);
+            self.touched.remove(&aid);
+            self.touched_read.remove(&aid);
+        }
+        if std::mem::take(&mut self.fx.crashed) {
+            self.obs.inc("world.crashes");
+            self.mark_crashed(g);
+        }
     }
 
     /// Forces the staged batch of every up guardian whose scheduler says
@@ -1453,12 +1279,8 @@ impl World {
             }
             self.force_due.pop();
             self.wobs.sched_polls.inc();
-            let due = self
-                .guardians
-                .get(&g)
-                .map(|gu| gu.up && gu.force_sched.due(now))
-                .unwrap_or(false);
-            if due {
+            let guardian = self.guardians.get(&g);
+            if guardian.is_some_and(|gu| gu.up && gu.force_sched.due(now)) {
                 self.flush_staged(g)?;
             }
         }
@@ -1469,17 +1291,12 @@ impl World {
     /// (and hence new messages may be in flight). Visits the ready set, not
     /// every guardian.
     fn flush_all_staged(&mut self) -> WorldResult<bool> {
-        let pending: Vec<GuardianId> = self
-            .staged_ready
-            .iter()
-            .copied()
-            .filter(|g| {
-                self.guardians
-                    .get(g)
-                    .map(|gu| gu.up && !gu.staged.is_empty())
-                    .unwrap_or(false)
-            })
-            .collect();
+        let staged = |g: &GuardianId| {
+            let guardian = self.guardians.get(g);
+            guardian.is_some_and(|gu| gu.up && !gu.staged.is_empty())
+        };
+        let ready = self.staged_ready.iter().copied();
+        let pending: Vec<GuardianId> = ready.filter(staged).collect();
         self.wobs.sched_polls.add(self.staged_ready.len() as u64);
         let any = !pending.is_empty();
         for g in pending {
@@ -1488,346 +1305,19 @@ impl World {
         Ok(any)
     }
 
-    /// Runs the shared force for guardian `g`'s staged batch, then fires the
-    /// waiting two-phase-commit continuations in staging order.
-    ///
-    /// One device force makes every staged entry durable atomically (the
-    /// force's last frame is its commit point, DESIGN.md deviation 11), so a
-    /// crash during the force loses the whole batch — the continuations are
-    /// dropped and the protocol resolves the actions after restart, exactly
-    /// as for an unbatched force that crashed.
+    /// Has `g` force its staged batch, then feeds the continuations back one
+    /// step each, in staging order: every step's effects are applied before
+    /// the next runs, so a local commit's `action` span precedes the mail of
+    /// the distributed one staged behind it.
     fn flush_staged(&mut self, g: GuardianId) -> WorldResult<()> {
         let Some(guardian) = self.guardians.get_mut(&g) else {
             return Ok(());
         };
-        if !guardian.up || guardian.staged.is_empty() {
-            return Ok(());
-        }
-        let staged = std::mem::take(&mut guardian.staged);
-        let batch = guardian.force_sched.batch_id();
-        guardian.force_sched.flushed();
-        let force_t0 = self.clock.now();
-        let force = guardian.rs.force_staged();
+        let forced = guardian.force(&mut self.fx);
         self.staged_ready.remove(&g);
-        match force {
-            Ok(()) => {}
-            Err(e) if e.is_crash() => {
-                // The batch died with the volatile buffer: no spans — the
-                // staged actions resolve through recovery, not this force.
-                self.mark_crashed(g);
-                return Ok(());
-            }
-            Err(e) => return Err(e.into()),
-        }
-        self.tracer.complete(
-            "force",
-            "force",
-            g.0,
-            None,
-            force_t0,
-            &[("batch", batch), ("ops", staged.len() as u64)],
-        );
-        for &(op, staged_at) in &staged {
-            self.tracer.complete(
-                "force",
-                "force_wait",
-                g.0,
-                Some(tkey(op.aid())),
-                staged_at,
-                &[("batch", batch)],
-            );
-        }
-        for (op, _staged_at) in staged {
-            if !self.guardians.get(&g).map(|gu| gu.up).unwrap_or(false) {
-                break;
-            }
-            self.forced(g, op)?;
-        }
-        Ok(())
-    }
-
-    /// What happens when `op`'s record is durable on `g`: a verdict takes
-    /// effect in the heap and the action's two-phase-commit machine moves
-    /// on. Runs once per forced step — from `flush_staged` for a batched
-    /// entry, from `staged` for an operation that is durable as it stands.
-    fn forced(&mut self, g: GuardianId, op: StagedOp) -> WorldResult<()> {
-        let guardian = self.guardian_mut(g)?;
-        match op {
-            StagedOp::Prepare(aid) => {
-                let participant = guardian.participants.get_mut(&aid);
-                let more = participant.map(|p| p.prepare_succeeded());
-                self.exec_part(g, aid, more.unwrap_or_default())
-            }
-            StagedOp::Commit(aid) => {
-                guardian.heap.commit_action(aid);
-                guardian.resolved.insert(aid, true);
-                let participant = guardian.participants.get_mut(&aid);
-                let more = participant.map(|p| p.commit_forced());
-                self.exec_part(g, aid, more.unwrap_or_default())
-            }
-            StagedOp::Abort(aid) => {
-                guardian.heap.abort_action(aid);
-                guardian.resolved.insert(aid, false);
-                let participant = guardian.participants.get_mut(&aid);
-                let more = participant.map(|p| p.abort_forced());
-                self.exec_part(g, aid, more.unwrap_or_default())
-            }
-            StagedOp::CommitPoint(aid) => {
-                guardian.heap.commit_action(aid);
-                self.coord_step(g, aid, Coordinator::committing_forced)
-            }
-        }
-    }
-
-    fn deliver(&mut self, envelope: Envelope) -> WorldResult<()> {
-        let g = envelope.to;
-        let aid = envelope.msg.aid();
-        let Some(guardian) = self.guardians.get_mut(&g) else {
-            return Ok(());
-        };
-        if !guardian.up {
-            return Ok(());
-        }
-        match &envelope.msg {
-            Msg::Prepare { .. } => {
-                if guardian.participants.contains_key(&aid) {
-                    return Ok(()); // duplicate prepare
-                }
-                if let Some(&committed) = guardian.resolved.get(&aid) {
-                    // Already resolved here (e.g. coordinator retry storm).
-                    let reply = if committed {
-                        Msg::PrepareOk { aid }
-                    } else {
-                        Msg::PrepareRefused { aid }
-                    };
-                    self.net.send(Envelope {
-                        from: g,
-                        to: envelope.from,
-                        msg: reply,
-                    });
-                    return Ok(());
-                }
-                if !guardian.known.contains(&aid) {
-                    // "If the action is unknown at the participant (because
-                    // it never ran there, was aborted locally, or was wiped
-                    // out by a crash), then it replies aborted" (§2.2.2).
-                    self.net.send(Envelope {
-                        from: g,
-                        to: envelope.from,
-                        msg: Msg::PrepareRefused { aid },
-                    });
-                    return Ok(());
-                }
-                let (participant, effects) = Participant::on_prepare(aid, envelope.from);
-                guardian.participants.insert(aid, participant);
-                self.exec_part(g, aid, effects)
-            }
-            Msg::Commit { .. } | Msg::Abort { .. } | Msg::Outcome { .. } => {
-                if guardian.participants.contains_key(&aid) {
-                    let effects = guardian
-                        .participants
-                        .get_mut(&aid)
-                        .map(|p| p.on_msg(&envelope.msg))
-                        .unwrap_or_default();
-                    self.exec_part(g, aid, effects)
-                } else {
-                    // Participant already resolved and forgotten: re-ack so
-                    // the coordinator can finish.
-                    let reply = match &envelope.msg {
-                        Msg::Commit { .. } => Some(Msg::CommitAck { aid }),
-                        Msg::Abort { .. } => Some(Msg::AbortAck { aid }),
-                        _ => None,
-                    };
-                    if let Some(msg) = reply {
-                        self.net.send(Envelope {
-                            from: g,
-                            to: envelope.from,
-                            msg,
-                        });
-                    }
-                    Ok(())
-                }
-            }
-            Msg::QueryOutcome { .. } if !guardian.coordinators.contains_key(&aid) => {
-                // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
-                // guardian's own state alone, never what the world knows.
-                let committed = guardian.coord_done.contains(&aid);
-                self.net.send(Envelope {
-                    from: g,
-                    to: envelope.from,
-                    msg: Msg::Outcome { aid, committed },
-                });
-                Ok(())
-            }
-            Msg::PrepareOk { .. }
-            | Msg::PrepareRefused { .. }
-            | Msg::CommitAck { .. }
-            | Msg::AbortAck { .. }
-            | Msg::QueryOutcome { .. } => {
-                self.coord_step(g, aid, |c| c.on_msg(envelope.from, &envelope.msg))
-            }
-        }
-    }
-
-    /// Runs one transition of `aid`'s coordinator at `g`, then its effects.
-    /// A transition that decides to abort aborts the action at home there
-    /// and then: home never prepared — its `prepared` rides the commit point
-    /// that now will not come — so its tentative versions, locks and MOS go,
-    /// and no `aborted` record is written for an action the log never saw.
-    fn coord_step(
-        &mut self,
-        g: GuardianId,
-        aid: ActionId,
-        step: impl FnOnce(&mut Coordinator) -> Vec<CoordEffect>,
-    ) -> WorldResult<()> {
-        let guardian = self.guardian_mut(g)?;
-        let Some(coordinator) = guardian.coordinators.get_mut(&aid) else {
-            return Ok(());
-        };
-        use CoordPhase::{Aborted, Aborting, Preparing};
-        let undecided = coordinator.phase() == Preparing;
-        let effects = step(coordinator);
-        if undecided && matches!(coordinator.phase(), Aborting | Aborted) {
-            guardian.heap.abort_action(aid);
-            guardian.mos.remove(&aid);
-            guardian.rs.discard(aid);
-        }
-        self.exec_coord(g, aid, effects)
-    }
-
-    fn exec_coord(
-        &mut self,
-        g: GuardianId,
-        aid: ActionId,
-        effects: Vec<CoordEffect>,
-    ) -> WorldResult<()> {
-        for effect in effects {
-            match effect {
-                CoordEffect::Send { to, msg } => {
-                    self.net.send(Envelope { from: g, to, msg });
-                }
-                CoordEffect::ForceCommitting => {
-                    // The whole commit point at home, one staged step under
-                    // one force (DESIGN.md deviation 12): data entries,
-                    // `prepared`, `committing` unless the action is local,
-                    // and home's own `committed`. An action a crash wiped
-                    // out since it began is unknown here and aborts, as it
-                    // would by refusing a prepare (§2.2.2).
-                    let now = self.clock.now();
-                    let guardian = self.guardians.get_mut(&g);
-                    let guardian = guardian.ok_or(WorldError::NoGuardian(g))?;
-                    let coordinator = guardian.coordinators.get(&aid);
-                    debug_assert!(coordinator.is_none_or(Coordinator::participates));
-                    let (timer, span, gids) = match coordinator {
-                        Some(c) if !c.is_local() => (
-                            &self.wobs.committing_us,
-                            "commit_point",
-                            &c.participants[..],
-                        ),
-                        _ => (&self.wobs.commit_us, "commit_locally", &[][..]),
-                    };
-                    let staged = if guardian.known.contains(&aid) {
-                        let mos = guardian.mos.remove(&aid).unwrap_or_default();
-                        guardian
-                            .rs
-                            .stage_commit_point(aid, &mos, &guardian.heap, gids)
-                    } else {
-                        Err(RsError::BadState(format!("{aid} is unknown at {g}")))
-                    };
-                    timer.record_since(now);
-                    if matches!(&staged, Err(e) if !e.is_crash()) {
-                        // Unknown, or the entries could not be written.
-                        self.coord_step(g, aid, Coordinator::abort_unilaterally)?;
-                    } else if !self.staged(g, StagedOp::CommitPoint(aid), span, now, staged)? {
-                        return Ok(());
-                    }
-                }
-                CoordEffect::ForceDone => {
-                    // Written, never forced and never waited for: `done`
-                    // joins no batch and rides the guardian's next force (or
-                    // its housekeeping prologue).
-                    let now = self.clock.now();
-                    self.guardian_mut(g)?.rs.stage_done(aid)?;
-                    let key = Some(tkey(aid));
-                    self.tracer.complete("twopc", "done", g.0, key, now, &[]);
-                }
-                CoordEffect::Finished { committed } => {
-                    self.resolve_action(aid, committed);
-                    let guardian = self.guardian_mut(g)?;
-                    let coordinator = guardian.coordinators.remove(&aid);
-                    if coordinator.is_some_and(|c| c.is_local()) {
-                        // No other guardian took part, so none can ever ask
-                        // about the action: it leaves nothing behind.
-                        guardian.known.remove(&aid);
-                    } else if committed {
-                        guardian.coord_done.insert(aid);
-                    }
-                    self.touched.remove(&aid);
-                    self.touched_read.remove(&aid);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn exec_part(
-        &mut self,
-        g: GuardianId,
-        aid: ActionId,
-        effects: Vec<PartEffect>,
-    ) -> WorldResult<()> {
-        let mut queue: std::collections::VecDeque<PartEffect> = effects.into();
-        while let Some(effect) = queue.pop_front() {
-            match effect {
-                PartEffect::Send { to, msg } => {
-                    self.net.send(Envelope { from: g, to, msg });
-                }
-                PartEffect::PrepareLocally => {
-                    let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mos = guardian.mos.remove(&aid).unwrap_or_default();
-                    // Split borrow: the recovery system reads the heap.
-                    let Guardian { rs, heap, .. } = guardian;
-                    let staged = rs.stage_prepare(aid, &mos, heap);
-                    self.wobs.prepare_us.record_since(now);
-                    match staged {
-                        // The prepare could not be written: refuse.
-                        Err(e) if !e.is_crash() => {
-                            let participant = self.guardian_mut(g)?.participants.get_mut(&aid);
-                            queue.extend(
-                                participant.map(|p| p.prepare_failed()).unwrap_or_default(),
-                            );
-                            let key = Some(tkey(aid));
-                            self.tracer.complete("twopc", "prepare", g.0, key, now, &[]);
-                        }
-                        staged => {
-                            if !self.staged(g, StagedOp::Prepare(aid), "prepare", now, staged)? {
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                PartEffect::ForceCommit => {
-                    let now = self.clock.now();
-                    let staged = self.guardian_mut(g)?.rs.stage_commit(aid);
-                    self.wobs.commit_us.record_since(now);
-                    if !self.staged(g, StagedOp::Commit(aid), "commit", now, staged)? {
-                        return Ok(());
-                    }
-                }
-                PartEffect::ForceAbort => {
-                    let now = self.clock.now();
-                    let staged = self.guardian_mut(g)?.rs.stage_abort(aid);
-                    self.wobs.abort_us.record_since(now);
-                    if !self.staged(g, StagedOp::Abort(aid), "abort", now, staged)? {
-                        return Ok(());
-                    }
-                }
-                PartEffect::Finished { .. } => {
-                    let guardian = self.guardian_mut(g)?;
-                    guardian.participants.remove(&aid);
-                }
-            }
+        self.apply(g);
+        for (op, _staged_at) in forced? {
+            self.step(g, Input::Forced(op))?;
         }
         Ok(())
     }
@@ -1911,19 +1401,10 @@ impl World {
         if !guardian.up || guardian.rs.log_stats().entries <= max_entries {
             return Ok(false);
         }
-        self.flush_staged(g)?;
-        let guardian = self.guardian_mut(g)?;
-        if !guardian.up {
-            return Ok(false);
-        }
-        let Guardian { rs, heap, .. } = guardian;
-        match rs.housekeeping(heap, mode) {
-            Ok(()) => Ok(true),
-            Err(e) if e.is_crash() => {
-                self.mark_crashed(g);
-                Ok(false)
-            }
-            Err(e) => Err(e.into()),
+        match self.housekeeping_pass(g, mode) {
+            // Flushing the staged batch took the node down.
+            Err(WorldError::Down(_)) => Ok(false),
+            ran => ran,
         }
     }
 }

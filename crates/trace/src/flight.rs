@@ -38,23 +38,30 @@ fn sanitize(label: &str) -> String {
     out
 }
 
-fn fresh_path(label: &str, ext: &str) -> std::io::Result<PathBuf> {
+/// Creates a file no other dump owns: the name is claimed atomically
+/// (`create_new`), so two threads dumping under one label at once get two
+/// files, never one truncated by the other.
+fn fresh_file(label: &str, ext: &str) -> std::io::Result<(PathBuf, std::fs::File)> {
     let dir = flight_dir();
     std::fs::create_dir_all(&dir)?;
     let stem = sanitize(label);
     let mut path = dir.join(format!("{stem}.{ext}"));
     let mut n = 1u32;
-    while path.exists() {
-        path = dir.join(format!("{stem}.{n}.{ext}"));
-        n += 1;
+    loop {
+        match std::fs::File::create_new(&path) {
+            Ok(file) => return Ok((path, file)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                path = dir.join(format!("{stem}.{n}.{ext}"));
+                n += 1;
+            }
+            Err(e) => return Err(e),
+        }
     }
-    Ok(path)
 }
 
 /// Dumps `events` as a Chrome trace; returns the file written.
 pub fn dump(label: &str, events: &[TraceEvent]) -> std::io::Result<PathBuf> {
-    let path = fresh_path(label, "trace.json")?;
-    let mut f = std::fs::File::create(&path)?;
+    let (path, mut f) = fresh_file(label, "trace.json")?;
     f.write_all(to_chrome_json(events).as_bytes())?;
     Ok(path)
 }
@@ -62,8 +69,7 @@ pub fn dump(label: &str, events: &[TraceEvent]) -> std::io::Result<PathBuf> {
 /// Dumps a plain-text schedule (the explorer's step list); returns the
 /// file written.
 pub fn dump_text(label: &str, lines: &[String]) -> std::io::Result<PathBuf> {
-    let path = fresh_path(label, "schedule.txt")?;
-    let mut f = std::fs::File::create(&path)?;
+    let (path, mut f) = fresh_file(label, "schedule.txt")?;
     for line in lines {
         writeln!(f, "{line}")?;
     }
@@ -81,5 +87,36 @@ mod tests {
             "hybrid_cached_w2_write_3_"
         );
         assert_eq!(sanitize(""), "trace");
+    }
+
+    #[test]
+    fn concurrent_dumps_under_one_label_never_share_a_file() {
+        const THREADS: usize = 8;
+        let label = format!("flight-race-{}", std::process::id());
+        let start = std::sync::Barrier::new(THREADS);
+        let paths: Vec<PathBuf> = std::thread::scope(|s| {
+            let dumps: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    let (label, start) = (&label, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        dump_text(label, &[format!("dump {i}")]).unwrap()
+                    })
+                })
+                .collect();
+            dumps.into_iter().map(|d| d.join().unwrap()).collect()
+        });
+        let mut texts: Vec<String> = paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).unwrap())
+            .collect();
+        for path in &paths {
+            let _ = std::fs::remove_file(path);
+        }
+        let distinct: std::collections::BTreeSet<&PathBuf> = paths.iter().collect();
+        assert_eq!(distinct.len(), THREADS, "{paths:?}");
+        texts.sort();
+        let want: Vec<String> = (0..THREADS).map(|i| format!("dump {i}\n")).collect();
+        assert_eq!(texts, want, "every dump intact in its own file");
     }
 }

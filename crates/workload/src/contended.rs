@@ -1,30 +1,18 @@
 //! The contended transfer mix: a high-contention zipfian workload that
-//! deadlocks by construction, driven by a deterministic slot scheduler.
+//! deadlocks by construction, driven by the deterministic slot scheduler
+//! ([`crate::slots`]).
 //!
 //! Each of `concurrency` slots runs transfers over a small hot set of
 //! accounts at one guardian. A transfer write-locks its debit account, then
 //! its credit account, in *request* order — no global lock ordering — so two
-//! slots picking the same hot pair in opposite directions wait on each other
-//! (§2.4.1: running actions delay one another by holding locks). What
-//! happens next is the concurrency-control policy's call
-//! ([`argus_guardian::WorldConfig::cc`]):
-//!
-//! * **conflict-abort** — the submit is refused; the slot aborts the action
-//!   and retries after a seeded full-jitter backoff ([`BackoffConfig`]);
-//! * **blocking** — the slot parks FIFO; the wait-for-graph check breaks any
-//!   cycle by aborting the youngest member, which retries with backoff;
-//! * **timeout** — the slot parks with a deadline; when every slot is stuck
-//!   the driver advances the clock to the next deadline and lets
-//!   [`World::cc_tick`] expire a waiter, which retries with backoff.
-//!
-//! One slot performs exactly one scheduler transition per round — begin,
-//! one lock-acquiring submit, or commit — so locks are held across rounds
-//! and slots genuinely interleave. The driver draws only from
-//! [`DetRng`] and the simulated clock: a seed pins down the whole run —
-//! schedule, abort set, commit order, and final balances.
+//! slots picking the same hot pair in opposite directions wait on each
+//! other, and the concurrency-control policy decides what happens next. A
+//! seed pins down the whole run — schedule, abort set, commit order, and
+//! final balances.
 
-use argus_cc::{BackoffConfig, CcFate, CcOutcome};
-use argus_guardian::{Outcome, RsKind, World, WorldError, WorldResult};
+use crate::slots::{self, Plan, Write};
+use argus_cc::BackoffConfig;
+use argus_guardian::{Outcome, RsKind, World, WorldResult};
 use argus_objects::{ActionId, GuardianId, HeapId, Value};
 use argus_sim::{DetRng, Zipf};
 use std::collections::BTreeSet;
@@ -86,15 +74,12 @@ pub struct ContendedStats {
 impl ContendedStats {
     /// Abort rate: retried attempts over all attempts.
     pub fn abort_rate(&self) -> f64 {
-        let attempts = self.committed + self.retries;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.retries as f64 / attempts as f64
-        }
+        slots::abort_rate(self.committed, self.retries)
     }
 
-    /// The p99 transfer latency in simulated µs (0 when empty).
+    /// The p99 transfer latency in simulated µs (0 when empty) — nearest
+    /// rank, `ceil(n·q)`; [`crate::ShardedStats::p99_latency_us`] rounds
+    /// `(n−1)·q` instead, and E14's and E21's cells each depend on their own.
     pub fn p99_latency_us(&self) -> u64 {
         percentile(&self.latencies_us, 0.99)
     }
@@ -110,33 +95,17 @@ fn percentile(samples: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// What a slot does next round.
-#[derive(Debug)]
-enum SlotState {
-    /// No action in flight; may begin once the clock reaches `retry_at`.
-    Idle,
-    /// Action begun; `next_op` locks issued so far (0, 1, or 2).
-    Running { aid: ActionId, next_op: usize },
-    /// All transfers committed.
-    Finished,
-}
+/// One transfer: debit, then credit, both at the mix's guardian.
+struct Transfer([Write; 2]);
 
-#[derive(Debug)]
-struct Slot {
-    state: SlotState,
-    /// Transfers still to commit.
-    remaining: u64,
-    /// Accounts of the in-progress transfer — kept across retries, so the
-    /// same contended pair is re-attempted (that is the retry semantics the
-    /// backoff exists for).
-    pair: Option<(usize, usize)>,
-    amount: i64,
-    /// When the first attempt of the current transfer began.
-    started_at: Option<u64>,
-    /// Aborted attempts of the current transfer so far.
-    attempt: u32,
-    /// Clock time before which the slot stays idle (backoff).
-    retry_at: u64,
+impl Plan for Transfer {
+    fn home(&self) -> GuardianId {
+        self.0[0].gid
+    }
+
+    fn writes(&self) -> &[Write] {
+        &self.0
+    }
 }
 
 /// A deployed contended mix.
@@ -176,171 +145,37 @@ impl Contended {
         self.gid
     }
 
-    /// Runs every slot to completion and reports the stats. Returns an
-    /// error — rather than spinning — if the scheduler ever stalls with no
-    /// pending event, so a would-be hang fails fast and loudly.
+    /// Runs every slot to completion — `transfers_per_slot` commits each —
+    /// and reports the stats, or an error if the scheduler ever stalls.
     pub fn run(&self, world: &mut World, rng: &mut DetRng) -> WorldResult<ContendedStats> {
-        let mut stats = ContendedStats::default();
-        let mut slots: Vec<Slot> = (0..self.cfg.concurrency)
-            .map(|_| Slot {
-                state: SlotState::Idle,
-                remaining: self.cfg.transfers_per_slot,
-                pair: None,
-                amount: 0,
-                started_at: None,
-                attempt: 0,
-                retry_at: 0,
-            })
-            .collect();
-
-        loop {
-            let mut progress = false;
-            let mut all_done = true;
-            for slot in &mut slots {
-                progress |= self.step_slot(world, rng, slot, &mut stats)?;
-                all_done &= matches!(slot.state, SlotState::Finished);
+        let cfg = &self.cfg;
+        let mut remaining = vec![cfg.transfers_per_slot; cfg.concurrency];
+        let next = |rng: &mut DetRng, slot: usize| {
+            remaining[slot] = remaining[slot].checked_sub(1)?;
+            let from = self.zipf.sample(rng);
+            let mut to = self.zipf.sample(rng);
+            if to == from {
+                to = (to + 1) % cfg.accounts;
             }
-            if all_done {
-                return Ok(stats);
-            }
-            if progress {
-                continue;
-            }
-            // Every slot is parked or backing off: advance the clock to the
-            // nearest pending event and expire due lock waits.
-            let mut next = world.cc_next_deadline();
-            for slot in &slots {
-                if matches!(slot.state, SlotState::Idle) && slot.remaining > 0 {
-                    next = Some(next.map_or(slot.retry_at, |n| n.min(slot.retry_at)));
-                }
-            }
-            match next {
-                Some(t) if t > world.clock.now() => {
-                    world.clock.advance_to(t);
-                    world.cc_tick();
-                }
-                _ => {
-                    return Err(WorldError::Rs(argus_core::RsError::BadState(
-                        "contended mix stalled with no pending event (undetected deadlock?)".into(),
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Performs at most one scheduler transition for `slot`; returns whether
-    /// anything happened.
-    fn step_slot(
-        &self,
-        world: &mut World,
-        rng: &mut DetRng,
-        slot: &mut Slot,
-        stats: &mut ContendedStats,
-    ) -> WorldResult<bool> {
-        let now = world.clock.now();
-        match slot.state {
-            SlotState::Finished => Ok(false),
-            SlotState::Idle => {
-                if slot.remaining == 0 {
-                    slot.state = SlotState::Finished;
-                    return Ok(true);
-                }
-                if now < slot.retry_at {
-                    return Ok(false);
-                }
-                // First attempt picks the pair and the amount; retries keep
-                // them, so the same contended pair is re-fought.
-                if slot.pair.is_none() {
-                    let from = self.zipf.sample(rng);
-                    let mut to = self.zipf.sample(rng);
-                    if to == from {
-                        to = (to + 1) % self.cfg.accounts;
-                    }
-                    slot.pair = Some((from, to));
-                    slot.amount = 1 + rng.gen_range(100) as i64;
-                    slot.started_at = Some(now);
-                }
-                let aid = world.begin(self.gid)?;
-                slot.state = SlotState::Running { aid, next_op: 0 };
-                Ok(true)
-            }
-            SlotState::Running { aid, next_op } => {
-                if let Some(fate) = world.cc_fate(aid) {
-                    // The scheduler gave up on this action (deadlock victim
-                    // or expired lock wait) and already aborted it.
-                    match fate {
-                        CcFate::Victim => stats.deadlock_victims += 1,
-                        CcFate::TimedOut => stats.timeouts += 1,
-                        CcFate::CrashDrained => {}
-                    }
-                    self.note_retry(world, slot, aid, stats, rng);
-                    return Ok(true);
-                }
-                if world.cc_blocked(aid) {
-                    return Ok(false);
-                }
-                if next_op < 2 {
-                    let (from, to) = slot.pair.expect("running slot has a pair");
-                    let (h, delta) = if next_op == 0 {
-                        (self.accounts[from], -slot.amount)
-                    } else {
-                        (self.accounts[to], slot.amount)
-                    };
-                    match world.submit_write_atomic(self.gid, aid, h, move |v| {
-                        if let Value::Int(balance) = v {
-                            *balance += delta;
-                        }
-                    })? {
-                        // Parked counts as issued: the grant runs the write.
-                        CcOutcome::Done | CcOutcome::Parked => {
-                            slot.state = SlotState::Running {
-                                aid,
-                                next_op: next_op + 1,
-                            };
-                        }
-                        CcOutcome::Conflict => {
-                            stats.conflicts += 1;
-                            world.abort_local(aid);
-                            self.note_retry(world, slot, aid, stats, rng);
-                        }
-                    }
-                    Ok(true)
-                } else {
-                    let outcome = world.commit(aid)?;
-                    debug_assert_eq!(outcome, Outcome::Committed);
-                    stats.committed += 1;
-                    stats.commit_order.push(aid);
-                    let started = slot.started_at.take().expect("transfer has a start time");
-                    stats
-                        .latencies_us
-                        .push(world.clock.now().saturating_sub(started));
-                    slot.remaining -= 1;
-                    slot.pair = None;
-                    slot.attempt = 0;
-                    slot.retry_at = world.clock.now();
-                    slot.state = SlotState::Idle;
-                    Ok(true)
-                }
-            }
-        }
-    }
-
-    /// Books an aborted attempt and schedules the backoff.
-    fn note_retry(
-        &self,
-        world: &mut World,
-        slot: &mut Slot,
-        aid: ActionId,
-        stats: &mut ContendedStats,
-        rng: &mut DetRng,
-    ) {
-        stats.retries += 1;
-        stats.aborted.insert(aid);
-        world.note_cc_retry();
-        let delay = self.cfg.backoff.delay_us(slot.attempt, rng);
-        slot.attempt += 1;
-        slot.retry_at = world.clock.now() + delay;
-        slot.state = SlotState::Idle;
+            let amount = 1 + rng.gen_range(100) as i64;
+            let write = |account: usize, delta| Write {
+                gid: self.gid,
+                h: self.accounts[account],
+                delta,
+            };
+            Some(Transfer([write(from, -amount), write(to, amount)]))
+        };
+        let s = slots::run(world, rng, cfg.concurrency, cfg.backoff, next, |_| {})?;
+        Ok(ContendedStats {
+            committed: s.committed,
+            retries: s.retries,
+            conflicts: s.conflicts,
+            deadlock_victims: s.deadlock_victims,
+            timeouts: s.timeouts,
+            latencies_us: s.latencies_us,
+            aborted: s.aborted,
+            commit_order: s.commit_order,
+        })
     }
 
     /// Sums every hot account's committed balance — transfers conserve it.

@@ -36,6 +36,7 @@ mod banking;
 mod contended;
 mod reservations;
 mod sharded;
+mod slots;
 mod synth;
 
 pub use banking::{Banking, BankingConfig, BankingStats};

@@ -22,14 +22,15 @@
 //! exactly for the seats taken — the run-wide oracles
 //! ([`Sharded::total_balance`], [`Sharded::total_seats`]).
 //!
-//! The driver is [`Contended`](crate::Contended)'s deterministic slot
-//! scheduler generalized to a global action budget: `concurrency` slots
-//! each perform one transition per round (begin, one lock-acquiring
-//! submit, or commit), retries keep their user and plan, and everything
-//! draws from one [`DetRng`] — a seed pins the whole run.
+//! The driver is the deterministic slot scheduler ([`crate::slots`]) over a
+//! global action budget: `concurrency` slots each perform one transition
+//! per round (begin, one lock-acquiring submit, or commit), retries keep
+//! their user and plan, and everything draws from one [`DetRng`] — a seed
+//! pins the whole run.
 
-use argus_cc::{BackoffConfig, CcFate, CcOutcome};
-use argus_guardian::{Outcome, RsKind, World, WorldError, WorldResult};
+use crate::slots::{self, Write};
+use argus_cc::BackoffConfig;
+use argus_guardian::{Outcome, RsKind, World, WorldResult};
 use argus_objects::{ActionId, GuardianId, HeapId, Value};
 use argus_sim::{DetRng, Zipf};
 use std::collections::BTreeSet;
@@ -118,12 +119,7 @@ pub struct ShardedStats {
 impl ShardedStats {
     /// Abort rate: retried attempts over all attempts.
     pub fn abort_rate(&self) -> f64 {
-        let attempts = self.committed + self.retries;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.retries as f64 / attempts as f64
-        }
+        slots::abort_rate(self.committed, self.retries)
     }
 
     /// Shards that coordinated at least one commit.
@@ -132,7 +128,9 @@ impl ShardedStats {
     }
 
     /// p99 action latency in simulated µs (first begin → commit, spanning
-    /// retries); 0 when nothing committed.
+    /// retries); 0 when nothing committed. Index `round((n−1)·q)` — not
+    /// [`crate::ContendedStats::p99_latency_us`]'s nearest rank; E21's cells
+    /// depend on this one, so unifying them means re-baselining.
     pub fn p99_latency_us(&self) -> u64 {
         if self.latencies_us.is_empty() {
             return 0;
@@ -155,42 +153,24 @@ impl ShardedStats {
     }
 }
 
-/// One write of an action's plan: `delta` applied to `h` at shard `shard`.
-#[derive(Debug, Clone, Copy)]
-struct PlannedWrite {
-    shard: usize,
-    h: HeapId,
-    delta: i64,
-}
-
 /// The immutable plan of one logical action, kept across retries so the
 /// same contended objects are re-fought.
-#[derive(Debug, Clone)]
 struct Plan {
-    home: usize,
-    writes: Vec<PlannedWrite>,
+    /// The home shard, and its guardian.
+    home: (usize, GuardianId),
+    writes: Vec<Write>,
     cross: bool,
     reservation: bool,
 }
 
-/// What a slot does next round.
-#[derive(Debug)]
-enum SlotState {
-    /// No action in flight; may begin once the clock reaches `retry_at`.
-    Idle,
-    /// Action begun; `next_op` planned writes issued so far.
-    Running { aid: ActionId, next_op: usize },
-    /// No actions left in the global budget.
-    Finished,
-}
+impl slots::Plan for Plan {
+    fn home(&self) -> GuardianId {
+        self.home.1
+    }
 
-#[derive(Debug)]
-struct Slot {
-    state: SlotState,
-    plan: Option<Plan>,
-    started_at: Option<u64>,
-    attempt: u32,
-    retry_at: u64,
+    fn writes(&self) -> &[Write] {
+        &self.writes
+    }
 }
 
 /// A deployed sharded mix.
@@ -270,6 +250,12 @@ impl Sharded {
             home
         };
         let amount = 1 + rng.gen_range(100) as i64;
+        let write = |shard: usize, h: HeapId, delta| Write {
+            gid: self.gids[shard],
+            h,
+            delta,
+        };
+        let home_at = (home, self.gids[home]);
         if rng.gen_bool(self.cfg.reservation_prob) {
             // Reservation: pay from home, revenue + one seat at the flight
             // shard (account 0 is the revenue account).
@@ -278,23 +264,11 @@ impl Sharded {
                 payer = 1;
             }
             Plan {
-                home,
+                home: home_at,
                 writes: vec![
-                    PlannedWrite {
-                        shard: home,
-                        h: self.accounts[home][payer],
-                        delta: -amount,
-                    },
-                    PlannedWrite {
-                        shard: target,
-                        h: self.accounts[target][0],
-                        delta: amount,
-                    },
-                    PlannedWrite {
-                        shard: target,
-                        h: self.seats[target],
-                        delta: -1,
-                    },
+                    write(home, self.accounts[home][payer], -amount),
+                    write(target, self.accounts[target][0], amount),
+                    write(target, self.seats[target], -1),
                 ],
                 cross,
                 reservation: true,
@@ -306,18 +280,10 @@ impl Sharded {
                 to = (to + 1) % self.cfg.accounts_per_shard;
             }
             Plan {
-                home,
+                home: home_at,
                 writes: vec![
-                    PlannedWrite {
-                        shard: home,
-                        h: self.accounts[home][from],
-                        delta: -amount,
-                    },
-                    PlannedWrite {
-                        shard: target,
-                        h: self.accounts[target][to],
-                        delta: amount,
-                    },
+                    write(home, self.accounts[home][from], -amount),
+                    write(target, self.accounts[target][to], amount),
                 ],
                 cross,
                 reservation: false,
@@ -325,165 +291,36 @@ impl Sharded {
         }
     }
 
-    /// Runs the global action budget to completion and reports the stats.
-    /// Returns an error — rather than spinning — if the scheduler ever
-    /// stalls with no pending event.
+    /// Runs the global action budget to completion and reports the stats,
+    /// or an error if the scheduler ever stalls.
     pub fn run(&self, world: &mut World, rng: &mut DetRng) -> WorldResult<ShardedStats> {
-        let mut stats = ShardedStats {
-            per_shard_commits: vec![0; self.cfg.shards],
-            ..ShardedStats::default()
+        let cfg = &self.cfg;
+        let mut remaining = cfg.actions;
+        let next = |rng: &mut DetRng, _slot: usize| {
+            remaining = remaining.checked_sub(1)?;
+            Some(self.draw_plan(rng))
         };
-        let mut remaining = self.cfg.actions;
-        let mut slots: Vec<Slot> = (0..self.cfg.concurrency)
-            .map(|_| Slot {
-                state: SlotState::Idle,
-                plan: None,
-                started_at: None,
-                attempt: 0,
-                retry_at: 0,
-            })
-            .collect();
-
-        loop {
-            let mut progress = false;
-            let mut all_done = true;
-            for slot in &mut slots {
-                progress |= self.step_slot(world, rng, slot, &mut remaining, &mut stats)?;
-                all_done &= matches!(slot.state, SlotState::Finished);
-            }
-            if all_done {
-                return Ok(stats);
-            }
-            if progress {
-                continue;
-            }
-            // Every slot is parked or backing off: advance the clock to the
-            // nearest pending event and expire due lock waits.
-            let mut next = world.cc_next_deadline();
-            for slot in &slots {
-                if matches!(slot.state, SlotState::Idle) {
-                    next = Some(next.map_or(slot.retry_at, |n| n.min(slot.retry_at)));
-                }
-            }
-            match next {
-                Some(t) if t > world.clock.now() => {
-                    world.clock.advance_to(t);
-                    world.cc_tick();
-                }
-                _ => {
-                    return Err(WorldError::Rs(argus_core::RsError::BadState(
-                        "sharded mix stalled with no pending event (undetected deadlock?)".into(),
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Performs at most one scheduler transition for `slot`; returns whether
-    /// anything happened.
-    fn step_slot(
-        &self,
-        world: &mut World,
-        rng: &mut DetRng,
-        slot: &mut Slot,
-        remaining: &mut u64,
-        stats: &mut ShardedStats,
-    ) -> WorldResult<bool> {
-        let now = world.clock.now();
-        match slot.state {
-            SlotState::Finished => Ok(false),
-            SlotState::Idle => {
-                if slot.plan.is_none() {
-                    // Take the next action from the global budget.
-                    if *remaining == 0 {
-                        slot.state = SlotState::Finished;
-                        return Ok(true);
-                    }
-                    *remaining -= 1;
-                    slot.plan = Some(self.draw_plan(rng));
-                    slot.started_at = Some(now);
-                }
-                if now < slot.retry_at {
-                    return Ok(false);
-                }
-                let home = slot.plan.as_ref().expect("plan just drawn").home;
-                let aid = world.begin(self.gids[home])?;
-                slot.state = SlotState::Running { aid, next_op: 0 };
-                Ok(true)
-            }
-            SlotState::Running { aid, next_op } => {
-                if let Some(fate) = world.cc_fate(aid) {
-                    match fate {
-                        CcFate::Victim => stats.deadlock_victims += 1,
-                        CcFate::TimedOut => stats.timeouts += 1,
-                        CcFate::CrashDrained => {}
-                    }
-                    self.note_retry(world, slot, aid, stats, rng);
-                    return Ok(true);
-                }
-                if world.cc_blocked(aid) {
-                    return Ok(false);
-                }
-                let plan = slot.plan.as_ref().expect("running slot has a plan");
-                if next_op < plan.writes.len() {
-                    let PlannedWrite { shard, h, delta } = plan.writes[next_op];
-                    match world.submit_write_atomic(self.gids[shard], aid, h, move |v| {
-                        if let Value::Int(n) = v {
-                            *n += delta;
-                        }
-                    })? {
-                        // Parked counts as issued: the grant runs the write.
-                        CcOutcome::Done | CcOutcome::Parked => {
-                            slot.state = SlotState::Running {
-                                aid,
-                                next_op: next_op + 1,
-                            };
-                        }
-                        CcOutcome::Conflict => {
-                            stats.conflicts += 1;
-                            world.abort_local(aid);
-                            self.note_retry(world, slot, aid, stats, rng);
-                        }
-                    }
-                    Ok(true)
-                } else {
-                    let outcome = world.commit(aid)?;
-                    debug_assert_eq!(outcome, Outcome::Committed);
-                    let plan = slot.plan.take().expect("running slot has a plan");
-                    stats.committed += 1;
-                    stats.per_shard_commits[plan.home] += 1;
-                    stats.cross_shard += u64::from(plan.cross);
-                    stats.reservations += u64::from(plan.reservation);
-                    stats.commit_order.push(aid);
-                    let started = slot.started_at.take().expect("action has a start time");
-                    stats
-                        .latencies_us
-                        .push(world.clock.now().saturating_sub(started));
-                    slot.attempt = 0;
-                    slot.retry_at = world.clock.now();
-                    slot.state = SlotState::Idle;
-                    Ok(true)
-                }
-            }
-        }
-    }
-
-    /// Books an aborted attempt and schedules the backoff.
-    fn note_retry(
-        &self,
-        world: &mut World,
-        slot: &mut Slot,
-        aid: ActionId,
-        stats: &mut ShardedStats,
-        rng: &mut DetRng,
-    ) {
-        stats.retries += 1;
-        stats.aborted.insert(aid);
-        world.note_cc_retry();
-        let delay = self.cfg.backoff.delay_us(slot.attempt, rng);
-        slot.attempt += 1;
-        slot.retry_at = world.clock.now() + delay;
-        slot.state = SlotState::Idle;
+        let mut per_shard_commits = vec![0; cfg.shards];
+        let (mut cross_shard, mut reservations) = (0, 0);
+        let done = |plan: Plan| {
+            per_shard_commits[plan.home.0] += 1;
+            cross_shard += u64::from(plan.cross);
+            reservations += u64::from(plan.reservation);
+        };
+        let s = slots::run(world, rng, cfg.concurrency, cfg.backoff, next, done)?;
+        Ok(ShardedStats {
+            committed: s.committed,
+            cross_shard,
+            reservations,
+            retries: s.retries,
+            conflicts: s.conflicts,
+            deadlock_victims: s.deadlock_victims,
+            timeouts: s.timeouts,
+            per_shard_commits,
+            latencies_us: s.latencies_us,
+            aborted: s.aborted,
+            commit_order: s.commit_order,
+        })
     }
 
     /// Sums every account's committed balance across every shard —

@@ -2,7 +2,8 @@
 # Lines of Rust per crate, outside and inside `#[cfg(test)]` — the number
 # ROADMAP's "net lines changed is reported per PR" is read from — and each
 # crate's largest file by non-test lines. A file's unit tests are everything
-# from its first `#[cfg(test)]` line on.
+# from its first `#[cfg(test)]` line on; a `src/tests.rs` is the body of a
+# `#[cfg(test)] mod tests;` and is test code from its first line.
 #
 #   scripts/loc.sh            # every crate under crates/
 #   scripts/loc.sh core shadow
@@ -18,7 +19,7 @@ fi
 printf '%-10s %9s %7s %7s  %s\n' crate non-test test total 'largest non-test file'
 for c in "${crates[@]}"; do
     awk -v crate="$c" '
-        FNR == 1 { t = 0 }
+        FNR == 1 { t = (FILENAME ~ /\/tests\.rs$/) }
         /^#\[cfg\(test\)\]/ { t = 1 }
         { if (t) test++; else { code++; if (++file[FILENAME] > most) { most = file[FILENAME]; big = FILENAME } } }
         END {
