@@ -413,11 +413,29 @@ pub mod providers {
                 counter: 0,
                 root,
             };
-            // Resume the counter past any existing generations.
-            while provider.store_path(provider.counter).exists() {
-                provider.counter += 1;
+            // Resume the counter past every generation there is or was: the
+            // files need not be numbered from 0 without a gap — a supplanted
+            // one may have been deleted — and `new_store` removes whatever
+            // already carries the number it hands out.
+            if let Some(highest) = provider.highest_generation_present()? {
+                let active = provider.active_generation()?;
+                provider.counter = 1 + highest.max(active);
             }
             Ok(provider)
+        }
+
+        /// The largest `n` for which a `log-NNNN.argus` file exists.
+        fn highest_generation_present(&self) -> std::io::Result<Option<u64>> {
+            let mut highest = None;
+            for entry in std::fs::read_dir(&self.dir)? {
+                let name = entry?.file_name();
+                let number = name
+                    .to_str()
+                    .and_then(|name| name.strip_prefix("log-")?.strip_suffix(".argus"))
+                    .and_then(|digits| digits.parse::<u64>().ok());
+                highest = highest.max(number);
+            }
+            Ok(highest)
         }
 
         /// Shares a world's clock and cost model for device accounting.

@@ -24,9 +24,10 @@ use crate::log::{append_entry, LogIo};
 use crate::tables::{CState, CoordinatorTable, ObjState, PState, ParticipantTable};
 use crate::{MutexTable, RsError, RsResult};
 use argus_objects::{flatten_value, ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
+use argus_sim::IntMap;
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Stage-one object bookkeeping: like the recovery OT but without volatile
 /// addresses (§5.1.1), plus the object kind so already-digested atomic
@@ -70,10 +71,10 @@ pub struct HkState {
     pub(crate) new_mt: MutexTable,
     /// Snapshot only: the accessibility set rebuilt by the traversal.
     pub(crate) new_access: Option<HashSet<Uid>>,
-    ot: HashMap<Uid, HkObj>,
+    ot: IntMap<Uid, HkObj>,
     /// Early-prepared data entries of still-unprepared actions, rewritten
     /// onto the new log by stage two.
-    pub(crate) new_pending: HashMap<ActionId, Vec<PendingPair>>,
+    pub(crate) new_pending: IntMap<ActionId, Vec<PendingPair>>,
 }
 
 /// Writes a version onto the new log; one read off the old log is copied as

@@ -15,9 +15,10 @@ use crate::restore::RecoverCtx;
 use crate::tables::{MutexTable, ObjState, PState, RecoveryOutcome};
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
+use argus_sim::IntMap;
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The recovery system over a hybrid log.
 pub type HybridLogRs<P> = LogRs<P, HybridFormat>;
@@ -43,12 +44,12 @@ pub struct HybridFormat {
     /// recovery CT, kept so a snapshot can re-emit `committing` entries —
     /// the snapshot reads no log, and phase-two state lives nowhere in
     /// the heap.
-    pub(crate) cat: HashMap<ActionId, Vec<GuardianId>>,
+    pub(crate) cat: IntMap<ActionId, Vec<GuardianId>>,
     /// Address of the most recent outcome entry: the chain head.
     pub(crate) last_outcome: Option<LogAddress>,
     /// Data entries per action not yet covered by a `prepared` entry, the
     /// newest per object.
-    pub(crate) pending: HashMap<ActionId, Vec<PendingPair>>,
+    pub(crate) pending: IntMap<ActionId, Vec<PendingPair>>,
     /// The mutex table: mutex uid → address of its latest prepared version.
     pub(crate) mt: MutexTable,
     /// The outcome entries list, recorded while housekeeping is open.

@@ -48,9 +48,10 @@ use crate::restore::{scan_backward, RecoverCtx};
 use crate::tables::{CState, ObjState, PState, ParticipantTable, RecoveryOutcome};
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
+use argus_sim::IntMap;
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The REDO-only recovery system: backlinked redo records, checkpointed
 /// chain-head maps, and full / parallel / on-demand recovery.
@@ -88,14 +89,14 @@ impl RedoRecoveryProfile {
 #[derive(Debug, Default)]
 pub struct RedoMaps {
     /// Newest committed version address per object (chain heads).
-    heads: HashMap<Uid, LogAddress>,
+    heads: IntMap<Uid, LogAddress>,
     /// Version addresses written by in-doubt actions, promoted into `heads`
     /// at commit, dropped at abort.
-    pending: HashMap<ActionId, Vec<(Uid, LogAddress)>>,
+    pending: IntMap<ActionId, Vec<(Uid, LogAddress)>>,
     /// First record address of each in-doubt action (low-water inputs).
-    floor: HashMap<ActionId, LogAddress>,
+    floor: IntMap<ActionId, LogAddress>,
     /// `committing` entry address of each unfinished coordinator.
-    committing: HashMap<ActionId, LogAddress>,
+    committing: IntMap<ActionId, LogAddress>,
 }
 
 impl RedoMaps {
@@ -275,7 +276,7 @@ pub struct RedoFormat {
     /// How the next `recover` rebuilds state.
     mode: RecoveryMode,
     /// Objects awaiting lazy restoration: uid → chain-head address.
-    lazy: HashMap<Uid, LogAddress>,
+    lazy: IntMap<Uid, LogAddress>,
     /// Device-time attribution of the last recovery pass.
     profile: Option<RedoRecoveryProfile>,
 }
@@ -287,7 +288,7 @@ impl Default for RedoFormat {
             commits_since_ckpt: 0,
             map_interval: DEFAULT_MAP_INTERVAL,
             mode: RecoveryMode::Full,
-            lazy: HashMap::new(),
+            lazy: IntMap::default(),
             profile: None,
         }
     }
@@ -815,7 +816,9 @@ mod tests {
     fn parallel_replay_matches_full_recovery() {
         let mut rs = rs();
         let mut heap = Heap::with_stable_root();
-        let uids = commit_children(&mut rs, &mut heap, 8);
+        // Enough history that the versions the workers replay are not all
+        // in the few pages the scan's last reads left in the log's extent.
+        let uids = commit_children(&mut rs, &mut heap, 64);
 
         rs.simulate_crash().unwrap();
         assert!(rs.set_recovery_mode(RecoveryMode::Parallel(4)));
@@ -922,7 +925,7 @@ mod tests {
         // Every backlink in the compacted log must resolve, within the new
         // log, to an earlier record of the same object.
         let entries = rs.dump_entries().unwrap();
-        let by_addr: HashMap<LogAddress, &LogEntry> =
+        let by_addr: std::collections::HashMap<LogAddress, &LogEntry> =
             entries.iter().map(|(a, e)| (*a, e)).collect();
         let mut checked = 0;
         for (addr, entry) in &entries {

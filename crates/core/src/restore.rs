@@ -16,9 +16,9 @@ use crate::tables::{
 };
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
+use argus_sim::IntMap;
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::HashMap;
 
 /// Mutable recovery state threaded through one recovery pass.
 #[derive(Debug)]
@@ -33,12 +33,12 @@ pub struct RecoverCtx<'h> {
     /// The walk position (`entries_examined`) of each action's *oldest*
     /// `committed` entry seen so far — its true commit point. Entries at
     /// larger positions were logged before the commit.
-    committed_seen: HashMap<ActionId, u64>,
+    committed_seen: IntMap<ActionId, u64>,
     /// The walk position of the restore that produced each atomic uid's
     /// resident committed base. Compared against `committed_seen` to detect
     /// a base restored from a checkpoint older than a later commit (the
     /// checkpoint ordering fix; see DESIGN.md).
-    committed_restore_seq: HashMap<Uid, u64>,
+    committed_restore_seq: IntMap<Uid, u64>,
 }
 
 impl<'h> RecoverCtx<'h> {
@@ -51,8 +51,8 @@ impl<'h> RecoverCtx<'h> {
             entries_examined: 0,
             data_entries_read: 0,
             chain_hops: 0,
-            committed_seen: HashMap::new(),
-            committed_restore_seq: HashMap::new(),
+            committed_seen: IntMap::default(),
+            committed_restore_seq: IntMap::default(),
         }
     }
 
@@ -481,6 +481,7 @@ pub(crate) fn scan_backward<S: PageStore>(
         }
         note(addr, &entry, &ctx.pt);
     }
+    drop(walk);
 
     // Checkpoint pairs are the oldest committed state; restoring them
     // after the scan preserves newest-first priority.

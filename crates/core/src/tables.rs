@@ -1,8 +1,8 @@
 //! The recovery system's tables: OT, PT, CT, MT (§3.4.1, §4.4, §5.2).
 
 use argus_objects::{ActionId, GuardianId, HeapId, Uid};
+use argus_sim::IntMap;
 use argus_slog::LogAddress;
-use std::collections::HashMap;
 
 /// The state of an object in the object table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,7 +32,7 @@ pub struct OtEntry {
 /// The object table (OT): object uid → state + vm address.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectTable {
-    map: HashMap<Uid, OtEntry>,
+    map: IntMap<Uid, OtEntry>,
 }
 
 impl ObjectTable {
@@ -94,7 +94,7 @@ pub enum PState {
 /// insertion for an action id wins — that is the action's final state.
 #[derive(Debug, Clone, Default)]
 pub struct ParticipantTable {
-    map: HashMap<ActionId, PState>,
+    map: IntMap<ActionId, PState>,
 }
 
 impl ParticipantTable {
@@ -156,7 +156,7 @@ pub enum CState {
 /// The coordinator action table (CT): action id → coordinator state.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinatorTable {
-    map: HashMap<ActionId, CState>,
+    map: IntMap<ActionId, CState>,
 }
 
 impl CoordinatorTable {
@@ -210,7 +210,7 @@ impl CoordinatorTable {
 /// holding its latest *prepared* version. Maintained during normal operation
 /// so the snapshot can copy mutex state from the log rather than from
 /// volatile memory.
-pub type MutexTable = HashMap<Uid, LogAddress>;
+pub type MutexTable = IntMap<Uid, LogAddress>;
 
 /// Everything `recover` hands back to the Argus system so participants and
 /// coordinators can resume (§3.4.1 step 5), plus instrumentation counters

@@ -11,11 +11,16 @@
 //!   platform entropy: a seed fully determines a run.
 //! * [`CostModel`] / [`DeviceStats`] — the I/O cost accounting used to report
 //!   simulated device time for the write-path and recovery experiments.
+//! * [`IntHasher`] / [`IntMap`] — the one fixed hasher for tables keyed by
+//!   integers the program hands out itself (page numbers, uids, action ids),
+//!   here because this is the lowest crate every layer depends on.
 
 mod clock;
 mod cost;
+mod hash;
 mod rng;
 
 pub use clock::SimClock;
 pub use cost::{CostModel, DeviceStats, OpKind, StatsSnapshot};
+pub use hash::{IntHasher, IntMap};
 pub use rng::{DetRng, Zipf};

@@ -28,7 +28,8 @@
 //!
 //! Records are framed with a CRC32 and a trailer that allows walking the log
 //! backwards. The walk ([`BackwardWalk`]) checks every frame and lends each
-//! payload out of one reused buffer; [`StableLog::read_backward`] is the same
+//! payload out of the byte device's extent, reading every page it touches
+//! once; [`StableLog::read_backward`] is the same
 //! walk as an `Iterator` of owned payloads. A force is a write and *one*
 //! barrier: its last frame carries an end-of-force mark, and that frame is
 //! the commit point that makes a multi-page force all-or-nothing. Restart

@@ -427,10 +427,9 @@ impl<S: PageStore> StableLog<S> {
     fn scan_forward(&mut self, sb: &Superblock) -> LogResult<(Top, Top)> {
         let limit = self.dev.len_bytes();
         let (mut top, mut intact) = (sb.top, sb.top);
-        let mut payload = Vec::new();
         loop {
             let want = seq_word(sb.epoch, intact.count);
-            let header = match self.intact_frame(intact.tail, want, limit, &mut payload) {
+            let header = match self.intact_frame(intact.tail, want, limit) {
                 Ok(header) => header,
                 Err(e @ LogError::Storage(_)) => return Err(e),
                 Err(_) => break,
@@ -445,22 +444,15 @@ impl<S: PageStore> StableLog<S> {
 
     /// The frame at `off` if every byte of it checks out: header within
     /// `limit`, the epoch and ordinal of `want`, checksum, trailer.
-    fn intact_frame(
-        &mut self,
-        off: u64,
-        want: u64,
-        limit: u64,
-        payload: &mut Vec<u8>,
-    ) -> LogResult<FrameHeader> {
+    fn intact_frame(&mut self, off: u64, want: u64, limit: u64) -> LogResult<FrameHeader> {
         let corrupt = |what| LogError::Corrupt { offset: off, what };
         let header = self.read_header(off, limit)?;
         if header.seq & !END_OF_FORCE != want {
             return Err(corrupt("record epoch or ordinal"));
         }
-        self.read_payload(off, &header, payload)?;
-        let mut trailer = [0u8; TRAILER_LEN as usize];
-        self.dev
-            .read_at(off + HEADER_LEN + u64::from(header.len), &mut trailer)?;
+        self.check_payload(off, &header)?;
+        let end = off + HEADER_LEN + u64::from(header.len) + TRAILER_LEN;
+        let trailer = self.dev.lend(end - TRAILER_LEN, end)?;
         if trailer[..4] != header.len.to_le_bytes() || trailer[4..] != END_MAGIC.to_le_bytes() {
             return Err(corrupt("record trailer"));
         }
@@ -672,13 +664,13 @@ impl<S: PageStore> StableLog<S> {
     }
 
     /// Reads the forced entry at `addr` into `payload` (cleared first) and
-    /// returns its sequence number. A caller walking many records reuses one
-    /// scratch buffer instead of allocating per read — the recovery chain
-    /// walk's allocation-free read path.
+    /// returns its sequence number. A caller following pointers through the
+    /// log reuses one scratch buffer instead of allocating per read.
     pub fn read_into(&mut self, addr: LogAddress, payload: &mut Vec<u8>) -> LogResult<u64> {
         self.obs.entry_reads.inc();
         let header = self.forced_header(addr)?;
-        self.read_payload(addr.offset(), &header, payload)?;
+        payload.clear();
+        payload.extend_from_slice(self.check_payload(addr.offset(), &header)?);
         Ok(header.seq & ORDINAL_MASK)
     }
 
@@ -707,8 +699,7 @@ impl<S: PageStore> StableLog<S> {
         if off + HEADER_LEN + TRAILER_LEN > limit {
             return Err(corrupt("record header"));
         }
-        let mut header = [0u8; HEADER_LEN as usize];
-        self.dev.read_at(off, &mut header)?;
+        let header = self.dev.lend(off, off + HEADER_LEN)?;
         if header[0..4] != REC_MAGIC.to_le_bytes() {
             return Err(corrupt("record magic"));
         }
@@ -723,24 +714,72 @@ impl<S: PageStore> StableLog<S> {
         })
     }
 
-    /// Reads the payload of the frame at `off` into `payload` (cleared
-    /// first) and checks it, with `header`, against the frame's checksum.
-    fn read_payload(
-        &mut self,
-        off: u64,
-        header: &FrameHeader,
-        payload: &mut Vec<u8>,
-    ) -> LogResult<()> {
-        payload.clear();
-        payload.resize(header.len as usize, 0);
-        self.dev.read_at(off + HEADER_LEN, payload)?;
+    /// Lends the payload of the frame at `off`, checked, with `header`,
+    /// against the frame's checksum.
+    fn check_payload(&mut self, off: u64, header: &FrameHeader) -> LogResult<&[u8]> {
+        let payload = self
+            .dev
+            .lend(off + HEADER_LEN, off + HEADER_LEN + u64::from(header.len))?;
         if frame_crc(crc32(payload), header.seq, header.len) != header.crc {
             return Err(LogError::Corrupt {
                 offset: off,
                 what: "record checksum",
             });
         }
-        Ok(())
+        Ok(payload)
+    }
+
+    /// One step of the backward walk: lends the checked payload of the
+    /// forced frame at `addr` with its ordinal, and finds the frame below it
+    /// by that frame's trailer. `end`, when the step above sized this frame
+    /// by *its* trailer, is where it ends: the frame is then fetched whole,
+    /// its header's page first and on upward — the order header, payload and
+    /// trailer are met in — so that no page of it is asked for twice.
+    fn step_back(
+        &mut self,
+        addr: LogAddress,
+        end: Option<u64>,
+    ) -> LogResult<(u64, Option<LogAddress>, &[u8])> {
+        let off = addr.offset();
+        if let Some(end) = end {
+            self.dev.lend(off, end)?;
+        }
+        let header = self.forced_header(addr)?;
+        self.check_payload(off, &header)?;
+        let ordinal = header.seq & ORDINAL_MASK;
+        let (at, end) = (off + HEADER_LEN, off + HEADER_LEN + u64::from(header.len));
+        if off == DATA_START {
+            return Ok((ordinal, None, self.dev.lend(at, end)?));
+        }
+        if off < DATA_START + HEADER_LEN + TRAILER_LEN {
+            return Err(LogError::Corrupt {
+                offset: off,
+                what: "impossible record offset",
+            });
+        }
+        // The trailer below and the payload above it in one loan: fetching
+        // the one must not cost the extent the other.
+        let (trailer, frame) = self
+            .dev
+            .lend(off - TRAILER_LEN, end)?
+            .split_at(TRAILER_LEN as usize);
+        let len = u32::from_le_bytes(trailer[0..4].try_into().unwrap()) as u64;
+        let magic = u32::from_le_bytes(trailer[4..8].try_into().unwrap());
+        if magic != END_MAGIC {
+            return Err(LogError::Corrupt {
+                offset: off - TRAILER_LEN,
+                what: "trailer magic",
+            });
+        }
+        let total = HEADER_LEN + len + TRAILER_LEN;
+        if off < DATA_START + total {
+            return Err(LogError::Corrupt {
+                offset: off,
+                what: "trailer length",
+            });
+        }
+        let prev = LogAddress(off - total);
+        Ok((ordinal, Some(prev), &frame[HEADER_LEN as usize..]))
     }
 
     /// Address of the last forced entry (the thesis's `get_top`), or `None`
@@ -754,14 +793,15 @@ impl<S: PageStore> StableLog<S> {
     }
 
     /// Reads the log backwards, one entry at a time, starting at `from` (or
-    /// at the top when `from` is `None`), lending each payload out of one
-    /// reused buffer — the form every scan of a whole log should use.
+    /// at the top when `from` is `None`), lending each payload out of the
+    /// device's extent — the form every scan of a whole log should use.
     pub fn walk_backward(&mut self, from: Option<LogAddress>) -> BackwardWalk<'_, S> {
         let cursor = from.or(self.get_top());
         BackwardWalk {
             log: self,
             cursor,
-            payload: Vec::new(),
+            end: None,
+            steps: 0,
         }
     }
 
@@ -785,39 +825,6 @@ impl<S: PageStore> StableLog<S> {
     pub fn stable_bytes(&self) -> u64 {
         self.top.tail - DATA_START
     }
-
-    /// Given a forced record's address, returns the address of the record
-    /// preceding it, or `None` at the beginning of the log.
-    fn prev_record(&mut self, addr: LogAddress) -> LogResult<Option<LogAddress>> {
-        let off = addr.offset();
-        if off == DATA_START {
-            return Ok(None);
-        }
-        if off < DATA_START + HEADER_LEN + TRAILER_LEN {
-            return Err(LogError::Corrupt {
-                offset: off,
-                what: "impossible record offset",
-            });
-        }
-        let mut trailer = [0u8; TRAILER_LEN as usize];
-        self.dev.read_at(off - TRAILER_LEN, &mut trailer)?;
-        let len = u32::from_le_bytes(trailer[0..4].try_into().unwrap()) as u64;
-        let magic = u32::from_le_bytes(trailer[4..8].try_into().unwrap());
-        if magic != END_MAGIC {
-            return Err(LogError::Corrupt {
-                offset: off - TRAILER_LEN,
-                what: "trailer magic",
-            });
-        }
-        let total = HEADER_LEN + len + TRAILER_LEN;
-        if off < DATA_START + total {
-            return Err(LogError::Corrupt {
-                offset: off,
-                what: "trailer length",
-            });
-        }
-        Ok(Some(LogAddress(off - total)))
-    }
 }
 
 /// The fields of a frame header after the magic.
@@ -836,12 +843,19 @@ struct FrameHeader {
 /// Yields the entry at the starting address first, then each predecessor —
 /// the access pattern of every recovery algorithm in the thesis. Each
 /// payload is checked (record magic, length, checksum, the predecessor's
-/// trailer) and lent until the next step, so a walk allocates once, not per
-/// record.
+/// trailer) and lent, until the next step, out of the device's extent: the
+/// walk reads every page it touches once, in the order it first touches it,
+/// touches none it does not need — it may be abandoned anywhere — and
+/// allocates nothing per record.
 pub struct BackwardWalk<'a, S: PageStore> {
     log: &'a mut StableLog<S>,
     cursor: Option<LogAddress>,
-    payload: Vec<u8>,
+    /// Where the frame at `cursor` ends, once the step above it has read
+    /// its trailer.
+    end: Option<u64>,
+    /// Entries asked for so far; counted into the log's metrics when the
+    /// walk is dropped, not one by one.
+    steps: u64,
 }
 
 impl<S: PageStore> BackwardWalk<'_, S> {
@@ -849,21 +863,25 @@ impl<S: PageStore> BackwardWalk<'_, S> {
     /// the walk.
     pub fn next_entry(&mut self) -> Option<LogResult<(LogAddress, u64, &[u8])>> {
         let addr = self.cursor?;
-        self.log.obs.backward_hops.inc();
-        let step = self
-            .log
-            .read_into(addr, &mut self.payload)
-            .and_then(|seq| Ok((seq, self.log.prev_record(addr)?)));
-        match step {
-            Ok((seq, prev)) => {
+        self.steps += 1;
+        match self.log.step_back(addr, self.end) {
+            Ok((seq, prev, payload)) => {
                 self.cursor = prev;
-                Some(Ok((addr, seq, &self.payload)))
+                self.end = Some(addr.offset());
+                Some(Ok((addr, seq, payload)))
             }
             Err(e) => {
                 self.cursor = None;
                 Some(Err(e))
             }
         }
+    }
+}
+
+impl<S: PageStore> Drop for BackwardWalk<'_, S> {
+    fn drop(&mut self) {
+        self.log.obs.backward_hops.add(self.steps);
+        self.log.obs.entry_reads.add(self.steps);
     }
 }
 
@@ -989,6 +1007,7 @@ mod tests {
                     .map_err(|e| e.to_string()),
             );
         }
+        drop(walk);
         let owned: Vec<_> = log
             .read_backward(from)
             .map(|item| item.map_err(|e| e.to_string()))

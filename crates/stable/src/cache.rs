@@ -18,8 +18,8 @@
 //! cached pages into recovery.
 
 use crate::{Page, PageNo, PageStore, StorageResult};
-use argus_sim::DeviceStats;
-use std::collections::{HashMap, VecDeque};
+use argus_sim::{DeviceStats, IntMap};
+use std::collections::VecDeque;
 
 /// Tuning knobs for a [`PageCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,7 @@ struct Slot {
 pub struct PageCache<S> {
     inner: S,
     cfg: CacheConfig,
-    slots: HashMap<PageNo, Slot>,
+    slots: IntMap<PageNo, Slot>,
     /// Every stamp ever handed out, oldest first. Stamps are unique, so an
     /// entry is live exactly when its page's slot still carries that stamp;
     /// re-stamped, evicted and invalidated pages leave dead entries behind,
@@ -115,6 +115,10 @@ pub struct PageCache<S> {
     last_miss: Option<PageNo>,
     /// Scratch for the pages of one read-ahead run.
     run: Vec<Page>,
+    /// Pages that left the cache, kept to carry the next ones in: a cache
+    /// that has reached its size allocates nothing per page it turns over.
+    /// Every insert takes one and gives at most one back.
+    spare: Vec<Page>,
     obs: CacheObs,
 }
 
@@ -124,11 +128,12 @@ impl<S: PageStore> PageCache<S> {
         Self {
             inner,
             cfg,
-            slots: HashMap::new(),
+            slots: IntMap::default(),
             lru: VecDeque::new(),
             tick: 0,
             last_miss: None,
             run: Vec::new(),
+            spare: Vec::new(),
             obs: CacheObs::resolve(),
         }
     }
@@ -170,10 +175,16 @@ impl<S: PageStore> PageCache<S> {
     fn evict(&mut self) {
         while let Some((stamp, pno)) = self.lru.pop_front() {
             if self.slots.get(&pno).is_some_and(|s| s.stamp == stamp) {
-                self.slots.remove(&pno);
+                self.spare
+                    .extend(self.slots.remove(&pno).map(|slot| slot.page));
                 return;
             }
         }
+    }
+
+    /// A page to be overwritten with one coming into the cache.
+    fn blank(&mut self) -> Page {
+        self.spare.pop().unwrap_or_default()
     }
 
     fn insert(&mut self, pno: PageNo, page: Page) {
@@ -183,7 +194,8 @@ impl<S: PageStore> PageCache<S> {
         self.sweep_lru();
         let stamp = self.tick;
         self.lru.push_back((stamp, pno));
-        self.slots.insert(pno, Slot { stamp, page });
+        let replaced = self.slots.insert(pno, Slot { stamp, page });
+        self.spare.extend(replaced.map(|slot| slot.page));
     }
 
     /// If the miss at `pno` continues a run (the gap to the previous miss is
@@ -226,10 +238,15 @@ impl<S: PageStore> PageCache<S> {
             while p + n < end && !self.slots.contains_key(&(p + n)) {
                 n += 1;
             }
+            run.extend((0..n).map(|_| self.blank()));
             // Speculative work: a read error (e.g. an injected crash) must
             // not fail the demand read that already succeeded.
-            let read = self.inner.read_run(p, n as usize, &mut run);
-            for page in run.drain(..) {
+            let read = self.inner.read_run(p, &mut run);
+            let good = match &read {
+                Ok(()) => run.len(),
+                Err((good, _)) => *good,
+            };
+            for page in run.drain(..good) {
                 self.tick += 1;
                 self.insert(p, page);
                 self.obs.readahead.inc();
@@ -237,6 +254,7 @@ impl<S: PageStore> PageCache<S> {
                 p += 1;
             }
             if read.is_err() {
+                self.spare.append(&mut run);
                 break;
             }
         }
@@ -255,24 +273,41 @@ impl<S: PageStore> PageStore for PageCache<S> {
         if !self.cfg.is_enabled() {
             return self.inner.read_page(pno);
         }
+        let mut page = Page::zeroed();
+        self.read_page_into(pno, page.as_mut_slice())?;
+        Ok(page)
+    }
+
+    fn read_page_into(&mut self, pno: PageNo, out: &mut [u8]) -> StorageResult<()> {
+        if !self.cfg.is_enabled() {
+            return self.inner.read_page_into(pno, out);
+        }
         self.tick += 1;
         self.sweep_lru();
         if let Some(slot) = self.slots.get_mut(&pno) {
             slot.stamp = self.tick;
             self.lru.push_back((self.tick, pno));
             self.obs.hits.inc();
-            return Ok(slot.page.clone());
+            out.copy_from_slice(slot.page.as_slice());
+            return Ok(());
         }
         self.obs.misses.inc();
         let t0 = self.obs.device_t0();
-        let page = self.inner.read_page(pno)?;
+        let mut page = self.blank();
+        if let Err(e) = self.inner.read_page_into(pno, page.as_mut_slice()) {
+            self.spare.push(page);
+            return Err(e);
+        }
         if let Some(t0) = t0 {
             self.obs.device_span("page_read", t0, &[("pno", pno)]);
         }
-        self.insert(pno, page.clone());
+        // Copied out before the page goes into its slot: the read-ahead
+        // below may evict it again from a cache smaller than its window.
+        out.copy_from_slice(page.as_slice());
+        self.insert(pno, page);
         self.maybe_readahead(pno);
         self.last_miss = Some(pno);
-        Ok(page)
+        Ok(())
     }
 
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
@@ -285,7 +320,9 @@ impl<S: PageStore> PageStore for PageCache<S> {
         }
         if self.cfg.is_enabled() {
             self.tick += 1;
-            self.insert(pno, page.clone());
+            let mut copy = self.blank();
+            copy.as_mut_slice().copy_from_slice(page.as_slice());
+            self.insert(pno, copy);
         }
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! A durable file-backed page store.
 
 use crate::store::SeqTracker;
-use crate::{Page, PageNo, PageStore, StorageResult, PAGE_SIZE};
+use crate::{Page, PageNo, PageStore, StorageError, StorageResult, PAGE_SIZE};
 use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -220,37 +220,41 @@ impl DurableFileStore {
 
 impl PageStore for DurableFileStore {
     fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
-        self.charge_read(pno);
-        if let Some(page) = self.staged.get(&pno) {
-            return Ok(page.clone());
-        }
         let mut page = Page::zeroed();
-        self.pread(pno * PAGE_SIZE as u64, page.as_mut_slice())?;
+        self.read_page_into(pno, page.as_mut_slice())?;
         Ok(page)
     }
 
-    fn read_run(&mut self, start: PageNo, count: usize, out: &mut Vec<Page>) -> StorageResult<()> {
+    fn read_page_into(&mut self, pno: PageNo, out: &mut [u8]) -> StorageResult<()> {
+        self.charge_read(pno);
+        match self.staged.get(&pno) {
+            Some(page) => out.copy_from_slice(page.as_slice()),
+            None => {
+                out.fill(0);
+                self.pread(pno * PAGE_SIZE as u64, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn read_run(&mut self, start: PageNo, out: &mut [Page]) -> Result<(), (usize, StorageError)> {
         // Every page is charged through the tracker as the page-at-a-time
         // loop would; only the transfer is shared.
-        for pno in start..start + count as u64 {
+        for pno in start..start + out.len() as u64 {
             self.charge_read(pno);
         }
         let mut buf = std::mem::take(&mut self.run_buf);
         buf.clear();
-        buf.resize(count * PAGE_SIZE, 0);
+        buf.resize(out.len() * PAGE_SIZE, 0);
         let read = self.pread(start * PAGE_SIZE as u64, &mut buf);
         if read.is_ok() {
-            out.extend(
-                (start..)
-                    .zip(buf.chunks_exact(PAGE_SIZE))
-                    .map(|(pno, bytes)| match self.staged.get(&pno) {
-                        Some(staged) => staged.clone(),
-                        None => Page::from_bytes(bytes),
-                    }),
-            );
+            for ((pno, bytes), page) in (start..).zip(buf.chunks_exact(PAGE_SIZE)).zip(out) {
+                let bytes = self.staged.get(&pno).map_or(bytes, Page::as_slice);
+                page.as_mut_slice().copy_from_slice(bytes);
+            }
         }
         self.run_buf = buf;
-        read
+        read.map_err(|e| (0, e))
     }
 
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
@@ -443,8 +447,8 @@ mod tests {
         s.write_page(13, &Page::from_bytes(b"beyond")).unwrap();
 
         let before = s.stats().snapshot();
-        let mut run = Vec::new();
-        s.read_run(2, 9, &mut run).unwrap();
+        let mut run = vec![Page::from_bytes(b"stale"); 9];
+        s.read_run(2, &mut run).unwrap();
         assert_eq!(reg.counter("stable.file.preads").get(), 1);
         assert_eq!(
             reg.counter("stable.file.bytes_read").get(),
@@ -461,8 +465,8 @@ mod tests {
 
         // A run crossing the end of the file: the file's pages in one
         // transfer, zeros and the staged page beyond it.
-        run.clear();
-        s.read_run(10, 5, &mut run).unwrap();
+        run.truncate(5);
+        s.read_run(10, &mut run).unwrap();
         assert_eq!(reg.counter("stable.file.preads").get(), 2);
         assert_eq!(
             reg.counter("stable.file.bytes_read").get(),

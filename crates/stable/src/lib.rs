@@ -18,8 +18,10 @@
 //!   faults are not under test (node crashes are injected above this layer).
 //! * [`DurableFileStore`] — the same interface persisted durably in a real
 //!   file (`pwrite` + `fsync`), so logs survive actual process restarts.
-//! * [`ByteDevice`] — a byte-addressed extent view over any [`PageStore`];
-//!   the stable log in `argus-slog` is built on it.
+//! * [`ByteDevice`] — a byte-addressed extent view over any [`PageStore`]:
+//!   it keeps a run of adjacent pages and lends slices of it, so a reader
+//!   moving through the device has each page fetched once; the stable log in
+//!   `argus-slog` is built on it.
 //! * [`PageCache`] — a transparent LRU cache + read-ahead layer over any
 //!   [`PageStore`], used to make recovery's log scans run at device speed;
 //!   a read-ahead window is fetched as runs ([`PageStore::read_run`]: one

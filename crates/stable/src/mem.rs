@@ -66,6 +66,12 @@ impl MemStore {
 
 impl PageStore for MemStore {
     fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+        let mut page = Page::zeroed();
+        self.read_page_into(pno, page.as_mut_slice())?;
+        Ok(page)
+    }
+
+    fn read_page_into(&mut self, pno: PageNo, out: &mut [u8]) -> StorageResult<()> {
         if let Some(plan) = &self.plan {
             plan.note_read_at(pno)?;
         }
@@ -76,9 +82,10 @@ impl PageStore for MemStore {
         };
         self.stats.charge(kind, &self.model, &self.clock);
         match self.pages.get(pno as usize) {
-            Some(p) => Ok(p.clone()),
-            None => Ok(Page::zeroed()),
+            Some(p) => out.copy_from_slice(p.as_slice()),
+            None => out.fill(0),
         }
+        Ok(())
     }
 
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {

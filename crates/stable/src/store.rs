@@ -1,6 +1,6 @@
 //! The page-store interface.
 
-use crate::{Page, PageNo, StorageResult};
+use crate::{Page, PageNo, StorageError, StorageResult};
 use argus_sim::DeviceStats;
 
 /// A device of fixed-size pages with atomic single-page writes.
@@ -15,18 +15,32 @@ pub trait PageStore {
     /// Reads the page at `pno`.
     fn read_page(&mut self, pno: PageNo) -> StorageResult<Page>;
 
-    /// Reads the `count` pages starting at `start`, appending them to `out`.
+    /// Reads the page at `pno` into `out`, which is one page long.
     ///
-    /// By contract this is `count` calls of [`PageStore::read_page`] in
+    /// By contract this is [`PageStore::read_page`] — the same page, the
+    /// same simulated charge, the same faults — without an owned [`Page`]
+    /// for the caller to take apart, which is exactly what the default
+    /// does. A store that holds or fetches the bytes itself overrides it to
+    /// copy them straight out.
+    fn read_page_into(&mut self, pno: PageNo, out: &mut [u8]) -> StorageResult<()> {
+        out.copy_from_slice(self.read_page(pno)?.as_slice());
+        Ok(())
+    }
+
+    /// Reads the `out.len()` pages starting at `start` into `out`, whose
+    /// pages the caller supplies to be overwritten.
+    ///
+    /// By contract this is one [`PageStore::read_page_into`] per page in
     /// ascending page order — the same pages, the same simulated charges and
     /// sequential/random classification — which is exactly what the default
     /// does. A store that can serve the run with one physical transfer
     /// ([`crate::DurableFileStore`]: one `pread`) overrides it; only wall
-    /// time may differ. On error `out` keeps the pages read before the
-    /// failure.
-    fn read_run(&mut self, start: PageNo, count: usize, out: &mut Vec<Page>) -> StorageResult<()> {
-        for pno in start..start + count as u64 {
-            out.push(self.read_page(pno)?);
+    /// time may differ. An error comes with the number of pages read into
+    /// `out` before it.
+    fn read_run(&mut self, start: PageNo, out: &mut [Page]) -> Result<(), (usize, StorageError)> {
+        for (i, page) in out.iter_mut().enumerate() {
+            self.read_page_into(start + i as u64, page.as_mut_slice())
+                .map_err(|e| (i, e))?;
         }
         Ok(())
     }

@@ -206,13 +206,13 @@ fn check_read_run<S: PageStore>(seed: u64, mut make: impl FnMut(SimClock) -> S) 
         assert_eq!(by_run.decay_page(pno), by_loop.decay_page(pno));
     }
 
-    let mut run = Vec::new();
     for _ in 0..40 {
-        // Runs start anywhere and may reach well past the last page.
+        // Runs start anywhere and may reach well past the last page, and
+        // overwrite whatever the pages handed in held.
         let start = rng.gen_range(PAGES + 8);
         let count = rng.gen_range(14) as usize;
-        run.clear();
-        by_run.read_run(start, count, &mut run).unwrap();
+        let mut run = vec![fill(&mut rng); count];
+        by_run.read_run(start, &mut run).unwrap();
         let looped: Vec<Page> = (start..start + count as u64)
             .map(|pno| by_loop.read_page(pno).unwrap())
             .collect();

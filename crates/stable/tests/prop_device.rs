@@ -12,39 +12,43 @@ fn bytes(rng: &mut DetRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect()
 }
 
-/// Any sequence of overlapping byte-extent writes reads back exactly like a
-/// flat byte-array model.
+/// Any interleaving of overlapping byte-extent writes and reads — loans of
+/// any length, at any alignment, near the last access or far from it — reads
+/// exactly like a flat byte-array model.
 #[test]
 fn byte_device_matches_flat_memory() {
     let mut rng = DetRng::new(0xB17E);
     for case in 0..32 {
-        let extents: Vec<(u64, Vec<u8>)> = (0..rng.gen_between(1, 20))
-            .map(|_| {
-                let offset = rng.gen_range(8192);
-                let len = rng.gen_between(1, 1500) as usize;
-                let data = bytes(&mut rng, len);
-                (offset, data)
-            })
-            .collect();
-
         let mut dev = ByteDevice::new(MemStore::new(SimClock::new(), CostModel::fast()));
         let mut model = vec![0u8; 16 * 1024];
-        for (offset, data) in &extents {
-            dev.write_at(*offset, data).unwrap();
-            let end = *offset as usize + data.len();
-            model[*offset as usize..end].copy_from_slice(data);
+        let mut last = 0u64;
+        for step in 0..rng.gen_between(2, 60) {
+            // Half the accesses stay within a page or two of the last one,
+            // on either side, where they extend the device's extent.
+            let near = last.saturating_sub(700) + rng.gen_range(1400);
+            let offset = match rng.gen_range(2) {
+                0 => near.min(8191),
+                _ => rng.gen_range(8192),
+            };
+            last = offset;
+            if rng.gen_range(3) == 0 {
+                let len = rng.gen_between(1, 1500) as usize;
+                let data = bytes(&mut rng, len);
+                dev.write_at(offset, &data).unwrap();
+                model[offset as usize..offset as usize + len].copy_from_slice(&data);
+            } else {
+                let len = rng.gen_range(3000);
+                let lent = dev.lend(offset, offset + len).unwrap();
+                assert_eq!(
+                    lent,
+                    &model[offset as usize..(offset + len) as usize],
+                    "case {case} step {step}"
+                );
+            }
         }
-        // Read back in arbitrary-aligned chunks.
-        for (offset, data) in &extents {
-            let mut buf = vec![0u8; data.len() + 7];
-            let start = offset.saturating_sub(3);
-            dev.read_at(start, &mut buf).unwrap();
-            assert_eq!(
-                &buf[..],
-                &model[start as usize..start as usize + buf.len()],
-                "case {case}"
-            );
-        }
+        let mut all = vec![0u8; model.len()];
+        dev.read_at(0, &mut all).unwrap();
+        assert_eq!(all, model, "case {case}");
     }
 }
 

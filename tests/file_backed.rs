@@ -152,3 +152,64 @@ fn log_root_names_the_active_generation_across_restarts() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn generation_numbers_resume_past_a_deleted_generation() {
+    // Two passes, the oldest supplanted file deleted, "a new process", two
+    // more passes: the provider must not count up from the gap and hand out
+    // the number of a file that is still there — least of all the active
+    // one, which `new_store` would remove.
+    let dir = temp_dir("gap");
+    let commit = |rs: &mut HybridLogRs<FileProvider>, heap: &mut Heap, n: u64| {
+        let a = aid(n);
+        let root = heap.stable_root().unwrap();
+        heap.acquire_write(root, a).unwrap();
+        heap.write_value(root, a, |v| *v = Value::Int(n as i64))
+            .unwrap();
+        rs.prepare(a, &[root], heap).unwrap();
+        rs.commit(a).unwrap();
+        heap.commit_action(a);
+    };
+    {
+        let provider = FileProvider::new(&dir).unwrap();
+        let mut rs = HybridLogRs::create(provider).unwrap();
+        let mut heap = Heap::with_stable_root();
+        commit(&mut rs, &mut heap, 1);
+        rs.housekeeping(&heap, HousekeepingMode::Snapshot).unwrap();
+        rs.housekeeping(&heap, HousekeepingMode::Snapshot).unwrap();
+    }
+    std::fs::remove_file(dir.join("log-0000.argus")).unwrap();
+
+    let mut provider = FileProvider::new(&dir).unwrap();
+    assert_eq!(provider.active_generation().unwrap(), 2);
+    assert_eq!(provider.stores_created(), 3, "resumes past log-0002");
+    let active = provider.store_path(2);
+    let store = provider.open_store(2).unwrap();
+    let mut rs = HybridLogRs::open(provider, store).unwrap();
+    let mut heap = Heap::new();
+    rs.recover(&mut heap).unwrap();
+    for (pass, generation) in [(1, 3), (2, 4)] {
+        commit(&mut rs, &mut heap, 1 + pass);
+        let before = std::fs::read(&active).unwrap();
+        rs.housekeeping(&heap, HousekeepingMode::Snapshot).unwrap();
+        assert!(
+            dir.join(format!("log-{generation:04}.argus")).exists(),
+            "pass {pass} did not write generation {generation}"
+        );
+        assert_eq!(
+            std::fs::read(&active).unwrap(),
+            before,
+            "pass {pass} touched the file of the generation that was active at reopen"
+        );
+    }
+    rs.simulate_crash().unwrap();
+    let mut heap2 = Heap::new();
+    rs.recover(&mut heap2).unwrap();
+    let root = heap2.stable_root().unwrap();
+    assert_eq!(heap2.read_value(root, None).unwrap(), &Value::Int(3));
+    drop(rs);
+    let mut provider = FileProvider::new(&dir).unwrap();
+    assert_eq!(provider.active_generation().unwrap(), 4);
+    assert_eq!(provider.stores_created(), 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,11 +10,16 @@ use argus::check::LogImage;
 use argus::core::{encode_entry, LogEntry};
 use argus::guardian::{RsKind, World};
 use argus::objects::{ActionId, GuardianId, ObjKind, Uid, Value};
+use argus::sim::DeviceStats;
 use argus::sim::{CostModel, DetRng, SimClock};
-use argus::slog::{LogAddress, StableLog};
-use argus::stable::{FaultPlan, MemStore};
+use argus::slog::{crc32, LogAddress, LogError, StableLog};
+use argus::stable::{
+    CacheConfig, FaultPlan, MemStore, Page, PageCache, PageNo, PageStore, StorageResult, PAGE_SIZE,
+};
 use argus::workload::{Synth, SynthConfig};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 
 mod common;
 
@@ -294,5 +299,340 @@ fn real_workload_logs_lint_clean() {
         world.crash(g);
         world.restart(g).unwrap();
         common::lint_world(&mut world);
+    }
+}
+
+// ---- the backward walk against its oracle ---------------------------------
+
+/// The frame format (`FORMAT_VERSION` 2), as the oracle knows it: page 0 is
+/// the superblock; a frame is `magic(4) seq(8) len(4) crc(4) payload
+/// len(4) end-magic(4)`, its checksum sums the payload and then the header's
+/// first sixteen bytes, and the low 39 bits of `seq` are the ordinal.
+const DATA_START: u64 = PAGE_SIZE as u64;
+const HEADER_LEN: u64 = 20;
+const TRAILER_LEN: u64 = 8;
+const REC_MAGIC: u32 = 0xA6_0C_5E_01;
+const END_MAGIC: u32 = 0xA6_0C_5E_02;
+const ORDINAL_MASK: u64 = (1 << 39) - 1;
+
+/// What a walk yields per record, owned; an error as its `Debug` text
+/// (variant, offset, reason).
+type Walked = Result<(LogAddress, u64, Vec<u8>), String>;
+
+/// Byte-granular read straight off the pages, one `read_page` per page
+/// touched and no memory of the last one.
+fn read_at<S: PageStore>(store: &mut S, offset: u64, buf: &mut [u8]) -> Result<(), LogError> {
+    let mut pos = 0;
+    while pos < buf.len() {
+        let byte = offset + pos as u64;
+        let in_page = (byte % PAGE_SIZE as u64) as usize;
+        let take = (PAGE_SIZE - in_page).min(buf.len() - pos);
+        let page = store.read_page(byte / PAGE_SIZE as u64)?;
+        buf[pos..pos + take].copy_from_slice(&page.as_slice()[in_page..in_page + take]);
+        pos += take;
+    }
+    Ok(())
+}
+
+/// The per-record reader the lending walk replaced, kept as its oracle:
+/// three reads a record — header, payload, the trailer below — and every
+/// check in the order, and with the error, the log made them with.
+fn oracle_step<S: PageStore>(
+    store: &mut S,
+    tail: u64,
+    addr: LogAddress,
+) -> Result<(u64, Vec<u8>, Option<LogAddress>), LogError> {
+    let off = addr.offset();
+    let corrupt = |offset, what| LogError::Corrupt { offset, what };
+    if off < DATA_START || off > tail - HEADER_LEN {
+        return Err(LogError::BadAddress(addr));
+    }
+    if off + HEADER_LEN + TRAILER_LEN > tail {
+        return Err(corrupt(off, "record header"));
+    }
+    let mut header = [0u8; HEADER_LEN as usize];
+    read_at(store, off, &mut header)?;
+    if header[0..4] != REC_MAGIC.to_le_bytes() {
+        return Err(corrupt(off, "record magic"));
+    }
+    let seq = u64::from_le_bytes(header[4..12].try_into().unwrap());
+    let len = u32::from_le_bytes(header[12..16].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
+    if off + HEADER_LEN + u64::from(len) + TRAILER_LEN > tail {
+        return Err(corrupt(off, "record length"));
+    }
+    let mut summed = vec![0u8; len as usize];
+    read_at(store, off + HEADER_LEN, &mut summed)?;
+    summed.extend_from_slice(&header[..16]);
+    if crc32(&summed) != crc {
+        return Err(corrupt(off, "record checksum"));
+    }
+    summed.truncate(len as usize);
+    if off == DATA_START {
+        return Ok((seq & ORDINAL_MASK, summed, None));
+    }
+    if off < DATA_START + HEADER_LEN + TRAILER_LEN {
+        return Err(corrupt(off, "impossible record offset"));
+    }
+    let mut trailer = [0u8; TRAILER_LEN as usize];
+    read_at(store, off - TRAILER_LEN, &mut trailer)?;
+    if trailer[4..8] != END_MAGIC.to_le_bytes() {
+        return Err(corrupt(off - TRAILER_LEN, "trailer magic"));
+    }
+    let total =
+        HEADER_LEN + u64::from(u32::from_le_bytes(trailer[0..4].try_into().unwrap())) + TRAILER_LEN;
+    if off < DATA_START + total {
+        return Err(corrupt(off, "trailer length"));
+    }
+    Ok((seq & ORDINAL_MASK, summed, Some(LogAddress(off - total))))
+}
+
+/// The oracle's walk from `from`: at most `limit` records, down to the
+/// oldest or to the first error.
+fn oracle_walk<S: PageStore>(
+    log: &mut StableLog<S>,
+    from: Option<LogAddress>,
+    limit: usize,
+) -> Vec<Walked> {
+    let tail = DATA_START + log.stable_bytes();
+    let mut cursor = from.or(log.get_top());
+    let mut out = Vec::new();
+    while let Some(addr) = cursor.filter(|_| out.len() < limit) {
+        match oracle_step(log.store_mut(), tail, addr) {
+            Ok((seq, payload, prev)) => {
+                out.push(Ok((addr, seq, payload)));
+                cursor = prev;
+            }
+            Err(e) => {
+                out.push(Err(format!("{e:?}")));
+                cursor = None;
+            }
+        }
+    }
+    out
+}
+
+/// The lending walk from `from`, at most `limit` records of it, copied out.
+fn lent_walk<S: PageStore>(
+    log: &mut StableLog<S>,
+    from: Option<LogAddress>,
+    limit: usize,
+) -> Vec<Walked> {
+    let mut out = Vec::new();
+    let mut walk = log.walk_backward(from);
+    while out.len() < limit {
+        let Some(item) = walk.next_entry() else { break };
+        out.push(
+            item.map(|(addr, seq, payload)| (addr, seq, payload.to_vec()))
+                .map_err(|e| format!("{e:?}")),
+        );
+    }
+    out
+}
+
+/// A payload length from the shapes that matter to the walk: empty, a
+/// frame that fills one page exactly, small, page-straddling, and longer
+/// than the two pages the device's extent starts out with.
+fn gen_len(rng: &mut DetRng) -> usize {
+    match rng.gen_range(8) {
+        0 => 0,
+        1 => PAGE_SIZE - (HEADER_LEN + TRAILER_LEN) as usize,
+        2 | 3 => rng.gen_range(120) as usize,
+        4 | 5 => rng.gen_between(300, 900) as usize,
+        _ => rng.gen_between(1100, 4000) as usize,
+    }
+}
+
+/// A forced log of `n` random records over `store`, with each record's
+/// address and payload length, oldest first.
+fn random_log<S: PageStore>(
+    rng: &mut DetRng,
+    store: S,
+    n: usize,
+) -> (StableLog<S>, Vec<(LogAddress, usize)>) {
+    let mut log = StableLog::create(store).unwrap();
+    let mut written = Vec::new();
+    for i in 0..n {
+        let len = gen_len(rng);
+        let bytes: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
+        written.push((log.write(&bytes), len));
+        if rng.gen_range(3) == 0 {
+            log.force().unwrap();
+        }
+    }
+    log.force().unwrap();
+    (log, written)
+}
+
+fn mem() -> MemStore {
+    MemStore::new(SimClock::new(), CostModel::fast())
+}
+
+/// Rewrites the page holding byte `offset` of the log's store.
+fn damage<S: PageStore>(log: &mut StableLog<S>, offset: u64, f: impl FnOnce(&mut [u8], usize)) {
+    let pno = offset / PAGE_SIZE as u64;
+    let store = log.store_mut();
+    let mut page = store.read_page(pno).unwrap();
+    f(page.as_mut_slice(), (offset % PAGE_SIZE as u64) as usize);
+    store.write_page(pno, &page).unwrap();
+}
+
+/// The lending walk and the oracle agree record for record — address,
+/// ordinal, payload — from the top and from a random record, on intact logs
+/// and, error for error, on logs with one seeded corruption: a flipped bit
+/// in a header, a payload or a trailer, or a tail whose pages read as zeros.
+fn walk_matches_oracle<S: PageStore>(seed: u64, mut store: impl FnMut() -> S) {
+    let mut rng = DetRng::new(seed);
+    for case in 0..48 {
+        let n = rng.gen_between(1, 30) as usize;
+        let (mut log, written) = random_log(&mut rng, store(), n);
+        let from = written[rng.gen_range(n as u64) as usize].0;
+        for from in [None, Some(from)] {
+            let want = oracle_walk(&mut log, from, usize::MAX);
+            assert!(want.iter().all(Result::is_ok), "case {case}");
+            assert_eq!(lent_walk(&mut log, from, usize::MAX), want, "case {case}");
+        }
+        assert_eq!(
+            oracle_walk(&mut log, None, usize::MAX).len(),
+            n,
+            "case {case}"
+        );
+
+        let (victim, len) = written[rng.gen_range(n as u64) as usize];
+        let bit = 1u8 << rng.gen_range(8);
+        let flip = |bytes: &mut [u8], at: usize| bytes[at] ^= bit;
+        let what = match rng.gen_range(4) {
+            0 => {
+                damage(&mut log, victim.offset() + rng.gen_range(HEADER_LEN), flip);
+                "header"
+            }
+            1 if len > 0 => {
+                let at = HEADER_LEN + rng.gen_range(len as u64);
+                damage(&mut log, victim.offset() + at, flip);
+                "payload"
+            }
+            2 => {
+                let at = HEADER_LEN + len as u64 + rng.gen_range(TRAILER_LEN);
+                damage(&mut log, victim.offset() + at, flip);
+                "trailer"
+            }
+            _ => {
+                // The device lost its end: from somewhere inside the victim
+                // on, every page reads as zeros.
+                let tail = DATA_START + log.stable_bytes();
+                let mut at = victim.offset() + rng.gen_range(HEADER_LEN + len as u64);
+                damage(&mut log, at, |bytes, from| bytes[from..].fill(0));
+                at = (at / PAGE_SIZE as u64 + 1) * PAGE_SIZE as u64;
+                while at < tail {
+                    damage(&mut log, at, |bytes, _| bytes.fill(0));
+                    at += PAGE_SIZE as u64;
+                }
+                "truncated tail"
+            }
+        };
+        for from in [None, Some(from)] {
+            let want = oracle_walk(&mut log, from, usize::MAX);
+            assert_eq!(
+                lent_walk(&mut log, from, usize::MAX),
+                want,
+                "case {case}: {what} of the record at {victim}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lending_walk_matches_the_per_record_oracle() {
+    walk_matches_oracle(0x0AC1E, mem);
+    // Under a cache too small to keep what the extent lets go.
+    let tiny = CacheConfig {
+        capacity: 4,
+        readahead: 2,
+    };
+    walk_matches_oracle(0x0AC1F, || PageCache::new(mem(), tiny));
+}
+
+/// A page store that notes every page read from it. It implements only what
+/// a store must, so reads reach it through the trait's defaults.
+struct Counting {
+    inner: MemStore,
+    read: Rc<RefCell<Vec<PageNo>>>,
+}
+
+impl PageStore for Counting {
+    fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+        self.read.borrow_mut().push(pno);
+        self.inner.read_page(pno)
+    }
+
+    fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
+        self.inner.write_page(pno, page)
+    }
+
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+
+    fn sync(&mut self) -> StorageResult<()> {
+        self.inner.sync()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+/// A walk abandoned after `k` records has read exactly the pages those `k`
+/// frames (header and payload) and the trailers below them lie on, each of
+/// them once — none twice, and none the walk did not need — and in the order
+/// the per-record reader first touches them, which is what the page cache's
+/// read-ahead was tuned against.
+#[test]
+fn an_abandoned_walk_reads_each_page_it_needs_once_and_no_other() {
+    let mut rng = DetRng::new(0xF17C4);
+    for case in 0..64 {
+        let read = Rc::new(RefCell::new(Vec::new()));
+        let store = Counting {
+            inner: mem(),
+            read: read.clone(),
+        };
+        let n = rng.gen_between(1, 40) as usize;
+        let (mut log, written) = random_log(&mut rng, store, n);
+        let start = rng.gen_range(n as u64) as usize;
+        let k = rng.gen_range(start as u64 + 2) as usize;
+
+        // Whatever the appends left in the device's extent goes, so the
+        // walk starts with nothing.
+        let _ = log.store_mut();
+        read.borrow_mut().clear();
+        let walked = lent_walk(&mut log, Some(written[start].0), k);
+        assert_eq!(walked.len(), k.min(start + 1), "case {case}");
+
+        let page = PAGE_SIZE as u64;
+        let mut want = BTreeSet::new();
+        for &(addr, len) in written[..=start].iter().rev().take(k) {
+            let lo = match addr.offset() {
+                DATA_START => DATA_START,
+                off => off - TRAILER_LEN,
+            };
+            let hi = addr.offset() + HEADER_LEN + len as u64;
+            want.extend(lo / page..=(hi - 1) / page);
+        }
+        let got = std::mem::take(&mut *read.borrow_mut());
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            want.into_iter().collect::<Vec<_>>(),
+            "case {case}: {k} records down from record {start} of {written:?}"
+        );
+        assert_eq!(oracle_walk(&mut log, Some(written[start].0), k), walked);
+        let mut first_touches = Vec::new();
+        for pno in read.borrow().iter() {
+            if !first_touches.contains(pno) {
+                first_touches.push(*pno);
+            }
+        }
+        assert_eq!(got, first_touches, "case {case}: order of first touch");
     }
 }
