@@ -221,15 +221,12 @@ impl<C> LockManager<C> {
 
     /// Actions whose earliest deadline has passed at `now`, in id order.
     pub fn expired(&self, now: u64) -> Vec<ActionId> {
-        let mut out: BTreeSet<ActionId> = BTreeSet::new();
-        for queue in self.queues.values() {
-            for waiter in queue {
-                if waiter.deadline.is_some_and(|d| d <= now) {
-                    out.insert(waiter.aid);
-                }
-            }
-        }
-        out.into_iter().collect()
+        let overdue = |w: &&Waiter<C>| w.deadline.is_some_and(|d| d <= now);
+        let waiters = self.queues.values().flatten();
+        let mut out: Vec<ActionId> = waiters.filter(overdue).map(|w| w.aid).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// The earliest deadline of any parked request.

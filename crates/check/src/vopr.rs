@@ -41,10 +41,11 @@
 
 use crate::obs::VoprObs;
 use crate::{lint_heap_quiesced, lint_log, LogImage};
-use argus_core::HousekeepingMode;
+use argus_core::{HousekeepingMode, LogEntry};
 use argus_guardian::{MediaKind, NetFaults, Outcome, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
 use argus_sim::{CostModel, DetRng};
+use argus_slog::LogAddress;
 
 /// One explorer run's shape: the seed pins everything else down.
 #[derive(Debug, Clone, Copy)]
@@ -198,6 +199,10 @@ pub struct VoprSummary {
     /// the run found violations. Excluded from [`VoprSummary::line`]: the
     /// recorder never overwrites, so paths vary across replays.
     pub flight: Vec<String>,
+    /// Every guardian's decoded log as the run left it (`None`: down, or an
+    /// organization that keeps no log) — with the trace and the journal,
+    /// what a replay must reproduce to the byte.
+    pub final_logs: Vec<Option<Vec<(LogAddress, LogEntry)>>>,
 }
 
 impl VoprSummary {
@@ -854,6 +859,12 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
             Fate::InDoubt => in_doubt += 1,
         }
     }
+    let sim_us = w.clock.now();
+    let final_logs = run
+        .gids
+        .iter()
+        .map(|g| w.dump_log(*g).ok().flatten())
+        .collect();
     VoprSummary {
         seed: cfg.seed,
         steps: cfg.steps,
@@ -863,9 +874,10 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
         in_doubt,
         checks: run.checks,
         faults: run.tally,
-        sim_us: w.clock.now(),
+        sim_us,
         violations: run.violations,
         flight,
+        final_logs,
     }
 }
 

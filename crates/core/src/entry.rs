@@ -22,7 +22,7 @@
 //! conversion that also serves [`LogEntry::as_entry_ref`]).
 
 use crate::{RsError, RsResult};
-use argus_objects::{ActionId, GuardianId, ObjKind, ObjRef, Uid, Value};
+use argus_objects::{ActionId, GuardianId, Heap, HeapId, ObjKind, ObjRef, Uid, Value};
 use argus_slog::{CodecError, CodecResult, Decoder, Encoder, LogAddress};
 use std::convert::Infallible;
 
@@ -159,7 +159,12 @@ pub type LogEntry = Entry<Value, Vec<(Uid, LogAddress)>, Vec<GuardianId>>;
 /// it already holds (the flattened version, the pending pairs, the
 /// participant list) into the log's pending buffer via
 /// [`argus_slog::StableLog::write_with`].
-pub type EntryRef<'a> = Entry<&'a Value, &'a [(Uid, LogAddress)], &'a [GuardianId]>;
+pub type EntryRef<'a> = EntryOut<'a, &'a Value>;
+
+/// An entry on the write path: its lists borrowed, its value in whichever
+/// form the writer holds it — a flattened `&Value` ([`EntryRef`]) or a
+/// [`HeapValue`] flattened as it is encoded.
+pub type EntryOut<'a, V> = Entry<V, &'a [(Uid, LogAddress)], &'a [GuardianId]>;
 
 /// A zero-copy decoded entry: fixed fields are materialized, values stay as
 /// validated [`RawValue`] spans, and pair / guardian lists stay as
@@ -400,6 +405,22 @@ fn take_prev(dec: &mut Decoder<'_>) -> CodecResult<Option<LogAddress>> {
 /// Encodes a flattened value. Volatile references are an error: only
 /// flattened values may reach the log.
 pub fn encode_value(enc: &mut Encoder, value: &Value) -> RsResult<()> {
+    let refuse = |_| {
+        Err(RsError::Internal(
+            "volatile reference in a value bound for the log",
+        ))
+    };
+    encode_value_with(enc, value, &refuse)
+}
+
+/// Encodes `value` with every volatile reference replaced by the uid
+/// `uid_of` gives it — the bytes of the flattened value, with no flattened
+/// copy made.
+fn encode_value_with(
+    enc: &mut Encoder,
+    value: &Value,
+    uid_of: &impl Fn(HeapId) -> RsResult<Uid>,
+) -> RsResult<()> {
     match value {
         Value::Unit => enc.put_u8(VTAG_UNIT),
         Value::Int(i) => {
@@ -422,17 +443,16 @@ pub fn encode_value(enc: &mut Encoder, value: &Value) -> RsResult<()> {
             enc.put_u8(VTAG_SEQ);
             enc.put_u32(items.len() as u32);
             for item in items {
-                encode_value(enc, item)?;
+                encode_value_with(enc, item, uid_of)?;
             }
         }
-        Value::Ref(ObjRef::Uid(u)) => {
+        Value::Ref(r) => {
+            let uid = match r {
+                ObjRef::Uid(u) => *u,
+                ObjRef::Heap(h) => uid_of(*h)?,
+            };
             enc.put_u8(VTAG_REF);
-            enc.put_u64(u.0);
-        }
-        Value::Ref(ObjRef::Heap(_)) => {
-            return Err(RsError::Internal(
-                "volatile reference in a value bound for the log",
-            ));
+            enc.put_u64(uid.0);
         }
     }
     Ok(())
@@ -475,6 +495,24 @@ pub trait WireField {
 impl WireField for &Value {
     fn put(&self, enc: &mut Encoder) -> RsResult<()> {
         encode_value(enc, self)
+    }
+}
+
+/// An object version as it sits in the heap, volatile references and all,
+/// on its way to the log: it encodes as its flattened form (§2.4.3) —
+/// every reference to a recoverable object as that object's uid — without
+/// the flattened copy being built.
+#[derive(Debug, Clone, Copy)]
+pub struct HeapValue<'a> {
+    /// The heap the value's volatile references point into.
+    pub heap: &'a Heap,
+    /// The version.
+    pub value: &'a Value,
+}
+
+impl WireField for HeapValue<'_> {
+    fn put(&self, enc: &mut Encoder) -> RsResult<()> {
+        encode_value_with(enc, self.value, &|h| Ok(self.heap.uid_of(h)?))
     }
 }
 

@@ -24,10 +24,10 @@ use crate::log::{append_entry, LogIo};
 use crate::tables::{CState, CoordinatorTable, ObjState, PState, ParticipantTable};
 use crate::{MutexTable, RsError, RsResult};
 use argus_objects::{flatten_value, ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
-use argus_sim::IntMap;
+use argus_sim::{IntMap, IntSet};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Stage-one object bookkeeping: like the recovery OT but without volatile
 /// addresses (§5.1.1), plus the object kind so already-digested atomic
@@ -70,7 +70,7 @@ pub struct HkState {
     /// The mutex table being rebuilt with new-log addresses.
     pub(crate) new_mt: MutexTable,
     /// Snapshot only: the accessibility set rebuilt by the traversal.
-    pub(crate) new_access: Option<HashSet<Uid>>,
+    pub(crate) new_access: Option<IntSet<Uid>>,
     ot: IntMap<Uid, HkObj>,
     /// Early-prepared data entries of still-unprepared actions, rewritten
     /// onto the new log by stage two.
@@ -316,9 +316,9 @@ impl HybridFormat {
         new_log: &mut StableLog<S>,
         hk: &mut HkState,
         heap: &Heap,
-        pat: &HashSet<ActionId>,
+        pat: &IntSet<ActionId>,
     ) -> RsResult<()> {
-        let mut new_access: HashSet<Uid> = HashSet::new();
+        let mut new_access: IntSet<Uid> = IntSet::default();
         let Some(root) = heap.stable_root() else {
             hk.new_access = Some(new_access);
             return Ok(());
@@ -330,7 +330,7 @@ impl HybridFormat {
         while let Some(h) = queue.pop_front() {
             let slot = heap.get(h)?;
             let uid = slot.uid;
-            let enqueue = |value: &Value, queue: &mut VecDeque<_>, seen: &mut HashSet<Uid>| {
+            let enqueue = |value: &Value, queue: &mut VecDeque<_>, seen: &mut IntSet<Uid>| {
                 value.for_each_ref(&mut |r| {
                     let target = match r {
                         argus_objects::ObjRef::Heap(hh) => Some(*hh),

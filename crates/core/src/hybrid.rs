@@ -8,17 +8,16 @@
 //! entries than the simple log (experiments E2/E3).
 
 use crate::api::HousekeepingMode;
-use crate::entry::{decode_entry_view, EntryRef, EntryView, RawValue};
+use crate::entry::{decode_entry_view, EntryOut, EntryView, RawValue, WireField};
 use crate::housekeeping::HkState;
 use crate::log::{append_outcome, LogFormat, LogIo, LogRs, OpenPass};
 use crate::restore::RecoverCtx;
 use crate::tables::{MutexTable, ObjState, PState, RecoveryOutcome};
 use crate::{RsError, RsResult};
-use argus_objects::{ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
-use argus_sim::IntMap;
+use argus_objects::{ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid};
+use argus_sim::{IntMap, IntSet};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::HashSet;
 
 /// The recovery system over a hybrid log.
 pub type HybridLogRs<P> = LogRs<P, HybridFormat>;
@@ -69,15 +68,15 @@ impl LogFormat for HybridFormat {
     const NO_SNAPSHOT: Option<&'static str> = None;
     const EARLY_PREPARE: bool = true;
 
-    fn data<S: PageStore>(
+    fn data<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         uid: Uid,
         kind: ObjKind,
-        value: &Value,
+        value: V,
         aid: ActionId,
     ) -> RsResult<()> {
-        let addr = io.append_data(&EntryRef::DataH { kind, value })?;
+        let addr = io.append_data(&EntryOut::DataH { kind, value })?;
         let pair = PendingPair { uid, addr, kind };
         let pending = self.pending.entry(aid).or_default();
         match pending.iter_mut().find(|p| p.uid == uid) {
@@ -87,11 +86,11 @@ impl LogFormat for HybridFormat {
         Ok(())
     }
 
-    fn special<S: PageStore>(
+    fn special<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         _writer: ActionId,
-        entry: EntryRef<'_>,
+        entry: EntryOut<'_, V>,
     ) -> RsResult<()> {
         append_outcome(self, io, entry)
     }
@@ -109,10 +108,10 @@ impl LogFormat for HybridFormat {
         Some(&mut self.last_outcome)
     }
 
-    fn note_outcome<S: PageStore>(
+    fn note_outcome<S: PageStore, V>(
         &mut self,
         _io: &mut LogIo<S>,
-        entry: &EntryRef<'_>,
+        entry: &EntryOut<'_, V>,
         addr: LogAddress,
     ) -> RsResult<()> {
         if let Some(oel) = &mut self.oel {
@@ -121,20 +120,20 @@ impl LogFormat for HybridFormat {
         match *entry {
             // The action is prepared: record the latest prepared mutex
             // versions in the MT (§5.2).
-            EntryRef::Prepared { aid, .. } => {
+            EntryOut::Prepared { aid, .. } => {
                 for pair in self.pending.remove(&aid).unwrap_or_default() {
                     if pair.kind == ObjKind::Mutex {
                         self.mt.insert(pair.uid, pair.addr);
                     }
                 }
             }
-            EntryRef::Committed { aid, .. } | EntryRef::Aborted { aid, .. } => {
+            EntryOut::Committed { aid, .. } | EntryOut::Aborted { aid, .. } => {
                 self.pending.remove(&aid);
             }
-            EntryRef::Committing { aid, gids, .. } => {
+            EntryOut::Committing { aid, gids, .. } => {
                 self.cat.insert(aid, gids.to_vec());
             }
-            EntryRef::Done { aid, .. } => {
+            EntryOut::Done { aid, .. } => {
                 self.cat.remove(&aid);
             }
             _ => {}
@@ -219,7 +218,7 @@ impl LogFormat for HybridFormat {
         _marker: u64,
         heap: &Heap,
         mode: HousekeepingMode,
-        pat: &HashSet<ActionId>,
+        pat: &IntSet<ActionId>,
     ) -> RsResult<(StableLog<S>, HkState)> {
         let mut new_log = StableLog::create(store)?;
         let mut hk = HkState::default();
@@ -242,7 +241,7 @@ impl LogFormat for HybridFormat {
         self.copy_stage_two(io, &mut pass.new_log, &mut pass.state)
     }
 
-    fn switched(&mut self, hk: HkState, mode: HousekeepingMode, access: &mut HashSet<Uid>) {
+    fn switched(&mut self, hk: HkState, mode: HousekeepingMode, access: &mut IntSet<Uid>) {
         self.last_outcome = hk.new_last;
         self.mt = hk.new_mt;
         self.pending = hk.new_pending;
@@ -363,6 +362,7 @@ mod tests {
     use super::*;
     use crate::api::providers::MemProvider;
     use crate::api::RecoverySystem;
+    use argus_objects::Value;
 
     fn rs() -> HybridLogRs<MemProvider> {
         HybridLogRs::create(MemProvider::fast()).unwrap()

@@ -54,7 +54,8 @@ mod writer;
 pub use api::{providers, HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, StoreProvider};
 pub use entry::{
     decode_entry, decode_entry_view, decode_value, encode_entry, encode_entry_into, encode_value,
-    Entry, EntryRef, EntryView, GidsView, LogEntry, PairsView, RawValue, WireField,
+    Entry, EntryOut, EntryRef, EntryView, GidsView, HeapValue, LogEntry, PairsView, RawValue,
+    WireField,
 };
 pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;
@@ -70,5 +71,5 @@ pub use tables::{
 /// organizations can reuse the MOS / accessibility-set / NAOS machinery —
 /// the shadowing baseline plugs its own sink into it.
 pub mod writer_sink {
-    pub use crate::writer::{process_mos as process, EntrySink as Sink};
+    pub use crate::writer::{process_mos as process, EntrySink as Sink, MosScratch};
 }

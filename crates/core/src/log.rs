@@ -11,16 +11,18 @@
 //! (§3.4.4 scan vs §4.3 chain), and how housekeeping rebuilds it (ch. 5).
 
 use crate::api::{HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, StoreProvider};
-use crate::entry::{decode_entry, encode_entry_into, Entry, EntryRef, LogEntry, WireField};
+use crate::entry::{
+    decode_entry, encode_entry_into, Entry, EntryOut, EntryRef, HeapValue, LogEntry, WireField,
+};
 use crate::metrics::CoreObs;
 use crate::restore::RecoverCtx;
 use crate::tables::RecoveryOutcome;
-use crate::writer::{process_mos, EntrySink};
+use crate::writer::{process_mos, EntrySink, MosScratch};
 use crate::{RsError, RsResult};
-use argus_objects::{ActionId, GuardianId, Heap, HeapId, ObjKind, Uid, Value};
+use argus_objects::{ActionId, GuardianId, Heap, HeapId, ObjKind, Uid};
+use argus_sim::IntSet;
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::HashSet;
 
 /// Encodes `entry`, in whichever form it is held, straight into `log`'s
 /// pending buffer and returns the address it will have once forced.
@@ -41,7 +43,7 @@ pub struct LogIo<S: PageStore> {
 impl<S: PageStore> LogIo<S> {
     /// Encodes `entry` straight into the log's pending buffer (no
     /// per-record allocation), returning its address and payload length.
-    fn append(&mut self, entry: &EntryRef<'_>) -> RsResult<(LogAddress, u64)> {
+    fn append<V: WireField>(&mut self, entry: &EntryOut<'_, V>) -> RsResult<(LogAddress, u64)> {
         let mut len = 0;
         let addr = self.log.write_with(|enc| {
             let start = enc.len();
@@ -53,7 +55,10 @@ impl<S: PageStore> LogIo<S> {
     }
 
     /// Appends a data entry.
-    pub(crate) fn append_data(&mut self, entry: &EntryRef<'_>) -> RsResult<LogAddress> {
+    pub(crate) fn append_data<V: WireField>(
+        &mut self,
+        entry: &EntryOut<'_, V>,
+    ) -> RsResult<LogAddress> {
         let (addr, len) = self.append(entry)?;
         self.obs.data_entry(len);
         Ok(addr)
@@ -61,7 +66,10 @@ impl<S: PageStore> LogIo<S> {
 
     /// Appends a special entry (`base_committed`, `prepared_data`,
     /// `committed_ss`) that joins no outcome chain.
-    pub(crate) fn append_special(&mut self, entry: &EntryRef<'_>) -> RsResult<LogAddress> {
+    pub(crate) fn append_special<V: WireField>(
+        &mut self,
+        entry: &EntryOut<'_, V>,
+    ) -> RsResult<LogAddress> {
         let (addr, len) = self.append(entry)?;
         self.obs.entry_written(entry.name(), len);
         Ok(addr)
@@ -86,23 +94,23 @@ pub trait LogFormat: Default + std::fmt::Debug {
     // ---- writing -----------------------------------------------------------
 
     /// Emits the data entry for an accessible object's version.
-    fn data<S: PageStore>(
+    fn data<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         uid: Uid,
         kind: ObjKind,
-        value: &Value,
+        value: V,
         aid: ActionId,
     ) -> RsResult<()>;
 
     /// Emits a special entry of `writer`'s prepare: the `base_committed` of
     /// an object newly accessible to it, or the `prepared_data` version an
     /// already-prepared action holds the write lock on.
-    fn special<S: PageStore>(
+    fn special<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         writer: ActionId,
-        entry: EntryRef<'_>,
+        entry: EntryOut<'_, V>,
     ) -> RsResult<()>;
 
     /// The map fragment `aid`'s `prepared` entry carries.
@@ -118,10 +126,10 @@ pub trait LogFormat: Default + std::fmt::Debug {
 
     /// Applies an outcome entry just appended at `addr` to the format's
     /// tables.
-    fn note_outcome<S: PageStore>(
+    fn note_outcome<S: PageStore, V>(
         &mut self,
         _io: &mut LogIo<S>,
-        _entry: &EntryRef<'_>,
+        _entry: &EntryOut<'_, V>,
         _addr: LogAddress,
     ) -> RsResult<()> {
         Ok(())
@@ -146,7 +154,7 @@ pub trait LogFormat: Default + std::fmt::Debug {
 
     /// Adds the uids that stay accessible without being resident in the
     /// heap.
-    fn pin_access(&self, _access: &mut HashSet<Uid>) {}
+    fn pin_access(&self, _access: &mut IntSet<Uid>) {}
 
     /// See [`RecoverySystem::set_recovery_mode`].
     fn set_recovery_mode(&mut self, mode: RecoveryMode) -> bool {
@@ -184,7 +192,7 @@ pub trait LogFormat: Default + std::fmt::Debug {
         marker: u64,
         heap: &Heap,
         mode: HousekeepingMode,
-        pat: &HashSet<ActionId>,
+        pat: &IntSet<ActionId>,
     ) -> RsResult<(StableLog<S>, Self::Pass)>;
 
     /// Stage two: carries what was written since stage one onto the new
@@ -196,7 +204,7 @@ pub trait LogFormat: Default + std::fmt::Debug {
     ) -> RsResult<()>;
 
     /// The new log has supplanted the old one: installs what the pass built.
-    fn switched(&mut self, _: Self::Pass, _: HousekeepingMode, _access: &mut HashSet<Uid>) {}
+    fn switched(&mut self, _: Self::Pass, _: HousekeepingMode, _access: &mut IntSet<Uid>) {}
 }
 
 /// A housekeeping pass between `begin_housekeeping` and
@@ -213,10 +221,10 @@ pub struct OpenPass<S: PageStore, T> {
 
 /// Appends an outcome entry: chained to the format's chain head if it keeps
 /// one, journalled, then applied to the format's tables.
-pub(crate) fn append_outcome<S: PageStore, F: LogFormat>(
+pub(crate) fn append_outcome<S: PageStore, F: LogFormat, V: WireField>(
     fmt: &mut F,
     io: &mut LogIo<S>,
-    mut entry: EntryRef<'_>,
+    mut entry: EntryOut<'_, V>,
 ) -> RsResult<()> {
     let prev = fmt.chain_head().and_then(|head| *head);
     entry.set_prev(prev);
@@ -242,23 +250,29 @@ struct FormatSink<'a, S: PageStore, F> {
 }
 
 impl<S: PageStore, F: LogFormat> EntrySink for FormatSink<'_, S, F> {
-    fn data(&mut self, uid: Uid, kind: ObjKind, value: Value, aid: ActionId) -> RsResult<()> {
-        self.fmt.data(self.io, uid, kind, &value, aid)
+    fn data(
+        &mut self,
+        uid: Uid,
+        kind: ObjKind,
+        value: HeapValue<'_>,
+        aid: ActionId,
+    ) -> RsResult<()> {
+        self.fmt.data(self.io, uid, kind, value, aid)
     }
 
-    fn base_committed(&mut self, uid: Uid, value: Value) -> RsResult<()> {
-        let entry = EntryRef::BaseCommitted {
+    fn base_committed(&mut self, uid: Uid, value: HeapValue<'_>) -> RsResult<()> {
+        let entry = Entry::BaseCommitted {
             uid,
-            value: &value,
+            value,
             prev: None,
         };
         self.fmt.special(self.io, self.writer, entry)
     }
 
-    fn prepared_data(&mut self, uid: Uid, value: Value, aid: ActionId) -> RsResult<()> {
-        let entry = EntryRef::PreparedData {
+    fn prepared_data(&mut self, uid: Uid, value: HeapValue<'_>, aid: ActionId) -> RsResult<()> {
+        let entry = Entry::PreparedData {
             uid,
-            value: &value,
+            value,
             aid,
             prev: None,
         };
@@ -305,10 +319,12 @@ pub struct LogRs<P: StoreProvider, F: LogFormat> {
     provider: P,
     pub(crate) io: LogIo<P::Store>,
     /// The accessibility set (AS, §3.3.3.2).
-    access: HashSet<Uid>,
+    access: IntSet<Uid>,
     /// The prepared-actions table (PAT, §3.3.3.2).
-    pat: HashSet<ActionId>,
+    pat: IntSet<ActionId>,
     pub(crate) fmt: F,
+    /// The writing algorithm's working sets, kept for their capacity.
+    scratch: MosScratch,
     /// In-progress housekeeping pass.
     hk: Option<OpenPass<P::Store, F::Pass>>,
 }
@@ -318,17 +334,21 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
     /// root is accessible by definition.
     pub fn create(mut provider: P) -> RsResult<Self> {
         let log = StableLog::create(provider.new_store())?;
-        Ok(Self::over(provider, log, HashSet::from([Uid::STABLE_ROOT])))
+        Ok(Self::over(
+            provider,
+            log,
+            IntSet::from_iter([Uid::STABLE_ROOT]),
+        ))
     }
 
     /// Opens a recovery system over an existing log (post-crash). Call
     /// [`RecoverySystem::recover`] before anything else.
     pub fn open(provider: P, store: P::Store) -> RsResult<Self> {
         let log = StableLog::open(store)?;
-        Ok(Self::over(provider, log, HashSet::new()))
+        Ok(Self::over(provider, log, IntSet::default()))
     }
 
-    fn over(provider: P, log: StableLog<P::Store>, access: HashSet<Uid>) -> Self {
+    fn over(provider: P, log: StableLog<P::Store>, access: IntSet<Uid>) -> Self {
         Self {
             provider,
             io: LogIo {
@@ -336,8 +356,9 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
                 obs: CoreObs::resolve(),
             },
             access,
-            pat: HashSet::new(),
+            pat: IntSet::default(),
             fmt: F::default(),
+            scratch: MosScratch::default(),
             hk: None,
         }
     }
@@ -359,7 +380,7 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
     }
 
     /// The accessibility set (read-only, for tests and experiments).
-    pub fn access_set(&self) -> &HashSet<Uid> {
+    pub fn access_set(&self) -> &IntSet<Uid> {
         &self.access
     }
 
@@ -388,7 +409,8 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
             io: &mut self.io,
             writer: aid,
         };
-        process_mos(aid, mos, heap, &mut self.access, &self.pat, &mut sink)
+        let (access, scratch) = (&mut self.access, &mut self.scratch);
+        process_mos(aid, mos, heap, access, &self.pat, scratch, &mut sink)
     }
 
     fn outcome(&mut self, entry: EntryRef<'_>) -> RsResult<()> {
@@ -631,6 +653,7 @@ mod tests {
     use super::*;
     use crate::api::providers::MemProvider;
     use crate::tables::PState;
+    use argus_objects::Value;
 
     type Rs<F> = LogRs<MemProvider, F>;
 

@@ -42,16 +42,15 @@
 
 use crate::api::{HousekeepingMode, RecoveryMode};
 use crate::compact;
-use crate::entry::{decode_entry_view, Entry, EntryRef, EntryView, WireField};
+use crate::entry::{decode_entry_view, Entry, EntryOut, EntryRef, EntryView, WireField};
 use crate::log::{append_entry, LogFormat, LogIo, LogRs, OpenPass};
 use crate::restore::{scan_backward, RecoverCtx};
 use crate::tables::{CState, ObjState, PState, ParticipantTable, RecoveryOutcome};
 use crate::{RsError, RsResult};
-use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid, Value};
-use argus_sim::IntMap;
+use argus_objects::{ActionId, AtomicObject, Heap, MutexObject, ObjKind, ObjectBody, Uid};
+use argus_sim::{IntMap, IntSet};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::HashSet;
 
 /// The REDO-only recovery system: backlinked redo records, checkpointed
 /// chain-head maps, and full / parallel / on-demand recovery.
@@ -312,15 +311,15 @@ impl LogFormat for RedoFormat {
     const NO_SNAPSHOT: Option<&'static str> =
         Some("snapshot housekeeping on the redo log (chain truncation is its compaction)");
 
-    fn data<S: PageStore>(
+    fn data<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         uid: Uid,
         kind: ObjKind,
-        value: &Value,
+        value: V,
         aid: ActionId,
     ) -> RsResult<()> {
-        let entry = EntryRef::DataR {
+        let entry = EntryOut::DataR {
             uid,
             kind,
             value,
@@ -332,11 +331,11 @@ impl LogFormat for RedoFormat {
         Ok(())
     }
 
-    fn special<S: PageStore>(
+    fn special<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         writer: ActionId,
-        entry: EntryRef<'_>,
+        entry: EntryOut<'_, V>,
     ) -> RsResult<()> {
         let addr = io.append_special(&entry)?;
         // Every record of a prepare counts towards its writer's floor.
@@ -345,14 +344,14 @@ impl LogFormat for RedoFormat {
         Ok(())
     }
 
-    fn note_outcome<S: PageStore>(
+    fn note_outcome<S: PageStore, V>(
         &mut self,
         io: &mut LogIo<S>,
-        entry: &EntryRef<'_>,
+        entry: &EntryOut<'_, V>,
         addr: LogAddress,
     ) -> RsResult<()> {
         self.maps.note(entry, addr);
-        if let EntryRef::Committed { .. } = entry {
+        if let EntryOut::Committed { .. } = entry {
             self.commits_since_ckpt += 1;
             if self.commits_since_ckpt >= self.map_interval && !self.maps.heads.is_empty() {
                 let (cssl, prev) = self.maps.checkpoint();
@@ -477,7 +476,7 @@ impl LogFormat for RedoFormat {
         self.maps.committing = at.filter(|(aid, _)| committing(aid)).collect();
     }
 
-    fn pin_access(&self, access: &mut HashSet<Uid>) {
+    fn pin_access(&self, access: &mut IntSet<Uid>) {
         // Lazily pending objects are reachable state that simply is not
         // resident yet; they must not be forgotten.
         access.extend(self.lazy.keys());
@@ -545,7 +544,7 @@ impl LogFormat for RedoFormat {
         marker: u64,
         _heap: &Heap,
         _mode: HousekeepingMode,
-        _pat: &HashSet<ActionId>,
+        _pat: &IntSet<ActionId>,
     ) -> RsResult<(StableLog<S>, RedoMaps)> {
         let mut maps = RedoMaps::default();
         let new_log = compact::stage_one(&mut io.log, store, marker, &mut maps)?;
@@ -566,7 +565,7 @@ impl LogFormat for RedoFormat {
     }
 
     /// The chain bookkeeping switches to the new addresses with the log.
-    fn switched(&mut self, maps: RedoMaps, _mode: HousekeepingMode, _access: &mut HashSet<Uid>) {
+    fn switched(&mut self, maps: RedoMaps, _mode: HousekeepingMode, _access: &mut IntSet<Uid>) {
         self.maps = maps;
         self.commits_since_ckpt = 0;
         // Lazily pending objects re-home to their truncated chain heads.
@@ -684,7 +683,7 @@ mod tests {
     use crate::api::providers::MemProvider;
     use crate::api::RecoverySystem;
     use crate::LogEntry;
-    use argus_objects::GuardianId;
+    use argus_objects::{GuardianId, Value};
 
     fn rs() -> RedoRs<MemProvider> {
         RedoRs::create(MemProvider::fast()).unwrap()

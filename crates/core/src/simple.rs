@@ -1,14 +1,14 @@
 //! The simple-log format (ch. 3).
 
 use crate::compact;
-use crate::entry::EntryRef;
+use crate::entry::{EntryOut, WireField};
 use crate::log::{LogFormat, LogIo, LogRs, OpenPass};
 use crate::restore::{scan_backward, RecoverCtx};
 use crate::RsResult;
-use argus_objects::{ActionId, Heap, ObjKind, Uid, Value};
+use argus_objects::{ActionId, Heap, ObjKind, Uid};
+use argus_sim::IntSet;
 use argus_slog::StableLog;
 use argus_stable::PageStore;
-use std::collections::HashSet;
 
 /// The recovery system over a simple log: writing per §3.3, recovery per
 /// §3.4.4 (read *every* entry backwards). Fast writing, slow recovery; no
@@ -30,15 +30,15 @@ impl LogFormat for SimpleFormat {
     const NO_SNAPSHOT: Option<&'static str> =
         Some("snapshot housekeeping on the simple log (§5.2 needs the MT)");
 
-    fn data<S: PageStore>(
+    fn data<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         uid: Uid,
         kind: ObjKind,
-        value: &Value,
+        value: V,
         aid: ActionId,
     ) -> RsResult<()> {
-        let entry = EntryRef::Data {
+        let entry = EntryOut::Data {
             uid,
             kind,
             value,
@@ -47,11 +47,11 @@ impl LogFormat for SimpleFormat {
         io.append_data(&entry).map(drop)
     }
 
-    fn special<S: PageStore>(
+    fn special<S: PageStore, V: WireField>(
         &mut self,
         io: &mut LogIo<S>,
         _writer: ActionId,
-        entry: EntryRef<'_>,
+        entry: EntryOut<'_, V>,
     ) -> RsResult<()> {
         io.append_special(&entry).map(drop)
     }
@@ -67,7 +67,7 @@ impl LogFormat for SimpleFormat {
         marker: u64,
         _heap: &Heap,
         _mode: crate::HousekeepingMode,
-        _pat: &HashSet<ActionId>,
+        _pat: &IntSet<ActionId>,
     ) -> RsResult<(StableLog<S>, ())> {
         let new_log = compact::stage_one(&mut io.log, store, marker, self)?;
         Ok((new_log, ()))

@@ -10,13 +10,13 @@ use argus_core::{
 };
 use argus_objects::{ActionId, GuardianId, Heap, HeapId, HeapResult, ObjKind, Value};
 use argus_shadow::ShadowRs;
-use argus_sim::{CostModel, SimClock};
+use argus_sim::{CostModel, IntMap, IntSet, SimClock};
 use argus_slog::{ForceScheduler, LogAddress};
 use argus_stable::FaultPlan;
 use argus_twopc::{
     CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, PartPhase, Participant,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Which stable-storage organization a guardian runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,19 +166,19 @@ pub struct Guardian {
     /// Whether the node is up.
     pub(crate) up: bool,
     /// Modified Objects Set per active action (§2.3).
-    pub(crate) mos: HashMap<ActionId, Vec<HeapId>>,
+    pub(crate) mos: IntMap<ActionId, Vec<HeapId>>,
     /// Actions this guardian has participated in since its last crash. A
     /// local action leaves when it finishes: no other guardian can ask.
-    pub(crate) known: HashSet<ActionId>,
+    pub(crate) known: IntSet<ActionId>,
     /// Locally resolved participant verdicts (for idempotent re-acks).
-    pub(crate) resolved: HashMap<ActionId, bool>,
+    pub(crate) resolved: IntMap<ActionId, bool>,
     /// Distributed actions this guardian coordinated to completion — all it
     /// answers an outcome query from once the coordinator machine is gone.
-    pub(crate) coord_done: HashSet<ActionId>,
+    pub(crate) coord_done: IntSet<ActionId>,
     /// Live coordinator state machines.
-    pub(crate) coordinators: HashMap<ActionId, Coordinator>,
+    pub(crate) coordinators: IntMap<ActionId, Coordinator>,
     /// Live participant state machines.
-    pub(crate) participants: HashMap<ActionId, Participant>,
+    pub(crate) participants: IntMap<ActionId, Participant>,
     /// Action-id sequence for top-level actions originating here.
     pub(crate) next_seq: u64,
     /// Automatic housekeeping policy: (max log entries, mode).
@@ -189,6 +189,9 @@ pub struct Guardian {
     /// the simulated time it was staged (the start of its `force_wait`
     /// trace span).
     pub(crate) staged: Vec<(StagedOp, u64)>,
+    /// Emptied coordinator effect lists, reused by the next transitions (a
+    /// transition whose effects run another needs a second one).
+    spare_fx: Vec<Vec<CoordEffect>>,
     /// The world's clock and tracer, and its `twopc.*_us` phase timers —
     /// handles, so that a step resolves nothing by name.
     clock: SimClock,
@@ -265,16 +268,17 @@ impl Guardian {
             rs,
             plan,
             up: true,
-            mos: HashMap::new(),
-            known: HashSet::new(),
-            resolved: HashMap::new(),
-            coord_done: HashSet::new(),
-            coordinators: HashMap::new(),
-            participants: HashMap::new(),
+            mos: IntMap::default(),
+            known: IntSet::default(),
+            resolved: IntMap::default(),
+            coord_done: IntSet::default(),
+            coordinators: IntMap::default(),
+            participants: IntMap::default(),
             next_seq: 0,
             hk_policy: None,
             force_sched: ForceScheduler::new(cfg.force),
             staged: Vec::new(),
+            spare_fx: Vec::new(),
             clock,
             tracer,
             prepare_us: obs.timer("twopc.prepare_us"),
@@ -452,13 +456,11 @@ impl Guardian {
         match input {
             Input::Message(envelope) => self.deliver(envelope, fx),
             Input::Commit(aid, gids) => {
-                let coordinator = Coordinator::new(aid, gids);
-                let effects = coordinator.start();
-                self.coordinators.insert(aid, coordinator);
-                self.exec_coord(aid, effects, fx)
+                self.coordinators.insert(aid, Coordinator::new(aid, gids));
+                self.coord_step(aid, |c, out| c.start_into(out), fx)
             }
             Input::Forced(op) => self.forced(op, fx),
-            Input::Timeout(aid) => self.coord_step(aid, Coordinator::abort_unilaterally, fx),
+            Input::Timeout(aid) => self.coord_step(aid, Coordinator::abort_unilaterally_into, fx),
             Input::Recovered(outcome) => self.recovered(outcome, fx),
             Input::Requery => {
                 // `participants` is a hash map, and the order of sending
@@ -554,7 +556,7 @@ impl Guardian {
             }
             StagedOp::CommitPoint(_) => {
                 self.heap.commit_action(aid);
-                return self.coord_step(aid, Coordinator::committing_forced, fx);
+                return self.coord_step(aid, Coordinator::committing_forced_into, fx);
             }
         };
         let more = self.participants.get_mut(&aid).map(step);
@@ -584,9 +586,9 @@ impl Guardian {
             self.exec_part(aid, effects, fx)?;
         }
         for (aid, gids) in outcome.ct.committing_actions() {
-            let (coordinator, effects) = Coordinator::resume_committing(aid, gids);
+            let (coordinator, mut effects) = Coordinator::resume_committing(aid, gids);
             self.coordinators.insert(aid, coordinator);
-            self.exec_coord(aid, effects, fx)?;
+            self.exec_coord(aid, &mut effects, fx)?;
         }
         Ok(())
     }
@@ -648,7 +650,7 @@ impl Guardian {
             | Msg::CommitAck { .. }
             | Msg::AbortAck { .. }
             | Msg::QueryOutcome { .. } => {
-                self.coord_step(aid, |c| c.on_msg(peer, &envelope.msg), fx)
+                self.coord_step(aid, |c, out| c.on_msg_into(peer, &envelope.msg, out), fx)
             }
         }
     }
@@ -661,7 +663,7 @@ impl Guardian {
     fn coord_step(
         &mut self,
         aid: ActionId,
-        step: impl FnOnce(&mut Coordinator) -> Vec<CoordEffect>,
+        step: impl FnOnce(&mut Coordinator, &mut Vec<CoordEffect>),
         fx: &mut Effects,
     ) -> WorldResult<()> {
         let Some(coordinator) = self.coordinators.get_mut(&aid) else {
@@ -669,23 +671,27 @@ impl Guardian {
         };
         use CoordPhase::{Aborted, Aborting, Preparing};
         let undecided = coordinator.phase() == Preparing;
-        let effects = step(coordinator);
+        let mut effects = self.spare_fx.pop().unwrap_or_default();
+        step(coordinator, &mut effects);
         if undecided && matches!(coordinator.phase(), Aborting | Aborted) {
             self.heap.abort_action(aid);
             self.mos.remove(&aid);
             self.rs.discard(aid);
         }
-        self.exec_coord(aid, effects, fx)
+        let ran = self.exec_coord(aid, &mut effects, fx);
+        effects.clear();
+        self.spare_fx.push(effects);
+        ran
     }
 
     fn exec_coord(
         &mut self,
         aid: ActionId,
-        effects: Vec<CoordEffect>,
+        effects: &mut Vec<CoordEffect>,
         fx: &mut Effects,
     ) -> WorldResult<()> {
         let from = self.id;
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 CoordEffect::Send { to, msg } => fx.send.push(Envelope { from, to, msg }),
                 CoordEffect::ForceCommitting => {
@@ -713,7 +719,7 @@ impl Guardian {
                     timer.record_since(now);
                     if matches!(&staged, Err(e) if !e.is_crash()) {
                         // Unknown, or the entries could not be written.
-                        self.coord_step(aid, Coordinator::abort_unilaterally, fx)?;
+                        self.coord_step(aid, Coordinator::abort_unilaterally_into, fx)?;
                     } else if !self.staged(StagedOp::CommitPoint(aid), span, now, staged, fx)? {
                         return Ok(());
                     }

@@ -22,6 +22,7 @@
 
 mod error;
 mod guardian;
+mod live;
 mod network;
 #[cfg(test)]
 mod tests;

@@ -1,9 +1,9 @@
 //! The simulated network.
 
 use argus_objects::GuardianId;
-use argus_sim::DetRng;
+use argus_sim::{DetRng, IntSet};
 use argus_twopc::Envelope;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Deterministic message-fault injection: drops, duplication, reordering.
 ///
@@ -102,7 +102,7 @@ pub struct SimNetwork {
     /// Messages parked by a partition, a paused recipient, or a crash that
     /// caught a deferred message in flight. Re-enqueued when unblocked.
     held: VecDeque<(Envelope, u8, Option<u64>)>,
-    down: HashSet<GuardianId>,
+    down: IntSet<GuardianId>,
     partitions: BTreeSet<(GuardianId, GuardianId)>,
     paused: BTreeSet<GuardianId>,
     faults: Option<NetFaults>,

@@ -393,6 +393,105 @@ fn ten_thousand_local_commits_leave_no_per_action_residue() {
     }
 }
 
+// ---- the one record per live action ------------------------------------------
+
+/// An action is live from `begin` until its verdict is booked, and the one
+/// record lists every guardian it touched, once, in id order.
+#[test]
+fn a_live_action_is_one_record_from_begin_to_verdict() {
+    let mut w = World::fast();
+    let gs: Vec<_> = (0..3)
+        .map(|_| w.add_guardian(RsKind::Hybrid).unwrap())
+        .collect();
+    let shared = w.create_mutex(gs[2], Value::Int(0)).unwrap();
+    let (a, b) = (w.begin(gs[0]).unwrap(), w.begin(gs[1]).unwrap());
+    assert_eq!(w.live_actions(), [a, b].into());
+
+    w.read(gs[2], a, shared).unwrap();
+    assert_eq!(w.live[&a].touched.as_slice(), [gs[0], gs[2]]);
+    // Writing where it also reads lists the guardian once.
+    w.set_stable(gs[1], a, "x", Value::Int(1)).unwrap();
+    let root = w.guardian(gs[1]).unwrap().heap.stable_root().unwrap();
+    w.read(gs[1], a, root).unwrap();
+    assert_eq!(w.live[&a].touched.as_slice(), gs);
+
+    assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+    assert_eq!(w.live_actions(), [b].into());
+    assert_eq!(w.verdict(a), Some(true));
+    w.abort_local(b);
+    assert!(w.live_actions().is_empty() && w.live.is_empty());
+    assert_eq!(w.verdict(b), Some(false));
+}
+
+/// `abort_local` gives back every lock the record names — read locks at a
+/// guardian the action only read at included — and an action that touches
+/// an object after its verdict is live again, with no second trace span,
+/// until it is aborted again.
+#[test]
+fn abort_local_releases_where_the_record_says_and_a_late_touch_is_tracked() {
+    let tracer = argus_trace::Tracer::new();
+    let _scope = tracer.enter();
+    let mut w = World::fast();
+    let (g0, g1) = (
+        w.add_guardian(RsKind::Simple).unwrap(),
+        w.add_guardian(RsKind::Simple).unwrap(),
+    );
+    let a = w.begin(g0).unwrap();
+    let obj = w.create_atomic(g1, a, Value::Int(7)).unwrap();
+    w.set_stable(g1, a, "x", Value::Int(1)).unwrap();
+    w.abort_local(a);
+    let locks_at = |w: &World, g| w.guardian(g).unwrap().heap.locks_held_by(a);
+    assert!(locks_at(&w, g0).is_empty() && locks_at(&w, g1).is_empty());
+    assert!(w.live_actions().is_empty());
+
+    // The driver has not noticed the abort and reads on.
+    w.read(g1, a, obj).unwrap();
+    assert_eq!(locks_at(&w, g1).len(), 1);
+    assert_eq!(w.live_actions(), [a].into());
+    assert_eq!(w.live[&a].began_at, None);
+    w.abort_local(a);
+    assert!(locks_at(&w, g1).is_empty() && w.live.is_empty());
+    let spans = tracer.events();
+    assert_eq!(spans.iter().filter(|e| e.name == "action").count(), 1);
+}
+
+/// A crash drains the waiters parked on the dead heap: each is aborted
+/// through its record, so the locks it held at the *surviving* guardians
+/// go too and nothing of it stays live.
+#[test]
+fn a_crash_drains_parked_actions_through_their_records() {
+    let mut w = World::with_config(
+        argus_sim::CostModel::fast(),
+        WorldConfig::with_cc(argus_cc::CcPolicy::Blocking),
+    );
+    let (g0, g1) = (
+        w.add_guardian(RsKind::Redo).unwrap(),
+        w.add_guardian(RsKind::Redo).unwrap(),
+    );
+    let root1 = w.guardian(g1).unwrap().heap.stable_root().unwrap();
+    let holder = w.begin(g1).unwrap();
+    w.set_stable(g1, holder, "x", Value::Int(1)).unwrap();
+    // The waiter writes at home, then parks behind `holder` at `g1`.
+    let waiter = w.begin(g0).unwrap();
+    w.set_stable(g0, waiter, "y", Value::Int(2)).unwrap();
+    let parked = w.submit_write_atomic(g1, waiter, root1, |_| {}).unwrap();
+    assert_eq!(parked, argus_cc::CcOutcome::Parked);
+    assert_eq!(w.live_actions(), [holder, waiter].into());
+
+    w.crash(g1);
+    assert_eq!(w.cc_fate(waiter), Some(argus_cc::CcFate::CrashDrained));
+    assert_eq!(w.verdict(waiter), Some(false));
+    assert!(w
+        .guardian(g0)
+        .unwrap()
+        .heap
+        .locks_held_by(waiter)
+        .is_empty());
+    // `holder` never parked: it stays live until its driver gives up on it.
+    assert_eq!(w.live_actions(), [holder].into());
+    assert_eq!(w.live.len(), 1);
+}
+
 // ---- a guardian alone ---------------------------------------------------------
 
 /// The organizations whose `stage_*` buffers an entry for the next force

@@ -1,6 +1,7 @@
 //! The simulated distributed system.
 
 use crate::guardian::{tkey, Effects, Input, Parked, Touch};
+use crate::live::LiveAction;
 use crate::network::NetFaults;
 use crate::{Guardian, RsKind, SimNetwork, WorldError, WorldResult};
 use argus_cc::{
@@ -9,12 +10,12 @@ use argus_cc::{
 };
 use argus_core::{HousekeepingMode, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
-use argus_sim::{CostModel, SimClock};
+use argus_sim::{CostModel, IntMap, SimClock};
 use argus_slog::ForceConfig;
 use argus_stable::{CacheConfig, FaultPlan};
 use argus_twopc::CoordPhase;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Storage-performance knobs shared by every guardian the world spawns.
 ///
@@ -132,14 +133,17 @@ pub struct World {
     tracer: argus_trace::Tracer,
     guardians: BTreeMap<GuardianId, Guardian>,
     net: SimNetwork,
-    /// Guardians an action has modified objects at.
-    touched: HashMap<ActionId, BTreeSet<GuardianId>>,
-    /// Guardians an action has (only) read at — they hold read locks and
-    /// must join two-phase commit so those locks are released with the
-    /// action (read-only participants).
-    touched_read: HashMap<ActionId, BTreeSet<GuardianId>>,
+    /// Every action begun and not yet resolved (the coordinator finished,
+    /// or it was aborted locally), with the guardians it touched — the only
+    /// actions a deadlock cycle can contain, so the only ones whose begin
+    /// order is worth keeping.
+    pub(crate) live: IntMap<ActionId, LiveAction>,
     /// Final verdicts of completed coordinators.
-    outcomes: HashMap<ActionId, bool>,
+    outcomes: IntMap<ActionId, bool>,
+    /// Commits launched at a guardian with a housekeeping policy, each with
+    /// its policed participants, until they are settled. Empty in a world
+    /// with no policy.
+    policed: Vec<(ActionId, Vec<GuardianId>)>,
     next_gid: u32,
     /// Storage knobs applied to every guardian spawned in this world.
     cfg: WorldConfig,
@@ -153,10 +157,6 @@ pub struct World {
     cc_fates: BTreeMap<ActionId, CcFate>,
     /// Deadlocks broken so far, in detection order.
     cc_deadlocks: Vec<DeadlockReport>,
-    /// Every action begun and not yet resolved (the coordinator finished,
-    /// or it was aborted locally) — the only actions a deadlock cycle can
-    /// contain, so the only ones whose begin order is worth keeping.
-    in_flight: HashMap<ActionId, LiveAction>,
     next_begin: u64,
     /// Guardians holding a non-empty staged batch, maintained at every
     /// staging site so the message loop's idle flush visits only guardians
@@ -173,17 +173,6 @@ pub struct World {
     /// Envelopes [`World::apply`] has sent: the network must carry no other.
     #[cfg(test)]
     pub(crate) mail_applied: u64,
-}
-
-/// What the world remembers about a live action.
-#[derive(Debug, Clone, Copy)]
-struct LiveAction {
-    /// Begin index: the deadlock victim is the *youngest* cycle member,
-    /// i.e. the one with the largest.
-    order: u64,
-    /// Simulated time the action began, consumed when it resolves to
-    /// record its end-to-end trace span.
-    began_at: u64,
 }
 
 /// The world's hot-path metric handles, resolved from the registry current
@@ -255,15 +244,14 @@ impl World {
             tracer,
             guardians: BTreeMap::new(),
             net: SimNetwork::new(),
-            touched: HashMap::new(),
-            touched_read: HashMap::new(),
-            outcomes: HashMap::new(),
+            live: IntMap::default(),
+            outcomes: IntMap::default(),
+            policed: Vec::new(),
             next_gid: 0,
             cfg,
             cc: LockManager::new(),
             cc_fates: BTreeMap::new(),
             cc_deadlocks: Vec::new(),
-            in_flight: HashMap::new(),
             next_begin: 0,
             staged_ready: BTreeSet::new(),
             force_due: BinaryHeap::new(),
@@ -333,7 +321,7 @@ impl World {
         self.guardians.get_mut(&g).ok_or(WorldError::NoGuardian(g))
     }
 
-    fn live(&mut self, g: GuardianId) -> WorldResult<&mut Guardian> {
+    fn up(&mut self, g: GuardianId) -> WorldResult<&mut Guardian> {
         let guardian = self.guardian_mut(g)?;
         if !guardian.up {
             return Err(WorldError::Down(g));
@@ -345,15 +333,14 @@ impl World {
 
     /// Begins a top-level action originating (and coordinated) at `origin`.
     pub fn begin(&mut self, origin: GuardianId) -> WorldResult<ActionId> {
-        let aid = self.live(origin)?.begin();
-        self.touched.entry(aid).or_default().insert(origin);
-        self.in_flight.insert(
-            aid,
-            LiveAction {
-                order: self.next_begin,
-                began_at: self.clock.now(),
-            },
-        );
+        let aid = self.up(origin)?.begin();
+        let mut live = LiveAction {
+            order: self.next_begin,
+            began_at: Some(self.clock.now()),
+            ..LiveAction::default()
+        };
+        live.touched.insert(origin);
+        self.live.insert(aid, live);
         self.next_begin += 1;
         Ok(aid)
     }
@@ -368,23 +355,18 @@ impl World {
         h: HeapId,
         touch: Touch<F>,
     ) -> WorldResult<()> {
-        let guardian = self.live(g)?;
+        let guardian = self.up(g)?;
         guardian.lock(aid, h, touch.mode())?;
-        let wrote = guardian.apply(aid, h, touch)?;
-        self.book(g, aid, wrote);
+        guardian.apply(aid, h, touch)?;
+        self.book(g, aid);
         Ok(())
     }
 
-    /// Books `g` as a guardian `aid` wrote at, or (only) read at — there it
-    /// holds read locks and must join two-phase commit so they are released
-    /// with the action.
-    fn book(&mut self, g: GuardianId, aid: ActionId, wrote: bool) {
-        let set = if wrote {
-            &mut self.touched
-        } else {
-            &mut self.touched_read
-        };
-        set.entry(aid).or_default().insert(g);
+    /// Books `g` as a guardian `aid` touched an object at: it must run
+    /// two-phase commit with the action, whether it wrote there or only
+    /// holds read locks there.
+    fn book(&mut self, g: GuardianId, aid: ActionId) {
+        self.live.entry(aid).or_default().touched.insert(g);
     }
 
     /// Creates an atomic object at `g` on behalf of `aid` (read-locked by
@@ -395,18 +377,18 @@ impl World {
         aid: ActionId,
         value: Value,
     ) -> WorldResult<HeapId> {
-        let guardian = self.live(g)?;
+        let guardian = self.up(g)?;
         let h = guardian.heap.alloc_atomic(value, Some(aid));
         // The creator holds a read lock (§2.4.1); record the guardian as a
         // read participant so that lock is released with the action.
         guardian.apply(aid, h, Touch::<Parked>::Read)?;
-        self.book(g, aid, false);
+        self.book(g, aid);
         Ok(h)
     }
 
     /// Creates a mutex object at `g`.
     pub fn create_mutex(&mut self, g: GuardianId, value: Value) -> WorldResult<HeapId> {
-        let guardian = self.live(g)?;
+        let guardian = self.up(g)?;
         Ok(guardian.heap.alloc_mutex(value))
     }
 
@@ -500,11 +482,11 @@ impl World {
             return self.cc_park(key, aid, mode, touch.boxed(), false);
         }
         let waits = !matches!(self.cfg.cc.policy, CcPolicy::ConflictAbort);
-        let guardian = self.live(g)?;
+        let guardian = self.up(g)?;
         match guardian.lock(aid, h, mode) {
             Ok(()) => {
-                let wrote = guardian.apply(aid, h, touch)?;
-                self.book(g, aid, wrote);
+                guardian.apply(aid, h, touch)?;
+                self.book(g, aid);
                 Ok(CcOutcome::Done)
             }
             Err(HeapError::LockConflict { .. } | HeapError::MutexSeized { .. }) if waits => {
@@ -598,7 +580,7 @@ impl World {
                 .iter()
                 .copied()
                 .filter(|a| !self.in_two_phase_commit(*a))
-                .max_by_key(|a| self.in_flight.get(a).map_or(0, |l| l.order))
+                .max_by_key(|a| self.live.get(a).map_or(0, |l| l.order))
                 .unwrap_or(start);
             self.wobs.cc_victims.inc();
             self.obs.event(argus_obs::Event::DeadlockVictim {
@@ -648,15 +630,8 @@ impl World {
             let guardian = self.guardians.get(g);
             guardian.is_some_and(|gu| gu.in_two_phase_commit(aid))
         };
-        engaged(&aid.coordinator)
-            || self
-                .touched
-                .get(&aid)
-                .is_some_and(|gids| gids.iter().any(engaged))
-            || self
-                .touched_read
-                .get(&aid)
-                .is_some_and(|gids| gids.iter().any(engaged))
+        let live = self.live.get(&aid);
+        engaged(&aid.coordinator) || live.is_some_and(|l| l.touched.as_slice().iter().any(engaged))
     }
 
     /// Grants every front waiter whose heap lock is now acquirable, runs the
@@ -691,9 +666,9 @@ impl World {
                         ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
                     ],
                 );
-                let wrote = guardian.apply(waiter.aid, key.hid, waiter.cont);
-                let wrote = wrote.expect("lock just granted");
-                self.book(key.gid, waiter.aid, wrote);
+                let applied = guardian.apply(waiter.aid, key.hid, waiter.cont);
+                applied.expect("lock just granted");
+                self.book(key.gid, waiter.aid);
                 progressed = true;
                 any = true;
             }
@@ -756,8 +731,7 @@ impl World {
     /// nor aborted — they may legitimately hold locks. The stale-lock lint
     /// (I11) checks quiesced heaps against this set.
     pub fn live_actions(&self) -> BTreeSet<ActionId> {
-        let mut live: BTreeSet<ActionId> = self.touched.keys().copied().collect();
-        live.extend(self.touched_read.keys().copied());
+        let mut live: BTreeSet<ActionId> = self.live.keys().copied().collect();
         live.extend(self.cc.blocked_actions());
         for guardian in self.guardians.values() {
             live.extend(guardian.live_actions());
@@ -774,7 +748,7 @@ impl World {
         name: &str,
         value: Value,
     ) -> WorldResult<()> {
-        let root = self.live(g)?.heap.stable_root();
+        let root = self.up(g)?.heap.stable_root();
         let root = root.expect("live guardians always have a stable root");
         self.write_atomic(g, aid, root, Guardian::bind_stable(name, value))
     }
@@ -782,7 +756,7 @@ impl World {
     /// Early-prepares `aid`'s current MOS at `g` (§4.4); objects that were
     /// inaccessible stay in the MOS.
     pub fn early_prepare(&mut self, g: GuardianId, aid: ActionId) -> WorldResult<()> {
-        let guardian = self.live(g)?;
+        let guardian = self.up(g)?;
         let mos = guardian.mos.remove(&aid).unwrap_or_default();
         match guardian.rs.write_entry(aid, &mos, &guardian.heap) {
             Ok(leftover) => {
@@ -802,9 +776,8 @@ impl World {
     /// released may wake other waiters.
     pub fn abort_local(&mut self, aid: ActionId) {
         self.cc.cancel(aid);
-        let mut touched = self.touched.remove(&aid).unwrap_or_default();
-        touched.extend(self.touched_read.remove(&aid).unwrap_or_default());
-        for g in &touched {
+        let live = self.live.remove(&aid).unwrap_or_default();
+        for g in live.touched.as_slice() {
             if let Some(guardian) = self.guardians.get_mut(g) {
                 guardian.heap.abort_action(aid);
                 guardian.mos.remove(&aid);
@@ -815,7 +788,7 @@ impl World {
         if cfg!(debug_assertions) {
             // Locks are only ever taken at touched guardians, so the
             // leak check need not visit the rest of the world.
-            for g in &touched {
+            for g in live.touched.as_slice() {
                 let Some(guardian) = self.guardians.get(g) else {
                     continue;
                 };
@@ -826,22 +799,26 @@ impl World {
                 );
             }
         }
-        self.resolve_action(aid, false);
+        self.close_action(aid, &live, false);
         self.cc_pump();
     }
 
-    /// Books the final verdict of `aid`: it stops being live (closing its
-    /// end-to-end trace span) and the verdict becomes queryable.
-    fn resolve_action(&mut self, aid: ActionId, committed: bool) {
-        if let Some(live) = self.in_flight.remove(&aid) {
+    /// Books the final verdict of `aid`, which just stopped being live:
+    /// its end-to-end trace span and its commit round close, and the verdict
+    /// becomes queryable.
+    fn close_action(&mut self, aid: ActionId, live: &LiveAction, committed: bool) {
+        if let Some(began_at) = live.began_at {
             self.tracer.complete(
                 "action",
                 "action",
                 aid.coordinator.0,
                 Some(tkey(aid)),
-                live.began_at,
+                began_at,
                 &[("committed", u64::from(committed))],
             );
+        }
+        if let Some(launched_at) = live.launched_at {
+            self.wobs.commit_round_us.record_since(launched_at);
         }
         self.outcomes.insert(aid, committed);
     }
@@ -865,7 +842,7 @@ impl World {
         // reach it first.
         self.flush_staged(g)?;
         // Split borrow: the recovery system reads the heap during snapshot.
-        let Guardian { rs, heap, .. } = self.live(g)?;
+        let Guardian { rs, heap, .. } = self.up(g)?;
         match rs.housekeeping(heap, mode) {
             Ok(()) => Ok(true),
             Err(e) if e.is_crash() => {
@@ -880,48 +857,11 @@ impl World {
 
     /// Commits a top-level action, driven to quiescence: the full two-phase
     /// commit of §2.2 — or, when the action touched only its own origin, one
-    /// forced step at that guardian and no message.
+    /// forced step at that guardian and no message. Exactly
+    /// [`World::commit_start`] then [`World::commit_settle`].
     pub fn commit(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        let t0 = self.wobs.commit_round_us.now();
-        // Capture the participant set up front: the coordinator clears the
-        // touched maps when the action finishes.
-        let gids = self.participants_of(aid);
-        let hk = |g: &GuardianId| self.guardians.get(g).is_some_and(|u| u.hk_policy.is_some());
-        let policed: Vec<GuardianId> = gids.iter().copied().filter(hk).collect();
-        let outcome = self
-            .launch_commit(aid, gids)
-            .and_then(|()| self.commit_settle(aid));
-        self.wobs.commit_round_us.record_since(t0);
-        let outcome = outcome?;
-        match outcome {
-            Outcome::Committed => self.wobs.commits.inc(),
-            Outcome::Aborted => self.wobs.aborts.inc(),
-            Outcome::Pending => self.wobs.pending.inc(),
-        }
-        // Apply any automatic housekeeping policies now that the log grew
-        // ("as frequently as needed", ch. 5). Only this action's
-        // participants appended records; every guardian's log growth is
-        // checked at a commit it takes part in.
-        for g in policed {
-            self.maybe_housekeep(g)?;
-        }
-        Ok(outcome)
-    }
-
-    /// Every guardian `aid` must run two-phase commit with, in id order:
-    /// where it wrote, where it only read (read-only participants), and its
-    /// origin.
-    fn participants_of(&self, aid: ActionId) -> Vec<GuardianId> {
-        let wrote = self.touched.get(&aid);
-        let read = self.touched_read.get(&aid);
-        let mut gids =
-            Vec::with_capacity(1 + wrote.map_or(0, BTreeSet::len) + read.map_or(0, BTreeSet::len));
-        gids.push(aid.coordinator);
-        gids.extend(wrote.into_iter().flatten());
-        gids.extend(read.into_iter().flatten());
-        gids.sort_unstable();
-        gids.dedup();
-        gids
+        self.commit_start(aid)?;
+        self.commit_settle(aid)
     }
 
     /// Launches two-phase commit for `aid` without driving it to
@@ -929,12 +869,25 @@ impl World {
     /// their prepare/commit records share group-commit forces. Settle each
     /// with [`World::commit_settle`].
     pub fn commit_start(&mut self, aid: ActionId) -> WorldResult<()> {
-        let gids = self.participants_of(aid);
-        self.launch_commit(aid, gids)
-    }
-
-    fn launch_commit(&mut self, aid: ActionId, gids: Vec<GuardianId>) -> WorldResult<()> {
-        self.live(aid.coordinator)?;
+        self.up(aid.coordinator)?;
+        // Every guardian `aid` must run two-phase commit with, in id order:
+        // its origin and wherever it touched an object. Captured up front:
+        // the record goes when the action resolves.
+        let gids: Vec<GuardianId> = match self.live.get_mut(&aid) {
+            Some(live) => {
+                live.launched_at = Some(self.clock.now());
+                live.touched.insert(aid.coordinator);
+                live.touched.as_slice().to_vec()
+            }
+            None => vec![aid.coordinator],
+        };
+        // Only this action's participants append records, so theirs are the
+        // housekeeping policies its settling must apply.
+        let hk = |g: &GuardianId| self.guardians.get(g).is_some_and(|u| u.hk_policy.is_some());
+        if gids.iter().any(hk) {
+            let policed = gids.iter().copied().filter(hk).collect();
+            self.policed.push((aid, policed));
+        }
         self.step(aid.coordinator, Input::Commit(aid, gids))?;
         // A local commit stages here, with no delivery after it to poll the
         // force scheduler: a batch that is already due forces now.
@@ -944,6 +897,26 @@ impl World {
     /// Drives the network to quiescence and reports the fate of a commit
     /// launched with [`World::commit_start`].
     pub fn commit_settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
+        let policed = self.policed.iter().position(|(a, _)| *a == aid);
+        let policed = policed.map(|at| self.policed.swap_remove(at).1);
+        let outcome = self.settle(aid)?;
+        match outcome {
+            Outcome::Committed => self.wobs.commits.inc(),
+            Outcome::Aborted => self.wobs.aborts.inc(),
+            Outcome::Pending => self.wobs.pending.inc(),
+        }
+        // Apply any automatic housekeeping policies now that the log grew
+        // ("as frequently as needed", ch. 5): every guardian's log growth
+        // is checked at a commit it takes part in.
+        for g in policed.into_iter().flatten() {
+            self.maybe_housekeep(g)?;
+        }
+        Ok(outcome)
+    }
+
+    /// Quiesces and reads `aid`'s fate: its booked verdict, or — the protocol
+    /// held up by a crash or a silence — what its coordinator's phase says.
+    fn settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
         let origin = aid.coordinator;
         self.run_until_quiet()?;
 
@@ -954,25 +927,27 @@ impl World {
                 Outcome::Aborted
             });
         }
-        let Some(guardian) = self.guardians.get(&origin).filter(|gu| gu.up) else {
-            return Ok(Outcome::Pending);
-        };
-        match guardian.coordinators.get(&aid).map(|c| c.phase()) {
+        let guardian = self.guardians.get(&origin).filter(|gu| gu.up);
+        let coordinator = guardian.and_then(|gu| gu.coordinators.get(&aid));
+        let outcome = match coordinator.map(|c| c.phase()) {
             Some(CoordPhase::Preparing) => {
                 // Some participant is down or silent: unilateral abort
                 // (§2.2.1, the Argus-system timeout).
                 self.step(origin, Input::Timeout(aid))?;
                 self.run_until_quiet()?;
-                Ok(Outcome::Aborted)
+                Outcome::Aborted
             }
-            Some(CoordPhase::Committing) => {
-                // Committed; the missing acknowledgments arrive after the
-                // crashed participant restarts.
-                Ok(Outcome::Committed)
-            }
-            Some(CoordPhase::Aborting) => Ok(Outcome::Aborted),
-            _ => Ok(Outcome::Pending),
+            // Committed; the missing acknowledgments arrive after the
+            // crashed participant restarts.
+            Some(CoordPhase::Committing) => Outcome::Committed,
+            Some(CoordPhase::Aborting) => Outcome::Aborted,
+            _ => Outcome::Pending,
+        };
+        // A round still open when its caller stops waiting ends here.
+        if let Some(t0) = self.live.get_mut(&aid).and_then(|l| l.launched_at.take()) {
+            self.wobs.commit_round_us.record_since(t0);
         }
+        Ok(outcome)
     }
 
     // ---- crashes and restarts ----------------------------------------------
@@ -1255,9 +1230,8 @@ impl World {
             self.force_due.push(Reverse((due_at, g)));
         }
         if let Some((aid, committed)) = self.fx.resolved.take() {
-            self.resolve_action(aid, committed);
-            self.touched.remove(&aid);
-            self.touched_read.remove(&aid);
+            let live = self.live.remove(&aid).unwrap_or_default();
+            self.close_action(aid, &live, committed);
         }
         if std::mem::take(&mut self.fx.crashed) {
             self.obs.inc("world.crashes");

@@ -32,6 +32,36 @@ pub fn flatten_value(heap: &Heap, value: &Value) -> HeapResult<FlattenOutcome> {
     })
 }
 
+/// Appends to `referenced` the recoverable objects `value` references that
+/// are not in it yet, in first-encounter order — what [`flatten_value`]
+/// reports, for a caller that encodes the version straight from the heap
+/// and so needs no flattened copy. A dangling volatile reference is the
+/// same error.
+pub fn collect_referenced(
+    heap: &Heap,
+    value: &Value,
+    referenced: &mut Vec<HeapId>,
+) -> HeapResult<()> {
+    match value {
+        Value::Seq(items) => {
+            for item in items {
+                collect_referenced(heap, item, referenced)?;
+            }
+        }
+        Value::Ref(r) => {
+            let resident = match r {
+                ObjRef::Heap(h) => Some(heap.uid_of(*h).map(|_| *h)?),
+                ObjRef::Uid(u) => heap.lookup(*u),
+            };
+            if let Some(h) = resident.filter(|h| !referenced.contains(h)) {
+                referenced.push(h);
+            }
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
 fn go(heap: &Heap, value: &Value, referenced: &mut Vec<HeapId>) -> HeapResult<Value> {
     Ok(match value {
         Value::Seq(items) => {

@@ -3,7 +3,8 @@
 use crate::{
     ActionId, AtomicObject, HeapId, MutexObject, ObjRef, ObjectBody, ObjectSlot, Uid, Value,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use argus_sim::{IntMap, IntSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Errors from heap operations.
@@ -113,7 +114,7 @@ pub type HeapResult<T> = Result<T, HeapError>;
 #[derive(Debug, Default)]
 pub struct Heap {
     slots: Vec<Option<ObjectSlot>>,
-    by_uid: HashMap<Uid, HeapId>,
+    by_uid: IntMap<Uid, HeapId>,
     next_uid: u64,
     /// Action → the objects it holds a lock or possession on, each once.
     /// Ordered, so a handful of live actions is one node and no hashing.
@@ -608,8 +609,8 @@ impl Heap {
     /// every reachable recoverable object, following references in both base
     /// and current versions (the rebuilt accessibility set of recovery
     /// step 4).
-    pub fn accessible_uids(&self) -> HashSet<Uid> {
-        let mut seen = HashSet::new();
+    pub fn accessible_uids(&self) -> IntSet<Uid> {
+        let mut seen = IntSet::default();
         let Some(root) = self.stable_root() else {
             return seen;
         };

@@ -30,7 +30,7 @@ mod ids;
 mod object;
 mod value;
 
-pub use flatten::{flatten_value, FlattenOutcome};
+pub use flatten::{collect_referenced, flatten_value, FlattenOutcome};
 pub use heap::{Heap, HeapError, HeapResult};
 pub use ids::{ActionId, GuardianId, HeapId, Uid};
 pub use object::{AtomicObject, MutexObject, ObjKind, ObjectBody, ObjectSlot};

@@ -1,6 +1,6 @@
 //! On-log records of the shadowing organization.
 
-use argus_core::{decode_value, encode_value, RsError, RsResult};
+use argus_core::{decode_value, RsError, RsResult, WireField};
 use argus_objects::{ActionId, GuardianId, ObjKind, Uid, Value};
 use argus_slog::{CodecError, CodecResult, Decoder, Encoder, LogAddress};
 
@@ -163,16 +163,25 @@ fn take_intent(dec: &mut Decoder<'_>) -> CodecResult<IntentBody> {
     Ok(IntentBody { aid, cur, base, pd })
 }
 
+/// Encodes a version record whose value is held as `value` — flattened
+/// already, or a heap value flattened as it is encoded.
+pub fn put_version(
+    enc: &mut Encoder,
+    uid: Uid,
+    kind: ObjKind,
+    value: impl WireField,
+) -> RsResult<()> {
+    enc.put_u8(TAG_VERSION);
+    enc.put_u64(uid.0);
+    put_kind(enc, kind);
+    value.put(enc)
+}
+
 /// Encodes a shadow record.
 pub fn encode_record(record: &ShadowRecord) -> RsResult<Vec<u8>> {
     let mut enc = Encoder::with_capacity(64);
     match record {
-        ShadowRecord::Version { uid, kind, value } => {
-            enc.put_u8(TAG_VERSION);
-            enc.put_u64(uid.0);
-            put_kind(&mut enc, *kind);
-            encode_value(&mut enc, value)?;
-        }
+        ShadowRecord::Version { uid, kind, value } => put_version(&mut enc, *uid, *kind, value)?,
         ShadowRecord::Intent(body) => {
             enc.put_u8(TAG_INTENT);
             put_intent(&mut enc, body);

@@ -1,16 +1,18 @@
 //! The shadowing recovery system.
 
-use crate::record::{decode_record, encode_record, IntentBody, ShadowRecord};
+use crate::record::{decode_record, encode_record, put_version, IntentBody, ShadowRecord};
+use argus_core::writer_sink::MosScratch;
 use argus_core::{
-    CState, HousekeepingMode, LogStats, ObjState, ObjectTable, OtEntry, PState, RecoveryOutcome,
-    RecoverySystem, RsError, RsResult, StoreProvider,
+    CState, HeapValue, HousekeepingMode, LogStats, ObjState, ObjectTable, OtEntry, PState,
+    RecoveryOutcome, RecoverySystem, RsError, RsResult, StoreProvider,
 };
 use argus_objects::{
     ActionId, AtomicObject, GuardianId, Heap, HeapId, MutexObject, ObjKind, ObjectBody, Uid, Value,
 };
+use argus_sim::{IntMap, IntSet};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The shadowing organization behind the common [`RecoverySystem`] trait.
 ///
@@ -55,15 +57,17 @@ pub struct ShadowRs<P: StoreProvider> {
     /// bytes at every commit, not for sorting it.
     map: BTreeMap<Uid, (ObjKind, LogAddress)>,
     /// Unresolved prepared intents.
-    intents: HashMap<ActionId, IntentBody>,
+    intents: IntMap<ActionId, IntentBody>,
     /// `prepared_data` pairs waiting on another action's commit.
-    pd_index: HashMap<ActionId, Vec<(Uid, LogAddress)>>,
+    pd_index: IntMap<ActionId, Vec<(Uid, LogAddress)>>,
     /// Unfinished coordinator actions.
-    coords: HashMap<ActionId, Vec<GuardianId>>,
+    coords: IntMap<ActionId, Vec<GuardianId>>,
     /// The accessibility set.
-    access: HashSet<Uid>,
+    access: IntSet<Uid>,
     /// The prepared-actions table.
-    pat: HashSet<ActionId>,
+    pat: IntSet<ActionId>,
+    /// The writing algorithm's working sets, kept for their capacity.
+    scratch: MosScratch,
     /// Whether a housekeeping pass is open.
     hk_open: bool,
 }
@@ -76,11 +80,12 @@ impl<P: StoreProvider> ShadowRs<P> {
             provider,
             log,
             map: BTreeMap::new(),
-            intents: HashMap::new(),
-            pd_index: HashMap::new(),
-            coords: HashMap::new(),
+            intents: IntMap::default(),
+            pd_index: IntMap::default(),
+            coords: IntMap::default(),
             access: [Uid::STABLE_ROOT].into_iter().collect(),
-            pat: HashSet::new(),
+            pat: IntSet::default(),
+            scratch: MosScratch::default(),
             hk_open: false,
         })
     }
@@ -92,11 +97,12 @@ impl<P: StoreProvider> ShadowRs<P> {
             provider,
             log: StableLog::open(store)?,
             map: BTreeMap::new(),
-            intents: HashMap::new(),
-            pd_index: HashMap::new(),
-            coords: HashMap::new(),
-            access: HashSet::new(),
-            pat: HashSet::new(),
+            intents: IntMap::default(),
+            pd_index: IntMap::default(),
+            coords: IntMap::default(),
+            access: IntSet::default(),
+            pat: IntSet::default(),
+            scratch: MosScratch::default(),
             hk_open: false,
         })
     }
@@ -180,27 +186,32 @@ struct ShadowSink<'a, S: PageStore> {
 }
 
 impl<S: PageStore> ShadowSink<'_, S> {
-    fn version(&mut self, uid: Uid, kind: ObjKind, value: Value) -> RsResult<LogAddress> {
-        Ok(self
-            .log
-            .write(&encode_record(&ShadowRecord::Version { uid, kind, value })?))
+    fn version(&mut self, uid: Uid, kind: ObjKind, value: HeapValue<'_>) -> RsResult<LogAddress> {
+        self.log
+            .write_with(|enc| put_version(enc, uid, kind, value))
     }
 }
 
 impl<S: PageStore> argus_core::writer_sink::Sink for ShadowSink<'_, S> {
-    fn data(&mut self, uid: Uid, kind: ObjKind, value: Value, _aid: ActionId) -> RsResult<()> {
+    fn data(
+        &mut self,
+        uid: Uid,
+        kind: ObjKind,
+        value: HeapValue<'_>,
+        _aid: ActionId,
+    ) -> RsResult<()> {
         let addr = self.version(uid, kind, value)?;
         self.intent.cur.push((uid, kind, addr));
         Ok(())
     }
 
-    fn base_committed(&mut self, uid: Uid, value: Value) -> RsResult<()> {
+    fn base_committed(&mut self, uid: Uid, value: HeapValue<'_>) -> RsResult<()> {
         let addr = self.version(uid, ObjKind::Atomic, value)?;
         self.intent.base.push((uid, addr));
         Ok(())
     }
 
-    fn prepared_data(&mut self, uid: Uid, value: Value, aid: ActionId) -> RsResult<()> {
+    fn prepared_data(&mut self, uid: Uid, value: HeapValue<'_>, aid: ActionId) -> RsResult<()> {
         let addr = self.version(uid, ObjKind::Atomic, value)?;
         self.intent.pd.push((uid, addr, aid));
         Ok(())
@@ -222,6 +233,7 @@ impl<P: StoreProvider> ShadowRs<P> {
                 heap,
                 &mut self.access,
                 &self.pat,
+                &mut self.scratch,
                 &mut sink,
             )?;
         }
@@ -354,10 +366,10 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
 
         // Phase 1: scan backward to the newest map, collecting what came
         // after it.
-        let mut resolved: HashMap<ActionId, bool> = HashMap::new();
+        let mut resolved: IntMap<ActionId, bool> = IntMap::default();
         let mut post_intents: Vec<IntentBody> = Vec::new();
         let mut post_committing: Vec<(ActionId, Vec<GuardianId>)> = Vec::new();
-        let mut done: HashSet<ActionId> = HashSet::new();
+        let mut done: IntSet<ActionId> = IntSet::default();
         let mut map_entries: Vec<(Uid, ObjKind, LogAddress)> = Vec::new();
         let mut map_intents: Vec<IntentBody> = Vec::new();
         let mut map_coords: Vec<(ActionId, Vec<GuardianId>)> = Vec::new();
@@ -390,7 +402,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
 
         // Effective in-doubt intents: newest first, minus resolved ones.
         let mut in_doubt: Vec<IntentBody> = Vec::new();
-        let mut seen: HashSet<ActionId> = HashSet::new();
+        let mut seen: IntSet<ActionId> = IntSet::default();
         for intent in post_intents.into_iter().chain(map_intents) {
             if !resolved.contains_key(&intent.aid) && seen.insert(intent.aid) {
                 in_doubt.push(intent);
@@ -435,7 +447,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
                 },
             );
         }
-        let doubt_set: HashSet<ActionId> = in_doubt.iter().map(|i| i.aid).collect();
+        let doubt_set: IntSet<ActionId> = in_doubt.iter().map(|i| i.aid).collect();
         for intent in &in_doubt {
             pt.enter(intent.aid, PState::Prepared);
             for (uid, addr) in &intent.base {
@@ -577,7 +589,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             new_map.insert(uid, (kind, na));
         }
         let intents_snapshot: Vec<IntentBody> = self.intents.values().cloned().collect();
-        let mut new_intents: HashMap<ActionId, IntentBody> = HashMap::new();
+        let mut new_intents: IntMap<ActionId, IntentBody> = IntMap::default();
         for old in intents_snapshot {
             let mut rewritten = IntentBody::new(old.aid);
             for (uid, kind, addr) in old.cur {

@@ -11,16 +11,17 @@
 //!   platform entropy: a seed fully determines a run.
 //! * [`CostModel`] / [`DeviceStats`] — the I/O cost accounting used to report
 //!   simulated device time for the write-path and recovery experiments.
-//! * [`IntHasher`] / [`IntMap`] — the one fixed hasher for tables keyed by
-//!   integers the program hands out itself (page numbers, uids, action ids),
-//!   here because this is the lowest crate every layer depends on.
+//! * [`IntHasher`] / [`IntMap`] / [`IntSet`] — the one fixed hasher for
+//!   tables keyed by integers the program hands out itself (page numbers,
+//!   uids, action ids), here because this is the lowest crate every layer
+//!   depends on; [`hash`] lists the tables that sit on it.
 
 mod clock;
 mod cost;
-mod hash;
+pub mod hash;
 mod rng;
 
 pub use clock::SimClock;
 pub use cost::{CostModel, DeviceStats, OpKind, StatsSnapshot};
-pub use hash::{IntHasher, IntMap};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use rng::{DetRng, Zipf};

@@ -3,7 +3,6 @@
 use crate::store::SeqTracker;
 use crate::{Page, PageNo, PageStore, StorageError, StorageResult, PAGE_SIZE};
 use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -64,12 +63,13 @@ impl FileObs {
 ///   too — the parent directory is fsynced after creating the file, so a
 ///   power cut right after the first force cannot lose the file's very
 ///   existence (the classic create-without-dir-fsync bug).
-/// * **Write combining.** Page writes are staged in memory and only hit the
-///   file when `sync` runs, coalesced into one `pwrite` per contiguous page
-///   run. The group-commit [`ForceScheduler`](argus_slog) above turns N
-///   staged commits into one force, and this layer turns that force into
-///   one data write + one fsync — the E18 wall-clock experiment measures
-///   exactly this multiplication.
+/// * **Write combining.** Page writes are staged in memory — straight into
+///   the buffer the `pwrite`s are issued from, in page order — and only hit
+///   the file when `sync` runs, one `pwrite` per contiguous page run. The
+///   group-commit [`ForceScheduler`](argus_slog) above turns N staged
+///   commits into one force, and this layer turns that force into one data
+///   write + one fsync — the E18 wall-clock experiment measures exactly
+///   this multiplication.
 /// * **Honest crash semantics.** Staged pages are volatile:
 ///   `invalidate_volatile` (run on every log open/reopen, i.e. simulated
 ///   power cut) drops them, so an unforced write is *gone* after a crash
@@ -92,11 +92,12 @@ pub struct DurableFileStore {
     /// Length of the file in bytes: read at open, advanced by every run
     /// `flush_staged` writes. Reads past it are zeros without a syscall.
     file_len: u64,
-    /// Pages written since the last sync, waiting to be combined into
-    /// contiguous `pwrite`s. Volatile by design.
-    staged: BTreeMap<PageNo, Page>,
-    /// Scratch buffer reused across syncs for coalesced runs.
-    scratch: Vec<u8>,
+    /// Numbers of the pages written since the last sync, ascending. Volatile
+    /// by design.
+    staged: Vec<PageNo>,
+    /// Their bytes, in the same order: a contiguous run of page numbers is
+    /// a contiguous run of bytes, ready to `pwrite`. Kept for its capacity.
+    staged_bytes: Vec<u8>,
     /// Scratch buffer reused across `read_run`s.
     run_buf: Vec<u8>,
     mode: DurabilityMode,
@@ -145,8 +146,8 @@ impl DurableFileStore {
             file,
             pages: file_len / PAGE_SIZE as u64,
             file_len,
-            staged: BTreeMap::new(),
-            scratch: Vec::new(),
+            staged: Vec::new(),
+            staged_bytes: Vec::new(),
             run_buf: Vec::new(),
             mode,
             stats: DeviceStats::new(),
@@ -157,41 +158,30 @@ impl DurableFileStore {
         })
     }
 
-    /// Drains the staged pages to the file, coalescing contiguous page runs
-    /// into single `pwrite`s.
-    fn flush_staged(&mut self) -> StorageResult<()> {
-        let staged = std::mem::take(&mut self.staged);
-        let mut run_start: Option<PageNo> = None;
-        let mut next: PageNo = 0;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (pno, page) in staged {
-            if run_start.is_none() || pno != next {
-                if let Some(start) = run_start {
-                    self.write_run(start, &mut scratch)?;
-                }
-                run_start = Some(pno);
-            }
-            scratch.extend_from_slice(page.as_slice());
-            next = pno + 1;
-        }
-        if let Some(start) = run_start {
-            self.write_run(start, &mut scratch)?;
-        }
-        self.scratch = scratch;
-        Ok(())
+    /// The bytes of page `pno` if it is staged.
+    fn staged_page(&self, pno: PageNo) -> Option<&[u8]> {
+        let at = self.staged.binary_search(&pno).ok()? * PAGE_SIZE;
+        Some(&self.staged_bytes[at..at + PAGE_SIZE])
     }
 
-    /// One `pwrite` of the contiguous pages in `buf` at page `start`.
-    fn write_run(&mut self, start: PageNo, buf: &mut Vec<u8>) -> StorageResult<()> {
-        let offset = start * PAGE_SIZE as u64;
-        self.file.write_all_at(buf, offset)?;
-        self.file_len = self.file_len.max(offset + buf.len() as u64);
-        self.obs.bytes_written.add(buf.len() as u64);
-        if self.mode == DurabilityMode::Dsync && cfg!(target_os = "linux") {
-            // Each O_DSYNC write is its own durability barrier.
-            self.obs.fsyncs.inc();
+    /// Drains the staged pages to the file, one `pwrite` per run of
+    /// contiguous page numbers.
+    fn flush_staged(&mut self) -> StorageResult<()> {
+        let mut at = 0;
+        for run in self.staged.chunk_by(|a, b| a + 1 == *b) {
+            let offset = run[0] * PAGE_SIZE as u64;
+            let bytes = &self.staged_bytes[at..at + run.len() * PAGE_SIZE];
+            self.file.write_all_at(bytes, offset)?;
+            self.file_len = self.file_len.max(offset + bytes.len() as u64);
+            self.obs.bytes_written.add(bytes.len() as u64);
+            if self.mode == DurabilityMode::Dsync && cfg!(target_os = "linux") {
+                // Each O_DSYNC write is its own durability barrier.
+                self.obs.fsyncs.inc();
+            }
+            at += bytes.len();
         }
-        buf.clear();
+        self.staged.clear();
+        self.staged_bytes.clear();
         Ok(())
     }
 
@@ -227,8 +217,8 @@ impl PageStore for DurableFileStore {
 
     fn read_page_into(&mut self, pno: PageNo, out: &mut [u8]) -> StorageResult<()> {
         self.charge_read(pno);
-        match self.staged.get(&pno) {
-            Some(page) => out.copy_from_slice(page.as_slice()),
+        match self.staged_page(pno) {
+            Some(page) => out.copy_from_slice(page),
             None => {
                 out.fill(0);
                 self.pread(pno * PAGE_SIZE as u64, out)?;
@@ -249,7 +239,7 @@ impl PageStore for DurableFileStore {
         let read = self.pread(start * PAGE_SIZE as u64, &mut buf);
         if read.is_ok() {
             for ((pno, bytes), page) in (start..).zip(buf.chunks_exact(PAGE_SIZE)).zip(out) {
-                let bytes = self.staged.get(&pno).map_or(bytes, Page::as_slice);
+                let bytes = self.staged_page(pno).unwrap_or(bytes);
                 page.as_mut_slice().copy_from_slice(bytes);
             }
         }
@@ -264,7 +254,18 @@ impl PageStore for DurableFileStore {
             OpKind::RandWrite
         };
         self.stats.charge(kind, &self.model, &self.clock);
-        self.staged.insert(pno, page.clone());
+        match self.staged.binary_search(&pno) {
+            Ok(at) => {
+                self.staged_bytes[at * PAGE_SIZE..][..PAGE_SIZE].copy_from_slice(page.as_slice())
+            }
+            Err(at) => {
+                // Appended, then moved down to its place — no move at all
+                // for the log's ascending writes.
+                self.staged.insert(at, pno);
+                self.staged_bytes.extend_from_slice(page.as_slice());
+                self.staged_bytes[at * PAGE_SIZE..].rotate_right(PAGE_SIZE);
+            }
+        }
         self.pages = self.pages.max(pno + 1);
         Ok(())
     }
@@ -303,6 +304,7 @@ impl PageStore for DurableFileStore {
         // fall back to the page count of the file alone, exactly what a real
         // power cut leaves behind.
         self.staged.clear();
+        self.staged_bytes.clear();
         self.pages = self.file_len / PAGE_SIZE as u64;
     }
 }
@@ -427,6 +429,90 @@ mod tests {
         for pno in [0u64, 1, 2, 3, 10, 11, 12, 13] {
             assert_eq!(s.read_page(pno).unwrap(), Page::from_bytes(&[pno as u8]));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_page_rewritten_before_sync_keeps_one_slot_and_its_last_bytes() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let path = temp_path("rewrite");
+        let _ = std::fs::remove_file(&path);
+        let mut s = open(&path);
+        s.write_page(4, &Page::from_bytes(b"first")).unwrap();
+        s.write_page(5, &Page::from_bytes(b"next")).unwrap();
+        s.write_page(4, &Page::from_bytes(b"second")).unwrap();
+        assert_eq!(s.read_page(4).unwrap(), Page::from_bytes(b"second"));
+        s.sync().unwrap();
+        assert_eq!(
+            reg.counter("stable.file.bytes_written").get(),
+            2 * PAGE_SIZE as u64
+        );
+        drop(s);
+        let mut s = open(&path);
+        assert_eq!(s.read_page(4).unwrap(), Page::from_bytes(b"second"));
+        assert_eq!(s.read_page(5).unwrap(), Page::from_bytes(b"next"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn pages_staged_in_any_order_flush_as_ascending_runs() {
+        // Under O_DSYNC every `pwrite` counts as a barrier, so the fsync
+        // counter counts the runs: 3..=5 and 9..=10, whatever the order the
+        // pages arrived in.
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let path = temp_path("runs");
+        let _ = std::fs::remove_file(&path);
+        let mode = DurabilityMode::Dsync;
+        let mut s =
+            DurableFileStore::open_with(&path, SimClock::new(), CostModel::fast(), mode).unwrap();
+        let runs_before = reg.counter("stable.file.fsyncs").get();
+        for pno in [10u64, 3, 9, 5, 4] {
+            s.write_page(pno, &Page::from_bytes(&[pno as u8])).unwrap();
+            assert_eq!(s.read_page(pno).unwrap(), Page::from_bytes(&[pno as u8]));
+        }
+        s.sync().unwrap();
+        if cfg!(target_os = "linux") {
+            assert_eq!(reg.counter("stable.file.fsyncs").get(), runs_before + 2);
+        }
+        assert_eq!(
+            reg.counter("stable.file.bytes_written").get(),
+            5 * PAGE_SIZE as u64
+        );
+        drop(s);
+        let mut s = open(&path);
+        for pno in 0..11u64 {
+            let want = match pno {
+                3..=5 | 9 | 10 => Page::from_bytes(&[pno as u8]),
+                _ => Page::zeroed(),
+            };
+            assert_eq!(s.read_page(pno).unwrap(), want, "page {pno}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_crash_forgets_the_staged_run() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let path = temp_path("forgets");
+        let _ = std::fs::remove_file(&path);
+        let mut s = open(&path);
+        s.write_page(0, &Page::from_bytes(b"lost")).unwrap();
+        s.write_page(1, &Page::from_bytes(b"lost too")).unwrap();
+        s.invalidate_volatile();
+        // What is staged next starts a run of its own: the forgotten pages
+        // are neither read back nor written with it.
+        s.write_page(1, &Page::from_bytes(b"kept")).unwrap();
+        assert_eq!(s.read_page(0).unwrap(), Page::zeroed());
+        s.sync().unwrap();
+        assert_eq!(
+            reg.counter("stable.file.bytes_written").get(),
+            PAGE_SIZE as u64
+        );
+        assert_eq!(s.read_page(0).unwrap(), Page::zeroed());
+        assert_eq!(s.read_page(1).unwrap(), Page::from_bytes(b"kept"));
         let _ = std::fs::remove_file(&path);
     }
 

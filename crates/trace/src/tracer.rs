@@ -17,10 +17,18 @@
 //!
 //! ## One lock per event
 //!
-//! The clock an event is stamped against, the span and flow id generators
-//! and the buffer sit behind one lock, so every recording call takes
-//! exactly one. The detail level is an atomic beside it: the page cache
-//! asks whether device detail is on at every page read and write.
+//! The clock an event is stamped against and the buffer sit behind one
+//! lock, so every recording call takes exactly one. The detail level is an
+//! atomic beside it: the page cache asks whether device detail is on at
+//! every page read and write.
+//!
+//! A full buffer takes none: once [`EVENT_CAP`] events are held, a record
+//! is a load of the `full` flag and an add to the drop count — no lock, no
+//! clock reading, no event built to be thrown away. The span and flow id
+//! generators are atomics for that reason: an id is still drawn past the
+//! cap, so a span opened there closes with its own id. (A world records
+//! from one thread; threads sharing a tracer get distinct ids, in no
+//! promised order.)
 //!
 //! ## Determinism
 //!
@@ -33,7 +41,7 @@
 use crate::event::{args, Gid, Key, Ph, TraceEvent};
 use argus_sim::SimClock;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 /// Hard cap on buffered events. When a run exceeds it, recording stops and
@@ -55,43 +63,28 @@ pub enum Detail {
 
 #[derive(Debug)]
 struct Inner {
-    /// Everything an event needs — the clock it is stamped against, the id
-    /// generators, the buffer — behind one lock, so recording takes one.
+    /// The clock an event is stamped against and the buffer, behind one
+    /// lock, so recording takes one.
     state: Mutex<State>,
     /// Whether the detail level is [`Detail::Device`]. The page cache asks
     /// on every page read and write, so the answer is one relaxed load; it
     /// guards no other data (a stale answer records or skips one device
     /// span).
     device_detail: AtomicBool,
+    /// Whether the buffer holds [`EVENT_CAP`] events. Set and cleared under
+    /// the lock; read outside it, where a stale "not full" only sends one
+    /// more record the slow way.
+    full: AtomicBool,
+    /// Statistics and id generators, none of which publishes other data.
+    dropped: AtomicU64,
+    next_span: AtomicU64,
+    next_flow: AtomicU64,
 }
 
 #[derive(Debug)]
 struct State {
     clock: SimClock,
     events: Vec<TraceEvent>,
-    dropped: u64,
-    next_span: u64,
-    next_flow: u64,
-}
-
-impl State {
-    fn new() -> Self {
-        Self {
-            clock: SimClock::new(),
-            events: Vec::new(),
-            dropped: 0,
-            next_span: 0,
-            next_flow: 0,
-        }
-    }
-
-    fn push(&mut self, event: TraceEvent) {
-        if self.events.len() >= EVENT_CAP {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(event);
-    }
 }
 
 /// A handle to one trace buffer. Cloning shares the buffer.
@@ -111,8 +104,15 @@ impl Tracer {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                state: Mutex::new(State::new()),
+                state: Mutex::new(State {
+                    clock: SimClock::new(),
+                    events: Vec::new(),
+                }),
                 device_detail: AtomicBool::new(false),
+                full: AtomicBool::new(false),
+                dropped: AtomicU64::new(0),
+                next_span: AtomicU64::new(0),
+                next_flow: AtomicU64::new(0),
             }),
         }
     }
@@ -139,13 +139,13 @@ impl Tracer {
     pub fn set_detail(&self, detail: Detail) {
         self.inner
             .device_detail
-            .store(detail == Detail::Device, Ordering::Relaxed);
+            .store(detail == Detail::Device, Relaxed);
     }
 
     /// Whether device-level events are being recorded.
     #[inline]
     pub fn device_detail(&self) -> bool {
-        self.inner.device_detail.load(Ordering::Relaxed)
+        self.inner.device_detail.load(Relaxed)
     }
 
     /// Clears the buffer and restarts the span/flow id generations. The
@@ -153,9 +153,10 @@ impl Tracer {
     pub fn reset(&self) {
         let mut st = self.inner.state.lock().unwrap();
         st.events.clear();
-        st.dropped = 0;
-        st.next_span = 0;
-        st.next_flow = 0;
+        self.inner.full.store(false, Relaxed);
+        self.inner.dropped.store(0, Relaxed);
+        self.inner.next_span.store(0, Relaxed);
+        self.inner.next_flow.store(0, Relaxed);
     }
 
     /// Snapshot of every buffered event, in recording order.
@@ -175,12 +176,12 @@ impl Tracer {
 
     /// Events lost to the [`EVENT_CAP`].
     pub fn dropped(&self) -> u64 {
-        self.inner.state.lock().unwrap().dropped
+        self.inner.dropped.load(Relaxed)
     }
 
-    /// Stamps and appends one event, all under the one state lock. `ph`
-    /// gets the state (to draw a span or flow id) and the clock reading,
-    /// and returns the event's timestamp and phase.
+    /// Stamps and appends one event, all under the one state lock — or
+    /// counts it dropped, without the lock, when the buffer is full. `ph`
+    /// gets the clock reading and returns the event's timestamp and phase.
     #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
@@ -189,12 +190,22 @@ impl Tracer {
         gid: Gid,
         key: Option<Key>,
         a: &[(&'static str, u64)],
-        ph: impl FnOnce(&mut State, u64) -> (u64, Ph),
+        ph: impl FnOnce(u64) -> (u64, Ph),
     ) {
+        if self.inner.full.load(Relaxed) {
+            self.inner.dropped.fetch_add(1, Relaxed);
+            return;
+        }
         let mut st = self.inner.state.lock().unwrap();
-        let now = st.clock.now();
-        let (ts, ph) = ph(&mut st, now);
-        st.push(TraceEvent {
+        if st.events.len() >= EVENT_CAP {
+            self.inner.dropped.fetch_add(1, Relaxed);
+            return;
+        }
+        let (ts, ph) = ph(st.clock.now());
+        if st.events.len() + 1 == EVENT_CAP {
+            self.inner.full.store(true, Relaxed);
+        }
+        st.events.push(TraceEvent {
             cat,
             name,
             ph,
@@ -214,7 +225,7 @@ impl Tracer {
         key: Option<Key>,
         a: &[(&'static str, u64)],
     ) {
-        self.record(cat, name, gid, key, a, |_, now| (now, Ph::Instant));
+        self.record(cat, name, gid, key, a, |now| (now, Ph::Instant));
     }
 
     /// Records a complete span that started at `start_ts` and ends now.
@@ -230,7 +241,7 @@ impl Tracer {
         start_ts: u64,
         a: &[(&'static str, u64)],
     ) {
-        self.record(cat, name, gid, key, a, |_, now| {
+        self.record(cat, name, gid, key, a, |now| {
             let dur = now.saturating_sub(start_ts);
             (start_ts, Ph::Complete { dur })
         });
@@ -246,12 +257,8 @@ impl Tracer {
         gid: Gid,
         key: Option<Key>,
     ) -> SpanGuard {
-        let mut span = 0;
-        self.record(cat, name, gid, key, &[], |st, now| {
-            span = st.next_span;
-            st.next_span += 1;
-            (now, Ph::Begin { span })
-        });
+        let span = self.inner.next_span.fetch_add(1, Relaxed);
+        self.record(cat, name, gid, key, &[], |now| (now, Ph::Begin { span }));
         SpanGuard {
             tracer: self.clone(),
             cat,
@@ -270,10 +277,8 @@ impl Tracer {
         gid: Gid,
         key: Option<Key>,
     ) -> u64 {
-        let mut flow = 0;
-        self.record(cat, name, gid, key, &[], |st, now| {
-            flow = st.next_flow;
-            st.next_flow += 1;
+        let flow = self.inner.next_flow.fetch_add(1, Relaxed);
+        self.record(cat, name, gid, key, &[], |now| {
             (now, Ph::FlowStart { flow })
         });
         flow
@@ -288,9 +293,7 @@ impl Tracer {
         key: Option<Key>,
         flow: u64,
     ) {
-        self.record(cat, name, gid, key, &[], |_, now| {
-            (now, Ph::FlowEnd { flow })
-        });
+        self.record(cat, name, gid, key, &[], |now| (now, Ph::FlowEnd { flow }));
     }
 }
 
@@ -309,7 +312,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let span = self.span;
         self.tracer
-            .record(self.cat, self.name, self.gid, self.key, &[], |_, now| {
+            .record(self.cat, self.name, self.gid, self.key, &[], |now| {
                 (now, Ph::End { span })
             });
     }
@@ -425,6 +428,35 @@ mod tests {
         }
         assert_eq!(t.len(), EVENT_CAP);
         assert_eq!(t.dropped(), 5);
+    }
+
+    #[test]
+    fn at_the_cap_ids_keep_counting_and_every_drop_is_counted() {
+        let t = Tracer::new();
+        // One short of full: the flow start below is the last event kept.
+        for _ in 0..EVENT_CAP - 1 {
+            t.instant("test", "e", 0, None, &[]);
+        }
+        let first = t.flow_start("net", "Prepare", 0, None);
+        {
+            let outer = t.begin("recovery", "restart", 0, None);
+            let inner = t.begin("recovery", "pass", 0, None);
+            // Opened past the cap, and still told apart.
+            assert_eq!((outer.span, inner.span), (0, 1));
+        }
+        assert_eq!(t.flow_start("net", "Prepare", 0, None), first + 1);
+        t.flow_end("net", "Prepare", 1, None, first);
+        t.complete("force", "force", 0, None, 0, &[]);
+        assert_eq!(t.len(), EVENT_CAP);
+        // Two begins, two ends, a flow start, a flow end, a complete.
+        assert_eq!(t.dropped(), 7);
+        assert_eq!(t.events()[EVENT_CAP - 1].ph, Ph::FlowStart { flow: first });
+
+        // A reset empties the buffer and records again, ids from zero.
+        t.reset();
+        assert_eq!((t.len(), t.dropped()), (0, 0));
+        assert_eq!(t.flow_start("net", "Prepare", 0, None), 0);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

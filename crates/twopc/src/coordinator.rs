@@ -4,7 +4,6 @@ use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
 use argus_obs::Event;
-use std::collections::BTreeSet;
 
 /// Where the coordinator stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +71,8 @@ pub struct Coordinator {
     /// neither writes to it nor waits for it.
     pub participants: Vec<GuardianId>,
     phase: CoordPhase,
-    /// Remote participants whose reply is outstanding.
-    waiting: BTreeSet<GuardianId>,
+    /// Remote participants whose reply is outstanding, sorted.
+    waiting: Vec<GuardianId>,
     /// The commit point has been asked for (and may not be forced yet): a
     /// duplicated last vote must not ask again, and a query cannot be
     /// answered "aborted" any more.
@@ -98,7 +97,7 @@ impl Coordinator {
             aid,
             participants: Self::normalize(participants),
             phase,
-            waiting: BTreeSet::new(),
+            waiting: Vec::new(),
             point_requested: phase != CoordPhase::Preparing,
         };
         coord.waiting = coord.remotes().collect();
@@ -124,7 +123,8 @@ impl Coordinator {
     ) -> (Self, Vec<CoordEffect>) {
         obs::with(|o| o.coord_resumed.inc());
         let coord = Self::in_phase(aid, participants, CoordPhase::Committing);
-        let effects = coord.tell_remotes(Msg::Commit { aid });
+        let mut effects = Vec::new();
+        coord.tell_remotes(Msg::Commit { aid }, &mut effects);
         (coord, effects)
     }
 
@@ -137,7 +137,7 @@ impl Coordinator {
     /// phase (votes while preparing, acks while committing or aborting).
     /// Never the coordinator's own guardian.
     pub fn awaiting(&self) -> Vec<GuardianId> {
-        self.waiting.iter().copied().collect()
+        self.waiting.clone()
     }
 
     /// Whether the coordinator's own guardian is a participant. It then is
@@ -166,73 +166,81 @@ impl Coordinator {
             .filter(move |g| *g != home)
     }
 
-    fn tell_remotes(&self, msg: Msg) -> Vec<CoordEffect> {
-        self.remotes()
-            .map(|to| CoordEffect::Send {
-                to,
-                msg: msg.clone(),
-            })
-            .collect()
+    fn tell_remotes(&self, msg: Msg, out: &mut Vec<CoordEffect>) {
+        out.extend(self.remotes().map(|to| CoordEffect::Send {
+            to,
+            msg: msg.clone(),
+        }));
     }
 
     /// Starts the commit: prepare messages to every remote participant. A
     /// local action has none and asks for its commit point at once
     /// ([`CoordEffect::ForceCommitting`]).
     pub fn start(&self) -> Vec<CoordEffect> {
+        let mut out = Vec::new();
+        self.start_into(&mut out);
+        out
+    }
+
+    /// [`Coordinator::start`], appending to a list the caller keeps: a
+    /// guardian that reuses one runs a local commit without allocating for
+    /// its effects. Each transition has this form.
+    pub fn start_into(&self, out: &mut Vec<CoordEffect>) {
         if self.is_local() {
-            return vec![CoordEffect::ForceCommitting];
+            return out.push(CoordEffect::ForceCommitting);
         }
         let n = self.participants.len() as u64;
         obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
         trace_instant("prepare_sent", self.aid, &[("participants", n)]);
-        self.tell_remotes(Msg::Prepare { aid: self.aid })
+        self.tell_remotes(Msg::Prepare { aid: self.aid }, out)
     }
 
     /// Feeds an incoming protocol message from `from`.
     pub fn on_msg(&mut self, from: GuardianId, msg: &Msg) -> Vec<CoordEffect> {
+        let mut out = Vec::new();
+        self.on_msg_into(from, msg, &mut out);
+        out
+    }
+
+    /// [`Coordinator::on_msg`], appending to `out`.
+    pub fn on_msg_into(&mut self, from: GuardianId, msg: &Msg, out: &mut Vec<CoordEffect>) {
         match (msg, self.phase) {
             (Msg::PrepareOk { .. }, CoordPhase::Preparing) => {
-                self.waiting.remove(&from);
+                self.waiting.retain(|g| *g != from);
                 // Asked for once: a duplicate of the last vote can arrive
                 // while the commit point is staged and not yet forced.
                 if self.waiting.is_empty() && !self.point_requested {
                     self.point_requested = true;
-                    vec![CoordEffect::ForceCommitting]
-                } else {
-                    Vec::new()
+                    out.push(CoordEffect::ForceCommitting);
                 }
             }
-            (Msg::PrepareRefused { .. }, CoordPhase::Preparing) => self.abort_unilaterally(),
+            (Msg::PrepareRefused { .. }, CoordPhase::Preparing) => {
+                self.abort_unilaterally_into(out)
+            }
             // A refusal after we already started aborting: ignore (it will
             // be told to abort anyway).
-            (Msg::PrepareRefused { .. }, CoordPhase::Aborting) => Vec::new(),
+            (Msg::PrepareRefused { .. }, CoordPhase::Aborting) => {}
             (Msg::CommitAck { .. }, CoordPhase::Committing) => {
-                self.waiting.remove(&from);
+                self.waiting.retain(|g| *g != from);
                 if self.waiting.is_empty() {
                     obs::with(|o| o.coord_done.inc());
                     self.phase = CoordPhase::Done;
-                    vec![
-                        CoordEffect::ForceDone,
-                        CoordEffect::Finished { committed: true },
-                    ]
-                } else {
-                    Vec::new()
+                    out.push(CoordEffect::ForceDone);
+                    out.push(CoordEffect::Finished { committed: true });
                 }
             }
             (Msg::AbortAck { .. }, CoordPhase::Aborting) => {
-                self.waiting.remove(&from);
+                self.waiting.retain(|g| *g != from);
                 if self.waiting.is_empty() {
                     self.phase = CoordPhase::Aborted;
-                    vec![CoordEffect::Finished { committed: false }]
-                } else {
-                    Vec::new()
+                    out.push(CoordEffect::Finished { committed: false });
                 }
             }
             // A query while the commit point is on its way to the device:
             // every vote is in and "aborted" can no longer be promised, but
             // "committed" is not true yet. Say nothing — the asker is told
             // to commit as soon as the force completes.
-            (Msg::QueryOutcome { .. }, CoordPhase::Preparing) if self.point_requested => Vec::new(),
+            (Msg::QueryOutcome { .. }, CoordPhase::Preparing) if self.point_requested => {}
             // An in-doubt participant asking for the verdict while the vote
             // is still being collected: it crashed after preparing, so any
             // vote of its that is still in flight is stale. The presumed-
@@ -241,29 +249,28 @@ impl Coordinator {
             // later counting the stale vote toward a commit would let one
             // participant abort while the others commit.
             (Msg::QueryOutcome { .. }, CoordPhase::Preparing) => {
-                let mut effects = self.abort_unilaterally();
-                effects.push(CoordEffect::Send {
+                self.abort_unilaterally_into(out);
+                out.push(CoordEffect::Send {
                     to: from,
                     msg: Msg::Outcome {
                         aid: self.aid,
                         committed: false,
                     },
                 });
-                effects
             }
             // An in-doubt participant asking for the verdict.
             (Msg::QueryOutcome { .. }, phase) => {
                 let committed = matches!(phase, CoordPhase::Committing | CoordPhase::Done);
-                vec![CoordEffect::Send {
+                out.push(CoordEffect::Send {
                     to: from,
                     msg: Msg::Outcome {
                         aid: self.aid,
                         committed,
                     },
-                }]
+                });
             }
             // Anything else is a stale duplicate.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -271,13 +278,20 @@ impl Coordinator {
     /// Phase two begins with the remote participants — or, for a local
     /// action, there is none and the protocol is over.
     pub fn committing_forced(&mut self) -> Vec<CoordEffect> {
+        let mut out = Vec::new();
+        self.committing_forced_into(&mut out);
+        out
+    }
+
+    /// [`Coordinator::committing_forced`], appending to `out`.
+    pub fn committing_forced_into(&mut self, out: &mut Vec<CoordEffect>) {
         if self.is_local() {
             obs::with(|o| {
                 o.coord_committed.inc();
                 o.coord_done.inc();
             });
             self.phase = CoordPhase::Done;
-            return vec![CoordEffect::Finished { committed: true }];
+            return out.push(CoordEffect::Finished { committed: true });
         }
         obs::with(|o| {
             o.coord_committed.inc();
@@ -289,7 +303,7 @@ impl Coordinator {
         trace_instant("outcome_sent", self.aid, &[("committed", 1)]);
         self.phase = CoordPhase::Committing;
         self.waiting = self.remotes().collect();
-        self.tell_remotes(Msg::Commit { aid: self.aid })
+        self.tell_remotes(Msg::Commit { aid: self.aid }, out)
     }
 
     /// Nothing waits on the `done` record any more: the coordinator finishes
@@ -305,9 +319,16 @@ impl Coordinator {
     /// prepared: it drops the action's versions when this is decided, writes
     /// no `aborted` record, and only the remote participants are told.
     pub fn abort_unilaterally(&mut self) -> Vec<CoordEffect> {
+        let mut out = Vec::new();
+        self.abort_unilaterally_into(&mut out);
+        out
+    }
+
+    /// [`Coordinator::abort_unilaterally`], appending to `out`.
+    pub fn abort_unilaterally_into(&mut self, out: &mut Vec<CoordEffect>) {
         if matches!(self.phase, CoordPhase::Committing | CoordPhase::Done) {
             // Past the commit point: aborting is no longer possible.
-            return Vec::new();
+            return;
         }
         obs::with(|o| {
             o.coord_aborted.inc();
@@ -320,11 +341,11 @@ impl Coordinator {
         if self.is_local() {
             // Nobody to tell.
             self.phase = CoordPhase::Aborted;
-            return vec![CoordEffect::Finished { committed: false }];
+            return out.push(CoordEffect::Finished { committed: false });
         }
         self.phase = CoordPhase::Aborting;
         self.waiting = self.remotes().collect();
-        self.tell_remotes(Msg::Abort { aid: self.aid })
+        self.tell_remotes(Msg::Abort { aid: self.aid }, out)
     }
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Static gates: clippy with warnings denied, rustfmt drift, and the one
-# architectural rule a grep can hold. Offline — both tools ship with the
+# Static gates: clippy with warnings denied, rustfmt drift, and the two
+# architectural rules a grep can hold. Offline — both tools ship with the
 # pinned toolchain. Called from scripts/verify.sh;
 # run directly for a faster loop while fixing findings.
 
@@ -20,6 +20,21 @@ run cargo fmt --check
 if grep -nE 'Coordinator::|Participant::|CoordEffect|PartEffect|StagedOp' \
     crates/guardian/src/world.rs; then
     echo "lint: world.rs reaches into the protocol — that belongs in Guardian::step" >&2
+    exit 1
+fi
+
+# Tables on the commit and recovery paths are keyed by integers the program
+# hands out itself and hash them as integers (`argus_sim::hash`). Crates that
+# keep the default hasher on purpose — string keys, explorer states — are
+# not listed. Test code (from a file's first `#[cfg(test)]` on, and
+# `src/tests.rs`) is exempt, as in scripts/loc.sh.
+if awk '
+    FNR == 1 { t = (FILENAME ~ /\/tests\.rs$/) }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    !t && /HashMap::new\(\)|HashSet::new\(\)|RandomState/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    END { exit !hit }
+' crates/{guardian,core,objects,shadow,stable,slog,cc}/src/*.rs; then
+    echo "lint: default-hasher table in a hot crate — use argus_sim::{IntMap, IntSet}" >&2
     exit 1
 fi
 

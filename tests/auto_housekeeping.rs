@@ -3,7 +3,7 @@
 //! at a guardian, it calls the housekeeping operation" (§2.3).
 
 use argus::core::HousekeepingMode;
-use argus::guardian::{RsKind, World};
+use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::Value;
 
 #[test]
@@ -73,4 +73,54 @@ fn policy_is_per_guardian() {
         world.guardian(unmanaged).unwrap().stable_value("v"),
         Some(Value::Int(79))
     );
+}
+
+/// Commits launched together and settled one by one — the overlapped shape
+/// `Banking::run_overlapped` and the benchmark drive — are held to the
+/// policy and counted like `commit`'s, which is the same two calls. Before,
+/// `commit_start` + `commit_settle` skipped both, and a guardian driven
+/// that way never compacted.
+#[test]
+fn overlapped_commits_keep_the_log_bounded_and_are_counted() {
+    let reg = argus::obs::Registry::new();
+    let _scope = reg.enter();
+    let mut world = World::fast();
+    let managed = world.add_guardian(RsKind::Simple).unwrap();
+    let unmanaged = world.add_guardian(RsKind::Simple).unwrap();
+    world
+        .set_housekeeping_policy(managed, 60, HousekeepingMode::Compaction)
+        .unwrap();
+    let slots: Vec<_> = [managed, unmanaged]
+        .into_iter()
+        .flat_map(|g| (0..4).map(move |i| (g, i)))
+        .map(|(g, i)| (g, world.create_mutex(g, Value::Int(i)).unwrap()))
+        .collect();
+
+    let mut max_entries = 0;
+    for round in 0..50i64 {
+        let launched: Vec<_> = slots
+            .iter()
+            .map(|&(g, h)| {
+                let a = world.begin(g).unwrap();
+                world
+                    .mutate_mutex(g, a, h, |v| *v = Value::Int(round))
+                    .unwrap();
+                world.commit_start(a).unwrap();
+                a
+            })
+            .collect();
+        for a in launched {
+            assert_eq!(world.commit_settle(a).unwrap(), Outcome::Committed);
+        }
+        max_entries = max_entries.max(world.guardian(managed).unwrap().log_stats().entries);
+    }
+    assert!(
+        max_entries < 90,
+        "the managed log reached {max_entries} entries under overlapped commits"
+    );
+    let unmanaged_entries = world.guardian(unmanaged).unwrap().log_stats().entries;
+    assert!(unmanaged_entries > 300, "{unmanaged_entries}");
+    assert_eq!(reg.counter("world.commits").get(), 400);
+    assert_eq!(reg.histogram("twopc.commit_round_us").snapshot().count, 400);
+    assert!(reg.counter("core.hk.passes").get() >= 3);
 }

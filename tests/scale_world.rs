@@ -60,6 +60,78 @@ fn sixty_four_shard_mix_quiesces_clean_under_full_lint() {
     common::lint_world(&mut world);
 }
 
+/// The same 16-shard blocking mix — deadlock victims, retries, cross-shard
+/// two-phase commit — under two hasher salts (debug builds: two iteration
+/// orders of every integer-keyed table) leaves the same Chrome trace,
+/// journal and logs, byte for byte.
+#[test]
+fn sharded_mix_does_not_depend_on_table_order() {
+    let run = |salt: u64| {
+        argus::sim::hash::with_salt(salt, || {
+            let reg = Registry::new();
+            let tracer = argus::trace::Tracer::new();
+            let (_r, _t) = (reg.enter(), tracer.enter());
+            let cc = WorldConfig::with_cc(CcPolicy::Blocking);
+            let mut world = World::with_config(CostModel::fast(), cc);
+            let cfg = ShardedConfig {
+                shards: 16,
+                users: 64,
+                concurrency: 16,
+                actions: 192,
+                ..Default::default()
+            };
+            let mix = Sharded::setup(&mut world, RsKind::Redo, cfg).unwrap();
+            let stats = mix.run(&mut world, &mut DetRng::new(16)).unwrap();
+            assert!(stats.cross_shard > 0 && stats.retries > 0, "{stats:?}");
+            world.run_until_quiet().unwrap();
+
+            // Then what makes a table's order visible: several actions in
+            // doubt at one guardian at once. Four coordinators stop taking
+            // mail after sending their prepares; shard 0 votes in all four,
+            // crashes, and recovers four in-doubt participants, which query
+            // — at recovery, and again in the re-query sweep — in an order
+            // that must not be the table's.
+            let gids = world.guardian_ids();
+            let (hub, origins) = (gids[0], &gids[1..5]);
+            let mut launched = Vec::new();
+            for &origin in origins {
+                world.pause_guardian(origin);
+                let aid = world.begin(origin).unwrap();
+                world
+                    .set_stable(origin, aid, "salted", Value::Int(1))
+                    .unwrap();
+                world.create_atomic(hub, aid, Value::Int(1)).unwrap();
+                world.commit_start(aid).unwrap();
+                launched.push(aid);
+            }
+            world.run_until_quiet().unwrap();
+            world.crash(hub);
+            let recovered = world.restart(hub).unwrap();
+            assert_eq!(recovered.pt.prepared_actions().len(), origins.len());
+            for &origin in origins {
+                world.resume_guardian(origin);
+            }
+            for aid in launched {
+                assert_eq!(world.commit_settle(aid).unwrap(), Outcome::Committed);
+            }
+            let logs: Vec<_> = world
+                .guardian_ids()
+                .into_iter()
+                .map(|g| world.dump_log(g).unwrap())
+                .collect();
+            (
+                logs,
+                argus::trace::to_chrome_json(&tracer.events()),
+                format!("{:?}", reg.journal().snapshot()),
+            )
+        })
+    };
+    let (a, b) = (run(0), run(0xD1B5_4A32_D192_ED03));
+    assert_eq!(a.0, b.0, "final logs diverged");
+    assert!(a.1 == b.1, "Chrome trace diverged");
+    assert!(a.2 == b.2, "journal diverged");
+}
+
 /// Runs the same 8-shard mix in a world padded with `idle` extra guardians
 /// that never see an action, and reports the world scheduler's poll count.
 fn sched_polls_with_idle_guardians(idle: usize) -> u64 {

@@ -1,7 +1,8 @@
 //! The VOPR smoke batch: seeded randomized fault composition over every
 //! recovery organization must come back clean, the batch must actually
 //! compose every fault kind (proved by the per-kind tallies and the
-//! `vopr.fault.*` counters), and a seed must replay byte for byte.
+//! `vopr.fault.*` counters), and a seed must replay byte for byte — also
+//! when every integer-keyed table iterates in another order.
 
 use argus::check::{vopr, FaultTally, VoprConfig};
 use argus::guardian::RsKind;
@@ -101,6 +102,46 @@ fn same_seed_replays_byte_for_byte() {
             let b = vopr(&cfg);
             assert_eq!(a.line(), b.line(), "{kind:?} diverged");
             assert_eq!(a.violations, b.violations, "{kind:?} violations diverged");
+        }
+    }
+}
+
+/// Nothing may depend on table order: the action tables hash integers with
+/// a fixed hasher, which would freeze an order dependence that SipHash's
+/// per-process key used to expose (the re-query sweep above). Debug builds
+/// salt the hasher per thread, so the same seed under two salts walks every
+/// `IntMap`/`IntSet` in two orders — and must leave the same summary, Chrome
+/// trace, journal and logs. (In a release build the salt is compiled out and
+/// the two runs are plain replays. The VOPR drives one action at a time, so
+/// it never holds two in doubt at one guardian — the case where a table's
+/// order would show in the mail; `tests/scale_world.rs` builds that one.)
+#[test]
+fn same_seed_replays_byte_for_byte_under_another_table_order() {
+    let run = |kind: RsKind, seed: u64, salt: u64| {
+        argus::sim::hash::with_salt(salt, || {
+            let reg = argus::obs::Registry::new();
+            let tracer = argus::trace::Tracer::new();
+            let (_r, _t) = (reg.enter(), tracer.enter());
+            let mut cfg = VoprConfig::new(seed, 48);
+            cfg.kind = kind;
+            let summary = vopr(&cfg);
+            (
+                summary.line(),
+                summary.violations,
+                summary.final_logs,
+                argus::trace::to_chrome_json(&tracer.events()),
+                format!("{:?}", reg.journal().snapshot()),
+            )
+        })
+    };
+    for kind in RsKind::ALL {
+        for seed in [47, 90] {
+            let (a, b) = (run(kind, seed, 0), run(kind, seed, 0x9E37_79B9_7F4A_7C15));
+            assert_eq!(a.0, b.0, "{kind:?} seed {seed}: summary");
+            assert_eq!(a.1, b.1, "{kind:?} seed {seed}: violations");
+            assert_eq!(a.2, b.2, "{kind:?} seed {seed}: final logs");
+            assert!(a.3 == b.3, "{kind:?} seed {seed}: Chrome trace diverged");
+            assert!(a.4 == b.4, "{kind:?} seed {seed}: journal diverged");
         }
     }
 }
