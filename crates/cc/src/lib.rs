@@ -3,27 +3,32 @@
 //! The thesis assumes Argus's two-phase read/write locks on atomic objects
 //! (§2.4) but leaves open what happens when two actions collide. This crate
 //! supplies the missing subsystem: per-object FIFO wait queues with
-//! shared/exclusive modes and upgrade handling ([`LockManager`]), a
-//! wait-for graph with deterministic cycle detection ([`WaitForGraph`]),
-//! and three collision disciplines ([`CcPolicy`]) — optimistic
-//! conflict-abort, blocking with deadlock detection (victim = youngest
-//! action), and a simulated-clock lock-wait timeout — plus a seeded
-//! exponential-backoff retry schedule ([`BackoffConfig`]).
+//! shared/exclusive modes and upgrade handling, indexed by the actions that
+//! parked them ([`LockManager`]), a deterministic deadlock search that
+//! starts at the newest parker and derives wait-for edges only for the
+//! actions it visits ([`DeadlockSearch`]), and three collision disciplines
+//! ([`CcPolicy`]) — optimistic conflict-abort, blocking with deadlock
+//! detection (victim = youngest action), and a simulated-clock lock-wait
+//! timeout — plus a seeded exponential-backoff retry schedule
+//! ([`BackoffConfig`]).
 //!
 //! The manager is deliberately heap-free: it owns only queues and
 //! continuations. Granting is a two-phase conversation with the owner of
-//! the heaps (the guardian `World`): snapshot [`LockManager::fronts`], try
-//! the real heap acquisition for each, pop winners with
-//! [`LockManager::take_front`]. All iteration orders are `BTreeMap`-stable,
-//! so a seed pins the complete schedule: grants, deadlocks, victims, and
-//! timeouts.
+//! the heaps (the guardian `World`): walk [`LockManager::fronts`], try the
+//! real heap acquisition for each, pop winners with
+//! [`LockManager::take_front`], and stamp a front that could not be granted
+//! ([`LockManager::note_refused`]) so it is tried again only once the
+//! owner's heap has released something. The search reads holders through a
+//! callback for the same reason. Queues iterate in [`ObjKey`] order and a
+//! search visits successors in action-id order, so a seed pins the
+//! complete schedule: grants, deadlocks, victims, and timeouts.
 
 mod graph;
 mod lock;
 mod policy;
 
-pub use graph::WaitForGraph;
-pub use lock::{LockHolders, LockManager, LockMode, ObjKey, Waiter};
+pub use graph::DeadlockSearch;
+pub use lock::{Front, LockManager, LockMode, ObjKey, Waiter};
 pub use policy::{BackoffConfig, CcConfig, CcPolicy};
 
 use argus_objects::ActionId;

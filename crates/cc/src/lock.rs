@@ -1,8 +1,11 @@
-//! Per-object FIFO wait queues for lock requests that could not be granted.
+//! Per-object FIFO wait queues for lock requests that could not be granted,
+//! indexed by the actions that parked them.
 
-use crate::WaitForGraph;
 use argus_objects::{ActionId, GuardianId, HeapId};
+use argus_sim::IntMap;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 /// The mode of a lock request on an atomic object (§2.4.1). A mutex seize
 /// (§2.4.2) queues as [`LockMode::Exclusive`].
@@ -38,16 +41,6 @@ pub struct ObjKey {
     pub hid: HeapId,
 }
 
-/// The lock holders of one object, snapshotted from a heap when the
-/// wait-for graph is built.
-#[derive(Debug, Clone, Default)]
-pub struct LockHolders {
-    /// The write-lock holder (or mutex possessor), if any.
-    pub writer: Option<ActionId>,
-    /// Read-lock holders, in action-id order.
-    pub readers: Vec<ActionId>,
-}
-
 /// A parked lock request: the action, what it wants, and the continuation
 /// the scheduler runs once the request is granted.
 #[derive(Debug)]
@@ -69,24 +62,67 @@ pub struct Waiter<C> {
     pub cont: C,
 }
 
-/// The lock manager: a FIFO wait queue per contended object.
+/// The front request of one queue, as the owner of the heaps sees it when
+/// deciding whether to try a grant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Front {
+    /// The queue's object.
+    pub key: ObjKey,
+    /// The action at the front.
+    pub aid: ActionId,
+    /// What it asks for.
+    pub mode: LockMode,
+    /// The owner's stamp when it last failed to grant this very request
+    /// ([`LockManager::note_refused`]); `None` since the front last changed.
+    pub refused_at: Option<u64>,
+}
+
+#[derive(Debug)]
+struct Queue<C> {
+    waiters: VecDeque<Waiter<C>>,
+    /// See [`Front::refused_at`].
+    refused_at: Option<u64>,
+}
+
+/// The lock manager: a FIFO wait queue per contended object, and per action
+/// the queues it has parked in.
 ///
 /// The manager itself never touches a heap — granting is a two-phase
 /// conversation with the owner of the heaps (the guardian `World`): the
-/// owner snapshots [`LockManager::fronts`], attempts the actual heap
+/// owner walks [`LockManager::fronts`], attempts the actual heap
 /// acquisition for each front, and pops granted waiters with
 /// [`LockManager::take_front`]. That split keeps this structure free of any
 /// borrow of guardian state and keeps grant order deterministic (queues
-/// iterate in [`ObjKey`] order, each queue in FIFO order).
+/// iterate in [`ObjKey`] order, each queue in FIFO order). A front the owner
+/// could not grant carries the owner's stamp from then on
+/// ([`LockManager::note_refused`]) until it changes, so the owner can skip
+/// it until its own state has moved.
 #[derive(Debug)]
 pub struct LockManager<C> {
-    queues: BTreeMap<ObjKey, VecDeque<Waiter<C>>>,
+    queues: BTreeMap<ObjKey, Queue<C>>,
+    /// Action → the queue of each request it has parked, one entry per
+    /// request: what [`LockManager::is_blocked`], [`LockManager::cancel`]
+    /// and the deadlock search read instead of every queue.
+    parked: IntMap<ActionId, Vec<ObjKey>>,
+    /// Parked requests that carry a deadline; while there are none, the
+    /// deadline queries answer without looking.
+    deadlines: usize,
+    /// Bumped by every park and every removal.
+    version: u64,
+    /// Emptied queues and index lists, reused by the next ones.
+    spare_queues: Vec<VecDeque<Waiter<C>>>,
+    spare_keys: Vec<Vec<ObjKey>>,
 }
 
 impl<C> Default for LockManager<C> {
     fn default() -> Self {
         Self {
             queues: BTreeMap::new(),
+            parked: IntMap::default(),
+            deadlines: 0,
+            version: 0,
+            spare_queues: Vec::new(),
+            spare_keys: Vec::new(),
         }
     }
 }
@@ -126,11 +162,22 @@ impl<C> LockManager<C> {
                 ],
             )
         });
-        let queue = self.queues.entry(key).or_default();
+        let spare = &mut self.spare_keys;
+        let keys = self.parked.entry(waiter.aid);
+        keys.or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(key);
+        self.deadlines += usize::from(waiter.deadline.is_some());
+        self.version += 1;
+        let spare = &mut self.spare_queues;
+        let queue = self.queues.entry(key).or_insert_with(|| Queue {
+            waiters: spare.pop().unwrap_or_default(),
+            refused_at: None,
+        });
         if upgrade {
-            queue.push_front(waiter);
+            queue.waiters.push_front(waiter);
+            queue.refused_at = None;
         } else {
-            queue.push_back(waiter);
+            queue.waiters.push_back(waiter);
         }
     }
 
@@ -141,7 +188,7 @@ impl<C> LockManager<C> {
 
     /// Total parked requests.
     pub fn waiter_count(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.parked.values().map(Vec::len).sum()
     }
 
     /// Whether `key` has a non-empty queue.
@@ -151,78 +198,126 @@ impl<C> LockManager<C> {
 
     /// Whether `aid` has at least one parked request.
     pub fn is_blocked(&self, aid: ActionId) -> bool {
-        self.queues.values().any(|q| q.iter().any(|w| w.aid == aid))
+        self.parked.contains_key(&aid)
     }
 
     /// Every action with a parked request, in id order.
     pub fn blocked_actions(&self) -> BTreeSet<ActionId> {
-        self.queues
-            .values()
-            .flat_map(|q| q.iter().map(|w| w.aid))
-            .collect()
+        self.parked.keys().copied().collect()
     }
 
-    /// The front of every queue, in key order — the candidates the owner of
-    /// the heaps should try to grant.
-    pub fn fronts(&self) -> Vec<(ObjKey, ActionId, LockMode)> {
-        self.queues
-            .iter()
-            .filter_map(|(k, q)| q.front().map(|w| (*k, w.aid, w.mode)))
-            .collect()
+    /// A number that changes whenever a request parks or leaves a queue:
+    /// while it reads the same, every queue is as it was.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The front of every queue after `after` (of every queue, for `None`),
+    /// in key order — the candidates the owner of the heaps should try to
+    /// grant.
+    pub fn fronts(&self, after: Option<ObjKey>) -> impl Iterator<Item = Front> + '_ {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let queues = self.queues.range((from, Bound::Unbounded));
+        queues.filter_map(|(&key, q)| {
+            q.waiters.front().map(|w| Front {
+                key,
+                aid: w.aid,
+                mode: w.mode,
+                refused_at: q.refused_at,
+            })
+        })
+    }
+
+    /// Records that the owner failed to grant `key`'s front while its own
+    /// state read `stamp`; [`Front::refused_at`] carries it until the front
+    /// changes.
+    pub fn note_refused(&mut self, key: ObjKey, stamp: u64) {
+        if let Some(queue) = self.queues.get_mut(&key) {
+            queue.refused_at = Some(stamp);
+        }
     }
 
     /// Pops the front waiter of `key`'s queue (after the owner successfully
     /// acquired the heap lock on its behalf).
     pub fn take_front(&mut self, key: ObjKey) -> Option<Waiter<C>> {
-        let queue = self.queues.get_mut(&key)?;
-        let waiter = queue.pop_front();
-        if queue.is_empty() {
-            self.queues.remove(&key);
-        }
-        waiter
+        self.remove(key, 0)
     }
 
     /// Removes every request parked by `aid` (abort, victim, timeout),
     /// returning them in key order.
     pub fn cancel(&mut self, aid: ActionId) -> Vec<(ObjKey, Waiter<C>)> {
-        self.remove_where(|_, w| w.aid == aid)
-    }
-
-    /// Removes every request parked on an object at guardian `gid` (the
-    /// guardian crashed; its heap — and the locks in it — are gone).
-    pub fn drain_guardian(&mut self, gid: GuardianId) -> Vec<(ObjKey, Waiter<C>)> {
-        self.remove_where(|key, _| key.gid == gid)
-    }
-
-    fn remove_where(
-        &mut self,
-        mut pred: impl FnMut(ObjKey, &Waiter<C>) -> bool,
-    ) -> Vec<(ObjKey, Waiter<C>)> {
+        let mut keys = self.parked_keys(aid).to_vec();
+        keys.sort_unstable();
+        keys.dedup();
         let mut removed = Vec::new();
-        let keys: Vec<ObjKey> = self.queues.keys().copied().collect();
         for key in keys {
-            let queue = self.queues.get_mut(&key).expect("key just listed");
-            let mut kept = VecDeque::with_capacity(queue.len());
-            for waiter in queue.drain(..) {
-                if pred(key, &waiter) {
-                    removed.push((key, waiter));
-                } else {
-                    kept.push_back(waiter);
-                }
-            }
-            if kept.is_empty() {
-                self.queues.remove(&key);
-            } else {
-                *queue = kept;
+            loop {
+                let Some(at) = self.queue(key).position(|w| w.aid == aid) else {
+                    break;
+                };
+                removed.extend(self.remove(key, at).map(|w| (key, w)));
             }
         }
         removed
     }
 
+    /// Removes every request parked on an object at guardian `gid` (the
+    /// guardian crashed; its heap — and the locks in it — are gone).
+    pub fn drain_guardian(&mut self, gid: GuardianId) -> Vec<(ObjKey, Waiter<C>)> {
+        let keys = |hid| ObjKey {
+            gid,
+            hid: HeapId(hid),
+        };
+        let mut removed = Vec::new();
+        while let Some((&key, _)) = self.queues.range(keys(0)..=keys(u32::MAX)).next() {
+            removed.extend(self.remove(key, 0).map(|w| (key, w)));
+        }
+        removed
+    }
+
+    /// Takes the request at position `at` of `key`'s queue out of the
+    /// manager, keeping the emptied buffers for reuse.
+    fn remove(&mut self, key: ObjKey, at: usize) -> Option<Waiter<C>> {
+        let queue = self.queues.get_mut(&key)?;
+        let waiter = queue.waiters.remove(at)?;
+        if at == 0 {
+            queue.refused_at = None;
+        }
+        if queue.waiters.is_empty() {
+            let queue = self.queues.remove(&key).expect("queue just emptied");
+            self.spare_queues.push(queue.waiters);
+        }
+        let Entry::Occupied(mut keys) = self.parked.entry(waiter.aid) else {
+            unreachable!("queued requests are indexed");
+        };
+        let indexed = keys.get().iter().position(|k| *k == key);
+        keys.get_mut()
+            .swap_remove(indexed.expect("indexed at its queue"));
+        if keys.get().is_empty() {
+            self.spare_keys.push(keys.remove());
+        }
+        self.deadlines -= usize::from(waiter.deadline.is_some());
+        self.version += 1;
+        Some(waiter)
+    }
+
+    /// The queues `aid` has requests parked in, one entry per request.
+    pub(crate) fn parked_keys(&self, aid: ActionId) -> &[ObjKey] {
+        self.parked.get(&aid).map_or(&[], Vec::as_slice)
+    }
+
+    /// The requests parked at `key`, front first (none if it has no queue).
+    pub(crate) fn queue(&self, key: ObjKey) -> impl Iterator<Item = &Waiter<C>> + Clone {
+        self.queues.get(&key).into_iter().flat_map(|q| &q.waiters)
+    }
+
     /// Actions whose earliest deadline has passed at `now`, in id order.
     pub fn expired(&self, now: u64) -> Vec<ActionId> {
+        if self.deadlines == 0 {
+            return Vec::new();
+        }
         let overdue = |w: &&Waiter<C>| w.deadline.is_some_and(|d| d <= now);
-        let waiters = self.queues.values().flatten();
+        let waiters = self.queues.values().flat_map(|q| &q.waiters);
         let mut out: Vec<ActionId> = waiters.filter(overdue).map(|w| w.aid).collect();
         out.sort_unstable();
         out.dedup();
@@ -231,44 +326,11 @@ impl<C> LockManager<C> {
 
     /// The earliest deadline of any parked request.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.queues
-            .values()
-            .flat_map(|q| q.iter().filter_map(|w| w.deadline))
-            .min()
-    }
-
-    /// Builds the wait-for graph from the queues and the given holder
-    /// snapshot. Edges:
-    ///
-    /// * waiter → holder, when the held lock blocks the request (an
-    ///   exclusive request waits on the writer and every reader; a shared
-    ///   request waits only on the writer);
-    /// * waiter → earlier waiter in the same queue, when their modes are
-    ///   incompatible (FIFO order means the later one cannot be granted
-    ///   before the earlier one completes).
-    pub fn wait_for_edges(&self, holders: &BTreeMap<ObjKey, LockHolders>) -> WaitForGraph {
-        let mut graph = WaitForGraph::new();
-        for (key, queue) in &self.queues {
-            let held = holders.get(key);
-            for (i, waiter) in queue.iter().enumerate() {
-                if let Some(held) = held {
-                    if let Some(writer) = held.writer {
-                        graph.add_edge(waiter.aid, writer);
-                    }
-                    if waiter.mode == LockMode::Exclusive {
-                        for &reader in &held.readers {
-                            graph.add_edge(waiter.aid, reader);
-                        }
-                    }
-                }
-                for earlier in queue.iter().take(i) {
-                    if !waiter.mode.compatible(earlier.mode) {
-                        graph.add_edge(waiter.aid, earlier.aid);
-                    }
-                }
-            }
+        if self.deadlines == 0 {
+            return None;
         }
-        graph
+        let waiters = self.queues.values().flat_map(|q| &q.waiters);
+        waiters.filter_map(|w| w.deadline).min()
     }
 }
 
@@ -298,16 +360,45 @@ mod tests {
         }
     }
 
+    fn fronts<C>(lm: &LockManager<C>) -> Vec<(ObjKey, ActionId, LockMode)> {
+        lm.fronts(None).map(|f| (f.key, f.aid, f.mode)).collect()
+    }
+
+    /// The index agrees with the queues: every parked request is listed
+    /// under its action once per request, and nothing else is.
+    fn assert_indexed<C>(lm: &LockManager<C>) {
+        let mut from_queues: Vec<(ActionId, ObjKey)> = lm
+            .queues
+            .iter()
+            .flat_map(|(k, q)| q.waiters.iter().map(move |w| (w.aid, *k)))
+            .collect();
+        let mut from_index: Vec<(ActionId, ObjKey)> = lm
+            .parked
+            .iter()
+            .flat_map(|(a, keys)| keys.iter().map(move |k| (*a, *k)))
+            .collect();
+        from_queues.sort_unstable();
+        from_index.sort_unstable();
+        assert_eq!(from_queues, from_index);
+        assert!(lm.queues.values().all(|q| !q.waiters.is_empty()));
+        let with_deadline = lm.queues.values().flat_map(|q| &q.waiters);
+        assert_eq!(
+            with_deadline.filter(|w| w.deadline.is_some()).count(),
+            lm.deadlines
+        );
+    }
+
     #[test]
     fn fifo_order_and_take() {
         let mut lm = LockManager::new();
         lm.park(key(0, 1), waiter(1, LockMode::Exclusive), false);
         lm.park(key(0, 1), waiter(2, LockMode::Shared), false);
-        assert_eq!(lm.fronts(), vec![(key(0, 1), a(1), LockMode::Exclusive)]);
+        assert_eq!(fronts(&lm), vec![(key(0, 1), a(1), LockMode::Exclusive)]);
         assert_eq!(lm.take_front(key(0, 1)).unwrap().aid, a(1));
-        assert_eq!(lm.fronts(), vec![(key(0, 1), a(2), LockMode::Shared)]);
+        assert_eq!(fronts(&lm), vec![(key(0, 1), a(2), LockMode::Shared)]);
         assert_eq!(lm.take_front(key(0, 1)).unwrap().aid, a(2));
         assert!(lm.is_empty());
+        assert_indexed(&lm);
     }
 
     #[test]
@@ -315,7 +406,7 @@ mod tests {
         let mut lm = LockManager::new();
         lm.park(key(0, 1), waiter(1, LockMode::Exclusive), false);
         lm.park(key(0, 1), waiter(2, LockMode::Exclusive), true);
-        assert_eq!(lm.fronts(), vec![(key(0, 1), a(2), LockMode::Exclusive)]);
+        assert_eq!(fronts(&lm), vec![(key(0, 1), a(2), LockMode::Exclusive)]);
     }
 
     #[test]
@@ -329,6 +420,7 @@ mod tests {
         assert_eq!(lm.waiter_count(), 1);
         assert!(!lm.is_blocked(a(1)));
         assert!(lm.is_blocked(a(2)));
+        assert_indexed(&lm);
     }
 
     #[test]
@@ -340,6 +432,7 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].1.aid, a(1));
         assert!(lm.is_blocked(a(2)));
+        assert_indexed(&lm);
     }
 
     #[test]
@@ -355,55 +448,78 @@ mod tests {
         assert_eq!(lm.expired(49), Vec::<ActionId>::new());
         assert_eq!(lm.expired(50), vec![a(2)]);
         assert_eq!(lm.expired(100), vec![a(1), a(2)]);
+        lm.cancel(a(2));
+        assert_eq!(lm.next_deadline(), Some(100));
+        lm.take_front(key(0, 1));
+        assert_eq!((lm.next_deadline(), lm.deadlines), (None, 0));
+        assert_indexed(&lm);
     }
 
     #[test]
-    fn wait_edges_respect_modes() {
-        // Holder: writer a1 on (0,1); readers a2,a3 on (0,2).
+    fn the_index_follows_every_way_a_request_leaves() {
         let mut lm = LockManager::new();
-        lm.park(key(0, 1), waiter(4, LockMode::Shared), false);
-        lm.park(key(0, 2), waiter(5, LockMode::Exclusive), false);
-        lm.park(key(0, 2), waiter(6, LockMode::Shared), false);
-        let mut holders = BTreeMap::new();
-        holders.insert(
-            key(0, 1),
-            LockHolders {
-                writer: Some(a(1)),
-                readers: Vec::new(),
-            },
-        );
-        holders.insert(
-            key(0, 2),
-            LockHolders {
-                writer: None,
-                readers: vec![a(2), a(3)],
-            },
-        );
-        let g = lm.wait_for_edges(&holders);
-        // Shared request waits only on the writer.
-        assert_eq!(g.successors(a(4)).collect::<Vec<_>>(), vec![a(1)]);
-        // Exclusive request waits on every reader.
-        assert_eq!(g.successors(a(5)).collect::<Vec<_>>(), vec![a(2), a(3)]);
-        // The later shared request waits on the earlier exclusive one (FIFO)
-        // but not on the readers.
-        assert_eq!(g.successors(a(6)).collect::<Vec<_>>(), vec![a(5)]);
+        // a1 parked in two queues at two guardians, and twice in one.
+        lm.park(key(0, 1), waiter(1, LockMode::Exclusive), false);
+        lm.park(key(1, 1), waiter(1, LockMode::Shared), false);
+        lm.park(key(1, 1), waiter(2, LockMode::Shared), false);
+        lm.park(key(1, 1), waiter(1, LockMode::Exclusive), false);
+        lm.park(key(1, 2), waiter(3, LockMode::Exclusive), false);
+        assert_indexed(&lm);
+        assert_eq!(lm.parked_keys(a(1)).len(), 3);
+        assert_eq!(lm.waiter_count(), 5);
+
+        // take_front: a1 leaves (0,1) but stays blocked at G1.
+        assert_eq!(lm.take_front(key(0, 1)).unwrap().aid, a(1));
+        assert!(lm.is_blocked(a(1)) && !lm.has_queue(key(0, 1)));
+        assert_indexed(&lm);
+
+        // cancel: both of a1's requests at (1,1) go, in FIFO order; a2 is
+        // the new front.
+        let removed = lm.cancel(a(1));
+        let modes: Vec<LockMode> = removed.iter().map(|(_, w)| w.mode).collect();
+        assert_eq!(modes, vec![LockMode::Shared, LockMode::Exclusive]);
+        assert!(!lm.is_blocked(a(1)));
+        assert_eq!(lm.fronts(None).next().unwrap().aid, a(2));
+        assert!(lm.cancel(a(1)).is_empty());
+        assert_indexed(&lm);
+
+        // drain (a crash at G1): everyone left goes.
+        assert_eq!(lm.drain_guardian(GuardianId(1)).len(), 2);
+        assert!(lm.is_empty() && lm.parked.is_empty());
+        assert_eq!(lm.blocked_actions(), BTreeSet::new());
+        assert_indexed(&lm);
+
+        // Reused buffers come back clean.
+        lm.park(key(2, 1), waiter(4, LockMode::Shared), false);
+        assert_eq!(lm.parked_keys(a(4)), &[key(2, 1)]);
+        assert_eq!(lm.blocked_actions(), BTreeSet::from([a(4)]));
+        assert_indexed(&lm);
     }
 
     #[test]
-    fn upgrade_cycle_shows_in_edges() {
-        // a1 and a2 both hold shared; both queue for exclusive.
+    fn a_refusal_is_remembered_until_the_front_changes() {
         let mut lm = LockManager::new();
-        lm.park(key(0, 1), waiter(1, LockMode::Exclusive), true);
-        lm.park(key(0, 1), waiter(2, LockMode::Exclusive), true);
-        let mut holders = BTreeMap::new();
-        holders.insert(
-            key(0, 1),
-            LockHolders {
-                writer: None,
-                readers: vec![a(1), a(2)],
-            },
-        );
-        let g = lm.wait_for_edges(&holders);
-        assert!(g.cycle_through(a(1)).is_some() || g.cycle_through(a(2)).is_some());
+        lm.park(key(0, 1), waiter(1, LockMode::Exclusive), false);
+        lm.park(key(0, 2), waiter(2, LockMode::Exclusive), false);
+        lm.note_refused(key(0, 1), 7);
+        lm.note_refused(key(0, 2), 7);
+        let v = lm.version();
+        // A request behind the front changes nothing the owner probed.
+        lm.park(key(0, 1), waiter(3, LockMode::Exclusive), false);
+        assert!(lm.version() > v);
+        let refused: Vec<_> = lm.fronts(None).map(|f| f.refused_at).collect();
+        assert_eq!(refused, vec![Some(7), Some(7)]);
+        // An upgrade, a grant or a cancel at the front each forget it.
+        lm.park(key(0, 1), waiter(4, LockMode::Exclusive), true);
+        assert_eq!(lm.fronts(None).next().unwrap().refused_at, None);
+        lm.note_refused(key(0, 1), 8);
+        lm.take_front(key(0, 1));
+        assert_eq!(lm.fronts(None).next().unwrap().refused_at, None);
+        lm.cancel(a(2));
+        assert!(!lm.has_queue(key(0, 2)));
+        // `fronts` resumes after a key.
+        let after: Vec<_> = lm.fronts(Some(key(0, 0))).map(|f| f.key).collect();
+        assert_eq!(after, vec![key(0, 1)]);
+        assert_eq!(lm.fronts(Some(key(0, 1))).count(), 0);
     }
 }

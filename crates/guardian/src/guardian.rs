@@ -8,7 +8,9 @@ use argus_core::{
     CState, HybridLogRs, LogEntry, LogStats, PState, RecoveryOutcome, RecoverySystem, RedoRs,
     RsError, RsResult, SimpleLogRs, StoreProvider,
 };
-use argus_objects::{ActionId, GuardianId, Heap, HeapId, HeapResult, ObjKind, Value};
+use argus_objects::{
+    ActionId, GuardianId, Heap, HeapError, HeapId, HeapResult, ObjKind, ObjectBody, Value,
+};
 use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, IntMap, IntSet, SimClock};
 use argus_slog::{ForceScheduler, LogAddress};
@@ -159,6 +161,9 @@ pub struct Guardian {
     pub id: GuardianId,
     /// Volatile object memory.
     pub heap: Heap,
+    /// What the heaps this guardian had before the current one released,
+    /// each counted one more: see [`Guardian::lock_stamp`].
+    released_before: u64,
     /// The recovery system over this guardian's stable log.
     pub(crate) rs: Box<dyn RecoverySystem>,
     /// The fault plan shared with the guardian's storage stack.
@@ -265,6 +270,7 @@ impl Guardian {
         Ok(Self {
             id,
             heap: Heap::with_stable_root(),
+            released_before: 0,
             rs,
             plan,
             up: true,
@@ -403,6 +409,48 @@ impl Guardian {
         }
     }
 
+    /// Whether [`Guardian::lock`] would take `mode` on `h` for `aid` now —
+    /// asked without building the refusal, as the grant pump asks it of
+    /// every front it probes.
+    pub(crate) fn grantable(&self, aid: ActionId, h: HeapId, mode: LockMode) -> bool {
+        let Ok(slot) = self.heap.get(h) else {
+            return false;
+        };
+        let own = |holder: ActionId| holder == aid;
+        match (&slot.body, mode) {
+            (ObjectBody::Atomic(obj), LockMode::Shared) => obj.writer.is_none_or(own),
+            (ObjectBody::Atomic(obj), LockMode::Exclusive) => !obj.locked_by_other(aid),
+            (ObjectBody::Mutex(_), LockMode::Shared) => true,
+            (ObjectBody::Mutex(obj), LockMode::Exclusive) => obj.seized_by.is_none_or(own),
+        }
+    }
+
+    /// Refuses `touch` on an object of the wrong kind — a write needs an
+    /// atomic object, a mutation a mutex — before it locks or parks
+    /// anything.
+    pub(crate) fn fits<F>(&self, h: HeapId, touch: &Touch<F>) -> HeapResult<()> {
+        let slot = self.heap.get(h)?;
+        match (slot.body.kind(), touch) {
+            (_, Touch::Read)
+            | (ObjKind::Atomic, Touch::Write(_))
+            | (ObjKind::Mutex, Touch::Mutex(_)) => Ok(()),
+            _ => Err(HeapError::WrongKind { obj: slot.uid }),
+        }
+    }
+
+    /// A number that moves whenever a lock request refused here may have
+    /// become grantable ([`Heap::releases`]) and never repeats, not even
+    /// across a restart, which replaces the heap.
+    pub(crate) fn lock_stamp(&self) -> u64 {
+        self.released_before + self.heap.releases()
+    }
+
+    /// Replaces the heap, carrying its release count past the old one's.
+    pub(crate) fn reset_heap(&mut self, heap: Heap) {
+        self.released_before += self.heap.releases() + 1;
+        self.heap = heap;
+    }
+
     /// Runs `touch` on `h` under the lock [`Guardian::lock`] just granted
     /// and books the action here: it is known, and what it wrote joins its
     /// MOS. Returns whether it wrote.
@@ -527,7 +575,7 @@ impl Guardian {
     /// a restart starts from an empty heap and empty protocol tables.
     pub(crate) fn lose_volatile_state(&mut self) {
         self.crashed();
-        self.heap = Heap::new();
+        self.reset_heap(Heap::new());
         self.mos.clear();
         self.known.clear();
         self.resolved.clear();

@@ -719,3 +719,76 @@ fn the_network_carries_exactly_what_apply_sent() {
         assert_eq!(sent, w.mail_applied, "{kind:?}");
     }
 }
+
+// ---- a guardian's locks, probed ------------------------------------------------
+
+/// The grant pump asks `grantable` where it used to try the lock. Over
+/// random lock states of an atomic object, a mutex and a missing object —
+/// every mode, holders and strangers alike — it answers exactly whether
+/// `lock` would take the lock.
+#[test]
+fn grantable_answers_what_lock_would_do() {
+    let a = |n| ActionId::new(GuardianId(0), n);
+    let modes = [LockMode::Shared, LockMode::Exclusive];
+    let mut rng = argus_sim::DetRng::new(25);
+    let mut g = lone(0, RsKind::Simple);
+    let mut answers = [0; 2];
+    for _ in 0..300 {
+        let ops: Vec<(u64, usize, LockMode)> = (0..rng.gen_range(5))
+            .map(|_| {
+                let mode = modes[rng.gen_range(2) as usize];
+                (rng.gen_range(3), rng.gen_range(2) as usize, mode)
+            })
+            .collect();
+        for (n, obj, mode) in
+            (0..4).flat_map(|n| (0..3).flat_map(move |o| modes.map(|m| (n, o, m))))
+        {
+            g.reset_heap(argus_objects::Heap::new());
+            let objects = [
+                g.heap.alloc_atomic(Value::Int(0), None),
+                g.heap.alloc_mutex(Value::Int(0)),
+                argus_objects::HeapId(7),
+            ];
+            for &(holder, at, m) in &ops {
+                let _ = g.lock(a(holder), objects[at], m);
+            }
+            let grantable = g.grantable(a(n), objects[obj], mode);
+            let took = g.lock(a(n), objects[obj], mode).is_ok();
+            assert_eq!(grantable, took, "{ops:?}: {mode:?} on {obj} for {n}");
+            answers[usize::from(took)] += 1;
+        }
+    }
+    assert!(answers.iter().all(|&n| n > 1_000), "{answers:?}");
+}
+
+/// A refused request is tried again only once the stamp moves: a release
+/// or a new object moves it, an acquisition does not, and a restart's new
+/// heap — whose own count starts again from zero — never shows an earlier
+/// stamp again.
+#[test]
+fn a_lock_stamp_moves_on_release_and_never_repeats() {
+    let (a1, a2) = (
+        ActionId::new(GuardianId(0), 1),
+        ActionId::new(GuardianId(0), 2),
+    );
+    let mut g = lone(0, RsKind::Simple);
+    let h = g.heap.alloc_atomic(Value::Int(0), None);
+    let s0 = g.lock_stamp();
+    g.lock(a1, h, LockMode::Exclusive).unwrap();
+    g.lock(a2, h, LockMode::Shared).unwrap_err();
+    assert_eq!(g.lock_stamp(), s0, "an acquisition or a refusal moved it");
+    g.heap.abort_action(a1);
+    let s1 = g.lock_stamp();
+    assert!(s1 > s0, "a release did not move it");
+    g.heap.abort_action(a1);
+    assert_eq!(g.lock_stamp(), s1, "releasing nothing moved it");
+    let m = g.heap.alloc_mutex(Value::Int(0));
+    let s2 = g.lock_stamp();
+    assert!(s2 > s1, "a new object did not move it");
+    g.lock(a2, m, LockMode::Exclusive).unwrap();
+    g.heap.release(m, a2).unwrap();
+    let s3 = g.lock_stamp();
+    assert!(s3 > s2, "a mutex release did not move it");
+    g.reset_heap(argus_objects::Heap::new());
+    assert!(g.lock_stamp() > s3, "a restart brought back a stamp");
+}

@@ -5,8 +5,8 @@ use crate::live::LiveAction;
 use crate::network::NetFaults;
 use crate::{Guardian, RsKind, SimNetwork, WorldError, WorldResult};
 use argus_cc::{
-    CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, LockHolders, LockManager, LockMode,
-    ObjKey, Waiter,
+    CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, DeadlockSearch, Front, LockManager,
+    LockMode, ObjKey, Waiter,
 };
 use argus_core::{HousekeepingMode, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
@@ -153,6 +153,17 @@ pub struct World {
     /// [`Touch::Read`] only books the lock — the caller re-issues
     /// [`World::read`], which now succeeds as a holder.
     cc: LockManager<Touch<Parked>>,
+    /// The deadlock search's buffers, kept from park to park.
+    cc_search: DeadlockSearch,
+    /// Every guardian's [`Guardian::lock_stamp`], by id, as the grant pump
+    /// last read them.
+    cc_stamps: Vec<u64>,
+    /// What [`World::cc_read_stamps`] returned after the last pump, which
+    /// granted nothing more: while it reads the same, neither can the next.
+    cc_quiet: Option<(u64, u64)>,
+    /// Probe every front on every pass, as if no refusal were remembered —
+    /// the reference the remembering pump is tested against.
+    cc_exhaustive: bool,
     /// Why the scheduler gave up on parked actions (victim/timeout/crash).
     cc_fates: BTreeMap<ActionId, CcFate>,
     /// Deadlocks broken so far, in detection order.
@@ -250,6 +261,10 @@ impl World {
             next_gid: 0,
             cfg,
             cc: LockManager::new(),
+            cc_search: DeadlockSearch::new(),
+            cc_stamps: Vec::new(),
+            cc_quiet: None,
+            cc_exhaustive: false,
             cc_fates: BTreeMap::new(),
             cc_deadlocks: Vec::new(),
             next_begin: 0,
@@ -346,8 +361,8 @@ impl World {
     }
 
     /// The one lock-then-touch step behind the blocking action entry points:
-    /// takes the lock `touch` needs at `g` — or fails with who is in the way
-    /// — and runs it.
+    /// takes the lock `touch` needs at `g` — or fails with who is in the way,
+    /// or because `h` is not of the kind `touch` needs — and runs it.
     fn lock_then_touch<F: FnOnce(&mut Value)>(
         &mut self,
         g: GuardianId,
@@ -356,6 +371,7 @@ impl World {
         touch: Touch<F>,
     ) -> WorldResult<()> {
         let guardian = self.up(g)?;
+        guardian.fits(h, &touch)?;
         guardian.lock(aid, h, touch.mode())?;
         guardian.apply(aid, h, touch)?;
         self.book(g, aid);
@@ -468,7 +484,8 @@ impl World {
 
     /// The lock-aware lock-then-touch step: a request that must queue, or
     /// whose lock is refused under a waiting policy, parks with its mutation
-    /// boxed — the only time it is.
+    /// boxed — the only time it is. One for an object of the wrong kind
+    /// fails before it does either.
     fn submit<F: FnOnce(&mut Value) + 'static>(
         &mut self,
         g: GuardianId,
@@ -476,6 +493,7 @@ impl World {
         h: HeapId,
         touch: Touch<F>,
     ) -> WorldResult<CcOutcome> {
+        self.up(g)?.fits(h, &touch)?;
         let key = ObjKey { gid: g, hid: h };
         let mode = touch.mode();
         if self.cc_should_queue(key, aid) {
@@ -532,12 +550,8 @@ impl World {
         // else the first foreign reader): the grant-time trace span names it
         // so lock-wait time is attributable to a specific action.
         let holder = self.guardians.get(&key.gid).and_then(|gu| {
-            gu.heap
-                .lock_holders(key.hid)
-                .ok()
-                .and_then(|(writer, readers)| {
-                    writer.or_else(|| readers.into_iter().find(|h| *h != aid))
-                })
+            let (writer, mut readers) = gu.heap.lock_holders(key.hid).ok()?;
+            writer.or_else(|| readers.find(|h| *h != aid))
         });
         self.cc.park(
             key,
@@ -558,21 +572,32 @@ impl World {
         Ok(CcOutcome::Parked)
     }
 
-    /// Rebuilds the wait-for graph and, while the just-parked request
-    /// closes a cycle, aborts the youngest member of each. Checking only
-    /// from the new waiter is sound: grants never add edges, so every cycle
-    /// passes through the most recent parker. One park can close *several*
-    /// cycles at once (the parker's new edges fan out to different
-    /// queues), and aborting one victim only breaks the cycles it was on —
-    /// hence the loop, which re-checks until no cycle through the parker
-    /// remains. Breaking only the first was a real livelock at scale: in
-    /// 8-shard worlds a park that closed two cycles left the second one
-    /// undetected forever, stalling every slot.
+    /// While the just-parked request closes a wait-for cycle, aborts the
+    /// youngest member of each. Searching only from the new waiter is sound:
+    /// grants never add edges, so every cycle passes through the most
+    /// recent parker — and the search computes edges only for the actions
+    /// it reaches from there. One park can close *several* cycles at once
+    /// (the parker's new edges fan out to different queues), and aborting
+    /// one victim only breaks the cycles it was on — hence the loop, which
+    /// re-checks until no cycle through the parker remains. Breaking only
+    /// the first was a real livelock at scale: in 8-shard worlds a park
+    /// that closed two cycles left the second one undetected forever,
+    /// stalling every slot.
     fn cc_detect_deadlock(&mut self, start: ActionId) {
         loop {
-            let holders = self.cc_holder_snapshot();
-            let graph = self.cc.wait_for_edges(&holders);
-            let Some(cycle) = graph.cycle_through(start) else {
+            let guardians = &self.guardians;
+            let holders = |key: ObjKey, mode, out: &mut Vec<ActionId>| {
+                let guardian = guardians.get(&key.gid).filter(|gu| gu.up);
+                if let Some(Ok((writer, readers))) =
+                    guardian.map(|gu| gu.heap.lock_holders(key.hid))
+                {
+                    out.extend(writer);
+                    if mode == LockMode::Exclusive {
+                        out.extend(readers);
+                    }
+                }
+            };
+            let Some(cycle) = self.cc_search.cycle_through(&self.cc, start, holders) else {
                 return;
             };
             self.wobs.cc_deadlocks.inc();
@@ -605,22 +630,6 @@ impl World {
         }
     }
 
-    fn cc_holder_snapshot(&self) -> BTreeMap<ObjKey, LockHolders> {
-        let mut out = BTreeMap::new();
-        for (key, _, _) in self.cc.fronts() {
-            let Some(guardian) = self.guardians.get(&key.gid) else {
-                continue;
-            };
-            if !guardian.up {
-                continue;
-            }
-            if let Ok((writer, readers)) = guardian.heap.lock_holders(key.hid) {
-                out.insert(key, LockHolders { writer, readers });
-            }
-        }
-        out
-    }
-
     /// Whether `aid` has entered two-phase commit anywhere. A coordinator
     /// can only live at the action's origin and participants only at
     /// guardians the action touched, so checking that set — not every
@@ -637,18 +646,44 @@ impl World {
     /// Grants every front waiter whose heap lock is now acquirable, runs the
     /// parked continuations, and repeats until no queue makes progress.
     /// Returns whether anything was granted.
+    ///
+    /// A pass tries a front only if it is new there or its guardian's heap
+    /// released something since the front was last refused
+    /// ([`Guardian::lock_stamp`]), and a pump returns at once when neither
+    /// the queues nor any stamp moved since the last one ended. Grants
+    /// happen in the same order and passes as if every front were tried.
     fn cc_pump(&mut self) -> bool {
+        if self.cc.is_empty() {
+            return false;
+        }
+        let mark = self.cc_read_stamps();
+        if self.cc_quiet == Some(mark) && !self.cc_exhaustive {
+            return false;
+        }
         let mut any = false;
         loop {
             let mut progressed = false;
-            for (key, aid, mode) in self.cc.fronts() {
+            let mut after = None;
+            loop {
+                let (stamps, every) = (&self.cc_stamps, self.cc_exhaustive);
+                let stamp = |key: ObjKey| stamps[key.gid.0 as usize];
+                let untried = |f: &Front| every || f.refused_at != Some(stamp(f.key));
+                let Some(front) = self.cc.fronts(after).find(untried) else {
+                    break;
+                };
+                let key = front.key;
+                after = Some(key);
+                let stamp = stamp(key);
                 let Some(guardian) = self.guardians.get_mut(&key.gid) else {
                     continue;
                 };
-                if !guardian.up || guardian.lock(aid, key.hid, mode).is_err() {
+                if !guardian.up || !guardian.grantable(front.aid, key.hid, front.mode) {
+                    self.cc.note_refused(key, stamp);
                     continue;
                 }
-                let waiter = self.cc.take_front(key).expect("front just snapshotted");
+                let waiter = self.cc.take_front(key).expect("front just read");
+                let locked = guardian.lock(waiter.aid, key.hid, waiter.mode);
+                locked.expect("the lock is grantable");
                 let waited = self.clock.now().saturating_sub(waiter.parked_at);
                 self.wobs.cc_wait_us.record(waited);
                 self.obs.event(argus_obs::Event::LockGranted {
@@ -668,6 +703,8 @@ impl World {
                 );
                 let applied = guardian.apply(waiter.aid, key.hid, waiter.cont);
                 applied.expect("lock just granted");
+                // A mutex touch releases what it seized.
+                self.cc_stamps[key.gid.0 as usize] = guardian.lock_stamp();
                 self.book(key.gid, waiter.aid);
                 progressed = true;
                 any = true;
@@ -676,7 +713,28 @@ impl World {
                 break;
             }
         }
+        self.cc_quiet = Some(if any { self.cc_read_stamps() } else { mark });
         any
+    }
+
+    /// Reads every guardian's lock stamp into `cc_stamps`, and returns the
+    /// queues' version with the stamps' sum: all of them only grow, so while
+    /// the pair reads the same nothing has parked, left a queue or been
+    /// released anywhere.
+    fn cc_read_stamps(&mut self) -> (u64, u64) {
+        self.cc_stamps.resize(self.next_gid as usize, 0);
+        for (g, guardian) in &self.guardians {
+            self.cc_stamps[g.0 as usize] = guardian.lock_stamp();
+        }
+        (self.cc.version(), self.cc_stamps.iter().sum())
+    }
+
+    /// Makes the grant pump try every front on every pass and never return
+    /// early, as it did before it remembered refusals — the reference the
+    /// remembering pump is tested against.
+    #[doc(hidden)]
+    pub fn probe_every_front(&mut self) {
+        self.cc_exhaustive = true;
     }
 
     /// Expires parked requests whose lock-wait deadline has passed on the
@@ -1133,7 +1191,7 @@ impl World {
         tracer.complete("recovery", "recovery_pass", g.0, None, rec_t0, &[]);
         // If recovery found nothing (fresh log), re-create the stable root.
         if guardian.heap.stable_root().is_none() {
-            guardian.heap = argus_objects::Heap::with_stable_root();
+            guardian.reset_heap(argus_objects::Heap::with_stable_root());
         }
         guardian.up = true;
         // Mail deferred past the crash flows again ahead of what the resumed

@@ -121,6 +121,8 @@ pub struct Heap {
     held: BTreeMap<ActionId, Vec<HeapId>>,
     /// Emptied lists of resolved actions, reused by the next ones.
     spare: Vec<Vec<HeapId>>,
+    /// See [`Heap::releases`].
+    releases: u64,
 }
 
 impl Heap {
@@ -166,7 +168,16 @@ impl Heap {
         }
         self.slots.push(Some(slot));
         self.by_uid.insert(uid, h);
+        self.releases += 1;
         h
+    }
+
+    /// How many times this heap released a lock or possession — or gained
+    /// an object, which can as well turn a refused lock request into a
+    /// grantable one. While it reads the same, no request refused here can
+    /// have become grantable: an acquisition never makes one so.
+    pub fn releases(&self) -> u64 {
+        self.releases
     }
 
     /// Indexes `h` as held by `aid`. The caller has checked, from the
@@ -375,13 +386,17 @@ impl Heap {
     // ---- Lock queries (for the concurrency-control subsystem) -----------
 
     /// The current lock holders of the object at `h`: the write-lock holder
-    /// (or mutex possessor) and the read-lock holders in id order.
-    pub fn lock_holders(&self, h: HeapId) -> HeapResult<(Option<ActionId>, Vec<ActionId>)> {
-        let slot = self.get(h)?;
-        Ok(match &slot.body {
-            ObjectBody::Atomic(obj) => (obj.writer, obj.readers.iter().copied().collect()),
-            ObjectBody::Mutex(obj) => (obj.seized_by, Vec::new()),
-        })
+    /// (or mutex possessor) and the read-lock holders in id order, read in
+    /// place.
+    pub fn lock_holders(
+        &self,
+        h: HeapId,
+    ) -> HeapResult<(Option<ActionId>, impl Iterator<Item = ActionId> + '_)> {
+        let (writer, readers) = match &self.get(h)?.body {
+            ObjectBody::Atomic(obj) => (obj.writer, Some(&obj.readers)),
+            ObjectBody::Mutex(obj) => (obj.seized_by, None),
+        };
+        Ok((writer, readers.into_iter().flatten().copied()))
     }
 
     /// Whether `aid` holds any lock (read or write) or possession on the
@@ -448,6 +463,7 @@ impl Heap {
                     return Err(HeapError::NotSeized { obj: uid, aid });
                 }
                 obj.seized_by = None;
+                self.releases += 1;
                 let held = self.held.get_mut(&aid).expect("possession is indexed");
                 let at = held
                     .iter()
@@ -505,6 +521,7 @@ impl Heap {
         let Some(mut held) = self.held.remove(&aid) else {
             return;
         };
+        self.releases += 1;
         for h in held.drain(..) {
             let slot = self.slots[h.0 as usize]
                 .as_mut()
@@ -814,8 +831,12 @@ mod tests {
         let m = heap.alloc_mutex(Value::Unit);
         heap.acquire_write(a, aid(1)).unwrap();
         heap.seize(m, aid(1)).unwrap();
-        assert_eq!(heap.lock_holders(a).unwrap(), (Some(aid(1)), vec![]));
-        assert_eq!(heap.lock_holders(m).unwrap(), (Some(aid(1)), vec![]));
+        let holders = |h| {
+            let (writer, readers) = heap.lock_holders(h).unwrap();
+            (writer, readers.collect::<Vec<_>>())
+        };
+        assert_eq!(holders(a), (Some(aid(1)), vec![]));
+        assert_eq!(holders(m), (Some(aid(1)), vec![]));
         assert!(heap.holds_lock(a, aid(1)) && !heap.holds_lock(a, aid(2)));
         let held = heap.locks_held_by(aid(1));
         assert_eq!(held, vec![heap.uid_of(a).unwrap(), heap.uid_of(m).unwrap()]);

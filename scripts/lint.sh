@@ -23,6 +23,20 @@ if grep -nE 'Coordinator::|Participant::|CoordEffect|PartEffect|StagedOp' \
     exit 1
 fi
 
+# A lock wait costs the waiter, not the world: the deadlock search derives
+# edges only for the actions it visits from the parker. The whole wait-for
+# graph (and the holder snapshot of every queue it needed) lives on only as
+# the test oracle. Test code is exempt, as below.
+if awk '
+    FNR == 1 { t = (FILENAME ~ /\/tests\.rs$/) }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    !t && /wait_for_edges\(|WaitForGraph::new|cc_holder_snapshot/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    END { exit !hit }
+' crates/{guardian,cc}/src/*.rs; then
+    echo "lint: the whole wait-for graph is built outside test code — use argus_cc::DeadlockSearch" >&2
+    exit 1
+fi
+
 # Tables on the commit and recovery paths are keyed by integers the program
 # hands out itself and hash them as integers (`argus_sim::hash`). Crates that
 # keep the default hasher on purpose — string keys, explorer states — are

@@ -1,13 +1,17 @@
 //! S10: the lock manager under the `World` — FIFO blocking and wake-up,
 //! shared grants, upgrade bypass, deadlock victim selection, lock-wait
-//! timeout, crash draining, in-doubt lock re-grant after recovery, and
-//! same-seed determinism of the contended mix. Every scenario ends with the
-//! I1–I11 lint hook.
+//! timeout, crash draining, in-doubt lock re-grant after recovery, requests
+//! of the wrong kind, same-seed determinism of the contended mix, and a
+//! grant pump that skips fronts it already refused doing exactly what one
+//! that tries every front does. Every scenario ends with the I1–I11 lint
+//! hook.
 
 mod common;
 
-use argus::guardian::{CcFate, CcOutcome, CcPolicy, Outcome, RsKind, World, WorldConfig};
-use argus::objects::{GuardianId, HeapId, ObjRef, Value};
+use argus::guardian::{
+    CcFate, CcOutcome, CcPolicy, Outcome, RsKind, World, WorldConfig, WorldError,
+};
+use argus::objects::{GuardianId, HeapError, HeapId, ObjRef, Value};
 use argus::sim::{CostModel, DetRng};
 use argus::workload::{Contended, ContendedConfig};
 
@@ -201,6 +205,139 @@ fn lock_wait_expires_at_the_deadline() {
     assert_eq!(w.commit(holder).unwrap(), Outcome::Committed);
     assert_eq!(seq_of(&w, g, h), vec![1]);
     common::lint_world(&mut w);
+}
+
+fn wrong_kind<T: std::fmt::Debug>(result: Result<T, WorldError>) {
+    assert!(
+        matches!(result, Err(WorldError::Heap(HeapError::WrongKind { .. }))),
+        "expected a wrong-kind refusal, got {result:?}"
+    );
+}
+
+/// A mutex mutation on an atomic object used to take the object's write
+/// lock and then fail, leaving the lock behind — and, parked behind a
+/// writer, to panic that writer's commit when the grant ran it. Now it is
+/// refused before it locks or parks anything.
+#[test]
+fn a_mutex_request_on_an_atomic_object_takes_no_lock() {
+    let (mut w, g, h) = seq_setup(CcPolicy::Blocking);
+    let a1 = w.begin(g).unwrap();
+    let a2 = w.begin(g).unwrap();
+    assert_eq!(
+        w.submit_write_atomic(g, a1, h, push(1)).unwrap(),
+        CcOutcome::Done
+    );
+    // Where it would have parked behind a1's write lock…
+    wrong_kind(w.submit_mutate_mutex(g, a2, h, push(2)));
+    assert!(!w.cc_blocked(a2));
+    assert_eq!(w.cc_waiter_count(), 0);
+    assert_eq!(w.commit(a1).unwrap(), Outcome::Committed);
+    // …and where it would have taken the free lock, blocking or not.
+    wrong_kind(w.submit_mutate_mutex(g, a2, h, push(2)));
+    wrong_kind(w.mutate_mutex(g, a2, h, push(2)));
+    assert!(w.guardian(g).unwrap().heap.locks_held_by(a2).is_empty());
+    w.abort_local(a2);
+    let a3 = w.begin(g).unwrap();
+    assert_eq!(
+        w.submit_write_atomic(g, a3, h, push(3)).unwrap(),
+        CcOutcome::Done
+    );
+    assert_eq!(w.commit(a3).unwrap(), Outcome::Committed);
+    assert_eq!(seq_of(&w, g, h), vec![1, 3]);
+    common::lint_world(&mut w);
+}
+
+/// The converse: an atomic write on a mutex used to seize it and then fail,
+/// leaving the possession behind for every later mutation to wait on.
+#[test]
+fn an_atomic_write_on_a_mutex_seizes_nothing() {
+    let (mut w, g, _) = seq_setup(CcPolicy::Blocking);
+    let m = w.create_mutex(g, Value::Seq(vec![])).unwrap();
+    let a1 = w.begin(g).unwrap();
+    wrong_kind(w.submit_write_atomic(g, a1, m, push(1)));
+    wrong_kind(w.write_atomic(g, a1, m, push(1)));
+    assert!(w.guardian(g).unwrap().heap.locks_held_by(a1).is_empty());
+    let a2 = w.begin(g).unwrap();
+    assert_eq!(
+        w.submit_mutate_mutex(g, a2, m, push(2)).unwrap(),
+        CcOutcome::Done
+    );
+    w.abort_local(a1);
+    assert_eq!(w.commit(a2).unwrap(), Outcome::Committed);
+    assert_eq!(seq_of(&w, g, m), vec![2]);
+    common::lint_world(&mut w);
+}
+
+/// The grant pump tries a front again only when the front changed or its
+/// guardian's heap released something, and returns at once when nothing
+/// moved at all. It must grant exactly what a pump that tries every front
+/// on every pass grants, in the same order and passes: the two leave the
+/// same journal, the same Chrome trace and the same deadlock reports, byte
+/// for byte, over the contended mix (blocking and timeout) and a 16-shard
+/// sharded world, three seeds each.
+#[test]
+fn the_remembering_pump_grants_what_trying_every_front_grants() {
+    use argus::workload::{Sharded, ShardedConfig};
+    let run = |exhaustive: bool, mix: &str, policy: CcPolicy, seed: u64| {
+        let reg = argus::obs::Registry::new();
+        let tracer = argus::trace::Tracer::new();
+        let (_r, _t) = (reg.enter(), tracer.enter());
+        let mut w = world(policy);
+        if exhaustive {
+            w.probe_every_front();
+        }
+        let stats = if mix == "contended" {
+            let cfg = ContendedConfig {
+                concurrency: 8,
+                transfers_per_slot: 12,
+                ..Default::default()
+            };
+            let mix = Contended::setup(&mut w, RsKind::Hybrid, cfg).unwrap();
+            format!("{:?}", mix.run(&mut w, &mut DetRng::new(seed)).unwrap())
+        } else {
+            let cfg = ShardedConfig {
+                shards: 16,
+                users: 256,
+                concurrency: 32,
+                actions: 256,
+                ..Default::default()
+            };
+            let mix = Sharded::setup(&mut w, RsKind::Redo, cfg).unwrap();
+            format!("{:?}", mix.run(&mut w, &mut DetRng::new(seed)).unwrap())
+        };
+        w.run_until_quiet().unwrap();
+        (
+            stats,
+            format!("{:?}", w.cc_deadlock_reports()),
+            format!("{:?}", reg.journal().snapshot()),
+            argus::trace::to_chrome_json(&tracer.events()),
+            reg.counter("cc.waits").get(),
+        )
+    };
+    let mut waits = 0;
+    for (mix, policy) in [
+        ("contended", CcPolicy::Blocking),
+        ("contended", CcPolicy::Timeout),
+        ("sharded", CcPolicy::Blocking),
+    ] {
+        for seed in [3, 11, 25] {
+            let remembering = run(false, mix, policy, seed);
+            let exhaustive = run(true, mix, policy, seed);
+            let what = format!("{mix} {policy:?} seed {seed}");
+            assert_eq!(remembering.0, exhaustive.0, "{what}: stats");
+            assert_eq!(remembering.1, exhaustive.1, "{what}: deadlock reports");
+            assert!(remembering.2 == exhaustive.2, "{what}: journal diverged");
+            assert!(
+                remembering.3 == exhaustive.3,
+                "{what}: Chrome trace diverged"
+            );
+            waits += remembering.4;
+        }
+    }
+    assert!(
+        waits > 100,
+        "only {waits} lock waits: the pump was hardly exercised"
+    );
 }
 
 #[test]
