@@ -1,9 +1,7 @@
-//! Regenerates every experiment table (E1–E21). See DESIGN.md for the
-//! experiment index and EXPERIMENTS.md for recorded results.
-//!
-//! Each experiment runs under its own `argus_obs::Registry` scope, so the
-//! table is followed by that run's metrics report — counters and phase
-//! timings recorded by the instrumented layers (slog, core, twopc, world).
+//! Regenerates every experiment table (E1–E21, `argus_bench::EXPERIMENTS`).
+//! See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
+//! results. Each experiment runs under its own `argus_obs::Registry` scope,
+//! so its tables are followed by that run's metrics report.
 //!
 //! ```sh
 //! cargo run --release -p argus-bench --bin experiments            # all
@@ -16,28 +14,19 @@
 //! `--check DIR` instead compares each regenerated table with the
 //! checked-in `DIR/BENCH_<id>.json` — exact, except columns whose header
 //! says "wall" — and exits 1 on any difference (`scripts/bench.sh --check`).
-//! `--wall-smoke` runs a tiny E18 on real files (tmpfs when
-//! `ARGUS_BENCH_DIR` points there) and asserts the group-commit fsync
-//! reduction holds outside the simulator — the `scripts/verify.sh --wall`
-//! tier. `--smoke` runs a tiny E12/E13/E14 and asserts the optimization and
-//! scheduling invariants (batching never increases forces per commit; the
-//! cache hits during recovery; the contended lock mix completes without a
-//! hang and blocking mode actually detects deadlocks) instead of printing
-//! tables — the CI-friendly mode used by `scripts/verify.sh`.
-//! `--scale-smoke` runs the 64-shard sharded mix on every organization and
-//! lints every shard's log — the `scripts/verify.sh --scale` tier.
+//! Instead of tables, `--smoke` asserts the invariants of a tiny
+//! E12/E13/E14 (`scripts/verify.sh`), `--wall-smoke` the fsyncs of a tiny
+//! E18 on real files (`verify.sh --wall`), and `--scale-smoke` the
+//! 64-shard mix and its logs' lints (`verify.sh --scale`).
 
 use argus_bench::{
-    cc_perf, commit_perf, e10_abort_rate, e11_explore_coverage, e12_group_commit,
-    e13_recovery_cache, e14_cc_policies, e15_sweep_coverage, e16_latency_attribution,
-    e17_vopr_coverage, e18_wall_group_commit, e19_wall_recovery, e1_write_cost,
-    e20_instant_restart, e21_sharded_scaling, e2_recovery_cost, e4_housekeeping_cost,
-    e5_checkpoint_bounds_recovery, e6_early_prepare, e7_map_scaling, e8_crash_matrix,
-    e9_device_sensitivity, recovery_perf, two_guardian_commit, Table, TwoGuardianCommit,
+    cc_perf, commit_perf, file_media, recovery_perf, sharded_run, two_guardian_commit, RigSpec,
+    Sample, Table, TwoGuardianCommit, EXPERIMENTS,
 };
-use argus_guardian::{CcPolicy, RsKind, World, WorldConfig};
+use argus_guardian::{CcPolicy, RsKind, WorldConfig};
 use argus_obs::Registry;
-use std::path::PathBuf;
+use argus_slog::ForceConfig;
+use std::path::{Path, PathBuf};
 
 /// Runs `f` under a fresh registry scope and returns its result plus the
 /// run's metrics report.
@@ -50,64 +39,51 @@ fn scoped<T>(f: impl FnOnce() -> T) -> (T, argus_obs::Report) {
     (out, reg.report())
 }
 
-fn print_metrics(id: &str, report: &argus_obs::Report) {
-    println!("#### {id} run metrics\n");
-    println!("{}", report.to_text_compact());
-}
-
-/// Where a regenerated table goes besides stdout.
-#[derive(Default)]
-struct Artefacts {
-    /// `--json-dir`: write `BENCH_<id>.json` here.
-    write_to: Option<PathBuf>,
-    /// `--check`: compare with the `BENCH_<id>.json` here.
-    check_against: Option<PathBuf>,
-    /// Artefacts `--check` found stale or unreadable.
-    stale: std::cell::Cell<u32>,
-}
-
-/// Writes `table` as `BENCH_<id>.json`, or checks it against the one
-/// checked in, as the command line asked.
-fn emit_json(artefacts: &Artefacts, table: &Table) {
+/// Writes `table` as `BENCH_<id>.json` under `write_to`, and checks it
+/// against the one checked in under `check_against`, as the command line
+/// asked; returns whether the checked-in one is stale or unreadable.
+fn emit_json(table: &Table, write_to: Option<&Path>, check_against: Option<&Path>) -> bool {
     let name = format!("BENCH_{}.json", table.id);
-    if let Some(dir) = &artefacts.write_to {
+    if let Some(dir) = write_to {
         let path = dir.join(&name);
         std::fs::write(&path, table.to_json())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     }
-    if let Some(dir) = &artefacts.check_against {
-        let path = dir.join(&name);
-        let diffs = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|artefact| table.diff_against(&artefact))
-            .unwrap_or_else(|e| vec![format!("unreadable: {e}")]);
-        if diffs.is_empty() {
-            eprintln!("check: {} is current", path.display());
-        } else {
-            artefacts.stale.set(artefacts.stale.get() + 1);
-            for diff in diffs {
-                eprintln!("check: {}: {diff}", path.display());
-            }
-        }
+    let Some(dir) = check_against else {
+        return false;
+    };
+    let path = dir.join(&name);
+    let diffs = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|artefact| table.diff_against(&artefact))
+        .unwrap_or_else(|e| vec![format!("unreadable: {e}")]);
+    if diffs.is_empty() {
+        eprintln!("check: {} is current", path.display());
     }
+    for diff in &diffs {
+        eprintln!("check: {}: {diff}", path.display());
+    }
+    !diffs.is_empty()
 }
 
 /// The `--smoke` mode: a tiny E12/E13/E14 asserting the optimization and
 /// lock-scheduling invariants hold. Exits non-zero (panics) on violation.
 fn smoke() {
+    // Forces per commit of three batches of `n` concurrent commits.
+    let per_commit = |s: &Sample, n: usize| s.forces as f64 / (3 * n) as f64;
     for kind in RsKind::ALL {
         // Shadowing forces inside each operation and reads its store
         // directly: it has no force to share and no page cache to hit.
         let shadowing = kind == RsKind::Shadow;
-        let unbatched = commit_perf(kind, 1, 3, WorldConfig::unbatched());
-        let batched1 = commit_perf(kind, 1, 3, WorldConfig::default());
-        let batched8 = commit_perf(kind, 8, 3, WorldConfig::default());
+        let unbatched = per_commit(&commit_perf(kind, 1, 3, WorldConfig::unbatched()), 1);
+        let batched1 = per_commit(&commit_perf(kind, 1, 3, WorldConfig::default()), 1);
+        let batched8 = per_commit(&commit_perf(kind, 8, 3, WorldConfig::default()), 8);
         // These actions are local to their guardian: a commit is exactly one
         // log force, and a force exactly one device barrier, whatever the
         // force schedule.
-        for (schedule, perf) in [("unbatched", unbatched), ("batched", batched1)] {
+        for (schedule, forces) in [("unbatched", unbatched), ("batched", batched1)] {
             assert_eq!(
-                perf.forces_per_commit, 1.0,
+                forces, 1.0,
                 "{kind:?}, {schedule}: a local commit alone is not one force (one device barrier)"
             );
         }
@@ -124,32 +100,25 @@ fn smoke() {
                 "{kind:?}, {schedule}: a two-guardian commit alone"
             );
         }
-        if !shadowing {
-            assert!(
-                batched8.forces_per_commit < batched1.forces_per_commit,
-                "{kind:?}: concurrency did not reduce forces/commit \
-                 ({} !< {})",
-                batched8.forces_per_commit,
-                batched1.forces_per_commit
-            );
-        } else {
-            assert_eq!(
-                batched8.forces_per_commit, batched1.forces_per_commit,
-                "{kind:?}: forces/commit moved with concurrency"
-            );
-        }
-        let recovery = recovery_perf(kind, 50, WorldConfig::default());
         assert!(
-            recovery.hits > 0 || shadowing,
+            if shadowing {
+                batched8 == batched1
+            } else {
+                batched8 < batched1
+            },
+            "{kind:?}: forces/commit {batched8} at 8x against {batched1} alone"
+        );
+        let (_, recovery) = recovery_perf(&RigSpec::new(128, 4, 8), kind, 50);
+        let hits = recovery.counter("stable.cache.hit");
+        let misses = recovery.counter("stable.cache.miss");
+        assert!(
+            hits > 0 || shadowing,
             "{kind:?}: page cache never hit during recovery"
         );
         println!(
-            "smoke {kind:?}: forces/commit {:.2} (unbatched {:.2}) -> {:.2} at 8x; \
-             recovery hit rate {:.0}%",
-            batched1.forces_per_commit,
-            unbatched.forces_per_commit,
-            batched8.forces_per_commit,
-            100.0 * recovery.hits as f64 / (recovery.hits + recovery.misses).max(1) as f64
+            "smoke {kind:?}: forces/commit {batched1:.2} (unbatched {unbatched:.2}) -> \
+             {batched8:.2} at 8x; recovery hit rate {:.0}%",
+            100.0 * hits as f64 / (hits + misses).max(1) as f64
         );
     }
     // E14: the contended lock mix must complete under every policy — a
@@ -161,24 +130,22 @@ fn smoke() {
         CcPolicy::Blocking,
         CcPolicy::Timeout,
     ] {
-        let perf = cc_perf(RsKind::Hybrid, policy, 8, 8);
+        let (stats, run) = cc_perf(RsKind::Hybrid, policy, 8, 8);
+        let deadlocks = run.counter("cc.deadlocks");
         assert_eq!(
-            perf.committed, 64,
+            stats.committed, 64,
             "{policy:?}: contended mix lost transfers"
         );
-        if policy == CcPolicy::Blocking {
-            assert!(
-                perf.deadlocks > 0,
-                "blocking: the deadlock-by-construction mix broke no deadlock"
-            );
-        }
+        assert!(
+            policy != CcPolicy::Blocking || deadlocks > 0,
+            "blocking: the deadlock-by-construction mix broke no deadlock"
+        );
         println!(
-            "smoke cc {}: {} commits, {} retries, {} deadlocks, {} timeouts",
+            "smoke cc {}: {} commits, {} retries, {deadlocks} deadlocks, {} timeouts",
             policy.name(),
-            perf.committed,
-            perf.retries,
-            perf.deadlocks,
-            perf.timeouts
+            stats.committed,
+            stats.retries,
+            stats.timeouts
         );
     }
     println!("smoke: ok");
@@ -194,13 +161,9 @@ fn smoke() {
 /// violation.
 fn scale_smoke() {
     use argus_check::{lint_heap_quiesced, lint_log, lint_trace, LogImage};
-    use argus_workload::{Sharded, ShardedConfig};
+    use argus_workload::ShardedConfig;
 
     for kind in RsKind::ALL {
-        let mut world = World::with_config(
-            argus_sim::CostModel::fast(),
-            WorldConfig::with_cc(CcPolicy::Blocking),
-        );
         let cfg = ShardedConfig {
             shards: 64,
             users: 10_240,
@@ -208,21 +171,9 @@ fn scale_smoke() {
             actions: 512,
             ..Default::default()
         };
-        let mix = Sharded::setup(&mut world, kind, cfg).expect("setup");
-        let mut rng = argus_sim::DetRng::new(64);
-        let stats = mix.run(&mut world, &mut rng).expect("sharded run");
+        let (mut world, stats, _) = sharded_run(kind, cfg, argus_sim::CostModel::fast(), 64);
         assert_eq!(stats.committed, cfg.actions, "{kind:?}: lost actions");
         assert!(stats.cross_shard > 0, "{kind:?}: no cross-shard 2PC ran");
-        assert_eq!(
-            mix.total_balance(&world).expect("balance"),
-            mix.expected_total(),
-            "{kind:?}: total balance not conserved"
-        );
-        assert_eq!(
-            mix.total_seats(&world).expect("seats"),
-            mix.expected_seats(&stats),
-            "{kind:?}: seats do not match committed reservations"
-        );
         world.run_until_quiet().expect("quiesce");
         let live = world.live_actions();
         for g in world.guardian_ids() {
@@ -263,54 +214,45 @@ fn scale_smoke() {
 /// from flaking) while shadowing, which cannot batch, stays where it was.
 /// Panics (exits non-zero) on violation.
 fn wall_smoke() {
-    use argus_bench::wall_commit_perf;
-    let dir = std::env::var("ARGUS_BENCH_DIR").ok();
     for kind in RsKind::ALL {
-        let run = |n: usize, schedule: &str, immediate: bool| {
+        // (fsyncs, ns) per commit of five batches of `n` concurrent commits.
+        let run = |n: usize, schedule: &str, force: ForceConfig| {
             let tag = format!("wall-smoke-{schedule}{n}-{kind:?}");
-            let cfg = argus_bench::file_config_for(dir.as_deref(), &tag, immediate);
-            wall_commit_perf(kind, n, 5, cfg)
+            let perf = commit_perf(kind, n, 5, file_media(&tag, force).cfg);
+            let commits = 5 * n as u64;
+            let fsyncs = perf.counter("stable.file.fsyncs") as f64 / commits as f64;
+            (fsyncs, perf.wall.as_nanos() / u128::from(commits))
         };
-        let alone = run(1, "grp", false);
+        let (alone, _) = run(1, "grp", ForceConfig::default());
         assert_eq!(
-            alone.fsyncs_per_commit, 1.0,
+            alone, 1.0,
             "{kind:?}: a local commit alone is not one force (one real fsync)"
         );
         // A two-guardian commit alone: three forces, each one real fsync.
         let tag = format!("wall-smoke-2pc-{kind:?}");
-        let cfg = argus_bench::file_config_for(dir.as_deref(), &tag, false);
+        let files = file_media(&tag, ForceConfig::default());
         assert_eq!(
-            two_guardian_commit(kind, cfg),
+            two_guardian_commit(kind, files.cfg),
             TwoGuardianCommit {
                 fsyncs: 3,
                 ..TwoGuardianCommit::EXPECTED
             },
             "{kind:?}: a two-guardian commit alone on real files"
         );
-        let immediate = run(8, "imm", true);
-        let group = run(8, "grp", false);
-        if kind == RsKind::Shadow {
-            assert_eq!(
-                group.fsyncs_per_commit, immediate.fsyncs_per_commit,
-                "{kind:?}: fsyncs/commit moved with the force schedule"
-            );
-        } else {
-            assert!(
-                group.fsyncs_per_commit <= immediate.fsyncs_per_commit / 2.0,
-                "{kind:?}: group commit did not reduce real fsyncs/commit \
-                 ({:.2} !<= {:.2}/2)",
-                group.fsyncs_per_commit,
-                immediate.fsyncs_per_commit
-            );
-        }
+        let (immediate, immediate_ns) = run(8, "imm", ForceConfig::immediate());
+        let (group, group_ns) = run(8, "grp", ForceConfig::default());
+        // Shadowing, which cannot batch, must not move; the others must halve.
+        assert!(
+            if kind == RsKind::Shadow {
+                group == immediate
+            } else {
+                group <= immediate / 2.0
+            },
+            "{kind:?}: real fsyncs/commit {group:.2} grouped against {immediate:.2} immediate"
+        );
         println!(
-            "wall-smoke {kind:?}: fsyncs/commit {:.2} alone, at 8x {:.2} immediate -> {:.2} group; \
-             {} -> {} ns/commit",
-            alone.fsyncs_per_commit,
-            immediate.fsyncs_per_commit,
-            group.fsyncs_per_commit,
-            immediate.ns_per_commit,
-            group.ns_per_commit
+            "wall-smoke {kind:?}: fsyncs/commit {alone:.2} alone, at 8x {immediate:.2} \
+             immediate -> {group:.2} group; {immediate_ns} -> {group_ns} ns/commit"
         );
     }
     println!("wall-smoke: ok");
@@ -318,182 +260,53 @@ fn wall_smoke() {
 
 fn main() {
     let mut ids: Vec<String> = Vec::new();
-    let mut artefacts = Artefacts::default();
-    let mut run_smoke = false;
-    let mut run_wall_smoke = false;
-    let mut run_scale_smoke = false;
+    let (mut write_to, mut check_against) = (None, None);
+    let mut smoke_mode: Option<fn()> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json-dir" => {
                 let dir = PathBuf::from(args.next().expect("--json-dir needs a directory"));
                 std::fs::create_dir_all(&dir).expect("create json dir");
-                artefacts.write_to = Some(dir);
+                write_to = Some(dir);
             }
             "--check" => {
                 let dir = args.next().expect("--check needs the artefact directory");
-                artefacts.check_against = Some(PathBuf::from(dir));
+                check_against = Some(PathBuf::from(dir));
             }
-            "--smoke" => run_smoke = true,
-            "--wall-smoke" => run_wall_smoke = true,
-            "--scale-smoke" => run_scale_smoke = true,
+            "--smoke" => smoke_mode = Some(smoke),
+            "--wall-smoke" => smoke_mode = Some(wall_smoke),
+            "--scale-smoke" => smoke_mode = Some(scale_smoke),
             other => ids.push(other.to_uppercase()),
         }
     }
-    if run_smoke {
-        let (_, _) = scoped(smoke);
-        return;
-    }
-    if run_wall_smoke {
-        wall_smoke();
-        return;
-    }
-    if run_scale_smoke {
-        let (_, _) = scoped(scale_smoke);
+    if let Some(mode) = smoke_mode {
+        scoped(mode);
         return;
     }
     let want = |id: &str| ids.is_empty() || ids.iter().any(|a| a == id);
 
+    let mut stale = 0;
     println!("# Experiments — Reliable Object Storage to Support Atomic Actions\n");
-
-    if want("E1") {
-        let (table, metrics) = scoped(|| e1_write_cost(200));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E1", &metrics);
-    }
-    if want("E2") || want("E3") {
-        let ((e2, e3), metrics) = scoped(|| e2_recovery_cost(&[250, 1_000, 4_000, 16_000]));
-        if want("E2") {
-            println!("{e2}");
-            emit_json(&artefacts, &e2);
+    for &(entry, run) in EXPERIMENTS {
+        if !entry.split('/').any(&want) {
+            continue;
         }
-        if want("E3") {
-            println!("{e3}");
-            emit_json(&artefacts, &e3);
+        let (tables, metrics) = scoped(run);
+        for table in tables.iter().filter(|t| want(t.id)) {
+            println!("{table}");
+            stale += u32::from(emit_json(
+                table,
+                write_to.as_deref(),
+                check_against.as_deref(),
+            ));
         }
-        print_metrics("E2/E3", &metrics);
+        println!("#### {entry} run metrics\n");
+        println!("{}", metrics.to_text_compact());
     }
-    if want("E4") {
-        let (table, metrics) = scoped(e4_housekeeping_cost);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E4", &metrics);
-    }
-    if want("E5") {
-        let (table, metrics) = scoped(e5_checkpoint_bounds_recovery);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E5", &metrics);
-    }
-    if want("E6") {
-        let (table, metrics) = scoped(e6_early_prepare);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E6", &metrics);
-    }
-    if want("E7") {
-        let (table, metrics) = scoped(e7_map_scaling);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E7", &metrics);
-    }
-    if want("E8") {
-        let (table, metrics) = scoped(e8_crash_matrix);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E8", &metrics);
-    }
-    if want("E9") {
-        let (table, metrics) = scoped(e9_device_sensitivity);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E9", &metrics);
-    }
-    if want("E10") {
-        let (table, metrics) = scoped(e10_abort_rate);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E10", &metrics);
-    }
-    if want("E11") {
-        let (table, metrics) = scoped(e11_explore_coverage);
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E11", &metrics);
-    }
-    if want("E12") {
-        let (table, metrics) = scoped(|| e12_group_commit(25));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E12", &metrics);
-    }
-    if want("E13") {
-        let (table, metrics) = scoped(|| e13_recovery_cache(2_000));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E13", &metrics);
-    }
-    if want("E14") {
-        let (table, metrics) = scoped(|| e14_cc_policies(&[2, 8, 32], 8));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E14", &metrics);
-    }
-    if want("E15") {
-        let (table, metrics) = scoped(|| e15_sweep_coverage(None, true));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E15", &metrics);
-    }
-    if want("E16") {
-        let (table, metrics) = scoped(|| e16_latency_attribution(8));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E16", &metrics);
-    }
-    if want("E17") {
-        let (table, metrics) = scoped(|| e17_vopr_coverage(24, 64));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E17", &metrics);
-    }
-    // E18/E19 run on real files (the OS temp dir by default; set
-    // ARGUS_BENCH_DIR to point them at tmpfs or a specific disk) and time
-    // with a monotonic clock, so their numbers vary run to run — the
-    // *ordering* (group commit ≪ immediate fsyncs; hybrid restart ≪ simple)
-    // is the reproducible claim.
-    let wall_dir = std::env::var("ARGUS_BENCH_DIR").ok();
-    if want("E18") {
-        let (table, metrics) = scoped(|| e18_wall_group_commit(25, wall_dir.as_deref()));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E18", &metrics);
-    }
-    if want("E19") {
-        let (table, metrics) = scoped(|| e19_wall_recovery(2_000, wall_dir.as_deref()));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E19", &metrics);
-    }
-    // E20 combines a simulated half (deterministic) with a wall-clock half
-    // on a real file, and asserts the instant-restart claims as it runs.
-    if want("E20") {
-        let (table, metrics) = scoped(|| e20_instant_restart(2_000, wall_dir.as_deref()));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E20", &metrics);
-    }
-    if want("E21") {
-        let (table, metrics) = scoped(|| e21_sharded_scaling(&[4, 64, 256], 8));
-        println!("{table}");
-        emit_json(&artefacts, &table);
-        print_metrics("E21", &metrics);
-    }
-    if artefacts.stale.get() > 0 {
+    if stale > 0 {
         eprintln!(
-            "check: {} artefact(s) differ from a fresh run; regenerate with scripts/bench.sh",
-            artefacts.stale.get()
+            "check: {stale} artefact(s) differ from a fresh run; regenerate with scripts/bench.sh"
         );
         std::process::exit(1);
     }

@@ -4,20 +4,72 @@
 //!
 //! The thesis has no quantitative evaluation of its own — its "results" are
 //! the cost claims of §1.2.2, §4.1, §4.4, and §5.3. Each `eN_*` function
-//! here measures one claim across the three storage organizations on the
+//! here measures one claim across the four storage organizations on the
 //! deterministic device model, so the *shape* (who wins, by what factor,
-//! where the crossovers are) can be checked against the thesis's argument.
-//! Simulated device time is the primary metric: it is exactly reproducible.
+//! where the crossovers are) can be checked against the thesis's argument,
+//! and asserts that shape: a change that inverts a claim fails the run
+//! instead of re-baselining its table. Simulated device time is the primary
+//! metric: it is exactly reproducible.
+//!
+//! Every measurement is one [`Sample`] taken around a closure, most of them
+//! on one guardian holding the synthetic store, built from a [`RigSpec`].
+//! [`EXPERIMENTS`] lists every experiment in the order the `experiments`
+//! binary runs them.
 
 mod table;
 
 pub use table::Table;
 
-use argus_core::{HousekeepingMode, RecoveryMode, RecoverySystem};
-use argus_guardian::{CcPolicy, Outcome, RsKind, World, WorldConfig};
-use argus_objects::Value;
-use argus_sim::{CostModel, StatsSnapshot};
-use argus_workload::{Contended, ContendedConfig, Sharded, ShardedConfig, Synth, SynthConfig};
+use argus_core::providers::MemProvider;
+use argus_core::{HousekeepingMode, HybridLogRs, RecoveryMode, RecoveryOutcome, RecoverySystem};
+use argus_guardian::{CcPolicy, MediaKind, Outcome, RsKind, World, WorldConfig};
+use argus_objects::{ActionId, GuardianId, Heap, HeapId, Value};
+use argus_sim::{CostModel, DetRng, SimClock};
+use argus_slog::ForceConfig;
+use argus_workload::{
+    Contended, ContendedConfig, ContendedStats, Sharded, ShardedConfig, ShardedStats, Synth,
+    SynthConfig,
+};
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+/// A table row from cells of any `Display` type.
+macro_rules! row {
+    ($($cell:expr),* $(,)?) => {
+        vec![$($cell.to_string()),*]
+    };
+}
+
+/// The ids of the tables an experiment yields, and the function making them.
+pub type Experiment = (&'static str, fn() -> Vec<Table>);
+
+/// Every experiment in the order the `experiments` binary runs them, at the
+/// parameters its tables are recorded with (`E2/E3` is one run, two
+/// tables). E18–E20 run on real files ([`file_media`]) and read the wall
+/// clock, so their numbers vary run to run — their *orderings* are the
+/// reproducible claims.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("E1", || vec![e1_write_cost(200)]),
+    ("E2/E3", || e2_recovery_cost(&[250, 1_000, 4_000, 16_000])),
+    ("E4", || vec![e4_housekeeping_cost()]),
+    ("E5", || vec![e5_checkpoint_bounds_recovery()]),
+    ("E6", || vec![e6_early_prepare()]),
+    ("E7", || vec![e7_map_scaling()]),
+    ("E8", || vec![e8_crash_matrix()]),
+    ("E9", || vec![e9_device_sensitivity()]),
+    ("E10", || vec![e10_abort_rate()]),
+    ("E11", || vec![e11_explore_coverage()]),
+    ("E12", || vec![e12_group_commit(25)]),
+    ("E13", || vec![e13_recovery_cache(2_000)]),
+    ("E14", || vec![e14_cc_policies(&[2, 8, 32], 8)]),
+    ("E15", || vec![e15_sweep_coverage(None, true)]),
+    ("E16", || vec![e16_latency_attribution(8)]),
+    ("E17", || vec![e17_vopr_coverage(24, 64)]),
+    ("E18", || vec![e18_wall_group_commit(25)]),
+    ("E19", || vec![e19_wall_recovery(2_000)]),
+    ("E20", || vec![e20_instant_restart(2_000)]),
+    ("E21", || vec![e21_sharded_scaling(&[4, 64, 256], 8)]),
+];
 
 fn kind_name(kind: RsKind) -> &'static str {
     match kind {
@@ -28,8 +80,238 @@ fn kind_name(kind: RsKind) -> &'static str {
     }
 }
 
-fn device(world: &World, g: argus_objects::GuardianId) -> StatsSnapshot {
-    world.guardian(g).expect("guardian").log_stats().device
+/// `a / b` as a table's `N.Nx` cell.
+fn ratio(a: u64, b: u64) -> String {
+    format!("{:.1}x", a as f64 / b.max(1) as f64)
+}
+
+/// `n` events in `us` simulated µs, per simulated second.
+fn per_s(n: u64, us: u64) -> String {
+    format!("{:.1}", n as f64 * 1e6 / us.max(1) as f64)
+}
+
+fn pct(share: f64) -> String {
+    format!("{:.1}%", share * 100.0)
+}
+
+fn rising<T: PartialOrd>(xs: &[T]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
+}
+
+/// What one measured stretch of a world cost, on every clock at once.
+#[derive(Debug, Clone)]
+pub struct Sample {
+    /// Simulated device-busy µs, summed over the world's guardians.
+    pub busy_us: u64,
+    /// Device force barriers, summed over the world's guardians.
+    pub forces: u64,
+    /// How far the world's simulated clock moved. Unlike `busy_us` this
+    /// includes the device a housekeeping pass switches away from.
+    pub sim_us: u64,
+    /// Wall-clock time.
+    pub wall: Duration,
+    /// How much each counter of the current registry scope grew.
+    counters: Vec<(String, u64)>,
+}
+
+impl Sample {
+    /// How much the counter `name` grew during the sample.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, delta)| delta)
+    }
+
+    /// The wall-clock time in µs.
+    pub fn wall_us(&self) -> u64 {
+        self.wall.as_micros() as u64
+    }
+
+    /// The world's readings so far, the wall clock's excepted.
+    fn now(world: &World) -> Self {
+        let (busy_us, forces) = world.guardian_ids().into_iter().fold((0, 0), |(us, f), g| {
+            let d = world.guardian(g).expect("guardian").log_stats().device;
+            (us + d.busy_us, f + d.forces)
+        });
+        Self {
+            busy_us,
+            forces,
+            sim_us: world.clock.now(),
+            wall: Duration::ZERO,
+            counters: argus_obs::current().report().counters,
+        }
+    }
+
+    /// These readings less the earlier ones `before`.
+    fn since(mut self, before: &Sample) -> Self {
+        self.busy_us -= before.busy_us;
+        self.forces -= before.forces;
+        self.sim_us -= before.sim_us;
+        for (name, value) in &mut self.counters {
+            *value -= before.counter(name);
+        }
+        self
+    }
+}
+
+/// Runs `f` on `world` and samples what it cost.
+fn measure<T>(world: &mut World, f: impl FnOnce(&mut World) -> T) -> (T, Sample) {
+    let before = Sample::now(world);
+    let start = Instant::now();
+    let out = f(world);
+    let wall = start.elapsed();
+    let sample = Sample::now(world).since(&before);
+    (out, Sample { wall, ..sample })
+}
+
+/// The device profile a world on `cfg` is priced by: the 1983 disk on
+/// simulated media — the thesis's metric — and the fast profile on a real
+/// file, whose clock is the wall.
+fn model_for(cfg: &WorldConfig) -> CostModel {
+    if matches!(cfg.media, MediaKind::File { .. }) {
+        CostModel::fast()
+    } else {
+        CostModel::default()
+    }
+}
+
+/// The one-guardian world most experiments measure: a [`Synth`] store of
+/// `objects` live 48-byte objects, each action writing `writes` of them,
+/// driven by a [`DetRng`] seeded with `seed`.
+#[derive(Debug, Clone)]
+pub struct RigSpec {
+    /// The device profile: the 1983 disk unless set.
+    model: CostModel,
+    /// The world's knobs: the defaults unless set.
+    cfg: WorldConfig,
+    /// Live objects.
+    objects: usize,
+    /// Objects written per action.
+    writes: usize,
+    /// The rng's seed.
+    seed: u64,
+}
+
+impl RigSpec {
+    /// The rig on the 1983 disk with the default knobs.
+    pub fn new(objects: usize, writes: usize, seed: u64) -> Self {
+        Self {
+            model: CostModel::default(),
+            cfg: WorldConfig::default(),
+            objects,
+            writes,
+            seed,
+        }
+    }
+
+    /// The same rig with knobs `cfg`, priced as their medium calls for (the
+    /// fast profile on a real file).
+    pub fn on(self, cfg: WorldConfig) -> Self {
+        Self {
+            model: model_for(&cfg),
+            cfg,
+            ..self
+        }
+    }
+
+    /// Builds the world and its guardian of organization `kind`.
+    fn build(&self, kind: RsKind) -> Rig {
+        let mut world = World::with_config(self.model.clone(), self.cfg);
+        let synth = Synth::setup(
+            &mut world,
+            kind,
+            SynthConfig {
+                objects: self.objects,
+                writes_per_action: self.writes,
+                value_size: 48,
+                ..Default::default()
+            },
+        )
+        .expect("setup");
+        Rig {
+            world,
+            synth,
+            rng: DetRng::new(self.seed),
+        }
+    }
+}
+
+/// A built [`RigSpec`]: the world, its guardian's store, and the rng that
+/// drives it.
+struct Rig {
+    /// The world.
+    world: World,
+    /// The store on the world's one guardian.
+    synth: Synth,
+    /// The rng choosing what each action writes.
+    rng: DetRng,
+}
+
+impl Rig {
+    /// The guardian.
+    fn guardian(&self) -> GuardianId {
+        self.synth.guardian()
+    }
+
+    /// Commits `n` more actions.
+    fn run(&mut self, n: u64) {
+        self.synth
+            .run(&mut self.world, &mut self.rng, n)
+            .expect("run");
+    }
+
+    /// Crashes the guardian and samples its restart under `mode`.
+    fn restart(&mut self, mode: RecoveryMode) -> (RecoveryOutcome, Sample) {
+        let g = self.guardian();
+        self.world.crash(g);
+        assert!(
+            self.world.set_recovery_mode(g, mode).expect("guardian"),
+            "{g:?} does not support {mode:?}"
+        );
+        measure(&mut self.world, |w| w.restart(g).expect("recover"))
+    }
+}
+
+/// Device µs per commit of `commits` actions on `spec`'s rig of `kind`.
+fn write_us(spec: &RigSpec, kind: RsKind, commits: u64) -> u64 {
+    let mut rig = spec.build(kind);
+    let run = |w: &mut World| rig.synth.run(w, &mut rig.rng, commits).expect("run");
+    measure(&mut rig.world, run).1.busy_us / commits
+}
+
+/// The `MediaKind::File` knobs of a wall-clock measurement, over a directory
+/// the harness names — `argus-bench-<tag>` under `ARGUS_BENCH_DIR` (point it
+/// at tmpfs or a real disk), or `argus-bench-<pid>-<tag>` under the OS temp
+/// dir when that is unset — and removes when this is dropped, together with
+/// whatever a killed earlier run left there. `ARGUS_BENCH_DIR` itself is
+/// never touched.
+pub struct FileMedia {
+    /// The knobs; the path is leaked because `WorldConfig` is `Copy`.
+    pub cfg: WorldConfig,
+    dir: PathBuf,
+}
+
+impl Drop for FileMedia {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// [`FileMedia`] named by `tag`, with force schedule `force`.
+pub fn file_media(tag: &str, force: ForceConfig) -> FileMedia {
+    let dir = match std::env::var_os("ARGUS_BENCH_DIR") {
+        Some(base) => PathBuf::from(base).join(format!("argus-bench-{tag}")),
+        None => std::env::temp_dir().join(format!("argus-bench-{}-{tag}", std::process::id())),
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    let path: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
+    let cfg = WorldConfig {
+        force,
+        media: MediaKind::File { dir: Some(path) },
+        ..Default::default()
+    };
+    FileMedia { cfg, dir }
 }
 
 /// E1 — §1.2.2/§4.1: writing cost per committed action.
@@ -37,122 +319,91 @@ fn device(world: &World, g: argus_objects::GuardianId) -> StatsSnapshot {
 /// Claim: "Log ⇒ fast writing… Shadowing ⇒ slow writing"; the hybrid log
 /// writes almost exactly like the pure log because the map fragment rides
 /// inside the forced `prepared` entry.
-pub fn e1_write_cost(commits: u64) -> Table {
+fn e1_write_cost(commits: u64) -> Table {
     let mut table = Table::new(
         "E1",
         "Write cost per committed action (simulated device µs)",
         "thesis: simple ≈ hybrid < shadowing; the shadowing penalty is the per-commit map rewrite (see E7 for its scaling)",
+        "objects/action | simple log | hybrid log | shadowing | redo log | shadow/hybrid",
     );
-    table.header(vec![
-        "objects/action".into(),
-        "simple log".into(),
-        "hybrid log".into(),
-        "shadowing".into(),
-        "redo log".into(),
-        "shadow/hybrid".into(),
-    ]);
     for writes in [1usize, 4, 16, 64] {
-        let mut row = vec![writes.to_string()];
-        let mut per_commit = Vec::new();
-        for kind in RsKind::ALL {
-            let mut world = World::new(CostModel::default());
-            let mut synth = Synth::setup(
-                &mut world,
-                kind,
-                SynthConfig {
-                    objects: 2_048,
-                    writes_per_action: writes,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(1);
-            let before = device(&world, g);
-            synth.run(&mut world, &mut rng, commits).expect("run");
-            let delta = device(&world, g).since(&before);
-            let us = delta.busy_us / commits;
-            per_commit.push(us);
-            row.push(format!("{us}"));
-        }
-        row.push(format!(
-            "{:.1}x",
-            per_commit[2] as f64 / per_commit[1].max(1) as f64
-        ));
-        table.row(row);
+        let us = RsKind::ALL.map(|kind| write_us(&RigSpec::new(2_048, writes, 1), kind, commits));
+        let [simple, hybrid, shadow, redo] = us;
+        assert!(
+            shadow > simple.max(hybrid).max(redo),
+            "E1: shadowing is not the dearest writer at {writes} objects/action: {us:?}"
+        );
+        table.row(row![
+            writes,
+            simple,
+            hybrid,
+            shadow,
+            redo,
+            ratio(shadow, hybrid)
+        ]);
     }
     table
 }
 
-/// E2 — §1.2.2/§4.1: recovery cost versus history length.
+/// E2 — §1.2.2/§4.1: recovery cost versus history length, and (E3) the log
+/// entries each recovery examines.
 ///
-/// Claim: "Log ⇒ … slow recovery. Shadowing ⇒ … fast recovery"; the hybrid
-/// log sits in between, much closer to shadowing because it walks only the
-/// outcome chain.
-pub fn e2_recovery_cost(lengths: &[u64]) -> (Table, Table) {
+/// Claim: "Log ⇒ … slow recovery. Shadowing ⇒ … fast recovery". Under the
+/// page cache both logs read each page about once, so the hybrid log's edge
+/// (a constant number of data entries read) shows in E3, not in device µs.
+fn e2_recovery_cost(lengths: &[u64]) -> Vec<Table> {
     let mut time = Table::new(
         "E2",
         "Recovery cost after a crash vs. history length (simulated device µs)",
-        "thesis: shadow < hybrid ≪ simple; the simple log's cost grows with the whole history",
+        "thesis: log recovery grows with the history, shadowing's does not — hybrid < simple < redo full scan on every row; shadowing flat, below hybrid from 1 000 commits on",
+        "committed actions | simple log | hybrid log | shadowing | redo log | simple/hybrid",
     );
-    time.header(vec![
-        "committed actions".into(),
-        "simple log".into(),
-        "hybrid log".into(),
-        "shadowing".into(),
-        "redo log".into(),
-        "simple/hybrid".into(),
-    ]);
     let mut examined = Table::new(
         "E3",
         "Log entries examined during recovery (entries / data entries read)",
         "thesis §4.1: the hybrid log reads only the outcome chain plus needed data entries",
+        "committed actions | simple log | hybrid log | shadowing | redo log",
     );
-    examined.header(vec![
-        "committed actions".into(),
-        "simple log".into(),
-        "hybrid log".into(),
-        "shadowing".into(),
-        "redo log".into(),
-    ]);
-
+    let (mut shadow_us, mut data_read) = (Vec::new(), Vec::new());
     for &n in lengths {
-        let mut time_row = vec![n.to_string()];
-        let mut ex_row = vec![n.to_string()];
-        let mut us = Vec::new();
-        for kind in RsKind::ALL {
-            let mut world = World::new(CostModel::default());
-            let mut synth = Synth::setup(
-                &mut world,
-                kind,
-                SynthConfig {
-                    objects: 128,
-                    writes_per_action: 4,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(2);
-            synth.run(&mut world, &mut rng, n).expect("run");
-            world.crash(g);
-            let before = device(&world, g);
-            let outcome = world.restart(g).expect("recover");
-            let delta = device(&world, g).since(&before);
-            us.push(delta.busy_us);
-            time_row.push(delta.busy_us.to_string());
-            ex_row.push(format!(
-                "{} / {}",
-                outcome.entries_examined, outcome.data_entries_read
-            ));
-        }
-        time_row.push(format!("{:.1}x", us[0] as f64 / us[1].max(1) as f64));
-        time.row(time_row);
-        examined.row(ex_row);
+        let runs = RsKind::ALL.map(|kind| {
+            let mut rig = RigSpec::new(128, 4, 2).build(kind);
+            rig.run(n);
+            rig.restart(RecoveryMode::Full)
+        });
+        let us = runs.each_ref().map(|(_, s)| s.busy_us);
+        let [simple, hybrid, shadow, redo] = us;
+        assert!(
+            hybrid < simple && simple < redo,
+            "E2: not hybrid < simple < redo full scan after {n} commits: {us:?}"
+        );
+        assert_eq!(
+            shadow < hybrid,
+            n >= 1_000,
+            "E2: shadowing must beat the hybrid log from 1 000 commits on, not before: {us:?}"
+        );
+        shadow_us.push(shadow);
+        data_read.push(runs.each_ref().map(|(o, _)| o.data_entries_read));
+        time.row(row![n, simple, hybrid, shadow, redo, ratio(simple, hybrid)]);
+        let mut cells = row![n];
+        cells.extend(
+            runs.iter()
+                .map(|(o, _)| format!("{} / {}", o.entries_examined, o.data_entries_read)),
+        );
+        examined.row(cells);
     }
-    (time, examined)
+    let (least, most) = (shadow_us.iter().min(), shadow_us.iter().max());
+    assert!(
+        most.zip(least).is_some_and(|(m, l)| m * 10 <= l * 11),
+        "E2: shadowing's recovery is not flat in the history: {shadow_us:?}"
+    );
+    let simple_read: Vec<u64> = data_read.iter().map(|r| r[0]).collect();
+    assert!(
+        data_read.iter().all(|r| r[1] == data_read[0][1]) && rising(&simple_read),
+        "E3: the hybrid log must read a constant number of data entries while the simple \
+         log's grows: {data_read:?}"
+    );
+    vec![time, examined]
 }
 
 /// E4 — §5.3: housekeeping cost, compaction vs snapshot.
@@ -161,19 +412,14 @@ pub fn e2_recovery_cost(lengths: &[u64]) -> (Table, Table) {
 /// the number of accessible recoverable objects; the compaction method
 /// would take much longer since it must process all outcome entries as well
 /// as all accessible objects."
-pub fn e4_housekeeping_cost() -> Table {
+fn e4_housekeeping_cost() -> Table {
     let mut table = Table::new(
         "E4",
         "Housekeeping cost (simulated device µs)",
         "thesis §5.3: compaction grows with history length; snapshot with live-set size",
+        "live objects | history (commits) | compaction | snapshot | compaction/snapshot",
     );
-    table.header(vec![
-        "live objects".into(),
-        "history (commits)".into(),
-        "compaction".into(),
-        "snapshot".into(),
-        "compaction/snapshot".into(),
-    ]);
+    let mut compaction_64 = Vec::new();
     for (objects, history) in [
         (64usize, 500u64),
         (64, 2_000),
@@ -181,88 +427,148 @@ pub fn e4_housekeeping_cost() -> Table {
         (256, 2_000),
         (1_024, 2_000),
     ] {
-        let mut costs = Vec::new();
-        for mode in [HousekeepingMode::Compaction, HousekeepingMode::Snapshot] {
-            let mut world = World::new(CostModel::default());
-            let mut synth = Synth::setup(
-                &mut world,
-                RsKind::Hybrid,
-                SynthConfig {
-                    objects,
-                    writes_per_action: 4,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(3);
-            synth.run(&mut world, &mut rng, history).expect("run");
-            // Housekeeping swaps the log to a fresh store, so measure via
-            // the shared clock (old-log reads + new-log writes included).
-            let before = world.clock.now();
-            world.housekeep(g, mode).expect("housekeeping");
-            costs.push(world.clock.now() - before);
+        let [compaction, snapshot] = [HousekeepingMode::Compaction, HousekeepingMode::Snapshot]
+            .map(|mode| {
+                let mut rig = RigSpec::new(objects, 4, 3).build(RsKind::Hybrid);
+                rig.run(history);
+                let g = rig.guardian();
+                // Housekeeping swaps the log to a fresh store, so read the
+                // shared clock (old-log reads + new-log writes included).
+                let pass = measure(&mut rig.world, |w| {
+                    w.housekeep(g, mode).expect("housekeeping")
+                });
+                pass.1.sim_us
+            });
+        assert!(
+            compaction > snapshot,
+            "E4: compaction ({compaction}) is not slower than snapshot ({snapshot}) at \
+             {objects} objects, {history} commits"
+        );
+        if objects == 64 {
+            compaction_64.push(compaction);
         }
-        table.row(vec![
-            objects.to_string(),
-            history.to_string(),
-            costs[0].to_string(),
-            costs[1].to_string(),
-            format!("{:.1}x", costs[0] as f64 / costs[1].max(1) as f64),
+        table.row(row![
+            objects,
+            history,
+            compaction,
+            snapshot,
+            ratio(compaction, snapshot)
         ]);
     }
+    assert!(
+        rising(&compaction_64),
+        "E4: compaction does not grow with the history: {compaction_64:?}"
+    );
     table
 }
 
 /// E5 — ch. 5: a checkpoint bounds recovery.
-pub fn e5_checkpoint_bounds_recovery() -> Table {
+fn e5_checkpoint_bounds_recovery() -> Table {
     let mut table = Table::new(
         "E5",
         "Recovery after a crash, with and without housekeeping first",
         "thesis ch. 5: the checkpoint bounds how much log recovery must examine",
+        "history (commits) | no housekeeping (entries / µs) | after snapshot (entries / µs)",
     );
-    table.header(vec![
-        "history (commits)".into(),
-        "no housekeeping (entries / µs)".into(),
-        "after snapshot (entries / µs)".into(),
-    ]);
+    let mut bounded = Vec::new();
     for history in [1_000u64, 4_000, 16_000] {
-        let mut cells = Vec::new();
-        for housekeep in [false, true] {
-            let mut world = World::new(CostModel::default());
-            let mut synth = Synth::setup(
-                &mut world,
-                RsKind::Hybrid,
-                SynthConfig {
-                    objects: 128,
-                    writes_per_action: 4,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(4);
-            synth.run(&mut world, &mut rng, history).expect("run");
+        let [plain, snapshot] = [false, true].map(|housekeep| {
+            let mut rig = RigSpec::new(128, 4, 4).build(RsKind::Hybrid);
+            rig.run(history);
             if housekeep {
-                world
+                let g = rig.guardian();
+                rig.world
                     .housekeep(g, HousekeepingMode::Snapshot)
                     .expect("housekeeping");
             }
-            world.crash(g);
-            let before = device(&world, g);
-            let outcome = world.restart(g).expect("recover");
-            let us = device(&world, g).since(&before).busy_us;
-            cells.push(format!("{} / {}", outcome.entries_examined, us));
-        }
-        table.row(vec![
-            history.to_string(),
-            cells[0].clone(),
-            cells[1].clone(),
-        ]);
+            let (outcome, restart) = rig.restart(RecoveryMode::Full);
+            (outcome.entries_examined, restart.busy_us)
+        });
+        assert!(
+            snapshot.0 < plain.0 && snapshot.1 < plain.1,
+            "E5: a snapshot did not shorten recovery after {history} commits"
+        );
+        bounded.push(snapshot);
+        let cell = |(entries, us): (u64, u64)| format!("{entries} / {us}");
+        table.row(row![history, cell(plain), cell(snapshot)]);
     }
+    assert!(
+        bounded.iter().all(|&b| b == bounded[0]),
+        "E5: recovery after a snapshot still grows with the history: {bounded:?}"
+    );
     table
+}
+
+/// A hybrid log on simulated memory under a heap of committed 48-byte
+/// objects: what E6 and E10 prepare against, below the world.
+struct PrepareRig {
+    clock: SimClock,
+    rs: HybridLogRs<MemProvider>,
+    heap: Heap,
+    objs: Vec<HeapId>,
+}
+
+impl PrepareRig {
+    fn new(objects: usize) -> Self {
+        let clock = SimClock::new();
+        let provider = MemProvider {
+            clock: clock.clone(),
+            model: CostModel::default(),
+            plan: None,
+        };
+        let mut rs = HybridLogRs::create(provider).expect("rs");
+        let mut heap = Heap::with_stable_root();
+        let t0 = ActionId::new(GuardianId(0), 0);
+        let root = heap.stable_root().expect("root");
+        heap.acquire_write(root, t0).expect("lock");
+        let objs: Vec<_> = (0..objects)
+            .map(|_| heap.alloc_atomic(Value::Bytes(vec![0; 48]), Some(t0)))
+            .collect();
+        let refs = objs.iter().map(|h| Value::heap_ref(*h)).collect();
+        heap.write_value(root, t0, |v| *v = Value::Seq(refs))
+            .expect("write");
+        rs.prepare(t0, &[root], &heap).expect("prepare");
+        rs.commit(t0).expect("commit");
+        heap.commit_action(t0);
+        Self {
+            clock,
+            rs,
+            heap,
+            objs,
+        }
+    }
+
+    /// Action `i + 1` overwrites every object; when `early`, its data
+    /// entries are written now, off the critical path (free-time writing,
+    /// §4.4). Returns the action and what its prepare has left to write.
+    fn modify(&mut self, i: u64, early: bool) -> (ActionId, Vec<HeapId>) {
+        let aid = ActionId::new(GuardianId(0), i + 1);
+        for &h in &self.objs {
+            self.heap.acquire_write(h, aid).expect("lock");
+            self.heap
+                .write_value(h, aid, |v| *v = Value::Bytes(vec![i as u8; 48]))
+                .expect("write");
+        }
+        let mos = if early {
+            let heap = &self.heap;
+            self.rs
+                .write_entry(aid, &self.objs, heap)
+                .expect("early prepare")
+        } else {
+            self.objs.clone()
+        };
+        (aid, mos)
+    }
+
+    /// Prepares and commits `aid`; returns the prepare's simulated µs.
+    fn commit(&mut self, aid: ActionId, mos: &[HeapId]) -> u64 {
+        let start = self.clock.now();
+        self.rs.prepare(aid, mos, &self.heap).expect("prepare");
+        let us = self.clock.now() - start;
+        self.rs.commit(aid).expect("commit");
+        self.heap.commit_action(aid);
+        us
+    }
 }
 
 /// E6 — §4.4: early prepare shortens the prepare critical path.
@@ -271,142 +577,72 @@ pub fn e5_checkpoint_bounds_recovery() -> Table {
 /// writing out the data entries to the log all at once, it might be better
 /// to write out changes early… if the action eventually commits just the
 /// prepared and committed outcome entries are written."
-pub fn e6_early_prepare() -> Table {
-    use argus_core::providers::MemProvider;
-    use argus_core::HybridLogRs;
-    use argus_objects::Heap;
-
+fn e6_early_prepare() -> Table {
     let mut table = Table::new(
         "E6",
         "Prepare-phase critical path (simulated device µs per prepare)",
         "thesis §4.4: with early prepare only the prepared outcome entry remains on the critical path",
+        "objects/action | prepare (no early prepare) | prepare (after early prepare) | speedup",
     );
-    table.header(vec![
-        "objects/action".into(),
-        "prepare (no early prepare)".into(),
-        "prepare (after early prepare)".into(),
-        "speedup".into(),
-    ]);
     for writes in [1usize, 4, 16, 64] {
-        let mut costs = Vec::new();
-        for early in [false, true] {
-            let clock = argus_sim::SimClock::new();
-            let provider = MemProvider {
-                clock: clock.clone(),
-                model: CostModel::default(),
-                plan: None,
-            };
-            let mut rs = HybridLogRs::create(provider).expect("rs");
-            let mut heap = Heap::with_stable_root();
-            // Create the objects (committed).
-            let t0 = argus_objects::ActionId::new(argus_objects::GuardianId(0), 0);
-            let root = heap.stable_root().expect("root");
-            heap.acquire_write(root, t0).expect("lock");
-            let mut objs = Vec::new();
-            for _ in 0..writes {
-                let h = heap.alloc_atomic(Value::Bytes(vec![0; 48]), Some(t0));
-                objs.push(h);
-            }
-            let refs: Vec<Value> = objs.iter().map(|h| Value::heap_ref(*h)).collect();
-            heap.write_value(root, t0, |v| *v = Value::Seq(refs))
-                .expect("write");
-            rs.prepare(t0, &[root], &heap).expect("prepare");
-            rs.commit(t0).expect("commit");
-            heap.commit_action(t0);
-
-            // Measure 50 prepares.
-            let rounds = 50u64;
-            let mut total = 0u64;
-            for i in 0..rounds {
-                let aid = argus_objects::ActionId::new(argus_objects::GuardianId(0), i + 1);
-                for &h in &objs {
-                    heap.acquire_write(h, aid).expect("lock");
-                    heap.write_value(h, aid, |v| *v = Value::Bytes(vec![i as u8; 48]))
-                        .expect("write");
-                }
-                let mos: Vec<_> = objs.clone();
-                let mos = if early {
-                    // Background (free-time) writing, off the critical path.
-                    rs.write_entry(aid, &mos, &heap).expect("early prepare")
-                } else {
-                    mos
-                };
-                let start = clock.now();
-                rs.prepare(aid, &mos, &heap).expect("prepare");
-                total += clock.now() - start;
-                rs.commit(aid).expect("commit");
-                heap.commit_action(aid);
-            }
-            costs.push(total / rounds);
-        }
-        table.row(vec![
-            writes.to_string(),
-            costs[0].to_string(),
-            costs[1].to_string(),
-            format!("{:.1}x", costs[0] as f64 / costs[1].max(1) as f64),
-        ]);
+        let rounds = 50u64;
+        let [lazy, early] = [false, true].map(|early| {
+            let mut rig = PrepareRig::new(writes);
+            let total: u64 = (0..rounds)
+                .map(|i| {
+                    let (aid, mos) = rig.modify(i, early);
+                    rig.commit(aid, &mos)
+                })
+                .sum();
+            total / rounds
+        });
+        assert!(
+            early < lazy,
+            "E6: early prepare did not shorten the prepare at {writes} objects/action"
+        );
+        table.row(row![writes, lazy, early, ratio(lazy, early)]);
     }
     table
 }
 
 /// E7 — §1.2.1: the shadowing map rewrite grows with the number of objects;
 /// the hybrid log's distributed map does not.
-pub fn e7_map_scaling() -> Table {
+fn e7_map_scaling() -> Table {
     let mut table = Table::new(
         "E7",
         "Commit cost vs. total live objects, fixed 4 writes/action (device µs per commit)",
         "thesis §1.2.1: rewriting the map at every commit \"could be expensive, especially if the map is large\"",
+        "live objects | hybrid log | shadowing | shadow/hybrid",
     );
-    table.header(vec![
-        "live objects".into(),
-        "hybrid log".into(),
-        "shadowing".into(),
-        "shadow/hybrid".into(),
-    ]);
+    let mut penalty = Vec::new();
     for objects in [1_000usize, 4_000, 16_000, 32_000] {
-        let commits = 50u64;
-        let mut costs = Vec::new();
-        for kind in [RsKind::Hybrid, RsKind::Shadow] {
-            let mut world = World::new(CostModel::default());
-            let mut synth = Synth::setup(
-                &mut world,
-                kind,
-                SynthConfig {
-                    objects,
-                    writes_per_action: 4,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(5);
-            let before = device(&world, g);
-            synth.run(&mut world, &mut rng, commits).expect("run");
-            costs.push(device(&world, g).since(&before).busy_us / commits);
-        }
-        table.row(vec![
-            objects.to_string(),
-            costs[0].to_string(),
-            costs[1].to_string(),
-            format!("{:.1}x", costs[1] as f64 / costs[0].max(1) as f64),
-        ]);
+        let [hybrid, shadow] = [RsKind::Hybrid, RsKind::Shadow]
+            .map(|kind| write_us(&RigSpec::new(objects, 4, 5), kind, 50));
+        penalty.push(shadow as f64 / hybrid.max(1) as f64);
+        table.row(row![objects, hybrid, shadow, ratio(shadow, hybrid)]);
     }
+    assert!(
+        rising(&penalty),
+        "E7: shadow/hybrid does not rise with the live set: {penalty:?}"
+    );
     table
 }
 
 /// E8 — correctness under fault injection: the crash matrix of §2.2.3.
-pub fn e8_crash_matrix() -> Table {
-    use argus_objects::{GuardianId, ObjRef};
+fn e8_crash_matrix() -> Table {
+    use argus_objects::ObjRef;
 
-    fn balance(w: &World, g: GuardianId) -> i64 {
-        let guardian = w.guardian(g).expect("guardian");
-        match guardian.stable_value("acct") {
-            Some(Value::Ref(ObjRef::Heap(h))) => match guardian.heap.read_value(h, None) {
-                Ok(Value::Int(b)) => *b,
-                _ => panic!("bad balance"),
-            },
+    fn account(w: &World, g: GuardianId) -> HeapId {
+        match w.guardian(g).expect("guardian").stable_value("acct") {
+            Some(Value::Ref(ObjRef::Heap(h))) => h,
             _ => panic!("unresolved account"),
+        }
+    }
+    fn balance(w: &World, g: GuardianId) -> i64 {
+        let heap = &w.guardian(g).expect("guardian").heap;
+        match heap.read_value(account(w, g), None) {
+            Ok(Value::Int(b)) => *b,
+            _ => panic!("bad balance"),
         }
     }
 
@@ -414,19 +650,11 @@ pub fn e8_crash_matrix() -> Table {
         "E8",
         "Fault-injection torture: distributed transfer with a crash at every write step",
         "required: 100% of recoveries consistent (conserved + all-or-nothing) and no committed action lost",
+        "organization | victim | crashes fired | consistent | durable commits",
     );
-    table.header(vec![
-        "organization".into(),
-        "victim".into(),
-        "crashes fired".into(),
-        "consistent".into(),
-        "durable commits".into(),
-    ]);
     for kind in RsKind::ALL {
-        for coordinator in [false, true] {
-            let mut fired = 0u64;
-            let mut consistent = 0u64;
-            let mut durable = 0u64;
+        for (victim, coordinator) in [("participant", false), ("coordinator", true)] {
+            let (mut fired, mut consistent, mut durable) = (0u64, 0u64, 0u64);
             for budget in 0..150u64 {
                 let mut w = World::fast();
                 let g0 = w.add_guardian(kind).expect("g0");
@@ -440,46 +668,37 @@ pub fn e8_crash_matrix() -> Table {
                 }
                 let a = w.begin(g0).expect("begin");
                 for (g, delta) in [(g0, -30i64), (g1, 30)] {
-                    let h = match w.guardian(g).expect("guardian").stable_value("acct") {
-                        Some(Value::Ref(ObjRef::Heap(h))) => h,
-                        _ => unreachable!(),
-                    };
-                    w.write_atomic(g, a, h, move |v| {
+                    w.write_atomic(g, a, account(&w, g), move |v| {
                         if let Value::Int(b) = v {
                             *b += delta;
                         }
                     })
                     .expect("write");
                 }
-                let victim = if coordinator { g0 } else { g1 };
-                w.arm_crash_after_writes(victim, budget).expect("arm");
+                let g = if coordinator { g0 } else { g1 };
+                w.arm_crash_after_writes(g, budget).expect("arm");
                 let outcome = w.commit(a).expect("2pc");
-                if w.is_up(victim) {
+                if w.is_up(g) {
                     continue;
                 }
                 fired += 1;
-                w.crash(victim);
-                w.restart(victim).expect("restart");
+                w.crash(g);
+                w.restart(g).expect("restart");
                 w.run_until_quiet().expect("quiesce");
                 w.requery_in_doubt().expect("requery");
                 let (b0, b1) = (balance(&w, g0), balance(&w, g1));
-                let ok = b0 + b1 == 200 && ((b0, b1) == (70, 130) || (b0, b1) == (100, 100));
-                if ok {
-                    consistent += 1;
-                }
-                if outcome != argus_guardian::Outcome::Committed || (b0, b1) == (70, 130) {
-                    durable += 1;
-                }
+                let all_or_nothing = (b0, b1) == (70, 130) || (b0, b1) == (100, 100);
+                consistent += u64::from(b0 + b1 == 200 && all_or_nothing);
+                durable += u64::from(outcome != Outcome::Committed || (b0, b1) == (70, 130));
             }
-            table.row(vec![
-                kind_name(kind).into(),
-                if coordinator {
-                    "coordinator"
-                } else {
-                    "participant"
-                }
-                .into(),
-                fired.to_string(),
+            assert!(
+                consistent == fired && durable == fired,
+                "E8: {kind:?} recovered inconsistently or lost a commit"
+            );
+            table.row(row![
+                kind_name(kind),
+                victim,
+                fired,
                 format!("{consistent}/{fired}"),
                 format!("{durable}/{fired}"),
             ]);
@@ -494,141 +713,218 @@ pub fn e8_crash_matrix() -> Table {
 /// rewrites), not one device's constants. Re-run the E1/E2 comparisons on a
 /// device 1000× faster than the early-80s default: every ordering must hold
 /// on both.
-pub fn e9_device_sensitivity() -> Table {
+fn e9_device_sensitivity() -> Table {
     let mut table = Table::new(
         "E9",
         "Ordering robustness across device profiles (device µs)",
         "ablation: the who-wins orderings of E1/E2 must not depend on the cost constants",
+        "profile | metric | simple log | hybrid log | shadowing | redo log | ordering holds",
     );
-    table.header(vec![
-        "profile".into(),
-        "metric".into(),
-        "simple log".into(),
-        "hybrid log".into(),
-        "shadowing".into(),
-        "redo log".into(),
-        "ordering holds".into(),
-    ]);
     for (name, model) in [
         ("1983 disk", CostModel::default()),
         ("fast device", CostModel::fast()),
     ] {
         // Write cost per commit (16 writes/action, 2048 live objects).
-        let mut write_us = Vec::new();
-        for kind in RsKind::ALL {
-            let mut world = World::new(model.clone());
-            let mut synth = Synth::setup(
-                &mut world,
-                kind,
-                SynthConfig {
-                    objects: 2_048,
-                    writes_per_action: 16,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(6);
-            let before = device(&world, g);
-            synth.run(&mut world, &mut rng, 100).expect("run");
-            write_us.push(device(&world, g).since(&before).busy_us / 100);
-        }
-        let write_ok =
-            write_us[0] < write_us[2] && write_us[1] < write_us[2] && write_us[3] < write_us[2];
-        table.row(vec![
-            name.into(),
-            "write/commit".into(),
-            write_us[0].to_string(),
-            write_us[1].to_string(),
-            write_us[2].to_string(),
-            write_us[3].to_string(),
-            if write_ok { "yes".into() } else { "NO".into() },
+        let spec = RigSpec {
+            model: model.clone(),
+            ..RigSpec::new(2_048, 16, 6)
+        };
+        let [simple, hybrid, shadow, redo] = RsKind::ALL.map(|kind| write_us(&spec, kind, 100));
+        assert!(
+            simple < shadow && hybrid < shadow && redo < shadow,
+            "E9: on the {name} profile a log organization writes slower than shadowing"
+        );
+        table.row(row![
+            name,
+            "write/commit",
+            simple,
+            hybrid,
+            shadow,
+            redo,
+            "yes"
         ]);
 
         // Recovery cost after 2000 commits.
-        let mut rec_us = Vec::new();
-        for kind in RsKind::ALL {
-            let mut world = World::new(model.clone());
-            let mut synth = Synth::setup(
-                &mut world,
-                kind,
-                SynthConfig {
-                    objects: 128,
-                    writes_per_action: 4,
-                    value_size: 48,
-                    ..Default::default()
-                },
-            )
-            .expect("setup");
-            let g = synth.guardian();
-            let mut rng = argus_sim::DetRng::new(7);
-            synth.run(&mut world, &mut rng, 2_000).expect("run");
-            world.crash(g);
-            let before = device(&world, g);
-            world.restart(g).expect("recover");
-            rec_us.push(device(&world, g).since(&before).busy_us);
-        }
+        let spec = RigSpec {
+            model,
+            ..RigSpec::new(128, 4, 7)
+        };
+        let [simple, hybrid, shadow, redo] = RsKind::ALL.map(|kind| {
+            let mut rig = spec.build(kind);
+            rig.run(2_000);
+            rig.restart(RecoveryMode::Full).1.busy_us
+        });
         // The redo log's full-scan recovery reads the whole history like the
         // simple log's (E20 is where its fast restart modes are priced), so
         // the ordering constraint is only that both full scans lose to the
         // chain/map organizations.
-        let rec_ok = rec_us[2] < rec_us[1] && rec_us[1] < rec_us[0] && rec_us[1] < rec_us[3];
-        table.row(vec![
-            name.into(),
-            "recovery".into(),
-            rec_us[0].to_string(),
-            rec_us[1].to_string(),
-            rec_us[2].to_string(),
-            rec_us[3].to_string(),
-            if rec_ok { "yes".into() } else { "NO".into() },
+        assert!(
+            shadow < hybrid && hybrid < simple && hybrid < redo,
+            "E9: on the {name} profile the recovery ordering does not hold"
+        );
+        table.row(row![name, "recovery", simple, hybrid, shadow, redo, "yes"]);
+    }
+    table
+}
+
+/// E10 — the early-prepare assumption: "if it aborts then extra work has
+/// been done, but that is not a problem because we assume that aborts are
+/// not as frequent as commits" (§4.4).
+///
+/// Measures total device time (not just the critical path) per 100 actions
+/// with and without early prepare, as the abort rate rises: the wasted
+/// writes grow with the abort rate, quantifying where the assumption pays.
+fn e10_abort_rate() -> Table {
+    let mut table = Table::new(
+        "E10",
+        "Early prepare under aborts: total device µs per 100 actions (16 objects each)",
+        "thesis §4.4: early prepare trades wasted writes on aborts for a shorter prepare path — worthwhile while aborts are rare",
+        "abort rate | lazy (total) | early prepare (total) | early overhead | prepare path (lazy → early)",
+    );
+    let mut overheads = Vec::new();
+    for abort_pct in [0u64, 10, 25, 50] {
+        let [(lazy, lazy_path), (early, early_path)] = [false, true].map(|early| {
+            let mut rig = PrepareRig::new(16);
+            let mut rng = DetRng::new(42);
+            let start = rig.clock.now();
+            let (mut path, mut commits) = (0u64, 0u64);
+            for i in 0..100u64 {
+                let (aid, mos) = rig.modify(i, early);
+                if rng.gen_bool(abort_pct as f64 / 100.0) {
+                    // Local abort before the prepare message: nothing more
+                    // reaches the log; early-prepared work is wasted.
+                    rig.heap.abort_action(aid);
+                    rig.rs.discard(aid);
+                    continue;
+                }
+                path += rig.commit(aid, &mos);
+                commits += 1;
+            }
+            (rig.clock.now() - start, path / commits.max(1))
+        });
+        let overhead = (early as f64 / lazy as f64 - 1.0) * 100.0;
+        assert!(
+            early_path < lazy_path,
+            "E10: early prepare did not shorten the prepare path at {abort_pct}% aborts"
+        );
+        overheads.push(overhead);
+        table.row(row![
+            format!("{abort_pct}%"),
+            lazy,
+            early,
+            format!("{overhead:+.1}%"),
+            format!("{lazy_path} → {early_path}"),
+        ]);
+    }
+    assert!(
+        rising(&overheads),
+        "E10: early prepare's overhead does not rise with the abort rate: {overheads:?}"
+    );
+    table
+}
+
+/// E11 — bounded model check of two-phase commit (DESIGN.md § Checking).
+///
+/// Runs the `argus-check` interleaving explorer over the real `twopc` state
+/// machines across a sweep of crash/drop budgets — with the coordinator as a
+/// separate node and as a participant of its own action — and reports its
+/// coverage:
+/// distinct states visited, crash points injected, messages dropped, and
+/// per-state log lints — all of which must find **zero** atomicity
+/// violations. The same counters are exported through `argus-obs`
+/// (`check.explore.*`), so the harness's per-run metrics report shows them
+/// alongside every other layer's.
+fn e11_explore_coverage() -> Table {
+    use argus_check::{ExploreConfig, Explorer};
+
+    let mut table = Table::new(
+        "E11",
+        "Bounded 2PC interleaving exploration: coverage vs. fault budget",
+        "required: zero atomicity violations (A1-A4 + termination) in every configuration; eager restarts re-check the stale-vote race class",
+        "participants | coordinator | crashes | drops | eager restarts | states | crash points | dropped msgs | lints | terminal | violations",
+    );
+    for (participants, coordinator_participates, max_crashes, max_drops, eager_restarts) in [
+        // No participants: a local action, committed in one forced step.
+        (0usize, true, 2u32, 0u32, true),
+        // The coordinator's node is a participant too, as in `World`: its
+        // commit point is one forced step and it is no party to the protocol.
+        (1, true, 2, 1, true),
+        (2, true, 2, 1, false),
+        // The coordinator is a separate node that only coordinates.
+        (2, false, 0, 0, false),
+        (2, false, 1, 0, false),
+        (2, false, 1, 1, false),
+        (2, false, 2, 1, false),
+        (3, false, 1, 0, false),
+        (8, false, 1, 0, false),
+        (2, false, 1, 0, true),
+    ] {
+        let report = Explorer::new(ExploreConfig {
+            participants,
+            coordinator_participates,
+            max_crashes,
+            max_drops,
+            max_states: 200_000,
+            allow_refusal: true,
+            eager_restarts,
+        })
+        .run();
+        report.assert_ok();
+        let s = report.stats;
+        table.row(row![
+            participants,
+            if coordinator_participates {
+                "participant"
+            } else {
+                "separate"
+            },
+            max_crashes,
+            max_drops,
+            if eager_restarts { "yes" } else { "no" },
+            s.states_visited,
+            s.crash_points,
+            s.drops,
+            s.lint_runs,
+            s.terminal_states,
+            report.violations.len(),
         ]);
     }
     table
 }
 
-/// Per-commit device costs measured by [`commit_perf`].
-#[derive(Debug, Clone, Copy)]
-pub struct CommitPerf {
-    /// Device force barriers per committed action.
-    pub forces_per_commit: f64,
-    /// Simulated device-busy µs per committed action.
-    pub us_per_commit: u64,
-}
-
-/// Runs `rounds` batches of `concurrency` concurrent actions (disjoint
-/// object sets, all committed via two-phase commit launched together so
-/// their log forces can coalesce) at a single guardian, and reports the
-/// per-commit device cost.
-pub fn commit_perf(kind: RsKind, concurrency: usize, rounds: u64, cfg: WorldConfig) -> CommitPerf {
-    let mut world = World::with_config(CostModel::default(), cfg);
+/// Runs `rounds` batches of `concurrency` concurrent actions at one guardian
+/// — disjoint objects, every commit launched before any settles, so their
+/// log forces can coalesce — and samples the batches. On a real file the
+/// world is priced by the fast profile, and two unsampled batches first
+/// warm up file growth and caches.
+pub fn commit_perf(kind: RsKind, concurrency: usize, rounds: u64, cfg: WorldConfig) -> Sample {
+    let mut world = World::with_config(model_for(&cfg), cfg);
     let g = world.add_guardian(kind).expect("guardian");
     let setup = world.begin(g).expect("begin");
-    let mut objs = Vec::new();
-    for i in 0..concurrency {
-        let h = world
-            .create_atomic(g, setup, Value::Bytes(vec![0; 48]))
-            .expect("create");
-        world
-            .set_stable(g, setup, &format!("o{i}"), Value::heap_ref(h))
-            .expect("bind");
-        objs.push(h);
-    }
+    let objs: Vec<_> = (0..concurrency)
+        .map(|i| {
+            let h = world
+                .create_atomic(g, setup, Value::Bytes(vec![0; 48]))
+                .expect("create");
+            world
+                .set_stable(g, setup, &format!("o{i}"), Value::heap_ref(h))
+                .expect("bind");
+            h
+        })
+        .collect();
     assert_eq!(
         world.commit(setup).expect("setup commit"),
         Outcome::Committed
     );
 
-    let before = device(&world, g);
-    let mut commits = 0u64;
-    for round in 0..rounds {
+    let batch = |world: &mut World, round: u64| {
         let aids: Vec<_> = (0..concurrency)
             .map(|_| world.begin(g).expect("begin"))
             .collect();
-        for (i, &aid) in aids.iter().enumerate() {
+        for (&aid, &h) in aids.iter().zip(&objs) {
             let fill = (round & 0xFF) as u8;
             world
-                .write_atomic(g, aid, objs[i], move |v| *v = Value::Bytes(vec![fill; 48]))
+                .write_atomic(g, aid, h, move |v| *v = Value::Bytes(vec![fill; 48]))
                 .expect("write");
         }
         // Launch every commit before settling any: the prepares (and then
@@ -642,14 +938,22 @@ pub fn commit_perf(kind: RsKind, concurrency: usize, rounds: u64, cfg: WorldConf
                 world.commit_settle(aid).expect("settle"),
                 Outcome::Committed
             );
-            commits += 1;
         }
+    };
+    let warmup = if matches!(cfg.media, MediaKind::File { .. }) {
+        2
+    } else {
+        0
+    };
+    for round in 0..warmup {
+        batch(&mut world, round);
     }
-    let delta = device(&world, g).since(&before);
-    CommitPerf {
-        forces_per_commit: delta.forces as f64 / commits as f64,
-        us_per_commit: delta.busy_us / commits,
-    }
+    measure(&mut world, |world| {
+        for round in warmup..warmup + rounds {
+            batch(world, round);
+        }
+    })
+    .1
 }
 
 /// What one two-guardian commit costs, alone in a fresh world, measured by
@@ -698,23 +1002,24 @@ pub fn two_guardian_commit(kind: RsKind, cfg: WorldConfig) -> TwoGuardianCommit 
         h
     });
 
-    let forces = |world: &World| gids.map(|g| device(world, g).forces);
-    let (before, mail) = (forces(&world), world.network().delivered());
-    let fsyncs = reg.counter("stable.file.fsyncs");
-    let fsyncs0 = fsyncs.get();
-    let aid = world.begin(gids[0]).expect("begin");
-    for (g, h) in gids.into_iter().zip(objs) {
-        world
-            .write_atomic(g, aid, h, |v| *v = Value::Int(1))
-            .expect("write");
-    }
-    assert_eq!(world.commit(aid).expect("commit"), Outcome::Committed);
+    let forces =
+        |w: &World| gids.map(|g| w.guardian(g).expect("guardian").log_stats().device.forces);
+    let before = forces(&world);
+    let (_, commit) = measure(&mut world, |world| {
+        let aid = world.begin(gids[0]).expect("begin");
+        for (g, h) in gids.into_iter().zip(objs) {
+            world
+                .write_atomic(g, aid, h, |v| *v = Value::Int(1))
+                .expect("write");
+        }
+        assert_eq!(world.commit(aid).expect("commit"), Outcome::Committed);
+    });
     let after = forces(&world);
     TwoGuardianCommit {
         coordinator_forces: after[0] - before[0],
         participant_forces: after[1] - before[1],
-        messages: world.network().delivered() - mail,
-        fsyncs: fsyncs.get() - fsyncs0,
+        messages: commit.counter("net.delivered"),
+        fsyncs: commit.counter("stable.file.fsyncs"),
     }
 }
 
@@ -724,89 +1029,38 @@ pub fn two_guardian_commit(kind: RsKind, cfg: WorldConfig) -> TwoGuardianCommit 
 /// group-commit scheduler makes one *device* force cover every action whose
 /// records are staged when it runs. Shadowing has no force to share, so it
 /// stays flat.
-pub fn e12_group_commit(rounds: u64) -> Table {
+fn e12_group_commit(rounds: u64) -> Table {
     let mut table = Table::new(
         "E12",
         "Group commit: device forces and µs per commit vs. concurrent actions",
         "claim: concurrent actions share forces on the log organizations — forces/commit falls with concurrency; shadowing cannot batch",
+        "concurrent actions | simple (forces/commit) | hybrid (forces/commit) | shadow (forces/commit) | redo (forces/commit) | simple (µs/commit) | hybrid (µs/commit) | shadow (µs/commit) | redo (µs/commit)",
     );
-    table.header(vec![
-        "concurrent actions".into(),
-        "simple (forces/commit)".into(),
-        "hybrid (forces/commit)".into(),
-        "shadow (forces/commit)".into(),
-        "redo (forces/commit)".into(),
-        "simple (µs/commit)".into(),
-        "hybrid (µs/commit)".into(),
-        "shadow (µs/commit)".into(),
-        "redo (µs/commit)".into(),
-    ]);
     for n in [1usize, 2, 4, 8] {
-        let perf: Vec<CommitPerf> = RsKind::ALL
-            .iter()
-            .map(|&kind| commit_perf(kind, n, rounds, WorldConfig::default()))
-            .collect();
-        table.row(vec![
-            n.to_string(),
-            format!("{:.2}", perf[0].forces_per_commit),
-            format!("{:.2}", perf[1].forces_per_commit),
-            format!("{:.2}", perf[2].forces_per_commit),
-            format!("{:.2}", perf[3].forces_per_commit),
-            perf[0].us_per_commit.to_string(),
-            perf[1].us_per_commit.to_string(),
-            perf[2].us_per_commit.to_string(),
-            perf[3].us_per_commit.to_string(),
-        ]);
+        let perf = RsKind::ALL.map(|kind| commit_perf(kind, n, rounds, WorldConfig::default()));
+        let commits = rounds * n as u64;
+        let mut cells = row![n];
+        cells.extend(
+            perf.iter()
+                .map(|s| format!("{:.2}", s.forces as f64 / commits as f64)),
+        );
+        cells.extend(perf.iter().map(|s| (s.busy_us / commits).to_string()));
+        table.row(cells);
     }
     table
 }
 
-/// Recovery device cost and cache effectiveness measured by
-/// [`recovery_perf`].
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryPerf {
-    /// Simulated device-busy µs spent by the restart (recovery included).
-    pub device_us: u64,
-    /// Page-cache hits during the restart.
-    pub hits: u64,
-    /// Page-cache misses during the restart.
-    pub misses: u64,
-    /// Pages prefetched by read-ahead during the restart.
-    pub readahead: u64,
-}
-
-/// Builds `history` committed actions on one guardian, crashes it, and
-/// measures the restart's device time plus the page cache's counters.
-pub fn recovery_perf(kind: RsKind, history: u64, cfg: WorldConfig) -> RecoveryPerf {
+/// Commits `history` actions on `spec`'s rig of `kind`, crashes it, and
+/// samples the restart, all in a registry scope of its own. Returns the
+/// log's bytes at the crash too.
+pub fn recovery_perf(spec: &RigSpec, kind: RsKind, history: u64) -> (u64, Sample) {
     let reg = argus_obs::Registry::new();
     let _scope = reg.enter();
-    let mut world = World::with_config(CostModel::default(), cfg);
-    let mut synth = Synth::setup(
-        &mut world,
-        kind,
-        SynthConfig {
-            objects: 128,
-            writes_per_action: 4,
-            value_size: 48,
-            ..Default::default()
-        },
-    )
-    .expect("setup");
-    let g = synth.guardian();
-    let mut rng = argus_sim::DetRng::new(8);
-    synth.run(&mut world, &mut rng, history).expect("run");
-    world.crash(g);
-    let hits0 = reg.counter("stable.cache.hit").get();
-    let misses0 = reg.counter("stable.cache.miss").get();
-    let ra0 = reg.counter("stable.cache.readahead").get();
-    let before = device(&world, g);
-    world.restart(g).expect("recover");
-    RecoveryPerf {
-        device_us: device(&world, g).since(&before).busy_us,
-        hits: reg.counter("stable.cache.hit").get() - hits0,
-        misses: reg.counter("stable.cache.miss").get() - misses0,
-        readahead: reg.counter("stable.cache.readahead").get() - ra0,
-    }
+    let mut rig = spec.build(kind);
+    rig.run(history);
+    let g = rig.guardian();
+    let log_bytes = rig.world.guardian(g).expect("guardian").log_stats().bytes;
+    (log_bytes, rig.restart(RecoveryMode::Full).1)
 }
 
 /// E13 — the page cache + read-ahead under recovery.
@@ -815,157 +1069,45 @@ pub fn recovery_perf(kind: RsKind, history: u64, cfg: WorldConfig) -> RecoveryPe
 /// (header and payload of adjacent records share pages), and the prefetch
 /// window turns its backward page sequence into sequential-rate device
 /// reads; the simple log's full forward scan benefits the same way.
-pub fn e13_recovery_cache(history: u64) -> Table {
+fn e13_recovery_cache(history: u64) -> Table {
     let mut table = Table::new(
         "E13",
         "Recovery device time with and without the page cache + read-ahead",
         "claim: caching + read-ahead cuts recovery device time ≥30% for the log organizations; the cache is volatile so crash semantics are unchanged",
+        "organization | uncached µs | cached µs | reduction | hits | misses | readahead",
     );
-    table.header(vec![
-        "organization".into(),
-        "uncached µs".into(),
-        "cached µs".into(),
-        "reduction".into(),
-        "hits".into(),
-        "misses".into(),
-        "readahead".into(),
-    ]);
     for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Redo] {
-        let uncached = recovery_perf(
-            kind,
-            history,
-            WorldConfig {
-                cache: argus_stable::CacheConfig::disabled(),
-                ..Default::default()
-            },
-        );
-        let cached = recovery_perf(kind, history, WorldConfig::default());
-        table.row(vec![
-            kind_name(kind).into(),
-            uncached.device_us.to_string(),
-            cached.device_us.to_string(),
-            format!(
-                "{:.0}%",
-                (1.0 - cached.device_us as f64 / uncached.device_us.max(1) as f64) * 100.0
-            ),
-            cached.hits.to_string(),
-            cached.misses.to_string(),
-            cached.readahead.to_string(),
+        let [uncached, cached] =
+            [argus_stable::CacheConfig::disabled(), Default::default()].map(|cache| {
+                let cfg = WorldConfig {
+                    cache,
+                    ..Default::default()
+                };
+                recovery_perf(&RigSpec::new(128, 4, 8).on(cfg), kind, history).1
+            });
+        let reduction = 1.0 - cached.busy_us as f64 / uncached.busy_us.max(1) as f64;
+        table.row(row![
+            kind_name(kind),
+            uncached.busy_us,
+            cached.busy_us,
+            format!("{:.0}%", reduction * 100.0),
+            cached.counter("stable.cache.hit"),
+            cached.counter("stable.cache.miss"),
+            cached.counter("stable.cache.readahead"),
         ]);
     }
     table
 }
 
-/// E11 — bounded model check of two-phase commit (DESIGN.md § Checking).
-///
-/// Runs the `argus-check` interleaving explorer over the real `twopc` state
-/// machines across a sweep of crash/drop budgets — with the coordinator as a
-/// separate node and as a participant of its own action — and reports its
-/// coverage:
-/// distinct states visited, crash points injected, messages dropped, and
-/// per-state log lints — all of which must find **zero** atomicity
-/// violations. The same counters are exported through `argus-obs`
-/// (`check.explore.*`), so the harness's per-run metrics report shows them
-/// alongside every other layer's.
-pub fn e11_explore_coverage() -> Table {
-    use argus_check::{ExploreConfig, Explorer};
-
-    let mut table = Table::new(
-        "E11",
-        "Bounded 2PC interleaving exploration: coverage vs. fault budget",
-        "required: zero atomicity violations (A1-A4 + termination) in every configuration; eager restarts re-check the stale-vote race class",
-    );
-    table.header(vec![
-        "participants".into(),
-        "coordinator".into(),
-        "crashes".into(),
-        "drops".into(),
-        "eager restarts".into(),
-        "states".into(),
-        "crash points".into(),
-        "dropped msgs".into(),
-        "lints".into(),
-        "terminal".into(),
-        "violations".into(),
-    ]);
-    for (participants, coordinator_participates, max_crashes, max_drops, eager_restarts) in [
-        // No participants: a local action, committed in one forced step.
-        (0usize, true, 2u32, 0u32, true),
-        // The coordinator's node is a participant too, as in `World`: its
-        // commit point is one forced step and it is no party to the protocol.
-        (1, true, 2, 1, true),
-        (2, true, 2, 1, false),
-        // The coordinator is a separate node that only coordinates.
-        (2, false, 0, 0, false),
-        (2, false, 1, 0, false),
-        (2, false, 1, 1, false),
-        (2, false, 2, 1, false),
-        (3, false, 1, 0, false),
-        (8, false, 1, 0, false),
-        (2, false, 1, 0, true),
-    ] {
-        let report = Explorer::new(ExploreConfig {
-            participants,
-            coordinator_participates,
-            max_crashes,
-            max_drops,
-            max_states: 200_000,
-            allow_refusal: true,
-            eager_restarts,
-        })
-        .run();
-        report.assert_ok();
-        let s = report.stats;
-        table.row(vec![
-            participants.to_string(),
-            if coordinator_participates {
-                "participant"
-            } else {
-                "separate"
-            }
-            .into(),
-            max_crashes.to_string(),
-            max_drops.to_string(),
-            if eager_restarts { "yes" } else { "no" }.into(),
-            s.states_visited.to_string(),
-            s.crash_points.to_string(),
-            s.drops.to_string(),
-            s.lint_runs.to_string(),
-            s.terminal_states.to_string(),
-            report.violations.len().to_string(),
-        ]);
-    }
-    table
-}
-
-/// One cell of E14 measured by [`cc_perf`]: the contended zipfian mix under
-/// one concurrency-control policy, log organization, and slot count.
-#[derive(Debug, Clone, Copy)]
-pub struct CcPerf {
-    /// Transfers committed (`concurrency × transfers_per_slot`).
-    pub committed: u64,
-    /// Aborted-and-retried attempts.
-    pub retries: u64,
-    /// Deadlock cycles broken by a victim abort.
-    pub deadlocks: u64,
-    /// Lock waits expired by the timeout policy.
-    pub timeouts: u64,
-    /// Retried attempts over all attempts.
-    pub abort_rate: f64,
-    /// p99 transfer latency in simulated µs (first begin → commit).
-    pub p99_us: u64,
-    /// Committed transfers per simulated second.
-    pub commits_per_s: f64,
-}
-
-/// Runs the contended transfer mix ([`Contended`]) under `policy` and
-/// reports the cell's metrics. Conserved balances are asserted, so every
-/// E14 run doubles as a correctness check of the lock scheduler.
-pub fn cc_perf(kind: RsKind, policy: CcPolicy, concurrency: usize, transfers: u64) -> CcPerf {
-    // Record into the caller's registry scope (so the experiment's metrics
-    // report shows the cc.* counters); per-run deadlocks are a delta.
-    let reg = argus_obs::current();
-    let deadlocks_before = reg.counter("cc.deadlocks").get();
+/// Runs the contended transfer mix ([`Contended`]) under `policy` in the
+/// caller's registry scope and samples it. Conserved balances are asserted,
+/// so every E14 run doubles as a correctness check of the lock scheduler.
+pub fn cc_perf(
+    kind: RsKind,
+    policy: CcPolicy,
+    concurrency: usize,
+    transfers: u64,
+) -> (ContendedStats, Sample) {
     let mut world = World::with_config(CostModel::default(), WorldConfig::with_cc(policy));
     let mix = Contended::setup(
         &mut world,
@@ -977,24 +1119,14 @@ pub fn cc_perf(kind: RsKind, policy: CcPolicy, concurrency: usize, transfers: u6
         },
     )
     .expect("setup");
-    let mut rng = argus_sim::DetRng::new(14);
-    let start = world.clock.now();
-    let stats = mix.run(&mut world, &mut rng).expect("contended run");
-    let elapsed_us = world.clock.now() - start;
+    let mut rng = DetRng::new(14);
+    let run = measure(&mut world, |w| mix.run(w, &mut rng).expect("contended run"));
     assert_eq!(
         mix.total_balance(&world).expect("balance"),
         mix.expected_total(),
         "{kind:?}/{policy:?}: transfers did not conserve the total balance"
     );
-    CcPerf {
-        committed: stats.committed,
-        retries: stats.retries,
-        deadlocks: reg.counter("cc.deadlocks").get() - deadlocks_before,
-        timeouts: stats.timeouts,
-        abort_rate: stats.abort_rate(),
-        p99_us: stats.p99_latency_us(),
-        commits_per_s: stats.committed as f64 * 1e6 / elapsed_us.max(1) as f64,
-    }
+    run
 }
 
 /// E14 — concurrency-control policies under contention (§2.4.1).
@@ -1003,22 +1135,13 @@ pub fn cc_perf(kind: RsKind, policy: CcPolicy, concurrency: usize, transfers: u6
 /// open. Three policies run the same deadlock-prone zipfian transfer mix on
 /// every log organization: refuse-and-retry (conflict-abort), FIFO blocking
 /// with wait-for-graph deadlock detection, and lock-wait timeout.
-pub fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
+fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
     let mut table = Table::new(
         "E14",
         "Concurrency-control policies on the contended zipfian mix (throughput, abort rate, p99 latency)",
         "claim: blocking beats conflict-abort at high contention (fewer wasted attempts); deadlock detection bounds p99 below the timeout policy's",
+        "organization | concurrent actions | policy | commits/s | abort rate | p99 µs | deadlocks | timeouts",
     );
-    table.header(vec![
-        "organization".into(),
-        "concurrent actions".into(),
-        "policy".into(),
-        "commits/s".into(),
-        "abort rate".into(),
-        "p99 µs".into(),
-        "deadlocks".into(),
-        "timeouts".into(),
-    ]);
     for kind in RsKind::ALL {
         for &n in concurrencies {
             for policy in [
@@ -1026,16 +1149,16 @@ pub fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
                 CcPolicy::Blocking,
                 CcPolicy::Timeout,
             ] {
-                let perf = cc_perf(kind, policy, n, transfers);
-                table.row(vec![
-                    kind_name(kind).into(),
-                    n.to_string(),
-                    policy.name().into(),
-                    format!("{:.1}", perf.commits_per_s),
-                    format!("{:.1}%", perf.abort_rate * 100.0),
-                    perf.p99_us.to_string(),
-                    perf.deadlocks.to_string(),
-                    perf.timeouts.to_string(),
+                let (stats, run) = cc_perf(kind, policy, n, transfers);
+                table.row(row![
+                    kind_name(kind),
+                    n,
+                    policy.name(),
+                    per_s(stats.committed, run.sim_us),
+                    pct(stats.abort_rate()),
+                    stats.p99_latency_us(),
+                    run.counter("cc.deadlocks"),
+                    stats.timeouts,
                 ]);
             }
         }
@@ -1043,228 +1166,83 @@ pub fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
     table
 }
 
-/// One cell of E21 measured by [`sharded_perf`]: the sharded many-guardian
-/// mix on one log organization at one world scale.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPerf {
-    /// Actions committed.
-    pub committed: u64,
-    /// Committed actions that ran distributed two-phase commit.
-    pub cross_shard: u64,
-    /// Retried attempts over all attempts.
-    pub abort_rate: f64,
-    /// Committed actions per simulated second.
-    pub commits_per_s: f64,
-    /// Shards that coordinated at least one commit.
-    pub coordinating_shards: usize,
-    /// Peak-to-mean coordinator load (1.0 = perfectly even).
-    pub coordinator_skew: f64,
-    /// World-scheduler guardian polls per committed action — the tentpole
-    /// metric: stays flat as the guardian count grows because the scheduler
-    /// visits only guardians with staged or due batches, never all `G`.
-    pub polls_per_commit: f64,
-    /// p99 action latency in simulated µs (first begin → commit).
-    pub p99_us: u64,
-}
-
-/// Runs the sharded mix ([`Sharded`]) at one scale under FIFO blocking with
-/// deadlock detection and reports the cell's metrics. Both conservation
-/// oracles (total balance, seats vs. committed reservations) are asserted,
-/// so every E21 cell doubles as a correctness check of the sharded world.
-pub fn sharded_perf(kind: RsKind, cfg: ShardedConfig) -> ShardPerf {
-    let reg = argus_obs::current();
-    let polls_before = reg.counter("world.sched.polls").get();
-    let mut world = World::with_config(
-        CostModel::default(),
-        WorldConfig::with_cc(CcPolicy::Blocking),
-    );
+/// Runs the sharded mix ([`Sharded`]) of `cfg` under FIFO blocking with
+/// deadlock detection, on a world priced by `model` and an rng seeded with
+/// `seed`, and samples the run. Both conservation oracles (total balance;
+/// seats vs. committed reservations) are asserted, so every run doubles as
+/// a correctness check of the sharded world.
+pub fn sharded_run(
+    kind: RsKind,
+    cfg: ShardedConfig,
+    model: CostModel,
+    seed: u64,
+) -> (World, ShardedStats, Sample) {
+    let mut world = World::with_config(model, WorldConfig::with_cc(CcPolicy::Blocking));
     let mix = Sharded::setup(&mut world, kind, cfg).expect("setup");
-    let mut rng = argus_sim::DetRng::new(21);
-    let start = world.clock.now();
-    let stats = mix.run(&mut world, &mut rng).expect("sharded run");
-    let elapsed_us = world.clock.now() - start;
+    let mut rng = DetRng::new(seed);
+    let (stats, run) = measure(&mut world, |w| mix.run(w, &mut rng).expect("sharded run"));
+    let shards = cfg.shards;
     assert_eq!(
         mix.total_balance(&world).expect("balance"),
         mix.expected_total(),
-        "{kind:?}/{} shards: the mix did not conserve the total balance",
-        cfg.shards
+        "{kind:?}/{shards} shards: the mix did not conserve the total balance"
     );
     assert_eq!(
         mix.total_seats(&world).expect("seats"),
         mix.expected_seats(&stats),
-        "{kind:?}/{} shards: seats do not match committed reservations",
-        cfg.shards
+        "{kind:?}/{shards} shards: seats do not match committed reservations"
     );
-    let polls = reg.counter("world.sched.polls").get() - polls_before;
-    ShardPerf {
-        committed: stats.committed,
-        cross_shard: stats.cross_shard,
-        abort_rate: stats.abort_rate(),
-        commits_per_s: stats.committed as f64 * 1e6 / elapsed_us.max(1) as f64,
-        coordinating_shards: stats.coordinating_shards(),
-        coordinator_skew: stats.coordinator_skew(),
-        polls_per_commit: polls as f64 / stats.committed.max(1) as f64,
-        p99_us: stats.p99_latency_us(),
-    }
-}
-
-/// The [`ShardedConfig`] E21 uses at a given scale: `actions_per_shard`
-/// actions spread over `shards` guardians and a user population that grows
-/// with the world (at 256 shards: 40 960 users).
-pub fn e21_config(shards: usize, actions_per_shard: u64) -> ShardedConfig {
-    ShardedConfig {
-        shards,
-        users: shards * 160,
-        concurrency: (shards * 2).clamp(16, 128),
-        actions: actions_per_shard * shards as u64,
-        ..Default::default()
-    }
+    (world, stats, run)
 }
 
 /// E21 — the sharded many-guardian world at scale (§2.1's "many guardians",
 /// stressed the way §5.3 sizes real systems).
 ///
 /// The partitioned banking/airline mix runs on worlds of 4 → 64 → 256 shard
-/// guardians with zipfian user populations into the tens of thousands, on
-/// every log organization. The simulator has one global clock, so elapsed
-/// simulated time is the *total* device work — commits/s of simulated time
-/// therefore measures per-commit cost, and the claim is that it carries no
-/// O(G) term: it stays flat as the guardian count grows 64×, as does the
-/// world scheduler's work per committed action (`polls/commit` — the
-/// O(active), not O(G), step), while 2PC coordination spreads across every
-/// shard (`coord shards` ≈ all of them).
-pub fn e21_sharded_scaling(shards: &[usize], actions_per_shard: u64) -> Table {
+/// guardians with zipfian user populations into the tens of thousands
+/// (`actions_per_shard` actions per shard, 160 users per shard: 40 960 at
+/// 256), on every log organization, under FIFO blocking with deadlock
+/// detection. The simulator has one global clock, so elapsed simulated time
+/// is the *total* device work — commits/s of simulated time therefore
+/// measures per-commit cost, and the claim is that it carries no O(G) term:
+/// it stays flat as the guardian count grows 64×, as does the world
+/// scheduler's work per committed action (`polls/commit` — the O(active),
+/// not O(G), step), while 2PC coordination spreads across every shard
+/// (`coord shards` ≈ all of them).
+fn e21_sharded_scaling(shards: &[usize], actions_per_shard: u64) -> Table {
     let mut table = Table::new(
         "E21",
         "Sharded many-guardian scaling: committed actions/s of simulated time (zipfian users, 2PC blocking mix)",
         "claim: per-commit cost is independent of world size — commits/s and scheduler polls/commit stay flat as guardians grow 4 -> 256 — while 2PC coordination spreads across every shard",
+        "organization | shards | users | commits/s | cross-shard | abort rate | p99 µs | coord shards | coord skew | polls/commit",
     );
-    table.header(vec![
-        "organization".into(),
-        "shards".into(),
-        "users".into(),
-        "commits/s".into(),
-        "cross-shard".into(),
-        "abort rate".into(),
-        "p99 µs".into(),
-        "coord shards".into(),
-        "coord skew".into(),
-        "polls/commit".into(),
-    ]);
     for kind in RsKind::ALL {
         for &shards in shards {
-            let cfg = e21_config(shards, actions_per_shard);
-            let perf = sharded_perf(kind, cfg);
-            table.row(vec![
-                kind_name(kind).into(),
-                shards.to_string(),
-                cfg.users.to_string(),
-                format!("{:.1}", perf.commits_per_s),
-                perf.cross_shard.to_string(),
-                format!("{:.1}%", perf.abort_rate * 100.0),
-                perf.p99_us.to_string(),
-                format!("{}/{}", perf.coordinating_shards, shards),
-                format!("{:.2}", perf.coordinator_skew),
-                format!("{:.2}", perf.polls_per_commit),
+            let cfg = ShardedConfig {
+                shards,
+                users: shards * 160,
+                concurrency: (shards * 2).clamp(16, 128),
+                actions: actions_per_shard * shards as u64,
+                ..Default::default()
+            };
+            // Setup's polls count too: read the counter around the world.
+            let polls = argus_obs::current().counter("world.sched.polls");
+            let polls_before = polls.get();
+            let (_, stats, run) = sharded_run(kind, cfg, CostModel::default(), 21);
+            let polls = polls.get() - polls_before;
+            table.row(row![
+                kind_name(kind),
+                shards,
+                cfg.users,
+                per_s(stats.committed, run.sim_us),
+                stats.cross_shard,
+                pct(stats.abort_rate()),
+                stats.p99_latency_us(),
+                format!("{}/{shards}", stats.coordinating_shards()),
+                format!("{:.2}", stats.coordinator_skew()),
+                format!("{:.2}", polls as f64 / stats.committed.max(1) as f64),
             ]);
         }
-    }
-    table
-}
-
-/// E10 — the early-prepare assumption: "if it aborts then extra work has
-/// been done, but that is not a problem because we assume that aborts are
-/// not as frequent as commits" (§4.4).
-///
-/// Measures total device time (not just the critical path) per 100 actions
-/// with and without early prepare, as the abort rate rises: the wasted
-/// writes grow with the abort rate, quantifying where the assumption pays.
-pub fn e10_abort_rate() -> Table {
-    use argus_core::providers::MemProvider;
-    use argus_core::HybridLogRs;
-    use argus_objects::Heap;
-
-    let mut table = Table::new(
-        "E10",
-        "Early prepare under aborts: total device µs per 100 actions (16 objects each)",
-        "thesis §4.4: early prepare trades wasted writes on aborts for a shorter prepare path — worthwhile while aborts are rare",
-    );
-    table.header(vec![
-        "abort rate".into(),
-        "lazy (total)".into(),
-        "early prepare (total)".into(),
-        "early overhead".into(),
-        "prepare path (lazy → early)".into(),
-    ]);
-    for abort_pct in [0u64, 10, 25, 50] {
-        let mut totals = Vec::new();
-        let mut paths = Vec::new();
-        for early in [false, true] {
-            let clock = argus_sim::SimClock::new();
-            let provider = MemProvider {
-                clock: clock.clone(),
-                model: CostModel::default(),
-                plan: None,
-            };
-            let mut rs = HybridLogRs::create(provider).expect("rs");
-            let mut heap = Heap::with_stable_root();
-            let t0 = argus_objects::ActionId::new(argus_objects::GuardianId(0), 0);
-            let root = heap.stable_root().expect("root");
-            heap.acquire_write(root, t0).expect("lock");
-            let objs: Vec<_> = (0..16)
-                .map(|_| heap.alloc_atomic(Value::Bytes(vec![0; 48]), Some(t0)))
-                .collect();
-            let refs: Vec<Value> = objs.iter().map(|h| Value::heap_ref(*h)).collect();
-            heap.write_value(root, t0, |v| *v = Value::Seq(refs))
-                .expect("write");
-            rs.prepare(t0, &[root], &heap).expect("prepare");
-            rs.commit(t0).expect("commit");
-            heap.commit_action(t0);
-
-            let mut rng = argus_sim::DetRng::new(42);
-            let start_total = clock.now();
-            let mut path_total = 0u64;
-            let mut commits = 0u64;
-            for i in 0..100u64 {
-                let aid = argus_objects::ActionId::new(argus_objects::GuardianId(0), i + 1);
-                for &h in &objs {
-                    heap.acquire_write(h, aid).expect("lock");
-                    heap.write_value(h, aid, |v| *v = Value::Bytes(vec![i as u8; 48]))
-                        .expect("write");
-                }
-                let mos: Vec<_> = objs.clone();
-                let mos = if early {
-                    rs.write_entry(aid, &mos, &heap).expect("early prepare")
-                } else {
-                    mos
-                };
-                if rng.gen_bool(abort_pct as f64 / 100.0) {
-                    // Local abort before the prepare message: nothing more
-                    // reaches the log; early-prepared work is wasted.
-                    heap.abort_action(aid);
-                    rs.discard(aid);
-                    continue;
-                }
-                let t = clock.now();
-                rs.prepare(aid, &mos, &heap).expect("prepare");
-                path_total += clock.now() - t;
-                rs.commit(aid).expect("commit");
-                heap.commit_action(aid);
-                commits += 1;
-            }
-            totals.push(clock.now() - start_total);
-            paths.push(path_total / commits.max(1));
-        }
-        table.row(vec![
-            format!("{abort_pct}%"),
-            totals[0].to_string(),
-            totals[1].to_string(),
-            format!(
-                "{:+.1}%",
-                (totals[1] as f64 / totals[0] as f64 - 1.0) * 100.0
-            ),
-            format!("{} → {}", paths[0], paths[1]),
-        ]);
     }
     table
 }
@@ -1284,8 +1262,7 @@ pub fn e10_abort_rate() -> Table {
 /// — the partition property E16 exists to demonstrate. Fully
 /// deterministic: same inputs, byte-identical trace.
 pub fn e16_run(kind: RsKind, transfers_per_slot: u64) -> (Vec<argus_trace::ActionLatency>, u64) {
-    use argus_guardian::{CcOutcome, CcPolicy};
-    use argus_objects::ActionId;
+    use argus_guardian::CcOutcome;
 
     let mut world = World::with_config(
         CostModel::default(),
@@ -1296,89 +1273,77 @@ pub fn e16_run(kind: RsKind, transfers_per_slot: u64) -> (Vec<argus_trace::Actio
     let gids: Vec<_> = (0..3)
         .map(|_| world.add_guardian(kind).expect("guardian"))
         .collect();
-    let mut accounts = Vec::new();
-    for (j, &g) in gids.iter().enumerate() {
-        let aid = world.begin(g).expect("begin");
-        let h = world
-            .create_atomic(g, aid, Value::Int(1_000))
-            .expect("create");
-        world
-            .set_stable(g, aid, &format!("hot{j}"), Value::heap_ref(h))
-            .expect("bind");
-        assert_eq!(world.commit(aid).expect("setup"), Outcome::Committed);
-        accounts.push(h);
-    }
+    let accounts: Vec<_> = gids
+        .iter()
+        .enumerate()
+        .map(|(j, &g)| {
+            let aid = world.begin(g).expect("begin");
+            let h = world
+                .create_atomic(g, aid, Value::Int(1_000))
+                .expect("create");
+            world
+                .set_stable(g, aid, &format!("hot{j}"), Value::heap_ref(h))
+                .expect("bind");
+            assert_eq!(world.commit(aid).expect("setup"), Outcome::Committed);
+            h
+        })
+        .collect();
     let measure_start = world.clock.now();
 
+    // One transfer stream per pair of accounts: 5 from the first to the
+    // second, the lower guardian's lock first.
     struct Slot {
-        pair: (usize, usize),
+        pair: [usize; 2],
         aid: Option<ActionId>,
         next_op: usize,
         remaining: u64,
     }
-    let mut slots: Vec<Slot> = [(0usize, 1usize), (1, 2), (0, 2)]
-        .iter()
-        .map(|&pair| Slot {
-            pair,
-            aid: None,
-            next_op: 0,
-            remaining: transfers_per_slot,
-        })
-        .collect();
-    loop {
+    let mut slots = [[0, 1], [1, 2], [0, 2]].map(|pair| Slot {
+        pair,
+        aid: None,
+        next_op: 0,
+        remaining: transfers_per_slot,
+    });
+    while slots.iter().any(|s| s.aid.is_some() || s.remaining > 0) {
         let mut progress = false;
-        let mut all_done = true;
         for slot in &mut slots {
-            match slot.aid {
-                None => {
-                    if slot.remaining == 0 {
-                        continue;
-                    }
-                    all_done = false;
-                    slot.aid = Some(world.begin(gids[slot.pair.0]).expect("begin"));
+            let Some(aid) = slot.aid else {
+                if slot.remaining > 0 {
+                    slot.aid = Some(world.begin(gids[slot.pair[0]]).expect("begin"));
                     slot.next_op = 0;
                     progress = true;
                 }
-                Some(aid) => {
-                    all_done = false;
-                    assert!(
-                        world.cc_fate(aid).is_none(),
-                        "E16 mix is deadlock-free by lock order"
-                    );
-                    if world.cc_blocked(aid) {
-                        continue;
-                    }
-                    if slot.next_op < 2 {
-                        let j = if slot.next_op == 0 {
-                            slot.pair.0
-                        } else {
-                            slot.pair.1
-                        };
-                        let delta = if slot.next_op == 0 { -5i64 } else { 5 };
-                        let outcome = world
-                            .submit_write_atomic(gids[j], aid, accounts[j], move |v| {
-                                if let Value::Int(balance) = v {
-                                    *balance += delta;
-                                }
-                            })
-                            .expect("submit");
-                        // Parked counts as issued: the grant runs the write.
-                        assert!(
-                            !matches!(outcome, CcOutcome::Conflict),
-                            "blocking policy never refuses"
-                        );
-                        slot.next_op += 1;
-                    } else {
-                        assert_eq!(world.commit(aid).expect("2pc"), Outcome::Committed);
-                        slot.aid = None;
-                        slot.remaining -= 1;
-                    }
-                    progress = true;
-                }
+                continue;
+            };
+            assert!(
+                world.cc_fate(aid).is_none(),
+                "E16 mix is deadlock-free by lock order"
+            );
+            if world.cc_blocked(aid) {
+                continue;
             }
-        }
-        if all_done {
-            break;
+            if let Some(&j) = slot.pair.get(slot.next_op) {
+                let delta = if slot.next_op == 0 { -5i64 } else { 5 };
+                let write = move |v: &mut Value| {
+                    if let Value::Int(balance) = v {
+                        *balance += delta;
+                    }
+                };
+                let outcome = world
+                    .submit_write_atomic(gids[j], aid, accounts[j], write)
+                    .expect("submit");
+                // Parked counts as issued: the grant runs the write.
+                assert!(
+                    !matches!(outcome, CcOutcome::Conflict),
+                    "blocking policy never refuses"
+                );
+                slot.next_op += 1;
+            } else {
+                assert_eq!(world.commit(aid).expect("2pc"), Outcome::Committed);
+                slot.aid = None;
+                slot.remaining -= 1;
+            }
+            progress = true;
         }
         if !progress {
             let next = world
@@ -1389,13 +1354,21 @@ pub fn e16_run(kind: RsKind, transfers_per_slot: u64) -> (Vec<argus_trace::Actio
         }
     }
 
-    let mut total = 0i64;
-    for (j, &g) in gids.iter().enumerate() {
-        let guardian = world.guardian(g).expect("guardian");
-        if let Ok(Value::Int(b)) = guardian.heap.read_value(accounts[j], None) {
-            total += *b;
-        }
-    }
+    let total: i64 = gids
+        .iter()
+        .zip(&accounts)
+        .map(|(&g, &h)| {
+            match world
+                .guardian(g)
+                .expect("guardian")
+                .heap
+                .read_value(h, None)
+            {
+                Ok(Value::Int(b)) => *b,
+                _ => 0,
+            }
+        })
+        .sum();
     assert_eq!(total, 3_000, "transfers must conserve the total balance");
 
     let lats = argus_trace::attribute(&tracer.events());
@@ -1423,22 +1396,13 @@ pub fn e16_run(kind: RsKind, transfers_per_slot: u64) -> (Vec<argus_trace::Actio
 /// cache, so their device segment is exact. Shadowing keeps its direct
 /// store (its page map is already its own cache), so its device time is
 /// not separately instrumented and reports under processing.
-pub fn e16_latency_attribution(transfers_per_slot: u64) -> Table {
+fn e16_latency_attribution(transfers_per_slot: u64) -> Table {
     let mut table = Table::new(
         "E16",
         "Latency attribution on the contended 3-guardian 2PC mix (mean simulated µs per committed action)",
         "required: lock-wait + force-wait + network + device + processing == end-to-end latency, per action (asserted); the breakdown shows what the thesis's device-only costing leaves out",
+        "organization | actions | total | lock-wait | force-wait | network | device | processing",
     );
-    table.header(vec![
-        "organization".into(),
-        "actions".into(),
-        "total".into(),
-        "lock-wait".into(),
-        "force-wait".into(),
-        "network".into(),
-        "device".into(),
-        "processing".into(),
-    ]);
     for kind in RsKind::ALL {
         let (lats, measure_start) = e16_run(kind, transfers_per_slot);
         let committed: Vec<_> = lats
@@ -1446,18 +1410,18 @@ pub fn e16_latency_attribution(transfers_per_slot: u64) -> Table {
             .filter(|a| a.committed && a.start >= measure_start)
             .collect();
         let n = committed.len().max(1) as u64;
-        let mean = |f: &dyn Fn(&argus_trace::ActionLatency) -> u64| {
-            (committed.iter().map(|a| f(a)).sum::<u64>() / n).to_string()
+        let mean = |f: fn(&argus_trace::ActionLatency) -> u64| {
+            committed.iter().map(|a| f(a)).sum::<u64>() / n
         };
-        table.row(vec![
-            kind_name(kind).into(),
-            committed.len().to_string(),
-            mean(&|a| a.total_us),
-            mean(&|a| a.lock_wait_us),
-            mean(&|a| a.force_wait_us),
-            mean(&|a| a.network_us),
-            mean(&|a| a.device_us),
-            mean(&|a| a.processing_us),
+        table.row(row![
+            kind_name(kind),
+            committed.len(),
+            mean(|a| a.total_us),
+            mean(|a| a.lock_wait_us),
+            mean(|a| a.force_wait_us),
+            mean(|a| a.network_us),
+            mean(|a| a.device_us),
+            mean(|a| a.processing_us),
         ]);
     }
     table
@@ -1473,55 +1437,35 @@ pub fn e16_latency_attribution(transfers_per_slot: u64) -> Table {
 /// and wall time. `max_points_per_victim` bounds the per-victim crash
 /// indices for smoke use; `None` is the exhaustive sweep. The same counters
 /// are exported through `argus-obs` (`check.sweep.*`).
-pub fn e15_sweep_coverage(max_points_per_victim: Option<u64>, double_crash: bool) -> Table {
-    use argus_check::sweep::{sweep, SweepConfig};
-    use argus_guardian::RsKind;
+fn e15_sweep_coverage(max_points_per_victim: Option<u64>, double_crash: bool) -> Table {
+    use argus_check::{sweep, SweepConfig, SweepReport};
 
     let mut table = Table::new(
         "E15",
         "Crash-schedule sweep: crash at every write index, and during recovery",
         "required: zero counterexamples — committed stays durable, aborted stays invisible, in-doubt resolves atomically, logs lint clean (I1-I11), on every explored schedule",
+        "organization | cells | first-crash points | double-crash points | oracle writes | counterexamples | simulated ms | wall ms",
     );
-    table.header(vec![
-        "organization".into(),
-        "cells".into(),
-        "first-crash points".into(),
-        "double-crash points".into(),
-        "oracle writes".into(),
-        "counterexamples".into(),
-        "simulated ms".into(),
-        "wall ms".into(),
-    ]);
     for kind in RsKind::ALL {
-        let started = std::time::Instant::now();
-        let mut cells = 0u64;
-        let mut first = 0u64;
-        let mut second = 0u64;
-        let mut oracle = 0u64;
-        let mut cx = 0u64;
-        let mut sim_us = 0u64;
-        for mut cfg in SweepConfig::matrix(double_crash, 1) {
-            if cfg.kind != kind {
-                continue;
-            }
-            cfg.max_points_per_victim = max_points_per_victim;
-            let report = sweep(&cfg);
-            cells += 1;
-            first += report.first_crash_points;
-            second += report.double_crash_points;
-            oracle += report.oracle_writes;
-            cx += report.counterexamples.len() as u64;
-            sim_us += report.sim_us;
-        }
-        table.row(vec![
+        let started = Instant::now();
+        let reports: Vec<_> = SweepConfig::matrix(double_crash, 1)
+            .into_iter()
+            .filter(|cfg| cfg.kind == kind)
+            .map(|mut cfg| {
+                cfg.max_points_per_victim = max_points_per_victim;
+                sweep(&cfg)
+            })
+            .collect();
+        let sum = |f: fn(&SweepReport) -> u64| reports.iter().map(f).sum::<u64>();
+        table.row(row![
             format!("{kind:?}").to_lowercase(),
-            cells.to_string(),
-            first.to_string(),
-            second.to_string(),
-            oracle.to_string(),
-            cx.to_string(),
-            (sim_us / 1_000).to_string(),
-            started.elapsed().as_millis().to_string(),
+            reports.len(),
+            sum(|r| r.first_crash_points),
+            sum(|r| r.double_crash_points),
+            sum(|r| r.oracle_writes),
+            sum(|r| r.counterexamples.len() as u64),
+            sum(|r| r.sim_us) / 1_000,
+            started.elapsed().as_millis(),
         ]);
     }
     table
@@ -1539,189 +1483,45 @@ pub fn e15_sweep_coverage(max_points_per_victim: Option<u64>, double_crash: bool
 /// **zero**). The same counters are exported through `argus-obs`
 /// (`vopr.*`). Any violating seed replays exactly with
 /// `argus-lint vopr --seed N --iterations M`.
-pub fn e17_vopr_coverage(seeds: u64, iterations: u64) -> Table {
-    use argus_check::{vopr, FaultTally, VoprConfig};
-    use argus_guardian::RsKind;
+fn e17_vopr_coverage(seeds: u64, iterations: u64) -> Table {
+    use argus_check::{vopr, VoprConfig, VoprSummary};
 
     let mut table = Table::new(
         "E17",
         "VOPR randomized fault composition: drop/dup/reorder + partition/heal + pause/skew + decay + crash/recovery",
         "required: zero violations across every seed, with every fault kind firing in each organization's batch",
+        "organization | seeds | actions | committed | aborted | in-doubt | checks | net faults | partitions | pauses | skews | decays | crashes | violations | simulated ms | wall ms",
     );
-    table.header(vec![
-        "organization".into(),
-        "seeds".into(),
-        "actions".into(),
-        "committed".into(),
-        "aborted".into(),
-        "in-doubt".into(),
-        "checks".into(),
-        "net faults".into(),
-        "partitions".into(),
-        "pauses".into(),
-        "skews".into(),
-        "decays".into(),
-        "crashes".into(),
-        "violations".into(),
-        "simulated ms".into(),
-        "wall ms".into(),
-    ]);
     for kind in RsKind::ALL {
-        let started = std::time::Instant::now();
-        let mut actions = 0u64;
-        let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
-        let mut checks = 0u64;
-        let mut tally = FaultTally::default();
-        let mut violations = 0u64;
-        let mut sim_us = 0u64;
-        for seed in 1..=seeds {
-            let mut cfg = VoprConfig::new(seed, iterations);
-            cfg.kind = kind;
-            let s = vopr(&cfg);
-            actions += s.actions;
-            committed += s.committed;
-            aborted += s.aborted;
-            in_doubt += s.in_doubt;
-            checks += s.checks;
-            tally.absorb(&s.faults);
-            violations += s.violations.len() as u64;
-            sim_us += s.sim_us;
-        }
-        table.row(vec![
+        let started = Instant::now();
+        let runs: Vec<_> = (1..=seeds)
+            .map(|seed| {
+                let mut cfg = VoprConfig::new(seed, iterations);
+                cfg.kind = kind;
+                vopr(&cfg)
+            })
+            .collect();
+        let sum = |f: fn(&VoprSummary) -> u64| runs.iter().map(f).sum::<u64>();
+        table.row(row![
             format!("{kind:?}").to_lowercase(),
-            seeds.to_string(),
-            actions.to_string(),
-            committed.to_string(),
-            aborted.to_string(),
-            in_doubt.to_string(),
-            checks.to_string(),
-            (tally.drops + tally.duplicates + tally.defers).to_string(),
-            tally.partitions.to_string(),
-            tally.pauses.to_string(),
-            tally.skews.to_string(),
-            tally.decays.to_string(),
-            tally.crashes.to_string(),
-            violations.to_string(),
-            (sim_us / 1_000).to_string(),
-            started.elapsed().as_millis().to_string(),
+            seeds,
+            sum(|s| s.actions),
+            sum(|s| s.committed),
+            sum(|s| s.aborted),
+            sum(|s| s.in_doubt),
+            sum(|s| s.checks),
+            sum(|s| s.faults.drops + s.faults.duplicates + s.faults.defers),
+            sum(|s| s.faults.partitions),
+            sum(|s| s.faults.pauses),
+            sum(|s| s.faults.skews),
+            sum(|s| s.faults.decays),
+            sum(|s| s.faults.crashes),
+            sum(|s| s.violations.len() as u64),
+            sum(|s| s.sim_us) / 1_000,
+            started.elapsed().as_millis(),
         ]);
     }
     table
-}
-
-/// Per-commit wall-clock costs on a real file, measured by
-/// [`wall_commit_perf`].
-#[derive(Debug, Clone, Copy)]
-pub struct WallCommitPerf {
-    /// Wall-clock nanoseconds per committed action.
-    pub ns_per_commit: u64,
-    /// Real `fsync`/`fdatasync` calls per committed action (from the
-    /// `stable.file.fsyncs` counter).
-    pub fsyncs_per_commit: f64,
-    /// Bytes handed to `write(2)` per committed action.
-    pub bytes_per_commit: u64,
-}
-
-/// The wall-clock twin of [`commit_perf`]: `rounds` batches of
-/// `concurrency` concurrent committed actions on a file-backed guardian,
-/// timed with a monotonic clock and counted in real fsyncs.
-///
-/// `cfg.media` must be [`argus_guardian::MediaKind::File`]; the caller picks
-/// the directory (tmpfs vs. a real disk) and the force schedule.
-pub fn wall_commit_perf(
-    kind: RsKind,
-    concurrency: usize,
-    rounds: u64,
-    cfg: WorldConfig,
-) -> WallCommitPerf {
-    let reg = argus_obs::Registry::new();
-    let _scope = reg.enter();
-    let mut world = World::with_config(CostModel::fast(), cfg);
-    let g = world.add_guardian(kind).expect("guardian");
-    let setup = world.begin(g).expect("begin");
-    let mut objs = Vec::new();
-    for i in 0..concurrency {
-        let h = world
-            .create_atomic(g, setup, Value::Bytes(vec![0; 48]))
-            .expect("create");
-        world
-            .set_stable(g, setup, &format!("o{i}"), Value::heap_ref(h))
-            .expect("bind");
-        objs.push(h);
-    }
-    assert_eq!(
-        world.commit(setup).expect("setup commit"),
-        Outcome::Committed
-    );
-
-    let batch = |world: &mut World, round: u64| {
-        let aids: Vec<_> = (0..concurrency)
-            .map(|_| world.begin(g).expect("begin"))
-            .collect();
-        for (i, &aid) in aids.iter().enumerate() {
-            let fill = (round & 0xFF) as u8;
-            world
-                .write_atomic(g, aid, objs[i], move |v| *v = Value::Bytes(vec![fill; 48]))
-                .expect("write");
-        }
-        for &aid in &aids {
-            world.commit_start(aid).expect("start");
-        }
-        for &aid in &aids {
-            assert_eq!(
-                world.commit_settle(aid).expect("settle"),
-                Outcome::Committed
-            );
-        }
-    };
-
-    // Warm up file growth and caches before the timed window.
-    for round in 0..2 {
-        batch(&mut world, round);
-    }
-    let fsyncs0 = reg.counter("stable.file.fsyncs").get();
-    let bytes0 = reg.counter("stable.file.bytes_written").get();
-    let start = std::time::Instant::now();
-    for round in 0..rounds {
-        batch(&mut world, 2 + round);
-    }
-    let elapsed = start.elapsed();
-    let commits = rounds * concurrency as u64;
-    WallCommitPerf {
-        ns_per_commit: (elapsed.as_nanos() / u128::from(commits)) as u64,
-        fsyncs_per_commit: (reg.counter("stable.file.fsyncs").get() - fsyncs0) as f64
-            / commits as f64,
-        bytes_per_commit: (reg.counter("stable.file.bytes_written").get() - bytes0) / commits,
-    }
-}
-
-/// A `MediaKind::File` config over a fresh subdirectory of `base` (or a
-/// temp dir when `base` is `None`) with the given force schedule —
-/// `immediate` picks one-fsync-per-record, otherwise the group-commit
-/// default (the `--wall-smoke` entry point of the experiments binary).
-pub fn file_config_for(base: Option<&str>, tag: &str, immediate: bool) -> WorldConfig {
-    let force = if immediate {
-        argus_slog::ForceConfig::immediate()
-    } else {
-        argus_slog::ForceConfig::default()
-    };
-    file_config(base, tag, force)
-}
-
-/// A `MediaKind::File` config over a fresh subdirectory of `base` (or a
-/// temp dir when `base` is `None`). The path is leaked: `WorldConfig` is
-/// `Copy`, so the media variant holds a `&'static str`.
-fn file_config(base: Option<&str>, tag: &str, force: argus_slog::ForceConfig) -> WorldConfig {
-    let dir = match base {
-        Some(b) => std::path::PathBuf::from(b).join(format!("argus-bench-{tag}")),
-        None => std::env::temp_dir().join(format!("argus-bench-{}-{tag}", std::process::id())),
-    };
-    let dir: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
-    WorldConfig {
-        force,
-        media: argus_guardian::MediaKind::File { dir: Some(dir) },
-        ..Default::default()
-    }
 }
 
 /// E18 — group commit on a real file: wall-clock ns and fsyncs per commit.
@@ -1732,92 +1532,37 @@ fn file_config(base: Option<&str>, tag: &str, force: argus_slog::ForceConfig) ->
 /// one-force-per-action immediate schedule — except on shadowing, which
 /// forces inside each operation.
 ///
-/// `dir` picks the backing filesystem (`None` = the OS temp dir; point it
-/// at tmpfs and a real disk to see the medium's sync cost).
-pub fn e18_wall_group_commit(rounds: u64, dir: Option<&str>) -> Table {
+/// [`file_media`] picks the backing filesystem: point `ARGUS_BENCH_DIR` at
+/// tmpfs and at a real disk to see the medium's sync cost.
+fn e18_wall_group_commit(rounds: u64) -> Table {
     let mut table = Table::new(
         "E18",
         "Wall-clock group commit on a real file: ns and fsyncs per commit",
         "claim: E12's ordering survives contact with a real file — a local commit alone is one force (1 fsync); at 8 concurrent actions group commit needs 1/8th the fsyncs of the immediate schedule on the log organizations, and shadowing, which cannot batch, stays at 1",
+        "organization | schedule | concurrent | ns/commit | fsyncs/commit | bytes/commit",
     );
-    table.header(vec![
-        "organization".into(),
-        "schedule".into(),
-        "concurrent".into(),
-        "ns/commit".into(),
-        "fsyncs/commit".into(),
-        "bytes/commit".into(),
-    ]);
     for kind in RsKind::ALL {
         for (schedule, force, n) in [
-            ("immediate", argus_slog::ForceConfig::immediate(), 1usize),
-            ("immediate", argus_slog::ForceConfig::immediate(), 8),
-            ("group", argus_slog::ForceConfig::default(), 1),
-            ("group", argus_slog::ForceConfig::default(), 8),
+            ("immediate", ForceConfig::immediate(), 1usize),
+            ("immediate", ForceConfig::immediate(), 8),
+            ("group", ForceConfig::default(), 1),
+            ("group", ForceConfig::default(), 8),
         ] {
             let tag = format!("e18-{}-{schedule}-{n}", kind_name(kind).replace(' ', "-"));
-            let perf = wall_commit_perf(kind, n, rounds, file_config(dir, &tag, force));
-            table.row(vec![
-                kind_name(kind).into(),
-                schedule.into(),
-                n.to_string(),
-                perf.ns_per_commit.to_string(),
-                format!("{:.2}", perf.fsyncs_per_commit),
-                perf.bytes_per_commit.to_string(),
+            let perf = commit_perf(kind, n, rounds, file_media(&tag, force).cfg);
+            let commits = rounds * n as u64;
+            let fsyncs = perf.counter("stable.file.fsyncs") as f64 / commits as f64;
+            table.row(row![
+                kind_name(kind),
+                schedule,
+                n,
+                perf.wall.as_nanos() / u128::from(commits),
+                format!("{fsyncs:.2}"),
+                perf.counter("stable.file.bytes_written") / commits,
             ]);
         }
     }
     table
-}
-
-/// Wall-clock recovery throughput on a real file, measured by
-/// [`wall_recovery_perf`].
-#[derive(Debug, Clone, Copy)]
-pub struct WallRecoveryPerf {
-    /// Stable log bytes at the crash point.
-    pub log_bytes: u64,
-    /// Wall-clock microseconds the restart took (recovery included).
-    pub restart_us: u64,
-}
-
-impl WallRecoveryPerf {
-    /// Recovery throughput in MB/s of stable log processed.
-    pub fn mb_per_s(&self) -> f64 {
-        if self.restart_us == 0 {
-            return f64::INFINITY;
-        }
-        self.log_bytes as f64 / self.restart_us as f64
-    }
-}
-
-/// Builds `history` committed actions on a file-backed guardian, crashes
-/// it, and times the restart with a monotonic clock.
-pub fn wall_recovery_perf(kind: RsKind, history: u64, cfg: WorldConfig) -> WallRecoveryPerf {
-    let reg = argus_obs::Registry::new();
-    let _scope = reg.enter();
-    let mut world = World::with_config(CostModel::fast(), cfg);
-    let mut synth = Synth::setup(
-        &mut world,
-        kind,
-        SynthConfig {
-            objects: 128,
-            writes_per_action: 4,
-            value_size: 48,
-            ..Default::default()
-        },
-    )
-    .expect("setup");
-    let g = synth.guardian();
-    let mut rng = argus_sim::DetRng::new(18);
-    synth.run(&mut world, &mut rng, history).expect("run");
-    let log_bytes = world.guardian(g).expect("guardian").log_stats().bytes;
-    world.crash(g);
-    let start = std::time::Instant::now();
-    world.restart(g).expect("recover");
-    WallRecoveryPerf {
-        log_bytes,
-        restart_us: start.elapsed().as_micros() as u64,
-    }
 }
 
 /// E19 — wall-clock recovery throughput on a real file.
@@ -1826,149 +1571,58 @@ pub fn wall_recovery_perf(kind: RsKind, history: u64, cfg: WorldConfig) -> WallR
 /// hybrid log walks only the outcome chain, shadowing reads the newest map.
 /// Reported as MB/s of stable log bytes processed by the restart, so the
 /// organizations' *selectivity* (not just the medium) sets the number.
-pub fn e19_wall_recovery(history: u64, dir: Option<&str>) -> Table {
+fn e19_wall_recovery(history: u64) -> Table {
     let mut table = Table::new(
         "E19",
         "Wall-clock recovery on a real file: restart time vs. log size",
         "claim: hybrid restarts in near-constant time while the simple log's restart grows with the log; MB/s is log bytes at crash over restart wall time",
+        "organization | committed actions | log KiB | restart µs | MB/s",
     );
-    table.header(vec![
-        "organization".into(),
-        "committed actions".into(),
-        "log KiB".into(),
-        "restart µs".into(),
-        "MB/s".into(),
-    ]);
     for kind in RsKind::ALL {
         let tag = format!("e19-{}-{history}", kind_name(kind).replace(' ', "-"));
-        let perf = wall_recovery_perf(
-            kind,
+        let files = file_media(&tag, ForceConfig::default());
+        let (log_bytes, restart) =
+            recovery_perf(&RigSpec::new(128, 4, 18).on(files.cfg), kind, history);
+        table.row(row![
+            kind_name(kind),
             history,
-            file_config(dir, &tag, argus_slog::ForceConfig::default()),
-        );
-        table.row(vec![
-            kind_name(kind).into(),
-            history.to_string(),
-            (perf.log_bytes / 1024).to_string(),
-            perf.restart_us.to_string(),
-            format!("{:.1}", perf.mb_per_s()),
+            log_bytes / 1024,
+            restart.wall_us(),
+            format!("{:.1}", log_bytes as f64 / restart.wall_us() as f64),
         ]);
     }
     table
 }
 
-/// Restart cost and time-to-first-commit measured by
-/// [`instant_restart_perf`].
-#[derive(Debug, Clone, Copy)]
-pub struct InstantRestartPerf {
-    /// Device µs the restart actually spent. Parallel replay runs its
-    /// workers sequentially under the simulated clock, so this is the
-    /// single-device total whatever the mode.
-    pub restart_us: u64,
-    /// The restart figure the scheme advertises: the parallel-replay
-    /// makespan (tail scan + slowest worker) for `Parallel`, otherwise the
-    /// measured restart time.
-    pub modeled_restart_us: u64,
-    /// Device µs of the first committed action after the restart, demand
-    /// restores included.
-    pub first_commit_us: u64,
-    /// Objects still awaiting lazy restoration after that first commit.
-    pub lazy_left: u64,
-}
-
-impl InstantRestartPerf {
-    /// Crash to first commit: the E20 headline figure.
-    pub fn time_to_first_commit_us(&self) -> u64 {
-        self.modeled_restart_us + self.first_commit_us
-    }
-}
-
-/// Builds `history` committed actions on one guardian, crashes it, restarts
-/// it under `mode`, and measures restart plus the first post-restart commit
-/// on the simulated device.
-pub fn instant_restart_perf(kind: RsKind, mode: RecoveryMode, history: u64) -> InstantRestartPerf {
-    let mut world = World::new(CostModel::default());
-    let mut synth = Synth::setup(
-        &mut world,
-        kind,
-        SynthConfig {
-            objects: 128,
-            writes_per_action: 4,
-            value_size: 48,
-            ..Default::default()
-        },
-    )
-    .expect("setup");
-    let g = synth.guardian();
-    let mut rng = argus_sim::DetRng::new(20);
-    synth.run(&mut world, &mut rng, history).expect("run");
-    world.crash(g);
-    assert!(
-        world.set_recovery_mode(g, mode).expect("guardian"),
-        "{kind:?} does not support {mode:?}"
-    );
-    let before = device(&world, g);
-    world.restart(g).expect("recover");
-    let restart_us = device(&world, g).since(&before).busy_us;
-    let modeled_restart_us = match mode {
-        RecoveryMode::Parallel(_) => world
-            .recovery_makespan_us(g)
-            .expect("guardian")
-            .unwrap_or(restart_us),
-        _ => restart_us,
-    };
-    let before = device(&world, g);
-    synth.run(&mut world, &mut rng, 1).expect("first commit");
-    InstantRestartPerf {
-        restart_us,
-        modeled_restart_us,
-        first_commit_us: device(&world, g).since(&before).busy_us,
-        lazy_left: world.lazy_pending(g).expect("guardian"),
-    }
-}
-
-/// The wall-clock twin of [`instant_restart_perf`]: the same
-/// crash-restart-commit sequence on a file-backed guardian, timed with a
-/// monotonic clock. Returns `(restart_us, first_commit_us, lazy_left)`.
-pub fn wall_instant_restart_perf(
+/// Commits `history` actions on `spec`'s rig of `kind`, crashes it, restarts
+/// it under `mode`, and commits once more. Returns the restart and that
+/// first commit as `clock` reads their samples — a parallel restart as its
+/// modeled makespan instead (tail scan + slowest worker: the workers run
+/// one after another under the simulated clock) — and the objects still
+/// awaiting lazy restoration.
+fn instant_restart_perf(
+    spec: &RigSpec,
     kind: RsKind,
     mode: RecoveryMode,
     history: u64,
-    cfg: WorldConfig,
-) -> (u64, u64, u64) {
-    let reg = argus_obs::Registry::new();
-    let _scope = reg.enter();
-    let mut world = World::with_config(CostModel::fast(), cfg);
-    let mut synth = Synth::setup(
-        &mut world,
-        kind,
-        SynthConfig {
-            objects: 128,
-            writes_per_action: 4,
-            value_size: 48,
-            ..Default::default()
-        },
-    )
-    .expect("setup");
-    let g = synth.guardian();
-    let mut rng = argus_sim::DetRng::new(21);
-    synth.run(&mut world, &mut rng, history).expect("run");
-    world.crash(g);
-    assert!(
-        world.set_recovery_mode(g, mode).expect("guardian"),
-        "{kind:?} does not support {mode:?}"
-    );
-    let start = std::time::Instant::now();
-    world.restart(g).expect("recover");
-    let restart_us = start.elapsed().as_micros() as u64;
-    let start = std::time::Instant::now();
-    synth.run(&mut world, &mut rng, 1).expect("first commit");
-    let first_commit_us = start.elapsed().as_micros() as u64;
-    (
-        restart_us,
-        first_commit_us,
-        world.lazy_pending(g).expect("guardian"),
-    )
+    clock: impl Fn(&Sample) -> u64,
+) -> [u64; 3] {
+    let mut rig = spec.build(kind);
+    rig.run(history);
+    let g = rig.guardian();
+    let (_, restart) = rig.restart(mode);
+    let makespan_us = match mode {
+        RecoveryMode::Parallel(_) => rig.world.recovery_makespan_us(g).expect("guardian"),
+        _ => None,
+    };
+    let run = |w: &mut World| rig.synth.run(w, &mut rig.rng, 1).expect("first commit");
+    let (_, first_commit) = measure(&mut rig.world, run);
+    let lazy_left = rig.world.lazy_pending(g).expect("guardian");
+    [
+        makespan_us.unwrap_or(clock(&restart)),
+        clock(&first_commit),
+        lazy_left,
+    ]
 }
 
 /// E20 — the instant-restart tier: time-to-first-commit after a crash.
@@ -1987,24 +1641,15 @@ pub fn wall_instant_restart_perf(
 /// simulated device (≥3× wall-clock — the loose bound keeps slow CI
 /// filesystems from flaking), and the parallel makespan falls as workers
 /// are added and undercuts the single-pass full replay.
-pub fn e20_instant_restart(history: u64, dir: Option<&str>) -> Table {
+fn e20_instant_restart(history: u64) -> Table {
     use RecoveryMode::{Full, OnDemand, Parallel};
 
     let mut table = Table::new(
         "E20",
         "Instant restart: time-to-first-commit after a crash (sim device µs; wall µs on a real file)",
         "claim: on-demand restart commits ≥10× sooner than the simple log's full scan; the parallel-replay makespan falls as workers are added",
+        "clock | scheme | restart µs | first commit µs | time to first commit | vs simple | lazy left",
     );
-    table.header(vec![
-        "clock".into(),
-        "scheme".into(),
-        "restart µs".into(),
-        "first commit µs".into(),
-        "time to first commit".into(),
-        "vs simple".into(),
-        "lazy left".into(),
-    ]);
-
     let schemes: [(&str, RsKind, RecoveryMode); 8] = [
         ("simple full scan", RsKind::Simple, Full),
         ("hybrid chain walk", RsKind::Hybrid, Full),
@@ -2015,76 +1660,117 @@ pub fn e20_instant_restart(history: u64, dir: Option<&str>) -> Table {
         ("redo parallel x8", RsKind::Redo, Parallel(8)),
         ("redo on-demand", RsKind::Redo, OnDemand),
     ];
-
-    let mut sim_simple = None;
-    let mut redo_full = None;
-    let mut makespans = Vec::new();
-    for (name, kind, mode) in schemes {
-        let perf = instant_restart_perf(kind, mode, history);
-        let ttfc = perf.time_to_first_commit_us();
-        let base = *sim_simple.get_or_insert(ttfc);
-        match mode {
-            Full if kind == RsKind::Redo => redo_full = Some(ttfc),
-            Parallel(_) => makespans.push(perf.modeled_restart_us),
-            OnDemand => assert!(
-                ttfc * 10 <= base,
-                "on-demand time-to-first-commit not 10x below the simple \
-                 log's ({ttfc} !<= {base}/10)"
-            ),
-            _ => {}
+    for (clock, factor) in [("sim", 10), ("wall", 3)] {
+        let wall = clock == "wall";
+        let read = |s: &Sample| if wall { s.wall_us() } else { s.busy_us };
+        let (mut base, mut redo_full, mut makespans) = (None, None, Vec::new());
+        for (i, &(name, kind, mode)) in schemes.iter().enumerate() {
+            let [restart, first_commit, lazy_left] = if !wall {
+                instant_restart_perf(&RigSpec::new(128, 4, 20), kind, mode, history, read)
+            } else if matches!(mode, Parallel(_)) {
+                // Parallel workers are a simulated-device construct; the
+                // wall half compares the schemes that run end to end.
+                continue;
+            } else {
+                let files = file_media(&format!("e20-{i}-{history}"), ForceConfig::default());
+                let spec = RigSpec::new(128, 4, 21).on(files.cfg);
+                instant_restart_perf(&spec, kind, mode, history, read)
+            };
+            let ttfc = restart + first_commit;
+            let base = *base.get_or_insert(ttfc);
+            match mode {
+                Full if kind == RsKind::Redo => redo_full = Some(ttfc),
+                Parallel(_) => makespans.push(restart),
+                OnDemand => assert!(
+                    ttfc * factor <= base,
+                    "{clock} on-demand time-to-first-commit not {factor}x below the simple \
+                     log's ({ttfc} !<= {base}/{factor})"
+                ),
+                _ => {}
+            }
+            table.row(row![
+                clock,
+                name,
+                restart,
+                first_commit,
+                ttfc,
+                ratio(base, ttfc),
+                lazy_left
+            ]);
         }
-        table.row(vec![
-            "sim".into(),
-            name.into(),
-            perf.modeled_restart_us.to_string(),
-            perf.first_commit_us.to_string(),
-            ttfc.to_string(),
-            format!("{:.1}x", base as f64 / ttfc.max(1) as f64),
-            perf.lazy_left.to_string(),
-        ]);
-    }
-    assert!(
-        makespans.last() < makespans.first(),
-        "parallel makespan did not fall with more workers: {makespans:?}"
-    );
-    assert!(
-        makespans.last().copied().unwrap_or(u64::MAX) < redo_full.expect("redo full row"),
-        "parallel replay did not undercut the single-pass full replay \
-         ({makespans:?} !< {redo_full:?})"
-    );
-
-    let mut wall_simple = None;
-    for (i, (name, kind, mode)) in schemes.iter().enumerate() {
-        // Parallel workers are a simulated-device construct; the wall half
-        // compares the schemes that run end to end on the real file.
-        if matches!(mode, Parallel(_)) {
-            continue;
-        }
-        let tag = format!("e20-{i}-{history}");
-        let (restart_us, first_commit_us, lazy_left) = wall_instant_restart_perf(
-            *kind,
-            *mode,
-            history,
-            file_config(dir, &tag, argus_slog::ForceConfig::default()),
-        );
-        let ttfc = restart_us + first_commit_us;
-        let base = *wall_simple.get_or_insert(ttfc);
-        if *mode == OnDemand {
+        if !wall {
             assert!(
-                ttfc * 3 <= base,
-                "wall on-demand time-to-first-commit not 3x below the \
-                 simple log's ({ttfc} !<= {base}/3)"
+                makespans.last() < makespans.first(),
+                "parallel makespan did not fall with more workers: {makespans:?}"
+            );
+            assert!(
+                makespans.last().copied().unwrap_or(u64::MAX) < redo_full.expect("redo full row"),
+                "parallel replay did not undercut the single-pass full replay \
+                 ({makespans:?} !< {redo_full:?})"
             );
         }
-        table.row(vec![
-            "wall".into(),
-            (*name).into(),
-            restart_us.to_string(),
-            first_commit_us.to_string(),
-            ttfc.to_string(),
-            format!("{:.1}x", base as f64 / ttfc.max(1) as f64),
-            lazy_left.to_string(),
-        ]);
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_artefact_names_one_experiment_and_the_gate_checks_it() {
+        let ids: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(id, _)| id.split('/'))
+            .collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{id} is listed twice");
+        }
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut artefacts = Vec::new();
+        for entry in std::fs::read_dir(&root).expect("repository root") {
+            let name = entry.expect("entry").file_name();
+            let name = name.to_string_lossy();
+            if let Some(id) = name
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+            {
+                assert!(ids.contains(&id), "{name} names no experiment");
+                artefacts.push(id.to_owned());
+            }
+        }
+        for id in &ids {
+            assert!(artefacts.iter().any(|a| a == id), "{id} has no artefact");
+        }
+        // scripts/bench.sh: `--check` covers every table but the three on
+        // the wall clock, and a plain run writes every table.
+        let script = std::fs::read_to_string(root.join("scripts/bench.sh")).expect("bench.sh");
+        let lists: Vec<Vec<&str>> = script
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("experiments=("))
+            .filter_map(|l| l.strip_suffix(')'))
+            .filter(|l| l.starts_with('E'))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let wall = ["E18", "E19", "E20"];
+        let checked: Vec<&str> = ids
+            .iter()
+            .copied()
+            .filter(|id| !wall.contains(id))
+            .collect();
+        assert_eq!(lists, [checked, ids], "bench.sh's --check and write lists");
+    }
+
+    #[test]
+    fn a_wall_measurement_removes_its_directory() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let files = file_media("unit", ForceConfig::default());
+        let dir = files.dir.clone();
+        let sample = commit_perf(RsKind::Simple, 1, 1, files.cfg);
+        assert_eq!(sample.counter("stable.file.fsyncs"), 1);
+        assert!(dir.exists(), "the measurement ran in {}", dir.display());
+        drop(files);
+        assert!(!dir.exists(), "{} outlived its measurement", dir.display());
+    }
 }

@@ -17,31 +17,22 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates an empty table.
-    pub fn new(id: &'static str, title: &'static str, claim: &'static str) -> Self {
+    /// Creates a table with no rows. `header` names the columns separated
+    /// by ` | `, as the markdown rendering shows them.
+    pub fn new(id: &'static str, title: &'static str, claim: &'static str, header: &str) -> Self {
         Self {
             id,
             title,
             claim,
-            header: Vec::new(),
+            header: header.split(" | ").map(str::to_owned).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Sets the column headers.
-    pub fn header(&mut self, header: Vec<String>) {
-        self.header = header;
     }
 
     /// Appends a row.
     pub fn row(&mut self, row: Vec<String>) {
         debug_assert_eq!(row.len(), self.header.len());
         self.rows.push(row);
-    }
-
-    /// The data rows (for tests).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
     }
 
     /// Serializes the table as a small JSON document (no external
@@ -77,70 +68,38 @@ impl Table {
     }
 }
 
-type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+/// A document [`Table::to_json`] wrote, read back for
+/// [`Table::diff_against`] as the sequence of its strings with `[` and `]`
+/// where its arrays open and close: the fields come in a fixed order, so
+/// the object punctuation carries nothing to check (and the workspace has
+/// no JSON dependency).
+struct Reader(std::vec::IntoIter<Token>);
 
-/// The subset of JSON [`Table::to_json`] writes — strings, arrays and
-/// objects, no whitespace between tokens — read back for
-/// [`Table::diff_against`] (the workspace has no JSON dependency).
 #[derive(Debug, PartialEq)]
-enum Json {
+enum Token {
+    Open,
+    Close,
     Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut chars = text.trim().chars().peekable();
-        let value = Self::value(&mut chars)?;
-        match chars.next() {
-            None => Ok(value),
-            Some(c) => Err(format!("trailing {c:?} after the document")),
+impl Reader {
+    fn new(text: &str) -> Result<Self, String> {
+        let mut chars = text.chars();
+        let mut tokens = Vec::new();
+        while let Some(c) = chars.next() {
+            tokens.push(match c {
+                '[' => Token::Open,
+                ']' => Token::Close,
+                '"' => Token::Str(Self::string(&mut chars)?),
+                '{' | '}' | ',' | ':' | '\n' => continue,
+                c => return Err(format!("unexpected {c:?}")),
+            });
         }
-    }
-
-    fn value(chars: &mut Chars<'_>) -> Result<Json, String> {
-        // One `[`/`{` body: `item` parses an element, commas separate them.
-        fn seq<T>(
-            chars: &mut Chars<'_>,
-            close: char,
-            mut item: impl FnMut(&mut Chars<'_>) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            let mut items = Vec::new();
-            if chars.next_if_eq(&close).is_some() {
-                return Ok(items);
-            }
-            loop {
-                items.push(item(chars)?);
-                match chars.next() {
-                    Some(',') => {}
-                    Some(c) if c == close => return Ok(items),
-                    other => return Err(format!("expected ',' or {close:?}, found {other:?}")),
-                }
-            }
-        }
-        match chars.next() {
-            Some('"') => Self::string(chars).map(Json::Str),
-            Some('[') => seq(chars, ']', Self::value).map(Json::Arr),
-            Some('{') => seq(chars, '}', |chars| {
-                let key = match chars.next() {
-                    Some('"') => Self::string(chars)?,
-                    other => return Err(format!("expected a key, found {other:?}")),
-                };
-                match chars.next() {
-                    Some(':') => Ok((key, Self::value(chars)?)),
-                    other => Err(format!("expected ':', found {other:?}")),
-                }
-            })
-            .map(Json::Obj),
-            other => Err(format!(
-                "expected a string, array or object, found {other:?}"
-            )),
-        }
+        Ok(Self(tokens.into_iter()))
     }
 
     /// The rest of a string whose opening quote has been consumed.
-    fn string(chars: &mut Chars<'_>) -> Result<String, String> {
+    fn string(chars: &mut std::str::Chars<'_>) -> Result<String, String> {
         let mut out = String::new();
         loop {
             match chars.next() {
@@ -162,28 +121,31 @@ impl Json {
         }
     }
 
-    fn field(&self, key: &str) -> Result<&Json, String> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("no {key:?} field")),
-            _ => Err("not an object".into()),
+    /// The value of the string field `key`.
+    fn field(&mut self, key: &str) -> Result<String, String> {
+        match (self.0.next(), self.0.next()) {
+            (Some(Token::Str(k)), Some(Token::Str(v))) if k == key => Ok(v),
+            other => Err(format!("expected field {key:?}, found {other:?}")),
         }
     }
 
-    fn str(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err("not a string".into()),
+    /// The array field `key`, up to its opening bracket.
+    fn open(&mut self, key: &str) -> Result<(), String> {
+        match (self.0.next(), self.0.next()) {
+            (Some(Token::Str(k)), Some(Token::Open)) if k == key => Ok(()),
+            other => Err(format!("expected array {key:?}, found {other:?}")),
         }
     }
 
-    fn strings(&self) -> Result<Vec<&str>, String> {
-        match self {
-            Json::Arr(items) => items.iter().map(Json::str).collect(),
-            _ => Err("not an array".into()),
+    /// The strings up to the close of the array just opened.
+    fn strings(&mut self) -> Result<Vec<String>, String> {
+        let mut out = Vec::new();
+        loop {
+            match self.0.next() {
+                Some(Token::Str(s)) => out.push(s),
+                Some(Token::Close) => return Ok(out),
+                other => return Err(format!("expected a string, found {other:?}")),
+            }
         }
     }
 }
@@ -196,15 +158,17 @@ impl Table {
     /// readings inside an otherwise simulated-clock table and differ run to
     /// run. `Err` means the artefact could not be read as a table at all.
     pub fn diff_against(&self, artefact: &str) -> Result<Vec<String>, String> {
-        let doc = Json::parse(artefact)?;
+        let mut doc = Reader::new(artefact)?;
+        doc.field("id")?;
         let mut diffs = Vec::new();
         for (what, fresh) in [("title", self.title), ("claim", self.claim)] {
-            let old = doc.field(what)?.str()?;
+            let old = doc.field(what)?;
             if old != fresh {
                 diffs.push(format!("{what}: checked in {old:?}, regenerated {fresh:?}"));
             }
         }
-        let header = doc.field("header")?.strings()?;
+        doc.open("header")?;
+        let header = doc.strings()?;
         if header != self.header {
             diffs.push(format!(
                 "header: checked in {header:?}, regenerated {:?}",
@@ -212,13 +176,15 @@ impl Table {
             ));
             return Ok(diffs);
         }
-        let rows = match doc.field("rows")? {
-            Json::Arr(rows) => rows
-                .iter()
-                .map(Json::strings)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("rows is not an array".into()),
-        };
+        doc.open("rows")?;
+        let mut rows = Vec::new();
+        loop {
+            match doc.0.next() {
+                Some(Token::Open) => rows.push(doc.strings()?),
+                Some(Token::Close) => break,
+                other => return Err(format!("expected a row, found {other:?}")),
+            }
+        }
         if rows.len() != self.rows.len() {
             diffs.push(format!(
                 "rows: checked in {}, regenerated {}",
@@ -232,7 +198,7 @@ impl Table {
                 if column.contains("wall") {
                     continue;
                 }
-                let (old, fresh) = (old.get(c).copied(), fresh.get(c).map(String::as_str));
+                let (old, fresh) = (old.get(c), fresh.get(c));
                 if old != fresh {
                     diffs.push(format!(
                         "row {r} ({}), column {column:?}: checked in {old:?}, regenerated {fresh:?}",
@@ -260,8 +226,7 @@ mod tests {
 
     #[test]
     fn renders_markdown() {
-        let mut t = Table::new("E0", "demo", "a claim");
-        t.header(vec!["a".into(), "bb".into()]);
+        let mut t = Table::new("E0", "demo", "a claim", "a | bb");
         t.row(vec!["1".into(), "2".into()]);
         let s = t.to_string();
         assert!(s.contains("### E0 — demo"));
@@ -271,8 +236,7 @@ mod tests {
 
     #[test]
     fn renders_json() {
-        let mut t = Table::new("E0", "demo \"quoted\"", "a claim");
-        t.header(vec!["a".into(), "bb".into()]);
+        let mut t = Table::new("E0", "demo \"quoted\"", "a claim", "a | bb");
         t.row(vec!["1".into(), "2".into()]);
         let s = t.to_json();
         assert!(s.contains("\"id\":\"E0\""));
@@ -282,8 +246,8 @@ mod tests {
     }
 
     fn demo() -> Table {
-        let mut t = Table::new("E0", "demo \"quoted\"", "a claim\nin two lines");
-        t.header(vec!["org".into(), "sim µs".into(), "wall ms".into()]);
+        let header = "org | sim µs | wall ms";
+        let mut t = Table::new("E0", "demo \"quoted\"", "a claim\nin two lines", header);
         t.row(vec!["simple".into(), "10".into(), "3".into()]);
         t.row(vec!["hybrid".into(), "12".into(), "4".into()]);
         t

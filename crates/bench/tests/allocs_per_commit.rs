@@ -7,8 +7,9 @@
 //! by the calling thread (the tests of this binary run on parallel
 //! threads). After a warm-up phase (so table growth, cache fills, and
 //! network buffers are out of the way), the harness runs batches of
-//! concurrent commits exactly like `argus_bench::commit_perf` and divides
-//! the allocation delta by the number of commits. The resulting
+//! concurrent commits shaped like `argus_bench::commit_perf`'s — disjoint
+//! objects, every commit launched before any settles — on the fast device
+//! profile, and divides the allocation delta by the number of commits. The resulting
 //! `allocs/commit` is published as the `bench.allocs_per_commit` obs counter
 //! and asserted against a ceiling.
 //!

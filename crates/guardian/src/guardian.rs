@@ -205,6 +205,19 @@ pub struct Guardian {
     commit_us: argus_obs::Timer,
     committing_us: argus_obs::Timer,
     abort_us: argus_obs::Timer,
+    /// The directory this guardian chose for its files, if it chose one;
+    /// removed when the guardian is dropped, after the log inside it.
+    _owned_dir: Option<OwnedDir>,
+}
+
+/// A directory under the OS temp dir that nothing can reopen once its
+/// guardian is gone, so the guardian takes it along.
+struct OwnedDir(std::path::PathBuf);
+
+impl Drop for OwnedDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl std::fmt::Debug for Guardian {
@@ -230,6 +243,7 @@ impl Guardian {
     ) -> RsResult<Self> {
         let plan = FaultPlan::new();
         let device_clock = clock.clone();
+        let mut owned_dir = None;
         let rs = match cfg.media {
             MediaKind::Mem => {
                 let provider = MemProvider {
@@ -258,7 +272,10 @@ impl Guardian {
                         static UNIQ: std::sync::atomic::AtomicU64 =
                             std::sync::atomic::AtomicU64::new(0);
                         let n = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        std::env::temp_dir().join(format!("argus-world-{}-{n}", std::process::id()))
+                        let name = format!("argus-world-{}-{n}", std::process::id());
+                        let dir = std::env::temp_dir().join(name);
+                        owned_dir = Some(OwnedDir(dir.clone()));
+                        dir
                     }
                 };
                 let provider = FileProvider::new(base.join(format!("g{}", id.0)))
@@ -291,6 +308,7 @@ impl Guardian {
             commit_us: obs.timer("twopc.commit_us"),
             committing_us: obs.timer("twopc.committing_us"),
             abort_us: obs.timer("twopc.abort_us"),
+            _owned_dir: owned_dir,
         })
     }
 

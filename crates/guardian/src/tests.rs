@@ -792,3 +792,48 @@ fn a_lock_stamp_moves_on_release_and_never_repeats() {
     g.reset_heap(argus_objects::Heap::new());
     assert!(g.lock_stamp() > s3, "a restart brought back a stamp");
 }
+
+/// A world on real files with no directory given puts each guardian's log
+/// in a fresh directory under the OS temp dir. Nothing can reopen it once
+/// the world is gone, so the guardian removes it — after surviving a crash
+/// and a restart inside it.
+#[test]
+fn a_file_world_without_a_directory_leaves_none_behind() {
+    let prefix = format!("argus-world-{}-", std::process::id());
+    let ours = || -> Vec<std::path::PathBuf> {
+        let entries = std::fs::read_dir(std::env::temp_dir()).unwrap();
+        let names = entries.map(|e| e.unwrap().path());
+        names
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .collect()
+    };
+    let before = ours();
+    let cfg = WorldConfig {
+        media: crate::MediaKind::File { dir: None },
+        ..WorldConfig::default()
+    };
+    let mut w = World::with_config(argus_sim::CostModel::fast(), cfg);
+    let g = w.add_guardian(RsKind::Hybrid).unwrap();
+    let a = w.begin(g).unwrap();
+    w.set_stable(g, a, "x", Value::Int(1)).unwrap();
+    assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+    w.crash(g);
+    w.restart(g).unwrap();
+    let made: Vec<_> = ours().into_iter().filter(|p| !before.contains(p)).collect();
+    assert_eq!(
+        made.len(),
+        1,
+        "one directory for the one guardian: {made:?}"
+    );
+    drop(w);
+    assert!(
+        !made[0].exists(),
+        "{} outlived its world",
+        made[0].display()
+    );
+}
