@@ -104,17 +104,6 @@ impl SweepConfig {
         self
     }
 
-    /// The housekeeping modes an organization supports (the simple log
-    /// cannot snapshot — §5.2's snapshot needs the hybrid log's map).
-    pub fn supported_housekeeping(kind: RsKind) -> &'static [HousekeepingMode] {
-        match kind {
-            RsKind::Simple | RsKind::Redo => &[HousekeepingMode::Compaction],
-            RsKind::Hybrid | RsKind::Shadow => {
-                &[HousekeepingMode::Snapshot, HousekeepingMode::Compaction]
-            }
-        }
-    }
-
     /// The full sweep matrix from the experiment plan: every organization ×
     /// {no housekeeping, each supported mode} × the group-commit/cache
     /// on-off matrix × {memory media, mirrored media with frontier decay}.
@@ -122,7 +111,7 @@ impl SweepConfig {
         let mut cells = Vec::new();
         for kind in RsKind::ALL {
             let mut modes: Vec<Option<HousekeepingMode>> = vec![None];
-            modes.extend(Self::supported_housekeeping(kind).iter().copied().map(Some));
+            modes.extend(kind.housekeeping_modes().iter().copied().map(Some));
             for hk in modes {
                 for (batched, cached) in
                     [(true, true), (true, false), (false, true), (false, false)]

@@ -41,7 +41,7 @@
 
 use crate::obs::VoprObs;
 use crate::{lint_heap_quiesced, lint_log, LogImage};
-use argus_core::{HousekeepingMode, LogEntry};
+use argus_core::LogEntry;
 use argus_guardian::{MediaKind, NetFaults, Outcome, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
 use argus_sim::{CostModel, DetRng};
@@ -723,10 +723,10 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
         .map(|_| w.add_guardian(cfg.kind).expect("add guardian"))
         .collect();
     // Housekeeping armed low, so log truncation runs *during* the faults.
-    let hk_mode = match cfg.kind {
-        RsKind::Simple | RsKind::Redo => HousekeepingMode::Compaction,
-        RsKind::Hybrid | RsKind::Shadow => HousekeepingMode::Snapshot,
-    };
+    // The mode goes by seed parity, not the RNG, so a one-mode
+    // organization's stream is what it was and every mode faces some seeds.
+    let modes = cfg.kind.housekeeping_modes();
+    let hk_mode = modes[(cfg.seed % modes.len() as u64) as usize];
     for g in &gids {
         w.set_housekeeping_policy(*g, 24, hk_mode).expect("policy");
     }

@@ -6,9 +6,10 @@
 //! in two stages around the housekeeping marker:
 //!
 //! * **stage one** digests everything before the marker — compaction by
-//!   re-reading the old log like a recovery (§5.1.1), snapshot by copying
-//!   volatile memory (§5.2) — ending with the `committed_ss` checkpoint
-//!   entry;
+//!   recovering the old log into a scratch heap through recovery's own walk
+//!   and restore rules (§5.1.1), snapshot by copying volatile memory (§5.2)
+//!   — and emits the digest through one set of [`HkState`] emitters, ending
+//!   with the `committed_ss` checkpoint entry;
 //! * **stage two** copies the outcome entries recorded in the OEL (guardian
 //!   activity that continued during stage one) onto the new log, then
 //!   switches.
@@ -18,47 +19,17 @@
 //! OEL); `finish_housekeeping` runs stage two. The prologue, the force of
 //! the new log, the metrics and the switch itself are [`crate::LogRs`]'s.
 
-use crate::entry::{decode_entry_view, Entry, EntryRef, EntryView, RawValue, WireField};
-use crate::hybrid::{read_data, HybridFormat, PendingPair};
+use crate::entry::{decode_entry_view, Entry, EntryOut, EntryRef, EntryView, HeapValue, WireField};
+use crate::hybrid::{read_data, walk_chain, HybridFormat, PendingPair};
 use crate::log::{append_entry, LogIo};
-use crate::tables::{CState, CoordinatorTable, ObjState, PState, ParticipantTable};
+use crate::restore::RecoverCtx;
+use crate::tables::ObjState;
 use crate::{MutexTable, RsError, RsResult};
-use argus_objects::{flatten_value, ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
+use argus_objects::{ActionId, GuardianId, Heap, ObjKind, ObjectBody, Uid, Value};
 use argus_sim::{IntMap, IntSet};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
 use std::collections::VecDeque;
-
-/// Stage-one object bookkeeping: like the recovery OT but without volatile
-/// addresses (§5.1.1), plus the object kind so already-digested atomic
-/// objects can be skipped without re-reading their data entries.
-#[derive(Debug, Clone, Copy)]
-struct HkObj {
-    state: ObjState,
-    kind: ObjKind,
-    /// For mutex objects: the *old-log* address of the version copied, used
-    /// for the recency comparisons of §5.1.1/§5.2.
-    mutex_old_addr: Option<LogAddress>,
-}
-
-impl HkObj {
-    fn atomic(state: ObjState) -> Self {
-        Self {
-            state,
-            kind: ObjKind::Atomic,
-            mutex_old_addr: None,
-        }
-    }
-
-    /// A mutex whose version at old-log address `old_addr` was copied.
-    fn mutex(old_addr: LogAddress) -> Self {
-        Self {
-            state: ObjState::Restored,
-            kind: ObjKind::Mutex,
-            mutex_old_addr: Some(old_addr),
-        }
-    }
-}
 
 /// What an open hybrid housekeeping pass has built on the new log so far.
 #[derive(Debug, Default)]
@@ -71,7 +42,9 @@ pub struct HkState {
     pub(crate) new_mt: MutexTable,
     /// Snapshot only: the accessibility set rebuilt by the traversal.
     pub(crate) new_access: Option<IntSet<Uid>>,
-    ot: IntMap<Uid, HkObj>,
+    /// The *old-log* address of each mutex version stage one copied, for
+    /// stage two's recency comparison (§5.1.1).
+    mutex_old: IntMap<Uid, LogAddress>,
     /// Early-prepared data entries of still-unprepared actions, rewritten
     /// onto the new log by stage two.
     pub(crate) new_pending: IntMap<ActionId, Vec<PendingPair>>,
@@ -88,6 +61,9 @@ fn write_data<S: PageStore, V: WireField>(
     append_entry(new_log, &data)
 }
 
+// The stage-one emitters: what survives is decided by the caller (recovery's
+// rules for compaction, the live heap and the PAT for the snapshot); how it
+// lands on the new log is decided here, once.
 impl HkState {
     fn append_outcome<S: PageStore, V: WireField, P: WireField, G: WireField>(
         &mut self,
@@ -99,210 +75,128 @@ impl HkState {
         Ok(())
     }
 
-    /// Seals stage one with the checkpoint entry: "like a combined prepare
-    /// and commit for some special action whose name does not matter"
-    /// (§5.1.1).
-    pub(crate) fn checkpoint<S: PageStore>(&mut self, new_log: &mut StableLog<S>) -> RsResult<()> {
-        let cssl = self.cssl.clone();
-        let seal = EntryRef::CommittedSs {
-            cssl: &cssl,
-            prev: None,
-        };
-        self.append_outcome(new_log, seal)
-    }
-
-    /// Copies one committed atomic version into the new log and the CSSL,
-    /// respecting the OT state.
-    fn copy_committed_atomic<S: PageStore>(
+    /// A committed atomic base: a data entry and its CSSL pair.
+    fn base<S: PageStore, V: WireField>(
         &mut self,
         new_log: &mut StableLog<S>,
         uid: Uid,
-        value: RawValue<'_>,
+        value: V,
     ) -> RsResult<()> {
-        if self.ot.get(&uid).map(|o| o.state) != Some(ObjState::Restored) {
-            self.ot.insert(uid, HkObj::atomic(ObjState::Restored));
-            let addr = write_data(new_log, ObjKind::Atomic, value)?;
-            self.cssl.push((uid, addr));
-        }
+        let addr = write_data(new_log, ObjKind::Atomic, value)?;
+        self.cssl.push((uid, addr));
         Ok(())
     }
 
-    /// Copies a mutex version if `old_addr` names the most recent version
-    /// seen so far (old-log address comparison). Returns the new address if
-    /// copied.
-    fn copy_mutex_if_latest<S: PageStore>(
+    /// The current version the in-doubt action `aid` holds the write lock
+    /// on, as a `prepared_data` entry.
+    fn in_doubt<S: PageStore, V: WireField>(
         &mut self,
         new_log: &mut StableLog<S>,
         uid: Uid,
-        value: RawValue<'_>,
-        old_addr: LogAddress,
-    ) -> RsResult<Option<LogAddress>> {
-        if let Some(existing) = self.ot.get(&uid) {
-            if existing.mutex_old_addr.is_some_and(|a| a >= old_addr) {
-                return Ok(None);
-            }
-        }
+        value: V,
+        aid: ActionId,
+    ) -> RsResult<()> {
+        let version = EntryOut::PreparedData {
+            uid,
+            value,
+            aid,
+            prev: None,
+        };
+        self.append_outcome(new_log, version)
+    }
+
+    /// A mutex's value, committed state whatever its writers' outcomes
+    /// (§2.4.2): a data entry, its CSSL pair and its new MT entry. `old` is
+    /// the old-log address it was copied from.
+    fn mutex<S: PageStore, V: WireField>(
+        &mut self,
+        new_log: &mut StableLog<S>,
+        uid: Uid,
+        value: V,
+        old: Option<LogAddress>,
+    ) -> RsResult<()> {
         let addr = write_data(new_log, ObjKind::Mutex, value)?;
-        self.ot.insert(uid, HkObj::mutex(old_addr));
-        self.new_mt.insert(uid, addr);
-        // Replace any older CSSL pair for this mutex.
-        self.cssl.retain(|(u, _)| *u != uid);
         self.cssl.push((uid, addr));
-        Ok(Some(addr))
+        self.new_mt.insert(uid, addr);
+        self.mutex_old.extend(old.map(|a| (uid, a)));
+        Ok(())
+    }
+
+    /// Seals stage one. Deviation from §5.1.1, which drops a prepare list
+    /// left empty: every in-doubt action keeps a bare `prepared` entry, or a
+    /// participant whose writes were all mutexes (or unreachable) forgets
+    /// its vote across a crash (lint I4); every coordinator still in phase
+    /// two keeps its `committing` entry, or a crash forgets phase two (lint
+    /// I6). See DESIGN.md. Then the checkpoint: "like a combined prepare and
+    /// commit for some special action whose name does not matter".
+    fn seal<S: PageStore>(
+        &mut self,
+        new_log: &mut StableLog<S>,
+        in_doubt: &[ActionId],
+        committing: &[(ActionId, Vec<GuardianId>)],
+    ) -> RsResult<()> {
+        for &aid in in_doubt {
+            let bare = EntryRef::Prepared {
+                aid,
+                pairs: &[],
+                prev: None,
+            };
+            self.append_outcome(new_log, bare)?;
+        }
+        for (aid, gids) in committing {
+            let committing = EntryRef::Committing {
+                aid: *aid,
+                gids,
+                prev: None,
+            };
+            self.append_outcome(new_log, committing)?;
+        }
+        let cssl = std::mem::take(&mut self.cssl);
+        let checkpoint = EntryRef::CommittedSs {
+            cssl: &cssl,
+            prev: None,
+        };
+        self.append_outcome(new_log, checkpoint)
     }
 }
 
 impl HybridFormat {
-    /// Stage one of compaction (§5.1.1): read the old log backwards from the
-    /// marker exactly like a recovery, but write surviving entries to the
-    /// new log instead of building objects in volatile memory.
+    /// Stage one of compaction (§5.1.1): recovers the old log from the chain
+    /// head into a scratch heap, exactly like a recovery, and emits what the
+    /// restore rules restored, in uid order. `resolve_uid_refs` is skipped
+    /// so the restored values keep their uid references and re-log as they
+    /// were.
     pub(crate) fn compact_stage_one<S: PageStore>(
         &self,
         io: &mut LogIo<S>,
         new_log: &mut StableLog<S>,
         hk: &mut HkState,
     ) -> RsResult<()> {
-        let mut pt = ParticipantTable::new();
-        let mut ct = CoordinatorTable::new();
+        let mut scratch = Heap::new();
+        let mut ctx = RecoverCtx::new(&mut scratch);
+        walk_chain(&mut io.log, &mut ctx, self.last_outcome)?;
 
-        let mut cursor = self.last_outcome;
-        // Outcome entries and the data entries they lead to are read as
-        // views: a surviving version is copied as bytes, never materialized.
-        let (mut payload, mut data) = (Vec::new(), Vec::new());
-        while let Some(addr) = cursor {
-            io.log.read_into(addr, &mut payload)?;
-            let entry = decode_entry_view(&payload)?;
-            cursor = entry.prev();
-            match entry {
-                EntryView::Committed { aid, .. } => {
-                    pt.enter(aid, PState::Committed);
-                }
-                EntryView::Aborted { aid, .. } => {
-                    pt.enter(aid, PState::Aborted);
-                }
-                EntryView::Done { aid, .. } => ct.enter(aid, CState::Done),
-                EntryView::Committing { aid, gids, .. } => {
-                    if ct.get(aid) != Some(&CState::Done) {
-                        ct.enter(aid, CState::Committing(gids.to_vec()));
-                        hk.append_outcome(new_log, entry)?;
+        let mut uids: Vec<Uid> = ctx.ot.iter().map(|(u, _)| *u).collect();
+        uids.sort_unstable();
+        for uid in uids {
+            let entry = *ctx.ot.get(uid).expect("uid came from the OT");
+            match &ctx.heap.get(entry.heap)?.body {
+                ObjectBody::Atomic(obj) => {
+                    if entry.state == ObjState::Restored {
+                        hk.base(new_log, uid, &obj.base)?;
+                    }
+                    if let (Some(writer), Some(cur)) = (obj.writer, &obj.current) {
+                        hk.in_doubt(new_log, uid, cur, writer)?;
                     }
                 }
-                EntryView::BaseCommitted { uid, value, .. } => {
-                    hk.copy_committed_atomic(new_log, uid, value)?;
-                }
-                EntryView::PreparedData {
-                    uid, value, aid, ..
-                } => match pt.get(aid) {
-                    Some(PState::Aborted) => {}
-                    Some(PState::Committed) => hk.copy_committed_atomic(new_log, uid, value)?,
-                    Some(PState::Prepared) | None => {
-                        pt.enter(aid, PState::Prepared);
-                        hk.ot
-                            .entry(uid)
-                            .or_insert(HkObj::atomic(ObjState::Prepared));
-                        hk.append_outcome(new_log, entry)?;
-                    }
-                },
-                EntryView::Prepared { aid, pairs, .. } => {
-                    let st = pt.enter(aid, PState::Prepared);
-                    match st {
-                        PState::Aborted => {
-                            for (uid, daddr) in pairs.iter() {
-                                // Atomic versions die with the abort; mutex
-                                // versions obey the recency rule.
-                                if hk.ot.get(&uid).map(|o| o.kind) == Some(ObjKind::Atomic) {
-                                    continue;
-                                }
-                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
-                                if kind == ObjKind::Mutex {
-                                    hk.copy_mutex_if_latest(new_log, uid, value, daddr)?;
-                                }
-                            }
-                        }
-                        PState::Committed => {
-                            for (uid, daddr) in pairs.iter() {
-                                if let Some(obj) = hk.ot.get(&uid) {
-                                    if obj.kind == ObjKind::Atomic
-                                        && obj.state == ObjState::Restored
-                                    {
-                                        continue;
-                                    }
-                                    if obj.kind == ObjKind::Mutex
-                                        && obj.mutex_old_addr.is_some_and(|a| a >= daddr)
-                                    {
-                                        continue;
-                                    }
-                                }
-                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
-                                match kind {
-                                    ObjKind::Atomic => {
-                                        hk.copy_committed_atomic(new_log, uid, value)?
-                                    }
-                                    ObjKind::Mutex => {
-                                        hk.copy_mutex_if_latest(new_log, uid, value, daddr)?;
-                                    }
-                                }
-                            }
-                        }
-                        PState::Prepared => {
-                            // Outcome unknown: the action stays prepared on
-                            // the new log.
-                            let mut new_pairs = Vec::new();
-                            for (uid, daddr) in pairs.iter() {
-                                let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
-                                match kind {
-                                    ObjKind::Atomic => {
-                                        hk.ot
-                                            .entry(uid)
-                                            .or_insert(HkObj::atomic(ObjState::Prepared));
-                                        let na = write_data(new_log, ObjKind::Atomic, value)?;
-                                        new_pairs.push((uid, na));
-                                    }
-                                    ObjKind::Mutex => {
-                                        // Prepared mutex state is the state
-                                        // regardless of outcome: CSSL (§5.1.1).
-                                        hk.copy_mutex_if_latest(new_log, uid, value, daddr)?;
-                                    }
-                                }
-                            }
-                            // Deviation from §5.1.1, which drops the entry
-                            // when the new prepare list is empty: an
-                            // in-doubt action must survive compaction even
-                            // if all of its writes were mutexes, or its
-                            // participant would forget it prepared. See
-                            // DESIGN.md.
-                            hk.append_outcome(
-                                new_log,
-                                EntryRef::Prepared {
-                                    aid,
-                                    pairs: &new_pairs,
-                                    prev: None,
-                                },
-                            )?;
-                        }
-                    }
-                }
-                EntryView::CommittedSs { cssl, .. } => {
-                    // An earlier checkpoint being re-compacted.
-                    for (uid, daddr) in cssl.iter() {
-                        if hk.ot.get(&uid).map(|o| o.state) == Some(ObjState::Restored) {
-                            continue;
-                        }
-                        let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
-                        match kind {
-                            ObjKind::Atomic => hk.copy_committed_atomic(new_log, uid, value)?,
-                            ObjKind::Mutex => {
-                                hk.copy_mutex_if_latest(new_log, uid, value, daddr)?;
-                            }
-                        }
-                    }
-                }
-                EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => {
-                    return Err(RsError::BadState("data entry on the outcome chain".into()))
-                }
+                ObjectBody::Mutex(obj) => hk.mutex(new_log, uid, &obj.value, entry.mutex_addr)?,
             }
         }
-        Ok(())
+        hk.seal(
+            new_log,
+            &ctx.pt.prepared_actions(),
+            &ctx.ct.committing_actions(),
+        )
     }
 
     /// Stage one of the snapshot (§5.2): traverse the recoverable objects
@@ -318,15 +212,10 @@ impl HybridFormat {
         heap: &Heap,
         pat: &IntSet<ActionId>,
     ) -> RsResult<()> {
-        let mut new_access: IntSet<Uid> = IntSet::default();
-        let Some(root) = heap.stable_root() else {
-            hk.new_access = Some(new_access);
-            return Ok(());
-        };
-
+        let mut new_access = IntSet::from_iter([Uid::STABLE_ROOT]);
+        let mut queue = VecDeque::from_iter(heap.stable_root());
         let mut data = Vec::new();
-        let mut queue = VecDeque::from([root]);
-        new_access.insert(Uid::STABLE_ROOT);
+        let at = |value| HeapValue { heap, value };
         while let Some(h) = queue.pop_front() {
             let slot = heap.get(h)?;
             let uid = slot.uid;
@@ -347,27 +236,13 @@ impl HybridFormat {
             };
             match &slot.body {
                 ObjectBody::Atomic(obj) => {
-                    let base = flatten_value(heap, &obj.base)?;
-                    let addr = write_data(new_log, ObjKind::Atomic, &base.value)?;
-                    hk.cssl.push((uid, addr));
-                    hk.ot.insert(uid, HkObj::atomic(ObjState::Restored));
-                    if let Some(writer) = obj.writer {
-                        if pat.contains(&writer) {
-                            let cur = obj
-                                .current
-                                .as_ref()
-                                .ok_or(RsError::Internal("write lock without a current version"))?;
-                            let cur = flatten_value(heap, cur)?;
-                            hk.append_outcome(
-                                new_log,
-                                EntryRef::PreparedData {
-                                    uid,
-                                    value: &cur.value,
-                                    aid: writer,
-                                    prev: None,
-                                },
-                            )?;
-                        }
+                    hk.base(new_log, uid, at(&obj.base))?;
+                    if let Some(writer) = obj.writer.filter(|w| pat.contains(w)) {
+                        let value = obj
+                            .current
+                            .as_ref()
+                            .ok_or(RsError::Internal("write lock without a current version"))?;
+                        hk.in_doubt(new_log, uid, at(value), writer)?;
                     }
                     enqueue(&obj.base, &mut queue, &mut new_access);
                     if let Some(cur) = &obj.current {
@@ -375,9 +250,9 @@ impl HybridFormat {
                     }
                 }
                 ObjectBody::Mutex(obj) => {
-                    if let Some(&old_addr) = self.mt.get(&uid) {
-                        let (_kind, value) = read_data(&mut io.log, old_addr, &mut data)?;
-                        hk.copy_mutex_if_latest(new_log, uid, value, old_addr)?;
+                    if let Some(&old) = self.mt.get(&uid) {
+                        let (_kind, value) = read_data(&mut io.log, old, &mut data)?;
+                        hk.mutex(new_log, uid, value, Some(old))?;
                     }
                     // Not in the MT: newly accessible to a still-preparing
                     // action; its state reaches the new log via stage two or
@@ -386,52 +261,16 @@ impl HybridFormat {
                 }
             }
         }
+        hk.new_access = Some(new_access);
 
-        // Same deviation from the thesis as compaction (§5.1.1): every
-        // in-doubt action must leave a prepared entry on the new log, even
-        // if none of its writes were reachable atomic objects — otherwise a
-        // participant that snapshots while prepared forgets its PrepareOk
-        // vote across a crash, and a late outcome forces an aborted or
-        // committed record with no prepared entry below it (lint I4). The
-        // prepared *data* is already covered: atomic current versions were
-        // copied above, mutex prepared versions travel via the MT.
+        // The prepared *data* of in-doubt actions is already covered: atomic
+        // current versions were copied above, mutex prepared versions travel
+        // via the MT. The tail comes from the PAT and the CAT.
         let mut in_doubt: Vec<ActionId> = pat.iter().copied().collect();
         in_doubt.sort_unstable();
-        for aid in in_doubt {
-            hk.append_outcome(
-                new_log,
-                EntryRef::Prepared {
-                    aid,
-                    pairs: &[],
-                    prev: None,
-                },
-            )?;
-        }
-
-        // Likewise for this guardian's coordinator side: an action past the
-        // commit point but not yet `done` must keep its committing record,
-        // or a crash after the snapshot forgets phase two and in-doubt
-        // participants are never told the verdict (and a late `done` lands
-        // with no committing entry below it — lint I6).
-        let mut committing: Vec<(ActionId, &[GuardianId])> = self
-            .cat
-            .iter()
-            .map(|(aid, gids)| (*aid, gids.as_slice()))
-            .collect();
-        committing.sort_by_key(|a| a.0);
-        for (aid, gids) in committing {
-            hk.append_outcome(
-                new_log,
-                EntryRef::Committing {
-                    aid,
-                    gids,
-                    prev: None,
-                },
-            )?;
-        }
-
-        hk.new_access = Some(new_access);
-        Ok(())
+        let mut committing: Vec<_> = self.cat.iter().map(|(a, g)| (*a, g.clone())).collect();
+        committing.sort_unstable_by_key(|c| c.0);
+        hk.seal(new_log, &in_doubt, &committing)
     }
 
     /// Stage two: restarts still-unprepared actions' early-prepared data on
@@ -470,24 +309,18 @@ impl HybridFormat {
                     let mut new_pairs = Vec::new();
                     for (uid, daddr) in pairs.iter() {
                         let (kind, value) = read_data(&mut io.log, daddr, &mut data)?;
-                        match kind {
-                            ObjKind::Atomic => {
-                                let na = write_data(new_log, ObjKind::Atomic, value)?;
-                                new_pairs.push((uid, na));
-                            }
-                            ObjKind::Mutex => {
-                                // Stage-two mutex copies go to the prepare
-                                // list, not the CSSL (§5.1.1 stage two).
-                                if let Some(obj) = hk.ot.get(&uid) {
-                                    if obj.mutex_old_addr.is_some_and(|a| a >= daddr) {
-                                        continue;
-                                    }
-                                }
-                                let na = write_data(new_log, ObjKind::Mutex, value)?;
-                                new_pairs.push((uid, na));
-                                hk.ot.insert(uid, HkObj::mutex(daddr));
-                                hk.new_mt.insert(uid, na);
-                            }
+                        // Stage-two mutex copies go to the prepare list, not
+                        // the CSSL, and only if newer than the version stage
+                        // one copied (§5.1.1 stage two).
+                        let mutex = kind == ObjKind::Mutex;
+                        if mutex && hk.mutex_old.get(&uid).is_some_and(|&a| a >= daddr) {
+                            continue;
+                        }
+                        let na = write_data(new_log, kind, value)?;
+                        new_pairs.push((uid, na));
+                        if mutex {
+                            hk.mutex_old.insert(uid, daddr);
+                            hk.new_mt.insert(uid, na);
                         }
                     }
                     hk.append_outcome(

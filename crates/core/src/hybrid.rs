@@ -147,56 +147,7 @@ impl LogFormat for HybridFormat {
 
     fn walk<S: PageStore>(&mut self, io: &mut LogIo<S>, ctx: &mut RecoverCtx<'_>) -> RsResult<()> {
         let head = find_chain_head(&mut io.log, ctx)?;
-
-        let mut cursor = head;
-        let (mut scratch, mut data) = (Vec::new(), Vec::new());
-        while let Some(addr) = cursor {
-            io.log.read_into(addr, &mut scratch)?;
-            ctx.entries_examined += 1;
-            ctx.chain_hops += 1;
-            io.obs
-                .reg
-                .event(argus_obs::Event::ChainHop { addr: addr.0 });
-            let entry = decode_entry_view(&scratch)?;
-            cursor = entry.prev();
-            // A corrupt prev pointer that does not strictly decrease would
-            // loop the walk forever (invariant I2); fail recovery instead.
-            if let Some(p) = cursor {
-                if p >= addr {
-                    return Err(RsError::BadState(format!(
-                        "outcome chain does not decrease: {addr} points back to {p}"
-                    )));
-                }
-            }
-            match entry {
-                EntryView::Prepared { aid, pairs, .. } => {
-                    let st = ctx.on_prepared(aid);
-                    for (uid, daddr) in pairs.iter() {
-                        process_pair(io, ctx, st, aid, uid, daddr, &mut data)?;
-                    }
-                }
-                EntryView::Committed { aid, .. } => ctx.on_committed(aid),
-                EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
-                EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
-                EntryView::Done { aid, .. } => ctx.on_done(aid),
-                EntryView::BaseCommitted { uid, value, .. } => ctx.on_base_committed(uid, value)?,
-                EntryView::PreparedData {
-                    uid, value, aid, ..
-                } => ctx.on_prepared_data(uid, value, aid)?,
-                EntryView::CommittedSs { cssl, .. } => {
-                    for (uid, daddr) in cssl.iter() {
-                        let state = ctx.ot.get(uid).map(|e| e.state);
-                        if state != Some(ObjState::Restored) {
-                            let (kind, value) = read_data_counted(io, ctx, daddr, &mut data)?;
-                            ctx.restore_committed(uid, kind, value, Some(daddr))?;
-                        }
-                    }
-                }
-                EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => {
-                    return Err(RsError::BadState("data entry on the outcome chain".into()))
-                }
-            }
-        }
+        walk_chain(&mut io.log, ctx, head)?;
         self.last_outcome = head;
         Ok(())
     }
@@ -228,7 +179,6 @@ impl LogFormat for HybridFormat {
                 self.snapshot_stage_one(io, &mut new_log, &mut hk, heap, pat)?
             }
         }
-        hk.checkpoint(&mut new_log)?;
         self.oel = Some(Vec::new());
         Ok((new_log, hk))
     }
@@ -269,11 +219,69 @@ pub(crate) fn read_data<'b, S: PageStore>(
     }
 }
 
+/// The §4.3.3 walk: feeds the outcome chain from `head` down, and the data
+/// entries its rules ask for, through the restore rules. Shared by recovery
+/// and compaction stage one, which digests the old log "exactly like a
+/// recovery" (§5.1.1) into a scratch heap.
+pub(crate) fn walk_chain<S: PageStore>(
+    log: &mut StableLog<S>,
+    ctx: &mut RecoverCtx<'_>,
+    head: Option<LogAddress>,
+) -> RsResult<()> {
+    let mut cursor = head;
+    let (mut scratch, mut data) = (Vec::new(), Vec::new());
+    while let Some(addr) = cursor {
+        log.read_into(addr, &mut scratch)?;
+        ctx.entries_examined += 1;
+        ctx.chain_hops += 1;
+        let entry = decode_entry_view(&scratch)?;
+        cursor = entry.prev();
+        // A corrupt prev pointer that does not strictly decrease would
+        // loop the walk forever (invariant I2); fail recovery instead.
+        if let Some(p) = cursor {
+            if p >= addr {
+                return Err(RsError::BadState(format!(
+                    "outcome chain does not decrease: {addr} points back to {p}"
+                )));
+            }
+        }
+        match entry {
+            EntryView::Prepared { aid, pairs, .. } => {
+                let st = ctx.on_prepared(aid);
+                for (uid, daddr) in pairs.iter() {
+                    process_pair(log, ctx, st, aid, uid, daddr, &mut data)?;
+                }
+            }
+            EntryView::Committed { aid, .. } => ctx.on_committed(aid),
+            EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
+            EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
+            EntryView::Done { aid, .. } => ctx.on_done(aid),
+            EntryView::BaseCommitted { uid, value, .. } => ctx.on_base_committed(uid, value)?,
+            EntryView::PreparedData {
+                uid, value, aid, ..
+            } => ctx.on_prepared_data(uid, value, aid)?,
+            EntryView::CommittedSs { cssl, .. } => {
+                for (uid, daddr) in cssl.iter() {
+                    let state = ctx.ot.get(uid).map(|e| e.state);
+                    if state != Some(ObjState::Restored) {
+                        let (kind, value) = read_data_counted(log, ctx, daddr, &mut data)?;
+                        ctx.restore_committed(uid, kind, value, Some(daddr))?;
+                    }
+                }
+            }
+            EntryView::Data { .. } | EntryView::DataH { .. } | EntryView::DataR { .. } => {
+                return Err(RsError::BadState("data entry on the outcome chain".into()))
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Processes one `(uid, address)` pair of a `prepared` entry under the
 /// action's effective state, reading the data entry only when a copy is
 /// actually required (§4.3.3).
 fn process_pair<S: PageStore>(
-    io: &mut LogIo<S>,
+    log: &mut StableLog<S>,
     ctx: &mut RecoverCtx<'_>,
     st: PState,
     aid: ActionId,
@@ -302,7 +310,7 @@ fn process_pair<S: PageStore>(
     if !needed {
         return Ok(());
     }
-    let (kind, value) = read_data_counted(io, ctx, daddr, buf)?;
+    let (kind, value) = read_data_counted(log, ctx, daddr, buf)?;
     match st {
         PState::Committed => ctx.restore_committed_by(aid, uid, kind, value, Some(daddr))?,
         PState::Prepared => ctx.restore_prepared(uid, kind, value, aid, Some(daddr))?,
@@ -317,17 +325,14 @@ fn process_pair<S: PageStore>(
 }
 
 fn read_data_counted<'b, S: PageStore>(
-    io: &mut LogIo<S>,
+    log: &mut StableLog<S>,
     ctx: &mut RecoverCtx<'_>,
     addr: LogAddress,
     buf: &'b mut Vec<u8>,
 ) -> RsResult<(ObjKind, RawValue<'b>)> {
     ctx.entries_examined += 1;
     ctx.data_entries_read += 1;
-    io.obs
-        .reg
-        .event(argus_obs::Event::RecoveryDataRead { addr: addr.0 });
-    read_data(&mut io.log, addr, buf)
+    read_data(log, addr, buf)
 }
 
 /// Finds the head of the outcome-entry chain: the newest forced record

@@ -921,6 +921,38 @@ mod tests {
         ));
     }
 
+    /// An action in doubt across one pass gets its verdict above that
+    /// pass's checkpoint; a compaction then digests the log. The committed
+    /// write must survive it (the checkpoint ordering fix, DESIGN.md
+    /// deviation 7, applied by the digest too), and an abort must leave the
+    /// old value.
+    fn a_verdict_landing_above_a_checkpoint_survives_the_next_compaction<F: LogFormat>() {
+        let modes: &[HousekeepingMode] = match F::NO_SNAPSHOT {
+            Some(_) => &[HousekeepingMode::Compaction],
+            None => &[HousekeepingMode::Snapshot, HousekeepingMode::Compaction],
+        };
+        for &first in modes {
+            for commit in [true, false] {
+                let mut rs = rs::<F>();
+                let mut heap = history(&mut rs, 3);
+                let a = aid(100);
+                prepare_root(&mut rs, &mut heap, a, Value::Int(777));
+                rs.housekeeping(&heap, first).unwrap();
+                if commit {
+                    rs.commit(a).unwrap();
+                    heap.commit_action(a);
+                } else {
+                    rs.abort(a).unwrap();
+                    heap.abort_action(a);
+                }
+                rs.housekeeping(&heap, HousekeepingMode::Compaction)
+                    .unwrap();
+                let want = Value::Int(if commit { 777 } else { 2 });
+                assert_eq!(recovered(&mut rs).2, want, "{first:?}, committed: {commit}");
+            }
+        }
+    }
+
     macro_rules! per_format {
         ($($test:ident),* $(,)?) => {
             per_format!(@format simple, crate::simple::SimpleFormat, $($test),*);
@@ -954,5 +986,6 @@ mod tests {
         repeated_compaction_recompacts_its_own_digest,
         crash_before_finish_keeps_the_old_log,
         double_begin_is_rejected,
+        a_verdict_landing_above_a_checkpoint_survives_the_next_compaction,
     );
 }

@@ -5,8 +5,8 @@ use crate::WorldResult;
 use argus_cc::LockMode;
 use argus_core::providers::{CachedProvider, FileProvider, MemProvider, MirrorProvider};
 use argus_core::{
-    CState, HybridLogRs, LogEntry, LogStats, PState, RecoveryOutcome, RecoverySystem, RedoRs,
-    RsError, RsResult, SimpleLogRs, StoreProvider,
+    CState, HousekeepingMode, HybridLogRs, LogEntry, LogStats, PState, RecoveryOutcome,
+    RecoverySystem, RedoRs, RsError, RsResult, SimpleLogRs, StoreProvider,
 };
 use argus_objects::{
     ActionId, GuardianId, Heap, HeapError, HeapId, HeapResult, ObjKind, ObjectBody, Value,
@@ -38,6 +38,19 @@ impl RsKind {
     /// Every organization. Cross-organization suites iterate this instead
     /// of naming kinds, so a new organization cannot dodge one.
     pub const ALL: [RsKind; 4] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo];
+
+    /// The housekeeping modes the organization supports, the snapshot first
+    /// where it has one (§5.2's snapshot copies mutex state through the
+    /// hybrid log's map; the simple and redo logs have none). Suites, the
+    /// sweeper and the VOPR read this one table.
+    pub fn housekeeping_modes(self) -> &'static [HousekeepingMode] {
+        match self {
+            RsKind::Simple | RsKind::Redo => &[HousekeepingMode::Compaction],
+            RsKind::Hybrid | RsKind::Shadow => {
+                &[HousekeepingMode::Snapshot, HousekeepingMode::Compaction]
+            }
+        }
+    }
 }
 
 /// A durability-dependent step whose protocol continuation is waiting on a
@@ -187,7 +200,7 @@ pub struct Guardian {
     /// Action-id sequence for top-level actions originating here.
     pub(crate) next_seq: u64,
     /// Automatic housekeeping policy: (max log entries, mode).
-    pub(crate) hk_policy: Option<(u64, argus_core::HousekeepingMode)>,
+    pub(crate) hk_policy: Option<(u64, HousekeepingMode)>,
     /// Group-commit scheduler deciding when staged entries are forced.
     pub(crate) force_sched: ForceScheduler,
     /// Continuations awaiting the next force, in staging order, each with

@@ -44,16 +44,6 @@ pub enum Event {
         /// Intact frames beyond it (flushed, or of a torn force), dropped.
         discarded_bytes: u64,
     },
-    /// Recovery followed one hop of the backward outcome-entry chain (§4.3).
-    ChainHop {
-        /// Log address of the outcome entry visited.
-        addr: u64,
-    },
-    /// Recovery read a data entry's payload from the log (§4.3 step 3).
-    RecoveryDataRead {
-        /// Log address of the data entry.
-        addr: u64,
-    },
     /// One full recovery pass finished (§3.4 / §4.3).
     RecoveryPass {
         /// Log entries examined.
@@ -149,8 +139,6 @@ impl Event {
             Event::OutcomeChained { .. } => "outcome_chained",
             Event::ForceCompleted { .. } => "force_completed",
             Event::LogOpened { .. } => "log_opened",
-            Event::ChainHop { .. } => "chain_hop",
-            Event::RecoveryDataRead { .. } => "recovery_data_read",
             Event::RecoveryPass { .. } => "recovery_pass",
             Event::SnapshotTaken { .. } => "snapshot_taken",
             Event::CompactionPass { .. } => "compaction_pass",
@@ -197,8 +185,6 @@ impl Event {
                 ("recovered_tail", recovered_tail.to_string()),
                 ("discarded_bytes", discarded_bytes.to_string()),
             ],
-            Event::ChainHop { addr } => vec![("addr", addr.to_string())],
-            Event::RecoveryDataRead { addr } => vec![("addr", addr.to_string())],
             Event::RecoveryPass {
                 entries_examined,
                 data_entries_read,
@@ -318,9 +304,9 @@ impl JournalInner {
 /// use argus_obs::{Event, Journal};
 ///
 /// let j = Journal::new(2);
-/// j.push(10, Event::ChainHop { addr: 512 });
-/// j.push(20, Event::ChainHop { addr: 1024 });
-/// j.push(30, Event::ChainHop { addr: 2048 });
+/// j.push(10, Event::MirrorRepair { page: 512 });
+/// j.push(20, Event::MirrorRepair { page: 1024 });
+/// j.push(30, Event::MirrorRepair { page: 2048 });
 /// let events = j.snapshot();
 /// assert_eq!(events.len(), 2);
 /// assert_eq!(events[0].at_us, 20); // the oldest was evicted
@@ -413,8 +399,8 @@ mod tests {
     #[test]
     fn retains_in_order_under_capacity() {
         let j = Journal::new(8);
-        j.push(1, Event::ChainHop { addr: 1 });
-        j.push(2, Event::ChainHop { addr: 2 });
+        j.push(1, Event::MirrorRepair { page: 1 });
+        j.push(2, Event::MirrorRepair { page: 2 });
         let events = j.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].seq, 0);
@@ -427,7 +413,7 @@ mod tests {
     fn eviction_keeps_the_newest() {
         let j = Journal::new(3);
         for i in 0..10u64 {
-            j.push(i, Event::ChainHop { addr: i });
+            j.push(i, Event::MirrorRepair { page: i });
         }
         let events = j.snapshot();
         assert_eq!(events.len(), 3);
@@ -458,8 +444,6 @@ mod tests {
                 entries: 1,
                 stable_bytes: 64,
             },
-            Event::ChainHop { addr: 512 },
-            Event::RecoveryDataRead { addr: 1024 },
             Event::RecoveryPass {
                 entries_examined: 4,
                 data_entries_read: 3,
@@ -515,10 +499,10 @@ mod tests {
     #[test]
     fn reset_restarts_sequence_numbers() {
         let j = Journal::new(2);
-        j.push(0, Event::ChainHop { addr: 0 });
+        j.push(0, Event::MirrorRepair { page: 0 });
         j.reset();
         assert!(j.is_empty());
-        j.push(5, Event::ChainHop { addr: 5 });
+        j.push(5, Event::MirrorRepair { page: 5 });
         assert_eq!(j.snapshot()[0].seq, 0);
     }
 }

@@ -456,7 +456,7 @@ mod tests {
         let clock = SimClock::new();
         clock.advance(77);
         reg.set_clock(clock.clone());
-        reg.event(Event::ChainHop { addr: 1 });
+        reg.event(Event::MirrorRepair { page: 1 });
         assert_eq!(reg.journal().snapshot()[0].at_us, 77);
     }
 
@@ -493,7 +493,7 @@ mod tests {
         c.inc();
         t.record_since(t.now());
         drop(t.start());
-        reg.event(Event::ChainHop { addr: 1 });
+        reg.event(Event::MirrorRepair { page: 1 });
         assert_eq!(reg.lookups(), before, "handles and events resolve nothing");
         reg.inc("c");
         reg.observe("t_us", 1);

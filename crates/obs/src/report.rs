@@ -252,7 +252,7 @@ mod tests {
     fn dropped_events_are_reported_in_the_title() {
         let reg = Registry::new();
         for i in 0..5000u64 {
-            reg.event(Event::ChainHop { addr: i });
+            reg.event(Event::MirrorRepair { page: i });
         }
         let r = reg.report();
         assert!(r.dropped_events > 0);

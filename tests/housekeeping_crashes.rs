@@ -5,7 +5,7 @@
 //! which the next recovery converges to the very same tables and heap.
 
 use argus::core::providers::MemProvider;
-use argus::core::{HousekeepingMode, HybridLogRs, RecoverySystem, RedoRs, SimpleLogRs};
+use argus::core::{HybridLogRs, RecoverySystem, RedoRs, SimpleLogRs};
 use argus::guardian::RsKind;
 use argus::objects::{ActionId, GuardianId, Heap, Value};
 use argus::shadow::ShadowRs;
@@ -31,17 +31,6 @@ fn rs_with_plan(kind: RsKind, plan: FaultPlan) -> Box<dyn RecoverySystem> {
         RsKind::Hybrid => Box::new(HybridLogRs::create(provider).unwrap()),
         RsKind::Shadow => Box::new(ShadowRs::create(provider).unwrap()),
         RsKind::Redo => Box::new(RedoRs::create(provider).unwrap()),
-    }
-}
-
-/// The housekeeping modes each organization supports (§5.2: the simple log
-/// has no map to snapshot from).
-fn supported_modes(kind: RsKind) -> &'static [HousekeepingMode] {
-    match kind {
-        RsKind::Simple | RsKind::Redo => &[HousekeepingMode::Compaction],
-        RsKind::Hybrid | RsKind::Shadow => {
-            &[HousekeepingMode::Snapshot, HousekeepingMode::Compaction]
-        }
     }
 }
 
@@ -80,7 +69,7 @@ fn crash_mid_housekeeping_recovers_from_the_old_log() {
     // Sweep the crash point through the whole housekeeping pass, for every
     // organization and every mode it supports.
     for kind in RsKind::ALL {
-        for &mode in supported_modes(kind) {
+        for &mode in kind.housekeeping_modes() {
             let mut fired = 0;
             for budget in 0..400u64 {
                 let plan = FaultPlan::new();
@@ -120,7 +109,7 @@ fn crash_mid_housekeeping_recovers_from_the_old_log() {
 #[test]
 fn crash_between_stages_recovers_from_the_old_log() {
     for kind in RsKind::ALL {
-        for &mode in supported_modes(kind) {
+        for &mode in kind.housekeeping_modes() {
             let mut rs = rs_with_plan(kind, FaultPlan::new());
             let mut heap = Heap::with_stable_root();
             build_history(rs.as_mut(), &mut heap, 10).unwrap();

@@ -6,7 +6,7 @@
 //! housekeeping stages and across repeated passes.
 
 use argus::core::HousekeepingMode;
-use argus::guardian::{RsKind, World};
+use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::Value;
 use argus::sim::DetRng;
 use argus::workload::{Synth, SynthConfig};
@@ -167,5 +167,72 @@ fn interleaved_traffic_between_stages() {
             "round {round}"
         );
         common::lint_world(&mut world);
+    }
+}
+
+/// A participant kept in doubt across an automatic compaction — its
+/// coordinator paused, so its `PrepareOk` is held — learns the verdict
+/// above that pass's checkpoint. The next compaction must keep the
+/// committed write (the checkpoint ordering fix, DESIGN.md deviation 7).
+#[test]
+fn a_verdict_reaching_a_compacted_participant_survives_the_next_compaction() {
+    for kind in RsKind::ALL {
+        let mut world = World::fast();
+        let coord = world.add_guardian(kind).unwrap();
+        let part = world.add_guardian(kind).unwrap();
+        // `x` for the distributed action, `y` for local traffic.
+        let setup = world.begin(part).unwrap();
+        let mut objects = Vec::new();
+        for name in ["x", "y"] {
+            let h = world.create_atomic(part, setup, Value::Int(0)).unwrap();
+            world
+                .set_stable(part, setup, name, Value::heap_ref(h))
+                .unwrap();
+            objects.push(h);
+        }
+        assert_eq!(world.commit(setup).unwrap(), Outcome::Committed);
+        let (x, y) = (objects[0], objects[1]);
+        world
+            .set_housekeeping_policy(part, 12, HousekeepingMode::Compaction)
+            .unwrap();
+
+        let a = world.begin(coord).unwrap();
+        world.set_stable(coord, a, "v", Value::Int(1)).unwrap();
+        world
+            .write_atomic(part, a, x, |v| *v = Value::Int(777))
+            .unwrap();
+        world.commit_start(a).unwrap();
+        world.pause_guardian(coord);
+        world.run_until_quiet().unwrap();
+
+        // Local commits at the in-doubt participant until the policy runs.
+        let entries = |world: &World| world.guardian(part).unwrap().log_stats().entries;
+        let compacted = (0..50).any(|i| {
+            let before = entries(&world);
+            let b = world.begin(part).unwrap();
+            world
+                .write_atomic(part, b, y, |v| *v = Value::Int(i))
+                .unwrap();
+            assert_eq!(world.commit(b).unwrap(), Outcome::Committed);
+            entries(&world) < before
+        });
+        assert!(compacted, "{kind:?}: the policy never ran");
+
+        world.resume_guardian(coord);
+        assert_eq!(world.commit_settle(a).unwrap(), Outcome::Committed);
+        world.housekeep(part, HousekeepingMode::Compaction).unwrap();
+        common::lint_world(&mut world);
+        world.crash(part);
+        world.restart(part).unwrap();
+        let guardian = world.guardian(part).unwrap();
+        let x = match guardian.stable_value("x") {
+            Some(Value::Ref(argus::objects::ObjRef::Heap(h))) => h,
+            other => panic!("{kind:?}: x unresolved: {other:?}"),
+        };
+        assert_eq!(
+            guardian.heap.read_value(x, None).unwrap(),
+            &Value::Int(777),
+            "{kind:?}"
+        );
     }
 }

@@ -150,19 +150,10 @@ fn figure_4_2_metrics_agree_with_recovery_outcome() {
     assert_eq!(pass.2, out.chain_hops);
     assert_eq!(pass.3, out.pt.len() as u64);
     assert_eq!(pass.4, out.ot.len() as u64);
-    // One chain_hop event per hop, one recovery_data_read per data entry.
-    let hops = report
-        .events
-        .iter()
-        .filter(|r| matches!(r.event, Event::ChainHop { .. }))
-        .count() as u64;
-    let data_reads = report
-        .events
-        .iter()
-        .filter(|r| matches!(r.event, Event::RecoveryDataRead { .. }))
-        .count() as u64;
-    assert_eq!(hops, out.chain_hops);
-    assert_eq!(data_reads, out.data_entries_read);
+    // There is no event per hop or per data entry read: the counters above
+    // and this one summary carry the totals, a restart takes no journal lock
+    // per hop, and the walk compaction shares with recovery writes nothing
+    // to the journal.
 }
 
 /// A whole-world crash/restart: recovery counters must agree with the

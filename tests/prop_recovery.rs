@@ -19,7 +19,8 @@ enum Op {
     Abort { k: u8, v: i64 },
     /// Crash and restart the guardian.
     CrashRestart,
-    /// Run housekeeping (hybrid only; ignored elsewhere).
+    /// Run housekeeping in the organization's first supported mode
+    /// (`true`) or its last ([`RsKind::housekeeping_modes`]).
     Housekeep(bool),
 }
 
@@ -65,15 +66,14 @@ fn run_history(kind: RsKind, ops: &[Op]) {
                 world.crash(g);
                 world.restart(g).unwrap();
             }
-            Op::Housekeep(snapshot) => {
-                if kind == RsKind::Hybrid {
-                    let mode = if *snapshot {
-                        argus::core::HousekeepingMode::Snapshot
-                    } else {
-                        argus::core::HousekeepingMode::Compaction
-                    };
-                    world.housekeep(g, mode).unwrap();
-                }
+            Op::Housekeep(first) => {
+                let modes = kind.housekeeping_modes();
+                let mode = if *first {
+                    modes[0]
+                } else {
+                    modes[modes.len() - 1]
+                };
+                world.housekeep(g, mode).unwrap();
             }
         }
         // The committed view always matches the model, mid-history included.
@@ -121,6 +121,11 @@ fn simple_log_matches_the_model() {
 #[test]
 fn shadowing_matches_the_model() {
     check_kind(RsKind::Shadow, 0x54AD);
+}
+
+#[test]
+fn redo_log_matches_the_model() {
+    check_kind(RsKind::Redo, 0x4ED0);
 }
 
 /// Object-graph property: a committed linked list of arbitrary length is

@@ -19,7 +19,6 @@
 
 mod common;
 
-use argus::check::sweep::SweepConfig;
 use argus::check::{ExploreConfig, Explorer};
 use argus::core::{LogEntry, PState};
 use argus::guardian::{Outcome, RsKind, World, WorldConfig};
@@ -420,7 +419,7 @@ fn a_coordinator_crash_that_loses_done_resumes_committing_and_finishes() {
 #[test]
 fn housekeeping_with_a_buffered_done_keeps_the_coordinator_records_paired() {
     for kind in RsKind::ALL {
-        for &mode in SweepConfig::supported_housekeeping(kind) {
+        for &mode in kind.housekeeping_modes() {
             let (mut w, g0, g1) = setup(kind);
             let a = committed_transfer(&mut w, g0, g1);
             w.housekeep(g0, mode).unwrap();
