@@ -149,17 +149,13 @@ impl<C> LockManager<C> {
         });
         argus_trace::with_current(|tracer| {
             tracer.instant(
-                "cc",
-                "lock_blocked",
+                argus_trace::Kind::LockBlocked,
                 key.gid.0,
                 Some(argus_trace::Key::new(
                     waiter.aid.coordinator.0,
                     waiter.aid.seq,
                 )),
-                &[
-                    ("hid", u64::from(key.hid.0)),
-                    ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
-                ],
+                &[u64::from(key.hid.0), waiter.holder.map_or(0, |h| h.seq)],
             )
         });
         let spare = &mut self.spare_keys;

@@ -524,7 +524,7 @@ fn dump_flight(
         Some(j) => format!("sweep-{}-v{victim_idx}-w{k}-r{j}", cfg.label()),
         None => format!("sweep-{}-v{victim_idx}-w{k}", cfg.label()),
     };
-    argus_trace::flight::dump(&label, &w.tracer().events())
+    argus_trace::flight::dump(&label, w.tracer())
         .ok()
         .map(|p| p.display().to_string())
 }

@@ -846,7 +846,7 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
         if let Ok(p) = argus_trace::flight::dump_text(&label, &run.schedule) {
             flight.push(p.display().to_string());
         }
-        if let Ok(p) = argus_trace::flight::dump(&label, &w.tracer().events()) {
+        if let Ok(p) = argus_trace::flight::dump(&label, w.tracer()) {
             flight.push(p.display().to_string());
         }
     }

@@ -15,6 +15,7 @@ use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, IntMap, IntSet, SimClock};
 use argus_slog::{ForceScheduler, LogAddress};
 use argus_stable::FaultPlan;
+use argus_trace::Kind;
 use argus_twopc::{
     CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, PartPhase, Participant,
 };
@@ -582,12 +583,11 @@ impl Guardian {
             }
             Err(e) => return Err(e.into()),
         }
-        let (g, tracer) = (self.id.0, &self.tracer);
-        let args = [("batch", batch), ("ops", staged.len() as u64)];
-        tracer.complete("force", "force", g, None, force_t0, &args);
+        let (g, tracer, ops) = (self.id.0, &self.tracer, staged.len() as u64);
+        tracer.complete(Kind::Force, g, None, force_t0, &[batch, ops]);
         for &(op, staged_at) in &staged {
             let key = Some(tkey(op.aid()));
-            tracer.complete("force", "force_wait", g, key, staged_at, &args[..1]);
+            tracer.complete(Kind::ForceWait, g, key, staged_at, &[batch]);
         }
         Ok(staged)
     }
@@ -785,9 +785,9 @@ impl Guardian {
                     debug_assert!(coordinator.is_none_or(Coordinator::participates));
                     let (timer, span, gids) = match coordinator {
                         Some(c) if !c.is_local() => {
-                            (&self.committing_us, "commit_point", &c.participants[..])
+                            (&self.committing_us, Kind::CommitPoint, &c.participants[..])
                         }
-                        _ => (&self.commit_us, "commit_locally", &[][..]),
+                        _ => (&self.commit_us, Kind::CommitLocally, &[][..]),
                     };
                     let staged = if self.known.contains(&aid) {
                         let mos = self.mos.remove(&aid).unwrap_or_default();
@@ -809,7 +809,7 @@ impl Guardian {
                     // its housekeeping prologue).
                     let now = self.clock.now();
                     self.rs.stage_done(aid)?;
-                    self.twopc_span("done", aid, now);
+                    self.twopc_span(Kind::Done, aid, now);
                 }
                 CoordEffect::Finished { committed } => {
                     let coordinator = self.coordinators.remove(&aid);
@@ -851,15 +851,15 @@ impl Guardian {
                     let mos = self.mos.remove(&aid).unwrap_or_default();
                     let staged = self.rs.stage_prepare(aid, &mos, &self.heap);
                     let timer = &self.prepare_us;
-                    (StagedOp::Prepare(aid), "prepare", timer, staged)
+                    (StagedOp::Prepare(aid), Kind::Prepare, timer, staged)
                 }
                 PartEffect::ForceCommit => {
                     let staged = self.rs.stage_commit(aid);
-                    (StagedOp::Commit(aid), "commit", &self.commit_us, staged)
+                    (StagedOp::Commit(aid), Kind::Commit, &self.commit_us, staged)
                 }
                 PartEffect::ForceAbort => {
                     let staged = self.rs.stage_abort(aid);
-                    (StagedOp::Abort(aid), "abort", &self.abort_us, staged)
+                    (StagedOp::Abort(aid), Kind::Abort, &self.abort_us, staged)
                 }
             };
             timer.record_since(now);
@@ -876,10 +876,9 @@ impl Guardian {
     }
 
     /// Closes the `twopc` trace span of a protocol step begun at `since`.
-    fn twopc_span(&self, name: &'static str, aid: ActionId, since: u64) {
+    fn twopc_span(&self, kind: Kind, aid: ActionId, since: u64) {
         let key = Some(tkey(aid));
-        self.tracer
-            .complete("twopc", name, self.id.0, key, since, &[]);
+        self.tracer.complete(kind, self.id.0, key, since, &[]);
     }
 
     /// Books the result of a `stage_*` call made at simulated time `now`
@@ -892,7 +891,7 @@ impl Guardian {
     fn staged(
         &mut self,
         op: StagedOp,
-        span: &'static str,
+        span: Kind,
         now: u64,
         staged: RsResult<bool>,
         fx: &mut Effects,

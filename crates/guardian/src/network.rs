@@ -143,8 +143,7 @@ impl SimNetwork {
         }
         let aid = envelope.msg.aid();
         let flow = self.obs.tracer.flow_start(
-            "net",
-            envelope.msg.kind(),
+            envelope.msg.flow(),
             envelope.from.0,
             Some(argus_trace::Key::new(aid.coordinator.0, aid.seq)),
         );
@@ -207,8 +206,7 @@ impl SimNetwork {
             if let Some(flow) = flow {
                 let aid = envelope.msg.aid();
                 self.obs.tracer.flow_end(
-                    "net",
-                    envelope.msg.kind(),
+                    envelope.msg.flow(),
                     envelope.to.0,
                     Some(argus_trace::Key::new(aid.coordinator.0, aid.seq)),
                     flow,

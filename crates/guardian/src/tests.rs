@@ -452,7 +452,7 @@ fn abort_local_releases_where_the_record_says_and_a_late_touch_is_tracked() {
     w.abort_local(a);
     assert!(locks_at(&w, g1).is_empty() && w.live.is_empty());
     let spans = tracer.events();
-    assert_eq!(spans.iter().filter(|e| e.name == "action").count(), 1);
+    assert_eq!(spans.iter().filter(|e| e.name() == "action").count(), 1);
 }
 
 /// A crash drains the waiters parked on the dead heap: each is aborted

@@ -13,6 +13,7 @@ use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
 use argus_sim::{CostModel, IntMap, SimClock};
 use argus_slog::ForceConfig;
 use argus_stable::{CacheConfig, FaultPlan};
+use argus_trace::Kind;
 use argus_twopc::CoordPhase;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -613,11 +614,10 @@ impl World {
                 cycle_len: cycle.len() as u64,
             });
             self.tracer.instant(
-                "cc",
-                "deadlock_victim",
+                Kind::DeadlockVictim,
                 victim.coordinator.0,
                 Some(tkey(victim)),
-                &[("cycle_len", cycle.len() as u64)],
+                &[cycle.len() as u64],
             );
             self.cc_deadlocks.push(DeadlockReport { cycle, victim });
             self.cc_fates.insert(victim, CcFate::Victim);
@@ -691,15 +691,11 @@ impl World {
                     waited_us: waited,
                 });
                 self.tracer.complete(
-                    "cc",
-                    "lock_wait",
+                    Kind::LockWait,
                     key.gid.0,
                     Some(tkey(waiter.aid)),
                     waiter.parked_at,
-                    &[
-                        ("hid", u64::from(key.hid.0)),
-                        ("holder_seq", waiter.holder.map_or(0, |h| h.seq)),
-                    ],
+                    &[u64::from(key.hid.0), waiter.holder.map_or(0, |h| h.seq)],
                 );
                 let applied = guardian.apply(waiter.aid, key.hid, waiter.cont);
                 applied.expect("lock just granted");
@@ -867,12 +863,11 @@ impl World {
     fn close_action(&mut self, aid: ActionId, live: &LiveAction, committed: bool) {
         if let Some(began_at) = live.began_at {
             self.tracer.complete(
-                "action",
-                "action",
+                Kind::Action,
                 aid.coordinator.0,
                 Some(tkey(aid)),
                 began_at,
-                &[("committed", u64::from(committed))],
+                &[u64::from(committed)],
             );
         }
         if let Some(launched_at) = live.launched_at {
@@ -1156,7 +1151,7 @@ impl World {
         let tracer = self.tracer.clone();
         // Begin/End (not retroactive Complete) is safe here: every exit
         // path drops the guard, including the crash-in-recovery returns.
-        let _restart_span = tracer.begin("recovery", "restart", g.0, None);
+        let _restart_span = tracer.begin(Kind::Restart, g.0, None);
         let guardian = self.guardian_mut(g)?;
         guardian.plan.heal();
         if let Some(n) = arm_ops {
@@ -1188,7 +1183,7 @@ impl World {
             }
             Err(e) => return Err(e.into()),
         };
-        tracer.complete("recovery", "recovery_pass", g.0, None, rec_t0, &[]);
+        tracer.complete(Kind::RecoveryPass, g.0, None, rec_t0, &[]);
         // If recovery found nothing (fresh log), re-create the stable root.
         if guardian.heap.stable_root().is_none() {
             guardian.reset_heap(argus_objects::Heap::with_stable_root());

@@ -19,6 +19,7 @@
 
 use crate::{Page, PageNo, PageStore, StorageResult};
 use argus_sim::{DeviceStats, IntMap};
+use argus_trace::Kind;
 use std::collections::VecDeque;
 
 /// Tuning knobs for a [`PageCache`].
@@ -84,9 +85,9 @@ impl CacheObs {
     }
 
     /// Closes a device span opened by [`CacheObs::device_t0`].
-    fn device_span(&self, name: &'static str, t0: u64, args: &[(&'static str, u64)]) {
+    fn device_span(&self, kind: Kind, t0: u64, args: &[u64]) {
         self.tracer
-            .complete("device", name, argus_trace::STORE_LANE, None, t0, args);
+            .complete(kind, argus_trace::STORE_LANE, None, t0, args);
     }
 }
 
@@ -261,8 +262,7 @@ impl<S: PageStore> PageCache<S> {
         self.run = run;
         if let Some(t0) = t0 {
             if fetched > 0 {
-                self.obs
-                    .device_span("readahead", t0, &[("pages", fetched), ("from", start)]);
+                self.obs.device_span(Kind::Readahead, t0, &[fetched, start]);
             }
         }
     }
@@ -299,7 +299,7 @@ impl<S: PageStore> PageStore for PageCache<S> {
             return Err(e);
         }
         if let Some(t0) = t0 {
-            self.obs.device_span("page_read", t0, &[("pno", pno)]);
+            self.obs.device_span(Kind::PageRead, t0, &[pno]);
         }
         // Copied out before the page goes into its slot: the read-ahead
         // below may evict it again from a cache smaller than its window.
@@ -316,7 +316,7 @@ impl<S: PageStore> PageStore for PageCache<S> {
         let t0 = self.obs.device_t0();
         self.inner.write_page(pno, page)?;
         if let Some(t0) = t0 {
-            self.obs.device_span("page_write", t0, &[("pno", pno)]);
+            self.obs.device_span(Kind::PageWrite, t0, &[pno]);
         }
         if self.cfg.is_enabled() {
             self.tick += 1;

@@ -20,6 +20,7 @@
 //! asserts per action.
 
 use crate::event::{Key, Ph, TraceEvent};
+use crate::kind::Kind;
 use std::collections::HashMap;
 
 /// The per-action decomposition. All figures in simulated microseconds.
@@ -76,7 +77,7 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<ActionLatency> {
     let mut flow_start: HashMap<u64, (u64, Option<Key>)> = HashMap::new();
     let mut flows: Vec<(u64, u64, Option<Key>)> = Vec::new();
     for e in events {
-        if e.cat != "net" {
+        if e.cat() != "net" {
             continue;
         }
         match e.ph {
@@ -96,22 +97,18 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<ActionLatency> {
 
     let mut out = Vec::new();
     for action in events {
-        let (Ph::Complete { dur }, "action") = (action.ph, action.cat) else {
+        let (Ph::Complete { dur }, Kind::Action) = (action.ph, action.kind) else {
             continue;
         };
         let Some(key) = action.key else { continue };
         let window = (action.ts, action.ts.saturating_add(dur));
-        let committed = action
-            .args
-            .iter()
-            .flatten()
-            .any(|&(k, v)| k == "committed" && v != 0);
+        let committed = action.arg("committed").is_some_and(|v| v != 0);
 
         // Gather clipped intervals per segment.
         let mut ivs: [Vec<(u64, u64)>; SEGMENTS] = Default::default();
         for e in events {
             let Some(iv) = e.interval() else { continue };
-            let seg = match (e.cat, e.name) {
+            let seg = match (e.cat(), e.name()) {
                 ("cc", _) if e.key == Some(key) => LOCK,
                 ("force", "force_wait") if e.key == Some(key) => FORCE,
                 ("force", "force") => DEVICE,
@@ -170,36 +167,26 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<ActionLatency> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::args;
 
-    fn complete(
-        cat: &'static str,
-        name: &'static str,
-        ts: u64,
-        dur: u64,
-        key: Option<Key>,
-        a: &[(&'static str, u64)],
-    ) -> TraceEvent {
+    fn complete(kind: Kind, ts: u64, dur: u64, key: Option<Key>, args: [u64; 2]) -> TraceEvent {
         TraceEvent {
-            cat,
-            name,
+            kind,
             ph: Ph::Complete { dur },
             ts,
             gid: 0,
             key,
-            args: args(a),
+            args,
         }
     }
 
     fn flow(ph: Ph, ts: u64, key: Option<Key>) -> TraceEvent {
         TraceEvent {
-            cat: "net",
-            name: "Prepare",
+            kind: Kind::NetPrepare,
             ph,
             ts,
             gid: 0,
             key,
-            args: args(&[]),
+            args: [0; 2],
         }
     }
 
@@ -207,12 +194,12 @@ mod tests {
     fn segments_partition_the_window() {
         let k = Key::new(0, 1);
         let events = vec![
-            complete("action", "action", 0, 100, Some(k), &[("committed", 1)]),
-            complete("cc", "lock_wait", 10, 20, Some(k), &[]),
+            complete(Kind::Action, 0, 100, Some(k), [1, 0]),
+            complete(Kind::LockWait, 10, 20, Some(k), [0; 2]),
             // Overlaps the lock wait: the higher-priority lock segment wins
             // the shared instants.
-            complete("force", "force_wait", 25, 15, Some(k), &[]),
-            complete("force", "force", 60, 10, None, &[]),
+            complete(Kind::ForceWait, 25, 15, Some(k), [0; 2]),
+            complete(Kind::Force, 60, 10, None, [0; 2]),
             flow(Ph::FlowStart { flow: 0 }, 80, Some(k)),
             flow(Ph::FlowEnd { flow: 0 }, 90, Some(k)),
         ];
@@ -233,9 +220,9 @@ mod tests {
     fn spans_outside_the_window_are_clipped_away() {
         let k = Key::new(1, 4);
         let events = vec![
-            complete("action", "action", 50, 10, Some(k), &[]),
-            complete("cc", "lock_wait", 0, 40, Some(k), &[]),
-            complete("force", "force", 55, 100, None, &[]),
+            complete(Kind::Action, 50, 10, Some(k), [0; 2]),
+            complete(Kind::LockWait, 0, 40, Some(k), [0; 2]),
+            complete(Kind::Force, 55, 100, None, [0; 2]),
         ];
         let a = attribute(&events)[0];
         assert_eq!(a.lock_wait_us, 0);
@@ -249,9 +236,9 @@ mod tests {
         let k = Key::new(0, 1);
         let other = Key::new(0, 2);
         let events = vec![
-            complete("action", "action", 0, 50, Some(k), &[]),
-            complete("cc", "lock_wait", 5, 30, Some(other), &[]),
-            complete("force", "force_wait", 10, 10, Some(other), &[]),
+            complete(Kind::Action, 0, 50, Some(k), [0; 2]),
+            complete(Kind::LockWait, 5, 30, Some(other), [0; 2]),
+            complete(Kind::ForceWait, 10, 10, Some(other), [0; 2]),
         ];
         let a = attribute(&events)[0];
         assert_eq!(a.lock_wait_us, 0);
@@ -263,7 +250,7 @@ mod tests {
     fn unresolved_flows_contribute_nothing() {
         let k = Key::new(0, 1);
         let events = vec![
-            complete("action", "action", 0, 50, Some(k), &[]),
+            complete(Kind::Action, 0, 50, Some(k), [0; 2]),
             flow(Ph::FlowStart { flow: 3 }, 10, Some(k)),
         ];
         let a = attribute(&events)[0];

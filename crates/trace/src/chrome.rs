@@ -26,59 +26,36 @@ fn tid(key: Option<Key>) -> u64 {
     }
 }
 
-fn escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
+/// Names come from the [`crate::Kind`] catalogue, whose strings are bare
+/// identifiers (its tests check), so nothing here needs escaping.
 fn push_common(out: &mut String, event: &TraceEvent, ph: &str) {
-    out.push_str("{\"name\":\"");
-    escape(out, event.name);
-    out.push_str("\",\"cat\":\"");
-    escape(out, event.cat);
     let _ = write!(
         out,
-        "\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+        event.name(),
+        event.cat(),
         event.ts,
         event.gid,
         tid(event.key)
     );
 }
 
+/// The event's arguments, then `extra`, then its action, as one `args`
+/// object — none at all when there is nothing to put in it.
 fn push_args(out: &mut String, event: &TraceEvent, extra: &[(&str, u64)]) {
-    let pairs: Vec<(&str, u64)> = event
-        .args
-        .iter()
-        .flatten()
-        .map(|&(k, v)| (k, v))
-        .chain(extra.iter().copied())
-        .collect();
-    let mut keyed: Vec<(&str, String)> = pairs.iter().map(|&(k, v)| (k, v.to_string())).collect();
+    let named = event.arg_names().iter().copied().zip(event.args);
+    let mut sep = ",\"args\":{";
+    for (k, v) in named.chain(extra.iter().copied()) {
+        let _ = write!(out, "{sep}\"{k}\":{v}");
+        sep = ",";
+    }
     if let Some(k) = event.key {
-        keyed.push(("action", format!("\"{k}\"")));
+        let _ = write!(out, "{sep}\"action\":\"{k}\"");
+        sep = ",";
     }
-    if keyed.is_empty() {
-        return;
+    if sep == "," {
+        out.push('}');
     }
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in keyed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape(out, k);
-        out.push_str("\":");
-        out.push_str(v);
-    }
-    out.push('}');
 }
 
 fn push_metadata(out: &mut String, pid: Gid) {
@@ -96,56 +73,48 @@ fn push_metadata(out: &mut String, pid: Gid) {
 
 /// Serializes `events` as Chrome trace-event JSON.
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+    export(events, 0)
+}
+
+/// [`to_chrome_json`], noting in `otherData` how many events the recorder
+/// dropped at its cap when it dropped any.
+pub(crate) fn export(events: &[TraceEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let sep = |out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        out.push('\n');
-        *first = false;
-    };
+    out.push_str("{\"displayTimeUnit\":\"ms\",");
+    if dropped > 0 {
+        let _ = write!(out, "\"otherData\":{{\"dropped_events\":{dropped}}},");
+    }
+    out.push_str("\"traceEvents\":[");
+    let mut sep = "\n";
 
     // Name every process lane first, in pid order.
     let pids: BTreeSet<Gid> = events.iter().map(|e| e.gid).collect();
     for pid in pids {
-        sep(&mut out, &mut first);
+        out.push_str(sep);
+        sep = ",\n";
         push_metadata(&mut out, pid);
     }
 
     for event in events {
-        sep(&mut out, &mut first);
-        match event.ph {
-            Ph::Complete { dur } => {
-                push_common(&mut out, event, "X");
-                let _ = write!(out, ",\"dur\":{dur}");
-                push_args(&mut out, event, &[]);
-            }
-            Ph::Begin { span } => {
-                push_common(&mut out, event, "B");
-                push_args(&mut out, event, &[("span", span)]);
-            }
-            Ph::End { span } => {
-                push_common(&mut out, event, "E");
-                push_args(&mut out, event, &[("span", span)]);
-            }
-            Ph::Instant => {
-                push_common(&mut out, event, "i");
-                out.push_str(",\"s\":\"t\"");
-                push_args(&mut out, event, &[]);
-            }
-            Ph::FlowStart { flow } => {
-                push_common(&mut out, event, "s");
-                let _ = write!(out, ",\"id\":{flow}");
-                push_args(&mut out, event, &[]);
-            }
-            Ph::FlowEnd { flow } => {
-                push_common(&mut out, event, "f");
-                let _ = write!(out, ",\"bp\":\"e\",\"id\":{flow}");
-                push_args(&mut out, event, &[]);
-            }
-        }
+        out.push_str(sep);
+        sep = ",\n";
+        let (ph, span) = match event.ph {
+            Ph::Complete { .. } => ("X", None),
+            Ph::Begin { span } => ("B", Some(span)),
+            Ph::End { span } => ("E", Some(span)),
+            Ph::Instant => ("i", None),
+            Ph::FlowStart { .. } => ("s", None),
+            Ph::FlowEnd { .. } => ("f", None),
+        };
+        push_common(&mut out, event, ph);
+        let _ = match event.ph {
+            Ph::Complete { dur } => write!(out, ",\"dur\":{dur}"),
+            Ph::Instant => write!(out, ",\"s\":\"t\""),
+            Ph::FlowStart { flow } => write!(out, ",\"id\":{flow}"),
+            Ph::FlowEnd { flow } => write!(out, ",\"bp\":\"e\",\"id\":{flow}"),
+            Ph::Begin { .. } | Ph::End { .. } => Ok(()),
+        };
+        push_args(&mut out, event, span.map(|s| ("span", s)).as_slice());
         out.push('}');
     }
     out.push_str("\n]}\n");
@@ -155,17 +124,16 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::args;
+    use crate::kind::Kind;
 
-    fn ev(name: &'static str, ph: Ph, ts: u64, gid: Gid, key: Option<Key>) -> TraceEvent {
+    fn ev(kind: Kind, ph: Ph, ts: u64, gid: Gid, key: Option<Key>) -> TraceEvent {
         TraceEvent {
-            cat: "test",
-            name,
+            kind,
             ph,
             ts,
             gid,
             key,
-            args: args(&[]),
+            args: [0; 2],
         }
     }
 
@@ -207,24 +175,24 @@ mod tests {
     fn all_phases_serialize_and_balance() {
         let events = vec![
             ev(
-                "action",
+                Kind::Action,
                 Ph::Complete { dur: 30 },
                 10,
                 0,
                 Some(Key::new(0, 1)),
             ),
-            ev("restart", Ph::Begin { span: 0 }, 40, 1, None),
-            ev("restart", Ph::End { span: 0 }, 55, 1, None),
-            ev("cache_miss", Ph::Instant, 60, STORE_LANE, None),
+            ev(Kind::Restart, Ph::Begin { span: 0 }, 40, 1, None),
+            ev(Kind::Restart, Ph::End { span: 0 }, 55, 1, None),
+            ev(Kind::PageRead, Ph::Instant, 60, STORE_LANE, None),
             ev(
-                "Prepare",
+                Kind::NetPrepare,
                 Ph::FlowStart { flow: 0 },
                 61,
                 0,
                 Some(Key::new(0, 1)),
             ),
             ev(
-                "Prepare",
+                Kind::NetPrepare,
                 Ph::FlowEnd { flow: 0 },
                 63,
                 2,
@@ -248,19 +216,37 @@ mod tests {
     #[test]
     fn same_events_yield_byte_identical_json() {
         let events = vec![
-            ev("a", Ph::Instant, 1, 0, None),
-            ev("b", Ph::Complete { dur: 5 }, 2, 1, Some(Key::new(1, 2))),
+            ev(Kind::Restart, Ph::Instant, 1, 0, None),
+            ev(
+                Kind::Done,
+                Ph::Complete { dur: 5 },
+                2,
+                1,
+                Some(Key::new(1, 2)),
+            ),
         ];
         assert_eq!(to_chrome_json(&events), to_chrome_json(&events));
     }
 
     #[test]
     fn inline_args_render_as_integers() {
-        let mut e = ev("force", Ph::Complete { dur: 3 }, 9, 0, None);
-        e.args = args(&[("batch", 4), ("ops", 2)]);
+        let mut e = ev(Kind::Force, Ph::Complete { dur: 3 }, 9, 0, None);
+        e.args = [4, 2];
         let json = to_chrome_json(&[e]);
         check_balanced(&json);
         assert!(json.contains("\"batch\":4"));
         assert!(json.contains("\"ops\":2"));
+    }
+
+    #[test]
+    fn dropped_events_are_noted_only_when_there_are_some() {
+        let events = [ev(Kind::Restart, Ph::Instant, 1, 0, None)];
+        assert_eq!(export(&events, 0), to_chrome_json(&events));
+        assert!(!to_chrome_json(&events).contains("otherData"));
+        let truncated = export(&events, 7);
+        check_balanced(&truncated);
+        assert!(truncated.starts_with(
+            "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":7},\"traceEvents\":["
+        ));
     }
 }

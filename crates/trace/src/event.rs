@@ -1,11 +1,12 @@
-//! The trace event model.
+//! The trace event model, in the form analysis reads.
 //!
-//! Events are fixed-size and allocation-free: names and categories are
-//! `&'static str`, identities are small integers, and each event carries at
-//! most two inline `(&'static str, u64)` argument pairs. That keeps
-//! recording cheap enough to leave on by default and — because every field
-//! is a plain value — makes a trace a deterministic function of the
-//! schedule that produced it.
+//! The recorder keeps events encoded (see [`crate::Tracer`]) and decodes
+//! them into [`TraceEvent`]s: a [`Kind`] from the static catalogue, a
+//! phase, a timestamp, a lane, an optional action key and up to two
+//! integer arguments. Every field is a plain value, so a trace is a
+//! deterministic function of the schedule that produced it.
+
+use crate::kind::Kind;
 
 /// A guardian lane. Guardians are numbered from zero by the world; the
 /// reserved [`STORE_LANE`] collects storage-device events recorded below
@@ -77,26 +78,11 @@ pub enum Ph {
     },
 }
 
-/// Inline arguments: at most two named integers.
-pub type Args = [Option<(&'static str, u64)>; 2];
-
-/// Copies up to two `(name, value)` pairs into the inline representation.
-pub fn args(pairs: &[(&'static str, u64)]) -> Args {
-    let mut out: Args = [None, None];
-    for (slot, pair) in out.iter_mut().zip(pairs.iter()) {
-        *slot = Some(*pair);
-    }
-    out
-}
-
 /// One recorded trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Category (`action`, `cc`, `force`, `net`, `twopc`, `device`,
-    /// `recovery`) — the attribution report keys off this.
-    pub cat: &'static str,
-    /// Event name (`lock_wait`, `force_wait`, `Prepare`, …).
-    pub name: &'static str,
+    /// What happened; names the category, the event and its arguments.
+    pub kind: Kind,
     /// Phase and phase-specific payload.
     pub ph: Ph,
     /// Timestamp on the simulated clock, microseconds.
@@ -105,11 +91,34 @@ pub struct TraceEvent {
     pub gid: Gid,
     /// The action the event belongs to, when one is known.
     pub key: Option<Key>,
-    /// Inline arguments.
-    pub args: Args,
+    /// Argument values, in [`Kind::arg_names`] order; unused slots are 0.
+    pub args: [u64; 2],
 }
 
 impl TraceEvent {
+    /// The category (`action`, `cc`, `force`, `net`, …).
+    pub fn cat(&self) -> &'static str {
+        self.kind.cat()
+    }
+
+    /// The event name (`lock_wait`, `force_wait`, `Prepare`, …).
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// The names of the arguments this event carries.
+    pub fn arg_names(&self) -> &'static [&'static str] {
+        self.kind.arg_names()
+    }
+
+    /// The value of the argument called `name`, if the event has one.
+    pub fn arg(&self, name: &str) -> Option<u64> {
+        self.arg_names()
+            .iter()
+            .position(|&n| n == name)
+            .map(|i| self.args[i])
+    }
+
     /// The half-open interval a complete span covers.
     pub fn interval(&self) -> Option<(u64, u64)> {
         match self.ph {
@@ -124,25 +133,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn args_copies_at_most_two() {
-        assert_eq!(args(&[]), [None, None]);
-        assert_eq!(args(&[("a", 1)]), [Some(("a", 1)), None]);
+    fn args_are_read_by_catalogued_name() {
+        let e = TraceEvent {
+            kind: Kind::Force,
+            ph: Ph::Complete { dur: 1 },
+            ts: 0,
+            gid: 0,
+            key: None,
+            args: [4, 2],
+        };
         assert_eq!(
-            args(&[("a", 1), ("b", 2), ("c", 3)]),
-            [Some(("a", 1)), Some(("b", 2))]
+            (e.arg("batch"), e.arg("ops"), e.arg("pno")),
+            (Some(4), Some(2), None)
         );
     }
 
     #[test]
     fn complete_interval_saturates() {
         let e = TraceEvent {
-            cat: "t",
-            name: "t",
+            kind: Kind::Action,
             ph: Ph::Complete { dur: u64::MAX },
             ts: 5,
             gid: 0,
             key: None,
-            args: args(&[]),
+            args: [0; 2],
         };
         assert_eq!(e.interval(), Some((5, u64::MAX)));
     }

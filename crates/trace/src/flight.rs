@@ -7,8 +7,8 @@
 //! label (sanitized) and never overwrite: an existing file gets a numeric
 //! suffix, so a sweep that finds several counterexamples keeps every one.
 
-use crate::chrome::to_chrome_json;
-use crate::event::TraceEvent;
+use crate::chrome::export;
+use crate::tracer::Tracer;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -59,10 +59,10 @@ fn fresh_file(label: &str, ext: &str) -> std::io::Result<(PathBuf, std::fs::File
     }
 }
 
-/// Dumps `events` as a Chrome trace; returns the file written.
-pub fn dump(label: &str, events: &[TraceEvent]) -> std::io::Result<PathBuf> {
+/// Dumps `tracer` as a Chrome trace, noting events lost to the cap; returns the file.
+pub fn dump(label: &str, tracer: &Tracer) -> std::io::Result<PathBuf> {
     let (path, mut f) = fresh_file(label, "trace.json")?;
-    f.write_all(to_chrome_json(events).as_bytes())?;
+    f.write_all(export(&tracer.events(), tracer.dropped()).as_bytes())?;
     Ok(path)
 }
 
@@ -87,6 +87,20 @@ mod tests {
             "hybrid_cached_w2_write_3_"
         );
         assert_eq!(sanitize(""), "trace");
+    }
+
+    #[test]
+    fn a_dump_of_a_capped_trace_counts_what_it_lost() {
+        use crate::{Kind, EVENT_CAP};
+        let t = Tracer::new();
+        for _ in 0..EVENT_CAP + 3 {
+            t.instant(Kind::VoteSent, 0, None, &[1]);
+        }
+        let path = dump(&format!("flight-capped-{}", std::process::id()), &t).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(json.contains("\"otherData\":{\"dropped_events\":3},"));
+        assert_eq!(json.matches("\"vote_sent\"").count(), EVENT_CAP);
     }
 
     #[test]

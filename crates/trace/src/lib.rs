@@ -10,8 +10,9 @@
 //! * [`Tracer`] — the bounded recorder, bound to [`argus_sim::SimClock`];
 //!   scoped per thread via [`Tracer::enter`] with a per-thread default
 //!   (see [`current()`]);
-//! * [`TraceEvent`] / [`Ph`] / [`Key`] — the fixed-size event model:
-//!   complete spans, scoped begin/end pairs, instants, and flow edges;
+//! * [`TraceEvent`] / [`Ph`] / [`Key`] / [`Kind`] — the event model: complete
+//!   spans, scoped begin/end pairs, instants and flow edges, each of a kind
+//!   from one static catalogue (`argus-lint trace --kinds` lists it);
 //! * [`to_chrome_json`] — Chrome trace-event export, loadable in
 //!   Perfetto (`argus-lint trace --seed N --out trace.json`);
 //! * [`attribute`] — per-action latency decomposition into lock-wait /
@@ -29,11 +30,13 @@ mod attr;
 mod chrome;
 mod event;
 pub mod flight;
+mod kind;
 mod lint;
 mod tracer;
 
 pub use attr::{attribute, ActionLatency};
 pub use chrome::to_chrome_json;
-pub use event::{args, Args, Gid, Key, Ph, TraceEvent, STORE_LANE};
+pub use event::{Gid, Key, Ph, TraceEvent, STORE_LANE};
+pub use kind::Kind;
 pub use lint::lint_events;
 pub use tracer::{current, with_current, Detail, ScopedTracer, SpanGuard, Tracer, EVENT_CAP};

@@ -35,7 +35,7 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
     for e in events {
         match e.ph {
             Ph::Begin { span } if opens.insert(span, e).is_some() => {
-                violations.push(format!("span {span} ({}) opened twice", e.name));
+                violations.push(format!("span {span} ({}) opened twice", e.kind));
             }
             Ph::Begin { .. } => {}
             Ph::End { span } => {
@@ -43,14 +43,14 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
                 *count += 1;
                 match opens.get(&span) {
                     None => {
-                        violations.push(format!("span {span} ({}) closed but never opened", e.name))
+                        violations.push(format!("span {span} ({}) closed but never opened", e.kind))
                     }
                     Some(open) if open.ts > e.ts => violations.push(format!(
                         "span {span} ({}) closes at {} before it opens at {}",
-                        e.name, e.ts, open.ts
+                        e.kind, e.ts, open.ts
                     )),
                     Some(open) if *count > 1 => {
-                        violations.push(format!("span {span} ({}) closed {count} times", open.name))
+                        violations.push(format!("span {span} ({}) closed {count} times", open.kind))
                     }
                     Some(_) => {}
                 }
@@ -63,7 +63,7 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
             if !closed.contains_key(span) {
                 violations.push(format!(
                     "span {span} ({}) opened at {} on G{} never closes",
-                    open.name, open.ts, open.gid
+                    open.kind, open.ts, open.gid
                 ));
             }
         }
@@ -77,7 +77,7 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
             if at < prev {
                 violations.push(format!(
                     "lane G{} time runs backwards: {} at {at} recorded after {} at {prev}",
-                    e.gid, e.name, prev_e.name
+                    e.gid, e.kind, prev_e.kind
                 ));
                 continue; // keep the high-water mark for later events
             }
@@ -96,11 +96,11 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
                 None if truncated => {}
                 None => violations.push(format!(
                     "flow {flow} ({}) ends on G{} with no start",
-                    e.name, e.gid
+                    e.kind, e.gid
                 )),
                 Some(start) if start.ts > e.ts => violations.push(format!(
                     "flow {flow} ({}) ends at {} before its start at {}",
-                    e.name, e.ts, start.ts
+                    e.kind, e.ts, start.ts
                 )),
                 Some(_) => {}
             },
@@ -115,35 +115,34 @@ pub fn lint_events(events: &[TraceEvent], truncated: bool) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::args;
+    use crate::kind::Kind;
 
-    fn ev(name: &'static str, ph: Ph, ts: u64, gid: u32) -> TraceEvent {
+    fn ev(kind: Kind, ph: Ph, ts: u64, gid: u32) -> TraceEvent {
         TraceEvent {
-            cat: "test",
-            name,
+            kind,
             ph,
             ts,
             gid,
             key: None,
-            args: args(&[]),
+            args: [0; 2],
         }
     }
 
     #[test]
     fn clean_trace_passes() {
         let events = vec![
-            ev("restart", Ph::Begin { span: 0 }, 0, 0),
-            ev("restart", Ph::End { span: 0 }, 10, 0),
-            ev("lock_wait", Ph::Complete { dur: 5 }, 6, 0),
-            ev("Prepare", Ph::FlowStart { flow: 0 }, 12, 0),
-            ev("Prepare", Ph::FlowEnd { flow: 0 }, 14, 1),
+            ev(Kind::Restart, Ph::Begin { span: 0 }, 0, 0),
+            ev(Kind::Restart, Ph::End { span: 0 }, 10, 0),
+            ev(Kind::LockWait, Ph::Complete { dur: 5 }, 6, 0),
+            ev(Kind::NetPrepare, Ph::FlowStart { flow: 0 }, 12, 0),
+            ev(Kind::NetPrepare, Ph::FlowEnd { flow: 0 }, 14, 1),
         ];
         assert!(lint_events(&events, false).is_empty());
     }
 
     #[test]
     fn unclosed_span_is_flagged_unless_truncated() {
-        let events = vec![ev("restart", Ph::Begin { span: 0 }, 0, 0)];
+        let events = vec![ev(Kind::Restart, Ph::Begin { span: 0 }, 0, 0)];
         let v = lint_events(&events, false);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("never closes"));
@@ -153,9 +152,9 @@ mod tests {
     #[test]
     fn backwards_lane_time_is_flagged() {
         let events = vec![
-            ev("a", Ph::Instant, 10, 0),
-            ev("b", Ph::Instant, 5, 0),
-            ev("c", Ph::Instant, 5, 1), // other lane: fine
+            ev(Kind::VoteSent, Ph::Instant, 10, 0),
+            ev(Kind::PrepareSent, Ph::Instant, 5, 0),
+            ev(Kind::OutcomeSent, Ph::Instant, 5, 1), // other lane: fine
         ];
         let v = lint_events(&events, false);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -167,17 +166,17 @@ mod tests {
         // An instant at t=20 followed by a lock-wait span [5, 20) recorded
         // at grant time: legal, its completion is 20.
         let events = vec![
-            ev("granted", Ph::Instant, 20, 0),
-            ev("lock_wait", Ph::Complete { dur: 15 }, 5, 0),
+            ev(Kind::LockBlocked, Ph::Instant, 20, 0),
+            ev(Kind::LockWait, Ph::Complete { dur: 15 }, 5, 0),
         ];
         assert!(lint_events(&events, false).is_empty());
     }
 
     #[test]
     fn dangling_flow_start_is_legal_but_orphan_end_is_not() {
-        let dangling = vec![ev("Prepare", Ph::FlowStart { flow: 0 }, 0, 0)];
+        let dangling = vec![ev(Kind::NetPrepare, Ph::FlowStart { flow: 0 }, 0, 0)];
         assert!(lint_events(&dangling, false).is_empty());
-        let orphan = vec![ev("Prepare", Ph::FlowEnd { flow: 7 }, 3, 1)];
+        let orphan = vec![ev(Kind::NetPrepare, Ph::FlowEnd { flow: 7 }, 3, 1)];
         let v = lint_events(&orphan, false);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("no start"));
@@ -186,9 +185,9 @@ mod tests {
     #[test]
     fn duplicated_delivery_yields_two_legal_ends() {
         let events = vec![
-            ev("Commit", Ph::FlowStart { flow: 0 }, 0, 0),
-            ev("Commit", Ph::FlowEnd { flow: 0 }, 2, 1),
-            ev("Commit", Ph::FlowEnd { flow: 0 }, 4, 1),
+            ev(Kind::NetCommit, Ph::FlowStart { flow: 0 }, 0, 0),
+            ev(Kind::NetCommit, Ph::FlowEnd { flow: 0 }, 2, 1),
+            ev(Kind::NetCommit, Ph::FlowEnd { flow: 0 }, 4, 1),
         ];
         assert!(lint_events(&events, false).is_empty());
     }

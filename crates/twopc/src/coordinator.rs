@@ -4,6 +4,7 @@ use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
 use argus_obs::Event;
+use argus_trace::Kind;
 
 /// Where the coordinator stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,7 +192,7 @@ impl Coordinator {
         }
         let n = self.participants.len() as u64;
         obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
-        trace_instant("prepare_sent", self.aid, &[("participants", n)]);
+        trace_instant(Kind::PrepareSent, self.aid, &[n]);
         self.tell_remotes(Msg::Prepare { aid: self.aid }, out)
     }
 
@@ -300,7 +301,7 @@ impl Coordinator {
                 participants: self.participants.len() as u64,
             });
         });
-        trace_instant("outcome_sent", self.aid, &[("committed", 1)]);
+        trace_instant(Kind::OutcomeSent, self.aid, &[1]);
         self.phase = CoordPhase::Committing;
         self.waiting = self.remotes().collect();
         self.tell_remotes(Msg::Commit { aid: self.aid }, out)
@@ -337,7 +338,7 @@ impl Coordinator {
                 participants: self.participants.len() as u64,
             });
         });
-        trace_instant("outcome_sent", self.aid, &[("committed", 0)]);
+        trace_instant(Kind::OutcomeSent, self.aid, &[0]);
         if self.is_local() {
             // Nobody to tell.
             self.phase = CoordPhase::Aborted;

@@ -1,6 +1,7 @@
 //! Protocol messages.
 
 use argus_objects::{ActionId, GuardianId};
+use argus_trace::Kind;
 
 /// A two-phase-commit message.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -72,20 +73,25 @@ impl Msg {
         }
     }
 
-    /// The message kind as a static name — the label the network tracer
-    /// puts on the causal flow edge for this message.
-    pub fn kind(&self) -> &'static str {
+    /// The trace kind of the causal flow edge the network records for
+    /// this message.
+    pub fn flow(&self) -> Kind {
         match self {
-            Msg::Prepare { .. } => "Prepare",
-            Msg::PrepareOk { .. } => "PrepareOk",
-            Msg::PrepareRefused { .. } => "PrepareRefused",
-            Msg::Commit { .. } => "Commit",
-            Msg::CommitAck { .. } => "CommitAck",
-            Msg::Abort { .. } => "Abort",
-            Msg::AbortAck { .. } => "AbortAck",
-            Msg::QueryOutcome { .. } => "QueryOutcome",
-            Msg::Outcome { .. } => "Outcome",
+            Msg::Prepare { .. } => Kind::NetPrepare,
+            Msg::PrepareOk { .. } => Kind::NetPrepareOk,
+            Msg::PrepareRefused { .. } => Kind::NetPrepareRefused,
+            Msg::Commit { .. } => Kind::NetCommit,
+            Msg::CommitAck { .. } => Kind::NetCommitAck,
+            Msg::Abort { .. } => Kind::NetAbort,
+            Msg::AbortAck { .. } => Kind::NetAbortAck,
+            Msg::QueryOutcome { .. } => Kind::NetQueryOutcome,
+            Msg::Outcome { .. } => Kind::NetOutcome,
         }
+    }
+
+    /// The message kind as a static name (`Prepare`, …): its flow's name.
+    pub fn kind(&self) -> &'static str {
+        self.flow().name()
     }
 }
 

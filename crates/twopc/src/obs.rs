@@ -56,7 +56,7 @@ pub(crate) fn with<R>(f: impl FnOnce(&TwopcObs) -> R) -> R {
 }
 
 /// Records a `twopc` instant on the action's lane of the current tracer.
-pub(crate) fn trace_instant(name: &'static str, aid: ActionId, args: &[(&'static str, u64)]) {
+pub(crate) fn trace_instant(kind: argus_trace::Kind, aid: ActionId, args: &[u64]) {
     let key = argus_trace::Key::new(aid.coordinator.0, aid.seq);
-    argus_trace::with_current(|t| t.instant("twopc", name, aid.coordinator.0, Some(key), args));
+    argus_trace::with_current(|t| t.instant(kind, aid.coordinator.0, Some(key), args));
 }

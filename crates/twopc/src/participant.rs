@@ -4,6 +4,7 @@ use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
 use argus_obs::Event;
+use argus_trace::Kind;
 
 /// Where the participant stands in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,7 +98,7 @@ impl Participant {
             o.part_prepare_ok.inc();
             o.reg.event(Event::VoteSent { ok: true });
         });
-        trace_instant("vote_sent", self.aid, &[("ok", 1)]);
+        trace_instant(Kind::VoteSent, self.aid, &[1]);
         self.phase = PartPhase::Prepared;
         vec![PartEffect::Send {
             to: self.coordinator,
@@ -112,7 +113,7 @@ impl Participant {
             o.part_prepare_refused.inc();
             o.reg.event(Event::VoteSent { ok: false });
         });
-        trace_instant("vote_sent", self.aid, &[("ok", 0)]);
+        trace_instant(Kind::VoteSent, self.aid, &[0]);
         self.phase = PartPhase::Aborted;
         vec![PartEffect::Send {
             to: self.coordinator,

@@ -65,4 +65,18 @@ if awk '
     exit 1
 fi
 
+# Every trace event is named once, in the `argus_trace::Kind` catalogue: a
+# record call outside the trace crate passes a kind, never a category or
+# name string (on the call's line or the line after its open parenthesis).
+if awk '
+    FNR == 1 { prev = "" }
+    /\.(instant|complete|begin|flow_start|flow_end)\([[:space:]]*"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    prev ~ /\.(instant|complete|begin|flow_start|flow_end)\($/ && /^[[:space:]]*"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    { prev = $0 }
+    END { exit !hit }
+' $(find crates src tests examples -name '*.rs' -not -path 'crates/trace/*'); then
+    echo "lint: a trace event named by a string — add it to argus_trace::Kind" >&2
+    exit 1
+fi
+
 echo "lint: OK"

@@ -18,6 +18,7 @@
 //!
 //! cargo run --release --bin argus-lint -- trace --seed 7 --out trace.json
 //! cargo run --release --bin argus-lint -- trace --selftest
+//! cargo run --release --bin argus-lint -- trace --kinds
 //! ```
 //!
 //! Lint mode exits 0 when the log is clean, 1 when any invariant is
@@ -42,7 +43,8 @@
 //! trace is byte-identical for a given seed. `--selftest` additionally
 //! checks exactly that (two runs, compared byte for byte), runs the I12
 //! structural trace lint, and round-trips the trace through the flight
-//! recorder; it exits 1 on any failure.
+//! recorder; it exits 1 on any failure. `--kinds` prints the event
+//! catalogue instead: category, name and argument names, one kind a line.
 
 use argus::check::sweep::{sweep, SweepConfig};
 use argus::check::{detect_flavor, lint_log, FaultTally, LogImage, VoprConfig};
@@ -210,6 +212,14 @@ fn run_trace(args: &[String]) {
                 ));
             }
             "--selftest" => selftest = true,
+            "--kinds" => {
+                for kind in argus::trace::Kind::ALL {
+                    let args = kind.arg_names().join(",");
+                    let line = format!("{:<9} {:<15} {args}", kind.cat(), kind.name());
+                    println!("{}", line.trim_end());
+                }
+                return;
+            }
             other => usage(&format!("unknown trace flag {other}")),
         }
     }
@@ -231,14 +241,10 @@ fn run_trace(args: &[String]) {
             eprintln!("selftest: seed {seed} trace is byte-identical across runs");
         }
         // Flight-recorder round trip: the dump must reproduce the export
-        // exactly.
-        let events: Vec<argus::trace::TraceEvent> = {
-            // Re-record so the dump sees the events, not the JSON.
-            let tracer = argus::trace::current();
-            let _ = traced_run(seed);
-            tracer.events()
-        };
-        match argus::trace::flight::dump(&format!("lint-selftest-seed{seed}"), &events) {
+        // exactly. Re-record so the dump sees the tracer, not the JSON.
+        let _ = traced_run(seed);
+        let tracer = argus::trace::current();
+        match argus::trace::flight::dump(&format!("lint-selftest-seed{seed}"), &tracer) {
             Ok(path) => {
                 let round = std::fs::read_to_string(&path).unwrap_or_default();
                 if round == json {
@@ -348,7 +354,7 @@ fn usage(problem: &str) -> ! {
          argus-lint sweep [--double] [--stride N] [--max N] [--kind simple|hybrid|shadow|redo]\n       \
          argus-lint vopr [--seed N] [--iterations M] [--seeds K] [--guardians G] \
          [--kind simple|hybrid|shadow|redo] [--selftest]\n       \
-         argus-lint trace [--seed N] [--out PATH] [--selftest]"
+         argus-lint trace [--seed N] [--out PATH] [--selftest] | --kinds"
     );
     std::process::exit(2);
 }

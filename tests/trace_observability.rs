@@ -134,7 +134,7 @@ fn flight_dump_round_trips_the_export() {
     assert!(!events.is_empty());
     let json = argus::trace::to_chrome_json(&events);
 
-    let path = argus::trace::flight::dump("trace-observability-roundtrip", &events).unwrap();
+    let path = argus::trace::flight::dump("trace-observability-roundtrip", &tracer).unwrap();
     assert!(path.exists());
     let round = std::fs::read_to_string(&path).unwrap();
     assert_eq!(round, json, "flight dump must be the exact export");
