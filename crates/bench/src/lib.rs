@@ -1316,7 +1316,7 @@ pub fn e16_run(kind: RsKind, transfers_per_slot: u64) -> (Vec<argus_trace::Actio
                 continue;
             };
             assert!(
-                world.cc_fate(aid).is_none(),
+                world.take_cc_fate(aid).is_none(),
                 "E16 mix is deadlock-free by lock order"
             );
             if world.cc_blocked(aid) {

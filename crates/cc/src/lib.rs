@@ -31,8 +31,6 @@ pub use graph::DeadlockSearch;
 pub use lock::{Front, LockManager, LockMode, ObjKey, Waiter};
 pub use policy::{BackoffConfig, CcConfig, CcPolicy};
 
-use argus_objects::ActionId;
-
 /// How a lock-aware submission resolved, as seen by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcOutcome {
@@ -57,13 +55,4 @@ pub enum CcFate {
     /// The guardian holding the awaited object crashed; the wait is moot
     /// and the action was aborted.
     CrashDrained,
-}
-
-/// A deterministic record of one broken deadlock, for logs and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeadlockReport {
-    /// The cycle, starting at the action whose park closed it.
-    pub cycle: Vec<ActionId>,
-    /// The member chosen for abort (the youngest).
-    pub victim: ActionId,
 }

@@ -168,11 +168,17 @@ impl RedoMaps {
     /// `heads` is first-insertion-wins (the scan meets the newest version
     /// first); `floor` is overwritten on the way down, so the last write is
     /// the oldest record; `committing` keeps the newest entry per action.
+    /// Only an in-doubt action has a floor, and the table already says
+    /// which: it is first-insertion-wins, and the scan meets an action's
+    /// outcome before its `prepared` and data entries.
     fn note_scanned(&mut self, addr: LogAddress, entry: &EntryView<'_>, pt: &ParticipantTable) {
-        match *entry {
-            EntryView::Prepared { aid, .. } => {
+        let mut floor = |aid| {
+            if pt.get(aid) == Some(PState::Prepared) {
                 self.floor.insert(aid, addr);
             }
+        };
+        match *entry {
+            EntryView::Prepared { aid, .. } => floor(aid),
             EntryView::Committing { aid, .. } => {
                 self.committing.entry(aid).or_insert(addr);
             }
@@ -182,7 +188,7 @@ impl RedoMaps {
             // The version is the chain head if its writer committed; its
             // address is promotable if the writer is in doubt.
             EntryView::PreparedData { uid, aid, .. } => {
-                self.floor.insert(aid, addr);
+                floor(aid);
                 match pt.get(aid) {
                     Some(PState::Committed) => {
                         self.heads.entry(uid).or_insert(addr);
@@ -197,7 +203,7 @@ impl RedoMaps {
             // backlink; tolerated for mixed-provenance logs. A logged mutex
             // version is a chain head whatever its writer's verdict (§2.4.2).
             EntryView::DataR { uid, kind, aid, .. } | EntryView::Data { uid, kind, aid, .. } => {
-                self.floor.insert(aid, addr);
+                floor(aid);
                 let state = pt.get(aid);
                 if state == Some(PState::Committed) || (kind == ObjKind::Mutex && state.is_some()) {
                     self.heads.entry(uid).or_insert(addr);
@@ -463,15 +469,11 @@ impl LogFormat for RedoFormat {
     }
 
     fn install(&mut self, outcome: &RecoveryOutcome) {
-        // The scan kept a floor and a committing address for every action
-        // it met; only the unresolved ones are still low-water inputs. The
-        // maps are rebuilt, not filtered in place: the survivors are few and
-        // the scan's tables were sized for the whole history.
-        let in_doubt = |aid: &ActionId| outcome.pt.get(*aid) == Some(PState::Prepared);
+        // The scan kept a committing address for every coordinator it met;
+        // only the unfinished ones are still low-water inputs. The map is
+        // rebuilt, not filtered in place: the survivors are few.
         let committing =
             |aid: &ActionId| matches!(outcome.ct.get(*aid), Some(CState::Committing(_)));
-        let floor = std::mem::take(&mut self.maps.floor).into_iter();
-        self.maps.floor = floor.filter(|(aid, _)| in_doubt(aid)).collect();
         let at = std::mem::take(&mut self.maps.committing).into_iter();
         self.maps.committing = at.filter(|(aid, _)| committing(aid)).collect();
     }
@@ -683,7 +685,7 @@ mod tests {
     use crate::api::providers::MemProvider;
     use crate::api::RecoverySystem;
     use crate::LogEntry;
-    use argus_objects::{GuardianId, Value};
+    use argus_objects::{GuardianId, HeapId, Value};
 
     fn rs() -> RedoRs<MemProvider> {
         RedoRs::create(MemProvider::fast()).unwrap()
@@ -973,6 +975,94 @@ mod tests {
             assert_eq!(
                 heap2.read_value(h, None).unwrap(),
                 &Value::Int(1000 + i as i64)
+            );
+        }
+    }
+
+    /// A full scan keeps a floor only for an in-doubt action and a committing
+    /// address only for an unfinished coordinator. What it installs — and so
+    /// the next checkpoint's low-water mark — is exactly what keeping a floor
+    /// for every prepared and data entry and then filtering by the recovered
+    /// tables gave (the oracle below restates that rule over the dumped log),
+    /// on an uncompacted log and on a compacted one.
+    #[test]
+    fn the_scan_keeps_floors_only_for_in_doubt_actions() {
+        for compact in [false, true] {
+            let mut rs = rs();
+            let mut heap = Heap::with_stable_root();
+            let uids = commit_children(&mut rs, &mut heap, 5);
+            let kids: Vec<HeapId> = uids.iter().map(|u| heap.lookup(*u).unwrap()).collect();
+            let write = |heap: &mut Heap, a: ActionId, h: HeapId| {
+                heap.acquire_write(h, a).unwrap();
+                heap.write_value(h, a, |v| *v = Value::Int(-1)).unwrap();
+            };
+            let (lost, aborted, committed, doubt, empty) = (aid(1), aid(2), aid(3), aid(4), aid(5));
+            // Data entries an action wrote early and never prepared.
+            write(&mut heap, lost, kids[0]);
+            rs.write_entry(lost, &[kids[0]], &heap).unwrap();
+            write(&mut heap, aborted, kids[1]);
+            rs.prepare(aborted, &[kids[1]], &heap).unwrap();
+            rs.abort(aborted).unwrap();
+            heap.abort_action(aborted);
+            write(&mut heap, committed, kids[2]);
+            rs.prepare(committed, &[kids[2]], &heap).unwrap();
+            rs.commit(committed).unwrap();
+            heap.commit_action(committed);
+            write(&mut heap, doubt, kids[3]);
+            rs.prepare(doubt, &[kids[3]], &heap).unwrap();
+            rs.prepare(empty, &[], &heap).unwrap();
+            let (open, finished, gids) = (aid(6), aid(7), [GuardianId(0), GuardianId(1)]);
+            rs.committing(open, &gids).unwrap();
+            rs.committing(finished, &gids).unwrap();
+            rs.done(finished).unwrap();
+            if compact {
+                rs.housekeeping(&heap, HousekeepingMode::Compaction)
+                    .unwrap();
+            }
+            // A last commit forces the unforced `done`.
+            write(&mut heap, aid(8), kids[4]);
+            rs.prepare(aid(8), &[kids[4]], &heap).unwrap();
+            rs.commit(aid(8)).unwrap();
+
+            rs.simulate_crash().unwrap();
+            let out = rs.recover(&mut Heap::new()).unwrap();
+            let mut floors: IntMap<ActionId, LogAddress> = IntMap::default();
+            let mut at: IntMap<ActionId, LogAddress> = IntMap::default();
+            for (addr, entry) in rs.dump_entries().unwrap() {
+                match entry {
+                    LogEntry::Prepared { aid, .. }
+                    | LogEntry::PreparedData { aid, .. }
+                    | LogEntry::DataR { aid, .. }
+                    | LogEntry::Data { aid, .. } => {
+                        floors.entry(aid).or_insert(addr);
+                    }
+                    LogEntry::Committing { aid, .. } => {
+                        at.insert(aid, addr);
+                    }
+                    _ => {}
+                }
+            }
+            floors.retain(|aid, _| out.pt.get(*aid) == Some(PState::Prepared));
+            at.retain(|aid, _| matches!(out.ct.get(*aid), Some(CState::Committing(_))));
+            let sorted = |map: &IntMap<ActionId, LogAddress>| {
+                let mut rows: Vec<_> = map.iter().map(|(a, l)| (*a, *l)).collect();
+                rows.sort();
+                rows
+            };
+            let maps = &rs.fmt.maps;
+            let low = floors.values().chain(at.values()).min().copied();
+            assert_eq!(sorted(&maps.floor), sorted(&floors), "compacted: {compact}");
+            assert_eq!(
+                sorted(&maps.committing),
+                sorted(&at),
+                "compacted: {compact}"
+            );
+            assert_eq!(maps.checkpoint().1, low, "compacted: {compact}");
+            let kept: Vec<ActionId> = sorted(&floors).iter().map(|(a, _)| *a).collect();
+            assert_eq!(kept, [doubt, empty], "compacted: {compact}");
+            assert_eq!(
+                sorted(&at).iter().map(|(a, _)| *a).collect::<Vec<_>>(),
+                [open]
             );
         }
     }

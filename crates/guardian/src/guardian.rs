@@ -5,8 +5,8 @@ use crate::WorldResult;
 use argus_cc::LockMode;
 use argus_core::providers::{CachedProvider, FileProvider, MemProvider, MirrorProvider};
 use argus_core::{
-    CState, HousekeepingMode, HybridLogRs, LogEntry, LogStats, PState, RecoveryOutcome,
-    RecoverySystem, RedoRs, RsError, RsResult, SimpleLogRs, StoreProvider,
+    HousekeepingMode, HybridLogRs, LogEntry, LogStats, RecoveryOutcome, RecoverySystem, RedoRs,
+    RsError, RsResult, SimpleLogRs, StoreProvider,
 };
 use argus_objects::{
     ActionId, GuardianId, Heap, HeapError, HeapId, HeapResult, ObjKind, ObjectBody, Value,
@@ -186,14 +186,10 @@ pub struct Guardian {
     pub(crate) up: bool,
     /// Modified Objects Set per active action (§2.3).
     pub(crate) mos: IntMap<ActionId, Vec<HeapId>>,
-    /// Actions this guardian has participated in since its last crash. A
-    /// local action leaves when it finishes: no other guardian can ask.
+    /// Actions begun or touched here since the last crash, or in doubt here
+    /// after it. An action leaves when its machine here finishes: what is
+    /// forgotten answers as unknown, which is what a crash leaves too.
     pub(crate) known: IntSet<ActionId>,
-    /// Locally resolved participant verdicts (for idempotent re-acks).
-    pub(crate) resolved: IntMap<ActionId, bool>,
-    /// Distributed actions this guardian coordinated to completion — all it
-    /// answers an outcome query from once the coordinator machine is gone.
-    pub(crate) coord_done: IntSet<ActionId>,
     /// Live coordinator state machines.
     pub(crate) coordinators: IntMap<ActionId, Coordinator>,
     /// Live participant state machines.
@@ -307,8 +303,6 @@ impl Guardian {
             up: true,
             mos: IntMap::default(),
             known: IntSet::default(),
-            resolved: IntMap::default(),
-            coord_done: IntSet::default(),
             coordinators: IntMap::default(),
             participants: IntMap::default(),
             next_seq: 0,
@@ -521,6 +515,13 @@ impl Guardian {
         let machines = self.participants.keys().chain(self.coordinators.keys());
         machines.chain(self.mos.keys()).copied()
     }
+
+    /// The per-action rows held here: MOS, known actions, machines and
+    /// continuations awaiting a force.
+    pub(crate) fn retained_actions(&self) -> usize {
+        let machines = self.coordinators.len() + self.participants.len();
+        self.mos.len() + self.known.len() + machines + self.staged.len()
+    }
 }
 
 // ---- two-phase commit: one step at a time ----------------------------------
@@ -609,8 +610,6 @@ impl Guardian {
         self.reset_heap(Heap::new());
         self.mos.clear();
         self.known.clear();
-        self.resolved.clear();
-        self.coord_done.clear();
         self.coordinators.clear();
         self.participants.clear();
     }
@@ -625,12 +624,10 @@ impl Guardian {
             StagedOp::Prepare(_) => Participant::prepare_succeeded,
             StagedOp::Commit(_) => {
                 self.heap.commit_action(aid);
-                self.resolved.insert(aid, true);
                 Participant::commit_forced
             }
             StagedOp::Abort(_) => {
                 self.heap.abort_action(aid);
-                self.resolved.insert(aid, false);
                 Participant::abort_forced
             }
             StagedOp::CommitPoint(_) => {
@@ -642,24 +639,14 @@ impl Guardian {
         self.exec_part(aid, more.unwrap_or_default(), fx)
     }
 
-    /// Restores the protocol tables from what recovery found, then resumes
-    /// in-doubt participants — they query their coordinators (§2.2.2) — and
-    /// committing coordinators, which restart phase two (§2.2.3).
+    /// Resumes what recovery found unfinished: in-doubt participants, which
+    /// query their coordinators (§2.2.2), and committing coordinators, which
+    /// restart phase two (§2.2.3). A resolved action is rebuilt nowhere: a
+    /// late message about it meets it unknown, as it would have before the
+    /// crash once its machine here had finished.
     fn recovered(&mut self, outcome: &RecoveryOutcome, fx: &mut Effects) -> WorldResult<()> {
-        for (aid, state) in outcome.pt.iter() {
-            self.known.insert(*aid);
-            match state {
-                PState::Committed => self.resolved.insert(*aid, true),
-                PState::Aborted => self.resolved.insert(*aid, false),
-                PState::Prepared => None,
-            };
-        }
-        for (aid, state) in outcome.ct.iter() {
-            if matches!(state, CState::Done) {
-                self.coord_done.insert(*aid);
-            }
-        }
         for aid in outcome.pt.prepared_actions() {
+            self.known.insert(aid);
             let (participant, effects) = Participant::resume_in_doubt(aid, aid.coordinator);
             self.participants.insert(aid, participant);
             self.exec_part(aid, effects, fx)?;
@@ -687,21 +674,18 @@ impl Guardian {
                 if self.participants.contains_key(&aid) {
                     return Ok(()); // duplicate prepare
                 }
-                // Already resolved here (e.g. coordinator retry storm): say
-                // so again. Else "if the action is unknown at the participant
-                // (because it never ran there, was aborted locally, or was
-                // wiped out by a crash), then it replies aborted" (§2.2.2).
-                let resolved = self.resolved.get(&aid).copied();
-                match resolved.or((!self.known.contains(&aid)).then_some(false)) {
-                    Some(true) => reply(Msg::PrepareOk { aid }),
-                    Some(false) => reply(Msg::PrepareRefused { aid }),
-                    None => {
-                        let (participant, effects) = Participant::on_prepare(aid, peer);
-                        self.participants.insert(aid, participant);
-                        return self.exec_part(aid, effects, fx);
-                    }
+                // "If the action is unknown at the participant (because it
+                // never ran there, was aborted locally, or was wiped out by a
+                // crash), then it replies aborted" (§2.2.2) — and so does a
+                // late duplicate for one finished and forgotten here, which a
+                // coordinator past preparing ignores.
+                if !self.known.contains(&aid) {
+                    reply(Msg::PrepareRefused { aid });
+                    return Ok(());
                 }
-                Ok(())
+                let (participant, effects) = Participant::on_prepare(aid, peer);
+                self.participants.insert(aid, participant);
+                self.exec_part(aid, effects, fx)
             }
             Msg::Commit { .. } | Msg::Abort { .. } | Msg::Outcome { .. } => {
                 if let Some(participant) = self.participants.get_mut(&aid) {
@@ -718,10 +702,13 @@ impl Guardian {
                 Ok(())
             }
             Msg::QueryOutcome { .. } if !self.coordinators.contains_key(&aid) => {
-                // Finished, or forgotten (⇒ aborted, §2.2.3) — by this
-                // guardian's own state alone, never what the world knows.
-                let committed = self.coord_done.contains(&aid);
-                reply(Msg::Outcome { aid, committed });
+                // Forgotten ⇒ aborted (§2.2.3). A commit is forgotten only
+                // after its last acknowledgement, so no participant still in
+                // doubt can be asking about one.
+                reply(Msg::Outcome {
+                    aid,
+                    committed: false,
+                });
                 Ok(())
             }
             Msg::PrepareOk { .. }
@@ -812,14 +799,10 @@ impl Guardian {
                     self.twopc_span(Kind::Done, aid, now);
                 }
                 CoordEffect::Finished { committed } => {
-                    let coordinator = self.coordinators.remove(&aid);
-                    if coordinator.is_some_and(|c| c.is_local()) {
-                        // No other guardian took part, so none can ever ask
-                        // about the action: it leaves nothing behind.
-                        self.known.remove(&aid);
-                    } else if committed {
-                        self.coord_done.insert(aid);
-                    }
+                    // Every participant holds its verdict (the thesis's
+                    // `done`): the action leaves nothing behind.
+                    self.coordinators.remove(&aid);
+                    self.known.remove(&aid);
                     debug_assert!(fx.resolved.is_none(), "one verdict per step");
                     fx.resolved = Some((aid, committed));
                 }
@@ -844,7 +827,10 @@ impl Guardian {
                     continue;
                 }
                 PartEffect::Finished { .. } => {
+                    // Forgotten: a late `Prepare` is refused as unknown, a
+                    // late `Commit` or `Abort` re-acknowledged.
                     self.participants.remove(&aid);
+                    self.known.remove(&aid);
                     continue;
                 }
                 PartEffect::PrepareLocally => {

@@ -348,43 +348,29 @@ fn housekeeping_under_live_traffic() {
     }
 }
 
-/// A local commit leaves nothing per action behind at its guardian: no
-/// participant machine, no resolved verdict, no coordinator entry, and its
-/// `known` entry goes when it finishes — no other guardian took part, so
-/// none can ever ask about it. 10⁴ of them leave every one of those
-/// collections the size one leaves them (the same holds for the action's
-/// MOS and coordinator machine, which every commit path drops).
+/// A local commit leaves nothing per action behind, at its guardian or in
+/// the world: no participant machine, no coordinator entry, no MOS, its
+/// `known` entry gone when it finishes and its verdict once `commit` took
+/// it. After 10⁴ of them a restart rebuilds nothing for any, and one that
+/// cannot commit (its guardian forgot it in the crash) aborts as cleanly.
 #[test]
 fn ten_thousand_local_commits_leave_no_per_action_residue() {
     for kind in RsKind::ALL {
         let mut w = World::fast();
         let g = w.add_guardian(kind).unwrap();
-        let residue = |w: &World| {
-            let gu = w.guardian(g).unwrap();
-            [
-                gu.known.len(),
-                gu.resolved.len(),
-                gu.coord_done.len(),
-                gu.participants.len(),
-                gu.coordinators.len(),
-                gu.mos.len(),
-            ]
-        };
         for i in 0..10_000 {
             let a = w.begin(g).unwrap();
             w.set_stable(g, a, "n", Value::Int(i)).unwrap();
             assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
-            assert_eq!(residue(&w), [0; 6], "{kind:?} after commit {i}");
+            assert_eq!(w.retained_actions(), 0, "{kind:?} after commit {i}");
         }
-        // One that cannot commit (its guardian forgot it in a crash) aborts
-        // just as cleanly: nothing is added to what recovery rebuilt.
         let a = w.begin(g).unwrap();
         w.set_stable(g, a, "n", Value::Int(-1)).unwrap();
         w.crash(g);
         w.restart(g).unwrap();
-        let recovered = residue(&w);
+        assert_eq!(w.retained_actions(), 1, "{kind:?}: all but a's record");
         assert_eq!(w.commit(a).unwrap(), Outcome::Aborted);
-        assert_eq!(residue(&w), recovered, "{kind:?} after an abort");
+        assert_eq!(w.retained_actions(), 0, "{kind:?} after an abort");
         assert_eq!(
             w.guardian(g).unwrap().stable_value("n"),
             Some(Value::Int(9_999)),
@@ -395,8 +381,10 @@ fn ten_thousand_local_commits_leave_no_per_action_residue() {
 
 // ---- the one record per live action ------------------------------------------
 
-/// An action is live from `begin` until its verdict is booked, and the one
-/// record lists every guardian it touched, once, in id order.
+/// An action is live from `begin` until it resolves, and the one record
+/// lists every guardian it touched, once, in id order. A verdict is taken
+/// once: `commit` hands it out and keeps nothing, and a local abort books
+/// none — its caller knows it.
 #[test]
 fn a_live_action_is_one_record_from_begin_to_verdict() {
     let mut w = World::fast();
@@ -417,10 +405,12 @@ fn a_live_action_is_one_record_from_begin_to_verdict() {
 
     assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
     assert_eq!(w.live_actions(), [b].into());
-    assert_eq!(w.verdict(a), Some(true));
+    assert_eq!(w.verdict(a), None);
+    assert_eq!(w.commit_settle(a).unwrap(), Outcome::Pending);
     w.abort_local(b);
     assert!(w.live_actions().is_empty() && w.live.is_empty());
-    assert_eq!(w.verdict(b), Some(false));
+    assert_eq!(w.verdict(b), None);
+    assert_eq!(w.retained_actions(), 0);
 }
 
 /// `abort_local` gives back every lock the record names — read locks at a
@@ -479,8 +469,12 @@ fn a_crash_drains_parked_actions_through_their_records() {
     assert_eq!(w.live_actions(), [holder, waiter].into());
 
     w.crash(g1);
-    assert_eq!(w.cc_fate(waiter), Some(argus_cc::CcFate::CrashDrained));
-    assert_eq!(w.verdict(waiter), Some(false));
+    let fate = Some(argus_cc::CcFate::CrashDrained);
+    assert_eq!(
+        (w.take_cc_fate(waiter), w.take_cc_fate(waiter)),
+        (fate, None)
+    );
+    assert_eq!(w.verdict(waiter), None);
     assert!(w
         .guardian(g0)
         .unwrap()
@@ -666,6 +660,62 @@ fn the_same_inputs_give_the_same_effects_step_by_step() {
         let verdicts: Vec<_> = a.iter().filter_map(|fx| fx.resolved).collect();
         assert_eq!(verdicts, [(aid, true)], "{kind:?}");
         assert!(a.iter().all(|fx| !fx.crashed), "{kind:?}");
+    }
+}
+
+/// Steps `input`, then forces whatever it staged and feeds the
+/// continuations back, until nothing is staged; the mail of every step.
+fn step_to_durable(g: &mut Guardian, input: Input<'_>) -> Vec<Envelope> {
+    let mut sent = step(g, input).send;
+    while !g.staged.is_empty() {
+        let mut fx = Effects::default();
+        for (op, _) in g.force(&mut fx).unwrap() {
+            sent.extend(step(g, Input::Forced(op)).send);
+        }
+    }
+    sent
+}
+
+/// A finished action is forgotten at both ends of two-phase commit: the
+/// participant keeps nothing once it acknowledged the verdict, the
+/// coordinator nothing once the last acknowledgement is in, and late mail
+/// gets what an unknown action gets — a refused prepare, a re-acknowledged
+/// commit, "aborted" to a query — without a device operation.
+#[test]
+fn a_finished_action_is_forgotten_at_both_ends() {
+    for kind in RsKind::ALL {
+        let (mut part, mut coord) = (lone(1, kind), lone(0, kind));
+        let aid = coord.begin();
+        wrote_x(&mut coord, aid);
+        wrote_x(&mut part, aid);
+        let to_part = |msg| Input::Message(mail(0, 1, msg));
+        let to_coord = |msg| Input::Message(mail(1, 0, msg));
+        let gids = vec![GuardianId(0), GuardianId(1)];
+        assert_eq!(step(&mut coord, Input::Commit(aid, gids)).send.len(), 1);
+        let vote = step_to_durable(&mut part, to_part(Msg::Prepare { aid }));
+        assert_eq!(vote, [mail(1, 0, Msg::PrepareOk { aid })], "{kind:?}");
+        step_to_durable(&mut coord, to_coord(Msg::PrepareOk { aid }));
+        let ack = step_to_durable(&mut part, to_part(Msg::Commit { aid }));
+        assert_eq!(ack, [mail(1, 0, Msg::CommitAck { aid })], "{kind:?}");
+        let fx = step(&mut coord, to_coord(Msg::CommitAck { aid }));
+        assert_eq!(fx.resolved, Some((aid, true)), "{kind:?}");
+        for g in [&part, &coord] {
+            assert_eq!(g.retained_actions(), 0, "{kind:?} at {}", g.id);
+        }
+
+        let ops = (part.plan.op_counts(), coord.plan.op_counts());
+        let late = step(&mut part, to_part(Msg::Prepare { aid })).send;
+        assert_eq!(late, [mail(1, 0, Msg::PrepareRefused { aid })], "{kind:?}");
+        let late = step(&mut part, to_part(Msg::Commit { aid })).send;
+        assert_eq!(late, [mail(1, 0, Msg::CommitAck { aid })], "{kind:?}");
+        let late = step(&mut coord, to_coord(Msg::QueryOutcome { aid })).send;
+        let aborted = Msg::Outcome {
+            aid,
+            committed: false,
+        };
+        assert_eq!(late, [mail(0, 1, aborted)], "{kind:?}");
+        assert_eq!((part.plan.op_counts(), coord.plan.op_counts()), ops);
+        assert_eq!(part.retained_actions() + coord.retained_actions(), 0);
     }
 }
 

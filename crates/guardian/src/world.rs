@@ -5,8 +5,8 @@ use crate::live::LiveAction;
 use crate::network::NetFaults;
 use crate::{Guardian, RsKind, SimNetwork, WorldError, WorldResult};
 use argus_cc::{
-    CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, DeadlockSearch, Front, LockManager,
-    LockMode, ObjKey, Waiter,
+    CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockSearch, Front, LockManager, LockMode, ObjKey,
+    Waiter,
 };
 use argus_core::{HousekeepingMode, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
@@ -139,7 +139,8 @@ pub struct World {
     /// actions a deadlock cycle can contain, so the only ones whose begin
     /// order is worth keeping.
     pub(crate) live: IntMap<ActionId, LiveAction>,
-    /// Final verdicts of completed coordinators.
+    /// Verdicts of finished coordinators that no [`World::commit_settle`]
+    /// has taken yet.
     outcomes: IntMap<ActionId, bool>,
     /// Commits launched at a guardian with a housekeeping policy, each with
     /// its policed participants, until they are settled. Empty in a world
@@ -165,10 +166,9 @@ pub struct World {
     /// Probe every front on every pass, as if no refusal were remembered —
     /// the reference the remembering pump is tested against.
     cc_exhaustive: bool,
-    /// Why the scheduler gave up on parked actions (victim/timeout/crash).
-    cc_fates: BTreeMap<ActionId, CcFate>,
-    /// Deadlocks broken so far, in detection order.
-    cc_deadlocks: Vec<DeadlockReport>,
+    /// Why the scheduler gave up on parked actions (victim/timeout/crash),
+    /// until [`World::take_cc_fate`] asks.
+    cc_fates: IntMap<ActionId, CcFate>,
     next_begin: u64,
     /// Guardians holding a non-empty staged batch, maintained at every
     /// staging site so the message loop's idle flush visits only guardians
@@ -266,8 +266,7 @@ impl World {
             cc_stamps: Vec::new(),
             cc_quiet: None,
             cc_exhaustive: false,
-            cc_fates: BTreeMap::new(),
-            cc_deadlocks: Vec::new(),
+            cc_fates: IntMap::default(),
             next_begin: 0,
             staged_ready: BTreeSet::new(),
             force_due: BinaryHeap::new(),
@@ -619,7 +618,6 @@ impl World {
                 Some(tkey(victim)),
                 &[cycle.len() as u64],
             );
-            self.cc_deadlocks.push(DeadlockReport { cycle, victim });
             self.cc_fates.insert(victim, CcFate::Victim);
             self.abort_local(victim);
             // The parker itself was the victim: its request is gone, and
@@ -771,14 +769,12 @@ impl World {
         self.cc.next_deadline()
     }
 
-    /// Why the scheduler gave up on `aid`, if it did.
-    pub fn cc_fate(&self, aid: ActionId) -> Option<CcFate> {
-        self.cc_fates.get(&aid).copied()
-    }
-
-    /// Every deadlock broken so far, in detection order.
-    pub fn cc_deadlock_reports(&self) -> &[DeadlockReport] {
-        &self.cc_deadlocks
+    /// Why the scheduler gave up on `aid`, if it did — once: the fate is
+    /// the slot driver's to take, and a second call answers `None`. A
+    /// deadlock leaves its `DeadlockVictim` journal event and the
+    /// `cc.deadlocks`/`cc.victims` counts behind, nothing per action.
+    pub fn take_cc_fate(&mut self, aid: ActionId) -> Option<CcFate> {
+        self.cc_fates.remove(&aid)
     }
 
     /// Actions the world still considers live: begun and neither committed
@@ -827,7 +823,8 @@ impl World {
 
     /// Locally aborts an action that has not entered two-phase commit.
     /// Parked lock requests of the action are cancelled, and any locks it
-    /// released may wake other waiters.
+    /// released may wake other waiters. No verdict is booked: the caller
+    /// knows it.
     pub fn abort_local(&mut self, aid: ActionId) {
         self.cc.cancel(aid);
         let live = self.live.remove(&aid).unwrap_or_default();
@@ -857,9 +854,8 @@ impl World {
         self.cc_pump();
     }
 
-    /// Books the final verdict of `aid`, which just stopped being live:
-    /// its end-to-end trace span and its commit round close, and the verdict
-    /// becomes queryable.
+    /// Closes `aid`, which just stopped being live: its end-to-end trace
+    /// span and its commit round end.
     fn close_action(&mut self, aid: ActionId, live: &LiveAction, committed: bool) {
         if let Some(began_at) = live.began_at {
             self.tracer.complete(
@@ -873,7 +869,6 @@ impl World {
         if let Some(launched_at) = live.launched_at {
             self.wobs.commit_round_us.record_since(launched_at);
         }
-        self.outcomes.insert(aid, committed);
     }
 
     /// Counts one aborted-and-retried attempt (`cc.retries`): the workload
@@ -948,7 +943,10 @@ impl World {
     }
 
     /// Drives the network to quiescence and reports the fate of a commit
-    /// launched with [`World::commit_start`].
+    /// launched with [`World::commit_start`], taking its verdict: the world
+    /// keeps none it has handed out, so asking again reports
+    /// [`Outcome::Pending`]. A caller answered `Pending` asks again once the
+    /// crashed guardian is back, and takes the verdict recovery booked.
     pub fn commit_settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
         let policed = self.policed.iter().position(|(a, _)| *a == aid);
         let policed = policed.map(|at| self.policed.swap_remove(at).1);
@@ -967,13 +965,14 @@ impl World {
         Ok(outcome)
     }
 
-    /// Quiesces and reads `aid`'s fate: its booked verdict, or — the protocol
-    /// held up by a crash or a silence — what its coordinator's phase says.
+    /// Quiesces and takes `aid`'s fate: its booked verdict, or — the
+    /// protocol held up by a crash or a silence — what its coordinator's
+    /// phase says.
     fn settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
         let origin = aid.coordinator;
         self.run_until_quiet()?;
 
-        if let Some(&committed) = self.outcomes.get(&aid) {
+        if let Some(committed) = self.outcomes.remove(&aid) {
             return Ok(if committed {
                 Outcome::Committed
             } else {
@@ -988,6 +987,7 @@ impl World {
                 // (§2.2.1, the Argus-system timeout).
                 self.step(origin, Input::Timeout(aid))?;
                 self.run_until_quiet()?;
+                self.outcomes.remove(&aid);
                 Outcome::Aborted
             }
             // Committed; the missing acknowledgments arrive after the
@@ -1285,6 +1285,7 @@ impl World {
         if let Some((aid, committed)) = self.fx.resolved.take() {
             let live = self.live.remove(&aid).unwrap_or_default();
             self.close_action(aid, &live, committed);
+            self.outcomes.insert(aid, committed);
         }
         if std::mem::take(&mut self.fx.crashed) {
             self.obs.inc("world.crashes");
@@ -1349,10 +1350,21 @@ impl World {
         Ok(())
     }
 
-    /// The final verdict for `aid`, if the protocol completed at the
-    /// coordinator.
+    /// The verdict of `aid`'s finished coordinator, if no
+    /// [`World::commit_settle`] has taken it yet — one recovery booked after
+    /// the client was answered `Pending`, say. Looking does not take it.
     pub fn verdict(&self, aid: ActionId) -> Option<bool> {
         self.outcomes.get(&aid).copied()
+    }
+
+    /// The per-action rows the world and its guardians hold: live actions,
+    /// untaken verdicts and fates, parked requests and policed commits, and
+    /// every guardian's MOS, known actions, machines and staged steps. They
+    /// are bounded by the actions in flight and in doubt, not by history.
+    pub fn retained_actions(&self) -> usize {
+        let world = self.live.len() + self.outcomes.len() + self.cc_fates.len();
+        let guardians = self.guardians.values().map(Guardian::retained_actions);
+        world + self.cc.waiter_count() + self.policed.len() + guardians.sum::<usize>()
     }
 
     /// Network statistics.

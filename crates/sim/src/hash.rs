@@ -9,9 +9,8 @@
 //!   hybrid and redo walk tables), `LogRs::{access, pat}` and the
 //!   `LogFormat` hooks that borrow them;
 //! * `shadow`: `ShadowRs::{intents, pd_index, coords, access, pat}`;
-//! * `guardian`: `World::{live, outcomes}`, `Guardian::{mos, known,
-//!   resolved, coord_done, coordinators, participants}`,
-//!   `SimNetwork::down`.
+//! * `guardian`: `World::{live, outcomes, cc_fates}`, `Guardian::{mos,
+//!   known, coordinators, participants}`, `SimNetwork::down`.
 //!
 //! `scripts/lint.sh` keeps the default hasher out of those crates' non-test
 //! code. `check`, `trace::attr` and `twopc::msg` keep it on purpose: their

@@ -178,7 +178,7 @@ fn step_slot<P: Plan>(
         }
         SlotState::Running { aid, next_op } => (aid, next_op),
     };
-    if let Some(fate) = world.cc_fate(aid) {
+    if let Some(fate) = world.take_cc_fate(aid) {
         // The scheduler gave up on this action (deadlock victim or expired
         // lock wait) and already aborted it.
         match fate {

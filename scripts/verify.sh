@@ -41,6 +41,10 @@ if [[ "${1:-}" == "--full" ]]; then
     # The unit tests inside crates/* (three quarters of the suite): the root
     # package's `cargo test` above does not run them.
     run cargo test -q --offline --workspace --no-fail-fast
+    # Bounded volatile state: 10⁶ actions an organization, crashes and
+    # housekeeping included, leave the per-action rows at rest at zero and
+    # the live heap bytes on a plateau (ignored in the tier-1 run).
+    run cargo test -q --release --offline --test bounded_soak -- --ignored
     run cargo build --offline --benches -p argus-bench
     # The checked-in simulated-clock tables (BENCH_E1-E17, E21) must be what
     # this tree generates, cell for cell: a change that moves a simulated

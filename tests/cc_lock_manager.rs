@@ -30,6 +30,20 @@ fn seq_setup(policy: CcPolicy) -> (World, GuardianId, HeapId) {
     (w, g, h)
 }
 
+/// Every deadlock the journal recorded, as `(victim_seq, cycle_len)`: the
+/// world keeps no report of its own.
+fn deadlock_victims(reg: &argus::obs::Registry) -> Vec<(u64, u64)> {
+    let records = reg.journal().snapshot().into_iter();
+    let victims = records.filter_map(|r| match r.event {
+        argus::obs::Event::DeadlockVictim {
+            victim_seq,
+            cycle_len,
+        } => Some((victim_seq, cycle_len)),
+        _ => None,
+    });
+    victims.collect()
+}
+
 fn push(k: i64) -> impl FnOnce(&mut Value) + 'static {
     move |v| {
         if let Value::Seq(items) = v {
@@ -133,6 +147,8 @@ fn upgrade_bypasses_the_queue() {
 
 #[test]
 fn deadlock_breaks_with_the_youngest_as_victim() {
+    let reg = argus::obs::Registry::new();
+    let _scope = reg.enter();
     let (mut w, g, x) = seq_setup(CcPolicy::Blocking);
     let setup = w.begin(g).unwrap();
     let y = w.create_atomic(g, setup, Value::Seq(vec![])).unwrap();
@@ -159,17 +175,14 @@ fn deadlock_breaks_with_the_youngest_as_victim() {
         w.submit_write_atomic(g, a2, x, push(2)).unwrap(),
         CcOutcome::Parked
     );
-    assert_eq!(w.cc_fate(a2), Some(CcFate::Victim));
-    assert!(w.cc_fate(a1).is_none());
+    assert_eq!(w.take_cc_fate(a2), Some(CcFate::Victim));
+    assert!(w.take_cc_fate(a2).is_none(), "a fate is taken once");
+    assert!(w.take_cc_fate(a1).is_none());
     assert!(
         !w.cc_blocked(a1),
         "survivor still parked after victim abort"
     );
-
-    let reports = w.cc_deadlock_reports();
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].victim, a2);
-    assert!(reports[0].cycle.contains(&a1) && reports[0].cycle.contains(&a2));
+    assert_eq!(deadlock_victims(&reg), [(a2.seq, 2)]);
 
     assert_eq!(w.commit(a1).unwrap(), Outcome::Committed);
     assert_eq!(seq_of(&w, g, x), vec![1]);
@@ -199,7 +212,7 @@ fn lock_wait_expires_at_the_deadline() {
     // …and exactly the due waiter expires at it.
     w.clock.advance_to(deadline);
     assert!(w.cc_tick());
-    assert_eq!(w.cc_fate(waiter), Some(CcFate::TimedOut));
+    assert_eq!(w.take_cc_fate(waiter), Some(CcFate::TimedOut));
     assert!(!w.cc_blocked(waiter));
 
     assert_eq!(w.commit(holder).unwrap(), Outcome::Committed);
@@ -272,9 +285,9 @@ fn an_atomic_write_on_a_mutex_seizes_nothing() {
 /// guardian's heap released something, and returns at once when nothing
 /// moved at all. It must grant exactly what a pump that tries every front
 /// on every pass grants, in the same order and passes: the two leave the
-/// same journal, the same Chrome trace and the same deadlock reports, byte
-/// for byte, over the contended mix (blocking and timeout) and a 16-shard
-/// sharded world, three seeds each.
+/// same journal — every deadlock victim in it — and the same Chrome trace,
+/// byte for byte, over the contended mix (blocking and timeout) and a
+/// 16-shard sharded world, three seeds each.
 #[test]
 fn the_remembering_pump_grants_what_trying_every_front_grants() {
     use argus::workload::{Sharded, ShardedConfig};
@@ -308,7 +321,6 @@ fn the_remembering_pump_grants_what_trying_every_front_grants() {
         w.run_until_quiet().unwrap();
         (
             stats,
-            format!("{:?}", w.cc_deadlock_reports()),
             format!("{:?}", reg.journal().snapshot()),
             argus::trace::to_chrome_json(&tracer.events()),
             reg.counter("cc.waits").get(),
@@ -325,13 +337,12 @@ fn the_remembering_pump_grants_what_trying_every_front_grants() {
             let exhaustive = run(true, mix, policy, seed);
             let what = format!("{mix} {policy:?} seed {seed}");
             assert_eq!(remembering.0, exhaustive.0, "{what}: stats");
-            assert_eq!(remembering.1, exhaustive.1, "{what}: deadlock reports");
-            assert!(remembering.2 == exhaustive.2, "{what}: journal diverged");
+            assert!(remembering.1 == exhaustive.1, "{what}: journal diverged");
             assert!(
-                remembering.3 == exhaustive.3,
+                remembering.2 == exhaustive.2,
                 "{what}: Chrome trace diverged"
             );
-            waits += remembering.4;
+            waits += remembering.3;
         }
     }
     assert!(
@@ -365,7 +376,7 @@ fn crash_drains_waiters_parked_on_the_dead_heap() {
     // whole volatile heap) is gone, so the parked request must not hang.
     w.crash(g1);
     assert!(!w.cc_blocked(waiter), "waiter still parked on a dead heap");
-    assert_eq!(w.cc_fate(waiter), Some(CcFate::CrashDrained));
+    assert_eq!(w.take_cc_fate(waiter), Some(CcFate::CrashDrained));
     assert_eq!(w.cc_waiter_count(), 0);
 
     // The holder's in-flight action cannot commit its g1 write any more;
@@ -454,7 +465,7 @@ fn in_doubt_regrant(kind: RsKind) {
             !w.cc_blocked(b),
             "{kind:?} budget {budget}: waiter still parked after resolution"
         );
-        assert!(w.cc_fate(b).is_none());
+        assert!(w.take_cc_fate(b).is_none());
         assert_eq!(w.commit(b).unwrap(), Outcome::Committed);
         let balance = match w.guardian(g1).unwrap().heap.read_value(h1, None).unwrap() {
             Value::Int(n) => *n,
@@ -527,18 +538,34 @@ fn contended_mix_is_deterministic_across_runs() {
 /// actions (an entry goes when its action resolves), and since only live
 /// actions sit on wait-for cycles that must pick exactly the victims a
 /// begin-order table that never forgets picked. The digests are of the
-/// same-seed deadlock reports — every cycle and its victim, in detection
-/// order — of E14's smoke cell and of a 16-shard sharded mix, taken before
-/// the table was folded into the live-action map.
+/// same-seed deadlock victims — `(victim_seq, cycle_len)` of every broken
+/// cycle, in detection order — of E14's smoke cell and of a 16-shard
+/// sharded mix.
+///
+/// Re-pinned once, when the world stopped keeping a report of every
+/// deadlock it broke: what is left of one is its `DeadlockVictim` journal
+/// event and trace instant, which name the victim and the cycle's length,
+/// not its members. The literals were taken from the old reports, reduced
+/// to those two fields, before the reports went — the same victims, in the
+/// same order. They are read from the trace: the sharded mix writes more
+/// than the journal's last 4 096 events, the trace holds 2¹⁸.
 #[test]
 fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
     use argus::workload::{Sharded, ShardedConfig};
-    let digest = |w: &World| {
-        let reports = w.cc_deadlock_reports();
-        let text = format!("{reports:?}");
-        (reports.len(), argus::slog::crc32(text.as_bytes()))
+    let digest = |reg: &argus::obs::Registry, tracer: &argus::trace::Tracer| {
+        assert_eq!(tracer.dropped(), 0, "the trace lost events");
+        let events = tracer.events().into_iter();
+        let victims: Vec<(u64, u64)> = events
+            .filter(|e| e.kind == argus::trace::Kind::DeadlockVictim)
+            .map(|e| (e.key.unwrap().seq, e.args[0]))
+            .collect();
+        assert_eq!(victims.len() as u64, reg.counter("cc.victims").get());
+        let text = format!("{victims:?}");
+        (victims.len(), argus::slog::crc32(text.as_bytes()))
     };
 
+    let (reg, tracer) = (argus::obs::Registry::new(), argus::trace::Tracer::new());
+    let scope = (reg.enter(), tracer.enter());
     let mut w = World::with_config(
         CostModel::default(),
         WorldConfig::with_cc(CcPolicy::Blocking),
@@ -550,8 +577,11 @@ fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
     };
     let mix = Contended::setup(&mut w, RsKind::Hybrid, cfg).unwrap();
     mix.run(&mut w, &mut DetRng::new(14)).unwrap();
-    assert_eq!(digest(&w), (11, 1_775_677_894), "E14 smoke cell");
+    assert_eq!(digest(&reg, &tracer), (11, 4_238_972_404), "E14 smoke cell");
+    drop(scope);
 
+    let (reg, tracer) = (argus::obs::Registry::new(), argus::trace::Tracer::new());
+    let _scope = (reg.enter(), tracer.enter());
     let mut w = World::with_config(
         CostModel::default(),
         WorldConfig::with_cc(CcPolicy::Blocking),
@@ -565,5 +595,9 @@ fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
     };
     let mix = Sharded::setup(&mut w, RsKind::Redo, cfg).unwrap();
     mix.run(&mut w, &mut DetRng::new(21)).unwrap();
-    assert_eq!(digest(&w), (26, 1_896_710_700), "16-shard sharded mix");
+    assert_eq!(
+        digest(&reg, &tracer),
+        (26, 3_729_963_400),
+        "16-shard sharded mix"
+    );
 }

@@ -68,3 +68,132 @@ pub fn lint_world(world: &mut World) {
     // monotone, and every resolved flow edge has its start.
     assert_trace_consistent(world.tracer());
 }
+
+/// The sharded blocking mix and a banking workload sharing one world, run
+/// in rounds with a crash, a housekeeping pass or nothing between them —
+/// the traffic the retention tests hold the world's memory to. Only the
+/// bank's guardians crash: the sharded mix keeps its objects' heap handles,
+/// which a restart renumbers.
+pub struct MixedRounds {
+    pub kind: RsKind,
+    pub sharded: argus::workload::Sharded,
+    pub bank: argus::workload::Banking,
+    pub rng: argus::sim::DetRng,
+    /// Sharded actions committed so far.
+    pub committed: u64,
+    /// Reservations among them: the seats the flights must be short of.
+    pub reservations: u64,
+    /// Banking transfers attempted so far.
+    pub transfers: u64,
+}
+
+impl MixedRounds {
+    /// Deploys `shards` shards running `actions` actions a round on
+    /// `concurrency` slots, and a three-branch bank, on `kind`; every log
+    /// is kept bounded by a housekeeping policy.
+    pub fn setup(
+        world: &mut World,
+        kind: RsKind,
+        seed: u64,
+        (shards, concurrency, actions): (usize, usize, u64),
+    ) -> Self {
+        use argus::workload::{Banking, BankingConfig, Sharded, ShardedConfig};
+        let cfg = ShardedConfig {
+            shards,
+            users: 64 * shards,
+            concurrency,
+            actions,
+            ..Default::default()
+        };
+        let sharded = Sharded::setup(world, kind, cfg).unwrap();
+        let bank = BankingConfig {
+            guardians: 3,
+            accounts_per_guardian: 8,
+            cross_prob: 0.7,
+            ..Default::default()
+        };
+        let bank = Banking::setup(world, kind, bank).unwrap();
+        let mode = kind.housekeeping_modes()[0];
+        for g in world.guardian_ids() {
+            world.set_housekeeping_policy(g, 400, mode).unwrap();
+        }
+        Self {
+            kind,
+            sharded,
+            bank,
+            rng: argus::sim::DetRng::new(seed),
+            committed: 0,
+            reservations: 0,
+            transfers: 0,
+        }
+    }
+
+    /// One round: the sharded mix's actions, `transfers` banking transfers
+    /// in overlapping waves of four, then a seeded disturbance.
+    pub fn round(&mut self, world: &mut World, transfers: u64) {
+        let stats = self.sharded.run(world, &mut self.rng).unwrap();
+        self.committed += stats.committed;
+        self.reservations += stats.reservations;
+        let bank = &self.bank;
+        bank.run_overlapped(world, &mut self.rng, transfers, 4)
+            .unwrap();
+        self.transfers += transfers;
+        let pick = |rng: &mut argus::sim::DetRng, gids: &[argus::objects::GuardianId]| {
+            gids[rng.gen_range(gids.len() as u64) as usize]
+        };
+        match self.rng.gen_range(4) {
+            0 => {
+                let g = pick(&mut self.rng, self.bank.guardians());
+                world.crash(g);
+                self.restart(world, g);
+            }
+            1 => {
+                let g = pick(&mut self.rng, &world.guardian_ids());
+                let modes = self.kind.housekeeping_modes();
+                let mode = modes[self.rng.gen_range(modes.len() as u64) as usize];
+                world.housekeep(g, mode).unwrap();
+            }
+            _ => {}
+        }
+    }
+
+    /// Restarts `g` and takes the verdicts its resumed coordinators booked:
+    /// the client of an action whose `done` the crash lost asks again.
+    /// Until it has, those verdicts are all the world holds: a crash at a
+    /// quiet moment leaves nothing else in doubt.
+    pub fn restart(&mut self, world: &mut World, g: argus::objects::GuardianId) {
+        let recovered = world.restart(g).unwrap();
+        let resumed = recovered.ct.committing_actions();
+        let in_doubt = resumed.len() + recovered.pt.prepared_actions().len();
+        assert!(world.retained_actions() <= in_doubt, "{:?}", self.kind);
+        for (aid, _) in resumed {
+            world.commit_settle(aid).unwrap();
+        }
+    }
+
+    /// The money and seat oracles.
+    #[track_caller]
+    pub fn audit(&self, world: &World) {
+        let (sharded, bank) = (&self.sharded, &self.bank);
+        let kind = self.kind;
+        assert_eq!(
+            sharded.total_balance(world).unwrap(),
+            sharded.expected_total(),
+            "{kind:?}: sharded money"
+        );
+        let taken = argus::workload::ShardedStats {
+            reservations: self.reservations,
+            ..Default::default()
+        };
+        assert_eq!(
+            sharded.total_seats(world).unwrap(),
+            sharded.expected_seats(&taken),
+            "{kind:?}: seats"
+        );
+        assert_eq!(
+            bank.total_balance(world).unwrap(),
+            bank.expected_total(),
+            "{kind:?}: bank money"
+        );
+    }
+}

@@ -97,6 +97,10 @@ fn commit_of_an_empty_action_succeeds() {
     assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
 }
 
+/// A verdict is booked when the coordinator finishes and taken once: a
+/// look does not take it, `commit_settle` does and the world keeps nothing,
+/// so asking again reports `Pending`. A local abort books none — its caller
+/// knows the verdict.
 #[test]
 fn verdicts_are_recorded() {
     let mut w = World::fast();
@@ -104,13 +108,18 @@ fn verdicts_are_recorded() {
     let a = w.begin(g).unwrap();
     w.set_stable(g, a, "k", Value::Int(1)).unwrap();
     assert_eq!(w.verdict(a), None);
-    w.commit(a).unwrap();
-    assert_eq!(w.verdict(a), Some(true));
+    w.commit_start(a).unwrap();
+    w.run_until_quiet().unwrap();
+    assert_eq!((w.verdict(a), w.verdict(a)), (Some(true), Some(true)));
+    assert_eq!(w.commit_settle(a).unwrap(), Outcome::Committed);
+    assert_eq!(w.verdict(a), None);
+    assert_eq!(w.commit_settle(a).unwrap(), Outcome::Pending);
 
     let b = w.begin(g).unwrap();
     w.set_stable(g, b, "k", Value::Int(2)).unwrap();
     w.abort_local(b);
-    assert_eq!(w.verdict(b), Some(false));
+    assert_eq!(w.verdict(b), None);
+    assert_eq!(w.retained_actions(), 0);
 }
 
 #[test]
