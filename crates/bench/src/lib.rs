@@ -825,15 +825,13 @@ fn e10_abort_rate() -> Table {
 
 /// E11 — bounded model check of two-phase commit (DESIGN.md § Checking).
 ///
-/// Runs the `argus-check` interleaving explorer over the real `twopc` state
-/// machines across a sweep of crash/drop budgets — with the coordinator as a
-/// separate node and as a participant of its own action — and reports its
-/// coverage:
-/// distinct states visited, crash points injected, messages dropped, and
-/// per-state log lints — all of which must find **zero** atomicity
-/// violations. The same counters are exported through `argus-obs`
-/// (`check.explore.*`), so the harness's per-run metrics report shows them
-/// alongside every other layer's.
+/// Runs the `argus-check` interleaving explorer — real guardians, stepped
+/// as `World` steps them, over a model log — across a sweep of crash/drop
+/// budgets and reports its coverage: distinct states visited, crashes
+/// injected, messages dropped, and per-log lints — all of which must find
+/// **zero** atomicity violations. The same counters are exported through
+/// `argus-obs` (`check.explore.*`), so the harness's per-run metrics report
+/// shows them alongside every other layer's.
 fn e11_explore_coverage() -> Table {
     use argus_check::{ExploreConfig, Explorer};
 
@@ -841,27 +839,18 @@ fn e11_explore_coverage() -> Table {
         "E11",
         "Bounded 2PC interleaving exploration: coverage vs. fault budget",
         "required: zero atomicity violations (A1-A4 + termination) in every configuration; eager restarts re-check the stale-vote race class",
-        "participants | coordinator | crashes | drops | eager restarts | states | crash points | dropped msgs | lints | terminal | violations",
+        "participants | crashes | drops | eager restarts | states | crash points | dropped msgs | lints | terminal | violations",
     );
-    for (participants, coordinator_participates, max_crashes, max_drops, eager_restarts) in [
+    for (participants, max_crashes, max_drops, eager_restarts) in [
         // No participants: a local action, committed in one forced step.
-        (0usize, true, 2u32, 0u32, true),
-        // The coordinator's node is a participant too, as in `World`: its
-        // commit point is one forced step and it is no party to the protocol.
-        (1, true, 2, 1, true),
-        (2, true, 2, 1, false),
-        // The coordinator is a separate node that only coordinates.
-        (2, false, 0, 0, false),
-        (2, false, 1, 0, false),
-        (2, false, 1, 1, false),
-        (2, false, 2, 1, false),
-        (3, false, 1, 0, false),
-        (8, false, 1, 0, false),
-        (2, false, 1, 0, true),
+        (0usize, 2u32, 0u32, true),
+        (1, 2, 1, true),
+        (2, 2, 1, false),
+        (3, 1, 0, false),
+        (8, 1, 0, false),
     ] {
         let report = Explorer::new(ExploreConfig {
             participants,
-            coordinator_participates,
             max_crashes,
             max_drops,
             max_states: 200_000,
@@ -873,11 +862,6 @@ fn e11_explore_coverage() -> Table {
         let s = report.stats;
         table.row(row![
             participants,
-            if coordinator_participates {
-                "participant"
-            } else {
-                "separate"
-            },
             max_crashes,
             max_drops,
             if eager_restarts { "yes" } else { "no" },

@@ -1,65 +1,53 @@
 //! The bounded 2PC interleaving explorer.
 //!
-//! A deterministic DFS over the *real* `twopc` coordinator/participant state
-//! machines (the same code `argus-guardian` drives) that enumerates every
-//! message reordering, message drop, and crash point up to a configurable
-//! budget, and checks atomicity at every reachable state:
+//! A deterministic DFS over real [`Guardian`]s — the code `argus-guardian`'s
+//! `World` runs, driven through [`Guardian::step`] — each over a
+//! [`ModelRs`], a recovery system whose records are values. Guardian 0
+//! coordinates one action that ran at every guardian, its own included, as
+//! `World` builds it. The explorer enumerates every message reordering,
+//! message drop, crash and restart up to a configurable budget, and checks
+//! atomicity at every reachable state:
 //!
 //! * **A1** — a participant only logs `committed` after the coordinator
-//!   logged `committing` (the commit point, §2.2.1).
-//! * **A2** — no two participants resolve the same action differently: a
-//!   `committed` record at one guardian and an `aborted` record at another
-//!   is the canonical atomicity violation.
-//! * **A3** — every node's log passes the static linter ([`crate::lint_log`])
-//!   at every reachable state, crash states included.
-//! * **A4** — past the commit point no participant aborts: abort
-//!   instructions are only ever issued before the coordinator forces
-//!   `committing`, so a `committing` record and a participant `aborted`
-//!   record for the same action can never coexist.
-//! * **Termination** — in every quiescent terminal state no participant is
-//!   prepared-forever: each either resolved or never passed its prepare
-//!   point.
+//!   logged `committing` (the commit point, §2.2.1); the client is told
+//!   "committed" only with home's `committed` durable; and home's
+//!   `committed` and `committing` are durable together or not at all.
+//! * **A2** — no two guardians resolve the action differently: a `committed`
+//!   record at one and an `aborted` record at another is the canonical
+//!   atomicity violation.
+//! * **A3** — every guardian's log passes the static linter
+//!   ([`crate::lint_log`]) at every reachable state, crash states included.
+//! * **A4** — past the commit point nobody aborts: a `committing` record and
+//!   an `aborted` record (or a client told "aborted") never coexist.
+//! * **DOUBT** — no guardian is ever in doubt about an action it coordinates:
+//!   home's `prepared` is never durable without the verdict.
+//! * **SELF** — no message is ever addressed to its sender.
+//! * **TERM** — in every quiescent terminal state an in-doubt participant's
+//!   query is answered, so no participant is prepared forever.
 //!
-//! With `coordinator_participates` the coordinator's node is itself a
-//! participant — in `argus-guardian`'s `World`, always — and so also holds a
-//! participant log. The machine then runs the protocol with the other
-//! participants only, and its commit point is one forced step that appends
-//! the node's own data and `prepared`, `committing`, and its own `committed`
-//! (DESIGN.md deviation 12). A1–A4 and termination are restated with that
-//! node counted as a participant: its `committed` and its `committing` are
-//! durable together or not at all (so A1, A2 and A4 cover it through
-//! `committing`), the client is told "committed" only with its
-//! durable `committed` record and "aborted" only without one — and **no node
-//! is ever in doubt about an action it coordinates**: at no reachable state,
-//! crash states included, does its log show the action prepared but
-//! unresolved. No message is ever addressed to its sender. With
-//! `participants: 0` the action is *local* — the coordinator's guardian is
-//! its only participant — and the same step has no `committing` record and
-//! no second party.
-//!
-//! Each node keeps a *model log* of real [`LogEntry`] values at synthesized
-//! addresses: forced records survive crashes, machine state does not. The
-//! coordinator's `done` record is written but never forced, so it sits in a
-//! volatile buffer until a later force publishes it (a move of its own) or a
-//! crash loses it — after which restart finds `committing` and runs phase
-//! two again.
-//! Restart rebuilds PT/CT exactly the way `core`'s recovery does
-//! (first-insertion-wins over a backward scan) and resumes the machines the
-//! way `argus-guardian`'s `World::restart` does — including the
-//! presumed-abort rule: a coordinator with no `committing` record answers
-//! queries with "aborted".
+//! A move is one input to one guardian's step — a delivery, the commit
+//! request, the coordinator's timeout while it is still preparing and the
+//! network is quiet (as `World::settle` fires it), a re-query of every
+//! in-doubt participant — or a guardian's [`Guardian::force`] with the
+//! continuations it returns, a crash, a restart through [`Guardian::restart`]
+//! (the function `World::restart` calls), or a drop. What a step stages is
+//! durable only once its guardian forces it, so a crash in between loses it;
+//! a participant refusing its prepare is a non-crash fault of its model
+//! log's `stage_prepare`. The coordinator's `done` waits for a force only a
+//! later action would bring: here a crash loses it, or it stays staged.
+//! Durable facts are read through recovery itself: a log's participant and
+//! coordinator tables are what [`ModelRs`]'s `recover` rebuilds.
 
 use crate::image::LogImage;
 use crate::lint::lint_log;
+use crate::model::ModelRs;
 use crate::obs::ExploreObs;
-use argus_core::LogEntry;
-use argus_objects::{ActionId, GuardianId, ObjKind, Uid, Value};
-use argus_slog::LogAddress;
-use argus_twopc::{
-    CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, PartPhase, Participant,
-};
+use argus_core::{PState, RecoverySystem};
+use argus_guardian::{Effects, Guardian, Input, Touch, WorldResult};
+use argus_objects::{ActionId, GuardianId, Heap, Value};
+use argus_twopc::{CoordPhase, Envelope, PartPhase};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -70,10 +58,6 @@ pub struct ExploreConfig {
     /// makes the action local: the coordinator's guardian is its only
     /// participant.
     pub participants: usize,
-    /// Whether the coordinator's guardian is itself a participant (its node
-    /// then also holds a participant log) or a separate node that only
-    /// coordinates. A local action's coordinator always participates.
-    pub coordinator_participates: bool,
     /// How many crashes may be injected along one schedule.
     pub max_crashes: u32,
     /// How many messages may be dropped along one schedule.
@@ -81,16 +65,16 @@ pub struct ExploreConfig {
     /// Hard cap on distinct states visited; hitting it is reported in
     /// [`ExploreStats::depth_limited`], not an error.
     pub max_states: usize,
-    /// Whether a fresh participant may refuse the prepare (exercises the
-    /// abort side of the protocol).
+    /// Whether a participant may refuse the prepare (exercises the abort
+    /// side of the protocol).
     pub allow_refusal: bool,
-    /// Whether a crashed node may restart while messages are still in
+    /// Whether a crashed guardian may restart while messages are still in
     /// flight. Eager restarts race recovery against stale traffic — the
     /// schedule class that exposed the stale-vote atomicity bug (a restarted
     /// participant's query answered "aborted" while its pre-crash vote was
     /// still in flight) — but they multiply the state space by orders of
-    /// magnitude. When off, nodes restart only once the network is quiet
-    /// (always reachable: delivery to a down node consumes the message).
+    /// magnitude. When off, guardians restart only once the network is quiet
+    /// (always reachable: delivery to a down guardian consumes the message).
     pub eager_restarts: bool,
 }
 
@@ -98,20 +82,12 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         Self {
             participants: 2,
-            coordinator_participates: false,
             max_crashes: 1,
             max_drops: 1,
             max_states: 200_000,
             allow_refusal: true,
             eager_restarts: false,
         }
-    }
-}
-
-impl ExploreConfig {
-    /// Whether the coordinator's node is a participant of the action.
-    fn home_participates(&self) -> bool {
-        self.coordinator_participates || self.participants == 0
     }
 }
 
@@ -122,15 +98,15 @@ pub struct ExploreStats {
     pub states_visited: u64,
     /// Successor states pruned because they were already visited.
     pub dedup_pruned: u64,
-    /// Crash points injected (mid-delivery and idle).
+    /// Crashes injected.
     pub crash_points: u64,
     /// Messages delivered.
     pub deliveries: u64,
     /// Messages dropped.
     pub drops: u64,
-    /// Quiescent fully-resolved terminal states reached.
+    /// Quiescent terminal states reached.
     pub terminal_states: u64,
-    /// Per-node log lints run.
+    /// Per-log lints run.
     pub lint_runs: u64,
     /// Expansions cut off by the state cap.
     pub depth_limited: u64,
@@ -146,7 +122,7 @@ pub struct ExploreReport {
 }
 
 impl ExploreReport {
-    /// Whether every reachable state satisfied A1–A3 and termination.
+    /// Whether every reachable state satisfied every check.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
@@ -165,174 +141,29 @@ impl ExploreReport {
 
 // ---- model state ---------------------------------------------------------
 
-const DATA_START: u64 = 512;
-const ENTRY_SPACING: u64 = 64;
-
-/// One node's durable side: the model log.
-///
-/// The entry vector sits behind an [`Rc`] so cloning a state (which the DFS
-/// does once per successor, tens of millions of times) is a refcount bump;
-/// the rare append copies-on-write. The content hash is maintained on append
-/// and shared by the state fingerprint and the lint memo table.
-#[derive(Debug, Clone)]
-struct ModelLog {
-    entries: Rc<Vec<(LogAddress, LogEntry)>>,
-    last_outcome: Option<LogAddress>,
-    next_addr: u64,
-    content_hash: u64,
-}
-
-impl ModelLog {
-    fn new() -> Self {
-        Self {
-            entries: Rc::new(Vec::new()),
-            last_outcome: None,
-            next_addr: DATA_START,
-            content_hash: Self::hash_entries(&[]),
-        }
-    }
-
-    fn hash_entries(entries: &[(LogAddress, LogEntry)]) -> u64 {
-        let mut h = DefaultHasher::new();
-        entries.hash(&mut h);
-        h.finish()
-    }
-
-    fn append(&mut self, mut entry: LogEntry) -> LogAddress {
-        let addr = LogAddress(self.next_addr);
-        self.next_addr += ENTRY_SPACING;
-        if entry.is_outcome() {
-            entry.set_prev(self.last_outcome);
-            self.last_outcome = Some(addr);
-        }
-        Rc::make_mut(&mut self.entries).push((addr, entry));
-        self.content_hash = Self::hash_entries(&self.entries);
-        addr
-    }
-
-    /// A local prepare as it reaches the log: object `n`'s data entry, then
-    /// the `prepared` record carrying its shadow pair.
-    fn append_prepared(&mut self, aid: ActionId, n: u64) {
-        let daddr = self.append(LogEntry::DataH {
-            kind: ObjKind::Atomic,
-            value: Value::Int(n as i64),
-        });
-        self.append(LogEntry::Prepared {
-            aid,
-            pairs: vec![(Uid(n + 1), daddr)],
-            prev: None,
-        });
-    }
-
-    fn has_committed(&self, aid: ActionId) -> bool {
-        self.entries
-            .iter()
-            .any(|(_, e)| matches!(e, LogEntry::Committed { aid: a, .. } if *a == aid))
-    }
-
-    fn has_aborted(&self, aid: ActionId) -> bool {
-        self.entries
-            .iter()
-            .any(|(_, e)| matches!(e, LogEntry::Aborted { aid: a, .. } if *a == aid))
-    }
-
-    fn has_committing(&self, aid: ActionId) -> bool {
-        self.entries
-            .iter()
-            .any(|(_, e)| matches!(e, LogEntry::Committing { aid: a, .. } if *a == aid))
-    }
-
-    /// Rebuilds this node's participant verdict the way recovery does:
-    /// newest entry first, first insertion wins.
-    fn recovered_pstate(&self, aid: ActionId) -> Option<argus_core::PState> {
-        for (_, entry) in self.entries.iter().rev() {
-            match entry {
-                LogEntry::Committed { aid: a, .. } if *a == aid => {
-                    return Some(argus_core::PState::Committed)
-                }
-                LogEntry::Aborted { aid: a, .. } if *a == aid => {
-                    return Some(argus_core::PState::Aborted)
-                }
-                LogEntry::Prepared { aid: a, .. } if *a == aid => {
-                    return Some(argus_core::PState::Prepared)
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Rebuilds the coordinator's state: `Some(true)` = done, `Some(false)` =
-    /// committing (phase two restartable), `None` = no trace (presumed
-    /// abort).
-    fn recovered_cstate(&self, aid: ActionId) -> Option<(bool, Vec<GuardianId>)> {
-        for (_, entry) in self.entries.iter().rev() {
-            match entry {
-                LogEntry::Done { aid: a, .. } if *a == aid => return Some((true, Vec::new())),
-                LogEntry::Committing { aid: a, gids, .. } if *a == aid => {
-                    return Some((false, gids.clone()))
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-}
-
-/// The coordinator node.
-#[derive(Debug, Clone)]
-struct CoordNode {
-    up: bool,
-    log: ModelLog,
-    machine: Option<Coordinator>,
-    /// The client asked for the commit and the machine has not started yet.
-    start_pending: bool,
-    /// The `done` record is written but not yet forced (dies with a crash).
-    done_buffered: bool,
-    /// The `done` record is on the log (survives the machine).
-    done: bool,
-    /// The protocol finished at the coordinator with this verdict.
-    finished: Option<bool>,
-}
-
-impl CoordNode {
-    /// A node crash: the machine, an unstarted commit request and the
-    /// unforced `done` are volatile; the log survives.
-    fn crash(&mut self) {
-        self.up = false;
-        self.machine = None;
-        self.start_pending = false;
-        self.done_buffered = false;
-    }
-}
-
-/// One participant node.
-#[derive(Debug, Clone)]
-struct PartNode {
-    up: bool,
-    log: ModelLog,
-    machine: Option<Participant>,
-    /// Locally resolved verdict (from a forced record or a refusal).
-    resolved: Option<bool>,
-}
+/// One guardian of the model.
+type Node = Guardian<ModelRs>;
 
 /// One step of the schedule that produced a state, as a singly linked list
-/// shared structurally between a state and its successors (cloning a state
-/// is still a refcount bump). This is the flight recorder's raw material:
-/// when a violation is found the chain is unwound into the exact schedule
-/// that reaches it.
+/// shared structurally between a state and its successors. This is the
+/// flight recorder's raw material: when a violation is found the chain is
+/// unwound into the exact schedule that reaches it.
 #[derive(Debug)]
 struct PathNode {
     step: String,
     prev: Option<Rc<PathNode>>,
 }
 
-/// One global state of the protocol.
+/// One global state of the protocol. Guardians sit behind an [`Rc`]: a
+/// successor shares every guardian its move did not step.
 #[derive(Debug, Clone)]
 struct State {
-    coord: CoordNode,
-    parts: Vec<PartNode>,
+    nodes: Vec<Rc<Node>>,
     inflight: Vec<Envelope>,
+    /// The client's commit request reached the coordinator, or died with it.
+    started: bool,
+    /// The client's answer: the verdict the coordinator last reported.
+    verdict: Option<bool>,
     crashes_left: u32,
     drops_left: u32,
     /// The schedule that produced this state. Deliberately excluded from
@@ -343,36 +174,18 @@ struct State {
 }
 
 impl State {
-    /// A canonical fingerprint: machine phases, logs, and the in-flight
-    /// multiset (order-insensitive). Hashed with [`DefaultHasher`], which is
-    /// deterministic — it is built with fixed keys, never seeded.
-    fn fingerprint(&self) -> u64 {
+    /// A canonical fingerprint: each guardian's protocol state for `aid`
+    /// and its log, and the in-flight multiset (order-insensitive). Hashed
+    /// with [`DefaultHasher`], which is deterministic — it is built with
+    /// fixed keys, never seeded. The heap is left out: what it holds for
+    /// the action follows from the machines and the log.
+    fn fingerprint(&self, aid: ActionId) -> u64 {
         let mut h = DefaultHasher::new();
-        self.coord.up.hash(&mut h);
-        self.coord.start_pending.hash(&mut h);
-        self.coord.done_buffered.hash(&mut h);
-        self.coord.done.hash(&mut h);
-        self.coord.finished.hash(&mut h);
-        match &self.coord.machine {
-            Some(c) => {
-                c.phase().hash(&mut h);
-                c.awaiting().hash(&mut h);
-            }
-            None => 0xffu8.hash(&mut h),
+        for g in &self.nodes {
+            (g.is_up(), g.knows(aid), g.has_staged()).hash(&mut h);
+            (g.coordinator(aid), g.participant(aid)).hash(&mut h);
+            g.recovery_system().hash(&mut h);
         }
-        self.coord.log.content_hash.hash(&mut h);
-        for p in &self.parts {
-            p.up.hash(&mut h);
-            p.resolved.hash(&mut h);
-            match &p.machine {
-                Some(m) => m.phase().hash(&mut h),
-                None => 0xffu8.hash(&mut h),
-            }
-            p.log.content_hash.hash(&mut h);
-        }
-        // The in-flight multiset: hash each envelope on its own, then fold
-        // the sorted hashes in, so delivery order within the bag is
-        // canonical.
         let mut envs: Vec<u64> = self
             .inflight
             .iter()
@@ -384,8 +197,8 @@ impl State {
             .collect();
         envs.sort_unstable();
         envs.hash(&mut h);
-        self.crashes_left.hash(&mut h);
-        self.drops_left.hash(&mut h);
+        (self.started, self.verdict).hash(&mut h);
+        (self.crashes_left, self.drops_left).hash(&mut h);
         h.finish()
     }
 
@@ -408,6 +221,44 @@ impl State {
         lines.reverse();
         lines
     }
+
+    /// Whether nothing is in flight and no up guardian waits on a force:
+    /// where `World` stands when it times out a coordinator or re-queries.
+    fn quiet(&self) -> bool {
+        let staged = |g: &Rc<Node>| g.is_up() && g.has_staged();
+        self.inflight.is_empty() && !self.nodes.iter().any(staged)
+    }
+
+    /// `n` runs `f`, and what it asks for is applied: mail goes out and a
+    /// verdict becomes the client's answer.
+    fn step(&mut self, n: usize, f: impl FnOnce(&mut Node, &mut Effects) -> WorldResult<()>) {
+        let mut fx = Effects::default();
+        let step = f(Rc::make_mut(&mut self.nodes[n]), &mut fx);
+        step.expect("a model guardian fails only where the explorer injects a fault");
+        self.inflight.append(&mut fx.send);
+        if let Some((_, committed)) = fx.resolved {
+            self.verdict = Some(committed);
+        }
+    }
+}
+
+/// What a log says durably about the action, read through recovery, and
+/// whether it lints clean.
+#[derive(Debug, Clone)]
+struct Facts {
+    pstate: Option<PState>,
+    committing: bool,
+    lint: Option<String>,
+}
+
+impl Facts {
+    fn committed(&self) -> bool {
+        self.pstate == Some(PState::Committed)
+    }
+
+    fn aborted(&self) -> bool {
+        self.pstate == Some(PState::Aborted)
+    }
 }
 
 // ---- the explorer --------------------------------------------------------
@@ -423,9 +274,9 @@ pub struct Explorer {
     stats: ExploreStats,
     violations: Vec<String>,
     seen_violations: HashSet<String>,
-    /// Lint verdicts keyed by log-content hash: logs repeat across millions
-    /// of interleavings, so each distinct log is linted once.
-    lint_cache: HashMap<u64, Option<String>>,
+    /// Facts keyed by forced-log hash: logs repeat across millions of
+    /// interleavings, so each distinct log is recovered and linted once.
+    facts: HashMap<u64, Facts>,
 }
 
 impl Explorer {
@@ -437,7 +288,7 @@ impl Explorer {
             stats: ExploreStats::default(),
             violations: Vec::new(),
             seen_violations: HashSet::new(),
-            lint_cache: HashMap::new(),
+            facts: HashMap::new(),
         }
     }
 
@@ -447,7 +298,7 @@ impl Explorer {
         let root = self.initial_state();
         let mut visited: HashSet<u64> = HashSet::new();
         let mut stack: Vec<State> = Vec::new();
-        visited.insert(root.fingerprint());
+        visited.insert(root.fingerprint(self.aid));
         stack.push(root);
         while let Some(state) = stack.pop() {
             self.stats.states_visited += 1;
@@ -457,8 +308,7 @@ impl Explorer {
                 continue;
             }
             for next in self.successors(&state) {
-                let fp = next.fingerprint();
-                if visited.insert(fp) {
+                if visited.insert(next.fingerprint(self.aid)) {
                     stack.push(next);
                 } else {
                     self.stats.dedup_pruned += 1;
@@ -479,33 +329,21 @@ impl Explorer {
         }
     }
 
+    /// Every guardian up, the action written at each, nothing committed.
     fn initial_state(&self) -> State {
-        let gids: Vec<GuardianId> = self
-            .cfg
-            .home_participates()
-            .then_some(COORD)
-            .into_iter()
-            .chain((1..=self.cfg.participants as u32).map(GuardianId))
-            .collect();
+        let nodes = (0..=self.cfg.participants).map(|n| {
+            let mut g = Guardian::over(GuardianId(n as u32), Box::default());
+            let root = g.heap.stable_root().expect("a fresh guardian has its root");
+            let write = Touch::Write(|v: &mut Value| *v = Value::Int(n as i64));
+            g.touch(self.aid, root, write)
+                .expect("the action writes at every guardian");
+            Rc::new(g)
+        });
         State {
-            coord: CoordNode {
-                up: true,
-                log: ModelLog::new(),
-                machine: Some(Coordinator::new(self.aid, gids)),
-                start_pending: true,
-                done_buffered: false,
-                done: false,
-                finished: None,
-            },
-            parts: (0..self.cfg.participants)
-                .map(|_| PartNode {
-                    up: true,
-                    log: ModelLog::new(),
-                    machine: None,
-                    resolved: None,
-                })
-                .collect(),
+            nodes: nodes.collect(),
             inflight: Vec::new(),
+            started: false,
+            verdict: None,
             crashes_left: self.cfg.max_crashes,
             drops_left: self.cfg.max_drops,
             path: None,
@@ -543,696 +381,309 @@ impl Explorer {
         }
     }
 
+    /// What `log` holds durably about the action, recovered and linted once
+    /// per distinct log.
+    fn facts(&mut self, log: &ModelRs) -> Facts {
+        if let Some(facts) = self.facts.get(&log.forced_hash()) {
+            return facts.clone();
+        }
+        self.stats.lint_runs += 1;
+        let report = lint_log(&LogImage::from_entries(log.forced().to_vec()));
+        let details: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
+        let outcome = log.clone().recover(&mut Heap::new());
+        let outcome = outcome.expect("a model log recovers");
+        let facts = Facts {
+            pstate: outcome.pt.get(self.aid),
+            committing: outcome.ct.get(self.aid).is_some(),
+            lint: (!report.is_clean()).then(|| details.join("; ")),
+        };
+        self.facts.insert(log.forced_hash(), facts.clone());
+        facts
+    }
+
     fn check_state_inner(&mut self, state: &State) {
-        let aid = self.aid;
+        let facts: Vec<Facts> = state
+            .nodes
+            .iter()
+            .map(|g| self.facts(g.recovery_system()))
+            .collect();
+        let home = &facts[0];
         // A1: a committed participant implies a logged commit point.
-        for (i, p) in state.parts.iter().enumerate() {
-            if p.log.has_committed(aid) && !state.coord.log.has_committing(aid) {
-                self.violation(
-                    "A1",
-                    format!(
-                        "participant {} committed without a coordinator committing record",
-                        i + 1
-                    ),
-                );
+        for (i, f) in facts.iter().enumerate().skip(1) {
+            if f.committed() && !home.committing {
+                let detail = format!("participant {i} committed without a committing record");
+                self.violation("A1", detail);
             }
         }
-        // A participating coordinator's node is a participant too. Its
-        // records reach the log in the commit point's one force, so what can
-        // go wrong there is the client's answer, a split of that force, and
-        // a disagreement with the other participants.
-        if self.cfg.home_participates() {
-            let home = &state.coord.log;
-            let durable = home.has_committed(aid);
-            match state.coord.finished {
-                Some(true) if !durable => self.violation(
-                    "A1",
-                    "acknowledged committed without a durable committed record at home".into(),
-                ),
-                Some(false) if durable => {
-                    self.violation("A4", "reported aborted after the commit point".into())
-                }
-                _ => {}
+        // Home's records reach the log in the commit point's one force, so
+        // what can go wrong there is the client's answer, a split of that
+        // force, and a disagreement with the other participants.
+        match state.verdict {
+            Some(true) if !home.committed() => self.violation(
+                "A1",
+                "acknowledged committed without a durable committed record at home".into(),
+            ),
+            Some(false) if home.committed() => {
+                self.violation("A4", "reported aborted after the commit point".into())
             }
-            if self.cfg.participants > 0 && durable != home.has_committing(aid) {
-                self.violation(
-                    "A1",
-                    "home's committed and committing records are not durable together".into(),
-                );
-            }
-            if home.recovered_pstate(aid) == Some(argus_core::PState::Prepared) {
-                self.violation(
-                    "DOUBT",
-                    "the coordinator's node is in doubt about its own action: the commit point's one force was split".into(),
-                );
-            }
+            _ => {}
+        }
+        if self.cfg.participants > 0 && home.committed() != home.committing {
+            self.violation(
+                "A1",
+                "home's committed and committing records are not durable together".into(),
+            );
+        }
+        if home.pstate == Some(PState::Prepared) {
+            self.violation(
+                "DOUBT",
+                "the coordinator's guardian is in doubt about its own action: the commit point's one force was split".into(),
+            );
         }
         if let Some(e) = state.inflight.iter().find(|e| e.from == e.to) {
             let kind = e.msg.kind();
-            self.violation("SELF", format!("node {} mailed itself a {kind}", e.to.0));
-        }
-        // A2: no mixed verdicts across participant logs.
-        let committed = state.parts.iter().position(|p| p.log.has_committed(aid));
-        let aborted = state.parts.iter().position(|p| p.log.has_aborted(aid));
-        if let (Some(c), Some(a)) = (committed, aborted) {
             self.violation(
-                "A2",
-                format!(
-                    "participant {} committed while participant {} aborted",
-                    c + 1,
-                    a + 1
-                ),
+                "SELF",
+                format!("guardian {} mailed itself a {kind}", e.to.0),
             );
         }
-        // A4: past the commit point no participant may abort. A participant
-        // only forces `aborted` on instruction, and abort instructions
-        // (verdicts, presumed-abort answers) are only issued before the
-        // coordinator forces `committing`.
-        if state.coord.log.has_committing(aid) {
-            for (i, p) in state.parts.iter().enumerate() {
-                if p.log.has_aborted(aid) {
-                    self.violation(
-                        "A4",
-                        format!(
-                            "participant {} aborted after the coordinator passed the commit point",
-                            i + 1
-                        ),
-                    );
-                }
+        // A2: no mixed verdicts across logs.
+        let committed = facts.iter().position(Facts::committed);
+        if let (Some(c), Some(a)) = (committed, facts.iter().position(Facts::aborted)) {
+            self.violation(
+                "A2",
+                format!("guardian {c} committed while guardian {a} aborted"),
+            );
+        }
+        // A4: past the commit point nobody aborts. A participant only forces
+        // `aborted` on instruction, and abort instructions (verdicts,
+        // presumed-abort answers) are only issued before the coordinator
+        // forces `committing`.
+        if home.committing {
+            if let Some(i) = facts.iter().position(Facts::aborted) {
+                let detail = format!("guardian {i} aborted after the commit point");
+                self.violation("A4", detail);
             }
         }
-        // A3: every node's log lints clean. Identical logs recur across huge
-        // numbers of interleavings, so verdicts are memoized by content.
-        let mut lint_failures = Vec::new();
-        {
-            let logs = std::iter::once((0usize, &state.coord.log))
-                .chain(state.parts.iter().enumerate().map(|(i, p)| (i + 1, &p.log)));
-            for (node, log) in logs {
-                let key = log.content_hash;
-                let verdict = match self.lint_cache.get(&key) {
-                    Some(v) => v.clone(),
-                    None => {
-                        self.stats.lint_runs += 1;
-                        let report =
-                            lint_log(&LogImage::from_entries(log.entries.as_ref().clone()));
-                        let v = if report.is_clean() {
-                            None
-                        } else {
-                            let details: Vec<String> =
-                                report.violations.iter().map(|v| v.to_string()).collect();
-                            Some(details.join("; "))
-                        };
-                        self.lint_cache.insert(key, v.clone());
-                        v
-                    }
-                };
-                if let Some(detail) = verdict {
-                    lint_failures.push((node, detail));
-                }
+        // A3: every log lints clean.
+        for (i, f) in facts.iter().enumerate() {
+            if let Some(detail) = &f.lint {
+                self.violation("A3", format!("guardian {i} log fails lint: {detail}"));
             }
         }
-        for (node, detail) in lint_failures {
-            self.violation("A3", format!("node {node} log fails lint: {detail}"));
-        }
-        // Termination check on quiescent, all-up, no-move states.
-        if state.inflight.is_empty()
-            && state.coord.up
-            && state.parts.iter().all(|p| p.up)
-            && !self.has_quiescent_move(state)
-        {
-            self.stats.terminal_states += 1;
-            for (i, p) in state.parts.iter().enumerate() {
-                let prepared_forever = match &p.machine {
-                    Some(m) => m.phase() == PartPhase::Prepared,
-                    None => {
-                        p.resolved.is_none()
-                            && p.log.recovered_pstate(aid) == Some(argus_core::PState::Prepared)
-                    }
-                };
-                if prepared_forever {
-                    self.violation(
-                        "TERM",
-                        format!(
-                            "terminal state leaves participant {} prepared forever",
-                            i + 1
-                        ),
-                    );
-                }
-            }
-        }
+        self.check_termination(state);
     }
 
-    /// Whether any quiescent recovery move applies (used to decide
-    /// terminality; mirrors [`Explorer::quiesce`]).
-    fn has_quiescent_move(&self, state: &State) -> bool {
-        if !state.inflight.is_empty() {
-            return false;
+    /// TERM. A state is terminal when every guardian is up and nothing is
+    /// in flight, staged, unstarted or left for the timeout: a re-query is
+    /// the one move left, and it must get an in-doubt participant an answer.
+    fn check_termination(&mut self, state: &State) {
+        let all_up = state.nodes.iter().all(|g| g.is_up());
+        let preparing = state.nodes[0].coordinator(self.aid).map(|c| c.phase());
+        if !(all_up && state.quiet() && state.started && preparing != Some(CoordPhase::Preparing)) {
+            return;
         }
-        if state.coord.up && !state.coord.start_pending {
-            if let Some(c) = &state.coord.machine {
-                match c.phase() {
-                    CoordPhase::Preparing => return true,
-                    CoordPhase::Committing | CoordPhase::Aborting if !c.awaiting().is_empty() => {
-                        return true;
-                    }
-                    _ => {}
-                }
+        self.stats.terminal_states += 1;
+        for (i, g) in state.nodes.iter().enumerate() {
+            let in_doubt = g.participant(self.aid).map(|p| p.phase());
+            if in_doubt != Some(PartPhase::Prepared) {
+                continue;
+            }
+            let mut asked = state.clone();
+            asked.step(i, |g, fx| g.step(Input::Requery, fx));
+            for query in std::mem::take(&mut asked.inflight) {
+                asked.step(0, |coord, fx| coord.step(Input::Message(query), fx));
+            }
+            if !asked.inflight.iter().any(|answer| answer.to.0 == i as u32) {
+                let detail = format!("terminal state leaves participant {i} prepared forever");
+                self.violation("TERM", detail);
             }
         }
-        state.parts.iter().any(|p| {
-            p.up && p
-                .machine
-                .as_ref()
-                .is_some_and(|m| m.phase() == PartPhase::Prepared)
-        })
     }
 
     // ---- successor generation --------------------------------------------
 
+    /// `state` after guardian `n` runs `f`, with the move recorded.
+    fn after(
+        state: &State,
+        n: usize,
+        step: String,
+        f: impl FnOnce(&mut Node, &mut Effects) -> WorldResult<()>,
+    ) -> State {
+        let mut next = state.clone();
+        next.record(step);
+        next.step(n, f);
+        next
+    }
+
     fn successors(&mut self, state: &State) -> Vec<State> {
+        let aid = self.aid;
         let mut out = Vec::new();
-        // The commit request reaches the coordinator: its machine starts,
-        // one effect at a time, and may crash between any two.
-        if state.coord.up && state.coord.start_pending {
-            let (next, steps) = self.start(state.clone(), None);
-            out.push(next);
-            if state.crashes_left > 0 {
-                for k in 0..steps {
-                    self.stats.crash_points += 1;
-                    out.push(self.start(state.clone(), Some(k)).0);
-                }
-            }
-        }
-        // Some later force at the coordinator publishes the buffered `done`
-        // (the branch where it is lost instead is any coordinator crash).
-        if state.coord.up && state.coord.done_buffered {
-            let mut next = state.clone();
-            next.record("force publishes done".to_string());
-            next.coord.done_buffered = false;
-            next.coord.done = true;
-            next.coord.log.append(LogEntry::Done {
-                aid: self.aid,
-                prev: None,
+        // The client asks the coordinator to commit.
+        if !state.started && state.nodes[0].is_up() {
+            let gids = (0..state.nodes.len() as u32).map(GuardianId).collect();
+            let mut next = Self::after(state, 0, "commit".into(), |g, fx| {
+                g.step(Input::Commit(aid, gids), fx)
             });
+            next.started = true;
             out.push(next);
         }
-        // Deliveries (every reordering; this is where the fan-out lives).
+        // Deliveries (every reordering; this is where the fan-out lives). A
+        // delivery to a down guardian consumes the message.
         for idx in 0..state.inflight.len() {
-            let votes: &[bool] = if self.is_fresh_prepare(state, idx) && self.cfg.allow_refusal {
-                &[true, false]
-            } else {
-                &[true]
-            };
-            for &prepare_ok in votes {
-                let (next, steps) = self.deliver(state.clone(), idx, prepare_ok, None);
-                self.stats.deliveries += 1;
-                out.push(next);
-                if state.crashes_left > 0 {
-                    // Crash the destination after each effect micro-step
-                    // (0 = crash before any effect ran; the message is lost
-                    // with the machine).
-                    for k in 0..steps {
-                        let (crashed, _) = self.deliver(state.clone(), idx, prepare_ok, Some(k));
-                        self.stats.crash_points += 1;
-                        out.push(crashed);
-                    }
+            self.stats.deliveries += 1;
+            let mut rest = state.clone();
+            let env = rest.inflight.remove(idx);
+            let (to, label) = (env.to.0 as usize, Self::label("deliver", &env));
+            // A participant that would prepare may refuse instead.
+            let g = &state.nodes[to];
+            if self.cfg.allow_refusal && to != 0 && g.knows(aid) && g.participant(aid).is_none() {
+                let refusal = format!("{label} vote=refuse");
+                let refused = Self::after(&rest, to, refusal, |g, fx| {
+                    g.recovery_system().refuse_prepare.set(true);
+                    g.step(Input::Message(env.clone()), fx)
+                });
+                // Kept only if the prepare ran into the fault.
+                if !refused.nodes[to].recovery_system().refuse_prepare.take() {
+                    out.push(refused);
                 }
             }
+            rest.record(label);
+            rest.step(to, |g, fx| g.step(Input::Message(env), fx));
+            out.push(rest);
         }
-        // Drops.
+        // A guardian forces what it staged, and each continuation runs.
+        for (n, g) in state.nodes.iter().enumerate() {
+            if g.is_up() && g.has_staged() {
+                out.push(Self::after(state, n, format!("force {n}"), |g, fx| {
+                    g.force(fx)?
+                        .into_iter()
+                        .try_for_each(|(op, _)| g.step(Input::Forced(op), fx))
+                }));
+            }
+        }
+        // The network is quiet: the timeout gives up on a coordinator still
+        // preparing (§2.2.1), and in-doubt participants query again
+        // (§2.2.2).
+        if state.quiet() {
+            let coordinator = state.nodes[0].coordinator(aid);
+            if coordinator.is_some_and(|c| c.phase() == CoordPhase::Preparing) {
+                let step = |g: &mut Node, fx: &mut Effects| g.step(Input::Timeout(aid), fx);
+                out.push(Self::after(state, 0, "timeout".into(), step));
+            }
+            let in_doubt = |g: &Rc<Node>| {
+                let phase = g.participant(aid).map(|p| p.phase());
+                g.is_up() && phase == Some(PartPhase::Prepared)
+            };
+            if state.nodes.iter().any(in_doubt) {
+                let mut next = state.clone();
+                next.record("requery".into());
+                for n in 0..next.nodes.len() {
+                    next.step(n, |g, fx| g.step(Input::Requery, fx));
+                }
+                out.push(next);
+            }
+        }
         if state.drops_left > 0 {
             for idx in 0..state.inflight.len() {
                 let mut next = state.clone();
                 let env = next.inflight.remove(idx);
-                next.record(format!(
-                    "drop {} {}->{}",
-                    env.msg.kind(),
-                    env.from.0,
-                    env.to.0
-                ));
+                next.record(Self::label("drop", &env));
                 next.drops_left -= 1;
                 self.stats.drops += 1;
                 out.push(next);
             }
         }
-        // Idle crashes.
-        if state.crashes_left > 0 {
-            if state.coord.up {
+        for (n, g) in state.nodes.iter().enumerate() {
+            if state.crashes_left > 0 && g.is_up() {
                 let mut next = state.clone();
-                next.record("crash coordinator".to_string());
-                next.coord.crash();
+                next.record(format!("crash {n}"));
+                Rc::make_mut(&mut next.nodes[n]).crashed();
+                // An unstarted commit request dies with the coordinator.
+                next.started |= n == 0;
                 next.crashes_left -= 1;
                 self.stats.crash_points += 1;
                 out.push(next);
             }
-            for i in 0..state.parts.len() {
-                if state.parts[i].up {
-                    let mut next = state.clone();
-                    next.record(format!("crash participant {}", i + 1));
-                    next.parts[i].up = false;
-                    next.parts[i].machine = None;
-                    next.parts[i].resolved = None;
-                    next.crashes_left -= 1;
-                    self.stats.crash_points += 1;
-                    out.push(next);
-                }
+            // By default a guardian comes back only once the network is
+            // quiet; with `eager_restarts` recovery races the stale
+            // in-flight traffic too.
+            let restartable = self.cfg.eager_restarts || state.inflight.is_empty();
+            if restartable && !g.is_up() {
+                out.push(Self::after(state, n, format!("restart {n}"), |g, fx| {
+                    g.restart(fx).map(drop)
+                }));
             }
-        }
-        // Restarts. By default a node comes back only once the network is
-        // quiet (delivery to a down node consumes the message, so the queue
-        // can always drain); with `eager_restarts` recovery races the stale
-        // in-flight traffic too.
-        if self.cfg.eager_restarts || state.inflight.is_empty() {
-            if !state.coord.up {
-                out.push(self.restart_coord(state.clone()));
-            }
-            for i in 0..state.parts.len() {
-                if !state.parts[i].up {
-                    out.push(self.restart_part(state.clone(), i));
-                }
-            }
-        }
-        // Quiescent recovery moves (timeouts / re-sends / re-queries) — only
-        // when nothing is in flight, so they model "the network went quiet".
-        if self.has_quiescent_move(state) {
-            out.push(self.quiesce(state.clone()));
         }
         out
     }
 
-    /// Runs the coordinator machine's `start` effects, crashing the
-    /// coordinator after `crash_after` of them. Returns the next state and
-    /// the number of micro-steps a full start takes.
-    fn start(&self, mut state: State, crash_after: Option<usize>) -> (State, usize) {
-        state.record(match crash_after {
-            Some(k) => format!("start commit crash@{k}"),
-            None => "start commit".to_string(),
-        });
-        state.coord.start_pending = false;
-        let machine = state.coord.machine.as_ref().expect("unstarted machine");
-        let effects = machine.start().into();
-        if crash_after.is_some() {
-            state.crashes_left -= 1;
-        }
-        let steps = self.run_coord_effects(&mut state, effects, crash_after);
-        (state, steps)
-    }
-
-    /// Is `inflight[idx]` a prepare arriving at a participant that has no
-    /// machine, no resolution, and no log trace (i.e. the vote is free)?
-    fn is_fresh_prepare(&self, state: &State, idx: usize) -> bool {
-        let env = &state.inflight[idx];
-        if !matches!(env.msg, Msg::Prepare { .. }) || env.to == COORD {
-            return false;
-        }
-        let Some(p) = state.parts.get((env.to.0 - 1) as usize) else {
-            return false;
-        };
-        p.up && p.machine.is_none() && p.resolved.is_none() && p.log.entries.is_empty()
-    }
-
-    // ---- delivery --------------------------------------------------------
-
-    /// Delivers `inflight[idx]`, executing the destination machine's effects
-    /// one micro-step at a time. With `crash_after = Some(k)` the
-    /// destination crashes after `k` micro-steps: durable log appends and
-    /// already-sent messages survive, the machine and the rest of its
-    /// effect queue do not. Returns the next state and the number of
-    /// micro-steps a full delivery takes.
-    fn deliver(
-        &self,
-        mut state: State,
-        idx: usize,
-        prepare_ok: bool,
-        crash_after: Option<usize>,
-    ) -> (State, usize) {
-        let env = state.inflight.remove(idx);
-        let mut step = format!("deliver {} {}->{}", env.msg.kind(), env.from.0, env.to.0);
-        if !prepare_ok {
-            step.push_str(" vote=refuse");
-        }
-        if let Some(k) = crash_after {
-            step.push_str(&format!(" crash@{k}"));
-        }
-        state.record(step);
-        let steps = if env.to == COORD {
-            self.deliver_to_coord(&mut state, &env, crash_after)
-        } else {
-            self.deliver_to_part(&mut state, &env, prepare_ok, crash_after)
-        };
-        (state, steps)
-    }
-
-    fn deliver_to_coord(
-        &self,
-        state: &mut State,
-        env: &Envelope,
-        crash_after: Option<usize>,
-    ) -> usize {
-        let coord = &mut state.coord;
-        if !coord.up {
-            // Delivery to a crashed node: the message evaporates.
-            return 0;
-        }
-        let effects: VecDeque<CoordEffect> = match &mut coord.machine {
-            Some(machine) => machine.on_msg(env.from, &env.msg).into(),
-            None => {
-                // Machine-less coordinator: `done` answers queries with its
-                // durable verdict; with no trace at all the presumed-abort
-                // rule of §2.2.3 applies.
-                match env.msg {
-                    Msg::QueryOutcome { aid } => [CoordEffect::Send {
-                        to: env.from,
-                        msg: Msg::Outcome {
-                            aid,
-                            committed: coord.done,
-                        },
-                    }]
-                    .into(),
-                    _ => VecDeque::new(),
-                }
-            }
-        };
-        self.run_coord_effects(state, effects, crash_after)
-    }
-
-    /// Executes coordinator effects micro-step by micro-step. Returns steps
-    /// taken.
-    fn run_coord_effects(
-        &self,
-        state: &mut State,
-        mut queue: VecDeque<CoordEffect>,
-        crash_after: Option<usize>,
-    ) -> usize {
-        let mut steps = 0usize;
-        while let Some(effect) = queue.pop_front() {
-            if crash_after == Some(steps) {
-                state.coord.crash();
-                return steps;
-            }
-            steps += 1;
-            match effect {
-                CoordEffect::Send { to, msg } => state.inflight.push(Envelope {
-                    from: COORD,
-                    to,
-                    msg,
-                }),
-                CoordEffect::ForceCommitting => {
-                    let aid = self.aid;
-                    let log = &mut state.coord.log;
-                    let machine = state.coord.machine.as_mut().expect("machine forced");
-                    // The commit point, published by one force — all of it
-                    // or none survives a crash: a participating
-                    // coordinator's own prepare, `committing` unless there is
-                    // nobody to tell, and its own `committed`.
-                    if machine.participates() {
-                        log.append_prepared(aid, 0);
-                    }
-                    if !machine.is_local() {
-                        let gids = machine.participants.clone();
-                        log.append(LogEntry::Committing {
-                            aid,
-                            gids,
-                            prev: None,
-                        });
-                    }
-                    if machine.participates() {
-                        log.append(LogEntry::Committed { aid, prev: None });
-                    }
-                    queue.extend(machine.committing_forced());
-                }
-                CoordEffect::ForceDone => state.coord.done_buffered = true,
-                CoordEffect::Finished { committed } => {
-                    state.coord.finished = Some(committed);
-                }
-            }
-        }
-        if crash_after == Some(steps) {
-            state.coord.crash();
-        }
-        steps
-    }
-
-    fn deliver_to_part(
-        &self,
-        state: &mut State,
-        env: &Envelope,
-        prepare_ok: bool,
-        crash_after: Option<usize>,
-    ) -> usize {
-        let i = (env.to.0 - 1) as usize;
-        if !state.parts[i].up {
-            return 0;
-        }
-        let part = &mut state.parts[i];
-        let effects: VecDeque<PartEffect> = match (&mut part.machine, &env.msg) {
-            (Some(machine), msg) => machine.on_msg(msg).into(),
-            (None, Msg::Prepare { aid }) => {
-                match part.log.recovered_pstate(*aid) {
-                    // Fresh participant: start the protocol.
-                    None if part.resolved.is_none() => {
-                        let (machine, effects) = Participant::on_prepare(*aid, env.from);
-                        part.machine = Some(machine);
-                        effects.into()
-                    }
-                    // A resolved or restarted participant re-votes from its
-                    // durable state (§2.2.2: an unknown action is refused).
-                    Some(argus_core::PState::Committed) => [PartEffect::Send {
-                        to: env.from,
-                        msg: Msg::PrepareOk { aid: *aid },
-                    }]
-                    .into(),
-                    _ => [PartEffect::Send {
-                        to: env.from,
-                        msg: Msg::PrepareRefused { aid: *aid },
-                    }]
-                    .into(),
-                }
-            }
-            // Verdicts for a machine-less participant: re-acknowledge from
-            // the durable verdict so a re-sent commit/abort converges.
-            (None, Msg::Commit { aid }) => match part.log.recovered_pstate(*aid) {
-                Some(argus_core::PState::Committed) => [PartEffect::Send {
-                    to: env.from,
-                    msg: Msg::CommitAck { aid: *aid },
-                }]
-                .into(),
-                _ => VecDeque::new(),
-            },
-            (None, Msg::Abort { aid }) => match part.log.recovered_pstate(*aid) {
-                Some(argus_core::PState::Aborted) | None => [PartEffect::Send {
-                    to: env.from,
-                    msg: Msg::AbortAck { aid: *aid },
-                }]
-                .into(),
-                _ => VecDeque::new(),
-            },
-            (None, _) => VecDeque::new(),
-        };
-        self.run_part_effects(state, i, effects, prepare_ok, crash_after)
-    }
-
-    /// Executes participant effects micro-step by micro-step.
-    fn run_part_effects(
-        &self,
-        state: &mut State,
-        i: usize,
-        mut queue: VecDeque<PartEffect>,
-        prepare_ok: bool,
-        crash_after: Option<usize>,
-    ) -> usize {
-        let aid = self.aid;
-        let mut steps = 0usize;
-        while let Some(effect) = queue.pop_front() {
-            if crash_after == Some(steps) {
-                state.parts[i].up = false;
-                state.parts[i].machine = None;
-                state.parts[i].resolved = None;
-                return steps;
-            }
-            steps += 1;
-            let part = &mut state.parts[i];
-            match effect {
-                PartEffect::Send { to, msg } => state.inflight.push(Envelope {
-                    from: GuardianId(i as u32 + 1),
-                    to,
-                    msg,
-                }),
-                PartEffect::PrepareLocally => {
-                    let machine = part.machine.as_mut().expect("machine preparing");
-                    if prepare_ok {
-                        // The local prepare, forced.
-                        part.log.append_prepared(aid, i as u64);
-                        queue.extend(machine.prepare_succeeded());
-                    } else {
-                        // Refusal: nothing reaches the log.
-                        queue.extend(machine.prepare_failed());
-                        part.resolved = Some(false);
-                    }
-                }
-                PartEffect::ForceCommit => {
-                    part.log.append(LogEntry::Committed { aid, prev: None });
-                    let machine = part.machine.as_mut().expect("machine resolving");
-                    queue.extend(machine.commit_forced());
-                }
-                PartEffect::ForceAbort => {
-                    part.log.append(LogEntry::Aborted { aid, prev: None });
-                    let machine = part.machine.as_mut().expect("machine resolving");
-                    queue.extend(machine.abort_forced());
-                }
-                PartEffect::Finished { committed } => {
-                    part.resolved = Some(committed);
-                }
-            }
-        }
-        if crash_after == Some(steps) {
-            state.parts[i].up = false;
-            state.parts[i].machine = None;
-            state.parts[i].resolved = None;
-        }
-        steps
-    }
-
-    // ---- restart ---------------------------------------------------------
-
-    /// Restarts the coordinator: rebuild the CT from the log, resume phase
-    /// two if a `committing` record survives (§2.2.3), presume abort
-    /// otherwise.
-    fn restart_coord(&self, mut state: State) -> State {
-        state.record("restart coordinator".to_string());
-        state.coord.up = true;
-        match state.coord.log.recovered_cstate(self.aid) {
-            Some((true, _)) => {
-                state.coord.done = true;
-                state.coord.machine = None;
-                state.coord.finished = Some(true);
-            }
-            Some((false, gids)) => {
-                let (machine, effects) = Coordinator::resume_committing(self.aid, gids);
-                state.coord.machine = Some(machine);
-                for effect in effects {
-                    if let CoordEffect::Send { to, msg } = effect {
-                        state.inflight.push(Envelope {
-                            from: COORD,
-                            to,
-                            msg,
-                        });
-                    }
-                }
-            }
-            None => {
-                // No coordinator trace: the action is forgotten and queries
-                // get "aborted" — unless it committed locally, which
-                // recovery sees as an ordinary committed participant.
-                state.coord.machine = None;
-                state.coord.done = false;
-                if state.coord.log.has_committed(self.aid) {
-                    state.coord.finished = Some(true);
-                }
-            }
-        }
-        state
-    }
-
-    /// Restarts a participant: rebuild the PT from the log; an in-doubt
-    /// prepare resumes by querying the coordinator (§2.2.2).
-    fn restart_part(&self, mut state: State, i: usize) -> State {
-        state.record(format!("restart participant {}", i + 1));
-        state.parts[i].up = true;
-        match state.parts[i].log.recovered_pstate(self.aid) {
-            Some(argus_core::PState::Prepared) => {
-                let (machine, effects) = Participant::resume_in_doubt(self.aid, COORD);
-                state.parts[i].machine = Some(machine);
-                for effect in effects {
-                    if let PartEffect::Send { to, msg } = effect {
-                        state.inflight.push(Envelope {
-                            from: GuardianId(i as u32 + 1),
-                            to,
-                            msg,
-                        });
-                    }
-                }
-            }
-            Some(argus_core::PState::Committed) => {
-                state.parts[i].machine = None;
-                state.parts[i].resolved = Some(true);
-            }
-            Some(argus_core::PState::Aborted) => {
-                state.parts[i].machine = None;
-                state.parts[i].resolved = Some(false);
-            }
-            None => {
-                state.parts[i].machine = None;
-                state.parts[i].resolved = None;
-            }
-        }
-        state
-    }
-
-    // ---- quiescent recovery ----------------------------------------------
-
-    /// When the network is quiet, the timeout-driven moves fire: a preparing
-    /// coordinator aborts unilaterally, a committing/aborting coordinator
-    /// re-sends its verdict to the participants it is still awaiting, and an
-    /// in-doubt participant re-queries the coordinator.
-    fn quiesce(&self, mut state: State) -> State {
-        state.record("quiesce (timeout moves fire)".to_string());
-        if state.coord.up && !state.coord.start_pending {
-            if let Some(machine) = &mut state.coord.machine {
-                match machine.phase() {
-                    CoordPhase::Preparing => {
-                        let effects: VecDeque<CoordEffect> = machine.abort_unilaterally().into();
-                        self.run_coord_effects(&mut state, effects, None);
-                    }
-                    CoordPhase::Committing | CoordPhase::Aborting => {
-                        let verdict_commit = machine.phase() == CoordPhase::Committing;
-                        for to in machine.awaiting() {
-                            state.inflight.push(Envelope {
-                                from: COORD,
-                                to,
-                                msg: if verdict_commit {
-                                    Msg::Commit { aid: self.aid }
-                                } else {
-                                    Msg::Abort { aid: self.aid }
-                                },
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for i in 0..state.parts.len() {
-            let in_doubt = state.parts[i]
-                .machine
-                .as_ref()
-                .is_some_and(|m| m.phase() == PartPhase::Prepared);
-            if state.parts[i].up && in_doubt {
-                state.inflight.push(Envelope {
-                    from: GuardianId(i as u32 + 1),
-                    to: COORD,
-                    msg: Msg::QueryOutcome { aid: self.aid },
-                });
-            }
-        }
-        state
+    fn label(what: &str, env: &Envelope) -> String {
+        format!("{what} {} {}->{}", env.msg.kind(), env.from.0, env.to.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argus_core::LogEntry;
+
+    fn config(participants: usize, crashes: u32, drops: u32, states: usize) -> ExploreConfig {
+        ExploreConfig {
+            participants,
+            max_crashes: crashes,
+            max_drops: drops,
+            max_states: states,
+            ..ExploreConfig::default()
+        }
+    }
+
+    /// The successor of `state` whose move is `step`, checked.
+    fn take(ex: &mut Explorer, state: &State, step: &str) -> State {
+        let mut next = ex.successors(state).into_iter();
+        let next = next.find(|s| s.path.as_ref().is_some_and(|p| p.step == step));
+        let next = next.unwrap_or_else(|| panic!("no move `{step}` from {:?}", state.schedule()));
+        ex.check_state(&next);
+        next
+    }
+
+    /// Runs `steps` from the initial state.
+    fn drive(ex: &mut Explorer, steps: &[&str]) -> State {
+        let root = ex.initial_state();
+        steps
+            .iter()
+            .fold(root, |state, step| take(ex, &state, step))
+    }
+
+    /// A participant's vote is in and the coordinator's commit point is
+    /// forced: the first steps of a two-guardian commit.
+    const TO_THE_COMMIT_POINT: [&str; 5] = [
+        "commit",
+        "deliver Prepare 0->1",
+        "force 1",
+        "deliver PrepareOk 1->0",
+        "force 0",
+    ];
+
+    /// The rest of it: the commit and its acknowledgement.
+    const TO_THE_END: [&str; 3] = ["deliver Commit 0->1", "force 1", "deliver CommitAck 1->0"];
+
+    fn kinds(log: &ModelRs) -> Vec<&'static str> {
+        log.forced().iter().map(|(_, e)| e.name()).collect()
+    }
+
+    /// The flight dump a violation's text names.
+    fn dumped_schedule(violation: &str) -> std::path::PathBuf {
+        let marker = " [schedule: ";
+        let start = violation.find(marker).expect("violation names the dump") + marker.len();
+        std::path::PathBuf::from(&violation[start..violation.len() - 1])
+    }
 
     #[test]
     fn small_exploration_is_clean_and_deterministic() {
         let cfg = ExploreConfig {
-            participants: 2,
-            coordinator_participates: false,
-            max_crashes: 1,
-            max_drops: 0,
-            max_states: 50_000,
             allow_refusal: false,
-            eager_restarts: false,
+            ..config(2, 1, 0, 50_000)
         };
         let a = Explorer::new(cfg).run();
         a.assert_ok();
@@ -1248,16 +699,7 @@ mod tests {
         // Sharded-world scale: a coordinator fanning out to 8 participants
         // (the E21 world's typical cross-shard spread) with a crash budget.
         // The state cap bounds the run; hitting it is coverage, not failure.
-        let cfg = ExploreConfig {
-            participants: 8,
-            coordinator_participates: false,
-            max_crashes: 1,
-            max_drops: 0,
-            max_states: 150_000,
-            allow_refusal: true,
-            eager_restarts: false,
-        };
-        let report = Explorer::new(cfg).run();
+        let report = Explorer::new(config(8, 1, 0, 150_000)).run();
         report.assert_ok();
         assert!(report.stats.terminal_states > 0);
     }
@@ -1265,16 +707,12 @@ mod tests {
     #[test]
     fn a_local_action_is_all_or_nothing_under_every_crash() {
         // No participants: the coordinator commits locally in one forced
-        // step. Every crash point around that step must leave the action
-        // either durable and acknowledged, or invisible.
+        // step. Every crash around that step must leave the action either
+        // durable and acknowledged, or invisible.
         let cfg = ExploreConfig {
-            participants: 0,
-            coordinator_participates: true,
-            max_crashes: 2,
-            max_drops: 0,
-            max_states: 10_000,
             allow_refusal: false,
             eager_restarts: true,
+            ..config(0, 2, 0, 10_000)
         };
         let report = Explorer::new(cfg).run();
         report.assert_ok();
@@ -1285,40 +723,29 @@ mod tests {
 
     #[test]
     fn a_two_guardian_commit_is_four_messages_and_three_forced_steps() {
-        let mut ex = Explorer::new(ExploreConfig {
-            participants: 1,
-            coordinator_participates: true,
-            allow_refusal: false,
-            ..ExploreConfig::default()
-        });
-        let mut state = ex.start(ex.initial_state(), None).0;
-        for _ in 0..4 {
-            // Prepare, PrepareOk, Commit, CommitAck — none of them to self.
-            assert_eq!(state.inflight.len(), 1);
-            state = ex.deliver(state, 0, true, None).0;
-            ex.check_state(&state);
-        }
-        assert!(state.inflight.is_empty());
-        assert_eq!(state.coord.finished, Some(true));
-        // Home: data, prepared, committing, committed — one step. The
-        // participant: data + prepared, then committed.
-        let kinds = |log: &ModelLog| -> Vec<&'static str> {
-            log.entries.iter().map(|(_, e)| e.name()).collect()
-        };
+        let mut ex = Explorer::new(config(1, 1, 0, 1_000));
+        let steps = [&TO_THE_COMMIT_POINT[..], &TO_THE_END].concat();
+        let state = drive(&mut ex, &steps);
+        assert!(state.inflight.is_empty() && state.quiet());
+        assert_eq!(state.verdict, Some(true));
+        // Home: data, prepared, committing, committed — one force; `done`
+        // is staged behind it. The participant: data + prepared, then
+        // committed.
+        let home = state.nodes[0].recovery_system();
+        assert_eq!(kinds(home), ["data", "prepared", "committing", "committed"]);
         assert_eq!(
-            kinds(&state.coord.log),
-            ["data", "prepared", "committing", "committed"]
-        );
-        assert_eq!(
-            kinds(&state.parts[0].log),
+            kinds(state.nodes[1].recovery_system()),
             ["data", "prepared", "committed"]
         );
         assert!(ex.violations.is_empty(), "{:?}", ex.violations);
 
         // The check is not vacuous: a commit point split by a crash — home's
         // `prepared` durable without its verdict — is reported.
-        let mut split = ex.start(ex.initial_state(), None).0;
-        split.coord.log.append_prepared(ex.aid, 0);
+        let mut split = drive(&mut ex, &["commit"]);
+        let mut log = ModelRs::default();
+        log.stage_prepare(ex.aid, &[], &Heap::new()).unwrap();
+        log.force_staged().unwrap();
+        split.nodes[0] = Rc::new(Guardian::over(COORD, Box::new(log)));
         ex.check_state(&split);
         assert!(
             ex.violations.iter().any(|v| v.starts_with("[DOUBT]")),
@@ -1330,58 +757,65 @@ mod tests {
         }
     }
 
-    /// The flight dump a violation's text names.
-    fn dumped_schedule(violation: &str) -> std::path::PathBuf {
-        let marker = " [schedule: ";
-        let start = violation.find(marker).expect("violation names the dump") + marker.len();
-        std::path::PathBuf::from(&violation[start..violation.len() - 1])
+    #[test]
+    fn a_lost_done_restarts_phase_two_and_terminates() {
+        // Every acknowledgement is in and `done` is staged when the
+        // coordinator crashes: restart finds `committing`, re-sends the
+        // commit, is re-acknowledged by the participant that forgot the
+        // action, and finishes again.
+        let mut ex = Explorer::new(config(1, 1, 0, 1_000));
+        let steps = [
+            &TO_THE_COMMIT_POINT[..],
+            &TO_THE_END,
+            &["crash 0", "restart 0"],
+        ]
+        .concat();
+        let state = drive(&mut ex, &steps);
+        let resumed = state.nodes[0].coordinator(ex.aid).map(|c| c.phase());
+        assert_eq!(resumed, Some(CoordPhase::Committing));
+        let state = take(&mut ex, &state, "deliver Commit 0->1");
+        let state = take(&mut ex, &state, "deliver CommitAck 1->0");
+        assert!(state.quiet() && state.nodes[0].coordinator(ex.aid).is_none());
+        assert!(ex.violations.is_empty(), "{:?}", ex.violations);
     }
 
     #[test]
-    fn a_lost_done_restarts_phase_two_and_terminates() {
-        // The schedule the unforced `done` adds: every acknowledgement is
-        // in, `done` is buffered, the coordinator crashes. Restart must find
-        // `committing`, re-send the commits, be re-acknowledged and finish.
-        let mut ex = Explorer::new(ExploreConfig {
-            participants: 1,
-            allow_refusal: false,
-            ..ExploreConfig::default()
-        });
-        let mut state = ex.initial_state();
-        state = ex.start(state, None).0;
-        for _ in 0..4 {
-            // Prepare, PrepareOk, Commit, CommitAck.
-            assert_eq!(state.inflight.len(), 1);
-            state = ex.deliver(state, 0, true, None).0;
-        }
-        assert_eq!(state.coord.finished, Some(true));
-        assert!(state.coord.done_buffered && !state.coord.done);
-        state.coord.crash();
-        let mut state = ex.restart_coord(state);
-        let resumed = state.coord.machine.as_ref().expect("phase two resumes");
-        assert_eq!(resumed.phase(), CoordPhase::Committing);
-        for _ in 0..2 {
-            // Commit again, and the re-acknowledgement from the durable verdict.
-            assert_eq!(state.inflight.len(), 1);
-            state = ex.deliver(state, 0, true, None).0;
-        }
-        assert!(state.inflight.is_empty() && state.coord.done_buffered);
-        ex.check_state(&state);
+    fn a_query_inside_the_commit_point_window_is_not_answered() {
+        // The participant votes, and the coordinator stages its commit
+        // point. The participant crashes, restarts in doubt and queries; the
+        // query reaches the coordinator before the force. "Aborted" can no
+        // longer be promised and "committed" is not durable yet: no answer.
+        // The force then sends the commit.
+        let mut ex = Explorer::new(config(1, 1, 0, 1_000));
+        let steps = [
+            "commit",
+            "deliver Prepare 0->1",
+            "force 1",
+            "deliver PrepareOk 1->0",
+            "crash 1",
+            "restart 1",
+            "deliver QueryOutcome 1->0",
+        ];
+        let state = drive(&mut ex, &steps);
+        assert!(state.inflight.is_empty(), "{:?}", state.inflight);
+        assert!(state.nodes[0].has_staged());
+        let state = take(&mut ex, &state, "force 0");
+        let sent: Vec<_> = state
+            .inflight
+            .iter()
+            .map(|e| Explorer::label("", e))
+            .collect();
+        assert_eq!(sent, [" Commit 0->1"]);
+        let state = TO_THE_END
+            .iter()
+            .fold(state, |s, step| take(&mut ex, &s, step));
+        assert_eq!(state.verdict, Some(true));
         assert!(ex.violations.is_empty(), "{:?}", ex.violations);
     }
 
     #[test]
     fn refusal_schedules_abort_cleanly() {
-        let cfg = ExploreConfig {
-            participants: 2,
-            coordinator_participates: false,
-            max_crashes: 0,
-            max_drops: 0,
-            max_states: 50_000,
-            allow_refusal: true,
-            eager_restarts: false,
-        };
-        let report = Explorer::new(cfg).run();
+        let report = Explorer::new(config(2, 0, 0, 50_000)).run();
         report.assert_ok();
         assert!(report.stats.terminal_states > 0);
     }
@@ -1391,24 +825,24 @@ mod tests {
         // A hand-built bad state (a participant committed with no
         // coordinator commit point) must trip A1 and leave a schedule dump
         // whose path the violation text names.
-        let mut ex = Explorer::new(ExploreConfig {
-            participants: 1,
-            ..ExploreConfig::default()
-        });
-        let mut state = ex.start(ex.initial_state(), None).0;
-        state.record("deliver prepare 0->1".to_string());
-        state.parts[0].log.append(LogEntry::Committed {
-            aid: ex.aid,
-            prev: None,
-        });
+        let mut ex = Explorer::new(config(1, 1, 1, 1_000));
+        let mut state = drive(&mut ex, &["commit", "deliver Prepare 0->1"]);
+        let mut log = ModelRs::default();
+        log.stage_commit(ex.aid).unwrap();
+        log.force_staged().unwrap();
+        state.nodes[1] = Rc::new(Guardian::over(GuardianId(1), Box::new(log)));
         ex.check_state(&state);
-        assert!(!ex.violations.is_empty());
+        assert!(ex.violations.iter().any(|v| v.starts_with("[A1]")));
         let path = dumped_schedule(&ex.violations[0]);
         assert!(path.exists(), "flight dump {} missing", path.display());
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("deliver prepare 0->1"));
+        assert!(text.contains("deliver Prepare 0->1"));
         assert!(text.contains("violation(s) at this state"));
         let _ = std::fs::remove_file(path);
+        assert!(matches!(
+            state.nodes[1].recovery_system().forced().last(),
+            Some((_, LogEntry::Committed { .. }))
+        ));
     }
 
     #[test]
@@ -1419,13 +853,8 @@ mod tests {
         // flight, letting the coordinator commit afterwards). With the
         // coordinator fixed this must exhaust with zero violations.
         let cfg = ExploreConfig {
-            participants: 1,
-            coordinator_participates: false,
-            max_crashes: 2,
-            max_drops: 1,
-            max_states: 50_000,
-            allow_refusal: true,
             eager_restarts: true,
+            ..config(1, 2, 1, 50_000)
         };
         let report = Explorer::new(cfg).run();
         report.assert_ok();

@@ -13,10 +13,11 @@
 //!   quiesced world), is checked by [`lint_heap_quiesced`] over a volatile
 //!   heap instead of a log image.
 //! * **The bounded 2PC interleaving explorer** ([`explore::Explorer`]): a
-//!   deterministic DFS over the real `twopc` coordinator/participant state
-//!   machines that enumerates message reorderings, drops, and crash points
-//!   up to a configurable budget, asserting atomicity at every reachable
-//!   state and linting every node's log along the way.
+//!   deterministic DFS over the guardians `World` runs, stepped through
+//!   `Guardian::step` over a model log whose records are values, that
+//!   enumerates message reorderings, drops, crashes and restarts up to a
+//!   configurable budget, asserting atomicity at every reachable state and
+//!   linting every guardian's log along the way.
 //! * **The VOPR** ([`vopr`]): a seeded randomized fault-composition
 //!   explorer — one u64 seed deterministically composes message
 //!   drop/duplication/reordering, partitions with scheduled heals, guardian
@@ -55,6 +56,7 @@
 pub mod explore;
 mod image;
 mod lint;
+mod model;
 mod obs;
 pub mod sweep;
 pub mod vopr;

@@ -61,6 +61,7 @@ pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;
 pub use log::{LogFormat, LogRs};
 pub use redo::{RedoRecoveryProfile, RedoRs};
+pub use restore::RecoverCtx;
 pub use simple::SimpleLogRs;
 pub use tables::{
     CState, CoordinatorTable, MutexTable, ObjState, ObjectTable, OtEntry, PState, ParticipantTable,

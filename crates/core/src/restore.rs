@@ -99,6 +99,57 @@ impl<'h> RecoverCtx<'h> {
         self.ct.enter(aid, CState::Done);
     }
 
+    /// Applies one record of a backward scan, newest first, through the
+    /// rules below. A checkpoint's pairs are the oldest committed state:
+    /// they go to `checkpoints`, for the caller to restore once the scan is
+    /// over.
+    #[inline]
+    pub fn on_entry(
+        &mut self,
+        addr: LogAddress,
+        entry: &EntryView<'_>,
+        checkpoints: &mut Vec<(Uid, LogAddress)>,
+    ) -> RsResult<()> {
+        self.entries_examined += 1;
+        match *entry {
+            EntryView::Prepared { aid, .. } => {
+                self.on_prepared(aid);
+            }
+            EntryView::Committed { aid, .. } => self.on_committed(aid),
+            EntryView::Aborted { aid, .. } => self.on_aborted(aid),
+            EntryView::Committing { aid, gids, .. } => self.on_committing(aid, gids.to_vec()),
+            EntryView::Done { aid, .. } => self.on_done(aid),
+            EntryView::BaseCommitted { uid, value, .. } => self.on_base_committed(uid, value)?,
+            EntryView::PreparedData {
+                uid, value, aid, ..
+            } => self.on_prepared_data(uid, value, aid)?,
+            // A redo data entry is a simple data entry whose backlink a full
+            // scan does not need, and a simple one a redo entry with none.
+            EntryView::Data {
+                uid,
+                kind,
+                value,
+                aid,
+            }
+            | EntryView::DataR {
+                uid,
+                kind,
+                value,
+                aid,
+                ..
+            } => {
+                self.data_entries_read += 1;
+                self.on_data(addr, uid, kind, value, aid)?;
+            }
+            // Hybrid-log data entries carry no uid/aid; in a pure scan
+            // they can only be interpreted through the prepared entries'
+            // pairs, which the scan does not use.
+            EntryView::DataH { .. } => {}
+            EntryView::CommittedSs { cssl, .. } => checkpoints.extend(cssl.iter()),
+        }
+        Ok(())
+    }
+
     // ---- version restoration ---------------------------------------------
 
     /// Restores a *committed* version of `uid` (from a data entry of a
@@ -442,43 +493,7 @@ pub(crate) fn scan_backward<S: PageStore>(
     while let Some(item) = walk.next_entry() {
         let (addr, _seq, payload) = item?;
         let entry = decode_entry_view(payload)?;
-        ctx.entries_examined += 1;
-        match entry {
-            EntryView::Prepared { aid, .. } => {
-                ctx.on_prepared(aid);
-            }
-            EntryView::Committed { aid, .. } => ctx.on_committed(aid),
-            EntryView::Aborted { aid, .. } => ctx.on_aborted(aid),
-            EntryView::Committing { aid, gids, .. } => ctx.on_committing(aid, gids.to_vec()),
-            EntryView::Done { aid, .. } => ctx.on_done(aid),
-            EntryView::BaseCommitted { uid, value, .. } => ctx.on_base_committed(uid, value)?,
-            EntryView::PreparedData {
-                uid, value, aid, ..
-            } => ctx.on_prepared_data(uid, value, aid)?,
-            // A redo data entry is a simple data entry whose backlink a full
-            // scan does not need, and a simple one a redo entry with none.
-            EntryView::Data {
-                uid,
-                kind,
-                value,
-                aid,
-            }
-            | EntryView::DataR {
-                uid,
-                kind,
-                value,
-                aid,
-                ..
-            } => {
-                ctx.data_entries_read += 1;
-                ctx.on_data(addr, uid, kind, value, aid)?;
-            }
-            // Hybrid-log data entries carry no uid/aid; in a pure scan
-            // they can only be interpreted through the prepared entries'
-            // pairs, which the scan does not use.
-            EntryView::DataH { .. } => {}
-            EntryView::CommittedSs { cssl, .. } => deferred_cssl.extend(cssl.iter()),
-        }
+        ctx.on_entry(addr, &entry, &mut deferred_cssl)?;
         note(addr, &entry, &ctx.pt);
     }
     drop(walk);

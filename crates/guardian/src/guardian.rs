@@ -13,13 +13,14 @@ use argus_objects::{
 };
 use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, IntMap, IntSet, SimClock};
-use argus_slog::{ForceScheduler, LogAddress};
+use argus_slog::{ForceConfig, ForceScheduler, LogAddress};
 use argus_stable::FaultPlan;
 use argus_trace::Kind;
 use argus_twopc::{
     CoordEffect, CoordPhase, Coordinator, Envelope, Msg, PartEffect, PartPhase, Participant,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which stable-storage organization a guardian runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +64,7 @@ impl RsKind {
 /// the driver feeds each back as [`Input::Forced`] and the matching
 /// two-phase-commit continuation fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StagedOp {
+pub enum StagedOp {
     /// A staged prepared record; on force, `prepare_succeeded`.
     Prepare(ActionId),
     /// A staged commit record; on force, install versions and ack.
@@ -89,9 +90,10 @@ impl StagedOp {
     }
 }
 
-/// Everything that can happen to a guardian's halves of two-phase commit.
+/// Everything that can happen to a guardian's halves of two-phase commit
+/// while it is up; a restart is [`Guardian::restart`].
 #[derive(Debug)]
-pub(crate) enum Input<'a> {
+pub enum Input {
     /// A protocol message arrived.
     Message(Envelope),
     /// The client asked to commit `aid`, which ran at these guardians.
@@ -101,9 +103,6 @@ pub(crate) enum Input<'a> {
     Forced(StagedOp),
     /// The Argus-system timeout (§2.2.1): give up on `aid`'s silent voters.
     Timeout(ActionId),
-    /// Recovery rebuilt the stable state: restore the protocol tables and
-    /// resume in-doubt participants and committing coordinators.
-    Recovered(&'a RecoveryOutcome),
     /// The periodic query of §2.2.2: every in-doubt participant asks again.
     Requery,
 }
@@ -112,20 +111,20 @@ pub(crate) enum Input<'a> {
 /// order after every step. Owned by the driver and reused, so a steady-state
 /// step allocates nothing here.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub(crate) struct Effects {
+pub struct Effects {
     /// Mail to send, in order.
-    pub(crate) send: Vec<Envelope>,
+    pub send: Vec<Envelope>,
     /// One force deadline per entry the step staged.
-    pub(crate) due: Vec<u64>,
+    pub due: Vec<u64>,
     /// The final verdict of an action this guardian coordinated.
-    pub(crate) resolved: Option<(ActionId, bool)>,
+    pub resolved: Option<(ActionId, bool)>,
     /// The device crashed under the step: the guardian is down, its staged
     /// batch is gone, and the driver finishes the crash outside.
-    pub(crate) crashed: bool,
+    pub crashed: bool,
 }
 
 /// What an action does to an object once it holds the lock.
-pub(crate) enum Touch<F> {
+pub enum Touch<F> {
     /// Nothing more: the read lock is the point.
     Read,
     /// Mutate the current version of a write-locked atomic object.
@@ -169,8 +168,11 @@ pub(crate) fn tkey(aid: ActionId) -> argus_trace::Key {
 /// "When a guardian's node crashes, all processes within the guardian
 /// disappear, but a subset of the guardian's state survives" — here, the
 /// recovery system's stable log survives; everything else in this struct is
-/// volatile and is rebuilt by [`crate::World::restart`].
-pub struct Guardian {
+/// volatile and is rebuilt by [`Guardian::restart`]. A guardian over a
+/// recovery system that is a value clones into an independent copy that
+/// shares the clock, tracer and fault plan handles.
+#[derive(Clone)]
+pub struct Guardian<R: ?Sized = dyn RecoverySystem> {
     /// This guardian's identity.
     pub id: GuardianId,
     /// Volatile object memory.
@@ -179,7 +181,7 @@ pub struct Guardian {
     /// each counted one more: see [`Guardian::lock_stamp`].
     released_before: u64,
     /// The recovery system over this guardian's stable log.
-    pub(crate) rs: Box<dyn RecoverySystem>,
+    pub(crate) rs: Box<R>,
     /// The fault plan shared with the guardian's storage stack.
     pub(crate) plan: FaultPlan,
     /// Whether the node is up.
@@ -217,7 +219,7 @@ pub struct Guardian {
     abort_us: argus_obs::Timer,
     /// The directory this guardian chose for its files, if it chose one;
     /// removed when the guardian is dropped, after the log inside it.
-    _owned_dir: Option<OwnedDir>,
+    _owned_dir: Option<Arc<OwnedDir>>,
 }
 
 /// A directory under the OS temp dir that nothing can reopen once its
@@ -230,7 +232,7 @@ impl Drop for OwnedDir {
     }
 }
 
-impl std::fmt::Debug for Guardian {
+impl<R: ?Sized> std::fmt::Debug for Guardian<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Guardian")
             .field("id", &self.id)
@@ -294,30 +296,9 @@ impl Guardian {
                 Self::build(kind, provider, cfg)?
             }
         };
-        Ok(Self {
-            id,
-            heap: Heap::with_stable_root(),
-            released_before: 0,
-            rs,
-            plan,
-            up: true,
-            mos: IntMap::default(),
-            known: IntSet::default(),
-            coordinators: IntMap::default(),
-            participants: IntMap::default(),
-            next_seq: 0,
-            hk_policy: None,
-            force_sched: ForceScheduler::new(cfg.force),
-            staged: Vec::new(),
-            spare_fx: Vec::new(),
-            clock,
-            tracer,
-            prepare_us: obs.timer("twopc.prepare_us"),
-            commit_us: obs.timer("twopc.commit_us"),
-            committing_us: obs.timer("twopc.committing_us"),
-            abort_us: obs.timer("twopc.abort_us"),
-            _owned_dir: owned_dir,
-        })
+        let mut guardian = Self::assemble(id, rs, plan, clock, cfg.force, tracer, obs);
+        guardian._owned_dir = owned_dir.map(Arc::new);
+        Ok(guardian)
     }
 
     /// Builds organization `kind` over `provider`. Log organizations read
@@ -335,6 +316,80 @@ impl Guardian {
             RsKind::Shadow => Box::new(ShadowRs::create(provider)?),
             RsKind::Redo => Box::new(RedoRs::create(cached(provider))?),
         })
+    }
+
+    /// The mutation of the stable root that binds `name` to `value`.
+    pub(crate) fn bind_stable(name: &str, value: Value) -> impl FnOnce(&mut Value) {
+        let name = name.to_owned();
+        move |v| {
+            let pairs = match v {
+                Value::Seq(pairs) => pairs,
+                other => {
+                    *other = Value::Seq(Vec::new());
+                    match other {
+                        Value::Seq(pairs) => pairs,
+                        _ => unreachable!(),
+                    }
+                }
+            };
+            for pair in pairs.iter_mut() {
+                if let Value::Seq(kv) = pair {
+                    if let [Value::Str(n), slot] = kv.as_mut_slice() {
+                        if *n == name {
+                            *slot = value;
+                            return;
+                        }
+                    }
+                }
+            }
+            pairs.push(Value::Seq(vec![Value::Str(name), value]));
+        }
+    }
+}
+
+impl<R: RecoverySystem + ?Sized> Guardian<R> {
+    /// A fresh guardian over `rs` outside any [`crate::World`] — its own
+    /// clock, default group commit, the thread's registry and tracer — for
+    /// a driver that steps it and applies the effects itself.
+    pub fn over(id: GuardianId, rs: Box<R>) -> Self {
+        let (tracer, obs) = (argus_trace::current(), argus_obs::current());
+        let (plan, clock, force) = (FaultPlan::new(), SimClock::new(), ForceConfig::default());
+        Self::assemble(id, rs, plan, clock, force, tracer, &obs)
+    }
+
+    fn assemble(
+        id: GuardianId,
+        rs: Box<R>,
+        plan: FaultPlan,
+        clock: SimClock,
+        force: ForceConfig,
+        tracer: argus_trace::Tracer,
+        obs: &argus_obs::Registry,
+    ) -> Self {
+        Self {
+            id,
+            heap: Heap::with_stable_root(),
+            released_before: 0,
+            rs,
+            plan,
+            up: true,
+            mos: IntMap::default(),
+            known: IntSet::default(),
+            coordinators: IntMap::default(),
+            participants: IntMap::default(),
+            next_seq: 0,
+            hk_policy: None,
+            force_sched: ForceScheduler::new(force),
+            staged: Vec::new(),
+            spare_fx: Vec::new(),
+            clock,
+            tracer,
+            prepare_us: obs.timer("twopc.prepare_us"),
+            commit_us: obs.timer("twopc.commit_us"),
+            committing_us: obs.timer("twopc.committing_us"),
+            abort_us: obs.timer("twopc.abort_us"),
+            _owned_dir: None,
+        }
     }
 
     /// Whether the node is up.
@@ -366,42 +421,14 @@ impl Guardian {
         None
     }
 
-    /// The mutation of the stable root that binds `name` to `value`.
-    pub(crate) fn bind_stable(name: &str, value: Value) -> impl FnOnce(&mut Value) {
-        let name = name.to_owned();
-        move |v| {
-            let pairs = match v {
-                Value::Seq(pairs) => pairs,
-                other => {
-                    *other = Value::Seq(Vec::new());
-                    match other {
-                        Value::Seq(pairs) => pairs,
-                        _ => unreachable!(),
-                    }
-                }
-            };
-            for pair in pairs.iter_mut() {
-                if let Value::Seq(kv) = pair {
-                    if let [Value::Str(n), slot] = kv.as_mut_slice() {
-                        if *n == name {
-                            *slot = value;
-                            return;
-                        }
-                    }
-                }
-            }
-            pairs.push(Value::Seq(vec![Value::Str(name), value]));
-        }
-    }
-
     /// Log and device statistics for this guardian's recovery system.
     pub fn log_stats(&self) -> LogStats {
         self.rs.log_stats()
     }
 
-    /// Read-only access to the recovery system (for tests).
-    pub fn recovery_system(&self) -> &dyn RecoverySystem {
-        self.rs.as_ref()
+    /// The recovery system.
+    pub fn recovery_system(&self) -> &R {
+        &self.rs
     }
 
     /// Every decoded entry of this guardian's log, oldest first, for
@@ -414,7 +441,7 @@ impl Guardian {
 
 // ---- actions: lock, then touch ---------------------------------------------
 
-impl Guardian {
+impl<R: RecoverySystem + ?Sized> Guardian<R> {
     /// Begins a top-level action originating (and coordinated) here.
     pub(crate) fn begin(&mut self) -> ActionId {
         let aid = ActionId::new(self.id, self.next_seq);
@@ -477,6 +504,20 @@ impl Guardian {
         self.heap = heap;
     }
 
+    /// Takes the lock `touch` needs on `h` for `aid` — or fails with who is
+    /// in the way, or because `h` is not of the kind `touch` needs — and
+    /// runs it. Returns whether it wrote.
+    pub fn touch<F: FnOnce(&mut Value)>(
+        &mut self,
+        aid: ActionId,
+        h: HeapId,
+        touch: Touch<F>,
+    ) -> HeapResult<bool> {
+        self.fits(h, &touch)?;
+        self.lock(aid, h, touch.mode())?;
+        self.apply(aid, h, touch)
+    }
+
     /// Runs `touch` on `h` under the lock [`Guardian::lock`] just granted
     /// and books the action here: it is known, and what it wrote joins its
     /// MOS. Returns whether it wrote.
@@ -526,11 +567,11 @@ impl Guardian {
 
 // ---- two-phase commit: one step at a time ----------------------------------
 
-impl Guardian {
+impl<R: RecoverySystem + ?Sized> Guardian<R> {
     /// Runs one transition of this guardian's halves of two-phase commit and
     /// gathers what it asks of the outside world into `fx`. A down guardian
     /// does nothing. On `Err` the effects gathered so far still stand.
-    pub(crate) fn step(&mut self, input: Input<'_>, fx: &mut Effects) -> WorldResult<()> {
+    pub fn step(&mut self, input: Input, fx: &mut Effects) -> WorldResult<()> {
         if !self.up {
             return Ok(());
         }
@@ -542,7 +583,6 @@ impl Guardian {
             }
             Input::Forced(op) => self.forced(op, fx),
             Input::Timeout(aid) => self.coord_step(aid, Coordinator::abort_unilaterally_into, fx),
-            Input::Recovered(outcome) => self.recovered(outcome, fx),
             Input::Requery => {
                 // `participants` is a hash map, and the order of sending
                 // decides which message a seeded network fault falls on.
@@ -566,7 +606,7 @@ impl Guardian {
     /// force makes every staged entry durable atomically (its last frame is
     /// its commit point, DESIGN.md deviation 11), so a crash during the force
     /// loses the whole batch, exactly as an unbatched force that crashed.
-    pub(crate) fn force(&mut self, fx: &mut Effects) -> WorldResult<Vec<(StagedOp, u64)>> {
+    pub fn force(&mut self, fx: &mut Effects) -> WorldResult<Vec<(StagedOp, u64)>> {
         if !self.up || self.staged.is_empty() {
             return Ok(Vec::new());
         }
@@ -597,21 +637,62 @@ impl Guardian {
     /// volatile buffer, so their continuations must never run (the
     /// participants never replied; two-phase commit resolves them after
     /// restart). Returns whether it was up.
-    pub(crate) fn crashed(&mut self) -> bool {
+    pub fn crashed(&mut self) -> bool {
         self.staged.clear();
         self.force_sched.flushed();
         std::mem::replace(&mut self.up, false)
     }
 
-    /// Everything in the struct but the recovery system is volatile (§2.1):
-    /// a restart starts from an empty heap and empty protocol tables.
-    pub(crate) fn lose_volatile_state(&mut self) {
+    /// Brings the node back (§2.1): the log reopens, losing what was never
+    /// forced; the volatile rest starts empty and recovery rebuilds the
+    /// heap; in-doubt participants query their coordinators (§2.2.2) and
+    /// committing coordinators restart phase two (§2.2.3). `Ok(None)`: the
+    /// device crashed under the restart, and the node stays down.
+    pub fn restart(&mut self, fx: &mut Effects) -> WorldResult<Option<RecoveryOutcome>> {
+        match self.rs.simulate_crash() {
+            Err(e) if e.is_crash() => return Ok(None),
+            reopened => reopened?,
+        }
         self.crashed();
         self.reset_heap(Heap::new());
         self.mos.clear();
         self.known.clear();
         self.coordinators.clear();
         self.participants.clear();
+        let rec_t0 = self.tracer.now();
+        let outcome = match self.rs.recover(&mut self.heap) {
+            Err(e) if e.is_crash() => return Ok(None),
+            recovered => recovered?,
+        };
+        self.tracer
+            .complete(Kind::RecoveryPass, self.id.0, None, rec_t0, &[]);
+        // A fresh log holds no stable root: re-create it.
+        if self.heap.stable_root().is_none() {
+            self.reset_heap(Heap::with_stable_root());
+        }
+        self.up = true;
+        self.recovered(&outcome, fx)?;
+        Ok(Some(outcome))
+    }
+
+    /// `aid`'s coordinator here, if it has one.
+    pub fn coordinator(&self, aid: ActionId) -> Option<&Coordinator> {
+        self.coordinators.get(&aid)
+    }
+
+    /// `aid`'s participant here, if it has one.
+    pub fn participant(&self, aid: ActionId) -> Option<&Participant> {
+        self.participants.get(&aid)
+    }
+
+    /// Whether `aid` is known here (a prepare for it is not refused).
+    pub fn knows(&self, aid: ActionId) -> bool {
+        self.known.contains(&aid)
+    }
+
+    /// Whether a step waits on the next [`Guardian::force`].
+    pub fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
     }
 
     /// What happens when `op`'s record is durable: a verdict takes effect in
@@ -769,7 +850,6 @@ impl Guardian {
                     // would by refusing a prepare (§2.2.2).
                     let now = self.clock.now();
                     let coordinator = self.coordinators.get(&aid);
-                    debug_assert!(coordinator.is_none_or(Coordinator::participates));
                     let (timer, span, gids) = match coordinator {
                         Some(c) if !c.is_local() => {
                             (&self.committing_us, Kind::CommitPoint, &c.participants[..])

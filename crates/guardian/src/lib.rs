@@ -29,7 +29,7 @@ mod tests;
 mod world;
 
 pub use error::{WorldError, WorldResult};
-pub use guardian::{Guardian, RsKind};
+pub use guardian::{Effects, Guardian, Input, RsKind, StagedOp, Touch};
 pub use network::{NetFaults, SimNetwork};
 pub use world::{MediaKind, Outcome, World, WorldConfig};
 

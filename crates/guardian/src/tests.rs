@@ -519,7 +519,7 @@ fn mail(from: u32, to: u32, msg: Msg) -> Envelope {
 }
 
 /// One step, its effects returned instead of applied.
-fn step(g: &mut Guardian, input: Input<'_>) -> Effects {
+fn step(g: &mut Guardian, input: Input) -> Effects {
     let mut fx = Effects::default();
     g.step(input, &mut fx).unwrap();
     fx
@@ -665,7 +665,7 @@ fn the_same_inputs_give_the_same_effects_step_by_step() {
 
 /// Steps `input`, then forces whatever it staged and feeds the
 /// continuations back, until nothing is staged; the mail of every step.
-fn step_to_durable(g: &mut Guardian, input: Input<'_>) -> Vec<Envelope> {
+fn step_to_durable(g: &mut Guardian, input: Input) -> Vec<Envelope> {
     let mut sent = step(g, input).send;
     while !g.staged.is_empty() {
         let mut fx = Effects::default();

@@ -370,10 +370,7 @@ impl World {
         h: HeapId,
         touch: Touch<F>,
     ) -> WorldResult<()> {
-        let guardian = self.up(g)?;
-        guardian.fits(h, &touch)?;
-        guardian.lock(aid, h, touch.mode())?;
-        guardian.apply(aid, h, touch)?;
+        self.up(g)?.touch(aid, h, touch)?;
         self.book(g, aid);
         Ok(())
     }
@@ -1152,47 +1149,27 @@ impl World {
         // Begin/End (not retroactive Complete) is safe here: every exit
         // path drops the guard, including the crash-in-recovery returns.
         let _restart_span = tracer.begin(Kind::Restart, g.0, None);
-        let guardian = self.guardian_mut(g)?;
+        let guardian = self
+            .guardians
+            .get_mut(&g)
+            .ok_or(WorldError::NoGuardian(g))?;
         guardian.plan.heal();
         if let Some(n) = arm_ops {
             guardian.plan.arm_after_ops(n);
         }
-        match guardian.rs.simulate_crash() {
-            Ok(()) => {}
-            Err(e) if e.is_crash() => {
-                // The armed second crash fired while the log was reopening
-                // (superblock read, forward scan, next epoch's write and
-                // barrier) — recovery never began.
-                timer.stop();
-                self.obs.inc("world.recovery_crashes");
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
+        let restarted = guardian.restart(&mut self.fx);
+        if guardian.up {
+            // Mail deferred past the crash flows ahead of what resumes.
+            self.net.mark_up(g);
         }
-        guardian.lose_volatile_state();
-        let rec_t0 = tracer.now();
-        let outcome = match guardian.rs.recover(&mut guardian.heap) {
-            Ok(outcome) => outcome,
-            Err(e) if e.is_crash() => {
-                // The armed second crash fired inside recovery. The node
-                // stays down with whatever the device already holds; a
-                // plain restart picks it up from there.
-                timer.stop();
-                self.obs.inc("world.recovery_crashes");
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
+        self.apply(g);
+        let Some(outcome) = restarted? else {
+            // The armed second crash fired as the log reopened or inside
+            // recovery; a plain restart picks up from what the device holds.
+            timer.stop();
+            self.obs.inc("world.recovery_crashes");
+            return Ok(None);
         };
-        tracer.complete(Kind::RecoveryPass, g.0, None, rec_t0, &[]);
-        // If recovery found nothing (fresh log), re-create the stable root.
-        if guardian.heap.stable_root().is_none() {
-            guardian.reset_heap(argus_objects::Heap::with_stable_root());
-        }
-        guardian.up = true;
-        // Mail deferred past the crash flows again ahead of what the resumed
-        // in-doubt participants and committing coordinators now send.
-        self.net.mark_up(g);
-        self.step(g, Input::Recovered(&outcome))?;
         self.run_until_quiet()?;
         // A node coming back may be the coordinator some other guardian's
         // in-doubt participant is waiting on; model the periodic query of
@@ -1255,7 +1232,7 @@ impl World {
     /// one step, and what it asks for is applied before anything else runs —
     /// also when the step fails, as the mail it gathered before failing
     /// was on its way already.
-    fn step(&mut self, g: GuardianId, input: Input<'_>) -> WorldResult<()> {
+    fn step(&mut self, g: GuardianId, input: Input) -> WorldResult<()> {
         let Some(guardian) = self.guardians.get_mut(&g) else {
             return Ok(());
         };

@@ -111,7 +111,7 @@ pub type HeapResult<T> = Result<T, HeapError>;
 /// [`Heap::restore_base`], [`Heap::restore_current`] and
 /// [`Heap::restore_mutex_value`], and [`Heap::insert_with_uid`] indexes
 /// whatever locks a restored body already carries.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Heap {
     slots: Vec<Option<ObjectSlot>>,
     by_uid: IntMap<Uid, HeapId>,

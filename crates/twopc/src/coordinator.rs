@@ -36,17 +36,14 @@ pub enum CoordEffect {
         msg: Msg,
     },
     /// Force the commit point, then call
-    /// [`Coordinator::committing_forced`]. What the commit point is follows
-    /// from the participant set. A coordinator that does not take part
-    /// ([`Coordinator::participates`] is false) forces the `committing`
-    /// record (§2.2.1). One whose guardian is a participant forces *the
-    /// whole commit point at home* as one step under one force: the action's
-    /// data entries, `prepared`, `committing` and the guardian's own
-    /// `committed`, after which the guardian installs the versions — its
-    /// `prepared` precedes no vote and its `committed` no acknowledgement,
-    /// so neither needs a force of its own (DESIGN.md deviation 12). A local
-    /// action ([`Coordinator::is_local`]) is that step without the
-    /// `committing` record: there is nobody to tell.
+    /// [`Coordinator::committing_forced`]: *the whole commit point at home*
+    /// as one step under one force — the action's data entries, `prepared`,
+    /// `committing` and the guardian's own `committed` — after which the
+    /// guardian installs the versions. Its `prepared` precedes no vote and
+    /// its `committed` no acknowledgement, so neither needs a force of its
+    /// own (DESIGN.md deviation 12). A local action
+    /// ([`Coordinator::is_local`]) is that step without the `committing`
+    /// record: there is nobody to tell.
     ForceCommitting,
     /// Append the `done` record to the log buffer — never forced. `done`
     /// only licenses forgetting the action: it rides the next force, and a
@@ -62,14 +59,13 @@ pub enum CoordEffect {
 }
 
 /// The coordinator of one top-level action.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Coordinator {
     /// The action being committed.
     pub aid: ActionId,
-    /// Every guardian involved, sorted. May include the coordinator's own
-    /// guardian ([`Coordinator::participates`]): it is listed — the
-    /// `committing` record names every participant — but the coordinator
-    /// neither writes to it nor waits for it.
+    /// Every guardian involved, sorted, the coordinator's own included: it
+    /// is listed — the `committing` record names every participant — but
+    /// the coordinator neither writes to it nor waits for it.
     pub participants: Vec<GuardianId>,
     phase: CoordPhase,
     /// Remote participants whose reply is outstanding, sorted.
@@ -81,13 +77,16 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Sorts and dedups a participant list. A guardian an action both read
-    /// and wrote at must take part in the protocol exactly once: a
-    /// duplicate entry would mean duplicate prepare/commit/abort sends
-    /// every round (the `waiting` set would still settle, hiding the
-    /// waste), so the constructors normalize deterministically rather than
-    /// trusting every caller to.
-    fn normalize(mut participants: Vec<GuardianId>) -> Vec<GuardianId> {
+    /// Lists the coordinator's own guardian, sorts and dedups a participant
+    /// list. A guardian an action both read and wrote at must take part in
+    /// the protocol exactly once: a duplicate entry would mean duplicate
+    /// prepare/commit/abort sends every round (the `waiting` set would
+    /// still settle, hiding the waste), so the constructors normalize
+    /// deterministically rather than trusting every caller to.
+    fn normalize(aid: ActionId, mut participants: Vec<GuardianId>) -> Vec<GuardianId> {
+        if !participants.contains(&aid.coordinator) {
+            participants.push(aid.coordinator);
+        }
         participants.sort_unstable();
         participants.dedup();
         participants
@@ -96,7 +95,7 @@ impl Coordinator {
     fn in_phase(aid: ActionId, participants: Vec<GuardianId>, phase: CoordPhase) -> Self {
         let mut coord = Self {
             aid,
-            participants: Self::normalize(participants),
+            participants: Self::normalize(aid, participants),
             phase,
             waiting: Vec::new(),
             point_requested: phase != CoordPhase::Preparing,
@@ -115,8 +114,8 @@ impl Coordinator {
 
     /// Resumes a coordinator from a recovered `committing` CT entry: phase
     /// two restarts by re-sending commit messages to the remote participants
-    /// (§2.2.3) — the coordinator's own guardian, if listed, recovered its
-    /// `committed` from the same force. The recovered participant list is
+    /// (§2.2.3) — the coordinator's own guardian recovered its `committed`
+    /// from the same force. The recovered participant list is
     /// normalized like [`Coordinator::new`]'s.
     pub fn resume_committing(
         aid: ActionId,
@@ -141,17 +140,8 @@ impl Coordinator {
         self.waiting.clone()
     }
 
-    /// Whether the coordinator's own guardian is a participant. It then is
-    /// no party to its own protocol — no message goes to it and no reply is
-    /// awaited from it — and [`CoordEffect::ForceCommitting`] stands for its
-    /// whole commit point.
-    pub fn participates(&self) -> bool {
-        self.participants.contains(&self.aid.coordinator)
-    }
-
-    /// Whether the coordinator's own guardian is the only participant: the
-    /// special case "no remote participant" of a participating coordinator.
-    /// Its commit point needs no `committing` record and ends the protocol —
+    /// Whether the coordinator's own guardian is the only participant: no
+    /// remote participant. Its commit point needs no `committing` record and ends the protocol —
     /// one force and no message. A property of the participant set, never a
     /// configuration choice.
     pub fn is_local(&self) -> bool {
@@ -316,19 +306,14 @@ impl Coordinator {
 
     /// Aborts unilaterally — a refusal arrived, the Argus system decided a
     /// participant is unreachable (§2.2.1), or the guardian could not stage
-    /// the commit point. A participating coordinator's own guardian never
-    /// prepared: it drops the action's versions when this is decided, writes
-    /// no `aborted` record, and only the remote participants are told.
-    pub fn abort_unilaterally(&mut self) -> Vec<CoordEffect> {
-        let mut out = Vec::new();
-        self.abort_unilaterally_into(&mut out);
-        out
-    }
-
-    /// [`Coordinator::abort_unilaterally`], appending to `out`.
+    /// the commit point — appending the effects to `out`. The coordinator's
+    /// own guardian never prepared: it drops the action's versions when
+    /// this is decided, writes no `aborted` record, and only the remote
+    /// participants are told. Only a coordinator still preparing can abort:
+    /// past the commit point it is too late, and an abort already decided
+    /// is not decided again.
     pub fn abort_unilaterally_into(&mut self, out: &mut Vec<CoordEffect>) {
-        if matches!(self.phase, CoordPhase::Committing | CoordPhase::Done) {
-            // Past the commit point: aborting is no longer possible.
+        if self.phase != CoordPhase::Preparing {
             return;
         }
         obs::with(|o| {
@@ -373,15 +358,22 @@ mod tests {
             .collect()
     }
 
+    fn abort(c: &mut Coordinator) -> Vec<CoordEffect> {
+        let mut out = Vec::new();
+        c.abort_unilaterally_into(&mut out);
+        out
+    }
+
     const FINISHED_COMMITTED: [CoordEffect; 2] = [
         CoordEffect::ForceDone,
         CoordEffect::Finished { committed: true },
     ];
 
     #[test]
-    fn a_participating_coordinator_runs_the_protocol_with_the_remotes_only() {
-        let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
-        assert!(c.participates() && !c.is_local());
+    fn the_coordinator_runs_the_protocol_with_the_remotes_only() {
+        let mut c = Coordinator::new(aid(), vec![gid(1)]);
+        assert_eq!(c.participants, vec![gid(0), gid(1)]);
+        assert!(!c.is_local());
         assert_eq!(c.awaiting(), vec![gid(1)]);
         assert_eq!(sends(&c.start(), "Prepare"), vec![gid(1)]);
         // The remote's vote is the last one: home's `prepared` rides the
@@ -400,26 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn a_coordinator_that_does_not_participate_waits_on_everyone_listed() {
-        let mut c = Coordinator::new(aid(), vec![gid(1), gid(2)]);
-        assert!(!c.participates() && !c.is_local());
-        assert_eq!(sends(&c.start(), "Prepare"), vec![gid(1), gid(2)]);
-        assert!(c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() }).is_empty());
-        let effects = c.on_msg(gid(2), &Msg::PrepareOk { aid: aid() });
-        assert_eq!(effects, vec![CoordEffect::ForceCommitting]);
-        assert_eq!(
-            sends(&c.committing_forced(), "Commit"),
-            vec![gid(1), gid(2)]
-        );
-        assert!(c.on_msg(gid(2), &Msg::CommitAck { aid: aid() }).is_empty());
-        let effects = c.on_msg(gid(1), &Msg::CommitAck { aid: aid() });
-        assert_eq!(effects, FINISHED_COMMITTED);
-    }
-
-    #[test]
     fn a_local_action_commits_with_one_forced_step_and_no_message() {
         let mut c = Coordinator::new(aid(), vec![gid(0), gid(0)]);
-        assert!(c.is_local() && c.participates());
+        assert!(c.is_local());
         assert_eq!(c.start(), vec![CoordEffect::ForceCommitting]);
         assert_eq!(c.phase(), CoordPhase::Preparing);
         assert_eq!(
@@ -428,9 +403,7 @@ mod tests {
         );
         assert_eq!(c.phase(), CoordPhase::Done);
         assert!(c.awaiting().is_empty());
-        // A sole participant that is not the coordinator's guardian still
-        // needs the protocol.
-        assert!(!Coordinator::new(aid(), vec![gid(1)]).is_local());
+        assert!(Coordinator::new(aid(), Vec::new()).is_local());
     }
 
     #[test]
@@ -438,7 +411,7 @@ mod tests {
         let mut c = Coordinator::new(aid(), vec![gid(0)]);
         c.start();
         assert_eq!(
-            c.abort_unilaterally(),
+            abort(&mut c),
             vec![CoordEffect::Finished { committed: false }]
         );
         assert_eq!(c.phase(), CoordPhase::Aborted);
@@ -463,7 +436,7 @@ mod tests {
         let mut c = Coordinator::new(aid(), vec![gid(0), gid(1)]);
         c.start();
         c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
-        assert_eq!(sends(&c.abort_unilaterally(), "Abort"), vec![gid(1)]);
+        assert_eq!(sends(&abort(&mut c), "Abort"), vec![gid(1)]);
         assert_eq!(c.phase(), CoordPhase::Aborting);
     }
 
@@ -525,8 +498,23 @@ mod tests {
         c.start();
         c.on_msg(gid(1), &Msg::PrepareOk { aid: aid() });
         c.committing_forced();
-        assert!(c.abort_unilaterally().is_empty());
+        assert!(abort(&mut c).is_empty());
         assert_eq!(c.phase(), CoordPhase::Committing);
+    }
+
+    #[test]
+    fn an_abort_is_decided_once() {
+        // A second unilateral abort (a timeout after a refusal, say) used to
+        // count the abort again and re-send every `Abort`.
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let mut c = Coordinator::new(aid(), vec![gid(1), gid(2)]);
+        c.start();
+        assert_eq!(sends(&abort(&mut c), "Abort"), vec![gid(1), gid(2)]);
+        assert_eq!(c.phase(), CoordPhase::Aborting);
+        assert!(abort(&mut c).is_empty());
+        assert_eq!(c.phase(), CoordPhase::Aborting);
+        assert_eq!(reg.counter("twopc.coord.aborted").get(), 1);
     }
 
     #[test]
@@ -537,10 +525,6 @@ mod tests {
         assert_eq!(c.awaiting(), vec![gid(1)]);
         let effects = c.on_msg(gid(1), &Msg::CommitAck { aid: aid() });
         assert_eq!(effects, FINISHED_COMMITTED);
-
-        // A coordinator that does not participate re-sends to everyone.
-        let (_, effects) = Coordinator::resume_committing(aid(), vec![gid(1), gid(2)]);
-        assert_eq!(sends(&effects, "Commit"), vec![gid(1), gid(2)]);
     }
 
     #[test]

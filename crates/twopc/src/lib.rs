@@ -24,8 +24,8 @@
 //! acknowledgement, and a lost `done` is the fourth case above.
 //!
 //! §2.2 has a coordinator that is also a participant send *itself* a prepare
-//! message. Here it is no party to its own protocol
-//! ([`Coordinator::participates`], DESIGN.md deviation 12): it writes to and
+//! message. Here its guardian is always a participant and it is no party to
+//! its own protocol (DESIGN.md deviation 12): it writes to and
 //! waits for the *remote* participants only, and once their votes are in,
 //! the one [`CoordEffect::ForceCommitting`] stands for the whole commit point
 //! at its own guardian — data entries, `prepared`, `committing` and that
@@ -35,8 +35,7 @@
 //! §2.2), an abort logs nothing at the coordinator, and a guardian is never
 //! in doubt about an action it coordinates. With no remote participant
 //! ([`Coordinator::is_local`]) that step is the whole commit: no
-//! `committing`, no `done`, no message. A coordinator that is not in its own
-//! participant list runs §2.2.1 as written.
+//! `committing`, no `done`, no message.
 
 mod coordinator;
 mod msg;

@@ -49,7 +49,7 @@ pub enum PartEffect {
 }
 
 /// A participant's side of one action's two-phase commit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Participant {
     /// The action.
     pub aid: ActionId,

@@ -436,19 +436,17 @@ fn housekeeping_with_a_buffered_done_keeps_the_coordinator_records_paired() {
     }
 }
 
-/// The explorer, over the same coordinator machine the world runs: a local
-/// action (no participants) under two crashes, the distributed protocol
-/// under a crash budget — whose schedules include every coordinator crash
-/// with the unforced `done` still buffered — and the configuration the world
-/// actually builds, a coordinator whose node is a participant too (its own
-/// `prepared`, `committing` and `committed` appended by one force), satisfy
-/// A1–A4 and termination; in the last, no node is ever in doubt about an
-/// action it coordinates and no message is addressed to its sender.
+/// The explorer, over the guardians the world runs: a local action (no
+/// participants) under two crashes, and the distributed protocol under two
+/// crashes and a drop — whose schedules include every crash between a
+/// guardian's staging and its force, and a coordinator crash with its
+/// unforced `done` still staged — satisfy A1–A4 and termination; no
+/// guardian is ever in doubt about an action it coordinates and no message
+/// is addressed to its sender.
 #[test]
 fn the_explorer_accepts_the_local_path_and_a_lost_done() {
     let local = Explorer::new(ExploreConfig {
         participants: 0,
-        coordinator_participates: true,
         max_crashes: 2,
         max_drops: 0,
         max_states: 10_000,
@@ -460,23 +458,9 @@ fn the_explorer_accepts_the_local_path_and_a_lost_done() {
     assert_eq!(local.stats.depth_limited, 0, "the local space is small");
     assert!(local.stats.crash_points > 0 && local.stats.deliveries == 0);
 
-    let distributed = Explorer::new(ExploreConfig {
-        participants: 2,
-        coordinator_participates: false,
-        max_crashes: 2,
-        max_drops: 0,
-        max_states: 100_000,
-        allow_refusal: true,
-        eager_restarts: false,
-    })
-    .run();
-    distributed.assert_ok();
-    assert!(distributed.stats.terminal_states > 0);
-
     for (participants, eager_restarts) in [(1, true), (2, false)] {
-        let participating = Explorer::new(ExploreConfig {
+        let distributed = Explorer::new(ExploreConfig {
             participants,
-            coordinator_participates: true,
             max_crashes: 2,
             max_drops: 1,
             max_states: 100_000,
@@ -484,9 +468,9 @@ fn the_explorer_accepts_the_local_path_and_a_lost_done() {
             eager_restarts,
         })
         .run();
-        participating.assert_ok();
-        assert_eq!(participating.stats.depth_limited, 0, "{participants}");
-        assert!(participating.stats.crash_points > 0 && participating.stats.terminal_states > 0);
+        distributed.assert_ok();
+        assert_eq!(distributed.stats.depth_limited, 0, "{participants}");
+        assert!(distributed.stats.crash_points > 0 && distributed.stats.terminal_states > 0);
     }
 }
 
