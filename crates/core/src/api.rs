@@ -306,6 +306,8 @@ pub mod providers {
     use super::StoreProvider;
     use argus_sim::{CostModel, SimClock};
     use argus_stable::{CacheConfig, FaultPlan, MemStore, MirroredDisk, PageCache};
+    use std::path::{Path, PathBuf};
+    use std::sync::mpsc::{self, Sender};
 
     /// Produces in-memory stores sharing one clock/model/fault plan.
     #[derive(Debug, Clone)]
@@ -363,7 +365,9 @@ pub mod providers {
     /// fresh store per new log) run on a real filesystem. A stable
     /// [`argus_slog::LogRoot`] in the same directory names the active
     /// generation, so a new process can find the current log after any
-    /// number of housekeeping switches.
+    /// number of housekeeping switches. Every other generation is garbage:
+    /// the provider's reaper thread unlinks each supplanted file once the
+    /// switch is durable, and opening removes what a crash left behind.
     #[derive(Debug)]
     pub struct FileProvider {
         /// Directory the store files live in.
@@ -375,20 +379,26 @@ pub mod providers {
         /// Durability mode applied to every store file (fsync vs. O_DSYNC).
         pub mode: argus_stable::DurabilityMode,
         counter: u64,
+        /// The generation the root names.
+        active: u64,
         root: argus_slog::LogRoot<argus_stable::DurableFileStore>,
+        /// Where supplanted files go to be unlinked, and the thread that
+        /// does it; taken by `Drop`.
+        reaper: Option<(Sender<PathBuf>, std::thread::JoinHandle<()>)>,
     }
 
     impl FileProvider {
         /// Creates a provider over `dir` (created if absent) in the default
         /// [`argus_stable::DurabilityMode::Fsync`].
-        pub fn new(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
+        pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
             Self::with_mode(dir, argus_stable::DurabilityMode::default())
         }
 
         /// Creates a provider over `dir` (created if absent). The root file
-        /// is created pointing at generation 0 if it does not exist yet.
+        /// is created pointing at generation 0 if it does not exist yet;
+        /// every `log-NNNN.argus` but the active one is removed.
         pub fn with_mode(
-            dir: impl Into<std::path::PathBuf>,
+            dir: impl Into<PathBuf>,
             mode: argus_stable::DurabilityMode,
         ) -> std::io::Result<Self> {
             let dir = dir.into();
@@ -400,42 +410,42 @@ pub mod providers {
             let store =
                 argus_stable::DurableFileStore::open(&root_path, clock.clone(), model.clone())
                     .map_err(std::io::Error::other)?;
-            let root = if existed {
+            let mut root = if existed {
                 argus_slog::LogRoot::open(store).map_err(std::io::Error::other)?
             } else {
                 argus_slog::LogRoot::create(store, 0).map_err(std::io::Error::other)?
             };
-            let mut provider = Self {
-                dir,
-                clock,
-                model,
-                mode,
-                counter: 0,
-                root,
-            };
-            // Resume the counter past every generation there is or was: the
-            // files need not be numbered from 0 without a gap — a supplanted
-            // one may have been deleted — and `new_store` removes whatever
-            // already carries the number it hands out.
-            if let Some(highest) = provider.highest_generation_present()? {
-                let active = provider.active_generation()?;
-                provider.counter = 1 + highest.max(active);
-            }
-            Ok(provider)
-        }
-
-        /// The largest `n` for which a `log-NNNN.argus` file exists.
-        fn highest_generation_present(&self) -> std::io::Result<Option<u64>> {
-            let mut highest = None;
-            for entry in std::fs::read_dir(&self.dir)? {
+            let active = root.active().map_err(std::io::Error::other)?;
+            // The registry scope is the creating thread's: resolve here.
+            let reg = argus_obs::current();
+            let reaped = reg.counter("core.hk.files_reaped");
+            let failed = reg.counter("core.hk.reap_failures");
+            // Any other generation is a supplanted log whose unlink a crash
+            // cut off, or the new log of a pass that died before its switch.
+            for entry in std::fs::read_dir(&dir)? {
                 let name = entry?.file_name();
                 let number = name
                     .to_str()
                     .and_then(|name| name.strip_prefix("log-")?.strip_suffix(".argus"))
                     .and_then(|digits| digits.parse::<u64>().ok());
-                highest = highest.max(number);
+                if number.is_some_and(|n| n != active) {
+                    reap(&dir.join(name), &reaped, &failed);
+                }
             }
-            Ok(highest)
+            let (tx, rx) = mpsc::channel::<PathBuf>();
+            let thread = std::thread::Builder::new()
+                .name("argus-reaper".into())
+                .spawn(move || rx.iter().for_each(|path| reap(&path, &reaped, &failed)))?;
+            Ok(Self {
+                dir,
+                clock,
+                model,
+                mode,
+                counter: if existed { active + 1 } else { 0 },
+                active,
+                root,
+                reaper: Some((tx, thread)),
+            })
         }
 
         /// Shares a world's clock and cost model for device accounting.
@@ -451,7 +461,7 @@ pub mod providers {
         }
 
         /// The path of the `n`-th store file.
-        pub fn store_path(&self, n: u64) -> std::path::PathBuf {
+        pub fn store_path(&self, n: u64) -> PathBuf {
             self.dir.join(format!("log-{n:04}.argus"))
         }
 
@@ -475,6 +485,15 @@ pub mod providers {
         }
     }
 
+    /// Unlinks one garbage store file. A file already gone counts as
+    /// removed; one that will not go stays for the next open's sweep.
+    fn reap(path: &Path, reaped: &argus_obs::Counter, failed: &argus_obs::Counter) {
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => failed.inc(),
+            _ => reaped.inc(),
+        }
+    }
+
     impl StoreProvider for FileProvider {
         type Store = argus_stable::DurableFileStore;
 
@@ -493,10 +512,31 @@ pub mod providers {
 
         fn store_switched(&mut self) {
             // "In one atomic step, the new log supplants the old log":
-            // the root file is that step on a real filesystem.
-            self.root
-                .switch(self.counter.saturating_sub(1))
-                .expect("switch log root");
+            // the root file is that step on a real filesystem. Once it is
+            // durable, every generation below the new one is garbage — the
+            // old log, and the new log of any pass a crash cut short — and
+            // the reaper unlinks it outside the housekeeping pass.
+            let new = self.counter.saturating_sub(1);
+            self.root.switch(new).expect("switch log root");
+            if let Some((tx, _)) = &self.reaper {
+                for n in self.active..new {
+                    // A send fails only once the reaper is gone: the next
+                    // open sweeps the file instead.
+                    let _ = tx.send(self.store_path(n));
+                }
+            }
+            self.active = new;
+        }
+    }
+
+    impl Drop for FileProvider {
+        fn drop(&mut self) {
+            // Closing the channel ends the reaper once it has unlinked
+            // everything already sent.
+            if let Some((tx, thread)) = self.reaper.take() {
+                drop(tx);
+                let _ = thread.join();
+            }
         }
     }
 
@@ -548,5 +588,46 @@ pub mod providers {
         fn new_store(&mut self) -> MirroredDisk {
             MirroredDisk::new(self.plan.clone(), self.clock.clone(), self.model.clone())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::providers::FileProvider;
+    use super::StoreProvider;
+
+    #[test]
+    fn a_supplanted_file_that_will_not_go_is_counted_and_left_for_the_next_open() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let counts = || {
+            let count = |name| reg.counter(name).get();
+            (
+                count("core.hk.files_reaped"),
+                count("core.hk.reap_failures"),
+            )
+        };
+        let dir = std::env::temp_dir().join(format!("argus-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut provider = FileProvider::new(&dir).unwrap();
+        drop(provider.new_store());
+        // A non-empty directory where generation 0's file was: no unlink
+        // removes it.
+        let stuck = provider.store_path(0);
+        std::fs::remove_file(&stuck).unwrap();
+        std::fs::create_dir_all(stuck.join("inside")).unwrap();
+        drop(provider.new_store());
+        provider.store_switched();
+        drop(provider); // joins the reaper
+        assert_eq!(counts(), (0, 1));
+        assert!(stuck.is_dir());
+
+        // The next open's sweep tries again, fails again, and opens anyway.
+        let mut provider = FileProvider::new(&dir).unwrap();
+        assert_eq!(provider.active_generation().unwrap(), 1);
+        assert_eq!(counts(), (0, 2));
+        assert!(stuck.is_dir() && provider.store_path(1).is_file());
+        drop(provider);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
