@@ -302,7 +302,7 @@ fn main() {
             ));
         }
         println!("#### {entry} run metrics\n");
-        println!("{}", metrics.to_text_compact());
+        println!("{}", metrics.to_text());
     }
     if stale > 0 {
         eprintln!(

@@ -22,14 +22,6 @@ impl LockMode {
     pub fn compatible(self, other: LockMode) -> bool {
         self == LockMode::Shared && other == LockMode::Shared
     }
-
-    /// The mode as a static name, for journal events and trace spans.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockMode::Shared => "shared",
-            LockMode::Exclusive => "exclusive",
-        }
-    }
 }
 
 /// Names one lockable object in the world: a heap slot at a guardian.
@@ -138,15 +130,9 @@ impl<C> LockManager<C> {
     /// *front*: it cannot give way to later arrivals, which would have to
     /// wait behind its shared lock anyway.
     pub fn park(&mut self, key: ObjKey, waiter: Waiter<C>, upgrade: bool) {
-        // A manager is built without a registry or tracer and records
-        // into whichever are current when the request parks; borrowing
-        // them (no handle clone) keeps that to one lock per record.
-        argus_obs::with_current(|reg| {
-            reg.event(argus_obs::Event::LockBlocked {
-                mode: waiter.mode.name(),
-                holder_seq: waiter.holder.map(|h| h.seq),
-            })
-        });
+        // A manager is built without a tracer and records into the one
+        // current when the request parks; borrowing it (no handle clone)
+        // keeps that to one lock per record.
         argus_trace::with_current(|tracer| {
             tracer.instant(
                 argus_trace::Kind::LockBlocked,

@@ -200,8 +200,8 @@ pub struct VoprSummary {
     /// recorder never overwrites, so paths vary across replays.
     pub flight: Vec<String>,
     /// Every guardian's decoded log as the run left it (`None`: down, or an
-    /// organization that keeps no log) — with the trace and the journal,
-    /// what a replay must reproduce to the byte.
+    /// organization that keeps no log) — with the trace, what a replay
+    /// must reproduce to the byte.
     pub final_logs: Vec<Option<Vec<(LogAddress, LogEntry)>>>,
 }
 

@@ -70,9 +70,7 @@ impl<S: PageStore> LogIo<S> {
         &mut self,
         entry: &EntryOut<'_, V>,
     ) -> RsResult<LogAddress> {
-        let (addr, len) = self.append(entry)?;
-        self.obs.entry_written(entry.name(), len);
-        Ok(addr)
+        self.append(entry).map(|(addr, _)| addr)
     }
 }
 
@@ -220,7 +218,7 @@ pub struct OpenPass<S: PageStore, T> {
 }
 
 /// Appends an outcome entry: chained to the format's chain head if it keeps
-/// one, journalled, then applied to the format's tables.
+/// one, then applied to the format's tables.
 pub(crate) fn append_outcome<S: PageStore, F: LogFormat, V: WireField>(
     fmt: &mut F,
     io: &mut LogIo<S>,
@@ -235,7 +233,6 @@ pub(crate) fn append_outcome<S: PageStore, F: LogFormat, V: WireField>(
         prev.is_none_or(|p| p < addr),
         "outcome chain must strictly decrease: prev {prev:?} vs new {addr}"
     );
-    io.obs.outcome(entry.name(), prev.map(|a| a.0));
     if let Some(head) = fmt.chain_head() {
         *head = Some(addr);
     }
@@ -569,31 +566,9 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
         pass.new_log.force()?;
 
         let new_entries = pass.new_log.stable_count();
-        let (mode, taken) = match pass.mode {
-            HousekeepingMode::Compaction => (
-                "compaction",
-                argus_obs::Event::CompactionPass {
-                    entries_in: pass.marker,
-                    entries_out: new_entries,
-                },
-            ),
-            HousekeepingMode::Snapshot => (
-                "snapshot",
-                argus_obs::Event::SnapshotTaken {
-                    entries: new_entries,
-                    bytes: pass.new_log.stable_bytes(),
-                },
-            ),
-        };
-        let obs = &self.io.obs;
-        obs.reg.event(taken);
         let reclaimed = self.io.log.stable_count().saturating_sub(new_entries);
-        obs.hk_passes.inc();
-        obs.hk_reclaimed.add(reclaimed);
-        obs.reg.event(argus_obs::Event::HousekeepingDone {
-            mode,
-            entries_reclaimed: reclaimed,
-        });
+        self.io.obs.hk_passes.inc();
+        self.io.obs.hk_reclaimed.add(reclaimed);
 
         // "In one atomic step, the new log supplants the old log."
         self.io.log = pass.new_log;

@@ -5,7 +5,7 @@
 //! only pre-looked-up atomic handles — no name lookups per log write.
 
 use crate::tables::RecoveryOutcome;
-use argus_obs::{Counter, Event, Registry, Timer};
+use argus_obs::{Counter, Timer};
 
 /// One recovery system's metric handles.
 #[derive(Debug, Clone)]
@@ -29,7 +29,6 @@ pub(crate) struct CoreObs {
     pub recover_us: Timer,
     pub hk_begin_us: Timer,
     pub hk_finish_us: Timer,
-    pub reg: Registry,
 }
 
 impl CoreObs {
@@ -55,41 +54,21 @@ impl CoreObs {
             recover_us: reg.timer("core.recover_us"),
             hk_begin_us: reg.timer("core.hk.begin_us"),
             hk_finish_us: reg.timer("core.hk.finish_us"),
-            reg,
         }
-    }
-
-    /// Records one log entry appended (any kind).
-    pub fn entry_written(&self, kind: &'static str, bytes: u64) {
-        self.reg.event(Event::EntryWritten { kind, bytes });
     }
 
     /// Records one data entry appended.
     pub fn data_entry(&self, bytes: u64) {
         self.data_entries.inc();
         self.data_bytes.add(bytes);
-        self.entry_written("data", bytes);
-    }
-
-    /// Records one outcome entry chained (hybrid) or written (simple).
-    pub fn outcome(&self, kind: &'static str, prev: Option<u64>) {
-        self.reg.event(Event::OutcomeChained { kind, prev });
     }
 
     /// Records one finished recovery pass: the counters the thesis's E2/E3
-    /// experiments compare across schemes, plus a summary event.
+    /// experiments compare across schemes.
     pub fn recovery_pass(&self, out: &RecoveryOutcome) {
         self.recoveries.inc();
         self.entries_examined.add(out.entries_examined);
         self.data_entries_read.add(out.data_entries_read);
         self.chain_hops.add(out.chain_hops);
-        self.reg.event(Event::RecoveryPass {
-            entries_examined: out.entries_examined,
-            data_entries_read: out.data_entries_read,
-            chain_hops: out.chain_hops,
-            pt_size: out.pt.len() as u64,
-            ot_size: out.ot.len() as u64,
-            ct_size: out.ct.len() as u64,
-        });
     }
 }

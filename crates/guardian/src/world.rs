@@ -605,10 +605,6 @@ impl World {
                 .max_by_key(|a| self.live.get(a).map_or(0, |l| l.order))
                 .unwrap_or(start);
             self.wobs.cc_victims.inc();
-            self.obs.event(argus_obs::Event::DeadlockVictim {
-                victim_seq: victim.seq,
-                cycle_len: cycle.len() as u64,
-            });
             self.tracer.instant(
                 Kind::DeadlockVictim,
                 victim.coordinator.0,
@@ -681,10 +677,6 @@ impl World {
                 locked.expect("the lock is grantable");
                 let waited = self.clock.now().saturating_sub(waiter.parked_at);
                 self.wobs.cc_wait_us.record(waited);
-                self.obs.event(argus_obs::Event::LockGranted {
-                    mode: waiter.mode.name(),
-                    waited_us: waited,
-                });
                 self.tracer.complete(
                     Kind::LockWait,
                     key.gid.0,
@@ -768,7 +760,7 @@ impl World {
 
     /// Why the scheduler gave up on `aid`, if it did — once: the fate is
     /// the slot driver's to take, and a second call answers `None`. A
-    /// deadlock leaves its `DeadlockVictim` journal event and the
+    /// deadlock leaves its `deadlock_victim` trace instant and the
     /// `cc.deadlocks`/`cc.victims` counts behind, nothing per action.
     pub fn take_cc_fate(&mut self, aid: ActionId) -> Option<CcFate> {
         self.cc_fates.remove(&aid)
@@ -881,15 +873,28 @@ impl World {
 
     /// One housekeeping pass at `g`; `Ok(false)` when the fault plan fired
     /// mid-pass — the node goes down with the old log still authoritative
-    /// (the switch is the last step).
+    /// (the switch is the last step). A finished pass is one `compaction`
+    /// or `snapshot` span: the forced entries the new log holds, and how
+    /// many fewer than the old one held when the pass was asked for.
     fn housekeeping_pass(&mut self, g: GuardianId, mode: HousekeepingMode) -> WorldResult<bool> {
         // Housekeeping snapshots and truncates the log; staged entries must
         // reach it first.
         self.flush_staged(g)?;
+        let start = self.clock.now();
         // Split borrow: the recovery system reads the heap during snapshot.
         let Guardian { rs, heap, .. } = self.up(g)?;
+        let before = rs.log_stats().entries;
         match rs.housekeeping(heap, mode) {
-            Ok(()) => Ok(true),
+            Ok(()) => {
+                let after = rs.log_stats().entries;
+                let kind = match mode {
+                    HousekeepingMode::Compaction => Kind::Compaction,
+                    HousekeepingMode::Snapshot => Kind::Snapshot,
+                };
+                let args = [after, before.saturating_sub(after)];
+                self.tracer.complete(kind, g.0, None, start, &args);
+                Ok(true)
+            }
             Err(e) if e.is_crash() => {
                 self.mark_crashed(g);
                 Ok(false)

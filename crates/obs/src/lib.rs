@@ -11,13 +11,12 @@
 //!   [`argus_sim::SimClock`]: a held histogram-plus-clock handle for hot
 //!   paths (2PC phases, log forces, prepares), a by-name guard for cold
 //!   ones (restart, housekeeping);
-//! * [`Journal`] / [`Event`] — a bounded ring buffer of typed events (entry
-//!   written, outcome chained, chain hop followed, data entry read during
-//!   recovery, snapshot taken, compaction pass, crash fired, mirror repair);
 //! * [`Report`] — text (markdown tables) and JSON exporters over one
-//!   registry snapshot;
-//! * [`bench`] — a zero-dependency benchmark harness (warmup, N iterations,
-//!   min/median/p95 over the sim clock) replacing `criterion`.
+//!   registry snapshot.
+//!
+//! It keeps numbers only. What happened, in order — a log opened, a crash
+//! fired, a mirror repaired a page, a housekeeping pass, every lock wait and
+//! protocol step — is an event of `argus-trace`'s one catalogue.
 //!
 //! ## Global or injected
 //!
@@ -45,19 +44,14 @@
 //! println!("{}", reg.report().to_text());
 //! ```
 
-pub mod bench;
 mod counter;
 mod hist;
-mod journal;
 mod registry;
 mod report;
 mod table;
 
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram};
-pub use journal::{Event, EventRecord, Journal};
-pub use registry::{
-    current, global, with_current, PhaseTimer, Registry, ScopedRegistry, ThreadHandles, Timer,
-};
+pub use registry::{current, global, PhaseTimer, Registry, ScopedRegistry, ThreadHandles, Timer};
 pub use report::Report;
 pub use table::{write_grid, Table};

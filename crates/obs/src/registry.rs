@@ -1,17 +1,13 @@
-//! The metric registry: named counters, histograms, phase timers, and the
-//! event journal, resolvable globally or per-scope.
+//! The metric registry: named counters, histograms and phase timers,
+//! resolvable globally or per-scope.
 
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::journal::{Event, Journal};
 use crate::report::Report;
 use argus_sim::SimClock;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Default event-journal capacity.
-const JOURNAL_CAP: usize = 4096;
 
 /// One kind of named metric: the handles by name, and how many by-name
 /// resolutions have been served (counted under the lock every resolution
@@ -48,10 +44,10 @@ impl<T: Clone + Default> Named<T> {
 struct Inner {
     counters: Mutex<Named<Counter>>,
     hists: Mutex<Named<Histogram>>,
-    journal: Journal,
+    clock: Mutex<SimClock>,
 }
 
-/// A registry of named [`Counter`]s and [`Histogram`]s plus one [`Journal`].
+/// A registry of named [`Counter`]s and [`Histogram`]s.
 ///
 /// Cloning is cheap (one `Arc`). Instrumented structs resolve handles by
 /// name once, at construction, and bump plain atomics afterwards: every
@@ -104,20 +100,20 @@ impl Registry {
             inner: Arc::new(Inner {
                 counters: Named::new(),
                 hists: Named::new(),
-                journal: Journal::with_clock(JOURNAL_CAP, clock),
+                clock: Mutex::new(clock),
             }),
         }
     }
 
-    /// Replaces the clock that phase timers and journal stamps read.
-    /// Existing [`PhaseTimer`] guards keep their original clock.
+    /// Replaces the clock that phase timers read. Existing [`Timer`]s and
+    /// [`PhaseTimer`] guards keep their original clock.
     pub fn set_clock(&self, clock: SimClock) {
-        self.inner.journal.set_clock(clock);
+        *self.inner.clock.lock().unwrap() = clock;
     }
 
     /// A handle to the registry's clock.
     pub fn clock(&self) -> SimClock {
-        self.inner.journal.clock()
+        self.inner.clock.lock().unwrap().clone()
     }
 
     /// Whether `other` is a handle to this very registry. Per-thread
@@ -176,18 +172,7 @@ impl Registry {
         self.timer(name).into_guard()
     }
 
-    /// Appends `event` to the journal, stamped with the registry clock
-    /// (read under the journal's own lock — one lock per event).
-    pub fn event(&self, event: Event) {
-        self.inner.journal.record(event);
-    }
-
-    /// A handle to the event journal.
-    pub fn journal(&self) -> Journal {
-        self.inner.journal.clone()
-    }
-
-    /// Snapshots every counter, histogram, and the journal into a [`Report`].
+    /// Snapshots every counter and histogram into a [`Report`].
     pub fn report(&self) -> Report {
         let counters = self
             .inner
@@ -207,16 +192,11 @@ impl Registry {
             .iter()
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
-        Report {
-            counters,
-            hists,
-            events: self.inner.journal.snapshot(),
-            dropped_events: self.inner.journal.dropped(),
-        }
+        Report { counters, hists }
     }
 
-    /// Resets every counter, histogram, and the journal (names persist, so
-    /// already-cached handles stay live).
+    /// Resets every counter and histogram (names persist, so already-cached
+    /// handles stay live).
     pub fn reset(&self) {
         for c in self.inner.counters.lock().unwrap().by_name.values() {
             c.reset();
@@ -224,7 +204,6 @@ impl Registry {
         for h in self.inner.hists.lock().unwrap().by_name.values() {
             h.reset();
         }
-        self.inner.journal.reset();
     }
 
     /// Installs this registry as the calling thread's current registry until
@@ -343,7 +322,7 @@ pub fn current() -> Registry {
 /// Runs `f` on the current registry without cloning the handle. `f` must
 /// not [`Registry::enter`] or leave a scope: the scope stack is borrowed
 /// while it runs.
-pub fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
+fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
     CURRENT.with(|stack| match stack.borrow().last() {
         Some(reg) => f(reg),
         None => f(GLOBAL.get_or_init(Registry::new)),
@@ -451,13 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn set_clock_rebinds_timers_and_events() {
+    fn set_clock_rebinds_timers_resolved_after_it() {
         let reg = Registry::new();
         let clock = SimClock::new();
         clock.advance(77);
         reg.set_clock(clock.clone());
-        reg.event(Event::MirrorRepair { page: 1 });
-        assert_eq!(reg.journal().snapshot()[0].at_us, 77);
+        assert_eq!(reg.clock().now(), 77);
+        assert_eq!(reg.timer("t_us").now(), 77);
     }
 
     #[test]
@@ -465,11 +444,9 @@ mod tests {
         let reg = Registry::new();
         reg.inc("c1");
         reg.observe("h1_us", 9);
-        reg.event(Event::CrashFired { crash_count: 1 });
         let report = reg.report();
         assert_eq!(report.counters, vec![("c1".to_string(), 1)]);
         assert_eq!(report.hists.len(), 1);
-        assert_eq!(report.events.len(), 1);
     }
 
     #[test]
@@ -493,8 +470,7 @@ mod tests {
         c.inc();
         t.record_since(t.now());
         drop(t.start());
-        reg.event(Event::MirrorRepair { page: 1 });
-        assert_eq!(reg.lookups(), before, "handles and events resolve nothing");
+        assert_eq!(reg.lookups(), before, "handles resolve nothing");
         reg.inc("c");
         reg.observe("t_us", 1);
         drop(reg.phase("t_us"));

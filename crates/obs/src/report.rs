@@ -1,33 +1,27 @@
 //! Text and JSON exporters for a registry snapshot.
 
 use crate::hist::HistSnapshot;
-use crate::journal::EventRecord;
 use crate::table::Table;
 use std::fmt::Write as _;
 
 /// A point-in-time snapshot of one [`crate::Registry`]: every counter and
-/// histogram plus the retained tail of the event journal.
+/// histogram.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Counter name → value, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Histogram name → snapshot, sorted by name.
     pub hists: Vec<(String, HistSnapshot)>,
-    /// Retained journal events, oldest first.
-    pub events: Vec<EventRecord>,
-    /// Journal events evicted before this snapshot.
-    pub dropped_events: u64,
 }
 
 impl Report {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty() && self.events.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// Renders markdown tables in the `argus-bench` table style: a counter
-    /// table, a phase-timing table (count/min/p50/p95/max/total), and the
-    /// tail of the event journal.
+    /// table and a phase-timing table (count/min/p50/p95/max/total).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
@@ -53,60 +47,6 @@ impl Report {
                 ]);
             }
             let _ = writeln!(out, "{t}");
-        }
-        if !self.events.is_empty() {
-            let title = if self.dropped_events > 0 {
-                format!(
-                    "event journal (last {} of {})",
-                    self.events.len(),
-                    self.events.len() as u64 + self.dropped_events
-                )
-            } else {
-                format!("event journal ({} events)", self.events.len())
-            };
-            let mut t = Table::new(title);
-            t.header(["seq", "t (µs)", "event", "fields"]);
-            for record in &self.events {
-                let fields = record
-                    .event
-                    .fields()
-                    .into_iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                t.row([
-                    record.seq.to_string(),
-                    record.at_us.to_string(),
-                    record.event.name().to_string(),
-                    fields,
-                ]);
-            }
-            let _ = writeln!(out, "{t}");
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
-    }
-
-    /// Like [`Report::to_text`], but summarizes the event journal as one
-    /// line instead of a table — the per-run form the experiments binary
-    /// prints, where thousands of journal rows would drown the tables.
-    pub fn to_text_compact(&self) -> String {
-        let mut out = String::new();
-        let events = self.events.len() as u64;
-        let mut trimmed = self.clone();
-        trimmed.events.clear();
-        trimmed.dropped_events = 0;
-        if !(self.counters.is_empty() && self.hists.is_empty()) {
-            out.push_str(&trimmed.to_text());
-        }
-        if events > 0 || self.dropped_events > 0 {
-            let _ = writeln!(
-                out,
-                "journal: {} events retained, {} dropped\n",
-                events, self.dropped_events
-            );
         }
         if out.is_empty() {
             out.push_str("(no metrics recorded)\n");
@@ -143,28 +83,7 @@ impl Report {
                 s.quantile(0.95),
             );
         }
-        let _ = write!(
-            out,
-            "}},\"dropped_events\":{},\"events\":[",
-            self.dropped_events
-        );
-        for (i, record) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_us\":{},\"name\":{}",
-                record.seq,
-                record.at_us,
-                json_string(record.event.name())
-            );
-            for (k, v) in record.event.fields() {
-                let _ = write!(out, ",{}:{}", json_string(k), json_string(&v));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
+        out.push_str("}}");
         out
     }
 }
@@ -193,7 +112,6 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Event;
     use crate::registry::Registry;
 
     fn sample() -> Report {
@@ -201,23 +119,16 @@ mod tests {
         reg.add("slog.appends", 12);
         reg.observe("slog.force_us", 40);
         reg.observe("slog.force_us", 80);
-        reg.event(Event::ForceCompleted {
-            entries: 2,
-            stable_bytes: 128,
-        });
         reg.report()
     }
 
     #[test]
-    fn text_report_has_all_three_tables() {
+    fn text_report_has_both_tables() {
         let text = sample().to_text();
         assert!(text.contains("### counters"));
         assert!(text.contains("| slog.appends | 12    |"), "{text}");
         assert!(text.contains("### phase timings"));
         assert!(text.contains("slog.force_us"));
-        assert!(text.contains("### event journal (1 events)"));
-        assert!(text.contains("force_completed"));
-        assert!(text.contains("entries=2 stable_bytes=128"));
     }
 
     #[test]
@@ -234,8 +145,6 @@ mod tests {
         assert!(json.contains("\"slog.appends\":12"));
         assert!(json.contains("\"count\":2"));
         assert!(json.contains("\"sum\":120"));
-        assert!(json.contains("\"name\":\"force_completed\""));
-        assert!(json.contains("\"entries\":\"2\""));
         // Balanced braces/brackets (cheap well-formedness check).
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
@@ -246,16 +155,5 @@ mod tests {
     fn json_escapes_special_characters() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn dropped_events_are_reported_in_the_title() {
-        let reg = Registry::new();
-        for i in 0..5000u64 {
-            reg.event(Event::MirrorRepair { page: i });
-        }
-        let r = reg.report();
-        assert!(r.dropped_events > 0);
-        assert!(r.to_text().contains("event journal (last 4096 of 5000)"));
     }
 }

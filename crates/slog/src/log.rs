@@ -284,7 +284,8 @@ pub struct StableLog<S: PageStore> {
 }
 
 /// Cached metric handles for one log (resolved once from the scope's
-/// registry so the append path stays a plain atomic bump).
+/// registry so the append path stays a plain atomic bump), and the tracer
+/// current when it was built.
 #[derive(Debug, Clone)]
 struct SlogObs {
     appends: argus_obs::Counter,
@@ -299,7 +300,7 @@ struct SlogObs {
     discarded_bytes: argus_obs::Counter,
     entry_reads: argus_obs::Counter,
     backward_hops: argus_obs::Counter,
-    reg: argus_obs::Registry,
+    tracer: argus_trace::Tracer,
 }
 
 impl SlogObs {
@@ -318,7 +319,7 @@ impl SlogObs {
             discarded_bytes: reg.counter("slog.open.discarded_bytes"),
             entry_reads: reg.counter("slog.entry_reads"),
             backward_hops: reg.counter("slog.backward_hops"),
-            reg,
+            tracer: argus_trace::current(),
         }
     }
 }
@@ -405,16 +406,14 @@ impl<S: PageStore> StableLog<S> {
         self.epoch = sb.epoch + 1;
         self.publish()?;
         self.dev.sync()?;
-        let discarded_bytes = intact.tail - top.tail;
         self.obs.scanned_records.add(intact.count - sb.top.count);
         self.obs.scanned_bytes.add(intact.tail - sb.top.tail);
-        self.obs.discarded_bytes.add(discarded_bytes);
-        self.obs.reg.event(argus_obs::Event::LogOpened {
-            epoch: self.epoch,
-            published_tail: sb.top.tail,
-            recovered_tail: top.tail,
-            discarded_bytes,
-        });
+        self.obs.discarded_bytes.add(intact.tail - top.tail);
+        // The recovered tail is the published one plus the bytes scanned
+        // less those discarded: the two counters above carry the rest.
+        let (kind, lane) = (argus_trace::Kind::LogOpened, argus_trace::STORE_LANE);
+        let args = [self.epoch, sb.top.tail];
+        self.obs.tracer.instant(kind, lane, None, &args);
         Ok(())
     }
 
@@ -610,10 +609,6 @@ impl<S: PageStore> StableLog<S> {
         self.pending_count = 0;
         self.obs.forces.inc();
         self.obs.batch_size.record(forced);
-        self.obs.reg.event(argus_obs::Event::ForceCompleted {
-            entries: forced,
-            stable_bytes: self.stable_bytes(),
-        });
         Ok(())
     }
 
@@ -1118,21 +1113,19 @@ mod tests {
         all
     }
 
-    /// The `log_opened` events `reg` journalled, oldest first, as
-    /// `(epoch, published tail, recovered tail, discarded bytes)`.
-    fn opens(reg: &argus_obs::Registry) -> Vec<(u64, u64, u64, u64)> {
-        let events = reg.report().events.into_iter();
-        events
-            .filter_map(|r| match r.event {
-                argus_obs::Event::LogOpened {
-                    epoch,
-                    published_tail,
-                    recovered_tail,
-                    discarded_bytes,
-                } => Some((epoch, published_tail, recovered_tail, discarded_bytes)),
-                _ => None,
-            })
-            .collect()
+    /// What the last open found, as `(published tail, recovered tail,
+    /// discarded bytes)`: the tail from its `log_opened` instant on
+    /// `tracer`, the rest from the `slog.open.*` counters of `reg` — which
+    /// it resets, so the next call sees only the opens after this one.
+    fn last_open(reg: &argus_obs::Registry, tracer: &argus_trace::Tracer) -> (u64, u64, u64) {
+        let mut events = tracer.events().into_iter().rev();
+        let opened = events.find(|e| e.kind == argus_trace::Kind::LogOpened);
+        let published = opened.expect("an open was traced").args[1];
+        let count = |name| reg.counter(name).get();
+        let scanned = count("slog.open.scanned_bytes");
+        let discarded = count("slog.open.discarded_bytes");
+        reg.reset();
+        (published, published + scanned - discarded, discarded)
     }
 
     #[test]
@@ -1182,8 +1175,8 @@ mod tests {
 
     #[test]
     fn the_superblock_names_only_what_an_earlier_force_made_durable() {
-        let reg = argus_obs::Registry::new();
-        let _scope = reg.enter();
+        let (reg, tracer) = (argus_obs::Registry::new(), argus_trace::Tracer::new());
+        let _scope = (reg.enter(), tracer.enter());
         let (plan, mut log) = faulty_log();
         let superblocks = reg.counter("slog.superblock_writes");
         let published = superblocks.get();
@@ -1206,15 +1199,12 @@ mod tests {
         );
         let top = DATA_START + log.stable_bytes();
         log.reopen().unwrap();
-        let (_, published_tail, recovered_tail, discarded) = *opens(&reg).last().unwrap();
-        assert_eq!(published_tail, tail_before_force);
-        assert_eq!(recovered_tail, top);
-        assert_eq!(discarded, 0);
         assert_eq!(reg.counter("slog.open.scanned_records").get(), 1);
         assert_eq!(
             reg.counter("slog.open.scanned_bytes").get(),
             PAGE_SIZE as u64
         );
+        assert_eq!(last_open(&reg, &tracer), (tail_before_force, top, 0));
     }
 
     #[test]
@@ -1452,8 +1442,8 @@ mod tests {
 
     #[test]
     fn stale_frames_of_a_torn_force_are_never_resurrected() {
-        let reg = argus_obs::Registry::new();
-        let _scope = reg.enter();
+        let (reg, tracer) = (argus_obs::Registry::new(), argus_trace::Tracer::new());
+        let _scope = (reg.enter(), tracer.enter());
         // Pages 2, 3 and 4 take one frame each. The first force loses page 3
         // although page 4, with the end-of-force mark, landed.
         let (plan, mut log) = faulty_log();
@@ -1467,7 +1457,7 @@ mod tests {
         log.reopen().unwrap();
         assert_eq!(payloads(&mut log), vec![page_payload(0)]);
         // Page 2's frame is intact but unmarked; page 4's is out of reach.
-        assert_eq!(opens(&reg).last().unwrap().3, PAGE_SIZE as u64);
+        assert_eq!(last_open(&reg, &tracer).2, PAGE_SIZE as u64);
 
         // The same-sized appends again put ordinal 3 at page 4 — and this
         // time the crash takes that page and spares the two before it.
@@ -1482,7 +1472,7 @@ mod tests {
         // them is whole, marked and has the right ordinal: only its epoch
         // says it belongs to a force that was never acknowledged.
         assert_eq!(payloads(&mut log), vec![page_payload(0)]);
-        assert_eq!(opens(&reg).last().unwrap().3, 2 * PAGE_SIZE as u64);
+        assert_eq!(last_open(&reg, &tracer).2, 2 * PAGE_SIZE as u64);
         let again = log.force_write(&page_payload(7)).unwrap();
         log.reopen().unwrap();
         assert_eq!(payloads(&mut log), vec![page_payload(0), page_payload(7)]);
@@ -1522,8 +1512,8 @@ mod tests {
     #[test]
     fn file_store_keeps_every_acknowledged_force_and_nothing_else() {
         use argus_stable::DurableFileStore;
-        let reg = argus_obs::Registry::new();
-        let _scope = reg.enter();
+        let (reg, tracer) = (argus_obs::Registry::new(), argus_trace::Tracer::new());
+        let _scope = (reg.enter(), tracer.enter());
         let path = std::env::temp_dir().join(format!("argus-slog-file-{}", std::process::id()));
         let open_store =
             || DurableFileStore::open(&path, SimClock::new(), CostModel::fast()).unwrap();
@@ -1539,7 +1529,7 @@ mod tests {
             let mut log = StableLog::open(open_store()).unwrap();
             assert_eq!(steps_seen(&mut log), acked, "cut after call {cut}");
             // All of it below the publish bound: page 0 never moved.
-            let (_, published_tail, recovered_tail, _) = *opens(&reg).last().unwrap();
+            let (published_tail, recovered_tail, _) = last_open(&reg, &tracer);
             assert_eq!(published_tail, DATA_START, "cut after call {cut}");
             assert_eq!(recovered_tail, DATA_START + log.stable_bytes());
         }

@@ -184,9 +184,9 @@ impl FaultPlan {
             inner.crash_count += 1;
             let crash_count = inner.crash_count;
             drop(inner);
-            let obs = argus_obs::current();
-            obs.inc("stable.crashes_fired");
-            obs.event(argus_obs::Event::CrashFired { crash_count });
+            argus_obs::current().inc("stable.crashes_fired");
+            let (kind, lane) = (argus_trace::Kind::CrashFired, argus_trace::STORE_LANE);
+            argus_trace::with_current(|t| t.instant(kind, lane, None, &[crash_count]));
             Err(StorageError::Crashed)
         } else {
             Ok(())

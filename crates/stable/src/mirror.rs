@@ -37,12 +37,13 @@ pub struct MirroredDisk {
     obs: MirrorObs,
 }
 
-/// Cached metric handles for one mirrored disk.
+/// Cached metric handles for one mirrored disk, and the tracer current
+/// when it was built.
 #[derive(Debug, Clone)]
 struct MirrorObs {
     repairs: argus_obs::Counter,
     scrubs: argus_obs::Counter,
-    reg: argus_obs::Registry,
+    tracer: argus_trace::Tracer,
 }
 
 impl MirrorObs {
@@ -51,13 +52,14 @@ impl MirrorObs {
         Self {
             repairs: reg.counter("stable.mirror.repairs"),
             scrubs: reg.counter("stable.mirror.scrubs"),
-            reg,
+            tracer: argus_trace::current(),
         }
     }
 
     fn repaired(&self, page: PageNo) {
         self.repairs.inc();
-        self.reg.event(argus_obs::Event::MirrorRepair { page });
+        let (kind, lane) = (argus_trace::Kind::MirrorRepair, argus_trace::STORE_LANE);
+        self.tracer.instant(kind, lane, None, &[page]);
     }
 }
 

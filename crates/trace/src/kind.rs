@@ -57,6 +57,13 @@ catalogue! {
     PageRead => "device", "page_read", ["pno"];
     PageWrite => "device", "page_write", ["pno"];
     Readahead => "device", "readahead", ["pages", "from"];
+    // Milestones off the commit path: a log's open, an injected crash, a
+    // mirrored disk repairing a page, and one housekeeping pass per mode.
+    LogOpened => "log", "log_opened", ["epoch", "published_tail"];
+    CrashFired => "fault", "crash_fired", ["crash_count"];
+    MirrorRepair => "device", "mirror_repair", ["page"];
+    Compaction => "housekeeping", "compaction", ["entries_out", "reclaimed"];
+    Snapshot => "housekeeping", "snapshot", ["entries_out", "reclaimed"];
 }
 
 impl Kind {

@@ -1,11 +1,14 @@
 //! # argus-trace — deterministic causal tracing
 //!
-//! `argus-obs` aggregates (counters, histograms, a bounded journal); it
-//! can say *that* p99 commit latency exploded, never *why one action* took
-//! that long. This crate records the causal history itself: a span/event
+//! `argus-obs` aggregates (counters, histograms, timers); it can say
+//! *that* p99 commit latency exploded, never *why one action* took that
+//! long. This crate records the causal history itself: a span/event
 //! stream keyed by `(guardian, action)` with flow edges carried across
 //! 2PC messages, cheap enough to leave on and deterministic enough to
-//! diff — the same seed yields a byte-identical trace.
+//! diff — the same seed yields a byte-identical trace. It is the stack's
+//! one event stream: the milestones off the commit path (a log opened, a
+//! crash fired, a mirror repair, a compaction or snapshot pass) are kinds
+//! of the same catalogue.
 //!
 //! * [`Tracer`] — the bounded recorder, bound to [`argus_sim::SimClock`];
 //!   scoped per thread via [`Tracer::enter`] with a per-thread default

@@ -3,7 +3,6 @@
 use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
-use argus_obs::Event;
 use argus_trace::Kind;
 
 /// Where the coordinator stands in the protocol.
@@ -181,7 +180,6 @@ impl Coordinator {
             return out.push(CoordEffect::ForceCommitting);
         }
         let n = self.participants.len() as u64;
-        obs::with(|o| o.reg.event(Event::PrepareSent { participants: n }));
         trace_instant(Kind::PrepareSent, self.aid, &[n]);
         self.tell_remotes(Msg::Prepare { aid: self.aid }, out)
     }
@@ -284,13 +282,7 @@ impl Coordinator {
             self.phase = CoordPhase::Done;
             return out.push(CoordEffect::Finished { committed: true });
         }
-        obs::with(|o| {
-            o.coord_committed.inc();
-            o.reg.event(Event::OutcomeSent {
-                committed: true,
-                participants: self.participants.len() as u64,
-            });
-        });
+        obs::with(|o| o.coord_committed.inc());
         trace_instant(Kind::OutcomeSent, self.aid, &[1]);
         self.phase = CoordPhase::Committing;
         self.waiting = self.remotes().collect();
@@ -316,13 +308,7 @@ impl Coordinator {
         if self.phase != CoordPhase::Preparing {
             return;
         }
-        obs::with(|o| {
-            o.coord_aborted.inc();
-            o.reg.event(Event::OutcomeSent {
-                committed: false,
-                participants: self.participants.len() as u64,
-            });
-        });
+        obs::with(|o| o.coord_aborted.inc());
         trace_instant(Kind::OutcomeSent, self.aid, &[0]);
         if self.is_local() {
             // Nobody to tell.

@@ -11,7 +11,7 @@
 use argus_objects::ActionId;
 use argus_obs::{Counter, Registry, ThreadHandles};
 
-/// Every `twopc.*` counter, plus the registry for journal events.
+/// Every `twopc.*` counter.
 pub(crate) struct TwopcObs {
     pub coord_started: Counter,
     pub coord_resumed: Counter,
@@ -24,7 +24,6 @@ pub(crate) struct TwopcObs {
     pub part_prepare_refused: Counter,
     pub part_commits: Counter,
     pub part_aborts: Counter,
-    pub reg: Registry,
 }
 
 impl TwopcObs {
@@ -41,7 +40,6 @@ impl TwopcObs {
             part_prepare_refused: reg.counter("twopc.part.prepare_refused"),
             part_commits: reg.counter("twopc.part.commits"),
             part_aborts: reg.counter("twopc.part.aborts"),
-            reg: reg.clone(),
         }
     }
 }

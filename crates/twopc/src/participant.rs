@@ -3,7 +3,6 @@
 use crate::obs::{self, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
-use argus_obs::Event;
 use argus_trace::Kind;
 
 /// Where the participant stands in the protocol.
@@ -94,10 +93,7 @@ impl Participant {
     /// The local prepare finished: data entries and `prepared` record are on
     /// stable storage.
     pub fn prepare_succeeded(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| {
-            o.part_prepare_ok.inc();
-            o.reg.event(Event::VoteSent { ok: true });
-        });
+        obs::with(|o| o.part_prepare_ok.inc());
         trace_instant(Kind::VoteSent, self.aid, &[1]);
         self.phase = PartPhase::Prepared;
         vec![PartEffect::Send {
@@ -109,10 +105,7 @@ impl Participant {
     /// The local prepare could not run (lock conflict, unknown action, …):
     /// reply aborted (§2.2.2).
     pub fn prepare_failed(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| {
-            o.part_prepare_refused.inc();
-            o.reg.event(Event::VoteSent { ok: false });
-        });
+        obs::with(|o| o.part_prepare_refused.inc());
         trace_instant(Kind::VoteSent, self.aid, &[0]);
         self.phase = PartPhase::Aborted;
         vec![PartEffect::Send {

@@ -2,7 +2,7 @@
 # Offline tier-1 gate: everything a clean checkout must pass with no network.
 #
 #   scripts/verify.sh          # build + default test suite
-#   scripts/verify.sh --full   # + property suites, benches, experiments smoke
+#   scripts/verify.sh --full   # + crate unit tests, soak, bench tables, every tier below
 #   scripts/verify.sh --sweep  # + bounded deterministic crash-schedule sweep
 #   scripts/verify.sh --trace  # + trace selftest (determinism, I12, flight)
 #   scripts/verify.sh --vopr   # + seeded fault-composition batch + selftest
@@ -45,7 +45,6 @@ if [[ "${1:-}" == "--full" ]]; then
     # housekeeping included, leave the per-action rows at rest at zero and
     # the live heap bytes on a plateau (ignored in the tier-1 run).
     run cargo test -q --release --offline --test bounded_soak -- --ignored
-    run cargo build --offline --benches -p argus-bench
     # The checked-in simulated-clock tables (BENCH_E1-E17, E21) must be what
     # this tree generates, cell for cell: a change that moves a simulated
     # device operation, a force, a poll or a deadlock shows up here, and each

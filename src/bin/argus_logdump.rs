@@ -9,8 +9,9 @@
 //! ```
 
 use argus::core::{decode_entry, LogEntry};
-use argus::obs::{Event, Registry};
+use argus::obs::Registry;
 use argus::slog::{LogAddress, FORMAT_VERSION};
+use argus::trace::{Kind, Tracer};
 use std::path::PathBuf;
 
 fn describe(entry: &LogEntry) -> String {
@@ -74,9 +75,9 @@ fn main() {
 
     // On a copy: opening a log begins its next epoch on the medium, and the
     // image under inspection must stay what the crash left.
-    let reg = Registry::new();
+    let (reg, tracer) = (Registry::new(), Tracer::new());
     let opened = {
-        let _scope = reg.enter();
+        let _scope = (reg.enter(), tracer.enter());
         argus::check::open_copy(&path)
     };
     let mut log = opened.expect("open log");
@@ -86,23 +87,23 @@ fn main() {
         log.stable_count(),
         log.stable_bytes()
     );
-    // What the open found, from its own journal record.
-    for record in reg.report().events {
-        if let Event::LogOpened {
-            epoch,
-            published_tail,
-            recovered_tail,
-            discarded_bytes,
-        } = record.event
-        {
-            println!(
-                "superblock: version {FORMAT_VERSION}, epoch {}, published tail {published_tail}; \
-                 recovered tail {recovered_tail} ({} bytes of forces past the superblock, \
-                 {discarded_bytes} intact bytes beyond the last end-of-force mark dropped)",
-                epoch - 1,
-                recovered_tail - published_tail,
-            );
-        }
+    // What the open found: the superblock from its `log_opened` instant,
+    // how far past it the scan went from the counters it bumped.
+    let count = |name| reg.counter(name).get();
+    let (scanned, discarded) = (
+        count("slog.open.scanned_bytes"),
+        count("slog.open.discarded_bytes"),
+    );
+    for opened in tracer.events().iter().filter(|e| e.kind == Kind::LogOpened) {
+        let [epoch, published_tail] = opened.args;
+        println!(
+            "superblock: version {FORMAT_VERSION}, epoch {}, published tail {published_tail}; \
+             recovered tail {} ({} bytes of forces past the superblock, \
+             {discarded} intact bytes beyond the last end-of-force mark dropped)",
+            epoch - 1,
+            published_tail + scanned - discarded,
+            scanned - discarded,
+        );
     }
     println!();
 

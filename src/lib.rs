@@ -23,12 +23,13 @@
 //!   distributed-system simulator;
 //! * [`workload`] — banking / reservations / synthetic workload generators;
 //! * [`sim`] — the deterministic clock, RNG, and device cost model;
-//! * [`obs`] — the zero-dependency observability layer: counters,
-//!   histograms, phase timers on the simulated clock, the bounded event
-//!   journal, and the bench harness;
-//! * [`trace`] — deterministic causal tracing: per-action spans with 2PC
-//!   flow edges, exact latency attribution, Chrome trace-event export
-//!   (`argus-lint trace`), and the counterexample flight recorder;
+//! * [`obs`] — the zero-dependency metrics layer: counters, histograms and
+//!   phase timers on the simulated clock;
+//! * [`trace`] — deterministic causal tracing, the stack's one event
+//!   stream: per-action spans with 2PC flow edges, the milestones off the
+//!   commit path (log opened, crash fired, mirror repair, housekeeping),
+//!   exact latency attribution, Chrome trace-event export (`argus-lint
+//!   trace`), and the counterexample flight recorder;
 //! * [`check`] — the log-invariant linter (I1–I10, also the `argus-lint`
 //!   CLI), the heap stale-lock lint I11, the structural trace lint I12,
 //!   and the bounded 2PC interleaving explorer.
@@ -75,7 +76,7 @@ pub use argus_workload as workload;
 pub struct TracedRun {
     /// The Chrome trace-event export of the run's whole trace.
     pub chrome_json: String,
-    /// The run's metrics: every counter, phase timing and journal record.
+    /// The run's metrics: every counter and phase timing.
     pub report: obs::Report,
     /// The I12 trace-lint verdicts.
     pub violations: Vec<check::Violation>,

@@ -30,18 +30,13 @@ fn seq_setup(policy: CcPolicy) -> (World, GuardianId, HeapId) {
     (w, g, h)
 }
 
-/// Every deadlock the journal recorded, as `(victim_seq, cycle_len)`: the
-/// world keeps no report of its own.
-fn deadlock_victims(reg: &argus::obs::Registry) -> Vec<(u64, u64)> {
-    let records = reg.journal().snapshot().into_iter();
-    let victims = records.filter_map(|r| match r.event {
-        argus::obs::Event::DeadlockVictim {
-            victim_seq,
-            cycle_len,
-        } => Some((victim_seq, cycle_len)),
-        _ => None,
-    });
-    victims.collect()
+/// Every deadlock `tracer` recorded, as `(victim_seq, cycle_len)`: the
+/// world keeps no report of its own, and a `deadlock_victim` instant names
+/// the victim in its key and the cycle's length in its argument.
+fn deadlock_victims(tracer: &argus::trace::Tracer) -> Vec<(u64, u64)> {
+    let events = tracer.events().into_iter();
+    let victims = events.filter(|e| e.kind == argus::trace::Kind::DeadlockVictim);
+    victims.map(|e| (e.key.unwrap().seq, e.args[0])).collect()
 }
 
 fn push(k: i64) -> impl FnOnce(&mut Value) + 'static {
@@ -147,8 +142,8 @@ fn upgrade_bypasses_the_queue() {
 
 #[test]
 fn deadlock_breaks_with_the_youngest_as_victim() {
-    let reg = argus::obs::Registry::new();
-    let _scope = reg.enter();
+    let tracer = argus::trace::Tracer::new();
+    let _scope = tracer.enter();
     let (mut w, g, x) = seq_setup(CcPolicy::Blocking);
     let setup = w.begin(g).unwrap();
     let y = w.create_atomic(g, setup, Value::Seq(vec![])).unwrap();
@@ -182,7 +177,7 @@ fn deadlock_breaks_with_the_youngest_as_victim() {
         !w.cc_blocked(a1),
         "survivor still parked after victim abort"
     );
-    assert_eq!(deadlock_victims(&reg), [(a2.seq, 2)]);
+    assert_eq!(deadlock_victims(&tracer), [(a2.seq, 2)]);
 
     assert_eq!(w.commit(a1).unwrap(), Outcome::Committed);
     assert_eq!(seq_of(&w, g, x), vec![1]);
@@ -285,9 +280,9 @@ fn an_atomic_write_on_a_mutex_seizes_nothing() {
 /// guardian's heap released something, and returns at once when nothing
 /// moved at all. It must grant exactly what a pump that tries every front
 /// on every pass grants, in the same order and passes: the two leave the
-/// same journal — every deadlock victim in it — and the same Chrome trace,
-/// byte for byte, over the contended mix (blocking and timeout) and a
-/// 16-shard sharded world, three seeds each.
+/// same Chrome trace — every lock wait and deadlock victim in it — byte for
+/// byte, over the contended mix (blocking and timeout) and a 16-shard
+/// sharded world, three seeds each.
 #[test]
 fn the_remembering_pump_grants_what_trying_every_front_grants() {
     use argus::workload::{Sharded, ShardedConfig};
@@ -321,7 +316,6 @@ fn the_remembering_pump_grants_what_trying_every_front_grants() {
         w.run_until_quiet().unwrap();
         (
             stats,
-            format!("{:?}", reg.journal().snapshot()),
             argus::trace::to_chrome_json(&tracer.events()),
             reg.counter("cc.waits").get(),
         )
@@ -337,12 +331,11 @@ fn the_remembering_pump_grants_what_trying_every_front_grants() {
             let exhaustive = run(true, mix, policy, seed);
             let what = format!("{mix} {policy:?} seed {seed}");
             assert_eq!(remembering.0, exhaustive.0, "{what}: stats");
-            assert!(remembering.1 == exhaustive.1, "{what}: journal diverged");
             assert!(
-                remembering.2 == exhaustive.2,
+                remembering.1 == exhaustive.1,
                 "{what}: Chrome trace diverged"
             );
-            waits += remembering.3;
+            waits += remembering.2;
         }
     }
     assert!(
@@ -543,22 +536,17 @@ fn contended_mix_is_deterministic_across_runs() {
 /// sharded mix.
 ///
 /// Re-pinned once, when the world stopped keeping a report of every
-/// deadlock it broke: what is left of one is its `DeadlockVictim` journal
-/// event and trace instant, which name the victim and the cycle's length,
-/// not its members. The literals were taken from the old reports, reduced
-/// to those two fields, before the reports went — the same victims, in the
-/// same order. They are read from the trace: the sharded mix writes more
-/// than the journal's last 4 096 events, the trace holds 2¹⁸.
+/// deadlock it broke: what is left of one is its `deadlock_victim` trace
+/// instant, which names the victim and the cycle's length, not its
+/// members. The literals were taken from the old reports, reduced to those
+/// two fields, before the reports went — the same victims, in the same
+/// order.
 #[test]
 fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
     use argus::workload::{Sharded, ShardedConfig};
     let digest = |reg: &argus::obs::Registry, tracer: &argus::trace::Tracer| {
         assert_eq!(tracer.dropped(), 0, "the trace lost events");
-        let events = tracer.events().into_iter();
-        let victims: Vec<(u64, u64)> = events
-            .filter(|e| e.kind == argus::trace::Kind::DeadlockVictim)
-            .map(|e| (e.key.unwrap().seq, e.args[0]))
-            .collect();
+        let victims = deadlock_victims(tracer);
         assert_eq!(victims.len() as u64, reg.counter("cc.victims").get());
         let text = format!("{victims:?}");
         (victims.len(), argus::slog::crc32(text.as_bytes()))

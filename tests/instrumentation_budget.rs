@@ -2,10 +2,10 @@
 //!
 //! Between `World::begin` and the commit acknowledgement nothing resolves a
 //! metric by name — every count goes through a handle resolved when its
-//! component was built — and the journal and trace records one commit
-//! leaves behind, and the bytes the trace stores for them, are fixed: adding
-//! an event to the commit path, or a byte to its encoding, changes a literal
-//! below, so it cannot happen unnoticed.
+//! component was built — and the trace events one commit leaves behind, and
+//! the bytes the trace stores for them, are fixed: adding an event to the
+//! commit path, or a byte to its encoding, changes a literal below, so it
+//! cannot happen unnoticed.
 
 use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::{GuardianId, HeapId, Value};
@@ -73,10 +73,10 @@ impl Bench {
     }
 }
 
-/// Journal records, trace events and the trace bytes stored for them, left
-/// by `COMMITS` steady-state commits, `in_flight` at a time; asserts they
-/// resolved nothing by name.
-fn budget(kind: RsKind, in_flight: usize) -> (u64, u64, u64) {
+/// Trace events and the trace bytes stored for them, left by `COMMITS`
+/// steady-state commits, `in_flight` at a time; asserts they resolved
+/// nothing by name.
+fn budget(kind: RsKind, in_flight: usize) -> (u64, u64) {
     let reg = Registry::new();
     let tracer = Tracer::new();
     let (_r, _t) = (reg.enter(), tracer.enter());
@@ -85,7 +85,6 @@ fn budget(kind: RsKind, in_flight: usize) -> (u64, u64, u64) {
         bench.round(in_flight);
     }
     let lookups = reg.lookups();
-    let journal = reg.journal().total();
     let traced = tracer.len() as u64;
     let stored = tracer.stored_bytes() as u64;
     for _ in 0..COMMITS / in_flight as u64 {
@@ -98,7 +97,6 @@ fn budget(kind: RsKind, in_flight: usize) -> (u64, u64, u64) {
         "{kind:?}, {in_flight} in flight: by-name metric lookups on the commit path"
     );
     (
-        reg.journal().total() - journal,
         tracer.len() as u64 - traced,
         tracer.stored_bytes() as u64 - stored,
     )
@@ -106,25 +104,20 @@ fn budget(kind: RsKind, in_flight: usize) -> (u64, u64, u64) {
 
 #[test]
 fn a_steady_state_commit_resolves_nothing_by_name_and_records_a_fixed_set() {
-    // (journal records, trace events) per 1 000 commits. These actions are
-    // local (their origin is their only participant), so a commit is one
-    // staged step and one force: 7 journal records on the log organizations
-    // (four data entries, `prepared`, `committed`, one `force_completed`; the
-    // redo log adds the records of its chain-head checkpoints, one every 64
-    // commits) and 4 trace events (`commit_locally`, `force`, `force_wait`,
-    // the action span); 1 and 2 on shadowing, which journals no log entries
-    // and forces inside its one step. Eight in flight share one force:
-    // 7/8 fewer `force_completed` records and `force` spans a commit.
+    // Trace events per 1 000 commits. These actions are local (their origin
+    // is their only participant), so a commit is one staged step and one
+    // force: 4 trace events on the log organizations (`commit_locally`,
+    // `force`, `force_wait`, the action span) and 2 on shadowing, which
+    // forces inside its one step. Eight in flight share one force: 7/8
+    // fewer `force` spans a commit.
     //
-    // Re-pinned downward from 15/24 (log) and 7/16 (shadow) a commit when a
+    // Re-pinned downward from 24 (log) and 16 (shadow) a commit when a
     // local commit stopped paying for `committing`, `done`, three more
     // forces and four self-addressed messages.
     let expected = |kind: RsKind, in_flight: usize| match (kind, in_flight) {
-        (RsKind::Shadow, _) => (1_000, 2_000),
-        (RsKind::Redo, 1) => (7_015, 4_000),
-        (RsKind::Redo, _) => (6_140, 3_125),
-        (_, 1) => (7_000, 4_000),
-        (_, _) => (6_125, 3_125),
+        (RsKind::Shadow, _) => 2_000,
+        (_, 1) => 4_000,
+        (_, _) => 3_125,
     };
     // Trace bytes stored per 1 000 commits: 7.2 an event on the log
     // organizations (6.7 at eight in flight), 6.5 and 7.7 on shadowing. A
@@ -142,11 +135,11 @@ fn a_steady_state_commit_resolves_nothing_by_name_and_records_a_fixed_set() {
     };
     for kind in RsKind::ALL {
         for in_flight in [1, 8] {
-            let (journal, events, stored) = budget(kind, in_flight);
+            let (events, stored) = budget(kind, in_flight);
             assert_eq!(
-                (journal, events),
+                events,
                 expected(kind, in_flight),
-                "{kind:?}, {in_flight} in flight: (journal records, trace events) per {COMMITS} commits"
+                "{kind:?}, {in_flight} in flight: trace events per {COMMITS} commits"
             );
             assert_eq!(
                 stored,

@@ -6,15 +6,15 @@ use argus::core::providers::MemProvider;
 use argus::core::{HybridLogRs, LogEntry, RecoverySystem};
 use argus::guardian::{Outcome, RsKind, World};
 use argus::objects::{ActionId, GuardianId, Heap, ObjKind, Uid, Value};
-use argus::obs::{Event, Registry};
+use argus::obs::Registry;
 
 fn aid(n: u64) -> ActionId {
     ActionId::new(GuardianId(0), n)
 }
 
 /// The Figure 4-2/§4.3.2 scenario (see tests/scenario_hybrid.rs): the
-/// registry's recovery counters and the journal's `recovery_pass` event must
-/// match the `RecoveryOutcome` field for field.
+/// registry's recovery counters must match the `RecoveryOutcome` field for
+/// field.
 #[test]
 fn figure_4_2_metrics_agree_with_recovery_outcome() {
     let reg = Registry::new();
@@ -120,40 +120,8 @@ fn figure_4_2_metrics_agree_with_recovery_outcome() {
     );
     assert_eq!(reg.counter("core.recover.chain_hops").get(), out.chain_hops);
 
-    // The journal's recovery_pass event carries the same figures, plus the
-    // rebuilt table sizes.
-    let report = reg.report();
-    let pass = report
-        .events
-        .iter()
-        .rev()
-        .find_map(|r| match r.event {
-            Event::RecoveryPass {
-                entries_examined,
-                data_entries_read,
-                chain_hops,
-                pt_size,
-                ot_size,
-                ..
-            } => Some((
-                entries_examined,
-                data_entries_read,
-                chain_hops,
-                pt_size,
-                ot_size,
-            )),
-            _ => None,
-        })
-        .expect("a recovery_pass event was journaled");
-    assert_eq!(pass.0, out.entries_examined);
-    assert_eq!(pass.1, out.data_entries_read);
-    assert_eq!(pass.2, out.chain_hops);
-    assert_eq!(pass.3, out.pt.len() as u64);
-    assert_eq!(pass.4, out.ot.len() as u64);
     // There is no event per hop or per data entry read: the counters above
-    // and this one summary carry the totals, a restart takes no journal lock
-    // per hop, and the walk compaction shares with recovery writes nothing
-    // to the journal.
+    // carry the totals, and a restart takes no lock per hop.
 }
 
 /// A whole-world crash/restart: recovery counters must agree with the
@@ -161,8 +129,8 @@ fn figure_4_2_metrics_agree_with_recovery_outcome() {
 /// device-level `DeviceStats` page tallies.
 #[test]
 fn world_recovery_metrics_agree_with_device_stats() {
-    let reg = Registry::new();
-    let _scope = reg.enter();
+    let (reg, tracer) = (Registry::new(), argus::trace::Tracer::new());
+    let _scope = (reg.enter(), tracer.enter());
 
     let mut world = World::fast();
     let g = world.add_guardian(RsKind::Hybrid).unwrap();
@@ -235,9 +203,13 @@ fn world_recovery_metrics_agree_with_device_stats() {
     assert_eq!(restart_us.count, 1);
     assert_eq!(restart_us.sum, device.busy_us);
 
-    // World-level counters saw the crash and the restart.
+    // World-level counters saw the crash and the restart, and the trace
+    // holds one `recovery_pass` span for it.
     assert_eq!(reg.counter("world.crashes").get(), 1);
     assert_eq!(reg.counter("world.restarts").get(), 1);
+    let passes = tracer.events().into_iter();
+    let passes = passes.filter(|e| e.kind == argus::trace::Kind::RecoveryPass);
+    assert_eq!(passes.count(), 1);
 }
 
 /// One world with its own registry and tracer, stepped one scripted round
@@ -316,8 +288,8 @@ impl Lane {
 /// Several registries and tracers are live on one thread, and per-action
 /// state machines find theirs through the thread's current scope: two
 /// worlds stepped alternately must each record exactly what they record
-/// when run alone — `twopc.*`, `cc.*`, `world.*`, `slog.*`, the journal,
-/// the trace, everything.
+/// when run alone — `twopc.*`, `cc.*`, `world.*`, `slog.*`, the trace,
+/// everything.
 #[test]
 fn interleaved_worlds_keep_their_metrics_apart() {
     let solo = |steps: usize| {
@@ -342,7 +314,6 @@ fn interleaved_worlds_keep_their_metrics_apart() {
         let (got, want) = (lane.reg.report(), alone.reg.report());
         assert_eq!(got.counters, want.counters, "{steps} steps: counters");
         assert_eq!(got.hists, want.hists, "{steps} steps: histograms");
-        assert_eq!(got.events, want.events, "{steps} steps: journal");
         assert_eq!(
             lane.tracer.events(),
             alone.tracer.events(),

@@ -1,5 +1,5 @@
-//! Nothing observable moved: the seeded traced run's trace bytes, metrics
-//! and journal, pinned as literals.
+//! Nothing observable moved: the seeded traced run's trace bytes and
+//! metrics, pinned as literals.
 //!
 //! `argus-lint trace --selftest` only compares a binary with itself, so a
 //! change could rewrite every trace and stay green. These literals were
@@ -45,6 +45,11 @@
 //! fewer journal records (689 → 578) and trace bytes (189 422 → 117 706).
 //! The slowest commit round falls from 115 k to 85 k simulated µs. The three
 //! local commits' spans, records and bytes are untouched.
+//!
+//! The journal's literal went with the journal. The trace bytes and the
+//! counters above it were not re-pinned: the run opens no log from disk,
+//! fires no crash, repairs no mirror and runs no housekeeping, so none of
+//! the milestone kinds that replaced its events is in it.
 
 use argus::obs::Report;
 use argus::slog::crc32;
@@ -112,15 +117,4 @@ twopc.committing_us count=37 sum=0 min=0 max=0
 twopc.prepare_us count=37 sum=0 min=0 max=0
 "
     );
-    // The journal, in the report's own text form: 578 records, each with
-    // its sequence number, simulated timestamp, name and fields.
-    let journal = Report {
-        counters: Vec::new(),
-        hists: Vec::new(),
-        events: report.events,
-        dropped_events: report.dropped_events,
-    }
-    .to_text();
-    assert_eq!(journal.len(), 39_474);
-    assert_eq!(crc32(journal.as_bytes()), 0xdf52_ed22);
 }

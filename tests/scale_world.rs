@@ -62,8 +62,8 @@ fn sixty_four_shard_mix_quiesces_clean_under_full_lint() {
 
 /// The same 16-shard blocking mix — deadlock victims, retries, cross-shard
 /// two-phase commit — under two hasher salts (debug builds: two iteration
-/// orders of every integer-keyed table) leaves the same Chrome trace,
-/// journal and logs, byte for byte.
+/// orders of every integer-keyed table) leaves the same Chrome trace and
+/// logs, byte for byte.
 #[test]
 fn sharded_mix_does_not_depend_on_table_order() {
     let run = |salt: u64| {
@@ -119,17 +119,12 @@ fn sharded_mix_does_not_depend_on_table_order() {
                 .into_iter()
                 .map(|g| world.dump_log(g).unwrap())
                 .collect();
-            (
-                logs,
-                argus::trace::to_chrome_json(&tracer.events()),
-                format!("{:?}", reg.journal().snapshot()),
-            )
+            (logs, argus::trace::to_chrome_json(&tracer.events()))
         })
     };
     let (a, b) = (run(0), run(0xD1B5_4A32_D192_ED03));
     assert_eq!(a.0, b.0, "final logs diverged");
     assert!(a.1 == b.1, "Chrome trace diverged");
-    assert!(a.2 == b.2, "journal diverged");
 }
 
 /// Runs the same 8-shard mix in a world padded with `idle` extra guardians
