@@ -155,12 +155,12 @@ fn smoke() {
 /// on every log organization — the `scripts/verify.sh --scale` tier.
 /// Runs the zipfian cross-shard mix to completion, asserts the conservation
 /// oracles (total balance; seats account exactly for the committed
-/// reservations — the mix's legal-outcomes oracle), quiesces, then checks
-/// the world structurally: I1–I10 on every shard's log, I11 heap quiescence
-/// on every shard, I12 trace consistency. Exits non-zero (panics) on
-/// violation.
+/// reservations — the mix's legal-outcomes oracle), quiesces, then holds
+/// the world to the standing check at `Phase::Terminal`: every shard up,
+/// I1–I10 on its log, I11 on its heap, I12 on the trace. Exits non-zero
+/// (panics) on violation.
 fn scale_smoke() {
-    use argus_check::{lint_heap_quiesced, lint_log, lint_trace, LogImage};
+    use argus_check::{standing, Ledger, Phase};
     use argus_workload::ShardedConfig;
 
     for kind in RsKind::ALL {
@@ -175,20 +175,8 @@ fn scale_smoke() {
         assert_eq!(stats.committed, cfg.actions, "{kind:?}: lost actions");
         assert!(stats.cross_shard > 0, "{kind:?}: no cross-shard 2PC ran");
         world.run_until_quiet().expect("quiesce");
-        let live = world.live_actions();
-        for g in world.guardian_ids() {
-            if let Some(entries) = world.dump_log(g).expect("dump") {
-                lint_log(&LogImage::from_entries(entries)).assert_clean();
-            }
-            let heap = &world.guardian(g).expect("guardian").heap;
-            let heap_violations = lint_heap_quiesced(heap, &live);
-            assert!(
-                heap_violations.is_empty(),
-                "{g:?} heap: {heap_violations:?}"
-            );
-        }
-        let trace_violations = lint_trace(world.tracer());
-        assert!(trace_violations.is_empty(), "trace: {trace_violations:?}");
+        let problems = standing(&mut world, &Ledger::default(), Phase::Terminal);
+        assert!(problems.is_empty(), "{kind:?}: {problems:#?}");
         println!(
             "scale-smoke {kind:?}: {} commits ({} cross-shard, {} reservations) \
              across {}/{} coordinating shards, abort rate {:.1}%",

@@ -325,38 +325,6 @@ pub fn lint_trace(tracer: &argus_trace::Tracer) -> Vec<Violation> {
         .collect()
 }
 
-/// Panics with every violation listed if [`lint_trace`] found any.
-#[track_caller]
-pub fn assert_trace_consistent(tracer: &argus_trace::Tracer) {
-    let violations = lint_trace(tracer);
-    assert!(
-        violations.is_empty(),
-        "trace lint failed ({} violation(s)):\n{}",
-        violations.len(),
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-/// Panics with every violation listed if [`lint_heap_quiesced`] found any.
-#[track_caller]
-pub fn assert_heap_quiesced(heap: &Heap, live: &BTreeSet<ActionId>) {
-    let violations = lint_heap_quiesced(heap, live);
-    assert!(
-        violations.is_empty(),
-        "heap lint failed ({} violation(s)):\n{}",
-        violations.len(),
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
 /// Detects the log organization of an image (see [`Flavor`]).
 pub fn detect_flavor(image: &LogImage) -> Flavor {
     // Backlinked data entries are unique to the redo organization; check

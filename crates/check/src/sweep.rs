@@ -9,16 +9,9 @@
 //! to crash `v` at its `k`-th write — tearing the in-flight page exactly as
 //! §3.1's crash model allows — after which the node is healed, restarted
 //! (recovery runs), in-doubt actions are re-queried to quiescence, and the
-//! surviving state is checked two ways:
-//!
-//! * **structurally**: every guardian's log must pass the invariant
-//!   catalogue I1–I10 ([`crate::lint_log`]) and every heap the stale-lock
-//!   check I11 ([`crate::lint_heap_quiesced`]);
-//! * **semantically**: against the *legal-outcomes oracle*. Each workload
-//!   action's fate as observed by the client bounds what recovery may
-//!   produce — `Committed` ⇒ its writes are durable at every participant,
-//!   `Aborted` ⇒ invisible everywhere, `Pending`/interrupted ⇒ either, but
-//!   atomically (all participants agree).
+//! surviving state is held to [`crate::standing`] at [`Phase::Terminal`]:
+//! I12 on the trace, I1–I10 on every log, I11 on every heap, and the
+//! legal-outcomes oracle over each workload action's client-observed fate.
 //!
 //! With [`SweepConfig::double_crash`], every first-crash point is extended
 //! by a second sweep *through recovery itself*: the restart is re-run with
@@ -32,10 +25,11 @@
 //! crash (the *crash frontier*) before every restart, composing the
 //! Lampson–Sturgis decay model with the crash model.
 
+use crate::ledger::dump_flight;
 use crate::obs::SweepObs;
-use crate::{lint_heap_quiesced, lint_log, LogImage};
+use crate::{standing, Fate, Ledger, Phase};
 use argus_core::HousekeepingMode;
-use argus_guardian::{MediaKind, Outcome, RsKind, World, WorldConfig};
+use argus_guardian::{MediaKind, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
 use argus_sim::CostModel;
 use argus_slog::ForceConfig;
@@ -177,8 +171,8 @@ impl SweepConfig {
 /// One failing schedule point: the minimal description that reproduces it.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// The guardian whose plan was armed.
-    pub victim: GuardianId,
+    /// The guardian whose plan was armed (`None`: the un-faulted run).
+    pub victim: Option<GuardianId>,
     /// Crash at the victim's `first_write`-th page write.
     pub first_write: u64,
     /// Second crash at the `recovery_op`-th device operation of recovery,
@@ -186,20 +180,23 @@ pub struct Counterexample {
     pub recovery_op: Option<u64>,
     /// What broke: the lint violation or oracle clause that failed.
     pub problem: String,
-    /// Where the flight recorder dumped the failing schedule's full trace
-    /// (Chrome trace-event JSON), when the dump succeeded.
-    pub trace: Option<String>,
+    /// Where the flight recorder dumped the failing point (schedule text,
+    /// then Chrome trace), each dump that succeeded.
+    pub flight: Vec<String>,
 }
 
 impl std::fmt::Display for Counterexample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "crash@write[{}] of {:?}", self.first_write, self.victim)?;
+        match self.victim {
+            Some(v) => write!(f, "crash@write[{}] of {v:?}", self.first_write)?,
+            None => write!(f, "un-faulted run")?,
+        }
         if let Some(j) = self.recovery_op {
             write!(f, " + crash@recovery-op[{j}]")?;
         }
         write!(f, ": {}", self.problem)?;
-        if let Some(trace) = &self.trace {
-            write!(f, " [trace: {trace}]")?;
+        if !self.flight.is_empty() {
+            write!(f, " [flight: {}]", self.flight.join(", "))?;
         }
         Ok(())
     }
@@ -233,6 +230,28 @@ impl SweepReport {
     /// All schedule points explored, first and second crashes combined.
     pub fn total_points(&self) -> u64 {
         self.first_crash_points + self.double_crash_points
+    }
+
+    /// Files one schedule point's problems as counterexamples, each counted
+    /// once in `check.sweep.counterexamples`.
+    fn file(
+        &mut self,
+        obs: &SweepObs,
+        victim: Option<GuardianId>,
+        first_write: u64,
+        recovery_op: Option<u64>,
+        (problems, flight): (Vec<String>, Vec<String>),
+    ) {
+        for problem in problems {
+            obs.counterexamples.inc();
+            self.counterexamples.push(Counterexample {
+                victim,
+                first_write,
+                recovery_op,
+                problem,
+                flight: flight.clone(),
+            });
+        }
     }
 
     /// Panics with every counterexample when the sweep is not clean.
@@ -271,33 +290,12 @@ impl std::fmt::Display for SweepReport {
     }
 }
 
-/// The client-observed fate of one workload action — what the legal-outcomes
-/// oracle holds recovery to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    /// `commit` returned `Committed`: the writes are promised durable.
-    Committed,
-    /// The client aborted (deliberately, or giving up on a crashed node):
-    /// the writes must never become visible.
-    Aborted,
-    /// A crash interrupted two-phase commit: either fate is legal, but it
-    /// must be atomic across participants.
-    InDoubt,
-}
-
-/// One workload action's writes and observed fate.
-#[derive(Debug, Clone)]
-struct ActionRec {
-    writes: Vec<(GuardianId, &'static str, i64)>,
-    fate: Fate,
-}
-
 /// The fixed deterministic workload: six top-level actions spreading
 /// two-phase commits over three guardians with rotating coordinators, one
 /// deliberate client abort, and distinct variables per action so visibility
 /// is unambiguous. Stops early once `victim` goes down (the client gives up
 /// on the in-flight action, aborting it).
-fn run_workload(w: &mut World, gids: &[GuardianId], victim: Option<GuardianId>) -> Vec<ActionRec> {
+fn run_workload(w: &mut World, gids: &[GuardianId], victim: Option<GuardianId>) -> Ledger {
     let (g0, g1, g2) = (gids[0], gids[1], gids[2]);
     #[allow(clippy::type_complexity)]
     let script: Vec<(GuardianId, Vec<(GuardianId, &'static str, i64)>, bool)> = vec![
@@ -318,7 +316,7 @@ fn run_workload(w: &mut World, gids: &[GuardianId], victim: Option<GuardianId>) 
     ];
 
     let down = |w: &World| victim.is_some_and(|v| !w.is_up(v));
-    let mut records = Vec::new();
+    let mut ledger = Ledger::default();
     for (origin, writes, client_abort) in script {
         if down(w) {
             break;
@@ -337,18 +335,17 @@ fn run_workload(w: &mut World, gids: &[GuardianId], victim: Option<GuardianId>) 
             w.abort_local(aid);
             Fate::Aborted
         } else {
-            match w.commit(aid) {
-                Ok(Outcome::Committed) => Fate::Committed,
-                Ok(Outcome::Aborted) => Fate::Aborted,
-                Ok(Outcome::Pending) | Err(_) => Fate::InDoubt,
-            }
+            Fate::of(w.commit(aid))
         };
-        records.push(ActionRec { writes, fate });
+        let writes = writes
+            .iter()
+            .map(|(g, var, val)| (*g, (*var).to_owned(), *val));
+        ledger.record(writes.collect(), fate);
         if down(w) {
             break;
         }
     }
-    records
+    ledger
 }
 
 /// Builds a fresh world for one schedule point.
@@ -364,91 +361,6 @@ fn build_world(cfg: &SweepConfig) -> (World, Vec<GuardianId>) {
         }
     }
     (w, gids)
-}
-
-/// Checks the recovered, quiesced world structurally (I1–I12) and against
-/// the legal-outcomes oracle. Returns every violation found.
-fn check_world(w: &mut World, gids: &[GuardianId], records: &[ActionRec]) -> Vec<String> {
-    let mut problems = Vec::new();
-
-    // Structural: the recorded trace must be self-consistent (I12) — crash
-    // schedules are exactly where dangling spans would slip in.
-    for v in crate::lint_trace(w.tracer()) {
-        problems.push(format!("trace: {v}"));
-    }
-
-    // Structural: I1–I10 per log, I11 per heap.
-    let live = w.live_actions();
-    for g in gids {
-        match w.dump_log(*g) {
-            Ok(Some(entries)) => {
-                let report = lint_log(&LogImage::from_entries(entries));
-                if !report.is_clean() {
-                    problems.push(format!("{g:?} log lint: {report}"));
-                }
-            }
-            Ok(None) => {} // shadowing keeps no log
-            Err(e) => problems.push(format!("{g:?} log dump failed: {e}")),
-        }
-        if w.is_up(*g) {
-            let heap = &w.guardian(*g).expect("guardian").heap;
-            for v in lint_heap_quiesced(heap, &live) {
-                problems.push(format!("{g:?} heap: {v}"));
-            }
-        } else {
-            problems.push(format!("{g:?} still down after restart"));
-        }
-    }
-
-    // Semantic: the legal-outcomes oracle.
-    for rec in records {
-        let observed: Vec<(GuardianId, &str, Option<Value>)> = rec
-            .writes
-            .iter()
-            .map(|(g, var, _)| {
-                let v = w.guardian(*g).expect("guardian").stable_value(var);
-                (*g, *var, v)
-            })
-            .collect();
-        match rec.fate {
-            Fate::Committed => {
-                for ((g, var, got), (_, _, want)) in observed.iter().zip(&rec.writes) {
-                    if got.as_ref() != Some(&Value::Int(*want)) {
-                        problems.push(format!(
-                            "committed write {var}={want} lost at {g:?} (found {got:?})"
-                        ));
-                    }
-                }
-            }
-            Fate::Aborted => {
-                for (g, var, got) in &observed {
-                    if got.is_some() {
-                        problems.push(format!(
-                            "aborted write {var} became visible at {g:?} ({got:?})"
-                        ));
-                    }
-                }
-            }
-            Fate::InDoubt => {
-                let visible = observed.iter().filter(|(_, _, v)| v.is_some()).count();
-                if visible != 0 && visible != observed.len() {
-                    problems.push(format!(
-                        "in-doubt action resolved non-atomically: {observed:?}"
-                    ));
-                } else if visible == observed.len() {
-                    for ((g, var, got), (_, _, want)) in observed.iter().zip(&rec.writes) {
-                        if got.as_ref() != Some(&Value::Int(*want)) {
-                            problems.push(format!(
-                                "in-doubt write {var} committed a wrong value at {g:?}: \
-                                 {got:?} != {want}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    problems
 }
 
 /// Heals the victim, optionally decays the crash-frontier page, restarts,
@@ -510,58 +422,55 @@ fn restart_and_quiesce(
     Ok(())
 }
 
-/// The flight recorder: dumps the failing schedule's full trace next to the
-/// point's repro coordinates. Returns the dump path, or `None` when the
-/// dump itself failed (the counterexample still stands on its own).
-fn dump_flight(
+/// The flight recorder for a failing point: its coordinates, the ledger,
+/// each up guardian's log and the full trace. Returns the dump paths (none
+/// when the point is clean).
+fn flight(
     cfg: &SweepConfig,
-    w: &World,
-    victim_idx: usize,
-    k: u64,
-    recovery_crash_op: Option<u64>,
-) -> Option<String> {
-    let label = match recovery_crash_op {
-        Some(j) => format!("sweep-{}-v{victim_idx}-w{k}-r{j}", cfg.label()),
-        None => format!("sweep-{}-v{victim_idx}-w{k}", cfg.label()),
-    };
-    argus_trace::flight::dump(&label, w.tracer())
-        .ok()
-        .map(|p| p.display().to_string())
+    w: &mut World,
+    ledger: &Ledger,
+    point: &str,
+    problems: &[String],
+) -> Vec<String> {
+    let label = format!("sweep-{}-{point}", cfg.label());
+    dump_flight(&label, vec![label.clone()], problems, ledger, w)
 }
 
 /// Runs one schedule point end to end: workload with a crash armed at the
 /// victim's `k`-th write (and optionally a second crash at recovery op `j`),
-/// restart, quiesce, check. Returns the violations (with the flight-recorder
-/// dump path when there were any) and the number of device operations the
-/// victim's recovery performed (for the second sweep).
+/// restart, quiesce, check. Returns the violations with the flight dump
+/// paths, the number of device operations the victim performed from its
+/// crash through the check (the second sweep's range), and the simulated
+/// time spent.
 fn run_point(
     cfg: &SweepConfig,
     victim_idx: usize,
     k: u64,
     recovery_crash_op: Option<u64>,
-) -> (Vec<String>, Option<String>, u64, u64) {
+) -> ((Vec<String>, Vec<String>), u64, u64) {
     let (mut w, gids) = build_world(cfg);
     let victim = gids[victim_idx];
     w.arm_crash_after_writes(victim, k).expect("arm");
-    let records = run_workload(&mut w, &gids, Some(victim));
+    let ledger = run_workload(&mut w, &gids, Some(victim));
+    let point = match recovery_crash_op {
+        Some(j) => format!("v{victim_idx}-w{k}-r{j}"),
+        None => format!("v{victim_idx}-w{k}"),
+    };
 
     if w.is_up(victim) {
         // The armed write never happened on this schedule (the workload
         // ended first); the state is the oracle state. Disarm and verify
         // anyway — it is a free consistency check.
         w.fault_plan(victim).expect("plan").heal();
-        let problems = check_world(&mut w, &gids, &records);
-        let trace = (!problems.is_empty())
-            .then(|| dump_flight(cfg, &w, victim_idx, k, recovery_crash_op))
-            .flatten();
-        let sim_us = w.clock.now();
-        return (problems, trace, 0, sim_us);
+        let problems = standing(&mut w, &ledger, Phase::Terminal);
+        let flight = flight(cfg, &mut w, &ledger, &point, &problems);
+        return ((problems, flight), 0, w.clock.now());
     }
 
     w.crash(victim);
     let before = w.fault_plan(victim).expect("plan").op_counts();
-    let mut problems = match restart_and_quiesce(&mut w, victim, cfg, recovery_crash_op) {
-        Ok(()) => check_world(&mut w, &gids, &records),
+    let problems = match restart_and_quiesce(&mut w, victim, cfg, recovery_crash_op) {
+        Ok(()) => standing(&mut w, &ledger, Phase::Terminal),
         Err(problem) => vec![problem],
     };
     let recovery_ops = w
@@ -570,12 +479,8 @@ fn run_point(
         .op_counts()
         .since(&before)
         .total();
-    problems.retain(|p| !p.is_empty());
-    let trace = (!problems.is_empty())
-        .then(|| dump_flight(cfg, &w, victim_idx, k, recovery_crash_op))
-        .flatten();
-    let sim_us = w.clock.now();
-    (problems, trace, recovery_ops, sim_us)
+    let flight = flight(cfg, &mut w, &ledger, &point, &problems);
+    ((problems, flight), recovery_ops, w.clock.now())
 }
 
 /// Sweeps one configuration cell exhaustively. See the module docs for the
@@ -593,23 +498,16 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
 
     // Oracle run: no faults; records the per-guardian write budgets.
     let (mut w, gids) = build_world(cfg);
-    let records = run_workload(&mut w, &gids, None);
+    let ledger = run_workload(&mut w, &gids, None);
     let budgets: Vec<u64> = gids
         .iter()
         .map(|g| w.fault_plan(*g).expect("plan").op_counts().writes)
         .collect();
     report.oracle_writes = budgets.iter().sum();
-    let oracle_problems = check_world(&mut w, &gids, &records);
+    let problems = standing(&mut w, &ledger, Phase::Terminal);
+    let flight = flight(cfg, &mut w, &ledger, "unfaulted", &problems);
     report.sim_us += w.clock.now();
-    for problem in oracle_problems {
-        report.counterexamples.push(Counterexample {
-            victim: GuardianId(u32::MAX),
-            first_write: 0,
-            recovery_op: None,
-            problem: format!("un-faulted oracle run: {problem}"),
-            trace: None,
-        });
-    }
+    report.file(&obs, None, 0, None, (problems, flight));
 
     for (vi, budget) in budgets.iter().enumerate() {
         let limit = cfg
@@ -618,35 +516,17 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
         for k in 0..limit {
             report.first_crash_points += 1;
             obs.points.inc();
-            let (problems, trace, recovery_ops, sim_us) = run_point(cfg, vi, k, None);
+            let (found, recovery_ops, sim_us) = run_point(cfg, vi, k, None);
             report.sim_us += sim_us;
-            for problem in problems {
-                obs.counterexamples.inc();
-                report.counterexamples.push(Counterexample {
-                    victim: gids[vi],
-                    first_write: k,
-                    recovery_op: None,
-                    problem,
-                    trace: trace.clone(),
-                });
-            }
+            report.file(&obs, Some(gids[vi]), k, None, found);
             if cfg.double_crash && recovery_ops > 0 {
                 let mut j = 0;
                 while j < recovery_ops {
                     report.double_crash_points += 1;
                     obs.double_crashes.inc();
-                    let (problems, trace, _, sim_us) = run_point(cfg, vi, k, Some(j));
+                    let (found, _, sim_us) = run_point(cfg, vi, k, Some(j));
                     report.sim_us += sim_us;
-                    for problem in problems {
-                        obs.counterexamples.inc();
-                        report.counterexamples.push(Counterexample {
-                            victim: gids[vi],
-                            first_write: k,
-                            recovery_op: Some(j),
-                            problem,
-                            trace: trace.clone(),
-                        });
-                    }
+                    report.file(&obs, Some(gids[vi]), k, Some(j), found);
                     j += cfg.double_crash_stride;
                 }
             }
@@ -663,19 +543,55 @@ mod tests {
     fn oracle_run_is_clean_and_counts_writes() {
         let cfg = SweepConfig::new(RsKind::Hybrid);
         let (mut w, gids) = build_world(&cfg);
-        let records = run_workload(&mut w, &gids, None);
-        assert_eq!(records.len(), 6);
-        assert!(records.iter().enumerate().all(|(i, r)| if i == 2 {
+        let ledger = run_workload(&mut w, &gids, None);
+        assert_eq!(ledger.actions.len(), 6);
+        assert!(ledger.actions.iter().enumerate().all(|(i, r)| if i == 2 {
             r.fate == Fate::Aborted
         } else {
             r.fate == Fate::Committed
         }));
-        assert!(check_world(&mut w, &gids, &records).is_empty());
+        assert!(standing(&mut w, &ledger, Phase::Terminal).is_empty());
         let writes: u64 = gids
             .iter()
             .map(|g| w.fault_plan(*g).unwrap().op_counts().writes)
             .sum();
         assert!(writes > 0, "the workload must hit the device");
+    }
+
+    /// Every filed problem bumps `check.sweep.counterexamples` once, the
+    /// un-faulted run's included, and that run names no victim.
+    #[test]
+    fn every_counterexample_is_counted_once() {
+        let reg = argus_obs::Registry::new();
+        let _scope = reg.enter();
+        let obs = SweepObs::resolve();
+        let mut report = SweepReport {
+            label: "test".to_owned(),
+            first_crash_points: 0,
+            double_crash_points: 0,
+            oracle_writes: 0,
+            sim_us: 0,
+            counterexamples: Vec::new(),
+        };
+        let lines = |v: &[&str]| v.iter().map(|p| (*p).to_owned()).collect::<Vec<_>>();
+        report.file(&obs, None, 0, None, (lines(&["a", "b"]), Vec::new()));
+        let found = (lines(&["c"]), lines(&["s.txt", "t.json"]));
+        report.file(&obs, Some(GuardianId(1)), 3, Some(2), found);
+        assert_eq!(reg.counter("check.sweep.counterexamples").get(), 3);
+        let shown: Vec<String> = report
+            .counterexamples
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                "un-faulted run: a",
+                "un-faulted run: b",
+                "crash@write[3] of GuardianId(1) + crash@recovery-op[2]: c \
+                 [flight: s.txt, t.json]",
+            ]
+        );
     }
 
     #[test]

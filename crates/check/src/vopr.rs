@@ -11,26 +11,19 @@
 //! recovery, both explicit and armed to fire mid-protocol — against a
 //! multi-guardian two-phase-commit workload.
 //!
-//! Standing invariants run at every quiesce point (every
-//! [`VoprConfig::check_every`] steps, the world is driven to quiescence and
-//! checked):
-//!
-//! * **I1–I10** per up guardian's log ([`crate::lint_log`]);
-//! * **I11** heap quiescence against the world's live-action set
-//!   ([`crate::lint_heap_quiesced`]);
-//! * **I12** trace structural consistency ([`crate::lint_trace`]);
-//! * **aborted invisibility** — an aborted action's writes must never be
-//!   visible, at any time.
-//!
-//! The *full* legal-outcomes oracle (committed ⇒ durable everywhere,
-//! in-doubt ⇒ either but atomic — the sweeper's oracle) is deferred to the
-//! terminal phase: mid-run, a partition may legitimately be holding the
-//! very Commit message a participant needs. The terminal phase lifts every
-//! fault — heals partitions, resumes pauses, disarms plans, restarts the
-//! down — drains to quiescence, re-queries in-doubt participants, and then
-//! holds the final state to the oracle. That final settle is exactly the
-//! §2.2 liveness assumption ("eventually any two nodes can communicate"),
-//! so 2PC termination stays assertable under arbitrary fault composition.
+//! At every quiesce point (every [`VoprConfig::check_every`] steps, the
+//! world is driven to quiescence) the world is held to [`crate::standing`]
+//! at [`Phase::MidRun`]: I12 on the trace, I1–I10 and I11 on every up
+//! guardian, and aborted invisibility — the one oracle clause that is sound
+//! while a partition may still hold the very Commit message a participant
+//! needs. The terminal phase lifts every fault — heals partitions, resumes
+//! pauses, disarms plans, restarts the down — drains to quiescence,
+//! re-queries in-doubt participants, and then holds the final state to
+//! [`Phase::Terminal`]: every guardian up and the full oracle (committed ⇒
+//! durable everywhere, in-doubt ⇒ either but atomic). That final settle is
+//! exactly the §2.2 liveness assumption ("eventually any two nodes can
+//! communicate"), so 2PC termination stays assertable under arbitrary
+//! fault composition.
 //!
 //! **Replay contract**: everything is driven by one [`DetRng`] seeded from
 //! [`VoprConfig::seed`]; the same seed reproduces the same fault schedule,
@@ -39,10 +32,11 @@
 //! [`argus_trace::flight`] recorder (schedule text + Chrome trace), and
 //! `argus-lint vopr --seed N --iterations M` replays it exactly.
 
+use crate::ledger::dump_flight;
 use crate::obs::VoprObs;
-use crate::{lint_heap_quiesced, lint_log, LogImage};
+use crate::{standing, Fate, Ledger, Phase};
 use argus_core::LogEntry;
-use argus_guardian::{MediaKind, NetFaults, Outcome, RsKind, World, WorldConfig};
+use argus_guardian::{MediaKind, NetFaults, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
 use argus_sim::{CostModel, DetRng};
 use argus_slog::LogAddress;
@@ -260,29 +254,12 @@ impl std::fmt::Display for VoprSummary {
     }
 }
 
-/// The client-observed fate of one workload action (the sweeper's oracle
-/// vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    Committed,
-    Aborted,
-    InDoubt,
-}
-
-/// One workload action's writes and observed fate. Variables are unique per
-/// action, so visibility is unambiguous.
-#[derive(Debug, Clone)]
-struct Rec {
-    writes: Vec<(GuardianId, String, i64)>,
-    fate: Fate,
-}
-
 /// Mutable book-keeping for one run, separate from the [`World`] so helper
 /// methods can borrow both halves.
 struct Run {
     rng: DetRng,
     gids: Vec<GuardianId>,
-    records: Vec<Rec>,
+    ledger: Ledger,
     schedule: Vec<String>,
     violations: Vec<String>,
     tally: FaultTally,
@@ -301,7 +278,7 @@ impl Run {
         Run {
             rng,
             gids,
-            records: Vec::new(),
+            ledger: Ledger::default(),
             schedule: vec![header],
             violations: Vec::new(),
             tally: FaultTally::default(),
@@ -429,7 +406,7 @@ impl Run {
         let targets: Vec<usize> = idxs.into_iter().take(n_targets).collect();
         let client_abort = self.rng.gen_bool(0.08);
 
-        let idx = self.records.len();
+        let idx = self.ledger.actions.len();
         let var = format!("v{idx}");
         let val = idx as i64 + 1;
         let Ok(aid) = w.begin(origin) else {
@@ -451,17 +428,13 @@ impl Run {
             w.abort_local(aid);
             Fate::Aborted
         } else {
-            match w.commit(aid) {
-                Ok(Outcome::Committed) => Fate::Committed,
-                Ok(Outcome::Aborted) => Fate::Aborted,
-                Ok(Outcome::Pending) | Err(_) => Fate::InDoubt,
-            }
+            Fate::of(w.commit(aid))
         };
         self.obs.actions.inc();
         self.schedule.push(format!(
             "step {step}: action {var} at {targets:?} -> {fate:?}"
         ));
-        self.records.push(Rec { writes, fate });
+        self.ledger.record(writes, fate);
     }
 
     /// One randomized fault op, weighted toward the cheap network shapes.
@@ -580,12 +553,9 @@ impl Run {
         }
     }
 
-    /// Drives the world to quiescence and runs the standing invariants.
-    /// Mid-run (`terminal == false`) only the structural checks and
-    /// aborted-invisibility apply: a partition may legitimately be holding
-    /// a committed action's phase-two mail, so the durability clauses wait
-    /// for the terminal settle.
-    fn quiesce_and_check(&mut self, w: &mut World, step: u64, terminal: bool) {
+    /// Drives the world to quiescence and holds it to [`standing`] at
+    /// `phase`.
+    fn quiesce_and_check(&mut self, w: &mut World, step: u64, phase: Phase) {
         if let Err(e) = w.run_until_quiet() {
             self.violations
                 .push(format!("step {step}: quiesce failed: {e}"));
@@ -601,107 +571,14 @@ impl Run {
         self.tick_timers(w, step);
         self.checks += 1;
         self.obs.checks.inc();
-
-        let before = self.violations.len();
-        for v in crate::lint_trace(w.tracer()) {
-            self.violations.push(format!("step {step}: trace: {v}"));
-        }
-        let live = w.live_actions();
-        for (i, g) in self.gids.iter().enumerate() {
-            if !w.is_up(*g) {
-                if terminal {
-                    self.violations
-                        .push(format!("step {step}: G{i} still down at terminal check"));
-                }
-                continue;
-            }
-            match w.dump_log(*g) {
-                Ok(Some(entries)) => {
-                    let report = lint_log(&LogImage::from_entries(entries));
-                    if !report.is_clean() {
-                        self.violations
-                            .push(format!("step {step}: G{i} log lint: {report}"));
-                    }
-                }
-                Ok(None) => {} // shadowing keeps no log
-                // The dump's reads count against an armed countdown: when it
-                // fires here the node went down, as under any other
-                // operation. The next step finds it so and schedules the
-                // restart; there is nothing left to lint.
-                Err(e) if e.is_crash() => {
-                    w.crash(*g);
-                    continue;
-                }
-                Err(e) => self
-                    .violations
-                    .push(format!("step {step}: G{i} log dump failed: {e}")),
-            }
-            let heap = &w.guardian(*g).expect("guardian").heap;
-            for v in lint_heap_quiesced(heap, &live) {
-                self.violations.push(format!("step {step}: G{i} heap: {v}"));
-            }
-        }
-        self.oracle(w, step, terminal);
-        if self.violations.len() > before {
+        let found = standing(w, &self.ledger, phase);
+        if !found.is_empty() {
             self.schedule.push(format!(
                 "step {step}: CHECK FAILED ({} new violations)",
-                self.violations.len() - before
+                found.len()
             ));
-        }
-    }
-
-    /// The legal-outcomes oracle over the recorded actions. Mid-run only
-    /// the aborted-invisibility clause is sound; the terminal check holds
-    /// committed and in-doubt actions to durability and atomicity.
-    fn oracle(&mut self, w: &World, step: u64, terminal: bool) {
-        for rec in &self.records {
-            let observed: Vec<(GuardianId, &str, Option<Value>)> = rec
-                .writes
-                .iter()
-                .map(|(g, var, _)| {
-                    let v = w.guardian(*g).expect("guardian").stable_value(var);
-                    (*g, var.as_str(), v)
-                })
-                .collect();
-            match rec.fate {
-                Fate::Aborted => {
-                    for (g, var, got) in &observed {
-                        if got.is_some() {
-                            self.violations.push(format!(
-                                "step {step}: aborted write {var} became visible at {g:?} ({got:?})"
-                            ));
-                        }
-                    }
-                }
-                Fate::Committed if terminal => {
-                    for ((g, var, got), (_, _, want)) in observed.iter().zip(&rec.writes) {
-                        if got.as_ref() != Some(&Value::Int(*want)) {
-                            self.violations.push(format!(
-                                "step {step}: committed write {var}={want} lost at {g:?} \
-                                 (found {got:?})"
-                            ));
-                        }
-                    }
-                }
-                Fate::InDoubt if terminal => {
-                    let visible = observed.iter().filter(|(_, _, v)| v.is_some()).count();
-                    if visible != 0 && visible != observed.len() {
-                        self.violations.push(format!(
-                            "step {step}: in-doubt action resolved non-atomically: {observed:?}"
-                        ));
-                    } else if visible == observed.len() {
-                        for ((g, var, got), (_, _, want)) in observed.iter().zip(&rec.writes) {
-                            if got.as_ref() != Some(&Value::Int(*want)) {
-                                self.violations.push(format!(
-                                    "step {step}: in-doubt write {var} committed a wrong value \
-                                     at {g:?}: {got:?} != {want}"
-                                ));
-                            }
-                        }
-                    }
-                }
-                Fate::Committed | Fate::InDoubt => {} // mid-run: mail may be held
-            }
+            let found = found.into_iter().map(|v| format!("step {step}: {v}"));
+            self.violations.extend(found);
         }
     }
 }
@@ -758,7 +635,7 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
             run.fault(&mut w, step, fault_roll);
         }
         if cfg.check_every > 0 && (step + 1) % cfg.check_every == 0 {
-            run.quiesce_and_check(&mut w, step, false);
+            run.quiesce_and_check(&mut w, step, Phase::MidRun);
         }
     }
 
@@ -796,16 +673,14 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
         // must notice, replay identically, and dump the schedule.
         run.schedule
             .push("selftest: inject false committed expectation".to_owned());
-        run.records.push(Rec {
-            writes: vec![(run.gids[0], "vopr-selftest-never-written".to_owned(), 42)],
-            fate: Fate::Committed,
-        });
+        let never = vec![(run.gids[0], "vopr-selftest-never-written".to_owned(), 42)];
+        run.ledger.record(never, Fate::Committed);
     }
-    run.quiesce_and_check(&mut w, final_step, true);
+    run.quiesce_and_check(&mut w, final_step, Phase::Terminal);
     // A second settle pass: the first requery can itself resolve fates
     // that release new mail.
     if run.violations.is_empty() {
-        run.quiesce_and_check(&mut w, final_step, true);
+        run.quiesce_and_check(&mut w, final_step, Phase::Terminal);
     }
 
     // The network's own fault tallies are authoritative for the injector
@@ -818,47 +693,10 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
     run.obs.duplicates.add(run.tally.duplicates);
     run.obs.defers.add(run.tally.defers);
 
-    let mut flight = Vec::new();
-    if !run.violations.is_empty() {
-        run.obs.violations.add(run.violations.len() as u64);
-        for v in &run.violations {
-            run.schedule.push(format!("violation: {v}"));
-        }
-        // Each surviving guardian's log, decoded, to make the dump a
-        // self-contained counterexample.
-        for (i, g) in run.gids.iter().enumerate() {
-            if !w.is_up(*g) {
-                continue;
-            }
-            match w.dump_log(*g) {
-                Ok(Some(entries)) => {
-                    run.schedule
-                        .push(format!("G{i} log ({} entries):", entries.len()));
-                    for (addr, entry) in entries {
-                        run.schedule.push(format!("  {addr} {entry:?}"));
-                    }
-                }
-                Ok(None) => run.schedule.push(format!("G{i}: no log (shadowed store)")),
-                Err(e) => run.schedule.push(format!("G{i}: log dump failed: {e}")),
-            }
-        }
-        let label = format!("vopr-seed{}", cfg.seed);
-        if let Ok(p) = argus_trace::flight::dump_text(&label, &run.schedule) {
-            flight.push(p.display().to_string());
-        }
-        if let Ok(p) = argus_trace::flight::dump(&label, w.tracer()) {
-            flight.push(p.display().to_string());
-        }
-    }
+    run.obs.violations.add(run.violations.len() as u64);
+    let label = format!("vopr-seed{}", cfg.seed);
+    let flight = dump_flight(&label, run.schedule, &run.violations, &run.ledger, &mut w);
 
-    let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
-    for rec in &run.records {
-        match rec.fate {
-            Fate::Committed => committed += 1,
-            Fate::Aborted => aborted += 1,
-            Fate::InDoubt => in_doubt += 1,
-        }
-    }
     let sim_us = w.clock.now();
     let final_logs = run
         .gids
@@ -868,10 +706,10 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
     VoprSummary {
         seed: cfg.seed,
         steps: cfg.steps,
-        actions: run.records.len() as u64 - u64::from(cfg.break_oracle),
-        committed,
-        aborted,
-        in_doubt,
+        actions: run.ledger.actions.len() as u64 - u64::from(cfg.break_oracle),
+        committed: run.ledger.count(Fate::Committed),
+        aborted: run.ledger.count(Fate::Aborted),
+        in_doubt: run.ledger.count(Fate::InDoubt),
         checks: run.checks,
         faults: run.tally,
         sim_us,
@@ -923,14 +761,14 @@ mod tests {
             }
             // Nothing between here and the dump touches G0's device.
             w.arm_crash_after_ops(run.gids[0], 0).unwrap();
-            run.quiesce_and_check(&mut w, 8, false);
+            run.quiesce_and_check(&mut w, 8, Phase::MidRun);
             assert_eq!(run.violations, Vec::<String>::new(), "{kind:?}");
             assert!(!w.is_up(run.gids[0]), "{kind:?}: the countdown fired");
             run.tick_timers(&mut w, 9);
             let (_, restart_at) = run.down[0];
             run.tick_timers(&mut w, restart_at);
             assert!(w.is_up(run.gids[0]), "{kind:?}: restarted on schedule");
-            run.quiesce_and_check(&mut w, restart_at, true);
+            run.quiesce_and_check(&mut w, restart_at, Phase::Terminal);
             assert_eq!(run.violations, Vec::<String>::new(), "{kind:?}");
         }
     }

@@ -79,4 +79,15 @@ if awk '
     exit 1
 fi
 
+# One oracle: a client-observed fate and the I11 heap pass are stated once,
+# in `argus_check::standing` over a `Ledger`. Every harness records its
+# actions there and calls it, so no checker grows its own copy back. The
+# linter defines I11 and `tests/check_violations.rs` seeds its violations.
+if grep -nE 'enum Fate\b|lint_heap_quiesced\(' $(find crates src tests examples -name '*.rs' \
+    -not -path crates/check/src/lint.rs -not -path crates/check/src/ledger.rs \
+    -not -path tests/check_violations.rs); then
+    echo "lint: a second oracle or heap pass — record a check::Ledger and call check::standing" >&2
+    exit 1
+fi
+
 echo "lint: OK"

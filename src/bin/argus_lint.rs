@@ -24,12 +24,16 @@
 //! Lint mode exits 0 when the log is clean, 1 when any invariant is
 //! violated, 2 when the file cannot be opened as a stable log. Sweep mode
 //! exits 0 when every explored crash schedule recovered to a legal,
-//! lint-clean state and 1 when any counterexample was found.
+//! lint-clean state and 1 when any counterexample was found. A
+//! counterexample prints its point (`crash@write[k] of G` and any
+//! `+ crash@recovery-op[j]`, or `un-faulted run`), the failing check, and
+//! its flight dumps (schedule text with the ledger and logs, then trace).
 //!
 //! Vopr mode runs seeded randomized fault-composition runs (message drop,
 //! duplication, reorder, partitions with heals, pauses, clock skew, media
 //! decay, crashes with recovery) against a multi-guardian 2PC workload,
-//! checking I1–I12 and the legal-outcomes oracle at every quiesce point.
+//! checking I1–I12 and aborted invisibility at every quiesce point and the
+//! full legal-outcomes oracle once every fault has lifted.
 //! One summary line per seed; on any violation the schedule is dumped
 //! through the flight recorder and the same `--seed N --iterations M`
 //! replays it byte for byte. `--seeds K` runs seeds `seed..seed+K`.

@@ -1,18 +1,14 @@
 //! Shared test support: every scenario and housekeeping test ends by
-//! linting the log(s) it produced against the invariant catalogue I1–I10 —
-//! every up guardian's heap against the stale-lock invariant I11 — and the
-//! world's trace against the structural trace invariant I12 — so a
-//! regression that leaves a structurally broken log, a leaked lock, or an
-//! inconsistent trace fails loudly even when the test's own assertions
-//! still pass.
+//! holding its world to the standing check — every guardian up, I1–I10 on
+//! each log, I11 on each heap, I12 on the trace — so a regression that
+//! leaves a structurally broken log, a leaked lock, or an inconsistent
+//! trace fails loudly even when the test's own assertions still pass.
 
 // Each integration-test binary uses a subset of these helpers.
 #![allow(dead_code)]
 
 use argus::check::sweep::{sweep, SweepConfig};
-use argus::check::{
-    assert_heap_quiesced, assert_trace_consistent, lint_log, lint_log_against, LogImage,
-};
+use argus::check::{lint_log, lint_log_against, standing, Ledger, LogImage, Phase};
 use argus::core::{LogEntry, RecoveryOutcome};
 use argus::guardian::{RsKind, World};
 use argus::slog::LogAddress;
@@ -31,10 +27,6 @@ pub fn lint_entries_against(entries: Vec<(LogAddress, LogEntry)>, out: &Recovery
     lint_log_against(&LogImage::from_entries(entries), out).assert_clean();
 }
 
-/// Lints the log of every guardian in `world` that keeps one, and the heap
-/// of every guardian that is up against I11 (no stale locks): a lock or
-/// buffered current version still owned by a finished action is a leak the
-/// scenario's own assertions would never notice.
 /// Runs a bounded, deterministic slice of the crash-schedule sweeper for
 /// one organization: the first few crash points of every victim, across all
 /// of that organization's housekeeping/cache/media cells. Scenario figure
@@ -52,21 +44,18 @@ pub fn bounded_sweep(kind: RsKind) {
     }
 }
 
+/// Holds `world` to the standing check with an empty ledger: a down
+/// guardian, a log that breaks I1–I10, a lock or buffered current version
+/// still owned by a finished action (I11), or an inconsistent trace (I12)
+/// is a failure the scenario's own assertions would never notice.
 #[track_caller]
 pub fn lint_world(world: &mut World) {
-    let live = world.live_actions();
-    for g in world.guardian_ids() {
-        if let Some(entries) = world.dump_log(g).unwrap() {
-            lint_log(&LogImage::from_entries(entries)).assert_clean();
-        }
-        if world.is_up(g) {
-            assert_heap_quiesced(&world.guardian(g).unwrap().heap, &live);
-        }
-    }
-    // I12: the trace this world recorded is structurally consistent —
-    // every opened span closed, per-guardian completion times are
-    // monotone, and every resolved flow edge has its start.
-    assert_trace_consistent(world.tracer());
+    let problems = standing(world, &Ledger::default(), Phase::Terminal);
+    assert!(
+        problems.is_empty(),
+        "standing check failed:\n  {}",
+        problems.join("\n  ")
+    );
 }
 
 /// The sharded blocking mix and a banking workload sharing one world, run
