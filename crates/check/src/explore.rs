@@ -23,14 +23,16 @@
 //!   home's `prepared` is never durable without the verdict.
 //! * **SELF** — no message is ever addressed to its sender.
 //! * **TERM** — in every quiescent terminal state an in-doubt participant's
-//!   query is answered, so no participant is prepared forever.
+//!   query is answered, and the coordinator's timer re-sends `Commit` to
+//!   every participant it still awaits, so no party waits forever.
 //!
 //! A move is one input to one guardian's step — a delivery, the commit
 //! request, the coordinator's timeout while it is still preparing and the
-//! network is quiet (as `World::settle` fires it), a re-query of every
-//! in-doubt participant — or a guardian's [`Guardian::force`] with the
-//! continuations it returns, a crash, a restart through [`Guardian::restart`]
-//! (the function `World::restart` calls), or a drop. What a step stages is
+//! network is quiet (as `World::settle` fires it), the timer's re-query of
+//! every in-doubt participant and re-send of a committing coordinator — or
+//! a guardian's [`Guardian::force`] with the continuations it returns, a
+//! crash, a restart through [`Guardian::restart`] (the function
+//! `World::restart` calls), or a drop. What a step stages is
 //! durable only once its guardian forces it, so a crash in between loses it;
 //! a participant refusing its prepare is a non-crash fault of its model
 //! log's `stage_prepare`. The coordinator's `done` waits for a force only a
@@ -45,7 +47,7 @@ use crate::obs::ExploreObs;
 use argus_core::{PState, RecoverySystem};
 use argus_guardian::{Effects, Guardian, Input, Touch, WorldResult};
 use argus_objects::{ActionId, GuardianId, Heap, Value};
-use argus_twopc::{CoordPhase, Envelope, PartPhase};
+use argus_twopc::{CoordPhase, Envelope, Msg, PartPhase};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -475,15 +477,27 @@ impl Explorer {
     }
 
     /// TERM. A state is terminal when every guardian is up and nothing is
-    /// in flight, staged, unstarted or left for the timeout: a re-query is
-    /// the one move left, and it must get an in-doubt participant an answer.
+    /// in flight, staged, unstarted or left for the timeout: the timer is
+    /// the one move left, and it must get an in-doubt participant an answer
+    /// and every participant the coordinator awaits a `Commit`.
     fn check_termination(&mut self, state: &State) {
         let all_up = state.nodes.iter().all(|g| g.is_up());
-        let preparing = state.nodes[0].coordinator(self.aid).map(|c| c.phase());
+        let coordinator = state.nodes[0].coordinator(self.aid);
+        let preparing = coordinator.map(|c| c.phase());
         if !(all_up && state.quiet() && state.started && preparing != Some(CoordPhase::Preparing)) {
             return;
         }
         self.stats.terminal_states += 1;
+        let awaiting = coordinator.map(|c| c.awaiting()).unwrap_or_default();
+        let mut resent = state.clone();
+        resent.step(0, |g, fx| g.step(Input::Requery, fx));
+        for to in awaiting {
+            let commit = |e: &Envelope| e.to == to && matches!(e.msg, Msg::Commit { .. });
+            if !resent.inflight.iter().any(commit) {
+                let detail = format!("terminal state leaves the coordinator awaiting {to:?}");
+                self.violation("TERM", detail);
+            }
+        }
         for (i, g) in state.nodes.iter().enumerate() {
             let in_doubt = g.participant(self.aid).map(|p| p.phase());
             if in_doubt != Some(PartPhase::Prepared) {
@@ -563,8 +577,8 @@ impl Explorer {
             }
         }
         // The network is quiet: the timeout gives up on a coordinator still
-        // preparing (§2.2.1), and in-doubt participants query again
-        // (§2.2.2).
+        // preparing (§2.2.1), and the timer has in-doubt participants query
+        // again (§2.2.2) and a committing coordinator re-send (§2.2.3).
         if state.quiet() {
             let coordinator = state.nodes[0].coordinator(aid);
             if coordinator.is_some_and(|c| c.phase() == CoordPhase::Preparing) {
@@ -575,7 +589,8 @@ impl Explorer {
                 let phase = g.participant(aid).map(|p| p.phase());
                 g.is_up() && phase == Some(PartPhase::Prepared)
             };
-            if state.nodes.iter().any(in_doubt) {
+            let committing = coordinator.is_some_and(|c| c.phase() == CoordPhase::Committing);
+            if (committing && state.nodes[0].is_up()) || state.nodes.iter().any(in_doubt) {
                 let mut next = state.clone();
                 next.record("requery".into());
                 for n in 0..next.nodes.len() {

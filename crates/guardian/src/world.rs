@@ -992,10 +992,9 @@ impl World {
                 self.outcomes.remove(&aid);
                 Outcome::Aborted
             }
-            // Committed; the missing acknowledgments arrive after the
-            // crashed participant restarts.
+            // Committed; the missing acknowledgements arrive once the timer
+            // re-sends `Commit` or the crashed participant restarts.
             Some(CoordPhase::Committing) => Outcome::Committed,
-            Some(CoordPhase::Aborting) => Outcome::Aborted,
             _ => Outcome::Pending,
         };
         // A round still open when its caller stops waiting ends here.
@@ -1187,8 +1186,9 @@ impl World {
 
     /// Every in-doubt participant on an up guardian re-queries its
     /// coordinator — the thesis's "if a participant has not heard from its
-    /// coordinator it can query the coordinator" (§2.2.2), which a real
-    /// system drives from a timer.
+    /// coordinator it can query the coordinator" (§2.2.2) — and every
+    /// committing coordinator re-sends `Commit` to the participants whose
+    /// acknowledgement it lacks (§2.2.3): the timer a real system runs.
     pub fn requery_in_doubt(&mut self) -> WorldResult<()> {
         // In guardian order, and by action within each: the order of
         // sending decides which message a seeded network fault falls on.

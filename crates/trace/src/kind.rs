@@ -50,7 +50,6 @@ catalogue! {
     NetCommit => "net", "Commit", [];
     NetCommitAck => "net", "CommitAck", [];
     NetAbort => "net", "Abort", [];
-    NetAbortAck => "net", "AbortAck", [];
     NetQueryOutcome => "net", "QueryOutcome", [];
     NetOutcome => "net", "Outcome", [];
     // Device detail: page transfers below the cache, and read-ahead runs.

@@ -16,12 +16,15 @@
 //!   two is restarted from the CT;
 //! * coordinator crash after `done` is durable → nothing to do.
 //!
-//! What is forced is what the protocol needs durable before it may go on,
-//! and nothing else: a participant forces `prepared` before voting and its
-//! verdict before acknowledging, the coordinator forces `committing` before
-//! telling anyone to commit. `done` only licenses forgetting, so it is
-//! written and never forced — the coordinator finishes on the last
-//! acknowledgement, and a lost `done` is the fourth case above.
+//! What is forced is what the protocol needs durable before it may go on:
+//! a participant forces `prepared` before voting and `committed` before
+//! acknowledging, the coordinator forces `committing` before telling anyone
+//! to commit. `done` only licenses forgetting, so it is written and never
+//! forced — the coordinator finishes on the last acknowledgement, and a
+//! lost `done` is the fourth case above. An abort is presumed (§2.2.3): the
+//! coordinator forgets the action as it sends the aborts, nobody
+//! acknowledges one, and a forgotten action is an aborted one. The
+//! participant's `aborted` is still forced, though nothing waits on it.
 //!
 //! §2.2 has a coordinator that is also a participant send *itself* a prepare
 //! message. Here its guardian is always a participant and it is no party to

@@ -37,11 +37,6 @@ pub enum Msg {
         /// The action.
         aid: ActionId,
     },
-    /// Participant → coordinator: abort record forced.
-    AbortAck {
-        /// The action.
-        aid: ActionId,
-    },
     /// Participant → coordinator: an in-doubt participant asking for the
     /// verdict after a crash (§2.2.2).
     QueryOutcome {
@@ -67,7 +62,6 @@ impl Msg {
             | Msg::Commit { aid }
             | Msg::CommitAck { aid }
             | Msg::Abort { aid }
-            | Msg::AbortAck { aid }
             | Msg::QueryOutcome { aid }
             | Msg::Outcome { aid, .. } => *aid,
         }
@@ -83,7 +77,6 @@ impl Msg {
             Msg::Commit { .. } => Kind::NetCommit,
             Msg::CommitAck { .. } => Kind::NetCommitAck,
             Msg::Abort { .. } => Kind::NetAbort,
-            Msg::AbortAck { .. } => Kind::NetAbortAck,
             Msg::QueryOutcome { .. } => Kind::NetQueryOutcome,
             Msg::Outcome { .. } => Kind::NetOutcome,
         }
@@ -120,7 +113,6 @@ mod tests {
             Msg::Commit { aid },
             Msg::CommitAck { aid },
             Msg::Abort { aid },
-            Msg::AbortAck { aid },
             Msg::QueryOutcome { aid },
             Msg::Outcome {
                 aid,
@@ -142,7 +134,6 @@ mod tests {
             Msg::Commit { aid }.kind(),
             Msg::CommitAck { aid }.kind(),
             Msg::Abort { aid }.kind(),
-            Msg::AbortAck { aid }.kind(),
             Msg::QueryOutcome { aid }.kind(),
             Msg::Outcome {
                 aid,

@@ -135,17 +135,11 @@ impl Participant {
             ) => {
                 vec![PartEffect::ForceAbort]
             }
-            // Duplicate verdicts after resolution: re-acknowledge.
+            // A duplicate commit after resolution: re-acknowledge.
             (Msg::Commit { .. }, PartPhase::Committed) => {
                 vec![PartEffect::Send {
                     to: self.coordinator,
                     msg: Msg::CommitAck { aid: self.aid },
-                }]
-            }
-            (Msg::Abort { .. }, PartPhase::Aborted) => {
-                vec![PartEffect::Send {
-                    to: self.coordinator,
-                    msg: Msg::AbortAck { aid: self.aid },
                 }]
             }
             _ => Vec::new(),
@@ -165,17 +159,12 @@ impl Participant {
         ]
     }
 
-    /// The `aborted` record is forced.
+    /// The `aborted` record is forced. Nobody waits for it: the coordinator
+    /// forgot the action when it sent the abort (§2.2.3).
     pub fn abort_forced(&mut self) -> Vec<PartEffect> {
         obs::with(|o| o.part_aborts.inc());
         self.phase = PartPhase::Aborted;
-        vec![
-            PartEffect::Send {
-                to: self.coordinator,
-                msg: Msg::AbortAck { aid: self.aid },
-            },
-            PartEffect::Finished { committed: false },
-        ]
+        vec![PartEffect::Finished { committed: false }]
     }
 }
 
@@ -219,11 +208,11 @@ mod tests {
             p.on_msg(&Msg::Abort { aid: aid() }),
             vec![PartEffect::ForceAbort]
         );
-        let effects = p.abort_forced();
-        assert!(matches!(
-            effects[1],
-            PartEffect::Finished { committed: false }
-        ));
+        // No acknowledgement: the coordinator is not waiting.
+        assert_eq!(
+            p.abort_forced(),
+            vec![PartEffect::Finished { committed: false }]
+        );
     }
 
     #[test]

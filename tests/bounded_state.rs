@@ -1,8 +1,8 @@
 //! The retention contract (DESIGN.md, "A guardian's step"): every per-action
 //! row of the world and its guardians goes once the last party that could
 //! ask about the action has its answer — a verdict when its client takes
-//! it, a participant's machine when it acknowledges the verdict, a
-//! coordinator when the last acknowledgement is in. Whatever asks later is
+//! it, a participant's machine when its verdict is durable, a coordinator
+//! when the last acknowledgement is in or its abort is sent. Whatever asks later is
 //! answered as for an action a crash wiped out: a `Prepare` is refused, a
 //! `Commit` re-acknowledged, a query answered "aborted".
 //!
@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 /// Late mail, read off the trace as `[prepare, commit, query]`: a `Prepare`
 /// or `Commit` delivered to a participant after it voted yes and then
-/// acknowledged the verdict (its machine finished in the step that sent
+/// acknowledged the commit (its machine finished in the step that sent
 /// the acknowledgement), and a `QueryOutcome` delivered to the action's
 /// coordinator after the action's span closed there (the coordinator
 /// finished) and before that guardian next restarted.
@@ -42,9 +42,7 @@ fn late_mail(events: &[TraceEvent]) -> [u64; 3] {
             (Kind::NetPrepareOk, Ph::FlowStart { .. }) => {
                 voted.insert(at);
             }
-            (Kind::NetCommitAck | Kind::NetAbortAck, Ph::FlowStart { .. })
-                if voted.contains(&at) =>
-            {
+            (Kind::NetCommitAck, Ph::FlowStart { .. }) if voted.contains(&at) => {
                 forgot.insert(at);
             }
             (Kind::NetPrepare, Ph::FlowEnd { .. }) if forgot.contains(&at) => late[0] += 1,

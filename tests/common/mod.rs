@@ -46,8 +46,9 @@ pub fn bounded_sweep(kind: RsKind) {
 
 /// Holds `world` to the standing check with an empty ledger: a down
 /// guardian, a log that breaks I1–I10, a lock or buffered current version
-/// still owned by a finished action (I11), or an inconsistent trace (I12)
-/// is a failure the scenario's own assertions would never notice.
+/// still owned by a finished action (I11), an inconsistent trace (I12), or
+/// a two-phase-commit party left waiting is a failure the scenario's own
+/// assertions would never notice.
 #[track_caller]
 pub fn lint_world(world: &mut World) {
     let problems = standing(world, &Ledger::default(), Phase::Terminal);
