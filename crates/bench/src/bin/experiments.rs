@@ -24,7 +24,7 @@ use argus_bench::{
     Sample, Table, TwoGuardianCommit, EXPERIMENTS,
 };
 use argus_guardian::{CcPolicy, RsKind, WorldConfig};
-use argus_obs::Registry;
+use argus_obs::{Count, Registry};
 use argus_slog::ForceConfig;
 use std::path::{Path, PathBuf};
 
@@ -109,8 +109,8 @@ fn smoke() {
             "{kind:?}: forces/commit {batched8} at 8x against {batched1} alone"
         );
         let (_, recovery) = recovery_perf(&RigSpec::new(128, 4, 8), kind, 50);
-        let hits = recovery.counter("stable.cache.hit");
-        let misses = recovery.counter("stable.cache.miss");
+        let hits = recovery.counter(Count::StableCacheHit);
+        let misses = recovery.counter(Count::StableCacheMiss);
         assert!(
             hits > 0 || shadowing,
             "{kind:?}: page cache never hit during recovery"
@@ -131,7 +131,7 @@ fn smoke() {
         CcPolicy::Timeout,
     ] {
         let (stats, run) = cc_perf(RsKind::Hybrid, policy, 8, 8);
-        let deadlocks = run.counter("cc.deadlocks");
+        let deadlocks = run.counter(Count::CcDeadlocks);
         assert_eq!(
             stats.committed, 64,
             "{policy:?}: contended mix lost transfers"
@@ -208,7 +208,7 @@ fn wall_smoke() {
             let tag = format!("wall-smoke-{schedule}{n}-{kind:?}");
             let perf = commit_perf(kind, n, 5, file_media(&tag, force).cfg);
             let commits = 5 * n as u64;
-            let fsyncs = perf.counter("stable.file.fsyncs") as f64 / commits as f64;
+            let fsyncs = perf.counter(Count::StableFileFsyncs) as f64 / commits as f64;
             (fsyncs, perf.wall.as_nanos() / u128::from(commits))
         };
         let (alone, _) = run(1, "grp", ForceConfig::default());
@@ -290,7 +290,7 @@ fn main() {
             ));
         }
         println!("#### {entry} run metrics\n");
-        println!("{}", metrics.to_text());
+        println!("{metrics}");
     }
     if stale > 0 {
         eprintln!(

@@ -24,6 +24,7 @@ use argus_core::providers::MemProvider;
 use argus_core::{HousekeepingMode, HybridLogRs, RecoveryMode, RecoveryOutcome, RecoverySystem};
 use argus_guardian::{CcPolicy, MediaKind, Outcome, RsKind, World, WorldConfig};
 use argus_objects::{ActionId, GuardianId, Heap, HeapId, Value};
+use argus_obs::Count;
 use argus_sim::{CostModel, DetRng, SimClock};
 use argus_slog::ForceConfig;
 use argus_workload::{
@@ -110,17 +111,14 @@ pub struct Sample {
     pub sim_us: u64,
     /// Wall-clock time.
     pub wall: Duration,
-    /// How much each counter of the current registry scope grew.
-    counters: Vec<(String, u64)>,
+    /// How much each counter of the current registry scope grew, by row.
+    counters: Vec<u64>,
 }
 
 impl Sample {
-    /// How much the counter `name` grew during the sample.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, delta)| delta)
+    /// How much the counter `row` grew during the sample.
+    pub fn counter(&self, row: Count) -> u64 {
+        self.counters[row as usize]
     }
 
     /// The wall-clock time in µs.
@@ -139,7 +137,12 @@ impl Sample {
             forces,
             sim_us: world.clock.now(),
             wall: Duration::ZERO,
-            counters: argus_obs::current().report().counters,
+            counters: argus_obs::current()
+                .report()
+                .counters
+                .into_iter()
+                .map(|(_, v)| v)
+                .collect(),
         }
     }
 
@@ -148,8 +151,8 @@ impl Sample {
         self.busy_us -= before.busy_us;
         self.forces -= before.forces;
         self.sim_us -= before.sim_us;
-        for (name, value) in &mut self.counters {
-            *value -= before.counter(name);
+        for (value, earlier) in self.counters.iter_mut().zip(&before.counters) {
+            *value -= earlier;
         }
         self
     }
@@ -1002,8 +1005,8 @@ pub fn two_guardian_commit(kind: RsKind, cfg: WorldConfig) -> TwoGuardianCommit 
     TwoGuardianCommit {
         coordinator_forces: after[0] - before[0],
         participant_forces: after[1] - before[1],
-        messages: commit.counter("net.delivered"),
-        fsyncs: commit.counter("stable.file.fsyncs"),
+        messages: commit.counter(Count::NetDelivered),
+        fsyncs: commit.counter(Count::StableFileFsyncs),
     }
 }
 
@@ -1075,9 +1078,9 @@ fn e13_recovery_cache(history: u64) -> Table {
             uncached.busy_us,
             cached.busy_us,
             format!("{:.0}%", reduction * 100.0),
-            cached.counter("stable.cache.hit"),
-            cached.counter("stable.cache.miss"),
-            cached.counter("stable.cache.readahead"),
+            cached.counter(Count::StableCacheHit),
+            cached.counter(Count::StableCacheMiss),
+            cached.counter(Count::StableCacheReadahead),
         ]);
     }
     table
@@ -1141,7 +1144,7 @@ fn e14_cc_policies(concurrencies: &[usize], transfers: u64) -> Table {
                     per_s(stats.committed, run.sim_us),
                     pct(stats.abort_rate()),
                     stats.p99_latency_us(),
-                    run.counter("cc.deadlocks"),
+                    run.counter(Count::CcDeadlocks),
                     stats.timeouts,
                 ]);
             }
@@ -1210,7 +1213,7 @@ fn e21_sharded_scaling(shards: &[usize], actions_per_shard: u64) -> Table {
                 ..Default::default()
             };
             // Setup's polls count too: read the counter around the world.
-            let polls = argus_obs::current().counter("world.sched.polls");
+            let polls = argus_obs::current().counter(Count::WorldSchedPolls);
             let polls_before = polls.get();
             let (_, stats, run) = sharded_run(kind, cfg, CostModel::default(), 21);
             let polls = polls.get() - polls_before;
@@ -1535,14 +1538,14 @@ fn e18_wall_group_commit(rounds: u64) -> Table {
             let tag = format!("e18-{}-{schedule}-{n}", kind_name(kind).replace(' ', "-"));
             let perf = commit_perf(kind, n, rounds, file_media(&tag, force).cfg);
             let commits = rounds * n as u64;
-            let fsyncs = perf.counter("stable.file.fsyncs") as f64 / commits as f64;
+            let fsyncs = perf.counter(Count::StableFileFsyncs) as f64 / commits as f64;
             table.row(row![
                 kind_name(kind),
                 schedule,
                 n,
                 perf.wall.as_nanos() / u128::from(commits),
                 format!("{fsyncs:.2}"),
-                perf.counter("stable.file.bytes_written") / commits,
+                perf.counter(Count::StableFileBytesWritten) / commits,
             ]);
         }
     }
@@ -1752,7 +1755,7 @@ mod tests {
         let files = file_media("unit", ForceConfig::default());
         let dir = files.dir.clone();
         let sample = commit_perf(RsKind::Simple, 1, 1, files.cfg);
-        assert_eq!(sample.counter("stable.file.fsyncs"), 1);
+        assert_eq!(sample.counter(Count::StableFileFsyncs), 1);
         assert!(dir.exists(), "the measurement ran in {}", dir.display());
         drop(files);
         assert!(!dir.exists(), "{} outlived its measurement", dir.display());

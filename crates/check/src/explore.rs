@@ -43,10 +43,10 @@
 use crate::image::LogImage;
 use crate::lint::lint_log;
 use crate::model::ModelRs;
-use crate::obs::ExploreObs;
 use argus_core::{PState, RecoverySystem};
 use argus_guardian::{Effects, Guardian, Input, Touch, WorldResult};
 use argus_objects::{ActionId, GuardianId, Heap, Value};
+use argus_obs::Count;
 use argus_twopc::{CoordPhase, Envelope, Msg, PartPhase};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -296,7 +296,7 @@ impl Explorer {
 
     /// Runs the DFS to exhaustion (or the state cap) and reports.
     pub fn run(mut self) -> ExploreReport {
-        let obs = ExploreObs::resolve();
+        let obs = argus_obs::current();
         let root = self.initial_state();
         let mut visited: HashSet<u64> = HashSet::new();
         let mut stack: Vec<State> = Vec::new();
@@ -317,14 +317,15 @@ impl Explorer {
                 }
             }
         }
-        obs.states_visited.add(self.stats.states_visited);
-        obs.dedup_pruned.add(self.stats.dedup_pruned);
-        obs.crash_points.add(self.stats.crash_points);
-        obs.deliveries.add(self.stats.deliveries);
-        obs.drops.add(self.stats.drops);
-        obs.terminal_states.add(self.stats.terminal_states);
-        obs.lint_runs.add(self.stats.lint_runs);
-        obs.depth_limited.add(self.stats.depth_limited);
+        let s = &self.stats;
+        obs.add(Count::CheckExploreStatesVisited, s.states_visited);
+        obs.add(Count::CheckExploreDedupPruned, s.dedup_pruned);
+        obs.add(Count::CheckExploreCrashPoints, s.crash_points);
+        obs.add(Count::CheckExploreDeliveries, s.deliveries);
+        obs.add(Count::CheckExploreDrops, s.drops);
+        obs.add(Count::CheckExploreTerminalStates, s.terminal_states);
+        obs.add(Count::CheckExploreLintRuns, s.lint_runs);
+        obs.add(Count::CheckExploreDepthLimited, s.depth_limited);
         ExploreReport {
             stats: self.stats,
             violations: self.violations,

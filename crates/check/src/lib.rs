@@ -64,7 +64,6 @@ mod image;
 mod ledger;
 mod lint;
 mod model;
-mod obs;
 pub mod sweep;
 pub mod vopr;
 

@@ -43,9 +43,9 @@
 //!   log image.
 
 use crate::image::LogImage;
-use crate::obs::LintObs;
 use argus_core::{CState, LogEntry, ObjState, PState, RecoveryOutcome};
 use argus_objects::{ActionId, Heap, ObjKind, ObjRef, ObjectBody, Uid, Value};
+use argus_obs::Count;
 use argus_slog::LogAddress;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -218,36 +218,31 @@ impl LintReport {
     pub fn assert_clean(&self) {
         assert!(
             self.is_clean(),
-            "log lint failed ({} violation(s)):\n{}",
+            "log lint failed ({} violation(s)):\n{self}",
             self.violations.len(),
-            self.to_table()
         );
-    }
-
-    /// Renders the report as an `argus-obs` table (what `argus-lint` prints).
-    pub fn to_table(&self) -> argus_obs::Table {
-        let mut t = argus_obs::Table::new(format!(
-            "lint: {} log, {} entries ({} outcome), {} violation(s)",
-            self.flavor,
-            self.entries,
-            self.outcomes,
-            self.violations.len()
-        ));
-        t.header(["invariant", "address", "detail"]);
-        for v in &self.violations {
-            t.row([
-                v.invariant.code().to_string(),
-                v.addr.map(|a| a.to_string()).unwrap_or_else(|| "-".into()),
-                v.detail.clone(),
-            ]);
-        }
-        t
     }
 }
 
+/// The report as a titled table (what `argus-lint` prints).
 impl fmt::Display for LintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_table())
+        let (entries, outcomes, n) = (self.entries, self.outcomes, self.violations.len());
+        writeln!(
+            f,
+            "### lint: {} log, {entries} entries ({outcomes} outcome), {n} violation(s)\n",
+            self.flavor
+        )?;
+        let header = ["invariant", "address", "detail"].map(String::from);
+        let rows: Vec<Vec<String>> = self
+            .violations
+            .iter()
+            .map(|v| {
+                let addr = v.addr.map_or_else(|| "-".into(), |a| a.to_string());
+                vec![v.invariant.code().to_string(), addr, v.detail.clone()]
+            })
+            .collect();
+        argus_obs::write_grid(f, &header, &rows)
     }
 }
 
@@ -386,8 +381,8 @@ impl<'a> Linter<'a> {
     }
 
     fn run(mut self, outcome: Option<&RecoveryOutcome>) -> LintReport {
-        let obs = LintObs::resolve();
-        obs.runs.inc();
+        let obs = argus_obs::current();
+        obs.inc(Count::CheckLintRuns);
         self.check_well_formed();
         let chain = match self.flavor {
             Flavor::Hybrid => self.check_chain(),
@@ -411,7 +406,7 @@ impl<'a> Linter<'a> {
         if let Some(outcome) = outcome {
             self.check_table_agreement(&recon, outcome);
         }
-        obs.violations.add(self.violations.len() as u64);
+        obs.add(Count::CheckLintViolations, self.violations.len() as u64);
         LintReport {
             flavor: self.flavor,
             entries: self.image.len(),

@@ -26,11 +26,11 @@
 //! Lampson–Sturgis decay model with the crash model.
 
 use crate::ledger::dump_flight;
-use crate::obs::SweepObs;
 use crate::{standing, Fate, Ledger, Phase};
 use argus_core::HousekeepingMode;
 use argus_guardian::{MediaKind, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
+use argus_obs::{Count, Registry};
 use argus_sim::CostModel;
 use argus_slog::ForceConfig;
 use argus_stable::CacheConfig;
@@ -236,14 +236,14 @@ impl SweepReport {
     /// once in `check.sweep.counterexamples`.
     fn file(
         &mut self,
-        obs: &SweepObs,
+        obs: &Registry,
         victim: Option<GuardianId>,
         first_write: u64,
         recovery_op: Option<u64>,
         (problems, flight): (Vec<String>, Vec<String>),
     ) {
         for problem in problems {
-            obs.counterexamples.inc();
+            obs.inc(Count::CheckSweepCounterexamples);
             self.counterexamples.push(Counterexample {
                 victim,
                 first_write,
@@ -486,7 +486,7 @@ fn run_point(
 /// Sweeps one configuration cell exhaustively. See the module docs for the
 /// exploration structure.
 pub fn sweep(cfg: &SweepConfig) -> SweepReport {
-    let obs = SweepObs::resolve();
+    let obs = argus_obs::current();
     let mut report = SweepReport {
         label: cfg.label(),
         first_crash_points: 0,
@@ -515,7 +515,7 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
             .map_or(*budget, |m| m.min(*budget));
         for k in 0..limit {
             report.first_crash_points += 1;
-            obs.points.inc();
+            obs.inc(Count::CheckSweepPoints);
             let (found, recovery_ops, sim_us) = run_point(cfg, vi, k, None);
             report.sim_us += sim_us;
             report.file(&obs, Some(gids[vi]), k, None, found);
@@ -523,7 +523,7 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
                 let mut j = 0;
                 while j < recovery_ops {
                     report.double_crash_points += 1;
-                    obs.double_crashes.inc();
+                    obs.inc(Count::CheckSweepDoubleCrashes);
                     let (found, _, sim_us) = run_point(cfg, vi, k, Some(j));
                     report.sim_us += sim_us;
                     report.file(&obs, Some(gids[vi]), k, Some(j), found);
@@ -564,7 +564,7 @@ mod tests {
     fn every_counterexample_is_counted_once() {
         let reg = argus_obs::Registry::new();
         let _scope = reg.enter();
-        let obs = SweepObs::resolve();
+        let obs = argus_obs::current();
         let mut report = SweepReport {
             label: "test".to_owned(),
             first_crash_points: 0,

@@ -33,11 +33,11 @@
 //! `argus-lint vopr --seed N --iterations M` replays it exactly.
 
 use crate::ledger::dump_flight;
-use crate::obs::VoprObs;
 use crate::{standing, Fate, Ledger, Phase};
 use argus_core::LogEntry;
 use argus_guardian::{MediaKind, NetFaults, RsKind, World, WorldConfig};
 use argus_objects::{GuardianId, Value};
+use argus_obs::{Count, Registry};
 use argus_sim::{CostModel, DetRng};
 use argus_slog::LogAddress;
 
@@ -270,11 +270,11 @@ struct Run {
     /// Down guardians: index and the step that restarts them.
     down: Vec<(usize, u64)>,
     checks: u64,
-    obs: VoprObs,
+    obs: Registry,
 }
 
 impl Run {
-    fn new(rng: DetRng, gids: Vec<GuardianId>, header: String, obs: VoprObs) -> Self {
+    fn new(rng: DetRng, gids: Vec<GuardianId>, header: String, obs: Registry) -> Self {
         Run {
             rng,
             gids,
@@ -314,7 +314,7 @@ impl Run {
                 let (a, b, _) = self.partitions.remove(i);
                 w.heal_partition(self.gids[a], self.gids[b]);
                 self.tally.heals += 1;
-                self.obs.heals.inc();
+                self.obs.inc(Count::VoprFaultHeal);
                 self.schedule.push(format!("step {step}: heal G{a}-G{b}"));
             } else {
                 i += 1;
@@ -330,7 +330,7 @@ impl Run {
                 let skew = 500 + self.rng.gen_range(5_000);
                 w.clock.advance(skew);
                 self.tally.skews += 1;
-                self.obs.skews.inc();
+                self.obs.inc(Count::VoprFaultSkew);
                 self.schedule
                     .push(format!("step {step}: resume G{p} (skew {skew}us)"));
             } else {
@@ -355,7 +355,7 @@ impl Run {
                 let at = step + 1 + self.rng.gen_range(6);
                 self.down.push((i, at));
                 self.tally.crashes += 1;
-                self.obs.crashes.inc();
+                self.obs.inc(Count::VoprFaultCrash);
                 self.schedule.push(format!(
                     "step {step}: armed crash fired at G{i}, restart@{at}"
                 ));
@@ -369,7 +369,7 @@ impl Run {
             return;
         }
         self.tally.restarts += 1;
-        self.obs.restarts.inc();
+        self.obs.inc(Count::VoprFaultRestart);
         match w.restart(g) {
             Ok(_) => self.schedule.push(format!("step {step}: restart G{i}")),
             // A restart writes — the log opens its next epoch before it
@@ -430,7 +430,7 @@ impl Run {
         } else {
             Fate::of(w.commit(aid))
         };
-        self.obs.actions.inc();
+        self.obs.inc(Count::VoprActions);
         self.schedule.push(format!(
             "step {step}: action {var} at {targets:?} -> {fate:?}"
         ));
@@ -459,7 +459,7 @@ impl Run {
                 w.partition(self.gids[a], self.gids[b]);
                 self.partitions.push((a, b, heal_at));
                 self.tally.partitions += 1;
-                self.obs.partitions.inc();
+                self.obs.inc(Count::VoprFaultPartition);
                 self.schedule
                     .push(format!("step {step}: partition G{a}-G{b}, heal@{heal_at}"));
             }
@@ -471,7 +471,7 @@ impl Run {
                 let (a, b, _) = self.partitions.remove(0);
                 w.heal_partition(self.gids[a], self.gids[b]);
                 self.tally.heals += 1;
-                self.obs.heals.inc();
+                self.obs.inc(Count::VoprFaultHeal);
                 self.schedule
                     .push(format!("step {step}: early heal G{a}-G{b}"));
             }
@@ -490,7 +490,7 @@ impl Run {
                 w.pause_guardian(self.gids[p]);
                 self.paused.push((p, resume_at));
                 self.tally.pauses += 1;
-                self.obs.pauses.inc();
+                self.obs.inc(Count::VoprFaultPause);
                 self.schedule
                     .push(format!("step {step}: pause G{p}, resume@{resume_at}"));
             }
@@ -499,7 +499,7 @@ impl Run {
                 let skew = 1 + self.rng.gen_range(2_000);
                 w.clock.advance(skew);
                 self.tally.skews += 1;
-                self.obs.skews.inc();
+                self.obs.inc(Count::VoprFaultSkew);
                 self.schedule.push(format!("step {step}: skew {skew}us"));
             }
             // Decay one mirror leg of a random page on a random guardian.
@@ -509,7 +509,7 @@ impl Run {
                 let decayed = w.decay_page(self.gids[i], pno).unwrap_or(false);
                 if decayed {
                     self.tally.decays += 1;
-                    self.obs.decays.inc();
+                    self.obs.inc(Count::VoprFaultDecay);
                     self.schedule
                         .push(format!("step {step}: decay G{i} page {pno}"));
                 }
@@ -525,7 +525,7 @@ impl Run {
                 let at = step + 1 + self.rng.gen_range(8);
                 self.down.push((c, at));
                 self.tally.crashes += 1;
-                self.obs.crashes.inc();
+                self.obs.inc(Count::VoprFaultCrash);
                 self.schedule
                     .push(format!("step {step}: crash G{c}, restart@{at}"));
             }
@@ -570,7 +570,7 @@ impl Run {
         // linting so down guardians are skipped, not half-read.
         self.tick_timers(w, step);
         self.checks += 1;
-        self.obs.checks.inc();
+        self.obs.inc(Count::VoprChecks);
         let found = standing(w, &self.ledger, phase);
         if !found.is_empty() {
             self.schedule.push(format!(
@@ -586,7 +586,7 @@ impl Run {
 /// Runs one seeded explorer run end to end. See the module docs for the
 /// schedule structure and the replay contract.
 pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
-    let obs = VoprObs::resolve();
+    let obs = argus_obs::current();
     let mut rng = DetRng::new(cfg.seed);
     let n = cfg.guardians.max(2) as usize;
     let mut w = World::with_config(
@@ -625,7 +625,7 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
     let mut run = Run::new(rng, gids, header, obs);
 
     for step in 0..cfg.steps {
-        run.obs.steps.inc();
+        run.obs.inc(Count::VoprSteps);
         run.tick_timers(&mut w, step);
         let roll = run.rng.gen_range(100);
         if roll < 55 {
@@ -689,11 +689,12 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
     run.tally.drops = net.fault_dropped();
     run.tally.duplicates = net.duplicated();
     run.tally.defers = net.deferred();
-    run.obs.drops.add(run.tally.drops);
-    run.obs.duplicates.add(run.tally.duplicates);
-    run.obs.defers.add(run.tally.defers);
+    run.obs.add(Count::VoprFaultDrop, run.tally.drops);
+    run.obs.add(Count::VoprFaultDuplicate, run.tally.duplicates);
+    run.obs.add(Count::VoprFaultDefer, run.tally.defers);
 
-    run.obs.violations.add(run.violations.len() as u64);
+    run.obs
+        .add(Count::VoprViolations, run.violations.len() as u64);
     let label = format!("vopr-seed{}", cfg.seed);
     let flight = dump_flight(&label, run.schedule, &run.violations, &run.ledger, &mut w);
 
@@ -755,7 +756,7 @@ mod tests {
             // memory, so the dump reads the device.
             let mut w = World::with_config(CostModel::fast(), WorldConfig::unbatched());
             let gids: Vec<GuardianId> = (0..2).map(|_| w.add_guardian(kind).unwrap()).collect();
-            let mut run = Run::new(DetRng::new(1), gids, String::new(), VoprObs::resolve());
+            let mut run = Run::new(DetRng::new(1), gids, String::new(), argus_obs::current());
             for step in 0..8 {
                 run.action(&mut w, step);
             }

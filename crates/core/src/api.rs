@@ -304,6 +304,7 @@ pub trait StoreProvider {
 /// Providers for the common store types.
 pub mod providers {
     use super::StoreProvider;
+    use argus_obs::Count;
     use argus_sim::{CostModel, SimClock};
     use argus_stable::{CacheConfig, FaultPlan, MemStore, MirroredDisk, PageCache};
     use std::path::{Path, PathBuf};
@@ -376,8 +377,6 @@ pub mod providers {
         pub clock: SimClock,
         /// Device cost profile.
         pub model: CostModel,
-        /// Durability mode applied to every store file (fsync vs. O_DSYNC).
-        pub mode: argus_stable::DurabilityMode,
         counter: u64,
         /// The generation the root names.
         active: u64,
@@ -388,19 +387,10 @@ pub mod providers {
     }
 
     impl FileProvider {
-        /// Creates a provider over `dir` (created if absent) in the default
-        /// [`argus_stable::DurabilityMode::Fsync`].
-        pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-            Self::with_mode(dir, argus_stable::DurabilityMode::default())
-        }
-
         /// Creates a provider over `dir` (created if absent). The root file
         /// is created pointing at generation 0 if it does not exist yet;
         /// every `log-NNNN.argus` but the active one is removed.
-        pub fn with_mode(
-            dir: impl Into<PathBuf>,
-            mode: argus_stable::DurabilityMode,
-        ) -> std::io::Result<Self> {
+        pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
             let dir = dir.into();
             std::fs::create_dir_all(&dir)?;
             let clock = SimClock::new();
@@ -416,10 +406,8 @@ pub mod providers {
                 argus_slog::LogRoot::create(store, 0).map_err(std::io::Error::other)?
             };
             let active = root.active().map_err(std::io::Error::other)?;
-            // The registry scope is the creating thread's: resolve here.
+            // The registry scope is the creating thread's: take it here.
             let reg = argus_obs::current();
-            let reaped = reg.counter("core.hk.files_reaped");
-            let failed = reg.counter("core.hk.reap_failures");
             // Any other generation is a supplanted log whose unlink a crash
             // cut off, or the new log of a pass that died before its switch.
             for entry in std::fs::read_dir(&dir)? {
@@ -429,18 +417,17 @@ pub mod providers {
                     .and_then(|name| name.strip_prefix("log-")?.strip_suffix(".argus"))
                     .and_then(|digits| digits.parse::<u64>().ok());
                 if number.is_some_and(|n| n != active) {
-                    reap(&dir.join(name), &reaped, &failed);
+                    reap(&dir.join(name), &reg);
                 }
             }
             let (tx, rx) = mpsc::channel::<PathBuf>();
             let thread = std::thread::Builder::new()
                 .name("argus-reaper".into())
-                .spawn(move || rx.iter().for_each(|path| reap(&path, &reaped, &failed)))?;
+                .spawn(move || rx.iter().for_each(|path| reap(&path, &reg)))?;
             Ok(Self {
                 dir,
                 clock,
                 model,
-                mode,
                 counter: if existed { active + 1 } else { 0 },
                 active,
                 root,
@@ -471,11 +458,10 @@ pub mod providers {
             &self,
             n: u64,
         ) -> Result<argus_stable::DurableFileStore, argus_stable::StorageError> {
-            argus_stable::DurableFileStore::open_with(
+            argus_stable::DurableFileStore::open(
                 &self.store_path(n),
                 self.clock.clone(),
                 self.model.clone(),
-                self.mode,
             )
         }
 
@@ -487,11 +473,11 @@ pub mod providers {
 
     /// Unlinks one garbage store file. A file already gone counts as
     /// removed; one that will not go stays for the next open's sweep.
-    fn reap(path: &Path, reaped: &argus_obs::Counter, failed: &argus_obs::Counter) {
-        match std::fs::remove_file(path) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => failed.inc(),
-            _ => reaped.inc(),
-        }
+    fn reap(path: &Path, reg: &argus_obs::Registry) {
+        reg.inc(match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Count::CoreHkReapFailures,
+            _ => Count::CoreHkFilesReaped,
+        });
     }
 
     impl StoreProvider for FileProvider {
@@ -501,13 +487,8 @@ pub mod providers {
             let path = self.store_path(self.counter);
             self.counter += 1;
             let _ = std::fs::remove_file(&path);
-            argus_stable::DurableFileStore::open_with(
-                &path,
-                self.clock.clone(),
-                self.model.clone(),
-                self.mode,
-            )
-            .expect("create store file")
+            argus_stable::DurableFileStore::open(&path, self.clock.clone(), self.model.clone())
+                .expect("create store file")
         }
 
         fn store_switched(&mut self) {

@@ -44,7 +44,6 @@ mod error;
 mod housekeeping;
 mod hybrid;
 mod log;
-mod metrics;
 mod redo;
 mod restore;
 mod simple;

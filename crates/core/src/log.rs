@@ -14,13 +14,13 @@ use crate::api::{HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, Store
 use crate::entry::{
     decode_entry, encode_entry_into, Entry, EntryOut, EntryRef, HeapValue, LogEntry, WireField,
 };
-use crate::metrics::CoreObs;
 use crate::restore::RecoverCtx;
 use crate::tables::RecoveryOutcome;
 use crate::writer::{process_mos, EntrySink, MosScratch};
 use crate::{RsError, RsResult};
 use argus_objects::{ActionId, GuardianId, Heap, HeapId, ObjKind, Uid};
-use argus_sim::IntSet;
+use argus_obs::{Count, Hist, Registry};
+use argus_sim::{IntSet, SimClock};
 use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
 
@@ -33,11 +33,14 @@ pub(crate) fn append_entry<S: PageStore, V: WireField, P: WireField, G: WireFiel
     log.write_with(|enc| encode_entry_into(enc, entry))
 }
 
-/// The active log and the metric handles every record write reports to.
+/// The active log, the registry every record write reports to (the one
+/// current when the system was built), and that registry's clock then,
+/// which the `core.*_us` phase timings read.
 #[derive(Debug)]
 pub struct LogIo<S: PageStore> {
     pub(crate) log: StableLog<S>,
-    pub(crate) obs: CoreObs,
+    pub(crate) obs: Registry,
+    clock: SimClock,
 }
 
 impl<S: PageStore> LogIo<S> {
@@ -60,7 +63,8 @@ impl<S: PageStore> LogIo<S> {
         entry: &EntryOut<'_, V>,
     ) -> RsResult<LogAddress> {
         let (addr, len) = self.append(entry)?;
-        self.obs.data_entry(len);
+        self.obs.inc(Count::CoreEntriesData);
+        self.obs.add(Count::CoreEntriesDataBytes, len);
         Ok(addr)
     }
 
@@ -346,11 +350,13 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
     }
 
     fn over(provider: P, log: StableLog<P::Store>, access: IntSet<Uid>) -> Self {
+        let reg = argus_obs::current();
         Self {
             provider,
             io: LogIo {
                 log,
-                obs: CoreObs::resolve(),
+                clock: reg.clock(),
+                obs: reg,
             },
             access,
             pat: IntSet::default(),
@@ -424,7 +430,7 @@ impl<P: StoreProvider, F: LogFormat> LogRs<P, F> {
 // chain can never be durable with a hole in it.
 impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
     fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let t0 = self.io.obs.prepare_us.now();
+        let t0 = self.io.clock.now();
         let written = self.write_mos(aid, mos, heap).and_then(|_| {
             let pairs = self.fmt.pairs(aid);
             self.outcome(EntryRef::Prepared {
@@ -433,10 +439,12 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
                 prev: None,
             })
         });
-        self.io.obs.prepare_us.record_since(t0);
+        self.io
+            .obs
+            .record_since(Hist::CorePrepareUs, &self.io.clock, t0);
         written?;
         self.pat.insert(aid);
-        self.io.obs.prepares.inc();
+        self.io.obs.inc(Count::CorePrepares);
         Ok(true)
     }
 
@@ -450,21 +458,21 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
         // entries to the device now so the eventual prepare only has to
         // force the prepared outcome entry.
         self.io.log.flush()?;
-        self.io.obs.early_prepares.inc();
+        self.io.obs.inc(Count::CoreEarlyPrepares);
         Ok(leftover)
     }
 
     fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
         self.outcome(EntryRef::Committed { aid, prev: None })?;
         self.pat.remove(&aid);
-        self.io.obs.commits.inc();
+        self.io.obs.inc(Count::CoreCommits);
         Ok(true)
     }
 
     fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
         self.outcome(EntryRef::Aborted { aid, prev: None })?;
         self.pat.remove(&aid);
-        self.io.obs.aborts.inc();
+        self.io.obs.inc(Count::CoreAborts);
         Ok(true)
     }
 
@@ -474,13 +482,13 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
             gids,
             prev: None,
         })?;
-        self.io.obs.committings.inc();
+        self.io.obs.inc(Count::CoreCommittings);
         Ok(true)
     }
 
     fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
         self.outcome(EntryRef::Done { aid, prev: None })?;
-        self.io.obs.dones.inc();
+        self.io.obs.inc(Count::CoreDones);
         Ok(true)
     }
 
@@ -490,7 +498,7 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
     }
 
     fn recover(&mut self, heap: &mut Heap) -> RsResult<RecoveryOutcome> {
-        let timer = self.io.obs.recover_us.start();
+        let timer = self.io.obs.phase(Hist::CoreRecoverUs, &self.io.clock);
         let mut ctx = RecoverCtx::new(heap);
         self.fmt.walk(&mut self.io, &mut ctx)?;
 
@@ -498,7 +506,11 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
         // objects were inserted.
         ctx.heap.resolve_uid_refs();
         let outcome = ctx.into_outcome();
-        self.io.obs.recovery_pass(&outcome);
+        let obs = &self.io.obs;
+        obs.inc(Count::CoreRecoveries);
+        obs.add(Count::CoreRecoverEntriesExamined, outcome.entries_examined);
+        obs.add(Count::CoreRecoverDataEntriesRead, outcome.data_entries_read);
+        obs.add(Count::CoreRecoverChainHops, outcome.chain_hops);
         timer.stop();
 
         // Rebuild the accessibility set from the restored state. A
@@ -536,7 +548,7 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
         if self.hk.is_some() {
             return Err(RsError::BadState("housekeeping already in progress".into()));
         }
-        let _timer = self.io.obs.hk_begin_us.start();
+        let _timer = self.io.obs.phase(Hist::CoreHkBeginUs, &self.io.clock);
         // Flush buffered entries so the marker covers a readable prefix.
         self.io.log.force()?;
         let marker = self.io.log.stable_count();
@@ -554,7 +566,7 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
     }
 
     fn finish_housekeeping(&mut self) -> RsResult<()> {
-        let _timer = self.io.obs.hk_finish_us.start();
+        let _timer = self.io.obs.phase(Hist::CoreHkFinishUs, &self.io.clock);
         let mut pass = self
             .hk
             .take()
@@ -567,8 +579,8 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
 
         let new_entries = pass.new_log.stable_count();
         let reclaimed = self.io.log.stable_count().saturating_sub(new_entries);
-        self.io.obs.hk_passes.inc();
-        self.io.obs.hk_reclaimed.add(reclaimed);
+        self.io.obs.inc(Count::CoreHkPasses);
+        self.io.obs.add(Count::CoreHkEntriesReclaimed, reclaimed);
 
         // "In one atomic step, the new log supplants the old log."
         self.io.log = pass.new_log;

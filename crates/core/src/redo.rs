@@ -525,7 +525,7 @@ impl LogFormat for RedoFormat {
         heap.insert_with_uid(uid, body)?;
         heap.resolve_uid_refs();
         self.lazy.remove(&uid);
-        io.obs.lazy_restores.inc();
+        io.obs.inc(argus_obs::Count::CoreRecoverLazyRestores);
         Ok(true)
     }
 

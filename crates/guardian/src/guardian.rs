@@ -11,6 +11,7 @@ use argus_core::{
 use argus_objects::{
     ActionId, GuardianId, Heap, HeapError, HeapId, HeapResult, ObjKind, ObjectBody, Value,
 };
+use argus_obs::Hist;
 use argus_shadow::ShadowRs;
 use argus_sim::{CostModel, IntMap, IntSet, SimClock};
 use argus_slog::{ForceConfig, ForceScheduler, LogAddress};
@@ -211,14 +212,11 @@ pub struct Guardian<R: ?Sized = dyn RecoverySystem> {
     /// Emptied coordinator effect lists, reused by the next transitions (a
     /// transition whose effects run another needs a second one).
     spare_fx: Vec<Vec<CoordEffect>>,
-    /// The world's clock and tracer, and its `twopc.*_us` phase timers —
-    /// handles, so that a step resolves nothing by name.
+    /// The world's clock, tracer and registry; the `twopc.*_us` phase
+    /// timings read the clock.
     clock: SimClock,
     tracer: argus_trace::Tracer,
-    prepare_us: argus_obs::Timer,
-    commit_us: argus_obs::Timer,
-    committing_us: argus_obs::Timer,
-    abort_us: argus_obs::Timer,
+    obs: argus_obs::Registry,
     /// The directory this guardian chose for its files, if it chose one;
     /// removed when the guardian is dropped, after the log inside it.
     _owned_dir: Option<Arc<OwnedDir>>,
@@ -386,10 +384,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             spare_fx: Vec::new(),
             clock,
             tracer,
-            prepare_us: obs.timer("twopc.prepare_us"),
-            commit_us: obs.timer("twopc.commit_us"),
-            committing_us: obs.timer("twopc.committing_us"),
-            abort_us: obs.timer("twopc.abort_us"),
+            obs: obs.clone(),
             _owned_dir: None,
         }
     }
@@ -857,10 +852,12 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                     let now = self.clock.now();
                     let coordinator = self.coordinators.get(&aid);
                     let (timer, span, gids) = match coordinator {
-                        Some(c) if !c.is_local() => {
-                            (&self.committing_us, Kind::CommitPoint, &c.participants[..])
-                        }
-                        _ => (&self.commit_us, Kind::CommitLocally, &[][..]),
+                        Some(c) if !c.is_local() => (
+                            Hist::TwopcCommittingUs,
+                            Kind::CommitPoint,
+                            &c.participants[..],
+                        ),
+                        _ => (Hist::TwopcCommitUs, Kind::CommitLocally, &[][..]),
                     };
                     let staged = if self.known.contains(&aid) {
                         let mos = self.mos.remove(&aid).unwrap_or_default();
@@ -868,7 +865,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                     } else {
                         Err(RsError::BadState(format!("{aid} is unknown at {from}")))
                     };
-                    timer.record_since(now);
+                    self.obs.record_since(timer, &self.clock, now);
                     if matches!(&staged, Err(e) if !e.is_crash()) {
                         // Unknown, or the entries could not be written.
                         self.coord_step(aid, Coordinator::abort_unilaterally_into, fx)?;
@@ -922,19 +919,33 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 PartEffect::PrepareLocally => {
                     let mos = self.mos.remove(&aid).unwrap_or_default();
                     let staged = self.rs.stage_prepare(aid, &mos, &self.heap);
-                    let timer = &self.prepare_us;
-                    (StagedOp::Prepare(aid), Kind::Prepare, timer, staged)
+                    (
+                        StagedOp::Prepare(aid),
+                        Kind::Prepare,
+                        Hist::TwopcPrepareUs,
+                        staged,
+                    )
                 }
                 PartEffect::ForceCommit => {
                     let staged = self.rs.stage_commit(aid);
-                    (StagedOp::Commit(aid), Kind::Commit, &self.commit_us, staged)
+                    (
+                        StagedOp::Commit(aid),
+                        Kind::Commit,
+                        Hist::TwopcCommitUs,
+                        staged,
+                    )
                 }
                 PartEffect::ForceAbort => {
                     let staged = self.rs.stage_abort(aid);
-                    (StagedOp::Abort(aid), Kind::Abort, &self.abort_us, staged)
+                    (
+                        StagedOp::Abort(aid),
+                        Kind::Abort,
+                        Hist::TwopcAbortUs,
+                        staged,
+                    )
                 }
             };
-            timer.record_since(now);
+            self.obs.record_since(timer, &self.clock, now);
             if matches!((op, &staged), (StagedOp::Prepare(_), Err(e)) if !e.is_crash()) {
                 // The prepare could not be written: refuse.
                 let participant = self.participants.get_mut(&aid);

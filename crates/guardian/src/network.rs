@@ -1,6 +1,7 @@
 //! The simulated network.
 
 use argus_objects::GuardianId;
+use argus_obs::{Count, Registry};
 use argus_sim::{DetRng, IntSet};
 use argus_twopc::Envelope;
 use std::collections::{BTreeSet, VecDeque};
@@ -44,35 +45,6 @@ impl NetFaults {
     }
 }
 
-/// Cached metric handles mirroring the network's internal tallies into the
-/// ambient observability registry, and the tracer message flows are drawn
-/// on — both the ones current when the network is built.
-#[derive(Debug, Clone)]
-struct NetObs {
-    sent: argus_obs::Counter,
-    /// Envelopes whose sender is their recipient. No guardian mails itself —
-    /// a coordinator is no party to its own protocol — so this stays 0.
-    self_sent: argus_obs::Counter,
-    delivered: argus_obs::Counter,
-    dropped: argus_obs::Counter,
-    partitioned: argus_obs::Counter,
-    tracer: argus_trace::Tracer,
-}
-
-impl Default for NetObs {
-    fn default() -> Self {
-        let reg = argus_obs::current();
-        Self {
-            sent: reg.counter("net.sent"),
-            self_sent: reg.counter("net.self_sent"),
-            delivered: reg.counter("net.delivered"),
-            dropped: reg.counter("net.dropped"),
-            partitioned: reg.counter("net.partitioned"),
-            tracer: argus_trace::current(),
-        }
-    }
-}
-
 /// A deterministic store-and-forward network.
 ///
 /// Messages are delivered in FIFO order, one at a time, by the world's event
@@ -93,7 +65,7 @@ impl Default for NetObs {
 /// A message the fault injector *deferred* is also held, not dropped, if its
 /// recipient crashes before it finally pops: it is still in the network, and
 /// arrives after the restart like any delayed packet.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SimNetwork {
     /// Pending messages: the envelope, how often it has been deferred, and
     /// the trace flow id opened at send time (closed at delivery; a dropped
@@ -112,7 +84,10 @@ pub struct SimNetwork {
     duplicated: u64,
     deferred: u64,
     partitioned: u64,
-    obs: NetObs,
+    /// The registry the tallies are mirrored into and the tracer message
+    /// flows are drawn on: both the ones current when the network is built.
+    obs: Registry,
+    tracer: argus_trace::Tracer,
 }
 
 fn pair(a: GuardianId, b: GuardianId) -> (GuardianId, GuardianId) {
@@ -123,10 +98,31 @@ fn pair(a: GuardianId, b: GuardianId) -> (GuardianId, GuardianId) {
     }
 }
 
+impl Default for SimNetwork {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SimNetwork {
     /// Creates an empty network.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            queue: VecDeque::new(),
+            held: VecDeque::new(),
+            down: IntSet::default(),
+            partitions: BTreeSet::new(),
+            paused: BTreeSet::new(),
+            faults: None,
+            delivered: 0,
+            dropped: 0,
+            fault_dropped: 0,
+            duplicated: 0,
+            deferred: 0,
+            partitioned: 0,
+            obs: argus_obs::current(),
+            tracer: argus_trace::current(),
+        }
     }
 
     /// Installs (or removes) a fault injector.
@@ -137,12 +133,12 @@ impl SimNetwork {
     /// Enqueues a message, opening the trace flow edge that ties the send
     /// on the sender's lane to the delivery on the receiver's.
     pub fn send(&mut self, envelope: Envelope) {
-        self.obs.sent.inc();
+        self.obs.inc(Count::NetSent);
         if envelope.from == envelope.to {
-            self.obs.self_sent.inc();
+            self.obs.inc(Count::NetSelfSent);
         }
         let aid = envelope.msg.aid();
-        let flow = self.obs.tracer.flow_start(
+        let flow = self.tracer.flow_start(
             envelope.msg.flow(),
             envelope.from.0,
             Some(argus_trace::Key::new(aid.coordinator.0, aid.seq)),
@@ -157,7 +153,7 @@ impl SimNetwork {
         while let Some((envelope, deferrals, flow)) = self.queue.pop_front() {
             if self.is_partitioned(envelope.from, envelope.to) {
                 self.partitioned += 1;
-                self.obs.partitioned.inc();
+                self.obs.inc(Count::NetPartitioned);
                 self.held.push_back((envelope, deferrals, flow));
                 continue;
             }
@@ -174,7 +170,7 @@ impl SimNetwork {
                     continue;
                 }
                 self.dropped += 1;
-                self.obs.dropped.inc();
+                self.obs.inc(Count::NetDropped);
                 continue;
             }
             if let Some(faults) = &mut self.faults {
@@ -183,7 +179,7 @@ impl SimNetwork {
                 if faults.rng.gen_bool(faults.drop_prob) {
                     self.dropped += 1;
                     self.fault_dropped += 1;
-                    self.obs.dropped.inc();
+                    self.obs.inc(Count::NetDropped);
                     continue;
                 }
                 // Defer (reorder) with bounded retries so delivery stays
@@ -202,10 +198,10 @@ impl SimNetwork {
                 }
             }
             self.delivered += 1;
-            self.obs.delivered.inc();
+            self.obs.inc(Count::NetDelivered);
             if let Some(flow) = flow {
                 let aid = envelope.msg.aid();
-                self.obs.tracer.flow_end(
+                self.tracer.flow_end(
                     envelope.msg.flow(),
                     envelope.to.0,
                     Some(argus_trace::Key::new(aid.coordinator.0, aid.seq)),

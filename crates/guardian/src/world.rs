@@ -10,6 +10,7 @@ use argus_cc::{
 };
 use argus_core::{HousekeepingMode, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
+use argus_obs::{Count, Hist};
 use argus_sim::{CostModel, IntMap, SimClock};
 use argus_slog::ForceConfig;
 use argus_stable::{CacheConfig, FaultPlan};
@@ -124,11 +125,8 @@ pub struct World {
     pub clock: SimClock,
     model: CostModel,
     /// The ambient observability registry, bound to `clock` so phase timers
-    /// measure simulated time.
+    /// measure simulated time; the world records by row.
     obs: argus_obs::Registry,
-    /// Handles into `obs` for everything recorded between `begin` and the
-    /// commit acknowledgement.
-    wobs: WorldObs,
     /// The ambient tracer, bound to `clock` and reset when the world is
     /// built: one world is one trace.
     tracer: argus_trace::Tracer,
@@ -187,43 +185,6 @@ pub struct World {
     pub(crate) mail_applied: u64,
 }
 
-/// The world's hot-path metric handles, resolved from the registry current
-/// when the world is built (after its clock is bound, so the timers read
-/// this world's simulated time). Cold paths — crash, restart, demand
-/// restore — keep the by-name form on `World::obs`.
-#[derive(Debug)]
-struct WorldObs {
-    commits: argus_obs::Counter,
-    aborts: argus_obs::Counter,
-    pending: argus_obs::Counter,
-    sched_polls: argus_obs::Counter,
-    cc_waits: argus_obs::Counter,
-    cc_deadlocks: argus_obs::Counter,
-    cc_victims: argus_obs::Counter,
-    cc_timeouts: argus_obs::Counter,
-    cc_retries: argus_obs::Counter,
-    cc_wait_us: argus_obs::Histogram,
-    commit_round_us: argus_obs::Timer,
-}
-
-impl WorldObs {
-    fn resolve(reg: &argus_obs::Registry) -> Self {
-        Self {
-            commits: reg.counter("world.commits"),
-            aborts: reg.counter("world.aborts"),
-            pending: reg.counter("world.pending"),
-            sched_polls: reg.counter("world.sched.polls"),
-            cc_waits: reg.counter("cc.waits"),
-            cc_deadlocks: reg.counter("cc.deadlocks"),
-            cc_victims: reg.counter("cc.victims"),
-            cc_timeouts: reg.counter("cc.timeouts"),
-            cc_retries: reg.counter("cc.retries"),
-            cc_wait_us: reg.histogram("cc.wait_us"),
-            commit_round_us: reg.timer("twopc.commit_round_us"),
-        }
-    }
-}
-
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -244,7 +205,6 @@ impl World {
         let clock = SimClock::new();
         let obs = argus_obs::current();
         obs.set_clock(clock.clone());
-        let wobs = WorldObs::resolve(&obs);
         let tracer = argus_trace::current();
         tracer.set_clock(clock.clone());
         tracer.reset();
@@ -252,7 +212,6 @@ impl World {
             clock,
             model,
             obs,
-            wobs,
             tracer,
             guardians: BTreeMap::new(),
             net: SimNetwork::new(),
@@ -562,7 +521,7 @@ impl World {
             },
             upgrade,
         );
-        self.wobs.cc_waits.inc();
+        self.obs.inc(Count::CcWaits);
         if matches!(self.cfg.cc.policy, CcPolicy::Blocking) {
             self.cc_detect_deadlock(aid);
         }
@@ -597,14 +556,14 @@ impl World {
             let Some(cycle) = self.cc_search.cycle_through(&self.cc, start, holders) else {
                 return;
             };
-            self.wobs.cc_deadlocks.inc();
+            self.obs.inc(Count::CcDeadlocks);
             let victim = cycle
                 .iter()
                 .copied()
                 .filter(|a| !self.in_two_phase_commit(*a))
                 .max_by_key(|a| self.live.get(a).map_or(0, |l| l.order))
                 .unwrap_or(start);
-            self.wobs.cc_victims.inc();
+            self.obs.inc(Count::CcVictims);
             self.tracer.instant(
                 Kind::DeadlockVictim,
                 victim.coordinator.0,
@@ -676,7 +635,7 @@ impl World {
                 let locked = guardian.lock(waiter.aid, key.hid, waiter.mode);
                 locked.expect("the lock is grantable");
                 let waited = self.clock.now().saturating_sub(waiter.parked_at);
-                self.wobs.cc_wait_us.record(waited);
+                self.obs.record(Hist::CcWaitUs, waited);
                 self.tracer.complete(
                     Kind::LockWait,
                     key.gid.0,
@@ -729,7 +688,7 @@ impl World {
         let expired = self.cc.expired(self.clock.now());
         let any = !expired.is_empty();
         for aid in expired {
-            self.wobs.cc_timeouts.inc();
+            self.obs.inc(Count::CcTimeouts);
             self.cc_fates.insert(aid, CcFate::TimedOut);
             self.abort_local(aid);
         }
@@ -856,14 +815,15 @@ impl World {
             );
         }
         if let Some(launched_at) = live.launched_at {
-            self.wobs.commit_round_us.record_since(launched_at);
+            self.obs
+                .record_since(Hist::TwopcCommitRoundUs, &self.clock, launched_at);
         }
     }
 
     /// Counts one aborted-and-retried attempt (`cc.retries`): the workload
     /// drivers decide what a retry is, the world owns the `cc.*` handles.
     pub fn note_cc_retry(&self) {
-        self.wobs.cc_retries.inc();
+        self.obs.inc(Count::CcRetries);
     }
 
     /// Runs housekeeping at `g`.
@@ -954,9 +914,9 @@ impl World {
         let policed = policed.map(|at| self.policed.swap_remove(at).1);
         let outcome = self.settle(aid)?;
         match outcome {
-            Outcome::Committed => self.wobs.commits.inc(),
-            Outcome::Aborted => self.wobs.aborts.inc(),
-            Outcome::Pending => self.wobs.pending.inc(),
+            Outcome::Committed => self.obs.inc(Count::WorldCommits),
+            Outcome::Aborted => self.obs.inc(Count::WorldAborts),
+            Outcome::Pending => self.obs.inc(Count::WorldPending),
         }
         // Apply any automatic housekeeping policies now that the log grew
         // ("as frequently as needed", ch. 5): every guardian's log growth
@@ -999,7 +959,8 @@ impl World {
         };
         // A round still open when its caller stops waiting ends here.
         if let Some(t0) = self.live.get_mut(&aid).and_then(|l| l.launched_at.take()) {
-            self.wobs.commit_round_us.record_since(t0);
+            self.obs
+                .record_since(Hist::TwopcCommitRoundUs, &self.clock, t0);
         }
         Ok(outcome)
     }
@@ -1015,7 +976,7 @@ impl World {
         // A guardian that found its device gone inside a step is down
         // already, and `apply` has counted it.
         if self.guardians.get_mut(&g).is_some_and(Guardian::crashed) {
-            self.obs.inc("world.crashes");
+            self.obs.inc(Count::WorldCrashes);
         }
         self.staged_ready.remove(&g);
         self.net.mark_down(g);
@@ -1102,7 +1063,7 @@ impl World {
             return Ok(Some(h));
         }
         if guardian.rs.demand_restore(uid, &mut guardian.heap)? {
-            self.obs.inc("world.demand_restores");
+            self.obs.inc(Count::WorldDemandRestores);
             return Ok(self.guardian(g)?.heap.lookup(uid));
         }
         Ok(None)
@@ -1145,7 +1106,7 @@ impl World {
         g: GuardianId,
         arm_ops: Option<u64>,
     ) -> WorldResult<Option<RecoveryOutcome>> {
-        let timer = self.obs.phase("world.restart_us");
+        let timer = self.obs.phase(Hist::WorldRestartUs, &self.clock);
         // The crash already cleared the staged batch; drop any stale ready
         // marker before recovery repopulates the world's view of `g`.
         self.staged_ready.remove(&g);
@@ -1171,7 +1132,7 @@ impl World {
             // The armed second crash fired as the log reopened or inside
             // recovery; a plain restart picks up from what the device holds.
             timer.stop();
-            self.obs.inc("world.recovery_crashes");
+            self.obs.inc(Count::WorldRecoveryCrashes);
             return Ok(None);
         };
         self.run_until_quiet()?;
@@ -1180,7 +1141,7 @@ impl World {
         // §2.2.2 by a world-wide re-query sweep.
         self.requery_in_doubt()?;
         timer.stop();
-        self.obs.inc("world.restarts");
+        self.obs.inc(Count::WorldRestarts);
         Ok(Some(outcome))
     }
 
@@ -1270,7 +1231,7 @@ impl World {
             self.outcomes.insert(aid, committed);
         }
         if std::mem::take(&mut self.fx.crashed) {
-            self.obs.inc("world.crashes");
+            self.obs.inc(Count::WorldCrashes);
             self.mark_crashed(g);
         }
     }
@@ -1288,7 +1249,7 @@ impl World {
                 break;
             }
             self.force_due.pop();
-            self.wobs.sched_polls.inc();
+            self.obs.inc(Count::WorldSchedPolls);
             let guardian = self.guardians.get(&g);
             if guardian.is_some_and(|gu| gu.up && gu.force_sched.due(now)) {
                 self.flush_staged(g)?;
@@ -1307,7 +1268,8 @@ impl World {
         };
         let ready = self.staged_ready.iter().copied();
         let pending: Vec<GuardianId> = ready.filter(staged).collect();
-        self.wobs.sched_polls.add(self.staged_ready.len() as u64);
+        self.obs
+            .add(Count::WorldSchedPolls, self.staged_ready.len() as u64);
         let any = !pending.is_empty();
         for g in pending {
             self.flush_staged(g)?;

@@ -6,9 +6,7 @@ use std::sync::Arc;
 /// A monotonically increasing atomic counter.
 ///
 /// Cloning a `Counter` yields another handle to the *same* underlying value,
-/// so instrumented structs can resolve a handle once (by name, through a
-/// [`crate::Registry`]) and then bump it on the hot path with a single
-/// relaxed `fetch_add`.
+/// so a [`crate::Registry`] can hand out a live handle to one of its rows.
 ///
 /// # Examples
 ///

@@ -5,14 +5,14 @@
 //! every path must be measurable. This crate is the std-only substrate the
 //! experiments report against:
 //!
-//! * [`Counter`] / [`Histogram`] — atomic counters and fixed power-of-two
-//!   bucket histograms behind a named [`Registry`];
-//! * [`Timer`] / [`PhaseTimer`] — phase timing against the simulated
-//!   [`argus_sim::SimClock`]: a held histogram-plus-clock handle for hot
-//!   paths (2PC phases, log forces, prepares), a by-name guard for cold
-//!   ones (restart, housekeeping);
-//! * [`Report`] — text (markdown tables) and JSON exporters over one
-//!   registry snapshot.
+//! * [`Count`] / [`Hist`] — the catalogue: every counter and histogram the
+//!   stack records, declared once with its dotted name and meaning
+//!   (`argus-lint obs --names` prints it);
+//! * [`Registry`] — one [`Counter`] per counter row and one [`Histogram`]
+//!   (fixed power-of-two buckets) per histogram row, and the simulated
+//!   [`argus_sim::SimClock`] phase timings ([`PhaseTimer`]) read;
+//! * [`Report`] — every row of one registry snapshot, printed as markdown
+//!   tables through [`write_grid`].
 //!
 //! It keeps numbers only. What happened, in order — a log opened, a crash
 //! fired, a mirror repaired a page, a housekeeping pass, every lock wait and
@@ -25,33 +25,34 @@
 //! process-wide [`global()`] registry. Tests and experiments that want an
 //! isolated view enter their own registry; everything else just works.
 //!
-//! ## Handles, not names, where it is hot
+//! ## Rows, not names
 //!
-//! Resolving a metric by name takes a lock and walks a string-keyed map.
-//! A long-lived component resolves a struct of handles once, when it is
-//! built, and bumps atomics afterwards; per-action state machines share one
-//! [`ThreadHandles`] set per thread that follows the current registry. The
-//! by-name conveniences ([`Registry::inc`], [`Registry::phase`], …) are
-//! for tests and cold paths, and [`Registry::lookups`] counts their use so
-//! a test can pin a hot path at zero.
+//! Code records by row — an array index and an atomic add — so no name is
+//! resolved at run time. A long-lived component keeps the registry current
+//! when it was built; a per-action machine records into the registry
+//! current when its transition runs, through [`with_current`]. Naming a
+//! metric by its dotted string ([`Registry::counter`], [`Registry::inc`],
+//! …) is for tests and the benchmark: it searches the catalogue, panics on
+//! a name that is no row, and [`Registry::lookups`] counts it so a test can
+//! pin a hot path at zero.
 //!
 //! ```
-//! use argus_obs::{current, Registry};
+//! use argus_obs::{current, Count, Registry};
 //!
 //! let reg = Registry::new();
 //! let _scope = reg.enter();
-//! current().inc("core.commits");
-//! println!("{}", reg.report().to_text());
+//! current().inc(Count::CoreCommits);
+//! println!("{}", reg.report());
 //! ```
 
+mod catalogue;
 mod counter;
 mod hist;
 mod registry;
 mod report;
-mod table;
 
+pub use catalogue::{Count, Hist};
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram};
-pub use registry::{current, global, PhaseTimer, Registry, ScopedRegistry, ThreadHandles, Timer};
-pub use report::Report;
-pub use table::{write_grid, Table};
+pub use registry::{current, global, with_current, Name, PhaseTimer, Registry, ScopedRegistry};
+pub use report::{write_grid, Report};

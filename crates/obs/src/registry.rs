@@ -1,60 +1,67 @@
-//! The metric registry: named counters, histograms and phase timers,
-//! resolvable globally or per-scope.
+//! The metric registry: one counter per [`Count`] row and one histogram per
+//! [`Hist`] row, resolvable globally or per scope.
 
+use crate::catalogue::{Count, Hist};
 use crate::counter::Counter;
 use crate::hist::Histogram;
 use crate::report::Report;
 use argus_sim::SimClock;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// One kind of named metric: the handles by name, and how many by-name
-/// resolutions have been served (counted under the lock every resolution
-/// takes anyway).
-#[derive(Debug)]
-struct Named<T> {
-    by_name: BTreeMap<String, T>,
-    lookups: u64,
-}
-
-impl<T: Clone + Default> Named<T> {
-    fn new() -> Mutex<Self> {
-        Mutex::new(Self {
-            by_name: BTreeMap::new(),
-            lookups: 0,
-        })
-    }
-
-    /// Resolves (creating on first use) the handle `name`.
-    fn resolve(&mut self, name: &str) -> T {
-        self.lookups += 1;
-        match self.by_name.get(name) {
-            Some(handle) => handle.clone(),
-            None => {
-                let handle = T::default();
-                self.by_name.insert(name.to_string(), handle.clone());
-                handle
-            }
-        }
-    }
-}
 
 #[derive(Debug)]
 struct Inner {
-    counters: Mutex<Named<Counter>>,
-    hists: Mutex<Named<Histogram>>,
+    counters: [Counter; Count::ALL.len()],
+    hists: [Histogram; Hist::ALL.len()],
     clock: Mutex<SimClock>,
+    /// By-name resolutions served.
+    lookups: AtomicU64,
 }
 
-/// A registry of named [`Counter`]s and [`Histogram`]s.
+/// How a registry call names a metric: by its catalogue row, or — in tests
+/// and the benchmark — by its dotted name, which is searched for in the
+/// catalogue, counted by [`Registry::lookups`], and panics if it is no row.
+pub trait Name<R>: Copy {
+    /// The row this names.
+    fn row(self, reg: &Registry) -> R;
+}
+
+macro_rules! names {
+    ($($row:ident),*) => {$(
+        impl Name<$row> for $row {
+            #[inline]
+            fn row(self, _: &Registry) -> $row {
+                self
+            }
+        }
+
+        impl Name<$row> for &str {
+            #[inline]
+            fn row(self, reg: &Registry) -> $row {
+                reg.inner.lookups.fetch_add(1, Ordering::Relaxed);
+                $row::named(self)
+            }
+        }
+
+        impl Name<$row> for &&str {
+            fn row(self, reg: &Registry) -> $row {
+                (*self).row(reg)
+            }
+        }
+    )*};
+}
+
+names!(Count, Hist);
+
+/// One [`Counter`] per [`Count`] row and one [`Histogram`] per [`Hist`]
+/// row, and the simulated clock phase timings read.
 ///
-/// Cloning is cheap (one `Arc`). Instrumented structs resolve handles by
-/// name once, at construction, and bump plain atomics afterwards: every
-/// by-name call ([`Registry::counter`], [`Registry::histogram`] and the
-/// conveniences built on them) takes a lock and walks a string-keyed map,
-/// and [`Registry::lookups`] counts them so a test can pin a hot path at
-/// zero.
+/// Cloning is cheap (one `Arc`). Code records by row
+/// (`reg.inc(Count::SlogAppends)`: an index and an atomic add); the
+/// by-name forms of [`Registry::counter`], [`Registry::histogram`] and
+/// [`Registry::inc`] are for tests and the benchmark, and
+/// [`Registry::lookups`] counts them so a test can pin a hot path at zero.
 ///
 /// Resolution is **global-or-injected**: [`crate::current()`] returns the
 /// registry installed on the calling thread by [`Registry::enter`], falling
@@ -62,21 +69,20 @@ struct Inner {
 /// runs on its own thread, so a test that wants isolated metrics does
 ///
 /// ```
-/// use argus_obs::Registry;
+/// use argus_obs::{Count, Registry};
 ///
 /// let reg = Registry::new();
 /// let _scope = reg.enter();
 /// // everything constructed here records into `reg`
-/// argus_obs::current().counter("demo").inc();
-/// assert_eq!(reg.counter("demo").get(), 1);
+/// argus_obs::current().inc(Count::SlogAppends);
+/// assert_eq!(reg.counter("slog.appends").get(), 1);
 /// ```
 ///
-/// Phase timers measure **simulated** time: the registry holds a [`SimClock`]
-/// (replaceable via [`Registry::set_clock`], which `World::new` does). A
-/// [`Timer`] is the held-handle form — a histogram plus the clock the
-/// registry had when the handle was resolved; a [`PhaseTimer`] guard is the
-/// by-name form for cold paths and records `clock.now()` deltas into a
-/// histogram when dropped.
+/// Phase timers measure **simulated** time: the registry holds a
+/// [`SimClock`] (replaceable via [`Registry::set_clock`], which `World::new`
+/// does). A component that times phases reads the clock it was built on —
+/// its own, or the registry's at construction — and hands it to
+/// [`Registry::record_since`] or [`Registry::phase`].
 #[derive(Debug, Clone)]
 pub struct Registry {
     inner: Arc<Inner>,
@@ -98,15 +104,16 @@ impl Registry {
     pub fn with_clock(clock: SimClock) -> Self {
         Self {
             inner: Arc::new(Inner {
-                counters: Named::new(),
-                hists: Named::new(),
+                counters: std::array::from_fn(|_| Counter::new()),
+                hists: std::array::from_fn(|_| Histogram::new()),
                 clock: Mutex::new(clock),
+                lookups: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Replaces the clock that phase timers read. Existing [`Timer`]s and
-    /// [`PhaseTimer`] guards keep their original clock.
+    /// Replaces the registry's clock. Components built earlier keep the
+    /// clock they read then.
     pub fn set_clock(&self, clock: SimClock) {
         *self.inner.clock.lock().unwrap() = clock;
     }
@@ -116,94 +123,77 @@ impl Registry {
         self.inner.clock.lock().unwrap().clone()
     }
 
-    /// Whether `other` is a handle to this very registry. Per-thread
-    /// handle sets ([`crate::ThreadHandles`]) key on it.
-    pub fn same(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// How many by-name resolutions this registry has served. Code between
-    /// `World::begin` and the commit acknowledgement performs none in
-    /// steady state (`tests/instrumentation_budget.rs`).
+    /// `World::begin` and the commit acknowledgement performs none
+    /// (`tests/instrumentation_budget.rs`).
     pub fn lookups(&self) -> u64 {
-        let counters = self.inner.counters.lock().unwrap().lookups;
-        counters + self.inner.hists.lock().unwrap().lookups
+        self.inner.lookups.load(Ordering::Relaxed)
     }
 
-    /// Resolves (creating on first use) the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner.counters.lock().unwrap().resolve(name)
+    /// A handle to the counter `name`.
+    pub fn counter(&self, name: impl Name<Count>) -> Counter {
+        self.inner.counters[name.row(self) as usize].clone()
     }
 
-    /// Resolves (creating on first use) the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner.hists.lock().unwrap().resolve(name)
+    /// A handle to the histogram `name`.
+    pub fn histogram(&self, name: impl Name<Hist>) -> Histogram {
+        self.inner.hists[name.row(self) as usize].clone()
     }
 
-    /// Convenience: `counter(name).add(n)`.
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+    /// Adds one to the counter `name`.
+    #[inline]
+    pub fn inc(&self, name: impl Name<Count>) {
+        self.add(name.row(self), 1);
     }
 
-    /// Convenience: `counter(name).inc()`.
-    pub fn inc(&self, name: &str) {
-        self.counter(name).inc();
+    /// Adds `n` to the counter `row`.
+    #[inline]
+    pub fn add(&self, row: Count, n: u64) {
+        self.inner.counters[row as usize].add(n);
     }
 
-    /// Convenience: `histogram(name).record(v)`.
-    pub fn observe(&self, name: &str, v: u64) {
-        self.histogram(name).record(v);
+    /// Records `v` into the histogram `row`.
+    #[inline]
+    pub fn record(&self, row: Hist, v: u64) {
+        self.inner.hists[row as usize].record(v);
     }
 
-    /// Resolves the histogram `name` (by convention suffixed `_us`) as a
-    /// [`Timer`] on the clock the registry reads now — the handle a hot
-    /// path holds instead of calling [`Registry::phase`] per event.
-    pub fn timer(&self, name: &str) -> Timer {
-        Timer {
-            hist: self.histogram(name),
-            clock: self.clock(),
+    /// Records into the histogram `row` the simulated µs `clock` moved
+    /// since `start`, and returns them.
+    #[inline]
+    pub fn record_since(&self, row: Hist, clock: &SimClock, start: u64) -> u64 {
+        let elapsed = clock.now().saturating_sub(start);
+        self.record(row, elapsed);
+        elapsed
+    }
+
+    /// Starts a guard that records into the histogram `row` the simulated
+    /// µs `clock` moves until it is dropped or stopped, whichever way the
+    /// phase is left.
+    pub fn phase(&self, row: Hist, clock: &SimClock) -> PhaseTimer {
+        PhaseTimer {
+            reg: self.clone(),
+            row,
+            start: clock.now(),
+            clock: clock.clone(),
+            stopped: false,
         }
     }
 
-    /// Starts a phase timer recording into the histogram `name` (by
-    /// convention suffixed `_us`) when the guard drops. The by-name form,
-    /// for cold paths and tests.
-    pub fn phase(&self, name: &str) -> PhaseTimer {
-        self.timer(name).into_guard()
-    }
-
-    /// Snapshots every counter and histogram into a [`Report`].
+    /// Snapshots every row, in name order, into a [`Report`].
     pub fn report(&self) -> Report {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .unwrap()
-            .by_name
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let hists = self
-            .inner
-            .hists
-            .lock()
-            .unwrap()
-            .by_name
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect();
-        Report { counters, hists }
+        let counters = self.inner.counters.iter().map(Counter::get);
+        let hists = self.inner.hists.iter().map(Histogram::snapshot);
+        Report {
+            counters: Count::ALL.iter().copied().zip(counters).collect(),
+            hists: Hist::ALL.iter().copied().zip(hists).collect(),
+        }
     }
 
-    /// Resets every counter and histogram (names persist, so already-cached
-    /// handles stay live).
+    /// Resets every counter and histogram; handles stay live.
     pub fn reset(&self) {
-        for c in self.inner.counters.lock().unwrap().by_name.values() {
-            c.reset();
-        }
-        for h in self.inner.hists.lock().unwrap().by_name.values() {
-            h.reset();
-        }
+        self.inner.counters.iter().for_each(Counter::reset);
+        self.inner.hists.iter().for_each(Histogram::reset);
     }
 
     /// Installs this registry as the calling thread's current registry until
@@ -214,60 +204,16 @@ impl Registry {
     }
 }
 
-/// A histogram handle bound to a simulated clock: the hot-path phase
-/// timer. Read [`Timer::now`] where the phase starts and hand the reading
-/// to [`Timer::record_since`] where it ends — two atomic loads and one
-/// histogram record, no lock, no lookup, nothing cloned. Where the phase
-/// has early exits, [`Timer::start`] gives the guard form for the price of
-/// two handle clones.
-///
-/// The clock is the one the registry had when the handle was resolved
-/// ([`Registry::timer`]), exactly as the histogram is that registry's: a
-/// component resolves both at construction and keeps timing against the
-/// world it was built in.
-#[derive(Debug, Clone)]
-pub struct Timer {
-    hist: Histogram,
-    clock: SimClock,
-}
-
-impl Timer {
-    /// The bound clock's current reading, simulated µs.
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// Records the simulated µs elapsed since `start` and returns them.
-    #[inline]
-    pub fn record_since(&self, start: u64) -> u64 {
-        let elapsed = self.clock.now().saturating_sub(start);
-        self.hist.record(elapsed);
-        elapsed
-    }
-
-    /// Starts a guard that records the elapsed simulated µs when dropped
-    /// or stopped, whichever way the phase is left.
-    pub fn start(&self) -> PhaseTimer {
-        self.clone().into_guard()
-    }
-
-    fn into_guard(self) -> PhaseTimer {
-        PhaseTimer {
-            start: self.now(),
-            timer: self,
-            stopped: false,
-        }
-    }
-}
-
-/// A span-like guard measuring one phase against the simulated clock.
+/// A span-like guard measuring one phase against a simulated clock
+/// ([`Registry::phase`]).
 ///
 /// Records `clock.now() - start` into its histogram when dropped (or
 /// explicitly via [`PhaseTimer::stop`], which also returns the elapsed µs).
 #[derive(Debug)]
 pub struct PhaseTimer {
-    timer: Timer,
+    reg: Registry,
+    row: Hist,
+    clock: SimClock,
     start: u64,
     stopped: bool,
 }
@@ -276,14 +222,14 @@ impl PhaseTimer {
     /// Stops the timer now, records the elapsed simulated µs, and returns it.
     pub fn stop(mut self) -> u64 {
         self.stopped = true;
-        self.timer.record_since(self.start)
+        self.reg.record_since(self.row, &self.clock, self.start)
     }
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
         if !self.stopped {
-            self.timer.record_since(self.start);
+            self.reg.record_since(self.row, &self.clock, self.start);
         }
     }
 }
@@ -319,63 +265,16 @@ pub fn current() -> Registry {
     with_current(Registry::clone)
 }
 
-/// Runs `f` on the current registry without cloning the handle. `f` must
-/// not [`Registry::enter`] or leave a scope: the scope stack is borrowed
-/// while it runs.
-fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
+/// Runs `f` on the current registry without cloning the handle: how a
+/// per-action machine (a 2PC coordinator or participant, a fault plan
+/// firing a crash) records into the registry current *when its transition
+/// runs*. `f` must not [`Registry::enter`] or leave a scope: the scope
+/// stack is borrowed while it runs.
+pub fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
     CURRENT.with(|stack| match stack.borrow().last() {
         Some(reg) => f(reg),
         None => f(GLOBAL.get_or_init(Registry::new)),
     })
-}
-
-/// One set of metric handles per thread, following the thread's current
-/// registry.
-///
-/// Long-lived components resolve their handles at construction. Per-action
-/// state machines (a 2PC coordinator, a parked lock request) are built far
-/// too often for that and have no owner to hold handles for them, so each
-/// such crate keeps one `thread_local!` `ThreadHandles<T>`: the set is
-/// resolved from [`current()`] on first use and again only when a different
-/// registry has become current, so in steady state an event costs the
-/// identity check and the atomic bumps — and every count still lands in
-/// the registry that is current *when it is recorded*, as it did when these
-/// sites called `current()` per event.
-///
-/// The set keeps a handle to the registry it was resolved from, so that
-/// registry's address cannot be reused while the set could still match it.
-#[derive(Debug)]
-pub struct ThreadHandles<T> {
-    slot: RefCell<Option<(Registry, T)>>,
-}
-
-impl<T> ThreadHandles<T> {
-    /// An unresolved set.
-    pub const fn new() -> Self {
-        Self {
-            slot: RefCell::new(None),
-        }
-    }
-
-    /// Runs `f` on the handles of the current registry, calling `resolve`
-    /// first if this thread last used a different one. `f` must not use
-    /// this same set again, nor enter or leave a registry scope.
-    pub fn with<R>(&self, resolve: impl FnOnce(&Registry) -> T, f: impl FnOnce(&T) -> R) -> R {
-        with_current(|reg| {
-            let mut slot = self.slot.borrow_mut();
-            if !matches!(&*slot, Some((bound, _)) if bound.same(reg)) {
-                *slot = Some((reg.clone(), resolve(reg)));
-            }
-            let (_, handles) = slot.as_ref().expect("resolved just above");
-            f(handles)
-        })
-    }
-}
-
-impl<T> Default for ThreadHandles<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -383,14 +282,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn named_counters_are_shared_handles() {
+    fn a_name_and_its_row_are_one_counter() {
         let reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
+        let a = reg.counter("slog.appends");
+        let b = reg.counter(Count::SlogAppends);
         a.inc();
         b.inc();
-        assert_eq!(reg.counter("x").get(), 2);
-        assert_eq!(reg.counter("y").get(), 0);
+        reg.inc(Count::SlogAppends);
+        assert_eq!(reg.counter("slog.appends").get(), 3);
+        assert_eq!(reg.counter(Count::SlogForces).get(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"demo\" is no Hist of the argus-obs catalogue")]
+    fn an_unknown_name_panics() {
+        Registry::new().histogram("demo");
     }
 
     #[test]
@@ -398,108 +304,106 @@ mod tests {
         let reg = Registry::new();
         {
             let _scope = reg.enter();
-            current().counter("scoped").inc();
+            current().inc(Count::BenchProbe);
             // Nested scope wins, then restores.
             let inner = Registry::new();
             {
                 let _s2 = inner.enter();
-                current().counter("scoped").inc();
+                with_current(|r| r.inc(Count::BenchProbe));
             }
-            current().counter("scoped").inc();
-            assert_eq!(inner.counter("scoped").get(), 1);
+            with_current(|r| r.inc(Count::BenchProbe));
+            assert_eq!(inner.counter(Count::BenchProbe).get(), 1);
         }
-        assert_eq!(reg.counter("scoped").get(), 2);
-        assert_eq!(global().counter("scoped").get(), 0);
+        assert_eq!(reg.counter(Count::BenchProbe).get(), 2);
+        assert_eq!(global().counter(Count::BenchProbe).get(), 0);
     }
 
     #[test]
     fn phase_timer_records_sim_elapsed() {
         let clock = SimClock::new();
-        let reg = Registry::with_clock(clock.clone());
+        let reg = Registry::new();
         {
-            let _t = reg.phase("demo_us");
+            let _t = reg.phase(Hist::WorldRestartUs, &clock);
             clock.advance(250);
         }
-        let t2 = reg.phase("demo_us");
+        let t2 = reg.phase(Hist::WorldRestartUs, &clock);
         clock.advance(50);
         assert_eq!(t2.stop(), 50);
-        let s = reg.histogram("demo_us").snapshot();
+        let s = reg.histogram(Hist::WorldRestartUs).snapshot();
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 300);
         assert_eq!(s.max, 250);
     }
 
     #[test]
-    fn set_clock_rebinds_timers_resolved_after_it() {
+    fn set_clock_replaces_the_registry_clock() {
         let reg = Registry::new();
         let clock = SimClock::new();
         clock.advance(77);
         reg.set_clock(clock.clone());
         assert_eq!(reg.clock().now(), 77);
-        assert_eq!(reg.timer("t_us").now(), 77);
     }
 
     #[test]
-    fn report_collects_everything() {
+    fn report_lists_every_row_in_name_order() {
         let reg = Registry::new();
-        reg.inc("c1");
-        reg.observe("h1_us", 9);
+        reg.inc(Count::CcWaits);
+        reg.record(Hist::SlogForceUs, 9);
         let report = reg.report();
-        assert_eq!(report.counters, vec![("c1".to_string(), 1)]);
-        assert_eq!(report.hists.len(), 1);
+        assert_eq!(report.counters.len(), Count::ALL.len());
+        assert_eq!(report.hists.len(), Hist::ALL.len());
+        let counted: Vec<_> = report.counters.iter().filter(|(_, v)| *v != 0).collect();
+        assert_eq!(counted, [&(Count::CcWaits, 1)]);
+        assert_eq!(report.hists[Hist::SlogForceUs as usize].1.sum, 9);
     }
 
     #[test]
     fn reset_keeps_cached_handles_live() {
         let reg = Registry::new();
-        let c = reg.counter("keep");
+        let c = reg.counter(Count::CcWaits);
         c.add(5);
         reg.reset();
         assert_eq!(c.get(), 0);
         c.inc();
-        assert_eq!(reg.counter("keep").get(), 1);
+        assert_eq!(reg.counter("cc.waits").get(), 1);
     }
 
     #[test]
     fn lookups_count_by_name_resolutions_only() {
         let reg = Registry::new();
-        let c = reg.counter("c");
-        let t = reg.timer("t_us");
-        let before = reg.lookups();
-        assert_eq!(before, 2);
+        let c = reg.counter(Count::CcWaits);
+        reg.inc(Count::CcWaits);
+        reg.add(Count::CcWaits, 2);
+        reg.record(Hist::CcWaitUs, 1);
+        drop(reg.phase(Hist::CcWaitUs, &SimClock::new()));
         c.inc();
-        t.record_since(t.now());
-        drop(t.start());
-        assert_eq!(reg.lookups(), before, "handles resolve nothing");
-        reg.inc("c");
-        reg.observe("t_us", 1);
-        drop(reg.phase("t_us"));
-        assert_eq!(reg.lookups(), before + 3);
+        assert_eq!(reg.lookups(), 0, "rows resolve nothing");
+        reg.inc("cc.waits");
+        reg.counter("cc.waits");
+        reg.histogram("cc.wait_us");
+        assert_eq!(reg.lookups(), 3);
     }
 
     #[test]
     fn timer_keeps_the_clock_it_was_resolved_on() {
         let first = SimClock::new();
         let reg = Registry::with_clock(first.clone());
-        let timer = reg.timer("demo_us");
+        let clock = reg.clock();
         // A later world rebinds the registry; this component stays on its own.
         reg.set_clock(SimClock::new());
-        let t0 = timer.now();
+        let t0 = clock.now();
         first.advance(40);
-        assert_eq!(timer.record_since(t0), 40);
-        let guard = timer.start();
+        assert_eq!(reg.record_since(Hist::CorePrepareUs, &clock, t0), 40);
+        let guard = reg.phase(Hist::CorePrepareUs, &clock);
         first.advance(2);
         assert_eq!(guard.stop(), 2);
-        let s = reg.histogram("demo_us").snapshot();
+        let s = reg.histogram(Hist::CorePrepareUs).snapshot();
         assert_eq!((s.count, s.sum), (2, 42));
     }
 
     #[test]
-    fn thread_handles_follow_the_current_registry() {
-        thread_local! {
-            static HITS: ThreadHandles<Counter> = const { ThreadHandles::new() };
-        }
-        let hit = || HITS.with(|h| h.with(|reg| reg.counter("hits"), Counter::inc));
+    fn with_current_follows_the_current_registry() {
+        let hit = || with_current(|r| r.inc(Count::TwopcCoordStarted));
         let (a, b) = (Registry::new(), Registry::new());
         {
             let _a = a.enter();
@@ -511,10 +415,8 @@ mod tests {
             }
             hit();
         }
-        assert_eq!(a.counter("hits").get(), 3);
-        assert_eq!(b.counter("hits").get(), 1);
-        // Resolved once per change of registry, not once per event: a, b, a.
-        assert_eq!(a.lookups(), 2 + 1);
-        assert_eq!(b.lookups(), 1 + 1);
+        assert_eq!(a.counter(Count::TwopcCoordStarted).get(), 3);
+        assert_eq!(b.counter(Count::TwopcCoordStarted).get(), 1);
+        assert_eq!(a.lookups() + b.lookups(), 0);
     }
 }

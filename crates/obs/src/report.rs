@@ -1,159 +1,145 @@
-//! Text and JSON exporters for a registry snapshot.
+//! The text exporter for a registry snapshot.
 
+use crate::catalogue::{Count, Hist};
 use crate::hist::HistSnapshot;
-use crate::table::Table;
-use std::fmt::Write as _;
+use std::fmt;
 
-/// A point-in-time snapshot of one [`crate::Registry`]: every counter and
-/// histogram.
+/// A point-in-time snapshot of one [`crate::Registry`]: every row of the
+/// catalogue, in name order.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Counter name → value, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Histogram name → snapshot, sorted by name.
-    pub hists: Vec<(String, HistSnapshot)>,
+    /// Every counter and its value.
+    pub counters: Vec<(Count, u64)>,
+    /// Every histogram and its snapshot.
+    pub hists: Vec<(Hist, HistSnapshot)>,
 }
 
-impl Report {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty()
+/// Renders `header` and `rows` as an aligned pipe-and-dash markdown grid —
+/// the one renderer behind every table the workspace prints: this report's,
+/// the log linter's and `argus-bench`'s experiment tables. Ragged rows are
+/// padded with empty cells.
+pub fn write_grid(
+    f: &mut fmt::Formatter<'_>,
+    header: &[String],
+    rows: &[Vec<String>],
+) -> fmt::Result {
+    let all = || std::iter::once(header).chain(rows.iter().map(Vec::as_slice));
+    let cols = all().map(|r| r.len()).max().unwrap_or(0);
+    let mut widths = vec![0usize; cols];
+    for row in all() {
+        for (i, cell) in row.iter().enumerate() {
+            widths[i] = widths[i].max(cell.len());
+        }
     }
-
-    /// Renders markdown tables in the `argus-bench` table style: a counter
-    /// table and a phase-timing table (count/min/p50/p95/max/total).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            let mut t = Table::new("counters");
-            t.header(["counter", "value"]);
-            for (name, v) in &self.counters {
-                t.row([name.clone(), v.to_string()]);
-            }
-            let _ = writeln!(out, "{t}");
+    let render = |f: &mut fmt::Formatter<'_>, row: &[String]| -> fmt::Result {
+        write!(f, "|")?;
+        for (i, w) in widths.iter().enumerate() {
+            let cell = row.get(i).map(String::as_str).unwrap_or("");
+            write!(f, " {cell:w$} |", w = w)?;
         }
-        if !self.hists.is_empty() {
-            let mut t = Table::new("phase timings (simulated µs)");
-            t.header(["phase", "count", "min", "p50", "p95", "max", "total"]);
-            for (name, s) in &self.hists {
-                t.row([
-                    name.clone(),
-                    s.count.to_string(),
-                    s.min_or_zero().to_string(),
-                    s.quantile(0.5).to_string(),
-                    s.quantile(0.95).to_string(),
-                    s.max.to_string(),
-                    s.sum.to_string(),
-                ]);
-            }
-            let _ = writeln!(out, "{t}");
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
+        writeln!(f)
+    };
+    render(f, header)?;
+    write!(f, "|")?;
+    for w in &widths {
+        write!(f, "{:-<w$}|", "", w = w + 2)?;
     }
-
-    /// Renders the whole report as one JSON object (hand-built; the
-    /// workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_string(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, s)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p95\":{}}}",
-                json_string(name),
-                s.count,
-                s.sum,
-                s.min_or_zero(),
-                s.max,
-                s.mean(),
-                s.quantile(0.5),
-                s.quantile(0.95),
-            );
-        }
-        out.push_str("}}");
-        out
+    writeln!(f)?;
+    for row in rows {
+        render(f, row)?;
     }
+    Ok(())
 }
 
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes one titled table in the `argus-bench` table style.
+fn table(
+    f: &mut fmt::Formatter<'_>,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> fmt::Result {
+    writeln!(f, "### {title}\n")?;
+    let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    write_grid(f, &header, rows)?;
+    writeln!(f)
+}
+
+/// Markdown tables of the rows that recorded something: a counter table
+/// and a phase-timing table (count/min/p50/p95/max/total).
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let counted: Vec<_> = self
+            .counters
+            .iter()
+            .filter(|(_, v)| *v != 0)
+            .map(|(c, v)| vec![c.to_string(), v.to_string()])
+            .collect();
+        let timed: Vec<_> = self
+            .hists
+            .iter()
+            .filter(|(_, s)| s.count != 0)
+            .map(|(h, s)| {
+                let quantiles = [
+                    s.min_or_zero(),
+                    s.quantile(0.5),
+                    s.quantile(0.95),
+                    s.max,
+                    s.sum,
+                ];
+                let mut row = vec![h.to_string(), s.count.to_string()];
+                row.extend(quantiles.map(|v| v.to_string()));
+                row
+            })
+            .collect();
+        if counted.is_empty() && timed.is_empty() {
+            return f.write_str("(no metrics recorded)\n");
         }
+        if !counted.is_empty() {
+            table(f, "counters", &["counter", "value"], &counted)?;
+        }
+        if !timed.is_empty() {
+            let header = ["phase", "count", "min", "p50", "p95", "max", "total"];
+            table(f, "phase timings (simulated µs)", &header, &timed)?;
+        }
+        Ok(())
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::registry::Registry;
-
-    fn sample() -> Report {
-        let reg = Registry::new();
-        reg.add("slog.appends", 12);
-        reg.observe("slog.force_us", 40);
-        reg.observe("slog.force_us", 80);
-        reg.report()
-    }
+    use crate::{Count, Hist};
 
     #[test]
     fn text_report_has_both_tables() {
-        let text = sample().to_text();
-        assert!(text.contains("### counters"));
-        assert!(text.contains("| slog.appends | 12    |"), "{text}");
-        assert!(text.contains("### phase timings"));
-        assert!(text.contains("slog.force_us"));
+        let reg = Registry::new();
+        reg.add(Count::SlogAppends, 12);
+        reg.record(Hist::SlogForceUs, 40);
+        reg.record(Hist::SlogForceUs, 80);
+        assert_eq!(
+            reg.report().to_string(),
+            "\
+### counters
+
+| counter      | value |
+|--------------|-------|
+| slog.appends | 12    |
+
+### phase timings (simulated µs)
+
+| phase         | count | min | p50 | p95 | max | total |
+|---------------|-------|-----|-----|-----|-----|-------|
+| slog.force_us | 2     | 40  | 63  | 80  | 80  | 120   |
+
+"
+        );
     }
 
     #[test]
     fn empty_report_says_so() {
-        let r = Registry::new().report();
-        assert!(r.is_empty());
-        assert_eq!(r.to_text(), "(no metrics recorded)\n");
-    }
-
-    #[test]
-    fn json_is_wellformed_and_complete() {
-        let json = sample().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"slog.appends\":12"));
-        assert!(json.contains("\"count\":2"));
-        assert!(json.contains("\"sum\":120"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(
+            Registry::new().report().to_string(),
+            "(no metrics recorded)\n"
+        );
     }
 }

@@ -2,6 +2,8 @@
 
 use crate::codec::crc32_extend;
 use crate::{crc32, CodecError, LogAddress};
+use argus_obs::{Count, Hist, Registry};
+use argus_sim::SimClock;
 use argus_stable::{ByteDevice, Page, PageStore, StorageError, PAGE_SIZE};
 use std::fmt;
 
@@ -280,48 +282,11 @@ pub struct StableLog<S: PageStore> {
     pending_count: u64,
     pending_last: u64,
     pending_last_crc: u32,
-    obs: SlogObs,
-}
-
-/// Cached metric handles for one log (resolved once from the scope's
-/// registry so the append path stays a plain atomic bump), and the tracer
-/// current when it was built.
-#[derive(Debug, Clone)]
-struct SlogObs {
-    appends: argus_obs::Counter,
-    append_bytes: argus_obs::Counter,
-    flushes: argus_obs::Counter,
-    forces: argus_obs::Counter,
-    batch_size: argus_obs::Histogram,
-    force_us: argus_obs::Timer,
-    superblock_writes: argus_obs::Counter,
-    scanned_records: argus_obs::Counter,
-    scanned_bytes: argus_obs::Counter,
-    discarded_bytes: argus_obs::Counter,
-    entry_reads: argus_obs::Counter,
-    backward_hops: argus_obs::Counter,
+    /// The registry and tracer current when the log was built, and the
+    /// registry's clock then, which `slog.force_us` reads.
+    obs: Registry,
+    clock: SimClock,
     tracer: argus_trace::Tracer,
-}
-
-impl SlogObs {
-    fn resolve() -> Self {
-        let reg = argus_obs::current();
-        Self {
-            appends: reg.counter("slog.appends"),
-            append_bytes: reg.counter("slog.append_bytes"),
-            flushes: reg.counter("slog.flushes"),
-            forces: reg.counter("slog.forces"),
-            batch_size: reg.histogram("slog.force.batch_size"),
-            force_us: reg.timer("slog.force_us"),
-            superblock_writes: reg.counter("slog.superblock_writes"),
-            scanned_records: reg.counter("slog.open.scanned_records"),
-            scanned_bytes: reg.counter("slog.open.scanned_bytes"),
-            discarded_bytes: reg.counter("slog.open.discarded_bytes"),
-            entry_reads: reg.counter("slog.entry_reads"),
-            backward_hops: reg.counter("slog.backward_hops"),
-            tracer: argus_trace::current(),
-        }
-    }
 }
 
 impl<S: PageStore> fmt::Debug for StableLog<S> {
@@ -339,6 +304,7 @@ impl<S: PageStore> fmt::Debug for StableLog<S> {
 impl<S: PageStore> StableLog<S> {
     /// An empty log of `epoch` over `dev`, nothing written yet.
     fn over(dev: ByteDevice<S>, epoch: u64) -> Self {
+        let reg = argus_obs::current();
         Self {
             dev,
             top: Top::EMPTY,
@@ -349,7 +315,9 @@ impl<S: PageStore> StableLog<S> {
             pending_count: 0,
             pending_last: 0,
             pending_last_crc: 0,
-            obs: SlogObs::resolve(),
+            obs: reg.clone(),
+            clock: reg.clock(),
+            tracer: argus_trace::current(),
         }
     }
 
@@ -406,14 +374,17 @@ impl<S: PageStore> StableLog<S> {
         self.epoch = sb.epoch + 1;
         self.publish()?;
         self.dev.sync()?;
-        self.obs.scanned_records.add(intact.count - sb.top.count);
-        self.obs.scanned_bytes.add(intact.tail - sb.top.tail);
-        self.obs.discarded_bytes.add(intact.tail - top.tail);
+        self.obs
+            .add(Count::SlogOpenScannedRecords, intact.count - sb.top.count);
+        self.obs
+            .add(Count::SlogOpenScannedBytes, intact.tail - sb.top.tail);
+        self.obs
+            .add(Count::SlogOpenDiscardedBytes, intact.tail - top.tail);
         // The recovered tail is the published one plus the bytes scanned
         // less those discarded: the two counters above carry the rest.
         let (kind, lane) = (argus_trace::Kind::LogOpened, argus_trace::STORE_LANE);
         let args = [self.epoch, sb.top.tail];
-        self.obs.tracer.instant(kind, lane, None, &args);
+        self.tracer.instant(kind, lane, None, &args);
         Ok(())
     }
 
@@ -467,7 +438,7 @@ impl<S: PageStore> StableLog<S> {
         };
         self.dev.store_mut().write_page(0, &sb.encode())?;
         self.published_tail = self.top.tail;
-        self.obs.superblock_writes.inc();
+        self.obs.inc(Count::SlogSuperblockWrites);
         Ok(())
     }
 
@@ -542,8 +513,8 @@ impl<S: PageStore> StableLog<S> {
         self.pending_count += 1;
         self.pending_last = addr;
         self.pending_last_crc = payload_crc;
-        self.obs.appends.inc();
-        self.obs.append_bytes.add(u64::from(len));
+        self.obs.inc(Count::SlogAppends);
+        self.obs.add(Count::SlogAppendBytes, u64::from(len));
         LogAddress(addr)
     }
 
@@ -555,7 +526,7 @@ impl<S: PageStore> StableLog<S> {
         if self.flushed == self.pending.len() {
             return Ok(());
         }
-        self.obs.flushes.inc();
+        self.obs.inc(Count::SlogFlushes);
         self.dev.write_at(
             self.top.tail + self.flushed as u64,
             &self.pending[self.flushed..],
@@ -570,9 +541,9 @@ impl<S: PageStore> StableLog<S> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let t0 = self.obs.force_us.now();
+        let t0 = self.clock.now();
         let forced = self.force_pending();
-        self.obs.force_us.record_since(t0);
+        self.obs.record_since(Hist::SlogForceUs, &self.clock, t0);
         forced
     }
 
@@ -607,8 +578,8 @@ impl<S: PageStore> StableLog<S> {
         self.pending.clear();
         self.flushed = 0;
         self.pending_count = 0;
-        self.obs.forces.inc();
-        self.obs.batch_size.record(forced);
+        self.obs.inc(Count::SlogForces);
+        self.obs.record(Hist::SlogForceBatchSize, forced);
         Ok(())
     }
 
@@ -662,7 +633,7 @@ impl<S: PageStore> StableLog<S> {
     /// returns its sequence number. A caller following pointers through the
     /// log reuses one scratch buffer instead of allocating per read.
     pub fn read_into(&mut self, addr: LogAddress, payload: &mut Vec<u8>) -> LogResult<u64> {
-        self.obs.entry_reads.inc();
+        self.obs.inc(Count::SlogEntryReads);
         let header = self.forced_header(addr)?;
         payload.clear();
         payload.extend_from_slice(self.check_payload(addr.offset(), &header)?);
@@ -875,8 +846,8 @@ impl<S: PageStore> BackwardWalk<'_, S> {
 
 impl<S: PageStore> Drop for BackwardWalk<'_, S> {
     fn drop(&mut self) {
-        self.log.obs.backward_hops.add(self.steps);
-        self.log.obs.entry_reads.add(self.steps);
+        self.log.obs.add(Count::SlogBackwardHops, self.steps);
+        self.log.obs.add(Count::SlogEntryReads, self.steps);
     }
 }
 

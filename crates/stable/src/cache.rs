@@ -18,6 +18,7 @@
 //! cached pages into recovery.
 
 use crate::{Page, PageNo, PageStore, StorageResult};
+use argus_obs::{Count, Registry};
 use argus_sim::{DeviceStats, IntMap};
 use argus_trace::Kind;
 use std::collections::VecDeque;
@@ -57,40 +58,6 @@ impl CacheConfig {
     }
 }
 
-/// Cached metric handles for one page cache, and the tracer its device
-/// spans go to: both are the ones current when the cache is built.
-#[derive(Debug, Clone)]
-struct CacheObs {
-    hits: argus_obs::Counter,
-    misses: argus_obs::Counter,
-    readahead: argus_obs::Counter,
-    tracer: argus_trace::Tracer,
-}
-
-impl CacheObs {
-    fn resolve() -> Self {
-        let reg = argus_obs::current();
-        Self {
-            hits: reg.counter("stable.cache.hit"),
-            misses: reg.counter("stable.cache.miss"),
-            readahead: reg.counter("stable.cache.readahead"),
-            tracer: argus_trace::current(),
-        }
-    }
-
-    /// The start of a device span: the clock reading when device detail is
-    /// on (one atomic load to find out), `None` when it is off.
-    fn device_t0(&self) -> Option<u64> {
-        self.tracer.device_detail().then(|| self.tracer.now())
-    }
-
-    /// Closes a device span opened by [`CacheObs::device_t0`].
-    fn device_span(&self, kind: Kind, t0: u64, args: &[u64]) {
-        self.tracer
-            .complete(kind, argus_trace::STORE_LANE, None, t0, args);
-    }
-}
-
 #[derive(Debug)]
 struct Slot {
     stamp: u64,
@@ -120,7 +87,9 @@ pub struct PageCache<S> {
     /// that has reached its size allocates nothing per page it turns over.
     /// Every insert takes one and gives at most one back.
     spare: Vec<Page>,
-    obs: CacheObs,
+    /// The registry and tracer current when the cache was built.
+    obs: Registry,
+    tracer: argus_trace::Tracer,
 }
 
 impl<S: PageStore> PageCache<S> {
@@ -135,8 +104,21 @@ impl<S: PageStore> PageCache<S> {
             last_miss: None,
             run: Vec::new(),
             spare: Vec::new(),
-            obs: CacheObs::resolve(),
+            obs: argus_obs::current(),
+            tracer: argus_trace::current(),
         }
+    }
+
+    /// The start of a device span: the clock reading when device detail is
+    /// on (one atomic load to find out), `None` when it is off.
+    fn device_t0(&self) -> Option<u64> {
+        self.tracer.device_detail().then(|| self.tracer.now())
+    }
+
+    /// Closes a device span opened by [`PageCache::device_t0`].
+    fn device_span(&self, kind: Kind, t0: u64, args: &[u64]) {
+        self.tracer
+            .complete(kind, argus_trace::STORE_LANE, None, t0, args);
     }
 
     /// The inner store.
@@ -221,7 +203,7 @@ impl<S: PageStore> PageCache<S> {
         } else {
             return;
         };
-        let t0 = self.obs.device_t0();
+        let t0 = self.device_t0();
         let mut fetched = 0u64;
         let mut run = std::mem::take(&mut self.run);
         let mut p = start;
@@ -250,7 +232,7 @@ impl<S: PageStore> PageCache<S> {
             for page in run.drain(..good) {
                 self.tick += 1;
                 self.insert(p, page);
-                self.obs.readahead.inc();
+                self.obs.inc(Count::StableCacheReadahead);
                 fetched += 1;
                 p += 1;
             }
@@ -262,7 +244,7 @@ impl<S: PageStore> PageCache<S> {
         self.run = run;
         if let Some(t0) = t0 {
             if fetched > 0 {
-                self.obs.device_span(Kind::Readahead, t0, &[fetched, start]);
+                self.device_span(Kind::Readahead, t0, &[fetched, start]);
             }
         }
     }
@@ -287,19 +269,19 @@ impl<S: PageStore> PageStore for PageCache<S> {
         if let Some(slot) = self.slots.get_mut(&pno) {
             slot.stamp = self.tick;
             self.lru.push_back((self.tick, pno));
-            self.obs.hits.inc();
+            self.obs.inc(Count::StableCacheHit);
             out.copy_from_slice(slot.page.as_slice());
             return Ok(());
         }
-        self.obs.misses.inc();
-        let t0 = self.obs.device_t0();
+        self.obs.inc(Count::StableCacheMiss);
+        let t0 = self.device_t0();
         let mut page = self.blank();
         if let Err(e) = self.inner.read_page_into(pno, page.as_mut_slice()) {
             self.spare.push(page);
             return Err(e);
         }
         if let Some(t0) = t0 {
-            self.obs.device_span(Kind::PageRead, t0, &[pno]);
+            self.device_span(Kind::PageRead, t0, &[pno]);
         }
         // Copied out before the page goes into its slot: the read-ahead
         // below may evict it again from a cache smaller than its window.
@@ -313,10 +295,10 @@ impl<S: PageStore> PageStore for PageCache<S> {
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
         // Write-through: media first, cache only after the media accepted
         // it, so the cache can never claim a write the device lost.
-        let t0 = self.obs.device_t0();
+        let t0 = self.device_t0();
         self.inner.write_page(pno, page)?;
         if let Some(t0) = t0 {
-            self.obs.device_span(Kind::PageWrite, t0, &[pno]);
+            self.device_span(Kind::PageWrite, t0, &[pno]);
         }
         if self.cfg.is_enabled() {
             self.tick += 1;

@@ -184,7 +184,7 @@ impl FaultPlan {
             inner.crash_count += 1;
             let crash_count = inner.crash_count;
             drop(inner);
-            argus_obs::current().inc("stable.crashes_fired");
+            argus_obs::with_current(|reg| reg.inc(argus_obs::Count::StableCrashesFired));
             let (kind, lane) = (argus_trace::Kind::CrashFired, argus_trace::STORE_LANE);
             argus_trace::with_current(|t| t.instant(kind, lane, None, &[crash_count]));
             Err(StorageError::Crashed)

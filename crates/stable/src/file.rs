@@ -2,52 +2,11 @@
 
 use crate::store::SeqTracker;
 use crate::{Page, PageNo, PageStore, StorageError, StorageResult, PAGE_SIZE};
+use argus_obs::{Count, Registry};
 use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-
-/// How [`DurableFileStore`] makes writes survive a power cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DurabilityMode {
-    /// Buffered page writes; [`PageStore::sync`] issues `fsync`
-    /// (`File::sync_all`). One fsync covers every write staged since the
-    /// last barrier — the mode group commit wants.
-    #[default]
-    Fsync,
-    /// The file is opened `O_DSYNC`: every physical write returns only once
-    /// durable, so `sync` needs no separate fsync. Write combining still
-    /// batches staged pages, so the barrier count equals the number of
-    /// coalesced write runs rather than the number of page writes.
-    /// Falls back to [`DurabilityMode::Fsync`] semantics off Linux.
-    Dsync,
-}
-
-/// `O_DSYNC` on Linux (we carry no libc dependency).
-#[cfg(target_os = "linux")]
-const O_DSYNC: i32 = 0x1000;
-
-/// Observability handles for the real-I/O path, shared vocabulary with the
-/// wall-clock bench tier (E18/E19) and the VOPR's metrics reports.
-#[derive(Debug)]
-struct FileObs {
-    fsyncs: argus_obs::Counter,
-    bytes_written: argus_obs::Counter,
-    preads: argus_obs::Counter,
-    bytes_read: argus_obs::Counter,
-}
-
-impl FileObs {
-    fn resolve() -> Self {
-        let reg = argus_obs::current();
-        Self {
-            fsyncs: reg.counter("stable.file.fsyncs"),
-            bytes_written: reg.counter("stable.file.bytes_written"),
-            preads: reg.counter("stable.file.preads"),
-            bytes_read: reg.counter("stable.file.bytes_read"),
-        }
-    }
-}
 
 /// A page store persisted durably in a regular file.
 ///
@@ -57,16 +16,17 @@ impl FileObs {
 /// actual disk. Three properties make it production-grade rather than a
 /// demo:
 ///
-/// * **Durable forces.** `sync` really reaches the platter: `fsync`
-///   (`sync_all`) in the default [`DurabilityMode::Fsync`], or `O_DSYNC`
-///   writes in [`DurabilityMode::Dsync`]. File *creation* is made durable
-///   too — the parent directory is fsynced after creating the file, so a
-///   power cut right after the first force cannot lose the file's very
-///   existence (the classic create-without-dir-fsync bug).
+/// * **Durable forces.** `sync` really reaches the platter: one `fsync`
+///   (`sync_all`) covers every write staged since the last barrier — what
+///   group commit wants. File *creation* is made durable too — the parent
+///   directory is fsynced after creating the file, so a power cut right
+///   after the first force cannot lose the file's very existence (the
+///   classic create-without-dir-fsync bug).
 /// * **Write combining.** Page writes are staged in memory — straight into
 ///   the buffer the `pwrite`s are issued from, in page order — and only hit
-///   the file when `sync` runs, one `pwrite` per contiguous page run. The
-///   group-commit [`ForceScheduler`](argus_slog) above turns N staged
+///   the file when `sync` runs, one `pwrite` per contiguous page run
+///   (`stable.file.pwrites`). The group-commit
+///   [`ForceScheduler`](argus_slog) above turns N staged
 ///   commits into one force, and this layer turns that force into one data
 ///   write + one fsync — the E18 wall-clock experiment measures exactly
 ///   this multiplication.
@@ -100,45 +60,32 @@ pub struct DurableFileStore {
     staged_bytes: Vec<u8>,
     /// Scratch buffer reused across `read_run`s.
     run_buf: Vec<u8>,
-    mode: DurabilityMode,
     stats: DeviceStats,
     clock: SimClock,
     model: CostModel,
     tracker: SeqTracker,
-    obs: FileObs,
+    /// The registry current when the store was opened.
+    obs: Registry,
 }
 
 impl DurableFileStore {
-    /// Opens (creating if absent) the store at `path` with the default
-    /// [`DurabilityMode::Fsync`].
+    /// Opens (creating if absent) the store at `path`.
     pub fn open(path: &Path, clock: SimClock, model: CostModel) -> StorageResult<Self> {
-        Self::open_with(path, clock, model, DurabilityMode::default())
-    }
-
-    /// Opens (creating if absent) the store at `path` in `mode`.
-    pub fn open_with(
-        path: &Path,
-        clock: SimClock,
-        model: CostModel,
-        mode: DurabilityMode,
-    ) -> StorageResult<Self> {
         let existed = path.exists();
-        let mut opts = OpenOptions::new();
-        opts.read(true).write(true).create(true).truncate(false);
-        #[cfg(target_os = "linux")]
-        if mode == DurabilityMode::Dsync {
-            use std::os::unix::fs::OpenOptionsExt;
-            opts.custom_flags(O_DSYNC);
-        }
-        let file = opts.open(path)?;
-        let obs = FileObs::resolve();
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let obs = argus_obs::current();
         if !existed {
             // Durability bug regression: creating the file is itself a write
             // to the *directory*. Without fsyncing the parent, a power cut
             // after the first "durable" force can lose the whole file.
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 File::open(dir)?.sync_all()?;
-                obs.fsyncs.inc();
+                obs.inc(Count::StableFileFsyncs);
             }
         }
         let file_len = file.metadata()?.len();
@@ -149,7 +96,6 @@ impl DurableFileStore {
             staged: Vec::new(),
             staged_bytes: Vec::new(),
             run_buf: Vec::new(),
-            mode,
             stats: DeviceStats::new(),
             clock,
             model,
@@ -173,11 +119,9 @@ impl DurableFileStore {
             let bytes = &self.staged_bytes[at..at + run.len() * PAGE_SIZE];
             self.file.write_all_at(bytes, offset)?;
             self.file_len = self.file_len.max(offset + bytes.len() as u64);
-            self.obs.bytes_written.add(bytes.len() as u64);
-            if self.mode == DurabilityMode::Dsync && cfg!(target_os = "linux") {
-                // Each O_DSYNC write is its own durability barrier.
-                self.obs.fsyncs.inc();
-            }
+            self.obs.inc(Count::StableFilePwrites);
+            self.obs
+                .add(Count::StableFileBytesWritten, bytes.len() as u64);
             at += bytes.len();
         }
         self.staged.clear();
@@ -201,8 +145,8 @@ impl DurableFileStore {
         let have = self.file_len.saturating_sub(offset).min(buf.len() as u64) as usize;
         if have > 0 {
             self.file.read_exact_at(&mut buf[..have], offset)?;
-            self.obs.preads.inc();
-            self.obs.bytes_read.add(have as u64);
+            self.obs.inc(Count::StableFilePreads);
+            self.obs.add(Count::StableFileBytesRead, have as u64);
         }
         Ok(())
     }
@@ -279,18 +223,8 @@ impl PageStore for DurableFileStore {
         let wrote = !self.staged.is_empty();
         self.flush_staged()?;
         if wrote {
-            match self.mode {
-                DurabilityMode::Fsync => {
-                    self.file.sync_all()?;
-                    self.obs.fsyncs.inc();
-                }
-                DurabilityMode::Dsync => {
-                    if !cfg!(target_os = "linux") {
-                        self.file.sync_all()?;
-                        self.obs.fsyncs.inc();
-                    }
-                }
-            }
+            self.file.sync_all()?;
+            self.obs.inc(Count::StableFileFsyncs);
         }
         Ok(())
     }
@@ -421,6 +355,7 @@ mod tests {
         }
         let fsyncs_before = reg.counter("stable.file.fsyncs").get();
         s.sync().unwrap();
+        assert_eq!(reg.counter("stable.file.pwrites").get(), 2);
         assert_eq!(reg.counter("stable.file.fsyncs").get(), fsyncs_before + 1);
         assert_eq!(
             reg.counter("stable.file.bytes_written").get(),
@@ -457,25 +392,21 @@ mod tests {
 
     #[test]
     fn pages_staged_in_any_order_flush_as_ascending_runs() {
-        // Under O_DSYNC every `pwrite` counts as a barrier, so the fsync
-        // counter counts the runs: 3..=5 and 9..=10, whatever the order the
-        // pages arrived in.
+        // One `pwrite` per run, 3..=5 and 9..=10, whatever the order the
+        // pages arrived in, and one fsync for both.
         let reg = argus_obs::Registry::new();
         let _scope = reg.enter();
         let path = temp_path("runs");
         let _ = std::fs::remove_file(&path);
-        let mode = DurabilityMode::Dsync;
-        let mut s =
-            DurableFileStore::open_with(&path, SimClock::new(), CostModel::fast(), mode).unwrap();
-        let runs_before = reg.counter("stable.file.fsyncs").get();
+        let mut s = open(&path);
+        let fsyncs_before = reg.counter("stable.file.fsyncs").get();
         for pno in [10u64, 3, 9, 5, 4] {
             s.write_page(pno, &Page::from_bytes(&[pno as u8])).unwrap();
             assert_eq!(s.read_page(pno).unwrap(), Page::from_bytes(&[pno as u8]));
         }
         s.sync().unwrap();
-        if cfg!(target_os = "linux") {
-            assert_eq!(reg.counter("stable.file.fsyncs").get(), runs_before + 2);
-        }
+        assert_eq!(reg.counter("stable.file.pwrites").get(), 2);
+        assert_eq!(reg.counter("stable.file.fsyncs").get(), fsyncs_before + 1);
         assert_eq!(
             reg.counter("stable.file.bytes_written").get(),
             5 * PAGE_SIZE as u64
@@ -568,29 +499,6 @@ mod tests {
                 Page::zeroed(),
             ]
         );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn dsync_mode_roundtrips() {
-        let path = temp_path("dsync");
-        let _ = std::fs::remove_file(&path);
-        let page = Page::from_bytes(b"dsync");
-        {
-            let mut s = DurableFileStore::open_with(
-                &path,
-                SimClock::new(),
-                CostModel::fast(),
-                DurabilityMode::Dsync,
-            )
-            .unwrap();
-            s.write_page(2, &page).unwrap();
-            s.sync().unwrap();
-        }
-        {
-            let mut s = open(&path);
-            assert_eq!(s.read_page(2).unwrap(), page);
-        }
         let _ = std::fs::remove_file(&path);
     }
 }

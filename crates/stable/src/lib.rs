@@ -46,7 +46,7 @@ pub use bytedev::ByteDevice;
 pub use cache::{CacheConfig, PageCache};
 pub use error::{StorageError, StorageResult};
 pub use fault::{DeviceOp, FaultPlan, OpCounts, TraceEntry};
-pub use file::{DurabilityMode, DurableFileStore};
+pub use file::DurableFileStore;
 pub use mem::MemStore;
 pub use mirror::MirroredDisk;
 pub use page::{Page, PageNo, PAGE_SIZE};

@@ -2,6 +2,7 @@
 
 use crate::store::SeqTracker;
 use crate::{FaultPlan, Page, PageNo, PageStore, RawDisk, StorageError, StorageResult};
+use argus_obs::{Count, Registry};
 use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
 
 /// Atomic stable storage built from two raw disks with independent failure
@@ -34,33 +35,9 @@ pub struct MirroredDisk {
     clock: SimClock,
     model: CostModel,
     tracker: SeqTracker,
-    obs: MirrorObs,
-}
-
-/// Cached metric handles for one mirrored disk, and the tracer current
-/// when it was built.
-#[derive(Debug, Clone)]
-struct MirrorObs {
-    repairs: argus_obs::Counter,
-    scrubs: argus_obs::Counter,
+    /// The registry and tracer current when the disk was built.
+    obs: Registry,
     tracer: argus_trace::Tracer,
-}
-
-impl MirrorObs {
-    fn resolve() -> Self {
-        let reg = argus_obs::current();
-        Self {
-            repairs: reg.counter("stable.mirror.repairs"),
-            scrubs: reg.counter("stable.mirror.scrubs"),
-            tracer: argus_trace::current(),
-        }
-    }
-
-    fn repaired(&self, page: PageNo) {
-        self.repairs.inc();
-        let (kind, lane) = (argus_trace::Kind::MirrorRepair, argus_trace::STORE_LANE);
-        self.tracer.instant(kind, lane, None, &[page]);
-    }
 }
 
 impl MirroredDisk {
@@ -76,7 +53,8 @@ impl MirroredDisk {
             clock,
             model,
             tracker: SeqTracker::default(),
-            obs: MirrorObs::resolve(),
+            obs: argus_obs::current(),
+            tracer: argus_trace::current(),
         }
     }
 
@@ -102,8 +80,15 @@ impl MirroredDisk {
             clock,
             model,
             tracker: SeqTracker::default(),
-            obs: MirrorObs::resolve(),
+            obs: argus_obs::current(),
+            tracer: argus_trace::current(),
         }
+    }
+
+    fn repaired(&self, page: PageNo) {
+        self.obs.inc(Count::StableMirrorRepairs);
+        let (kind, lane) = (argus_trace::Kind::MirrorRepair, argus_trace::STORE_LANE);
+        self.tracer.instant(kind, lane, None, &[page]);
     }
 
     /// Test hook: decays the A copy of a page.
@@ -120,7 +105,7 @@ impl MirroredDisk {
     /// latent faults do not accumulate (the background task a real
     /// Lampson–Sturgis deployment runs periodically).
     pub fn scrub(&mut self) -> StorageResult<()> {
-        self.obs.scrubs.inc();
+        self.obs.inc(Count::StableMirrorScrubs);
         for pno in 0..self.page_count() {
             self.read_page(pno)?;
         }
@@ -183,7 +168,7 @@ impl PageStore for MirroredDisk {
                 // again (A stays good) and fails this logical read.
                 if !self.b.is_good(pno) && pno < self.b.page_count() {
                     self.b.repair(pno, &page, &self.plan)?;
-                    self.obs.repaired(pno);
+                    self.repaired(pno);
                 }
                 Ok(page)
             }
@@ -196,7 +181,7 @@ impl PageStore for MirroredDisk {
                 match self.b.read(pno) {
                     Ok(page) => {
                         self.a.repair(pno, &page, &self.plan)?;
-                        self.obs.repaired(pno);
+                        self.repaired(pno);
                         Ok(page)
                     }
                     Err(StorageError::BadPage { .. }) => {

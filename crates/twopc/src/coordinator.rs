@@ -1,8 +1,9 @@
 //! The coordinator state machine (§2.2.1).
 
-use crate::obs::{self, trace_instant};
+use crate::obs::{count, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
+use argus_obs::Count;
 use argus_trace::Kind;
 
 /// Where the coordinator stands in the protocol.
@@ -107,7 +108,7 @@ impl Coordinator {
     /// participant list is deduplicated and sorted: each guardian joins the
     /// protocol once, however many roles it played in the action.
     pub fn new(aid: ActionId, participants: Vec<GuardianId>) -> Self {
-        obs::with(|o| o.coord_started.inc());
+        count(Count::TwopcCoordStarted);
         Self::in_phase(aid, participants, CoordPhase::Preparing)
     }
 
@@ -120,7 +121,7 @@ impl Coordinator {
         aid: ActionId,
         participants: Vec<GuardianId>,
     ) -> (Self, Vec<CoordEffect>) {
-        obs::with(|o| o.coord_resumed.inc());
+        count(Count::TwopcCoordResumed);
         let coord = Self::in_phase(aid, participants, CoordPhase::Committing);
         let mut effects = Vec::new();
         coord.tell_remotes(Msg::Commit { aid }, &mut effects);
@@ -210,7 +211,7 @@ impl Coordinator {
             (Msg::CommitAck { .. }, CoordPhase::Committing) => {
                 self.waiting.retain(|g| *g != from);
                 if self.waiting.is_empty() {
-                    obs::with(|o| o.coord_done.inc());
+                    count(Count::TwopcCoordDone);
                     self.phase = CoordPhase::Done;
                     out.push(CoordEffect::ForceDone);
                     out.push(CoordEffect::Finished { committed: true });
@@ -266,14 +267,12 @@ impl Coordinator {
     /// [`Coordinator::committing_forced`], appending to `out`.
     pub fn committing_forced_into(&mut self, out: &mut Vec<CoordEffect>) {
         if self.is_local() {
-            obs::with(|o| {
-                o.coord_committed.inc();
-                o.coord_done.inc();
-            });
+            count(Count::TwopcCoordCommitted);
+            count(Count::TwopcCoordDone);
             self.phase = CoordPhase::Done;
             return out.push(CoordEffect::Finished { committed: true });
         }
-        obs::with(|o| o.coord_committed.inc());
+        count(Count::TwopcCoordCommitted);
         trace_instant(Kind::OutcomeSent, self.aid, &[1]);
         self.phase = CoordPhase::Committing;
         self.waiting = self.remotes().collect();
@@ -300,7 +299,7 @@ impl Coordinator {
         if self.phase != CoordPhase::Preparing {
             return;
         }
-        obs::with(|o| o.coord_aborted.inc());
+        count(Count::TwopcCoordAborted);
         trace_instant(Kind::OutcomeSent, self.aid, &[0]);
         self.tell_remotes(Msg::Abort { aid: self.aid }, out);
         self.phase = CoordPhase::Aborted;

@@ -1,56 +1,17 @@
-//! The state machines' metric handles and trace hook.
+//! The state machines' metric and trace hooks.
 //!
 //! A [`crate::Coordinator`] or [`crate::Participant`] lives for one action
 //! and is built by whoever drives the protocol (the guardian world, the
 //! bounded explorer, a benchmark's leaf replay) through constructors that
 //! take no registry. Their counts land in whatever registry is current on
-//! the thread *when the transition runs*, so the handles cannot live in the
-//! machines; they live in one per-thread set that follows the current
-//! registry ([`argus_obs::ThreadHandles`]).
+//! the thread *when the transition runs*.
 
 use argus_objects::ActionId;
-use argus_obs::{Counter, Registry, ThreadHandles};
+use argus_obs::Count;
 
-/// Every `twopc.*` counter.
-pub(crate) struct TwopcObs {
-    pub coord_started: Counter,
-    pub coord_resumed: Counter,
-    pub coord_committed: Counter,
-    pub coord_aborted: Counter,
-    pub coord_done: Counter,
-    pub part_prepares: Counter,
-    pub part_resumed_in_doubt: Counter,
-    pub part_prepare_ok: Counter,
-    pub part_prepare_refused: Counter,
-    pub part_commits: Counter,
-    pub part_aborts: Counter,
-}
-
-impl TwopcObs {
-    fn resolve(reg: &Registry) -> Self {
-        Self {
-            coord_started: reg.counter("twopc.coord.started"),
-            coord_resumed: reg.counter("twopc.coord.resumed"),
-            coord_committed: reg.counter("twopc.coord.committed"),
-            coord_aborted: reg.counter("twopc.coord.aborted"),
-            coord_done: reg.counter("twopc.coord.done"),
-            part_prepares: reg.counter("twopc.part.prepares"),
-            part_resumed_in_doubt: reg.counter("twopc.part.resumed_in_doubt"),
-            part_prepare_ok: reg.counter("twopc.part.prepare_ok"),
-            part_prepare_refused: reg.counter("twopc.part.prepare_refused"),
-            part_commits: reg.counter("twopc.part.commits"),
-            part_aborts: reg.counter("twopc.part.aborts"),
-        }
-    }
-}
-
-thread_local! {
-    static OBS: ThreadHandles<TwopcObs> = const { ThreadHandles::new() };
-}
-
-/// Runs `f` on the handles of the thread's current registry.
-pub(crate) fn with<R>(f: impl FnOnce(&TwopcObs) -> R) -> R {
-    OBS.with(|handles| handles.with(TwopcObs::resolve, f))
+/// Adds one to the counter `row` of the thread's current registry.
+pub(crate) fn count(row: Count) {
+    argus_obs::with_current(|reg| reg.inc(row));
 }
 
 /// Records a `twopc` instant on the action's lane of the current tracer.

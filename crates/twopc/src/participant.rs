@@ -1,8 +1,9 @@
 //! The participant state machine (§2.2.2).
 
-use crate::obs::{self, trace_instant};
+use crate::obs::{count, trace_instant};
 use crate::Msg;
 use argus_objects::{ActionId, GuardianId};
+use argus_obs::Count;
 use argus_trace::Kind;
 
 /// Where the participant stands in the protocol.
@@ -60,7 +61,7 @@ pub struct Participant {
 impl Participant {
     /// Creates a participant that has just received the prepare message.
     pub fn on_prepare(aid: ActionId, coordinator: GuardianId) -> (Self, Vec<PartEffect>) {
-        obs::with(|o| o.part_prepares.inc());
+        count(Count::TwopcPartPrepares);
         let p = Self {
             aid,
             coordinator,
@@ -72,7 +73,7 @@ impl Participant {
     /// Resumes an in-doubt participant after recovery: it must query its
     /// coordinator for the verdict (§2.2.2).
     pub fn resume_in_doubt(aid: ActionId, coordinator: GuardianId) -> (Self, Vec<PartEffect>) {
-        obs::with(|o| o.part_resumed_in_doubt.inc());
+        count(Count::TwopcPartResumedInDoubt);
         let p = Self {
             aid,
             coordinator,
@@ -93,7 +94,7 @@ impl Participant {
     /// The local prepare finished: data entries and `prepared` record are on
     /// stable storage.
     pub fn prepare_succeeded(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| o.part_prepare_ok.inc());
+        count(Count::TwopcPartPrepareOk);
         trace_instant(Kind::VoteSent, self.aid, &[1]);
         self.phase = PartPhase::Prepared;
         vec![PartEffect::Send {
@@ -105,7 +106,7 @@ impl Participant {
     /// The local prepare could not run (lock conflict, unknown action, …):
     /// reply aborted (§2.2.2).
     pub fn prepare_failed(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| o.part_prepare_refused.inc());
+        count(Count::TwopcPartPrepareRefused);
         trace_instant(Kind::VoteSent, self.aid, &[0]);
         self.phase = PartPhase::Aborted;
         vec![PartEffect::Send {
@@ -148,7 +149,7 @@ impl Participant {
 
     /// The `committed` record is forced.
     pub fn commit_forced(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| o.part_commits.inc());
+        count(Count::TwopcPartCommits);
         self.phase = PartPhase::Committed;
         vec![
             PartEffect::Send {
@@ -162,7 +163,7 @@ impl Participant {
     /// The `aborted` record is forced. Nobody waits for it: the coordinator
     /// forgot the action when it sent the abort (§2.2.3).
     pub fn abort_forced(&mut self) -> Vec<PartEffect> {
-        obs::with(|o| o.part_aborts.inc());
+        count(Count::TwopcPartAborts);
         self.phase = PartPhase::Aborted;
         vec![PartEffect::Finished { committed: false }]
     }

@@ -79,6 +79,24 @@ if awk '
     exit 1
 fi
 
+# Every metric is named once, in the `argus_obs::{Count, Hist}` catalogue:
+# code records by row, and only tests and the benchmark (its own package,
+# not scanned) name one by string. A string literal passed to a registry
+# call (on the call's line or the line after its open parenthesis) outside
+# `crates/obs` and test code — as above, from a file's first `#[cfg(test)]`
+# on, `tests.rs` and `tests/` — is rejected.
+if awk '
+    FNR == 1 { t = (FILENAME ~ /\/tests\.rs$|\/tests\//); prev = "" }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    !t && /(^|[^A-Za-z0-9_])(counter|histogram|inc|add|observe|timer|phase)\([[:space:]]*"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    !t && prev ~ /(^|[^A-Za-z0-9_])(counter|histogram|inc|add|observe|timer|phase)\($/ && /^[[:space:]]*"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    { prev = $0 }
+    END { exit !hit }
+' $(find crates src examples -name '*.rs' -not -path 'crates/obs/*'); then
+    echo "lint: a metric named by a string — record by its argus_obs::Count or Hist row" >&2
+    exit 1
+fi
+
 # One oracle: a client-observed fate and the I11 heap pass are stated once,
 # in `argus_check::standing` over a `Ledger`. Every harness records its
 # actions there and calls it, so no checker grows its own copy back. The

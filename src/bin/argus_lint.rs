@@ -19,6 +19,7 @@
 //! cargo run --release --bin argus-lint -- trace --seed 7 --out trace.json
 //! cargo run --release --bin argus-lint -- trace --selftest
 //! cargo run --release --bin argus-lint -- trace --kinds
+//! cargo run --bin argus-lint -- obs --names
 //! ```
 //!
 //! Lint mode exits 0 when the log is clean, 1 when any invariant is
@@ -49,6 +50,9 @@
 //! structural trace lint, and round-trips the trace through the flight
 //! recorder; it exits 1 on any failure. `--kinds` prints the event
 //! catalogue instead: category, name and argument names, one kind a line.
+//!
+//! `obs --names` prints the metric catalogue (`argus::obs::{Count, Hist}`):
+//! kind (counter or histogram), dotted name and meaning, one row a line.
 
 use argus::check::sweep::{sweep, SweepConfig};
 use argus::check::{detect_flavor, lint_log, FaultTally, LogImage, VoprConfig};
@@ -62,7 +66,25 @@ fn main() {
         Some("sweep") => run_sweep(&args[1..]),
         Some("vopr") => run_vopr(&args[1..]),
         Some("trace") => run_trace(&args[1..]),
+        Some("obs") => run_obs(&args[1..]),
         _ => run_lint(args.first().map(PathBuf::from)),
+    }
+}
+
+/// The `obs --names` subcommand: the metric catalogue, one row a line.
+fn run_obs(args: &[String]) {
+    if args != ["--names"] {
+        usage("obs needs --names");
+    }
+    use argus::obs::{Count, Hist};
+    let counters = Count::ALL
+        .iter()
+        .map(|c| ("counter", c.name(), c.meaning()));
+    let hists = Hist::ALL
+        .iter()
+        .map(|h| ("histogram", h.name(), h.meaning()));
+    for (kind, name, meaning) in counters.chain(hists) {
+        println!("{kind:<9} {name:<30} {meaning}");
     }
 }
 
@@ -358,7 +380,8 @@ fn usage(problem: &str) -> ! {
          argus-lint sweep [--double] [--stride N] [--max N] [--kind simple|hybrid|shadow|redo]\n       \
          argus-lint vopr [--seed N] [--iterations M] [--seeds K] [--guardians G] \
          [--kind simple|hybrid|shadow|redo] [--selftest]\n       \
-         argus-lint trace [--seed N] [--out PATH] [--selftest] | --kinds"
+         argus-lint trace [--seed N] [--out PATH] [--selftest] | --kinds\n       \
+         argus-lint obs --names"
     );
     std::process::exit(2);
 }

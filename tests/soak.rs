@@ -1,7 +1,10 @@
 //! Soak test: a three-branch bank under sustained traffic with randomly
 //! interleaved crashes, restarts, and housekeeping — the "realistic
 //! application" run the thesis's ch. 6 calls for, with the global money
-//! invariant audited continuously.
+//! invariant audited continuously, and the world held to the standing check
+//! at the end.
+
+mod common;
 
 use argus::core::HousekeepingMode;
 use argus::guardian::{RsKind, World};
@@ -66,6 +69,7 @@ fn soak(kind: RsKind, seed: u64) {
         expected,
         "{kind:?} seed {seed}: final audit"
     );
+    common::lint_world(&mut world);
 }
 
 #[test]
