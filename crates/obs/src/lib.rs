@@ -11,8 +11,9 @@
 //! * [`Registry`] — one [`Counter`] per counter row and one [`Histogram`]
 //!   (fixed power-of-two buckets) per histogram row, and the simulated
 //!   [`argus_sim::SimClock`] phase timings ([`PhaseTimer`]) read;
-//! * [`Report`] — every row of one registry snapshot, printed as markdown
-//!   tables through [`write_grid`].
+//! * [`Report`] — every row of one registry snapshot: markdown tables
+//!   through [`write_grid`] (every row of each layer that recorded
+//!   anything) or one JSON object.
 //!
 //! It keeps numbers only. What happened, in order — a log opened, a crash
 //! fired, a mirror repaired a page, a housekeeping pass, every lock wait and

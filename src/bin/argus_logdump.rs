@@ -9,7 +9,7 @@
 //! ```
 
 use argus::core::{decode_entry, LogEntry};
-use argus::obs::Registry;
+use argus::obs::{Count, Registry};
 use argus::slog::{LogAddress, FORMAT_VERSION};
 use argus::trace::{Kind, Tracer};
 use std::path::PathBuf;
@@ -89,10 +89,10 @@ fn main() {
     );
     // What the open found: the superblock from its `log_opened` instant,
     // how far past it the scan went from the counters it bumped.
-    let count = |name| reg.counter(name).get();
+    let count = |row: Count| reg.counter(row).get();
     let (scanned, discarded) = (
-        count("slog.open.scanned_bytes"),
-        count("slog.open.discarded_bytes"),
+        count(Count::SlogOpenScannedBytes),
+        count(Count::SlogOpenDiscardedBytes),
     );
     for opened in tracer.events().iter().filter(|e| e.kind == Kind::LogOpened) {
         let [epoch, published_tail] = opened.args;
