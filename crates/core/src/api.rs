@@ -18,17 +18,13 @@ pub enum HousekeepingMode {
 /// How [`RecoverySystem::recover`] rebuilds volatile state after a crash.
 ///
 /// The thesis's organizations all recover with one full scan; the REDO-only
-/// fourth organization (Sauer & Härder's design space) also offers parallel
-/// replay over per-object chains and on-demand restoration. Organizations
-/// that only support the full scan reject the others via
-/// [`RecoverySystem::set_recovery_mode`].
+/// fourth organization (Sauer & Härder's design space) also offers
+/// on-demand restoration over per-object chains. Organizations that only
+/// support the full scan reject it via [`RecoverySystem::set_recovery_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMode {
     /// One full backward scan restoring everything before returning.
     Full,
-    /// Bounded tail scan for the tables, then every object chain replayed
-    /// across this many deterministic simulated workers.
-    Parallel(u32),
     /// Bounded tail scan only: `recover` returns with the tables and the
     /// in-doubt objects restored; everything else is restored lazily via
     /// [`RecoverySystem::demand_restore`] on first touch.
@@ -209,14 +205,6 @@ pub trait RecoverySystem {
     /// recovery (0 for full-scan organizations).
     fn lazy_pending(&self) -> u64 {
         0
-    }
-
-    /// The modeled restart makespan of the last `recover` call for
-    /// organizations that track one (the REDO organization's scan +
-    /// slowest-worker figure); `None` for the full-scan organizations,
-    /// whose restart time is simply the device time the scan took.
-    fn recovery_makespan_us(&self) -> Option<u64> {
-        None
     }
 
     /// Starts housekeeping: sets the housekeeping marker and runs stage one

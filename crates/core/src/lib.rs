@@ -59,7 +59,7 @@ pub use entry::{
 pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;
 pub use log::{LogFormat, LogRs};
-pub use redo::{RedoRecoveryProfile, RedoRs};
+pub use redo::RedoRs;
 pub use restore::RecoverCtx;
 pub use simple::SimpleLogRs;
 pub use tables::{

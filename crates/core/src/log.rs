@@ -178,11 +178,6 @@ pub trait LogFormat: Default + std::fmt::Debug {
         0
     }
 
-    /// See [`RecoverySystem::recovery_makespan_us`].
-    fn recovery_makespan_us(&self) -> Option<u64> {
-        None
-    }
-
     // ---- housekeeping ------------------------------------------------------
 
     /// Stage one: digests everything forced so far (`marker` entries) onto
@@ -535,10 +530,6 @@ impl<P: StoreProvider, F: LogFormat> RecoverySystem for LogRs<P, F> {
 
     fn lazy_pending(&self) -> u64 {
         self.fmt.lazy_pending()
-    }
-
-    fn recovery_makespan_us(&self) -> Option<u64> {
-        self.fmt.recovery_makespan_us()
     }
 
     fn begin_housekeeping(&mut self, heap: &Heap, mode: HousekeepingMode) -> RsResult<()> {

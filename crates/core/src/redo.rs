@@ -8,20 +8,15 @@
 //! versions never supplant committed chain heads, so recovery only ever
 //! replays forward state.
 //!
-//! Three recovery modes ([`RecoveryMode`]):
+//! Two recovery modes ([`RecoveryMode`]):
 //!
 //! * **Full** — the §3.4.4-style single backward pass, for head-to-head
 //!   comparison with the thesis's organizations.
-//! * **Parallel(n)** — a bounded *tail scan* rebuilds the OT/PT/CT tables
-//!   (stopping at the newest `committed_ss` checkpoint's low-water mark),
-//!   then the surviving chain heads are partitioned across `n` deterministic
-//!   simulated workers that replay the object chains independently. Device
-//!   time is attributed per worker ([`RedoRecoveryProfile`]) so experiments
-//!   can report the parallel makespan.
-//! * **OnDemand** — the tail scan only. `recover` returns with the tables,
-//!   the stable root, and every in-doubt object restored; everything else
-//!   stays on the log and is materialized lazily by
-//!   [`RecoverySystem::demand_restore`] on first touch.
+//! * **OnDemand** — a bounded *tail scan* rebuilds the OT/PT/CT tables
+//!   (stopping at the newest `committed_ss` checkpoint's low-water mark).
+//!   `recover` returns with the tables, the stable root, and every in-doubt
+//!   object restored; everything else stays on the log and is materialized
+//!   lazily by [`RecoverySystem::demand_restore`] on first touch.
 //!
 //! The volatile bookkeeping beyond the thesis's AS/PAT:
 //!
@@ -53,35 +48,12 @@ use argus_slog::{LogAddress, StableLog};
 use argus_stable::PageStore;
 
 /// The REDO-only recovery system: backlinked redo records, checkpointed
-/// chain-head maps, and full / parallel / on-demand recovery.
+/// chain-head maps, and full / on-demand recovery.
 pub type RedoRs<P> = LogRs<P, RedoFormat>;
 
 /// Checkpoint cadence: a `committed_ss` chain-head map is appended after
 /// this many commits, bounding the tail a non-full recovery must scan.
 const DEFAULT_MAP_INTERVAL: u64 = 64;
-
-/// How the last [`RecoverySystem::recover`] call spent device time, split
-/// into the scan phase and the (parallel) replay phase — the raw material of
-/// the E20 "instant restart" experiment.
-#[derive(Debug, Clone)]
-pub struct RedoRecoveryProfile {
-    /// The mode the pass ran in.
-    pub mode: RecoveryMode,
-    /// Device busy time of the (full or tail) scan, µs.
-    pub scan_device_us: u64,
-    /// Device busy time attributed to each replay worker, µs. Workers run
-    /// sequentially under the simulated clock for determinism; the parallel
-    /// makespan is `scan + max(worker)`.
-    pub worker_device_us: Vec<u64>,
-}
-
-impl RedoRecoveryProfile {
-    /// The modeled restart time had the workers truly run in parallel:
-    /// scan plus the slowest worker.
-    pub fn parallel_makespan_us(&self) -> u64 {
-        self.scan_device_us + self.worker_device_us.iter().copied().max().unwrap_or(0)
-    }
-}
 
 /// The chain bookkeeping of one log: the live log's on the write path, the
 /// new log's during housekeeping.
@@ -282,8 +254,6 @@ pub struct RedoFormat {
     mode: RecoveryMode,
     /// Objects awaiting lazy restoration: uid → chain-head address.
     lazy: IntMap<Uid, LogAddress>,
-    /// Device-time attribution of the last recovery pass.
-    profile: Option<RedoRecoveryProfile>,
 }
 
 impl Default for RedoFormat {
@@ -294,7 +264,6 @@ impl Default for RedoFormat {
             map_interval: DEFAULT_MAP_INTERVAL,
             mode: RecoveryMode::Full,
             lazy: IntMap::default(),
-            profile: None,
         }
     }
 }
@@ -303,11 +272,6 @@ impl<P: crate::StoreProvider> LogRs<P, RedoFormat> {
     /// Overrides the checkpoint cadence (commits per `committed_ss`).
     pub fn set_map_interval(&mut self, commits: u64) {
         self.fmt.map_interval = commits.max(1);
-    }
-
-    /// Device-time attribution of the last recovery pass (E20).
-    pub fn last_recovery_profile(&self) -> Option<&RedoRecoveryProfile> {
-        self.fmt.profile.as_ref()
     }
 }
 
@@ -382,12 +346,10 @@ impl LogFormat for RedoFormat {
     }
 
     fn walk<S: PageStore>(&mut self, io: &mut LogIo<S>, ctx: &mut RecoverCtx<'_>) -> RsResult<()> {
-        let mode = self.mode;
         self.lazy.clear();
 
-        let scan_before = io.log.store().stats().snapshot();
         let mut maps = RedoMaps::default();
-        if mode == RecoveryMode::Full {
+        if self.mode == RecoveryMode::Full {
             scan_backward(&mut io.log, ctx, |addr, entry, pt| {
                 maps.note_scanned(addr, entry, pt)
             })?;
@@ -405,51 +367,17 @@ impl LogFormat for RedoFormat {
                     maps.heads.entry(uid).or_insert(addr);
                 }
             }
-        }
-        let scan_us = io
-            .log
-            .store()
-            .stats()
-            .snapshot()
-            .since(&scan_before)
-            .busy_us;
-
-        // Chain heads of the objects the scan left on the log.
-        let unrestored = |maps: &RedoMaps, ctx: &RecoverCtx<'_>| -> Vec<(Uid, LogAddress)> {
+            // The stable root is the entry point of everything: restore it
+            // eagerly so the guardian can serve immediately.
+            if let Some(&addr) = maps.heads.get(&Uid::STABLE_ROOT) {
+                if ctx.ot.get(Uid::STABLE_ROOT).is_none() {
+                    restore_chain(&mut io.log, ctx, Uid::STABLE_ROOT, Some(addr))?;
+                }
+            }
+            // Chain heads of the objects the scan left on the log.
             let heads = maps.heads.iter();
             let left = heads.filter(|(uid, _)| ctx.ot.get(**uid).is_none());
-            left.map(|(u, a)| (*u, *a)).collect()
-        };
-        let mut worker_us = Vec::new();
-        match mode {
-            RecoveryMode::Full => {}
-            RecoveryMode::Parallel(n) => {
-                let n = n.max(1) as usize;
-                let mut remaining = unrestored(&maps, ctx);
-                remaining.sort();
-                let mut buckets: Vec<Vec<(Uid, LogAddress)>> = vec![Vec::new(); n];
-                for (i, item) in remaining.into_iter().enumerate() {
-                    buckets[i % n].push(item);
-                }
-                for bucket in buckets {
-                    let before = io.log.store().stats().snapshot();
-                    for (uid, addr) in bucket {
-                        restore_chain(&mut io.log, ctx, uid, Some(addr))?;
-                    }
-                    let after = io.log.store().stats().snapshot();
-                    worker_us.push(after.since(&before).busy_us);
-                }
-            }
-            RecoveryMode::OnDemand => {
-                // The stable root is the entry point of everything: restore
-                // it eagerly so the guardian can serve immediately.
-                if let Some(&addr) = maps.heads.get(&Uid::STABLE_ROOT) {
-                    if ctx.ot.get(Uid::STABLE_ROOT).is_none() {
-                        restore_chain(&mut io.log, ctx, Uid::STABLE_ROOT, Some(addr))?;
-                    }
-                }
-                self.lazy = unrestored(&maps, ctx).into_iter().collect();
-            }
+            self.lazy = left.map(|(u, a)| (*u, *a)).collect();
         }
 
         // Objects still on the log occupy uid space: the allocator must not
@@ -460,11 +388,6 @@ impl LogFormat for RedoFormat {
         }
         self.maps = maps;
         self.commits_since_ckpt = 0;
-        self.profile = Some(RedoRecoveryProfile {
-            mode,
-            scan_device_us: scan_us,
-            worker_device_us: worker_us,
-        });
         Ok(())
     }
 
@@ -533,10 +456,6 @@ impl LogFormat for RedoFormat {
         self.lazy.len() as u64
     }
 
-    fn recovery_makespan_us(&self) -> Option<u64> {
-        self.profile.as_ref().map(|p| p.parallel_makespan_us())
-    }
-
     /// Chain truncation: one committed record per live object, each chain
     /// restarting at length one.
     fn stage_one<S: PageStore>(
@@ -579,10 +498,10 @@ impl LogFormat for RedoFormat {
     }
 }
 
-/// The bounded tail scan of the non-full modes: walks back from the top to
+/// The bounded tail scan of on-demand recovery: walks back from the top to
 /// the newest checkpoint's low-water mark, rebuilding the tables and `maps`
 /// but materializing only what an in-doubt action wrote — such an action
-/// resumes holding its locks the moment recovery returns, whatever the mode.
+/// resumes holding its locks the moment recovery returns.
 /// Returns the in-doubt atomic objects restored with a prepared current
 /// version but no base yet, each with the backlink its record carried.
 fn tail_scan<S: PageStore>(
@@ -777,67 +696,45 @@ mod tests {
         assert_eq!(heap2.read_value(root2, None).unwrap(), &Value::Int(49));
     }
 
+    /// Five children, and 64: with that much history the chain heads the
+    /// on-demand reads follow are not all in the few pages the tail scan's
+    /// last reads left in the log's extent.
     #[test]
     fn on_demand_defers_and_restores_on_touch() {
-        let mut rs = rs();
-        let mut heap = Heap::with_stable_root();
-        let uids = commit_children(&mut rs, &mut heap, 5);
+        for n in [5, 64] {
+            let mut rs = rs();
+            let mut heap = Heap::with_stable_root();
+            let uids = commit_children(&mut rs, &mut heap, n);
 
-        rs.simulate_crash().unwrap();
-        assert!(rs.set_recovery_mode(RecoveryMode::OnDemand));
-        let mut heap2 = Heap::new();
-        rs.recover(&mut heap2).unwrap();
-        assert_eq!(rs.lazy_pending(), 5, "children stay on the log");
-        assert!(heap2.stable_root().is_some(), "root restored eagerly");
-        for uid in &uids {
-            assert!(heap2.lookup(*uid).is_none());
+            rs.simulate_crash().unwrap();
+            assert!(rs.set_recovery_mode(RecoveryMode::OnDemand));
+            let mut heap2 = Heap::new();
+            rs.recover(&mut heap2).unwrap();
+            assert_eq!(rs.lazy_pending(), n, "children stay on the log");
+            assert!(heap2.stable_root().is_some(), "root restored eagerly");
+            for uid in &uids {
+                assert!(heap2.lookup(*uid).is_none());
+            }
+
+            // First touch materializes; second is a no-op.
+            for (i, uid) in uids.iter().enumerate() {
+                assert!(rs.demand_restore(*uid, &mut heap2).unwrap());
+                let h = heap2.lookup(*uid).unwrap();
+                assert_eq!(
+                    heap2.read_value(h, None).unwrap(),
+                    &Value::Int(1000 + i as i64)
+                );
+                assert!(!rs.demand_restore(*uid, &mut heap2).unwrap());
+            }
+            assert_eq!(rs.lazy_pending(), 0);
+            // All references resolved back to pointers.
+            let root2 = heap2.stable_root().unwrap();
+            let expect: Vec<Value> = uids
+                .iter()
+                .map(|u| Value::heap_ref(heap2.lookup(*u).unwrap()))
+                .collect();
+            assert_eq!(heap2.read_value(root2, None).unwrap(), &Value::Seq(expect));
         }
-
-        // First touch materializes; second is a no-op.
-        for (i, uid) in uids.iter().enumerate() {
-            assert!(rs.demand_restore(*uid, &mut heap2).unwrap());
-            let h = heap2.lookup(*uid).unwrap();
-            assert_eq!(
-                heap2.read_value(h, None).unwrap(),
-                &Value::Int(1000 + i as i64)
-            );
-            assert!(!rs.demand_restore(*uid, &mut heap2).unwrap());
-        }
-        assert_eq!(rs.lazy_pending(), 0);
-        // All references resolved back to pointers.
-        let root2 = heap2.stable_root().unwrap();
-        let expect: Vec<Value> = uids
-            .iter()
-            .map(|u| Value::heap_ref(heap2.lookup(*u).unwrap()))
-            .collect();
-        assert_eq!(heap2.read_value(root2, None).unwrap(), &Value::Seq(expect));
-    }
-
-    #[test]
-    fn parallel_replay_matches_full_recovery() {
-        let mut rs = rs();
-        let mut heap = Heap::with_stable_root();
-        // Enough history that the versions the workers replay are not all
-        // in the few pages the scan's last reads left in the log's extent.
-        let uids = commit_children(&mut rs, &mut heap, 64);
-
-        rs.simulate_crash().unwrap();
-        assert!(rs.set_recovery_mode(RecoveryMode::Parallel(4)));
-        let mut heap2 = Heap::new();
-        rs.recover(&mut heap2).unwrap();
-        assert_eq!(rs.lazy_pending(), 0);
-        for (i, uid) in uids.iter().enumerate() {
-            let h = heap2.lookup(*uid).unwrap();
-            assert_eq!(
-                heap2.read_value(h, None).unwrap(),
-                &Value::Int(1000 + i as i64)
-            );
-        }
-        let profile = rs.last_recovery_profile().unwrap();
-        assert_eq!(profile.mode, RecoveryMode::Parallel(4));
-        assert_eq!(profile.worker_device_us.len(), 4);
-        assert!(profile.worker_device_us.iter().any(|&us| us > 0));
-        assert!(profile.parallel_makespan_us() >= profile.scan_device_us);
     }
 
     #[test]

@@ -1032,7 +1032,7 @@ impl World {
 
     /// Selects how `g`'s next recovery pass rebuilds state. Returns whether
     /// the guardian's organization supports the mode (only the redo
-    /// organization supports `Parallel` and `OnDemand`).
+    /// organization supports `OnDemand`).
     pub fn set_recovery_mode(
         &mut self,
         g: GuardianId,
@@ -1044,13 +1044,6 @@ impl World {
     /// Log entries an on-demand recovery has left unrestored on `g`.
     pub fn lazy_pending(&self, g: GuardianId) -> WorldResult<u64> {
         Ok(self.guardian(g)?.rs.lazy_pending())
-    }
-
-    /// The modeled restart makespan of `g`'s last recovery pass (`None`
-    /// unless the organization tracks one — the redo organization's
-    /// scan-plus-slowest-worker figure for parallel replay).
-    pub fn recovery_makespan_us(&self, g: GuardianId) -> WorldResult<Option<u64>> {
-        Ok(self.guardian(g)?.rs.recovery_makespan_us())
     }
 
     /// The heap-miss path: materializes `uid` on guardian `g` if it is

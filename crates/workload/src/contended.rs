@@ -62,9 +62,6 @@ pub struct ContendedStats {
     pub deadlock_victims: u64,
     /// Retries caused by a lock-wait timeout.
     pub timeouts: u64,
-    /// Per-transfer latency in simulated µs, first `begin` to commit,
-    /// spanning every retry of that transfer.
-    pub latencies_us: Vec<u64>,
     /// Every action id that was aborted and retried.
     pub aborted: BTreeSet<ActionId>,
     /// Action ids in commit order — the observable schedule.
@@ -76,23 +73,6 @@ impl ContendedStats {
     pub fn abort_rate(&self) -> f64 {
         slots::abort_rate(self.committed, self.retries)
     }
-
-    /// The p99 transfer latency in simulated µs (0 when empty) — nearest
-    /// rank, `ceil(n·q)`; [`crate::ShardedStats::p99_latency_us`] rounds
-    /// `(n−1)·q` instead, and E14's and E21's cells each depend on their own.
-    pub fn p99_latency_us(&self) -> u64 {
-        percentile(&self.latencies_us, 0.99)
-    }
-}
-
-fn percentile(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// One transfer: debit, then credit, both at the mix's guardian.
@@ -172,7 +152,6 @@ impl Contended {
             conflicts: s.conflicts,
             deadlock_victims: s.deadlock_victims,
             timeouts: s.timeouts,
-            latencies_us: s.latencies_us,
             aborted: s.aborted,
             commit_order: s.commit_order,
         })
@@ -222,7 +201,7 @@ mod tests {
             let (stats, total, expected) = run_once(policy, 42);
             assert_eq!(stats.committed, 8 * 12, "{policy:?}");
             assert_eq!(total, expected, "{policy:?}");
-            assert_eq!(stats.latencies_us.len() as u64, stats.committed);
+            assert_eq!(stats.commit_order.len() as u64, stats.committed);
         }
     }
 

@@ -107,9 +107,6 @@ pub struct ShardedStats {
     /// Committed actions per coordinator shard — the evidence that 2PC
     /// coordination spreads instead of piling onto one guardian.
     pub per_shard_commits: Vec<u64>,
-    /// Per-action latency in simulated µs, first begin to commit, spanning
-    /// retries.
-    pub latencies_us: Vec<u64>,
     /// Every action id that was aborted and retried.
     pub aborted: BTreeSet<ActionId>,
     /// Action ids in commit order — the observable schedule.
@@ -125,20 +122,6 @@ impl ShardedStats {
     /// Shards that coordinated at least one commit.
     pub fn coordinating_shards(&self) -> usize {
         self.per_shard_commits.iter().filter(|&&n| n > 0).count()
-    }
-
-    /// p99 action latency in simulated µs (first begin → commit, spanning
-    /// retries); 0 when nothing committed. Index `round((n−1)·q)` — not
-    /// [`crate::ContendedStats::p99_latency_us`]'s nearest rank; E21's cells
-    /// depend on this one, so unifying them means re-baselining.
-    pub fn p99_latency_us(&self) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * 0.99).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
     }
 
     /// Peak-to-mean ratio of per-shard coordinator load (1.0 = perfectly
@@ -317,7 +300,6 @@ impl Sharded {
             deadlock_victims: s.deadlock_victims,
             timeouts: s.timeouts,
             per_shard_commits,
-            latencies_us: s.latencies_us,
             aborted: s.aborted,
             commit_order: s.commit_order,
         })

@@ -53,9 +53,6 @@ pub(crate) struct SlotStats {
     pub(crate) conflicts: u64,
     pub(crate) deadlock_victims: u64,
     pub(crate) timeouts: u64,
-    /// Per-plan latency in simulated µs, first begin to commit, spanning
-    /// every retry.
-    pub(crate) latencies_us: Vec<u64>,
     pub(crate) aborted: BTreeSet<ActionId>,
     pub(crate) commit_order: Vec<ActionId>,
 }
@@ -81,8 +78,6 @@ enum SlotState {
 struct Slot<P> {
     state: SlotState,
     plan: Option<P>,
-    /// When the first attempt of the current plan began.
-    started_at: u64,
     /// Aborted attempts of the current plan so far.
     attempt: u32,
     /// Clock time before which the slot stays idle (backoff).
@@ -107,7 +102,6 @@ pub(crate) fn run<P: Plan>(
         .map(|_| Slot {
             state: SlotState::Idle,
             plan: None,
-            started_at: 0,
             attempt: 0,
             retry_at: 0,
         })
@@ -163,7 +157,6 @@ fn step_slot<P: Plan>(
                 // A fresh plan is due at once: the slot's last commit set
                 // `retry_at` to a time now past.
                 slot.plan = draw(rng);
-                slot.started_at = now;
             }
             let Some(plan) = &slot.plan else {
                 slot.state = SlotState::Finished;
@@ -218,9 +211,6 @@ fn step_slot<P: Plan>(
     stats.committed += 1;
     stats.commit_order.push(aid);
     let finished = world.clock.now();
-    stats
-        .latencies_us
-        .push(finished.saturating_sub(slot.started_at));
     done(slot.plan.take().expect("running slot has a plan"));
     slot.attempt = 0;
     slot.retry_at = finished;

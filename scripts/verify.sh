@@ -104,8 +104,8 @@ fi
 
 # Wall tier: the group-commit claim against a real file with real fsyncs
 # (asserted by --wall-smoke), then a small E18/E19/E20; E20 asserts the
-# instant-restart claims (on-demand time-to-first-commit far below the
-# full-scan restarts, parallel makespan falling with workers) as it runs.
+# instant-restart claim (on-demand time-to-first-commit far below the
+# full-scan restarts) as it runs.
 # Their JSON goes to a scratch directory: the tracked BENCH_E18-E20.json hold
 # one machine's wall clock and are re-baselined on purpose (scripts/bench.sh),
 # never by a gate run. Runs on tmpfs when available so a slow CI disk cannot

@@ -131,15 +131,11 @@ fn shadowing_reopens_from_disk() {
 
 #[test]
 fn redo_log_reopens_from_disk_in_every_mode_and_lints() {
-    // The redo organization restarts from disk in all three recovery modes.
+    // The redo organization restarts from disk in both recovery modes.
     // On-demand leaves most objects on the log, but this history only ever
-    // touches the stable root, which is restored eagerly in every mode, so
-    // the same recovered-state checks apply across the modes.
-    for mode in [
-        RecoveryMode::Full,
-        RecoveryMode::Parallel(4),
-        RecoveryMode::OnDemand,
-    ] {
+    // touches the stable root, which is restored eagerly in both modes, so
+    // the same recovered-state checks apply to each.
+    for mode in [RecoveryMode::Full, RecoveryMode::OnDemand] {
         let dir = temp_dir(&format!("redo-{mode:?}"));
         {
             let provider = FileProvider::new(&dir).unwrap();
