@@ -1097,7 +1097,6 @@ pub fn cc_perf(
         ContendedConfig {
             concurrency,
             transfers_per_slot: transfers,
-            ..Default::default()
         },
     )
     .expect("setup");

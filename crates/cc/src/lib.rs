@@ -9,8 +9,8 @@
 //! actions it visits ([`DeadlockSearch`]), and three collision disciplines
 //! ([`CcPolicy`]) — optimistic conflict-abort, blocking with deadlock
 //! detection (victim = youngest action), and a simulated-clock lock-wait
-//! timeout — plus a seeded exponential-backoff retry schedule
-//! ([`BackoffConfig`]).
+//! timeout ([`WAIT_TIMEOUT_US`]) — plus a seeded exponential-backoff retry
+//! schedule ([`backoff_delay_us`]).
 //!
 //! The manager is deliberately heap-free: it owns only queues and
 //! continuations. Granting is a two-phase conversation with the owner of
@@ -29,7 +29,7 @@ mod policy;
 
 pub use graph::DeadlockSearch;
 pub use lock::{Front, LockManager, LockMode, ObjKey, Waiter};
-pub use policy::{BackoffConfig, CcConfig, CcPolicy};
+pub use policy::{backoff_delay_us, CcPolicy, WAIT_TIMEOUT_US};
 
 /// How a lock-aware submission resolved, as seen by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,7 +19,7 @@ pub enum CcPolicy {
     /// cycle search, and the youngest action on a cycle is aborted.
     Blocking,
     /// Blocking with a lock-wait timeout on the simulated clock: parked
-    /// requests that wait longer than [`CcConfig::wait_timeout_us`] abort
+    /// requests that wait longer than [`WAIT_TIMEOUT_US`] abort
     /// their action and retry after a backoff. Deadlocks are broken by the
     /// timeout rather than a cycle search.
     Timeout,
@@ -36,81 +36,23 @@ impl CcPolicy {
     }
 }
 
-/// Knobs of the concurrency-control subsystem.
-#[derive(Debug, Clone, Copy)]
-pub struct CcConfig {
-    /// The collision discipline.
-    pub policy: CcPolicy,
-    /// Lock-wait timeout in simulated µs ([`CcPolicy::Timeout`] only).
-    pub wait_timeout_us: u64,
-    /// Backoff schedule workloads use between retries of an aborted action.
-    pub backoff: BackoffConfig,
-}
+/// Lock-wait timeout in simulated µs ([`CcPolicy::Timeout`] only).
+pub const WAIT_TIMEOUT_US: u64 = 5_000;
 
-impl Default for CcConfig {
-    fn default() -> Self {
-        Self {
-            policy: CcPolicy::ConflictAbort,
-            wait_timeout_us: 5_000,
-            backoff: BackoffConfig::default(),
-        }
-    }
-}
+/// Backoff ceiling for retry 0, in simulated µs.
+const BACKOFF_BASE_US: u64 = 200;
+/// Upper bound on any backoff delay, in simulated µs.
+const BACKOFF_CAP_US: u64 = 12_800;
 
-impl CcConfig {
-    /// A config running the given policy with default knobs.
-    pub fn with_policy(policy: CcPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-}
-
-/// Parameters of the seeded exponential-backoff schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffConfig {
-    /// Delay cap for attempt 0 in simulated µs.
-    pub base_us: u64,
-    /// Upper bound on any delay in simulated µs.
-    pub cap_us: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            base_us: 200,
-            cap_us: 12_800,
-        }
-    }
-}
-
-impl BackoffConfig {
-    /// The delay before retry number `attempt` (0-based): *full jitter*
-    /// exponential backoff — uniform in `[1, min(cap, base << attempt)]`,
-    /// drawn from the caller's deterministic generator so a seed pins the
-    /// whole retry schedule.
-    pub fn delay_us(&self, attempt: u32, rng: &mut DetRng) -> u64 {
-        let ceiling = self
-            .base_us
-            .saturating_shl(attempt.min(32))
-            .clamp(1, self.cap_us.max(1));
-        1 + rng.gen_range(ceiling)
-    }
-}
-
-trait SaturatingShl {
-    fn saturating_shl(self, by: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, by: u32) -> u64 {
-        if by >= 64 || self.leading_zeros() < by {
-            u64::MAX
-        } else {
-            self << by
-        }
-    }
+/// The delay before retry number `attempt` (0-based): *full jitter*
+/// exponential backoff — uniform in `[1, min(12 800, 200 << attempt)]` µs,
+/// drawn from the caller's deterministic generator so a seed pins the whole
+/// retry schedule.
+pub fn backoff_delay_us(attempt: u32, rng: &mut DetRng) -> u64 {
+    // The cap holds from attempt 6 on; clamping the shift keeps it far from
+    // overflow for any attempt count.
+    let ceiling = (BACKOFF_BASE_US << attempt.min(16)).min(BACKOFF_CAP_US);
+    1 + rng.gen_range(ceiling)
 }
 
 #[cfg(test)]
@@ -126,40 +68,38 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let cfg = BackoffConfig {
-            base_us: 100,
-            cap_us: 1_000,
-        };
         let mut a = DetRng::new(7);
         let mut b = DetRng::new(7);
         for attempt in 0..20 {
-            let da = cfg.delay_us(attempt, &mut a);
-            let db = cfg.delay_us(attempt, &mut b);
+            let da = backoff_delay_us(attempt, &mut a);
+            let db = backoff_delay_us(attempt, &mut b);
             assert_eq!(da, db);
-            assert!((1..=1_000).contains(&da), "delay {da} out of range");
+            assert!((1..=12_800).contains(&da), "delay {da} out of range");
         }
     }
 
     #[test]
     fn backoff_ceiling_grows_then_caps() {
-        let cfg = BackoffConfig {
-            base_us: 100,
-            cap_us: 800,
-        };
-        // The ceiling doubles 100 → 200 → 400 → 800 → 800…; sample many
+        // The ceiling doubles 200 → 400 → … → 12 800 → 12 800…; sample many
         // draws per attempt and check the maxima respect the ceilings.
         let mut rng = DetRng::new(3);
-        for (attempt, ceiling) in [(0u32, 100u64), (1, 200), (2, 400), (3, 800), (9, 800)] {
+        for (attempt, ceiling) in [
+            (0u32, 200u64),
+            (1, 400),
+            (2, 800),
+            (5, 6_400),
+            (6, 12_800),
+            (9, 12_800),
+        ] {
             for _ in 0..200 {
-                assert!(cfg.delay_us(attempt, &mut rng) <= ceiling);
+                assert!(backoff_delay_us(attempt, &mut rng) <= ceiling);
             }
         }
     }
 
     #[test]
     fn backoff_survives_huge_attempt_counts() {
-        let cfg = BackoffConfig::default();
         let mut rng = DetRng::new(5);
-        assert!(cfg.delay_us(u32::MAX, &mut rng) <= cfg.cap_us);
+        assert!(backoff_delay_us(u32::MAX, &mut rng) <= 12_800);
     }
 }

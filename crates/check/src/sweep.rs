@@ -20,10 +20,10 @@
 //! recovery), the node is healed and restarted once more, and the same
 //! checks apply — recovery must be idempotent under its own crashes.
 //!
-//! On mirrored media ([`MediaKind::Mirrored`]), [`SweepConfig::decay_frontier`]
-//! additionally decays one mirror leg of the page that was in flight at the
-//! crash (the *crash frontier*) before every restart, composing the
-//! Lampson–Sturgis decay model with the crash model.
+//! On mirrored media ([`SweepConfig::with_mirror_decay`]) the sweep also
+//! decays one mirror leg of the page that was in flight at the crash (the
+//! *crash frontier*) before every restart, composing the Lampson–Sturgis
+//! decay model with the crash model.
 
 use crate::ledger::dump_flight;
 use crate::{standing, Fate, Ledger, Phase};
@@ -49,7 +49,8 @@ pub struct SweepConfig {
     pub batched: bool,
     /// Page cache + read-ahead on (`true`) or every read from the device.
     pub cached: bool,
-    /// Media model under the page stores.
+    /// Media model under the page stores. On [`MediaKind::Mirrored`] one
+    /// leg of the crash-frontier page is decayed before every restart.
     pub media: MediaKind,
     /// Automatic housekeeping mode armed during the workload, if any.
     pub housekeeping: Option<HousekeepingMode>,
@@ -57,9 +58,6 @@ pub struct SweepConfig {
     pub double_crash: bool,
     /// Stride over second-crash op indices (1 = every device operation).
     pub double_crash_stride: u64,
-    /// Decay one mirror leg of the crash-frontier page before restarts
-    /// (meaningful only on [`MediaKind::Mirrored`]).
-    pub decay_frontier: bool,
     /// Cap on first-crash points per victim (`None` = every write index) —
     /// lets tests run a bounded slice of the same sweep.
     pub max_points_per_victim: Option<u64>,
@@ -77,7 +75,6 @@ impl SweepConfig {
             housekeeping: None,
             double_crash: false,
             double_crash_stride: 1,
-            decay_frontier: false,
             max_points_per_victim: None,
         }
     }
@@ -94,7 +91,6 @@ impl SweepConfig {
     /// every restart.
     pub fn with_mirror_decay(mut self) -> Self {
         self.media = MediaKind::Mirrored;
-        self.decay_frontier = true;
         self
     }
 
@@ -375,7 +371,7 @@ fn restart_and_quiesce(
     recovery_crash_op: Option<u64>,
 ) -> Result<(), String> {
     let decay = |w: &mut World| {
-        if cfg.decay_frontier {
+        if cfg.media == MediaKind::Mirrored {
             if let Some(pno) = w.fault_plan(victim).ok().and_then(|p| p.frontier_page()) {
                 let _ = w.decay_page(victim, pno);
             }

@@ -11,7 +11,7 @@
 //! recovery, both explicit and armed to fire mid-protocol — against a
 //! multi-guardian two-phase-commit workload.
 //!
-//! At every quiesce point (every [`VoprConfig::check_every`] steps, the
+//! At every quiesce point (every [`CHECK_EVERY`] steps, the
 //! world is driven to quiescence) the world is held to [`crate::standing`]
 //! at [`Phase::MidRun`]: I12 on the trace, I1–I10 and I11 on every up
 //! guardian, and aborted invisibility — the one oracle clause that is sound
@@ -41,6 +41,9 @@ use argus_obs::{Count, Registry};
 use argus_sim::{CostModel, DetRng};
 use argus_slog::LogAddress;
 
+/// Quiesce-and-check cadence in explorer steps.
+pub const CHECK_EVERY: u64 = 8;
+
 /// One explorer run's shape: the seed pins everything else down.
 #[derive(Debug, Clone, Copy)]
 pub struct VoprConfig {
@@ -52,8 +55,6 @@ pub struct VoprConfig {
     pub kind: RsKind,
     /// Guardians in the world (at least 2).
     pub guardians: u32,
-    /// Quiesce-and-check cadence in steps.
-    pub check_every: u64,
     /// Self-test hook: inject one deliberately-false committed expectation
     /// into the oracle, so the run *must* find a violation — proving the
     /// detection, replay, and flight-dump path end to end.
@@ -68,7 +69,6 @@ impl VoprConfig {
             steps,
             kind: RsKind::Hybrid,
             guardians: 3,
-            check_every: 8,
             break_oracle: false,
         }
     }
@@ -634,7 +634,7 @@ pub fn vopr(cfg: &VoprConfig) -> VoprSummary {
             let fault_roll = run.rng.gen_range(100);
             run.fault(&mut w, step, fault_roll);
         }
-        if cfg.check_every > 0 && (step + 1) % cfg.check_every == 0 {
+        if (step + 1) % CHECK_EVERY == 0 {
             run.quiesce_and_check(&mut w, step, Phase::MidRun);
         }
     }

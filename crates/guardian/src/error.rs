@@ -1,7 +1,7 @@
 //! World-level errors.
 
 use argus_core::RsError;
-use argus_objects::{ActionId, GuardianId, HeapError};
+use argus_objects::{GuardianId, HeapError};
 use std::fmt;
 
 /// Errors surfaced by the guardian substrate.
@@ -15,8 +15,6 @@ pub enum WorldError {
     Down(GuardianId),
     /// No such guardian.
     NoGuardian(GuardianId),
-    /// The action is not known at this guardian.
-    UnknownAction(ActionId),
 }
 
 impl fmt::Display for WorldError {
@@ -26,7 +24,6 @@ impl fmt::Display for WorldError {
             WorldError::Heap(e) => write!(f, "heap: {e}"),
             WorldError::Down(g) => write!(f, "guardian {g} is down"),
             WorldError::NoGuardian(g) => write!(f, "no guardian {g}"),
-            WorldError::UnknownAction(a) => write!(f, "unknown action {a}"),
         }
     }
 }

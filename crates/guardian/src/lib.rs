@@ -35,4 +35,4 @@ pub use world::{MediaKind, Outcome, World, WorldConfig};
 
 // The concurrency-control vocabulary of the `submit_*`/`cc_*` World API, so
 // drivers need not depend on `argus-cc` directly.
-pub use argus_cc::{BackoffConfig, CcConfig, CcFate, CcOutcome, CcPolicy};
+pub use argus_cc::{CcFate, CcOutcome, CcPolicy};

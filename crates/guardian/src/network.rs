@@ -256,11 +256,6 @@ impl SimNetwork {
         self.partitions.contains(&pair(a, b))
     }
 
-    /// Active partitioned pairs.
-    pub fn active_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Pauses a guardian: its incoming mail is held (not lost) until
     /// [`SimNetwork::resume`] — the node sleeps while world time advances.
     pub fn pause(&mut self, g: GuardianId) {

@@ -745,7 +745,7 @@ fn the_network_carries_exactly_what_apply_sent() {
             w.set_stable(g, a, "accounts", Value::Seq(refs)).unwrap();
             assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
         }
-        w.enable_network_faults(7, 0.2, 0.3);
+        w.set_network_faults(Some(crate::NetFaults::new(7, 0.2, 0.3)));
         for wave in 0..8 {
             let mut launched = Vec::new();
             for (i, lane) in lanes.iter().enumerate() {

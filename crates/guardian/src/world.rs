@@ -5,8 +5,8 @@ use crate::live::LiveAction;
 use crate::network::NetFaults;
 use crate::{Guardian, RsKind, SimNetwork, WorldError, WorldResult};
 use argus_cc::{
-    CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockSearch, Front, LockManager, LockMode, ObjKey,
-    Waiter,
+    CcFate, CcOutcome, CcPolicy, DeadlockSearch, Front, LockManager, LockMode, ObjKey, Waiter,
+    WAIT_TIMEOUT_US,
 };
 use argus_core::{HousekeepingMode, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
@@ -32,7 +32,7 @@ pub struct WorldConfig {
     /// Page cache + read-ahead layered over each guardian's page store.
     pub cache: CacheConfig,
     /// Concurrency control: what happens when lock requests collide.
-    pub cc: CcConfig,
+    pub cc: CcPolicy,
     /// Media model under each guardian's page store.
     pub media: MediaKind,
 }
@@ -64,7 +64,7 @@ impl WorldConfig {
         Self {
             force: ForceConfig::immediate(),
             cache: CacheConfig::disabled(),
-            cc: CcConfig::default(),
+            cc: CcPolicy::ConflictAbort,
             media: MediaKind::Mem,
         }
     }
@@ -72,7 +72,7 @@ impl WorldConfig {
     /// The default knobs with the given concurrency-control policy.
     pub fn with_cc(policy: CcPolicy) -> Self {
         Self {
-            cc: CcConfig::with_policy(policy),
+            cc: policy,
             ..Self::default()
         }
     }
@@ -455,7 +455,7 @@ impl World {
         if self.cc_should_queue(key, aid) {
             return self.cc_park(key, aid, mode, touch.boxed(), false);
         }
-        let waits = !matches!(self.cfg.cc.policy, CcPolicy::ConflictAbort);
+        let waits = !matches!(self.cfg.cc, CcPolicy::ConflictAbort);
         let guardian = self.up(g)?;
         match guardian.lock(aid, h, mode) {
             Ok(()) => {
@@ -479,7 +479,7 @@ impl World {
     /// readers from starving a queued writer. Re-entrant requests (the
     /// action already holds a lock on the object) bypass the queue.
     fn cc_should_queue(&self, key: ObjKey, aid: ActionId) -> bool {
-        if matches!(self.cfg.cc.policy, CcPolicy::ConflictAbort) {
+        if matches!(self.cfg.cc, CcPolicy::ConflictAbort) {
             return false;
         }
         if !self.cc.has_queue(key) {
@@ -500,8 +500,7 @@ impl World {
         upgrade: bool,
     ) -> WorldResult<CcOutcome> {
         let now = self.clock.now();
-        let deadline = matches!(self.cfg.cc.policy, CcPolicy::Timeout)
-            .then(|| now + self.cfg.cc.wait_timeout_us);
+        let deadline = matches!(self.cfg.cc, CcPolicy::Timeout).then(|| now + WAIT_TIMEOUT_US);
         // The holder the waiter is queuing behind right now (writer first,
         // else the first foreign reader): the grant-time trace span names it
         // so lock-wait time is attributable to a specific action.
@@ -522,7 +521,7 @@ impl World {
             upgrade,
         );
         self.obs.inc(Count::CcWaits);
-        if matches!(self.cfg.cc.policy, CcPolicy::Blocking) {
+        if matches!(self.cfg.cc, CcPolicy::Blocking) {
             self.cc_detect_deadlock(aid);
         }
         Ok(CcOutcome::Parked)
@@ -698,11 +697,6 @@ impl World {
     /// Whether `aid` has a parked lock request.
     pub fn cc_blocked(&self, aid: ActionId) -> bool {
         self.cc.is_blocked(aid)
-    }
-
-    /// Every action with a parked lock request, in id order.
-    pub fn cc_blocked_actions(&self) -> BTreeSet<ActionId> {
-        self.cc.blocked_actions()
     }
 
     /// Total parked lock requests.
@@ -991,10 +985,11 @@ impl World {
     }
 
     /// Arms the guardian's fault plan: the node will crash when the
-    /// `n + 1`-th subsequent low-level page write begins.
+    /// `n + 1`-th subsequent low-level page write begins. Refused on
+    /// [`MediaKind::File`], whose stores no plan reaches.
     pub fn arm_crash_after_writes(&mut self, g: GuardianId, n: u64) -> WorldResult<()> {
-        let guardian = self.guardian_mut(g)?;
-        guardian.plan.arm_after_writes(n);
+        self.refuse_file_countdown()?;
+        self.guardian_mut(g)?.plan.arm_after_writes(n);
         Ok(())
     }
 
@@ -1002,8 +997,19 @@ impl World {
     /// writes, and forces all count — so a crash can land inside the
     /// read-mostly scan of recovery itself.
     pub fn arm_crash_after_ops(&mut self, g: GuardianId, n: u64) -> WorldResult<()> {
-        let guardian = self.guardian_mut(g)?;
-        guardian.plan.arm_after_ops(n);
+        self.refuse_file_countdown()?;
+        self.guardian_mut(g)?.plan.arm_after_ops(n);
+        Ok(())
+    }
+
+    /// A file-backed guardian's stores are wired to no fault plan, so a
+    /// crash countdown armed there would never fire.
+    fn refuse_file_countdown(&self) -> WorldResult<()> {
+        if matches!(self.cfg.media, MediaKind::File { .. }) {
+            return Err(WorldError::Rs(argus_core::RsError::BadState(
+                "a crash countdown never fires on file media".into(),
+            )));
+        }
         Ok(())
     }
 
@@ -1091,6 +1097,7 @@ impl World {
         g: GuardianId,
         ops: u64,
     ) -> WorldResult<Option<RecoveryOutcome>> {
+        self.refuse_file_countdown()?;
         self.restart_inner(g, Some(ops))
     }
 
@@ -1309,16 +1316,9 @@ impl World {
         &self.net
     }
 
-    /// Enables deterministic network fault injection (message duplication
-    /// and reordering) for everything delivered from now on.
-    pub fn enable_network_faults(&mut self, seed: u64, duplicate_prob: f64, defer_prob: f64) {
-        self.net
-            .set_faults(Some(NetFaults::new(seed, duplicate_prob, defer_prob)));
-    }
-
-    /// Installs (or removes) a fully-specified network fault injector —
-    /// the general form of [`World::enable_network_faults`], used by fault
-    /// explorers that also want message loss ([`NetFaults::with_drop`]).
+    /// Installs (or removes) a deterministic network fault injector for
+    /// everything delivered from now on: duplication, reordering and, with
+    /// [`NetFaults::with_drop`], message loss.
     pub fn set_network_faults(&mut self, faults: Option<NetFaults>) {
         self.net.set_faults(faults);
     }

@@ -96,8 +96,8 @@ rows! {
         CoreRecoverLazyRestores => "core.recover.lazy_restores", "Objects restored on demand after an on-demand recovery.";
         CoreRecoveries => "core.recoveries", "Recovery passes run.";
         NetDelivered => "net.delivered", "Envelopes the network delivered.";
-        NetDropped => "net.dropped", "Envelopes the network lost to an injected fault.";
-        NetPartitioned => "net.partitioned", "Envelopes lost to a partition.";
+        NetDropped => "net.dropped", "Envelopes the network lost: to an injected fault, or fresh mail to a down guardian.";
+        NetPartitioned => "net.partitioned", "Envelopes a partition held back; they flow once it heals.";
         NetSelfSent => "net.self_sent", "Envelopes whose sender is their recipient; no guardian mails itself, so 0.";
         NetSent => "net.sent", "Envelopes sent.";
         SlogAppendBytes => "slog.append_bytes", "Payload bytes appended to the log.";

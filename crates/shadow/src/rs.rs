@@ -107,11 +107,6 @@ impl<P: StoreProvider> ShadowRs<P> {
         })
     }
 
-    /// Number of entries in the committed map (experiments).
-    pub fn map_len(&self) -> usize {
-        self.map.len()
-    }
-
     /// Direct access to the underlying log (experiments).
     pub fn log(&self) -> &StableLog<P::Store> {
         &self.log

@@ -126,13 +126,6 @@ impl<S: PageStore> PageCache<S> {
         &self.inner
     }
 
-    /// The inner store, mutably. The cache stays coherent because it is
-    /// write-through, but callers that bypass it for writes must
-    /// [`PageStore::invalidate_volatile`] afterwards.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwraps the cache, returning the inner store.
     pub fn into_inner(self) -> S {
         self.inner

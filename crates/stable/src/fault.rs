@@ -235,12 +235,6 @@ impl FaultPlan {
         self.inner.lock().unwrap().crashed = false;
     }
 
-    /// Whether a crash countdown is currently armed.
-    pub fn is_armed(&self) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.writes_until_crash.is_some() || inner.ops_until_crash.is_some()
-    }
-
     /// Total crashes fired so far.
     pub fn crash_count(&self) -> u64 {
         self.inner.lock().unwrap().crash_count

@@ -11,38 +11,32 @@
 //! final balances.
 
 use crate::slots::{self, Plan, Write};
-use argus_cc::BackoffConfig;
 use argus_guardian::{Outcome, RsKind, World, WorldResult};
 use argus_objects::{ActionId, GuardianId, HeapId, Value};
 use argus_sim::{DetRng, Zipf};
 use std::collections::BTreeSet;
 
+/// Hot accounts at the single guardian — small on purpose.
+const ACCOUNTS: usize = 8;
+/// Initial balance per account.
+const INITIAL: i64 = 1_000;
+/// Zipf skew over accounts — high on purpose.
+const ZIPF_THETA: f64 = 0.9;
+
 /// Parameters for the contended mix.
 #[derive(Debug, Clone, Copy)]
 pub struct ContendedConfig {
-    /// Hot accounts at the single guardian — small on purpose.
-    pub accounts: usize,
     /// Concurrent transfer slots.
     pub concurrency: usize,
     /// Transfers each slot must commit.
     pub transfers_per_slot: u64,
-    /// Initial balance per account.
-    pub initial: i64,
-    /// Zipf skew over accounts — high on purpose.
-    pub zipf_theta: f64,
-    /// Retry backoff after an abort (conflict, victim, or timeout).
-    pub backoff: BackoffConfig,
 }
 
 impl Default for ContendedConfig {
     fn default() -> Self {
         Self {
-            accounts: 8,
             concurrency: 8,
             transfers_per_slot: 12,
-            initial: 1_000,
-            zipf_theta: 0.9,
-            backoff: BackoffConfig::default(),
         }
     }
 }
@@ -103,15 +97,15 @@ impl Contended {
     pub fn setup(world: &mut World, kind: RsKind, cfg: ContendedConfig) -> WorldResult<Contended> {
         let gid = world.add_guardian(kind)?;
         let aid = world.begin(gid)?;
-        let mut accounts = Vec::with_capacity(cfg.accounts);
-        for i in 0..cfg.accounts {
-            let h = world.create_atomic(gid, aid, Value::Int(cfg.initial))?;
+        let mut accounts = Vec::with_capacity(ACCOUNTS);
+        for i in 0..ACCOUNTS {
+            let h = world.create_atomic(gid, aid, Value::Int(INITIAL))?;
             world.set_stable(gid, aid, &format!("hot{i}"), Value::heap_ref(h))?;
             accounts.push(h);
         }
         let outcome = world.commit(aid)?;
         debug_assert_eq!(outcome, Outcome::Committed);
-        let zipf = Zipf::new(cfg.accounts.max(1), cfg.zipf_theta);
+        let zipf = Zipf::new(ACCOUNTS, ZIPF_THETA);
         Ok(Contended {
             cfg,
             gid,
@@ -135,7 +129,7 @@ impl Contended {
             let from = self.zipf.sample(rng);
             let mut to = self.zipf.sample(rng);
             if to == from {
-                to = (to + 1) % cfg.accounts;
+                to = (to + 1) % ACCOUNTS;
             }
             let amount = 1 + rng.gen_range(100) as i64;
             let write = |account: usize, delta| Write {
@@ -145,7 +139,7 @@ impl Contended {
             };
             Some(Transfer([write(from, -amount), write(to, amount)]))
         };
-        let s = slots::run(world, rng, cfg.concurrency, cfg.backoff, next, |_| {})?;
+        let s = slots::run(world, rng, cfg.concurrency, next, |_| {})?;
         Ok(ContendedStats {
             committed: s.committed,
             retries: s.retries,
@@ -171,7 +165,7 @@ impl Contended {
 
     /// The invariant value [`Contended::total_balance`] must match.
     pub fn expected_total(&self) -> i64 {
-        self.cfg.accounts as i64 * self.cfg.initial
+        ACCOUNTS as i64 * INITIAL
     }
 }
 

@@ -9,11 +9,11 @@
 //! zipfian user population the two-phase-commit coordinator load spreads
 //! across every shard instead of piling onto one.
 //!
-//! Two action kinds, mixed by [`ShardedConfig::reservation_prob`]:
+//! Two action kinds, mixed by `RESERVATION_PROB`:
 //!
 //! * **transfer** — debit a zipf-chosen account at the home shard, credit an
-//!   account at a target shard ([`ShardedConfig::cross_shard_prob`] picks a
-//!   *different* shard, driving distributed two-phase commit);
+//!   account at a target shard (`CROSS_SHARD_PROB` picks a *different*
+//!   shard, driving distributed two-phase commit);
 //! * **reservation** — debit the user's home account, credit the flight
 //!   shard's revenue account, and take one seat from that flight — the
 //!   three-write airline booking of the thesis's motivating domains.
@@ -29,11 +29,22 @@
 //! pins the whole run.
 
 use crate::slots::{self, Write};
-use argus_cc::BackoffConfig;
 use argus_guardian::{Outcome, RsKind, World, WorldResult};
 use argus_objects::{ActionId, GuardianId, HeapId, Value};
 use argus_sim::{DetRng, Zipf};
 use std::collections::BTreeSet;
+
+/// Zipf skew over the user population.
+const USER_THETA: f64 = 0.9;
+/// Zipf skew over each shard's accounts.
+const ACCOUNT_THETA: f64 = 0.6;
+/// Probability an action's target shard differs from its home shard
+/// (cross-shard two-phase commit).
+const CROSS_SHARD_PROB: f64 = 0.4;
+/// Probability an action is an airline reservation instead of a transfer.
+const RESERVATION_PROB: f64 = 0.3;
+/// Initial balance per account.
+const INITIAL: i64 = 1_000;
 
 /// Parameters for the sharded mix.
 #[derive(Debug, Clone, Copy)]
@@ -49,22 +60,8 @@ pub struct ShardedConfig {
     pub concurrency: usize,
     /// Total actions the run commits.
     pub actions: u64,
-    /// Zipf skew over the user population.
-    pub user_theta: f64,
-    /// Zipf skew over each shard's accounts.
-    pub account_theta: f64,
-    /// Probability an action's target shard differs from its home shard
-    /// (cross-shard two-phase commit).
-    pub cross_shard_prob: f64,
-    /// Probability an action is an airline reservation instead of a
-    /// transfer.
-    pub reservation_prob: f64,
-    /// Initial balance per account.
-    pub initial: i64,
     /// Initial seats per shard's flight.
     pub seats_per_shard: i64,
-    /// Retry backoff after an abort (conflict, victim, or timeout).
-    pub backoff: BackoffConfig,
 }
 
 impl Default for ShardedConfig {
@@ -75,13 +72,7 @@ impl Default for ShardedConfig {
             users: 1_000,
             concurrency: 16,
             actions: 128,
-            user_theta: 0.9,
-            account_theta: 0.6,
-            cross_shard_prob: 0.4,
-            reservation_prob: 0.3,
-            initial: 1_000,
             seats_per_shard: 1_000_000,
-            backoff: BackoffConfig::default(),
         }
     }
 }
@@ -186,7 +177,7 @@ impl Sharded {
             let aid = world.begin(gid)?;
             let mut shard_accounts = Vec::with_capacity(cfg.accounts_per_shard);
             for i in 0..cfg.accounts_per_shard {
-                let h = world.create_atomic(gid, aid, Value::Int(cfg.initial))?;
+                let h = world.create_atomic(gid, aid, Value::Int(INITIAL))?;
                 world.set_stable(gid, aid, &format!("acct{i}"), Value::heap_ref(h))?;
                 shard_accounts.push(h);
             }
@@ -198,8 +189,8 @@ impl Sharded {
             accounts.push(shard_accounts);
             seats.push(h);
         }
-        let user_zipf = Zipf::new(cfg.users.max(1), cfg.user_theta);
-        let account_zipf = Zipf::new(cfg.accounts_per_shard, cfg.account_theta);
+        let user_zipf = Zipf::new(cfg.users.max(1), USER_THETA);
+        let account_zipf = Zipf::new(cfg.accounts_per_shard, ACCOUNT_THETA);
         Ok(Sharded {
             cfg,
             gids,
@@ -225,7 +216,7 @@ impl Sharded {
     fn draw_plan(&self, rng: &mut DetRng) -> Plan {
         let user = self.user_zipf.sample(rng);
         let home = self.home_shard(user);
-        let cross = self.cfg.shards > 1 && rng.gen_bool(self.cfg.cross_shard_prob);
+        let cross = self.cfg.shards > 1 && rng.gen_bool(CROSS_SHARD_PROB);
         let target = if cross {
             let other = rng.gen_range(self.cfg.shards as u64 - 1) as usize;
             (home + 1 + other) % self.cfg.shards
@@ -239,7 +230,7 @@ impl Sharded {
             delta,
         };
         let home_at = (home, self.gids[home]);
-        if rng.gen_bool(self.cfg.reservation_prob) {
+        if rng.gen_bool(RESERVATION_PROB) {
             // Reservation: pay from home, revenue + one seat at the flight
             // shard (account 0 is the revenue account).
             let mut payer = self.account_zipf.sample(rng);
@@ -290,7 +281,7 @@ impl Sharded {
             cross_shard += u64::from(plan.cross);
             reservations += u64::from(plan.reservation);
         };
-        let s = slots::run(world, rng, cfg.concurrency, cfg.backoff, next, done)?;
+        let s = slots::run(world, rng, cfg.concurrency, next, done)?;
         Ok(ShardedStats {
             committed: s.committed,
             cross_shard,
@@ -322,7 +313,7 @@ impl Sharded {
 
     /// The invariant value [`Sharded::total_balance`] must match.
     pub fn expected_total(&self) -> i64 {
-        (self.cfg.shards * self.cfg.accounts_per_shard) as i64 * self.cfg.initial
+        (self.cfg.shards * self.cfg.accounts_per_shard) as i64 * INITIAL
     }
 
     /// Sums every flight's committed seat count across every shard.

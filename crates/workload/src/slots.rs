@@ -9,7 +9,7 @@
 //! ([`argus_guardian::WorldConfig::cc`]):
 //!
 //! * **conflict-abort** — the submit is refused; the slot aborts the action
-//!   and retries after a seeded full-jitter backoff ([`BackoffConfig`]);
+//!   and retries after a seeded full-jitter backoff ([`backoff_delay_us`]);
 //! * **blocking** — the slot parks FIFO; the wait-for-graph check breaks any
 //!   cycle by aborting the youngest member, which retries with backoff;
 //! * **timeout** — the slot parks with a deadline; when every slot is stuck
@@ -23,7 +23,7 @@
 //! draws only from [`DetRng`] and the simulated clock: a seed pins down the
 //! whole run — schedule, abort set, commit order, and final values.
 
-use argus_cc::{BackoffConfig, CcFate, CcOutcome};
+use argus_cc::{backoff_delay_us, CcFate, CcOutcome};
 use argus_guardian::{Outcome, World, WorldError, WorldResult};
 use argus_objects::{ActionId, GuardianId, HeapId, Value};
 use argus_sim::DetRng;
@@ -93,7 +93,6 @@ pub(crate) fn run<P: Plan>(
     world: &mut World,
     rng: &mut DetRng,
     concurrency: usize,
-    backoff: BackoffConfig,
     mut next: impl FnMut(&mut DetRng, usize) -> Option<P>,
     mut done: impl FnMut(P),
 ) -> WorldResult<SlotStats> {
@@ -111,7 +110,7 @@ pub(crate) fn run<P: Plan>(
         let mut all_done = true;
         for (i, slot) in slots.iter_mut().enumerate() {
             let draw = |rng: &mut DetRng| next(rng, i);
-            progress |= step_slot(world, rng, backoff, slot, &mut stats, draw, &mut done)?;
+            progress |= step_slot(world, rng, slot, &mut stats, draw, &mut done)?;
             all_done &= matches!(slot.state, SlotState::Finished);
         }
         if all_done {
@@ -143,7 +142,6 @@ pub(crate) fn run<P: Plan>(
 fn step_slot<P: Plan>(
     world: &mut World,
     rng: &mut DetRng,
-    backoff: BackoffConfig,
     slot: &mut Slot<P>,
     stats: &mut SlotStats,
     draw: impl FnOnce(&mut DetRng) -> Option<P>,
@@ -179,7 +177,7 @@ fn step_slot<P: Plan>(
             CcFate::TimedOut => stats.timeouts += 1,
             CcFate::CrashDrained => {}
         }
-        note_retry(world, rng, backoff, slot, aid, stats);
+        note_retry(world, rng, slot, aid, stats);
         return Ok(true);
     }
     if world.cc_blocked(aid) {
@@ -201,7 +199,7 @@ fn step_slot<P: Plan>(
             CcOutcome::Conflict => {
                 stats.conflicts += 1;
                 world.abort_local(aid);
-                note_retry(world, rng, backoff, slot, aid, stats);
+                note_retry(world, rng, slot, aid, stats);
             }
         }
         return Ok(true);
@@ -222,7 +220,6 @@ fn step_slot<P: Plan>(
 fn note_retry<P>(
     world: &mut World,
     rng: &mut DetRng,
-    backoff: BackoffConfig,
     slot: &mut Slot<P>,
     aid: ActionId,
     stats: &mut SlotStats,
@@ -230,7 +227,7 @@ fn note_retry<P>(
     stats.retries += 1;
     stats.aborted.insert(aid);
     world.note_cc_retry();
-    let delay = backoff.delay_us(slot.attempt, rng);
+    let delay = backoff_delay_us(slot.attempt, rng);
     slot.attempt += 1;
     slot.retry_at = world.clock.now() + delay;
     slot.state = SlotState::Idle;

@@ -3,12 +3,13 @@
 # ROADMAP's "net lines changed is reported per PR" is read from — each
 # crate's largest file by non-test lines, and the bytes of the three
 # documents. Every `.rs` file under a crate's `src/` counts, binaries
-# included. A file's unit tests are everything from its first
-# `#[cfg(test)]` line on; a `tests.rs` is the body of a `#[cfg(test)] mod
-# tests;` and is test code from its first line.
+# included; the root package's `src/` is the row `argus`. A file's unit
+# tests are everything from its first `#[cfg(test)]` line on; a `tests.rs`
+# is the body of a `#[cfg(test)] mod tests;` and is test code from its first
+# line.
 #
-#   scripts/loc.sh            # every crate under crates/, then the documents
-#   scripts/loc.sh core shadow
+#   scripts/loc.sh            # every crate under crates/, argus, then the documents
+#   scripts/loc.sh core shadow argus
 #   scripts/loc.sh --check    # fail if a crate's non-test lines or a document's
 #                             # bytes grew more than 2 % past LOC.json
 #   scripts/loc.sh --write    # re-baseline LOC.json (give the reason in CHANGES.md)
@@ -18,10 +19,21 @@ cd "$(dirname "$0")/.."
 
 docs=(DESIGN.md EXPERIMENTS.md README.md)
 
+# Every crate's name: the ones under crates/, then the root package.
+crates() {
+    ls crates
+    echo argus
+}
+
+# One crate's source directory.
+src() {
+    if [[ $1 == argus ]]; then echo src; else echo "crates/$1/src"; fi
+}
+
 # One crate's counts: non-test lines, test lines, largest non-test file and
 # its non-test lines.
 count() {
-    find "crates/$1/src" -name '*.rs' | sort | xargs awk '
+    find "$(src "$1")" -name '*.rs' | sort | xargs awk '
         FNR == 1 { t = (FILENAME ~ /\/tests\.rs$/) }
         /^#\[cfg\(test\)\]/ { t = 1 }
         { if (t) test++; else { code++; if (++file[FILENAME] > most) { most = file[FILENAME]; big = FILENAME } } }
@@ -32,7 +44,7 @@ count() {
 # The gated rows, one `name value` a line: each crate's non-test lines,
 # then each document's bytes.
 rows() {
-    for c in $(ls crates); do
+    for c in $(crates); do
         read -r code _ < <(count "$c")
         echo "$c $code"
     done
@@ -78,7 +90,7 @@ case "${1:-}" in
 *)
     crates=("$@")
     if [[ ${#crates[@]} -eq 0 ]]; then
-        crates=($(ls crates))
+        crates=($(crates))
     fi
     printf '%-14s %9s %7s %7s  %s\n' crate non-test test total 'largest non-test file'
     for c in "${crates[@]}"; do

@@ -16,7 +16,7 @@
 
 mod common;
 
-use argus::guardian::{CcPolicy, Outcome, RsKind, World, WorldConfig};
+use argus::guardian::{CcPolicy, NetFaults, Outcome, RsKind, World, WorldConfig};
 use argus::objects::Value;
 use argus::sim::CostModel;
 use argus::trace::{Key, Kind, Ph, TraceEvent};
@@ -101,7 +101,7 @@ fn a_quiesced_world_retains_no_action_on_every_organization() {
         };
         let mut world = World::with_config(CostModel::fast(), cfg);
         let mut mix = MixedRounds::setup(&mut world, kind, 29, (4, 8, 64));
-        world.enable_network_faults(29, 0.2, 0.3);
+        world.set_network_faults(Some(NetFaults::new(29, 0.2, 0.3)));
         for _ in 0..40 {
             mix.round(&mut world, 24);
             for from in 0..3 {

@@ -298,7 +298,6 @@ fn the_remembering_pump_grants_what_trying_every_front_grants() {
             let cfg = ContendedConfig {
                 concurrency: 8,
                 transfers_per_slot: 12,
-                ..Default::default()
             };
             let mix = Contended::setup(&mut w, RsKind::Hybrid, cfg).unwrap();
             format!("{:?}", mix.run(&mut w, &mut DetRng::new(seed)).unwrap())
@@ -561,7 +560,6 @@ fn deadlock_victims_are_the_ones_an_unbounded_begin_order_picked() {
     let cfg = ContendedConfig {
         concurrency: 8,
         transfers_per_slot: 8,
-        ..Default::default()
     };
     let mix = Contended::setup(&mut w, RsKind::Hybrid, cfg).unwrap();
     mix.run(&mut w, &mut DetRng::new(14)).unwrap();

@@ -10,8 +10,8 @@
 mod common;
 
 use argus::core::providers::FileProvider;
-use argus::core::{HybridLogRs, RecoveryMode, RecoverySystem, RedoRs, SimpleLogRs};
-use argus::guardian::{MediaKind, Outcome, RsKind, World, WorldConfig};
+use argus::core::{HybridLogRs, RecoveryMode, RecoverySystem, RedoRs, RsError, SimpleLogRs};
+use argus::guardian::{MediaKind, Outcome, RsKind, World, WorldConfig, WorldError};
 use argus::objects::{ActionId, GuardianId, Heap, Value};
 use argus::shadow::ShadowRs;
 use argus::sim::CostModel;
@@ -208,4 +208,28 @@ fn world_on_file_media_commits_crashes_and_restarts() {
         Some(Value::Int(4))
     );
     common::lint_world(&mut world);
+}
+
+#[test]
+fn crash_countdowns_are_refused_on_file_media() {
+    // File-backed stores are wired to no fault plan: a countdown armed there
+    // would never fire, so a crash sweep would report a crash-free pass as
+    // a clean one. Every way of arming one is an error instead.
+    let cfg = WorldConfig {
+        media: MediaKind::File { dir: None },
+        ..WorldConfig::default()
+    };
+    let mut world = World::with_config(CostModel::fast(), cfg);
+    let g = world.add_guardian(RsKind::Hybrid).unwrap();
+    let refused = |r: Result<_, WorldError>| matches!(r, Err(WorldError::Rs(RsError::BadState(_))));
+    assert!(refused(world.arm_crash_after_writes(g, 0)));
+    assert!(refused(world.arm_crash_after_ops(g, 0)));
+    world.crash(g);
+    assert!(refused(world.restart_with_crash_after_ops(g, 0).map(drop)));
+
+    // Nothing was armed: the guardian restarts and commits as usual.
+    world.restart(g).unwrap();
+    let a = world.begin(g).unwrap();
+    world.set_stable(g, a, "x", Value::Int(1)).unwrap();
+    assert_eq!(world.commit(a).unwrap(), Outcome::Committed);
 }

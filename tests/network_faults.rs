@@ -27,7 +27,7 @@ fn run(kind: RsKind, seed: u64) {
     let mut world = World::fast();
     let bank = Banking::setup(&mut world, kind, cfg).unwrap();
     // Heavy fault injection from here on.
-    world.enable_network_faults(seed, 0.3, 0.3);
+    world.set_network_faults(Some(NetFaults::new(seed, 0.3, 0.3)));
 
     let mut rng = DetRng::new(seed ^ 0xABCD);
     let stats = bank.run_overlapped(&mut world, &mut rng, 60, 4).unwrap();
@@ -257,7 +257,7 @@ fn a_committed_distributed_action_has_exactly_one_committing_record() {
         for seed in 0..40u64 {
             let mut world = World::fast();
             let bank = Banking::setup(&mut world, kind, cfg()).unwrap();
-            world.enable_network_faults(seed, 0.5, 0.0);
+            world.set_network_faults(Some(NetFaults::new(seed, 0.5, 0.0)));
             let stats = bank.run(&mut world, &mut DetRng::new(seed), 2).unwrap();
             world.run_until_quiet().unwrap();
             duplicated += world.network().duplicated();

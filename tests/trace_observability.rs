@@ -63,7 +63,6 @@ fn traced_contended(seed: u64) -> String {
         ContendedConfig {
             concurrency: 6,
             transfers_per_slot: 5,
-            ..Default::default()
         },
     )
     .unwrap();
