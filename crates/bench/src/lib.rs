@@ -1459,7 +1459,7 @@ fn e15_sweep_coverage(max_points_per_victim: Option<u64>, double_crash: bool) ->
             .collect();
         let sum = |f: fn(&SweepReport) -> u64| reports.iter().map(f).sum::<u64>();
         table.row(row![
-            format!("{kind:?}").to_lowercase(),
+            kind.name(),
             reports.len(),
             sum(|r| r.first_crash_points),
             sum(|r| r.double_crash_points),
@@ -1504,7 +1504,7 @@ fn e17_vopr_coverage(seeds: u64, iterations: u64) -> Table {
             .collect();
         let sum = |f: fn(&VoprSummary) -> u64| runs.iter().map(f).sum::<u64>();
         table.row(row![
-            format!("{kind:?}").to_lowercase(),
+            kind.name(),
             seeds,
             sum(|s| s.actions),
             sum(|s| s.committed),

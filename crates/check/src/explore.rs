@@ -2,7 +2,7 @@
 //!
 //! A deterministic DFS over real [`Guardian`]s — the code `argus-guardian`'s
 //! `World` runs, driven through [`Guardian::step`] — each over a
-//! [`ModelRs`], a recovery system whose records are values. Guardian 0
+//! `ModelRs`, a recovery system whose records are values. Guardian 0
 //! coordinates one action that ran at every guardian, its own included, as
 //! `World` builds it. The explorer enumerates every message reordering,
 //! message drop, crash and restart up to a configurable budget, and checks
@@ -38,7 +38,7 @@
 //! log's `stage_prepare`. The coordinator's `done` waits for a force only a
 //! later action would bring: here a crash loses it, or it stays staged.
 //! Durable facts are read through recovery itself: a log's participant and
-//! coordinator tables are what [`ModelRs`]'s `recover` rebuilds.
+//! coordinator tables are what `ModelRs`'s `recover` rebuilds.
 
 use crate::image::LogImage;
 use crate::lint::lint_log;

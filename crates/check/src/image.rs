@@ -33,6 +33,8 @@ pub fn open_copy(path: &Path) -> Result<StableLog<DurableFileStore>, Box<dyn std
 pub struct BadRecord {
     /// Where the record sits.
     pub addr: LogAddress,
+    /// Its device sequence number.
+    pub seq: u64,
     /// Why decoding failed (codec error or device-level corruption).
     pub why: String,
 }
@@ -96,19 +98,14 @@ impl LogImage {
                     entries.push((addr, entry));
                     seqs.push(seq);
                 }
-                Err(why) => bad.push(BadRecord { addr, why }),
+                Err(why) => bad.push(BadRecord { addr, seq, why }),
             }
         }
-        let by_addr = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (a, _))| (a.offset(), i))
-            .collect();
+        // Already in address order, so `seqs` stays parallel.
         Self {
-            entries,
-            by_addr,
             seqs: Some(seqs),
             bad,
+            ..Self::from_entries(entries)
         }
     }
 

@@ -23,10 +23,10 @@
 //!   enumerates message reorderings, drops, crashes and restarts up to a
 //!   configurable budget, asserting atomicity at every reachable state and
 //!   linting every guardian's log along the way.
-//! * **The crash-schedule sweeper** ([`sweep`]): every device write of a
+//! * **The crash-schedule sweeper** ([`sweep()`]): every device write of a
 //!   fixed 2PC workload as a crash point, with an optional second crash
 //!   through recovery, each recovered world held to [`standing`].
-//! * **The VOPR** ([`vopr`]): a seeded randomized fault-composition
+//! * **The VOPR** ([`vopr()`]): a seeded randomized fault-composition
 //!   explorer — one u64 seed composes message drop/duplication/reordering,
 //!   partitions, pauses with clock skew, media decay, and crashes with
 //!   recovery against a rolling multi-guardian 2PC workload, holding the

@@ -1,6 +1,6 @@
 //! The VOPR: a seeded randomized fault-composition explorer.
 //!
-//! The sweeper in [`crate::sweep`] exhausts crash schedules over a perfect
+//! The sweeper in [`crate::sweep()`] exhausts crash schedules over a perfect
 //! FIFO network; this module attacks from the other side, in the style of
 //! the TigerBeetle/kimberlite "viewstamped operation replicator" simulators:
 //! one `u64` seed drives a weighted random walk that *composes* every fault

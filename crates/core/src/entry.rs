@@ -359,14 +359,18 @@ const VTAG_BYTES: u8 = 4;
 const VTAG_SEQ: u8 = 5;
 const VTAG_REF: u8 = 6;
 
-fn put_kind(enc: &mut Encoder, kind: ObjKind) {
+/// Encodes an object kind as one tag byte.
+#[inline]
+pub fn put_kind(enc: &mut Encoder, kind: ObjKind) {
     enc.put_u8(match kind {
         ObjKind::Atomic => 0,
         ObjKind::Mutex => 1,
     });
 }
 
-fn take_kind(dec: &mut Decoder<'_>) -> CodecResult<ObjKind> {
+/// Decodes what [`put_kind`] wrote.
+#[inline]
+pub fn take_kind(dec: &mut Decoder<'_>) -> CodecResult<ObjKind> {
     match dec.take_u8()? {
         0 => Ok(ObjKind::Atomic),
         1 => Ok(ObjKind::Mutex),
@@ -377,12 +381,16 @@ fn take_kind(dec: &mut Decoder<'_>) -> CodecResult<ObjKind> {
     }
 }
 
-fn put_aid(enc: &mut Encoder, aid: ActionId) {
+/// Encodes an action id: its coordinator, then its sequence number.
+#[inline]
+pub fn put_aid(enc: &mut Encoder, aid: ActionId) {
     enc.put_u32(aid.coordinator.0);
     enc.put_u64(aid.seq);
 }
 
-fn take_aid(dec: &mut Decoder<'_>) -> CodecResult<ActionId> {
+/// Decodes what [`put_aid`] wrote.
+#[inline]
+pub fn take_aid(dec: &mut Decoder<'_>) -> CodecResult<ActionId> {
     let g = dec.take_u32()?;
     let seq = dec.take_u64()?;
     Ok(ActionId::new(GuardianId(g), seq))

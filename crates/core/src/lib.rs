@@ -53,8 +53,8 @@ mod writer;
 pub use api::{providers, HousekeepingMode, LogStats, RecoveryMode, RecoverySystem, StoreProvider};
 pub use entry::{
     decode_entry, decode_entry_view, decode_value, encode_entry, encode_entry_into, encode_value,
-    Entry, EntryOut, EntryRef, EntryView, GidsView, HeapValue, LogEntry, PairsView, RawValue,
-    WireField,
+    put_aid, put_kind, take_aid, take_kind, Entry, EntryOut, EntryRef, EntryView, GidsView,
+    HeapValue, LogEntry, PairsView, RawValue, WireField,
 };
 pub use error::{RsError, RsResult};
 pub use hybrid::HybridLogRs;

@@ -70,7 +70,7 @@ impl<'h> RecoverCtx<'h> {
 
     // ---- outcome-entry bookkeeping ---------------------------------------
 
-    /// `prepared` outcome entry: "If aid ∈ PT then ignore the entry [else]
+    /// `prepared` outcome entry: "If aid ∈ PT then ignore the entry \[else\]
     /// insert <aid, prepared>" (§3.4.4 2.a). Returns the state in force.
     pub fn on_prepared(&mut self, aid: ActionId) -> PState {
         self.pt.enter(aid, PState::Prepared)

@@ -13,7 +13,7 @@ use argus_stable::PageStore;
 /// The recovery system over a simple log: writing per §3.3, recovery per
 /// §3.4.4 (read *every* entry backwards). Fast writing, slow recovery; no
 /// early prepare. Housekeeping is log compaction in the simple-log idiom
-/// ([`crate::compact`]).
+/// (`compact.rs`).
 pub type SimpleLogRs<P> = LogRs<P, SimpleFormat>;
 
 /// The simple-log format: data entries carry uid, kind and aid (Figure 3-1),

@@ -32,8 +32,7 @@ pub enum RsKind {
     Hybrid,
     /// The shadowing baseline (§1.2.1).
     Shadow,
-    /// The REDO-only log with backlink chains and parallel / on-demand
-    /// recovery (ROADMAP item 3 — the post-thesis evolution).
+    /// The REDO-only log with backlink chains and on-demand recovery.
     Redo,
 }
 
@@ -41,6 +40,11 @@ impl RsKind {
     /// Every organization. Cross-organization suites iterate this instead
     /// of naming kinds, so a new organization cannot dodge one.
     pub const ALL: [RsKind; 4] = [RsKind::Simple, RsKind::Hybrid, RsKind::Shadow, RsKind::Redo];
+
+    /// The organization's one name: flags, the repl and the tables spell it.
+    pub fn name(self) -> &'static str {
+        ["simple", "hybrid", "shadow", "redo"][self as usize]
+    }
 
     /// The housekeeping modes the organization supports, the snapshot first
     /// where it has one (§5.2's snapshot copies mutex state through the
@@ -53,6 +57,16 @@ impl RsKind {
                 &[HousekeepingMode::Snapshot, HousekeepingMode::Compaction]
             }
         }
+    }
+}
+
+impl std::str::FromStr for RsKind {
+    type Err = String;
+
+    /// The organization [`RsKind::name`] calls `name`.
+    fn from_str(name: &str) -> Result<Self, String> {
+        let kind = Self::ALL.into_iter().find(|k| k.name() == name);
+        kind.ok_or_else(|| format!("unknown organization {name:?}"))
     }
 }
 

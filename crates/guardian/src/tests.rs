@@ -9,6 +9,16 @@ use argus_objects::{ActionId, GuardianId, Value};
 use argus_twopc::{Envelope, Msg};
 
 #[test]
+fn each_organization_parses_from_its_one_name() {
+    for kind in RsKind::ALL {
+        assert_eq!(kind.name(), format!("{kind:?}").to_lowercase());
+        assert_eq!(kind.name().parse(), Ok(kind));
+    }
+    let unknown = "lsm".parse::<RsKind>();
+    assert_eq!(unknown, Err("unknown organization \"lsm\"".to_string()));
+}
+
+#[test]
 fn single_guardian_commit_survives_crash() {
     for kind in RsKind::ALL {
         let mut w = World::fast();

@@ -1,6 +1,8 @@
 //! On-log records of the shadowing organization.
 
-use argus_core::{decode_value, RsError, RsResult, WireField};
+use argus_core::{
+    decode_value, put_aid, put_kind, take_aid, take_kind, RsError, RsResult, WireField,
+};
 use argus_objects::{ActionId, GuardianId, ObjKind, Uid, Value};
 use argus_slog::{CodecError, CodecResult, Decoder, Encoder, LogAddress};
 
@@ -83,35 +85,6 @@ pub enum ShadowRecord {
         /// The action.
         aid: ActionId,
     },
-}
-
-fn put_aid(enc: &mut Encoder, aid: ActionId) {
-    enc.put_u32(aid.coordinator.0);
-    enc.put_u64(aid.seq);
-}
-
-fn take_aid(dec: &mut Decoder<'_>) -> CodecResult<ActionId> {
-    let g = dec.take_u32()?;
-    let seq = dec.take_u64()?;
-    Ok(ActionId::new(GuardianId(g), seq))
-}
-
-fn put_kind(enc: &mut Encoder, kind: ObjKind) {
-    enc.put_u8(match kind {
-        ObjKind::Atomic => 0,
-        ObjKind::Mutex => 1,
-    });
-}
-
-fn take_kind(dec: &mut Decoder<'_>) -> CodecResult<ObjKind> {
-    match dec.take_u8()? {
-        0 => Ok(ObjKind::Atomic),
-        1 => Ok(ObjKind::Mutex),
-        tag => Err(CodecError::BadTag {
-            tag,
-            context: "shadow object kind",
-        }),
-    }
 }
 
 fn put_intent(enc: &mut Encoder, intent: &IntentBody) {

@@ -26,7 +26,7 @@ use std::path::Path;
 ///   the buffer the `pwrite`s are issued from, in page order — and only hit
 ///   the file when `sync` runs, one `pwrite` per contiguous page run
 ///   (`stable.file.pwrites`). The group-commit
-///   [`ForceScheduler`](argus_slog) above turns N staged
+///   `ForceScheduler` (in `argus-slog`) above turns N staged
 ///   commits into one force, and this layer turns that force into one data
 ///   write + one fsync — the E18 wall-clock experiment measures exactly
 ///   this multiplication.

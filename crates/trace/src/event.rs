@@ -71,7 +71,7 @@ pub enum Ph {
     },
     /// A causal edge arrives (the message is delivered). A duplicated
     /// message yields several ends for one start; a dropped message leaves
-    /// the start unresolved — both are legal, see [`crate::lint`].
+    /// the start unresolved — both are legal, see [`crate::lint_events`].
     FlowEnd {
         /// The [`Ph::FlowStart`] this resolves.
         flow: u64,

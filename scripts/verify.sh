@@ -2,7 +2,7 @@
 # Offline tier-1 gate: everything a clean checkout must pass with no network.
 #
 #   scripts/verify.sh          # build + default test suite
-#   scripts/verify.sh --full   # + crate unit tests, soak, bench tables, every tier below
+#   scripts/verify.sh --full   # + crate unit tests, soak, bench tables, doc build, every tier below
 #   scripts/verify.sh --sweep  # + bounded deterministic crash-schedule sweep
 #   scripts/verify.sh --trace  # + trace selftest (determinism, I12, flight)
 #   scripts/verify.sh --vopr   # + seeded fault-composition batch + selftest
@@ -55,6 +55,9 @@ if [[ "${1:-}" == "--full" ]]; then
     # and the documents' bytes may not grow past LOC.json's band.
     run scripts/loc.sh
     run scripts/loc.sh --check
+    # The API docs build without a warning: no broken, ambiguous or private
+    # intra-doc link.
+    run env RUSTDOCFLAGS=-Dwarnings cargo doc -q --no-deps --workspace --offline
 fi
 
 # Bounded crash-schedule sweep: a deterministic slice of the full matrix
