@@ -72,7 +72,7 @@ fn smoke() {
     // Forces per commit of three batches of `n` concurrent commits.
     let per_commit = |s: &Sample, n: usize| s.forces as f64 / (3 * n) as f64;
     for kind in RsKind::ALL {
-        // Shadowing forces inside each operation and reads its store
+        // Shadowing forces inside each commit and reads its store
         // directly: it has no force to share and no page cache to hit.
         let shadowing = kind == RsKind::Shadow;
         let unbatched = per_commit(&commit_perf(kind, 1, 3, WorldConfig::unbatched()), 1);

@@ -1531,7 +1531,7 @@ fn e17_vopr_coverage(seeds: u64, iterations: u64) -> Table {
 /// 8 concurrent actions the group-commit scheduler folds the batch's forced
 /// records into a shared `fdatasync`, so fsyncs/commit falls well below the
 /// one-force-per-action immediate schedule — except on shadowing, which
-/// forces inside each operation.
+/// forces inside each commit.
 ///
 /// [`file_media`] picks the backing filesystem: point `ARGUS_BENCH_DIR` at
 /// tmpfs and at a real disk to see the medium's sync cost.

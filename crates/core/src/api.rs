@@ -59,8 +59,8 @@ pub trait RecoverySystem {
     // volatile bookkeeping done) and the caller owns the deferred force: it
     // must call `force_staged` before acting on the operation's durability
     // (replying in two-phase commit). `Ok(false)` means the operation is
-    // already durable as it stands — organizations without a shared log
-    // (the shadowing baseline) force inside the operation and never batch.
+    // already durable as it stands — the shadowing baseline forces its
+    // commit point inside the operation, with no batch to share it.
     // The eager operations below are `stage` + `force`, written here once.
     //
     // Because one guardian's operations share a single log and a force
@@ -437,7 +437,23 @@ pub mod providers {
 
         /// The path of the `n`-th store file.
         pub fn store_path(&self, n: u64) -> PathBuf {
-            self.dir.join(format!("log-{n:04}.argus"))
+            store_file(&self.dir, n)
+        }
+
+        /// The store file of the generation the stable root of state
+        /// directory `dir` names, read with nothing created, swept or
+        /// spawned — what an inspector opens. Fails on a directory with no
+        /// root.
+        pub fn active_store(dir: &Path) -> std::io::Result<PathBuf> {
+            let root = dir.join("root.argus");
+            if !root.is_file() {
+                return Err(std::io::ErrorKind::NotFound.into());
+            }
+            let store =
+                argus_stable::DurableFileStore::open(&root, SimClock::new(), CostModel::fast());
+            let root = argus_slog::LogRoot::open(store.map_err(std::io::Error::other)?);
+            let active = root.and_then(|mut root| root.active());
+            Ok(store_file(dir, active.map_err(std::io::Error::other)?))
         }
 
         /// Opens the existing store file `n` (for reopening after a real
@@ -457,6 +473,11 @@ pub mod providers {
         pub fn stores_created(&self) -> u64 {
             self.counter
         }
+    }
+
+    /// The path of state directory `dir`'s `n`-th store file.
+    fn store_file(dir: &Path, n: u64) -> PathBuf {
+        dir.join(format!("log-{n:04}.argus"))
     }
 
     /// Unlinks one garbage store file. A file already gone counts as

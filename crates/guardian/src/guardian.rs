@@ -82,9 +82,11 @@ impl std::str::FromStr for RsKind {
 pub enum StagedOp {
     /// A staged prepared record; on force, `prepare_succeeded`.
     Prepare(ActionId),
-    /// A staged commit record; on force, install versions and ack.
+    /// A participant's `committed`, its versions already installed; on
+    /// force, acknowledge.
     Commit(ActionId),
-    /// A staged abort record; on force, discard versions and ack.
+    /// A participant's `aborted`, its versions already discarded; on
+    /// force, forget the action.
     Abort(ActionId),
     /// The coordinator's whole commit point at its own guardian — data
     /// entries, `prepared`, `committing` (unless the action is local) and
@@ -619,8 +621,9 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
         }
     }
 
-    /// Forces the staged batch and returns its continuations, in staging
-    /// order, for the driver to feed back as [`Input::Forced`]. One device
+    /// Forces the staged batch — participants' verdicts that rode along
+    /// included — and returns its continuations, in staging order, for the
+    /// driver to feed back as [`Input::Forced`]. One device
     /// force makes every staged entry durable atomically (its last frame is
     /// its commit point, DESIGN.md deviation 11), so a crash during the force
     /// loses the whole batch, exactly as an unbatched force that crashed.
@@ -654,10 +657,11 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
     /// The node goes down: staged-but-unforced entries died with the
     /// volatile buffer, so their continuations must never run (the
     /// participants never replied; two-phase commit resolves them after
-    /// restart). Returns whether it was up.
+    /// restart), and the heap is gone with them. Returns whether it was up.
     pub fn crashed(&mut self) -> bool {
         self.staged.clear();
         self.force_sched.flushed();
+        self.reset_heap(Heap::new());
         std::mem::replace(&mut self.up, false)
     }
 
@@ -672,7 +676,6 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             reopened => reopened?,
         }
         self.crashed();
-        self.reset_heap(Heap::new());
         self.mos.clear();
         self.known.clear();
         self.coordinators.clear();
@@ -713,24 +716,27 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
         !self.staged.is_empty()
     }
 
-    /// What happens when `op`'s record is durable: a verdict takes effect in
-    /// the heap and the action's two-phase-commit machine moves on. Runs
-    /// once per forced step — fed back after [`Guardian::force`] for a
-    /// batched entry, from `staged` for one that is durable as it stands.
+    /// Whether a staged step needs a force to go on: not only participants'
+    /// verdicts, which can ride whatever force comes next, wait for one.
+    pub(crate) fn awaits_force(&self) -> bool {
+        let rides = |op: &StagedOp| matches!(op, StagedOp::Commit(_) | StagedOp::Abort(_));
+        self.staged.iter().any(|(op, _)| !rides(op))
+    }
+
+    /// What happens when `op`'s record is durable: the action's
+    /// two-phase-commit machine moves on, and the commit point installs the
+    /// coordinator's versions and gives the client its verdict. Runs once
+    /// per forced step — fed back after [`Guardian::force`] for a batched
+    /// entry, from `staged` for one that is durable as it stands.
     fn forced(&mut self, op: StagedOp, fx: &mut Effects) -> WorldResult<()> {
         let aid = op.aid();
         let step: fn(&mut Participant) -> Vec<PartEffect> = match op {
             StagedOp::Prepare(_) => Participant::prepare_succeeded,
-            StagedOp::Commit(_) => {
-                self.heap.commit_action(aid);
-                Participant::commit_forced
-            }
-            StagedOp::Abort(_) => {
-                self.heap.abort_action(aid);
-                Participant::abort_forced
-            }
+            StagedOp::Commit(_) => Participant::commit_forced,
+            StagedOp::Abort(_) => Participant::abort_forced,
             StagedOp::CommitPoint(_) => {
                 self.heap.commit_action(aid);
+                fx.resolved = Some((aid, true));
                 return self.coord_step(aid, Coordinator::committing_forced_into, fx);
             }
         };
@@ -897,11 +903,14 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 }
                 CoordEffect::Finished { committed } => {
                     // Every participant holds its verdict (the thesis's
-                    // `done`): the action leaves nothing behind.
+                    // `done`): the action leaves nothing behind. A commit's
+                    // verdict went to the client at the commit point.
                     self.coordinators.remove(&aid);
                     self.known.remove(&aid);
-                    debug_assert!(fx.resolved.is_none(), "one verdict per step");
-                    fx.resolved = Some((aid, committed));
+                    if !committed {
+                        debug_assert!(fx.resolved.is_none(), "one verdict per step");
+                        fx.resolved = Some((aid, false));
+                    }
                 }
             }
         }
@@ -940,8 +949,11 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                         staged,
                     )
                 }
+                // A verdict takes effect at once, its locks released; its
+                // record rides the next force (DESIGN.md deviation 10).
                 PartEffect::ForceCommit => {
                     let staged = self.rs.stage_commit(aid);
+                    let staged = staged.inspect(|_| self.heap.commit_action(aid));
                     (
                         StagedOp::Commit(aid),
                         Kind::Commit,
@@ -951,6 +963,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 }
                 PartEffect::ForceAbort => {
                     let staged = self.rs.stage_abort(aid);
+                    let staged = staged.inspect(|_| self.heap.abort_action(aid));
                     (
                         StagedOp::Abort(aid),
                         Kind::Abort,

@@ -67,6 +67,9 @@ pub(crate) struct LiveAction {
     pub(crate) began_at: Option<u64>,
     /// Simulated time its commit was launched, until the round is recorded.
     pub(crate) launched_at: Option<u64>,
+    /// Whether its commit was launched. Until then it may still stage a
+    /// force wherever it touched an object.
+    pub(crate) launched: bool,
     /// Guardians the action has touched an object at, its origin among them
     /// from the start: where it wrote, and where it only read — there it
     /// holds read locks, so that guardian too must join two-phase commit

@@ -414,10 +414,14 @@ fn a_live_action_is_one_record_from_begin_to_verdict() {
     assert_eq!(w.live[&a].touched.as_slice(), gs);
 
     assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
-    assert_eq!(w.live_actions(), [b].into());
+    assert!(!w.live.contains_key(&a));
+    // While `b` runs, `a`'s verdicts at the participants wait for a force
+    // there, and its coordinator for their acknowledgements.
+    assert_eq!(w.live_actions(), [a, b].into());
     assert_eq!(w.verdict(a), None);
     assert_eq!(w.commit_settle(a).unwrap(), Outcome::Pending);
     w.abort_local(b);
+    w.run_until_quiet().unwrap();
     assert!(w.live_actions().is_empty() && w.live.is_empty());
     assert_eq!(w.verdict(b), None);
     assert_eq!(w.retained_actions(), 0);
@@ -498,8 +502,8 @@ fn a_crash_drains_parked_actions_through_their_records() {
 
 // ---- a guardian alone ---------------------------------------------------------
 
-/// The organizations whose `stage_*` buffers an entry for the next force
-/// (shadowing's are durable as they stand: nothing waits, no deadline).
+/// The organizations whose commit point is buffered for the next force
+/// (shadowing's is durable as it stands: nothing waits, no deadline).
 const STAGING: [RsKind; 3] = [RsKind::Simple, RsKind::Hybrid, RsKind::Redo];
 
 fn lone(id: u32, kind: RsKind) -> Guardian {
@@ -629,6 +633,60 @@ fn a_crash_in_the_force_runs_no_continuation_and_sends_nothing() {
     }
 }
 
+/// A participant's verdict takes effect at once; its record waits for the
+/// next force, and only that sends the acknowledgement. A duplicate
+/// `Commit` in between is ignored; a crash in between loses the record, and
+/// the participant restarts in doubt and asks.
+#[test]
+fn a_participants_verdict_rides_the_next_force() {
+    for kind in RsKind::ALL {
+        for crash in [false, true] {
+            let mut g = lone(1, kind);
+            let aid = ActionId::new(GuardianId(0), 7);
+            wrote_x(&mut g, aid);
+            let to_part = |msg| Input::Message(mail(0, 1, msg));
+            step_to_durable(&mut g, to_part(Msg::Prepare { aid }));
+            let fx = step(&mut g, to_part(Msg::Commit { aid }));
+            assert_eq!((fx.due.len(), fx.send.len()), (1, 0), "{kind:?}");
+            assert_eq!(g.stable_value("x"), Some(Value::Int(1)), "{kind:?}");
+            let again = step(&mut g, to_part(Msg::Commit { aid }));
+            assert_eq!(again, Effects::default(), "{kind:?}");
+            let mut fx = Effects::default();
+            if crash {
+                g.crashed();
+                g.restart(&mut fx).unwrap();
+                let query = mail(1, 0, Msg::QueryOutcome { aid });
+                assert_eq!(fx.send, [query], "{kind:?}: in doubt");
+                continue;
+            }
+            let forced = g.force(&mut fx).unwrap();
+            assert_eq!(forced.len(), 1, "{kind:?}");
+            let ack = step(&mut g, Input::Forced(forced[0].0)).send;
+            assert_eq!(ack, [mail(1, 0, Msg::CommitAck { aid })], "{kind:?}");
+            assert_eq!(g.retained_actions(), 0, "{kind:?}");
+        }
+    }
+}
+
+/// A crash takes the volatile heap along: a down guardian answers nothing
+/// from it, and its restart rebuilds what the log holds.
+#[test]
+fn a_down_guardian_holds_no_heap() {
+    for kind in RsKind::ALL {
+        let mut w = World::fast();
+        let g = w.add_guardian(kind).unwrap();
+        let a = w.begin(g).unwrap();
+        w.set_stable(g, a, "x", Value::Int(42)).unwrap();
+        assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+        w.crash(g);
+        let down = w.guardian(g).unwrap();
+        assert_eq!((down.stable_value("x"), down.heap.len()), (None, 0));
+        w.restart(g).unwrap();
+        let x = w.guardian(g).unwrap().stable_value("x");
+        assert_eq!(x, Some(Value::Int(42)), "{kind:?}");
+    }
+}
+
 /// A coordinator's whole two-guardian commit, fed as a fixed input list;
 /// the effects of every step in order.
 fn coordinate_a_commit(kind: RsKind) -> Vec<Effects> {
@@ -707,8 +765,9 @@ fn a_finished_action_is_forgotten_at_both_ends() {
         step_to_durable(&mut coord, to_coord(Msg::PrepareOk { aid }));
         let ack = step_to_durable(&mut part, to_part(Msg::Commit { aid }));
         assert_eq!(ack, [mail(1, 0, Msg::CommitAck { aid })], "{kind:?}");
+        // The client had its verdict at the commit point.
         let fx = step(&mut coord, to_coord(Msg::CommitAck { aid }));
-        assert_eq!(fx.resolved, Some((aid, true)), "{kind:?}");
+        assert_eq!(fx, Effects::default(), "{kind:?}");
         for g in [&part, &coord] {
             assert_eq!(g.retained_actions(), 0, "{kind:?} at {}", g.id);
         }

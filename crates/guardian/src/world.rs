@@ -18,6 +18,7 @@ use argus_trace::Kind;
 use argus_twopc::CoordPhase;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Storage-performance knobs shared by every guardian the world spawns.
 ///
@@ -172,6 +173,10 @@ pub struct World {
     /// staging site so the message loop's idle flush visits only guardians
     /// with work — never the whole world.
     staged_ready: BTreeSet<GuardianId>,
+    /// Guardians whose batch holds participants' verdicts alone, set aside
+    /// by the idle flush while an action runs (see [`World::forces_now`])
+    /// and visited again only once none does.
+    riding: BTreeSet<GuardianId>,
     /// Min-heap of `(force deadline, guardian)` for open staged batches.
     /// Entries are lazily invalidated: a popped guardian whose batch
     /// already flushed (or whose current batch has a later deadline) is
@@ -228,6 +233,7 @@ impl World {
             cc_fates: IntMap::default(),
             next_begin: 0,
             staged_ready: BTreeSet::new(),
+            riding: BTreeSet::new(),
             force_due: BinaryHeap::new(),
             fx: Effects::default(),
             #[cfg(test)]
@@ -880,6 +886,7 @@ impl World {
         let gids: Vec<GuardianId> = match self.live.get_mut(&aid) {
             Some(live) => {
                 live.launched_at = Some(self.clock.now());
+                live.launched = true;
                 live.touched.insert(aid.coordinator);
                 live.touched.as_slice().to_vec()
             }
@@ -923,7 +930,9 @@ impl World {
 
     /// Quiesces and takes `aid`'s fate: its booked verdict, or — the
     /// protocol held up by a crash or a silence — what its coordinator's
-    /// phase says.
+    /// phase says. A verdict is booked at the commit point (or when
+    /// recovery resumes one), so a coordinator past it has none left to
+    /// give.
     fn settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
         let origin = aid.coordinator;
         self.run_until_quiet()?;
@@ -946,9 +955,6 @@ impl World {
                 self.outcomes.remove(&aid);
                 Outcome::Aborted
             }
-            // Committed; the missing acknowledgements arrive once the timer
-            // re-sends `Commit` or the crashed participant restarts.
-            Some(CoordPhase::Committing) => Outcome::Committed,
             _ => Outcome::Pending,
         };
         // A round still open when its caller stops waiting ends here.
@@ -973,6 +979,7 @@ impl World {
             self.obs.inc(Count::WorldCrashes);
         }
         self.staged_ready.remove(&g);
+        self.riding.remove(&g);
         self.net.mark_down(g);
         // Requests parked on objects in the crashed heap are moot: the
         // volatile heap (locks included) is gone. Abort the waiting actions
@@ -1135,6 +1142,12 @@ impl World {
             self.obs.inc(Count::WorldRecoveryCrashes);
             return Ok(None);
         };
+        // A recovered commit point is a verdict again: the client of an
+        // action whose `done` the crash lost, or who was told `Pending`,
+        // takes it from here.
+        for (aid, _) in outcome.ct.committing_actions() {
+            self.resolve(aid, true);
+        }
         self.run_until_quiet()?;
         // A node coming back may be the coordinator some other guardian's
         // in-doubt participant is waiting on; model the periodic query of
@@ -1226,14 +1239,19 @@ impl World {
             self.force_due.push(Reverse((due_at, g)));
         }
         if let Some((aid, committed)) = self.fx.resolved.take() {
-            let live = self.live.remove(&aid).unwrap_or_default();
-            self.close_action(aid, &live, committed);
-            self.outcomes.insert(aid, committed);
+            self.resolve(aid, committed);
         }
         if std::mem::take(&mut self.fx.crashed) {
             self.obs.inc(Count::WorldCrashes);
             self.mark_crashed(g);
         }
+    }
+
+    /// Books `aid`'s verdict for its client; the action stops being live.
+    fn resolve(&mut self, aid: ActionId, committed: bool) {
+        let live = self.live.remove(&aid).unwrap_or_default();
+        self.close_action(aid, &live, committed);
+        self.outcomes.insert(aid, committed);
     }
 
     /// Forces the staged batch of every up guardian whose scheduler says
@@ -1251,30 +1269,60 @@ impl World {
             self.force_due.pop();
             self.obs.inc(Count::WorldSchedPolls);
             let guardian = self.guardians.get(&g);
-            if guardian.is_some_and(|gu| gu.up && gu.force_sched.due(now)) {
+            let due = guardian.is_some_and(|gu| gu.up && gu.force_sched.due(now));
+            if due && self.forces_now(g, || self.running()) {
                 self.flush_staged(g)?;
             }
         }
         Ok(())
     }
 
-    /// Forces every non-empty staged batch; returns whether any force ran
-    /// (and hence new messages may be in flight). Visits the ready set, not
-    /// every guardian.
+    /// Whether some action has yet to ask for its commit.
+    fn running(&self) -> bool {
+        self.live.values().any(|l| !l.launched)
+    }
+
+    /// Whether `g`, holding a staged batch, forces it once it is due. A
+    /// batch of participants' verdicts alone rides the next force while an
+    /// action is `running`: that action stages a force wherever it touched
+    /// an object, and the acknowledgements held back meanwhile delay only
+    /// their coordinators' forgetting (DESIGN.md deviation 10). With none
+    /// running, no such force will come.
+    fn forces_now(&self, g: GuardianId, running: impl FnOnce() -> bool) -> bool {
+        self.guardians.get(&g).is_some_and(|gu| gu.awaits_force()) || !running()
+    }
+
+    /// Forces every non-empty staged batch but those left to ride; returns
+    /// whether any force ran (and hence new messages may be in flight).
+    /// Visits the ready set, not every guardian.
     fn flush_all_staged(&mut self) -> WorldResult<bool> {
-        let staged = |g: &GuardianId| {
-            let guardian = self.guardians.get(g);
-            guardian.is_some_and(|gu| gu.up && !gu.staged.is_empty())
-        };
-        let ready = self.staged_ready.iter().copied();
-        let pending: Vec<GuardianId> = ready.filter(staged).collect();
+        let running = self.running();
+        if !running {
+            self.staged_ready.append(&mut self.riding);
+        }
         self.obs
             .add(Count::WorldSchedPolls, self.staged_ready.len() as u64);
-        let any = !pending.is_empty();
-        for g in pending {
-            self.flush_staged(g)?;
+        let (mut last, mut any) = (None, false);
+        loop {
+            let after = last.map_or(Unbounded, Excluded);
+            let mut ready = self.staged_ready.range((after, Unbounded)).copied();
+            let staged = |g: &GuardianId| {
+                self.guardians
+                    .get(g)
+                    .is_some_and(|gu| gu.up && gu.has_staged())
+            };
+            let Some(g) = ready.find(staged) else {
+                return Ok(any);
+            };
+            last = Some(g);
+            if self.forces_now(g, || running) {
+                self.flush_staged(g)?;
+                any = true;
+            } else {
+                self.staged_ready.remove(&g);
+                self.riding.insert(g);
+            }
         }
-        Ok(any)
     }
 
     /// Has `g` force its staged batch, then feeds the continuations back one
@@ -1287,9 +1335,17 @@ impl World {
         };
         let forced = guardian.force(&mut self.fx);
         self.staged_ready.remove(&g);
+        self.riding.remove(&g);
         self.apply(g);
-        for (op, _staged_at) in forced? {
+        let mut forced = forced?;
+        for (op, _staged_at) in forced.drain(..) {
             self.step(g, Input::Forced(op))?;
+        }
+        // The emptied list keeps its capacity for the next batch, unless a
+        // continuation already began one.
+        match self.guardians.get_mut(&g) {
+            Some(guardian) if guardian.staged.capacity() == 0 => guardian.staged = forced,
+            _ => {}
         }
         Ok(())
     }

@@ -273,14 +273,15 @@ impl<P: StoreProvider> ShadowRs<P> {
 }
 
 impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
-    // Shadowing keeps no shared log to batch on: every operation that the
-    // protocol waits for forces inside itself and reports that it is already
-    // durable. `done`, which nothing waits for, is only appended.
+    // A coordinator's steps force inside themselves and report that they
+    // are already durable: a local commit is one force, with nothing to
+    // share it with. A participant's records are only appended, as a log's
+    // are, so its verdict can ride whatever force comes next (DESIGN.md
+    // deviation 10); so is `done`, which nothing waits for.
 
     fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
         self.write_intent(aid, mos, heap)?;
-        self.log.force()?;
-        Ok(false)
+        Ok(true)
     }
 
     fn write_entry(
@@ -295,8 +296,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
 
     fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
         self.write_commit(aid)?;
-        self.log.force()?;
-        Ok(false)
+        Ok(true)
     }
 
     fn stage_commit_point(
@@ -332,9 +332,8 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             aid,
             committed: false,
         })?;
-        self.log.force()?;
         self.pat.remove(&aid);
-        Ok(false)
+        Ok(true)
     }
 
     fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {

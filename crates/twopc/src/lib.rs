@@ -17,14 +17,14 @@
 //! * coordinator crash after `done` is durable → nothing to do.
 //!
 //! What is forced is what the protocol needs durable before it may go on:
-//! a participant forces `prepared` before voting and `committed` before
-//! acknowledging, the coordinator forces `committing` before telling anyone
-//! to commit. `done` only licenses forgetting, so it is written and never
-//! forced — the coordinator finishes on the last acknowledgement, and a
-//! lost `done` is the fourth case above. An abort is presumed (§2.2.3): the
-//! coordinator forgets the action as it sends the aborts, nobody
-//! acknowledges one, and a forgotten action is an aborted one. The
-//! participant's `aborted` is still forced, though nothing waits on it.
+//! a participant forces `prepared` before voting, the coordinator forces
+//! `committing` before telling anyone to commit. A participant's verdict
+//! rides its guardian's next force, which alone releases the acknowledgement
+//! ([`PartEffect::ForceCommit`]). `done` only licenses forgetting, so it is
+//! written and never forced — the coordinator finishes on the last
+//! acknowledgement, and a lost `done` is the fourth case above. An abort is
+//! presumed (§2.2.3): the coordinator forgets the action as it sends the
+//! aborts, nobody acknowledges one, and a forgotten action is an aborted one.
 //!
 //! §2.2 has a coordinator that is also a participant send *itself* a prepare
 //! message. Here its guardian is always a participant and it is no party to
@@ -34,8 +34,8 @@
 //! at its own guardian — data entries, `prepared`, `committing` and that
 //! guardian's `committed`, one step under one force. Its `prepared` precedes
 //! no vote and its `committed` no acknowledgement, so a two-guardian commit
-//! is three forces and four messages (five and eight by the letter of
-//! §2.2), an abort logs nothing at the coordinator, and a guardian is never
+//! is four messages and at most three forces (five and eight by the letter
+//! of §2.2), an abort logs nothing at the coordinator, and a guardian is never
 //! in doubt about an action it coordinates. With no remote participant
 //! ([`Coordinator::is_local`]) that step is the whole commit: no
 //! `committing`, no `done`, no message.

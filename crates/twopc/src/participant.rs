@@ -15,9 +15,11 @@ pub enum PartPhase {
     /// `prepared` record forced: the point of no return — the participant
     /// must await the verdict.
     Prepared,
-    /// `committed` record forced.
+    /// Told to commit: the `committed` record is written, and the
+    /// acknowledgement waits until a force has made it durable.
     Committed,
-    /// `aborted` record forced (or the prepare was refused).
+    /// Told to abort (the `aborted` record is written), or the prepare was
+    /// refused.
     Aborted,
 }
 
@@ -28,10 +30,13 @@ pub enum PartEffect {
     /// `prepared` record, then call [`Participant::prepare_succeeded`] or
     /// [`Participant::prepare_failed`].
     PrepareLocally,
-    /// Force the `committed` record, install the action's versions, then
-    /// call [`Participant::commit_forced`].
+    /// Write the `committed` record and install the action's versions at
+    /// once; once a force has made the record durable — the next one, which
+    /// this record does not ask for (R* acknowledges only a durable
+    /// verdict) — call [`Participant::commit_forced`].
     ForceCommit,
-    /// Force the `aborted` record, discard the action's versions, then call
+    /// Write the `aborted` record and discard the action's versions at
+    /// once; once a force has made the record durable, call
     /// [`Participant::abort_forced`].
     ForceAbort,
     /// Send a protocol message.
@@ -115,7 +120,9 @@ impl Participant {
         }]
     }
 
-    /// Feeds an incoming protocol message.
+    /// Feeds an incoming protocol message. A verdict is taken once: a
+    /// duplicate `Commit` that arrives while the `committed` record waits
+    /// for its force is ignored, as the acknowledgement follows the force.
     pub fn on_msg(&mut self, msg: &Msg) -> Vec<PartEffect> {
         match (msg, self.phase) {
             (
@@ -125,6 +132,7 @@ impl Participant {
                 },
                 PartPhase::Prepared,
             ) => {
+                self.phase = PartPhase::Committed;
                 vec![PartEffect::ForceCommit]
             }
             (
@@ -134,23 +142,16 @@ impl Participant {
                 },
                 PartPhase::Prepared,
             ) => {
+                self.phase = PartPhase::Aborted;
                 vec![PartEffect::ForceAbort]
-            }
-            // A duplicate commit after resolution: re-acknowledge.
-            (Msg::Commit { .. }, PartPhase::Committed) => {
-                vec![PartEffect::Send {
-                    to: self.coordinator,
-                    msg: Msg::CommitAck { aid: self.aid },
-                }]
             }
             _ => Vec::new(),
         }
     }
 
-    /// The `committed` record is forced.
+    /// The `committed` record is durable: acknowledge.
     pub fn commit_forced(&mut self) -> Vec<PartEffect> {
         count(Count::TwopcPartCommits);
-        self.phase = PartPhase::Committed;
         vec![
             PartEffect::Send {
                 to: self.coordinator,
@@ -160,11 +161,10 @@ impl Participant {
         ]
     }
 
-    /// The `aborted` record is forced. Nobody waits for it: the coordinator
-    /// forgot the action when it sent the abort (§2.2.3).
+    /// The `aborted` record is durable. Nobody waits for it: the
+    /// coordinator forgot the action when it sent the abort (§2.2.3).
     pub fn abort_forced(&mut self) -> Vec<PartEffect> {
         count(Count::TwopcPartAborts);
-        self.phase = PartPhase::Aborted;
         vec![PartEffect::Finished { committed: false }]
     }
 }
@@ -264,20 +264,21 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_verdicts_reack() {
+    fn a_verdict_is_taken_once() {
         let (mut p, _) = Participant::on_prepare(aid(), gid(0));
         p.prepare_succeeded();
         p.on_msg(&Msg::Commit { aid: aid() });
-        p.commit_forced();
-        // The coordinator retried: just re-acknowledge.
-        assert_eq!(
-            p.on_msg(&Msg::Commit { aid: aid() }),
-            vec![PartEffect::Send {
-                to: gid(0),
-                msg: Msg::CommitAck { aid: aid() }
-            }]
-        );
-        // Stale prepare or abort is ignored once committed.
+        assert_eq!(p.phase(), PartPhase::Committed);
+        // The coordinator retried while the record waits for its force: the
+        // acknowledgement follows the force, not the retry.
+        assert!(p.on_msg(&Msg::Commit { aid: aid() }).is_empty());
+        // Stale abort or answer is ignored once committed.
         assert!(p.on_msg(&Msg::Abort { aid: aid() }).is_empty());
+        let late = Msg::Outcome {
+            aid: aid(),
+            committed: false,
+        };
+        assert!(p.on_msg(&late).is_empty());
+        assert_eq!(p.commit_forced().len(), 2);
     }
 }

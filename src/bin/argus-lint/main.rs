@@ -343,8 +343,9 @@ fn usage(problem: &str) -> ! {
 
 /// Opens the log at `path` (the demo's state directory when `None`) on a
 /// private copy, or exits 2: a directory is a `FileProvider` state dir,
-/// whose stable root names the active log generation. Returns the store
-/// file's path with the log.
+/// whose stable root names the active log generation — read as it is,
+/// nothing in the directory created or removed. Returns the store file's
+/// path with the log.
 fn open_store(path: Option<PathBuf>) -> (PathBuf, StableLog<DurableFileStore>) {
     let path = path.unwrap_or_else(|| std::env::temp_dir().join("argus-persistent-demo"));
     let fail = |problem: String| -> ! {
@@ -358,13 +359,8 @@ fn open_store(path: Option<PathBuf>) -> (PathBuf, StableLog<DurableFileStore>) {
         ));
     }
     let store = if path.is_dir() {
-        let provider = FileProvider::new(&path);
-        let mut provider =
-            provider.unwrap_or_else(|e| fail(format!("{shown}: cannot open state dir: {e}")));
-        let generation = provider.active_generation();
-        let generation =
-            generation.unwrap_or_else(|e| fail(format!("{shown}: cannot read stable root: {e}")));
-        provider.store_path(generation)
+        let store = FileProvider::active_store(&path);
+        store.unwrap_or_else(|e| fail(format!("{shown}: cannot read stable root: {e}")))
     } else {
         path.clone()
     };

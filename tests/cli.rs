@@ -1,7 +1,8 @@
 //! The `argus-lint` front door's `dump` and `repl` subcommands, run as the
 //! real binary: `dump` reads a `FileProvider` state directory and its
-//! active store file alike and exits 2 on a missing path, and `repl`
-//! answers a piped script verb by verb.
+//! active store file alike, leaves the directory as it found it, and exits
+//! 2 on a missing path or a directory with no stable root; `repl` answers a
+//! piped script verb by verb.
 
 use argus::core::HousekeepingMode;
 use argus::guardian::{MediaKind, Outcome, RsKind, World, WorldConfig};
@@ -26,9 +27,9 @@ fn lint(args: &[&str], stdin: &str) -> Output {
 
 /// A hybrid guardian's state directory after three commits (two of them
 /// two-guardian), a compaction that switches it to its next log
-/// generation, and two more commits.
-fn state_dir() -> PathBuf {
-    let base = std::env::temp_dir().join(format!("argus-cli-{}", std::process::id()));
+/// generation, and two more commits; `label` keeps each test's apart.
+fn state_dir(label: &str) -> PathBuf {
+    let base = std::env::temp_dir().join(format!("argus-cli-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let cfg = WorldConfig {
         media: MediaKind::File {
@@ -62,7 +63,7 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn dump_reads_a_state_dir_and_its_store_file_alike() {
-    let dir = state_dir();
+    let dir = state_dir("alike");
     let mut logs: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -102,6 +103,39 @@ fn dump_reads_a_state_dir_and_its_store_file_alike() {
     let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
+/// The names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap();
+    let mut names: Vec<String> = names
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// An inspector writes nothing where it looks: a directory with no stable
+/// root is refused and stays empty, and a state directory keeps the
+/// leftover generation a crash would have left for the next open to sweep.
+#[test]
+fn dump_leaves_the_directory_as_it_found_it() {
+    let empty = std::env::temp_dir().join(format!("argus-cli-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&empty);
+    std::fs::create_dir_all(&empty).unwrap();
+    let out = lint(&["dump", empty.to_str().unwrap()], "");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(listing(&empty).is_empty(), "{:?}", listing(&empty));
+    std::fs::remove_dir(&empty).unwrap();
+
+    let dir = state_dir("leftover");
+    std::fs::write(dir.join("log-0000.argus"), [0u8; 512]).unwrap();
+    let before = listing(&dir);
+    assert_eq!(before, ["log-0000.argus", "log-0001.argus", "root.argus"]);
+    let out = lint(&["dump", dir.to_str().unwrap()], "");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(listing(&dir), before);
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
 #[test]
 fn dump_of_a_missing_path_exits_two() {
     let missing = Path::new("/nonexistent/argus-cli-no-such-log");
@@ -133,6 +167,7 @@ fn repl_answers_a_script() {
             "housekept G1: log is now 1 entries",
         ),
         ("crash G0", "G0 is down; its volatile state is gone"),
+        ("get G0 x", "x is unset"),
         (
             "restart G0",
             "G0 recovered: 1 objects restored, 7 entries examined, 0 in doubt",

@@ -161,6 +161,8 @@ fn the_seeded_traced_run_stores_a_few_bytes_an_event() {
     let run = argus::traced_run(1);
     assert!(run.violations.is_empty());
     let tracer = argus::trace::current();
-    // 7.4 bytes an event, against 136 when each was a wide struct.
-    assert_eq!((tracer.len(), tracer.stored_bytes()), (1_019, 7_589));
+    // 7.4 bytes an event, against 136 when each was a wide struct. (Two
+    // bytes more since a distributed action's span ends at its commit
+    // point: its end time is stored as a different delta.)
+    assert_eq!((tracer.len(), tracer.stored_bytes()), (1_019, 7_591));
 }

@@ -418,6 +418,69 @@ fn a_coordinator_crash_that_loses_done_resumes_committing_and_finishes() {
     }
 }
 
+/// A participant's `committed` rides the next force (DESIGN.md deviation
+/// 10): `A` commits across both guardians while `B` runs at the
+/// participant, so `A`'s record waits there for `B`'s commit point, and
+/// only that force sends `A`'s acknowledgement. A crash of the participant
+/// at every device operation up to and including that force loses the
+/// record at worst: the participant restarts in doubt and asks, and the
+/// coordinator — which forgets `A` only on the acknowledgement — still
+/// knows the verdict. `A` ends committed at both guardians, and no verdict
+/// is left for a client to take. A housekeeping pass's prologue force
+/// publishes the record too.
+#[test]
+fn a_crash_in_the_lazy_window_leaves_the_participant_in_doubt_not_aborted() {
+    // `A` committed, `B` running at the participant with a write of its
+    // own there; `A`'s coordinator still awaits its acknowledgement.
+    let lazy_window = |kind| {
+        let (mut w, g0, g1) = setup(kind);
+        let b = w.begin(g1).unwrap();
+        w.set_stable(g1, b, "note", Value::Int(1)).unwrap();
+        let a = committed_transfer(&mut w, g0, g1);
+        let awaiting = w.guardian(g0).unwrap().coordinator(a).map(|c| c.awaiting());
+        assert_eq!(awaiting, Some(vec![g1]), "{kind:?}: acknowledged early");
+        (w, g0, g1, a, b)
+    };
+    for kind in RsKind::ALL {
+        // The oracle run: `B`'s one force sends `A`'s acknowledgement.
+        let (mut w, g0, g1, a, b) = lazy_window(kind);
+        let before = w.fault_plan(g1).unwrap().op_counts();
+        assert_eq!(w.commit(b).unwrap(), Outcome::Committed, "{kind:?}");
+        let ops = w.fault_plan(g1).unwrap().op_counts().since(&before);
+        assert_eq!(ops.forces, 1, "{kind:?}: B's commit point alone");
+        assert!(w.guardian(g0).unwrap().coordinator(a).is_none(), "{kind:?}");
+        common::lint_world(&mut w);
+        // Housekeeping's prologue force publishes the record just the same.
+        let (mut w, g0, g1, a, _) = lazy_window(kind);
+        w.housekeep(g1, kind.housekeeping_modes()[0]).unwrap();
+        w.run_until_quiet().unwrap();
+        assert!(w.guardian(g0).unwrap().coordinator(a).is_none(), "{kind:?}");
+
+        let mut in_doubt = 0;
+        for k in 0..ops.total() {
+            let case = format!("{kind:?} op {k}");
+            let (mut w, g0, g1, a, b) = lazy_window(kind);
+            w.arm_crash_after_ops(g1, k).unwrap();
+            assert_eq!(w.commit(b).unwrap(), Outcome::Pending, "{case}");
+            assert!(!w.is_up(g1), "{case}: the armed crash never fired");
+            let coordinator = w.guardian(g0).unwrap().coordinator(a);
+            assert!(coordinator.is_some(), "{case}: forgotten unacknowledged");
+            w.crash(g1);
+            let recovered = w.restart(g1).unwrap();
+            in_doubt += u32::from(recovered.pt.get(a) == Some(PState::Prepared));
+            w.requery_in_doubt().unwrap();
+            assert!(w.guardian(g0).unwrap().coordinator(a).is_none(), "{case}");
+            assert_eq!((balance(&w, g0), balance(&w, g1)), (70, 130), "{case}");
+            // `B`'s client, answered `Pending`, stops asking.
+            w.abort_local(b);
+            assert_eq!((w.verdict(a), w.verdict(b)), (None, None), "{case}");
+            assert_eq!(w.retained_actions(), 0, "{case}");
+            common::lint_world(&mut w);
+        }
+        assert!(in_doubt > 0, "{kind:?}: no crash lost A's record");
+    }
+}
+
 /// Housekeeping while a `done` is still in the log buffer: the pass's
 /// prologue forces it, so the new log never holds a `done` without its
 /// `committing` (I6) and the finished action is not resumed afterwards.
