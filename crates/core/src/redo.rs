@@ -53,7 +53,7 @@ pub type RedoRs<P> = LogRs<P, RedoFormat>;
 
 /// Checkpoint cadence: a `committed_ss` chain-head map is appended after
 /// this many commits, bounding the tail a non-full recovery must scan.
-const DEFAULT_MAP_INTERVAL: u64 = 64;
+const MAP_INTERVAL: u64 = 64;
 
 /// The chain bookkeeping of one log: the live log's on the write path, the
 /// new log's during housekeeping.
@@ -242,14 +242,12 @@ impl compact::Emit for RedoMaps {
 
 /// The redo-log format: data entries carry the per-object backlink, stamped
 /// from the volatile chain maps; a `committed_ss` chain-head map follows
-/// every `map_interval` commits.
+/// every `MAP_INTERVAL` commits.
 #[derive(Debug)]
 pub struct RedoFormat {
     maps: RedoMaps,
     /// Commits since the last checkpoint.
     commits_since_ckpt: u64,
-    /// Checkpoint cadence (commits per `committed_ss`).
-    map_interval: u64,
     /// How the next `recover` rebuilds state.
     mode: RecoveryMode,
     /// Objects awaiting lazy restoration: uid → chain-head address.
@@ -261,17 +259,9 @@ impl Default for RedoFormat {
         Self {
             maps: RedoMaps::default(),
             commits_since_ckpt: 0,
-            map_interval: DEFAULT_MAP_INTERVAL,
             mode: RecoveryMode::Full,
             lazy: IntMap::default(),
         }
-    }
-}
-
-impl<P: crate::StoreProvider> LogRs<P, RedoFormat> {
-    /// Overrides the checkpoint cadence (commits per `committed_ss`).
-    pub fn set_map_interval(&mut self, commits: u64) {
-        self.fmt.map_interval = commits.max(1);
     }
 }
 
@@ -323,7 +313,7 @@ impl LogFormat for RedoFormat {
         self.maps.note(entry, addr);
         if let EntryOut::Committed { .. } = entry {
             self.commits_since_ckpt += 1;
-            if self.commits_since_ckpt >= self.map_interval && !self.maps.heads.is_empty() {
+            if self.commits_since_ckpt >= MAP_INTERVAL && !self.maps.heads.is_empty() {
                 let (cssl, prev) = self.maps.checkpoint();
                 io.append_special(&EntryRef::CommittedSs { cssl: &cssl, prev })?;
                 self.commits_since_ckpt = 0;
@@ -339,7 +329,6 @@ impl LogFormat for RedoFormat {
 
     fn reset(&mut self) {
         *self = Self {
-            map_interval: self.map_interval,
             mode: self.mode,
             ..Self::default()
         };
@@ -671,13 +660,14 @@ mod tests {
         assert_eq!(data[2].1, Some(data[1].0));
     }
 
+    /// 200 commits, the last of them valued 49: past three checkpoints, the
+    /// tail after the newest holds eight.
     #[test]
     fn checkpoint_bounds_the_tail_scan() {
         let mut rs = rs();
-        rs.set_map_interval(8);
         let mut heap = Heap::with_stable_root();
-        for i in 0..50 {
-            commit_root_update(&mut rs, &mut heap, aid(i + 1), Value::Int(i as i64));
+        for i in 0..3 * MAP_INTERVAL + 8 {
+            commit_root_update(&mut rs, &mut heap, aid(i + 1), Value::Int(i as i64 % 50));
         }
         let full_entries = rs.log().stable_count();
         rs.simulate_crash().unwrap();
@@ -786,8 +776,12 @@ mod tests {
         );
 
         // The in-doubt action resolves: its version must become the chain
-        // head, visible to a checkpointed tail-only recovery.
-        rs.set_map_interval(1);
+        // head, visible to a checkpointed tail-only recovery. Empty commits
+        // before it bring its commit to the checkpoint cadence.
+        for i in 1..MAP_INTERVAL {
+            rs.prepare(aid(2000 + i), &[], &heap2).unwrap();
+            rs.commit(aid(2000 + i)).unwrap();
+        }
         rs.commit(b).unwrap();
         heap2.commit_action(b);
         rs.simulate_crash().unwrap();

@@ -1,5 +1,6 @@
 //! One guardian: heap + recovery system + protocol state.
 
+use crate::live::LocalAction;
 use crate::world::{MediaKind, WorldConfig};
 use crate::WorldResult;
 use argus_cc::LockMode;
@@ -13,7 +14,7 @@ use argus_objects::{
 };
 use argus_obs::Hist;
 use argus_shadow::ShadowRs;
-use argus_sim::{CostModel, IntMap, IntSet, SimClock};
+use argus_sim::{CostModel, IntMap, SimClock};
 use argus_slog::{ForceConfig, ForceScheduler, LogAddress};
 use argus_stable::FaultPlan;
 use argus_trace::Kind;
@@ -205,16 +206,10 @@ pub struct Guardian<R: ?Sized = dyn RecoverySystem> {
     pub(crate) plan: FaultPlan,
     /// Whether the node is up.
     pub(crate) up: bool,
-    /// Modified Objects Set per active action (§2.3).
-    pub(crate) mos: IntMap<ActionId, Vec<HeapId>>,
-    /// Actions begun or touched here since the last crash, or in doubt here
-    /// after it. An action leaves when its machine here finishes: what is
-    /// forgotten answers as unknown, which is what a crash leaves too.
-    pub(crate) known: IntSet<ActionId>,
-    /// Live coordinator state machines.
-    pub(crate) coordinators: IntMap<ActionId, Coordinator>,
-    /// Live participant state machines.
-    pub(crate) participants: IntMap<ActionId, Participant>,
+    /// One row per action known here: begun or touched since the last
+    /// crash, or in two-phase commit here. A row goes when its machine here
+    /// finishes or the action aborts here.
+    pub(crate) actions: IntMap<ActionId, LocalAction>,
     /// Action-id sequence for top-level actions originating here.
     pub(crate) next_seq: u64,
     /// Automatic housekeeping policy: (max log entries, mode).
@@ -389,10 +384,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             rs,
             plan,
             up: true,
-            mos: IntMap::default(),
-            known: IntSet::default(),
-            coordinators: IntMap::default(),
-            participants: IntMap::default(),
+            actions: IntMap::default(),
             next_seq: 0,
             hk_policy: None,
             force_sched: ForceScheduler::new(force),
@@ -459,7 +451,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
     pub(crate) fn begin(&mut self) -> ActionId {
         let aid = ActionId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        self.known.insert(aid);
+        self.actions.entry(aid).or_default().known = true;
         aid
     }
 
@@ -532,49 +524,61 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
     }
 
     /// Runs `touch` on `h` under the lock [`Guardian::lock`] just granted
-    /// and books the action here: it is known, and what it wrote joins its
-    /// MOS. Returns whether it wrote.
+    /// and books the action's row here: it is known, and what it wrote joins
+    /// its MOS. Returns whether it wrote.
     pub(crate) fn apply<F: FnOnce(&mut Value)>(
         &mut self,
         aid: ActionId,
         h: HeapId,
         touch: Touch<F>,
     ) -> HeapResult<bool> {
-        match touch {
-            Touch::Read => {
-                self.known.insert(aid);
-                return Ok(false);
+        let wrote = match touch {
+            Touch::Read => false,
+            Touch::Write(f) => {
+                self.heap.write_value(h, aid, f)?;
+                true
             }
-            Touch::Write(f) => self.heap.write_value(h, aid, f)?,
             Touch::Mutex(f) => {
                 self.heap.mutate_mutex(h, aid, f)?;
                 self.heap.release(h, aid)?;
+                true
             }
+        };
+        let row = self.actions.entry(aid).or_default();
+        row.known = true;
+        if wrote && !row.mos.contains(&h) {
+            row.mos.push(h);
         }
-        self.known.insert(aid);
-        let mos = self.mos.entry(aid).or_default();
-        if !mos.contains(&h) {
-            mos.push(h);
+        Ok(wrote)
+    }
+
+    /// Aborts `aid` here before it prepared — a local abort, a coordinator
+    /// deciding before its commit point, or an `Abort` after a lost
+    /// `Prepare`: its tentative versions and locks go and the recovery
+    /// system drops what it noted. Nothing on the log names it as prepared,
+    /// so no record is written. The row goes, but for a machine that still
+    /// runs, which keeps it without the action's work.
+    pub(crate) fn abort_unprepared(&mut self, aid: ActionId) {
+        self.heap.abort_action(aid);
+        debug_assert!(self.heap.locks_held_by(aid).is_empty(), "{aid} kept locks");
+        self.rs.discard(aid);
+        if !self.in_two_phase_commit(aid) {
+            self.actions.remove(&aid);
+        } else if let Some(row) = self.actions.get_mut(&aid) {
+            (row.mos, row.known) = (Vec::new(), false);
         }
-        Ok(true)
     }
 
     /// Whether `aid` has a two-phase-commit machine here.
     pub(crate) fn in_two_phase_commit(&self, aid: ActionId) -> bool {
-        self.participants.contains_key(&aid) || self.coordinators.contains_key(&aid)
+        let row = self.actions.get(&aid);
+        row.is_some_and(|row| row.coordinator.is_some() || row.participant.is_some())
     }
 
-    /// Every action with protocol or MOS state here.
-    pub(crate) fn live_actions(&self) -> impl Iterator<Item = ActionId> + '_ {
-        let machines = self.participants.keys().chain(self.coordinators.keys());
-        machines.chain(self.mos.keys()).copied()
-    }
-
-    /// The per-action rows held here: MOS, known actions, machines and
-    /// continuations awaiting a force.
+    /// The per-action rows held here: one per known action, and one per
+    /// continuation awaiting a force.
     pub(crate) fn retained_actions(&self) -> usize {
-        let machines = self.coordinators.len() + self.participants.len();
-        self.mos.len() + self.known.len() + machines + self.staged.len()
+        self.actions.len() + self.staged.len()
     }
 }
 
@@ -591,29 +595,29 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
         match input {
             Input::Message(envelope) => self.deliver(envelope, fx),
             Input::Commit(aid, gids) => {
-                self.coordinators.insert(aid, Coordinator::new(aid, gids));
+                let coordinator = Coordinator::new(aid, gids);
+                self.actions.entry(aid).or_default().coordinator = Some(coordinator);
                 self.coord_step(aid, |c, out| c.start_into(out), fx)
             }
             Input::Forced(op) => self.forced(op, fx),
             Input::Timeout(aid) => self.coord_step(aid, Coordinator::abort_unilaterally_into, fx),
             Input::Requery => {
-                // The machines sit in hash maps, and the order of sending
+                // The rows sit in a hash map, and the order of sending
                 // decides which message a seeded network fault falls on.
                 let (first, from) = (fx.send.len(), self.id);
-                let in_doubt = self.participants.iter();
-                fx.send.extend(in_doubt.filter_map(|(aid, p)| {
-                    (p.phase() == PartPhase::Prepared).then_some(Envelope {
-                        from,
-                        to: p.coordinator,
-                        msg: Msg::QueryOutcome { aid: *aid },
-                    })
-                }));
-                let committing = self.coordinators.values();
-                for c in committing.filter(|c| c.phase() == CoordPhase::Committing) {
-                    let commit = |to| (to, Msg::Commit { aid: c.aid });
-                    let resend = c.awaiting().into_iter().map(commit);
-                    let resend = resend.map(|(to, msg)| Envelope { from, to, msg });
-                    fx.send.extend(resend);
+                for (&aid, row) in &self.actions {
+                    let in_doubt = row.participant.iter();
+                    for p in in_doubt.filter(|p| p.phase() == PartPhase::Prepared) {
+                        let (to, msg) = (p.coordinator, Msg::QueryOutcome { aid });
+                        fx.send.push(Envelope { from, to, msg });
+                    }
+                    let committing = row.coordinator.iter();
+                    for c in committing.filter(|c| c.phase() == CoordPhase::Committing) {
+                        for to in c.awaiting() {
+                            let msg = Msg::Commit { aid };
+                            fx.send.push(Envelope { from, to, msg });
+                        }
+                    }
                 }
                 fx.send[first..].sort_by_key(|q| q.msg.aid());
                 Ok(())
@@ -676,10 +680,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             reopened => reopened?,
         }
         self.crashed();
-        self.mos.clear();
-        self.known.clear();
-        self.coordinators.clear();
-        self.participants.clear();
+        self.actions.clear();
         let rec_t0 = self.tracer.now();
         let outcome = match self.rs.recover(&mut self.heap) {
             Err(e) if e.is_crash() => return Ok(None),
@@ -698,17 +699,17 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
 
     /// `aid`'s coordinator here, if it has one.
     pub fn coordinator(&self, aid: ActionId) -> Option<&Coordinator> {
-        self.coordinators.get(&aid)
+        self.actions.get(&aid)?.coordinator.as_ref()
     }
 
     /// `aid`'s participant here, if it has one.
     pub fn participant(&self, aid: ActionId) -> Option<&Participant> {
-        self.participants.get(&aid)
+        self.actions.get(&aid)?.participant.as_ref()
     }
 
     /// Whether `aid` is known here (a prepare for it is not refused).
     pub fn knows(&self, aid: ActionId) -> bool {
-        self.known.contains(&aid)
+        self.actions.get(&aid).is_some_and(|row| row.known)
     }
 
     /// Whether a step waits on the next [`Guardian::force`].
@@ -740,7 +741,8 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 return self.coord_step(aid, Coordinator::committing_forced_into, fx);
             }
         };
-        let more = self.participants.get_mut(&aid).map(step);
+        let row = self.actions.get_mut(&aid);
+        let more = row.and_then(|row| row.participant.as_mut()).map(step);
         self.exec_part(aid, more.unwrap_or_default(), fx)
     }
 
@@ -751,14 +753,14 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
     /// crash once its machine here had finished.
     fn recovered(&mut self, outcome: &RecoveryOutcome, fx: &mut Effects) -> WorldResult<()> {
         for aid in outcome.pt.prepared_actions() {
-            self.known.insert(aid);
             let (participant, effects) = Participant::resume_in_doubt(aid, aid.coordinator);
-            self.participants.insert(aid, participant);
+            let row = self.actions.entry(aid).or_default();
+            (row.participant, row.known) = (Some(participant), true);
             self.exec_part(aid, effects, fx)?;
         }
         for (aid, gids) in outcome.ct.committing_actions() {
             let (coordinator, mut effects) = Coordinator::resume_committing(aid, gids);
-            self.coordinators.insert(aid, coordinator);
+            self.actions.entry(aid).or_default().coordinator = Some(coordinator);
             self.exec_coord(aid, &mut effects, fx)?;
         }
         Ok(())
@@ -767,52 +769,53 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
     fn deliver(&mut self, envelope: Envelope, fx: &mut Effects) -> WorldResult<()> {
         let aid = envelope.msg.aid();
         let (from, peer) = (self.id, envelope.from);
-        let mut reply = |msg| {
-            fx.send.push(Envelope {
-                from,
-                to: peer,
-                msg,
-            })
-        };
+        let to = peer;
+        let mut reply = |msg| fx.send.push(Envelope { from, to, msg });
         match &envelope.msg {
             Msg::Prepare { .. } => {
-                if self.participants.contains_key(&aid) {
-                    return Ok(()); // duplicate prepare
-                }
                 // "If the action is unknown at the participant (because it
                 // never ran there, was aborted locally, or was wiped out by a
                 // crash), then it replies aborted" (§2.2.2) — and so does a
                 // late duplicate for one finished and forgotten here, which a
                 // coordinator past preparing ignores.
-                if !self.known.contains(&aid) {
-                    reply(Msg::PrepareRefused { aid });
-                    return Ok(());
-                }
-                let (participant, effects) = Participant::on_prepare(aid, peer);
-                self.participants.insert(aid, participant);
-                self.exec_part(aid, effects, fx)
-            }
-            Msg::Commit { .. } | Msg::Abort { .. } | Msg::Outcome { .. } => {
-                if let Some(participant) = self.participants.get_mut(&aid) {
-                    let effects = participant.on_msg(&envelope.msg);
-                    return self.exec_part(aid, effects, fx);
-                }
-                // Participant already resolved and forgotten: re-ack a
-                // commit so the coordinator can finish. Nobody awaits an
-                // abort's acknowledgement.
-                if let Msg::Commit { .. } = envelope.msg {
-                    reply(Msg::CommitAck { aid });
+                match self.actions.get_mut(&aid) {
+                    Some(row) if row.participant.is_some() => {} // duplicate prepare
+                    Some(row) if row.known => {
+                        let (participant, effects) = Participant::on_prepare(aid, peer);
+                        row.participant = Some(participant);
+                        return self.exec_part(aid, effects, fx);
+                    }
+                    _ => reply(Msg::PrepareRefused { aid }),
                 }
                 Ok(())
             }
-            Msg::QueryOutcome { .. } if !self.coordinators.contains_key(&aid) => {
+            Msg::Commit { .. } | Msg::Abort { .. } | Msg::Outcome { .. } => {
+                let row = self.actions.get_mut(&aid);
+                if let Some(participant) = row.and_then(|row| row.participant.as_mut()) {
+                    let effects = participant.on_msg(&envelope.msg);
+                    return self.exec_part(aid, effects, fx);
+                }
+                match envelope.msg {
+                    // Participant already resolved and forgotten: re-ack a
+                    // commit so the coordinator can finish.
+                    Msg::Commit { .. } => reply(Msg::CommitAck { aid }),
+                    // The action ran here but its `Prepare` was lost: abort
+                    // it here (presumed abort). Nobody awaits an abort's
+                    // acknowledgement, and for an unknown action there is
+                    // nothing to abort.
+                    Msg::Abort { .. } if self.knows(aid) && !self.in_two_phase_commit(aid) => {
+                        self.abort_unprepared(aid);
+                    }
+                    _ => {}
+                }
+                Ok(())
+            }
+            Msg::QueryOutcome { .. } if self.coordinator(aid).is_none() => {
                 // Forgotten ⇒ aborted (§2.2.3). A commit is forgotten only
                 // after its last acknowledgement, so no participant still in
                 // doubt can be asking about one.
-                reply(Msg::Outcome {
-                    aid,
-                    committed: false,
-                });
+                let committed = false;
+                reply(Msg::Outcome { aid, committed });
                 Ok(())
             }
             Msg::PrepareOk { .. }
@@ -835,16 +838,15 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
         step: impl FnOnce(&mut Coordinator, &mut Vec<CoordEffect>),
         fx: &mut Effects,
     ) -> WorldResult<()> {
-        let Some(coordinator) = self.coordinators.get_mut(&aid) else {
+        let row = self.actions.get_mut(&aid);
+        let Some(coordinator) = row.and_then(|row| row.coordinator.as_mut()) else {
             return Ok(());
         };
         let undecided = coordinator.phase() == CoordPhase::Preparing;
         let mut effects = self.spare_fx.pop().unwrap_or_default();
         step(coordinator, &mut effects);
         if undecided && coordinator.phase() == CoordPhase::Aborted {
-            self.heap.abort_action(aid);
-            self.mos.remove(&aid);
-            self.rs.discard(aid);
+            self.abort_unprepared(aid);
         }
         let ran = self.exec_coord(aid, &mut effects, fx);
         effects.clear();
@@ -870,8 +872,11 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                     // out since it began is unknown here and aborts, as it
                     // would by refusing a prepare (§2.2.2).
                     let now = self.clock.now();
-                    let coordinator = self.coordinators.get(&aid);
-                    let (timer, span, gids) = match coordinator {
+                    let Some(row) = self.actions.get_mut(&aid) else {
+                        continue;
+                    };
+                    let mos = std::mem::take(&mut row.mos);
+                    let (timer, span, gids) = match &row.coordinator {
                         Some(c) if !c.is_local() => (
                             Hist::TwopcCommittingUs,
                             Kind::CommitPoint,
@@ -879,8 +884,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                         ),
                         _ => (Hist::TwopcCommitUs, Kind::CommitLocally, &[][..]),
                     };
-                    let staged = if self.known.contains(&aid) {
-                        let mos = self.mos.remove(&aid).unwrap_or_default();
+                    let staged = if row.known {
                         self.rs.stage_commit_point(aid, &mos, &self.heap, gids)
                     } else {
                         Err(RsError::BadState(format!("{aid} is unknown at {from}")))
@@ -905,8 +909,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                     // Every participant holds its verdict (the thesis's
                     // `done`): the action leaves nothing behind. A commit's
                     // verdict went to the client at the commit point.
-                    self.coordinators.remove(&aid);
-                    self.known.remove(&aid);
+                    self.actions.remove(&aid);
                     if !committed {
                         debug_assert!(fx.resolved.is_none(), "one verdict per step");
                         fx.resolved = Some((aid, false));
@@ -935,12 +938,13 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 PartEffect::Finished { .. } => {
                     // Forgotten: a late `Prepare` is refused as unknown, a
                     // late `Commit` re-acknowledged, a late `Abort` ignored.
-                    self.participants.remove(&aid);
-                    self.known.remove(&aid);
+                    self.actions.remove(&aid);
                     continue;
                 }
                 PartEffect::PrepareLocally => {
-                    let mos = self.mos.remove(&aid).unwrap_or_default();
+                    let row = self.actions.get_mut(&aid);
+                    let mos = row.map(|row| std::mem::take(&mut row.mos));
+                    let mos = mos.unwrap_or_default();
                     let staged = self.rs.stage_prepare(aid, &mos, &self.heap);
                     (
                         StagedOp::Prepare(aid),
@@ -975,7 +979,8 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             self.obs.record_since(timer, &self.clock, now);
             if matches!((op, &staged), (StagedOp::Prepare(_), Err(e)) if !e.is_crash()) {
                 // The prepare could not be written: refuse.
-                let participant = self.participants.get_mut(&aid);
+                let row = self.actions.get_mut(&aid);
+                let participant = row.and_then(|row| row.participant.as_mut());
                 queue.extend(participant.map(|p| p.prepare_failed()).unwrap_or_default());
                 self.twopc_span(span, aid, now);
             } else if !self.staged(op, span, now, staged, fx)? {

@@ -1,6 +1,10 @@
-//! What the world remembers about a live action, as one record.
+//! What each party remembers about an action, as one record: a guardian's
+//! [`LocalAction`] while the action is known there, the world's
+//! [`LiveAction`] until its client takes its answer.
 
-use argus_objects::GuardianId;
+use argus_cc::CcFate;
+use argus_objects::{GuardianId, HeapId};
+use argus_twopc::{Coordinator, Participant};
 
 /// Guardians held inline before a set spills to the heap: an action
 /// touches one guardian, or two when it crosses shards.
@@ -53,8 +57,8 @@ impl GidSet {
     }
 }
 
-/// A live action: begun — or seen touching an object — and neither
-/// committed nor aborted.
+/// An action in the world's eyes: begun — or seen touching an object — and
+/// not yet answered to its client, or answered and not yet asked.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LiveAction {
     /// Begin index: the deadlock victim is the *youngest* cycle member,
@@ -65,16 +69,38 @@ pub(crate) struct LiveAction {
     /// see begin (or saw resolve already) that touched an object anyway: it
     /// must still give its locks back, but it has no span.
     pub(crate) began_at: Option<u64>,
-    /// Simulated time its commit was launched, until the round is recorded.
+    /// Simulated time its commit was launched, until it is answered and the
+    /// round is recorded. Until its commit is launched, an action may still
+    /// stage a force wherever it touched an object.
     pub(crate) launched_at: Option<u64>,
-    /// Whether its commit was launched. Until then it may still stage a
-    /// force wherever it touched an object.
-    pub(crate) launched: bool,
     /// Guardians the action has touched an object at, its origin among them
     /// from the start: where it wrote, and where it only read — there it
     /// holds read locks, so that guardian too must join two-phase commit
     /// for them to be released with the action (a read-only participant).
     pub(crate) touched: GidSet,
+    /// What its client is told once it asks: `Ok(committed)`, the verdict
+    /// `commit_settle` takes, or `Err(fate)`, why the lock scheduler gave
+    /// up on it, which `take_cc_fate` takes. An answered action is no
+    /// longer live: it holds no lock and waits for nothing.
+    pub(crate) answer: Option<Result<bool, CcFate>>,
+}
+
+/// An action a guardian knows: it ran there since the last restart, or is
+/// in two-phase commit there. Forgotten, it answers as unknown — what a
+/// crash leaves too.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LocalAction {
+    /// What it modified here and has not prepared: its MOS (§2.3).
+    pub(crate) mos: Vec<HeapId>,
+    /// Its coordinator, at its origin, once its commit was asked for.
+    pub(crate) coordinator: Option<Coordinator>,
+    /// Its participant, once a `Prepare` came.
+    pub(crate) participant: Option<Participant>,
+    /// Whether its work is in this heap, so a `Prepare` is answered and a
+    /// commit point staged (§2.2.2's "known"). Only a machine's row lacks
+    /// it: a coordinator recovery resumed, or a machine whose action a
+    /// crash or a local abort wiped out here — a commit point for it aborts.
+    pub(crate) known: bool,
 }
 
 #[cfg(test)]

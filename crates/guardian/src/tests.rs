@@ -205,7 +205,7 @@ fn coordinator_crash_before_committing_aborts() {
                 );
                 // And g1 must not be left in doubt.
                 let g1_ref = w.guardian(g1).unwrap();
-                assert!(g1_ref.participants.is_empty(), "{kind:?} budget={budget}");
+                assert!(g1_ref.actions.is_empty(), "{kind:?} budget={budget}");
                 done = true;
             }
         }
@@ -317,13 +317,8 @@ fn early_prepare_speeds_up_the_hybrid_prepare() {
     w.set_stable(g, a, "a", Value::Int(1)).unwrap();
     w.early_prepare(g, a).unwrap();
     // Nothing left in the MOS: the prepare only forces the outcome entry.
-    assert!(w
-        .guardian(g)
-        .unwrap()
-        .mos
-        .get(&a)
-        .map(|m| m.is_empty())
-        .unwrap_or(true));
+    let row = w.guardian(g).unwrap().actions.get(&a);
+    assert!(row.is_none_or(|row| row.mos.is_empty()));
     assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
     w.crash(g);
     w.restart(g).unwrap();
@@ -359,10 +354,10 @@ fn housekeeping_under_live_traffic() {
 }
 
 /// A local commit leaves nothing per action behind, at its guardian or in
-/// the world: no participant machine, no coordinator entry, no MOS, its
-/// `known` entry gone when it finishes and its verdict once `commit` took
-/// it. After 10⁴ of them a restart rebuilds nothing for any, and one that
-/// cannot commit (its guardian forgot it in the crash) aborts as cleanly.
+/// the world: its guardian's row goes when it finishes and the world's once
+/// `commit` took its verdict. After 10⁴ of them a restart rebuilds nothing
+/// for any, and one that cannot commit (its guardian forgot it in the
+/// crash) aborts as cleanly.
 #[test]
 fn ten_thousand_local_commits_leave_no_per_action_residue() {
     for kind in RsKind::ALL {
@@ -552,7 +547,7 @@ fn a_prepare_for_an_unknown_action_is_refused_without_touching_the_device() {
             ..Effects::default()
         };
         assert_eq!(fx, only_mail, "{kind:?}");
-        assert!(g.staged.is_empty() && g.participants.is_empty(), "{kind:?}");
+        assert!(g.staged.is_empty() && g.actions.is_empty(), "{kind:?}");
         assert_eq!(g.plan.op_counts(), ops, "{kind:?}: no device operation");
     }
 }
@@ -566,7 +561,7 @@ fn a_duplicate_prepare_does_nothing() {
         let prepare = || Input::Message(mail(0, 1, Msg::Prepare { aid }));
         let first = step(&mut g, prepare());
         assert_eq!(first.due.len() + first.send.len(), 1, "{kind:?}: {first:?}");
-        assert!(g.participants.contains_key(&aid), "{kind:?}");
+        assert!(g.participant(aid).is_some(), "{kind:?}");
         assert_eq!(step(&mut g, prepare()), Effects::default(), "{kind:?}");
     }
 }
@@ -593,10 +588,7 @@ fn a_local_commit_is_one_deadline_then_one_verdict() {
             ..Effects::default()
         };
         assert_eq!(fx, only_verdict, "{kind:?}");
-        assert!(
-            !g.known.contains(&aid),
-            "{kind:?}: a local action is forgotten"
-        );
+        assert!(!g.knows(aid), "{kind:?}: a local action is forgotten");
         assert_eq!(g.stable_value("x"), Some(Value::Int(1)), "{kind:?}");
     }
 }

@@ -8,7 +8,7 @@ use argus_cc::{
     CcFate, CcOutcome, CcPolicy, DeadlockSearch, Front, LockManager, LockMode, ObjKey, Waiter,
     WAIT_TIMEOUT_US,
 };
-use argus_core::{HousekeepingMode, RecoveryOutcome};
+use argus_core::{HousekeepingMode, PState, RecoveryOutcome};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, Uid, Value};
 use argus_obs::{Count, Hist};
 use argus_sim::{CostModel, IntMap, SimClock};
@@ -133,18 +133,10 @@ pub struct World {
     tracer: argus_trace::Tracer,
     guardians: BTreeMap<GuardianId, Guardian>,
     net: SimNetwork,
-    /// Every action begun and not yet resolved (the coordinator finished,
-    /// or it was aborted locally), with the guardians it touched — the only
-    /// actions a deadlock cycle can contain, so the only ones whose begin
-    /// order is worth keeping.
+    /// One row per action from `begin` until its client takes its answer
+    /// or aborts it, with the guardians it touched. Until it is answered it
+    /// is live: only a live action's begin order picks a deadlock victim.
     pub(crate) live: IntMap<ActionId, LiveAction>,
-    /// Verdicts of finished coordinators that no [`World::commit_settle`]
-    /// has taken yet.
-    outcomes: IntMap<ActionId, bool>,
-    /// Commits launched at a guardian with a housekeeping policy, each with
-    /// its policed participants, until they are settled. Empty in a world
-    /// with no policy.
-    policed: Vec<(ActionId, Vec<GuardianId>)>,
     next_gid: u32,
     /// Storage knobs applied to every guardian spawned in this world.
     cfg: WorldConfig,
@@ -165,9 +157,6 @@ pub struct World {
     /// Probe every front on every pass, as if no refusal were remembered —
     /// the reference the remembering pump is tested against.
     cc_exhaustive: bool,
-    /// Why the scheduler gave up on parked actions (victim/timeout/crash),
-    /// until [`World::take_cc_fate`] asks.
-    cc_fates: IntMap<ActionId, CcFate>,
     next_begin: u64,
     /// Guardians holding a non-empty staged batch, maintained at every
     /// staging site so the message loop's idle flush visits only guardians
@@ -221,8 +210,6 @@ impl World {
             guardians: BTreeMap::new(),
             net: SimNetwork::new(),
             live: IntMap::default(),
-            outcomes: IntMap::default(),
-            policed: Vec::new(),
             next_gid: 0,
             cfg,
             cc: LockManager::new(),
@@ -230,7 +217,6 @@ impl World {
             cc_stamps: Vec::new(),
             cc_quiet: None,
             cc_exhaustive: false,
-            cc_fates: IntMap::default(),
             next_begin: 0,
             staged_ready: BTreeSet::new(),
             riding: BTreeSet::new(),
@@ -562,11 +548,15 @@ impl World {
                 return;
             };
             self.obs.inc(Count::CcDeadlocks);
+            let order = |a: &ActionId| {
+                let live = self.live.get(a).filter(|l| l.answer.is_none());
+                live.map_or(0, |l| l.order)
+            };
             let victim = cycle
                 .iter()
                 .copied()
                 .filter(|a| !self.in_two_phase_commit(*a))
-                .max_by_key(|a| self.live.get(a).map_or(0, |l| l.order))
+                .max_by_key(order)
                 .unwrap_or(start);
             self.obs.inc(Count::CcVictims);
             self.tracer.instant(
@@ -575,8 +565,7 @@ impl World {
                 Some(tkey(victim)),
                 &[cycle.len() as u64],
             );
-            self.cc_fates.insert(victim, CcFate::Victim);
-            self.abort_local(victim);
+            self.abort_here(victim, Some(CcFate::Victim));
             // The parker itself was the victim: its request is gone, and
             // with it every remaining cycle through it.
             if victim == start || !self.cc.is_blocked(start) {
@@ -694,8 +683,7 @@ impl World {
         let any = !expired.is_empty();
         for aid in expired {
             self.obs.inc(Count::CcTimeouts);
-            self.cc_fates.insert(aid, CcFate::TimedOut);
-            self.abort_local(aid);
+            self.abort_here(aid, Some(CcFate::TimedOut));
         }
         any
     }
@@ -722,18 +710,19 @@ impl World {
     /// deadlock leaves its `deadlock_victim` trace instant and the
     /// `cc.deadlocks`/`cc.victims` counts behind, nothing per action.
     pub fn take_cc_fate(&mut self, aid: ActionId) -> Option<CcFate> {
-        self.cc_fates.remove(&aid)
+        let fate = self.live.get(&aid)?.answer?.err()?;
+        self.live.remove(&aid);
+        Some(fate)
     }
 
-    /// Actions the world still considers live: begun and neither committed
-    /// nor aborted — they may legitimately hold locks. The stale-lock lint
-    /// (I11) checks quiesced heaps against this set.
+    /// Actions the world still considers live: begun and not answered, or
+    /// known at a guardian — they may legitimately hold locks. The
+    /// stale-lock lint (I11) checks quiesced heaps against this set.
     pub fn live_actions(&self) -> BTreeSet<ActionId> {
-        let mut live: BTreeSet<ActionId> = self.live.keys().copied().collect();
+        let open = self.live.iter().filter(|(_, l)| l.answer.is_none());
+        let known = self.guardians.values().flat_map(|gu| gu.actions.keys());
+        let mut live: BTreeSet<ActionId> = open.map(|(aid, _)| aid).chain(known).copied().collect();
         live.extend(self.cc.blocked_actions());
-        for guardian in self.guardians.values() {
-            live.extend(guardian.live_actions());
-        }
         live
     }
 
@@ -754,11 +743,15 @@ impl World {
     /// Early-prepares `aid`'s current MOS at `g` (§4.4); objects that were
     /// inaccessible stay in the MOS.
     pub fn early_prepare(&mut self, g: GuardianId, aid: ActionId) -> WorldResult<()> {
-        let guardian = self.up(g)?;
-        let mos = guardian.mos.remove(&aid).unwrap_or_default();
-        match guardian.rs.write_entry(aid, &mos, &guardian.heap) {
+        let Guardian {
+            rs, heap, actions, ..
+        } = self.up(g)?;
+        let Some(row) = actions.get_mut(&aid) else {
+            return Ok(());
+        };
+        match rs.write_entry(aid, &row.mos, heap) {
             Ok(leftover) => {
-                guardian.mos.insert(aid, leftover);
+                row.mos = leftover;
                 Ok(())
             }
             Err(e) if e.is_crash() => {
@@ -771,41 +764,36 @@ impl World {
 
     /// Locally aborts an action that has not entered two-phase commit.
     /// Parked lock requests of the action are cancelled, and any locks it
-    /// released may wake other waiters. No verdict is booked: the caller
-    /// knows it.
+    /// released may wake other waiters. Its row goes with no answer: the
+    /// caller knows it.
     pub fn abort_local(&mut self, aid: ActionId) {
+        self.abort_here(aid, None);
+    }
+
+    /// Aborts `aid` at every guardian it touched. With a `fate`, its row
+    /// stays, answered, until its client takes the fate; with none, it goes.
+    fn abort_here(&mut self, aid: ActionId, fate: Option<CcFate>) {
         self.cc.cancel(aid);
-        let live = self.live.remove(&aid).unwrap_or_default();
+        let mut live = self.live.remove(&aid).unwrap_or_default();
         for g in live.touched.as_slice() {
             if let Some(guardian) = self.guardians.get_mut(g) {
-                guardian.heap.abort_action(aid);
-                guardian.mos.remove(&aid);
-                guardian.known.remove(&aid);
-                guardian.rs.discard(aid);
+                guardian.abort_unprepared(aid);
             }
         }
-        if cfg!(debug_assertions) {
-            // Locks are only ever taken at touched guardians, so the
-            // leak check need not visit the rest of the world.
-            for g in live.touched.as_slice() {
-                let Some(guardian) = self.guardians.get(g) else {
-                    continue;
-                };
-                let held = guardian.heap.locks_held_by(aid);
-                debug_assert!(
-                    held.is_empty(),
-                    "aborted action {aid} still holds locks on {held:?} at {g}"
-                );
-            }
+        let spans = (live.began_at.take(), live.launched_at.take());
+        self.close_action(aid, spans, false);
+        if let Some(fate) = fate {
+            live.answer = Some(Err(fate));
+            self.live.insert(aid, live);
         }
-        self.close_action(aid, &live, false);
         self.cc_pump();
     }
 
     /// Closes `aid`, which just stopped being live: its end-to-end trace
-    /// span and its commit round end.
-    fn close_action(&mut self, aid: ActionId, live: &LiveAction, committed: bool) {
-        if let Some(began_at) = live.began_at {
+    /// span and its commit round end, each taken from its row once.
+    fn close_action(&self, aid: ActionId, spans: (Option<u64>, Option<u64>), committed: bool) {
+        let (began_at, launched_at) = spans;
+        if let Some(began_at) = began_at {
             self.tracer.complete(
                 Kind::Action,
                 aid.coordinator.0,
@@ -814,7 +802,7 @@ impl World {
                 &[u64::from(committed)],
             );
         }
-        if let Some(launched_at) = live.launched_at {
+        if let Some(launched_at) = launched_at {
             self.obs
                 .record_since(Hist::TwopcCommitRoundUs, &self.clock, launched_at);
         }
@@ -881,24 +869,11 @@ impl World {
     pub fn commit_start(&mut self, aid: ActionId) -> WorldResult<()> {
         self.up(aid.coordinator)?;
         // Every guardian `aid` must run two-phase commit with, in id order:
-        // its origin and wherever it touched an object. Captured up front:
-        // the record goes when the action resolves.
-        let gids: Vec<GuardianId> = match self.live.get_mut(&aid) {
-            Some(live) => {
-                live.launched_at = Some(self.clock.now());
-                live.launched = true;
-                live.touched.insert(aid.coordinator);
-                live.touched.as_slice().to_vec()
-            }
-            None => vec![aid.coordinator],
-        };
-        // Only this action's participants append records, so theirs are the
-        // housekeeping policies its settling must apply.
-        let hk = |g: &GuardianId| self.guardians.get(g).is_some_and(|u| u.hk_policy.is_some());
-        if gids.iter().any(hk) {
-            let policed = gids.iter().copied().filter(hk).collect();
-            self.policed.push((aid, policed));
-        }
+        // its origin and wherever it touched an object.
+        let live = self.live.entry(aid).or_default();
+        live.launched_at = Some(self.clock.now());
+        live.touched.insert(aid.coordinator);
+        let gids = live.touched.as_slice().to_vec();
         self.step(aid.coordinator, Input::Commit(aid, gids))?;
         // A local commit stages here, with no delivery after it to poll the
         // force scheduler: a batch that is already due forces now.
@@ -909,11 +884,32 @@ impl World {
     /// launched with [`World::commit_start`], taking its verdict: the world
     /// keeps none it has handed out, so asking again reports
     /// [`Outcome::Pending`]. A caller answered `Pending` asks again once the
-    /// crashed guardian is back, and takes the verdict recovery booked.
+    /// crashed coordinator is back, and takes the verdict its recovery gave.
     pub fn commit_settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        let policed = self.policed.iter().position(|(a, _)| *a == aid);
-        let policed = policed.map(|at| self.policed.swap_remove(at).1);
-        let outcome = self.settle(aid)?;
+        // Only this action's participants append records, so theirs are the
+        // housekeeping policies its settling must apply.
+        let policed = self.live.get(&aid).map(|l| l.touched.clone());
+        self.run_until_quiet()?;
+        // With no verdict booked, a crash or a silence holds the protocol
+        // up. A coordinator still preparing has a participant down or
+        // silent: it aborts unilaterally (§2.2.1, the Argus-system timeout).
+        let origin = self.guardians.get(&aid.coordinator).filter(|gu| gu.up);
+        let coordinator = origin.and_then(|gu| gu.coordinator(aid));
+        let preparing = coordinator.is_some_and(|c| c.phase() == CoordPhase::Preparing);
+        if preparing {
+            self.step(aid.coordinator, Input::Timeout(aid))?;
+            self.run_until_quiet()?;
+        }
+        let verdict = self.verdict(aid);
+        if verdict.is_some() {
+            self.live.remove(&aid);
+        }
+        let outcome = match verdict {
+            Some(true) => Outcome::Committed,
+            Some(false) => Outcome::Aborted,
+            None if preparing => Outcome::Aborted,
+            None => Outcome::Pending,
+        };
         match outcome {
             Outcome::Committed => self.obs.inc(Count::WorldCommits),
             Outcome::Aborted => self.obs.inc(Count::WorldAborts),
@@ -922,45 +918,8 @@ impl World {
         // Apply any automatic housekeeping policies now that the log grew
         // ("as frequently as needed", ch. 5): every guardian's log growth
         // is checked at a commit it takes part in.
-        for g in policed.into_iter().flatten() {
-            self.maybe_housekeep(g)?;
-        }
-        Ok(outcome)
-    }
-
-    /// Quiesces and takes `aid`'s fate: its booked verdict, or — the
-    /// protocol held up by a crash or a silence — what its coordinator's
-    /// phase says. A verdict is booked at the commit point (or when
-    /// recovery resumes one), so a coordinator past it has none left to
-    /// give.
-    fn settle(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        let origin = aid.coordinator;
-        self.run_until_quiet()?;
-
-        if let Some(committed) = self.outcomes.remove(&aid) {
-            return Ok(if committed {
-                Outcome::Committed
-            } else {
-                Outcome::Aborted
-            });
-        }
-        let guardian = self.guardians.get(&origin).filter(|gu| gu.up);
-        let coordinator = guardian.and_then(|gu| gu.coordinators.get(&aid));
-        let outcome = match coordinator.map(|c| c.phase()) {
-            Some(CoordPhase::Preparing) => {
-                // Some participant is down or silent: unilateral abort
-                // (§2.2.1, the Argus-system timeout).
-                self.step(origin, Input::Timeout(aid))?;
-                self.run_until_quiet()?;
-                self.outcomes.remove(&aid);
-                Outcome::Aborted
-            }
-            _ => Outcome::Pending,
-        };
-        // A round still open when its caller stops waiting ends here.
-        if let Some(t0) = self.live.get_mut(&aid).and_then(|l| l.launched_at.take()) {
-            self.obs
-                .record_since(Hist::TwopcCommitRoundUs, &self.clock, t0);
+        for g in policed.iter().flat_map(|touched| touched.as_slice()) {
+            self.maybe_housekeep(*g)?;
         }
         Ok(outcome)
     }
@@ -986,8 +945,7 @@ impl World {
         // so their drivers see a fate and can retry.
         let drained = self.cc.drain_guardian(g);
         for (_key, waiter) in drained {
-            self.cc_fates.insert(waiter.aid, CcFate::CrashDrained);
-            self.abort_local(waiter.aid);
+            self.abort_here(waiter.aid, Some(CcFate::CrashDrained));
         }
     }
 
@@ -1142,11 +1100,18 @@ impl World {
             self.obs.inc(Count::WorldRecoveryCrashes);
             return Ok(None);
         };
-        // A recovered commit point is a verdict again: the client of an
-        // action whose `done` the crash lost, or who was told `Pending`,
-        // takes it from here.
-        for (aid, _) in outcome.ct.committing_actions() {
-            self.resolve(aid, true);
+        // Clients still waiting on a commit coordinated here — told
+        // `Pending`, as the crash took the coordinator — are answered from
+        // what recovery found: committed if the commit point came back
+        // (home's `committed`, or a `committing` record), aborted otherwise
+        // (presumed abort). A client answered before the crash is not.
+        let waiting = self.live.iter();
+        let waiting = waiting.filter(|(aid, l)| aid.coordinator == g && l.launched_at.is_some());
+        let mut waiting: Vec<ActionId> = waiting.map(|(aid, _)| *aid).collect();
+        waiting.sort_unstable();
+        for aid in waiting {
+            let home = outcome.pt.get(aid) == Some(PState::Committed);
+            self.resolve(aid, home || outcome.ct.get(aid).is_some());
         }
         self.run_until_quiet()?;
         // A node coming back may be the coordinator some other guardian's
@@ -1247,11 +1212,15 @@ impl World {
         }
     }
 
-    /// Books `aid`'s verdict for its client; the action stops being live.
+    /// Books `aid`'s verdict for its client, unless the client has been
+    /// answered already (or took the answer): the action stops being live.
     fn resolve(&mut self, aid: ActionId, committed: bool) {
-        let live = self.live.remove(&aid).unwrap_or_default();
-        self.close_action(aid, &live, committed);
-        self.outcomes.insert(aid, committed);
+        let Some(live) = self.live.get_mut(&aid).filter(|l| l.answer.is_none()) else {
+            return;
+        };
+        live.answer = Some(Ok(committed));
+        let spans = (live.began_at.take(), live.launched_at.take());
+        self.close_action(aid, spans, committed);
     }
 
     /// Forces the staged batch of every up guardian whose scheduler says
@@ -1279,7 +1248,8 @@ impl World {
 
     /// Whether some action has yet to ask for its commit.
     fn running(&self) -> bool {
-        self.live.values().any(|l| !l.launched)
+        let running = |l: &LiveAction| l.launched_at.is_none() && l.answer.is_none();
+        self.live.values().any(running)
     }
 
     /// Whether `g`, holding a staged batch, forces it once it is due. A
@@ -1354,17 +1324,15 @@ impl World {
     /// [`World::commit_settle`] has taken it yet — one recovery booked after
     /// the client was answered `Pending`, say. Looking does not take it.
     pub fn verdict(&self, aid: ActionId) -> Option<bool> {
-        self.outcomes.get(&aid).copied()
+        self.live.get(&aid)?.answer?.ok()
     }
 
-    /// The per-action rows the world and its guardians hold: live actions,
-    /// untaken verdicts and fates, parked requests and policed commits, and
-    /// every guardian's MOS, known actions, machines and staged steps. They
-    /// are bounded by the actions in flight and in doubt, not by history.
+    /// The per-action rows the world and its guardians hold: the world's and
+    /// every guardian's rows, parked requests and staged steps — bounded by
+    /// the actions in flight and in doubt, not by history.
     pub fn retained_actions(&self) -> usize {
-        let world = self.live.len() + self.outcomes.len() + self.cc_fates.len();
         let guardians = self.guardians.values().map(Guardian::retained_actions);
-        world + self.cc.waiter_count() + self.policed.len() + guardians.sum::<usize>()
+        self.live.len() + self.cc.waiter_count() + guardians.sum::<usize>()
     }
 
     /// Network statistics.

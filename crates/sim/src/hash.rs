@@ -9,8 +9,7 @@
 //!   hybrid and redo walk tables), `LogRs::{access, pat}` and the
 //!   `LogFormat` hooks that borrow them;
 //! * `shadow`: `ShadowRs::{intents, pd_index, coords, access, pat}`;
-//! * `guardian`: `World::{live, outcomes, cc_fates}`, `Guardian::{mos,
-//!   known, coordinators, participants}`, `SimNetwork::down`.
+//! * `guardian`: `World::live`, `Guardian::actions`, `SimNetwork::down`.
 //!
 //! `scripts/lint.sh` keeps the default hasher out of those crates' non-test
 //! code. `check`, `trace::attr` and `twopc::msg` keep it on purpose: their

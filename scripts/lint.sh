@@ -108,4 +108,15 @@ if grep -nE 'enum Fate\b|lint_heap_quiesced\(' $(find crates src tests examples 
     exit 1
 fi
 
+# One row per action: a guardian keeps what it knows of an action in its
+# one `actions` map, the world in its one `live` map, so every forget site
+# removes one row and a restart clears one map. Another field keyed by
+# action id in either file is rejected.
+if grep -nE '^[[:space:]]*(pub(\(crate\))? )?[a-z_]+: (IntMap<ActionId|IntSet<ActionId|Vec<\(ActionId)' \
+    crates/guardian/src/guardian.rs crates/guardian/src/world.rs |
+    grep -vE '^crates/guardian/src/(guardian\.rs:[0-9]+: +pub\(crate\) actions: IntMap<ActionId, LocalAction>|world\.rs:[0-9]+: +pub\(crate\) live: IntMap<ActionId, LiveAction>),$'; then
+    echo "lint: a second per-action table — fold it into the file's one row map" >&2
+    exit 1
+fi
+
 echo "lint: OK"

@@ -147,18 +147,14 @@ impl MixedRounds {
         }
     }
 
-    /// Restarts `g` and takes the verdicts its resumed coordinators booked:
-    /// the client of an action whose `done` the crash lost asks again.
-    /// Until it has, those verdicts are all the world holds: a crash at a
-    /// quiet moment leaves nothing else in doubt.
+    /// Restarts `g`. Its clients took their verdicts before the crash, so
+    /// the world books none again: a crash at a quiet moment leaves nothing
+    /// but what recovery resumed, and that finishes on its own.
     pub fn restart(&mut self, world: &mut World, g: argus::objects::GuardianId) {
         let recovered = world.restart(g).unwrap();
         let resumed = recovered.ct.committing_actions();
         let in_doubt = resumed.len() + recovered.pt.prepared_actions().len();
         assert!(world.retained_actions() <= in_doubt, "{:?}", self.kind);
-        for (aid, _) in resumed {
-            world.commit_settle(aid).unwrap();
-        }
     }
 
     /// The money and seat oracles.

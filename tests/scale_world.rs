@@ -16,6 +16,8 @@
 //! rides the next force there (DESIGN.md deviation 10), so a cross-shard
 //! commit costs two forces, not three — 0.6 × 1 + 0.4 × 2 = 1.40 a commit,
 //! plus one force per shard when the run drains (it read 1.80 before).
+//! `a_restart_after_the_benchmark_mix_books_no_verdict_again` restarts every
+//! shard of that world and finds no row left.
 
 mod common;
 
@@ -134,22 +136,28 @@ fn sharded_mix_does_not_depend_on_table_order() {
 }
 
 /// The benchmark's `sharded_2pc` shape — sixteen shards, 40 % of actions
-/// across two of them, 32 slots, the blocking policy, 1 250 actions — on
-/// every organization: device forces per committed action stay at or
-/// below 1.45.
+/// across two of them, 32 slots, 1 250 actions — set up on `kind` in a world
+/// running the blocking policy.
+fn benchmark_mix(kind: RsKind) -> (World, Sharded) {
+    let cc = WorldConfig::with_cc(CcPolicy::Blocking);
+    let mut world = World::with_config(CostModel::default(), cc);
+    let cfg = ShardedConfig {
+        shards: 16,
+        users: 2_560,
+        concurrency: 32,
+        actions: 1_250,
+        ..Default::default()
+    };
+    let mix = Sharded::setup(&mut world, kind, cfg).unwrap();
+    (world, mix)
+}
+
+/// The benchmark's mix on every organization: device forces per committed
+/// action stay at or below 1.45.
 #[test]
 fn the_benchmark_mix_forces_at_most_1_45_times_a_commit() {
     for kind in RsKind::ALL {
-        let cc = WorldConfig::with_cc(CcPolicy::Blocking);
-        let mut world = World::with_config(CostModel::default(), cc);
-        let cfg = ShardedConfig {
-            shards: 16,
-            users: 2_560,
-            concurrency: 32,
-            actions: 1_250,
-            ..Default::default()
-        };
-        let mix = Sharded::setup(&mut world, kind, cfg).unwrap();
+        let (mut world, mix) = benchmark_mix(kind);
         let forces = |world: &World| -> u64 {
             let shards = mix.shards().iter();
             shards
@@ -164,6 +172,26 @@ fn the_benchmark_mix_forces_at_most_1_45_times_a_commit() {
             (1.0..=1.45).contains(&per_commit),
             "{kind:?}: {per_commit:.3}"
         );
+    }
+}
+
+/// The benchmark's mix four times over (seeds 1–4), then a crash and a
+/// restart of every shard: once the world is quiet it holds no row. Every
+/// client took its verdict before the crash, so recovery books none again;
+/// a coordinator it resumes only finishes phase two.
+#[test]
+fn a_restart_after_the_benchmark_mix_books_no_verdict_again() {
+    for kind in RsKind::ALL {
+        let (mut world, mix) = benchmark_mix(kind);
+        for seed in 1..=4 {
+            mix.run(&mut world, &mut DetRng::new(seed)).unwrap();
+        }
+        for &g in mix.shards() {
+            world.crash(g);
+            world.restart(g).unwrap();
+        }
+        world.run_until_quiet().unwrap();
+        assert_eq!(world.retained_actions(), 0, "{kind:?}");
     }
 }
 

@@ -21,6 +21,9 @@
 //! coordinator forgets the action as it sends the aborts and nobody
 //! acknowledges one, so `an_aborted_distributed_action_leaves_no_record…`
 //! counts 3 deliveries (`Prepare`, `PrepareRefused`, `Abort`), not 4.
+//!
+//! A restart answers only a client still waiting, so `a_coordinator_crash…`
+//! finds no verdict booked for the action its client already settled.
 
 mod common;
 
@@ -402,7 +405,8 @@ fn a_coordinator_crash_that_loses_done_resumes_committing_and_finishes() {
         // coordinator's own guardian recovered `committed` with `committing`.
         assert_eq!(w.network().delivered() - acks, 2, "{kind:?}");
         assert_eq!(recovered.pt.get(a), Some(PState::Committed), "{kind:?}");
-        assert_eq!(w.verdict(a), Some(true), "{kind:?}");
+        // Its client took the verdict before the crash: none is booked again.
+        assert_eq!(w.verdict(a), None, "{kind:?}");
         assert_eq!((balance(&w, g0), balance(&w, g1)), (70, 130), "{kind:?}");
 
         // The rewritten `done` rides the coordinator's next force: after it
@@ -614,6 +618,111 @@ fn a_lost_abort_leaves_no_coordinator_waiting() {
         assert_eq!(w.network().dropped() - dropped, 2, "{kind:?}");
         w.restart(g1).unwrap();
         forgotten_everywhere(&mut w, kind, a, (100, 100));
+    }
+}
+
+/// An `Abort` after a lost `Prepare` (presumed abort, R*): every message of
+/// the commit is lost, so the participant never prepared and holds the
+/// action's write lock on its stable root. The coordinator times out and
+/// aborts; its `Abort` finds the action known and unprepared there and
+/// aborts it on the spot — versions and locks gone, no record written — so
+/// the next action there writes the root and nothing is left behind.
+#[test]
+fn an_abort_after_a_lost_prepare_frees_the_participants_locks() {
+    for kind in RsKind::ALL {
+        let mut w = World::fast();
+        let (g0, g1) = (w.add_guardian(kind).unwrap(), w.add_guardian(kind).unwrap());
+        let a = w.begin(g0).unwrap();
+        for g in [g0, g1] {
+            w.set_stable(g, a, "x", Value::Int(1)).unwrap();
+        }
+        w.set_network_faults(Some(NetFaults::new(1, 0.0, 0.0).with_drop(1.0)));
+        w.commit_start(a).unwrap();
+        w.run_until_quiet().unwrap();
+        w.set_network_faults(None);
+        assert!(
+            w.network().fault_dropped() > 0,
+            "{kind:?}: the prepare is lost"
+        );
+        assert_eq!(w.commit_settle(a).unwrap(), Outcome::Aborted, "{kind:?}");
+
+        let later = w.begin(g1).unwrap();
+        w.set_stable(g1, later, "x", Value::Int(2)).unwrap();
+        assert_eq!(w.commit(later).unwrap(), Outcome::Committed, "{kind:?}");
+        let x = w.guardian(g1).unwrap().stable_value("x");
+        assert_eq!(x, Some(Value::Int(2)), "{kind:?}");
+        assert_eq!(w.retained_actions(), 0, "{kind:?}");
+        common::lint_world(&mut w);
+    }
+}
+
+/// A client told `Pending` is answered once the coordinator is back. The
+/// crash takes the coordinator at its first page write — its commit point —
+/// so recovery finds nothing of the action: the world answers `Aborted`
+/// (presumed abort), neither write shows, and nothing of it is left.
+#[test]
+fn a_client_told_pending_is_answered_after_the_coordinators_restart() {
+    for kind in RsKind::ALL {
+        let (mut w, g0, g1) = setup(kind);
+        let a = w.begin(g0).unwrap();
+        deposit(&mut w, g0, a, -30);
+        deposit(&mut w, g1, a, 30);
+        w.arm_crash_after_writes(g0, 0).unwrap();
+        assert_eq!(w.commit(a).unwrap(), Outcome::Pending, "{kind:?}");
+        w.crash(g0);
+        w.restart(g0).unwrap();
+        w.requery_in_doubt().unwrap();
+        assert_eq!(w.commit_settle(a).unwrap(), Outcome::Aborted, "{kind:?}");
+        assert_eq!((balance(&w, g0), balance(&w, g1)), (100, 100), "{kind:?}");
+        assert_eq!(w.retained_actions(), 0, "{kind:?}");
+        common::lint_world(&mut w);
+    }
+}
+
+/// The answer recovery gives a client told `Pending` is the truth: a crash
+/// at every device operation of the coordinator's commit point, for a local
+/// action and a two-guardian one, and after the restart the client is
+/// answered `Committed` exactly where the transfer shows.
+#[test]
+fn a_pending_client_is_answered_as_recovery_found_the_commit_point() {
+    let transfer = |w: &mut World, g0, g1, remote: bool| {
+        let a = w.begin(g0).unwrap();
+        deposit(w, g0, a, -30);
+        if remote {
+            deposit(w, g1, a, 30);
+        }
+        a
+    };
+    for kind in RsKind::ALL {
+        for remote in [false, true] {
+            // The oracle run counts the coordinator's device operations.
+            let (mut w, g0, g1) = setup(kind);
+            let a = transfer(&mut w, g0, g1, remote);
+            let before = w.fault_plan(g0).unwrap().op_counts();
+            assert_eq!(w.commit(a).unwrap(), Outcome::Committed);
+            let ops = w.fault_plan(g0).unwrap().op_counts().since(&before);
+
+            for k in 0..ops.total() {
+                let case = format!("{kind:?} remote={remote} op {k}");
+                let (mut w, g0, g1) = setup(kind);
+                let a = transfer(&mut w, g0, g1, remote);
+                w.arm_crash_after_ops(g0, k).unwrap();
+                let told = w.commit(a).unwrap();
+                assert!(!w.is_up(g0), "{case}: the armed crash never fired");
+                w.crash(g0);
+                w.restart(g0).unwrap();
+                w.requery_in_doubt().unwrap();
+                let answer = match told {
+                    Outcome::Pending => w.commit_settle(a).unwrap(),
+                    told => told,
+                };
+                let shows = balance(&w, g0) == 70;
+                assert_ne!(answer, Outcome::Pending, "{case}");
+                assert_eq!(answer == Outcome::Committed, shows, "{case}: {answer:?}");
+                assert_eq!(w.retained_actions(), 0, "{case}");
+                common::lint_world(&mut w);
+            }
+        }
     }
 }
 
