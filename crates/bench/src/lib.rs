@@ -824,12 +824,12 @@ fn e10_abort_rate() -> Table {
 /// E11 — bounded model check of two-phase commit (DESIGN.md § Checking).
 ///
 /// Runs the `argus-check` interleaving explorer — real guardians, stepped
-/// as `World` steps them, over a model log — across a sweep of crash/drop
-/// budgets and reports its coverage: distinct states visited, crashes
-/// injected, messages dropped, and per-log lints — all of which must find
-/// **zero** atomicity violations. The same counters are exported through
-/// `argus-obs` (`check.explore.*`), so the harness's per-run metrics report
-/// shows them alongside every other layer's.
+/// as `World` steps them, over each organization's real recovery system —
+/// across a sweep of crash/drop budgets and reports its coverage: distinct
+/// states visited, crashes injected, messages dropped, and per-log lints —
+/// all of which must find **zero** atomicity violations. The same counters
+/// are exported through `argus-obs` (`check.explore.*`), so the harness's
+/// per-run metrics report shows them alongside every other layer's.
 fn e11_explore_coverage() -> Table {
     use argus_check::{ExploreConfig, Explorer};
 
@@ -837,39 +837,43 @@ fn e11_explore_coverage() -> Table {
         "E11",
         "Bounded 2PC interleaving exploration: coverage vs. fault budget",
         "required: zero atomicity violations (A1-A4 + termination) in every configuration; eager restarts re-check the stale-vote race class",
-        "participants | crashes | drops | eager restarts | states | crash points | dropped msgs | lints | terminal | violations",
+        "organization | participants | crashes | drops | eager restarts | states | crash points | dropped msgs | lints | terminal | violations",
     );
-    for (participants, max_crashes, max_drops, eager_restarts) in [
-        // No participants: a local action, committed in one forced step.
-        (0usize, 2u32, 0u32, true),
-        (1, 2, 1, true),
-        (2, 2, 1, false),
-        (3, 1, 0, false),
-        (8, 1, 0, false),
-    ] {
-        let report = Explorer::new(ExploreConfig {
-            participants,
-            max_crashes,
-            max_drops,
-            max_states: 200_000,
-            allow_refusal: true,
-            eager_restarts,
-        })
-        .run();
-        report.assert_ok();
-        let s = report.stats;
-        table.row(row![
-            participants,
-            max_crashes,
-            max_drops,
-            if eager_restarts { "yes" } else { "no" },
-            s.states_visited,
-            s.crash_points,
-            s.drops,
-            s.lint_runs,
-            s.terminal_states,
-            report.violations.len(),
-        ]);
+    for kind in RsKind::ALL {
+        for (participants, max_crashes, max_drops, eager_restarts) in [
+            // No participants: a local action, committed in one forced step.
+            (0usize, 2u32, 0u32, true),
+            (1, 2, 1, true),
+            (2, 2, 1, false),
+            (3, 1, 0, false),
+            (8, 1, 0, false),
+        ] {
+            let report = Explorer::new(ExploreConfig {
+                kind,
+                participants,
+                max_crashes,
+                max_drops,
+                max_states: 200_000,
+                allow_refusal: true,
+                eager_restarts,
+            })
+            .run();
+            report.assert_ok();
+            let s = report.stats;
+            table.row(row![
+                kind.name(),
+                participants,
+                max_crashes,
+                max_drops,
+                if eager_restarts { "yes" } else { "no" },
+                s.states_visited,
+                s.crash_points,
+                s.drops,
+                s.lint_runs,
+                s.terminal_states,
+                report.violations.len(),
+            ]);
+        }
     }
     table
 }

@@ -1,12 +1,12 @@
 //! The bounded 2PC interleaving explorer.
 //!
 //! A deterministic DFS over real [`Guardian`]s — the code `argus-guardian`'s
-//! `World` runs, driven through [`Guardian::step`] — each over a
-//! `ModelRs`, a recovery system whose records are values. Guardian 0
-//! coordinates one action that ran at every guardian, its own included, as
-//! `World` builds it. The explorer enumerates every message reordering,
-//! message drop, crash and restart up to a configurable budget, and checks
-//! atomicity at every reachable state:
+//! `World` runs, driven through [`Guardian::step`] — each over its own
+//! memory store and the real recovery system [`ExploreConfig::kind`] names.
+//! Guardian 0 coordinates one action that ran at every guardian, its own
+//! included, as `World` builds it. The explorer enumerates every message
+//! reordering, message drop, crash and restart up to a configurable budget,
+//! and checks atomicity at every reachable state:
 //!
 //! * **A1** — a participant only logs `committed` after the coordinator
 //!   logged `committing` (the commit point, §2.2.1); the client is told
@@ -17,6 +17,7 @@
 //!   atomicity violation.
 //! * **A3** — every guardian's log passes the static linter
 //!   ([`crate::lint_log`]) at every reachable state, crash states included.
+//!   Shadowing's `dump_log` is `None`: it skips A3, as [`crate::standing`] does.
 //! * **A4** — past the commit point nobody aborts: a `committing` record and
 //!   an `aborted` record (or a client told "aborted") never coexist.
 //! * **DOUBT** — no guardian is ever in doubt about an action it coordinates:
@@ -32,30 +33,39 @@
 //! every in-doubt participant and re-send of a committing coordinator — or
 //! a guardian's [`Guardian::force`] with the continuations it returns, a
 //! crash, a restart through [`Guardian::restart`] (the function
-//! `World::restart` calls), or a drop. What a step stages is
-//! durable only once its guardian forces it, so a crash in between loses it;
-//! a participant refusing its prepare is a non-crash fault of its model
-//! log's `stage_prepare`. The coordinator's `done` waits for a force only a
-//! later action would bring: here a crash loses it, or it stays staged.
-//! Durable facts are read through recovery itself: a log's participant and
-//! coordinator tables are what `ModelRs`'s `recover` rebuilds.
+//! `World::restart` calls), or a drop. What a step stages is durable only
+//! once its guardian forces it, so a crash in between loses it. A
+//! participant refuses its prepare by aborting the action on its own
+//! ([`Guardian::abort_unprepared`]) just before the `Prepare` arrives, which
+//! then finds it unknown (§2.2.2). The coordinator's `done` waits for a
+//! force only a later action would bring: here a crash loses it, or it
+//! stays staged. Durable facts are what the organization's `recover`
+//! rebuilds from the forced records.
 
 use crate::image::LogImage;
 use crate::lint::lint_log;
-use crate::model::ModelRs;
-use argus_core::{PState, RecoverySystem};
-use argus_guardian::{Effects, Guardian, Input, Touch, WorldResult};
+use argus_core::providers::MemProvider;
+use argus_core::{
+    HybridLogRs, LogFormat, LogRs, PState, RecoverySystem, RedoRs, RsResult, SimpleLogRs,
+};
+use argus_guardian::{Effects, Guardian, Input, RsKind, Touch, WorldResult};
 use argus_objects::{ActionId, GuardianId, Heap, Value};
 use argus_obs::Count;
+use argus_shadow::ShadowRs;
 use argus_twopc::{CoordPhase, Envelope, Msg, PartPhase};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
+/// The log under every organization the explorer runs.
+type MemLog = argus_slog::StableLog<argus_stable::MemStore>;
+
 /// Exploration budgets.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
+    /// The organization every guardian's recovery system is.
+    pub kind: RsKind,
     /// Number of participant guardians besides the coordinator's. Zero
     /// makes the action local: the coordinator's guardian is its only
     /// participant.
@@ -83,6 +93,7 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         Self {
+            kind: RsKind::Hybrid,
             participants: 2,
             max_crashes: 1,
             max_drops: 1,
@@ -141,10 +152,64 @@ impl ExploreReport {
     }
 }
 
-// ---- model state ---------------------------------------------------------
+// ---- the explored state ---------------------------------------------------
 
-/// One guardian of the model.
-type Node = Guardian<ModelRs>;
+/// An organization the explorer runs: a recovery system over one memory
+/// store, cloned with its guardian whenever a move steps it.
+trait Org: RecoverySystem + Clone {
+    /// The log on the store: everything the organization keeps durably.
+    fn log(&self) -> &MemLog;
+}
+
+impl<F: LogFormat + Clone> Org for LogRs<MemProvider, F>
+where
+    F::Pass: Clone,
+{
+    fn log(&self) -> &MemLog {
+        LogRs::log(self)
+    }
+}
+
+impl Org for ShadowRs<MemProvider> {
+    fn log(&self) -> &MemLog {
+        ShadowRs::log(self)
+    }
+}
+
+/// One guardian and the digest of its store, taken when a move last
+/// stepped it: hashes of its forced records' payloads and of its staged ones'.
+#[derive(Debug, Clone)]
+struct Node<R> {
+    g: Guardian<R>,
+    digest: [u64; 2],
+}
+
+impl<R: Org> Node<R> {
+    /// A copy of `rs`'s log forces what is staged and walks back over every
+    /// record, hashing the newest `staged` of them apart from the rest —
+    /// payloads only: a frame carries the log's epoch, which a restart bumps.
+    fn digest(rs: &R) -> [u64; 2] {
+        let mut log = rs.log().clone();
+        let staged = log.pending_count();
+        log.force().expect("a memory log forces");
+        let mut h = [DefaultHasher::new(), DefaultHasher::new()];
+        let (mut walk, mut n) = (log.walk_backward(None), 0);
+        while let Some(entry) = walk.next_entry() {
+            let (_, _, payload) = entry.expect("a memory log reads back");
+            payload.hash(&mut h[usize::from(n < staged)]);
+            n += 1;
+        }
+        h.map(|h| h.finish())
+    }
+}
+
+/// `x` hashed with [`DefaultHasher`], which is deterministic: it is built
+/// with fixed keys, never seeded.
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
 
 /// One step of the schedule that produced a state, as a singly linked list
 /// shared structurally between a state and its successors. This is the
@@ -159,8 +224,8 @@ struct PathNode {
 /// One global state of the protocol. Guardians sit behind an [`Rc`]: a
 /// successor shares every guardian its move did not step.
 #[derive(Debug, Clone)]
-struct State {
-    nodes: Vec<Rc<Node>>,
+struct State<R> {
+    nodes: Vec<Rc<Node<R>>>,
     inflight: Vec<Envelope>,
     /// The client's commit request reached the coordinator, or died with it.
     started: bool,
@@ -175,28 +240,20 @@ struct State {
     path: Option<Rc<PathNode>>,
 }
 
-impl State {
+impl<R: Org> State<R> {
     /// A canonical fingerprint: each guardian's protocol state for `aid`
-    /// and its log, and the in-flight multiset (order-insensitive). Hashed
-    /// with [`DefaultHasher`], which is deterministic — it is built with
-    /// fixed keys, never seeded. The heap is left out: what it holds for
-    /// the action follows from the machines and the log.
+    /// and its store's digest, and the in-flight multiset (order-
+    /// insensitive). It must cover every field that steers a later step: a
+    /// finer one costs states, never soundness. The heap and the recovery
+    /// system's volatile tables follow from the machines and the log.
     fn fingerprint(&self, aid: ActionId) -> u64 {
         let mut h = DefaultHasher::new();
-        for g in &self.nodes {
+        for node in &self.nodes {
+            let g = &node.g;
             (g.is_up(), g.knows(aid), g.has_staged()).hash(&mut h);
-            (g.coordinator(aid), g.participant(aid)).hash(&mut h);
-            g.recovery_system().hash(&mut h);
+            (g.coordinator(aid), g.participant(aid), node.digest).hash(&mut h);
         }
-        let mut envs: Vec<u64> = self
-            .inflight
-            .iter()
-            .map(|e| {
-                let mut eh = DefaultHasher::new();
-                e.hash(&mut eh);
-                eh.finish()
-            })
-            .collect();
+        let mut envs: Vec<u64> = self.inflight.iter().map(hash_of).collect();
         envs.sort_unstable();
         envs.hash(&mut h);
         (self.started, self.verdict).hash(&mut h);
@@ -227,16 +284,21 @@ impl State {
     /// Whether nothing is in flight and no up guardian waits on a force:
     /// where `World` stands when it times out a coordinator or re-queries.
     fn quiet(&self) -> bool {
-        let staged = |g: &Rc<Node>| g.is_up() && g.has_staged();
+        let staged = |node: &Rc<Node<R>>| node.g.is_up() && node.g.has_staged();
         self.inflight.is_empty() && !self.nodes.iter().any(staged)
     }
 
-    /// `n` runs `f`, and what it asks for is applied: mail goes out and a
-    /// verdict becomes the client's answer.
-    fn step(&mut self, n: usize, f: impl FnOnce(&mut Node, &mut Effects) -> WorldResult<()>) {
+    /// `n` runs `f`, its store is digested again, and what it asks for is
+    /// applied: mail goes out and a verdict becomes the client's answer.
+    fn step(
+        &mut self,
+        n: usize,
+        f: impl FnOnce(&mut Guardian<R>, &mut Effects) -> WorldResult<()>,
+    ) {
         let mut fx = Effects::default();
-        let step = f(Rc::make_mut(&mut self.nodes[n]), &mut fx);
-        step.expect("a model guardian fails only where the explorer injects a fault");
+        let node = Rc::make_mut(&mut self.nodes[n]);
+        f(&mut node.g, &mut fx).expect("a guardian over a memory store does not fail");
+        node.digest = Node::digest(node.g.recovery_system());
         self.inflight.append(&mut fx.send);
         if let Some((_, committed)) = fx.resolved {
             self.verdict = Some(committed);
@@ -250,7 +312,7 @@ impl State {
 struct Facts {
     pstate: Option<PState>,
     committing: bool,
-    lint: Option<String>,
+    lint: Vec<String>,
 }
 
 impl Facts {
@@ -276,7 +338,7 @@ pub struct Explorer {
     stats: ExploreStats,
     violations: Vec<String>,
     seen_violations: HashSet<String>,
-    /// Facts keyed by forced-log hash: logs repeat across millions of
+    /// Facts keyed by forced-records digest: logs repeat across millions of
     /// interleavings, so each distinct log is recovered and linted once.
     facts: HashMap<u64, Facts>,
 }
@@ -295,13 +357,20 @@ impl Explorer {
     }
 
     /// Runs the DFS to exhaustion (or the state cap) and reports.
-    pub fn run(mut self) -> ExploreReport {
-        let obs = argus_obs::current();
-        let root = self.initial_state();
-        let mut visited: HashSet<u64> = HashSet::new();
-        let mut stack: Vec<State> = Vec::new();
-        visited.insert(root.fingerprint(self.aid));
-        stack.push(root);
+    pub fn run(self) -> ExploreReport {
+        let mem = MemProvider::fast();
+        match self.cfg.kind {
+            RsKind::Simple => self.explore(SimpleLogRs::create(mem)),
+            RsKind::Hybrid => self.explore(HybridLogRs::create(mem)),
+            RsKind::Shadow => self.explore(ShadowRs::create(mem)),
+            RsKind::Redo => self.explore(RedoRs::create(mem)),
+        }
+    }
+
+    fn explore<R: Org>(mut self, fresh: RsResult<R>) -> ExploreReport {
+        let root = self.initial_state(&fresh.expect("a memory log formats"));
+        let mut visited = HashSet::from([root.fingerprint(self.aid)]);
+        let mut stack = vec![root];
         while let Some(state) = stack.pop() {
             self.stats.states_visited += 1;
             self.check_state(&state);
@@ -317,7 +386,7 @@ impl Explorer {
                 }
             }
         }
-        let s = &self.stats;
+        let (obs, s) = (argus_obs::current(), &self.stats);
         obs.add(Count::CheckExploreStatesVisited, s.states_visited);
         obs.add(Count::CheckExploreDedupPruned, s.dedup_pruned);
         obs.add(Count::CheckExploreCrashPoints, s.crash_points);
@@ -333,14 +402,15 @@ impl Explorer {
     }
 
     /// Every guardian up, the action written at each, nothing committed.
-    fn initial_state(&self) -> State {
+    fn initial_state<R: Org>(&self, fresh: &R) -> State<R> {
         let nodes = (0..=self.cfg.participants).map(|n| {
-            let mut g = Guardian::over(GuardianId(n as u32), Box::default());
+            let mut g = Guardian::over(GuardianId(n as u32), Box::new(fresh.clone()));
             let root = g.heap.stable_root().expect("a fresh guardian has its root");
             let write = Touch::Write(|v: &mut Value| *v = Value::Int(n as i64));
             g.touch(self.aid, root, write)
                 .expect("the action writes at every guardian");
-            Rc::new(g)
+            let digest = Node::digest(g.recovery_system());
+            Rc::new(Node { g, digest })
         });
         State {
             nodes: nodes.collect(),
@@ -362,7 +432,7 @@ impl Explorer {
         }
     }
 
-    fn check_state(&mut self, state: &State) {
+    fn check_state<R: Org>(&mut self, state: &State<R>) {
         let before = self.violations.len();
         self.check_state_inner(state);
         // Flight recorder: the first state to exhibit a violation dumps the
@@ -384,32 +454,30 @@ impl Explorer {
         }
     }
 
-    /// What `log` holds durably about the action, recovered and linted once
-    /// per distinct log.
-    fn facts(&mut self, log: &ModelRs) -> Facts {
-        if let Some(facts) = self.facts.get(&log.forced_hash()) {
+    /// What `node`'s store holds durably about the action: its forced
+    /// records recovered and linted, once per distinct digest.
+    fn facts<R: Org>(&mut self, node: &Node<R>) -> Facts {
+        if let Some(facts) = self.facts.get(&node.digest[0]) {
             return facts.clone();
         }
-        self.stats.lint_runs += 1;
-        let report = lint_log(&LogImage::from_entries(log.forced().to_vec()));
-        let details: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-        let outcome = log.clone().recover(&mut Heap::new());
-        let outcome = outcome.expect("a model log recovers");
+        let mut rs = node.g.recovery_system().clone();
+        rs.simulate_crash().expect("a memory log reopens");
+        let outcome = rs.recover(&mut Heap::new()).expect("a memory log recovers");
+        let records = rs.dump_log().expect("a memory log reads back");
+        self.stats.lint_runs += u64::from(records.is_some());
+        let report = records.map(|records| lint_log(&LogImage::from_entries(records)));
+        let lint = report.map(|r| r.violations.iter().map(|v| v.to_string()).collect());
         let facts = Facts {
             pstate: outcome.pt.get(self.aid),
             committing: outcome.ct.get(self.aid).is_some(),
-            lint: (!report.is_clean()).then(|| details.join("; ")),
+            lint: lint.unwrap_or_default(),
         };
-        self.facts.insert(log.forced_hash(), facts.clone());
+        self.facts.insert(node.digest[0], facts.clone());
         facts
     }
 
-    fn check_state_inner(&mut self, state: &State) {
-        let facts: Vec<Facts> = state
-            .nodes
-            .iter()
-            .map(|g| self.facts(g.recovery_system()))
-            .collect();
+    fn check_state_inner<R: Org>(&mut self, state: &State<R>) {
+        let facts: Vec<Facts> = state.nodes.iter().map(|n| self.facts(n)).collect();
         let home = &facts[0];
         // A1: a committed participant implies a logged commit point.
         for (i, f) in facts.iter().enumerate().skip(1) {
@@ -432,31 +500,22 @@ impl Explorer {
             _ => {}
         }
         if self.cfg.participants > 0 && home.committed() != home.committing {
-            self.violation(
-                "A1",
-                "home's committed and committing records are not durable together".into(),
-            );
+            let detail = "home's committed and committing records are not durable together";
+            self.violation("A1", detail.into());
         }
         if home.pstate == Some(PState::Prepared) {
-            self.violation(
-                "DOUBT",
-                "the coordinator's guardian is in doubt about its own action: the commit point's one force was split".into(),
-            );
+            let detail = "the coordinator's guardian is in doubt about its own action: the commit point's one force was split";
+            self.violation("DOUBT", detail.into());
         }
         if let Some(e) = state.inflight.iter().find(|e| e.from == e.to) {
-            let kind = e.msg.kind();
-            self.violation(
-                "SELF",
-                format!("guardian {} mailed itself a {kind}", e.to.0),
-            );
+            let detail = format!("guardian {} mailed itself a {}", e.to.0, e.msg.kind());
+            self.violation("SELF", detail);
         }
         // A2: no mixed verdicts across logs.
         let committed = facts.iter().position(Facts::committed);
         if let (Some(c), Some(a)) = (committed, facts.iter().position(Facts::aborted)) {
-            self.violation(
-                "A2",
-                format!("guardian {c} committed while guardian {a} aborted"),
-            );
+            let detail = format!("guardian {c} committed while guardian {a} aborted");
+            self.violation("A2", detail);
         }
         // A4: past the commit point nobody aborts. A participant only forces
         // `aborted` on instruction, and abort instructions (verdicts,
@@ -469,10 +528,9 @@ impl Explorer {
             }
         }
         // A3: every log lints clean.
-        for (i, f) in facts.iter().enumerate() {
-            if let Some(detail) = &f.lint {
-                self.violation("A3", format!("guardian {i} log fails lint: {detail}"));
-            }
+        for (i, f) in facts.iter().enumerate().filter(|(_, f)| !f.lint.is_empty()) {
+            let detail = f.lint.join("; ");
+            self.violation("A3", format!("guardian {i} log fails lint: {detail}"));
         }
         self.check_termination(state);
     }
@@ -481,9 +539,9 @@ impl Explorer {
     /// in flight, staged, unstarted or left for the timeout: the timer is
     /// the one move left, and it must get an in-doubt participant an answer
     /// and every participant the coordinator awaits a `Commit`.
-    fn check_termination(&mut self, state: &State) {
-        let all_up = state.nodes.iter().all(|g| g.is_up());
-        let coordinator = state.nodes[0].coordinator(self.aid);
+    fn check_termination<R: Org>(&mut self, state: &State<R>) {
+        let all_up = state.nodes.iter().all(|n| n.g.is_up());
+        let coordinator = state.nodes[0].g.coordinator(self.aid);
         let preparing = coordinator.map(|c| c.phase());
         if !(all_up && state.quiet() && state.started && preparing != Some(CoordPhase::Preparing)) {
             return;
@@ -499,8 +557,8 @@ impl Explorer {
                 self.violation("TERM", detail);
             }
         }
-        for (i, g) in state.nodes.iter().enumerate() {
-            let in_doubt = g.participant(self.aid).map(|p| p.phase());
+        for (i, node) in state.nodes.iter().enumerate() {
+            let in_doubt = node.g.participant(self.aid).map(|p| p.phase());
             if in_doubt != Some(PartPhase::Prepared) {
                 continue;
             }
@@ -519,23 +577,23 @@ impl Explorer {
     // ---- successor generation --------------------------------------------
 
     /// `state` after guardian `n` runs `f`, with the move recorded.
-    fn after(
-        state: &State,
+    fn after<R: Org>(
+        state: &State<R>,
         n: usize,
         step: String,
-        f: impl FnOnce(&mut Node, &mut Effects) -> WorldResult<()>,
-    ) -> State {
+        f: impl FnOnce(&mut Guardian<R>, &mut Effects) -> WorldResult<()>,
+    ) -> State<R> {
         let mut next = state.clone();
         next.record(step);
         next.step(n, f);
         next
     }
 
-    fn successors(&mut self, state: &State) -> Vec<State> {
+    fn successors<R: Org>(&mut self, state: &State<R>) -> Vec<State<R>> {
         let aid = self.aid;
         let mut out = Vec::new();
         // The client asks the coordinator to commit.
-        if !state.started && state.nodes[0].is_up() {
+        if !state.started && state.nodes[0].g.is_up() {
             let gids = (0..state.nodes.len() as u32).map(GuardianId).collect();
             let mut next = Self::after(state, 0, "commit".into(), |g, fx| {
                 g.step(Input::Commit(aid, gids), fx)
@@ -550,26 +608,24 @@ impl Explorer {
             let mut rest = state.clone();
             let env = rest.inflight.remove(idx);
             let (to, label) = (env.to.0 as usize, Self::label("deliver", &env));
-            // A participant that would prepare may refuse instead.
-            let g = &state.nodes[to];
-            if self.cfg.allow_refusal && to != 0 && g.knows(aid) && g.participant(aid).is_none() {
+            // A participant that would prepare may refuse: it aborts the
+            // action on its own, and the `Prepare` finds it unknown.
+            let g = &state.nodes[to].g;
+            let prepares = matches!(env.msg, Msg::Prepare { .. }) && g.participant(aid).is_none();
+            if self.cfg.allow_refusal && to != 0 && prepares && g.knows(aid) {
                 let refusal = format!("{label} vote=refuse");
-                let refused = Self::after(&rest, to, refusal, |g, fx| {
-                    g.recovery_system().refuse_prepare.set(true);
+                out.push(Self::after(&rest, to, refusal, |g, fx| {
+                    g.abort_unprepared(aid);
                     g.step(Input::Message(env.clone()), fx)
-                });
-                // Kept only if the prepare ran into the fault.
-                if !refused.nodes[to].recovery_system().refuse_prepare.take() {
-                    out.push(refused);
-                }
+                }));
             }
             rest.record(label);
             rest.step(to, |g, fx| g.step(Input::Message(env), fx));
             out.push(rest);
         }
         // A guardian forces what it staged, and each continuation runs.
-        for (n, g) in state.nodes.iter().enumerate() {
-            if g.is_up() && g.has_staged() {
+        for (n, node) in state.nodes.iter().enumerate() {
+            if node.g.is_up() && node.g.has_staged() {
                 out.push(Self::after(state, n, format!("force {n}"), |g, fx| {
                     g.force(fx)?
                         .into_iter()
@@ -581,17 +637,17 @@ impl Explorer {
         // preparing (§2.2.1), and the timer has in-doubt participants query
         // again (§2.2.2) and a committing coordinator re-send (§2.2.3).
         if state.quiet() {
-            let coordinator = state.nodes[0].coordinator(aid);
+            let coordinator = state.nodes[0].g.coordinator(aid);
             if coordinator.is_some_and(|c| c.phase() == CoordPhase::Preparing) {
-                let step = |g: &mut Node, fx: &mut Effects| g.step(Input::Timeout(aid), fx);
+                let step = |g: &mut Guardian<R>, fx: &mut Effects| g.step(Input::Timeout(aid), fx);
                 out.push(Self::after(state, 0, "timeout".into(), step));
             }
-            let in_doubt = |g: &Rc<Node>| {
-                let phase = g.participant(aid).map(|p| p.phase());
-                g.is_up() && phase == Some(PartPhase::Prepared)
+            let in_doubt = |node: &Rc<Node<R>>| {
+                let phase = node.g.participant(aid).map(|p| p.phase());
+                node.g.is_up() && phase == Some(PartPhase::Prepared)
             };
             let committing = coordinator.is_some_and(|c| c.phase() == CoordPhase::Committing);
-            if (committing && state.nodes[0].is_up()) || state.nodes.iter().any(in_doubt) {
+            if (committing && state.nodes[0].g.is_up()) || state.nodes.iter().any(in_doubt) {
                 let mut next = state.clone();
                 next.record("requery".into());
                 for n in 0..next.nodes.len() {
@@ -610,11 +666,11 @@ impl Explorer {
                 out.push(next);
             }
         }
-        for (n, g) in state.nodes.iter().enumerate() {
-            if state.crashes_left > 0 && g.is_up() {
+        for (n, node) in state.nodes.iter().enumerate() {
+            if state.crashes_left > 0 && node.g.is_up() {
                 let mut next = state.clone();
                 next.record(format!("crash {n}"));
-                Rc::make_mut(&mut next.nodes[n]).crashed();
+                Rc::make_mut(&mut next.nodes[n]).g.crashed();
                 // An unstarted commit request dies with the coordinator.
                 next.started |= n == 0;
                 next.crashes_left -= 1;
@@ -625,7 +681,7 @@ impl Explorer {
             // quiet; with `eager_restarts` recovery races the stale
             // in-flight traffic too.
             let restartable = self.cfg.eager_restarts || state.inflight.is_empty();
-            if restartable && !g.is_up() {
+            if restartable && !node.g.is_up() {
                 out.push(Self::after(state, n, format!("restart {n}"), |g, fx| {
                     g.restart(fx).map(drop)
                 }));
@@ -644,6 +700,13 @@ mod tests {
     use super::*;
     use argus_core::LogEntry;
 
+    /// The organization the step-by-step tests run: the thesis's own.
+    type Hybrid = HybridLogRs<MemProvider>;
+
+    fn fresh() -> Hybrid {
+        Hybrid::create(MemProvider::fast()).unwrap()
+    }
+
     fn config(participants: usize, crashes: u32, drops: u32, states: usize) -> ExploreConfig {
         ExploreConfig {
             participants,
@@ -655,7 +718,7 @@ mod tests {
     }
 
     /// The successor of `state` whose move is `step`, checked.
-    fn take(ex: &mut Explorer, state: &State, step: &str) -> State {
+    fn take(ex: &mut Explorer, state: &State<Hybrid>, step: &str) -> State<Hybrid> {
         let mut next = ex.successors(state).into_iter();
         let next = next.find(|s| s.path.as_ref().is_some_and(|p| p.step == step));
         let next = next.unwrap_or_else(|| panic!("no move `{step}` from {:?}", state.schedule()));
@@ -664,8 +727,8 @@ mod tests {
     }
 
     /// Runs `steps` from the initial state.
-    fn drive(ex: &mut Explorer, steps: &[&str]) -> State {
-        let root = ex.initial_state();
+    fn drive(ex: &mut Explorer, steps: &[&str]) -> State<Hybrid> {
+        let root = ex.initial_state(&fresh());
         steps
             .iter()
             .fold(root, |state, step| take(ex, &state, step))
@@ -684,8 +747,28 @@ mod tests {
     /// The rest of it: the commit and its acknowledgement.
     const TO_THE_END: [&str; 3] = ["deliver Commit 0->1", "force 1", "deliver CommitAck 1->0"];
 
-    fn kinds(log: &ModelRs) -> Vec<&'static str> {
-        log.forced().iter().map(|(_, e)| e.name()).collect()
+    /// The forced records of `node`'s log, oldest first.
+    fn forced(node: &Node<Hybrid>) -> Vec<LogEntry> {
+        let mut g = node.g.clone();
+        let records = g.dump_log().unwrap().expect("a log organization");
+        records.into_iter().map(|(_, e)| e).collect()
+    }
+
+    fn kinds(node: &Node<Hybrid>) -> Vec<&'static str> {
+        forced(node).iter().map(LogEntry::name).collect()
+    }
+
+    /// A guardian over a log holding just the records `write` forces.
+    fn planted(
+        id: GuardianId,
+        write: impl FnOnce(&mut Hybrid) -> RsResult<bool>,
+    ) -> Rc<Node<Hybrid>> {
+        let mut log = fresh();
+        write(&mut log).unwrap();
+        log.force_staged().unwrap();
+        let g = Guardian::over(id, Box::new(log));
+        let digest = Node::digest(g.recovery_system());
+        Rc::new(Node { g, digest })
     }
 
     /// The flight dump a violation's text names.
@@ -747,21 +830,16 @@ mod tests {
         // Home: data, prepared, committing, committed — one force; `done`
         // is staged behind it. The participant: data + prepared, then
         // committed.
-        let home = state.nodes[0].recovery_system();
+        let home = &state.nodes[0];
         assert_eq!(kinds(home), ["data", "prepared", "committing", "committed"]);
-        assert_eq!(
-            kinds(state.nodes[1].recovery_system()),
-            ["data", "prepared", "committed"]
-        );
+        assert_eq!(kinds(&state.nodes[1]), ["data", "prepared", "committed"]);
         assert!(ex.violations.is_empty(), "{:?}", ex.violations);
 
         // The check is not vacuous: a commit point split by a crash — home's
         // `prepared` durable without its verdict — is reported.
         let mut split = drive(&mut ex, &["commit"]);
-        let mut log = ModelRs::default();
-        log.stage_prepare(ex.aid, &[], &Heap::new()).unwrap();
-        log.force_staged().unwrap();
-        split.nodes[0] = Rc::new(Guardian::over(COORD, Box::new(log)));
+        let aid = ex.aid;
+        split.nodes[0] = planted(COORD, |log| log.stage_prepare(aid, &[], &Heap::new()));
         ex.check_state(&split);
         assert!(
             ex.violations.iter().any(|v| v.starts_with("[DOUBT]")),
@@ -787,11 +865,11 @@ mod tests {
         ]
         .concat();
         let state = drive(&mut ex, &steps);
-        let resumed = state.nodes[0].coordinator(ex.aid).map(|c| c.phase());
+        let resumed = state.nodes[0].g.coordinator(ex.aid).map(|c| c.phase());
         assert_eq!(resumed, Some(CoordPhase::Committing));
         let state = take(&mut ex, &state, "deliver Commit 0->1");
         let state = take(&mut ex, &state, "deliver CommitAck 1->0");
-        assert!(state.quiet() && state.nodes[0].coordinator(ex.aid).is_none());
+        assert!(state.quiet() && state.nodes[0].g.coordinator(ex.aid).is_none());
         assert!(ex.violations.is_empty(), "{:?}", ex.violations);
     }
 
@@ -814,7 +892,7 @@ mod tests {
         ];
         let state = drive(&mut ex, &steps);
         assert!(state.inflight.is_empty(), "{:?}", state.inflight);
-        assert!(state.nodes[0].has_staged());
+        assert!(state.nodes[0].g.has_staged());
         let state = take(&mut ex, &state, "force 0");
         let sent: Vec<_> = state
             .inflight
@@ -843,10 +921,8 @@ mod tests {
         // whose path the violation text names.
         let mut ex = Explorer::new(config(1, 1, 1, 1_000));
         let mut state = drive(&mut ex, &["commit", "deliver Prepare 0->1"]);
-        let mut log = ModelRs::default();
-        log.stage_commit(ex.aid).unwrap();
-        log.force_staged().unwrap();
-        state.nodes[1] = Rc::new(Guardian::over(GuardianId(1), Box::new(log)));
+        let aid = ex.aid;
+        state.nodes[1] = planted(GuardianId(1), |log| log.stage_commit(aid));
         ex.check_state(&state);
         assert!(ex.violations.iter().any(|v| v.starts_with("[A1]")));
         let path = dumped_schedule(&ex.violations[0]);
@@ -856,8 +932,8 @@ mod tests {
         assert!(text.contains("violation(s) at this state"));
         let _ = std::fs::remove_file(path);
         assert!(matches!(
-            state.nodes[1].recovery_system().forced().last(),
-            Some((_, LogEntry::Committed { .. }))
+            forced(&state.nodes[1]).last(),
+            Some(LogEntry::Committed { .. })
         ));
     }
 

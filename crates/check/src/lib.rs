@@ -19,7 +19,7 @@
 //!   it.
 //! * **The bounded 2PC interleaving explorer** ([`explore::Explorer`]): a
 //!   deterministic DFS over the guardians `World` runs, stepped through
-//!   `Guardian::step` over a model log whose records are values, that
+//!   `Guardian::step` over each organization's real recovery system, that
 //!   enumerates message reorderings, drops, crashes and restarts up to a
 //!   configurable budget, asserting atomicity at every reachable state and
 //!   linting every guardian's log along the way.
@@ -63,7 +63,6 @@ pub mod explore;
 mod image;
 mod ledger;
 mod lint;
-mod model;
 pub mod sweep;
 pub mod vopr;
 

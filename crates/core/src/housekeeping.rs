@@ -32,7 +32,7 @@ use argus_stable::PageStore;
 use std::collections::VecDeque;
 
 /// What an open hybrid housekeeping pass has built on the new log so far.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HkState {
     /// The committed stable state list: `(uid, new-log data address)`.
     cssl: Vec<(Uid, LogAddress)>,

@@ -36,7 +36,7 @@ pub(crate) struct PendingPair {
 /// entries (Figure 4-1). Its volatile tables are the chain head, the mutex
 /// table (MT, §5.2), the per-action early-prepare bookkeeping, and — while
 /// a housekeeping pass is open — the outcome entries list (OEL).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HybridFormat {
     /// The committing-actions table (CAT): coordinators past the commit
     /// point whose `done` is not yet logged. Volatile twin of the

@@ -36,7 +36,7 @@ pub(crate) fn append_entry<S: PageStore, V: WireField, P: WireField, G: WireFiel
 /// The active log, the registry every record write reports to (the one
 /// current when the system was built), and that registry's clock then,
 /// which the `core.*_us` phase timings read.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LogIo<S: PageStore> {
     pub(crate) log: StableLog<S>,
     pub(crate) obs: Registry,
@@ -206,7 +206,7 @@ pub trait LogFormat: Default + std::fmt::Debug {
 
 /// A housekeeping pass between `begin_housekeeping` and
 /// `finish_housekeeping`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OpenPass<S: PageStore, T> {
     pub(crate) new_log: StableLog<S>,
     mode: HousekeepingMode,
@@ -310,7 +310,7 @@ impl<S: PageStore, F: LogFormat> EntrySink for FormatSink<'_, S, F> {
 /// assert_eq!(recovered.read_value(root, None)?, &Value::Int(7));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LogRs<P: StoreProvider, F: LogFormat> {
     provider: P,
     pub(crate) io: LogIo<P::Store>,

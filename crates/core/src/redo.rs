@@ -57,7 +57,7 @@ const MAP_INTERVAL: u64 = 64;
 
 /// The chain bookkeeping of one log: the live log's on the write path, the
 /// new log's during housekeeping.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RedoMaps {
     /// Newest committed version address per object (chain heads).
     heads: IntMap<Uid, LogAddress>,
@@ -243,7 +243,7 @@ impl compact::Emit for RedoMaps {
 /// The redo-log format: data entries carry the per-object backlink, stamped
 /// from the volatile chain maps; a `committed_ss` chain-head map follows
 /// every `MAP_INTERVAL` commits.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RedoFormat {
     maps: RedoMaps,
     /// Commits since the last checkpoint.

@@ -18,7 +18,7 @@ pub type SimpleLogRs<P> = LogRs<P, SimpleFormat>;
 
 /// The simple-log format: data entries carry uid, kind and aid (Figure 3-1),
 /// nothing is chained, and there is no volatile state beyond the AS and PAT.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SimpleFormat;
 
 /// A compacted entry lands on the new log as it stands.

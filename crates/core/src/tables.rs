@@ -70,11 +70,6 @@ impl ObjectTable {
     pub fn iter(&self) -> impl Iterator<Item = (&Uid, &OtEntry)> {
         self.map.iter()
     }
-
-    /// The largest uid recorded; recovery resets the stable counter past it.
-    pub fn max_uid(&self) -> Option<Uid> {
-        self.map.keys().max().copied()
-    }
 }
 
 /// A participant's view of an action's state.
@@ -279,29 +274,5 @@ mod tests {
             ct.committing_actions(),
             vec![(aid(1), vec![GuardianId(1), GuardianId(2)])]
         );
-    }
-
-    #[test]
-    fn ot_tracks_max_uid() {
-        let mut ot = ObjectTable::new();
-        assert_eq!(ot.max_uid(), None);
-        ot.insert(
-            Uid(4),
-            OtEntry {
-                state: ObjState::Restored,
-                heap: HeapId(0),
-                mutex_addr: None,
-            },
-        );
-        ot.insert(
-            Uid(9),
-            OtEntry {
-                state: ObjState::Prepared,
-                heap: HeapId(1),
-                mutex_addr: None,
-            },
-        );
-        assert_eq!(ot.max_uid(), Some(Uid(9)));
-        assert_eq!(ot.len(), 2);
     }
 }

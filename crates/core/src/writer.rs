@@ -36,7 +36,7 @@ pub trait EntrySink {
 /// What one run of the writing algorithm keeps beside its arguments, owned
 /// by the recovery system and reused, so a run allocates nothing once the
 /// tables have seen a MOS of its size.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MosScratch {
     /// The newly accessible objects set (NAOS), in discovery order.
     naos: VecDeque<HeapId>,

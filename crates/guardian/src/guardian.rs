@@ -552,13 +552,13 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
         Ok(wrote)
     }
 
-    /// Aborts `aid` here before it prepared — a local abort, a coordinator
-    /// deciding before its commit point, or an `Abort` after a lost
-    /// `Prepare`: its tentative versions and locks go and the recovery
-    /// system drops what it noted. Nothing on the log names it as prepared,
-    /// so no record is written. The row goes, but for a machine that still
-    /// runs, which keeps it without the action's work.
-    pub(crate) fn abort_unprepared(&mut self, aid: ActionId) {
+    /// Aborts `aid` here before it prepared — a local abort, a refused
+    /// prepare, a coordinator deciding before its commit point, or an
+    /// `Abort` after a lost `Prepare`: its tentative versions and locks go
+    /// and the recovery system drops what it noted. Nothing on the log names
+    /// it as prepared, so no record is written. The row goes, but for a
+    /// machine that still runs, which keeps it without the action's work.
+    pub fn abort_unprepared(&mut self, aid: ActionId) {
         self.heap.abort_action(aid);
         debug_assert!(self.heap.locks_held_by(aid).is_empty(), "{aid} kept locks");
         self.rs.discard(aid);
@@ -943,8 +943,7 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
                 }
                 PartEffect::PrepareLocally => {
                     let row = self.actions.get_mut(&aid);
-                    let mos = row.map(|row| std::mem::take(&mut row.mos));
-                    let mos = mos.unwrap_or_default();
+                    let mos = row.map_or(Vec::new(), |row| std::mem::take(&mut row.mos));
                     let staged = self.rs.stage_prepare(aid, &mos, &self.heap);
                     (
                         StagedOp::Prepare(aid),
@@ -978,10 +977,11 @@ impl<R: RecoverySystem + ?Sized> Guardian<R> {
             };
             self.obs.record_since(timer, &self.clock, now);
             if matches!((op, &staged), (StagedOp::Prepare(_), Err(e)) if !e.is_crash()) {
-                // The prepare could not be written: refuse.
+                // The prepare could not be written: refuse, and abort here.
                 let row = self.actions.get_mut(&aid);
-                let participant = row.and_then(|row| row.participant.as_mut());
-                queue.extend(participant.map(|p| p.prepare_failed()).unwrap_or_default());
+                let part = row.and_then(|row| row.participant.take());
+                queue.extend(part.map(|mut p| p.prepare_failed()).unwrap_or_default());
+                self.abort_unprepared(aid);
                 self.twopc_span(span, aid, now);
             } else if !self.staged(op, span, now, staged, fx)? {
                 return Ok(());

@@ -5,7 +5,11 @@
 use crate::guardian::{Effects, Input, StagedOp, Touch};
 use crate::{Guardian, Outcome, RsKind, World, WorldConfig};
 use argus_cc::LockMode;
-use argus_objects::{ActionId, GuardianId, Value};
+use argus_core::providers::MemProvider;
+use argus_core::{
+    HousekeepingMode, HybridLogRs, LogStats, RecoveryOutcome, RecoverySystem, RsError, RsResult,
+};
+use argus_objects::{ActionId, GuardianId, Heap, HeapId, Value};
 use argus_twopc::{Envelope, Msg};
 
 #[test]
@@ -721,6 +725,104 @@ fn the_same_inputs_give_the_same_effects_step_by_step() {
         assert_eq!(verdicts, [(aid, true)], "{kind:?}");
         assert!(a.iter().all(|fx| !fx.crashed), "{kind:?}");
     }
+}
+
+/// A hybrid log that cannot write a prepare: `stage_prepare` fails without
+/// a crash, as a prepare the device refuses does.
+struct Refusing(HybridLogRs<MemProvider>);
+
+impl RecoverySystem for Refusing {
+    fn stage_prepare(&mut self, aid: ActionId, _: &[HeapId], _: &Heap) -> RsResult<bool> {
+        Err(RsError::BadState(format!(
+            "{aid}'s prepare cannot be written"
+        )))
+    }
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
+        self.0.stage_commit(aid)
+    }
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
+        self.0.stage_abort(aid)
+    }
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
+        self.0.stage_committing(aid, gids)
+    }
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
+        self.0.stage_done(aid)
+    }
+    fn force_staged(&mut self) -> RsResult<()> {
+        self.0.force_staged()
+    }
+    fn write_entry(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<Vec<HeapId>> {
+        self.0.write_entry(aid, mos, heap)
+    }
+    fn recover(&mut self, heap: &mut Heap) -> RsResult<RecoveryOutcome> {
+        self.0.recover(heap)
+    }
+    fn begin_housekeeping(&mut self, heap: &Heap, mode: HousekeepingMode) -> RsResult<()> {
+        self.0.begin_housekeeping(heap, mode)
+    }
+    fn finish_housekeeping(&mut self) -> RsResult<()> {
+        self.0.finish_housekeeping()
+    }
+    fn simulate_crash(&mut self) -> RsResult<()> {
+        self.0.simulate_crash()
+    }
+    fn discard(&mut self, aid: ActionId) {
+        self.0.discard(aid)
+    }
+    fn trim_access_set(&mut self, heap: &Heap) {
+        self.0.trim_access_set(heap)
+    }
+    fn is_prepared(&self, aid: ActionId) -> bool {
+        self.0.is_prepared(aid)
+    }
+    fn log_stats(&self) -> LogStats {
+        self.0.log_stats()
+    }
+}
+
+/// A participant whose prepare cannot be written refuses its vote and
+/// aborts the action on the spot: it keeps no row, no lock and no version,
+/// and the coordinator aborts at home and tells it, which finds the action
+/// unknown.
+#[test]
+fn a_prepare_that_cannot_be_written_is_refused_and_aborts_at_both_ends() {
+    let mut coord = lone(0, RsKind::Hybrid);
+    let rs = Refusing(HybridLogRs::create(MemProvider::fast()).unwrap());
+    let mut part: Guardian = Guardian::over(GuardianId(1), Box::new(rs));
+    let aid = coord.begin();
+    wrote_x(&mut coord, aid);
+    wrote_x(&mut part, aid);
+    let gids = vec![GuardianId(0), GuardianId(1)];
+    let prepare = step(&mut coord, Input::Commit(aid, gids)).send;
+    assert_eq!(prepare, [mail(0, 1, Msg::Prepare { aid })]);
+
+    let fx = step(&mut part, Input::Message(prepare[0].clone()));
+    let refusal = Effects {
+        send: vec![mail(1, 0, Msg::PrepareRefused { aid })],
+        ..Effects::default()
+    };
+    assert_eq!(fx, refusal);
+    assert_eq!(
+        part.retained_actions(),
+        0,
+        "the refusing participant keeps no row"
+    );
+    assert!(part.heap.locks_held_by(aid).is_empty());
+    assert_eq!(part.stable_value_as("x", Some(aid)), None);
+
+    let fx = step(&mut coord, Input::Message(refusal.send[0].clone()));
+    assert_eq!(fx.resolved, Some((aid, false)));
+    assert_eq!(fx.send, [mail(0, 1, Msg::Abort { aid })]);
+    assert_eq!(coord.retained_actions(), 0);
+    assert!(coord.heap.locks_held_by(aid).is_empty());
+    assert_eq!(coord.stable_value_as("x", Some(aid)), None);
+
+    assert_eq!(
+        step(&mut part, Input::Message(fx.send[0].clone())),
+        Effects::default()
+    );
+    assert_eq!(part.retained_actions() + coord.retained_actions(), 0);
 }
 
 /// Steps `input`, then forces whatever it staged and feeds the

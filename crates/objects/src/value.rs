@@ -97,19 +97,6 @@ impl Value {
         });
         flat
     }
-
-    /// Approximate in-memory size in bytes, used by the device cost model to
-    /// charge proportionally for large values.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Unit | Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::Str(s) => 4 + s.len(),
-            Value::Bytes(b) => 4 + b.len(),
-            Value::Seq(items) => 4 + items.iter().map(Value::approx_size).sum::<usize>(),
-            Value::Ref(_) => 9,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -189,13 +176,6 @@ mod tests {
         assert!(!sample().is_flat());
         assert!(Value::Int(3).is_flat());
         assert!(Value::uid_ref(Uid(1)).is_flat());
-    }
-
-    #[test]
-    fn approx_size_grows_with_content() {
-        assert!(Value::Str("hello".into()).approx_size() > Value::Unit.approx_size());
-        let nested = Value::Seq(vec![Value::Int(0); 10]);
-        assert!(nested.approx_size() > 80);
     }
 
     #[test]

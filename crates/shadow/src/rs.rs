@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 /// shadowing: "changing the entries in the map and rewriting the map at
 /// every action commit... could be expensive, especially if the map is large"
 /// (§1.2.1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShadowRs<P: StoreProvider> {
     provider: P,
     log: StableLog<P::Store>,

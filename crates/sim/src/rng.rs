@@ -67,11 +67,6 @@ impl DetRng {
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Splits off an independent generator, e.g. one per guardian.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64() | 1)
-    }
 }
 
 /// A zipfian index sampler over `[0, n)` with exponent `theta`.
@@ -179,13 +174,6 @@ mod tests {
         let mut r = DetRng::new(13);
         let hits = (0..100_000).filter(|_| r.gen_bool(0.25)).count();
         assert!((20_000..30_000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut a = DetRng::new(9);
-        let mut b = a.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl Encoder {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -180,11 +175,6 @@ impl<'a> Decoder<'a> {
     /// Reads one byte.
     pub fn take_u8(&mut self) -> CodecResult<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn take_u16(&mut self) -> CodecResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
@@ -315,7 +305,6 @@ mod tests {
     fn primitives_roundtrip() {
         let mut e = Encoder::new();
         e.put_u8(1);
-        e.put_u16(500);
         e.put_u32(70_000);
         e.put_u64(1 << 40);
         e.put_i64(-42);
@@ -326,7 +315,6 @@ mod tests {
 
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.take_u8().unwrap(), 1);
-        assert_eq!(d.take_u16().unwrap(), 500);
         assert_eq!(d.take_u32().unwrap(), 70_000);
         assert_eq!(d.take_u64().unwrap(), 1 << 40);
         assert_eq!(d.take_i64().unwrap(), -42);
@@ -341,7 +329,8 @@ mod tests {
         let mut d = Decoder::new(&[1, 2]);
         assert!(matches!(d.take_u32(), Err(CodecError::Truncated { .. })));
         // Position does not advance past the end on failure.
-        assert_eq!(d.take_u16().unwrap(), 0x0201);
+        assert_eq!(d.take_u8().unwrap(), 1);
+        assert_eq!(d.take_u8().unwrap(), 2);
     }
 
     #[test]

@@ -264,6 +264,7 @@ impl Superblock {
 /// publishes it with the recovered top (one page write, one barrier) before
 /// the log accepts an append; frames carry their epoch and the scan rejects
 /// any other. [`StableLog::create`] does the same over a reused store.
+#[derive(Clone)]
 pub struct StableLog<S: PageStore> {
     dev: ByteDevice<S>,
     /// The durable frontier: everything below it has been forced.

@@ -24,7 +24,7 @@ const WINDOW: usize = 2 * PAGE_SIZE;
 /// Writes go through to the store and into the extent, so an append finds
 /// the partially filled last page there instead of re-reading it. The extent
 /// is volatile and is simply dropped (with the device) on a crash.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ByteDevice<S: PageStore> {
     store: S,
     /// The extent: pages `first..` of the store are `buf[start..end]`.

@@ -10,7 +10,7 @@ use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
 /// experiments. It still charges simulated I/O cost and still honours an
 /// optional [`FaultPlan`] so whole-node crashes can be injected cheaply, and
 /// its contents survive such a crash (they stand in for the platter).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemStore {
     pages: Vec<Page>,
     plan: Option<FaultPlan>,

@@ -108,6 +108,21 @@ if grep -nE 'enum Fate\b|lint_heap_quiesced\(' $(find crates src tests examples 
     exit 1
 fi
 
+# The organizations are the recovery systems: the log skeleton in `core` and
+# shadowing. A checker or tool drives those, never a model of one, so a
+# `RecoverySystem` implementation anywhere else is rejected. Test code is
+# exempt, as above.
+if awk '
+    FNR == 1 { t = (FILENAME ~ /\/tests\.rs$|\/tests\//) }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    !t && /RecoverySystem for / { print FILENAME ":" FNR ": " $0; hit = 1 }
+    END { exit !hit }
+' $(find crates src examples -name '*.rs' \
+    -not -path crates/core/src/log.rs -not -path crates/shadow/src/rs.rs); then
+    echo "lint: a recovery system outside core and shadow — drive a real organization" >&2
+    exit 1
+fi
+
 # One row per action: a guardian keeps what it knows of an action in its
 # one `actions` map, the world in its one `live` map, so every forget site
 # removes one row and a restart clears one map. Another field keyed by

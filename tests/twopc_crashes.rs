@@ -508,41 +508,58 @@ fn housekeeping_with_a_buffered_done_keeps_the_coordinator_records_paired() {
     }
 }
 
-/// The explorer, over the guardians the world runs: a local action (no
-/// participants) under two crashes, and the distributed protocol under two
-/// crashes and a drop — whose schedules include every crash between a
-/// guardian's staging and its force, and a coordinator crash with its
-/// unforced `done` still staged — satisfy A1–A4 and termination; no
-/// guardian is ever in doubt about an action it coordinates and no message
-/// is addressed to its sender.
+/// The explorer, over the guardians the world runs and each organization's
+/// real recovery system: a local action (no participants) under two
+/// crashes, and the distributed protocol under two crashes and a drop —
+/// whose schedules include every crash between a guardian's staging and its
+/// force, and a coordinator crash with its unforced `done` still staged —
+/// satisfy A1–A4 and termination; no guardian is ever in doubt about an
+/// action it coordinates and no message is addressed to its sender.
 #[test]
 fn the_explorer_accepts_the_local_path_and_a_lost_done() {
-    let local = Explorer::new(ExploreConfig {
-        participants: 0,
-        max_crashes: 2,
-        max_drops: 0,
-        max_states: 10_000,
-        allow_refusal: false,
-        eager_restarts: true,
-    })
-    .run();
-    local.assert_ok();
-    assert_eq!(local.stats.depth_limited, 0, "the local space is small");
-    assert!(local.stats.crash_points > 0 && local.stats.deliveries == 0);
-
-    for (participants, eager_restarts) in [(1, true), (2, false)] {
-        let distributed = Explorer::new(ExploreConfig {
-            participants,
+    for kind in RsKind::ALL {
+        let local = Explorer::new(ExploreConfig {
+            kind,
+            participants: 0,
             max_crashes: 2,
-            max_drops: 1,
-            max_states: 100_000,
-            allow_refusal: true,
-            eager_restarts,
+            max_drops: 0,
+            max_states: 10_000,
+            allow_refusal: false,
+            eager_restarts: true,
         })
         .run();
-        distributed.assert_ok();
-        assert_eq!(distributed.stats.depth_limited, 0, "{participants}");
-        assert!(distributed.stats.crash_points > 0 && distributed.stats.terminal_states > 0);
+        local.assert_ok();
+        assert_eq!(
+            local.stats.depth_limited, 0,
+            "{kind:?}: the local space is small"
+        );
+        assert!(
+            local.stats.crash_points > 0 && local.stats.deliveries == 0,
+            "{kind:?}"
+        );
+
+        for (participants, eager_restarts) in [(1, true), (2, false)] {
+            let distributed = Explorer::new(ExploreConfig {
+                kind,
+                participants,
+                max_crashes: 2,
+                max_drops: 1,
+                max_states: 100_000,
+                allow_refusal: true,
+                eager_restarts,
+            })
+            .run();
+            distributed.assert_ok();
+            assert_eq!(
+                distributed.stats.depth_limited, 0,
+                "{kind:?} {participants}"
+            );
+            let s = distributed.stats;
+            assert!(
+                s.crash_points > 0 && s.terminal_states > 0,
+                "{kind:?} {participants}"
+            );
+        }
     }
 }
 
